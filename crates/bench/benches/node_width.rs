@@ -33,10 +33,10 @@ fn bench_node_width(c: &mut Criterion) {
         let runtime = Searcher::new_runtime(index.as_slice(), kind);
         debug_assert_eq!(wide.is_wide(), b == 8 || b == 16);
         group.bench_function(BenchmarkId::new("runtime", format!("b{b}")), |bch| {
-            bch.iter(|| std::hint::black_box(runtime.batch_search_pipelined(&queries)))
+            bch.iter(|| std::hint::black_box(runtime.batch_search(&queries)))
         });
         group.bench_function(BenchmarkId::new("wide", format!("b{b}")), |bch| {
-            bch.iter(|| std::hint::black_box(wide.batch_search_pipelined(&queries)))
+            bch.iter(|| std::hint::black_box(wide.batch_search(&queries)))
         });
     }
     group.finish();

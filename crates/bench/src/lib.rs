@@ -55,9 +55,9 @@ where
 
 /// Run `f` inside a rayon pool of exactly `p` threads.
 ///
-/// On this container there is a single hardware core, so `p > 1` measures
+/// On this container there are two hardware cores, so `p > 2` measures
 /// the algorithms' behavior under oversubscription rather than true
-/// speedup; EXPERIMENTS.md documents this.
+/// speedup.
 pub fn with_pool<R: Send>(p: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
         .num_threads(p)

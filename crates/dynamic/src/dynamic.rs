@@ -85,19 +85,24 @@
 //!
 //! ## Queries
 //!
-//! Point lookups probe the buffer, then runs newest-first, and stop at
-//! the first version found (live → the value, tombstone → absent).
-//! [`DynamicMap::batch_get`] does the same run-by-run but drives every
-//! run with the software-pipelined batched engine
-//! (`StaticIndex::batch_search`), so batched read throughput survives
-//! dynamization. Order queries (`lower_bound` / `successor` /
-//! `predecessor`) combine per-run candidates and skip dead versions.
+//! Every read is written once, on [`Frozen`] — a sorted buffer plus a
+//! newest-first run list. The live map keeps its current state as one
+//! (the writer rebuilds the run list at every seal, install and
+//! recovery) and derefs to it, so `map.get(..)` and `snapshot.get(..)`
+//! are the same code and neither allocates. Point lookups probe the
+//! buffer, then runs newest-first, and stop at the first version found
+//! (live → the value, tombstone → absent). [`Frozen::batch_get`] does
+//! the same run-by-run but drives every run with the software-pipelined
+//! batched engine (`StaticIndex::batch_search`), so batched read
+//! throughput survives dynamization. Order queries (`lower_bound` /
+//! `successor` / `predecessor`) combine per-run candidates and skip
+//! dead versions.
 //!
 //! ## Snapshots: readers never block on a merge
 //!
-//! [`DynamicMap::snapshot`] returns a [`Frozen`] view — `Arc`s of the
-//! current runs plus a copy of the (small) buffer — with the same read
-//! API, reflecting **exactly** the state at the call. The map also
+//! [`DynamicMap::snapshot`] returns a [`Frozen`] — the current run list
+//! (shared, one `Arc` bump) plus a copy of the (small) buffer —
+//! reflecting **exactly** the state at the call. The map also
 //! maintains a published snapshot cell for cloneable [`Reader`] handles
 //! ([`DynamicMap::reader`]). Publication is **seal/compaction
 //! granular**: the cell is swapped when a seal freezes the buffer
@@ -126,6 +131,7 @@ use crate::sync::{
 };
 use ist_core::{Algorithm, Error, Layout};
 use ist_query::QueryKind;
+use std::borrow::Borrow;
 
 /// Default write-buffer capacity (entries buffered between seals).
 ///
@@ -167,40 +173,28 @@ pub enum CompactionMode {
 /// boundary descents and stitch would cost more than the merge.
 const PARALLEL_MERGE_MIN_SLICE: usize = 1024;
 
-/// How the compactor arranges runs into tiers; see [`CompactionPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionStyle {
-    /// **Size-tiered**: each tier accumulates up to `fanout` runs of
-    /// similar size before they are merged one tier down. Lowest write
-    /// amplification (each version is merged once per tier crossing),
-    /// but reads fan out over up to `fanout` runs per tier.
-    /// `fanout = 1` is the classic binomial-counter logarithmic method
-    /// (the default): every tier holds at most one run and a merge
-    /// targets the first tier with a free slot.
-    Tiered,
-    /// **Leveled**: every tier holds a single run bounded by
-    /// `buffer_cap · fanout^(tier+1)` versions; a merge folds the
-    /// overflowing prefix of tiers into the first tier whose budget
-    /// absorbs it (consuming that tier's run too). Lowest read fan-out
-    /// (≤ 1 run per tier), at up to `fanout`× the write amplification.
-    Leveled,
-}
-
-/// Tunable knobs for the compact half of the overflow path: how runs
-/// are arranged into tiers (write amplification vs read fan-out) and
-/// how many threads the k-way merge may use.
+/// Tunable knobs for the compact half of the overflow path: how many
+/// runs a tier accumulates before they merge one tier down (write
+/// amplification vs read fan-out) and how many threads the k-way merge
+/// may use.
+///
+/// Compaction is **size-tiered**: each tier accumulates up to `fanout`
+/// runs of similar size before they are merged one tier down, so each
+/// version is merged once per tier crossing while reads fan out over
+/// up to `fanout` runs per tier. `fanout = 1` is the classic
+/// binomial-counter logarithmic method (the default): every tier holds
+/// at most one run and a merge targets the first tier with a free slot.
 ///
 /// Configured at construction via [`DynamicMap::with_policy`] (and
 /// plumbed through the `ShardedMap` builders). The default —
-/// [`CompactionStyle::Tiered`] with `fanout = 1`, no lazy bottom,
-/// auto merge threads — reproduces the binomial-counter schedule the
-/// differential suites pin, so switching policies is purely a
-/// performance decision: observable answers are identical under every
-/// policy (the fuzz suites assert exactly this).
+/// `fanout = 1`, no lazy bottom, auto merge threads — reproduces the
+/// binomial-counter schedule the differential suites pin, so switching
+/// policies is purely a performance decision: observable answers are
+/// identical under every policy (the fuzz suites assert exactly this).
 ///
 /// # Examples
 /// ```
-/// use implicit_search_trees::{CompactionPolicy, CompactionStyle, DynamicMap, Layout};
+/// use implicit_search_trees::{CompactionPolicy, DynamicMap, Layout};
 ///
 /// let policy = CompactionPolicy::tiered(4).with_lazy_bottom(true);
 /// let mut m: DynamicMap<u64, u64> = DynamicMap::new(Layout::Veb).with_policy(policy);
@@ -209,12 +203,8 @@ pub enum CompactionStyle {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Tier growth factor: runs-per-tier under [`CompactionStyle::Tiered`]
-    /// (≥ 1), per-tier size ratio under [`CompactionStyle::Leveled`]
-    /// (≥ 2).
+    /// Runs a tier accumulates before folding one tier down (≥ 1).
     pub fanout: usize,
-    /// Tiered (write-optimized) vs leveled (read-optimized) shape.
-    pub style: CompactionStyle,
     /// Keep the bottom (largest) run out of merges until the data above
     /// it reaches `1/fanout` of its size. Bulk-loaded maps churn their
     /// upper tiers without repeatedly rewriting the big run, at the
@@ -240,18 +230,6 @@ impl CompactionPolicy {
     pub fn tiered(fanout: usize) -> Self {
         Self {
             fanout,
-            style: CompactionStyle::Tiered,
-            lazy_bottom: false,
-            merge_threads: 0,
-        }
-    }
-
-    /// Leveled policy: one run per tier, tier `t` bounded by
-    /// `buffer_cap · fanout^(t+1)` versions.
-    pub fn leveled(fanout: usize) -> Self {
-        Self {
-            fanout,
-            style: CompactionStyle::Leveled,
             lazy_bottom: false,
             merge_threads: 0,
         }
@@ -269,17 +247,6 @@ impl CompactionPolicy {
     pub fn with_merge_threads(mut self, threads: usize) -> Self {
         self.merge_threads = threads;
         self
-    }
-
-    fn validate(&self) {
-        match self.style {
-            CompactionStyle::Tiered => {
-                assert!(self.fanout >= 1, "tiered fanout must be at least 1")
-            }
-            CompactionStyle::Leveled => {
-                assert!(self.fanout >= 2, "leveled fanout must be at least 2")
-            }
-        }
     }
 }
 
@@ -685,16 +652,31 @@ where
     (keys, slots, weights)
 }
 
-/// An immutable snapshot of a [`DynamicMap`]: the whole read API over
-/// the state after some prefix of the writer's operations.
+/// An immutable state of a [`DynamicMap`] — a sorted buffer plus the
+/// resident runs, newest first — and the **single implementation of
+/// every read**. A snapshot ([`DynamicMap::snapshot`],
+/// [`Reader::snapshot`]) is one of these over the state after some
+/// prefix of the writer's operations; the live map keeps its current
+/// state as one too and derefs to it, so `map.get(..)` and
+/// `snap.get(..)` are the same code.
 ///
 /// Cheap to clone (two `Arc` bumps), `Send + Sync` when the key and
 /// value types are, and independent of the writer: merges that retire
 /// the referenced runs only drop refcounts.
 pub struct Frozen<K, V> {
-    buffer: Arc<Vec<BufEntry<K, V>>>,
+    /// Sorted by key, at most one entry per key (the newest version).
+    pub(crate) buffer: Arc<Vec<BufEntry<K, V>>>,
     /// Non-empty runs, newest first.
-    runs: Arc<Vec<Arc<Run<K, V>>>>,
+    pub(crate) runs: Arc<Vec<Arc<Run<K, V>>>>,
+}
+
+impl<K, V> Frozen<K, V> {
+    fn empty() -> Self {
+        Self {
+            buffer: Arc::new(Vec::new()),
+            runs: Arc::new(Vec::new()),
+        }
+    }
 }
 
 impl<K, V> Clone for Frozen<K, V> {
@@ -741,6 +723,7 @@ impl<K, V> Reader<K, V> {
 /// Semantics mirror `std::collections::BTreeMap`: one live value per
 /// key, `insert` overwrites, `remove` deletes; `rank`, `range_count`,
 /// `lower_bound`, `successor`, and `predecessor` see only live keys.
+/// Every read is a method of [`Frozen`], which the map derefs to.
 ///
 /// # Examples
 /// ```
@@ -762,8 +745,12 @@ impl<K, V> Reader<K, V> {
 /// assert_eq!(snap.get(&2), Some(&"two"));
 /// ```
 pub struct DynamicMap<K, V> {
-    /// Sorted by key, at most one entry per key (the newest version).
-    pub(crate) buffer: Vec<BufEntry<K, V>>,
+    /// The current read state: the write buffer (held uniquely — a
+    /// snapshot copies it — so `Arc::make_mut` mutates in place) and
+    /// the newest-first list of every run in `l0` and `tiers`, rebuilt
+    /// by [`DynamicMap::refresh_runs`] wherever the run set changes.
+    /// Reads reach it through `Deref`.
+    live: Frozen<K, V>,
     /// Sealed-but-uncompacted L0 runs, **oldest first** (seals push to
     /// the back); all are newer than every tier run.
     pub(crate) l0: Vec<Arc<Run<K, V>>>,
@@ -841,12 +828,8 @@ where
         if let QueryKind::Btree(b) = kind {
             assert!(b >= 1, "B-tree node capacity B must be at least 1");
         }
-        let empty = Frozen {
-            buffer: Arc::new(Vec::new()),
-            runs: Arc::new(Vec::new()),
-        };
         Self {
-            buffer: Vec::new(),
+            live: Frozen::empty(),
             l0: Vec::new(),
             tiers: Vec::new(),
             pending: None,
@@ -856,7 +839,7 @@ where
             mode: CompactionMode::Background,
             policy: CompactionPolicy::default(),
             buffer_moves: 0,
-            published: Arc::new(Mutex::new(Arc::new(empty))),
+            published: Arc::new(Mutex::new(Arc::new(Frozen::empty()))),
             published_dirty: AtomicBool::new(false),
             muts_since_publish: AtomicUsize::new(0),
             store: None,
@@ -892,11 +875,10 @@ where
     /// answers are identical under every policy.
     ///
     /// # Panics
-    /// Panics on an invalid policy (tiered `fanout == 0`, leveled
-    /// `fanout < 2`).
+    /// Panics on `fanout == 0`.
     #[must_use]
     pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
-        policy.validate();
+        assert!(policy.fanout >= 1, "tiered fanout must be at least 1");
         self.policy = policy;
         self
     }
@@ -999,6 +981,7 @@ where
                 kind,
                 algorithm,
             )?));
+            map.refresh_runs();
         }
         Ok(map)
     }
@@ -1024,13 +1007,13 @@ where
             }
         }
         let live_before;
-        match buffer_slot(&self.buffer, &key) {
+        match buffer_slot(&self.live.buffer, &key) {
             Ok(i) => {
                 // Buffer hit: the entry's weight already encodes the
                 // runs' summed weight for this key (weight = liveness −
                 // s, see the module docs), so the overwrite needs no
                 // run descent at all.
-                let entry = &mut self.buffer[i];
+                let entry = &mut self.buffer_mut()[i];
                 let s = if entry.slot.is_some() {
                     1 - entry.weight
                 } else {
@@ -1043,8 +1026,8 @@ where
             Err(i) => {
                 let s = self.runs_weight_of(&key);
                 live_before = s == 1;
-                self.buffer_moves += (self.buffer.len() - i) as u64;
-                self.buffer.insert(
+                self.buffer_moves += (self.live.buffer.len() - i) as u64;
+                self.buffer_mut().insert(
                     i,
                     BufEntry {
                         key,
@@ -1075,11 +1058,11 @@ where
             }
         }
         let live_before;
-        match buffer_slot(&self.buffer, key) {
+        match buffer_slot(&self.live.buffer, key) {
             Ok(i) => {
                 // Buffer hit: recover `s` from the entry itself, no run
                 // descent (see `insert`).
-                let entry = &mut self.buffer[i];
+                let entry = &mut self.buffer_mut()[i];
                 let s = if entry.slot.is_some() {
                     1 - entry.weight
                 } else {
@@ -1093,8 +1076,8 @@ where
                 let s = self.runs_weight_of(key);
                 if s == 1 {
                     live_before = true;
-                    self.buffer_moves += (self.buffer.len() - i) as u64;
-                    self.buffer.insert(
+                    self.buffer_moves += (self.live.buffer.len() - i) as u64;
+                    self.buffer_mut().insert(
                         i,
                         BufEntry {
                             key: key.clone(),
@@ -1198,7 +1181,7 @@ where
         // (the bulk analog of `runs_weight_of`).
         let keys: Vec<K> = delta.iter().map(|(k, _)| k.clone()).collect();
         let mut s_runs = vec![0i64; keys.len()];
-        for run in self.all_runs() {
+        for run in self.live.runs.iter() {
             let ranks = run.map.index().batch_rank(&keys);
             let searcher = run.map.searcher();
             for (s, (&r, key)) in s_runs.iter_mut().zip(ranks.iter().zip(&keys)) {
@@ -1214,14 +1197,14 @@ where
         // without displacing a single existing entry.
         let batch_len = delta.len();
         let mut changed = 0usize;
-        let append = match (self.buffer.last(), delta.first()) {
+        let append = match (self.live.buffer.last(), delta.first()) {
             (Some(last), Some((first, _))) => last.key < *first,
             _ => true,
         };
         let (old, mut merged) = if append {
-            (Vec::new(), std::mem::take(&mut self.buffer))
+            (Vec::new(), std::mem::take(self.buffer_mut()))
         } else {
-            let old = std::mem::take(&mut self.buffer);
+            let old = std::mem::take(self.buffer_mut());
             let cap = old.len() + batch_len;
             (old, Vec::with_capacity(cap))
         };
@@ -1267,7 +1250,7 @@ where
             displaced += 1;
             merged.push(e);
         }
-        self.buffer = merged;
+        *self.buffer_mut() = merged;
         self.buffer_moves += displaced;
         self.maybe_seal();
         self.after_mutations(batch_len);
@@ -1334,7 +1317,7 @@ where
 
     /// An immutable view of the current state; later writes to `self`
     /// are invisible to it. Cost: one copy of the (≤ `buffer_cap`-entry)
-    /// buffer plus one `Arc` bump per resident run.
+    /// buffer plus one `Arc` bump for the shared run list.
     pub fn snapshot(&self) -> Frozen<K, V> {
         self.freeze()
     }
@@ -1361,99 +1344,11 @@ where
         }
     }
 
-    // ----- reads (shared with Frozen via ViewRef) -----
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// `true` iff no key is live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The live value under `key`, if any (buffer first, then runs
-    /// newest-first, stopping at the first version found).
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.view().get(key)
-    }
-
-    /// `true` iff `key` is live.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Number of live keys strictly smaller than `key` — exact, via the
-    /// per-run weight prefixes (see the [module docs](self)).
-    pub fn rank(&self, key: &K) -> usize {
-        self.view().rank(key)
-    }
-
-    /// Number of live keys in `[lo, hi)`. Reversed bounds (`lo > hi`)
-    /// describe an empty interval and yield 0 — never a panic (the same
-    /// contract as [`crate::StaticIndex::range_count`]).
-    pub fn range_count(&self, lo: &K, hi: &K) -> usize {
-        self.view().range_count(lo, hi)
-    }
-
-    /// The smallest live entry with key `≥ key`, if any.
-    pub fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().lower_bound(key)
-    }
-
-    /// The smallest live entry with key **strictly greater** than
-    /// `key`, if any.
-    pub fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().successor(key)
-    }
-
-    /// The largest live entry with key **strictly smaller** than `key`,
-    /// if any.
-    pub fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().predecessor(key)
-    }
-
-    /// Batched [`DynamicMap::get`]: unresolved keys cascade run by run
-    /// (newest first), each run driven by the software-pipelined
-    /// parallel `batch_search` engine. `out[i]` is exactly
-    /// `get(&keys[i])`.
-    pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
-        self.view().batch_get(&as_refs(keys))
-    }
-
-    /// [`DynamicMap::batch_get`] over **borrowed** keys: bit-identical
-    /// results without a contiguous owned key array, so routing layers
-    /// (`ShardedMap`, the serve-layer coalescer) can partition a batch
-    /// by reference instead of cloning every key into per-shard staging
-    /// buffers.
-    pub fn batch_get_ref(&self, keys: &[&K]) -> Vec<Option<&V>> {
-        self.view().batch_get(keys)
-    }
-
-    /// Batched [`DynamicMap::rank`] on the pipelined per-run rank
-    /// engine.
-    pub fn batch_rank(&self, keys: &[K]) -> Vec<usize> {
-        self.view().batch_rank(&as_refs(keys))
-    }
-
-    /// [`DynamicMap::batch_rank`] over **borrowed** keys (see
-    /// [`DynamicMap::batch_get_ref`]).
-    pub fn batch_rank_ref(&self, keys: &[&K]) -> Vec<usize> {
-        self.view().batch_rank(keys)
-    }
-
-    /// Per-pair [`DynamicMap::range_count`] (reversed pairs yield 0);
-    /// all endpoint ranks go through the pipelined engine.
-    pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
-        self.view().batch_range_count(ranges)
-    }
-
     // ----- introspection -----
 
     /// Writes currently absorbed by the buffer (not yet sealed).
     pub fn buffered_versions(&self) -> usize {
-        self.buffer.len()
+        self.live.buffer.len()
     }
 
     /// Resident versions per run, per tier: element `t` lists tier
@@ -1461,7 +1356,7 @@ where
     /// appears under tiered `fanout > 1` or lazy-bottom debt). Sealed
     /// L0 runs are **not** included (see
     /// [`DynamicMap::sealed_versions`]). Sums can exceed
-    /// [`DynamicMap::len`]: overwrites, re-inserts, and tombstones all
+    /// [`Frozen::len`]: overwrites, re-inserts, and tombstones all
     /// hold versions until a merge collapses them.
     pub fn tier_versions(&self) -> Vec<Vec<usize>> {
         self.tiers
@@ -1514,24 +1409,27 @@ where
 
     // ----- internals -----
 
-    /// All resident runs, newest first: sealed L0 runs (newest sealed
-    /// last in `l0`), then tiers shallow-to-deep. Every read, weight
-    /// probe, and snapshot derives its run order from this.
-    fn all_runs(&self) -> impl Iterator<Item = &Arc<Run<K, V>>> {
-        self.l0.iter().rev().chain(self.tiers.iter().flatten())
+    /// Re-derive the newest-first run list every read, weight probe,
+    /// and snapshot goes through: sealed L0 runs (newest sealed last in
+    /// `l0`), then tiers shallow-to-deep. Called wherever `l0` or
+    /// `tiers` change — seal, install, bulk load, recovery.
+    pub(crate) fn refresh_runs(&mut self) {
+        let runs = self.l0.iter().rev().chain(self.tiers.iter().flatten());
+        self.live.runs = Arc::new(runs.cloned().collect());
     }
 
-    fn view(&self) -> ViewRef<'_, K, V> {
-        ViewRef {
-            buffer: &self.buffer,
-            runs: self.all_runs().map(|a| a.as_ref()).collect(),
-        }
+    /// The write buffer, for mutation. The live buffer is never shared
+    /// by this module (snapshots copy it), so `make_mut` mutates in
+    /// place; it copies only if a caller cloned the live [`Frozen`]
+    /// through `Deref`, which then keeps its own version.
+    fn buffer_mut(&mut self) -> &mut Vec<BufEntry<K, V>> {
+        Arc::make_mut(&mut self.live.buffer)
     }
 
     fn freeze(&self) -> Frozen<K, V> {
         Frozen {
-            buffer: Arc::new(self.buffer.clone()),
-            runs: Arc::new(self.all_runs().cloned().collect()),
+            buffer: Arc::new(Vec::clone(&self.live.buffer)),
+            runs: Arc::clone(&self.live.runs),
         }
     }
 
@@ -1588,10 +1486,7 @@ where
         // Relaxed: writer-thread-private flag (see `publish`); the
         // reader-visible effect (the cell swap below) is mutex-ordered.
         } else if self.published_dirty.load(Ordering::Relaxed) {
-            *lock(&self.published) = Arc::new(Frozen {
-                buffer: Arc::new(Vec::new()),
-                runs: Arc::new(Vec::new()),
-            });
+            *lock(&self.published) = Arc::new(Frozen::empty());
             // Relaxed: same writer-thread-private flag as above.
             self.published_dirty.store(false, Ordering::Relaxed);
         }
@@ -1600,7 +1495,7 @@ where
     /// Summed weight of `key`'s versions across all resident runs
     /// (excluding the buffer): one rank descent per run.
     fn runs_weight_of(&self, key: &K) -> i64 {
-        self.all_runs().map(|r| r.weight_of(key)).sum()
+        self.live.runs.iter().map(|r| r.weight_of(key)).sum()
     }
 
     /// `pub(crate)` for WAL recovery: replay suppresses sealing (the
@@ -1611,7 +1506,7 @@ where
         if self.seal_suppressed {
             return;
         }
-        if self.buffer.len() >= self.buffer_cap {
+        if self.live.buffer.len() >= self.buffer_cap {
             self.seal();
             self.ensure_compaction();
         }
@@ -1629,10 +1524,10 @@ where
     /// `move` of the buffer plus a weight prefix sum, with no layout
     /// permutation at all on the write path.
     fn seal(&mut self) {
-        if self.buffer.is_empty() {
+        if self.live.buffer.is_empty() {
             return;
         }
-        let buffer = std::mem::take(&mut self.buffer);
+        let buffer = std::mem::take(self.buffer_mut());
         let mut keys = Vec::with_capacity(buffer.len());
         let mut slots = Vec::with_capacity(buffer.len());
         let mut weights = Vec::with_capacity(buffer.len());
@@ -1644,6 +1539,7 @@ where
         let run = Run::build(keys, slots, &weights, QueryKind::Sorted, self.algorithm)
             .expect("sorted runs never fail to build");
         self.l0.push(Arc::new(run));
+        self.refresh_runs();
         // Durable seal: write the run file, rotate the WAL (whose
         // records are now all represented by the run), and point the
         // manifest at the new file set.
@@ -1676,42 +1572,14 @@ where
     fn plan_compaction(&mut self) -> Plan {
         let consumed_l0 = self.l0.len();
         let fanout = self.policy.fanout;
-        let (mut full_tiers, mut partial_runs, mut target) = match self.policy.style {
-            CompactionStyle::Tiered => {
-                // First tier with a free run slot; tiers above it are
-                // full and fold in.
-                let target = self
-                    .tiers
-                    .iter()
-                    .position(|t| t.len() < fanout)
-                    .unwrap_or(self.tiers.len());
-                (target, 0, target)
-            }
-            CompactionStyle::Leveled => {
-                // First tier whose size budget `cap·fanout^(t+1)`
-                // absorbs everything above it plus its own run; the
-                // deepest occupied tier absorbs unconditionally.
-                let mut est: usize = self.l0.iter().map(|r| r.versions()).sum();
-                let mut budget = self.buffer_cap.saturating_mul(fanout);
-                let mut t = 0;
-                loop {
-                    let here: usize = self
-                        .tiers
-                        .get(t)
-                        .map_or(0, |v| v.iter().map(|r| r.versions()).sum());
-                    let deeper = self
-                        .tiers
-                        .get(t + 1..)
-                        .is_some_and(|rest| rest.iter().any(|v| !v.is_empty()));
-                    est += here;
-                    if !deeper || est <= budget {
-                        break (t + 1, 0, t);
-                    }
-                    budget = budget.saturating_mul(fanout);
-                    t += 1;
-                }
-            }
-        };
+        // First tier with a free run slot; tiers above it are full and
+        // fold in.
+        let mut target = self
+            .tiers
+            .iter()
+            .position(|t| t.len() < fanout)
+            .unwrap_or(self.tiers.len());
+        let (mut full_tiers, mut partial_runs) = (target, 0);
         // Lazy bottom: when the plan would fold in the bottom (largest)
         // run but everything above it is still small, stop short of it
         // — merge the rest and stack the result on the bottom tier as
@@ -1863,6 +1731,7 @@ where
         if let Some(run) = merged {
             self.tiers[plan.target].insert(0, run);
         }
+        self.refresh_runs();
         self.publish_event();
     }
 
@@ -1917,119 +1786,53 @@ impl<'s, K, V> Source<'s, K, V> {
     }
 }
 
+impl<K, V> std::ops::Deref for DynamicMap<K, V> {
+    type Target = Frozen<K, V>;
+
+    /// The map's current state. Holding the borrow is what keeps it
+    /// frozen: every mutation needs `&mut self`.
+    fn deref(&self) -> &Frozen<K, V> {
+        &self.live
+    }
+}
+
 impl<K, V> Frozen<K, V>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync,
 {
-    /// Number of live keys in the snapshot.
+    /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.view().len()
+        let w: i64 = self.buffer.iter().map(|e| e.weight).sum::<i64>()
+            + self.runs.iter().map(|r| r.total_weight()).sum::<i64>();
+        debug_assert!(w >= 0, "weight invariant violated: negative len");
+        w as usize
     }
 
-    /// `true` iff the snapshot has no live key.
+    /// `true` iff no key is live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// See [`DynamicMap::get`].
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.view().get(key)
-    }
-
-    /// See [`DynamicMap::contains_key`].
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// See [`DynamicMap::rank`].
-    pub fn rank(&self, key: &K) -> usize {
-        self.view().rank(key)
-    }
-
-    /// See [`DynamicMap::range_count`] (reversed bounds yield 0).
-    pub fn range_count(&self, lo: &K, hi: &K) -> usize {
-        self.view().range_count(lo, hi)
-    }
-
-    /// See [`DynamicMap::lower_bound`].
-    pub fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().lower_bound(key)
-    }
-
-    /// See [`DynamicMap::successor`].
-    pub fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().successor(key)
-    }
-
-    /// See [`DynamicMap::predecessor`].
-    pub fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().predecessor(key)
-    }
-
-    /// See [`DynamicMap::batch_get`].
-    pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
-        self.view().batch_get(&as_refs(keys))
-    }
-
-    /// See [`DynamicMap::batch_get_ref`].
-    pub fn batch_get_ref(&self, keys: &[&K]) -> Vec<Option<&V>> {
-        self.view().batch_get(keys)
-    }
-
-    /// See [`DynamicMap::batch_rank`].
-    pub fn batch_rank(&self, keys: &[K]) -> Vec<usize> {
-        self.view().batch_rank(&as_refs(keys))
-    }
-
-    /// See [`DynamicMap::batch_rank_ref`].
-    pub fn batch_rank_ref(&self, keys: &[&K]) -> Vec<usize> {
-        self.view().batch_rank(keys)
-    }
-
-    /// See [`DynamicMap::batch_range_count`].
-    pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
-        self.view().batch_range_count(ranges)
-    }
-
-    fn view(&self) -> ViewRef<'_, K, V> {
-        ViewRef {
-            buffer: &self.buffer,
-            runs: self.runs.iter().map(|a| a.as_ref()).collect(),
-        }
-    }
-}
-
-/// Borrowed multi-run state — the single implementation of every read,
-/// shared by [`DynamicMap`] (live state) and [`Frozen`] (snapshots).
-struct ViewRef<'a, K, V> {
-    buffer: &'a [BufEntry<K, V>],
-    /// Non-empty runs, newest first.
-    runs: Vec<&'a Run<K, V>>,
-}
-
-impl<'a, K, V> ViewRef<'a, K, V>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync,
-{
     /// The newest resident version of `key`: `None` = absent from every
     /// run and the buffer, `Some(None)` = tombstone, `Some(Some(v))` =
     /// live.
-    fn version(&self, key: &K) -> Option<&'a Option<V>> {
-        if let Ok(i) = buffer_slot(self.buffer, key) {
+    fn version(&self, key: &K) -> Option<&Option<V>> {
+        if let Ok(i) = buffer_slot(&self.buffer, key) {
             return Some(&self.buffer[i].slot);
         }
-        for run in &self.runs {
-            if let Some(slot) = run.map.get(key) {
-                return Some(slot);
-            }
-        }
-        None
+        self.runs.iter().find_map(|run| run.map.get(key))
     }
 
-    fn get(&self, key: &K) -> Option<&'a V> {
+    /// The live value under `key`, if any (buffer first, then runs
+    /// newest-first, stopping at the first version found).
+    pub fn get(&self, key: &K) -> Option<&V> {
         self.version(key)?.as_ref()
+    }
+
+    /// `true` iff `key` is live.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.get(key).is_some()
     }
 
     fn buffer_weight_below(&self, key: &K) -> i64 {
@@ -2037,23 +1840,21 @@ where
         self.buffer[..i].iter().map(|e| e.weight).sum()
     }
 
-    fn rank(&self, key: &K) -> usize {
+    /// Number of live keys strictly smaller than `key` — exact, via the
+    /// per-run weight prefixes (see the [module docs](self)).
+    pub fn rank(&self, key: &K) -> usize {
         let mut w = self.buffer_weight_below(key);
-        for run in &self.runs {
+        for run in self.runs.iter() {
             w += run.weight_below(key);
         }
         debug_assert!(w >= 0, "weight invariant violated: negative rank");
         w as usize
     }
 
-    fn len(&self) -> usize {
-        let w: i64 = self.buffer.iter().map(|e| e.weight).sum::<i64>()
-            + self.runs.iter().map(|r| r.total_weight()).sum::<i64>();
-        debug_assert!(w >= 0, "weight invariant violated: negative len");
-        w as usize
-    }
-
-    fn range_count(&self, lo: &K, hi: &K) -> usize {
+    /// Number of live keys in `[lo, hi)`. Reversed bounds (`lo > hi`)
+    /// describe an empty interval and yield 0 — never a panic (the same
+    /// contract as [`crate::StaticIndex::range_count`]).
+    pub fn range_count(&self, lo: &K, hi: &K) -> usize {
         if lo >= hi {
             return 0; // reversed or empty bounds: defined as 0
         }
@@ -2062,10 +1863,10 @@ where
 
     /// Smallest version key `≥ key` across buffer and runs (dead
     /// versions included — callers resolve liveness).
-    fn version_at_least(&self, key: &K) -> Option<&'a K> {
+    fn version_at_least(&self, key: &K) -> Option<&K> {
         let i = self.buffer.partition_point(|e| e.key < *key);
         let mut best = self.buffer.get(i).map(|e| &e.key);
-        for run in &self.runs {
+        for run in self.runs.iter() {
             if let Some((k, _)) = run.map.lower_bound(key) {
                 best = Some(match best {
                     Some(b) if b <= k => b,
@@ -2077,10 +1878,10 @@ where
     }
 
     /// Smallest version key strictly greater than `key`.
-    fn version_after(&self, key: &K) -> Option<&'a K> {
+    fn version_after(&self, key: &K) -> Option<&K> {
         let i = self.buffer.partition_point(|e| e.key <= *key);
         let mut best = self.buffer.get(i).map(|e| &e.key);
-        for run in &self.runs {
+        for run in self.runs.iter() {
             if let Some((k, _)) = run.map.successor(key) {
                 best = Some(match best {
                     Some(b) if b <= k => b,
@@ -2092,10 +1893,10 @@ where
     }
 
     /// Largest version key strictly smaller than `key`.
-    fn version_before(&self, key: &K) -> Option<&'a K> {
+    fn version_before(&self, key: &K) -> Option<&K> {
         let i = self.buffer.partition_point(|e| e.key < *key);
         let mut best = i.checked_sub(1).map(|j| &self.buffer[j].key);
-        for run in &self.runs {
+        for run in self.runs.iter() {
             if let Some((k, _)) = run.map.predecessor(key) {
                 best = Some(match best {
                     Some(b) if b >= k => b,
@@ -2107,7 +1908,7 @@ where
     }
 
     /// Walk candidates rightward until one is live.
-    fn resolve_forward(&self, mut cand: &'a K) -> Option<(&'a K, &'a V)> {
+    fn resolve_forward<'a>(&'a self, mut cand: &'a K) -> Option<(&'a K, &'a V)> {
         loop {
             match self.version(cand).expect("candidate keys have a version") {
                 Some(v) => return Some((cand, v)),
@@ -2117,7 +1918,7 @@ where
     }
 
     /// Walk candidates leftward until one is live.
-    fn resolve_backward(&self, mut cand: &'a K) -> Option<(&'a K, &'a V)> {
+    fn resolve_backward<'a>(&'a self, mut cand: &'a K) -> Option<(&'a K, &'a V)> {
         loop {
             match self.version(cand).expect("candidate keys have a version") {
                 Some(v) => return Some((cand, v)),
@@ -2126,40 +1927,47 @@ where
         }
     }
 
-    fn lower_bound(&self, key: &K) -> Option<(&'a K, &'a V)> {
+    /// The smallest live entry with key `≥ key`, if any.
+    pub fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
         self.resolve_forward(self.version_at_least(key)?)
     }
 
-    fn successor(&self, key: &K) -> Option<(&'a K, &'a V)> {
+    /// The smallest live entry with key **strictly greater** than
+    /// `key`, if any.
+    pub fn successor(&self, key: &K) -> Option<(&K, &V)> {
         self.resolve_forward(self.version_after(key)?)
     }
 
-    fn predecessor(&self, key: &K) -> Option<(&'a K, &'a V)> {
+    /// The largest live entry with key **strictly smaller** than `key`,
+    /// if any.
+    pub fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
         self.resolve_backward(self.version_before(key)?)
     }
 
-    /// Batched get over **borrowed** keys — the single implementation
-    /// behind both `batch_get` flavors; nothing below this point ever
-    /// clones a key (probes cascade as `&K` straight into the engine's
-    /// position→key closures).
-    fn batch_get(&self, keys: &[&K]) -> Vec<Option<&'a V>> {
-        let mut out: Vec<Option<&'a V>> = vec![None; keys.len()];
+    /// Batched [`Frozen::get`]: `out[i]` is exactly `get(keys[i])`.
+    /// Unresolved keys cascade run by run (newest first), each run
+    /// driven by the software-pipelined parallel `batch_search` engine.
+    /// Keys are read in place through [`Borrow`] — `&[K]` and `&[&K]`
+    /// (what a routing layer holds after partitioning by reference) are
+    /// the same call, and nothing below this point ever clones a key.
+    pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>> {
+        let mut out: Vec<Option<&V>> = vec![None; keys.len()];
         // Buffer pass: cheap binary searches over ≤ cap entries.
         let mut pending: Vec<usize> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            match buffer_slot(self.buffer, key) {
+        for (i, key) in keys.iter().enumerate() {
+            match buffer_slot(&self.buffer, key.borrow()) {
                 Ok(j) => out[i] = self.buffer[j].slot.as_ref(),
                 Err(_) => pending.push(i),
             }
         }
         // Cascade the unresolved keys run by run, newest first, each
         // run on the pipelined parallel engine.
-        for run in &self.runs {
+        for run in self.runs.iter() {
             if pending.is_empty() {
                 break;
             }
-            let probe: Vec<&K> = pending.iter().map(|&i| keys[i]).collect();
-            let positions = run.map.index().batch_search_ref(&probe);
+            let probe: Vec<&K> = pending.iter().map(|&i| keys[i].borrow()).collect();
+            let positions = run.map.index().batch_search(&probe);
             let mut still = Vec::with_capacity(pending.len());
             for (j, &i) in pending.iter().enumerate() {
                 match positions[j] {
@@ -2172,10 +1980,15 @@ where
         out
     }
 
-    fn batch_rank(&self, keys: &[&K]) -> Vec<usize> {
-        let mut acc: Vec<i64> = keys.iter().map(|&k| self.buffer_weight_below(k)).collect();
-        for run in &self.runs {
-            for (a, r) in acc.iter_mut().zip(run.map.index().batch_rank_ref(keys)) {
+    /// Batched [`Frozen::rank`] on the pipelined per-run rank engine
+    /// (keys read in place, like [`Frozen::batch_get`]).
+    pub fn batch_rank<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
+        let mut acc: Vec<i64> = keys
+            .iter()
+            .map(|k| self.buffer_weight_below(k.borrow()))
+            .collect();
+        for run in self.runs.iter() {
+            for (a, r) in acc.iter_mut().zip(run.map.index().batch_rank(keys)) {
                 *a += run.prefix.at(r);
             }
         }
@@ -2187,7 +2000,9 @@ where
             .collect()
     }
 
-    fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
+    /// Per-pair [`Frozen::range_count`] (reversed pairs yield 0); all
+    /// endpoint ranks go through the pipelined engine.
+    pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
         let mut flat: Vec<&K> = Vec::with_capacity(2 * ranges.len());
         for (lo, hi) in ranges {
             flat.push(lo);
@@ -2208,12 +2023,6 @@ where
     }
 }
 
-/// Borrow every element of `keys` (the shim between the public
-/// owned-slice batch API and the ref-based implementation).
-fn as_refs<K>(keys: &[K]) -> Vec<&K> {
-    keys.iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2229,7 +2038,7 @@ mod tests {
         /// background compaction is mid-flight (sealed runs included).
         fn validate_weights(&self) {
             let mut keys: Vec<K> = self.buffer.iter().map(|e| e.key.clone()).collect();
-            for run in self.all_runs() {
+            for run in self.runs.iter() {
                 keys.extend(run.iter_sorted_range(0, run.map.len()).map(|(k, _, _)| k));
             }
             keys.sort();
@@ -2241,7 +2050,7 @@ mod tests {
                         .iter()
                         .find(|e| e.key == k)
                         .map_or(0, |e| e.weight);
-                let live = self.view().version(&k).expect("resident").is_some();
+                let live = self.version(&k).expect("resident").is_some();
                 assert_eq!(total, i64::from(live), "weight invariant for resident key");
             }
         }
@@ -2298,34 +2107,14 @@ mod tests {
     }
 
     #[test]
-    fn leveled_folds_into_the_deepest_occupied_tier() {
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
-                .with_compaction_mode(CompactionMode::Inline)
-                .with_policy(CompactionPolicy::leveled(2));
-        for k in 0..24u64 {
-            m.insert(k, k);
-            m.validate_weights();
-        }
-        // Leveled: every compaction leaves at most one run per tier;
-        // the deepest occupied tier absorbs unconditionally, so with
-        // no deeper neighbors everything folds into one bottom run.
-        assert_eq!(m.run_count(), 1);
-        assert_eq!(m.tier_versions(), vec![vec![24]]);
-        assert_eq!(m.len(), 24);
-    }
-
-    #[test]
     fn lazy_bottom_defers_rewriting_the_big_run() {
         let mut m: DynamicMap<u64, u64> =
             DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
                 .with_compaction_mode(CompactionMode::Inline)
-                .with_policy(CompactionPolicy::leveled(2).with_lazy_bottom(true));
-        // Grow a 12-version bottom run (the first three seals merge
-        // normally: the accumulated-above trigger is not yet met).
-        for k in 0..12u64 {
-            m.insert(k, k);
-        }
+                .with_policy(CompactionPolicy::tiered(1).with_lazy_bottom(true));
+        // One oversized bulk delta seals straight into a 12-version
+        // bottom run on tier 0.
+        m.batch_insert((0..12u64).map(|k| (k, k)).collect());
         assert_eq!(m.tier_versions(), vec![vec![12]]);
         let bottom = Arc::clone(&m.tiers[0][0]);
         // The next seal would fold the bottom in, but 4 versions of
@@ -2341,27 +2130,16 @@ mod tests {
             "lazy bottom must not rewrite the big run below the trigger"
         );
         // One more seal crosses the trigger (8 × 2 ≥ 12): the bottom
-        // run finally folds in.
+        // run finally folds in, one tier down.
         for k in 16..20u64 {
             m.insert(k, k);
         }
-        assert_eq!(m.tier_versions(), vec![vec![20]]);
-        assert!(!Arc::ptr_eq(&bottom, &m.tiers[0][0]));
+        assert_eq!(m.tier_versions(), vec![vec![], vec![20]]);
+        assert!(!Arc::ptr_eq(&bottom, &m.tiers[1][0]));
         for k in 0..20u64 {
             assert_eq!(m.get(&k), Some(&k));
             assert_eq!(m.rank(&k), k as usize);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "leveled fanout must be at least 2")]
-    fn leveled_fanout_one_is_rejected() {
-        let _ = DynamicMap::<u64, u64>::new(Layout::Veb).with_policy(CompactionPolicy {
-            fanout: 1,
-            style: CompactionStyle::Leveled,
-            lazy_bottom: false,
-            merge_threads: 0,
-        });
     }
 
     #[test]
@@ -2572,22 +2350,29 @@ mod tests {
             m.insert(k, k);
         }
         let run = m
-            .all_runs()
-            .next()
+            .runs
+            .first()
             .expect("8 inserts at cap 4 leave a resident run")
             .clone();
-        assert_eq!(Arc::strong_count(&run), 2, "map + this test's clone");
-        let reader = m.reader(); // eager publish pins the run in the cell
-        assert_eq!(Arc::strong_count(&run), 3);
+        // The published frozen view shares the live run *list*, so the
+        // list's refcount is what a pinned snapshot shows up in.
+        assert_eq!(Arc::strong_count(&m.live.runs), 1, "the live map only");
+        assert_eq!(
+            Arc::strong_count(&run),
+            3,
+            "tier + run list + this test's clone"
+        );
+        let reader = m.reader(); // eager publish pins the run list in the cell
+        assert_eq!(Arc::strong_count(&m.live.runs), 2);
         assert_eq!(reader.snapshot().len(), 8);
         drop(reader);
         // The cell still pins the frozen view until the writer re-checks…
-        assert_eq!(Arc::strong_count(&run), 3);
+        assert_eq!(Arc::strong_count(&m.live.runs), 2);
         // …which happens on the next mutation (no seal needed).
         m.insert(100, 0);
         assert_eq!(
-            Arc::strong_count(&run),
-            2,
+            Arc::strong_count(&m.live.runs),
+            1,
             "published cell must release its snapshot after the last reader drops"
         );
     }

@@ -13,6 +13,7 @@
 use crate::alloc::{AlignedVec, LayoutPos};
 use ist_core::{Algorithm, Error, Layout};
 use ist_query::{QueryKind, Searcher};
+use std::borrow::Borrow;
 
 /// An immutable sorted-key index stored as an implicit search tree
 /// layout.
@@ -205,40 +206,30 @@ impl<K: Ord + Send + Sync + 'static> StaticIndex<K> {
     /// `lo == hi`) the interval is empty and the count is `0` — never a
     /// panic, in debug or release, on any layout. The same contract
     /// holds for [`StaticIndex::batch_range_count`],
-    /// `StaticMap::range_count`, and `DynamicMap::range_count`.
+    /// `StaticMap::range_count`, and `Frozen::range_count`.
     pub fn range_count(&self, lo: &K, hi: &K) -> usize {
         self.searcher().range_count(lo, hi)
     }
 
     /// Count how many of `keys` are stored — pipelined multi-descent,
     /// parallel over adaptive chunks.
-    pub fn batch_count(&self, keys: &[K]) -> usize {
+    pub fn batch_count<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> usize {
         self.searcher().batch_count(keys)
     }
 
     /// Layout positions for a batch of lookups (pipelined + parallel);
-    /// `out[i]` is exactly what [`StaticIndex::search`]`(&keys[i])`
-    /// returns.
-    pub fn batch_search(&self, keys: &[K]) -> Vec<Option<usize>> {
+    /// `out[i]` is exactly what [`StaticIndex::search`]`(keys[i])`
+    /// returns. Keys are read in place through [`Borrow`], so `&[K]`
+    /// and `&[&K]` are the same call — routing layers partition a batch
+    /// by reference and pass the borrowed sub-batch straight in.
+    pub fn batch_search<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
         self.searcher().batch_search(keys)
     }
 
-    /// Ranks for a batch of keys (pipelined + parallel).
-    pub fn batch_rank(&self, keys: &[K]) -> Vec<usize> {
+    /// Ranks for a batch of keys (pipelined + parallel), keys read in
+    /// place like [`StaticIndex::batch_search`].
+    pub fn batch_rank<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
         self.searcher().batch_rank(keys)
-    }
-
-    /// [`StaticIndex::batch_search`] over **borrowed** keys — the entry
-    /// point for routing layers that partition batches by reference
-    /// instead of cloning keys into per-shard staging buffers. No key is
-    /// copied: the engine reads each one through a position closure.
-    pub fn batch_search_ref(&self, keys: &[&K]) -> Vec<Option<usize>> {
-        self.searcher().batch_search_ref(keys)
-    }
-
-    /// [`StaticIndex::batch_rank`] over **borrowed** keys.
-    pub fn batch_rank_ref(&self, keys: &[&K]) -> Vec<usize> {
-        self.searcher().batch_rank_ref(keys)
     }
 
     /// Per-pair [`StaticIndex::range_count`] for a batch of `(lo, hi)`

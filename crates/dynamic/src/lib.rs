@@ -29,11 +29,13 @@
 //! tombstones annihilated at merge time; per-version integer *weights*
 //! make summed ranks exact even when keys are overwritten or
 //! re-inserted across runs (see the [`dynamic`](self) module docs).
-//! Reads fan out newest-run-first and reuse the software-pipelined
-//! batched engine per run; snapshots ([`DynamicMap::snapshot`] →
-//! [`Frozen`], or a cloneable [`Reader`] handle published at
-//! seal/compaction granularity) decouple concurrent readers from
-//! merges entirely.
+//! Every read is written once, on [`Frozen`] (a sorted buffer plus a
+//! newest-first run list): reads fan out newest-run-first and reuse
+//! the software-pipelined batched engine per run. The live map keeps
+//! its current state as a `Frozen` and derefs to it; snapshots
+//! ([`DynamicMap::snapshot`], or a cloneable [`Reader`] handle
+//! published at seal/compaction granularity) are further `Frozen`s
+//! that decouple concurrent readers from merges entirely.
 
 pub mod alloc;
 pub mod dynamic;
@@ -44,8 +46,8 @@ pub(crate) mod sync;
 
 pub use alloc::AlignedVec;
 pub use dynamic::{
-    CompactionMode, CompactionPolicy, CompactionStyle, DynamicMap, Frozen, Reader,
-    DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
+    CompactionMode, CompactionPolicy, DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP,
+    MAX_SEALED_RUNS,
 };
 pub use index::{default_kind_for_layout, StaticIndex};
 pub use map::StaticMap;

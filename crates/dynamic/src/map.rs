@@ -19,7 +19,7 @@
 //!
 //! After that, `keys()[p]` and `values()[p]` are parallel for every
 //! layout position `p`, so every query the key side answers (point,
-//! batch, range, successor/predecessor — all tiers, including the
+//! batch, range, successor/predecessor — scalar and on the
 //! software-pipelined batched engine) resolves to a payload with one
 //! array read.
 
@@ -28,6 +28,7 @@ use crate::index::StaticIndex;
 use ist_core::{Algorithm, Error, Layout};
 use ist_perm::co_permute_by_gather;
 use ist_query::{QueryKind, Searcher};
+use std::borrow::Borrow;
 
 /// An immutable key→value map stored as two parallel implicit-layout
 /// arrays: keys in the layout, payloads co-permuted obliviously.
@@ -225,7 +226,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     }
 
     /// The key side as a [`StaticIndex`], for the full key-only query
-    /// API (ranks, batch counts, pipelined tiers, …).
+    /// API (ranks, batch counts, batch ranks, …).
     pub fn index(&self) -> &StaticIndex<K> {
         &self.index
     }
@@ -292,8 +293,9 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
 
     /// Payloads for a batch of lookups, on the software-pipelined
     /// multi-descent engine (parallel over adaptive chunks):
-    /// `out[i]` is exactly what [`StaticMap::get`]`(&keys[i])` returns.
-    pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
+    /// `out[i]` is exactly what [`StaticMap::get`]`(keys[i])` returns
+    /// (`&[K]` or `&[&K]`, read in place).
+    pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>> {
         self.index
             .batch_search(keys)
             .into_iter()

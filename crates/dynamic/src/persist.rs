@@ -562,15 +562,6 @@ where
     /// The install protocol: merged run file → manifest rotation →
     /// consumed-file deletion (strictly after the rotation).
     fn do_install(&mut self, plan: Plan, merged: Option<&Run<K, V>>) -> Result<(), StoreError> {
-        // `plan_compaction` grows the live tiers vector at *plan* time
-        // (a leveled plan over empty tiers still reports
-        // `full_tiers == 1`); the mirror grows here, at install time,
-        // so match the live length before slicing by the plan's tier
-        // prefix. The grown tiers are empty — no runs are consumed
-        // from them.
-        while self.manifest.tiers.len() < plan.full_tiers.max(plan.target + 1) {
-            self.manifest.tiers.push(Vec::new());
-        }
         // What the plan consumes, per the mirrored structure.
         let mut consumed: Vec<RunRef> = self.manifest.l0[..plan.consumed_l0].to_vec();
         for tier in &self.manifest.tiers[..plan.full_tiers] {
@@ -823,6 +814,7 @@ where
             }
             map.tiers.push(runs);
         }
+        map.refresh_runs();
         // Replay the WAL tail through the normal mutation paths (the
         // engine is not attached yet, so nothing is re-logged and the
         // map behaves exactly as it did when these ops first ran).

@@ -124,6 +124,12 @@ impl<T> Arc<T> {
     }
 }
 
+impl<T: Clone> Arc<T> {
+    pub fn make_mut(this: &mut Self) -> &mut T {
+        StdArc::make_mut(&mut this.inner)
+    }
+}
+
 impl<T: ?Sized> Arc<T> {
     pub fn strong_count(this: &Self) -> usize {
         yield_point();

@@ -5,8 +5,8 @@
 //! address depends on the previous level's comparison, so its loads
 //! serialize, and the two-way branch per level mispredicts half the
 //! time on random probes. Independent queries share neither problem —
-//! the engine exploits that by keeping a window of `W` descents in
-//! flight and advancing them **level-synchronously**: each round
+//! the engine exploits that by keeping a window of [`WINDOW`] descents
+//! in flight and advancing them **level-synchronously**: each round
 //! advances every in-flight descent one level (branchlessly, via the
 //! navigator's compare-and-advance step) and issues the navigator's
 //! prefetch for its next node before any of them is touched again. The
@@ -22,38 +22,27 @@
 //! constant ([`Navigator::Round`]) is computed once per round for the
 //! whole window.
 //!
-//! The window width is a const-generic engine parameter (default
-//! [`DEFAULT_WINDOW`]); `Searcher::batch_search_pipelined_with_window`
-//! exposes it, and the `query_batched` bench sweeps 8/16/32/64
-//! (committed as `BENCH_window_sweep.json`).
-//!
-//! Three execution tiers, composed rather than alternative:
-//!
-//! * `*_seq` — the scalar loop (one query at a time, run to
-//!   completion); the baseline the paper's Figures 6.5–6.7 measure.
-//! * `*_pipelined` — one thread, [`DEFAULT_WINDOW`] in-flight descents.
-//! * the un-suffixed entry points — rayon-parallel over chunks whose
-//!   size adapts to the batch length, **pipelining within each chunk**.
-//!
-//! All three produce bit-identical results for every operation: the
-//! windowed kernels replay the scalar engine's comparison sequence (the
-//! only liberty taken is that an early-exit equality is recorded in a
-//! result register instead of breaking the round structure —
-//! first-match-wins, like the scalar loop). The differential suite
-//! (`tests/query_differential.rs`) enforces this, and
-//! `tests/navigator_equivalence.rs` pins the visited node sequences.
+//! Every public batch entry point runs the window loops inside
+//! rayon-parallel chunks whose size adapts to the batch length (small
+//! batches, and every batch on a one-thread pool, stay on the calling
+//! thread). Results are bit-identical to a scalar loop of the point
+//! operation: the windowed kernels replay the scalar engine's
+//! comparison sequence (the only liberty taken is that an early-exit
+//! equality is recorded in a result register instead of breaking the
+//! round structure — first-match-wins, like the scalar loop). The
+//! differential suite (`tests/query_differential.rs`) enforces this,
+//! and `tests/navigator_equivalence.rs` pins the visited node sequences.
 
 use crate::nav::{Navigator, MISS};
 use crate::Searcher;
 use rayon::prelude::*;
+use std::borrow::Borrow;
 
-/// Default in-flight descents per pipelined lane.
-///
-/// Sized to the memory-level parallelism a core can actually sustain
-/// (line-fill buffers plus prefetch queue); measured flat between 24
-/// and 64 on the reference host, steeply worse below 8 (see
-/// `BENCH_window_sweep.json`).
-pub const DEFAULT_WINDOW: usize = 32;
+/// In-flight descents per pipelined lane: sized to the memory-level
+/// parallelism a core can actually sustain (line-fill buffers plus
+/// prefetch queue). Throughput measured flat between 16 and 64, so the
+/// width is a constant, not an option.
+pub(crate) const WINDOW: usize = 32;
 
 /// Split a batch of `n` queries into parallel chunks: enough chunks to
 /// balance the pool (~4 per thread), but never so small that spawn
@@ -232,24 +221,10 @@ pub(crate) fn window_rank_into<'k, T, N, const W: usize, const UPPER: bool>(
 }
 
 impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
-    /// Run the pipelined **search** engine over `n` queries, delivering
-    /// `(query index, layout position)` pairs to `sink` in query order.
-    pub(crate) fn pipelined_search_into<'k, const W: usize>(
-        &self,
-        n: usize,
-        key_of: impl Fn(usize) -> &'k T,
-        sink: impl FnMut(usize, Option<usize>),
-    ) where
-        T: 'k,
-    {
-        crate::dispatch_nav!(self, nav => {
-            window_search_into::<T, _, W>(&nav, n, key_of, sink, |_, _| {})
-        });
-    }
-
-    /// Run the pipelined **rank** engine over `n` queries, delivering
-    /// `(query index, rank)` pairs to `sink` in query order.
-    pub(crate) fn pipelined_rank_into<'k, const W: usize, const UPPER: bool>(
+    /// Run the pipelined **rank** engine over `n` queries on the
+    /// calling thread, delivering `(query index, rank)` pairs to `sink`
+    /// in query order.
+    pub(crate) fn pipelined_rank_into<'k, const UPPER: bool>(
         &self,
         n: usize,
         key_of: impl Fn(usize) -> &'k T,
@@ -258,46 +233,59 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         T: 'k,
     {
         crate::dispatch_nav!(self, nav => {
-            window_rank_into::<T, _, W, UPPER>(&nav, n, key_of, sink, |_, _| {})
+            window_rank_into::<T, _, WINDOW, UPPER>(&nav, n, key_of, sink, |_, _| {})
         });
     }
 
-    /// Scalar batch search: one descent at a time, run to completion.
-    ///
-    /// The baseline the pipelined and parallel tiers are measured
-    /// against (`query_batched` bench); also the differential oracle's
-    /// definition of batch semantics.
-    pub fn batch_search_seq(&self, keys: &[T]) -> Vec<Option<usize>> {
-        keys.iter().map(|k| self.search(k)).collect()
-    }
-
-    /// Software-pipelined batch search on the calling thread: a window
-    /// of descents in flight, each round advancing every descent one
-    /// level and prefetching its next node.
-    ///
-    /// Returns exactly what [`Searcher::search`] returns per key, in
-    /// key order.
-    pub fn batch_search_pipelined(&self, keys: &[T]) -> Vec<Option<usize>> {
-        self.batch_search_pipelined_with_window::<DEFAULT_WINDOW>(keys)
-    }
-
-    /// [`Searcher::batch_search_pipelined`] with an explicit window
-    /// width `W` (in-flight descents per lane). Results are identical
-    /// for every `W ≥ 1`; only throughput changes. `W = 0` is rejected
-    /// at compile time.
-    pub fn batch_search_pipelined_with_window<const W: usize>(
-        &self,
-        keys: &[T],
-    ) -> Vec<Option<usize>> {
-        const { assert!(W > 0, "pipeline window must hold at least one descent") }
-        let mut out = vec![None; keys.len()];
-        self.pipelined_search_into::<W>(keys.len(), |i| &keys[i], |i, r| out[i] = r);
+    /// `out[i] = f(search(keys[i]))`, pipelined within adaptively-sized
+    /// parallel chunks — the body of every search-shaped batch call.
+    fn search_each<Q, O>(&self, keys: &[Q], f: impl Fn(Option<usize>) -> O + Sync) -> Vec<O>
+    where
+        Q: Borrow<T> + Sync,
+        O: Default + Clone + Send,
+    {
+        let mut out = vec![O::default(); keys.len()];
+        par_chunked(keys, &mut out, |kc, oc| {
+            crate::dispatch_nav!(self, nav => {
+                window_search_into::<T, _, WINDOW>(
+                    &nav,
+                    kc.len(),
+                    |i| kc[i].borrow(),
+                    |i, r| oc[i] = f(r),
+                    |_, _| {},
+                )
+            })
+        });
         out
     }
 
-    /// Batch search: pipelined within rayon-parallel chunks sized
-    /// adaptively to the batch length (small batches stay on the
-    /// calling thread).
+    /// `out[i] = f(rank(keys[i]))` (`rank_upper` with `UPPER`): the
+    /// rank-shaped twin of [`Searcher::search_each`].
+    pub(crate) fn rank_each<const UPPER: bool, Q, O>(
+        &self,
+        keys: &[Q],
+        f: impl Fn(usize) -> O + Sync,
+    ) -> Vec<O>
+    where
+        Q: Borrow<T> + Sync,
+        O: Default + Clone + Send,
+    {
+        let mut out = vec![O::default(); keys.len()];
+        par_chunked(keys, &mut out, |kc, oc| {
+            self.pipelined_rank_into::<UPPER>(kc.len(), |i| kc[i].borrow(), |i, r| oc[i] = f(r))
+        });
+        out
+    }
+
+    /// Batch search: `out[i]` is exactly [`Searcher::search`]`(keys[i])`,
+    /// computed by the software-pipelined engine within rayon-parallel
+    /// chunks sized adaptively to the batch length (small batches stay
+    /// on the calling thread).
+    ///
+    /// Keys are read in place through [`Borrow`], so an owned `&[T]`
+    /// and a borrowed `&[&T]` (what a routing layer holds after
+    /// [`crate::route::partition_batch_ref`]) are the same call — no
+    /// key is ever cloned or copied into a staging buffer.
     ///
     /// # Examples
     /// ```
@@ -310,54 +298,14 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(found.len(), 4);
     /// assert_eq!(found[0].map(|p| v[p]), Some(0));
     /// assert_eq!(found[2], None); // 3 is not stored
-    /// assert_eq!(found, s.batch_search_seq(&[0, 2, 3, 1998]));
+    /// assert_eq!(found, s.batch_search(&[&0, &2, &3, &1998])); // borrowed keys
     /// ```
-    pub fn batch_search(&self, keys: &[T]) -> Vec<Option<usize>> {
-        let mut out = vec![None; keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            self.pipelined_search_into::<DEFAULT_WINDOW>(kc.len(), |i| &kc[i], |i, r| oc[i] = r)
-        });
-        out
+    pub fn batch_search<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
+        self.search_each(keys, |r| r)
     }
 
-    /// [`Searcher::batch_search`] over **borrowed** keys: identical
-    /// results for `keys[i]` without requiring a contiguous owned key
-    /// array. The engine reads keys through a position→`&T` closure
-    /// internally, so this is not a convenience wrapper — no key is
-    /// ever cloned or copied into a staging buffer. The entry point for
-    /// routing layers that partition a batch by reference
-    /// ([`crate::route::partition_batch_ref`]).
-    pub fn batch_search_ref(&self, keys: &[&T]) -> Vec<Option<usize>> {
-        let mut out = vec![None; keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            self.pipelined_search_into::<DEFAULT_WINDOW>(kc.len(), |i| kc[i], |i, r| oc[i] = r)
-        });
-        out
-    }
-
-    /// Scalar batch rank (one [`Searcher::rank`] per key).
-    pub fn batch_rank_seq(&self, keys: &[T]) -> Vec<usize> {
-        keys.iter().map(|k| self.rank(k)).collect()
-    }
-
-    /// Software-pipelined batch rank on the calling thread.
-    pub fn batch_rank_pipelined(&self, keys: &[T]) -> Vec<usize> {
-        self.batch_rank_pipelined_with_window::<DEFAULT_WINDOW>(keys)
-    }
-
-    /// [`Searcher::batch_rank_pipelined`] with an explicit window width
-    /// (`W = 0` is rejected at compile time).
-    pub fn batch_rank_pipelined_with_window<const W: usize>(&self, keys: &[T]) -> Vec<usize> {
-        const { assert!(W > 0, "pipeline window must hold at least one descent") }
-        let mut out = vec![0usize; keys.len()];
-        self.pipelined_rank_into::<W, false>(keys.len(), |i| &keys[i], |i, r| out[i] = r);
-        out
-    }
-
-    /// Batch rank: pipelined within adaptively-sized parallel chunks.
-    ///
-    /// `out[i]` is the number of stored keys strictly smaller than
-    /// `keys[i]` (identical to per-key [`Searcher::rank`]).
+    /// Batch rank: `out[i]` is the number of stored keys strictly
+    /// smaller than `keys[i]` (identical to per-key [`Searcher::rank`]).
     ///
     /// # Examples
     /// ```
@@ -368,60 +316,24 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// let s = Searcher::for_layout(&v, Layout::Veb);
     /// assert_eq!(s.batch_rank(&[0, 1, 10, 999]), vec![0, 1, 5, 100]);
     /// ```
-    pub fn batch_rank(&self, keys: &[T]) -> Vec<usize> {
-        let mut out = vec![0usize; keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            self.pipelined_rank_into::<DEFAULT_WINDOW, false>(
-                kc.len(),
-                |i| &kc[i],
-                |i, r| oc[i] = r,
-            )
-        });
-        out
-    }
-
-    /// [`Searcher::batch_rank`] over **borrowed** keys (see
-    /// [`Searcher::batch_search_ref`] for why this costs nothing extra).
-    pub fn batch_rank_ref(&self, keys: &[&T]) -> Vec<usize> {
-        let mut out = vec![0usize; keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            self.pipelined_rank_into::<DEFAULT_WINDOW, false>(kc.len(), |i| kc[i], |i, r| oc[i] = r)
-        });
-        out
+    pub fn batch_rank<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
+        self.rank_each::<false, _, _>(keys, |r| r)
     }
 
     /// Batch lower bound: `out[i]` is the layout position of the first
     /// (in sorted order) stored key `≥ keys[i]`, identical to per-key
     /// [`Searcher::lower_bound`]. Runs on the rank engine plus the
     /// closed-form position maps.
-    pub fn batch_lower_bound(&self, keys: &[T]) -> Vec<Option<usize>> {
-        self.batch_rank(keys)
-            .into_iter()
-            .map(|r| self.position_of_rank(r))
-            .collect()
+    pub fn batch_lower_bound<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
+        self.rank_each::<false, _, _>(keys, |r| self.position_of_rank(r))
     }
 
-    /// Run a batch of queries sequentially, returning the number found
-    /// (the paper's query benchmarks measure exactly this loop).
-    pub fn batch_count_seq(&self, keys: &[T]) -> usize {
-        keys.iter().filter(|k| self.contains(k)).count()
-    }
-
-    /// Count how many of `keys` are present: pipelined within
-    /// adaptively-sized parallel chunks.
-    ///
-    /// Always equal to [`Searcher::batch_count_seq`] — including for
-    /// batches smaller than any parallel grain, which run pipelined on
-    /// the calling thread instead of silently falling back to scalar.
-    pub fn batch_count(&self, keys: &[T]) -> usize {
-        let mut found = vec![false; keys.len()];
-        par_chunked(keys, &mut found, |kc, oc| {
-            self.pipelined_search_into::<DEFAULT_WINDOW>(
-                kc.len(),
-                |i| &kc[i],
-                |i, r| oc[i] = r.is_some(),
-            )
-        });
+    /// Count how many of `keys` are present — the loop the paper's
+    /// query benchmarks measure, batched. Always equal to a scalar
+    /// loop of [`Searcher::contains`], including for batches smaller
+    /// than any parallel grain.
+    pub fn batch_count<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> usize {
+        let found = self.search_each(keys, |r| r.is_some());
         found.into_iter().filter(|f| *f).count()
     }
 }

@@ -33,30 +33,22 @@
 //!
 //! A lone descent serializes its cache misses — every level's address
 //! depends on the previous comparison. Independent queries don't. The
-//! batch engine (the `batch` module) keeps a window of descents in flight
-//! per thread, advancing each one level per round and prefetching its
-//! next node, so queries hide each other's memory latency; the
-//! un-suffixed batch entry points additionally parallelize over chunks
-//! sized adaptively to the batch (pipelining *within* each chunk). The
-//! tiers per operation:
-//!
-//! | scalar loop | pipelined (1 thread) | parallel + pipelined |
-//! |---|---|---|
-//! | [`Searcher::batch_search_seq`] | [`Searcher::batch_search_pipelined`] | [`Searcher::batch_search`] |
-//! | [`Searcher::batch_rank_seq`] | [`Searcher::batch_rank_pipelined`] | [`Searcher::batch_rank`] |
-//! | [`Searcher::batch_successor_seq`] | — | [`Searcher::batch_successor`] |
-//! | [`Searcher::batch_predecessor_seq`] | — | [`Searcher::batch_predecessor`] |
-//! | [`Searcher::batch_count_seq`] | — | [`Searcher::batch_count`] |
-//! | [`Searcher::batch_range_count_seq`] | — | [`Searcher::batch_range_count`] |
-//!
-//! Every tier returns bit-identical results for the same operation, and
-//! the pipelined tier's window width is a const-generic engine
-//! parameter ([`Searcher::batch_search_pipelined_with_window`]).
+//! batch engine (the `batch` module) keeps a window of 32 descents in
+//! flight per thread, advancing each one level per round and
+//! prefetching its next node, so queries hide each other's memory
+//! latency, and parallelizes over chunks sized adaptively to the batch
+//! (pipelining *within* each chunk). Each operation has one batch
+//! entry point — [`Searcher::batch_search`], [`Searcher::batch_rank`],
+//! [`Searcher::batch_lower_bound`], [`Searcher::batch_successor`],
+//! [`Searcher::batch_predecessor`], [`Searcher::batch_count`],
+//! [`Searcher::batch_range_count`] — whose `out[i]` is bit-identical to
+//! the point operation on `keys[i]`. Keys are read through
+//! [`std::borrow::Borrow`], so `&[T]` and `&[&T]` are the same call.
 //!
 //! ## Duplicate keys
 //!
-//! Stored keys need not be distinct. The contract, for every layout and
-//! every execution tier:
+//! Stored keys need not be distinct. The contract, for every layout,
+//! scalar and batched alike:
 //!
 //! * [`Searcher::rank`]`(k)` — the number of stored keys **strictly
 //!   smaller** than `k` (so for `m` copies of `k`, ranks of the copies
@@ -71,7 +63,7 @@
 //! * [`Searcher::search`]`(k)` / [`Searcher::contains`] — **any** slot
 //!   holding a key equal to `k` (which copy is found depends on the
 //!   layout's probe order, but is deterministic per layout, and the
-//!   batched tiers return exactly the per-key scalar answer).
+//!   batch calls return exactly the per-key scalar answer).
 //! * [`Searcher::range_count`]`(lo, hi)` — keys in `[lo, hi)` counted
 //!   **with multiplicity**.
 //!
@@ -89,7 +81,6 @@ mod range;
 pub mod route;
 mod wide;
 
-pub use batch::DEFAULT_WINDOW;
 pub use wide::SimdKey;
 
 use nav::{BinaryShape, BstNav, BtreeNav, BtreeSearchShape, VebNav};
@@ -410,7 +401,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
 
     /// Layout position of the element with sorted rank `r`, via the
     /// closed-form position maps (`None` past the end). Shared by
-    /// `lower_bound`/`successor`/`predecessor` and their batched tiers
+    /// `lower_bound`/`successor`/`predecessor` and their batch forms
     /// so all resolve ranks to identical slots; also the way to walk a
     /// layout in **sorted order** without materializing a sorted copy
     /// (the log-structured merge in `ist-dynamic` streams runs this
@@ -496,7 +487,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     pub fn trace_search_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
         let mut t = vec![Vec::new(); keys.len()];
         dispatch_nav!(self, nav => {
-            batch::window_search_into::<T, _, DEFAULT_WINDOW>(
+            batch::window_search_into::<T, _, { batch::WINDOW }>(
                 &nav,
                 keys.len(),
                 |i| &keys[i],
@@ -513,7 +504,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     pub fn trace_rank_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
         let mut t = vec![Vec::new(); keys.len()];
         dispatch_nav!(self, nav => {
-            batch::window_rank_into::<T, _, DEFAULT_WINDOW, false>(
+            batch::window_rank_into::<T, _, { batch::WINDOW }, false>(
                 &nav,
                 keys.len(),
                 |i| &keys[i],
@@ -547,18 +538,21 @@ mod tests {
             assert!(!s.contains(&(key + 1)), "n={n} kind={kind:?} miss x={x}");
         }
         assert!(!s.contains(&0));
-        // Batched tiers must agree bit-for-bit with the scalar loop.
-        let keys: Vec<u64> = (0..2 * n as u64 + 21).collect();
-        let scalar = s.batch_search_seq(&keys);
-        assert_eq!(s.batch_search_pipelined(&keys), scalar, "n={n} {kind:?}");
-        assert_eq!(s.batch_search(&keys), scalar, "n={n} {kind:?}");
-        // Window width is a throughput knob, never a semantics knob.
-        assert_eq!(
-            s.batch_search_pipelined_with_window::<5>(&keys),
-            scalar,
-            "n={n} {kind:?} W=5"
-        );
+        // The batch engine must agree bit-for-bit with the scalar
+        // loop at every batch length around the window (32) and the
+        // parallel grain (128): partial windows, exact windows, one
+        // chunk, several chunks.
+        let keys: Vec<u64> = (0..2 * n as u64 + 21).cycle().take(1000).collect();
+        for len in BATCH_LENS {
+            let keys = &keys[..len];
+            let scalar: Vec<_> = keys.iter().map(|k| s.search(k)).collect();
+            assert_eq!(s.batch_search(keys), scalar, "n={n} {kind:?} len={len}");
+        }
     }
+
+    /// Batch lengths straddling the pipeline window and the parallel
+    /// chunk floor.
+    const BATCH_LENS: [usize; 9] = [0, 1, 31, 32, 33, 127, 128, 129, 1000];
 
     #[test]
     fn bst_all_sizes() {
@@ -597,7 +591,7 @@ mod tests {
         let s = Searcher::new(&data, QueryKind::Btree(8));
         let keys: Vec<u64> = (0..n as u64).map(|x| x + 10).collect(); // half hit
         let expect = keys.iter().filter(|k| (**k - 10) % 2 == 0).count();
-        assert_eq!(s.batch_count_seq(&keys), expect);
+        assert_eq!(keys.iter().filter(|k| s.contains(k)).count(), expect);
         assert_eq!(s.batch_count(&keys), expect);
     }
 
@@ -605,7 +599,7 @@ mod tests {
     /// identical to the scalar loop — the regression the old hardcoded
     /// `with_min_len(1 << 10)` dodged by never parallelizing them.
     #[test]
-    fn batch_count_small_batches_match_seq() {
+    fn batch_count_small_batches_match_scalar_loop() {
         let n = 3000usize;
         let mut data = sorted_data(n);
         permute_in_place(&mut data, Layout::Veb, Algorithm::CycleLeader).unwrap();
@@ -614,7 +608,7 @@ mod tests {
             let keys: Vec<u64> = (0..batch as u64).map(|x| 3 * x + 9).collect();
             assert_eq!(
                 s.batch_count(&keys),
-                s.batch_count_seq(&keys),
+                keys.iter().filter(|k| s.contains(k)).count(),
                 "batch={batch}"
             );
         }
@@ -631,7 +625,7 @@ mod tests {
         assert_eq!(s.batch_search(&[1, 2, 3]), vec![None, None, None]);
         assert_eq!(s.batch_rank(&[1, 2, 3]), vec![0, 0, 0]);
         assert_eq!(s.range_count(&1, &9), 0);
-        assert_eq!(s.batch_search(&[]), vec![]);
+        assert_eq!(s.batch_search(&[] as &[u64]), vec![]);
         assert_eq!(s.rank_upper(&5), 0);
         assert_eq!(s.successor(&5), None);
         assert_eq!(s.predecessor(&5), None);
@@ -671,12 +665,20 @@ mod tests {
                         "n={n} {kind:?} probe={probe}"
                     );
                 }
-                let probes: Vec<u64> = (0..(3 * n as u64 + 5)).collect();
-                assert_eq!(s.batch_rank(&probes), s.batch_rank_seq(&probes));
-                assert_eq!(
-                    s.batch_lower_bound(&probes),
-                    probes.iter().map(|p| s.lower_bound(p)).collect::<Vec<_>>()
-                );
+                let probes: Vec<u64> = (0..(3 * n as u64 + 5)).cycle().take(1000).collect();
+                for len in BATCH_LENS {
+                    let probes = &probes[..len];
+                    assert_eq!(
+                        s.batch_rank(probes),
+                        probes.iter().map(|p| s.rank(p)).collect::<Vec<_>>(),
+                        "n={n} {kind:?} len={len}"
+                    );
+                    assert_eq!(
+                        s.batch_lower_bound(probes),
+                        probes.iter().map(|p| s.lower_bound(p)).collect::<Vec<_>>(),
+                        "n={n} {kind:?} len={len}"
+                    );
+                }
             }
         }
     }
@@ -718,7 +720,10 @@ mod tests {
         }
         assert_eq!(
             s.batch_range_count(&ranges),
-            s.batch_range_count_seq(&ranges)
+            ranges
+                .iter()
+                .map(|(lo, hi)| s.range_count(lo, hi))
+                .collect::<Vec<_>>()
         );
     }
 

@@ -1,9 +1,8 @@
 //! Order-statistic neighbors: successor and predecessor queries,
 //! scalar and batched, built entirely on the rank engine.
 //!
-//! Both are rank queries in disguise, so they inherit every execution
-//! tier (scalar descent, software-pipelined window, parallel chunks)
-//! without any new per-layout code:
+//! Both are rank queries in disguise, so they inherit the scalar descent
+//! and the pipelined batch engine without any new per-layout code:
 //!
 //! * `successor(k)` — the first stored key **strictly greater** than
 //!   `k` — is the element of sorted rank [`Searcher::rank_upper`]`(k)`
@@ -18,8 +17,8 @@
 //! (crate#duplicate-keys)). For the "first key `≥ k`" variant use
 //! [`Searcher::lower_bound`].
 
-use crate::batch::{par_chunked, DEFAULT_WINDOW};
 use crate::Searcher;
+use std::borrow::Borrow;
 
 impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// Layout position of the smallest stored key **strictly greater**
@@ -61,49 +60,21 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         }
     }
 
-    /// Scalar batch successor (one [`Searcher::successor`] per key).
-    pub fn batch_successor_seq(&self, keys: &[T]) -> Vec<Option<usize>> {
-        keys.iter().map(|k| self.successor(k)).collect()
-    }
-
     /// Batch successor: upper-rank descents through the pipelined
     /// engine (parallel over adaptively-sized chunks), then the
     /// closed-form position maps. `out[i]` is identical to per-key
     /// [`Searcher::successor`].
-    pub fn batch_successor(&self, keys: &[T]) -> Vec<Option<usize>> {
-        let mut out = vec![None; keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            self.pipelined_rank_into::<DEFAULT_WINDOW, true>(
-                kc.len(),
-                |i| &kc[i],
-                |i, r| oc[i] = self.position_of_rank(r),
-            )
-        });
-        out
-    }
-
-    /// Scalar batch predecessor (one [`Searcher::predecessor`] per key).
-    pub fn batch_predecessor_seq(&self, keys: &[T]) -> Vec<Option<usize>> {
-        keys.iter().map(|k| self.predecessor(k)).collect()
+    pub fn batch_successor<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
+        self.rank_each::<true, _, _>(keys, |r| self.position_of_rank(r))
     }
 
     /// Batch predecessor: rank descents through the pipelined engine
     /// (parallel over adaptively-sized chunks). `out[i]` is identical
     /// to per-key [`Searcher::predecessor`].
-    pub fn batch_predecessor(&self, keys: &[T]) -> Vec<Option<usize>> {
-        let mut out = vec![None; keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            self.pipelined_rank_into::<DEFAULT_WINDOW, false>(
-                kc.len(),
-                |i| &kc[i],
-                |i, r| {
-                    oc[i] = match r {
-                        0 => None,
-                        r => self.position_of_rank(r - 1),
-                    }
-                },
-            )
-        });
-        out
+    pub fn batch_predecessor<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
+        self.rank_each::<false, _, _>(keys, |r| match r {
+            0 => None,
+            r => self.position_of_rank(r - 1),
+        })
     }
 }

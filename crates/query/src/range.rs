@@ -8,7 +8,7 @@
 //! through one pipelined rank engine, so `q` range queries overlap the
 //! latency of `2q` descents.
 
-use crate::batch::{par_chunked, DEFAULT_WINDOW};
+use crate::batch::par_chunked;
 use crate::Searcher;
 
 impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
@@ -30,15 +30,6 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// ```
     pub fn range_count(&self, lo: &T, hi: &T) -> usize {
         self.rank(hi).saturating_sub(self.rank(lo))
-    }
-
-    /// Scalar batch range count (one [`Searcher::range_count`] per
-    /// pair).
-    pub fn batch_range_count_seq(&self, ranges: &[(T, T)]) -> Vec<usize> {
-        ranges
-            .iter()
-            .map(|(lo, hi)| self.range_count(lo, hi))
-            .collect()
     }
 
     /// Batch range count over `(lo, hi)` pairs: both endpoints of every
@@ -72,7 +63,7 @@ fn range_chunk<T: Ord + Sync + 'static>(
     counts: &mut [usize],
 ) {
     let mut ranks = vec![0usize; 2 * ranges.len()];
-    s.pipelined_rank_into::<DEFAULT_WINDOW, false>(
+    s.pipelined_rank_into::<false>(
         2 * ranges.len(),
         |i| {
             let (lo, hi) = &ranges[i / 2];

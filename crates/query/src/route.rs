@@ -106,9 +106,9 @@ pub fn partition_batch<T: Clone>(
 /// [`partition_batch`] without the clones: routes **borrows** of the
 /// items into per-shard sub-batches, so read-only paths (`batch_get`,
 /// `batch_rank`) never copy a key just to route it — the sub-batches
-/// hold `&T` and feed the engines' `*_ref` entry points. Original
-/// indices are returned the same way, so [`scatter_to_input_order`]
-/// applies unchanged.
+/// hold `&T`, which the engines' batch entry points read in place.
+/// Original indices are returned the same way, so
+/// [`scatter_to_input_order`] applies unchanged.
 ///
 /// # Panics
 /// Panics if `route` returns an index `>= shards`.

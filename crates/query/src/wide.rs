@@ -20,7 +20,7 @@
 //! probes, prefetch hooks — with arithmetic **bit-identical** to the
 //! runtime navigator at the same `b` (`tests/navigator_equivalence.rs`
 //! and `tests/query_differential.rs` pin node traces and results
-//! against each other), so every engine tier (scalar, software-
+//! against each other), so every engine (scalar, software-
 //! pipelined window, parallel chunks, range counts, trace replay)
 //! inherits the wide kernel with no new driver code.
 //!

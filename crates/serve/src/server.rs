@@ -32,12 +32,14 @@
 //!   bump) and shipped with the tick to the executor, freeing the
 //!   coalescer to gather the next tick while reads execute.
 //! * The **executor** runs the tick's reads as three batched calls on
-//!   the snapshot — [`ShardedFrozen::batch_get`] /
-//!   [`ShardedFrozen::batch_rank`] /
-//!   [`ShardedFrozen::batch_range_count`] — each of which partitions
-//!   per shard by reference and drives every shard's software-pipelined
-//!   descent engine, then emits all replies **in arrival order**,
-//!   appended into one buffer per connection per tick.
+//!   the snapshot — a [`ShardedFrozen`], i.e. the same
+//!   [`Sharded`](ist_shard::Sharded) read code the live map runs:
+//!   [`batch_get`](ist_shard::Sharded::batch_get) /
+//!   [`batch_rank`](ist_shard::Sharded::batch_rank) /
+//!   [`batch_range_count`](ist_shard::Sharded::batch_range_count) — each
+//!   of which partitions per shard by reference and drives every shard's
+//!   software-pipelined descent engine, then emits all replies **in
+//!   arrival order**, appended into one buffer per connection per tick.
 //!
 //! ### Consistency contract
 //!

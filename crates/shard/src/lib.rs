@@ -1,17 +1,24 @@
 //! # ist-shard
 //!
-//! [`ShardedMap`]: a **key-range-sharded** serving facade over
-//! per-shard [`DynamicMap`]s — the multi-writer-scale front-end of the
-//! serving story.
+//! [`Sharded`]: a **key-range-sharded** serving facade — the
+//! multi-writer-scale front-end of the serving story. One generic type
+//! carries the routing, the offset sums and the batch fan-out; what
+//! its shards are decides what else it can do:
+//!
+//! | alias | shard type | beyond the shared reads |
+//! |---|---|---|
+//! | [`ShardedMap`] | [`DynamicMap`] | writes, compaction control, persistence, `snapshot()`, `reader()` |
+//! | [`ShardedFrozen`] | [`Frozen`] | nothing — an immutable composite snapshot |
+//! | [`ShardedReader`] | [`Reader`] | only `snapshot()` (a handle, not a read surface) |
 //!
 //! ## Range partition
 //!
-//! A `ShardedMap` is `splits.len() + 1` shards under a sorted,
+//! A `Sharded` is `splits.len() + 1` shards under a sorted,
 //! strictly-increasing split-key vector: shard `0` owns keys below
 //! `splits[0]`, shard `i` owns `[splits[i-1], splits[i])`, the last
 //! shard owns everything from the last split up
-//! ([`ist_query::route::shard_of_key`]). Each shard is a full
-//! [`DynamicMap`]: its own write buffer, sealed L0 runs, tiers, and
+//! ([`ist_query::route::shard_of_key`]). Each [`ShardedMap`] shard is a
+//! full [`DynamicMap`]: its own write buffer, sealed L0 runs, tiers, and
 //! background compaction worker — so shards seal and merge
 //! independently, and a hot key range never stalls writes elsewhere.
 //!
@@ -30,8 +37,8 @@
 //!
 //! ## Batched queries
 //!
-//! [`ShardedMap::batch_get`] / [`ShardedMap::batch_rank`] /
-//! [`ShardedMap::batch_range_count`] partition the batch per shard **by
+//! [`Sharded::batch_get`] / [`Sharded::batch_rank`] /
+//! [`Sharded::batch_range_count`] partition the batch per shard **by
 //! reference** ([`ist_query::route::partition_batch_ref`] — no key is
 //! cloned just to route it), drive every shard's software-pipelined
 //! descent engine **in parallel** (the sub-batches are disjoint), and
@@ -43,7 +50,8 @@
 //!
 //! ## Snapshots and concurrent readers
 //!
-//! The same read API is available off the writer's thread:
+//! The same reads — literally the same code — are available off the
+//! writer's thread:
 //!
 //! * [`ShardedMap::snapshot`] freezes the **exact current** state into a
 //!   [`ShardedFrozen`] — globally consistent, because taking it requires
@@ -77,9 +85,64 @@ use ist_query::route::{
 use ist_query::QueryKind;
 use ist_store::{shard_dir_name, Codec, ShardsFile, StoreConfig, StoreError};
 
-/// A key-range-sharded map: range-partitioned shards, each a
-/// [`DynamicMap`] with its own buffer and background compaction, behind
-/// one exact read/write API.
+/// Range-partitioned shards of type `S` under one shared split vector.
+///
+/// Every read — scalar routing, global-rank offset sums, the
+/// partition-by-reference → parallel per-shard → scatter batch
+/// skeleton, and the empty-shard walks of the order queries — is an
+/// inherent method written once here, for any shard that can lend its
+/// state as a [`Frozen`] (the [`Shard`] bound). What else a `Sharded`
+/// can do depends on the shard type; see [`ShardedMap`],
+/// [`ShardedFrozen`] and [`ShardedReader`].
+pub struct Sharded<K, S> {
+    /// Sorted, strictly increasing; shard `i` owns `[splits[i-1],
+    /// splits[i])` with open ends at the extremes. `Arc`-shared with
+    /// every [`ShardedReader`] and [`ShardedFrozen`] spawned from a map
+    /// (splits never change after construction).
+    splits: Arc<Vec<K>>,
+    /// `shards.len() == splits.len() + 1`, ordered by key range.
+    shards: Vec<S>,
+}
+
+impl<K, S: Clone> Clone for Sharded<K, S> {
+    fn clone(&self) -> Self {
+        Self {
+            splits: Arc::clone(&self.splits),
+            shards: self.shards.clone(),
+        }
+    }
+}
+
+/// What the routed reads of [`Sharded`] need from a shard: its state as
+/// the dynamic layer's read core.
+pub trait Shard<K> {
+    /// The shard's value type.
+    type Value;
+
+    /// The shard's current state.
+    fn frozen(&self) -> &Frozen<K, Self::Value>;
+}
+
+impl<K, V> Shard<K> for DynamicMap<K, V> {
+    type Value = V;
+
+    fn frozen(&self) -> &Frozen<K, V> {
+        self
+    }
+}
+
+impl<K, V> Shard<K> for Frozen<K, V> {
+    type Value = V;
+
+    fn frozen(&self) -> &Frozen<K, V> {
+        self
+    }
+}
+
+/// A key-range-sharded map: a [`Sharded`] whose shards are
+/// [`DynamicMap`]s, each with its own buffer and background compaction,
+/// adding writes, compaction control, persistence and snapshots to the
+/// shared reads.
 ///
 /// Semantics mirror a single [`DynamicMap`] (one live value per key,
 /// `insert` overwrites, `remove` deletes, order statistics see only
@@ -106,15 +169,7 @@ use ist_store::{shard_dir_name, Codec, ShardsFile, StoreConfig, StoreError};
 /// assert_eq!(got, vec![Some(&0), Some(&999), Some(&9_999), None]);
 /// assert_eq!(m.range_count(&0, &u64::MAX), 10_001);
 /// ```
-pub struct ShardedMap<K, V> {
-    /// Sorted, strictly increasing; shard `i` owns `[splits[i-1],
-    /// splits[i])` with open ends at the extremes. `Arc`-shared with
-    /// every [`ShardedReader`] and [`ShardedFrozen`] spawned from this
-    /// map (splits never change after construction).
-    splits: Arc<Vec<K>>,
-    /// `shards.len() == splits.len() + 1`, ordered by key range.
-    shards: Vec<DynamicMap<K, V>>,
-}
+pub type ShardedMap<K, V> = Sharded<K, DynamicMap<K, V>>;
 
 impl<K, V> ShardedMap<K, V>
 where
@@ -242,8 +297,7 @@ where
     /// against read fan-out, per shard.
     ///
     /// # Panics
-    /// Panics on an invalid policy (tiered `fanout == 0`, leveled
-    /// `fanout < 2`).
+    /// Panics on `fanout == 0`.
     #[must_use]
     pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
         self.shards = self
@@ -301,34 +355,9 @@ where
         (splits, parts)
     }
 
-    /// The shared read core over this map's live shards.
-    fn view(&self) -> RangeView<'_, K, DynamicMap<K, V>> {
-        RangeView {
-            splits: &self.splits,
-            shards: &self.shards,
-        }
-    }
-
-    // ----- routing -----
-
-    /// Index of the shard owning `key` (the range-partition router).
-    pub fn shard_of(&self, key: &K) -> usize {
-        shard_of_key(&self.splits, key)
-    }
-
-    /// The split keys (shard `i` owns `[splits[i-1], splits[i])`).
-    pub fn splits(&self) -> &[K] {
-        self.splits.as_slice()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Live keys per shard, in key-range order.
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(DynamicMap::len).collect()
+        self.shards.iter().map(|s| s.len()).collect()
     }
 
     /// `true` while any shard has a background compaction in flight.
@@ -464,12 +493,12 @@ where
     /// This cut is **globally consistent**: taking it borrows `&self`,
     /// and every mutation needs `&mut self`, so the per-shard freezes
     /// cannot interleave with any write. Cost: one ≤`buffer_cap`-entry
-    /// buffer copy plus one `Arc` bump per resident run, per shard. A
+    /// buffer copy plus one `Arc` bump, per shard. A
     /// serving loop that owns the map takes one snapshot per batch tick
     /// and hands it to reader threads, which is how the `ist-serve`
     /// coalescer overlaps read execution with the next tick's writes.
     pub fn snapshot(&self) -> ShardedFrozen<K, V> {
-        ShardedFrozen {
+        Sharded {
             splits: Arc::clone(&self.splits),
             shards: self.shards.iter().map(DynamicMap::snapshot).collect(),
         }
@@ -481,89 +510,10 @@ where
     /// immediately). See [`ShardedReader::snapshot`] for the coherence
     /// contract — per-shard prefixes, not a global cut.
     pub fn reader(&self) -> ShardedReader<K, V> {
-        ShardedReader {
+        Sharded {
             splits: Arc::clone(&self.splits),
-            readers: self.shards.iter().map(DynamicMap::reader).collect(),
+            shards: self.shards.iter().map(DynamicMap::reader).collect(),
         }
-    }
-
-    // ----- scalar reads -----
-
-    /// Number of live keys across all shards.
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// `true` iff no key is live in any shard.
-    pub fn is_empty(&self) -> bool {
-        self.view().is_empty()
-    }
-
-    /// The live value under `key`, if any (one shard probe).
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.view().get(key)
-    }
-
-    /// `true` iff `key` is live.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// Number of live keys strictly smaller than `key`, globally exact:
-    /// whole-shard lengths below the home shard plus one in-shard rank
-    /// (the range-partition invariant).
-    pub fn rank(&self, key: &K) -> usize {
-        self.view().rank(key)
-    }
-
-    /// Number of live keys in `[lo, hi)` across all shards. Reversed
-    /// bounds (`lo > hi`) yield 0 — never a panic (the workspace-wide
-    /// contract).
-    pub fn range_count(&self, lo: &K, hi: &K) -> usize {
-        self.view().range_count(lo, hi)
-    }
-
-    /// The smallest live entry with key `≥ key`, if any.
-    pub fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().lower_bound(key)
-    }
-
-    /// The smallest live entry with key **strictly greater** than
-    /// `key`, if any.
-    pub fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().successor(key)
-    }
-
-    /// The largest live entry with key **strictly smaller** than `key`,
-    /// if any.
-    pub fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().predecessor(key)
-    }
-
-    // ----- batched reads: partition → parallel per-shard → scatter -----
-
-    /// Batched [`ShardedMap::get`]: the batch is partitioned per shard
-    /// **by reference** (routing clones no key), every shard's
-    /// software-pipelined engine runs in parallel on its disjoint
-    /// sub-batch, and results scatter back in input order — `out[i]` is
-    /// exactly `get(&keys[i])`.
-    pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
-        self.view().batch_get(keys)
-    }
-
-    /// Batched [`ShardedMap::rank`]: per-shard pipelined rank descents
-    /// in parallel, each shard's results pre-offset by the summed
-    /// lengths of the shards below it, scattered back in input order.
-    pub fn batch_rank(&self, keys: &[K]) -> Vec<usize> {
-        self.view().batch_rank(keys)
-    }
-
-    /// Per-pair [`ShardedMap::range_count`] (reversed pairs yield 0).
-    /// Endpoint ranks go through the batched rank path, so ranges
-    /// straddling shard boundaries cost the same two descents as local
-    /// ones.
-    pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
-        self.view().batch_range_count(ranges)
     }
 }
 
@@ -684,220 +634,132 @@ where
     }
 }
 
-/// The per-shard read surface the range-partitioned read core is
-/// generic over — implemented by live shards ([`DynamicMap`]) and
-/// frozen ones ([`Frozen`]), so [`ShardedMap`] and [`ShardedFrozen`]
-/// share every routing decision, offset sum, and scatter in one place
-/// ([`RangeView`]).
-trait ShardRead<K, V> {
-    fn len(&self) -> usize;
-    fn get(&self, key: &K) -> Option<&V>;
-    fn rank(&self, key: &K) -> usize;
-    fn lower_bound(&self, key: &K) -> Option<(&K, &V)>;
-    fn successor(&self, key: &K) -> Option<(&K, &V)>;
-    fn predecessor(&self, key: &K) -> Option<(&K, &V)>;
-    fn batch_get_ref(&self, keys: &[&K]) -> Vec<Option<&V>>;
-    fn batch_rank_ref(&self, keys: &[&K]) -> Vec<usize>;
-}
+// ----- reads: written once, for every shard type -----
 
-impl<K, V> ShardRead<K, V> for DynamicMap<K, V>
+impl<K, S> Sharded<K, S>
 where
     K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
+    S: Shard<K> + Sync,
+    S::Value: Clone + Send + Sync,
 {
-    fn len(&self) -> usize {
-        DynamicMap::len(self)
-    }
-    fn get(&self, key: &K) -> Option<&V> {
-        DynamicMap::get(self, key)
-    }
-    fn rank(&self, key: &K) -> usize {
-        DynamicMap::rank(self, key)
-    }
-    fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
-        DynamicMap::lower_bound(self, key)
-    }
-    fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        DynamicMap::successor(self, key)
-    }
-    fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        DynamicMap::predecessor(self, key)
-    }
-    fn batch_get_ref(&self, keys: &[&K]) -> Vec<Option<&V>> {
-        DynamicMap::batch_get_ref(self, keys)
-    }
-    fn batch_rank_ref(&self, keys: &[&K]) -> Vec<usize> {
-        DynamicMap::batch_rank_ref(self, keys)
-    }
-}
-
-impl<K, V> ShardRead<K, V> for Frozen<K, V>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync,
-{
-    fn len(&self) -> usize {
-        Frozen::len(self)
-    }
-    fn get(&self, key: &K) -> Option<&V> {
-        Frozen::get(self, key)
-    }
-    fn rank(&self, key: &K) -> usize {
-        Frozen::rank(self, key)
-    }
-    fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
-        Frozen::lower_bound(self, key)
-    }
-    fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        Frozen::successor(self, key)
-    }
-    fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        Frozen::predecessor(self, key)
-    }
-    fn batch_get_ref(&self, keys: &[&K]) -> Vec<Option<&V>> {
-        Frozen::batch_get_ref(self, keys)
-    }
-    fn batch_rank_ref(&self, keys: &[&K]) -> Vec<usize> {
-        Frozen::batch_rank_ref(self, keys)
-    }
-}
-
-/// The single implementation of every range-partitioned read — scalar
-/// routing, global-rank offset sums, the
-/// partition-by-reference → parallel per-shard → scatter skeleton, and
-/// the empty-shard walks — borrowed over any slice of [`ShardRead`]
-/// shards. [`ShardedMap`] instantiates it with live [`DynamicMap`]s,
-/// [`ShardedFrozen`] with per-shard [`Frozen`] snapshots.
-struct RangeView<'a, K, S> {
-    splits: &'a [K],
-    shards: &'a [S],
-}
-
-impl<'a, K, S> RangeView<'a, K, S>
-where
-    K: Ord + Sync,
-    S: Sync,
-{
-    fn shard_of(&self, key: &K) -> usize {
-        shard_of_key(self.splits, key)
+    /// Index of the shard owning `key` (the range-partition router).
+    pub fn shard_of(&self, key: &K) -> usize {
+        shard_of_key(&self.splits, key)
     }
 
-    fn len<V>(&self) -> usize
-    where
-        S: ShardRead<K, V>,
-    {
-        self.shards.iter().map(ShardRead::len).sum()
+    /// The split keys (shard `i` owns `[splits[i-1], splits[i])`).
+    pub fn splits(&self) -> &[K] {
+        self.splits.as_slice()
     }
 
-    fn is_empty<V>(&self) -> bool
-    where
-        S: ShardRead<K, V>,
-    {
-        self.shards.iter().all(|s| s.len() == 0)
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
-    fn get<V>(&self, key: &K) -> Option<&'a V>
-    where
-        S: ShardRead<K, V>,
-    {
-        debug_assert_valid_splits(self.splits);
-        self.shards[self.shard_of(key)].get(key)
+    /// Number of live keys across all shards.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.frozen().len()).sum()
     }
 
-    fn rank<V>(&self, key: &K) -> usize
-    where
-        S: ShardRead<K, V>,
-    {
-        debug_assert_valid_splits(self.splits);
+    /// `true` iff no key is live in any shard.
+    pub fn is_empty(&self) -> bool {
+        self.shards.iter().all(|s| s.frozen().is_empty())
+    }
+
+    /// The home shard of `key`, as its read core.
+    fn home(&self, key: &K) -> (usize, &Frozen<K, S::Value>) {
+        debug_assert_valid_splits(&self.splits);
         let i = self.shard_of(key);
-        let below: usize = self.shards[..i].iter().map(ShardRead::len).sum();
-        below + self.shards[i].rank(key)
+        (i, self.shards[i].frozen())
     }
 
-    fn range_count<V>(&self, lo: &K, hi: &K) -> usize
-    where
-        S: ShardRead<K, V>,
-    {
+    /// The live value under `key`, if any (one shard probe).
+    pub fn get(&self, key: &K) -> Option<&S::Value> {
+        self.home(key).1.get(key)
+    }
+
+    /// `true` iff `key` is live.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Number of live keys strictly smaller than `key`, globally exact:
+    /// whole-shard lengths below the home shard plus one in-shard rank
+    /// (the range-partition invariant).
+    pub fn rank(&self, key: &K) -> usize {
+        let (i, home) = self.home(key);
+        let below: usize = self.shards[..i].iter().map(|s| s.frozen().len()).sum();
+        below + home.rank(key)
+    }
+
+    /// Number of live keys in `[lo, hi)` across all shards. Reversed
+    /// bounds (`lo > hi`) yield 0 — never a panic (the workspace-wide
+    /// contract).
+    pub fn range_count(&self, lo: &K, hi: &K) -> usize {
         if lo >= hi {
             return 0;
         }
         self.rank(hi).saturating_sub(self.rank(lo))
     }
 
-    fn lower_bound<V>(&self, key: &K) -> Option<(&'a K, &'a V)>
-    where
-        S: ShardRead<K, V>,
-    {
-        debug_assert_valid_splits(self.splits);
-        let i = self.shard_of(key);
-        self.shards[i]
-            .lower_bound(key)
+    /// The smallest live entry with key `≥ key`, if any.
+    pub fn lower_bound(&self, key: &K) -> Option<(&K, &S::Value)> {
+        let (i, home) = self.home(key);
+        home.lower_bound(key)
             .or_else(|| self.first_live_after_shard(i))
     }
 
-    fn successor<V>(&self, key: &K) -> Option<(&'a K, &'a V)>
-    where
-        S: ShardRead<K, V>,
-    {
-        debug_assert_valid_splits(self.splits);
-        let i = self.shard_of(key);
-        self.shards[i]
-            .successor(key)
+    /// The smallest live entry with key **strictly greater** than
+    /// `key`, if any.
+    pub fn successor(&self, key: &K) -> Option<(&K, &S::Value)> {
+        let (i, home) = self.home(key);
+        home.successor(key)
             .or_else(|| self.first_live_after_shard(i))
     }
 
-    fn predecessor<V>(&self, key: &K) -> Option<(&'a K, &'a V)>
-    where
-        S: ShardRead<K, V>,
-    {
-        debug_assert_valid_splits(self.splits);
-        let i = self.shard_of(key);
-        self.shards[i]
-            .predecessor(key)
+    /// The largest live entry with key **strictly smaller** than `key`,
+    /// if any.
+    pub fn predecessor(&self, key: &K) -> Option<(&K, &S::Value)> {
+        let (i, home) = self.home(key);
+        home.predecessor(key)
             .or_else(|| self.last_live_before_shard(i))
     }
 
-    fn batch_get<V>(&self, keys: &[K]) -> Vec<Option<&'a V>>
-    where
-        S: ShardRead<K, V>,
-        V: Sync,
-    {
-        self.fan_out(keys, |i, routed| self.shards[i].batch_get_ref(routed))
-    }
-
-    fn batch_rank<V>(&self, keys: &[K]) -> Vec<usize>
-    where
-        S: ShardRead<K, V>,
-    {
-        let offsets = self.offsets();
-        self.fan_out(keys, |i, routed| {
-            let mut ranks = self.shards[i].batch_rank_ref(routed);
-            for r in &mut ranks {
-                *r += offsets[i];
-            }
-            ranks
+    /// Batched [`Sharded::get`]: the batch is partitioned per shard
+    /// **by reference** (routing clones no key), every shard's
+    /// software-pipelined engine runs in parallel on its disjoint
+    /// sub-batch, and results scatter back in input order — `out[i]` is
+    /// exactly `get(&keys[i])`.
+    pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&S::Value>> {
+        let parts = partition_batch_ref(keys, self.shards.len(), |k| self.shard_of(k));
+        self.fan_out(keys.len(), parts, |shard, _, routed| {
+            shard.batch_get(routed)
         })
     }
 
-    fn batch_range_count<V>(&self, ranges: &[(K, K)]) -> Vec<usize>
-    where
-        S: ShardRead<K, V>,
-    {
+    /// Batched [`Sharded::rank`]: per-shard pipelined rank descents in
+    /// parallel, each shard's results offset by the summed lengths of
+    /// the shards below it, scattered back in input order.
+    pub fn batch_rank(&self, keys: &[K]) -> Vec<usize> {
+        let parts = partition_batch_ref(keys, self.shards.len(), |k| self.shard_of(k));
+        self.fan_out_ranks(keys.len(), parts)
+    }
+
+    /// Per-pair [`Sharded::range_count`] (reversed pairs yield 0).
+    /// Endpoint ranks go through the batched rank path, so ranges
+    /// straddling shard boundaries cost the same two descents as local
+    /// ones.
+    pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
         // Flatten the endpoints by reference (no key clones), rank them
         // all in one routed fan-out, difference per pair.
-        let offsets = self.offsets();
         let mut flat: Vec<&K> = Vec::with_capacity(2 * ranges.len());
         for (lo, hi) in ranges {
             flat.push(lo);
             flat.push(hi);
         }
-        let ranks = self.fan_out_refs(&flat, |i, routed| {
-            let mut ranks = self.shards[i].batch_rank_ref(routed);
-            for r in &mut ranks {
-                *r += offsets[i];
-            }
-            ranks
-        });
+        let parts = partition_batch(&flat, self.shards.len(), |k| self.shard_of(k));
+        let ranks = self.fan_out_ranks(flat.len(), parts);
         ranges
             .iter()
             .enumerate()
@@ -911,61 +773,42 @@ where
             .collect()
     }
 
-    /// Cumulative live-key counts below each shard (the global-rank
-    /// offsets).
-    fn offsets<V>(&self) -> Vec<usize>
-    where
-        S: ShardRead<K, V>,
-    {
+    /// Global ranks of an already-partitioned batch: every shard's
+    /// in-shard ranks plus the live-key count of the shards below it.
+    fn fan_out_ranks(&self, len: usize, parts: Vec<(Vec<usize>, Vec<&K>)>) -> Vec<usize> {
         let mut offsets = Vec::with_capacity(self.shards.len());
         let mut below = 0usize;
-        for shard in self.shards {
+        for shard in &self.shards {
             offsets.push(below);
-            below += shard.len();
+            below += shard.frozen().len();
         }
-        offsets
+        self.fan_out(len, parts, |shard, i, routed| {
+            let mut ranks = shard.batch_rank(routed);
+            for r in &mut ranks {
+                *r += offsets[i];
+            }
+            ranks
+        })
     }
 
-    /// The batched-query skeleton shared by every fan-out read:
-    /// partition `keys` per shard **by reference**
-    /// ([`partition_batch_ref`] — routing never clones a key), run
-    /// `per_shard(i, sub_batch)` for every non-empty sub-batch in
-    /// parallel (the sub-batches are disjoint), and scatter the
-    /// per-shard results back into input order. The split vector is
-    /// debug-validated **once here**, not per routed item.
-    fn fan_out<R, F>(&self, keys: &[K], per_shard: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &[&K]) -> Vec<R> + Sync,
-    {
-        debug_assert_valid_splits(self.splits);
-        let parts = partition_batch_ref(keys, self.shards.len(), |k| self.shard_of(k));
-        self.run_parts(keys.len(), parts, per_shard)
-    }
-
-    /// [`RangeView::fan_out`] for an already-borrowed batch (partition
-    /// over `&K` items copies references, never keys).
-    fn fan_out_refs<R, F>(&self, keys: &[&K], per_shard: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &[&K]) -> Vec<R> + Sync,
-    {
-        debug_assert_valid_splits(self.splits);
-        let parts = partition_batch(keys, self.shards.len(), |k| self.shard_of(k));
-        self.run_parts(keys.len(), parts, per_shard)
-    }
-
-    fn run_parts<'k, R, F>(
-        &self,
+    /// The batched-query skeleton shared by every fan-out read: run
+    /// `per_shard(shard, i, sub_batch)` for every non-empty sub-batch of
+    /// `parts` (a by-reference partition of a `len`-key batch — routing
+    /// never clones a key) in parallel (the sub-batches are disjoint),
+    /// and scatter the per-shard results back into input order. The
+    /// split vector is debug-validated **once here**, not per routed
+    /// item.
+    fn fan_out<'s, 'k, R, F>(
+        &'s self,
         len: usize,
         parts: Vec<(Vec<usize>, Vec<&'k K>)>,
         per_shard: F,
     ) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize, &[&'k K]) -> Vec<R> + Sync,
-        'a: 'k,
+        F: Fn(&'s Frozen<K, S::Value>, usize, &[&'k K]) -> Vec<R> + Sync,
     {
+        debug_assert_valid_splits(&self.splits);
         let mut results: Vec<Vec<R>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         rayon::scope(|s| {
             for (i, out) in results.iter_mut().enumerate() {
@@ -973,47 +816,34 @@ where
                 if routed.is_empty() {
                     continue;
                 }
-                let per_shard = &per_shard;
-                s.spawn(move |_| *out = per_shard(i, routed));
+                let (shard, per_shard) = (self.shards[i].frozen(), &per_shard);
+                s.spawn(move |_| *out = per_shard(shard, i, routed));
             }
         });
         scatter_to_input_order(len, parts.into_iter().map(|(idx, _)| idx).zip(results))
     }
 
     /// Minimum live entry of the first non-empty shard after `i`.
-    fn first_live_after_shard<V>(&self, i: usize) -> Option<(&'a K, &'a V)>
-    where
-        S: ShardRead<K, V>,
-    {
-        for j in i + 1..self.shards.len() {
-            // Every key in shard j is ≥ its lower boundary, so a
-            // lower_bound there is the shard's minimum entry.
-            if let Some(hit) = self.shards[j].lower_bound(&self.splits[j - 1]) {
-                return Some(hit);
-            }
-        }
-        None
+    fn first_live_after_shard(&self, i: usize) -> Option<(&K, &S::Value)> {
+        // Every key in shard j is ≥ its lower boundary, so a
+        // lower_bound there is the shard's minimum entry.
+        (i + 1..self.shards.len())
+            .find_map(|j| self.shards[j].frozen().lower_bound(&self.splits[j - 1]))
     }
 
     /// Maximum live entry of the last non-empty shard before `i`.
-    fn last_live_before_shard<V>(&self, i: usize) -> Option<(&'a K, &'a V)>
-    where
-        S: ShardRead<K, V>,
-    {
-        for j in (0..i).rev() {
-            // Every key in shard j is < its upper boundary, so a
-            // predecessor there is the shard's maximum entry.
-            if let Some(hit) = self.shards[j].predecessor(&self.splits[j]) {
-                return Some(hit);
-            }
-        }
-        None
+    fn last_live_before_shard(&self, i: usize) -> Option<(&K, &S::Value)> {
+        // Every key in shard j is < its upper boundary, so a
+        // predecessor there is the shard's maximum entry.
+        (0..i)
+            .rev()
+            .find_map(|j| self.shards[j].frozen().predecessor(&self.splits[j]))
     }
 }
 
-/// An immutable composite snapshot of a [`ShardedMap`]: one [`Frozen`]
-/// per shard plus the shared split vector, behind the whole read API
-/// (scalar, order statistics, and the parallel batched fan-outs).
+/// An immutable composite snapshot of a [`ShardedMap`]: a [`Sharded`]
+/// of one [`Frozen`] per shard under the shared split vector — the
+/// shared reads and nothing else.
 ///
 /// Cheap to clone (`Arc` bumps), `Send + Sync` when the key and value
 /// types are, and independent of the writer: compactions that retire
@@ -1023,97 +853,7 @@ where
 /// globally-consistent cut (no write can interleave — see there). A
 /// snapshot from [`ShardedReader::snapshot`] is consistent **per
 /// shard** only; see that method for the contract.
-pub struct ShardedFrozen<K, V> {
-    splits: Arc<Vec<K>>,
-    shards: Vec<Frozen<K, V>>,
-}
-
-impl<K, V> Clone for ShardedFrozen<K, V> {
-    fn clone(&self) -> Self {
-        Self {
-            splits: Arc::clone(&self.splits),
-            shards: self.shards.clone(),
-        }
-    }
-}
-
-impl<K, V> ShardedFrozen<K, V>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync,
-{
-    fn view(&self) -> RangeView<'_, K, Frozen<K, V>> {
-        RangeView {
-            splits: &self.splits,
-            shards: &self.shards,
-        }
-    }
-
-    /// Number of shards in the snapshot.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of live keys across all shards.
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// `true` iff no key is live in any shard.
-    pub fn is_empty(&self) -> bool {
-        self.view().is_empty()
-    }
-
-    /// See [`ShardedMap::get`].
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.view().get(key)
-    }
-
-    /// See [`ShardedMap::contains_key`].
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    /// See [`ShardedMap::rank`].
-    pub fn rank(&self, key: &K) -> usize {
-        self.view().rank(key)
-    }
-
-    /// See [`ShardedMap::range_count`] (reversed bounds yield 0).
-    pub fn range_count(&self, lo: &K, hi: &K) -> usize {
-        self.view().range_count(lo, hi)
-    }
-
-    /// See [`ShardedMap::lower_bound`].
-    pub fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().lower_bound(key)
-    }
-
-    /// See [`ShardedMap::successor`].
-    pub fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().successor(key)
-    }
-
-    /// See [`ShardedMap::predecessor`].
-    pub fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        self.view().predecessor(key)
-    }
-
-    /// See [`ShardedMap::batch_get`].
-    pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&V>> {
-        self.view().batch_get(keys)
-    }
-
-    /// See [`ShardedMap::batch_rank`].
-    pub fn batch_rank(&self, keys: &[K]) -> Vec<usize> {
-        self.view().batch_rank(keys)
-    }
-
-    /// See [`ShardedMap::batch_range_count`].
-    pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
-        self.view().batch_range_count(ranges)
-    }
-}
+pub type ShardedFrozen<K, V> = Sharded<K, Frozen<K, V>>;
 
 /// A cloneable handle for observing a [`ShardedMap`] from threads that
 /// do not own it, layered on the per-shard [`Reader`] cells. Obtain it
@@ -1142,19 +882,7 @@ where
 /// let m = writer.join().unwrap();
 /// assert_eq!(m.len(), 500);
 /// ```
-pub struct ShardedReader<K, V> {
-    splits: Arc<Vec<K>>,
-    readers: Vec<Reader<K, V>>,
-}
-
-impl<K, V> Clone for ShardedReader<K, V> {
-    fn clone(&self) -> Self {
-        Self {
-            splits: Arc::clone(&self.splits),
-            readers: self.readers.clone(),
-        }
-    }
-}
+pub type ShardedReader<K, V> = Sharded<K, Reader<K, V>>;
 
 impl<K, V> ShardedReader<K, V> {
     /// The latest published composite snapshot: one [`Reader::snapshot`]
@@ -1175,9 +903,9 @@ impl<K, V> ShardedReader<K, V> {
     /// instead, where the `&self`/`&mut self` borrow rules make global
     /// consistency free.
     pub fn snapshot(&self) -> ShardedFrozen<K, V> {
-        ShardedFrozen {
+        Sharded {
             splits: Arc::clone(&self.splits),
-            shards: self.readers.iter().map(Reader::snapshot).collect(),
+            shards: self.shards.iter().map(Reader::snapshot).collect(),
         }
     }
 }

@@ -180,10 +180,10 @@
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
 
 pub use ist_dynamic::{
-    default_kind_for_layout, AlignedVec, CompactionMode, CompactionPolicy, CompactionStyle,
-    DynamicMap, Frozen, Reader, StaticIndex, StaticMap, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
+    default_kind_for_layout, AlignedVec, CompactionMode, CompactionPolicy, DynamicMap, Frozen,
+    Reader, StaticIndex, StaticMap, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
 };
-pub use ist_shard::{ShardedFrozen, ShardedMap, ShardedReader};
+pub use ist_shard::{Shard, Sharded, ShardedFrozen, ShardedMap, ShardedReader};
 pub use ist_store::{CrashModel, FsyncPolicy, MemVfs, StdVfs, StoreConfig, StoreError, Vfs};
 
 pub use ist_core::{

@@ -1,4 +1,5 @@
-//! Allocation-count regression test for the rebuild hot path.
+//! Allocation-count regression tests: the rebuild hot path allocates
+//! once per array, and scalar reads allocate nothing.
 //!
 //! `StaticMap::build_presorted` is the only construction work on
 //! `DynamicMap`'s writer path (seals and tier merges both funnel into
@@ -8,21 +9,38 @@
 //! payload-sized buffer per array (keys, values): the aligned
 //! destination the layout scatter writes into directly.
 //!
+//! A scalar read (`get`, `rank`, `lower_bound`, …) on a `DynamicMap`,
+//! a `Frozen` or a `ShardedMap` is a buffer probe plus one descent per
+//! run over state the structure already holds; staging anything on
+//! the heap per call (a run list, a key vector) would tax every read.
+//!
 //! Lives in its own integration-test binary because it installs a
-//! counting `#[global_allocator]`; run with `--test-threads=1`
-//! semantics by construction (single `#[test]`).
+//! counting `#[global_allocator]`. Counts are per thread, so the two
+//! tests (and the harness) never show up in each other's.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Counts allocations at least `THRESHOLD` bytes (0 = disarmed). The
-/// size gate filters out incidental small allocations (thread-spawn
-/// packets from the parallel scatter, test-harness bookkeeping) so the
-/// count isolates payload-sized buffers.
+/// Counts the allocations each armed thread makes.
 struct CountingAlloc;
 
-static THRESHOLD: AtomicUsize = AtomicUsize::new(0);
-static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// `Some((min_size, count))` while this thread is counting its own
+    /// allocations of at least `min_size` bytes; `None` = disarmed. The
+    /// size gate lets the rebuild test filter out incidental small
+    /// allocations (thread-spawn packets from the parallel scatter) and
+    /// isolate payload-sized buffers.
+    static COUNTING: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+}
+
+/// Count this thread's allocations of at least `min_size` bytes made
+/// inside `f`.
+fn count_allocs<R>(min_size: usize, f: impl FnOnce() -> R) -> (R, usize) {
+    COUNTING.set(Some((min_size, 0)));
+    let out = f();
+    let (_, count) = COUNTING.replace(None).expect("armed above");
+    (out, count)
+}
 
 // SAFETY: pure pass-through to `System` plus a counter — allocation
 // behavior (size, alignment, validity of returned pointers) is exactly
@@ -31,10 +49,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: delegates to `System.alloc` under the caller's layout
     // contract, unchanged.
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        let t = THRESHOLD.load(Ordering::Relaxed);
-        if t != 0 && layout.size() >= t {
-            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        // `try_with`: allocations during thread teardown find the cell
+        // gone. The cell has no destructor, so touching it never
+        // allocates.
+        let _ = COUNTING.try_with(|c| {
+            if let Some((min_size, count)) = c.get() {
+                if layout.size() >= min_size {
+                    c.set(Some((min_size, count + 1)));
+                }
+            }
+        });
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -65,14 +89,12 @@ fn rebuild_hot_path_allocates_once_per_array() {
         QueryKind::Veb,
     ] {
         let (k, v) = (keys.clone(), vals.clone()); // cloned while disarmed
-        BIG_ALLOCS.store(0, Ordering::SeqCst);
-        THRESHOLD.store(payload, Ordering::SeqCst);
-        let map = StaticMap::build_presorted(k, v, kind, Algorithm::CycleLeader);
-        THRESHOLD.store(0, Ordering::SeqCst);
+        let (map, big_allocs) = count_allocs(payload, || {
+            StaticMap::build_presorted(k, v, kind, Algorithm::CycleLeader)
+        });
         let map = map.unwrap();
         assert_eq!(
-            BIG_ALLOCS.load(Ordering::SeqCst),
-            2,
+            big_allocs, 2,
             "{kind:?}: rebuild must allocate exactly the 2 aligned destination buffers"
         );
         assert_eq!(map.len(), n);
@@ -80,14 +102,84 @@ fn rebuild_hot_path_allocates_once_per_array() {
 
     // The sorted (zero-copy adoption) path allocates nothing at all.
     let (k, v) = (keys.clone(), vals.clone());
-    BIG_ALLOCS.store(0, Ordering::SeqCst);
-    THRESHOLD.store(payload, Ordering::SeqCst);
-    let map = StaticMap::build_presorted(k, v, QueryKind::Sorted, Algorithm::CycleLeader);
-    THRESHOLD.store(0, Ordering::SeqCst);
+    let (map, big_allocs) = count_allocs(payload, || {
+        StaticMap::build_presorted(k, v, QueryKind::Sorted, Algorithm::CycleLeader)
+    });
     assert_eq!(
-        BIG_ALLOCS.load(Ordering::SeqCst),
-        0,
+        big_allocs, 0,
         "Sorted: zero-copy adoption must not allocate"
     );
     assert_eq!(map.unwrap().len(), n);
+}
+
+/// Run the whole scalar read battery over `probes` and return how many
+/// allocations of any size (threshold: 1 byte) it made.
+macro_rules! allocs_in_scalar_reads {
+    ($m:expr, $probes:expr) => {{
+        let m = &$m;
+        let (sink, allocs) = count_allocs(1, || {
+            let mut sink = usize::from(m.is_empty()) + m.len();
+            for k in $probes {
+                sink += usize::from(m.get(&k).is_some())
+                    + usize::from(m.contains_key(&k))
+                    + m.rank(&k)
+                    + m.range_count(&k, &(k + 7))
+                    + usize::from(m.lower_bound(&k).is_some())
+                    + usize::from(m.successor(&k).is_some())
+                    + usize::from(m.predecessor(&k).is_some());
+            }
+            sink
+        });
+        std::hint::black_box(sink);
+        allocs
+    }};
+}
+
+#[test]
+fn scalar_reads_allocate_nothing() {
+    use implicit_search_trees::{
+        Algorithm, CompactionMode, CompactionPolicy, DynamicMap, QueryKind, ShardedMap,
+    };
+
+    // Inline compaction with four runs per tier, a part-filled buffer,
+    // and tombstones so the order queries walk past dead versions.
+    let policy = CompactionPolicy::tiered(4);
+    let mut m: DynamicMap<u64, u64> =
+        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 8)
+            .with_compaction_mode(CompactionMode::Inline)
+            .with_policy(policy);
+    for k in 0..30u64 {
+        m.insert(3 * k, k);
+    }
+    for k in (0..30u64).step_by(5) {
+        m.remove(&(3 * k));
+    }
+    assert!(m.run_count() >= 3, "{} runs", m.run_count());
+    assert!(m.buffered_versions() > 0);
+    assert_eq!(
+        allocs_in_scalar_reads!(m, 0..100u64),
+        0,
+        "DynamicMap scalar reads must not allocate"
+    );
+
+    let snap = m.snapshot();
+    assert_eq!(
+        allocs_in_scalar_reads!(snap, 0..100u64),
+        0,
+        "Frozen scalar reads must not allocate"
+    );
+
+    let mut sharded: ShardedMap<u64, u64> =
+        ShardedMap::with_splits_config(vec![45], QueryKind::Veb, Algorithm::CycleLeader, 8)
+            .with_compaction_mode(CompactionMode::Inline)
+            .with_policy(policy);
+    for k in 0..60u64 {
+        sharded.insert(3 * k % 91, k);
+    }
+    assert_eq!(sharded.shard_count(), 2);
+    assert_eq!(
+        allocs_in_scalar_reads!(sharded, 0..100u64),
+        0,
+        "ShardedMap scalar reads must not allocate"
+    );
 }

@@ -477,22 +477,18 @@ fn differential_fixed_seeds_background_compaction() {
     }
 }
 
-/// The policy matrix: every [`CompactionPolicy`] style (tiered fanouts,
-/// leveled, lazy bottom) × merge parallelism {1, 4} × bulk vs per-key
+/// The policy matrix: every [`CompactionPolicy`] knob (tiered fanouts,
+/// lazy bottom) × merge parallelism {1, 4} × bulk vs per-key
 /// ingest, in both compaction modes — full observable state vs the
 /// oracle after every op, snapshots included (in background mode those
 /// land mid-merge).
-fn policies() -> [CompactionPolicy; 5] {
+fn policies() -> [CompactionPolicy; 3] {
     [
         CompactionPolicy::tiered(1).with_merge_threads(1),
         CompactionPolicy::tiered(2).with_merge_threads(4),
         CompactionPolicy::tiered(3)
             .with_lazy_bottom(true)
             .with_merge_threads(1),
-        CompactionPolicy::leveled(2).with_merge_threads(4),
-        CompactionPolicy::leveled(3)
-            .with_lazy_bottom(true)
-            .with_merge_threads(4),
     ]
 }
 
@@ -766,7 +762,7 @@ fn differential_persistent_policy_matrix() {
         ),
         (
             QueryKind::Btree(2),
-            CompactionPolicy::leveled(2),
+            CompactionPolicy::tiered(1),
             Ingest::PerKey,
             FsyncPolicy::Never,
         ),

@@ -121,7 +121,7 @@ fn algorithms_agree_with_each_other_large() {
 
 /// The StaticIndex facade: unsorted duplicated input in, the whole
 /// query API out, for every layout — including the batched engine and
-/// range queries, cross-checked against both the scalar tier and a
+/// range queries, cross-checked against both the scalar loop and a
 /// sorted-vector oracle.
 #[test]
 fn static_index_end_to_end() {
@@ -149,7 +149,7 @@ fn static_index_end_to_end() {
         let found = index.batch_search(&queries);
         assert_eq!(
             found,
-            index.searcher().batch_search_seq(&queries),
+            queries.iter().map(|q| index.search(q)).collect::<Vec<_>>(),
             "{layout:?}"
         );
         for (q, hit) in queries.iter().zip(&found) {

@@ -262,8 +262,8 @@ fn lower_bound_matches_sorted_oracle() {
     }
 }
 
-/// `batch_count` (parallel) and `batch_count_seq` agree with a scalar
-/// count over the sorted baseline, over randomized non-perfect sizes.
+/// `batch_count` and a scalar `contains` loop agree with a scalar count
+/// over the sorted baseline, over randomized non-perfect sizes.
 #[test]
 fn batch_count_matches_sorted_oracle() {
     let mut rng = StdRng::seed_from_u64(0xba7c);
@@ -283,21 +283,28 @@ fn batch_count_matches_sorted_oracle() {
         permute_in_place(&mut data, layout, Algorithm::CycleLeader).unwrap();
         let s = Searcher::for_layout(&data, layout);
         assert_eq!(
-            s.batch_count_seq(&queries),
+            queries.iter().filter(|q| s.contains(q)).count(),
             expect,
-            "case {case}: n={n} {layout:?} seq"
+            "case {case}: n={n} {layout:?} scalar loop"
         );
         assert_eq!(
             s.batch_count(&queries),
             expect,
-            "case {case}: n={n} {layout:?} par"
+            "case {case}: n={n} {layout:?} batch"
         );
     }
 }
 
-/// Every batched tier (pipelined, parallel) is bit-identical to the
-/// scalar per-key loop, for randomized sizes, batch lengths, and key
-/// multisets (duplicates included).
+/// Batch lengths straddling the pipeline window (32) and the parallel
+/// chunk floor (128): empty, partial window, exact window, one chunk,
+/// several chunks.
+const BATCH_LENS: [usize; 9] = [0, 1, 31, 32, 33, 127, 128, 129, 1000];
+
+/// The batch engine is bit-identical to the scalar per-key loop, for
+/// randomized sizes, key multisets (duplicates included), and batch
+/// lengths — a random one per case plus every length around the window
+/// and the parallel grain. (The forced-serial CI job runs this same
+/// test on the single-thread pipelined path.)
 #[test]
 fn batched_tiers_match_scalar_bitwise() {
     let mut rng = StdRng::seed_from_u64(0x9199);
@@ -306,36 +313,30 @@ fn batched_tiers_match_scalar_bitwise() {
         let b = rng.gen_range(1usize..12);
         let dup = rng.gen_range(1u64..4); // 1 = distinct, >1 = duplicated
         let sorted: Vec<u64> = (0..n as u64).map(|x| x / dup).collect();
-        let queries: Vec<u64> = (0..rng.gen_range(0usize..2000))
+        let queries: Vec<u64> = (0..2000)
             .map(|_| rng.gen_range(0..n as u64 / dup + 3))
             .collect();
+        let random_len = rng.gen_range(0usize..2000);
         for (kind, layout) in query_kinds(b) {
             let mut data = sorted.clone();
             if let Some(l) = layout {
                 permute_in_place(&mut data, l, Algorithm::CycleLeader).unwrap();
             }
             let s = Searcher::new(&data, kind);
-            let tag = format!("case {case}: n={n} {kind:?} q={}", queries.len());
-            assert_eq!(
-                s.batch_search_pipelined(&queries),
-                s.batch_search_seq(&queries),
-                "{tag} search pipelined"
-            );
-            assert_eq!(
-                s.batch_search(&queries),
-                s.batch_search_seq(&queries),
-                "{tag} search parallel"
-            );
-            assert_eq!(
-                s.batch_rank_pipelined(&queries),
-                s.batch_rank_seq(&queries),
-                "{tag} rank pipelined"
-            );
-            assert_eq!(
-                s.batch_rank(&queries),
-                s.batch_rank_seq(&queries),
-                "{tag} rank parallel"
-            );
+            for len in BATCH_LENS.into_iter().chain([random_len]) {
+                let queries = &queries[..len];
+                let tag = format!("case {case}: n={n} {kind:?} q={len}");
+                assert_eq!(
+                    s.batch_search(queries),
+                    queries.iter().map(|q| s.search(q)).collect::<Vec<_>>(),
+                    "{tag} search"
+                );
+                assert_eq!(
+                    s.batch_rank(queries),
+                    queries.iter().map(|q| s.rank(q)).collect::<Vec<_>>(),
+                    "{tag} rank"
+                );
+            }
         }
     }
 }
@@ -373,7 +374,10 @@ fn range_count_matches_sorted_oracle() {
         }
         assert_eq!(
             s.batch_range_count(&ranges),
-            s.batch_range_count_seq(&ranges),
+            ranges
+                .iter()
+                .map(|(lo, hi)| s.range_count(lo, hi))
+                .collect::<Vec<_>>(),
             "case {case}: n={n} {layout:?}"
         );
     }

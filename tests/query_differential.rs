@@ -8,9 +8,10 @@
 //! 1. **Oracle**: results must match what a plain sorted `Vec` answers
 //!    (`partition_point` for ranks, membership for search, rank
 //!    differences for range counts).
-//! 2. **Tier identity**: the batched tiers (`*_pipelined` and the
-//!    parallel un-suffixed entry points) must be **bit-identical** to
-//!    the per-key scalar loop — same `Option<usize>` positions, not
+//! 2. **Batch identity**: every `batch_*` entry point (pipelined
+//!    within parallel chunks; single-thread pipelined under the
+//!    forced-serial CI job) must be **bit-identical** to a scalar loop
+//!    of the point operation — same `Option<usize>` positions, not
 //!    just the same keys found.
 //!
 //! Sizes cover the adversarial shapes: 0, 1, perfect binary trees
@@ -103,7 +104,7 @@ fn probes(sorted: &[u64], rng: &mut StdRng) -> Vec<u64> {
 }
 
 /// Check every operation of one (kind, key multiset) combination
-/// against the oracle and across tiers.
+/// against the oracle and between the scalar and batch engines.
 fn check_all_ops(sorted: &[u64], kind: QueryKind, layout: Option<Layout>, rng: &mut StdRng) {
     let mut data = sorted.to_vec();
     if let Some(l) = layout {
@@ -159,56 +160,39 @@ fn check_all_ops(sorted: &[u64], kind: QueryKind, layout: Option<Layout>, rng: &
         );
     }
 
-    // --- batch tiers: oracle + bit-identity with the scalar loop ---
-    let scalar_search = s.batch_search_seq(&probes);
-    assert_eq!(
-        s.batch_search_pipelined(&probes),
-        scalar_search,
-        "batch_search_pipelined n={n} {kind:?}"
-    );
+    // --- batch calls: bit-identity with the scalar loop ---
     assert_eq!(
         s.batch_search(&probes),
-        scalar_search,
+        probes.iter().map(|p| s.search(p)).collect::<Vec<_>>(),
         "batch_search n={n} {kind:?}"
-    );
-
-    let scalar_rank = s.batch_rank_seq(&probes);
-    assert_eq!(
-        s.batch_rank_pipelined(&probes),
-        scalar_rank,
-        "batch_rank_pipelined n={n} {kind:?}"
     );
     assert_eq!(
         s.batch_rank(&probes),
-        scalar_rank,
+        probes.iter().map(|p| s.rank(p)).collect::<Vec<_>>(),
         "batch_rank n={n} {kind:?}"
     );
-
-    let scalar_lb: Vec<Option<usize>> = probes.iter().map(|p| s.lower_bound(p)).collect();
     assert_eq!(
         s.batch_lower_bound(&probes),
-        scalar_lb,
+        probes.iter().map(|p| s.lower_bound(p)).collect::<Vec<_>>(),
         "batch_lower_bound n={n} {kind:?}"
     );
-
     assert_eq!(
         s.batch_successor(&probes),
-        s.batch_successor_seq(&probes),
+        probes.iter().map(|p| s.successor(p)).collect::<Vec<_>>(),
         "batch_successor n={n} {kind:?}"
     );
     assert_eq!(
         s.batch_predecessor(&probes),
-        s.batch_predecessor_seq(&probes),
+        probes.iter().map(|p| s.predecessor(p)).collect::<Vec<_>>(),
         "batch_predecessor n={n} {kind:?}"
     );
-
     assert_eq!(
         s.batch_count(&probes),
-        s.batch_count_seq(&probes),
+        probes.iter().filter(|p| s.contains(p)).count(),
         "batch_count n={n} {kind:?}"
     );
 
-    // --- range ops: oracle + tier identity (inverted ranges included) ---
+    // --- range ops: oracle + batch identity (inverted ranges included) ---
     let mut ranges: Vec<(u64, u64)> = Vec::new();
     for w in probes.windows(2) {
         ranges.push((w[0], w[1]));
@@ -229,7 +213,10 @@ fn check_all_ops(sorted: &[u64], kind: QueryKind, layout: Option<Layout>, rng: &
     }
     assert_eq!(
         s.batch_range_count(&ranges),
-        s.batch_range_count_seq(&ranges),
+        ranges
+            .iter()
+            .map(|(lo, hi)| s.range_count(lo, hi))
+            .collect::<Vec<_>>(),
         "batch_range_count n={n} {kind:?}"
     );
 }
@@ -293,28 +280,25 @@ fn differential_batch_length_boundaries() {
             permute_in_place(&mut data, l, Algorithm::CycleLeader).unwrap();
         }
         let s = Searcher::new(&data, kind);
-        for batch_len in [0usize, 1, 2, 15, 16, 17, 31, 32, 33, 63, 65, 127, 129, 1000] {
+        for batch_len in [
+            0usize, 1, 2, 15, 16, 17, 31, 32, 33, 63, 65, 127, 128, 129, 1000,
+        ] {
             let keys: Vec<u64> = (0..batch_len)
                 .map(|_| rng.gen_range(0..2 * n as u64 + 2))
                 .collect();
             assert_eq!(
-                s.batch_search_pipelined(&keys),
-                s.batch_search_seq(&keys),
-                "{kind:?} batch_len={batch_len}"
-            );
-            assert_eq!(
                 s.batch_search(&keys),
-                s.batch_search_seq(&keys),
+                keys.iter().map(|k| s.search(k)).collect::<Vec<_>>(),
                 "{kind:?} batch_len={batch_len}"
             );
             assert_eq!(
-                s.batch_rank_pipelined(&keys),
-                s.batch_rank_seq(&keys),
+                s.batch_rank(&keys),
+                keys.iter().map(|k| s.rank(k)).collect::<Vec<_>>(),
                 "{kind:?} batch_len={batch_len}"
             );
             assert_eq!(
                 s.batch_count(&keys),
-                s.batch_count_seq(&keys),
+                keys.iter().filter(|k| s.contains(k)).count(),
                 "{kind:?} batch_len={batch_len}"
             );
         }
@@ -323,7 +307,7 @@ fn differential_batch_length_boundaries() {
 
 /// Reversed-bound contract: `range_count(lo, hi)` with `lo > hi`
 /// describes an empty interval and yields 0 on every facade, every
-/// layout, every tier — never a panic (debug profile included, where
+/// layout, scalar and batched — never a panic (debug profile included, where
 /// an unchecked `rank(hi) - rank(lo)` would overflow-panic instead).
 #[test]
 fn reversed_range_bounds_yield_zero() {
@@ -372,7 +356,7 @@ fn reversed_range_bounds_yield_zero() {
 
 /// The const-width wide kernel must be **bit-identical** to the runtime
 /// `BtreeNav` at the same `b` — same `Option<usize>` positions out of
-/// every op and tier, across non-perfect sizes, heavy duplication, and
+/// every scalar and batch op, across non-perfect sizes, heavy duplication, and
 /// batch boundaries. `Searcher::new` is the wide route (pinned by
 /// `is_wide`), `Searcher::new_runtime` forces the general path over the
 /// very same layout buffer.
@@ -422,19 +406,19 @@ fn wide_kernel_bit_identical_to_runtime() {
                         "predecessor {t}"
                     );
                 }
-                // Batch tiers, including lengths around the pipeline
+                // Batch calls, including lengths around the pipeline
                 // window drain.
                 for len in [1usize, 15, 16, 17, 63, 65, probes.len()] {
                     let chunk = &probes[..len.min(probes.len())];
                     let t = format!("b={b} n={n} len={len}");
                     assert_eq!(
-                        wide.batch_search_pipelined(chunk),
-                        runtime.batch_search_pipelined(chunk),
+                        wide.batch_search(chunk),
+                        runtime.batch_search(chunk),
                         "batch_search {t}"
                     );
                     assert_eq!(
-                        wide.batch_rank_pipelined(chunk),
-                        runtime.batch_rank_pipelined(chunk),
+                        wide.batch_rank(chunk),
+                        runtime.batch_rank(chunk),
                         "batch_rank {t}"
                     );
                 }

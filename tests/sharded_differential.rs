@@ -28,7 +28,7 @@
 //! `IST_FUZZ_LONG=1` widens the sweep.
 
 use implicit_search_trees::{
-    Algorithm, CompactionMode, CompactionPolicy, DynamicMap, QueryKind, ShardedMap,
+    Algorithm, CompactionMode, CompactionPolicy, DynamicMap, QueryKind, Shard, Sharded, ShardedMap,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,6 +135,76 @@ fn oracle_range_count(oracle: &BTreeMap<u64, u64>, lo: u64, hi: u64) -> usize {
     }
 }
 
+/// Every scalar read of `m` vs the oracle. Generic over the shard type
+/// because the reads are: the live `ShardedMap` and both snapshot cuts
+/// are one `Sharded<K, S>` body, so one checker serves all three.
+fn check_scalar_reads<S>(
+    who: &str,
+    m: &Sharded<u64, S>,
+    oracle: &BTreeMap<u64, u64>,
+    probes: &[u64],
+    pairs: &[(u64, u64)],
+) -> Result<(), String>
+where
+    S: Shard<u64, Value = u64> + Sync,
+{
+    let fail = |what: String| -> Result<(), String> { Err(format!("{who}: {what}")) };
+    if m.len() != oracle.len() {
+        return fail(format!("len: got={} oracle={}", m.len(), oracle.len()));
+    }
+    if m.is_empty() != oracle.is_empty() {
+        return fail("is_empty disagrees".to_string());
+    }
+    for &k in probes {
+        if m.get(&k) != oracle.get(&k) {
+            return fail(format!(
+                "get({k}): got={:?} oracle={:?}",
+                m.get(&k),
+                oracle.get(&k)
+            ));
+        }
+        if m.contains_key(&k) != oracle.contains_key(&k) {
+            return fail(format!("contains_key({k}) disagrees"));
+        }
+        if m.rank(&k) != oracle_rank(oracle, k) {
+            return fail(format!(
+                "rank({k}): got={} oracle={}",
+                m.rank(&k),
+                oracle_rank(oracle, k)
+            ));
+        }
+        let lb = m.lower_bound(&k).map(|(a, b)| (*a, *b));
+        let oracle_lb = oracle.range(k..).next().map(|(a, b)| (*a, *b));
+        if lb != oracle_lb {
+            return fail(format!("lower_bound({k}): got={lb:?} oracle={oracle_lb:?}"));
+        }
+        let succ = m.successor(&k).map(|(a, b)| (*a, *b));
+        let oracle_succ = oracle
+            .range((Excluded(k), Unbounded))
+            .next()
+            .map(|(a, b)| (*a, *b));
+        if succ != oracle_succ {
+            return fail(format!(
+                "successor({k}): got={succ:?} oracle={oracle_succ:?}"
+            ));
+        }
+        let pred = m.predecessor(&k).map(|(a, b)| (*a, *b));
+        let oracle_pred = oracle.range(..k).next_back().map(|(a, b)| (*a, *b));
+        if pred != oracle_pred {
+            return fail(format!(
+                "predecessor({k}): got={pred:?} oracle={oracle_pred:?}"
+            ));
+        }
+    }
+    for &(lo, hi) in pairs {
+        let expect = oracle_range_count(oracle, lo, hi);
+        if m.range_count(&lo, &hi) != expect {
+            return fail(format!("range_count({lo},{hi}) != {expect}"));
+        }
+    }
+    Ok(())
+}
+
 /// Every scalar query vs the oracle, and every batched query vs BOTH
 /// the oracle and the unsharded mirror (elementwise bit-identity).
 fn check_full_state(
@@ -143,64 +213,26 @@ fn check_full_state(
     oracle: &BTreeMap<u64, u64>,
 ) -> Result<(), String> {
     let fail = |what: String| -> Result<(), String> { Err(what) };
-    if sharded.len() != oracle.len() {
-        return fail(format!(
-            "len: sharded={} oracle={}",
-            sharded.len(),
-            oracle.len()
-        ));
-    }
-    if sharded.is_empty() != oracle.is_empty() {
-        return fail("is_empty disagrees".to_string());
-    }
     if sharded.shard_lens().iter().sum::<usize>() != sharded.len() {
         return fail("shard_lens do not sum to len".to_string());
     }
     let probes: Vec<u64> = (0..UNIVERSE + 4).chain([u64::MAX]).collect();
-    for &k in &probes {
-        if sharded.get(&k) != oracle.get(&k) {
-            return fail(format!(
-                "get({k}): sharded={:?} oracle={:?}",
-                sharded.get(&k),
-                oracle.get(&k)
-            ));
-        }
-        if sharded.contains_key(&k) != oracle.contains_key(&k) {
-            return fail(format!("contains_key({k}) disagrees"));
-        }
-        if sharded.rank(&k) != oracle_rank(oracle, k) {
-            return fail(format!(
-                "rank({k}): sharded={} oracle={}",
-                sharded.rank(&k),
-                oracle_rank(oracle, k)
-            ));
-        }
-        let lb = sharded.lower_bound(&k).map(|(a, b)| (*a, *b));
-        let oracle_lb = oracle.range(k..).next().map(|(a, b)| (*a, *b));
-        if lb != oracle_lb {
-            return fail(format!(
-                "lower_bound({k}): sharded={lb:?} oracle={oracle_lb:?}"
-            ));
-        }
-        let succ = sharded.successor(&k).map(|(a, b)| (*a, *b));
-        let oracle_succ = oracle
-            .range((Excluded(k), Unbounded))
-            .next()
-            .map(|(a, b)| (*a, *b));
-        if succ != oracle_succ {
-            return fail(format!(
-                "successor({k}): sharded={succ:?} oracle={oracle_succ:?}"
-            ));
-        }
-        let pred = sharded.predecessor(&k).map(|(a, b)| (*a, *b));
-        let oracle_pred = oracle.range(..k).next_back().map(|(a, b)| (*a, *b));
-        if pred != oracle_pred {
-            return fail(format!(
-                "predecessor({k}): sharded={pred:?} oracle={oracle_pred:?}"
-            ));
-        }
-    }
-    // Batched tiers: oracle exactness AND bit-identity to the mirror.
+    // Range pairs crossing every boundary, reversed and empty included,
+    // plus split-key endpoints.
+    let pairs: Vec<(u64, u64)> = (0..10)
+        .flat_map(|i| {
+            let lo = 6 * i;
+            [(lo, lo + 13), (lo + 13, lo), (lo, lo), (0, u64::MAX)]
+        })
+        .chain(
+            sharded
+                .splits()
+                .iter()
+                .map(|&s| (s.saturating_sub(1), s + 1)),
+        )
+        .collect();
+    check_scalar_reads("sharded", sharded, oracle, &probes, &pairs)?;
+    // Batched reads: oracle exactness AND bit-identity to the mirror.
     let batch = sharded.batch_get(&probes);
     let mirror_batch = mirror.batch_get(&probes);
     for (i, &k) in probes.iter().enumerate() {
@@ -220,39 +252,24 @@ fn check_full_state(
             return fail(format!("batch_rank[{k}] disagrees with oracle"));
         }
     }
-    // Range pairs crossing every boundary, reversed and empty included,
-    // plus split-key endpoints.
-    let pairs: Vec<(u64, u64)> = (0..10)
-        .flat_map(|i| {
-            let lo = 6 * i;
-            [(lo, lo + 13), (lo + 13, lo), (lo, lo), (0, u64::MAX)]
-        })
-        .chain(
-            sharded
-                .splits()
-                .iter()
-                .map(|&s| (s.saturating_sub(1), s + 1)),
-        )
-        .collect();
     let counts = sharded.batch_range_count(&pairs);
     if counts != mirror.batch_range_count(&pairs) {
         return fail("batch_range_count not identical to single-map mirror".to_string());
     }
     for (i, &(lo, hi)) in pairs.iter().enumerate() {
         let expect = oracle_range_count(oracle, lo, hi);
-        if sharded.range_count(&lo, &hi) != expect {
-            return fail(format!("range_count({lo},{hi}) != {expect}"));
-        }
         if counts[i] != expect {
             return fail(format!("batch_range_count({lo},{hi}) != {expect}"));
         }
     }
     // Composite snapshots: the writer-side globally-consistent cut and
     // a fresh reader handle's published cut must both answer every
-    // query bit-identically to the live sharded map they froze.
+    // query bit-identically to the live sharded map they froze — the
+    // scalar reads through the very checker the live map just passed.
     let writer_snap = sharded.snapshot();
     let reader_snap = sharded.reader().snapshot();
     for (name, snap) in [("snapshot", &writer_snap), ("reader", &reader_snap)] {
+        check_scalar_reads(name, snap, oracle, &probes, &pairs)?;
         if snap.len() != sharded.len() {
             return fail(format!("{name}: len differs from live map"));
         }
@@ -517,7 +534,7 @@ fn sharded_differential_after_bulk_build() {
 fn sharded_differential_policy_and_bulk_matrix() {
     let policies = [
         CompactionPolicy::tiered(2).with_merge_threads(4),
-        CompactionPolicy::leveled(2)
+        CompactionPolicy::tiered(3)
             .with_lazy_bottom(true)
             .with_merge_threads(1),
     ];
