@@ -124,596 +124,26 @@
 //! frozen view, so a departed reader population does not pin a stale
 //! copy of the map.
 
+mod compact;
+mod policy;
+mod read;
+mod run;
+
+pub use policy::{CompactionMode, CompactionPolicy, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
+pub use read::{Frozen, Reader};
+
+pub(crate) use compact::Plan;
+pub(crate) use read::lock;
+pub(crate) use run::{BufEntry, Prefix, Run};
+
 use crate::index::default_kind_for_layout;
+#[cfg(doc)]
 use crate::map::StaticMap;
-use crate::sync::{
-    spawn, yield_now, Arc, AtomicBool, AtomicUsize, JoinHandle, Mutex, MutexGuard, Ordering,
-};
+use crate::sync::{Arc, AtomicBool, AtomicUsize, Mutex, Ordering};
+use compact::Pending;
 use ist_core::{Algorithm, Error, Layout};
 use ist_query::QueryKind;
-use std::borrow::Borrow;
-
-/// Default write-buffer capacity (entries buffered between seals).
-///
-/// Small enough that buffer probes and the (move-only) seal stay
-/// cache-resident, large enough that merge amortization works; see
-/// [`DynamicMap::with_config`] to tune.
-pub const DEFAULT_BUFFER_CAP: usize = 256;
-
-/// Maximum number of sealed L0 runs allowed to accumulate while a
-/// compaction is in flight. Sealing past this limit blocks the writer
-/// on the in-flight merge — the backpressure that bounds read fan-out
-/// and resident memory, and the only point where a write waits for a
-/// merge.
-///
-/// Sized so a full-depth merge comfortably finishes within the writes
-/// that fill the budget: sealed runs are tiny (≤ `buffer_cap` sorted
-/// entries each, probed by binary search), so the cost of a deep
-/// budget is a few extra micro-run probes on reads, while too shallow
-/// a budget puts the merge back on the writer's path exactly when it
-/// is longest.
-pub const MAX_SEALED_RUNS: usize = 16;
-
-/// Where the compact half of the overflow path runs; see the
-/// [module docs](self) for the seal/compact state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionMode {
-    /// Merge + rebuild on the calling thread at every seal, like the
-    /// classic synchronous logarithmic method. Deterministic tier
-    /// shapes; the full merge cost lands on the overflowing write.
-    Inline,
-    /// Merge + rebuild on a background worker thread (the default).
-    /// The overflowing write pays only for the seal; the merged run is
-    /// installed atomically at a later mutation (or on
-    /// [`DynamicMap::quiesce`]). Reads stay exact throughout.
-    Background,
-}
-
-/// Merges smaller than this never split into parallel slices: the
-/// boundary descents and stitch would cost more than the merge.
-const PARALLEL_MERGE_MIN_SLICE: usize = 1024;
-
-/// Tunable knobs for the compact half of the overflow path: how many
-/// runs a tier accumulates before they merge one tier down (write
-/// amplification vs read fan-out) and how many threads the k-way merge
-/// may use.
-///
-/// Compaction is **size-tiered**: each tier accumulates up to `fanout`
-/// runs of similar size before they are merged one tier down, so each
-/// version is merged once per tier crossing while reads fan out over
-/// up to `fanout` runs per tier. `fanout = 1` is the classic
-/// binomial-counter logarithmic method (the default): every tier holds
-/// at most one run and a merge targets the first tier with a free slot.
-///
-/// Configured at construction via [`DynamicMap::with_policy`] (and
-/// plumbed through the `ShardedMap` builders). The default —
-/// `fanout = 1`, no lazy bottom, auto merge threads — reproduces the
-/// binomial-counter schedule the differential suites pin, so switching
-/// policies is purely a performance decision: observable answers are
-/// identical under every policy (the fuzz suites assert exactly this).
-///
-/// # Examples
-/// ```
-/// use implicit_search_trees::{CompactionPolicy, DynamicMap, Layout};
-///
-/// let policy = CompactionPolicy::tiered(4).with_lazy_bottom(true);
-/// let mut m: DynamicMap<u64, u64> = DynamicMap::new(Layout::Veb).with_policy(policy);
-/// m.insert(1, 10);
-/// assert_eq!(m.get(&1), Some(&10));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionPolicy {
-    /// Runs a tier accumulates before folding one tier down (≥ 1).
-    pub fanout: usize,
-    /// Keep the bottom (largest) run out of merges until the data above
-    /// it reaches `1/fanout` of its size. Bulk-loaded maps churn their
-    /// upper tiers without repeatedly rewriting the big run, at the
-    /// cost of retaining tombstones (no annihilation) until the bottom
-    /// run is finally folded in.
-    pub lazy_bottom: bool,
-    /// Thread count for the sliced parallel merge: `0` = auto (the
-    /// rayon-shim's effective parallelism, overridable process-wide via
-    /// the `IST_PARALLEL` environment variable), `1` = always the
-    /// classic sequential merge.
-    pub merge_threads: usize,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        Self::tiered(1)
-    }
-}
-
-impl CompactionPolicy {
-    /// Size-tiered policy with up to `fanout` runs per tier (`fanout =
-    /// 1` is the default binomial schedule).
-    pub fn tiered(fanout: usize) -> Self {
-        Self {
-            fanout,
-            lazy_bottom: false,
-            merge_threads: 0,
-        }
-    }
-
-    /// Builder-style override of [`CompactionPolicy::lazy_bottom`].
-    #[must_use]
-    pub fn with_lazy_bottom(mut self, lazy: bool) -> Self {
-        self.lazy_bottom = lazy;
-        self
-    }
-
-    /// Builder-style override of [`CompactionPolicy::merge_threads`].
-    #[must_use]
-    pub fn with_merge_threads(mut self, threads: usize) -> Self {
-        self.merge_threads = threads;
-        self
-    }
-}
-
-/// One buffered write: the newest version of `key`. An empty `slot` is
-/// a tombstone. `weight` maintains the per-key sum invariant described
-/// in the [module docs](self).
-#[derive(Clone)]
-pub(crate) struct BufEntry<K, V> {
-    pub(crate) key: K,
-    pub(crate) slot: Option<V>,
-    pub(crate) weight: i64,
-}
-
-/// A `(key, payload-or-tombstone, weight)` triple streamed out of a
-/// source during a merge.
-type MergedEntry<K, V> = (K, Option<V>, i64);
-
-/// One merged slice in column form — `(keys, slots, weights)` — as
-/// [`merge_slice`] produces it and the stitch step concatenates it.
-type MergedColumns<K, V> = (Vec<K>, Vec<Option<V>>, Vec<i64>);
-
-/// Rank-indexed prefix sums of a run's per-version weights.
-///
-/// Fully compacted runs have unit weights everywhere, making the
-/// prefix the identity `0, 1, …, n`; `Unit` represents that without
-/// materializing 8 bytes per version — which matters on the recovery
-/// path, where every resident run is reloaded at once.
-#[derive(Debug, Clone)]
-pub(crate) enum Prefix {
-    /// Every version weighs 1: `prefix[r] == r`, over `n` versions.
-    Unit(usize),
-    /// Explicit sums, length `n + 1`, starting at 0.
-    Explicit(Vec<i64>),
-}
-
-impl Prefix {
-    /// Build from per-version weights, collapsing the all-unit case.
-    pub(crate) fn from_weights(weights: &[i64]) -> Self {
-        if weights.iter().all(|&w| w == 1) {
-            return Prefix::Unit(weights.len());
-        }
-        let mut prefix = Vec::with_capacity(weights.len() + 1);
-        let mut acc = 0i64;
-        prefix.push(0);
-        for &w in weights {
-            acc += w;
-            prefix.push(acc);
-        }
-        Prefix::Explicit(prefix)
-    }
-
-    /// `prefix[r]`: summed weight of the `r` smallest versions.
-    #[inline]
-    pub(crate) fn at(&self, r: usize) -> i64 {
-        match self {
-            Prefix::Unit(_) => r as i64,
-            Prefix::Explicit(p) => p[r],
-        }
-    }
-
-    /// Weight of the rank-`r` version (`prefix[r+1] - prefix[r]`).
-    #[inline]
-    pub(crate) fn span(&self, r: usize) -> i64 {
-        match self {
-            Prefix::Unit(_) => 1,
-            Prefix::Explicit(p) => p[r + 1] - p[r],
-        }
-    }
-
-    /// The run's total weight (`prefix[n]`).
-    pub(crate) fn total(&self) -> i64 {
-        match self {
-            Prefix::Unit(n) => *n as i64,
-            Prefix::Explicit(p) => *p.last().expect("prefix is never empty"),
-        }
-    }
-}
-
-/// One immutable run: a static layout over this run's versions plus the
-/// rank-indexed prefix sums of their weights.
-pub(crate) struct Run<K, V> {
-    pub(crate) map: StaticMap<K, Option<V>>,
-    /// Rank-indexed (sorted order), not layout-indexed.
-    pub(crate) prefix: Prefix,
-}
-
-impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
-    fn build(
-        keys: Vec<K>,
-        slots: Vec<Option<V>>,
-        weights: &[i64],
-        kind: QueryKind,
-        algorithm: Algorithm,
-    ) -> Result<Self, Error> {
-        debug_assert_eq!(keys.len(), weights.len());
-        Ok(Self {
-            map: StaticMap::build_presorted(keys, slots, kind, algorithm)?,
-            prefix: Prefix::from_weights(weights),
-        })
-    }
-
-    /// Number of resident versions (live + tombstones).
-    fn versions(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Total weight of the run (its contribution to `len`).
-    fn total_weight(&self) -> i64 {
-        self.prefix.total()
-    }
-
-    /// Summed weight of versions with key strictly below `key`.
-    fn weight_below(&self, key: &K) -> i64 {
-        self.prefix.at(self.map.rank(key))
-    }
-
-    /// Weight of this run's version of `key` (0 if absent): one rank
-    /// descent, then the closed-form position map plus a key equality
-    /// decides presence (run keys are distinct, so `rank`/`rank_upper`
-    /// can only differ by the key itself).
-    fn weight_of(&self, key: &K) -> i64 {
-        let s = self.map.searcher();
-        let r = s.rank(key);
-        match s.position_of_rank(r) {
-            Some(p) if self.map.keys()[p] == *key => self.prefix.span(r),
-            _ => 0,
-        }
-    }
-
-    /// Stream the run's versions with rank in `lo..hi` in sorted-key
-    /// order (cloning) — each merge slice's view of a source: walks
-    /// ranks through the closed-form position maps, so no sorted copy
-    /// of the run is ever materialized. `(0, len)` streams the whole
-    /// run.
-    fn iter_sorted_range(
-        &self,
-        lo: usize,
-        hi: usize,
-    ) -> impl Iterator<Item = MergedEntry<K, V>> + '_
-    where
-        K: Clone,
-        V: Clone,
-    {
-        debug_assert!(lo <= hi && hi <= self.map.len());
-        let searcher = self.map.searcher();
-        (lo..hi).map(move |r| {
-            let p = searcher
-                .position_of_rank(r)
-                .expect("rank below len resolves");
-            (
-                self.map.keys()[p].clone(),
-                self.map.values()[p].clone(),
-                self.prefix.span(r),
-            )
-        })
-    }
-}
-
-/// Lock that shrugs off poisoning: publication is a single pointer
-/// store, so a panicked writer cannot leave the cell torn.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Binary-search the sorted write buffer (one entry per key) for
-/// `key`: `Ok(index)` of the entry, or `Err(insert position)`. The
-/// single home of the buffer's probe semantics — mutations and every
-/// read path go through it.
-fn buffer_slot<K: Ord, V>(buffer: &[BufEntry<K, V>], key: &K) -> Result<usize, usize> {
-    buffer.binary_search_by(|e| e.key.cmp(key))
-}
-
-/// A compaction plan: which **contiguous newest prefix** of the
-/// resident runs the merge consumes, and where the merged run lands.
-/// Consuming a contiguous prefix and installing at its boundary is what
-/// keeps the global newest-first run order valid under every
-/// [`CompactionPolicy`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Plan {
-    /// How many sealed runs (the oldest prefix of `l0`) the merge
-    /// consumes — always all of them.
-    pub(crate) consumed_l0: usize,
-    /// Tiers `0..full_tiers` are consumed entirely…
-    pub(crate) full_tiers: usize,
-    /// …plus the `partial_runs` **newest** runs of tier `full_tiers`
-    /// (non-zero only for lazy-bottom plans that stop short of the
-    /// bottom run).
-    pub(crate) partial_runs: usize,
-    /// The merged run is pushed as the **newest** run of this tier.
-    /// After the consumed runs are removed, every tier above `target`
-    /// is empty.
-    pub(crate) target: usize,
-    /// Whether any run survives below the consumed prefix (tombstones
-    /// are annihilated iff `false`).
-    deeper_occupied: bool,
-}
-
-/// An in-flight background compaction: the plan it executes. The worker
-/// owns `Arc` clones of the source runs, so the writer and readers keep
-/// using them until install.
-struct Pending<K, V> {
-    plan: Plan,
-    /// Set by the worker after the merged run is fully built, so the
-    /// writer's install check is one atomic load, never a join of a
-    /// still-running merge.
-    done: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Option<Run<K, V>>>>,
-}
-
-impl<K, V> Drop for Pending<K, V> {
-    fn drop(&mut self) {
-        // Dropping the map mid-compaction: wait the worker out rather
-        // than leaking a detached thread past the owner's lifetime.
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// How many entries the background worker streams between cooperative
-/// [`std::thread::yield_now`] calls. On a host with spare cores the
-/// yields are nearly free; on a saturated or single-core host they are
-/// what keeps the latency-sensitive writer scheduling promptly while a
-/// long merge is CPU-bound (the same reason production LSM engines run
-/// compaction threads at low priority).
-const MERGE_YIELD_STRIDE: usize = 256;
-
-/// The compact half of the overflow path: k-way merge `sources`
-/// (newest first; each source's keys are distinct) and rebuild the
-/// result as a single run. Newest version wins per key, weights are
-/// summed, and tombstones are annihilated iff no occupied tier remains
-/// below the merge target (`deeper_occupied == false`). Returns `None`
-/// when everything annihilated.
-///
-/// When `threads` (0 = the rayon-shim's effective parallelism) exceeds
-/// 1 and the merge is large enough, the merged key space is split into
-/// near-equal **slices**: boundary keys are drawn from the largest
-/// source at evenly spaced ranks (closed-form `position_of_rank`, no
-/// scan), each source is cut at those keys with one rank descent per
-/// boundary, the slices are merged concurrently on the rayon-shim, and
-/// the outputs are stitched back together. Per-key resolution
-/// (newest-wins, weight sums, annihilation) is local to a slice, so the
-/// stitched output is bit-identical to the sequential merge — the fuzz
-/// suites pin this at parallelism {1, 4}.
-///
-/// Runs on the background worker in [`CompactionMode::Background`]
-/// (with `cooperative = true`: yield the timeslice every
-/// [`MERGE_YIELD_STRIDE`] entries) and on the caller in
-/// [`CompactionMode::Inline`]; it touches only the immutable
-/// `Arc`-shared runs, never the map.
-fn merge_runs<K, V>(
-    sources: &[Arc<Run<K, V>>],
-    deeper_occupied: bool,
-    kind: QueryKind,
-    algorithm: Algorithm,
-    cooperative: bool,
-    threads: usize,
-) -> Option<Run<K, V>>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync,
-{
-    let total: usize = sources.iter().map(|r| r.versions()).sum();
-    let threads = if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    };
-    let want = threads.min(total / PARALLEL_MERGE_MIN_SLICE).max(1);
-
-    let full: Vec<(usize, usize)> = sources.iter().map(|r| (0, r.versions())).collect();
-    let (keys, slots, weights) = if want <= 1 {
-        merge_slice(sources, &full, deeper_occupied, cooperative)
-    } else {
-        // Slice boundaries: evenly spaced ranks of the largest source
-        // approximate evenly sized merged slices (smaller sources can
-        // only add proportionally less to any slice).
-        let largest = sources
-            .iter()
-            .max_by_key(|r| r.versions())
-            .expect("merge has at least one source");
-        let searcher = largest.map.searcher();
-        let mut bounds: Vec<K> = Vec::with_capacity(want - 1);
-        for i in 1..want {
-            let r = i * largest.versions() / want;
-            let p = searcher
-                .position_of_rank(r)
-                .expect("rank below len resolves");
-            let k = largest.map.keys()[p].clone();
-            if bounds.last().is_none_or(|b| *b < k) {
-                bounds.push(k);
-            }
-        }
-        // Cut every source at the boundary keys: slice `i` covers keys
-        // in `[bounds[i-1], bounds[i])`, i.e. source ranks
-        // `[rank(bounds[i-1]), rank(bounds[i]))` — one descent per
-        // (source, boundary).
-        let cuts: Vec<Vec<usize>> = sources
-            .iter()
-            .map(|run| {
-                let mut c = Vec::with_capacity(bounds.len() + 2);
-                c.push(0);
-                c.extend(bounds.iter().map(|b| run.map.rank(b)));
-                c.push(run.versions());
-                c
-            })
-            .collect();
-        let slices = bounds.len() + 1;
-        let mut parts: Vec<MergedColumns<K, V>> = (0..slices).map(|_| Default::default()).collect();
-        rayon::scope(|s| {
-            for (i, part) in parts.iter_mut().enumerate() {
-                let ranges: Vec<(usize, usize)> = cuts.iter().map(|c| (c[i], c[i + 1])).collect();
-                s.spawn(move |_| {
-                    *part = merge_slice(sources, &ranges, deeper_occupied, cooperative);
-                });
-            }
-        });
-        // Stitch: slices are disjoint and ordered, so concatenation is
-        // the merged output.
-        let mut keys = Vec::with_capacity(total);
-        let mut slots = Vec::with_capacity(total);
-        let mut weights = Vec::with_capacity(total);
-        for (k, s, w) in parts {
-            keys.extend(k);
-            slots.extend(s);
-            weights.extend(w);
-        }
-        (keys, slots, weights)
-    };
-    if keys.is_empty() {
-        None
-    } else {
-        Some(
-            Run::build(keys, slots, &weights, kind, algorithm)
-                .expect("configuration validated at construction"),
-        )
-    }
-}
-
-/// Sequential k-way merge of one slice: each source restricted to its
-/// rank sub-range `ranges[i]`. The whole merge is one slice in the
-/// sequential case.
-fn merge_slice<K, V>(
-    sources: &[Arc<Run<K, V>>],
-    ranges: &[(usize, usize)],
-    deeper_occupied: bool,
-    cooperative: bool,
-) -> MergedColumns<K, V>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync,
-{
-    let mut srcs: Vec<Source<'_, K, V>> = sources
-        .iter()
-        .zip(ranges)
-        .map(|(run, &(lo, hi))| Source::new(Box::new(run.iter_sorted_range(lo, hi))))
-        .collect();
-    let mut keys = Vec::new();
-    let mut slots = Vec::new();
-    let mut weights = Vec::new();
-    let mut streamed = 0usize;
-    loop {
-        streamed += 1;
-        if cooperative && streamed.is_multiple_of(MERGE_YIELD_STRIDE) {
-            yield_now();
-        }
-        // Newest source holding the minimum head key (strict `<` keeps
-        // the earliest source on ties).
-        let mut min_idx: Option<usize> = None;
-        for i in 0..srcs.len() {
-            let Some((k, _, _)) = &srcs[i].head else {
-                continue;
-            };
-            let better = match min_idx {
-                Some(j) => {
-                    let (mk, _, _) = srcs[j].head.as_ref().expect("tracked head");
-                    k < mk
-                }
-                None => true,
-            };
-            if better {
-                min_idx = Some(i);
-            }
-        }
-        let Some(first) = min_idx else { break };
-        let (key, slot, mut weight) = srcs[first].advance();
-        // Older sources may hold the same key (each source's keys are
-        // distinct): collapse them, newest version wins.
-        for src in srcs.iter_mut().skip(first + 1) {
-            if src.head.as_ref().is_some_and(|(k, _, _)| *k == key) {
-                weight += src.advance().2;
-            }
-        }
-        if slot.is_none() && !deeper_occupied {
-            // Tombstone reaching the bottom: annihilate.
-            debug_assert_eq!(weight, 0, "annihilated key retains weight");
-            continue;
-        }
-        keys.push(key);
-        slots.push(slot);
-        weights.push(weight);
-    }
-    (keys, slots, weights)
-}
-
-/// An immutable state of a [`DynamicMap`] — a sorted buffer plus the
-/// resident runs, newest first — and the **single implementation of
-/// every read**. A snapshot ([`DynamicMap::snapshot`],
-/// [`Reader::snapshot`]) is one of these over the state after some
-/// prefix of the writer's operations; the live map keeps its current
-/// state as one too and derefs to it, so `map.get(..)` and
-/// `snap.get(..)` are the same code.
-///
-/// Cheap to clone (two `Arc` bumps), `Send + Sync` when the key and
-/// value types are, and independent of the writer: merges that retire
-/// the referenced runs only drop refcounts.
-pub struct Frozen<K, V> {
-    /// Sorted by key, at most one entry per key (the newest version).
-    pub(crate) buffer: Arc<Vec<BufEntry<K, V>>>,
-    /// Non-empty runs, newest first.
-    pub(crate) runs: Arc<Vec<Arc<Run<K, V>>>>,
-}
-
-impl<K, V> Frozen<K, V> {
-    fn empty() -> Self {
-        Self {
-            buffer: Arc::new(Vec::new()),
-            runs: Arc::new(Vec::new()),
-        }
-    }
-}
-
-impl<K, V> Clone for Frozen<K, V> {
-    fn clone(&self) -> Self {
-        Self {
-            buffer: Arc::clone(&self.buffer),
-            runs: Arc::clone(&self.runs),
-        }
-    }
-}
-
-/// A cloneable handle to a [`DynamicMap`]'s published-snapshot cell.
-///
-/// Obtained from [`DynamicMap::reader`] before handing the map to a
-/// writer thread; [`Reader::snapshot`] then yields, at any moment, a
-/// [`Frozen`] view of the state after some prefix of the writer's
-/// operations (publication order is the operation order, so successive
-/// snapshots never go backwards).
-pub struct Reader<K, V> {
-    cell: Arc<Mutex<Arc<Frozen<K, V>>>>,
-}
-
-impl<K, V> Clone for Reader<K, V> {
-    fn clone(&self) -> Self {
-        Self {
-            cell: Arc::clone(&self.cell),
-        }
-    }
-}
-
-impl<K, V> Reader<K, V> {
-    /// The latest published snapshot. The lock is held only to clone an
-    /// `Arc` — never while a merge or rebuild runs.
-    pub fn snapshot(&self) -> Frozen<K, V> {
-        lock(&self.cell).as_ref().clone()
-    }
-}
+use run::buffer_slot;
 
 /// A write-capable key→value map: a sorted write buffer plus
 /// geometrically-tiered immutable runs, each run a [`StaticMap`] in a
@@ -1551,239 +981,6 @@ where
         }
         self.publish_event();
     }
-
-    /// Make sure sealed runs are on their way into a tier, applying
-    /// [`MAX_SEALED_RUNS`] backpressure first: past the limit the
-    /// writer blocks on the in-flight merge before continuing.
-    fn ensure_compaction(&mut self) {
-        if self.pending.is_some() && self.l0.len() >= MAX_SEALED_RUNS {
-            self.wait_for_pending();
-        }
-        if self.pending.is_none() {
-            self.start_compaction();
-        }
-    }
-
-    /// Decide what the next compaction consumes and where the merged
-    /// run lands, per the configured [`CompactionPolicy`]. Every plan
-    /// consumes all sealed runs plus a **contiguous newest prefix** of
-    /// the tier runs, and installs at that prefix's boundary — the
-    /// invariant that keeps global newest-first order valid.
-    fn plan_compaction(&mut self) -> Plan {
-        let consumed_l0 = self.l0.len();
-        let fanout = self.policy.fanout;
-        // First tier with a free run slot; tiers above it are full and
-        // fold in.
-        let mut target = self
-            .tiers
-            .iter()
-            .position(|t| t.len() < fanout)
-            .unwrap_or(self.tiers.len());
-        let (mut full_tiers, mut partial_runs) = (target, 0);
-        // Lazy bottom: when the plan would fold in the bottom (largest)
-        // run but everything above it is still small, stop short of it
-        // — merge the rest and stack the result on the bottom tier as
-        // newer runs ("debt") until the trigger is reached.
-        if self.policy.lazy_bottom {
-            if let Some(bottom) = self.tiers.iter().rposition(|t| !t.is_empty()) {
-                let consumes_bottom = full_tiers > bottom;
-                if consumes_bottom {
-                    let bottom_run = self.tiers[bottom].last().expect("non-empty tier");
-                    let above: usize = self.l0.iter().map(|r| r.versions()).sum::<usize>()
-                        + self
-                            .tiers
-                            .iter()
-                            .flatten()
-                            .map(|r| r.versions())
-                            .sum::<usize>()
-                        - bottom_run.versions();
-                    if above.saturating_mul(fanout.max(2)) < bottom_run.versions() {
-                        full_tiers = bottom;
-                        partial_runs = self.tiers[bottom].len() - 1;
-                        target = bottom;
-                    }
-                }
-            }
-        }
-        while self.tiers.len() <= target {
-            self.tiers.push(Vec::new());
-        }
-        // Anything below the consumed prefix that survives the merge?
-        let boundary_leftover = self
-            .tiers
-            .get(full_tiers)
-            .is_some_and(|t| t.len() > partial_runs);
-        let deeper_occupied = boundary_leftover
-            || self
-                .tiers
-                .get(full_tiers + 1..)
-                .is_some_and(|rest| rest.iter().any(|t| !t.is_empty()));
-        Plan {
-            consumed_l0,
-            full_tiers,
-            partial_runs,
-            target,
-            deeper_occupied,
-        }
-    }
-
-    /// Start compacting every sealed run plus the policy-chosen prefix
-    /// of the tier runs (see [`DynamicMap::plan_compaction`]). In
-    /// [`CompactionMode::Background`] the merge runs on a worker thread
-    /// over `Arc`-shared sources while the map keeps serving from the
-    /// originals; in [`CompactionMode::Inline`] it completes (and
-    /// installs) before returning.
-    fn start_compaction(&mut self) {
-        debug_assert!(self.pending.is_none(), "at most one compaction in flight");
-        if self.l0.is_empty() {
-            return;
-        }
-        let plan = self.plan_compaction();
-        // Newest-first sources: sealed runs (newest sealed sits last in
-        // `l0`), then the consumed tier prefix shallow-to-deep.
-        let mut sources: Vec<Arc<Run<K, V>>> = self.l0.iter().rev().cloned().collect();
-        for tier in &self.tiers[..plan.full_tiers] {
-            sources.extend(tier.iter().cloned());
-        }
-        if plan.partial_runs > 0 {
-            sources.extend(
-                self.tiers[plan.full_tiers][..plan.partial_runs]
-                    .iter()
-                    .cloned(),
-            );
-        }
-        let deeper_occupied = plan.deeper_occupied;
-        let (kind, algorithm) = (self.kind, self.algorithm);
-        let threads = self.policy.merge_threads;
-        match self.mode {
-            CompactionMode::Inline => {
-                let merged = merge_runs(&sources, deeper_occupied, kind, algorithm, false, threads);
-                self.install(plan, merged);
-            }
-            CompactionMode::Background => {
-                // One short-lived thread per compaction: the spawn
-                // (~tens of µs) lands once per `buffer_cap` writes, not
-                // per write, which keeps it out of the latency profile
-                // the tail_latency bench guards. A long-lived worker
-                // fed by a channel would shave it if profiles ever say
-                // otherwise.
-                let done = Arc::new(AtomicBool::new(false));
-                let worker_done = Arc::clone(&done);
-                #[cfg(ist_loom)]
-                let inject_panic = std::mem::take(&mut self.panic_next_compaction);
-                #[cfg(not(ist_loom))]
-                let inject_panic = false;
-                let handle = spawn(move || {
-                    /// Sets `done` even when the merge panics, so the
-                    /// writer's next `try_install` joins the worker and
-                    /// re-raises the panic instead of sealing on top of
-                    /// a compaction that will never finish.
-                    struct DoneGuard(Arc<AtomicBool>);
-                    impl Drop for DoneGuard {
-                        fn drop(&mut self) {
-                            self.0.store(true, Ordering::Release);
-                        }
-                    }
-                    let _guard = DoneGuard(worker_done);
-                    if inject_panic {
-                        panic!("injected compaction worker panic (ist-loom test hook)");
-                    }
-                    merge_runs(&sources, deeper_occupied, kind, algorithm, true, threads)
-                });
-                self.pending = Some(Pending {
-                    plan,
-                    done,
-                    handle: Some(handle),
-                });
-            }
-        }
-    }
-
-    /// Atomically swap the compacted sources for the merged run: the
-    /// consumed L0 prefix and tier-run prefix go out, `merged` becomes
-    /// the newest run of the target tier, all under `&mut self` —
-    /// readers hold `Arc`s and can never observe a torn state.
-    /// Observable answers are identical before and after (the merge
-    /// preserves newest-wins resolution and per-key weight sums).
-    fn install(&mut self, plan: Plan, merged: Option<Run<K, V>>) {
-        let merged = merged.map(Arc::new);
-        // Durable install first: the merged run file and rotated
-        // manifest hit storage before the in-memory swap, so a sink
-        // error leaves the on-disk state at the (fully consistent)
-        // pre-merge file set.
-        if self.store.is_some() {
-            let run = merged.clone();
-            if let Some(sink) = self.sink_mut() {
-                sink.on_install(plan, run.as_deref());
-            }
-        }
-        self.l0.drain(..plan.consumed_l0);
-        for tier in &mut self.tiers[..plan.full_tiers] {
-            tier.clear();
-        }
-        if plan.partial_runs > 0 {
-            self.tiers[plan.full_tiers].drain(..plan.partial_runs);
-        }
-        debug_assert!(
-            self.tiers[..plan.target].iter().all(Vec::is_empty),
-            "merged run would sit below an occupied shallower tier"
-        );
-        if let Some(run) = merged {
-            self.tiers[plan.target].insert(0, run);
-        }
-        self.refresh_runs();
-        self.publish_event();
-    }
-
-    /// Block until the in-flight compaction (if any) finishes, then
-    /// install it. Worker panics propagate to the writer here.
-    fn wait_for_pending(&mut self) {
-        let Some(mut pending) = self.pending.take() else {
-            return;
-        };
-        let handle = pending.handle.take().expect("pending owns its worker");
-        let merged = handle
-            .join()
-            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        self.install(pending.plan, merged);
-    }
-
-    /// Non-blocking install check, run at the start of every mutation:
-    /// one atomic load while the merge is still running, a join of an
-    /// already-finished thread (cheap) plus the pointer swaps when it
-    /// is done. Immediately starts compacting any sealed runs that
-    /// accumulated while the previous merge was in flight.
-    fn try_install(&mut self) {
-        let finished = self
-            .pending
-            .as_ref()
-            .is_some_and(|p| p.done.load(Ordering::Acquire));
-        if finished {
-            self.wait_for_pending();
-            if !self.l0.is_empty() {
-                self.start_compaction();
-            }
-        }
-    }
-}
-
-/// A merge source with one-entry lookahead.
-struct Source<'s, K, V> {
-    head: Option<MergedEntry<K, V>>,
-    rest: Box<dyn Iterator<Item = MergedEntry<K, V>> + 's>,
-}
-
-impl<'s, K, V> Source<'s, K, V> {
-    fn new(mut rest: Box<dyn Iterator<Item = MergedEntry<K, V>> + 's>) -> Self {
-        let head = rest.next();
-        Self { head, rest }
-    }
-
-    fn advance(&mut self) -> MergedEntry<K, V> {
-        let head = self.head.take().expect("advance() requires a head");
-        self.head = self.rest.next();
-        head
-    }
 }
 
 impl<K, V> std::ops::Deref for DynamicMap<K, V> {
@@ -1793,233 +990,6 @@ impl<K, V> std::ops::Deref for DynamicMap<K, V> {
     /// frozen: every mutation needs `&mut self`.
     fn deref(&self) -> &Frozen<K, V> {
         &self.live
-    }
-}
-
-impl<K, V> Frozen<K, V>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync,
-{
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        let w: i64 = self.buffer.iter().map(|e| e.weight).sum::<i64>()
-            + self.runs.iter().map(|r| r.total_weight()).sum::<i64>();
-        debug_assert!(w >= 0, "weight invariant violated: negative len");
-        w as usize
-    }
-
-    /// `true` iff no key is live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The newest resident version of `key`: `None` = absent from every
-    /// run and the buffer, `Some(None)` = tombstone, `Some(Some(v))` =
-    /// live.
-    fn version(&self, key: &K) -> Option<&Option<V>> {
-        if let Ok(i) = buffer_slot(&self.buffer, key) {
-            return Some(&self.buffer[i].slot);
-        }
-        self.runs.iter().find_map(|run| run.map.get(key))
-    }
-
-    /// The live value under `key`, if any (buffer first, then runs
-    /// newest-first, stopping at the first version found).
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.version(key)?.as_ref()
-    }
-
-    /// `true` iff `key` is live.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.get(key).is_some()
-    }
-
-    fn buffer_weight_below(&self, key: &K) -> i64 {
-        let i = self.buffer.partition_point(|e| e.key < *key);
-        self.buffer[..i].iter().map(|e| e.weight).sum()
-    }
-
-    /// Number of live keys strictly smaller than `key` — exact, via the
-    /// per-run weight prefixes (see the [module docs](self)).
-    pub fn rank(&self, key: &K) -> usize {
-        let mut w = self.buffer_weight_below(key);
-        for run in self.runs.iter() {
-            w += run.weight_below(key);
-        }
-        debug_assert!(w >= 0, "weight invariant violated: negative rank");
-        w as usize
-    }
-
-    /// Number of live keys in `[lo, hi)`. Reversed bounds (`lo > hi`)
-    /// describe an empty interval and yield 0 — never a panic (the same
-    /// contract as [`crate::StaticIndex::range_count`]).
-    pub fn range_count(&self, lo: &K, hi: &K) -> usize {
-        if lo >= hi {
-            return 0; // reversed or empty bounds: defined as 0
-        }
-        self.rank(hi).saturating_sub(self.rank(lo))
-    }
-
-    /// Smallest version key `≥ key` across buffer and runs (dead
-    /// versions included — callers resolve liveness).
-    fn version_at_least(&self, key: &K) -> Option<&K> {
-        let i = self.buffer.partition_point(|e| e.key < *key);
-        let mut best = self.buffer.get(i).map(|e| &e.key);
-        for run in self.runs.iter() {
-            if let Some((k, _)) = run.map.lower_bound(key) {
-                best = Some(match best {
-                    Some(b) if b <= k => b,
-                    _ => k,
-                });
-            }
-        }
-        best
-    }
-
-    /// Smallest version key strictly greater than `key`.
-    fn version_after(&self, key: &K) -> Option<&K> {
-        let i = self.buffer.partition_point(|e| e.key <= *key);
-        let mut best = self.buffer.get(i).map(|e| &e.key);
-        for run in self.runs.iter() {
-            if let Some((k, _)) = run.map.successor(key) {
-                best = Some(match best {
-                    Some(b) if b <= k => b,
-                    _ => k,
-                });
-            }
-        }
-        best
-    }
-
-    /// Largest version key strictly smaller than `key`.
-    fn version_before(&self, key: &K) -> Option<&K> {
-        let i = self.buffer.partition_point(|e| e.key < *key);
-        let mut best = i.checked_sub(1).map(|j| &self.buffer[j].key);
-        for run in self.runs.iter() {
-            if let Some((k, _)) = run.map.predecessor(key) {
-                best = Some(match best {
-                    Some(b) if b >= k => b,
-                    _ => k,
-                });
-            }
-        }
-        best
-    }
-
-    /// Walk candidates rightward until one is live.
-    fn resolve_forward<'a>(&'a self, mut cand: &'a K) -> Option<(&'a K, &'a V)> {
-        loop {
-            match self.version(cand).expect("candidate keys have a version") {
-                Some(v) => return Some((cand, v)),
-                None => cand = self.version_after(cand)?,
-            }
-        }
-    }
-
-    /// Walk candidates leftward until one is live.
-    fn resolve_backward<'a>(&'a self, mut cand: &'a K) -> Option<(&'a K, &'a V)> {
-        loop {
-            match self.version(cand).expect("candidate keys have a version") {
-                Some(v) => return Some((cand, v)),
-                None => cand = self.version_before(cand)?,
-            }
-        }
-    }
-
-    /// The smallest live entry with key `≥ key`, if any.
-    pub fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
-        self.resolve_forward(self.version_at_least(key)?)
-    }
-
-    /// The smallest live entry with key **strictly greater** than
-    /// `key`, if any.
-    pub fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        self.resolve_forward(self.version_after(key)?)
-    }
-
-    /// The largest live entry with key **strictly smaller** than `key`,
-    /// if any.
-    pub fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        self.resolve_backward(self.version_before(key)?)
-    }
-
-    /// Batched [`Frozen::get`]: `out[i]` is exactly `get(keys[i])`.
-    /// Unresolved keys cascade run by run (newest first), each run
-    /// driven by the software-pipelined parallel `batch_search` engine.
-    /// Keys are read in place through [`Borrow`] — `&[K]` and `&[&K]`
-    /// (what a routing layer holds after partitioning by reference) are
-    /// the same call, and nothing below this point ever clones a key.
-    pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>> {
-        let mut out: Vec<Option<&V>> = vec![None; keys.len()];
-        // Buffer pass: cheap binary searches over ≤ cap entries.
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match buffer_slot(&self.buffer, key.borrow()) {
-                Ok(j) => out[i] = self.buffer[j].slot.as_ref(),
-                Err(_) => pending.push(i),
-            }
-        }
-        // Cascade the unresolved keys run by run, newest first, each
-        // run on the pipelined parallel engine.
-        for run in self.runs.iter() {
-            if pending.is_empty() {
-                break;
-            }
-            let probe: Vec<&K> = pending.iter().map(|&i| keys[i].borrow()).collect();
-            let positions = run.map.index().batch_search(&probe);
-            let mut still = Vec::with_capacity(pending.len());
-            for (j, &i) in pending.iter().enumerate() {
-                match positions[j] {
-                    Some(p) => out[i] = run.map.values()[p].as_ref(),
-                    None => still.push(i),
-                }
-            }
-            pending = still;
-        }
-        out
-    }
-
-    /// Batched [`Frozen::rank`] on the pipelined per-run rank engine
-    /// (keys read in place, like [`Frozen::batch_get`]).
-    pub fn batch_rank<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
-        let mut acc: Vec<i64> = keys
-            .iter()
-            .map(|k| self.buffer_weight_below(k.borrow()))
-            .collect();
-        for run in self.runs.iter() {
-            for (a, r) in acc.iter_mut().zip(run.map.index().batch_rank(keys)) {
-                *a += run.prefix.at(r);
-            }
-        }
-        acc.into_iter()
-            .map(|w| {
-                debug_assert!(w >= 0, "weight invariant violated: negative rank");
-                w as usize
-            })
-            .collect()
-    }
-
-    /// Per-pair [`Frozen::range_count`] (reversed pairs yield 0); all
-    /// endpoint ranks go through the pipelined engine.
-    pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
-        let mut flat: Vec<&K> = Vec::with_capacity(2 * ranges.len());
-        for (lo, hi) in ranges {
-            flat.push(lo);
-            flat.push(hi);
-        }
-        let ranks = self.batch_rank(&flat);
-        ranges
-            .iter()
-            .enumerate()
-            .map(|(i, (lo, hi))| {
-                if lo >= hi {
-                    0
-                } else {
-                    ranks[2 * i + 1].saturating_sub(ranks[2 * i])
-                }
-            })
-            .collect()
     }
 }
 

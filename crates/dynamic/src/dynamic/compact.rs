@@ -1,0 +1,489 @@
+//! The compact half of the overflow path: planning which runs a
+//! compaction consumes, the (sliced, optionally parallel) k-way merge,
+//! and the atomic install of the merged run.
+
+use super::run::{MergedEntry, Run};
+use super::{CompactionMode, DynamicMap, MAX_SEALED_RUNS};
+use crate::sync::{spawn, yield_now, Arc, AtomicBool, JoinHandle, Ordering};
+use ist_core::Algorithm;
+use ist_query::QueryKind;
+
+/// Merges smaller than this never split into parallel slices: the
+/// boundary descents and stitch would cost more than the merge.
+const PARALLEL_MERGE_MIN_SLICE: usize = 1024;
+
+/// One merged slice in column form — `(keys, slots, weights)` — as
+/// [`merge_slice`] produces it and the stitch step concatenates it.
+type MergedColumns<K, V> = (Vec<K>, Vec<Option<V>>, Vec<i64>);
+
+/// A compaction plan: which **contiguous newest prefix** of the
+/// resident runs the merge consumes, and where the merged run lands.
+/// Consuming a contiguous prefix and installing at its boundary is what
+/// keeps the global newest-first run order valid under every
+/// [`CompactionPolicy`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Plan {
+    /// How many sealed runs (the oldest prefix of `l0`) the merge
+    /// consumes — always all of them.
+    pub(crate) consumed_l0: usize,
+    /// Tiers `0..full_tiers` are consumed entirely…
+    pub(crate) full_tiers: usize,
+    /// …plus the `partial_runs` **newest** runs of tier `full_tiers`
+    /// (non-zero only for lazy-bottom plans that stop short of the
+    /// bottom run).
+    pub(crate) partial_runs: usize,
+    /// The merged run is pushed as the **newest** run of this tier.
+    /// After the consumed runs are removed, every tier above `target`
+    /// is empty.
+    pub(crate) target: usize,
+    /// Whether any run survives below the consumed prefix (tombstones
+    /// are annihilated iff `false`).
+    deeper_occupied: bool,
+}
+
+/// An in-flight background compaction: the plan it executes. The worker
+/// owns `Arc` clones of the source runs, so the writer and readers keep
+/// using them until install.
+pub(super) struct Pending<K, V> {
+    plan: Plan,
+    /// Set by the worker after the merged run is fully built, so the
+    /// writer's install check is one atomic load, never a join of a
+    /// still-running merge.
+    done: Arc<AtomicBool>,
+    handle: Option<JoinHandle<Option<Run<K, V>>>>,
+}
+
+impl<K, V> Drop for Pending<K, V> {
+    fn drop(&mut self) {
+        // Dropping the map mid-compaction: wait the worker out rather
+        // than leaking a detached thread past the owner's lifetime.
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// How many entries the background worker streams between cooperative
+/// [`std::thread::yield_now`] calls. On a host with spare cores the
+/// yields are nearly free; on a saturated or single-core host they are
+/// what keeps the latency-sensitive writer scheduling promptly while a
+/// long merge is CPU-bound (the same reason production LSM engines run
+/// compaction threads at low priority).
+const MERGE_YIELD_STRIDE: usize = 256;
+
+/// The compact half of the overflow path: k-way merge `sources`
+/// (newest first; each source's keys are distinct) and rebuild the
+/// result as a single run. Newest version wins per key, weights are
+/// summed, and tombstones are annihilated iff no occupied tier remains
+/// below the merge target (`deeper_occupied == false`). Returns `None`
+/// when everything annihilated.
+///
+/// When `threads` (0 = the rayon-shim's effective parallelism) exceeds
+/// 1 and the merge is large enough, the merged key space is split into
+/// near-equal **slices**: boundary keys are drawn from the largest
+/// source at evenly spaced ranks (closed-form `position_of_rank`, no
+/// scan), each source is cut at those keys with one rank descent per
+/// boundary, the slices are merged concurrently on the rayon-shim, and
+/// the outputs are stitched back together. Per-key resolution
+/// (newest-wins, weight sums, annihilation) is local to a slice, so the
+/// stitched output is bit-identical to the sequential merge — the fuzz
+/// suites pin this at parallelism {1, 4}.
+///
+/// Runs on the background worker in [`CompactionMode::Background`]
+/// (with `cooperative = true`: yield the timeslice every
+/// [`MERGE_YIELD_STRIDE`] entries) and on the caller in
+/// [`CompactionMode::Inline`]; it touches only the immutable
+/// `Arc`-shared runs, never the map.
+fn merge_runs<K, V>(
+    sources: &[Arc<Run<K, V>>],
+    deeper_occupied: bool,
+    kind: QueryKind,
+    algorithm: Algorithm,
+    cooperative: bool,
+    threads: usize,
+) -> Option<Run<K, V>>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync,
+{
+    let total: usize = sources.iter().map(|r| r.versions()).sum();
+    let threads = if threads == 0 {
+        rayon::current_num_threads()
+    } else {
+        threads
+    };
+    let want = threads.min(total / PARALLEL_MERGE_MIN_SLICE).max(1);
+
+    let full: Vec<(usize, usize)> = sources.iter().map(|r| (0, r.versions())).collect();
+    let (keys, slots, weights) = if want <= 1 {
+        merge_slice(sources, &full, deeper_occupied, cooperative)
+    } else {
+        // Slice boundaries: evenly spaced ranks of the largest source
+        // approximate evenly sized merged slices (smaller sources can
+        // only add proportionally less to any slice).
+        let largest = sources
+            .iter()
+            .max_by_key(|r| r.versions())
+            .expect("merge has at least one source");
+        let searcher = largest.map.searcher();
+        let mut bounds: Vec<K> = Vec::with_capacity(want - 1);
+        for i in 1..want {
+            let r = i * largest.versions() / want;
+            let p = searcher
+                .position_of_rank(r)
+                .expect("rank below len resolves");
+            let k = largest.map.keys()[p].clone();
+            if bounds.last().is_none_or(|b| *b < k) {
+                bounds.push(k);
+            }
+        }
+        // Cut every source at the boundary keys: slice `i` covers keys
+        // in `[bounds[i-1], bounds[i])`, i.e. source ranks
+        // `[rank(bounds[i-1]), rank(bounds[i]))` — one descent per
+        // (source, boundary).
+        let cuts: Vec<Vec<usize>> = sources
+            .iter()
+            .map(|run| {
+                let mut c = Vec::with_capacity(bounds.len() + 2);
+                c.push(0);
+                c.extend(bounds.iter().map(|b| run.map.rank(b)));
+                c.push(run.versions());
+                c
+            })
+            .collect();
+        let slices = bounds.len() + 1;
+        let mut parts: Vec<MergedColumns<K, V>> = (0..slices).map(|_| Default::default()).collect();
+        rayon::scope(|s| {
+            for (i, part) in parts.iter_mut().enumerate() {
+                let ranges: Vec<(usize, usize)> = cuts.iter().map(|c| (c[i], c[i + 1])).collect();
+                s.spawn(move |_| {
+                    *part = merge_slice(sources, &ranges, deeper_occupied, cooperative);
+                });
+            }
+        });
+        // Stitch: slices are disjoint and ordered, so concatenation is
+        // the merged output.
+        let mut keys = Vec::with_capacity(total);
+        let mut slots = Vec::with_capacity(total);
+        let mut weights = Vec::with_capacity(total);
+        for (k, s, w) in parts {
+            keys.extend(k);
+            slots.extend(s);
+            weights.extend(w);
+        }
+        (keys, slots, weights)
+    };
+    if keys.is_empty() {
+        None
+    } else {
+        Some(
+            Run::build(keys, slots, &weights, kind, algorithm)
+                .expect("configuration validated at construction"),
+        )
+    }
+}
+
+/// Sequential k-way merge of one slice: each source restricted to its
+/// rank sub-range `ranges[i]`. The whole merge is one slice in the
+/// sequential case.
+fn merge_slice<K, V>(
+    sources: &[Arc<Run<K, V>>],
+    ranges: &[(usize, usize)],
+    deeper_occupied: bool,
+    cooperative: bool,
+) -> MergedColumns<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync,
+{
+    let mut srcs: Vec<Source<'_, K, V>> = sources
+        .iter()
+        .zip(ranges)
+        .map(|(run, &(lo, hi))| Source::new(Box::new(run.iter_sorted_range(lo, hi))))
+        .collect();
+    let mut keys = Vec::new();
+    let mut slots = Vec::new();
+    let mut weights = Vec::new();
+    let mut streamed = 0usize;
+    loop {
+        streamed += 1;
+        if cooperative && streamed.is_multiple_of(MERGE_YIELD_STRIDE) {
+            yield_now();
+        }
+        // Newest source holding the minimum head key (strict `<` keeps
+        // the earliest source on ties).
+        let mut min_idx: Option<usize> = None;
+        for i in 0..srcs.len() {
+            let Some((k, _, _)) = &srcs[i].head else {
+                continue;
+            };
+            let better = match min_idx {
+                Some(j) => {
+                    let (mk, _, _) = srcs[j].head.as_ref().expect("tracked head");
+                    k < mk
+                }
+                None => true,
+            };
+            if better {
+                min_idx = Some(i);
+            }
+        }
+        let Some(first) = min_idx else { break };
+        let (key, slot, mut weight) = srcs[first].advance();
+        // Older sources may hold the same key (each source's keys are
+        // distinct): collapse them, newest version wins.
+        for src in srcs.iter_mut().skip(first + 1) {
+            if src.head.as_ref().is_some_and(|(k, _, _)| *k == key) {
+                weight += src.advance().2;
+            }
+        }
+        if slot.is_none() && !deeper_occupied {
+            // Tombstone reaching the bottom: annihilate.
+            debug_assert_eq!(weight, 0, "annihilated key retains weight");
+            continue;
+        }
+        keys.push(key);
+        slots.push(slot);
+        weights.push(weight);
+    }
+    (keys, slots, weights)
+}
+
+/// A merge source with one-entry lookahead.
+struct Source<'s, K, V> {
+    head: Option<MergedEntry<K, V>>,
+    rest: Box<dyn Iterator<Item = MergedEntry<K, V>> + 's>,
+}
+
+impl<'s, K, V> Source<'s, K, V> {
+    fn new(mut rest: Box<dyn Iterator<Item = MergedEntry<K, V>> + 's>) -> Self {
+        let head = rest.next();
+        Self { head, rest }
+    }
+
+    fn advance(&mut self) -> MergedEntry<K, V> {
+        let head = self.head.take().expect("advance() requires a head");
+        self.head = self.rest.next();
+        head
+    }
+}
+
+impl<K, V> DynamicMap<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    /// Make sure sealed runs are on their way into a tier, applying
+    /// [`MAX_SEALED_RUNS`] backpressure first: past the limit the
+    /// writer blocks on the in-flight merge before continuing.
+    pub(super) fn ensure_compaction(&mut self) {
+        if self.pending.is_some() && self.l0.len() >= MAX_SEALED_RUNS {
+            self.wait_for_pending();
+        }
+        if self.pending.is_none() {
+            self.start_compaction();
+        }
+    }
+
+    /// Decide what the next compaction consumes and where the merged
+    /// run lands, per the configured [`CompactionPolicy`]. Every plan
+    /// consumes all sealed runs plus a **contiguous newest prefix** of
+    /// the tier runs, and installs at that prefix's boundary — the
+    /// invariant that keeps global newest-first order valid.
+    fn plan_compaction(&mut self) -> Plan {
+        let consumed_l0 = self.l0.len();
+        let fanout = self.policy.fanout;
+        // First tier with a free run slot; tiers above it are full and
+        // fold in.
+        let mut target = self
+            .tiers
+            .iter()
+            .position(|t| t.len() < fanout)
+            .unwrap_or(self.tiers.len());
+        let (mut full_tiers, mut partial_runs) = (target, 0);
+        // Lazy bottom: when the plan would fold in the bottom (largest)
+        // run but everything above it is still small, stop short of it
+        // — merge the rest and stack the result on the bottom tier as
+        // newer runs ("debt") until the trigger is reached.
+        if self.policy.lazy_bottom {
+            if let Some(bottom) = self.tiers.iter().rposition(|t| !t.is_empty()) {
+                let consumes_bottom = full_tiers > bottom;
+                if consumes_bottom {
+                    let bottom_run = self.tiers[bottom].last().expect("non-empty tier");
+                    let above: usize = self.l0.iter().map(|r| r.versions()).sum::<usize>()
+                        + self
+                            .tiers
+                            .iter()
+                            .flatten()
+                            .map(|r| r.versions())
+                            .sum::<usize>()
+                        - bottom_run.versions();
+                    if above.saturating_mul(fanout.max(2)) < bottom_run.versions() {
+                        full_tiers = bottom;
+                        partial_runs = self.tiers[bottom].len() - 1;
+                        target = bottom;
+                    }
+                }
+            }
+        }
+        while self.tiers.len() <= target {
+            self.tiers.push(Vec::new());
+        }
+        // Anything below the consumed prefix that survives the merge?
+        let boundary_leftover = self
+            .tiers
+            .get(full_tiers)
+            .is_some_and(|t| t.len() > partial_runs);
+        let deeper_occupied = boundary_leftover
+            || self
+                .tiers
+                .get(full_tiers + 1..)
+                .is_some_and(|rest| rest.iter().any(|t| !t.is_empty()));
+        Plan {
+            consumed_l0,
+            full_tiers,
+            partial_runs,
+            target,
+            deeper_occupied,
+        }
+    }
+
+    /// Start compacting every sealed run plus the policy-chosen prefix
+    /// of the tier runs (see [`DynamicMap::plan_compaction`]). In
+    /// [`CompactionMode::Background`] the merge runs on a worker thread
+    /// over `Arc`-shared sources while the map keeps serving from the
+    /// originals; in [`CompactionMode::Inline`] it completes (and
+    /// installs) before returning.
+    pub(super) fn start_compaction(&mut self) {
+        debug_assert!(self.pending.is_none(), "at most one compaction in flight");
+        if self.l0.is_empty() {
+            return;
+        }
+        let plan = self.plan_compaction();
+        // Newest-first sources: sealed runs (newest sealed sits last in
+        // `l0`), then the consumed tier prefix shallow-to-deep.
+        let mut sources: Vec<Arc<Run<K, V>>> = self.l0.iter().rev().cloned().collect();
+        for tier in &self.tiers[..plan.full_tiers] {
+            sources.extend(tier.iter().cloned());
+        }
+        if plan.partial_runs > 0 {
+            sources.extend(
+                self.tiers[plan.full_tiers][..plan.partial_runs]
+                    .iter()
+                    .cloned(),
+            );
+        }
+        let deeper_occupied = plan.deeper_occupied;
+        let (kind, algorithm) = (self.kind, self.algorithm);
+        let threads = self.policy.merge_threads;
+        match self.mode {
+            CompactionMode::Inline => {
+                let merged = merge_runs(&sources, deeper_occupied, kind, algorithm, false, threads);
+                self.install(plan, merged);
+            }
+            CompactionMode::Background => {
+                // One short-lived thread per compaction: the spawn
+                // (~tens of µs) lands once per `buffer_cap` writes, not
+                // per write, which keeps it out of the latency profile
+                // the tail_latency bench guards. A long-lived worker
+                // fed by a channel would shave it if profiles ever say
+                // otherwise.
+                let done = Arc::new(AtomicBool::new(false));
+                let worker_done = Arc::clone(&done);
+                #[cfg(ist_loom)]
+                let inject_panic = std::mem::take(&mut self.panic_next_compaction);
+                #[cfg(not(ist_loom))]
+                let inject_panic = false;
+                let handle = spawn(move || {
+                    /// Sets `done` even when the merge panics, so the
+                    /// writer's next `try_install` joins the worker and
+                    /// re-raises the panic instead of sealing on top of
+                    /// a compaction that will never finish.
+                    struct DoneGuard(Arc<AtomicBool>);
+                    impl Drop for DoneGuard {
+                        fn drop(&mut self) {
+                            self.0.store(true, Ordering::Release);
+                        }
+                    }
+                    let _guard = DoneGuard(worker_done);
+                    if inject_panic {
+                        panic!("injected compaction worker panic (ist-loom test hook)");
+                    }
+                    merge_runs(&sources, deeper_occupied, kind, algorithm, true, threads)
+                });
+                self.pending = Some(Pending {
+                    plan,
+                    done,
+                    handle: Some(handle),
+                });
+            }
+        }
+    }
+
+    /// Atomically swap the compacted sources for the merged run: the
+    /// consumed L0 prefix and tier-run prefix go out, `merged` becomes
+    /// the newest run of the target tier, all under `&mut self` —
+    /// readers hold `Arc`s and can never observe a torn state.
+    /// Observable answers are identical before and after (the merge
+    /// preserves newest-wins resolution and per-key weight sums).
+    fn install(&mut self, plan: Plan, merged: Option<Run<K, V>>) {
+        let merged = merged.map(Arc::new);
+        // Durable install first: the merged run file and rotated
+        // manifest hit storage before the in-memory swap, so a sink
+        // error leaves the on-disk state at the (fully consistent)
+        // pre-merge file set.
+        if self.store.is_some() {
+            let run = merged.clone();
+            if let Some(sink) = self.sink_mut() {
+                sink.on_install(plan, run.as_deref());
+            }
+        }
+        self.l0.drain(..plan.consumed_l0);
+        for tier in &mut self.tiers[..plan.full_tiers] {
+            tier.clear();
+        }
+        if plan.partial_runs > 0 {
+            self.tiers[plan.full_tiers].drain(..plan.partial_runs);
+        }
+        debug_assert!(
+            self.tiers[..plan.target].iter().all(Vec::is_empty),
+            "merged run would sit below an occupied shallower tier"
+        );
+        if let Some(run) = merged {
+            self.tiers[plan.target].insert(0, run);
+        }
+        self.refresh_runs();
+        self.publish_event();
+    }
+
+    /// Block until the in-flight compaction (if any) finishes, then
+    /// install it. Worker panics propagate to the writer here.
+    pub(super) fn wait_for_pending(&mut self) {
+        let Some(mut pending) = self.pending.take() else {
+            return;
+        };
+        let handle = pending.handle.take().expect("pending owns its worker");
+        let merged = handle
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        self.install(pending.plan, merged);
+    }
+
+    /// Non-blocking install check, run at the start of every mutation:
+    /// one atomic load while the merge is still running, a join of an
+    /// already-finished thread (cheap) plus the pointer swaps when it
+    /// is done. Immediately starts compacting any sealed runs that
+    /// accumulated while the previous merge was in flight.
+    pub(super) fn try_install(&mut self) {
+        let finished = self
+            .pending
+            .as_ref()
+            .is_some_and(|p| p.done.load(Ordering::Acquire));
+        if finished {
+            self.wait_for_pending();
+            if !self.l0.is_empty() {
+                self.start_compaction();
+            }
+        }
+    }
+}

@@ -1,0 +1,165 @@
+//! The immutable run — a static layout plus the rank-indexed prefix
+//! sums of its versions' weights — and the write-buffer entry.
+
+use crate::map::StaticMap;
+use ist_core::{Algorithm, Error};
+use ist_query::QueryKind;
+
+/// One buffered write: the newest version of `key`. An empty `slot` is
+/// a tombstone. `weight` maintains the per-key sum invariant described
+/// in the [module docs](super).
+#[derive(Clone)]
+pub(crate) struct BufEntry<K, V> {
+    pub(crate) key: K,
+    pub(crate) slot: Option<V>,
+    pub(crate) weight: i64,
+}
+
+/// A `(key, payload-or-tombstone, weight)` triple streamed out of a
+/// source during a merge.
+pub(super) type MergedEntry<K, V> = (K, Option<V>, i64);
+
+/// Rank-indexed prefix sums of a run's per-version weights.
+///
+/// Fully compacted runs have unit weights everywhere, making the
+/// prefix the identity `0, 1, …, n`; `Unit` represents that without
+/// materializing 8 bytes per version — which matters on the recovery
+/// path, where every resident run is reloaded at once.
+#[derive(Debug, Clone)]
+pub(crate) enum Prefix {
+    /// Every version weighs 1: `prefix[r] == r`, over `n` versions.
+    Unit(usize),
+    /// Explicit sums, length `n + 1`, starting at 0.
+    Explicit(Vec<i64>),
+}
+
+impl Prefix {
+    /// Build from per-version weights, collapsing the all-unit case.
+    pub(crate) fn from_weights(weights: &[i64]) -> Self {
+        if weights.iter().all(|&w| w == 1) {
+            return Prefix::Unit(weights.len());
+        }
+        let mut prefix = Vec::with_capacity(weights.len() + 1);
+        let mut acc = 0i64;
+        prefix.push(0);
+        for &w in weights {
+            acc += w;
+            prefix.push(acc);
+        }
+        Prefix::Explicit(prefix)
+    }
+
+    /// `prefix[r]`: summed weight of the `r` smallest versions.
+    #[inline]
+    pub(crate) fn at(&self, r: usize) -> i64 {
+        match self {
+            Prefix::Unit(_) => r as i64,
+            Prefix::Explicit(p) => p[r],
+        }
+    }
+
+    /// Weight of the rank-`r` version (`prefix[r+1] - prefix[r]`).
+    #[inline]
+    pub(crate) fn span(&self, r: usize) -> i64 {
+        match self {
+            Prefix::Unit(_) => 1,
+            Prefix::Explicit(p) => p[r + 1] - p[r],
+        }
+    }
+
+    /// The run's total weight (`prefix[n]`).
+    pub(crate) fn total(&self) -> i64 {
+        match self {
+            Prefix::Unit(n) => *n as i64,
+            Prefix::Explicit(p) => *p.last().expect("prefix is never empty"),
+        }
+    }
+}
+
+/// One immutable run: a static layout over this run's versions plus the
+/// rank-indexed prefix sums of their weights.
+pub(crate) struct Run<K, V> {
+    pub(crate) map: StaticMap<K, Option<V>>,
+    /// Rank-indexed (sorted order), not layout-indexed.
+    pub(crate) prefix: Prefix,
+}
+
+impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
+    pub(super) fn build(
+        keys: Vec<K>,
+        slots: Vec<Option<V>>,
+        weights: &[i64],
+        kind: QueryKind,
+        algorithm: Algorithm,
+    ) -> Result<Self, Error> {
+        debug_assert_eq!(keys.len(), weights.len());
+        Ok(Self {
+            map: StaticMap::build_presorted(keys, slots, kind, algorithm)?,
+            prefix: Prefix::from_weights(weights),
+        })
+    }
+
+    /// Number of resident versions (live + tombstones).
+    pub(super) fn versions(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Total weight of the run (its contribution to `len`).
+    pub(super) fn total_weight(&self) -> i64 {
+        self.prefix.total()
+    }
+
+    /// Summed weight of versions with key strictly below `key`.
+    pub(super) fn weight_below(&self, key: &K) -> i64 {
+        self.prefix.at(self.map.rank(key))
+    }
+
+    /// Weight of this run's version of `key` (0 if absent): one rank
+    /// descent, then the closed-form position map plus a key equality
+    /// decides presence (run keys are distinct, so `rank`/`rank_upper`
+    /// can only differ by the key itself).
+    pub(super) fn weight_of(&self, key: &K) -> i64 {
+        let s = self.map.searcher();
+        let r = s.rank(key);
+        match s.position_of_rank(r) {
+            Some(p) if self.map.keys()[p] == *key => self.prefix.span(r),
+            _ => 0,
+        }
+    }
+
+    /// Stream the run's versions with rank in `lo..hi` in sorted-key
+    /// order (cloning) — each merge slice's view of a source: walks
+    /// ranks through the closed-form position maps, so no sorted copy
+    /// of the run is ever materialized. `(0, len)` streams the whole
+    /// run.
+    pub(super) fn iter_sorted_range(
+        &self,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = MergedEntry<K, V>> + '_
+    where
+        K: Clone,
+        V: Clone,
+    {
+        debug_assert!(lo <= hi && hi <= self.map.len());
+        let searcher = self.map.searcher();
+        (lo..hi).map(move |r| {
+            let p = searcher
+                .position_of_rank(r)
+                .expect("rank below len resolves");
+            (
+                self.map.keys()[p].clone(),
+                self.map.values()[p].clone(),
+                self.prefix.span(r),
+            )
+        })
+    }
+}
+
+/// Binary-search the sorted write buffer (one entry per key) for
+/// `key`: `Ok(index)` of the entry, or `Err(insert position)`. The
+/// single home of the buffer's probe semantics — mutations and every
+/// read path go through it.
+pub(super) fn buffer_slot<K: Ord, V>(buffer: &[BufEntry<K, V>], key: &K) -> Result<usize, usize> {
+    buffer.binary_search_by(|e| e.key.cmp(key))
+}
