@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the design choices the `ist-gather`, `ist-bits`
+//! and `ist-shuffle` module docs call out:
 //!
 //! * transpose-optimized gather (§4.2) vs the plain cycle gather,
 //! * hardware (`reverse_bits`) vs software bit reversal — the paper's

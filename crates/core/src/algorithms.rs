@@ -132,24 +132,6 @@ fn shuffle_mod_rounds<M: Machine>(m: &mut M, lo: usize, hi: usize, k: usize) {
     });
 }
 
-/// `k`-way perfect **un**-shuffle of `[lo, hi)` (inverse of
-/// [`shuffle_mod_rounds`]: `J_k` then `J_1`).
-fn unshuffle_mod_rounds<M: Machine>(m: &mut M, lo: usize, hi: usize, k: usize) {
-    let len = hi - lo;
-    if len <= 1 || k <= 1 {
-        return;
-    }
-    debug_assert_eq!(len % k, 0);
-    let nm1 = (len - 1) as u64;
-    let kk = k as u64;
-    m.involution_round(lo, hi, IndexArith::Jmap { len }, move |s| {
-        lo + j_involution(kk, nm1, (s - lo) as u64) as usize
-    });
-    m.involution_round(lo, hi, IndexArith::Jmap { len }, move |s| {
-        lo + j_involution(1, nm1, (s - lo) as u64) as usize
-    });
-}
-
 // ---------------------------------------------------------------------
 // Chapter 2: involution-based constructions
 // ---------------------------------------------------------------------
@@ -281,44 +263,66 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
 /// internal prefix recurses (iteratively). With `b = 1` this is the BST
 /// construction of §3.3.
 pub fn cycle_leader_btree<M: Machine>(m: &mut M, b: usize, levels: u32) {
+    let k = b + 1;
     let mut mm = levels;
     while mm >= 2 {
-        extended_gather(m, 0, b, mm, true);
+        extended_gather(m, 0, b, k.pow(mm - 1), true);
         mm -= 1;
     }
 }
 
-/// The extended equidistant gather (`r > l`, §3.2) on the
-/// `(b+1)^levels − 1` element region at `lo`: recursively gather each of
-/// the `b + 1` partitions, then hoist all internal keys with one chunked
-/// gather. `representative` marks the recursion path that carries the
-/// per-depth fixed costs on launch-charging backends (the paper's §6
-/// per-depth kernel batching).
-fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, levels: u32, representative: bool) {
+/// The extended equidistant gather (`r > l`, §3.2) on `runs` leaf runs of
+/// `b` keys separated by single internal keys (`runs·(b+1) − 1` elements
+/// at `lo`): the internal keys move to the front, order kept. With `c`
+/// the largest power of `b + 1` below `runs`, the region is `a = runs / c`
+/// blocks of `c` runs (`a = b + 1`, the paper's partitions, on a level of
+/// a perfect tree) plus a remainder of fewer than `c` runs: all gather
+/// recursively as one task fan-out, one chunked gather hoists the blocks'
+/// internal keys, one circular shift joins the remainder's. Work
+/// `O(runs·b·log_{b+1} runs)`, depth `O(log_{b+1} runs)` gather-and-shift
+/// rounds (Props. 9–10; the remainder chain's shifts shrink
+/// geometrically). `representative` marks the recursion path that carries
+/// the per-depth fixed costs on launch-charging backends (the paper's §6
+/// per-depth kernel batching): the first block, never shallower than any
+/// other part.
+fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, representative: bool) {
     let k = b + 1;
-    match levels {
-        0 | 1 => (),
-        2 => m.gather(lo, b, b, GatherMode::Batched { representative }),
-        _ => {
-            let c = k.pow(levels - 2); // chunk size C = (B+1)^{levels-2}
-            let part_len = c * k;
-            // Partition 0 has C·k − 1 elements (standard pattern);
-            // partitions 1..=b start with an internal element followed by
-            // a standard pattern — the regions below skip it.
-            let mut tasks = Vec::with_capacity(k);
-            tasks.push(Region::new(lo, part_len - 1, representative));
-            for p in 1..k {
-                let start = lo + part_len - 1 + (p - 1) * part_len;
-                tasks.push(Region::new(start + 1, part_len - 1, false));
-            }
-            m.run_tasks(tasks, |mm, reg| {
-                extended_gather(mm, reg.lo, b, levels - 1, reg.tag)
-            });
-            // Hoist: from offset C−1 the region reads, in chunk units,
-            // [L₀ (b) | I₁ | L₁ (b) | … | I_b | L_b (b)] — the exact
-            // gather pattern with r = l = b.
-            m.gather_chunks(lo + c - 1, b, b, c, GatherMode::Batched { representative });
+    let mode = GatherMode::Batched { representative };
+    if runs <= k {
+        if runs >= 2 {
+            m.gather(lo, runs - 1, b, mode);
         }
+        return;
+    }
+    let mut c = k;
+    while c * k < runs {
+        c *= k;
+    }
+    let (a, rest) = (runs / c, runs % c);
+    let part_len = c * k;
+    // Block 0 has C·k − 1 elements (standard pattern); every later part
+    // starts with an internal element followed by a standard pattern —
+    // the regions below skip it.
+    let mut tasks = Vec::with_capacity(a + 1);
+    tasks.push(Region::new(lo, part_len - 1, representative));
+    for p in 1..a {
+        tasks.push(Region::new(lo + p * part_len, part_len - 1, false));
+    }
+    if rest > 0 {
+        tasks.push(Region::new(lo + a * part_len, rest * k - 1, false));
+    }
+    m.run_tasks(tasks, |mm, reg| {
+        extended_gather(mm, reg.lo, b, (reg.len + 1) / k, reg.tag)
+    });
+    // Hoist: from offset C−1 the blocks read, in chunk units,
+    // [L₀ (b) | I₁ | L₁ (b) | … | I_{a−1} | L_{a−1} (b)] — the exact
+    // gather pattern with r = a − 1, l = b.
+    m.gather_chunks(lo + c - 1, a - 1, b, c, mode);
+    if rest > 0 {
+        // [internal (aC−1) | leaves (aCb) | internal (rest) | leaves]:
+        // shift the remainder's internal keys in front of the leaves.
+        let leaves = lo + a * c - 1;
+        m.rotate_right(leaves, leaves + a * c * b + rest, rest);
     }
 }
 
@@ -326,54 +330,48 @@ fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, levels: u32, repr
 // Chapter 5: non-perfect (complete) tree extensions
 // ---------------------------------------------------------------------
 
-/// Move the `L` overflow leaves of a complete **binary** tree to the
-/// array suffix, leaving the full-level elements sorted in the prefix.
-///
-/// In sorted order the overflow leaves sit at even positions
-/// `0, 2, …, 2(L−1)`, interleaved with their parents: a 2-way un-shuffle
-/// of the first `2L` elements separates `[leaves | parents]`, and one
-/// circular shift of the whole array moves the leaves to the back.
-pub fn strip_overflow_binary<M: Machine>(m: &mut M, shape: CompleteShape) {
-    debug_assert_eq!(m.len(), shape.len());
-    let l = shape.overflow();
+/// Move the overflow leaves of a complete tree to the array suffix,
+/// leaving the full-level elements sorted in the prefix. In sorted order
+/// the array starts with `q` full overflow leaf nodes of `b` keys, each
+/// followed by one full-level key, then the `s < b` keys of a partial
+/// node: [`extended_gather`]'s pattern with `q` runs, so the pre-pass is
+/// one extended gather, a shift of at most `b` keys and one circular
+/// shift of the rest. Work `O(L log_{b+1} L + N)` for `L = q·b + s`.
+fn strip_overflow<M: Machine>(m: &mut M, b: usize, q: usize, s: usize) {
+    let l = q * b + s;
     if l == 0 {
         return;
     }
-    unshuffle_mod_rounds(m, 0, 2 * l, 2);
-    let n = shape.len();
-    m.rotate_right(0, n, n - l); // rotate_left by l
+    extended_gather(m, 0, b, q, true);
+    // [full (q−1) | leaves (qb) | full (1) | partial (s) | full (rest)]
+    let front = q.saturating_sub(1);
+    if q > 0 && s > 0 {
+        let last = front + q * b;
+        m.rotate_right(last, last + 1 + s, s);
+    }
+    // [full (q−1) | overflow (L) | full (rest)] -> [full | overflow].
+    let n = m.len();
+    m.rotate_right(front, n, n - front - l);
+}
+
+/// Move the `L` overflow leaves of a complete **binary** tree to the
+/// array suffix: they sit at even positions `0, 2, …, 2(L−1)`, each
+/// followed by its parent — `L` runs of one key.
+pub fn strip_overflow_binary<M: Machine>(m: &mut M, shape: CompleteShape) {
+    debug_assert_eq!(m.len(), shape.len());
+    strip_overflow(m, 1, shape.overflow(), 0);
 }
 
 /// Move the `L` overflow leaves of a complete **B-tree** to the array
-/// suffix (the multiway analogue of [`strip_overflow_binary`]).
+/// suffix: `⌊L/B⌋` full leaf nodes and one partial node of `L mod B` keys.
 pub fn strip_overflow_btree<M: Machine>(m: &mut M, shape: BtreeCompleteShape) {
     debug_assert_eq!(m.len(), shape.len());
-    let b = shape.b();
-    let k = b + 1;
-    let l = shape.overflow();
-    if l == 0 {
-        return;
-    }
-    let q = shape.full_overflow_nodes();
-    let s = shape.partial_node_len();
-    debug_assert_eq!(l, q * b + s);
-    if q > 0 {
-        // [leaf slots S₀..S_{B−1} (q each) | parents (q)]
-        unshuffle_mod_rounds(m, 0, q * k, k);
-        // Regroup leaf-slot lists into per-node runs of B keys.
-        if b >= 2 {
-            shuffle_mod_rounds(m, 0, q * b, b);
-        }
-        // [leaves (qB) | parents (q) | partial (s) | rest]
-        // -> [leaves (qB) | partial (s) | parents (q) | rest]
-        if s > 0 {
-            let len = q + s; // q < len, so "rotate left by q" is:
-            m.rotate_right(q * b, q * b + len, len - q);
-        }
-    }
-    // [overflow leaves (L) | full elements (I)] -> [full | overflow].
-    let n = shape.len();
-    m.rotate_right(0, n, n - l);
+    strip_overflow(
+        m,
+        shape.b(),
+        shape.full_overflow_nodes(),
+        shape.partial_node_len(),
+    );
 }
 
 #[cfg(test)]
@@ -398,7 +396,7 @@ mod tests {
         }
     }
 
-    /// The machine rounds reproduce `ist_shuffle`'s slice shuffles.
+    /// The machine rounds reproduce `ist_shuffle`'s slice shuffle.
     #[test]
     fn shuffle_rounds_match_slice_shuffles() {
         let k = 3usize;
@@ -408,9 +406,6 @@ mod tests {
         let mut via_slices = via_machine.clone();
         shuffle_mod_rounds(&mut Ram::seq(&mut via_machine), pad, pad + n, k);
         ist_shuffle::shuffle_mod(&mut via_slices[pad..], k);
-        assert_eq!(via_machine, via_slices);
-        unshuffle_mod_rounds(&mut Ram::seq(&mut via_machine), pad, pad + n, k);
-        ist_shuffle::unshuffle_mod(&mut via_slices[pad..], k);
         assert_eq!(via_machine, via_slices);
     }
 

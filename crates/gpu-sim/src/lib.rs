@@ -2,7 +2,8 @@
 //!
 //! A SIMT (GPU) execution and cost model — the substrate substitution for
 //! the paper's GPU platform (an NVIDIA Tesla K40 programmed in CUDA),
-//! which we do not have. See DESIGN.md for the substitution argument.
+//! which we do not have. The README's "One algorithm, N machines"
+//! section gives the substitution argument.
 //!
 //! The model charges the three costs that drive the paper's GPU findings
 //! (Figures 6.8–6.9):

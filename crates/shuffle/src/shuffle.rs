@@ -19,7 +19,7 @@
 //! a padded power size) to pull internal elements to the front, then the
 //! `B`-way shuffle (Ξ₂) to regroup leaf elements into their nodes.
 
-use ist_bits::{gcd, mod_inverse, rev_k};
+use ist_bits::rev_k;
 use ist_perm::{apply_involution, apply_involution_par};
 
 /// The Yang et al. `J_r` involution on `[0, n)` where `nm1 = n − 1`.
@@ -46,11 +46,19 @@ pub fn j_involution(r: u64, nm1: u64, i: u64) -> u64 {
     if i == 0 || i == nm1 {
         return i;
     }
-    let g = gcd(i, nm1);
+    // One extended-Euclid pass over (i, nm1) that tracks only i's
+    // coefficient: it ends with g = gcd(i, nm1) and x·i ≡ g (mod nm1),
+    // i.e. x ≡ (i/g)⁻¹ (mod nm1/g). Every |x| on the way is at most
+    // nm1/g, so i64 holds for any array length.
+    let (mut g, mut rem) = (i, nm1);
+    let (mut x, mut next_x) = (1i64, 0i64);
+    while rem != 0 {
+        let q = g / rem;
+        (g, rem) = (rem, g - q * rem);
+        (x, next_x) = (next_x, x - q as i64 * next_x);
+    }
     let m = nm1 / g;
-    let u = i / g;
-    // gcd(u, m) = 1 by construction, so the inverse exists.
-    let inv = mod_inverse(u, m).expect("u coprime to m");
+    let inv = x.rem_euclid(m as i64) as u64;
     g * ((r % m) * inv % m)
 }
 
@@ -308,6 +316,42 @@ mod tests {
             }
             assert_eq!(j_involution(1, nm1, 0), 0);
             assert_eq!(j_involution(k, nm1, nm1), nm1);
+        }
+    }
+
+    /// The single Euclid pass returns what `gcd` followed by
+    /// `mod_inverse` does, for every index of small domains and for
+    /// domains near the top of the `i64` range.
+    #[test]
+    fn j_involution_matches_gcd_then_mod_inverse() {
+        use ist_bits::{gcd, mod_inverse, mod_mul};
+        let two_pass = |r: u64, nm1: u64, i: u64| {
+            if i == 0 || i == nm1 {
+                return i;
+            }
+            let g = gcd(i, nm1);
+            let m = nm1 / g;
+            g * mod_mul(r % m, mod_inverse(i / g, m).unwrap(), m)
+        };
+        for nm1 in 1..300u64 {
+            for r in [1u64, 2, 3, 9] {
+                for i in 0..=nm1 {
+                    assert_eq!(
+                        j_involution(r, nm1, i),
+                        two_pass(r, nm1, i),
+                        "r={r} nm1={nm1} i={i}"
+                    );
+                }
+            }
+        }
+        for nm1 in [(1u64 << 61) - 1, (1 << 62) + 6, i64::MAX as u64] {
+            for i in [1u64, 2, 12_345, 1 << 40, nm1 / 3, nm1 / 2, nm1 - 1] {
+                assert_eq!(
+                    j_involution(1, nm1, i),
+                    two_pass(1, nm1, i),
+                    "nm1={nm1} i={i}"
+                );
+            }
         }
     }
 

@@ -1,5 +1,6 @@
 //! Allocation-count regression tests: the rebuild hot path allocates
-//! once per array, and scalar reads allocate nothing.
+//! once per array, in-place construction allocates nothing that grows
+//! with the array, and scalar reads allocate nothing.
 //!
 //! `StaticMap::build_presorted` is the only construction work on
 //! `DynamicMap`'s writer path (seals and tier merges both funnel into
@@ -15,7 +16,7 @@
 //! the heap per call (a run list, a key vector) would tax every read.
 //!
 //! Lives in its own integration-test binary because it installs a
-//! counting `#[global_allocator]`. Counts are per thread, so the two
+//! counting `#[global_allocator]`. Counts are per thread, so the
 //! tests (and the harness) never show up in each other's.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
@@ -110,6 +111,29 @@ fn rebuild_hot_path_allocates_once_per_array() {
         "Sorted: zero-copy adoption must not allocate"
     );
     assert_eq!(map.unwrap().len(), n);
+}
+
+/// In-place means in place: constructing a layout — Chapter 5's
+/// pre-pass included, so the size is ragged for every layout — makes no
+/// allocation that grows with the array. The only heap use is the task
+/// lists of the recursive fan-outs (`O(√N)` regions for vEB, `B + 1` for
+/// the extended gather), far below a sixteenth of the payload.
+#[test]
+fn in_place_construction_allocates_nothing_payload_sized() {
+    use implicit_search_trees::{permute_in_place_seq, Algorithm, Layout};
+
+    let n = 100_000usize;
+    let payload = n * size_of::<u64>();
+    for layout in [Layout::Bst, Layout::Btree { b: 8 }, Layout::Veb] {
+        for algorithm in Algorithm::ALL {
+            let mut keys: Vec<u64> = (0..n as u64).collect();
+            let (result, big_allocs) = count_allocs(payload / 16, || {
+                permute_in_place_seq(&mut keys, layout, algorithm)
+            });
+            result.unwrap();
+            assert_eq!(big_allocs, 0, "{layout:?} {algorithm:?}");
+        }
+    }
 }
 
 /// Run the whole scalar read battery over `probes` and return how many

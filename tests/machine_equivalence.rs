@@ -10,14 +10,22 @@
 
 use implicit_search_trees::gpu_sim::{Gpu, GpuConfig};
 use implicit_search_trees::pem_sim::{PemConfig, TrackedArray};
-use implicit_search_trees::{construct, reference_permutation, Algorithm, Layout, Ram, Searcher};
+use implicit_search_trees::{
+    construct, reference_permutation, Algorithm, GatherMode, IndexArith, Layout, Machine, Ram,
+    Region, Searcher,
+};
 
 /// Perfect sizes for binary layouts (2^d − 1), B-tree-perfect sizes for a
-/// couple of B values, and decidedly non-perfect sizes.
+/// couple of B values, decidedly non-perfect sizes, and sizes whose
+/// overflow-run count exercises the Chapter-5 pre-pass's digit
+/// decomposition: 1056 and 1119 (binary, 33 = 2^5 + 1 and 96 = 2^6 + 2^5
+/// overflow leaves), 2046 (binary last level one short of full), 731
+/// (b = 4: 26 = 5^2 + 1 full overflow nodes + 3 keys), 1385 (b = 8:
+/// 82 = 9^2 + 1 nodes + 1 key), 12 391 (b = 8: 9^3 − 1 nodes + 7 keys).
 fn sizes() -> Vec<usize> {
     vec![
-        1, 2, 3, 4, 7, 8, 15, 26, 27, 63, 80, 100, 255, 256, 624, 625, 1000, 4095, 4096, 5000,
-        8191, 12_345,
+        1, 2, 3, 4, 7, 8, 15, 26, 27, 63, 80, 100, 255, 256, 624, 625, 731, 1000, 1056, 1119, 1385,
+        2046, 4095, 4096, 5000, 8191, 12_345, 12_391,
     ]
 }
 
@@ -172,4 +180,144 @@ fn cost_backends_charge_costs() {
             );
         }
     }
+}
+
+/// A `Machine` that forwards every primitive to a sequential [`Ram`]
+/// and logs the call (kind and arguments), one line per call, so tests
+/// can pin *which* primitives an algorithm issues, not just its output.
+struct Recorder<'a> {
+    ram: Ram<'a, u64>,
+    log: Vec<String>,
+}
+
+impl Machine for Recorder<'_> {
+    type Elem = u64;
+
+    fn len(&self) -> usize {
+        self.ram.len()
+    }
+
+    fn involution_round<F>(&mut self, lo: usize, hi: usize, arith: IndexArith, f: F)
+    where
+        F: Fn(usize) -> usize + Sync,
+    {
+        self.log.push(format!("involution {lo}..{hi} {arith:?}"));
+        self.ram.involution_round(lo, hi, arith, f);
+    }
+
+    fn gather(&mut self, lo: usize, r: usize, l: usize, mode: GatherMode) {
+        self.log.push(format!("gather {lo} r={r} l={l} {mode:?}"));
+        self.ram.gather(lo, r, l, mode);
+    }
+
+    fn gather_chunks(&mut self, lo: usize, r: usize, l: usize, chunk: usize, mode: GatherMode) {
+        self.log
+            .push(format!("gather_chunks {lo} r={r} l={l} c={chunk} {mode:?}"));
+        self.ram.gather_chunks(lo, r, l, chunk, mode);
+    }
+
+    fn rotate_right(&mut self, lo: usize, hi: usize, amount: usize) {
+        self.log.push(format!("rotate {lo}..{hi} by {amount}"));
+        self.ram.rotate_right(lo, hi, amount);
+    }
+
+    fn run_tasks<K, F>(&mut self, tasks: Vec<Region<K>>, f: F)
+    where
+        K: Send + Sync,
+        F: Fn(&mut Self, &Region<K>) + Sync,
+    {
+        let spans: Vec<String> = tasks
+            .iter()
+            .map(|t| format!("{}+{}", t.lo, t.len))
+            .collect();
+        self.log.push(format!("tasks {}", spans.join(" ")));
+        for task in &tasks {
+            f(self, task);
+        }
+    }
+
+    fn local_task<F>(&mut self, lo: usize, len: usize, f: F)
+    where
+        F: FnOnce(&mut [u64]),
+    {
+        self.log.push(format!("local {lo}+{len}"));
+        self.ram.local_task(lo, len, f);
+    }
+}
+
+fn record(n: usize, layout: Layout, algorithm: Algorithm) -> Vec<String> {
+    let sorted: Vec<u64> = (0..n as u64).collect();
+    let mut data = sorted.clone();
+    let mut rec = Recorder {
+        ram: Ram::seq(&mut data),
+        log: Vec::new(),
+    };
+    construct(&mut rec, layout, algorithm).unwrap();
+    let log = rec.log;
+    assert_eq!(
+        data,
+        reference_permutation(&sorted, layout),
+        "Recorder n={n} {layout:?} {algorithm:?}"
+    );
+    log
+}
+
+/// The cycle-leader family is gathers, rotations and subtree tasks at
+/// every size: the Chapter-5 pre-pass must not fall back to involution
+/// rounds (whose `J` maps cost an extended Euclid per element). The
+/// involution family keeps its own rounds, but the pre-pass adds no
+/// `Jmap` round to it either — BST involution is digit reversals only.
+#[test]
+fn cycle_leader_issues_no_involution_rounds() {
+    for n in sizes() {
+        for layout in layouts() {
+            let log = record(n, layout, Algorithm::CycleLeader);
+            assert!(
+                !log.iter().any(|l| l.starts_with("involution")),
+                "n={n} {layout:?}: {log:?}"
+            );
+        }
+        let log = record(n, Layout::Bst, Algorithm::Involution);
+        assert!(
+            !log.iter().any(|l| l.contains("Jmap")),
+            "n={n} Bst involution: {log:?}"
+        );
+    }
+}
+
+/// Perfect sizes whose primitive sequences are pinned by
+/// `tests/golden/primitives-perfect.txt`.
+const GOLDEN_SHAPES: [(Layout, usize); 4] = [
+    (Layout::Bst, 31),
+    (Layout::Veb, 31),
+    (Layout::Btree { b: 2 }, 80),
+    (Layout::Btree { b: 8 }, 728),
+];
+
+fn perfect_size_log() -> String {
+    let mut out = String::new();
+    for (layout, n) in GOLDEN_SHAPES {
+        for algorithm in Algorithm::ALL {
+            out.push_str(&format!("# {layout:?} {} n={n}\n", algorithm.name()));
+            for line in record(n, layout, algorithm) {
+                out.push_str(&line);
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+/// At perfect sizes the sequence of primitives — and so every exact
+/// PEM / GPU counter derived from it — is the one recorded before the
+/// extended gather was generalised to arbitrary run counts (the golden
+/// file was written by this test's `perfect_size_log` at that commit).
+#[test]
+fn perfect_sizes_issue_the_golden_primitive_sequence() {
+    let golden = include_str!("golden/primitives-perfect.txt");
+    let actual = perfect_size_log();
+    for (i, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(got, want, "line {}", i + 1);
+    }
+    assert_eq!(actual.lines().count(), golden.lines().count());
 }
