@@ -7,7 +7,11 @@
 //! pure index arithmetic. The arithmetic is the only thing that differs
 //! between layouts — so it lives **here, once**, behind the
 //! [`Navigator`] trait, and every execution strategy is a thin driver
-//! over it:
+//! over it. Every layout's step is O(1): BST and B-tree children are
+//! closed forms of the node index, and a vEB child follows from a saved
+//! ancestor position through [`ist_layout::veb_levels`]' per-depth table
+//! (the O(log log N) [`veb_pos`] map is not on any descent path; debug
+//! builds assert each step against it). The drivers:
 //!
 //! * the scalar engine ([`search_with`] / [`rank_with`]) — one descent
 //!   at a time, early exit on equality;
@@ -48,8 +52,7 @@
 //!    first equality hit into a result register (`*res` stays [`MISS`]
 //!    until then). The **last** round uses the `step_*_last` variants:
 //!    the descent falls off the perfect part, so the accumulator
-//!    becomes the landing gap and no child is computed (vEB skips its
-//!    position recomputation entirely).
+//!    becomes the landing gap and no child is computed.
 //! 4. After the rounds, [`Navigator::gap`] names the in-order gap the
 //!    descent fell into; [`Navigator::resolve_miss`] probes the
 //!    overflow suffix and [`Navigator::rank_of_gap`] converts the gap
@@ -61,7 +64,7 @@
 //! right). Successor/predecessor queries are rank queries in disguise
 //! (`crate::order`).
 
-use ist_layout::{veb_pos, CompleteShape};
+use ist_layout::{veb_levels, veb_pos, CompleteShape, VebCursor, VebLevel};
 
 pub use crate::wide::{SimdKey, WideBtreeNav};
 
@@ -242,8 +245,7 @@ pub trait Navigator<T: Ord>: Copy {
 
     /// Final-round **search** step: same compare-and-latch, but the
     /// descent falls off the perfect part, so the accumulator becomes
-    /// the landing gap and no child is computed (vEB skips its position
-    /// recomputation here entirely).
+    /// the landing gap and no child is computed.
     fn step_search_last(
         &self,
         cur: &mut Self::Cursor,
@@ -480,16 +482,21 @@ impl<'a, T: Ord> Navigator<T> for BstNav<'a, T> {
 }
 
 // ---------------------------------------------------------------------
-// vEB: descent by in-order position with per-node layout-index
-// recomputation (O(log d) arithmetic per step).
+// vEB: descent by index within the depth; the layout index follows
+// through the per-depth table (one lookup, mask and multiply-add per
+// step).
 // ---------------------------------------------------------------------
 
 /// Navigator for the van Emde Boas layout. Cursor: the layout index of
-/// the current node (recomputed by `veb_pos` at every advance);
-/// accumulator: the 1-indexed in-order position `p`.
+/// the current node plus the saved ancestor positions the
+/// [descent table](ist_layout::veb_levels) derives the next one from;
+/// accumulator: the node's index within its depth (from 0, left to
+/// right — the path's turns as bits), which ends as the landing gap.
 pub struct VebNav<'a, T> {
     data: &'a [T],
     shape: BinaryShape,
+    /// The descent table for `shape.d` levels.
+    levels: &'static [VebLevel],
 }
 
 impl<'a, T> Clone for VebNav<'a, T> {
@@ -502,25 +509,38 @@ impl<'a, T> Copy for VebNav<'a, T> {}
 impl<'a, T: Ord> VebNav<'a, T> {
     /// Navigator for `data` in vEB layout (`[perfect | overflow]`).
     pub fn new(data: &'a [T]) -> Self {
-        Self {
-            data,
-            shape: BinaryShape::new(data.len()),
-        }
+        Self::from_shape(data, BinaryShape::new(data.len()))
     }
 
     #[inline]
     pub(crate) fn from_shape(data: &'a [T], shape: BinaryShape) -> Self {
         debug_assert_eq!(shape, BinaryShape::new(data.len()));
-        Self { data, shape }
+        Self {
+            data,
+            shape,
+            levels: veb_levels(shape.d),
+        }
+    }
+
+    /// Move to the left or right child, at depth `k`.
+    #[inline(always)]
+    fn advance(&self, cur: &mut VebCursor, acc: &mut usize, left: bool, k: u32) {
+        cur.descend(&self.levels[k as usize], *acc, left);
+        *acc = 2 * *acc + usize::from(!left);
+        debug_assert_eq!(
+            cur.pos(),
+            // In-order rank of node `acc` of depth `k`.
+            veb_pos(self.shape.d, ((2 * *acc + 1) << (self.shape.d - 1 - k)) - 1)
+        );
     }
 }
 
 impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
-    type Cursor = usize;
-    type Acc = u64;
-    /// The per-level in-order step `2^{d−2−level}` (`≥ 1`; the leaf
-    /// round has no step — see [`Navigator::step_search_last`]).
-    type Round = u64;
+    type Cursor = VebCursor;
+    type Acc = usize;
+    /// The depth `k ≥ 1` the round's step moves onto (the leaf round
+    /// has no step — see [`Navigator::step_search_last`]).
+    type Round = u32;
 
     #[inline(always)]
     fn data(&self) -> &[T] {
@@ -530,86 +550,72 @@ impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
     fn rounds(&self) -> u32 {
         self.shape.d
     }
-    #[inline]
-    fn start(&self) -> (usize, u64) {
-        let d = self.shape.d;
-        if d == 0 {
-            return (MISS, 0);
-        }
-        let p = 1u64 << (d - 1);
-        (veb_pos(d, (p - 1) as usize), p)
+    #[inline(always)]
+    fn start(&self) -> (VebCursor, usize) {
+        (VebCursor::ROOT, 0)
     }
     #[inline(always)]
-    fn first_round(&self) -> u64 {
-        match self.shape.d {
-            0 => 0,
-            d => (1u64 << (d - 1)) >> 1,
-        }
+    fn first_round(&self) -> u32 {
+        1
     }
     #[inline(always)]
-    fn next_round(&self, st: u64) -> u64 {
-        st >> 1
+    fn next_round(&self, k: u32) -> u32 {
+        k + 1
     }
     #[inline(always)]
-    fn node_base(&self, cur: &usize, _acc: &u64) -> usize {
-        *cur
+    fn node_base(&self, cur: &VebCursor, _acc: &usize) -> usize {
+        cur.pos()
     }
 
     #[inline(always)]
-    fn step_search(&self, cur: &mut usize, acc: &mut u64, res: &mut usize, key: &T, st: u64) {
-        let pos = *cur;
+    fn step_search(&self, cur: &mut VebCursor, acc: &mut usize, res: &mut usize, key: &T, k: u32) {
+        let pos = cur.pos();
         debug_assert!(pos < self.shape.i);
-        debug_assert!(st >= 1);
-        // SAFETY: veb_pos maps in-order ranks 0..i to layout positions
-        // 0..i, p stays in [1, i] by construction, and the shape was
+        // SAFETY: the descent table maps the nodes of the d full levels
+        // to layout positions 0..i (checked against veb_pos per step in
+        // debug builds and exhaustively in ist-layout's tests), the
+        // engines step at most d rounds from the root, and the shape was
         // derived from this very slice's length.
         let node = unsafe { self.data.get_unchecked(pos) };
         let hit = (*res == MISS) & (*key == *node);
         *res = if hit { pos } else { *res };
-        let lt = u64::from(*key < *node);
-        let p = *acc + st - 2 * st * lt;
-        *acc = p;
-        *cur = veb_pos(self.shape.d, (p - 1) as usize);
+        self.advance(cur, acc, *key < *node, k);
     }
 
     #[inline(always)]
-    fn step_search_last(&self, cur: &mut usize, acc: &mut u64, res: &mut usize, key: &T) {
-        let pos = *cur;
+    fn step_search_last(&self, cur: &mut VebCursor, acc: &mut usize, res: &mut usize, key: &T) {
+        let pos = cur.pos();
         debug_assert!(pos < self.shape.i);
         // SAFETY: as in `step_search`.
         let node = unsafe { self.data.get_unchecked(pos) };
         let hit = (*res == MISS) & (*key == *node);
         *res = if hit { pos } else { *res };
-        // Fell off a leaf with in-order position p: gap p−1 left, p
-        // right. No child, so no position recomputation.
-        *acc -= u64::from(*key < *node);
+        // Fell off leaf `acc`: gap 2·acc left of it, 2·acc + 1 right.
+        // No child, so no position to derive.
+        *acc = 2 * *acc + usize::from(*key >= *node);
     }
 
     #[inline(always)]
-    fn step_rank<const UPPER: bool>(&self, cur: &mut usize, acc: &mut u64, key: &T, st: u64) {
-        let pos = *cur;
-        debug_assert!(pos < self.shape.i);
-        debug_assert!(st >= 1);
-        // SAFETY: as in `step_search`.
-        let node = unsafe { self.data.get_unchecked(pos) };
-        let left = u64::from(!counted::<T, UPPER>(node, key));
-        let p = *acc + st - 2 * st * left;
-        *acc = p;
-        *cur = veb_pos(self.shape.d, (p - 1) as usize);
-    }
-
-    #[inline(always)]
-    fn step_rank_last<const UPPER: bool>(&self, cur: &mut usize, acc: &mut u64, key: &T) {
-        let pos = *cur;
+    fn step_rank<const UPPER: bool>(&self, cur: &mut VebCursor, acc: &mut usize, key: &T, k: u32) {
+        let pos = cur.pos();
         debug_assert!(pos < self.shape.i);
         // SAFETY: as in `step_search`.
         let node = unsafe { self.data.get_unchecked(pos) };
-        *acc -= u64::from(!counted::<T, UPPER>(node, key));
+        self.advance(cur, acc, !counted::<T, UPPER>(node, key), k);
     }
 
     #[inline(always)]
-    fn gap(&self, _cur: &usize, acc: &u64) -> usize {
-        *acc as usize
+    fn step_rank_last<const UPPER: bool>(&self, cur: &mut VebCursor, acc: &mut usize, key: &T) {
+        let pos = cur.pos();
+        debug_assert!(pos < self.shape.i);
+        // SAFETY: as in `step_search`.
+        let node = unsafe { self.data.get_unchecked(pos) };
+        *acc = 2 * *acc + usize::from(counted::<T, UPPER>(node, key));
+    }
+
+    #[inline(always)]
+    fn gap(&self, _cur: &VebCursor, acc: &usize) -> usize {
+        *acc
     }
     #[inline]
     fn resolve_miss(&self, gap: usize, key: &T) -> Option<usize> {
@@ -620,8 +626,8 @@ impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
         binary_rank_from_gap::<T, UPPER>(self.data, self.shape.i, self.shape.l, gap, key)
     }
     #[inline(always)]
-    fn prefetch_node(&self, cur: &usize, _acc: &u64) {
-        prefetch(self.data, *cur);
+    fn prefetch_node(&self, cur: &VebCursor, _acc: &usize) {
+        prefetch(self.data, cur.pos());
     }
     #[inline(always)]
     fn prefetch_gap(&self, gap: usize) {

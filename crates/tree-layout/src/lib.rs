@@ -26,7 +26,7 @@ pub mod veb;
 pub use bst::{bst_pos, bst_pos_inv, BstShape};
 pub use btree::{btree_pos, btree_pos_inv, BtreeShape};
 pub use complete::CompleteShape;
-pub use veb::{veb_pos, veb_pos_inv, veb_split, VebShape};
+pub use veb::{veb_levels, veb_pos, veb_pos_inv, veb_split, VebCursor, VebLevel, VebShape};
 
 /// The three implicit layouts, as a runtime tag used across the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -12,9 +12,19 @@
 //!
 //! In sorted (in-order, 1-indexed) position `p`, the key belongs to `T₀`
 //! iff `p ≡ 0 (mod 2^b)`; otherwise it belongs to bottom tree
-//! `⌊p / 2^b⌋ + 1` at in-order offset `p mod 2^b`. The maps below iterate
-//! this decomposition, costing `O(log d) = O(log log N)` per index — the
-//! `τ_π` the paper cites for the vEB layout.
+//! `⌊p / 2^b⌋ + 1` at in-order offset `p mod 2^b`. The rank ↔ position
+//! maps [`veb_pos`] / [`veb_pos_inv`] iterate this decomposition, costing
+//! `O(log d) = O(log log N)` per index — the `τ_π` the paper cites for the
+//! vEB layout. That cost describes **construction** and the closed-form
+//! rank → position map only.
+//!
+//! A root-to-leaf **descent** does not pay it: consecutive nodes of a path
+//! share all but the innermost levels of the decomposition, so the
+//! per-depth table of Brodal, Fagerberg and Jacob ([`veb_levels`],
+//! [`VebCursor`]) derives a child's position from the saved position of
+//! one ancestor with a mask and a multiply-add.
+
+use core::hint::select_unpredictable;
 
 use ist_bits::{ilog2_floor, is_perfect_bst_size};
 
@@ -28,7 +38,7 @@ use ist_bits::{ilog2_floor, is_perfect_bst_size};
 /// assert_eq!(veb_split(1), (1, 0));
 /// ```
 #[inline]
-pub fn veb_split(d: u32) -> (u32, u32) {
+pub const fn veb_split(d: u32) -> (u32, u32) {
     (d.div_ceil(2), d / 2)
 }
 
@@ -111,6 +121,7 @@ impl VebShape {
 /// assert_eq!(layout_of(1), 4);
 /// assert_eq!(layout_of(15), 14);
 /// ```
+#[inline]
 pub fn veb_pos(d: u32, sorted: usize) -> usize {
     debug_assert!(d >= 1 && (sorted as u64) < (1u64 << d) - 1);
     let mut p = (sorted + 1) as u64; // 1-indexed in-order within subtree
@@ -152,6 +163,7 @@ pub fn veb_pos(d: u32, sorted: usize) -> usize {
 ///     }
 /// }
 /// ```
+#[inline]
 pub fn veb_pos_inv(d: u32, layout: usize) -> usize {
     (inv_rec(d, layout) - 1) as usize
 }
@@ -172,6 +184,144 @@ fn inv_rec(d: u32, layout: usize) -> u64 {
         let off = layout - r;
         let q = (off / l) as u64;
         (q << b) + inv_rec(b, off % l)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Descent: the per-depth table.
+// ---------------------------------------------------------------------
+
+/// Most levels a tree indexed by `usize` can have.
+const MAX_LEVELS: usize = 64;
+
+/// Saved positions a descent carries: one per recursion level of the
+/// layout (`d → ⌈d/2⌉ → … → 1` is `⌈log2 d⌉ + 1 ≤ 7` levels), not one
+/// per depth, because the subtrees of one recursion level occupy
+/// disjoint depth ranges.
+const SLOTS: usize = 7;
+
+/// One depth `k ≥ 1` of a `d`-level descent. In the recursion exactly
+/// one split has its bottom trees rooted at depth `k`; the entry
+/// describes that split.
+#[derive(Debug, Clone, Copy)]
+pub struct VebLevel {
+    /// Keys in the split's top tree, `2^t − 1` (also the mask selecting
+    /// which of its `2^t` bottom trees a depth-`k` node roots).
+    top: u32,
+    /// Keys in each of its bottom trees, `2^b − 1`.
+    bottom: u32,
+    /// Slot holding the position of the top tree's root.
+    read: u8,
+    /// Slot a depth-`k` node saves its own position to: the recursion
+    /// level at which it roots a bottom tree.
+    write: u8,
+}
+
+static LEVELS: [[VebLevel; MAX_LEVELS]; MAX_LEVELS + 1] = {
+    let unused = VebLevel {
+        top: 0,
+        bottom: 0,
+        read: 0,
+        write: 0,
+    };
+    let mut table = [[unused; MAX_LEVELS]; MAX_LEVELS + 1];
+    let mut d = 1;
+    while d <= MAX_LEVELS {
+        fill_levels(&mut table[d], 0, d as u32, 0);
+        d += 1;
+    }
+    table
+};
+
+/// Record the split of the `h`-level subtree rooted at depth `a`, which
+/// sits at recursion level `level` of the layout, then those of its top
+/// and bottom trees.
+const fn fill_levels(row: &mut [VebLevel; MAX_LEVELS], a: u32, h: u32, level: u8) {
+    if h < 2 {
+        return;
+    }
+    let (t, b) = veb_split(h);
+    let k = a + t;
+    assert!((level as usize) + 1 < SLOTS);
+    row[k as usize] = VebLevel {
+        top: ((1u64 << t) - 1) as u32,
+        bottom: ((1u64 << b) - 1) as u32,
+        // Depth a saved its position when it became a bottom-tree root
+        // (slot 0 for the root of the whole tree); no depth in (a, k)
+        // overwrites it, as they root bottom trees of deeper levels.
+        read: row[a as usize].write,
+        write: level + 1,
+    };
+    fill_levels(row, a, t, level + 1);
+    fill_levels(row, k, b, level + 1);
+}
+
+/// The descent table of a `d`-level tree: entry `k` (for `1 ≤ k < d`)
+/// is what [`VebCursor::descend`] needs to step onto depth `k`. Depends
+/// on `d` alone and is evaluated at compile time, so looking it up costs
+/// nothing per query.
+///
+/// # Panics
+/// If `d > 64`.
+///
+/// # Examples
+/// ```
+/// use ist_layout::{veb_levels, veb_pos, VebCursor};
+/// // Walk left, right, right through a 4-level tree: the 4th of the 8
+/// // leaves, in-order position 7.
+/// let levels = veb_levels(4);
+/// let (mut cur, mut j) = (VebCursor::ROOT, 0usize);
+/// for (k, left) in [(1, true), (2, false), (3, false)] {
+///     cur.descend(&levels[k], j, left);
+///     j = 2 * j + usize::from(!left);
+/// }
+/// assert_eq!(j, 3);
+/// assert_eq!(cur.pos(), veb_pos(4, 7 - 1));
+/// ```
+#[inline]
+pub fn veb_levels(d: u32) -> &'static [VebLevel; MAX_LEVELS] {
+    &LEVELS[d as usize]
+}
+
+/// Where a root-to-leaf descent stands: the current node's layout
+/// position plus the saved positions of the ancestors later depths
+/// compute theirs from.
+#[derive(Debug, Clone, Copy)]
+pub struct VebCursor {
+    pos: usize,
+    saved: [usize; SLOTS],
+}
+
+impl VebCursor {
+    /// The root of any tree: layout position 0.
+    pub const ROOT: Self = Self {
+        pos: 0,
+        saved: [0; SLOTS],
+    };
+
+    /// Layout position of the current node.
+    #[inline(always)]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Step from node `j` of depth `k − 1` (counting from 0, left to
+    /// right) onto its left or right child, with `level` entry `k` of
+    /// the tree's [`veb_levels`]. The left child is node `2j` of depth
+    /// `k`, so it roots bottom tree `2j & top` of the split, and bottom
+    /// trees follow the top tree back to back; the right child roots
+    /// the next one. Only that last choice waits for the key
+    /// comparison.
+    #[inline(always)]
+    pub fn descend(&mut self, level: &VebLevel, j: usize, left: bool) {
+        let (top, bottom) = (level.top as usize, level.bottom as usize);
+        let q = j << 1 & top;
+        let first = self.saved[level.read as usize] + top + q * bottom;
+        // A coin flip on random probes, so it must stay a conditional
+        // move; written as arithmetic LLVM turns it into a branch.
+        let pos = select_unpredictable(left, first, first + bottom);
+        self.saved[level.write as usize] = pos;
+        self.pos = pos;
     }
 }
 
@@ -261,6 +411,98 @@ mod tests {
                 assert_eq!(r, l);
             } else {
                 assert_eq!(r, 2 * l + 1);
+            }
+        }
+    }
+
+    /// In-order rank of node `j` (from 0, left to right) of depth `k`.
+    fn rank_of(d: u32, k: u32, j: usize) -> usize {
+        ((2 * j + 1) << (d - 1 - k)) - 1
+    }
+
+    /// Every node of every root-to-leaf path: the table-derived position
+    /// is `veb_pos` of the node's in-order rank.
+    #[test]
+    fn descent_matches_veb_pos_on_every_path() {
+        fn walk(d: u32, k: u32, cur: VebCursor, j: usize) -> usize {
+            assert_eq!(cur.pos(), veb_pos(d, rank_of(d, k, j)), "d={d} k={k} j={j}");
+            if k + 1 == d {
+                return 1;
+            }
+            let mut visited = 1;
+            for left in [true, false] {
+                let mut c = cur;
+                c.descend(&veb_levels(d)[(k + 1) as usize], j, left);
+                visited += walk(d, k + 1, c, 2 * j + usize::from(!left));
+            }
+            visited
+        }
+        for d in 1..=16u32 {
+            assert_eq!(walk(d, 0, VebCursor::ROOT, 0), (1usize << d) - 1);
+        }
+    }
+
+    /// Deep trees reuse slots; pseudo-random paths through every `d` a
+    /// 64-bit index allows, plus the leftmost and rightmost path.
+    #[test]
+    fn descent_matches_veb_pos_on_sampled_deep_paths() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for d in 1..=63u32 {
+            for sample in 0..66 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let turns = match sample {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => x,
+                };
+                let (mut cur, mut j) = (VebCursor::ROOT, 0usize);
+                for k in 1..d {
+                    let left = turns >> k & 1 == 0;
+                    cur.descend(&veb_levels(d)[k as usize], j, left);
+                    j = 2 * j + usize::from(!left);
+                    assert_eq!(cur.pos(), veb_pos(d, rank_of(d, k, j)), "d={d} k={k} j={j}");
+                }
+            }
+        }
+    }
+
+    /// The split whose bottom trees are rooted at depth `k`, found by
+    /// walking the recursion: `(depth of its top tree's root, t, b)`.
+    fn split_at(d: u32, k: u32) -> (u32, u32, u32) {
+        let (mut a, mut h) = (0, d);
+        loop {
+            let (t, b) = veb_split(h);
+            if a + t == k {
+                return (a, t, b);
+            }
+            if k < a + t {
+                h = t;
+            } else {
+                a += t;
+                h = b;
+            }
+        }
+    }
+
+    /// Slot liveness: every depth writes one slot, so replaying the
+    /// writes in depth order shows what each read finds — it must be the
+    /// position saved at exactly the depth of the enclosing top tree's
+    /// root.
+    #[test]
+    fn each_depth_reads_the_slot_its_top_tree_root_wrote() {
+        for d in 1..=MAX_LEVELS as u32 {
+            let levels = veb_levels(d);
+            let mut written_at = [None; SLOTS];
+            written_at[0] = Some(0); // VebCursor::ROOT
+            for k in 1..d {
+                let level = &levels[k as usize];
+                let (a, t, b) = split_at(d, k);
+                assert_eq!(u64::from(level.top), (1u64 << t) - 1, "d={d} k={k}");
+                assert_eq!(u64::from(level.bottom), (1u64 << b) - 1, "d={d} k={k}");
+                assert_eq!(written_at[level.read as usize], Some(a), "d={d} k={k}");
+                written_at[level.write as usize] = Some(k);
             }
         }
     }

@@ -207,3 +207,30 @@ fn scalar_reads_allocate_nothing() {
         "ShardedMap scalar reads must not allocate"
     );
 }
+
+/// A vEB descent steers by a per-depth table that is a compile-time
+/// constant, so building the navigator — which `Searcher` does per point
+/// query and `search_veb` per call, from the slice alone — allocates
+/// nothing either. The tree is deep enough (12 levels) for the descent
+/// to use five of its saved-position slots.
+#[test]
+fn veb_scalar_descents_allocate_nothing() {
+    use implicit_search_trees::{
+        permute_in_place, search_veb, Algorithm, Layout, QueryKind, Searcher,
+    };
+
+    let mut v: Vec<u64> = (0..5000u64).map(|x| 3 * x).collect();
+    permute_in_place(&mut v, Layout::Veb, Algorithm::CycleLeader).unwrap();
+    let s = Searcher::new(&v, QueryKind::Veb);
+    let (hits, allocs) = count_allocs(1, || {
+        let mut hits = 0usize;
+        for k in 0..15_010u64 {
+            hits += usize::from(s.search(&k).is_some())
+                + usize::from(search_veb(&v, &k).is_some())
+                + (s.rank_upper(&k) - s.rank(&k));
+        }
+        hits
+    });
+    assert_eq!(hits, 3 * 5000);
+    assert_eq!(allocs, 0, "vEB get / rank / search_veb must not allocate");
+}

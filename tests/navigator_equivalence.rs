@@ -19,6 +19,8 @@
 
 use implicit_search_trees::gpu_sim::{lane_node_trace, GpuQueryKind};
 use implicit_search_trees::{permute_in_place, Algorithm, Layout, QueryKind, Searcher};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// (CPU kind, construction layout, gpu-sim kind) triples. The scalar
 /// BST prefetch variant shares the BST node sequence by construction
@@ -76,35 +78,98 @@ fn probes(n: usize) -> Vec<u64> {
 }
 
 /// Search: scalar == gpu lane; scalar is a prefix of pipelined; rank:
-/// scalar == pipelined. Every probe key, every size, every layout.
+/// scalar == pipelined — for every key of `keys`.
+fn assert_paths_agree(kind: QueryKind, gpu_kind: GpuQueryKind, data: &[u64], keys: &[u64]) {
+    let n = data.len();
+    let s = Searcher::new(data, kind);
+    let piped_search = s.trace_search_pipelined(keys);
+    let piped_rank = s.trace_rank_pipelined(keys);
+    for (i, key) in keys.iter().enumerate() {
+        let tag = format!("{kind:?} n={n} key={key}");
+        let scalar_search = s.trace_search(key);
+        let scalar_rank = s.trace_rank(key);
+        assert!(
+            scalar_search.len() <= piped_search[i].len(),
+            "{tag}: scalar longer than pipelined"
+        );
+        assert_eq!(
+            scalar_search[..],
+            piped_search[i][..scalar_search.len()],
+            "{tag}: scalar search not a prefix of pipelined"
+        );
+        assert_eq!(scalar_rank, piped_rank[i], "{tag}: rank traces differ");
+        let gpu = lane_node_trace(data, gpu_kind, *key);
+        assert_eq!(gpu, scalar_search, "{tag}: gpu lane trace differs");
+    }
+}
+
+/// Every probe key, every size, every layout.
 #[test]
 fn all_paths_visit_identical_node_sequences() {
     for (kind, layout, gpu_kind) in kinds() {
         for n in sizes() {
-            let data = layout_data(n, layout);
-            let s = Searcher::new(&data, kind);
-            let keys = probes(n);
-            let piped_search = s.trace_search_pipelined(&keys);
-            let piped_rank = s.trace_rank_pipelined(&keys);
-            for (i, key) in keys.iter().enumerate() {
-                let tag = format!("{kind:?} n={n} key={key}");
-                let scalar_search = s.trace_search(key);
-                let scalar_rank = s.trace_rank(key);
-                assert!(
-                    scalar_search.len() <= piped_search[i].len(),
-                    "{tag}: scalar longer than pipelined"
-                );
-                assert_eq!(
-                    scalar_search[..],
-                    piped_search[i][..scalar_search.len()],
-                    "{tag}: scalar search not a prefix of pipelined"
-                );
-                assert_eq!(scalar_rank, piped_rank[i], "{tag}: rank traces differ");
-                let gpu = lane_node_trace(&data, gpu_kind, *key);
-                assert_eq!(gpu, scalar_search, "{tag}: gpu lane trace differs");
-            }
+            assert_paths_agree(kind, gpu_kind, &layout_data(n, layout), &probes(n));
         }
     }
+}
+
+/// Sizes with 17 and 20 full levels — six recursion levels of the vEB
+/// layout, against at most five in [`sizes`] — one perfect, two with
+/// overflow leaves.
+const DEEP_SIZES: [usize; 3] = [(1 << 17) - 1, (1 << 17) + 5, (1 << 20) + 3];
+
+/// A few hundred seeded probes over the key range of [`layout_data`]
+/// (hits and gaps alike) plus both out-of-range sides.
+fn sampled_probes(n: usize, seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let top = 3 * n as u64 + 4;
+    let mut keys: Vec<u64> = (0..300).map(|_| rng.gen_range(0..top + 1)).collect();
+    keys.extend([0, 1, 2, 3, top - 3, top - 2, top - 1, top]);
+    keys
+}
+
+#[test]
+fn deep_trees_visit_identical_node_sequences() {
+    for (kind, layout, gpu_kind) in kinds() {
+        for n in DEEP_SIZES {
+            let keys = sampled_probes(n, n as u64);
+            assert_paths_agree(kind, gpu_kind, &layout_data(n, layout), &keys);
+        }
+    }
+}
+
+/// Duplicate runs on a deep vEB tree: `rank` counts keys below the
+/// probe, `rank_upper` keys at or below it, and the pipelined engine
+/// (plain rank, and the `≤` flavor behind `batch_successor`) agrees
+/// with the scalar one.
+#[test]
+fn deep_veb_ranks_with_duplicate_keys() {
+    let n = DEEP_SIZES[1];
+    let sorted: Vec<u64> = (0..n as u64).map(|x| 3 * (x / 5) + 2).collect();
+    let mut data = sorted.clone();
+    permute_in_place(&mut data, Layout::Veb, Algorithm::CycleLeader).unwrap();
+    let s = Searcher::new(&data, QueryKind::Veb);
+    let keys = sampled_probes(n / 5, 7);
+    for key in &keys {
+        assert_eq!(
+            s.rank(key),
+            sorted.partition_point(|x| x < key),
+            "key={key}"
+        );
+        assert_eq!(
+            s.rank_upper(key),
+            sorted.partition_point(|x| x <= key),
+            "key={key}"
+        );
+    }
+    assert_eq!(
+        s.batch_rank(&keys),
+        keys.iter().map(|k| s.rank(k)).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        s.batch_successor(&keys),
+        keys.iter().map(|k| s.successor(k)).collect::<Vec<_>>()
+    );
 }
 
 /// The const-width wide kernel visits the **same node sequence** as the
