@@ -8,7 +8,7 @@
 //! fig6.6 | fig6.7 | fig6.8 | fig6.9 | all`. Output is CSV on stdout with
 //! one header line per figure. `--scale` shifts the maximum problem size
 //! by `S` powers of two (default sizes are laptop-scale; the paper used
-//! N = 2²⁹ on a 2×10-core Xeon — see EXPERIMENTS.md for the mapping).
+//! N = 2²⁹ on a 2×10-core Xeon).
 
 use ist_bench::*;
 use ist_core::{permute_in_place, permute_in_place_seq, Algorithm, Layout};

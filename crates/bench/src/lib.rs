@@ -6,8 +6,8 @@
 //! headline result ("permutation pays off after Q ≈ 1% of N queries").
 //!
 //! The actual figures are produced by the `figures` binary
-//! (`cargo run -p ist-bench --release --bin figures -- <fig>`); Criterion
-//! micro-benchmarks live under `benches/`.
+//! (`cargo run -p ist-bench --release --bin figures -- <fig>`). The
+//! repository's own performance is measured by `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 

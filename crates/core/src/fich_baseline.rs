@@ -5,7 +5,7 @@
 //! `O(N · (τ_π + τ_π⁻¹))` time using the inverse permutation to detect
 //! cycle minima — but it is inherently sequential (cycle walks cannot be
 //! split), which is exactly the gap the paper's parallel algorithms
-//! close. We expose it as a baseline for the ablation benches and as a
+//! close. We expose it as a baseline and as a
 //! correctness cross-check: it derives the permutation from the
 //! closed-form position maps rather than from the involution/gather
 //! structure, so agreement is strong evidence both are right.

@@ -6,9 +6,7 @@
 //! cache-line boundaries: a `Vec<u64>` is only 8-byte aligned, so an
 //! 8-key B-tree node straddles two lines in 7 of 8 placements. This
 //! module gives the serving facades a buffer type whose allocation is
-//! **64-byte aligned** (the x86/aarch64 line size), with an opt-in
-//! 2 MiB alignment + `madvise(MADV_HUGEPAGE)` for TLB relief on linux
-//! (`IST_HUGEPAGES=1`).
+//! **64-byte aligned** (the x86/aarch64 line size).
 //!
 //! Construction never copies twice: `AlignedVec::scatter_from_vec`
 //! applies the (data-oblivious) layout permutation *during* the move
@@ -28,36 +26,15 @@ use ist_layout::{bst_pos, complete::BtreeCompleteShape, veb_pos, CompleteShape};
 /// Cache-line alignment every raw-backed allocation gets at minimum.
 pub const CACHE_LINE: usize = 64;
 
-/// Huge-page alignment used when `IST_HUGEPAGES=1` and the payload is
-/// large enough to contain at least one huge page.
-const HUGE_PAGE: usize = 2 * 1024 * 1024;
-
-/// `MADV_HUGEPAGE` from `<sys/mman.h>` (linux).
-#[cfg(target_os = "linux")]
-const MADV_HUGEPAGE: i32 = 14;
-
-// SAFETY: the declared signature matches POSIX `madvise`; the symbol
-// is in every linux libc (declared directly because the workspace
-// builds offline, without the `libc` crate).
-#[cfg(target_os = "linux")]
-unsafe extern "C" {
-    /// Declared directly (the workspace builds offline, without the
-    /// `libc` crate); the symbol is in every linux libc.
-    fn madvise(addr: *mut core::ffi::c_void, length: usize, advice: i32) -> i32;
-}
-
-/// `true` iff the process opted into 2 MiB-aligned run allocations
-/// (checked once; the knob is a startup decision, not a per-build one).
-fn huge_pages_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("IST_HUGEPAGES").is_ok_and(|v| v == "1"))
+/// Alignment of every raw-backed allocation.
+fn raw_align<T>() -> usize {
+    CACHE_LINE.max(align_of::<T>())
 }
 
 /// How an [`AlignedVec`]'s buffer was obtained — governs deallocation.
 enum Backing {
-    /// `std::alloc` allocation of `cap` elements at `align` bytes.
-    Raw { align: usize },
+    /// `std::alloc` allocation of `len` elements at `raw_align` bytes.
+    Raw,
     /// Adopted from a `Vec` with the given capacity (zero-copy both
     /// ways); freed by reconstructing the `Vec`.
     Vec { cap: usize },
@@ -87,7 +64,7 @@ impl<T> AlignedVec<T> {
     /// alignment for zero-copy [`AlignedVec::from_vec`] adoptions.
     pub fn alignment(&self) -> usize {
         match self.backing {
-            Backing::Raw { align } => align,
+            Backing::Raw => raw_align::<T>(),
             Backing::Vec { .. } => align_of::<T>(),
         }
     }
@@ -121,48 +98,32 @@ impl<T> AlignedVec<T> {
             // SAFETY: the buffer holds `len` initialized elements;
             // reading them out transfers ownership, after which only
             // the raw allocation is freed (not the elements).
-            Backing::Raw { align } => unsafe {
+            Backing::Raw => unsafe {
                 let mut out = Vec::with_capacity(this.len);
                 core::ptr::copy_nonoverlapping(this.ptr.as_ptr(), out.as_mut_ptr(), this.len);
                 out.set_len(this.len);
-                dealloc_raw::<T>(this.ptr, this.len, align);
+                dealloc_raw::<T>(this.ptr, this.len);
                 out
             },
         }
     }
 
     /// An uninitialized raw-backed buffer for `n` elements, 64-byte
-    /// aligned (2 MiB + `MADV_HUGEPAGE` when opted in and big enough).
-    /// Returned with `len == 0`; the caller initializes all `n` slots
-    /// and then calls `assume_len(n)`.
+    /// aligned. Returned with `len == 0`; the caller initializes all
+    /// `n` slots and then calls `assume_len(n)`.
     fn with_uninit(n: usize) -> Self {
         debug_assert!(size_of::<T>() != 0, "ZSTs take the from_vec path");
-        let bytes = n * size_of::<T>();
-        let mut align = CACHE_LINE.max(align_of::<T>());
-        if huge_pages_enabled() && bytes >= HUGE_PAGE {
-            align = HUGE_PAGE;
-        }
-        let layout = core::alloc::Layout::from_size_align(bytes, align).expect("run too large");
+        let layout = core::alloc::Layout::from_size_align(n * size_of::<T>(), raw_align::<T>())
+            .expect("run too large");
         // SAFETY: size > 0 (n > 0 checked by callers, T is not a ZST).
         let raw = unsafe { std::alloc::alloc(layout) };
         let Some(ptr) = NonNull::new(raw.cast::<T>()) else {
             std::alloc::handle_alloc_error(layout)
         };
-        #[cfg(target_os = "linux")]
-        if align == HUGE_PAGE {
-            // SAFETY: `raw` points at a live allocation of `bytes`
-            // bytes. The call is advisory: ask the kernel to back the
-            // range with transparent huge pages. Failure is harmless
-            // (the buffer still works at 4 KiB granularity), so the
-            // result is deliberately ignored.
-            unsafe {
-                let _ = madvise(raw.cast(), bytes, MADV_HUGEPAGE);
-            }
-        }
         Self {
             ptr,
             len: 0,
-            backing: Backing::Raw { align },
+            backing: Backing::Raw,
         }
     }
 
@@ -215,13 +176,10 @@ impl<T> AlignedVec<T> {
                 // elements — its Drop would dealloc with the wrong
                 // layout. Free manually with the true capacity.
                 let ptr = buf.ptr;
-                let Backing::Raw { align } = buf.backing else {
-                    unreachable!("with_uninit always raw-backs")
-                };
                 core::mem::forget(buf);
                 // SAFETY: same layout as the allocation; no elements
                 // are dropped (POD contract).
-                unsafe { dealloc_raw::<T>(ptr, n, align) };
+                unsafe { dealloc_raw::<T>(ptr, n) };
                 Err(e)
             }
         }
@@ -302,18 +260,18 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // disjoint raw offsets.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Free a raw-backed allocation of `cap` elements at `align` without
-/// touching the elements.
+/// Free a raw-backed allocation of `cap` elements without touching the
+/// elements.
 ///
 /// # Safety
-/// `ptr` must be a live `std::alloc::alloc` allocation made with
-/// exactly this element count and alignment, and its elements must
-/// already be moved out or trivially droppable.
-unsafe fn dealloc_raw<T>(ptr: NonNull<T>, cap: usize, align: usize) {
-    let layout = core::alloc::Layout::from_size_align(cap * size_of::<T>(), align)
+/// `ptr` must be a live `AlignedVec::with_uninit` allocation of
+/// exactly this element count, and its elements must already be moved
+/// out or trivially droppable.
+unsafe fn dealloc_raw<T>(ptr: NonNull<T>, cap: usize) {
+    let layout = core::alloc::Layout::from_size_align(cap * size_of::<T>(), raw_align::<T>())
         .expect("layout was valid at alloc time");
     // SAFETY: same layout as the allocation (with_uninit never over-
-    // allocates: cap elements, same align).
+    // allocates: cap elements at `raw_align`).
     unsafe { std::alloc::dealloc(ptr.as_ptr().cast(), layout) }
 }
 
@@ -327,12 +285,12 @@ impl<T> Drop for AlignedVec<T> {
             // SAFETY: the first `len` slots are initialized, and
             // raw-backed buffers are allocated with cap == len (the
             // scatter fills every slot before assume_len).
-            Backing::Raw { align } => unsafe {
+            Backing::Raw => unsafe {
                 core::ptr::drop_in_place(core::ptr::slice_from_raw_parts_mut(
                     self.ptr.as_ptr(),
                     self.len,
                 ));
-                dealloc_raw::<T>(self.ptr, self.len, align);
+                dealloc_raw::<T>(self.ptr, self.len);
             },
         }
     }

@@ -384,10 +384,9 @@ where
             CompactionMode::Background => {
                 // One short-lived thread per compaction: the spawn
                 // (~tens of µs) lands once per `buffer_cap` writes, not
-                // per write, which keeps it out of the latency profile
-                // the tail_latency bench guards. A long-lived worker
-                // fed by a channel would shave it if profiles ever say
-                // otherwise.
+                // per write, which keeps it out of the per-write latency
+                // profile. A long-lived worker fed by a channel would
+                // shave it if profiles ever say otherwise.
                 let done = Arc::new(AtomicBool::new(false));
                 let worker_done = Arc::clone(&done);
                 #[cfg(ist_loom)]

@@ -296,9 +296,9 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
 
     /// [`Searcher::new`] without the const-width upgrade: a B-tree kind
     /// always descends through the general runtime-width
-    /// [`nav::BtreeNav`]. The escape hatch the node-width bench and the
-    /// wide-vs-runtime equivalence suites are built on; answers are
-    /// identical to [`Searcher::new`]'s for every query.
+    /// [`nav::BtreeNav`]. The escape hatch the wide-vs-runtime
+    /// equivalence suites are built on; answers are identical to
+    /// [`Searcher::new`]'s for every query.
     pub fn new_runtime(data: &'a [T], kind: QueryKind) -> Self {
         let shape = if data.is_empty() {
             ShapeData::Sorted // degenerate; every search misses anyway

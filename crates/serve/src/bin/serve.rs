@@ -1,6 +1,6 @@
-//! Standalone server: `serve [--addr 127.0.0.1:0] [--mode
-//! coalescing|direct] [--shards 4] [--preload 0] [--max-tick 8192]
-//! [--linger-us 0] [--data-dir DIR] [--fsync always|never|every=N]`.
+//! Standalone server: `serve [--addr 127.0.0.1:0] [--shards 4]
+//! [--preload 0] [--max-tick 8192] [--linger-us 0] [--data-dir DIR]
+//! [--fsync always|never|every=N]`.
 //!
 //! Without `--data-dir` the map is memory-only. With it, the server is
 //! durable: an existing store directory (one whose `SHARDS` root file
@@ -12,28 +12,28 @@
 //! survives an OS crash; see the README's durability contract).
 //!
 //! Preloads `--preload` sequential keys (little-endian value = key),
-//! prints the bound address on stdout (`listening on <addr>`), and
-//! serves until killed.
+//! prints the bound address and the served map's size on stdout
+//! (`listening on <addr> (<n> shards, <m> keys)`), and serves until
+//! killed.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 
 use ist_core::Layout;
-use ist_serve::{serve_on, Mode, ServeMap, ServerConfig};
+use ist_serve::{serve_on, ServeMap, ServerConfig};
 use ist_store::{FsyncPolicy, StoreConfig, SHARDS_NAME};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serve [--addr HOST:PORT] [--mode coalescing|direct] \
-         [--shards N] [--preload N] [--max-tick N] [--linger-us N] \
-         [--data-dir DIR] [--fsync always|never|every=N]"
+        "usage: serve [--addr HOST:PORT] [--shards N] [--preload N] \
+         [--max-tick N] [--linger-us N] [--data-dir DIR] \
+         [--fsync always|never|every=N]"
     );
     std::process::exit(2)
 }
 
 fn main() {
     let mut addr = "127.0.0.1:0".to_string();
-    let mut mode = Mode::Coalescing;
     let mut shards = 4usize;
     let mut preload = 0usize;
     let mut data_dir: Option<PathBuf> = None;
@@ -45,13 +45,6 @@ fn main() {
         let mut val = || args.next().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--addr" => addr = val(),
-            "--mode" => {
-                mode = match val().as_str() {
-                    "coalescing" => Mode::Coalescing,
-                    "direct" => Mode::Direct,
-                    _ => usage(),
-                }
-            }
             "--shards" => shards = val().parse().unwrap_or_else(|_| usage()),
             "--preload" => preload = val().parse().unwrap_or_else(|_| usage()),
             "--max-tick" => cfg.max_tick = val().parse().unwrap_or_else(|_| usage()),
@@ -64,7 +57,6 @@ fn main() {
             _ => usage(),
         }
     }
-    cfg.mode = mode;
 
     let map = match &data_dir {
         Some(dir) if dir.join(SHARDS_NAME).exists() => {
@@ -97,10 +89,12 @@ fn main() {
     // LINT-ALLOW(serve-no-panic): startup path — failing to bind or to
     // start serving must abort the process before it takes traffic.
     let listener = TcpListener::bind(&addr).expect("bind");
+    // What is actually served: a recovered store overrides the flags.
+    let (shards, keys) = (map.shard_count(), map.len());
     // LINT-ALLOW(serve-no-panic): same startup argument as `bind`.
     let handle = serve_on(listener, map, cfg).expect("serve");
     println!(
-        "listening on {} ({mode:?}, {shards} shards, {preload} keys)",
+        "listening on {} ({shards} shards, {keys} keys)",
         handle.addr()
     );
     loop {

@@ -1,7 +1,5 @@
 //! A minimal blocking client: one request in flight, replies matched by
-//! `req_id`. The loadgen (`crate::loadgen`) is the pipelined,
-//! many-connection counterpart; this type is for tests, tooling, and
-//! quickstarts.
+//! `req_id`. This type is for tests, tooling, and quickstarts.
 
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -18,10 +18,9 @@
 //! bigger the tick, the better the per-request cost — the opposite of
 //! the per-request-lock server whose overheads are fixed.
 //!
-//! See `crate::server` for the pipeline and its consistency contract,
-//! `crate::proto` for the wire format, and `crate::loadgen` for the
-//! open-loop, coordinated-omission-corrected harness behind the
-//! committed `BENCH_serve.json` numbers.
+//! See `crate::server` for the pipeline and its consistency contract
+//! and `crate::proto` for the wire format; the serve workloads of
+//! `perfbench/` (see its README) measure it.
 //!
 //! ## Quickstart
 //!
@@ -44,17 +43,14 @@
 //! handle.stop();
 //! ```
 //!
-//! The `serve` and `loadgen` binaries wrap the same entry points for
-//! standalone use: `serve --mode coalescing --preload 1000000` and
-//! `loadgen --addr 127.0.0.1:4321 --conns 1024`.
+//! The `serve` binary wraps the same entry point for standalone use:
+//! `serve --addr 127.0.0.1:4321 --preload 1000000`.
 
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod loadgen;
 pub mod proto;
 pub mod server;
 
 pub use client::Client;
-pub use loadgen::{percentiles, LoadReport, LoadgenConfig, Percentiles};
-pub use server::{serve, serve_on, Key, Mode, ServeMap, ServerConfig, ServerHandle, Value};
+pub use server::{serve, serve_on, Key, ServeMap, ServerConfig, ServerHandle, Value};

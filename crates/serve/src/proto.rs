@@ -163,7 +163,7 @@ fn end_frame(out: &mut [u8], at: usize) {
 /// Append `req` to `out` as a complete frame (length prefix included).
 /// Appending lets callers batch many frames into one buffer and write
 /// them with a single syscall — the server's per-tick reply path and
-/// the loadgen's burst path both lean on this.
+/// any pipelining client lean on this.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     let at = begin_frame(out);
     out.extend_from_slice(&req.req_id.to_le_bytes());

@@ -1,7 +1,7 @@
 //! The TCP server: thread-per-connection IO around a central
 //! **coalescer**.
 //!
-//! ## The coalescing pipeline ([`Mode::Coalescing`])
+//! ## The coalescing pipeline
 //!
 //! ```text
 //!  conn 0 reader ─┐                                      ┌─▶ conn 0 writer
@@ -65,23 +65,13 @@
 //! replies for that connection are still written as **complete
 //! frames**, then the connection closes. No panic, no partial write —
 //! `tests/serve_proto.rs` holds the line.
-//!
-//! ## The naive baseline ([`Mode::Direct`])
-//!
-//! The canonical thread-per-connection server: every request locks a
-//! global `Mutex<ShardedMap>`, runs one scalar operation, and writes
-//! its reply with its own flush. It answers identically (the
-//! `coalesced_and_direct_modes_answer_identically` test drives both)
-//! but pays per-request lock traffic, context switches, and one
-//! write syscall per reply — the bench's `BENCH_serve.json` quantifies
-//! the gap.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -102,22 +92,10 @@ pub type ServeMap = ShardedMap<Key, Value>;
 /// stacks keep a thousand connections to a few hundred MB of reserve.
 const IO_THREAD_STACK: usize = 128 * 1024;
 
-/// How a server executes requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Gather all in-flight requests per tick, execute them as bulk
-    /// deltas + batched snapshot reads (the fast path).
-    Coalescing,
-    /// One `Mutex`-guarded scalar operation per request, one flush per
-    /// reply (the baseline).
-    Direct,
-}
-
-/// Server tunables; `Default` is a coalescing server with an
-/// 8192-request tick cap and no linger.
+/// Server tunables; `Default` is an 8192-request tick cap and no
+/// linger.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    pub mode: Mode,
     /// Upper bound on requests gathered into one tick. Bounds per-tick
     /// memory and reply latency under overload; a tick closes early
     /// whenever the queue runs dry.
@@ -141,7 +119,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            mode: Mode::Coalescing,
             max_tick: 8192,
             linger: Duration::ZERO,
         }
@@ -187,10 +164,7 @@ pub fn serve_on(
 ) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    match cfg.mode {
-        Mode::Coalescing => spawn_coalescing(listener, map, cfg, Arc::clone(&stop))?,
-        Mode::Direct => spawn_direct(listener, map, Arc::clone(&stop))?,
-    }
+    spawn_coalescing(listener, map, cfg, Arc::clone(&stop))?;
     Ok(ServerHandle { addr, stop })
 }
 
@@ -206,8 +180,6 @@ fn spawn_named(
     b.spawn(f)?;
     Ok(())
 }
-
-// ----- coalescing mode -----
 
 /// What connection readers feed the coalescer. `Register` is sent by
 /// the accept loop **before** the connection's reader thread starts, so
@@ -396,9 +368,7 @@ fn coalescer_loop(
     tick_tx: Sender<Tick>,
     cfg: ServerConfig,
 ) {
-    let ServerConfig {
-        max_tick, linger, ..
-    } = cfg;
+    let ServerConfig { max_tick, linger } = cfg;
     let stats_on = std::env::var_os("IST_SERVE_TICK_STATS").is_some();
     let (mut ticks, mut evs, mut gather_ns, mut apply_ns, mut snap_ns) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -615,69 +585,4 @@ fn executor_loop(rx: Receiver<Tick>) {
             }
         }
     }
-}
-
-// ----- direct (naive) mode -----
-
-fn spawn_direct(listener: TcpListener, map: ServeMap, stop: Arc<AtomicBool>) -> io::Result<()> {
-    let map = Arc::new(Mutex::new(map));
-    spawn_named("ist-serve-accept", None, move || {
-        for stream in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let _ = stream.set_nodelay(true);
-            let map = Arc::clone(&map);
-            let _ = spawn_named("ist-serve-direct", Some(IO_THREAD_STACK), move || {
-                direct_conn_loop(stream, &map)
-            });
-        }
-    })
-}
-
-/// One request at a time: lock, scalar op, encode, write, flush. This
-/// is the baseline the coalescer is measured against — every cost here
-/// is per request.
-fn direct_conn_loop(stream: TcpStream, map: &Mutex<ServeMap>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut r = BufReader::with_capacity(64 * 1024, read_half);
-    let mut w = stream;
-    let mut buf = Vec::new();
-    let mut out = Vec::new();
-    while let Ok(true) = read_frame(&mut r, &mut buf) {
-        let Ok(req) = decode_request(&buf) else {
-            break; // malformed: close cleanly, mirroring coalescing mode
-        };
-        let body = {
-            let mut m = map.lock().unwrap_or_else(|e| e.into_inner());
-            match req.op {
-                Op::Get { key } => ReplyBody::Value(m.get(&key).cloned()),
-                Op::Rank { key } => ReplyBody::Count(m.rank(&key) as u64),
-                Op::RangeCount { lo, hi } => ReplyBody::Count(m.range_count(&lo, &hi) as u64),
-                Op::Insert { key, value } => {
-                    m.insert(key, value);
-                    ReplyBody::Ack
-                }
-                Op::Remove { key } => {
-                    m.remove(&key);
-                    ReplyBody::Ack
-                }
-            }
-        };
-        out.clear();
-        encode_reply(
-            &Reply {
-                req_id: req.req_id,
-                body,
-            },
-            &mut out,
-        );
-        if write_frames(&mut w, &out).is_err() {
-            break;
-        }
-    }
-    let _ = w.shutdown(Shutdown::Write);
 }

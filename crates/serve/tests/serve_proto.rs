@@ -10,10 +10,11 @@
 //! * **Kill-one-connection-mid-batch** — a connection that dies with
 //!   requests in flight (half a frame on the wire) does not perturb
 //!   the replies of connections sharing its coalescer ticks.
-//! * **Mode equivalence** — coalescing and direct servers answer an
-//!   identical op sequence identically.
+//! * **Model equivalence** — a seeded op sequence, pipelined in bursts,
+//!   answers exactly as a `BTreeMap` does, with and without a linger.
 
-use std::io::{Read, Write};
+use std::collections::BTreeMap;
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
@@ -22,25 +23,64 @@ use ist_serve::proto::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, Op, Reply, ReplyBody,
     Request, MAX_FRAME,
 };
-use ist_serve::{serve, Client, Mode, ServeMap, ServerConfig, ServerHandle};
+use ist_serve::{serve, Client, ServeMap, ServerConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The preloaded entries: the first `n` even keys, value = key bytes.
+fn test_entries(n: u64) -> impl Iterator<Item = (u64, Vec<u8>)> {
+    (0..n).map(|k| (2 * k, (2 * k).to_le_bytes().to_vec()))
+}
+
 fn test_map(n: u64, shards: usize) -> ServeMap {
-    let keys: Vec<u64> = (0..n).map(|k| 2 * k).collect(); // even keys live
-    let vals: Vec<Vec<u8>> = keys.iter().map(|k| k.to_le_bytes().to_vec()).collect();
+    let (keys, vals) = test_entries(n).unzip();
     ServeMap::build(keys, vals, Layout::Veb, shards).expect("build")
 }
 
-fn start(mode: Mode) -> ServerHandle {
-    serve(
-        test_map(512, 4),
-        ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("serve")
+fn start(cfg: ServerConfig) -> ServerHandle {
+    serve(test_map(512, 4), cfg).expect("serve")
+}
+
+/// Both ways a tick can close: when the queue runs dry, and after the
+/// linger sleep loop (which nothing else in the workspace exercises).
+fn linger_configs() -> [ServerConfig; 2] {
+    [Duration::ZERO, Duration::from_millis(2)].map(|linger| ServerConfig {
+        linger,
+        ..ServerConfig::default()
+    })
+}
+
+/// A raw connection for [`pipeline`]; its read timeout turns a dropped
+/// reply into a failure instead of a hang.
+fn connect(handle: &ServerHandle) -> TcpStream {
+    let sock = TcpStream::connect(handle.addr()).unwrap();
+    sock.set_nodelay(true).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    sock
+}
+
+/// Send `ops` down `sock` with a single write and return their reply
+/// bodies, requiring the replies to come back in request order.
+fn pipeline(sock: &TcpStream, ops: &[Op]) -> Vec<ReplyBody> {
+    let mut wire = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let (req_id, op) = (i as u64, op.clone());
+        encode_request(&Request { req_id, op }, &mut wire);
+    }
+    (&*sock).write_all(&wire).unwrap();
+    // Exactly `ops.len()` replies are in flight, so the reader's buffer
+    // is empty again when it drops.
+    let mut reader = BufReader::new(sock);
+    let mut buf = Vec::new();
+    (0..ops.len() as u64)
+        .map(|expect_id| {
+            assert!(read_frame(&mut reader, &mut buf).unwrap(), "early close");
+            let rep = decode_reply(&buf).unwrap();
+            assert_eq!(rep.req_id, expect_id, "replies out of request order");
+            rep.body
+        })
+        .collect()
 }
 
 // ----- codec round-trip fuzz -----
@@ -158,8 +198,9 @@ fn read_to_close_and_check_frames(sock: &TcpStream) -> usize {
     frames
 }
 
-fn malformed_close_cases(mode: Mode) {
-    let handle = start(mode);
+#[test]
+fn malformed_frames_close_cleanly_coalescing() {
+    let handle = start(ServerConfig::default());
 
     // Case 1: truncated length prefix, then abrupt close.
     let sock = TcpStream::connect(handle.addr()).unwrap();
@@ -209,16 +250,6 @@ fn malformed_close_cases(mode: Mode) {
     handle.stop();
 }
 
-#[test]
-fn malformed_frames_close_cleanly_coalescing() {
-    malformed_close_cases(Mode::Coalescing);
-}
-
-#[test]
-fn malformed_frames_close_cleanly_direct() {
-    malformed_close_cases(Mode::Direct);
-}
-
 // ----- kill one connection mid-batch -----
 
 /// A connection that dies with half a frame on the wire, while other
@@ -226,7 +257,7 @@ fn malformed_frames_close_cleanly_direct() {
 /// perturb those connections' replies.
 #[test]
 fn killed_connection_does_not_affect_others() {
-    let handle = start(Mode::Coalescing);
+    let handle = start(ServerConfig::default());
 
     let mut survivor = Client::connect(handle.addr()).unwrap();
     // Interleave: victim pipelines a burst, then dies mid-frame.
@@ -269,53 +300,102 @@ fn killed_connection_does_not_affect_others() {
     handle.stop();
 }
 
-// ----- coalescing == direct equivalence -----
+// ----- coalesced server == BTreeMap model -----
 
-/// Drive both server modes through the same op sequence with a
-/// strictly-blocking client (one request per tick, so tick-granular
-/// group commit and per-request execution coincide) and require
-/// identical answers throughout.
-#[test]
-fn coalesced_and_direct_modes_answer_identically() {
-    let coalescing = start(Mode::Coalescing);
-    let direct = start(Mode::Direct);
-    let mut a = Client::connect(coalescing.addr()).unwrap();
-    let mut b = Client::connect(direct.addr()).unwrap();
-
-    let mut rng = StdRng::seed_from_u64(0xD1FF);
-    for i in 0..600 {
-        let key = rng.gen_range(0..1500u64);
-        match rng.gen_range(0..6u32) {
-            0 => {
-                a.insert(key, key.to_be_bytes().to_vec()).unwrap();
-                b.insert(key, key.to_be_bytes().to_vec()).unwrap();
-            }
-            1 => {
-                a.remove(key).unwrap();
-                b.remove(key).unwrap();
-            }
-            2 | 3 => {
-                assert_eq!(a.get(key).unwrap(), b.get(key).unwrap(), "get({key}) @ {i}");
-            }
-            4 => {
-                assert_eq!(
-                    a.rank(key).unwrap(),
-                    b.rank(key).unwrap(),
-                    "rank({key}) @ {i}"
-                );
-            }
-            _ => {
-                let hi = rng.gen_range(0..2000u64);
-                assert_eq!(
-                    a.range_count(key, hi).unwrap(),
-                    b.range_count(key, hi).unwrap(),
-                    "range_count({key},{hi}) @ {i}"
-                );
-            }
+/// Apply `burst`'s writes to `model`, pipeline the burst, and require
+/// every reply to be what the model answers **after** those writes.
+///
+/// A burst is writes, then reads: each read has all of the burst's
+/// writes ahead of it on the wire and none in flight behind it, so
+/// under tick-granular group commit its answer is the same wherever
+/// the server cuts its ticks.
+fn check_burst(sock: &TcpStream, model: &mut BTreeMap<u64, Vec<u8>>, burst: &[Op]) {
+    for op in burst {
+        match op {
+            Op::Insert { key, value } => drop(model.insert(*key, value.clone())),
+            Op::Remove { key } => drop(model.remove(key)),
+            _ => {}
         }
     }
-    coalescing.stop();
-    direct.stop();
+    let count = |n: usize| ReplyBody::Count(n as u64);
+    let expect: Vec<ReplyBody> = burst
+        .iter()
+        .map(|op| match op {
+            Op::Get { key } => ReplyBody::Value(model.get(key).cloned()),
+            Op::Rank { key } => count(model.range(..key).count()),
+            // Half-open; `BTreeMap::range` panics on reversed bounds,
+            // the server counts them as empty.
+            Op::RangeCount { lo, hi } if lo < hi => count(model.range(lo..hi).count()),
+            Op::RangeCount { .. } => count(0),
+            Op::Insert { .. } | Op::Remove { .. } => ReplyBody::Ack,
+        })
+        .collect();
+    assert_eq!(pipeline(sock, burst), expect, "burst {burst:?}");
+}
+
+fn is_write(op: &Op) -> bool {
+    matches!(op, Op::Insert { .. } | Op::Remove { .. })
+}
+
+/// A seeded 600-op sequence, cut into writes-then-reads bursts, must
+/// answer exactly as a `BTreeMap` holding the same data — at every
+/// read, and key by key at the end. A write the coalescer dropped,
+/// applied behind its own tick's reads, or folded first-wins fails it.
+#[test]
+fn coalesced_answers_match_btreemap_model() {
+    for cfg in linger_configs() {
+        let handle = start(cfg);
+        let sock = connect(&handle);
+        let mut model: BTreeMap<u64, Vec<u8>> = test_entries(512).collect();
+
+        let mut rng = StdRng::seed_from_u64(0xD1FF);
+        let mut burst: Vec<Op> = Vec::new();
+        for _ in 0..600 {
+            let key = rng.gen_range(0..1500u64);
+            let op = match rng.gen_range(0..6u32) {
+                0 => Op::Insert {
+                    key,
+                    value: key.to_be_bytes().to_vec(),
+                },
+                1 => Op::Remove { key },
+                2 | 3 => Op::Get { key },
+                4 => Op::Rank { key },
+                _ => Op::RangeCount {
+                    lo: key,
+                    hi: rng.gen_range(0..2000u64),
+                },
+            };
+            if is_write(&op) && burst.last().is_some_and(|last| !is_write(last)) {
+                check_burst(&sock, &mut model, &burst);
+                burst.clear();
+            }
+            burst.push(op);
+        }
+        check_burst(&sock, &mut model, &burst);
+
+        // The seeded bursts almost never write one key twice, so pin the
+        // last-wins fold explicitly: both orders, in one burst.
+        let (a, b) = (b"first".to_vec(), b"last".to_vec());
+        let same_key = [
+            Op::Insert { key: 7, value: a },
+            Op::Remove { key: 7 },
+            Op::Insert { key: 7, value: b },
+            Op::Insert {
+                key: 8,
+                value: Vec::new(),
+            },
+            Op::Remove { key: 8 },
+            Op::Get { key: 7 },
+            Op::Get { key: 8 },
+        ];
+        check_burst(&sock, &mut model, &same_key);
+
+        // Every key the sequence could have touched, not only the ones
+        // it happened to read back.
+        let sweep: Vec<Op> = (0..1500).map(|key| Op::Get { key }).collect();
+        check_burst(&sock, &mut model, &sweep);
+        handle.stop();
+    }
 }
 
 /// Pipelined writes then reads on one connection: replies come back in
@@ -323,50 +403,26 @@ fn coalesced_and_direct_modes_answer_identically() {
 /// observes it (read-your-writes at tick granularity).
 #[test]
 fn pipelined_burst_preserves_order_and_sees_writes() {
-    let handle = start(Mode::Coalescing);
-    let sock = TcpStream::connect(handle.addr()).unwrap();
-    sock.set_nodelay(true).unwrap();
+    for cfg in linger_configs() {
+        let handle = start(cfg);
+        let sock = connect(&handle);
 
-    let mut wire = Vec::new();
-    for i in 0..50u64 {
-        encode_request(
-            &Request {
-                req_id: i,
-                op: Op::Insert {
-                    key: 100_000 + i,
-                    value: vec![i as u8; 8],
-                },
-            },
-            &mut wire,
-        );
-    }
-    for i in 0..50u64 {
-        encode_request(
-            &Request {
-                req_id: 50 + i,
-                op: Op::Get { key: 100_000 + i },
-            },
-            &mut wire,
-        );
-    }
-    (&sock).write_all(&wire).unwrap();
+        let value = |i: u64| vec![i as u8; 8];
+        let mut burst: Vec<Op> = (0..50u64)
+            .map(|i| Op::Insert {
+                key: 100_000 + i,
+                value: value(i),
+            })
+            .collect();
+        burst.extend((0..50u64).map(|i| Op::Get { key: 100_000 + i }));
 
-    let mut reader = std::io::BufReader::new(&sock);
-    let mut buf = Vec::new();
-    for expect_id in 0..100u64 {
-        assert!(read_frame(&mut reader, &mut buf).unwrap(), "early close");
-        let rep = decode_reply(&buf).unwrap();
-        assert_eq!(rep.req_id, expect_id, "replies out of request order");
-        if expect_id < 50 {
-            assert_eq!(rep.body, ReplyBody::Ack);
-        } else {
-            let i = expect_id - 50;
-            assert_eq!(
-                rep.body,
-                ReplyBody::Value(Some(vec![i as u8; 8])),
-                "read {i} did not observe its burst's write"
-            );
-        }
+        let mut expect = vec![ReplyBody::Ack; 50];
+        expect.extend((0..50u64).map(|i| ReplyBody::Value(Some(value(i)))));
+        assert_eq!(
+            pipeline(&sock, &burst),
+            expect,
+            "a read did not observe its burst's write"
+        );
+        handle.stop();
     }
-    handle.stop();
 }
