@@ -1,9 +1,9 @@
 //! [`DynamicMap`]: a write-capable key→value map built as
 //! log-structured tiers of static layouts.
 //!
-//! The paper's contribution — fast parallel **in-place rebuild** of an
-//! implicit search-tree layout — makes rebuilding cheap enough to be
-//! the mutation primitive. This module applies the classic logarithmic
+//! The paper's layouts are data-oblivious, so rebuilding one from
+//! sorted input is a single parallel scatter — cheap enough to be the
+//! mutation primitive. This module applies the classic logarithmic
 //! method (LSM-style) on top of it:
 //!
 //! ```text
@@ -26,9 +26,9 @@
 //!
 //! Every occupied tier (and every sealed L0 slot) holds one immutable
 //! **run**: a [`StaticMap`] whose keys sit in a cache-optimal layout,
-//! built by the parallel in-place construction. The overflow path is
-//! split in two so the expensive half never sits on the writer's
-//! critical path:
+//! built by one out-of-place scatter into cache-line-aligned storage
+//! ([`StaticMap::build_presorted`]). The overflow path is split in two
+//! so the expensive half never sits on the writer's critical path:
 //!
 //! * **Seal** (synchronous, near-free): the sorted buffer is frozen
 //!   into an L0 run via [`StaticMap::build_presorted`] with
@@ -129,7 +129,7 @@ mod policy;
 mod read;
 mod run;
 
-pub use policy::{CompactionMode, CompactionPolicy, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
+pub use policy::{CompactionMode, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
 pub use read::{Frozen, Reader};
 
 pub(crate) use compact::Plan;
@@ -141,7 +141,7 @@ use crate::index::default_kind_for_layout;
 use crate::map::StaticMap;
 use crate::sync::{Arc, AtomicBool, AtomicUsize, Mutex, Ordering};
 use compact::Pending;
-use ist_core::{Algorithm, Error, Layout};
+use ist_core::{Error, Layout};
 use ist_query::QueryKind;
 use run::buffer_slot;
 
@@ -185,17 +185,15 @@ pub struct DynamicMap<K, V> {
     /// the back); all are newer than every tier run.
     pub(crate) l0: Vec<Arc<Run<K, V>>>,
     /// `tiers[0]` is the shallowest (newest-data) tier; within a tier,
-    /// runs are **newest first**. Under the default policy every tier
-    /// holds at most one run; tiered policies with `fanout > 1` (and
-    /// lazy-bottom debt) hold several.
+    /// runs are **newest first**. The schedule keeps at most one run
+    /// per tier; only a reopened store written by an earlier version
+    /// can hold several, until a compaction reaches that tier.
     pub(crate) tiers: Vec<Vec<Arc<Run<K, V>>>>,
     /// The single in-flight compaction, if any.
     pending: Option<Pending<K, V>>,
     pub(crate) kind: QueryKind,
-    pub(crate) algorithm: Algorithm,
     pub(crate) buffer_cap: usize,
     mode: CompactionMode,
-    policy: CompactionPolicy,
     /// Cumulative count of buffer entries displaced toward the back by
     /// out-of-order mutations (the cost the bulk append fast path
     /// avoids); see [`DynamicMap::buffer_element_moves`].
@@ -232,28 +230,24 @@ where
     V: Clone + Send + Sync + 'static,
 {
     /// An empty map storing its runs in `layout` (best default descent,
-    /// [`DEFAULT_BUFFER_CAP`], cycle-leader construction).
+    /// [`DEFAULT_BUFFER_CAP`]).
     ///
     /// # Panics
     /// Panics on `Layout::Btree { b: 0 }`.
     pub fn new(layout: Layout) -> Self {
-        Self::with_config(
-            default_kind_for_layout(layout),
-            Algorithm::CycleLeader,
-            DEFAULT_BUFFER_CAP,
-        )
+        Self::with_config(default_kind_for_layout(layout), DEFAULT_BUFFER_CAP)
     }
 
-    /// Full-control constructor: explicit query descent, construction
-    /// algorithm, and write-buffer capacity (`buffer_cap` writes are
-    /// absorbed between seals; small values make seals and merges
-    /// adversarially frequent, which the differential suite exploits).
+    /// Full-control constructor: explicit query descent and
+    /// write-buffer capacity (`buffer_cap` writes are absorbed between
+    /// seals; small values make seals and merges adversarially
+    /// frequent, which the differential suite exploits).
     /// Compaction runs in [`CompactionMode::Background`]; chain
     /// [`DynamicMap::with_compaction_mode`] to override.
     ///
     /// # Panics
     /// Panics if `buffer_cap == 0` or `kind` is `QueryKind::Btree(0)`.
-    pub fn with_config(kind: QueryKind, algorithm: Algorithm, buffer_cap: usize) -> Self {
+    pub fn with_config(kind: QueryKind, buffer_cap: usize) -> Self {
         assert!(buffer_cap >= 1, "buffer_cap must be at least 1");
         if let QueryKind::Btree(b) = kind {
             assert!(b >= 1, "B-tree node capacity B must be at least 1");
@@ -264,10 +258,8 @@ where
             tiers: Vec::new(),
             pending: None,
             kind,
-            algorithm,
             buffer_cap,
             mode: CompactionMode::Background,
-            policy: CompactionPolicy::default(),
             buffer_moves: 0,
             published: Arc::new(Mutex::new(Arc::new(Frozen::empty()))),
             published_dirty: AtomicBool::new(false),
@@ -298,21 +290,6 @@ where
         self
     }
 
-    /// Builder-style override of the [`CompactionPolicy`] (the
-    /// constructors default to `CompactionPolicy::tiered(1)`, the
-    /// classic binomial schedule). Policies change **only** where
-    /// versions reside and how merges are scheduled — observable
-    /// answers are identical under every policy.
-    ///
-    /// # Panics
-    /// Panics on `fanout == 0`.
-    #[must_use]
-    pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
-        assert!(policy.fanout >= 1, "tiered fanout must be at least 1");
-        self.policy = policy;
-        self
-    }
-
     /// Bulk-load from unsorted `(keys, values)` pairs (duplicate keys:
     /// the **last** pair wins, like repeated `BTreeMap::insert`). The
     /// data lands in a single run on a deep tier, leaving the shallow
@@ -325,13 +302,11 @@ where
             keys,
             values,
             default_kind_for_layout(layout),
-            Algorithm::CycleLeader,
             DEFAULT_BUFFER_CAP,
         )
     }
 
-    /// [`DynamicMap::build`] with explicit descent, algorithm, and
-    /// buffer capacity.
+    /// [`DynamicMap::build`] with explicit descent and buffer capacity.
     ///
     /// # Panics
     /// Panics if `keys` and `values` have different lengths, or on the
@@ -340,7 +315,6 @@ where
         keys: Vec<K>,
         values: Vec<V>,
         kind: QueryKind,
-        algorithm: Algorithm,
         buffer_cap: usize,
     ) -> Result<Self, Error> {
         assert_eq!(
@@ -361,7 +335,7 @@ where
             }
         });
         let (keys, values): (Vec<K>, Vec<V>) = pairs.into_iter().unzip();
-        Self::build_presorted(keys, values, kind, algorithm, buffer_cap)
+        Self::build_presorted(keys, values, kind, buffer_cap)
     }
 
     /// Bulk-load from `(keys, values)` pairs that are **already sorted**
@@ -380,7 +354,6 @@ where
         keys: Vec<K>,
         values: Vec<V>,
         kind: QueryKind,
-        algorithm: Algorithm,
         buffer_cap: usize,
     ) -> Result<Self, Error> {
         assert_eq!(
@@ -394,7 +367,7 @@ where
             keys.windows(2).all(|w| w[0] < w[1]),
             "DynamicMap::build_presorted: keys are not sorted and distinct"
         );
-        let mut map = Self::with_config(kind, algorithm, buffer_cap);
+        let mut map = Self::with_config(kind, buffer_cap);
         let n = keys.len();
         if n > 0 {
             // Deep enough that `t` buffer flushes fit above the bulk run.
@@ -404,13 +377,7 @@ where
             }
             let slots: Vec<Option<V>> = values.into_iter().map(Some).collect();
             map.tiers = vec![Vec::new(); t + 1];
-            map.tiers[t].push(Arc::new(Run::build(
-                keys,
-                slots,
-                &vec![1i64; n],
-                kind,
-                algorithm,
-            )?));
+            map.tiers[t].push(Arc::new(Run::build(keys, slots, &vec![1i64; n], kind)?));
             map.refresh_runs();
         }
         Ok(map)
@@ -691,9 +658,9 @@ where
     /// [`CompactionMode::Inline`], complete) a compaction — so
     /// subsequent reads skip the buffer probe, and outstanding
     /// [`Reader`]s see the current state immediately (publication is
-    /// otherwise seal-granular). Note the merge targets the policy's
-    /// chosen tier: if tier 0 currently has room this *adds* a shallow
-    /// run rather than reducing the run count.
+    /// otherwise seal-granular). Note the merge targets the first empty
+    /// tier: if tier 0 is empty this *adds* a shallow run rather than
+    /// reducing the run count.
     pub fn compact_buffer(&mut self) {
         self.try_install();
         self.seal();
@@ -783,8 +750,9 @@ where
 
     /// Resident versions per run, per tier: element `t` lists tier
     /// `t`'s runs newest-first (empty = empty tier; more than one run
-    /// appears under tiered `fanout > 1` or lazy-bottom debt). Sealed
-    /// L0 runs are **not** included (see
+    /// appears only in a reopened store that an earlier version wrote
+    /// that way, until a compaction reaches the tier). Sealed L0 runs
+    /// are **not** included (see
     /// [`DynamicMap::sealed_versions`]). Sums can exceed
     /// [`Frozen::len`]: overwrites, re-inserts, and tombstones all
     /// hold versions until a merge collapses them.
@@ -803,11 +771,6 @@ where
     /// displaces nothing — the regression meter for it.
     pub fn buffer_element_moves(&self) -> u64 {
         self.buffer_moves
-    }
-
-    /// The configured [`CompactionPolicy`].
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.policy
     }
 
     /// Resident versions per sealed-but-uncompacted L0 run, newest
@@ -966,7 +929,7 @@ where
             slots.push(e.slot);
             weights.push(e.weight);
         }
-        let run = Run::build(keys, slots, &weights, QueryKind::Sorted, self.algorithm)
+        let run = Run::build(keys, slots, &weights, QueryKind::Sorted)
             .expect("sorted runs never fail to build");
         self.l0.push(Arc::new(run));
         self.refresh_runs();
@@ -1031,8 +994,7 @@ mod tests {
         // Inline mode: deterministic tier shapes (background compaction
         // preserves answers, not shapes).
         let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
-                .with_compaction_mode(CompactionMode::Inline);
+            DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
         for k in 0..16u64 {
             m.insert(k, k * 10);
             m.validate_weights();
@@ -1050,72 +1012,8 @@ mod tests {
     }
 
     #[test]
-    fn tiered_fanout_two_accumulates_runs_before_folding() {
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
-                .with_compaction_mode(CompactionMode::Inline)
-                .with_policy(CompactionPolicy::tiered(2));
-        for k in 0..16u64 {
-            m.insert(k, k);
-            m.validate_weights();
-        }
-        // Tiered(2): a tier holds up to 2 runs before folding deeper.
-        // Seals 1-2 stack tier 0; seal 3 folds l0+tier0 into tier 1;
-        // seal 4 restarts tier 0.
-        assert_eq!(m.tier_versions(), vec![vec![4], vec![12]]);
-        for k in 16..32u64 {
-            m.insert(k, k);
-        }
-        assert_eq!(m.tier_versions(), vec![vec![4, 4], vec![12, 12]]);
-        // Newest-first order within a tier: run 0 of tier 0 holds the
-        // most recent seal.
-        assert_eq!(m.len(), 32);
-        for k in 0..32u64 {
-            assert_eq!(m.get(&k), Some(&k));
-            assert_eq!(m.rank(&k), k as usize);
-        }
-    }
-
-    #[test]
-    fn lazy_bottom_defers_rewriting_the_big_run() {
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
-                .with_compaction_mode(CompactionMode::Inline)
-                .with_policy(CompactionPolicy::tiered(1).with_lazy_bottom(true));
-        // One oversized bulk delta seals straight into a 12-version
-        // bottom run on tier 0.
-        m.batch_insert((0..12u64).map(|k| (k, k)).collect());
-        assert_eq!(m.tier_versions(), vec![vec![12]]);
-        let bottom = Arc::clone(&m.tiers[0][0]);
-        // The next seal would fold the bottom in, but 4 versions of
-        // debt × fanout 2 < 12: lazy bottom stops short and stacks the
-        // merged debt as a newer run of the same tier.
-        for k in 12..16u64 {
-            m.insert(k, k);
-            m.validate_weights();
-        }
-        assert_eq!(m.tier_versions(), vec![vec![4, 12]]);
-        assert!(
-            Arc::ptr_eq(&bottom, m.tiers[0].last().expect("bottom run")),
-            "lazy bottom must not rewrite the big run below the trigger"
-        );
-        // One more seal crosses the trigger (8 × 2 ≥ 12): the bottom
-        // run finally folds in, one tier down.
-        for k in 16..20u64 {
-            m.insert(k, k);
-        }
-        assert_eq!(m.tier_versions(), vec![vec![], vec![20]]);
-        assert!(!Arc::ptr_eq(&bottom, &m.tiers[1][0]));
-        for k in 0..20u64 {
-            assert_eq!(m.get(&k), Some(&k));
-            assert_eq!(m.rank(&k), k as usize);
-        }
-    }
-
-    #[test]
     fn batch_append_fast_path_moves_no_elements() {
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 64);
+        let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 64);
         // Even keys only, so later odd-key writes miss the buffer.
         assert_eq!(m.batch_insert((0..16u64).map(|k| (2 * k, k)).collect()), 0);
         assert_eq!(
@@ -1143,10 +1041,9 @@ mod tests {
     #[test]
     fn batch_ops_match_scalar_loop() {
         let mut batched: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
-                .with_compaction_mode(CompactionMode::Inline);
-        let mut scalar = DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
-            .with_compaction_mode(CompactionMode::Inline);
+            DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
+        let mut scalar =
+            DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
         // Duplicate keys in one batch: last pair wins, exactly like the
         // scalar loop; the count is per **distinct** key live before
         // (the scalar loop would also count intra-batch overwrites).
@@ -1180,9 +1077,8 @@ mod tests {
 
     #[test]
     fn annihilation_empties_the_structure() {
-        let mut m: DynamicMap<u64, &str> =
-            DynamicMap::with_config(QueryKind::BstPrefetch, Algorithm::Involution, 1)
-                .with_compaction_mode(CompactionMode::Inline);
+        let mut m: DynamicMap<u64, &str> = DynamicMap::with_config(QueryKind::BstPrefetch, 1)
+            .with_compaction_mode(CompactionMode::Inline);
         m.insert(7, "seven"); // seal+compact -> tier 0 live
         assert!(m.remove(&7)); // tombstone merge reaches bottom -> annihilated
         m.validate_weights();
@@ -1194,8 +1090,7 @@ mod tests {
 
     #[test]
     fn background_annihilation_after_quiesce() {
-        let mut m: DynamicMap<u64, &str> =
-            DynamicMap::with_config(QueryKind::BstPrefetch, Algorithm::Involution, 1);
+        let mut m: DynamicMap<u64, &str> = DynamicMap::with_config(QueryKind::BstPrefetch, 1);
         assert_eq!(m.compaction_mode(), CompactionMode::Background);
         m.insert(7, "seven");
         assert!(m.remove(&7));
@@ -1211,8 +1106,7 @@ mod tests {
 
     #[test]
     fn reinsert_across_runs_keeps_ranks_exact() {
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Btree(2), Algorithm::CycleLeader, 2);
+        let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Btree(2), 2);
         // Spread versions of key 5 across several runs.
         for round in 0..5u64 {
             m.insert(5, round);
@@ -1261,8 +1155,7 @@ mod tests {
 
     #[test]
     fn snapshots_are_isolated_and_readers_advance() {
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 3);
+        let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 3);
         let reader = m.reader();
         assert_eq!(reader.snapshot().len(), 0);
         let mut snaps = Vec::new();
@@ -1295,8 +1188,7 @@ mod tests {
         // ever fires — the mutation counter must publish instead,
         // keeping the reader at most `buffer_cap` operations behind.
         let cap = 8usize;
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, cap);
+        let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, cap);
         m.insert(1, 0);
         let reader = m.reader();
         for i in 1..=1_000u64 {
@@ -1314,8 +1206,7 @@ mod tests {
     #[test]
     fn published_cell_releases_after_last_reader() {
         let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
-                .with_compaction_mode(CompactionMode::Inline);
+            DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
         for k in 0..8u64 {
             m.insert(k, k);
         }
@@ -1368,9 +1259,8 @@ mod tests {
     #[test]
     fn publication_is_seal_granular_not_per_write() {
         let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut m: DynamicMap<u64, CountedVal> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 64)
-                .with_compaction_mode(CompactionMode::Inline);
+        let mut m: DynamicMap<u64, CountedVal> = DynamicMap::with_config(QueryKind::Veb, 64)
+            .with_compaction_mode(CompactionMode::Inline);
         let _reader = m.reader();
         for k in 0..63u64 {
             m.insert(
@@ -1429,8 +1319,7 @@ mod tests {
     #[test]
     fn background_worker_panics_propagate_to_writer() {
         let result = std::panic::catch_unwind(|| {
-            let mut m: DynamicMap<u64, Grenade> =
-                DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4);
+            let mut m: DynamicMap<u64, Grenade> = DynamicMap::with_config(QueryKind::Veb, 4);
             // Armed values reach the worker via a seal; the writer must
             // observe the worker's panic at a later install (or at the
             // quiesce() below at the latest), not seal forever on top
@@ -1451,11 +1340,9 @@ mod tests {
 
     #[test]
     fn background_matches_inline_observably() {
-        let mut inline: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Btree(2), Algorithm::CycleLeader, 4)
-                .with_compaction_mode(CompactionMode::Inline);
-        let mut bg: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Btree(2), Algorithm::CycleLeader, 4);
+        let mut inline: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Btree(2), 4)
+            .with_compaction_mode(CompactionMode::Inline);
+        let mut bg: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Btree(2), 4);
         // A deterministic mutation mix with overwrites and deletes.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for i in 0..600u64 {

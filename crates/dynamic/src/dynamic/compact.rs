@@ -1,11 +1,10 @@
 //! The compact half of the overflow path: planning which runs a
-//! compaction consumes, the (sliced, optionally parallel) k-way merge,
+//! compaction consumes, the (sliced, parallel when large) k-way merge,
 //! and the atomic install of the merged run.
 
 use super::run::{MergedEntry, Run};
 use super::{CompactionMode, DynamicMap, MAX_SEALED_RUNS};
 use crate::sync::{spawn, yield_now, Arc, AtomicBool, JoinHandle, Ordering};
-use ist_core::Algorithm;
 use ist_query::QueryKind;
 
 /// Merges smaller than this never split into parallel slices: the
@@ -19,23 +18,15 @@ type MergedColumns<K, V> = (Vec<K>, Vec<Option<V>>, Vec<i64>);
 /// A compaction plan: which **contiguous newest prefix** of the
 /// resident runs the merge consumes, and where the merged run lands.
 /// Consuming a contiguous prefix and installing at its boundary is what
-/// keeps the global newest-first run order valid under every
-/// [`CompactionPolicy`].
+/// keeps the global newest-first run order valid.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Plan {
     /// How many sealed runs (the oldest prefix of `l0`) the merge
     /// consumes — always all of them.
     pub(crate) consumed_l0: usize,
-    /// Tiers `0..full_tiers` are consumed entirely…
+    /// Tiers `0..full_tiers` are consumed entirely, and the merged run
+    /// becomes the only run of tier `full_tiers` (empty when planned).
     pub(crate) full_tiers: usize,
-    /// …plus the `partial_runs` **newest** runs of tier `full_tiers`
-    /// (non-zero only for lazy-bottom plans that stop short of the
-    /// bottom run).
-    pub(crate) partial_runs: usize,
-    /// The merged run is pushed as the **newest** run of this tier.
-    /// After the consumed runs are removed, every tier above `target`
-    /// is empty.
-    pub(crate) target: usize,
     /// Whether any run survives below the consumed prefix (tombstones
     /// are annihilated iff `false`).
     deeper_occupied: bool,
@@ -78,16 +69,18 @@ const MERGE_YIELD_STRIDE: usize = 256;
 /// below the merge target (`deeper_occupied == false`). Returns `None`
 /// when everything annihilated.
 ///
-/// When `threads` (0 = the rayon-shim's effective parallelism) exceeds
-/// 1 and the merge is large enough, the merged key space is split into
-/// near-equal **slices**: boundary keys are drawn from the largest
-/// source at evenly spaced ranks (closed-form `position_of_rank`, no
-/// scan), each source is cut at those keys with one rank descent per
-/// boundary, the slices are merged concurrently on the rayon-shim, and
-/// the outputs are stitched back together. Per-key resolution
-/// (newest-wins, weight sums, annihilation) is local to a slice, so the
-/// stitched output is bit-identical to the sequential merge — the fuzz
-/// suites pin this at parallelism {1, 4}.
+/// When the ambient `rayon::current_num_threads()` (so `IST_PARALLEL`
+/// and `ThreadPool::install` apply) exceeds 1 and the merge is large
+/// enough, the merged key space is split into near-equal **slices**:
+/// boundary keys are drawn from the largest source at evenly spaced
+/// ranks (closed-form `position_of_rank`, no scan), each source is cut
+/// at those keys with one rank descent per boundary, the slices are
+/// merged concurrently on the rayon-shim, and the outputs are stitched
+/// back together. Per-key resolution (newest-wins, weight sums,
+/// annihilation) is local to a slice, so the stitched output is
+/// bit-identical to the sequential merge —
+/// `parallel_merge_bit_identical_to_serial` pins this at pool sizes
+/// {1, 4}.
 ///
 /// Runs on the background worker in [`CompactionMode::Background`]
 /// (with `cooperative = true`: yield the timeslice every
@@ -98,21 +91,16 @@ fn merge_runs<K, V>(
     sources: &[Arc<Run<K, V>>],
     deeper_occupied: bool,
     kind: QueryKind,
-    algorithm: Algorithm,
     cooperative: bool,
-    threads: usize,
 ) -> Option<Run<K, V>>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync,
 {
     let total: usize = sources.iter().map(|r| r.versions()).sum();
-    let threads = if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    };
-    let want = threads.min(total / PARALLEL_MERGE_MIN_SLICE).max(1);
+    let want = rayon::current_num_threads()
+        .min(total / PARALLEL_MERGE_MIN_SLICE)
+        .max(1);
 
     let full: Vec<(usize, usize)> = sources.iter().map(|r| (0, r.versions())).collect();
     let (keys, slots, weights) = if want <= 1 {
@@ -177,7 +165,7 @@ where
         None
     } else {
         Some(
-            Run::build(keys, slots, &weights, kind, algorithm)
+            Run::build(keys, slots, &weights, kind)
                 .expect("configuration validated at construction"),
         )
     }
@@ -286,70 +274,32 @@ where
     }
 
     /// Decide what the next compaction consumes and where the merged
-    /// run lands, per the configured [`CompactionPolicy`]. Every plan
-    /// consumes all sealed runs plus a **contiguous newest prefix** of
-    /// the tier runs, and installs at that prefix's boundary — the
-    /// invariant that keeps global newest-first order valid.
+    /// run lands: the binomial-counter schedule of the logarithmic
+    /// method. Every sealed run plus every tier above the first empty
+    /// one folds into that tier — a **contiguous newest prefix** of
+    /// the runs, installed at the prefix's boundary, which is what
+    /// keeps global newest-first order valid. A tier holds one run,
+    /// except that a store written by an earlier version may reopen
+    /// with several in one tier; such a tier is occupied like any
+    /// other and folds whole the first time a plan reaches it.
     fn plan_compaction(&mut self) -> Plan {
-        let consumed_l0 = self.l0.len();
-        let fanout = self.policy.fanout;
-        // First tier with a free run slot; tiers above it are full and
-        // fold in.
-        let mut target = self
+        let full_tiers = self
             .tiers
             .iter()
-            .position(|t| t.len() < fanout)
+            .position(Vec::is_empty)
             .unwrap_or(self.tiers.len());
-        let (mut full_tiers, mut partial_runs) = (target, 0);
-        // Lazy bottom: when the plan would fold in the bottom (largest)
-        // run but everything above it is still small, stop short of it
-        // — merge the rest and stack the result on the bottom tier as
-        // newer runs ("debt") until the trigger is reached.
-        if self.policy.lazy_bottom {
-            if let Some(bottom) = self.tiers.iter().rposition(|t| !t.is_empty()) {
-                let consumes_bottom = full_tiers > bottom;
-                if consumes_bottom {
-                    let bottom_run = self.tiers[bottom].last().expect("non-empty tier");
-                    let above: usize = self.l0.iter().map(|r| r.versions()).sum::<usize>()
-                        + self
-                            .tiers
-                            .iter()
-                            .flatten()
-                            .map(|r| r.versions())
-                            .sum::<usize>()
-                        - bottom_run.versions();
-                    if above.saturating_mul(fanout.max(2)) < bottom_run.versions() {
-                        full_tiers = bottom;
-                        partial_runs = self.tiers[bottom].len() - 1;
-                        target = bottom;
-                    }
-                }
-            }
-        }
-        while self.tiers.len() <= target {
+        if full_tiers == self.tiers.len() {
             self.tiers.push(Vec::new());
         }
-        // Anything below the consumed prefix that survives the merge?
-        let boundary_leftover = self
-            .tiers
-            .get(full_tiers)
-            .is_some_and(|t| t.len() > partial_runs);
-        let deeper_occupied = boundary_leftover
-            || self
-                .tiers
-                .get(full_tiers + 1..)
-                .is_some_and(|rest| rest.iter().any(|t| !t.is_empty()));
         Plan {
-            consumed_l0,
+            consumed_l0: self.l0.len(),
             full_tiers,
-            partial_runs,
-            target,
-            deeper_occupied,
+            deeper_occupied: self.tiers[full_tiers + 1..].iter().any(|t| !t.is_empty()),
         }
     }
 
-    /// Start compacting every sealed run plus the policy-chosen prefix
-    /// of the tier runs (see [`DynamicMap::plan_compaction`]). In
+    /// Start compacting every sealed run plus the planned prefix of
+    /// the tier runs (see [`DynamicMap::plan_compaction`]). In
     /// [`CompactionMode::Background`] the merge runs on a worker thread
     /// over `Arc`-shared sources while the map keeps serving from the
     /// originals; in [`CompactionMode::Inline`] it completes (and
@@ -366,19 +316,11 @@ where
         for tier in &self.tiers[..plan.full_tiers] {
             sources.extend(tier.iter().cloned());
         }
-        if plan.partial_runs > 0 {
-            sources.extend(
-                self.tiers[plan.full_tiers][..plan.partial_runs]
-                    .iter()
-                    .cloned(),
-            );
-        }
         let deeper_occupied = plan.deeper_occupied;
-        let (kind, algorithm) = (self.kind, self.algorithm);
-        let threads = self.policy.merge_threads;
+        let kind = self.kind;
         match self.mode {
             CompactionMode::Inline => {
-                let merged = merge_runs(&sources, deeper_occupied, kind, algorithm, false, threads);
+                let merged = merge_runs(&sources, deeper_occupied, kind, false);
                 self.install(plan, merged);
             }
             CompactionMode::Background => {
@@ -408,7 +350,7 @@ where
                     if inject_panic {
                         panic!("injected compaction worker panic (ist-loom test hook)");
                     }
-                    merge_runs(&sources, deeper_occupied, kind, algorithm, true, threads)
+                    merge_runs(&sources, deeper_occupied, kind, true)
                 });
                 self.pending = Some(Pending {
                     plan,
@@ -420,8 +362,8 @@ where
     }
 
     /// Atomically swap the compacted sources for the merged run: the
-    /// consumed L0 prefix and tier-run prefix go out, `merged` becomes
-    /// the newest run of the target tier, all under `&mut self` —
+    /// consumed L0 prefix and tier prefix go out, `merged` becomes the
+    /// run of tier `plan.full_tiers`, all under `&mut self` —
     /// readers hold `Arc`s and can never observe a torn state.
     /// Observable answers are identical before and after (the merge
     /// preserves newest-wins resolution and per-key weight sums).
@@ -441,15 +383,12 @@ where
         for tier in &mut self.tiers[..plan.full_tiers] {
             tier.clear();
         }
-        if plan.partial_runs > 0 {
-            self.tiers[plan.full_tiers].drain(..plan.partial_runs);
-        }
         debug_assert!(
-            self.tiers[..plan.target].iter().all(Vec::is_empty),
-            "merged run would sit below an occupied shallower tier"
+            self.tiers[plan.full_tiers].is_empty(),
+            "the target tier was empty when planned and nothing else installs"
         );
         if let Some(run) = merged {
-            self.tiers[plan.target].insert(0, run);
+            self.tiers[plan.full_tiers].push(run);
         }
         self.refresh_runs();
         self.publish_event();

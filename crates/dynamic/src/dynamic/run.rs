@@ -2,7 +2,7 @@
 //! sums of its versions' weights — and the write-buffer entry.
 
 use crate::map::StaticMap;
-use ist_core::{Algorithm, Error};
+use ist_core::Error;
 use ist_query::QueryKind;
 
 /// One buffered write: the newest version of `key`. An empty `slot` is
@@ -90,11 +90,10 @@ impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
         slots: Vec<Option<V>>,
         weights: &[i64],
         kind: QueryKind,
-        algorithm: Algorithm,
     ) -> Result<Self, Error> {
         debug_assert_eq!(keys.len(), weights.len());
         Ok(Self {
-            map: StaticMap::build_presorted(keys, slots, kind, algorithm)?,
+            map: StaticMap::from_sorted_parts(keys, slots, kind)?,
             prefix: Prefix::from_weights(weights),
         })
     }

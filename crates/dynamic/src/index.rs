@@ -11,7 +11,7 @@
 //! adaptively-sized chunks.
 
 use crate::alloc::{AlignedVec, LayoutPos};
-use ist_core::{Algorithm, Error, Layout};
+use ist_core::{Error, Layout};
 use ist_query::{QueryKind, Searcher};
 use std::borrow::Borrow;
 
@@ -22,7 +22,7 @@ use std::borrow::Borrow;
 /// ```
 /// use implicit_search_trees::{Layout, StaticIndex};
 ///
-/// // Unsorted, duplicated keys: build() sorts then permutes in place.
+/// // Unsorted, duplicated keys: build() sorts, then scatters into the layout.
 /// let index = StaticIndex::build(vec![30u64, 10, 20, 20, 50], Layout::Veb).unwrap();
 /// assert_eq!(index.len(), 5);
 /// assert!(index.contains(&20));
@@ -46,24 +46,15 @@ impl<K: Ord + Send + Sync + 'static> StaticIndex<K> {
     /// Duplicates are kept (see [`ist_query`'s duplicate-key
     /// contract](ist_query#duplicate-keys)).
     pub fn build(keys: Vec<K>, layout: Layout) -> Result<Self, Error> {
-        Self::build_for_kind(
-            keys,
-            default_kind_for_layout(layout),
-            Algorithm::CycleLeader,
-        )
+        Self::build_for_kind(keys, default_kind_for_layout(layout))
     }
 
     /// Full-control constructor: explicit [`QueryKind`] (which implies
     /// the layout — [`QueryKind::Sorted`] skips permutation entirely,
-    /// giving the plain binary-search baseline) and construction
-    /// [`Algorithm`].
-    pub fn build_for_kind(
-        mut keys: Vec<K>,
-        kind: QueryKind,
-        algorithm: Algorithm,
-    ) -> Result<Self, Error> {
+    /// giving the plain binary-search baseline).
+    pub fn build_for_kind(mut keys: Vec<K>, kind: QueryKind) -> Result<Self, Error> {
         keys.sort_unstable();
-        Self::build_presorted(keys, kind, algorithm)
+        Self::build_presorted(keys, kind)
     }
 
     /// Build from keys that are **already sorted** ascending, skipping
@@ -75,33 +66,27 @@ impl<K: Ord + Send + Sync + 'static> StaticIndex<K> {
     ///
     /// For tree layouts the permutation is applied **during** the move
     /// into the 64-byte-aligned destination (`dst[pos(r)] = keys[r]`,
-    /// one pass — see [`crate::AlignedVec`]); `algorithm` selects the
-    /// in-place construction algorithm for callers permuting their own
-    /// buffers via [`ist_core::permute_in_place`], and is retained here
-    /// for API stability. [`QueryKind::Sorted`] adopts the caller's
-    /// allocation zero-copy.
+    /// one pass — see [`crate::AlignedVec`]), so this is an out-of-place
+    /// build; a caller who owns the buffer and wants no second one
+    /// permutes it with [`ist_core::permute_in_place`] and queries it
+    /// through a [`Searcher`]. [`QueryKind::Sorted`] adopts the
+    /// caller's allocation zero-copy.
     ///
     /// Sortedness is the caller's contract; debug builds assert it.
     ///
     /// # Examples
     /// ```
-    /// use implicit_search_trees::{Algorithm, Layout, QueryKind, StaticIndex};
+    /// use implicit_search_trees::{QueryKind, StaticIndex};
     /// let merged: Vec<u64> = (0..100).map(|x| 2 * x).collect(); // already sorted
-    /// let idx = StaticIndex::build_presorted(merged, QueryKind::Veb, Algorithm::CycleLeader)
-    ///     .unwrap();
+    /// let idx = StaticIndex::build_presorted(merged, QueryKind::Veb).unwrap();
     /// assert!(idx.contains(&42));
     /// assert_eq!(idx.rank(&51), 26);
     /// ```
-    pub fn build_presorted(
-        keys: Vec<K>,
-        kind: QueryKind,
-        algorithm: Algorithm,
-    ) -> Result<Self, Error> {
+    pub fn build_presorted(keys: Vec<K>, kind: QueryKind) -> Result<Self, Error> {
         debug_assert!(
             keys.windows(2).all(|w| w[0] <= w[1]),
             "StaticIndex::build_presorted: keys are not sorted"
         );
-        let _ = algorithm; // see the doc note: kept for API stability
         let data = match layout_of_kind(kind) {
             Some(layout) if !keys.is_empty() => {
                 let pos = LayoutPos::new(layout, keys.len())?;
@@ -287,8 +272,7 @@ mod tests {
             QueryKind::Btree(2),
             QueryKind::Veb,
         ] {
-            let idx =
-                StaticIndex::build_for_kind(keys.clone(), kind, Algorithm::Involution).unwrap();
+            let idx = StaticIndex::build_for_kind(keys.clone(), kind).unwrap();
             assert_eq!(idx.len(), 7);
             assert_eq!(idx.rank(&3), 1, "{kind:?}");
             assert_eq!(idx.rank(&4), 4, "{kind:?}");

@@ -2,15 +2,15 @@
 //!
 //! The serving facades over the implicit search tree layouts:
 //!
-//! * [`StaticIndex`] — an immutable sorted-key index, permuted in place
-//!   into a cache-optimal layout, with the full point/batch/range query
-//!   API.
+//! * [`StaticIndex`] — an immutable sorted-key index, scattered into a
+//!   cache-optimal layout in cache-line-aligned storage, with the full
+//!   point/batch/range query API.
 //! * [`StaticMap`] — the key→value variant: payloads co-permuted
 //!   obliviously alongside the keys (`V` never compared).
 //! * [`DynamicMap`] — the write-capable structure this crate exists
 //!   for: a logarithmic-method (LSM-style) dynamization that keeps
-//!   every resident run in a static layout and turns the paper's fast
-//!   parallel in-place **rebuild** into the mutation primitive.
+//!   every resident run in a static layout and makes the one-pass
+//!   parallel layout **rebuild** the mutation primitive.
 //!
 //! All three are re-exported from the root `implicit-search-trees`
 //! facade crate; this crate exists so the dynamization can layer on the
@@ -19,16 +19,18 @@
 //! ## Dynamization in one paragraph
 //!
 //! A [`DynamicMap`] absorbs writes in a small sorted buffer; when the
-//! buffer fills it is **sealed** into an immutable L0 run (one
-//! argsort-free in-place layout build, [`StaticMap::build_presorted`] —
-//! the only construction work on the writer's path) and the k-way merge
-//! of sealed runs + tiers is **compacted** on a background worker
-//! thread ([`dynamic::CompactionMode`]), installed atomically when it
-//! finishes; reads consult sealed-but-uncompacted runs in the meantime,
-//! so answers stay exact while merges are mid-flight. Deletes are
-//! tombstones annihilated at merge time; per-version integer *weights*
-//! make summed ranks exact even when keys are overwritten or
-//! re-inserted across runs (see the [`dynamic`](self) module docs).
+//! buffer fills it is **sealed** into an immutable sorted L0 run (a
+//! move of the buffer plus a weight prefix sum — the only construction
+//! work on the writer's path) and the k-way merge of sealed runs +
+//! tiers is **compacted** into one run ([`StaticMap::build_presorted`]:
+//! no argsort, one out-of-place scatter per array) on a background
+//! worker thread ([`dynamic::CompactionMode`]), installed atomically
+//! when it finishes; reads consult sealed-but-uncompacted runs in the
+//! meantime, so answers stay exact while merges are mid-flight.
+//! Deletes are tombstones annihilated at merge time; per-version
+//! integer *weights* make summed ranks exact even when keys are
+//! overwritten or re-inserted across runs (see the [`dynamic`](self)
+//! module docs).
 //! Every read is written once, on [`Frozen`] (a sorted buffer plus a
 //! newest-first run list): reads fan out newest-run-first and reuse
 //! the software-pipelined batched engine per run. The live map keeps
@@ -46,8 +48,7 @@ pub(crate) mod sync;
 
 pub use alloc::AlignedVec;
 pub use dynamic::{
-    CompactionMode, CompactionPolicy, DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP,
-    MAX_SEALED_RUNS,
+    CompactionMode, DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
 };
 pub use index::{default_kind_for_layout, StaticIndex};
 pub use map::StaticMap;

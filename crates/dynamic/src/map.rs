@@ -60,24 +60,19 @@ pub struct StaticMap<K, V> {
 }
 
 impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
-    /// Sort `keys`, co-permute `values` alongside them, and permute
-    /// both into `layout` in place (BST uses the grandchild-prefetching
-    /// descent, like [`StaticIndex::build`]).
+    /// Sort `keys`, co-permute `values` alongside them, and scatter
+    /// both into `layout` inside aligned run storage (BST uses the
+    /// grandchild-prefetching descent, like [`StaticIndex::build`]).
     ///
     /// # Panics
     /// Panics if `keys` and `values` have different lengths.
     pub fn build(keys: Vec<K>, values: Vec<V>, layout: Layout) -> Result<Self, Error> {
-        Self::build_for_kind(
-            keys,
-            values,
-            crate::index::default_kind_for_layout(layout),
-            Algorithm::CycleLeader,
-        )
+        Self::build_for_kind(keys, values, crate::index::default_kind_for_layout(layout))
     }
 
     /// Full-control constructor: explicit [`QueryKind`] (with
     /// [`QueryKind::Sorted`] the arrays stay in sorted order — the
-    /// binary-search baseline) and construction [`Algorithm`].
+    /// binary-search baseline).
     ///
     /// # Panics
     /// Panics if `keys` and `values` have different lengths.
@@ -85,7 +80,6 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
         mut keys: Vec<K>,
         mut values: Vec<V>,
         kind: QueryKind,
-        algorithm: Algorithm,
     ) -> Result<Self, Error> {
         assert_eq!(
             keys.len(),
@@ -100,7 +94,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
         order.sort_unstable_by(|&x, &y| keys[x].cmp(&keys[y]).then(x.cmp(&y)));
         co_permute_by_gather(&mut keys, &mut values, &order);
         drop(order);
-        Self::build_presorted(keys, values, kind, algorithm)
+        Self::from_sorted_parts(keys, values, kind)
     }
 
     /// Build from `(keys, values)` pairs that are **already sorted** by
@@ -118,6 +112,12 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     ///
     /// Sortedness of `keys` is the caller's contract; debug builds
     /// assert it.
+    ///
+    /// The fourth parameter is **ignored**: the scatter above is the
+    /// only construction this facade has, whichever [`Algorithm`] is
+    /// named. It stays in the signature because the frozen benchmark
+    /// (`perfbench/`) calls this function with it; the next `benchmark`
+    /// PR drops it (see ROADMAP, "Minimal, round two").
     ///
     /// # Panics
     /// Panics if `keys` and `values` have different lengths.
@@ -139,7 +139,17 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
         keys: Vec<K>,
         values: Vec<V>,
         kind: QueryKind,
-        algorithm: Algorithm,
+        _ignored: Algorithm,
+    ) -> Result<Self, Error> {
+        Self::from_sorted_parts(keys, values, kind)
+    }
+
+    /// [`StaticMap::build_presorted`] without its ignored parameter —
+    /// what every caller inside the workspace uses.
+    pub(crate) fn from_sorted_parts(
+        keys: Vec<K>,
+        values: Vec<V>,
+        kind: QueryKind,
     ) -> Result<Self, Error> {
         assert_eq!(
             keys.len(),
@@ -152,7 +162,6 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
             keys.windows(2).all(|w| w[0] <= w[1]),
             "StaticMap::build_presorted: keys are not sorted"
         );
-        let _ = algorithm; // see StaticIndex::build_presorted's doc note
         let (keys, values) = match crate::index::layout_of_kind(kind) {
             Some(layout) if !keys.is_empty() => {
                 // One shape computation serves both scatters: the maps
@@ -338,7 +347,6 @@ mod tests {
                 keys.clone(),
                 keys.iter().map(|&k| Payload { tag: k as f64 }).collect(),
                 kind,
-                Algorithm::Involution,
             )
             .unwrap();
             // Parallel views stay aligned slot by slot.

@@ -567,9 +567,6 @@ where
         for tier in &self.manifest.tiers[..plan.full_tiers] {
             consumed.extend_from_slice(tier);
         }
-        if plan.partial_runs > 0 {
-            consumed.extend_from_slice(&self.manifest.tiers[plan.full_tiers][..plan.partial_runs]);
-        }
         // Write the merged run file before anything references it.
         let new_ref = match merged {
             Some(run) => {
@@ -593,15 +590,12 @@ where
         for tier in &mut self.manifest.tiers[..plan.full_tiers] {
             tier.clear();
         }
-        if plan.partial_runs > 0 {
-            self.manifest.tiers[plan.full_tiers].drain(..plan.partial_runs);
-        }
-        while self.manifest.tiers.len() <= plan.target {
+        if self.manifest.tiers.len() == plan.full_tiers {
             self.manifest.tiers.push(Vec::new());
         }
         if let Some(r) = new_ref {
             self.manifest.next_run_id = r.id + 1;
-            self.manifest.tiers[plan.target].insert(0, r);
+            self.manifest.tiers[plan.full_tiers].push(r);
         }
         self.manifest.next_seq = self.next_seq;
         self.manifest.write_atomic(self.vfs(), &self.dir)?;
@@ -734,7 +728,6 @@ where
         vfs.create_dir_all(&dir)?;
         let mut manifest = Manifest {
             kind: self.kind,
-            algorithm: self.algorithm,
             buffer_cap: self.buffer_cap as u64,
             next_run_id: 0,
             wal_seq: 1,
@@ -788,10 +781,9 @@ where
     /// process left off (every acknowledged write present; a torn tail
     /// record from a crash mid-append is tolerated and discarded).
     ///
-    /// The map's layout, construction algorithm, and buffer capacity
-    /// come from the manifest; compaction mode and policy are process
-    /// configuration — chain [`DynamicMap::with_compaction_mode`] /
-    /// [`DynamicMap::with_policy`] to override the defaults.
+    /// The map's layout and buffer capacity come from the manifest;
+    /// the compaction mode is process configuration — chain
+    /// [`DynamicMap::with_compaction_mode`] to override the default.
     ///
     /// # Errors
     /// Typed [`StoreError`]s for every failure mode — missing or
@@ -802,7 +794,7 @@ where
         let manifest = Manifest::read(vfs, &dir)?;
         let buffer_cap = usize::try_from(manifest.buffer_cap)
             .map_err(|_| StoreError::Corrupt("buffer_cap exceeds address space".into()))?;
-        let mut map = DynamicMap::with_config(manifest.kind, manifest.algorithm, buffer_cap);
+        let mut map = DynamicMap::with_config(manifest.kind, buffer_cap);
         for r in &manifest.l0 {
             let run = load_run(vfs, &dir.join(run_file_name(r.id)))?;
             map.l0.push(Arc::new(run));

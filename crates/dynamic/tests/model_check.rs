@@ -22,20 +22,18 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ist_core::Algorithm;
-use ist_dynamic::{CompactionMode, CompactionPolicy, DynamicMap};
+use ist_dynamic::{CompactionMode, DynamicMap};
 use ist_loom::{thread, Model};
 use ist_query::QueryKind;
 
 /// A tiny map whose every structural event is adversarially frequent:
 /// two-entry buffer, binomial tier schedule, strictly serial merges
 /// (helper threads inside a merge would be invisible to the model
-/// scheduler; `merge_threads(1)` keeps the concurrency surface exactly
-/// the writer, the workers, and the readers the test spawns).
+/// scheduler; these runs stay far below the merge's slice floor, so
+/// the concurrency surface is exactly the writer, the workers, and the
+/// readers the test spawns).
 fn tiny_map(mode: CompactionMode) -> DynamicMap<u64, u64> {
-    DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 2)
-        .with_compaction_mode(mode)
-        .with_policy(CompactionPolicy::tiered(1).with_merge_threads(1))
+    DynamicMap::with_config(QueryKind::Veb, 2).with_compaction_mode(mode)
 }
 
 /// (a) The departed-reader release race: the last `Reader` dropping on

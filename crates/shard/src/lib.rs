@@ -73,10 +73,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ist_core::{Algorithm, Error, Layout};
+use ist_core::{Error, Layout};
 use ist_dynamic::{
-    default_kind_for_layout, CompactionMode, CompactionPolicy, DynamicMap, Frozen, Reader,
-    DEFAULT_BUFFER_CAP,
+    default_kind_for_layout, CompactionMode, DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP,
 };
 use ist_query::route::{
     debug_assert_valid_splits, partition_batch, partition_batch_ref, partition_owned,
@@ -195,21 +194,16 @@ where
     }
 
     /// [`ShardedMap::with_splits`] with full per-shard control:
-    /// explicit query descent, construction algorithm, and write-buffer
-    /// capacity (each shard gets its own `buffer_cap`-entry buffer).
+    /// explicit query descent and write-buffer capacity (each shard
+    /// gets its own `buffer_cap`-entry buffer).
     ///
     /// # Panics
     /// Panics on unsorted `splits` or the invalid configurations
     /// [`DynamicMap::with_config`] rejects.
-    pub fn with_splits_config(
-        splits: Vec<K>,
-        kind: QueryKind,
-        algorithm: Algorithm,
-        buffer_cap: usize,
-    ) -> Self {
+    pub fn with_splits_config(splits: Vec<K>, kind: QueryKind, buffer_cap: usize) -> Self {
         Self::validate_splits(&splits);
         let shards = (0..splits.len() + 1)
-            .map(|_| DynamicMap::with_config(kind, algorithm, buffer_cap))
+            .map(|_| DynamicMap::with_config(kind, buffer_cap))
             .collect();
         Self {
             splits: Arc::new(splits),
@@ -245,14 +239,13 @@ where
             keys,
             values,
             default_kind_for_layout(layout),
-            Algorithm::CycleLeader,
             DEFAULT_BUFFER_CAP,
             num_shards,
         )
     }
 
-    /// [`ShardedMap::build`] with explicit descent, algorithm, and
-    /// per-shard buffer capacity.
+    /// [`ShardedMap::build`] with explicit descent and per-shard
+    /// buffer capacity.
     ///
     /// # Panics
     /// Panics if `keys` and `values` have different lengths,
@@ -262,7 +255,6 @@ where
         keys: Vec<K>,
         values: Vec<V>,
         kind: QueryKind,
-        algorithm: Algorithm,
         buffer_cap: usize,
         num_shards: usize,
     ) -> Result<Self, Error> {
@@ -271,7 +263,7 @@ where
             .into_iter()
             // The global pre-pass sorted and deduped; every partition
             // is sorted with distinct keys, so shards skip both.
-            .map(|(k, v)| DynamicMap::build_presorted(k, v, kind, algorithm, buffer_cap))
+            .map(|(k, v)| DynamicMap::build_presorted(k, v, kind, buffer_cap))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             splits: Arc::new(splits),
@@ -287,23 +279,6 @@ where
             .shards
             .into_iter()
             .map(|s| s.with_compaction_mode(mode))
-            .collect();
-        self
-    }
-
-    /// Builder-style [`CompactionPolicy`] override applied to every
-    /// shard; see [`DynamicMap::with_policy`]. Observable answers are
-    /// identical under every policy — this trades write amplification
-    /// against read fan-out, per shard.
-    ///
-    /// # Panics
-    /// Panics on `fanout == 0`.
-    #[must_use]
-    pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_policy(policy))
             .collect();
         self
     }
@@ -1051,7 +1026,6 @@ mod tests {
             keys,
             vals,
             QueryKind::Veb,
-            Algorithm::CycleLeader,
             32, // tiny buffers: constant seals and merges
             4,
         )

@@ -16,7 +16,6 @@
 //! module) instead of decoding element by element.
 
 use crate::error::StoreError;
-use ist_core::Algorithm;
 use ist_query::QueryKind;
 
 /// Bounds-checked cursor over an input byte slice.
@@ -271,26 +270,6 @@ pub fn decode_kind(input: &mut Input<'_>) -> Result<QueryKind, StoreError> {
     }
 }
 
-/// Encode an [`Algorithm`] as a one-byte tag.
-pub fn encode_algorithm(algorithm: Algorithm, out: &mut Vec<u8>) {
-    let tag: u8 = match algorithm {
-        Algorithm::Involution => 0,
-        Algorithm::CycleLeader => 1,
-    };
-    tag.encode_into(out);
-}
-
-/// Decode an [`Algorithm`] written by [`encode_algorithm`].
-pub fn decode_algorithm(input: &mut Input<'_>) -> Result<Algorithm, StoreError> {
-    match u8::decode_from(input)? {
-        0 => Ok(Algorithm::Involution),
-        1 => Ok(Algorithm::CycleLeader),
-        t => Err(StoreError::corrupt(format!(
-            "unknown algorithm tag {t:#04x}"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_and_algorithm_round_trip() {
+    fn kind_round_trip() {
         for kind in [
             QueryKind::Sorted,
             QueryKind::Bst,
@@ -337,11 +316,6 @@ mod tests {
             let mut buf = Vec::new();
             encode_kind(kind, &mut buf);
             assert_eq!(decode_kind(&mut Input::new(&buf)).unwrap(), kind);
-        }
-        for algorithm in [Algorithm::Involution, Algorithm::CycleLeader] {
-            let mut buf = Vec::new();
-            encode_algorithm(algorithm, &mut buf);
-            assert_eq!(decode_algorithm(&mut Input::new(&buf)).unwrap(), algorithm);
         }
     }
 

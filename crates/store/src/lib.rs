@@ -66,10 +66,7 @@ mod vfs;
 mod wal;
 
 pub use checksum::{crc64, Crc64};
-pub use codec::{
-    decode_algorithm, decode_kind, decode_seq, encode_algorithm, encode_kind, encode_seq, Codec,
-    Input,
-};
+pub use codec::{decode_kind, decode_seq, encode_kind, encode_seq, Codec, Input};
 pub use error::StoreError;
 pub use manifest::{
     run_file_name, shard_dir_name, write_root_file_atomic, Manifest, RunRef, ShardsFile,

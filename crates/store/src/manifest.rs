@@ -23,13 +23,9 @@
 use std::path::Path;
 
 use crate::checksum::crc64;
-use crate::codec::{
-    decode_algorithm, decode_kind, decode_seq, encode_algorithm, encode_kind, encode_seq, Codec,
-    Input,
-};
+use crate::codec::{decode_kind, decode_seq, encode_kind, encode_seq, Codec, Input};
 use crate::error::StoreError;
 use crate::vfs::Vfs;
-use ist_core::Algorithm;
 use ist_query::QueryKind;
 
 /// File name of the manifest inside a map directory.
@@ -40,6 +36,12 @@ const MANIFEST_TMP_NAME: &str = "MANIFEST.tmp";
 pub const MANIFEST_MAGIC: &[u8; 8] = b"IST-MAN\0";
 /// Newest manifest format version this build reads and writes.
 pub const MANIFEST_VERSION: u32 = 1;
+
+/// Format v1 has one byte after the layout that named the in-place
+/// construction algorithm (0 = involution, 1 = cycle-leader). Runs are
+/// built by an out-of-place scatter, so nothing reads it: it is written
+/// as this constant, and on decode range-checked and dropped.
+const RESERVED_ALGORITHM_TAG: u8 = 1;
 
 /// Reference to one immutable run file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +83,6 @@ pub fn run_file_name(id: u64) -> String {
 pub struct Manifest {
     /// Layout the map's compacted tiers are built in.
     pub kind: QueryKind,
-    /// Construction algorithm for rebuilds.
-    pub algorithm: Algorithm,
     /// Write-buffer capacity.
     pub buffer_cap: u64,
     /// Next unused run file id.
@@ -106,7 +106,7 @@ impl Manifest {
         out.extend_from_slice(MANIFEST_MAGIC);
         MANIFEST_VERSION.encode_into(&mut out);
         encode_kind(self.kind, &mut out);
-        encode_algorithm(self.algorithm, &mut out);
+        RESERVED_ALGORITHM_TAG.encode_into(&mut out);
         self.buffer_cap.encode_into(&mut out);
         self.next_run_id.encode_into(&mut out);
         self.wal_seq.encode_into(&mut out);
@@ -143,7 +143,12 @@ impl Manifest {
             });
         }
         let kind = decode_kind(&mut input)?;
-        let algorithm = decode_algorithm(&mut input)?;
+        let reserved = u8::decode_from(&mut input)?;
+        if reserved > RESERVED_ALGORITHM_TAG {
+            return Err(StoreError::corrupt(format!(
+                "unknown algorithm tag {reserved:#04x}"
+            )));
+        }
         let buffer_cap = u64::decode_from(&mut input)?;
         let next_run_id = u64::decode_from(&mut input)?;
         let wal_seq = u64::decode_from(&mut input)?;
@@ -165,7 +170,6 @@ impl Manifest {
         }
         Ok(Manifest {
             kind,
-            algorithm,
             buffer_cap,
             next_run_id,
             wal_seq,
@@ -302,7 +306,6 @@ mod tests {
     fn sample() -> Manifest {
         Manifest {
             kind: QueryKind::Veb,
-            algorithm: Algorithm::CycleLeader,
             buffer_cap: 256,
             next_run_id: 7,
             wal_seq: 3,
@@ -334,6 +337,28 @@ mod tests {
     fn round_trip() {
         let m = sample();
         assert_eq!(Manifest::decode(&m.encode()).unwrap(), m);
+    }
+
+    /// The reserved v1 byte: both historical tags decode (to the same
+    /// manifest), anything else is corrupt even under a valid checksum.
+    #[test]
+    fn reserved_algorithm_byte_is_range_checked() {
+        let with_tag = |tag: u8| {
+            let mut bytes = sample().encode();
+            let at = MANIFEST_MAGIC.len() + 4 + 5; // magic, version, kind
+            assert_eq!(bytes[at], RESERVED_ALGORITHM_TAG);
+            bytes[at] = tag;
+            let body = bytes.len() - 8;
+            let crc = crc64(&bytes[..body]);
+            bytes.truncate(body);
+            crc.encode_into(&mut bytes);
+            Manifest::decode(&bytes)
+        };
+        assert_eq!(with_tag(0).unwrap(), sample());
+        assert_eq!(with_tag(1).unwrap(), sample());
+        for tag in [2u8, 0x7f, 0xff] {
+            assert!(matches!(with_tag(tag), Err(StoreError::Corrupt(_))));
+        }
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! 2. stream today's logins / refreshes / logouts through the write
 //!    buffer — overflows **seal** cheap L0 runs while the k-way merges
 //!    run on the background compaction worker (the default
-//!    `CompactionMode`), so no write waits for a rebuild; the store
-//!    runs a write-tuned [`CompactionPolicy`] (tiered fanout 4, lazy
-//!    bottom) so steady churn never rewrites the big bulk-loaded run,
+//!    `CompactionMode`), so no write waits for a rebuild,
 //!    2b. ingest a partner batch through the **bulk-delta** API
 //!    (`batch_insert` / `batch_remove`): one sort + one pipelined
 //!    weight sweep per resident run for the whole batch,
@@ -25,7 +23,7 @@
 //!
 //! [`Reader`]: implicit_search_trees::Reader
 
-use implicit_search_trees::{CompactionPolicy, DynamicMap, Layout};
+use implicit_search_trees::{DynamicMap, Layout};
 use std::thread;
 
 fn main() {
@@ -35,12 +33,8 @@ fn main() {
         .iter()
         .map(|s| 1_700_000_000 + s % 86_400)
         .collect();
-    let mut store: DynamicMap<u64, u64> = DynamicMap::build(yesterday, created, Layout::Veb)
-        .expect("valid layout")
-        // Write-tuned compaction: up to 4 sibling runs per tier, and
-        // don't fold the 200k-version bulk run back in while the churn
-        // above it stays small.
-        .with_policy(CompactionPolicy::tiered(4).with_lazy_bottom(true));
+    let mut store: DynamicMap<u64, u64> =
+        DynamicMap::build(yesterday, created, Layout::Veb).expect("valid layout");
     println!(
         "bulk-loaded {} sessions into {} run(s), tiers: {:?}",
         store.len(),

@@ -5,7 +5,6 @@
 //! one background compactor; this one puts a 4-shard router in front:
 //!
 //! 1. bulk-load a user→balance table, split at equal-count boundaries,
-//!    under a write-tuned [`CompactionPolicy`] applied to every shard,
 //! 2. churn it with writes that hash across all shards (each shard
 //!    seals and compacts independently, in the background),
 //!    2b. ingest a bulk delta (`batch_insert` / `batch_remove`): the
@@ -22,18 +21,14 @@
 //!
 //! [`DynamicMap`]: implicit_search_trees::DynamicMap
 
-use implicit_search_trees::{CompactionPolicy, Layout, ShardedMap};
+use implicit_search_trees::{Layout, ShardedMap};
 
 fn main() {
     // --- 1. bulk load, 4 range-partitioned shards ----------------------
     let users: Vec<u64> = (0..400_000u64).map(|u| 5 * u).collect();
     let balances: Vec<u64> = users.iter().map(|u| 1_000 + u % 997).collect();
-    let mut store: ShardedMap<u64, u64> = ShardedMap::build(users, balances, Layout::Veb, 4)
-        .expect("valid layout")
-        // Applied to every shard: tiering bounds write amplification
-        // and the lazy bottom keeps churn from rewriting each shard's
-        // big bulk-loaded run.
-        .with_policy(CompactionPolicy::tiered(4).with_lazy_bottom(true));
+    let mut store: ShardedMap<u64, u64> =
+        ShardedMap::build(users, balances, Layout::Veb, 4).expect("valid layout");
     println!(
         "bulk-loaded {} accounts into {} shards (splits at {:?}), per-shard: {:?}",
         store.len(),

@@ -4,10 +4,11 @@
 //! analytics jobs with large *batches* of point-in-time lookups and
 //! time-window counts.
 //!
-//! This example drives the [`StaticMap`] facade end to end: it owns the
-//! tick buffers, sorts + permutes timestamps **and** payloads in place
-//! (no 2x memory spike on the ingest node — the payloads ride the
-//! layout's oblivious permutation and are never compared), and serves
+//! This example drives the [`StaticMap`] facade end to end: it takes
+//! the tick buffers, sorts timestamps **and** payloads together and
+//! scatters both into the layout in cache-line-aligned storage (the
+//! payloads ride the layout's oblivious permutation and are never
+//! compared), and serves
 //! batched timestamp→trade lookups on the software-pipelined
 //! multi-descent engine, plus window counts via rank descents and
 //! as-of lookups via predecessor descents. The tick count is
@@ -80,8 +81,7 @@ fn main() {
         ("B-tree (B = 8)", Layout::Btree { b: 8 }),
     ] {
         let t0 = Instant::now();
-        // In place: the index lives in the buffers the ticks loaded
-        // into; the trades follow the timestamps through the oblivious
+        // The trades follow the timestamps through the oblivious
         // permutation without a single comparison.
         let map = StaticMap::build(day.clone(), trades.clone(), layout).unwrap();
         let built = t0.elapsed();

@@ -17,10 +17,12 @@
 //!
 //! ## Quick start
 //!
-//! [`StaticIndex`] owns its keys: it sorts them, permutes them in place
-//! into the chosen layout, and serves the whole query API — point
-//! lookups, ranks, successors/predecessors, range counts, and batched
-//! variants that run on a software-pipelined multi-descent engine.
+//! [`StaticIndex`] owns its keys: it sorts them, scatters them into the
+//! chosen layout inside cache-line-aligned storage (out of place — see
+//! [`permute_in_place`] below for the no-second-buffer path), and
+//! serves the whole query API — point lookups, ranks,
+//! successors/predecessors, range counts, and batched variants that
+//! run on a software-pipelined multi-descent engine.
 //!
 //! ```
 //! use implicit_search_trees::{Layout, StaticIndex};
@@ -58,8 +60,8 @@
 //! [`DynamicMap`] makes the structure **write-capable**: a logarithmic-
 //! method (LSM-style) dynamization that absorbs inserts and deletes in
 //! a small sorted buffer and keeps every resident run in a static
-//! layout, using the paper's fast parallel in-place rebuild as the
-//! mutation primitive (merges skip the argsort entirely —
+//! layout, using the one-pass parallel layout rebuild as the mutation
+//! primitive (merges skip the argsort entirely —
 //! [`StaticMap::build_presorted`]). The merge itself is **deamortized**:
 //! an overflowing buffer is cheaply *sealed* into an L0 run while the
 //! k-way merge + rebuild runs on a background worker
@@ -134,9 +136,10 @@
 //! assert_eq!(m.batch_get(&[1, 2]), vec![Some(&100), Some(&200)]);
 //! ```
 //!
-//! For borrowed data (or full control over the descent variant and
-//! construction algorithm), use [`permute_in_place`] + [`Searcher`]
-//! directly:
+//! The facades above build out of place, because their run storage is
+//! cache-line aligned. For the paper's **in-place** construction — a
+//! buffer you own, no second one, either algorithm family — use
+//! [`permute_in_place`] + [`Searcher`] directly:
 //!
 //! ```
 //! use implicit_search_trees::{permute_in_place, Algorithm, Layout, Searcher};
@@ -180,8 +183,8 @@
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
 
 pub use ist_dynamic::{
-    default_kind_for_layout, AlignedVec, CompactionMode, CompactionPolicy, DynamicMap, Frozen,
-    Reader, StaticIndex, StaticMap, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
+    default_kind_for_layout, AlignedVec, CompactionMode, DynamicMap, Frozen, Reader, StaticIndex,
+    StaticMap, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
 };
 pub use ist_shard::{Shard, Sharded, ShardedFrozen, ShardedMap, ShardedReader};
 pub use ist_store::{CrashModel, FsyncPolicy, MemVfs, StdVfs, StoreConfig, StoreError, Vfs};

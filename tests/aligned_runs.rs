@@ -23,7 +23,7 @@ fn tree_layout_runs_are_cache_line_aligned() {
     for kind in tree_kinds() {
         for n in [1usize, 7, 100, 1 << 12] {
             let keys: Vec<u64> = (0..n as u64).rev().collect();
-            let index = StaticIndex::build_for_kind(keys, kind, Algorithm::CycleLeader).unwrap();
+            let index = StaticIndex::build_for_kind(keys, kind).unwrap();
             assert!(index.buffer_alignment() >= LINE, "{kind:?} n={n}");
             assert_eq!(
                 index.as_slice().as_ptr() as usize % LINE,
@@ -56,8 +56,7 @@ fn tree_layout_runs_are_cache_line_aligned() {
 fn sorted_runs_reuse_the_callers_buffer() {
     let keys: Vec<u64> = (0..1000).collect();
     let p = keys.as_ptr();
-    let index =
-        StaticIndex::build_presorted(keys, QueryKind::Sorted, Algorithm::CycleLeader).unwrap();
+    let index = StaticIndex::build_presorted(keys, QueryKind::Sorted).unwrap();
     assert_eq!(
         index.as_slice().as_ptr(),
         p,

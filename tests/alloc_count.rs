@@ -161,42 +161,38 @@ macro_rules! allocs_in_scalar_reads {
 
 #[test]
 fn scalar_reads_allocate_nothing() {
-    use implicit_search_trees::{
-        Algorithm, CompactionMode, CompactionPolicy, DynamicMap, QueryKind, ShardedMap,
-    };
+    use implicit_search_trees::{CompactionMode, DynamicMap, QueryKind, ShardedMap};
 
-    // Inline compaction with four runs per tier, a part-filled buffer,
-    // and tombstones so the order queries walk past dead versions.
-    let policy = CompactionPolicy::tiered(4);
+    // Inline compaction and seven seals at cap 8 (binary 111: one run
+    // in each of tiers 0, 1 and 2 — six from the inserts, the seventh
+    // from the first four tombstones), a part-filled buffer, and
+    // tombstones so the order queries walk past dead versions.
     let mut m: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 8)
-            .with_compaction_mode(CompactionMode::Inline)
-            .with_policy(policy);
-    for k in 0..30u64 {
+        DynamicMap::with_config(QueryKind::Veb, 8).with_compaction_mode(CompactionMode::Inline);
+    for k in 0..52u64 {
         m.insert(3 * k, k);
     }
-    for k in (0..30u64).step_by(5) {
+    for k in (0..52u64).step_by(5) {
         m.remove(&(3 * k));
     }
     assert!(m.run_count() >= 3, "{} runs", m.run_count());
     assert!(m.buffered_versions() > 0);
     assert_eq!(
-        allocs_in_scalar_reads!(m, 0..100u64),
+        allocs_in_scalar_reads!(m, 0..160u64),
         0,
         "DynamicMap scalar reads must not allocate"
     );
 
     let snap = m.snapshot();
     assert_eq!(
-        allocs_in_scalar_reads!(snap, 0..100u64),
+        allocs_in_scalar_reads!(snap, 0..160u64),
         0,
         "Frozen scalar reads must not allocate"
     );
 
     let mut sharded: ShardedMap<u64, u64> =
-        ShardedMap::with_splits_config(vec![45], QueryKind::Veb, Algorithm::CycleLeader, 8)
-            .with_compaction_mode(CompactionMode::Inline)
-            .with_policy(policy);
+        ShardedMap::with_splits_config(vec![45], QueryKind::Veb, 8)
+            .with_compaction_mode(CompactionMode::Inline);
     for k in 0..60u64 {
         sharded.insert(3 * k % 91, k);
     }

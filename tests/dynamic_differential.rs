@@ -25,8 +25,7 @@
 //! seeds with longer sequences.
 
 use implicit_search_trees::{
-    Algorithm, CompactionMode, CompactionPolicy, CrashModel, DynamicMap, FsyncPolicy, MemVfs,
-    QueryKind, StoreConfig,
+    CompactionMode, CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, StoreConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -361,34 +360,22 @@ fn run_sequence(
     num_ops: usize,
     mode: CompactionMode,
 ) {
-    run_sequence_with(
-        seed,
-        kind,
-        buffer_cap,
-        num_ops,
-        mode,
-        CompactionPolicy::default(),
-        Ingest::PerKey,
-    );
+    run_sequence_with(seed, kind, buffer_cap, num_ops, mode, Ingest::PerKey);
 }
 
-/// The full-matrix variant: a [`CompactionPolicy`] (fanout, style,
-/// lazy bottom, merge parallelism) and an ingest route on top of the
-/// base harness.
+/// The full-matrix variant: an ingest route on top of the base
+/// harness.
 fn run_sequence_with(
     seed: u64,
     kind: QueryKind,
     buffer_cap: usize,
     num_ops: usize,
     mode: CompactionMode,
-    policy: CompactionPolicy,
     ingest: Ingest,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(kind, Algorithm::CycleLeader, buffer_cap)
-            .with_compaction_mode(mode)
-            .with_policy(policy);
+        DynamicMap::with_config(kind, buffer_cap).with_compaction_mode(mode);
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut ops: Vec<Op> = Vec::with_capacity(num_ops);
     for i in 0..num_ops {
@@ -418,7 +405,7 @@ fn run_sequence_with(
                 "dynamic_differential diverged\n\
                  seed        = {seed:#x}\n\
                  config      = kind={kind:?} buffer_cap={buffer_cap} mode={mode:?} \
-                 policy={policy:?} ingest={ingest:?}\n\
+                 ingest={ingest:?}\n\
                  failure     = {why}\n\
                  minimal op prefix that first diverges ({} ops, last one diverges):\n{}",
                 ops.len(),
@@ -477,35 +464,15 @@ fn differential_fixed_seeds_background_compaction() {
     }
 }
 
-/// The policy matrix: every [`CompactionPolicy`] knob (tiered fanouts,
-/// lazy bottom) × merge parallelism {1, 4} × bulk vs per-key
-/// ingest, in both compaction modes — full observable state vs the
-/// oracle after every op, snapshots included (in background mode those
-/// land mid-merge).
-fn policies() -> [CompactionPolicy; 3] {
-    [
-        CompactionPolicy::tiered(1).with_merge_threads(1),
-        CompactionPolicy::tiered(2).with_merge_threads(4),
-        CompactionPolicy::tiered(3)
-            .with_lazy_bottom(true)
-            .with_merge_threads(1),
-    ]
-}
-
+/// Bulk vs per-key ingest in both compaction modes — full observable
+/// state vs the oracle after every op, snapshots included (in
+/// background mode those land mid-merge).
 #[test]
-fn differential_policy_and_bulk_matrix() {
-    for (p, policy) in policies().into_iter().enumerate() {
+fn differential_ingest_and_mode_matrix() {
+    for seed in 0xD0_11C7..0xD0_11C7 + 3u64 {
         for ingest in [Ingest::PerKey, Ingest::Bulk] {
             for mode in [CompactionMode::Inline, CompactionMode::Background] {
-                run_sequence_with(
-                    0xD0_11C7 + p as u64,
-                    QueryKind::Veb,
-                    3,
-                    200,
-                    mode,
-                    policy,
-                    ingest,
-                );
+                run_sequence_with(seed, QueryKind::Veb, 3, 200, mode, ingest);
             }
         }
     }
@@ -519,15 +486,7 @@ fn differential_bulk_ingest_fixed_seeds() {
     for &seed in &CI_SEEDS {
         for kind in [QueryKind::Veb, QueryKind::Btree(2)] {
             for &cap in &CAPS {
-                run_sequence_with(
-                    seed,
-                    kind,
-                    cap,
-                    200,
-                    CompactionMode::Inline,
-                    CompactionPolicy::default(),
-                    Ingest::Bulk,
-                );
+                run_sequence_with(seed, kind, cap, 200, CompactionMode::Inline, Ingest::Bulk);
             }
         }
     }
@@ -537,32 +496,39 @@ fn differential_bulk_ingest_fixed_seeds() {
 /// sequential merge — same tier shapes, same answers. Runs here are
 /// large enough (thousands of versions) that the merge actually
 /// splits into slices; the fuzz sequences above stay below the
-/// slicing threshold and pin only the `merge_threads` plumbing.
+/// slicing threshold. The merge takes the ambient thread count, so
+/// each map's writes (inline: the merge runs inside them) are driven
+/// under a pool of its size.
 #[test]
 fn parallel_merge_bit_identical_to_serial() {
-    let mk = |threads: usize| -> DynamicMap<u64, u64> {
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 2048)
-            .with_compaction_mode(CompactionMode::Inline)
-            .with_policy(CompactionPolicy::tiered(1).with_merge_threads(threads))
+    let pool = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
     };
-    let mut serial = mk(1);
-    let mut parallel = mk(4);
+    let (pool1, pool4) = (pool(1), pool(4));
+    let mk = || -> DynamicMap<u64, u64> {
+        DynamicMap::with_config(QueryKind::Veb, 2048).with_compaction_mode(CompactionMode::Inline)
+    };
+    let mut serial = mk();
+    let mut parallel = mk();
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(0x511_CE5);
     for round in 0..4u64 {
         let pairs: Vec<(u64, u64)> = (0..3000u64)
             .map(|i| (rng.gen_range(0..8192), round * 10_000 + i))
             .collect();
-        let s = serial.batch_insert(pairs.clone());
-        let p = parallel.batch_insert(pairs.clone());
+        let s = pool1.install(|| serial.batch_insert(pairs.clone()));
+        let p = pool4.install(|| parallel.batch_insert(pairs.clone()));
         assert_eq!(s, p, "round {round} insert counts");
         for (k, v) in pairs {
             oracle.insert(k, v);
         }
         let removes: Vec<u64> = (0..800).map(|_| rng.gen_range(0..8192)).collect();
         assert_eq!(
-            serial.batch_remove(&removes),
-            parallel.batch_remove(&removes),
+            pool1.install(|| serial.batch_remove(&removes)),
+            pool4.install(|| parallel.batch_remove(&removes)),
             "round {round} remove counts"
         );
         for k in &removes {
@@ -588,7 +554,7 @@ fn parallel_merge_bit_identical_to_serial() {
 }
 
 /// Extended sweep: 30 seeds, longer sequences, both compaction modes,
-/// plus a policy × ingest sweep. `IST_FUZZ_LONG=1` turns it on (a
+/// plus an ingest sweep. `IST_FUZZ_LONG=1` turns it on (a
 /// dedicated CI job runs it in release).
 #[test]
 fn differential_long_sweep() {
@@ -606,19 +572,9 @@ fn differential_long_sweep() {
         }
     }
     for seed in 0..6u64 {
-        for policy in policies() {
-            for ingest in [Ingest::PerKey, Ingest::Bulk] {
-                for mode in [CompactionMode::Inline, CompactionMode::Background] {
-                    run_sequence_with(
-                        0x40_0000 + seed,
-                        QueryKind::Veb,
-                        3,
-                        400,
-                        mode,
-                        policy,
-                        ingest,
-                    );
-                }
+        for ingest in [Ingest::PerKey, Ingest::Bulk] {
+            for mode in [CompactionMode::Inline, CompactionMode::Background] {
+                run_sequence_with(0x40_0000 + seed, QueryKind::Veb, 3, 400, mode, ingest);
             }
         }
     }
@@ -634,7 +590,6 @@ fn differential_long_sweep() {
                             cap,
                             300,
                             mode,
-                            CompactionPolicy::tiered(2),
                             Ingest::Bulk,
                             fsync,
                         );
@@ -656,14 +611,12 @@ fn differential_long_sweep() {
 /// the reopened map, so recovery composes with further mutation,
 /// sealing, and compaction — full observable state checked after every
 /// op, exactly like the volatile harness.
-#[allow(clippy::too_many_arguments)]
 fn run_persistent_sequence(
     seed: u64,
     kind: QueryKind,
     buffer_cap: usize,
     num_ops: usize,
     mode: CompactionMode,
-    policy: CompactionPolicy,
     ingest: Ingest,
     fsync: FsyncPolicy,
 ) {
@@ -671,9 +624,7 @@ fn run_persistent_sequence(
     let cfg = StoreConfig::with_vfs(vfs.clone()).fsync(fsync);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(kind, Algorithm::CycleLeader, buffer_cap)
-            .with_compaction_mode(mode)
-            .with_policy(policy);
+        DynamicMap::with_config(kind, buffer_cap).with_compaction_mode(mode);
     map.persist_to("db", cfg.clone()).expect("persist_to");
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut restarts = 0usize;
@@ -705,8 +656,7 @@ fn run_persistent_sequence(
             vfs.power_cycle(CrashModel::DropUnsynced);
             map = DynamicMap::open_with("db", cfg.clone())
                 .unwrap_or_else(|e| panic!("{}: reopen failed: {e}", ctx(i, restarts)))
-                .with_compaction_mode(mode)
-                .with_policy(policy);
+                .with_compaction_mode(mode);
             restarts += 1;
             check_full_state(&map, &oracle)
                 .unwrap_or_else(|why| panic!("{}: diverged after reopen: {why}", ctx(i, restarts)));
@@ -740,7 +690,6 @@ fn differential_persistent_restarts() {
                 3,
                 160,
                 mode,
-                CompactionPolicy::default(),
                 Ingest::PerKey,
                 FsyncPolicy::Always,
             );
@@ -749,31 +698,16 @@ fn differential_persistent_restarts() {
 }
 
 /// The persistent matrix rides the weaker fsync policies (flush before
-/// each kill), bulk ingest, non-default compaction policies, and a
-/// second query kind — recovery must compose with all of them.
+/// each kill), bulk ingest, and further query kinds — recovery must
+/// compose with all of them.
 #[test]
-fn differential_persistent_policy_matrix() {
+fn differential_persistent_fsync_matrix() {
     let cases = [
-        (
-            QueryKind::Veb,
-            CompactionPolicy::tiered(2).with_merge_threads(4),
-            Ingest::Bulk,
-            FsyncPolicy::EveryN(4),
-        ),
-        (
-            QueryKind::Btree(2),
-            CompactionPolicy::tiered(1),
-            Ingest::PerKey,
-            FsyncPolicy::Never,
-        ),
-        (
-            QueryKind::Sorted,
-            CompactionPolicy::tiered(3).with_lazy_bottom(true),
-            Ingest::Bulk,
-            FsyncPolicy::Always,
-        ),
+        (QueryKind::Veb, Ingest::Bulk, FsyncPolicy::EveryN(4)),
+        (QueryKind::Btree(2), Ingest::PerKey, FsyncPolicy::Never),
+        (QueryKind::Sorted, Ingest::Bulk, FsyncPolicy::Always),
     ];
-    for (c, (kind, policy, ingest, fsync)) in cases.into_iter().enumerate() {
+    for (c, (kind, ingest, fsync)) in cases.into_iter().enumerate() {
         for mode in [CompactionMode::Inline, CompactionMode::Background] {
             run_persistent_sequence(
                 0xD15C + c as u64,
@@ -781,7 +715,6 @@ fn differential_persistent_policy_matrix() {
                 if c == 0 { 1 } else { 4 },
                 140,
                 mode,
-                policy,
                 ingest,
                 fsync,
             );
@@ -798,14 +731,8 @@ fn differential_after_bulk_build() {
         let n = 120usize;
         let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..UNIVERSE)).collect();
         let values: Vec<u64> = (0..n as u64).collect();
-        let mut map = DynamicMap::build_for_kind(
-            keys.clone(),
-            values.clone(),
-            QueryKind::Veb,
-            Algorithm::CycleLeader,
-            4,
-        )
-        .unwrap();
+        let mut map =
+            DynamicMap::build_for_kind(keys.clone(), values.clone(), QueryKind::Veb, 4).unwrap();
         // Oracle with the same last-duplicate-wins bulk semantics.
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
         for (k, v) in keys.into_iter().zip(values) {

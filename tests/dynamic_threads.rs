@@ -33,7 +33,7 @@
 //! merge).
 
 use implicit_search_trees::{
-    Algorithm, CompactionMode, CrashModel, DynamicMap, MemVfs, QueryKind, StoreConfig,
+    CompactionMode, CrashModel, DynamicMap, MemVfs, QueryKind, StoreConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -105,8 +105,7 @@ fn snapshots_stay_prefix_consistent_under_background_merges() {
 
 fn run_concurrent_snapshot_load(mode: CompactionMode) {
     let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, CAP)
-            .with_compaction_mode(mode);
+        DynamicMap::with_config(QueryKind::Veb, CAP).with_compaction_mode(mode);
     let reader = map.reader();
     let done = Arc::new(AtomicBool::new(false));
 
@@ -199,9 +198,8 @@ fn restart_under_concurrent_readers() {
     const RCAP: usize = 32;
     let vfs = Arc::new(MemVfs::new());
     let cfg = StoreConfig::with_vfs(vfs.clone());
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, RCAP)
-            .with_compaction_mode(CompactionMode::Background);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, RCAP)
+        .with_compaction_mode(CompactionMode::Background);
     map.persist_to("db", cfg.clone()).expect("persist_to");
 
     // Readers fetch the *current* reader from this slot each round; the
@@ -304,8 +302,7 @@ impl Clone for SlowVal {
 fn queries_stay_exact_while_compaction_is_mid_flight() {
     let clones = Arc::new(AtomicUsize::new(0));
     let cap = 16usize;
-    let mut map: DynamicMap<u64, SlowVal> =
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, cap);
+    let mut map: DynamicMap<u64, SlowVal> = DynamicMap::with_config(QueryKind::Veb, cap);
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut checked_mid_flight = 0usize;
 

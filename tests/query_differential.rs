@@ -340,11 +340,8 @@ fn reversed_range_bounds_yield_zero() {
             "{kind:?}"
         );
         // The owning facades share the contract.
-        let index =
-            StaticIndex::build_for_kind(sorted.clone(), kind, Algorithm::CycleLeader).unwrap();
-        let map =
-            StaticMap::build_for_kind(sorted.clone(), sorted.clone(), kind, Algorithm::CycleLeader)
-                .unwrap();
+        let index = StaticIndex::build_for_kind(sorted.clone(), kind).unwrap();
+        let map = StaticMap::build_for_kind(sorted.clone(), sorted.clone(), kind).unwrap();
         for &(lo, hi) in &bounds {
             assert_eq!(index.range_count(&lo, &hi), 0, "{kind:?} [{lo},{hi})");
             assert_eq!(map.range_count(&lo, &hi), 0, "{kind:?} [{lo},{hi})");

@@ -27,9 +27,7 @@
 //! workers overlapping the op stream). CI runs fixed seeds;
 //! `IST_FUZZ_LONG=1` widens the sweep.
 
-use implicit_search_trees::{
-    Algorithm, CompactionMode, CompactionPolicy, DynamicMap, QueryKind, Shard, Sharded, ShardedMap,
-};
+use implicit_search_trees::{CompactionMode, DynamicMap, QueryKind, Shard, Sharded, ShardedMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -404,14 +402,12 @@ fn run_sequence(
         buffer_cap,
         num_ops,
         mode,
-        CompactionPolicy::default(),
         Ingest::PerKey,
     );
 }
 
-/// The full-matrix variant: a [`CompactionPolicy`] (applied to every
-/// shard AND the unsharded mirror) and an ingest route.
-#[allow(clippy::too_many_arguments)]
+/// The full-matrix variant: an ingest route on top of the base
+/// harness.
 fn run_sequence_with(
     seed: u64,
     splits: &[u64],
@@ -419,18 +415,14 @@ fn run_sequence_with(
     buffer_cap: usize,
     num_ops: usize,
     mode: CompactionMode,
-    policy: CompactionPolicy,
     ingest: Ingest,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sharded: ShardedMap<u64, u64> =
-        ShardedMap::with_splits_config(splits.to_vec(), kind, Algorithm::CycleLeader, buffer_cap)
-            .with_compaction_mode(mode)
-            .with_policy(policy);
+        ShardedMap::with_splits_config(splits.to_vec(), kind, buffer_cap)
+            .with_compaction_mode(mode);
     let mut mirror: DynamicMap<u64, u64> =
-        DynamicMap::with_config(kind, Algorithm::CycleLeader, buffer_cap)
-            .with_compaction_mode(mode)
-            .with_policy(policy);
+        DynamicMap::with_config(kind, buffer_cap).with_compaction_mode(mode);
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut ops: Vec<Op> = Vec::with_capacity(num_ops);
     for i in 0..num_ops {
@@ -444,7 +436,7 @@ fn run_sequence_with(
                 "sharded_differential diverged\n\
                  seed        = {seed:#x}\n\
                  config      = splits={splits:?} kind={kind:?} buffer_cap={buffer_cap} mode={mode:?} \
-                 policy={policy:?} ingest={ingest:?}\n\
+                 ingest={ingest:?}\n\
                  failure     = {why}\n\
                  minimal op prefix that first diverges ({} ops, last one diverges):\n{}",
                 ops.len(),
@@ -493,23 +485,10 @@ fn sharded_differential_after_bulk_build() {
         let n = 150usize;
         let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..UNIVERSE)).collect();
         let values: Vec<u64> = (0..n as u64).collect();
-        let mut sharded = ShardedMap::build_for_kind(
-            keys.clone(),
-            values.clone(),
-            QueryKind::Veb,
-            Algorithm::CycleLeader,
-            4,
-            4,
-        )
-        .unwrap();
-        let mut mirror = DynamicMap::build_for_kind(
-            keys.clone(),
-            values.clone(),
-            QueryKind::Veb,
-            Algorithm::CycleLeader,
-            4,
-        )
-        .unwrap();
+        let mut sharded =
+            ShardedMap::build_for_kind(keys.clone(), values.clone(), QueryKind::Veb, 4, 4).unwrap();
+        let mut mirror =
+            DynamicMap::build_for_kind(keys.clone(), values.clone(), QueryKind::Veb, 4).unwrap();
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
         for (k, v) in keys.into_iter().zip(values) {
             oracle.insert(k, v);
@@ -526,32 +505,17 @@ fn sharded_differential_after_bulk_build() {
     }
 }
 
-/// Policy × ingest matrix over the sharded layer: tunable compaction
-/// applied per shard (and to the mirror) must stay bit-identical to
-/// the unsharded map and exact vs the oracle — shard-parallel bulk
-/// deltas included, with batches straddling every split.
+/// Ingest × mode matrix over the sharded layer: the sharded map must
+/// stay bit-identical to the unsharded map and exact vs the oracle —
+/// shard-parallel bulk deltas included, with batches straddling every
+/// split.
 #[test]
-fn sharded_differential_policy_and_bulk_matrix() {
-    let policies = [
-        CompactionPolicy::tiered(2).with_merge_threads(4),
-        CompactionPolicy::tiered(3)
-            .with_lazy_bottom(true)
-            .with_merge_threads(1),
-    ];
-    for (p, policy) in policies.into_iter().enumerate() {
+fn sharded_differential_ingest_and_mode_matrix() {
+    for seed in [0xE0_11C7u64, 0xE0_11C8] {
         for splits in &split_sets() {
             for ingest in [Ingest::PerKey, Ingest::Bulk] {
                 for mode in [CompactionMode::Inline, CompactionMode::Background] {
-                    run_sequence_with(
-                        0xE0_11C7 + p as u64,
-                        splits,
-                        QueryKind::Veb,
-                        3,
-                        140,
-                        mode,
-                        policy,
-                        ingest,
-                    );
+                    run_sequence_with(seed, splits, QueryKind::Veb, 3, 140, mode, ingest);
                 }
             }
         }

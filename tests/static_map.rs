@@ -10,7 +10,7 @@
 //! to per-key `get` (same slot, hence the same `&V`, not merely an
 //! equal one).
 
-use implicit_search_trees::{Algorithm, QueryKind, StaticMap};
+use implicit_search_trees::{QueryKind, StaticMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -79,13 +79,7 @@ fn get_and_batch_get_match_btreemap_oracle() {
         let oracle = oracle(&keys, &values);
         let probes: Vec<u64> = (0..(3 * n as u64 / 2 + 5)).collect();
         for kind in kinds() {
-            let map = StaticMap::build_for_kind(
-                keys.clone(),
-                values.clone(),
-                kind,
-                Algorithm::CycleLeader,
-            )
-            .unwrap();
+            let map = StaticMap::build_for_kind(keys.clone(), values.clone(), kind).unwrap();
             assert_eq!(map.len(), n, "{kind:?} n={n}");
             let batch = map.batch_get(&probes);
             for (i, probe) in probes.iter().enumerate() {
@@ -136,13 +130,7 @@ fn order_queries_match_btreemap_oracle() {
         sorted.sort_unstable();
         let probes: Vec<u64> = (0..(3 * n as u64 / 2 + 5)).collect();
         for kind in kinds() {
-            let map = StaticMap::build_for_kind(
-                keys.clone(),
-                values.clone(),
-                kind,
-                Algorithm::Involution,
-            )
-            .unwrap();
+            let map = StaticMap::build_for_kind(keys.clone(), values.clone(), kind).unwrap();
             for probe in &probes {
                 let tag = format!("{kind:?} n={n} probe={probe}");
                 assert_eq!(map.contains_key(probe), oracle.contains_key(probe), "{tag}");
@@ -195,9 +183,7 @@ fn parallel_views_and_zero_copy() {
     let keys: Vec<u64> = vec![9, 1, 5, 5, 7, 3, 1];
     let values: Vec<String> = keys.iter().map(|k| format!("v{k}")).collect();
     for kind in kinds() {
-        let map =
-            StaticMap::build_for_kind(keys.clone(), values.clone(), kind, Algorithm::CycleLeader)
-                .unwrap();
+        let map = StaticMap::build_for_kind(keys.clone(), values.clone(), kind).unwrap();
         assert_eq!(map.keys().len(), map.values().len());
         for (k, v) in map.keys().iter().zip(map.values()) {
             assert_eq!(*v, format!("v{k}"), "{kind:?}");

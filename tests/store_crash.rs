@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use implicit_search_trees::{
-    Algorithm, CompactionMode, CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, StoreConfig,
+    CompactionMode, CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, StoreConfig,
 };
 
 /// Small key universe: overwrites, deletes of absent keys, and
@@ -153,8 +153,7 @@ struct Drive {
 /// rejects writes, it does not abort.
 fn drive(vfs: &MemVfs, fsync: FsyncPolicy, ops: &[Wop]) -> Drive {
     let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, CAP)
-            .with_compaction_mode(CompactionMode::Inline);
+        DynamicMap::with_config(QueryKind::Veb, CAP).with_compaction_mode(CompactionMode::Inline);
     for k in 0..PREPOP {
         map.insert(k, k);
     }
@@ -392,8 +391,7 @@ fn clean_store(fsync: FsyncPolicy) -> (MemVfs, Vec<BTreeMap<u64, u64>>) {
     let committed = committed_states(&ops);
     let vfs = MemVfs::new();
     let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, CAP)
-            .with_compaction_mode(CompactionMode::Inline);
+        DynamicMap::with_config(QueryKind::Veb, CAP).with_compaction_mode(CompactionMode::Inline);
     for k in 0..PREPOP {
         map.insert(k, k);
     }
@@ -465,8 +463,7 @@ fn truncations_yield_typed_errors_or_valid_states() {
 fn poisoned_store_rejects_writes_and_keeps_reads() {
     let vfs = MemVfs::new();
     let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, CAP)
-            .with_compaction_mode(CompactionMode::Inline);
+        DynamicMap::with_config(QueryKind::Veb, CAP).with_compaction_mode(CompactionMode::Inline);
     map.persist_to("db", cfg_on(&vfs, FsyncPolicy::Always))
         .unwrap();
     for k in 0..6u64 {

@@ -12,7 +12,7 @@ use implicit_search_trees::store::{
     RunHeader, RunReader, RunSections, ShardsFile, StoreConfig, WalWriter, MANIFEST_NAME,
     RUN_HEADER_LEN,
 };
-use implicit_search_trees::{Algorithm, CompactionMode, DynamicMap, QueryKind};
+use implicit_search_trees::{CompactionMode, DynamicMap, QueryKind};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,8 +53,8 @@ where
         + 'static,
 {
     let vfs = Arc::new(MemVfs::new());
-    let mut map: DynamicMap<K, V> = DynamicMap::with_config(kind, Algorithm::CycleLeader, 4)
-        .with_compaction_mode(CompactionMode::Inline);
+    let mut map: DynamicMap<K, V> =
+        DynamicMap::with_config(kind, 4).with_compaction_mode(CompactionMode::Inline);
     let mut oracle: BTreeMap<K, V> = BTreeMap::new();
     let put = |map: &mut DynamicMap<K, V>, oracle: &mut BTreeMap<K, V>, i: u64| {
         let (k, v) = (key_of(i % 23), val_of(i));
@@ -253,8 +253,7 @@ fn manifest_and_shards_reject_every_bit_flip() {
     let manifest = {
         let vfs = Arc::new(MemVfs::new());
         let mut map: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 2)
-                .with_compaction_mode(CompactionMode::Inline);
+            DynamicMap::with_config(QueryKind::Veb, 2).with_compaction_mode(CompactionMode::Inline);
         for i in 0..9u64 {
             map.insert(i, i);
         }
@@ -332,8 +331,7 @@ fn golden_dir() -> PathBuf {
 fn build_golden() -> (Arc<MemVfs>, BTreeMap<u64, u64>) {
     let vfs = Arc::new(MemVfs::new());
     let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, Algorithm::CycleLeader, 4)
-            .with_compaction_mode(CompactionMode::Inline);
+        DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
     let mut oracle = BTreeMap::new();
     for i in 0..33u64 {
         let k = (i * 13) % 29;
@@ -435,6 +433,81 @@ fn golden_store_bytes_and_recovery() {
         );
         assert_eq!(new_bytes, old_bytes, "{name}: byte drift");
     }
+}
+
+/// Manifest v1 may name several runs in one tier: stores written while
+/// a tier could accumulate runs look like that. Such a store must still
+/// open, read the tier newest-first, and fold it back to one run the
+/// first time a compaction reaches it — on disk as well as in memory.
+#[test]
+fn v1_manifest_with_a_two_run_tier_opens_and_folds() {
+    let vfs = Arc::new(MemVfs::new());
+    let dir = Path::new("db");
+    let mut map: DynamicMap<u64, u64> =
+        DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
+    let mut oracle = BTreeMap::new();
+    // Two seals fold keys 0..8 into tier 1; a third leaves a newer run
+    // on tier 0 that overwrites, deletes and extends them, so the
+    // order of the two runs decides what a read answers.
+    for k in 0..8u64 {
+        map.insert(k, 100 + k);
+        oracle.insert(k, 100 + k);
+    }
+    for (k, v) in [(0u64, 200u64), (1, 201), (20, 220)] {
+        map.insert(k, v);
+        oracle.insert(k, v);
+    }
+    map.remove(&2);
+    oracle.remove(&2);
+    assert_eq!(map.tier_versions(), vec![vec![4], vec![8]]);
+    map.persist_to(dir, mem_cfg(&vfs)).expect("persist");
+    drop(map);
+
+    // Regroup: both runs in tier 1, newer first.
+    let mut manifest = Manifest::read(&*vfs, dir).expect("manifest");
+    let newer = manifest.tiers[0].pop().expect("tier 0 run");
+    manifest.tiers[1].insert(0, newer);
+    manifest.write_atomic(&*vfs, dir).expect("rewrite manifest");
+
+    let check = |map: &DynamicMap<u64, u64>, oracle: &BTreeMap<u64, u64>, when: &str| {
+        assert_eq!(map.len(), oracle.len(), "{when}: len");
+        for k in 0..45u64 {
+            assert_eq!(map.get(&k), oracle.get(&k), "{when}: get({k})");
+            assert_eq!(map.rank(&k), oracle.range(..k).count(), "{when}: rank({k})");
+        }
+    };
+    let reopen = || {
+        DynamicMap::<u64, u64>::open_with(dir, mem_cfg(&vfs))
+            .expect("a two-run tier opens")
+            .with_compaction_mode(CompactionMode::Inline)
+    };
+    let mut map = reopen();
+    assert_eq!(map.tier_versions(), vec![vec![], vec![4, 8]]);
+    check(&map, &oracle, "reopened");
+
+    // The first seal lands on the empty tier 0 and leaves tier 1 alone;
+    // the second finds tiers 0 and 1 occupied and folds both away.
+    for k in 30..34u64 {
+        map.insert(k, k);
+        oracle.insert(k, k);
+    }
+    assert_eq!(map.tier_versions(), vec![vec![4], vec![4, 8]]);
+    check(&map, &oracle, "one seal later");
+    for k in 34..38u64 {
+        map.insert(k, k);
+        oracle.insert(k, k);
+    }
+    assert!(
+        map.tier_versions().iter().all(|tier| tier.len() <= 1),
+        "the two-run tier never folded: {:?}",
+        map.tier_versions()
+    );
+    check(&map, &oracle, "folded");
+    assert!(map.store_error().is_none(), "{:?}", map.store_error());
+    drop(map);
+    let map = reopen();
+    assert!(map.tier_versions().iter().all(|tier| tier.len() <= 1));
+    check(&map, &oracle, "folded and reopened");
 }
 
 /// `MemVfs` is not `Clone`; re-materialize one from a dump so the
