@@ -7,9 +7,14 @@ use super::{CompactionMode, DynamicMap, MAX_SEALED_RUNS};
 use crate::sync::{spawn, yield_now, Arc, AtomicBool, JoinHandle, Ordering};
 use ist_query::QueryKind;
 
-/// Merges smaller than this never split into parallel slices: the
-/// boundary descents and stitch would cost more than the merge.
-const PARALLEL_MERGE_MIN_SLICE: usize = 1024;
+/// What one merged version costs [`merge_slice`], in nanoseconds, as
+/// the floor rule ([`rayon::min_task_len`]) needs it: a k-way head
+/// compare, a key and a value clone and three column pushes. A merge
+/// splits into parallel slices only when every slice holds at least
+/// `min_task_len(MERGE_VERSION_COST_NS)` versions; below that the
+/// hand-off, the boundary descents and the stitch cost more than the
+/// merge.
+const MERGE_VERSION_COST_NS: u64 = 100;
 
 /// One merged slice in column form — `(keys, slots, weights)` — as
 /// [`merge_slice`] produces it and the stitch step concatenates it.
@@ -99,7 +104,7 @@ where
 {
     let total: usize = sources.iter().map(|r| r.versions()).sum();
     let want = rayon::current_num_threads()
-        .min(total / PARALLEL_MERGE_MIN_SLICE)
+        .min(total / rayon::min_task_len(MERGE_VERSION_COST_NS))
         .max(1);
 
     let full: Vec<(usize, usize)> = sources.iter().map(|r| (0, r.versions())).collect();

@@ -168,8 +168,12 @@ pub trait Machine {
 /// round on the calling thread (same grain as `ist_perm`'s).
 const RAM_PAR_GRAIN: usize = 1 << 13;
 
-/// Minimum region size worth a spawned task in [`Ram::run_tasks`].
-const RAM_TASK_GRAIN: usize = 1 << 12;
+/// What one element of a [`Ram::run_tasks`] region costs its task, in
+/// nanoseconds, as the floor rule ([`rayon::min_task_len`]) needs it: a
+/// task permutes its whole subtree, every level below it included, and
+/// the sequential constructions read 6 (B-tree) to 40 (BST) ns per
+/// element at 2^20 keys.
+const RAM_ELEM_COST_NS: u64 = 10;
 
 /// Rotations below this length run sequentially even on a parallel Ram.
 const RAM_ROTATE_GRAIN: usize = 1 << 14;
@@ -335,24 +339,25 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
     {
         debug_assert!(regions_disjoint(&tasks), "run_tasks regions overlap");
         let total: usize = tasks.iter().map(|t| t.len).sum();
-        if !self.par || total < RAM_TASK_GRAIN {
+        let floor = rayon::min_task_len(RAM_ELEM_COST_NS);
+        if !self.par || total < 2 * floor {
             for task in &tasks {
                 f(self, task);
             }
             return;
         }
-        // Deal the tasks into contiguous groups of at least
-        // RAM_TASK_GRAIN total elements and spawn one worker per group:
-        // a level of many tiny subtrees (the vEB recursions produce
-        // hundreds of l-element bottoms) still spreads across threads
-        // without paying a spawn per region.
+        // Deal the tasks into contiguous groups of at least `floor`
+        // total elements and offer each group to the pool: a level of
+        // many tiny subtrees (the vEB recursions produce hundreds of
+        // l-element bottoms) still spreads across threads without
+        // paying a hand-off per region.
         let mut groups: Vec<Vec<(Self, &Region<K>)>> = Vec::new();
         let mut group: Vec<(Self, &Region<K>)> = Vec::new();
         let mut grouped = 0usize;
         for task in &tasks {
             group.push((self.view(), task));
             grouped += task.len;
-            if grouped >= RAM_TASK_GRAIN {
+            if grouped >= floor {
                 grouped = 0;
                 groups.push(std::mem::take(&mut group));
             }

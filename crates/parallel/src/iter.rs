@@ -13,45 +13,60 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::{current_pool_ctx, effective_threads, try_acquire_thread, with_pool_ctx};
 
-/// Split `[0, n)` into chunks of at least `min_len` and run `body` on each,
-/// in parallel when helper threads are available.
+/// Blocks each task's share of an index space is cut into. The caller
+/// and its helpers claim blocks from one cursor, so a helper that
+/// starts late (or is descheduled) leaves the rest to whoever is free
+/// instead of holding a fixed `1 / tasks` of the work.
+const BLOCKS_PER_TASK: usize = 4;
+
+/// Run `body` over disjoint sub-ranges that cover `[0, n)`, in parallel
+/// when it pays: at most [`crate::effective_threads`] tasks of at least
+/// `min_len` indices each (`n < 2 * min_len` never splits), the range
+/// cut into [`BLOCKS_PER_TASK`] blocks per task that the caller and its
+/// helpers claim from one atomic cursor. With no helper to be had the
+/// caller runs `body(0..n)` whole. Which thread runs which block is
+/// unspecified; every index is visited exactly once.
 fn par_ranges<F>(n: usize, min_len: usize, body: F)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    if n == 0 {
+    let tasks = effective_threads().min(n / min_len.max(1));
+    if tasks <= 1 {
+        if n > 0 {
+            body(0..n);
+        }
         return;
     }
-    let grain = min_len.max(1);
-    let workers = effective_threads().min(n.div_ceil(grain)).max(1);
-    if workers == 1 {
+    let Some(first) = try_acquire_thread() else {
         body(0..n);
         return;
-    }
-    std::thread::scope(|s| {
-        let body = &body;
-        let mut start = 0usize;
-        for w in 0..workers {
-            let end = n * (w + 1) / workers;
-            if end <= start {
-                continue;
-            }
-            let range = start..end;
-            start = end;
-            // The final chunk (and any chunk the budget refuses) runs on
-            // the calling thread. Helpers inherit the pool context.
-            if w + 1 < workers {
-                if let Some(token) = try_acquire_thread() {
-                    let ctx = current_pool_ctx();
-                    s.spawn(move || {
-                        let _token = token;
-                        with_pool_ctx(ctx, move || body(range));
-                    });
-                    continue;
-                }
-            }
-            body(range);
+    };
+    let block = n.div_ceil(tasks * BLOCKS_PER_TASK);
+    let cursor = AtomicUsize::new(0);
+    let claim_blocks = || loop {
+        // Relaxed: the cursor only deals out disjoint index ranges; the
+        // data the blocks write is published by the scope's join.
+        let start = cursor.fetch_add(block, Ordering::Relaxed);
+        if start >= n {
+            break;
         }
+        body(start..(start + block).min(n));
+    };
+    std::thread::scope(|s| {
+        let claim_blocks = &claim_blocks;
+        let mut token = Some(first);
+        for _ in 1..tasks {
+            // Helpers inherit the pool context.
+            let Some(token) = token.take().or_else(try_acquire_thread) else {
+                break;
+            };
+            let ctx = current_pool_ctx();
+            s.spawn(move || {
+                let _token = token;
+                with_pool_ctx(ctx, claim_blocks);
+            });
+        }
+        claim_blocks();
     });
 }
 
@@ -226,6 +241,7 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         ChunksMutParIter {
             slice: self,
             chunk_size,
+            min_len: 1,
         }
     }
 }
@@ -301,9 +317,16 @@ impl<'a, T: Send> EnumChunksExactMutParIter<'a, T> {
 pub struct ChunksMutParIter<'a, T> {
     slice: &'a mut [T],
     chunk_size: usize,
+    min_len: usize,
 }
 
 impl<'a, T: Send> ChunksMutParIter<'a, T> {
+    /// Set the minimum number of chunks handled per task.
+    pub fn with_min_len(mut self, min_len: usize) -> Self {
+        self.min_len = min_len;
+        self
+    }
+
     fn run<F>(self, f: F)
     where
         F: Fn(usize, &mut [T]) + Sync,
@@ -313,7 +336,7 @@ impl<'a, T: Send> ChunksMutParIter<'a, T> {
         let chunks = n.div_ceil(chunk);
         let base = SendPtr(self.slice.as_mut_ptr());
         let base = &base;
-        par_ranges(chunks, 1, move |r| {
+        par_ranges(chunks, self.min_len, move |r| {
             for c in r {
                 let start = c * chunk;
                 let len = chunk.min(n - start);

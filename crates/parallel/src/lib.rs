@@ -33,8 +33,8 @@
 //! parallel tasks, never on scheduling order.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 mod iter;
 mod pool;
@@ -50,8 +50,39 @@ pub mod prelude {
 /// Global budget of helper threads that may be live at once.
 static SPAWN_BUDGET: AtomicIsize = AtomicIsize::new(-1);
 
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// What one hand-off costs, in nanoseconds: the time from a dispatch
+/// site deciding to give a task to a helper until that helper's
+/// completion is visible to the dispatcher again, over and above the
+/// task's own work. Measured on the 2-vCPU reference box as a
+/// `std::thread::scope` + `spawn` + `join` of an empty closure: 19 µs
+/// (median of 10 000).
+pub const HANDOFF_COST_NS: u64 = 19_000;
+
+/// A handed-off task must be worth at least this many hand-offs, so
+/// dispatch overhead stays below a tenth of the task.
+const HANDOFF_AMORTIZATION: u64 = 10;
+
+/// **The floor rule.** The minimum number of items a task must hold to
+/// pay for handing it to a helper, given what one item costs the call
+/// site (`item_cost_ns`, a documented estimate at that site). Every
+/// dispatch site in the workspace that sizes its own tasks derives its
+/// threshold from this one function: a batch below
+/// `min_task_len(cost)` runs on the calling thread, and a batch is
+/// split into at most `len / min_task_len(cost)` tasks.
+pub const fn min_task_len(item_cost_ns: u64) -> usize {
+    let cost = if item_cost_ns == 0 { 1 } else { item_cost_ns };
+    (HANDOFF_AMORTIZATION * HANDOFF_COST_NS).div_ceil(cost) as usize
+}
+
+/// The logical thread count named by `IST_PARALLEL`'s value (`var`,
+/// `None` when unset) on a host with `hardware` threads: a positive
+/// integer (surrounding whitespace ignored) is taken as is; anything
+/// else — unset, empty, `0`, not a number — means the hardware count.
+pub(crate) fn parse_threads(var: Option<&str>, hardware: usize) -> usize {
+    match var.map(|v| v.trim().parse::<usize>()) {
+        Some(Ok(n)) if n >= 1 => n,
+        _ => hardware.max(1),
+    }
 }
 
 /// Logical thread count the global budget is derived from: the
@@ -61,14 +92,17 @@ fn hardware_threads() -> usize {
 /// degenerate-serial CI job); values above the core count oversubscribe
 /// with real OS threads, which is how single-core hosts still exercise
 /// the concurrent code paths.
-fn configured_threads() -> usize {
-    match std::env::var("IST_PARALLEL") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => hardware_threads(),
-        },
-        Err(_) => hardware_threads(),
-    }
+///
+/// Resolved **once per process**: this is the only place the crate
+/// reads the environment or asks the OS for its parallelism (an
+/// affinity-mask and cgroup-file read that costs ≈ 14 µs — as much as
+/// creating a thread — and used to be paid on every dispatch).
+pub(crate) fn configured_threads() -> usize {
+    static CONFIGURED: OnceLock<usize> = OnceLock::new();
+    *CONFIGURED.get_or_init(|| {
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        parse_threads(std::env::var("IST_PARALLEL").ok().as_deref(), hardware)
+    })
 }
 
 /// The ambient thread-pool context: a logical thread count plus a shared
@@ -152,9 +186,50 @@ fn try_decrement(counter: &AtomicIsize) -> bool {
     }
 }
 
+/// Dispatch counters since process start; see [`pool_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PoolStats {
+    /// Persistent worker threads started so far.
+    pub workers_started: u64,
+    /// Tasks given to a helper thread.
+    pub handed_off: u64,
+    /// Tasks a dispatch site offered to a helper but ran on the calling
+    /// thread because none could be reserved.
+    pub ran_inline: u64,
+}
+
+static HANDED_OFF: AtomicU64 = AtomicU64::new(0);
+static RAN_INLINE: AtomicU64 = AtomicU64::new(0);
+
+/// How often this process's dispatch sites (`join`, `Scope::spawn`, the
+/// parallel iterators) handed a task to a helper and how often they
+/// kept it. Always on: three relaxed counters.
+pub fn pool_stats() -> PoolStats {
+    PoolStats {
+        workers_started: 0,
+        // Relaxed: statistics; they publish nothing.
+        handed_off: HANDED_OFF.load(Ordering::Relaxed),
+        // Relaxed: as above.
+        ran_inline: RAN_INLINE.load(Ordering::Relaxed),
+    }
+}
+
 /// Try to reserve one helper thread, honoring both the global budget and
 /// the installed pool's allowance.
 pub(crate) fn try_acquire_thread() -> Option<ThreadToken> {
+    let token = try_reserve();
+    // Relaxed: statistics; they publish nothing.
+    let counter = if token.is_some() {
+        &HANDED_OFF
+    } else {
+        &RAN_INLINE
+    };
+    // Relaxed: as above.
+    counter.fetch_add(1, Ordering::Relaxed);
+    token
+}
+
+fn try_reserve() -> Option<ThreadToken> {
     // Relaxed: initialize the global budget lazily on first use;
     // racing writers store the same value, so which store wins and in
     // what order it becomes visible is immaterial.
@@ -265,6 +340,29 @@ pub(crate) fn effective_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_threads_takes_positive_integers_and_nothing_else() {
+        assert_eq!(parse_threads(None, 6), 6, "unset");
+        assert_eq!(parse_threads(Some(""), 6), 6, "empty");
+        assert_eq!(parse_threads(Some("0"), 6), 6, "zero");
+        assert_eq!(parse_threads(Some("1"), 6), 1);
+        assert_eq!(parse_threads(Some("4"), 6), 4);
+        assert_eq!(parse_threads(Some(" 4 "), 6), 4, "whitespace");
+        assert_eq!(parse_threads(Some("x"), 6), 6, "not a number");
+        assert_eq!(parse_threads(None, 0), 1, "never zero");
+    }
+
+    #[test]
+    fn min_task_len_scales_inversely_with_item_cost() {
+        assert_eq!(
+            min_task_len(1) as u64,
+            HANDOFF_AMORTIZATION * HANDOFF_COST_NS
+        );
+        assert_eq!(min_task_len(0), min_task_len(1), "zero cost clamps");
+        assert!(min_task_len(100) < min_task_len(10));
+        assert!(min_task_len(u64::MAX) >= 1);
+    }
 
     #[test]
     fn join_returns_both_results() {

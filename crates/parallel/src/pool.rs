@@ -43,9 +43,10 @@ impl ThreadPoolBuilder {
 
     /// Build the pool.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let n = self
-            .num_threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        // The default is the once-resolved configured count, so a
+        // default pool under `IST_PARALLEL=1` reports one thread and
+        // nothing splits work for helpers the budget can never grant.
+        let n = self.num_threads.unwrap_or_else(crate::configured_threads);
         Ok(ThreadPool {
             num_threads: n.max(1),
         })
@@ -91,7 +92,8 @@ impl ThreadPool {
 }
 
 /// The ambient thread count: the installed pool's size inside
-/// [`ThreadPool::install`], the hardware parallelism otherwise.
+/// [`ThreadPool::install`], the configured count (`IST_PARALLEL`, else
+/// the hardware parallelism, resolved once per process) otherwise.
 pub fn current_num_threads() -> usize {
     crate::effective_threads()
 }
@@ -106,6 +108,15 @@ mod tests {
         assert_eq!(pool.install(current_num_threads), 7);
         // Restored afterwards.
         assert_ne!(current_num_threads(), 0);
+    }
+
+    #[test]
+    fn default_pool_has_the_configured_count() {
+        // Not the hardware count: under `IST_PARALLEL=1` that would cut
+        // work into pieces for helpers the budget never grants.
+        let pool = ThreadPoolBuilder::new().build().unwrap();
+        assert_eq!(pool.current_num_threads(), crate::configured_threads());
+        assert_eq!(pool.install(current_num_threads), current_num_threads());
     }
 
     #[test]

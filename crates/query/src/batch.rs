@@ -23,9 +23,9 @@
 //! whole window.
 //!
 //! Every public batch entry point runs the window loops inside
-//! rayon-parallel chunks whose size adapts to the batch length (small
-//! batches, and every batch on a one-thread pool, stay on the calling
-//! thread). Results are bit-identical to a scalar loop of the point
+//! rayon-parallel chunks whose size adapts to the batch length (a
+//! batch too short to pay for a hand-off — `rayon::min_task_len` — and
+//! every batch on a one-thread pool stay on the calling thread). Results are bit-identical to a scalar loop of the point
 //! operation: the windowed kernels replay the scalar engine's
 //! comparison sequence (the only liberty taken is that an early-exit
 //! equality is recorded in a result register instead of breaking the
@@ -44,20 +44,30 @@ use std::borrow::Borrow;
 /// width is a constant, not an option.
 pub(crate) const WINDOW: usize = 32;
 
-/// Split a batch of `n` queries into parallel chunks: enough chunks to
-/// balance the pool (~4 per thread), but never so small that spawn
-/// overhead or a truncated pipeline window dominates the descents
-/// themselves.
-///
-/// Returns `n` (one chunk, no parallelism) when the pool is a single
-/// thread or the batch is too small to amortize a spawn.
+/// What one pipelined descent costs, in nanoseconds, as the floor rule
+/// ([`rayon::min_task_len`]) needs it: the benchmark of record reads
+/// 35–55 ns per query on a 2^16-key map and 85–100 ns at 2^23 keys; the
+/// serving path descends many small resident runs, so the estimate
+/// sits at the low end (a low cost asks for longer tasks).
+const DESCENT_COST_NS: u64 = 50;
+
+/// Chunks per task: tasks claim chunks from one cursor (see
+/// `rayon`'s `par_chunks_mut`), so a task's share is cut in four to let
+/// the caller and its helpers balance, and no finer — every chunk
+/// boundary truncates a pipeline window.
+const CHUNKS_PER_TASK: usize = 4;
+
+/// Chunk length for a batch of `n` queries: `n` (one chunk, the
+/// calling thread) unless the batch is worth at least two tasks of
+/// [`rayon::min_task_len`]`(DESCENT_COST_NS)` queries each and the pool
+/// has a second thread; otherwise [`CHUNKS_PER_TASK`] chunks for each of
+/// `min(threads, n / floor)` tasks.
 fn adaptive_chunk_len(n: usize) -> usize {
-    const MIN_CHUNK: usize = 128;
-    let threads = rayon::current_num_threads().max(1);
-    if threads == 1 || n <= MIN_CHUNK {
+    let tasks = rayon::current_num_threads().min(n / rayon::min_task_len(DESCENT_COST_NS));
+    if tasks <= 1 {
         return n.max(1);
     }
-    n.div_ceil(threads * 4).max(MIN_CHUNK)
+    n.div_ceil(tasks * CHUNKS_PER_TASK)
 }
 
 /// Run `work(item_chunk, out_chunk)` over lockstep chunks of
@@ -76,9 +86,12 @@ pub(crate) fn par_chunked<I: Sync, O: Send>(
     if chunk >= items.len() {
         work(items, out);
     } else {
-        out.par_chunks_mut(chunk).enumerate().for_each(|(c, oc)| {
-            work(&items[c * chunk..c * chunk + oc.len()], oc);
-        });
+        out.par_chunks_mut(chunk)
+            .with_min_len(CHUNKS_PER_TASK)
+            .enumerate()
+            .for_each(|(c, oc)| {
+                work(&items[c * chunk..c * chunk + oc.len()], oc);
+            });
     }
 }
 

@@ -41,8 +41,9 @@
 //! [`Sharded::batch_range_count`] partition the batch per shard **by
 //! reference** ([`ist_query::route::partition_batch_ref`] — no key is
 //! cloned just to route it), drive every shard's software-pipelined
-//! descent engine **in parallel** (the sub-batches are disjoint), and
-//! scatter the results back into input order
+//! descent engine — **in parallel** when the sub-batches are long
+//! enough to pay for a hand-off (they are disjoint), on the calling
+//! thread otherwise — and scatter the results back into input order
 //! ([`ist_query::route::scatter_to_input_order`]) — bit-identical to
 //! what one unsharded [`DynamicMap`] would answer, which
 //! `tests/sharded_differential.rs` (repository root) checks against
@@ -83,6 +84,42 @@ use ist_query::route::{
 };
 use ist_query::QueryKind;
 use ist_store::{shard_dir_name, Codec, ShardsFile, StoreConfig, StoreError};
+
+/// What one routed item costs the shard it lands on, in nanoseconds,
+/// as the floor rule ([`rayon::min_task_len`]) needs it: a buffer probe
+/// and a descent per resident run for a read, a share of one linear
+/// buffer merge for a write — a pipelined descent either way
+/// (`ist_query`'s batch engine uses the same figure).
+const SHARD_ITEM_COST_NS: u64 = 50;
+
+/// Run `run(task)` for every `(len, task)` pair with `len > 0` — one
+/// task per shard, `len` the length of the sub-batch routed to it (a
+/// shard nothing was routed to is skipped). A sub-batch shorter than
+/// [`rayon::min_task_len`]`(SHARD_ITEM_COST_NS)` does not pay for a
+/// hand-off and runs on the calling thread, in turn; a longer one is
+/// offered to the pool (which still keeps it on the caller when no
+/// helper is free). A serving tick's per-shard sub-batches are a few
+/// hundred items, so a tick never leaves its thread; a bulk load or a
+/// 2^16-key read batch still spreads across shards.
+fn for_each_shard_task<'env, T: Send + 'env>(
+    tasks: impl Iterator<Item = (usize, T)> + Send,
+    run: impl Fn(T) + Sync + 'env,
+) {
+    let floor = rayon::min_task_len(SHARD_ITEM_COST_NS);
+    rayon::scope(|s| {
+        let run = &run;
+        for (len, task) in tasks {
+            if len == 0 {
+                continue;
+            }
+            if len >= floor {
+                s.spawn(move |_| run(task));
+            } else {
+                run(task);
+            }
+        }
+    });
+}
 
 /// Range-partitioned shards of type `S` under one shared split vector.
 ///
@@ -366,10 +403,12 @@ where
     /// Bulk insert across shards: the delta is partitioned per shard by
     /// the range router ([`ist_query::route::partition_owned`] — items
     /// moved, not cloned) and every non-empty sub-delta is applied via
-    /// [`DynamicMap::batch_insert`] **in parallel** under the
-    /// rayon-shim scope (shards are disjoint structures, so `&mut`
-    /// access per shard is race-free by construction). Returns the
-    /// total number of pairs that replaced a live value.
+    /// [`DynamicMap::batch_insert`] — **in parallel** across shards
+    /// when the sub-deltas are long enough to pay for a hand-off (see
+    /// `for_each_shard_task`; shards are disjoint structures, so `&mut`
+    /// access per shard is race-free by construction), on the calling
+    /// thread otherwise. Returns the total number of pairs that
+    /// replaced a live value.
     ///
     /// Global-rank exactness is untouched: the range-partition
     /// invariant (every key in shard `j < i` sorts strictly below every
@@ -394,37 +433,33 @@ where
         let splits = &self.splits;
         let parts = partition_owned(pairs, self.shards.len(), |(k, _)| shard_of_key(splits, k));
         let mut counts = vec![0usize; self.shards.len()];
-        rayon::scope(|s| {
-            for ((shard, (_, routed)), count) in
-                self.shards.iter_mut().zip(parts).zip(counts.iter_mut())
-            {
-                if routed.is_empty() {
-                    continue;
-                }
-                s.spawn(move |_| *count = shard.batch_insert(routed));
-            }
-        });
+        for_each_shard_task(
+            self.shards
+                .iter_mut()
+                .zip(parts)
+                .zip(counts.iter_mut())
+                .map(|((shard, (_, routed)), count)| (routed.len(), (shard, routed, count))),
+            |(shard, routed, count)| *count = shard.batch_insert(routed),
+        );
         counts.into_iter().sum()
     }
 
     /// Bulk delete across shards; the delta is routed and applied
-    /// shard-parallel exactly like [`ShardedMap::batch_insert`].
+    /// per shard exactly like [`ShardedMap::batch_insert`].
     /// Returns how many keys were live before the batch.
     pub fn batch_remove(&mut self, keys: &[K]) -> usize {
         debug_assert_valid_splits(&self.splits);
         let splits = &self.splits;
         let parts = partition_batch(keys, self.shards.len(), |k| shard_of_key(splits, k));
         let mut counts = vec![0usize; self.shards.len()];
-        rayon::scope(|s| {
-            for ((shard, (_, routed)), count) in
-                self.shards.iter_mut().zip(&parts).zip(counts.iter_mut())
-            {
-                if routed.is_empty() {
-                    continue;
-                }
-                s.spawn(move |_| *count = shard.batch_remove(routed));
-            }
-        });
+        for_each_shard_task(
+            self.shards
+                .iter_mut()
+                .zip(&parts)
+                .zip(counts.iter_mut())
+                .map(|((shard, (_, routed)), count)| (routed.len(), (shard, routed, count))),
+            |(shard, routed, count)| *count = shard.batch_remove(routed),
+        );
         counts.into_iter().sum()
     }
 
@@ -703,8 +738,8 @@ where
 
     /// Batched [`Sharded::get`]: the batch is partitioned per shard
     /// **by reference** (routing clones no key), every shard's
-    /// software-pipelined engine runs in parallel on its disjoint
-    /// sub-batch, and results scatter back in input order — `out[i]` is
+    /// software-pipelined engine runs on its disjoint sub-batch (in
+    /// parallel when long enough), and results scatter back in input order — `out[i]` is
     /// exactly `get(&keys[i])`.
     pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&S::Value>> {
         let parts = partition_batch_ref(keys, self.shards.len(), |k| self.shard_of(k));
@@ -769,8 +804,10 @@ where
     /// The batched-query skeleton shared by every fan-out read: run
     /// `per_shard(shard, i, sub_batch)` for every non-empty sub-batch of
     /// `parts` (a by-reference partition of a `len`-key batch — routing
-    /// never clones a key) in parallel (the sub-batches are disjoint),
-    /// and scatter the per-shard results back into input order. The
+    /// never clones a key) — in parallel when they are long enough to
+    /// pay for a hand-off (`for_each_shard_task`; the sub-batches are
+    /// disjoint) — and scatter the per-shard results back into input
+    /// order. The
     /// split vector is debug-validated **once here**, not per routed
     /// item.
     fn fan_out<'s, 'k, R, F>(
@@ -785,16 +822,13 @@ where
     {
         debug_assert_valid_splits(&self.splits);
         let mut results: Vec<Vec<R>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        rayon::scope(|s| {
-            for (i, out) in results.iter_mut().enumerate() {
-                let routed = &parts[i].1;
-                if routed.is_empty() {
-                    continue;
-                }
-                let (shard, per_shard) = (self.shards[i].frozen(), &per_shard);
-                s.spawn(move |_| *out = per_shard(shard, i, routed));
-            }
-        });
+        for_each_shard_task(
+            results
+                .iter_mut()
+                .enumerate()
+                .map(|(i, out)| (parts[i].1.len(), (i, out))),
+            |(i, out)| *out = per_shard(self.shards[i].frozen(), i, &parts[i].1),
+        );
         scatter_to_input_order(len, parts.into_iter().map(|(idx, _)| idx).zip(results))
     }
 

@@ -230,3 +230,46 @@ fn veb_scalar_descents_allocate_nothing() {
     assert_eq!(hits, 3 * 5000);
     assert_eq!(allocs, 0, "vEB get / rank / search_veb must not allocate");
 }
+
+/// A batch below the dispatch floor (`rayon::min_task_len`) runs on the
+/// calling thread, and deciding so costs no allocation. A `StaticMap`
+/// batch allocates exactly its result vector. A `Frozen` batch also
+/// stages its run cascade on the heap (a pending list, and per
+/// consulted run a probe list, a position vector and a survivor list),
+/// which is not dispatch: it must allocate exactly what it allocates
+/// under a one-thread pool, where nothing can be dispatched at all.
+#[test]
+fn sub_floor_batch_reads_allocate_nothing_for_dispatch() {
+    use implicit_search_trees::{Algorithm, CompactionMode, DynamicMap, QueryKind, StaticMap};
+
+    // Longer than the 128-query chunk the engine once split at.
+    let probes: Vec<u64> = (0..160u64).collect();
+
+    let keys: Vec<u64> = (0..5000u64).map(|x| 3 * x).collect();
+    let map =
+        StaticMap::build_presorted(keys.clone(), keys, QueryKind::Veb, Algorithm::CycleLeader)
+            .unwrap();
+    let (hits, allocs) = count_allocs(1, || map.batch_get(&probes).iter().flatten().count());
+    assert_eq!(hits, 54);
+    assert_eq!(allocs, 1, "StaticMap::batch_get: the result vector only");
+
+    let mut m: DynamicMap<u64, u64> =
+        DynamicMap::with_config(QueryKind::Veb, 8).with_compaction_mode(CompactionMode::Inline);
+    for k in 0..52u64 {
+        m.insert(3 * k, k);
+    }
+    assert!(m.run_count() >= 2, "{} runs", m.run_count());
+    let snap = m.snapshot();
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let (serial_hits, serial_allocs) =
+        one_thread.install(|| count_allocs(1, || snap.batch_get(&probes).iter().flatten().count()));
+    let (hits, allocs) = count_allocs(1, || snap.batch_get(&probes).iter().flatten().count());
+    assert_eq!((hits, serial_hits), (52, 52));
+    assert_eq!(
+        allocs, serial_allocs,
+        "Frozen::batch_get: dispatching a sub-floor batch must cost no allocation"
+    );
+}

@@ -1,0 +1,160 @@
+//! The dispatch budget of a serving tick, pinned by `ist-parallel`'s own
+//! counters: **a tick never leaves its thread.**
+//!
+//! The regression this guards sat in the tree for thirteen PRs: every
+//! batched operation of a tick dispatched per shard (and again per
+//! resident run) with no size floor, so a tick of a few hundred keys per
+//! shard paid dozens of thread hand-offs and the server ran 3 × slower
+//! than the same binary under `IST_PARALLEL=1`. Nothing inside the
+//! process could say so. Now `rayon::pool_stats()` can, and this test
+//! reads it around every phase of 200 ticks of the `durable_ticks` shape
+//! (1 024 operations: 40 % insert, 10 % remove, then a snapshot and
+//! 30 / 12 / 8 % `batch_get` / `batch_rank` / `batch_range_count`):
+//!
+//! * the read half of every tick hands off nothing;
+//! * a write half that seals nothing hands off nothing either (a seal
+//!   may start a merge, and a merge long enough to pay for it may
+//!   legitimately hand off slices — that is what the pool is for);
+//! * one 65 536-key `batch_get` still hands off, when there is a second
+//!   thread to hand to — the floor did not simply turn parallelism off;
+//! * the process never starts more than `configured − 1` workers, and
+//!   under `IST_PARALLEL=1` none, with a default pool reporting 1.
+//!
+//! Lives in its own integration-test binary because the counters are
+//! process-wide: one test function, nothing else dispatching beside it.
+
+use implicit_search_trees::{QueryKind, ShardedMap};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const PRELOAD: usize = 1 << 20;
+const TICKS: usize = 200;
+const TICK_OPS: usize = 1024;
+/// Two ticks' writes per shard: some write halves seal, some seal
+/// nothing, so both kinds are exercised.
+const BUFFER_CAP: usize = 512;
+
+#[derive(Default)]
+struct TickOps {
+    inserts: Vec<(u64, u64)>,
+    removes: Vec<u64>,
+    gets: Vec<u64>,
+    ranks: Vec<u64>,
+    ranges: Vec<(u64, u64)>,
+}
+
+fn tick_ops(rng: &mut StdRng, tick: u64) -> TickOps {
+    let mut ops = TickOps::default();
+    for _ in 0..TICK_OPS {
+        let key = rng.gen_range(0..2 * PRELOAD as u64);
+        match rng.gen_range(0..100u32) {
+            0..=39 => ops.inserts.push((key, tick)),
+            40..=49 => ops.removes.push(key),
+            50..=79 => ops.gets.push(key),
+            80..=91 => ops.ranks.push(key),
+            _ => ops.ranges.push((key, key + rng.gen_range(0..4096u64))),
+        }
+    }
+    ops
+}
+
+fn handed_off() -> u64 {
+    rayon::pool_stats().handed_off
+}
+
+#[test]
+fn a_serving_tick_never_leaves_its_thread() {
+    let configured = rayon::current_num_threads() as u64;
+    let serial = std::env::var("IST_PARALLEL").is_ok_and(|v| v.trim() == "1");
+    if serial {
+        assert_eq!(configured, 1);
+        let pool = rayon::ThreadPoolBuilder::new().build().unwrap();
+        assert_eq!(
+            pool.current_num_threads(),
+            1,
+            "default pool under IST_PARALLEL=1"
+        );
+    }
+
+    let mut rng = StdRng::seed_from_u64(0xD15_9A7C);
+    let keys: Vec<u64> = (0..PRELOAD as u64)
+        .map(|i| 2 * i + rng.gen_range(0..2u64))
+        .collect();
+    let values = keys.clone();
+    let mut map: ShardedMap<u64, u64> =
+        ShardedMap::build_for_kind(keys, values, QueryKind::Veb, BUFFER_CAP, 2).unwrap();
+    assert_eq!(map.shard_count(), 2);
+
+    let (mut quiet_write_halves, mut sealing_write_halves) = (0, 0);
+    for tick in 0..TICKS as u64 {
+        let ops = tick_ops(&mut rng, tick);
+
+        // Write half. Background merges are drained before it starts
+        // (below), so a call that leaves no sealed run and no merge in
+        // flight behind sealed nothing.
+        assert!(map.sealed_runs() == 0 && !map.compaction_in_flight());
+        let before = handed_off();
+        map.batch_insert(ops.inserts);
+        map.batch_remove(&ops.removes);
+        let after = handed_off();
+        if map.sealed_runs() == 0 && !map.compaction_in_flight() {
+            quiet_write_halves += 1;
+            assert_eq!(
+                after - before,
+                0,
+                "tick {tick}: a write half that sealed nothing handed off"
+            );
+        } else {
+            sealing_write_halves += 1;
+            // Outside every measured phase: no merge worker may still
+            // be dispatching when the read half is measured.
+            map.quiesce();
+        }
+
+        // Read half.
+        let before = handed_off();
+        let snap = map.snapshot();
+        let got = snap.batch_get(&ops.gets);
+        let ranks = snap.batch_rank(&ops.ranks);
+        let counts = snap.batch_range_count(&ops.ranges);
+        assert_eq!(
+            handed_off() - before,
+            0,
+            "tick {tick}: the read half handed off"
+        );
+        assert_eq!(got.len(), ops.gets.len());
+        assert_eq!(ranks.len(), ops.ranks.len());
+        assert_eq!(counts.len(), ops.ranges.len());
+    }
+    assert!(
+        quiet_write_halves >= TICKS / 8 && sealing_write_halves >= TICKS / 8,
+        "both kinds of write half must occur: {quiet_write_halves} quiet, \
+         {sealing_write_halves} sealing"
+    );
+
+    // A batch long enough to pay for it still spreads.
+    let probes: Vec<u64> = (0..1u64 << 16)
+        .map(|_| rng.gen_range(0..2 * PRELOAD as u64))
+        .collect();
+    let before = handed_off();
+    let got = map.batch_get(&probes);
+    let spread = handed_off() - before;
+    for (probe, value) in probes.iter().zip(&got) {
+        assert_eq!(*value, map.get(probe), "batch_get({probe})");
+    }
+    if configured > 1 {
+        assert!(spread >= 1, "a 65 536-key batch_get stayed on one thread");
+    } else {
+        assert_eq!(spread, 0);
+    }
+
+    let stats = rayon::pool_stats();
+    assert!(
+        stats.workers_started < configured,
+        "{} workers for {configured} configured threads",
+        stats.workers_started
+    );
+    if serial {
+        assert_eq!((stats.workers_started, stats.handed_off), (0, 0));
+    }
+}
