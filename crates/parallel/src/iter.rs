@@ -1,17 +1,18 @@
 //! Minimal parallel-iterator facade over index ranges and slices.
 //!
 //! Only the combinators the workspace actually uses are provided; each
-//! executes by splitting its index space into at most
-//! [`crate::effective_threads`] contiguous chunks of at least the
-//! `with_min_len` grain and running the chunks on budget-limited scoped
-//! threads (sequentially when no budget is available). Closures must be
-//! `Sync` exactly as with rayon, and slice-chunk tasks receive disjoint
-//! sub-slices, so the soundness contracts match upstream.
+//! executes through `par_ranges`: at most [`crate::effective_threads`]
+//! tasks of at least the `with_min_len` grain each, run by the caller
+//! and by as many pool workers as it can reserve (by the caller alone
+//! when it can reserve none), which claim blocks of the index space
+//! from one cursor. Closures must be `Sync` exactly as with rayon, and
+//! slice-chunk tasks receive disjoint sub-slices, so the soundness
+//! contracts match upstream.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::{current_pool_ctx, effective_threads, try_acquire_thread, with_pool_ctx};
+use crate::{effective_threads, global};
 
 /// Blocks each task's share of an index space is cut into. The caller
 /// and its helpers claim blocks from one cursor, so a helper that
@@ -37,37 +38,8 @@ where
         }
         return;
     }
-    let Some(first) = try_acquire_thread() else {
-        body(0..n);
-        return;
-    };
     let block = n.div_ceil(tasks * BLOCKS_PER_TASK);
-    let cursor = AtomicUsize::new(0);
-    let claim_blocks = || loop {
-        // Relaxed: the cursor only deals out disjoint index ranges; the
-        // data the blocks write is published by the scope's join.
-        let start = cursor.fetch_add(block, Ordering::Relaxed);
-        if start >= n {
-            break;
-        }
-        body(start..(start + block).min(n));
-    };
-    std::thread::scope(|s| {
-        let claim_blocks = &claim_blocks;
-        let mut token = Some(first);
-        for _ in 1..tasks {
-            // Helpers inherit the pool context.
-            let Some(token) = token.take().or_else(try_acquire_thread) else {
-                break;
-            };
-            let ctx = current_pool_ctx();
-            s.spawn(move || {
-                let _token = token;
-                with_pool_ctx(ctx, claim_blocks);
-            });
-        }
-        claim_blocks();
-    });
+    global().for_each_block(n, block, tasks, &body);
 }
 
 /// Conversion into a parallel iterator (rayon's entry-point trait).

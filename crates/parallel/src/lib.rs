@@ -1,4 +1,4 @@
-//! A rayon-compatible parallelism shim on scoped OS threads.
+//! A rayon-compatible parallelism shim on a persistent worker pool.
 //!
 //! This workspace builds in a fully offline environment, so the real
 //! `rayon` crate cannot be fetched. The algorithms only need a narrow
@@ -12,51 +12,91 @@
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] and
 //!   [`current_num_threads`].
 //!
-//! Concurrency is provided by `std::thread::scope` behind two limits:
+//! # Execution
 //!
-//! 1. a **global spawn budget** of `available_parallelism() − 1` live
-//!    helper threads (overridable via the `IST_PARALLEL` environment
-//!    variable: `IST_PARALLEL=1` forces strictly serial execution,
-//!    larger values oversubscribe single-core hosts with real OS
-//!    threads), which keeps deeply nested `join`/`scope` recursion —
-//!    the shape of every construction algorithm here — from exploding
-//!    the thread count; and
-//! 2. the **installed pool allowance**: inside
-//!    [`ThreadPool::install`]`(p)` at most `p − 1` helpers are live at
-//!    once, the pool context is inherited by helper threads, and `p = 1`
-//!    runs strictly sequentially — so "speedup vs P" measurements mean
-//!    what they say on multi-core hosts.
+//! Tasks run on **persistent parked workers** (`worker.rs`): started
+//! lazily, one at a time, the first time a task is handed off, never
+//! more than `configured − 1` of them, and parked on a condition
+//! variable between jobs. The configured count is the `IST_PARALLEL`
+//! environment variable when it holds a positive integer and
+//! `available_parallelism()` otherwise, **resolved once per process**
+//! (`configured_threads`). `IST_PARALLEL=1` starts no worker, ever,
+//! and runs every `join` / `scope` / par-iter strictly on the calling
+//! thread; values above the core count oversubscribe with real OS
+//! threads, which is how single-core hosts still exercise the
+//! concurrent code paths.
 //!
-//! When no helper is available everything runs sequentially on the
-//! caller (always, on a single-core host). Results are bit-identical
-//! either way; the algorithms only rely on *disjointness* of their
-//! parallel tasks, never on scheduling order.
+//! A task is handed off only while its dispatcher holds a reservation,
+//! which honors two limits:
+//!
+//! 1. the **pool limit** — reservations never exceed started workers,
+//!    which keeps deeply nested `join`/`scope` recursion (the shape of
+//!    every construction algorithm here) from deadlocking or
+//!    oversubscribing: without a reservation the task simply runs on
+//!    the caller; and
+//! 2. the **installed pool allowance** — inside
+//!    [`ThreadPool::install`]`(p)` at most `p − 1` helpers are busy at
+//!    once, the pool context is inherited by the workers that run its
+//!    tasks, and `p = 1` runs strictly sequentially — so "speedup vs P"
+//!    measurements mean what they say on multi-core hosts.
+//!
+//! The caller always runs a share of the work itself, takes back any
+//! task of its own that no worker has claimed by the time it is done,
+//! and blocks only on tasks that are running. A panic in a task is
+//! caught on the worker, carried back and resumed on the dispatching
+//! thread — after every other task of that dispatch has finished, also
+//! when the dispatcher's own share is what panicked.
+//!
+//! # What a hand-off costs, and the floor rule
+//!
+//! Waking a parked worker and hearing back from it is not free
+//! ([`HANDOFF_COST_NS`]). Dispatch sites that size their own tasks
+//! derive their serial threshold from [`min_task_len`] — one rule, one
+//! measured constant — so a batch too short to pay for the hand-off
+//! never leaves its thread. [`pool_stats`] counts what was handed off
+//! and what was kept.
+//!
+//! Results are bit-identical whatever runs where; the algorithms only
+//! rely on *disjointness* of their parallel tasks, never on scheduling
+//! order.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 mod iter;
 mod pool;
+mod sync;
+mod worker;
 
 pub use iter::*;
 pub use pool::{current_num_threads, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
+pub use worker::Scope;
+
+use sync::{AtomicUsize, Ordering};
+use worker::Workers;
 
 /// Everything needed for `use rayon::prelude::*` call sites.
 pub mod prelude {
     pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
 }
 
-/// Global budget of helper threads that may be live at once.
-static SPAWN_BUDGET: AtomicIsize = AtomicIsize::new(-1);
-
-/// What one hand-off costs, in nanoseconds: the time from a dispatch
-/// site deciding to give a task to a helper until that helper's
-/// completion is visible to the dispatcher again, over and above the
-/// task's own work. Measured on the 2-vCPU reference box as a
-/// `std::thread::scope` + `spawn` + `join` of an empty closure: 19 µs
-/// (median of 10 000).
-pub const HANDOFF_COST_NS: u64 = 19_000;
+/// What one hand-off costs, in nanoseconds: the time a task handed to
+/// a parked worker takes to start running there, plus the time its
+/// completion takes to release the dispatcher, over and above the
+/// task's own work.
+///
+/// Measured by `cargo run --release -p ist-parallel --example
+/// handoff_cost` on the 2-vCPU reference box, otherwise idle, 10 000
+/// hand-offs per run, four runs: dispatch → running 1.6–1.9 µs at the
+/// median and 15–22 µs at the 99th percentile; done → released 1.4–1.6
+/// and 4.6–6.2 µs. The constant is the **99th percentile** of the sum:
+/// a floor has to hold when the worker's core is busy with something
+/// else, and a serving process keeps every core busy. (The
+/// `thread::scope` + `spawn` + `join` this pool replaced cost 19 µs at
+/// the *median*, on top of a 14 µs `available_parallelism()` call per
+/// dispatch.)
+pub const HANDOFF_COST_NS: u64 = 25_000;
 
 /// A handed-off task must be worth at least this many hand-offs, so
 /// dispatch overhead stays below a tenth of the task.
@@ -105,35 +145,44 @@ pub(crate) fn configured_threads() -> usize {
     })
 }
 
+/// The process-wide pool: `configured − 1` workers at most, none of
+/// them started until a task is first handed off.
+pub(crate) fn global() -> &'static Workers {
+    static GLOBAL: OnceLock<Workers> = OnceLock::new();
+    GLOBAL.get_or_init(|| Workers::new(configured_threads() - 1))
+}
+
 /// The ambient thread-pool context: a logical thread count plus a shared
-/// allowance of helper threads for everything running under one
-/// [`ThreadPool::install`]. Inherited by helper threads.
+/// allowance of busy helpers for everything running under one
+/// [`ThreadPool::install`]. Inherited by the workers that run its tasks.
 #[derive(Clone)]
 pub(crate) struct PoolCtx {
     pub(crate) threads: usize,
-    allowance: Arc<AtomicIsize>,
+    pub(crate) allowance: Arc<AtomicUsize>,
 }
 
 impl PoolCtx {
     pub(crate) fn new(threads: usize) -> Self {
         Self {
             threads,
-            allowance: Arc::new(AtomicIsize::new(threads as isize - 1)),
+            allowance: Arc::new(AtomicUsize::new(threads.saturating_sub(1))),
         }
     }
 }
 
 thread_local! {
     /// Pool context installed by [`ThreadPool::install`] (None outside).
-    pub(crate) static POOL_CTX: RefCell<Option<PoolCtx>> = const { RefCell::new(None) };
+    static POOL_CTX: RefCell<Option<PoolCtx>> = const { RefCell::new(None) };
 }
 
 pub(crate) fn current_pool_ctx() -> Option<PoolCtx> {
     POOL_CTX.with(|c| c.borrow().clone())
 }
 
-/// Run `f` with `ctx` installed as this thread's pool context (used by
-/// helper threads to inherit their spawner's pool).
+/// Run `f` with `ctx` installed as this thread's pool context:
+/// [`ThreadPool::install`] on the caller, and every worker around a
+/// task, which is how a task inherits its spawner's pool. The previous
+/// context is restored afterwards, also when `f` panics.
 pub(crate) fn with_pool_ctx<R>(ctx: Option<PoolCtx>, f: impl FnOnce() -> R) -> R {
     let prev = POOL_CTX.with(|c| c.replace(ctx));
     struct Restore(Option<PoolCtx>);
@@ -147,53 +196,14 @@ pub(crate) fn with_pool_ctx<R>(ctx: Option<PoolCtx>, f: impl FnOnce() -> R) -> R
     f()
 }
 
-/// RAII token for one reserved helper thread; returns the reservation to
-/// the global budget (and the pool allowance, if any) on drop.
-pub(crate) struct ThreadToken {
-    pool: Option<Arc<AtomicIsize>>,
-}
-
-impl Drop for ThreadToken {
-    fn drop(&mut self) {
-        // Relaxed: the budget counters are pure reservation counts —
-        // no data is published through them, so no ordering is needed,
-        // only atomicity of the increment.
-        SPAWN_BUDGET.fetch_add(1, Ordering::Relaxed);
-        if let Some(pool) = &self.pool {
-            // Relaxed: same argument as the budget increment above.
-            pool.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-fn try_decrement(counter: &AtomicIsize) -> bool {
-    loop {
-        // Relaxed: reservation counters guard nothing but themselves
-        // (no data is published through them); the CAS only needs the
-        // read-modify-write to be atomic.
-        let cur = counter.load(Ordering::Relaxed);
-        if cur <= 0 {
-            return false;
-        }
-        if counter
-            // Relaxed: only atomicity of the decrement is needed — see
-            // the load above.
-            .compare_exchange(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            return true;
-        }
-    }
-}
-
 /// Dispatch counters since process start; see [`pool_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Persistent worker threads started so far.
     pub workers_started: u64,
-    /// Tasks given to a helper thread.
+    /// Tasks queued for a worker.
     pub handed_off: u64,
-    /// Tasks a dispatch site offered to a helper but ran on the calling
+    /// Tasks a dispatch site offered to a worker but ran on the calling
     /// thread because none could be reserved.
     pub ran_inline: u64,
 }
@@ -201,12 +211,23 @@ pub struct PoolStats {
 static HANDED_OFF: AtomicU64 = AtomicU64::new(0);
 static RAN_INLINE: AtomicU64 = AtomicU64::new(0);
 
+pub(crate) fn note_handed_off() {
+    // Relaxed: a statistic; it publishes nothing.
+    HANDED_OFF.fetch_add(1, Ordering::Relaxed);
+}
+
+pub(crate) fn note_ran_inline() {
+    // Relaxed: a statistic; it publishes nothing.
+    RAN_INLINE.fetch_add(1, Ordering::Relaxed);
+}
+
 /// How often this process's dispatch sites (`join`, `Scope::spawn`, the
-/// parallel iterators) handed a task to a helper and how often they
-/// kept it. Always on: three relaxed counters.
+/// parallel iterators) handed a task to a worker, how often they kept
+/// one for want of a worker, and how many workers that took. Always on:
+/// three relaxed counters.
 pub fn pool_stats() -> PoolStats {
     PoolStats {
-        workers_started: 0,
+        workers_started: global().started() as u64,
         // Relaxed: statistics; they publish nothing.
         handed_off: HANDED_OFF.load(Ordering::Relaxed),
         // Relaxed: as above.
@@ -214,53 +235,10 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
-/// Try to reserve one helper thread, honoring both the global budget and
-/// the installed pool's allowance.
-pub(crate) fn try_acquire_thread() -> Option<ThreadToken> {
-    let token = try_reserve();
-    // Relaxed: statistics; they publish nothing.
-    let counter = if token.is_some() {
-        &HANDED_OFF
-    } else {
-        &RAN_INLINE
-    };
-    // Relaxed: as above.
-    counter.fetch_add(1, Ordering::Relaxed);
-    token
-}
-
-fn try_reserve() -> Option<ThreadToken> {
-    // Relaxed: initialize the global budget lazily on first use;
-    // racing writers store the same value, so which store wins and in
-    // what order it becomes visible is immaterial.
-    if SPAWN_BUDGET.load(Ordering::Relaxed) == -1 {
-        let budget = configured_threads().saturating_sub(1) as isize;
-        // Relaxed: racing initializers compute identical values.
-        let _ = SPAWN_BUDGET.compare_exchange(-1, budget, Ordering::Relaxed, Ordering::Relaxed);
-    }
-    let pool = match current_pool_ctx() {
-        Some(ctx) => {
-            if !try_decrement(&ctx.allowance) {
-                return None;
-            }
-            Some(ctx.allowance)
-        }
-        None => None,
-    };
-    if try_decrement(&SPAWN_BUDGET) {
-        Some(ThreadToken { pool })
-    } else {
-        if let Some(pool) = pool {
-            // Relaxed: give the pool allowance back (no global budget
-            // available); a bare counter increment publishes no data.
-            pool.fetch_add(1, Ordering::Relaxed);
-        }
-        None
-    }
-}
-
 /// Run `oper_a` and `oper_b`, potentially in parallel, and return both
-/// results. Semantically identical to `rayon::join`.
+/// results. Semantically identical to `rayon::join`: `oper_a` runs on
+/// the calling thread; if either panics, the panic is resumed here once
+/// both have finished (`oper_a`'s if both did).
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -268,71 +246,24 @@ where
     RA: Send,
     RB: Send,
 {
-    if let Some(token) = try_acquire_thread() {
-        let ctx = current_pool_ctx();
-        std::thread::scope(|s| {
-            let handle = s.spawn(move || {
-                let _token = token;
-                with_pool_ctx(ctx, oper_b)
-            });
-            let ra = oper_a();
-            let rb = match handle.join() {
-                Ok(rb) => rb,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (ra, rb)
-        })
-    } else {
-        (oper_a(), oper_b())
-    }
-}
-
-/// A structured-concurrency scope; tasks spawned on it are joined before
-/// [`scope`] returns. Mirrors `rayon::Scope`.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn `body` into the scope. Runs on a helper thread when the
-    /// global budget and pool allowance permit, inline otherwise (rayon
-    /// makes the same no-guarantee about which thread runs a spawned
-    /// task).
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        if let Some(token) = try_acquire_thread() {
-            let inner = self.inner;
-            let ctx = current_pool_ctx();
-            inner.spawn(move || {
-                let _token = token;
-                let scope = Scope { inner };
-                with_pool_ctx(ctx, move || body(&scope));
-            });
-        } else {
-            body(self);
-        }
-    }
+    global().join(oper_a, oper_b)
 }
 
 /// Create a scope for structured task spawning. Mirrors `rayon::scope`;
-/// panics from spawned tasks propagate when the scope closes.
+/// a panic in the body or in a spawned task is resumed here once every
+/// spawned task has finished (the body's if both did).
 pub fn scope<'env, F, R>(f: F) -> R
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
     R: Send,
 {
-    std::thread::scope(|s| {
-        let wrapper = Scope { inner: s };
-        f(&wrapper)
-    })
+    global().scope(f)
 }
 
 /// Effective parallelism for splitting decisions on this thread.
 pub(crate) fn effective_threads() -> usize {
-    current_pool_ctx()
-        .map(|ctx| ctx.threads)
+    POOL_CTX
+        .with(|c| c.borrow().as_ref().map(|ctx| ctx.threads))
         .unwrap_or_else(configured_threads)
         .max(1)
 }

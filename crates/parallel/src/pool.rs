@@ -1,14 +1,15 @@
 //! Thread-pool facade matching the `rayon::ThreadPoolBuilder` API.
 //!
-//! The shim has no persistent worker pool; `install` publishes a pool
+//! A [`ThreadPool`] owns no threads: the process has one set of
+//! persistent workers (`worker.rs`), and `install` publishes a pool
 //! context (logical thread count + shared helper allowance) that
 //! [`current_num_threads`], the iterator splitting, and every
-//! `join`/`scope` spawn decision honor — helper threads inherit it, so
-//! work running under `install(p)` uses at most `p − 1` helpers and
-//! `install(1)` is strictly sequential. That is what the workspace uses
-//! pools for (pinning `P` in benchmarks).
+//! `join`/`scope` hand-off decision honor — the workers that run its
+//! tasks inherit it, so work running under `install(p)` keeps at most
+//! `p − 1` helpers busy and `install(1)` is strictly sequential. That
+//! is what the workspace uses pools for (pinning `P` in benchmarks).
 
-use crate::{PoolCtx, POOL_CTX};
+use crate::PoolCtx;
 
 /// Builder for a [`ThreadPool`]. Mirrors `rayon::ThreadPoolBuilder`.
 #[derive(Debug, Default)]
@@ -63,26 +64,15 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Run `op` with this pool's thread count as the ambient
     /// parallelism: splitting targets `num_threads` pieces and at most
-    /// `num_threads − 1` helper threads are live at once (helpers
-    /// inherit the context).
+    /// `num_threads − 1` helpers are busy at once (helpers inherit the
+    /// context).
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R + Send,
         R: Send,
     {
         // A fresh context (and allowance) per install call.
-        let ctx = PoolCtx::new(self.num_threads);
-        let prev = POOL_CTX.with(|c| c.replace(Some(ctx)));
-        // Restore on scope exit even if `op` panics.
-        struct Restore(Option<PoolCtx>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let prev = self.0.take();
-                POOL_CTX.with(|c| c.replace(prev));
-            }
-        }
-        let _restore = Restore(prev);
-        op()
+        crate::with_pool_ctx(Some(PoolCtx::new(self.num_threads)), op)
     }
 
     /// The pool's thread count.

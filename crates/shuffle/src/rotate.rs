@@ -94,8 +94,10 @@ pub fn rotate_right<T>(data: &mut [T], c: usize) {
 /// Matches [`rotate_left`] semantically; uses `O(1)` depth in the PRAM
 /// abstraction (three rounds of disjoint swaps). Recorded once on one
 /// core: `rotate_right_par` took 1.44 ms against `slice::rotate_right`'s
-/// 0.55 ms at 2^20 `u64`s, so it needs real cores and a cheaper fork
-/// (ROADMAP, Construction (b)) to pay.
+/// 0.55 ms at 2^20 `u64`s — 2.6 × the work, so it cannot win on fewer
+/// than three cores whatever a hand-off costs, and no construction
+/// backend calls it (the parallel `Ram` and the chunked gather rotate
+/// with `slice::rotate_right`).
 ///
 /// # Examples
 /// ```
