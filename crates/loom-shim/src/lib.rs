@@ -48,6 +48,10 @@
 //!   ordering argument: invariants are checked against the strongest
 //!   memory model. Relaxed-ordering *weakness* is out of scope; what
 //!   is in scope is every interleaving of the operations themselves.
+//! - `Condvar::wait` releases its mutex and blocks as one step and
+//!   re-acquires it after a notify; which waiter `notify_one` wakes is
+//!   an explored decision; a notify nobody waits for is lost. Spurious
+//!   wake-ups are not modeled (waiters loop on their predicate anyway).
 //! - Mutex poisoning is not modeled (`lock` never errors); panics in
 //!   spawned threads still surface through `join`, and a panic in the
 //!   root closure — or a deadlock — becomes a [`Failure`].
@@ -65,7 +69,7 @@ pub use model::{Failure, Model, Stats};
 
 #[cfg(test)]
 mod tests {
-    use super::sync::{Arc, AtomicBool, AtomicUsize, Mutex, Ordering};
+    use super::sync::{Arc, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
     use super::{thread, Model};
 
     /// The classic lost update: load + store is not atomic.
@@ -207,6 +211,158 @@ mod tests {
         assert_eq!(*m.lock().unwrap(), 8);
         assert_eq!(Arc::strong_count(&c), 1);
         thread::yield_now();
+    }
+
+    /// Check-then-wait with the check outside the lock: the flag can be
+    /// set, and the notify spent, between the consumer's check and its
+    /// wait.
+    fn lost_wakeup() {
+        let ready = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new((Mutex::new(()), Condvar::new()));
+        let (ready2, gate2) = (Arc::clone(&ready), Arc::clone(&gate));
+        let consumer = thread::spawn(move || {
+            if !ready2.load(Ordering::SeqCst) {
+                let guard = gate2.0.lock().unwrap();
+                let _guard = gate2.1.wait(guard).unwrap();
+            }
+        });
+        ready.store(true, Ordering::SeqCst);
+        gate.1.notify_one();
+        consumer.join().unwrap();
+    }
+
+    /// The fix: the flag lives under the mutex the wait releases, and
+    /// the waiter re-checks it in a loop.
+    fn no_lost_wakeup() {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let gate2 = Arc::clone(&gate);
+        let consumer = thread::spawn(move || {
+            let mut ready = gate2.0.lock().unwrap();
+            while !*ready {
+                ready = gate2.1.wait(ready).unwrap();
+            }
+        });
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_one();
+        consumer.join().unwrap();
+    }
+
+    #[test]
+    fn condvar_lost_wakeup_is_found_and_replayable() {
+        let failure = Model::new().check(lost_wakeup).unwrap_err();
+        assert!(failure.message.contains("deadlock"), "{failure}");
+        assert!(failure.message.contains("BlockedOnCondvar"), "{failure}");
+        // (The message names the condvar by a process-wide resource id,
+        // so it differs between runs; the schedule does not.)
+        let replayed = Model::new()
+            .replay(&failure.schedule, lost_wakeup)
+            .unwrap_err();
+        assert_eq!(replayed.schedule, failure.schedule);
+        assert!(replayed.message.contains("BlockedOnCondvar"), "{replayed}");
+    }
+
+    #[test]
+    fn condvar_flag_under_the_mutex_is_exhaustively_clean() {
+        let stats = Model::new()
+            .check(no_lost_wakeup)
+            .expect("wait releases the mutex atomically");
+        assert!(stats.complete);
+        assert!(stats.executions > 1);
+    }
+
+    #[test]
+    fn condvar_wait_reacquires_the_mutex() {
+        // The woken waiter must hold the lock again: its increment and
+        // the notifier's never interleave.
+        let stats = Model::new()
+            .check(|| {
+                let gate = Arc::new((Mutex::new((false, 0u32)), Condvar::new()));
+                let gate2 = Arc::clone(&gate);
+                let waiter = thread::spawn(move || {
+                    let mut state = gate2.0.lock().unwrap();
+                    while !state.0 {
+                        state = gate2.1.wait(state).unwrap();
+                    }
+                    let seen = state.1;
+                    state.1 = seen + 1;
+                });
+                {
+                    let mut state = gate.0.lock().unwrap();
+                    state.0 = true;
+                    gate.1.notify_one();
+                    // Still under the lock after the notify.
+                    let seen = state.1;
+                    state.1 = seen + 10;
+                }
+                waiter.join().unwrap();
+                assert_eq!(gate.0.lock().unwrap().1, 11);
+            })
+            .expect("the wait re-acquires before returning");
+        assert!(stats.complete);
+    }
+
+    #[test]
+    fn condvar_notify_one_explores_every_waiter_and_notify_all_wakes_all() {
+        // Two waiters, one token: whichever `notify_one` picks takes it;
+        // the other is only released by the later `notify_all`.
+        let first_winner = std::sync::Mutex::new(std::collections::BTreeSet::new());
+        let stats = Model::new()
+            .check(|| {
+                // (token available, shutting down, who took the token)
+                let gate = Arc::new((Mutex::new((false, false, None)), Condvar::new()));
+                let mut waiters = Vec::new();
+                for id in 0..2usize {
+                    let gate = Arc::clone(&gate);
+                    waiters.push(thread::spawn(move || {
+                        let mut state = gate.0.lock().unwrap();
+                        loop {
+                            if state.0 {
+                                state.0 = false;
+                                state.2 = Some(id);
+                                return;
+                            }
+                            if state.1 {
+                                return;
+                            }
+                            state = gate.1.wait(state).unwrap();
+                        }
+                    }));
+                }
+                gate.0.lock().unwrap().0 = true;
+                gate.1.notify_one();
+                gate.0.lock().unwrap().1 = true;
+                gate.1.notify_all();
+                for waiter in waiters {
+                    waiter.join().unwrap();
+                }
+                let winner = gate.0.lock().unwrap().2.expect("someone took the token");
+                first_winner.lock().unwrap().insert(winner);
+            })
+            .expect("no waiter is left behind");
+        assert!(stats.complete);
+        assert_eq!(
+            first_winner.into_inner().unwrap().len(),
+            2,
+            "both waiters win somewhere"
+        );
+    }
+
+    #[test]
+    fn condvar_falls_back_to_std_outside_the_model() {
+        no_lost_wakeup();
+        let gate = Arc::new((Mutex::new(0u32), Condvar::default()));
+        let gate2 = Arc::clone(&gate);
+        let t = thread::spawn(move || {
+            *gate2.0.lock().unwrap() = 3;
+            gate2.1.notify_all();
+        });
+        let mut value = gate.0.lock().unwrap();
+        while *value == 0 {
+            value = gate.1.wait(value).unwrap();
+        }
+        assert_eq!(*value, 3);
+        drop(value);
+        t.join().unwrap();
     }
 
     #[test]

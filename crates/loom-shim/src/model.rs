@@ -23,6 +23,8 @@ enum Status {
     BlockedOnMutex(usize),
     /// Waiting for another model thread (by tid) to finish.
     BlockedOnJoin(usize),
+    /// Waiting on a model condvar (by resource id) for a notify.
+    BlockedOnCondvar(usize),
     Finished,
 }
 
@@ -122,6 +124,34 @@ fn wait_for_turn<'a>(
     }
 }
 
+/// Record one `n`-way decision — which thread runs next, or which
+/// waiter a `notify_one` wakes — and return the branch taken: the
+/// replayed index while the replay prefix lasts, branch 0 after it (the
+/// DFS in [`Model::check`] bumps it on later executions). `None` aborts
+/// the execution: the replayed index does not exist, so the program
+/// under test is not deterministic given the schedule.
+fn decide(exec: &Execution, st: &mut ExecState, n: usize) -> Option<usize> {
+    let pos = st.choices.len();
+    let idx = if pos < st.replay.len() {
+        let i = st.replay[pos];
+        if i >= n {
+            st.failure = Some(format!(
+                "schedule divergence at step {pos}: replay index {i} but only {n} choice(s) — \
+                 the program under test is not deterministic given the schedule"
+            ));
+            st.aborted = true;
+            exec.cv.notify_all();
+            return None;
+        }
+        i
+    } else {
+        0
+    };
+    st.counts.push(n);
+    st.choices.push(idx);
+    Some(idx)
+}
+
 /// Record one scheduling decision and hand the token to the chosen
 /// thread. `me_runnable` says whether the calling thread is itself a
 /// candidate (false when it just blocked or finished).
@@ -154,25 +184,9 @@ fn schedule_next(exec: &Execution, st: &mut ExecState, me: usize, me_runnable: b
     } else {
         enabled
     };
-    let pos = st.choices.len();
-    let idx = if pos < st.replay.len() {
-        let i = st.replay[pos];
-        if i >= restricted.len() {
-            st.failure = Some(format!(
-                "schedule divergence at step {pos}: replay index {i} but only {} choice(s) — \
-                 the program under test is not deterministic given the schedule",
-                restricted.len()
-            ));
-            st.aborted = true;
-            exec.cv.notify_all();
-            return;
-        }
-        i
-    } else {
-        0
+    let Some(idx) = decide(exec, st, restricted.len()) else {
+        return;
     };
-    st.counts.push(restricted.len());
-    st.choices.push(idx);
     let chosen = restricted[idx];
     if me_runnable && chosen != me {
         st.preemptions += 1;
@@ -261,6 +275,44 @@ pub(crate) fn release_resource(exec: &Execution, id: usize) {
     }
     // No notify: nothing can act on this until a scheduling point,
     // and the releasing thread still holds the token.
+}
+
+/// Model-wait on condvar `id`: block (in model time) until a notify
+/// picks this thread. The caller has just released the mutex — no
+/// scheduling point lies between that release and this registration,
+/// so the pair is atomic, as `Condvar::wait` promises — and re-acquires
+/// it afterwards. No spurious wake-ups are modeled.
+pub(crate) fn wait_condvar(ctx: &Ctx, id: usize) {
+    let mut st = lock_state(&ctx.exec);
+    if st.aborted {
+        drop(st);
+        std::panic::panic_any(Abort);
+    }
+    st.status[ctx.tid] = Status::BlockedOnCondvar(id);
+    schedule_next(&ctx.exec, &mut st, ctx.tid, false);
+    let _st = wait_for_turn(&ctx.exec, st, ctx.tid);
+}
+
+/// Model-notify condvar `id`: make one waiter (`all == false`; which
+/// one is a recorded decision, so every choice is explored) or every
+/// waiter runnable. A notify with no waiter is lost, as with `std`.
+/// Must be preceded by a [`yield_point`].
+pub(crate) fn notify_condvar(ctx: &Ctx, id: usize, all: bool) {
+    let mut st = lock_state(&ctx.exec);
+    let waiters: Vec<usize> = (0..st.status.len())
+        .filter(|&t| st.status[t] == Status::BlockedOnCondvar(id))
+        .collect();
+    if all {
+        for t in waiters {
+            st.status[t] = Status::Runnable;
+        }
+    } else if !waiters.is_empty() {
+        let Some(idx) = decide(&ctx.exec, &mut st, waiters.len()) else {
+            drop(st);
+            std::panic::panic_any(Abort);
+        };
+        st.status[waiters[idx]] = Status::Runnable;
+    }
 }
 
 /// Model-join: block (in model time) until `target` finishes.

@@ -16,7 +16,10 @@ use std::sync::{Arc as StdArc, LockResult, Mutex as StdMutex, MutexGuard as StdM
 
 pub use std::sync::atomic::Ordering;
 
-use crate::model::{acquire_resource, current_ctx, release_resource, yield_point, Execution};
+use crate::model::{
+    acquire_resource, current_ctx, notify_condvar, release_resource, wait_condvar, yield_point,
+    Execution,
+};
 
 static NEXT_RESOURCE_ID: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
@@ -104,6 +107,18 @@ impl AtomicUsize {
     pub fn swap(&self, v: usize, _order: Ordering) -> usize {
         yield_point();
         self.inner.swap(v, StdOrdering::SeqCst)
+    }
+
+    pub fn compare_exchange(
+        &self,
+        current: usize,
+        new: usize,
+        _success: Ordering,
+        _failure: Ordering,
+    ) -> Result<usize, usize> {
+        yield_point();
+        self.inner
+            .compare_exchange(current, new, StdOrdering::SeqCst, StdOrdering::SeqCst)
     }
 }
 
@@ -212,7 +227,8 @@ impl<T: ?Sized> Mutex<T> {
                     }
                 };
                 Ok(MutexGuard {
-                    inner: guard,
+                    inner: Some(guard),
+                    mutex: self,
                     model: Some((ctx.exec, self.id)),
                 })
             }
@@ -222,7 +238,8 @@ impl<T: ?Sized> Mutex<T> {
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 Ok(MutexGuard {
-                    inner: guard,
+                    inner: Some(guard),
+                    mutex: self,
                     model: None,
                 })
             }
@@ -246,20 +263,24 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 /// Guard for [`Mutex`]; releasing updates model ownership and wakes
 /// waiters without itself being a scheduling point (drop-safe).
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: StdMutexGuard<'a, T>,
+    /// `None` only while [`Condvar::wait`] has handed the real guard to
+    /// the real condvar (outside the model).
+    inner: Option<StdMutexGuard<'a, T>>,
+    /// The mutex this guards, so [`Condvar::wait`] can re-acquire it.
+    mutex: &'a Mutex<T>,
     model: Option<(StdArc<Execution>, usize)>,
 }
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        self.inner.as_ref().expect("guard holds the lock")
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        self.inner.as_mut().expect("guard holds the lock")
     }
 }
 
@@ -268,5 +289,77 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
         if let Some((exec, id)) = self.model.take() {
             release_resource(&exec, id);
         }
+    }
+}
+
+/// Model-aware `Condvar`. Under the model `wait` releases the mutex and
+/// blocks through the scheduler (atomically: no scheduling point lies
+/// between the two), and re-acquires it — possibly blocking again —
+/// once a notify has picked the thread; `notify_one` wakes one waiter
+/// (every choice of waiter is explored), `notify_all` all of them, and
+/// a notify nobody waits for is lost. Spurious wake-ups are not
+/// modeled; timeouts are not provided. Outside the model it *is* a
+/// plain `std` condvar.
+#[derive(Debug)]
+pub struct Condvar {
+    id: usize,
+    inner: std::sync::Condvar,
+}
+
+impl Condvar {
+    pub fn new() -> Self {
+        Condvar {
+            id: fresh_resource_id(),
+            inner: std::sync::Condvar::new(),
+        }
+    }
+
+    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+        let mutex = guard.mutex;
+        match current_ctx() {
+            Some(ctx) => {
+                drop(guard);
+                wait_condvar(&ctx, self.id);
+                mutex.lock()
+            }
+            None => {
+                let std_guard = guard.inner.take().expect("guard holds the lock");
+                let std_guard = self
+                    .inner
+                    .wait(std_guard)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                Ok(MutexGuard {
+                    inner: Some(std_guard),
+                    mutex,
+                    model: None,
+                })
+            }
+        }
+    }
+
+    pub fn notify_one(&self) {
+        match current_ctx() {
+            Some(ctx) => {
+                yield_point();
+                notify_condvar(&ctx, self.id, false);
+            }
+            None => self.inner.notify_one(),
+        }
+    }
+
+    pub fn notify_all(&self) {
+        match current_ctx() {
+            Some(ctx) => {
+                yield_point();
+                notify_condvar(&ctx, self.id, true);
+            }
+            None => self.inner.notify_all(),
+        }
+    }
+}
+
+impl Default for Condvar {
+    fn default() -> Self {
+        Condvar::new()
     }
 }

@@ -625,3 +625,196 @@ impl<F: Fn(Range<usize>) + Sync> BlockJob<'_, F> {
         unsafe { Latch::set(&raw const (*this).latch, panic) };
     }
 }
+
+/// The pool's hand-off, wake-up and completion protocol under every
+/// bounded interleaving (`ist-loom`):
+///
+/// ```sh
+/// RUSTFLAGS="--cfg ist_loom" cargo test -p ist-parallel --lib model
+/// ```
+///
+/// Each model builds its own small pool (dropped, and so shut down and
+/// joined, inside the execution — the scheduler must see every thread
+/// finish), runs one dispatch pattern on it, and states the preemption
+/// bound under which its schedule space is explored **to completion**.
+/// The jobs' frames all live on the model's root thread.
+#[cfg(all(test, ist_loom))]
+mod model {
+    use super::*;
+    use ist_loom::Model;
+    use std::sync::atomic::{AtomicBool as StdAtomicBool, Ordering as StdOrdering};
+
+    /// Run `program` on a fresh pool of at most `limit` workers, then
+    /// shut it down. If `program` fails the pool is leaked instead:
+    /// dropping it would go through the (by then aborted) scheduler
+    /// while unwinding.
+    fn with_pool(limit: usize, program: impl FnOnce(&Workers)) {
+        let pool = std::mem::ManuallyDrop::new(Workers::new(limit));
+        program(&pool);
+        drop(std::mem::ManuallyDrop::into_inner(pool));
+    }
+
+    /// Explore `program` under every schedule with at most
+    /// `preemption_bound` preemptive context switches (CHESS-style;
+    /// switches at a blocking step are free), to completion. Two covers
+    /// every pairwise race of the protocol's steps — one switch away
+    /// from a thread mid-step and one back; three lets a third party in
+    /// between. Each model states the bound it affords.
+    fn explore(preemption_bound: u32, program: impl Fn()) -> ist_loom::Stats {
+        let model = Model {
+            preemption_bound: Some(preemption_bound),
+            max_executions: 2_000_000,
+        };
+        let stats = model
+            .check(program)
+            .unwrap_or_else(|failure| panic!("{failure}"));
+        assert!(
+            stats.complete,
+            "explored only {} schedules",
+            stats.executions
+        );
+        eprintln!(
+            "explored {} schedules to completion (preemption bound {preemption_bound})",
+            stats.executions
+        );
+        stats
+    }
+
+    /// A queued job is taken by a worker even if its owner never comes
+    /// back for it: the push happens between a parked worker's
+    /// empty-queue check and its wait in some schedule, and the wake-up
+    /// must not be lost. `oper_a` blocks until `oper_b` has started, so
+    /// the owner cannot rescue a stranded job by taking it back; a lost
+    /// wake-up is a deadlock. Preemption bound 3.
+    #[test]
+    fn a_job_pushed_while_a_worker_parks_is_never_stranded() {
+        let stats = explore(3, || {
+            with_pool(1, |pool| {
+                // Start the worker and let it go back to the queue.
+                assert_eq!(pool.join(|| 1, || 2), (1, 2));
+                let started = (Mutex::new(false), Condvar::new());
+                let (a, b) = pool.join(
+                    || {
+                        let mut flag = lock(&started.0);
+                        while !*flag {
+                            flag = started.1.wait(flag).unwrap();
+                        }
+                        3
+                    },
+                    || {
+                        *lock(&started.0) = true;
+                        started.1.notify_one();
+                        4
+                    },
+                );
+                assert_eq!((a, b), (3, 4));
+                assert_eq!(pool.started(), 1);
+            })
+        });
+        assert!(stats.executions > 100, "{stats:?}");
+    }
+
+    /// `join`, `scope` and `for_each_block` return only after every
+    /// task they handed off has run to its end — whoever ran it. Two
+    /// workers under `join` + `scope` at preemption bound 2 (bound 3 is
+    /// 166 336 schedules and a minute and a half); one worker under
+    /// `for_each_block` at bound 3.
+    #[test]
+    fn dispatch_returns_only_after_every_handed_off_task_ran() {
+        explore(2, || {
+            with_pool(2, |pool| {
+                let done: [StdAtomicBool; 4] = std::array::from_fn(|_| StdAtomicBool::new(false));
+                // A scheduling point inside every task: whoever waits for
+                // it gets every chance to return before it has finished.
+                let finish = |i: usize| {
+                    ist_loom::thread::yield_now();
+                    done[i].store(true, StdOrdering::SeqCst);
+                };
+                pool.join(|| finish(0), || finish(1));
+                assert!(done[0].load(StdOrdering::SeqCst) && done[1].load(StdOrdering::SeqCst));
+                pool.scope(|s| {
+                    s.spawn(|_| finish(2));
+                    s.spawn(|_| finish(3));
+                });
+                assert!(done.iter().all(|flag| flag.load(StdOrdering::SeqCst)));
+            })
+        });
+        explore(3, || {
+            with_pool(1, |pool| {
+                let visits: [StdAtomicBool; 4] = std::array::from_fn(|_| StdAtomicBool::new(false));
+                pool.for_each_block(4, 1, 2, &|range: Range<usize>| {
+                    for i in range {
+                        ist_loom::thread::yield_now();
+                        assert!(
+                            !visits[i].swap(true, StdOrdering::SeqCst),
+                            "{i} visited twice"
+                        );
+                    }
+                });
+                assert!(visits.iter().all(|flag| flag.load(StdOrdering::SeqCst)));
+            })
+        });
+    }
+
+    /// A panic inside a handed-off task reaches the owner, payload
+    /// intact, in every interleaving — from `join` and from `scope`.
+    /// Preemption bound 3.
+    #[test]
+    fn a_task_panic_reaches_the_owner() {
+        explore(3, || {
+            with_pool(1, |pool| {
+                let joined = catch_unwind(AssertUnwindSafe(|| {
+                    pool.join(|| (), || std::panic::panic_any(41u32));
+                }));
+                assert_eq!(joined.unwrap_err().downcast_ref::<u32>(), Some(&41));
+                let scoped = catch_unwind(AssertUnwindSafe(|| {
+                    pool.scope(|s| s.spawn(|_| std::panic::panic_any(42u32)));
+                }));
+                assert_eq!(scoped.unwrap_err().downcast_ref::<u32>(), Some(&42));
+                // The worker that caught them is still serving.
+                assert_eq!(pool.join(|| 1, || 2), (1, 2));
+            })
+        });
+    }
+
+    /// When the owner's own share panics, the panic is resumed only
+    /// after its handed-off task has run to the end — on a worker, or
+    /// taken back and run by the owner itself. (On a fresh pool with a
+    /// worker to spare every task here is handed off.) Preemption bound
+    /// 3.
+    #[test]
+    fn an_owner_panic_still_awaits_its_helpers() {
+        explore(3, || {
+            with_pool(1, |pool| {
+                let done = StdAtomicBool::new(false);
+                let helper = || {
+                    // A scheduling point inside the task: the owner's
+                    // unwind gets every chance to overtake it.
+                    ist_loom::thread::yield_now();
+                    done.store(true, StdOrdering::SeqCst);
+                };
+
+                let joined = catch_unwind(AssertUnwindSafe(|| {
+                    pool.join(|| std::panic::panic_any("owner"), helper);
+                }));
+                assert!(
+                    done.swap(false, StdOrdering::SeqCst),
+                    "join unwound before its handed-off task had run"
+                );
+                assert_eq!(joined.unwrap_err().downcast_ref::<&str>(), Some(&"owner"));
+
+                let scoped = catch_unwind(AssertUnwindSafe(|| {
+                    pool.scope(|s| {
+                        s.spawn(|_| helper());
+                        std::panic::panic_any("owner");
+                    });
+                }));
+                assert!(
+                    done.load(StdOrdering::SeqCst),
+                    "scope unwound before its handed-off task had run"
+                );
+                assert_eq!(scoped.unwrap_err().downcast_ref::<&str>(), Some(&"owner"));
+            })
+        });
+    }
+}
