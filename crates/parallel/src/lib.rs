@@ -125,7 +125,7 @@ pub(crate) fn parse_threads(var: Option<&str>, hardware: usize) -> usize {
     }
 }
 
-/// Logical thread count the global budget is derived from: the
+/// Logical thread count the pool's limit is derived from: the
 /// `IST_PARALLEL` environment variable when set to a positive integer,
 /// `available_parallelism()` otherwise. `IST_PARALLEL=1` forces every
 /// `join`/`scope`/par-iter in the process onto the calling thread (the

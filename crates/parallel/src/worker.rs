@@ -7,7 +7,7 @@
 //! A dispatch site ([`Workers::join`], [`Scope::spawn`],
 //! [`Workers::for_each_block`]) hands a task off in three steps:
 //!
-//! 1. **Reserve** a worker ([`Workers::try_reserve`]): one unit of the
+//! 1. **Reserve** a worker ([`Workers::reserve`]): one unit of the
 //!    installed pool's allowance (if a [`crate::ThreadPool`] is
 //!    installed), then one started-but-unreserved worker — or, while
 //!    fewer than `limit` exist, a newly started one. No reservation, no
@@ -64,7 +64,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Decrement `counter` unless it is zero.
-pub(crate) fn try_decrement(counter: &AtomicUsize) -> bool {
+fn try_decrement(counter: &AtomicUsize) -> bool {
     // Relaxed: reservation counters guard nothing but themselves — the
     // job a reservation leads to is published through the queue mutex.
     let mut cur = counter.load(Ordering::Relaxed);
@@ -80,7 +80,7 @@ pub(crate) fn try_decrement(counter: &AtomicUsize) -> bool {
 
 /// A count of handed-off tasks still to finish, with a slot for the
 /// first panic among them. Owned by the dispatching frame.
-pub(crate) struct Latch {
+struct Latch {
     state: Mutex<LatchState>,
     done: Condvar,
 }
@@ -229,12 +229,23 @@ impl Workers {
         self.shared.started.load(Ordering::Relaxed)
     }
 
+    /// Reserve a worker for one task of the calling thread: `Some` of
+    /// the pool context the task inherits, or `None` — counted as a task
+    /// kept — when the task has to run right here.
+    fn reserve(&self) -> Option<Option<PoolCtx>> {
+        if self.shared.limit > 0 {
+            let ctx = current_pool_ctx();
+            if self.try_reserve(&ctx) {
+                return Some(ctx);
+            }
+        }
+        note_ran_inline();
+        None
+    }
+
     /// Reserve a worker for one task spawned under `ctx`, honoring the
     /// installed pool's allowance and this pool's limit.
     fn try_reserve(&self, ctx: &Option<PoolCtx>) -> bool {
-        if self.shared.limit == 0 {
-            return false;
-        }
         if let Some(ctx) = ctx {
             if !try_decrement(&ctx.allowance) {
                 return false;
@@ -324,11 +335,9 @@ impl Workers {
         RA: Send,
         RB: Send,
     {
-        let ctx = current_pool_ctx();
-        if !self.try_reserve(&ctx) {
-            note_ran_inline();
+        let Some(ctx) = self.reserve() else {
             return (oper_a(), oper_b());
-        }
+        };
         let job = JoinJob {
             workers: self,
             ctx,
@@ -384,12 +393,10 @@ impl Workers {
     where
         F: Fn(Range<usize>) + Sync,
     {
-        let ctx = current_pool_ctx();
-        if !self.try_reserve(&ctx) {
-            note_ran_inline();
+        let Some(ctx) = self.reserve() else {
             body(0..n);
             return;
-        }
+        };
         let job = BlockJob {
             workers: self,
             ctx,
@@ -516,12 +523,10 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     where
         F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
     {
-        let ctx = current_pool_ctx();
-        if !self.workers.try_reserve(&ctx) {
-            note_ran_inline();
+        let Some(ctx) = self.workers.reserve() else {
             body(self);
             return;
-        }
+        };
         self.latch.add();
         let job = Box::into_raw(Box::new(SpawnJob {
             scope: self,
