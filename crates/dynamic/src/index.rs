@@ -8,7 +8,7 @@
 //! without any extra copy. Then every point, batch, and range query
 //! from `ist-query` is available as a method. Batch queries run on the
 //! software-pipelined multi-descent engine and parallelize over
-//! adaptively-sized chunks.
+//! chunks of the batch.
 
 use crate::alloc::{AlignedVec, LayoutPos};
 use ist_core::{Error, Layout};

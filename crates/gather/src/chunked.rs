@@ -102,9 +102,9 @@ pub fn equidistant_gather_chunks_par<T: Send>(data: &mut [T], r: usize, l: usize
         .for_each(|(j0, block)| {
             let amount = (r + 1 - (j0 + 1)) % l;
             if amount != 0 {
-                // The blocks already run in parallel; within one, a
-                // single `rotate_right` beats the three reversal passes
-                // of `rotate_right_par` on any two threads.
+                // The blocks already run in parallel; within one, the
+                // standard rotation is 1 / 2.6 of the work of three
+                // parallel reversal passes (see `ist_shuffle::rotate`).
                 block.rotate_right(amount * chunk);
             }
         });

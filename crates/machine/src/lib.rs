@@ -171,8 +171,10 @@ const RAM_PAR_GRAIN: usize = 1 << 13;
 /// What one element of a [`Ram::run_tasks`] region costs its task, in
 /// nanoseconds, as the floor rule ([`rayon::min_task_len`]) needs it: a
 /// task permutes its whole subtree, every level below it included, and
-/// the sequential constructions read 6 (B-tree) to 40 (BST) ns per
-/// element at 2^20 keys.
+/// the benchmark of record's sequential constructions
+/// (`core.permute_seq_ms.*`) read 6 (B-tree) to 40 (BST) ns per element
+/// at 2^20 keys. The estimate sits near the low end — a low cost asks
+/// for longer tasks, and the layout is not known here.
 const RAM_ELEM_COST_NS: u64 = 10;
 
 /// The production backend: the caller's array in RAM, lowered to direct
@@ -322,11 +324,9 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         debug_assert!(lo <= hi && hi <= self.len);
         // SAFETY: unique access to the region per the Machine contract.
         let region = unsafe { self.region(lo, hi - lo) };
-        // Sequential in both modes: the parallel rotation is three
-        // reversal passes (1.44 ms against 0.55 ms at 2^20 `u64`s on one
-        // thread), so on two threads it loses to one `rotate_right`
-        // however cheap the hand-off — it made the parallel B-tree
-        // construction 1.4 × its sequential twin.
+        // Sequential in both modes: a rotation by parallel reversals
+        // is 2.6 × the work (see `ist_shuffle::rotate`) — it made the
+        // parallel B-tree construction 1.4 × its sequential twin.
         rotate_right(region, amount);
     }
 

@@ -1,6 +1,6 @@
-//! Measures what `rayon::HANDOFF_COST_NS` documents: how long a task
-//! handed to a parked worker takes to get there and to be heard back
-//! from, over and above its own work.
+//! Measures the hand-off cost `rayon::MIN_TASK_NS` is ten times of:
+//! how long a task handed to a parked worker takes to get there and to
+//! be heard back from, over and above its own work.
 //!
 //! ```sh
 //! cargo run --release -p ist-parallel --example handoff_cost

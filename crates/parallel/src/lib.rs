@@ -49,12 +49,12 @@
 //!
 //! # What a hand-off costs, and the floor rule
 //!
-//! Waking a parked worker and hearing back from it is not free
-//! ([`HANDOFF_COST_NS`]). Dispatch sites that size their own tasks
-//! derive their serial threshold from [`min_task_len`] — one rule, one
-//! measured constant — so a batch too short to pay for the hand-off
-//! never leaves its thread. [`pool_stats`] counts what was handed off
-//! and what was kept.
+//! Waking a parked worker and hearing back from it is not free (25 µs
+//! at the 99th percentile; see [`MIN_TASK_NS`]). Dispatch sites that
+//! size their own tasks derive their serial threshold from
+//! [`min_task_len`] — one rule, one constant — so a batch too short to
+//! pay for the hand-off never leaves its thread. [`pool_stats`] counts
+//! what was handed off and what was kept.
 //!
 //! Results are bit-identical whatever runs where; the algorithms only
 //! rely on *disjointness* of their parallel tasks, never on scheduling
@@ -81,37 +81,46 @@ pub mod prelude {
     pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
 }
 
-/// What one hand-off costs, in nanoseconds: the time a task handed to
-/// a parked worker takes to start running there, plus the time its
-/// completion takes to release the dispatcher, over and above the
-/// task's own work.
+/// The shortest task worth handing to a helper, in nanoseconds of the
+/// task's own work — the one constant behind the floor rule
+/// ([`min_task_len`]). It is **ten hand-offs**: a hand-off (the time a
+/// task handed to a parked worker takes to start running there, plus
+/// the time its completion takes to release the dispatcher) costs
+/// 25 µs, and a task that long keeps dispatch below a tenth of the work
+/// it moves.
 ///
-/// Measured by `cargo run --release -p ist-parallel --example
-/// handoff_cost` on the 2-vCPU reference box, otherwise idle, 10 000
-/// hand-offs per run, four runs: dispatch → running 1.6–1.9 µs at the
-/// median and 15–22 µs at the 99th percentile; done → released 1.4–1.6
-/// and 4.6–6.2 µs. The constant is the **99th percentile** of the sum:
-/// a floor has to hold when the worker's core is busy with something
-/// else, and a serving process keeps every core busy. (The
+/// The 25 µs are measured by `cargo run --release -p ist-parallel
+/// --example handoff_cost` on the 2-vCPU reference box, otherwise idle,
+/// 10 000 hand-offs per run, four runs: dispatch → running 1.6–1.9 µs
+/// at the median and 15–22 µs at the 99th percentile; done → released
+/// 1.4–1.6 and 4.6–6.2 µs. The **99th percentile** of the sum is what
+/// counts: a floor has to hold when the worker's core is busy with
+/// something else, and a serving process keeps every core busy. (The
 /// `thread::scope` + `spawn` + `join` this pool replaced cost 19 µs at
 /// the *median*, on top of a 14 µs `available_parallelism()` call per
 /// dispatch.)
-pub const HANDOFF_COST_NS: u64 = 25_000;
-
-/// A handed-off task must be worth at least this many hand-offs, so
-/// dispatch overhead stays below a tenth of the task.
-const HANDOFF_AMORTIZATION: u64 = 10;
+///
+/// What validates the product is end to end, not the two factors: with
+/// the floors it yields (5 000 queries or shard operations, 25 000
+/// construction elements, the merge floor in `ist-dynamic`), ten
+/// parent/change pairs of the benchmark of record each had a serve tick
+/// (≈ 550 keys per shard per operation) stay on its thread —
+/// `serve_read_mostly` 2.55 ×, `serve_ingest_heavy` 2.02 × — while the
+/// work above the floor still split: `static_read` (65 536-key batches)
+/// 1.09 × and 0.56 × under `IST_PARALLEL=1`, `construct` 1.40 ×
+/// (CHANGES.md, PR 23). `tests/dispatch_budget.rs` pins both sides.
+pub const MIN_TASK_NS: u64 = 250_000;
 
 /// **The floor rule.** The minimum number of items a task must hold to
 /// pay for handing it to a helper, given what one item costs the call
-/// site (`item_cost_ns`, a documented estimate at that site). Every
-/// dispatch site in the workspace that sizes its own tasks derives its
-/// threshold from this one function: a batch below
-/// `min_task_len(cost)` runs on the calling thread, and a batch is
-/// split into at most `len / min_task_len(cost)` tasks.
+/// site (`item_cost_ns`, a documented estimate at that site):
+/// [`MIN_TASK_NS`] of work. Every dispatch site in the workspace that
+/// sizes its own tasks derives its threshold from this one function: a
+/// batch below `min_task_len(cost)` runs on the calling thread, and a
+/// batch is split into at most `len / min_task_len(cost)` tasks.
 pub const fn min_task_len(item_cost_ns: u64) -> usize {
     let cost = if item_cost_ns == 0 { 1 } else { item_cost_ns };
-    (HANDOFF_AMORTIZATION * HANDOFF_COST_NS).div_ceil(cost) as usize
+    MIN_TASK_NS.div_ceil(cost) as usize
 }
 
 /// The logical thread count named by `IST_PARALLEL`'s value (`var`,
@@ -286,10 +295,7 @@ mod tests {
 
     #[test]
     fn min_task_len_scales_inversely_with_item_cost() {
-        assert_eq!(
-            min_task_len(1) as u64,
-            HANDOFF_AMORTIZATION * HANDOFF_COST_NS
-        );
+        assert_eq!(min_task_len(1) as u64, MIN_TASK_NS);
         assert_eq!(min_task_len(0), min_task_len(1), "zero cost clamps");
         assert!(min_task_len(100) < min_task_len(10));
         assert!(min_task_len(u64::MAX) >= 1);

@@ -22,16 +22,17 @@
 //! constant ([`Navigator::Round`]) is computed once per round for the
 //! whole window.
 //!
-//! Every public batch entry point runs the window loops inside
-//! rayon-parallel chunks whose size adapts to the batch length (a
+//! Every public batch entry point runs the window loops over fixed
+//! chunks of the batch that the rayon shim spreads over its threads (a
 //! batch too short to pay for a hand-off — `rayon::min_task_len` — and
-//! every batch on a one-thread pool stay on the calling thread). Results are bit-identical to a scalar loop of the point
-//! operation: the windowed kernels replay the scalar engine's
-//! comparison sequence (the only liberty taken is that an early-exit
-//! equality is recorded in a result register instead of breaking the
-//! round structure — first-match-wins, like the scalar loop). The
-//! differential suite (`tests/query_differential.rs`) enforces this,
-//! and `tests/navigator_equivalence.rs` pins the visited node sequences.
+//! every batch on a one-thread pool stay on the calling thread).
+//! Results are bit-identical to a scalar loop of the point operation:
+//! the windowed kernels replay the scalar engine's comparison sequence
+//! (the only liberty taken is that an early-exit equality is recorded
+//! in a result register instead of breaking the round structure —
+//! first-match-wins, like the scalar loop). The differential suite
+//! (`tests/query_differential.rs`) enforces this, and
+//! `tests/navigator_equivalence.rs` pins the visited node sequences.
 
 use crate::nav::{Navigator, MISS};
 use crate::Searcher;
@@ -51,48 +52,33 @@ pub(crate) const WINDOW: usize = 32;
 /// sits at the low end (a low cost asks for longer tasks).
 const DESCENT_COST_NS: u64 = 50;
 
-/// Chunks per task: tasks claim chunks from one cursor (see
-/// `rayon`'s `par_chunks_mut`), so a task's share is cut in four to let
-/// the caller and its helpers balance, and no finer — every chunk
-/// boundary truncates a pipeline window.
-const CHUNKS_PER_TASK: usize = 4;
+/// Queries per parallel chunk: a whole number of windows, so no chunk
+/// boundary truncates one, and small enough that the pool — which
+/// deals the chunks of a task's share out in blocks, from one cursor —
+/// has something to balance the caller and its helpers with.
+const CHUNK: usize = 32 * WINDOW;
 
-/// Chunk length for a batch of `n` queries: `n` (one chunk, the
-/// calling thread) unless the batch is worth at least two tasks of
-/// [`rayon::min_task_len`]`(DESCENT_COST_NS)` queries each and the pool
-/// has a second thread; otherwise [`CHUNKS_PER_TASK`] chunks for each of
-/// `min(threads, n / floor)` tasks.
-fn adaptive_chunk_len(n: usize) -> usize {
-    let tasks = rayon::current_num_threads().min(n / rayon::min_task_len(DESCENT_COST_NS));
-    if tasks <= 1 {
-        return n.max(1);
-    }
-    n.div_ceil(tasks * CHUNKS_PER_TASK)
-}
-
-/// Run `work(item_chunk, out_chunk)` over lockstep chunks of
-/// `items`/`out` sized by [`adaptive_chunk_len`] — rayon-parallel when
-/// the batch is large enough, inline on the caller otherwise. The one
-/// place the batch-to-chunk policy lives; every parallel batch entry
-/// point (search, rank, count, range count, successor) dispatches
-/// through here.
+/// Run `work(item_chunk, out_chunk)` over lockstep [`CHUNK`]-sized
+/// pieces of `items`/`out` — in parallel when the batch is worth at
+/// least two tasks of [`rayon::min_task_len`]`(DESCENT_COST_NS)`
+/// queries each and the pool has a second thread, chunk after chunk on
+/// the caller otherwise. How many tasks, and which chunks each runs, is
+/// the pool's decision (`par_chunks_mut` + `with_min_len`); this is the
+/// one place the batch engine states its grain, and every parallel
+/// batch entry point (search, rank, count, range count, successor)
+/// dispatches through here.
 pub(crate) fn par_chunked<I: Sync, O: Send>(
     items: &[I],
     out: &mut [O],
     work: impl Fn(&[I], &mut [O]) + Sync,
 ) {
     debug_assert_eq!(items.len(), out.len());
-    let chunk = adaptive_chunk_len(items.len());
-    if chunk >= items.len() {
-        work(items, out);
-    } else {
-        out.par_chunks_mut(chunk)
-            .with_min_len(CHUNKS_PER_TASK)
-            .enumerate()
-            .for_each(|(c, oc)| {
-                work(&items[c * chunk..c * chunk + oc.len()], oc);
-            });
-    }
+    out.par_chunks_mut(CHUNK)
+        .with_min_len(rayon::min_task_len(DESCENT_COST_NS).div_ceil(CHUNK))
+        .enumerate()
+        .for_each(|(c, oc)| {
+            work(&items[c * CHUNK..c * CHUNK + oc.len()], oc);
+        });
 }
 
 /// One window of cached key references (`bw ≤ W` live entries).
@@ -250,8 +236,8 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         });
     }
 
-    /// `out[i] = f(search(keys[i]))`, pipelined within adaptively-sized
-    /// parallel chunks — the body of every search-shaped batch call.
+    /// `out[i] = f(search(keys[i]))`, pipelined within parallel chunks
+    /// ([`par_chunked`]) — the body of every search-shaped batch call.
     fn search_each<Q, O>(&self, keys: &[Q], f: impl Fn(Option<usize>) -> O + Sync) -> Vec<O>
     where
         Q: Borrow<T> + Sync,
@@ -292,8 +278,8 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
 
     /// Batch search: `out[i]` is exactly [`Searcher::search`]`(keys[i])`,
     /// computed by the software-pipelined engine within rayon-parallel
-    /// chunks sized adaptively to the batch length (small batches stay
-    /// on the calling thread).
+    /// chunks (batches too short to pay for a hand-off stay on the
+    /// calling thread).
     ///
     /// Keys are read in place through [`Borrow`], so an owned `&[T]`
     /// and a borrowed `&[&T]` (what a routing layer holds after

@@ -36,7 +36,7 @@
 //! batch engine (the `batch` module) keeps a window of 32 descents in
 //! flight per thread, advancing each one level per round and
 //! prefetching its next node, so queries hide each other's memory
-//! latency, and parallelizes over chunks sized adaptively to the batch
+//! latency, and parallelizes over chunks of the batch
 //! (pipelining *within* each chunk). Each operation has one batch
 //! entry point — [`Searcher::batch_search`], [`Searcher::batch_rank`],
 //! [`Searcher::batch_lower_bound`], [`Searcher::batch_successor`],

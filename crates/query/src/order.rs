@@ -61,7 +61,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     }
 
     /// Batch successor: upper-rank descents through the pipelined
-    /// engine (parallel over adaptively-sized chunks), then the
+    /// engine (parallel over chunks of the batch), then the
     /// closed-form position maps. `out[i]` is identical to per-key
     /// [`Searcher::successor`].
     pub fn batch_successor<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
@@ -69,7 +69,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     }
 
     /// Batch predecessor: rank descents through the pipelined engine
-    /// (parallel over adaptively-sized chunks). `out[i]` is identical
+    /// (parallel over chunks of the batch). `out[i]` is identical
     /// to per-key [`Searcher::predecessor`].
     pub fn batch_predecessor<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
         self.rank_each::<false, _, _>(keys, |r| match r {

@@ -34,7 +34,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
 
     /// Batch range count over `(lo, hi)` pairs: both endpoints of every
     /// pair are fed through the pipelined rank engine (parallel over
-    /// adaptively-sized chunks), then differenced.
+    /// chunks of the batch), then differenced.
     ///
     /// `out[i]` is identical to `range_count(&ranges[i].0,
     /// &ranges[i].1)`.

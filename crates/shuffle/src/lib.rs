@@ -14,16 +14,15 @@
 //!   two **modular-inverse** involutions `J_1`, `J_k` (`Ξ₂`).
 //!
 //! Both run in place; each involution round is one pass of disjoint swaps,
-//! parallelized with rayon. Circular shifts ([`rotate`]) are implemented by
-//! the classical three-reversal identity, which the paper's I/O chapter
-//! blocks into cache-line-sized groups.
+//! parallelized with rayon. Circular shifts ([`rotate`]) are the standard
+//! library's; the classical three-reversal identity, which the paper's
+//! I/O chapter blocks into cache-line-sized groups, is what the PEM
+//! backend executes and the GPU backend charges.
 
 pub mod rotate;
 pub mod shuffle;
 
-pub use rotate::{
-    reverse, reverse_par, rotate_left, rotate_left_par, rotate_right, rotate_right_par,
-};
+pub use rotate::{reverse, rotate_left, rotate_right};
 pub use shuffle::{
     j_involution, shuffle_mod, shuffle_mod_par, shuffle_pow, shuffle_pow_par, unshuffle_mod,
     unshuffle_mod_par, unshuffle_pow, unshuffle_pow_par,

@@ -3,18 +3,24 @@
 //! A circular shift of `n` elements is two rounds of reversals:
 //! `rotate_left(A, c) = reverse(reverse(A[0..c]) ++ reverse(A[c..n]))`.
 //! Each reversal is `⌊len/2⌋` independent swaps, so rotations inherit the
-//! `O(1)`-depth / `O(N)`-work parallel structure of involutions. The
-//! paper's I/O analysis (§4.2) notes that reversal swaps can be performed
-//! on blocks of `B` contiguous elements, giving `O(N / (P·B))` I/Os; on a
-//! real machine that blocking is what the hardware cache does for us when
-//! we sweep the two halves linearly, which is exactly the access pattern
-//! below.
+//! `O(1)`-depth / `O(N)`-work parallel structure of involutions, and the
+//! paper's I/O analysis (§4.2) blocks the swaps into `B` contiguous
+//! elements for `O(N / (P·B))` I/Os — which is how the PEM backend
+//! executes a rotation and the GPU backend charges one.
+//!
+//! In RAM the identity is 2.6 × the work of `slice::rotate_right`
+//! (1.44 ms against 0.55 ms at 2^20 `u64`s on one core), so running its
+//! passes in parallel cannot win on fewer than three cores whatever a
+//! hand-off costs. The RAM backend therefore rotates with the standard
+//! library, sequentially, and this module offers no parallel rotation;
+//! one that pays on many cores is a ROADMAP item, to be judged on a
+//! host that has them.
 
-use ist_perm::{apply_involution_par, SharedSlice};
+use ist_perm::SharedSlice;
 use rayon::prelude::*;
 
-/// Sub-ranges shorter than this are rotated sequentially even by the
-/// `_par` entry points.
+/// Regions shorter than this are swapped sequentially by
+/// [`swap_regions_par`].
 const PAR_CUTOFF: usize = 1 << 14;
 
 /// Reverse `data` in place, sequentially.
@@ -29,25 +35,6 @@ const PAR_CUTOFF: usize = 1 << 14;
 #[inline]
 pub fn reverse<T>(data: &mut [T]) {
     data.reverse();
-}
-
-/// Reverse `data` in place using parallel disjoint swaps.
-///
-/// # Examples
-/// ```
-/// use ist_shuffle::reverse_par;
-/// let mut v: Vec<u32> = (0..100_000).collect();
-/// reverse_par(&mut v);
-/// assert!(v.windows(2).all(|w| w[0] > w[1]));
-/// ```
-pub fn reverse_par<T: Send>(data: &mut [T]) {
-    let n = data.len();
-    if n < PAR_CUTOFF {
-        data.reverse();
-        return;
-    }
-    // Reversal is the involution i -> n-1-i.
-    apply_involution_par(data, move |i| n - 1 - i);
 }
 
 /// Circular shift left by `c` positions: element at index `i` moves to
@@ -87,63 +74,6 @@ pub fn rotate_right<T>(data: &mut [T], c: usize) {
         return;
     }
     data.rotate_right(c % n);
-}
-
-/// Parallel circular shift left by `c`, via the three-reversal identity.
-///
-/// Matches [`rotate_left`] semantically; uses `O(1)` depth in the PRAM
-/// abstraction (three rounds of disjoint swaps). Recorded once on one
-/// core: `rotate_right_par` took 1.44 ms against `slice::rotate_right`'s
-/// 0.55 ms at 2^20 `u64`s — 2.6 × the work, so it cannot win on fewer
-/// than three cores whatever a hand-off costs, and no construction
-/// backend calls it (the parallel `Ram` and the chunked gather rotate
-/// with `slice::rotate_right`).
-///
-/// # Examples
-/// ```
-/// use ist_shuffle::{rotate_left, rotate_left_par};
-/// let mut a: Vec<u32> = (0..50_000).collect();
-/// let mut b = a.clone();
-/// rotate_left(&mut a, 12345);
-/// rotate_left_par(&mut b, 12345);
-/// assert_eq!(a, b);
-/// ```
-pub fn rotate_left_par<T: Send>(data: &mut [T], c: usize) {
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let c = c % n;
-    if c == 0 {
-        return;
-    }
-    if n < PAR_CUTOFF {
-        data.rotate_left(c);
-        return;
-    }
-    let (head, tail) = data.split_at_mut(c);
-    rayon::join(|| reverse_par(head), || reverse_par(tail));
-    reverse_par(data);
-}
-
-/// Parallel circular shift right by `c`. See [`rotate_left_par`].
-///
-/// # Examples
-/// ```
-/// use ist_shuffle::{rotate_right, rotate_right_par};
-/// let mut a: Vec<u32> = (0..50_000).collect();
-/// let mut b = a.clone();
-/// rotate_right(&mut a, 777);
-/// rotate_right_par(&mut b, 777);
-/// assert_eq!(a, b);
-/// ```
-pub fn rotate_right_par<T: Send>(data: &mut [T], c: usize) {
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let c = c % n;
-    rotate_left_par(data, n - c);
 }
 
 /// Swap two equal-length disjoint regions `[a, a+len)` and `[b, b+len)` of
@@ -212,29 +142,6 @@ mod tests {
         rotate_right(&mut w, 4);
         for i in 0..n {
             assert_eq!(w[(i + 4) % n], i);
-        }
-    }
-
-    #[test]
-    fn par_matches_seq_large() {
-        let n = (1 << 16) + 13;
-        for c in [0usize, 1, 12345, n - 1] {
-            let mut a: Vec<u64> = (0..n as u64).collect();
-            let mut b = a.clone();
-            rotate_left(&mut a, c);
-            rotate_left_par(&mut b, c);
-            assert_eq!(a, b, "c={c}");
-        }
-    }
-
-    #[test]
-    fn reverse_par_odd_even() {
-        for n in [0usize, 1, 2, 3, (1 << 15) - 1, 1 << 15] {
-            let mut a: Vec<u64> = (0..n as u64).collect();
-            let mut b = a.clone();
-            a.reverse();
-            reverse_par(&mut b);
-            assert_eq!(a, b, "n={n}");
         }
     }
 

@@ -494,11 +494,13 @@ fn differential_bulk_ingest_fixed_seeds() {
 
 /// The sliced parallel merge must be **bit-identical** to the
 /// sequential merge — same tier shapes, same answers. Runs here are
-/// large enough (thousands of versions) that the merge actually
-/// splits into slices; the fuzz sequences above stay below the
-/// slicing threshold. The merge takes the ambient thread count, so
-/// each map's writes (inline: the merge runs inside them) are driven
-/// under a pool of its size.
+/// large enough that every merge actually splits into slices: each
+/// round seals ≈ 10 000 distinct keys, above the two slices' worth
+/// (2 × `rayon::min_task_len` at 60 ns a version, 8 334 versions) a
+/// merge needs; the fuzz sequences above stay below the slicing
+/// threshold. The merge takes the ambient thread count, so each map's
+/// writes (inline: the merge runs inside them) are driven under a pool
+/// of its size.
 #[test]
 fn parallel_merge_bit_identical_to_serial() {
     let pool = |threads: usize| {
@@ -509,15 +511,15 @@ fn parallel_merge_bit_identical_to_serial() {
     };
     let (pool1, pool4) = (pool(1), pool(4));
     let mk = || -> DynamicMap<u64, u64> {
-        DynamicMap::with_config(QueryKind::Veb, 2048).with_compaction_mode(CompactionMode::Inline)
+        DynamicMap::with_config(QueryKind::Veb, 8192).with_compaction_mode(CompactionMode::Inline)
     };
     let mut serial = mk();
     let mut parallel = mk();
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(0x511_CE5);
     for round in 0..4u64 {
-        let pairs: Vec<(u64, u64)> = (0..3000u64)
-            .map(|i| (rng.gen_range(0..8192), round * 10_000 + i))
+        let pairs: Vec<(u64, u64)> = (0..12_000u64)
+            .map(|i| (rng.gen_range(0..32_768), round * 100_000 + i))
             .collect();
         let s = pool1.install(|| serial.batch_insert(pairs.clone()));
         let p = pool4.install(|| parallel.batch_insert(pairs.clone()));
@@ -525,7 +527,7 @@ fn parallel_merge_bit_identical_to_serial() {
         for (k, v) in pairs {
             oracle.insert(k, v);
         }
-        let removes: Vec<u64> = (0..800).map(|_| rng.gen_range(0..8192)).collect();
+        let removes: Vec<u64> = (0..3200).map(|_| rng.gen_range(0..32_768)).collect();
         assert_eq!(
             pool1.install(|| serial.batch_remove(&removes)),
             pool4.install(|| parallel.batch_remove(&removes)),
@@ -544,7 +546,7 @@ fn parallel_merge_bit_identical_to_serial() {
     }
     assert_eq!(serial.len(), oracle.len());
     assert_eq!(parallel.len(), oracle.len());
-    let probes: Vec<u64> = (0..8192u64).collect();
+    let probes: Vec<u64> = (0..32_768u64).collect();
     let serial_get = serial.batch_get(&probes);
     assert_eq!(serial_get, parallel.batch_get(&probes));
     assert_eq!(serial.batch_rank(&probes), parallel.batch_rank(&probes));
