@@ -49,6 +49,12 @@
 //!   mid-flight. [`CompactionMode::Inline`] runs the same machinery on
 //!   the caller for deterministic tier shapes (tests, replay).
 //!
+//! Neither half writes to storage, also on a persistent map
+//! ([`DynamicMap::persist_to`]): the WAL holds every mutation a sealed
+//! or merged run absorbed, and run files are written only at
+//! checkpoints, which come once the WAL holds dozens of buffers' worth
+//! of entries.
+//!
 //! At most [`MAX_SEALED_RUNS`] sealed runs accumulate; past that the
 //! writer blocks on the in-flight merge (backpressure bounds read
 //! fan-out and memory, and is the only time a write waits for a merge).
@@ -132,7 +138,6 @@ mod run;
 pub use policy::{CompactionMode, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
 pub use read::{Frozen, Reader};
 
-pub(crate) use compact::Plan;
 pub(crate) use read::lock;
 pub(crate) use run::{BufEntry, Prefix, Run};
 
@@ -215,9 +220,6 @@ pub struct DynamicMap<K, V> {
     /// stays `Sync` — every access is `&mut self`, so the lock is
     /// uncontended.
     pub(crate) store: Option<Mutex<Box<dyn crate::persist::RunSink<K, V>>>>,
-    /// Set during WAL replay: overflow seals are deferred until the
-    /// durability engine is attached (see [`DynamicMap::maybe_seal`]).
-    pub(crate) seal_suppressed: bool,
     /// Model-check hook: the next background worker panics inside its
     /// `DoneGuard` scope (exercises panic propagation to the writer).
     #[cfg(ist_loom)]
@@ -265,7 +267,6 @@ where
             published_dirty: AtomicBool::new(false),
             muts_since_publish: AtomicUsize::new(0),
             store: None,
-            seal_suppressed: false,
             #[cfg(ist_loom)]
             panic_next_compaction: false,
         }
@@ -862,14 +863,16 @@ where
     /// gone: release the published cell's snapshot (swap in an empty
     /// view) so a departed reader population cannot pin a stale copy of
     /// the map — the regression behind
-    /// `published_cell_releases_after_last_reader`.
-    fn after_mutation(&self) {
+    /// `published_cell_releases_after_last_reader`. On a persistent
+    /// map, last: checkpoint once the WAL is long enough (see
+    /// [`crate::persist`]).
+    fn after_mutation(&mut self) {
         self.after_mutations(1);
     }
 
     /// [`DynamicMap::after_mutation`] for a batch of `n` mutations
     /// (bulk deltas count every key toward the publication bound).
-    fn after_mutations(&self, n: usize) {
+    fn after_mutations(&mut self, n: usize) {
         if self.has_readers() {
             // Relaxed: writer-thread-private counter (see `publish`);
             // no other thread observes it.
@@ -883,6 +886,12 @@ where
             // Relaxed: same writer-thread-private flag as above.
             self.published_dirty.store(false, Ordering::Relaxed);
         }
+        if let Some(store) = &mut self.store {
+            let sink = store
+                .get_mut()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            sink.checkpoint_if_due(&self.l0, &self.tiers, &self.live.buffer);
+        }
     }
 
     /// Summed weight of `key`'s versions across all resident runs
@@ -891,14 +900,9 @@ where
         self.live.runs.iter().map(|r| r.weight_of(key)).sum()
     }
 
-    /// `pub(crate)` for WAL recovery: replay suppresses sealing (the
-    /// engine's manifest mirror is not attached yet, so a replay seal
-    /// would create a run the store never hears about), then triggers
-    /// the deferred overflow through here once the engine is attached.
-    pub(crate) fn maybe_seal(&mut self) {
-        if self.seal_suppressed {
-            return;
-        }
+    /// Seal and hand the sealed run to the compactor once the buffer
+    /// holds `buffer_cap` entries.
+    fn maybe_seal(&mut self) {
         if self.live.buffer.len() >= self.buffer_cap {
             self.seal();
             self.ensure_compaction();
@@ -916,6 +920,11 @@ where
     /// rebuilds them into the configured layout — so the seal is a
     /// `move` of the buffer plus a weight prefix sum, with no layout
     /// permutation at all on the write path.
+    ///
+    /// A seal writes nothing, also on a persistent map: the WAL still
+    /// holds every mutation the sealed run absorbed, and the run reaches
+    /// disk at the next checkpoint — if a compaction has not merged it
+    /// away by then (see [`crate::persist`]).
     fn seal(&mut self) {
         if self.live.buffer.is_empty() {
             return;
@@ -933,15 +942,6 @@ where
             .expect("sorted runs never fail to build");
         self.l0.push(Arc::new(run));
         self.refresh_runs();
-        // Durable seal: write the run file, rotate the WAL (whose
-        // records are now all represented by the run), and point the
-        // manifest at the new file set.
-        if self.store.is_some() {
-            let sealed = Arc::clone(self.l0.last().expect("just pushed"));
-            if let Some(sink) = self.sink_mut() {
-                sink.on_seal(&sealed);
-            }
-        }
         self.publish_event();
     }
 }

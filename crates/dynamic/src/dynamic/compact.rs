@@ -30,13 +30,13 @@ type MergedColumns<K, V> = (Vec<K>, Vec<Option<V>>, Vec<i64>);
 /// Consuming a contiguous prefix and installing at its boundary is what
 /// keeps the global newest-first run order valid.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Plan {
+struct Plan {
     /// How many sealed runs (the oldest prefix of `l0`) the merge
     /// consumes — always all of them.
-    pub(crate) consumed_l0: usize,
+    consumed_l0: usize,
     /// Tiers `0..full_tiers` are consumed entirely, and the merged run
     /// becomes the only run of tier `full_tiers` (empty when planned).
-    pub(crate) full_tiers: usize,
+    full_tiers: usize,
     /// Whether any run survives below the consumed prefix (tombstones
     /// are annihilated iff `false`).
     deeper_occupied: bool,
@@ -376,19 +376,10 @@ where
     /// run of tier `plan.full_tiers`, all under `&mut self` —
     /// readers hold `Arc`s and can never observe a torn state.
     /// Observable answers are identical before and after (the merge
-    /// preserves newest-wins resolution and per-key weight sums).
+    /// preserves newest-wins resolution and per-key weight sums). Like
+    /// a seal, an install writes nothing: the merged run reaches disk
+    /// at the next checkpoint, and the consumed runs' files go then.
     fn install(&mut self, plan: Plan, merged: Option<Run<K, V>>) {
-        let merged = merged.map(Arc::new);
-        // Durable install first: the merged run file and rotated
-        // manifest hit storage before the in-memory swap, so a sink
-        // error leaves the on-disk state at the (fully consistent)
-        // pre-merge file set.
-        if self.store.is_some() {
-            let run = merged.clone();
-            if let Some(sink) = self.sink_mut() {
-                sink.on_install(plan, run.as_deref());
-            }
-        }
         self.l0.drain(..plan.consumed_l0);
         for tier in &mut self.tiers[..plan.full_tiers] {
             tier.clear();
@@ -398,7 +389,7 @@ where
             "the target tier was empty when planned and nothing else installs"
         );
         if let Some(run) = merged {
-            self.tiers[plan.full_tiers].push(run);
+            self.tiers[plan.full_tiers].push(Arc::new(run));
         }
         self.refresh_runs();
         self.publish_event();

@@ -1,9 +1,12 @@
 //! The immutable run — a static layout plus the rank-indexed prefix
 //! sums of its versions' weights — and the write-buffer entry.
 
+use std::sync::OnceLock;
+
 use crate::map::StaticMap;
 use ist_core::Error;
 use ist_query::QueryKind;
+use ist_store::RunRef;
 
 /// One buffered write: the newest version of `key`. An empty `slot` is
 /// a tombstone. `weight` maintains the per-key sum invariant described
@@ -82,6 +85,11 @@ pub(crate) struct Run<K, V> {
     pub(crate) map: StaticMap<K, Option<V>>,
     /// Rank-indexed (sorted order), not layout-indexed.
     pub(crate) prefix: Prefix,
+    /// The run file that holds this run, once a durable manifest names
+    /// one: set when the run is loaded from its file or when a
+    /// checkpoint first writes it, and never changed after — so no
+    /// checkpoint rewrites a run. Always empty on a memory-only map.
+    pub(crate) file: OnceLock<RunRef>,
 }
 
 impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
@@ -95,6 +103,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
         Ok(Self {
             map: StaticMap::from_sorted_parts(keys, slots, kind)?,
             prefix: Prefix::from_weights(weights),
+            file: OnceLock::new(),
         })
     }
 

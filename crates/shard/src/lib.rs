@@ -92,27 +92,30 @@ use ist_store::{shard_dir_name, Codec, ShardsFile, StoreConfig, StoreError};
 /// (`ist_query`'s batch engine uses the same figure).
 const SHARD_ITEM_COST_NS: u64 = 50;
 
-/// Run `run(task)` for every `(len, task)` pair with `len > 0` — one
-/// task per shard, `len` the length of the sub-batch routed to it (a
-/// shard nothing was routed to is skipped). A sub-batch shorter than
+/// Run `run(task)` for every `(len, syncs, task)` triple with `len > 0`
+/// — one task per shard, `len` the length of the sub-batch routed to it
+/// (a shard nothing was routed to is skipped). A sub-batch shorter than
 /// [`rayon::min_task_len`]`(SHARD_ITEM_COST_NS)` does not pay for a
-/// hand-off and runs on the calling thread, in turn; a longer one is
-/// offered to the pool (which still keeps it on the caller when no
-/// helper is free). A serving tick's per-shard sub-batches are a few
-/// hundred items, so a tick never leaves its thread; a bulk load or a
-/// 2^16-key read batch still spreads across shards.
+/// hand-off and runs on the calling thread, in turn — unless `syncs`:
+/// the task waits on an fsync (a write to a persistent shard), which
+/// the floor's CPU cost cannot see, so it is offered to the pool
+/// whatever its length and the shards' syncs overlap. A longer one is
+/// offered too (the pool still keeps a task on the caller when no
+/// helper is free). A memory-only serving tick's per-shard sub-batches
+/// are a few hundred items, so it never leaves its thread; a bulk load
+/// or a 2^16-key read batch still spreads across shards.
 fn for_each_shard_task<'env, T: Send + 'env>(
-    tasks: impl Iterator<Item = (usize, T)> + Send,
+    tasks: impl Iterator<Item = (usize, bool, T)> + Send,
     run: impl Fn(T) + Sync + 'env,
 ) {
     let floor = rayon::min_task_len(SHARD_ITEM_COST_NS);
     rayon::scope(|s| {
         let run = &run;
-        for (len, task) in tasks {
+        for (len, syncs, task) in tasks {
             if len == 0 {
                 continue;
             }
-            if len >= floor {
+            if syncs || len >= floor {
                 s.spawn(move |_| run(task));
             } else {
                 run(task);
@@ -404,7 +407,8 @@ where
     /// the range router ([`ist_query::route::partition_owned`] — items
     /// moved, not cloned) and every non-empty sub-delta is applied via
     /// [`DynamicMap::batch_insert`] — **in parallel** across shards
-    /// when the sub-deltas are long enough to pay for a hand-off (see
+    /// when the sub-deltas are long enough to pay for a hand-off or the
+    /// shards are persistent, so that their WAL syncs overlap (see
     /// `for_each_shard_task`; shards are disjoint structures, so `&mut`
     /// access per shard is race-free by construction), on the calling
     /// thread otherwise. Returns the total number of pairs that
@@ -438,7 +442,9 @@ where
                 .iter_mut()
                 .zip(parts)
                 .zip(counts.iter_mut())
-                .map(|((shard, (_, routed)), count)| (routed.len(), (shard, routed, count))),
+                .map(|((shard, (_, routed)), count)| {
+                    (routed.len(), shard.is_persistent(), (shard, routed, count))
+                }),
             |(shard, routed, count)| *count = shard.batch_insert(routed),
         );
         counts.into_iter().sum()
@@ -457,7 +463,9 @@ where
                 .iter_mut()
                 .zip(&parts)
                 .zip(counts.iter_mut())
-                .map(|((shard, (_, routed)), count)| (routed.len(), (shard, routed, count))),
+                .map(|((shard, (_, routed)), count)| {
+                    (routed.len(), shard.is_persistent(), (shard, routed, count))
+                }),
             |(shard, routed, count)| *count = shard.batch_remove(routed),
         );
         counts.into_iter().sum()
@@ -538,8 +546,11 @@ where
     /// to the atomically-installed `SHARDS` root file, and every shard
     /// becomes a full persistent [`DynamicMap`] in its own
     /// `shard-NNNN/` subdirectory (manifest + run files + WAL each).
-    /// Shards log, seal, and rotate **independently** — a hot shard's
-    /// fsyncs never serialize against a cold one's.
+    /// Shards log and checkpoint **independently**, and a hot shard's
+    /// fsyncs never serialize against a cold one's: `batch_insert` and
+    /// `batch_remove` hand every persistent shard's sub-delta to the
+    /// pool whatever its length, so the shards' WAL syncs run
+    /// concurrently (as many at once as the pool has threads).
     ///
     /// # Panics
     /// Panics if the map is already persistent.
@@ -826,7 +837,7 @@ where
             results
                 .iter_mut()
                 .enumerate()
-                .map(|(i, out)| (parts[i].1.len(), (i, out))),
+                .map(|(i, out)| (parts[i].1.len(), false, (i, out))),
             |(i, out)| *out = per_shard(self.shards[i].frozen(), i, &parts[i].1),
         );
         scatter_to_input_order(len, parts.into_iter().map(|(idx, _)| idx).zip(results))

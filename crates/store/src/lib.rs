@@ -18,9 +18,10 @@
 //! - **The manifest is the root of trust**: rotated via write-temp +
 //!   fsync + atomic rename, so a crash leaves either the old or the
 //!   new file set fully consistent, never a mix.
-//! - **The WAL covers exactly the write buffer**: every seal rotates
-//!   the log, so replay after the manifest's runs reconstructs the
-//!   pre-crash state. A torn tail record (crash mid-append) is
+//! - **The WAL covers everything the manifest's runs do not**: a
+//!   checkpoint writes the resident runs that have no file yet and
+//!   rotates the log, so replay after the manifest's runs reconstructs
+//!   the pre-crash state. A torn tail record (crash mid-append) is
 //!   tolerated; any other corruption is a typed [`StoreError`], never
 //!   a panic.
 //!

@@ -4,8 +4,8 @@
 //! A map directory contains immutable run files, exactly one live WAL,
 //! and `MANIFEST`. The manifest is the *root of trust*: a run or WAL
 //! file not named by the manifest is garbage (a leftover from a crash
-//! window) and is deleted on the next successful open or structural
-//! change. Rotation is the classic atomic dance:
+//! window) and is deleted by the next checkpoint (every open makes
+//! one). Rotation is the classic atomic dance:
 //!
 //! 1. write `MANIFEST.tmp` in full,
 //! 2. fsync it (so `DropUnsynced` crashes cannot surface a torn
@@ -48,9 +48,9 @@ const RESERVED_ALGORITHM_TAG: u8 = 1;
 pub struct RunRef {
     /// Run file id (`run-{id}.ist`).
     pub id: u64,
-    /// First mutation sequence number the run absorbed.
+    /// The run file header's `seq_lo` (informational).
     pub seq_lo: u64,
-    /// Last mutation sequence number the run absorbed.
+    /// The run file header's `seq_hi` (informational).
     pub seq_hi: u64,
 }
 

@@ -20,8 +20,9 @@
 //! load is one sequential pass with no re-permutation: fixed-width
 //! keys are adopted into an aligned buffer by a single bulk read, and
 //! the weight prefix is always a raw little-endian `i64` column. The
-//! whole file is produced by a single sequential write at seal or
-//! compaction-install time and never modified afterwards.
+//! whole file is produced by a single sequential write, by the
+//! checkpoint that first finds the run resident, and never modified
+//! afterwards.
 //!
 //! This module frames and checksums the sections; how key/value bytes
 //! are produced and consumed is the caller's contract (see the
@@ -50,9 +51,11 @@ pub struct RunHeader {
     pub kind: QueryKind,
     /// Number of key/slot pairs.
     pub n: u64,
-    /// First mutation sequence number the run absorbed.
+    /// Start of the run's sequence range: informational, recovery
+    /// never reads it.
     pub seq_lo: u64,
-    /// Last mutation sequence number the run absorbed.
+    /// End of the run's sequence range: no later mutation is in the
+    /// run. Informational, like `seq_lo`.
     pub seq_hi: u64,
     /// Byte length of the keys section.
     pub keys_len: u64,

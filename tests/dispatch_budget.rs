@@ -20,12 +20,22 @@
 //! * the process never starts more than `configured − 1` workers, and
 //!   under `IST_PARALLEL=1` none, with a default pool reporting 1.
 //!
+//! The exception is a write to a *persistent* shard: it blocks on its
+//! WAL's fsync, which the floor rule's CPU cost cannot see, so it goes
+//! to the pool whatever its length and the shards' syncs overlap.
+//!
 //! Lives in its own integration-test binary because the counters are
-//! process-wide: one test function, nothing else dispatching beside it.
+//! process-wide: its tests take one lock, so nothing else dispatches
+//! beside the one that reads them.
 
-use implicit_search_trees::{QueryKind, ShardedMap};
+use std::sync::{Arc, Mutex, PoisonError};
+
+use implicit_search_trees::{MemVfs, QueryKind, ShardedMap, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Held by every test of this binary: the counters are process-wide.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 const PRELOAD: usize = 1 << 20;
 const TICKS: usize = 200;
@@ -64,6 +74,7 @@ fn handed_off() -> u64 {
 
 #[test]
 fn a_serving_tick_never_leaves_its_thread() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
     let configured = rayon::current_num_threads() as u64;
     let serial = std::env::var("IST_PARALLEL").is_ok_and(|v| v.trim() == "1");
     if serial {
@@ -156,5 +167,39 @@ fn a_serving_tick_never_leaves_its_thread() {
     );
     if serial {
         assert_eq!((stats.workers_started, stats.handed_off), (0, 0));
+    }
+}
+
+#[test]
+fn a_persistent_tick_writes_its_shards_concurrently() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let configured = rayon::current_num_threads() as u64;
+    // A small map over the same key space as the ticks, so a tick's
+    // writes split between the two shards.
+    let keys: Vec<u64> = (0..4096u64).map(|i| i * 512).collect();
+    let mut map: ShardedMap<u64, u64> =
+        ShardedMap::build_for_kind(keys.clone(), keys, QueryKind::Veb, BUFFER_CAP, 2).unwrap();
+    let vfs = MemVfs::new();
+    map.persist_to("db", StoreConfig::with_vfs(Arc::new(vfs)))
+        .unwrap();
+    let ops = tick_ops(&mut StdRng::seed_from_u64(0xD15_9A7D), 0);
+    for shard in 0..2 {
+        assert!(
+            ops.inserts.iter().any(|(k, _)| map.shard_of(k) == shard),
+            "shard {shard} gets no write"
+        );
+    }
+
+    let before = handed_off();
+    map.batch_insert(ops.inserts);
+    let moved = handed_off() - before;
+    assert!(map.store_error().is_none());
+    if configured > 1 {
+        assert!(
+            moved >= 1,
+            "the persistent shards' writes stayed on one thread"
+        );
+    } else {
+        assert_eq!(moved, 0);
     }
 }

@@ -19,21 +19,31 @@
 //! Corruption injection (bit flips and truncations over every file of a
 //! cleanly-closed store) must yield a typed [`StoreError`] or a valid
 //! committed state — never a panic, never an invented state.
+//!
+//! A last sweep power-cuts a two-shard [`ShardedMap`], whose shards log
+//! each tick's sub-deltas concurrently: every shard must recover to a
+//! committed prefix of its own record sequence.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::Arc;
 
+use implicit_search_trees::store::{shard_dir_name, Manifest};
 use implicit_search_trees::{
-    CompactionMode, CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, StoreConfig,
+    CompactionMode, CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, ShardedMap, StoreConfig,
 };
 
 /// Small key universe: overwrites, deletes of absent keys, and
 /// re-inserts over tombstones are the common case.
 const UNIVERSE: u64 = 24;
-/// Tiny buffer: the workload crosses many seal and compaction
-/// boundaries, so the sweep hits every phase of the seal/install
-/// protocols.
+/// Tiny buffer: the workload crosses many seals and compactions and,
+/// with the WAL checkpointed every few dozen buffers' worth of
+/// entries, several checkpoints, so the sweep crashes inside every
+/// step of the checkpoint protocol.
 const CAP: usize = 4;
+/// Workload length of the crash sweeps: long enough for the dry run to
+/// cross at least three runtime checkpoints (asserted).
+const SWEEP_OPS: usize = 600;
 /// Keys inserted before `persist_to` — a multiple of `CAP`, so the
 /// buffer is empty at persist time and the WAL-record count maps 1:1
 /// onto workload ops (asserted in the dry run).
@@ -280,7 +290,7 @@ fn run_one_crash(
 }
 
 fn sweep(model: CrashModel, fsync: FsyncPolicy, seed: u64) {
-    let ops = workload(48, seed);
+    let ops = workload(SWEEP_OPS, seed);
     let committed = committed_states(&ops);
     // Dry run (failpoint disarmed) measures the schedule's write volume
     // and validates the record accounting the sweep depends on.
@@ -294,6 +304,11 @@ fn sweep(model: CrashModel, fsync: FsyncPolicy, seed: u64) {
             "with fsync=always every completed record is acked"
         );
     }
+    let wal_seq = Manifest::read(&dry, Path::new("db")).unwrap().wal_seq;
+    assert!(
+        wal_seq >= 4,
+        "persist_to plus at least three runtime checkpoints; WAL {wal_seq} is live"
+    );
     let total = dry.total_written();
     let stride = if long_mode() {
         1
@@ -482,4 +497,212 @@ fn poisoned_store_rejects_writes_and_keeps_reads() {
     assert!(map.flush().is_err(), "flush surfaces the latched error");
     // acked_records stays frozen at the pre-poison watermark.
     assert_eq!(map.acked_records(), 6);
+}
+
+// ---------------------------------------------------------------------
+// Sharded power cut: two persistent shards written concurrently.
+// ---------------------------------------------------------------------
+
+/// Shard 0 owns keys below the split, shard 1 the rest.
+const SPLIT: u64 = UNIVERSE / 2;
+const SHARDED_TICKS: usize = 120;
+
+/// One tick's writes, each applied to the map as one bulk call.
+struct Tick {
+    inserts: Vec<(u64, u64)>,
+    removes: Vec<u64>,
+}
+
+fn sharded_ticks(seed: u64) -> Vec<Tick> {
+    let mut s = seed;
+    (0..SHARDED_TICKS as u64)
+        .map(|t| Tick {
+            inserts: (0..8)
+                .map(|j| (lcg(&mut s) % UNIVERSE, (t << 8) | j))
+                .collect(),
+            removes: (0..3).map(|_| lcg(&mut s) % UNIVERSE).collect(),
+        })
+        .collect()
+}
+
+fn shard_of(key: u64) -> usize {
+    usize::from(key >= SPLIT)
+}
+
+/// One shard's committed states: `states[j]` is the shard after the
+/// prepopulation and its first `j` WAL records — one per bulk call
+/// that routed at least one key to it.
+fn shard_states(shard: usize, ticks: &[Tick]) -> Vec<BTreeMap<u64, u64>> {
+    let mut live: BTreeMap<u64, u64> = sharded_prepop()
+        .into_iter()
+        .filter(|&(k, _)| shard_of(k) == shard)
+        .collect();
+    let mut states = vec![live.clone()];
+    for tick in ticks {
+        let mut inserts = tick.inserts.iter().filter(|(k, _)| shard_of(*k) == shard);
+        if let Some(first) = inserts.next() {
+            live.extend(std::iter::once(first).chain(inserts).copied());
+            states.push(live.clone());
+        }
+        let mut removes = tick.removes.iter().filter(|&&k| shard_of(k) == shard);
+        if let Some(first) = removes.next() {
+            for k in std::iter::once(first).chain(removes) {
+                live.remove(k);
+            }
+            states.push(live.clone());
+        }
+    }
+    states
+}
+
+/// Keys written before `persist_to`: `CAP` per shard, so both shards
+/// persist a run.
+fn sharded_prepop() -> Vec<(u64, u64)> {
+    (0..UNIVERSE).step_by(3).map(|k| (k, k)).collect()
+}
+
+/// What a sharded run observed: per shard, the records of the calls
+/// that returned with the store healthy (acked, under fsync=always) and
+/// the records attempted, the failing call's included.
+struct ShardedDrive {
+    persist_ok: bool,
+    healthy: [usize; 2],
+    attempted: [usize; 2],
+    acked: u64,
+}
+
+fn drive_sharded(vfs: &MemVfs, ticks: &[Tick]) -> ShardedDrive {
+    let mut map: ShardedMap<u64, u64> =
+        ShardedMap::with_splits_config(vec![SPLIT], QueryKind::Veb, CAP)
+            .with_compaction_mode(CompactionMode::Inline);
+    map.batch_insert(sharded_prepop());
+    let mut d = ShardedDrive {
+        persist_ok: false,
+        healthy: [0; 2],
+        attempted: [0; 2],
+        acked: 0,
+    };
+    if map
+        .persist_to("db", cfg_on(vfs, FsyncPolicy::Always))
+        .is_err()
+    {
+        return d;
+    }
+    d.persist_ok = true;
+    for tick in ticks {
+        let inserted: Vec<u64> = tick.inserts.iter().map(|&(k, _)| k).collect();
+        for (keys, insert) in [(&inserted, true), (&tick.removes, false)] {
+            for (shard, attempted) in d.attempted.iter_mut().enumerate() {
+                *attempted += usize::from(keys.iter().any(|&k| shard_of(k) == shard));
+            }
+            if insert {
+                map.batch_insert(tick.inserts.clone());
+            } else {
+                map.batch_remove(&tick.removes);
+            }
+            if map.store_error().is_some() {
+                d.acked = map.acked_records();
+                return d;
+            }
+            d.healthy = d.attempted;
+        }
+    }
+    d.acked = map.acked_records();
+    d
+}
+
+/// Power-cut the two-shard map at `budget` bytes under `model`, reopen,
+/// and hold every shard to the recovery contract on its own records.
+fn run_one_sharded_crash(
+    budget: u64,
+    model: CrashModel,
+    ticks: &[Tick],
+    committed: &[Vec<BTreeMap<u64, u64>>; 2],
+) {
+    let vfs = MemVfs::new();
+    vfs.set_write_budget(Some(budget));
+    let d = drive_sharded(&vfs, ticks);
+    vfs.power_cycle(model);
+    let ctx = format!("sharded budget={budget} model={model:?}");
+    let rec = match ShardedMap::<u64, u64>::open_with("db", cfg_on(&vfs, FsyncPolicy::Always)) {
+        Ok(rec) => rec,
+        Err(e) => {
+            assert!(
+                !d.persist_ok,
+                "{ctx}: open failed after a durable persist: {e}"
+            );
+            return;
+        }
+    };
+    assert!(
+        d.persist_ok,
+        "{ctx}: open succeeded though persist_to never completed"
+    );
+    // Per shard, the longest committed prefix the recovered state
+    // matches (a remove of absent keys leaves two equal prefixes).
+    let mut recovered = [0usize; 2];
+    for (shard, prefix) in recovered.iter_mut().enumerate() {
+        let got: BTreeMap<u64, u64> = (0..UNIVERSE)
+            .filter(|&k| shard_of(k) == shard)
+            .filter_map(|k| rec.get(&k).map(|v| (k, *v)))
+            .collect();
+        let (lo, hi) = (d.healthy[shard], d.attempted[shard]);
+        *prefix = (lo..=hi)
+            .rev()
+            .find(|&j| committed[shard][j] == got)
+            .unwrap_or_else(|| {
+                panic!(
+                    "{ctx}: shard {shard} recovered {got:?}, no committed prefix in [{lo}, {hi}]"
+                )
+            });
+    }
+    assert!(
+        (recovered[0] + recovered[1]) as u64 >= d.acked,
+        "{ctx}: recovered prefixes {recovered:?} hold fewer than the {} acked records",
+        d.acked
+    );
+    let total: usize = (0..2).map(|s| committed[s][recovered[s]].len()).sum();
+    assert_eq!(rec.len(), total, "{ctx}: len");
+}
+
+fn sharded_sweep(model: CrashModel) {
+    let ticks = sharded_ticks(0x5A4D);
+    let committed = [shard_states(0, &ticks), shard_states(1, &ticks)];
+    let dry = MemVfs::new();
+    let d = drive_sharded(&dry, &ticks);
+    assert!(d.persist_ok && d.healthy == d.attempted, "dry run crashed");
+    assert_eq!(
+        d.attempted,
+        [committed[0].len() - 1, committed[1].len() - 1]
+    );
+    assert_eq!(d.acked, (d.attempted[0] + d.attempted[1]) as u64);
+    for shard in 0..2 {
+        let dir = Path::new("db").join(shard_dir_name(shard));
+        let wal_seq = Manifest::read(&dry, &dir).unwrap().wal_seq;
+        assert!(wal_seq >= 2, "shard {shard} crossed no runtime checkpoint");
+    }
+    let total = dry.total_written();
+    let stride = if long_mode() {
+        (total / 3000).max(1)
+    } else {
+        (total / 300).max(1)
+    };
+    let mut budget = 0u64;
+    while budget <= total {
+        run_one_sharded_crash(budget, model, &ticks, &committed);
+        budget += stride;
+    }
+}
+
+/// Both shards of a tick log concurrently (a persistent shard's
+/// sub-delta always goes to the pool); a crash can land between, inside
+/// or after either shard's record or checkpoint.
+#[test]
+fn sharded_power_cut_drop_unsynced() {
+    sharded_sweep(CrashModel::DropUnsynced);
+}
+
+#[test]
+fn sharded_power_cut_torn() {
+    sharded_sweep(CrashModel::Torn);
 }

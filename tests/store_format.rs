@@ -390,33 +390,10 @@ fn golden_store_bytes_and_recovery() {
     }
     // 1. The committed bytes still open — on a copy (opening rotates
     //    the WAL and manifest, so never open the golden dir itself).
-    let mut committed: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
-        .expect("golden dir exists (regenerate with IST_WRITE_GOLDEN=1)")
-        .map(|e| {
-            let e = e.expect("entry");
-            (
-                e.file_name().to_string_lossy().into_owned(),
-                std::fs::read(e.path()).expect("read golden file"),
-            )
-        })
-        .collect();
-    committed.sort();
-    let replay = MemVfs::new();
-    replay.restore(
-        &committed
-            .iter()
-            .map(|(n, b)| (Path::new("db").join(n), b.clone()))
-            .collect::<Vec<_>>(),
-    );
-    let reopened = DynamicMap::<u64, u64>::open_with(
-        "db",
-        StoreConfig::with_vfs(Arc::new(replay_clone(&replay))),
-    )
-    .expect("golden store opens");
-    assert_eq!(reopened.len(), oracle.len());
-    for k in 0..110u64 {
-        assert_eq!(reopened.get(&k), oracle.get(&k), "golden get({k})");
-    }
+    let committed = committed_files(&dir);
+    let reopened = DynamicMap::<u64, u64>::open_with("db", mem_cfg(&mem_store(&committed)))
+        .expect("golden store opens");
+    assert_golden_state(&reopened, &oracle, "golden");
     // 2. The current encoder reproduces the committed bytes exactly.
     let produced_names: Vec<&String> = produced.iter().map(|(n, _)| n).collect();
     let committed_names: Vec<&String> = committed.iter().map(|(n, _)| n).collect();
@@ -510,10 +487,73 @@ fn v1_manifest_with_a_two_run_tier_opens_and_folds() {
     check(&map, &oracle, "folded and reopened");
 }
 
-/// `MemVfs` is not `Clone`; re-materialize one from a dump so the
-/// golden copy can be handed to `StoreConfig::with_vfs` by value.
-fn replay_clone(vfs: &MemVfs) -> MemVfs {
-    let fresh = MemVfs::new();
-    fresh.restore(&vfs.dump());
-    fresh
+/// The files of a committed golden store, sorted by name.
+fn committed_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("golden dir exists (regenerate with IST_WRITE_GOLDEN=1)")
+        .map(|e| {
+            let e = e.expect("entry");
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).expect("read golden file"),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A fresh `MemVfs` holding `files` in `db/`.
+fn mem_store(files: &[(String, Vec<u8>)]) -> Arc<MemVfs> {
+    let vfs = MemVfs::new();
+    vfs.restore(
+        &files
+            .iter()
+            .map(|(n, b)| (Path::new("db").join(n), b.clone()))
+            .collect::<Vec<_>>(),
+    );
+    Arc::new(vfs)
+}
+
+fn assert_golden_state(map: &DynamicMap<u64, u64>, oracle: &BTreeMap<u64, u64>, ctx: &str) {
+    assert_eq!(map.len(), oracle.len(), "{ctx}: len");
+    for k in 0..110u64 {
+        assert_eq!(map.get(&k), oracle.get(&k), "{ctx}: get({k})");
+        assert_eq!(map.rank(&k), oracle.range(..k).count(), "{ctx}: rank({k})");
+    }
+}
+
+/// `tests/golden/map-v1-sealed/` is the golden store as the engine
+/// before checkpoints wrote it, with a run file and a manifest rotation
+/// at every seal and every compaction (hence run ids 1 and 3 and WAL 2).
+/// The on-disk format is the same, so that store must open to the
+/// golden oracle, take a write, and reopen with it. The fixture
+/// compacted inline, so its L0 is empty; the L0 refs that engine left
+/// whenever a background merge was in flight are rebuilt by moving the
+/// newest run to L0, and that shape must open the same way.
+#[test]
+fn golden_store_written_per_seal_opens_and_takes_a_write() {
+    let (_, golden) = build_golden();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/map-v1-sealed");
+    for sealed_l0 in [false, true] {
+        let ctx = format!("sealed-era store, newest run in L0: {sealed_l0}");
+        let vfs = mem_store(&committed_files(&dir));
+        let db = Path::new("db");
+        let mut manifest = Manifest::read(&*vfs, db).expect("sealed-era manifest");
+        assert_eq!((manifest.wal_seq, manifest.l0.len()), (2, 0), "{ctx}");
+        if sealed_l0 {
+            let newest = manifest.tiers.iter_mut().find_map(|tier| tier.pop());
+            manifest.l0.push(newest.expect("a tier run"));
+            manifest.write_atomic(&*vfs, db).expect("rewrite manifest");
+        }
+        let mut oracle = golden.clone();
+        let mut map = DynamicMap::<u64, u64>::open_with(db, mem_cfg(&vfs)).expect("opens");
+        assert_golden_state(&map, &oracle, &ctx);
+        assert!(!map.insert(105, 5));
+        oracle.insert(105, 5);
+        assert!(map.store_error().is_none(), "{ctx}");
+        drop(map);
+        let map = DynamicMap::<u64, u64>::open_with(db, mem_cfg(&vfs)).expect("reopens");
+        assert_golden_state(&map, &oracle, &format!("{ctx}, after a write"));
+    }
 }
