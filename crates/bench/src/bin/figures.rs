@@ -5,13 +5,16 @@
 //! ```
 //!
 //! `<which>` ∈ `table1.1 | fig6.1 | fig6.2 | fig6.3 | fig6.4 | fig6.5 |
-//! fig6.6 | fig6.7 | fig6.8 | fig6.9 | all`. Output is CSV on stdout with
-//! one header line per figure. `--scale` shifts the maximum problem size
-//! by `S` powers of two (default sizes are laptop-scale; the paper used
-//! N = 2²⁹ on a 2×10-core Xeon).
+//! fig6.6 | fig6.7 | fig6.8 | fig6.9 | crossover | all`. Output is CSV on
+//! stdout with one header line per figure. `crossover` is not one of the
+//! paper's figures: it is the run-size sweep behind `DynamicMap`'s
+//! per-run layout choice (`LAYOUT_CROSSOVER_VERSIONS`). `--scale`
+//! shifts the maximum problem size by `S` powers of two (default sizes
+//! are laptop-scale; the paper used N = 2²⁹ on a 2×10-core Xeon).
 
 use ist_bench::*;
 use ist_core::{permute_in_place, permute_in_place_seq, Algorithm, Layout};
+use ist_dynamic::StaticIndex;
 use ist_gather::{equidistant_gather_chunks_par, gather_len, swap_halves_par};
 use ist_gpu_sim::{kernels as gk, query as gq, Gpu, GpuConfig};
 use ist_pem_sim::{kernels as pk, PemConfig, TrackedArray};
@@ -266,6 +269,123 @@ fn fig_combined(parallel: bool, scale: i32) {
     }
 }
 
+/// The size crossover behind `DynamicMap`'s per-run layout choice:
+/// batched `get` and `rank` throughput (Mq/s) against run size n =
+/// 2^12 … 2^(22+S) for the sorted baseline and every layout a map can be
+/// configured with, built the way a map builds its runs
+/// ([`StaticIndex::build_presorted`], aligned storage) and queried through
+/// the same batched engine its reads use.
+///
+/// Four choices make the numbers honest on a shared box:
+/// - several same-size indexes (up to 8, at most 2^22 keys a kind) are
+///   queried round-robin, one batch each in turn, so every index
+///   competes for cache the way a shard's runs do, instead of one index
+///   sitting in L2 for the whole sweep;
+/// - every batch is fresh keys, and the `rank` pass draws from a pool
+///   disjoint from the `get` pass's, so no pass hits lines another warmed;
+/// - the kinds take turns, pass by pass, so a slow spell on the host
+///   lands on all of them rather than on one;
+/// - each point is the median of seven passes of 2^19 queries.
+///
+/// Batch sizes are the serving tick's per-shard batch (256) and 65 536.
+/// The last rows, `crossover.rule`, apply the rule behind
+/// `LAYOUT_CROSSOVER_VERSIONS` to each layout: the smallest n from which
+/// the layout beats sorted on the geometric mean of `get` and `rank` at
+/// batch 256, at that n and every larger one.
+fn size_crossover_sweep(scale: i32) {
+    row(&[
+        "crossover".into(),
+        "n".into(),
+        "kind".into(),
+        "batch".into(),
+        "indexes".into(),
+        "get_mqps".into(),
+        "rank_mqps".into(),
+    ]);
+    const QUERIES: usize = 1 << 19;
+    const KEYS_PER_KIND: usize = 1 << 22;
+    const PASSES: usize = 7;
+    const RULE_BATCH: usize = 256;
+    let kinds = [
+        QueryKind::Sorted,
+        QueryKind::BstPrefetch,
+        QueryKind::Btree(CPU_B),
+        QueryKind::Veb,
+    ];
+    let sizes: Vec<usize> = (12..=(22 + scale).max(12) as u32)
+        .map(|e| 1usize << e)
+        .collect();
+    // scores[kind][size]: geometric mean of get and rank at RULE_BATCH.
+    let mut scores = vec![Vec::with_capacity(sizes.len()); kinds.len()];
+    for &n in &sizes {
+        let count = (KEYS_PER_KIND / n).clamp(2, 8);
+        let pool = uniform_queries(n, 2 * QUERIES, n as u64);
+        let (get_pool, rank_pool) = pool.split_at(QUERIES);
+        let sets: Vec<Vec<StaticIndex<u64>>> = kinds
+            .iter()
+            .map(|&kind| {
+                (0..count)
+                    .map(|_| StaticIndex::build_presorted(sorted_keys(n), kind).unwrap())
+                    .collect()
+            })
+            .collect();
+        for batch in [RULE_BATCH, 65_536] {
+            let mut gets = vec![Vec::with_capacity(PASSES); kinds.len()];
+            let mut ranks = vec![Vec::with_capacity(PASSES); kinds.len()];
+            for _ in 0..PASSES {
+                for (k, set) in sets.iter().enumerate() {
+                    gets[k].push(pass_mqps(get_pool, batch, |i, keys| {
+                        std::hint::black_box(set[i % count].batch_search(keys));
+                    }));
+                    ranks[k].push(pass_mqps(rank_pool, batch, |i, keys| {
+                        std::hint::black_box(set[i % count].batch_rank(keys));
+                    }));
+                }
+            }
+            for (k, kind) in kinds.iter().enumerate() {
+                let (get, rank) = (median(&mut gets[k]), median(&mut ranks[k]));
+                if batch == RULE_BATCH {
+                    // Geometric mean: neither op dominates by raw scale.
+                    scores[k].push((get * rank).sqrt());
+                }
+                row(&[
+                    "crossover".into(),
+                    n.to_string(),
+                    kind.name().into(),
+                    batch.to_string(),
+                    count.to_string(),
+                    format!("{get:.2}"),
+                    format!("{rank:.2}"),
+                ]);
+            }
+        }
+    }
+    for (k, kind) in kinds.iter().enumerate().skip(1) {
+        let n_star = size_crossover(&sizes, &scores[k], &scores[0]);
+        row(&[
+            "crossover.rule".into(),
+            kind.name().into(),
+            n_star.map_or("none".into(), |n| n.to_string()),
+        ]);
+    }
+}
+
+/// One timed pass over `pool` in `batch`-key chunks, in Mq/s;
+/// `op(i, keys)` answers the `i`-th chunk.
+fn pass_mqps(pool: &[u64], batch: usize, op: impl Fn(usize, &[u64])) -> f64 {
+    let t = time_once(|| {
+        for (i, keys) in pool.chunks(batch).enumerate() {
+            op(i, keys);
+        }
+    });
+    pool.len() as f64 / secs(t) / 1e6
+}
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Figure 6.8: GPU (SIMT model) permutation time vs N.
 fn fig6_8(scale: i32) {
     row(&[
@@ -465,6 +585,7 @@ fn main() {
         "fig6.7" => fig_combined(true, scale),
         "fig6.8" => fig6_8(scale),
         "fig6.9" => fig6_9(scale),
+        "crossover" => size_crossover_sweep(scale),
         "all" => {
             table1_1(scale);
             fig_permute(false, scale);
@@ -476,9 +597,10 @@ fn main() {
             fig_combined(true, scale);
             fig6_8(scale);
             fig6_9(scale);
+            size_crossover_sweep(scale);
         }
         other => {
-            eprintln!("unknown figure '{other}'; use table1.1 | fig6.1..fig6.9 | all");
+            eprintln!("unknown figure '{other}'; use table1.1 | fig6.1..fig6.9 | crossover | all");
             std::process::exit(2);
         }
     }

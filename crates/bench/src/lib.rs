@@ -77,6 +77,22 @@ pub fn crossover(qs: &[usize], layout_times: &[f64], baseline_times: &[f64]) -> 
         .map(|(q, _)| *q)
 }
 
+/// Given per-size scores (higher is better) for a layout and for the
+/// sorted baseline over the same ascending size grid `ns`, return the
+/// smallest size from which the layout wins at that size **and every
+/// larger one** in the grid — a single noisy win below the real
+/// crossover does not count. `None` when the layout does not win at the
+/// largest size.
+pub fn size_crossover(ns: &[usize], layout_scores: &[f64], sorted_scores: &[f64]) -> Option<usize> {
+    let wins: Vec<bool> = layout_scores
+        .iter()
+        .zip(sorted_scores)
+        .map(|(l, s)| l > s)
+        .collect();
+    let losses_after = wins.iter().rposition(|&w| !w).map_or(0, |i| i + 1);
+    ns.get(losses_after).copied()
+}
+
 /// Emit one CSV row to stdout (the `figures` binary's only output
 /// channel; redirect to a file to keep it).
 pub fn row(fields: &[String]) {
@@ -113,6 +129,24 @@ mod tests {
             Some(1000)
         );
         assert_eq!(crossover(&qs, &[9.0, 9.0, 9.0], &[1.0, 2.0, 3.0]), None);
+    }
+
+    #[test]
+    fn size_crossover_needs_every_larger_size() {
+        let ns = [1usize, 2, 4, 8];
+        // A lone win at 2 is noise: the layout loses again at 4.
+        assert_eq!(
+            size_crossover(&ns, &[1.0, 3.0, 1.0, 3.0], &[2.0, 2.0, 2.0, 2.0]),
+            Some(8)
+        );
+        assert_eq!(
+            size_crossover(&ns, &[3.0, 3.0, 3.0, 3.0], &[2.0, 2.0, 2.0, 2.0]),
+            Some(1)
+        );
+        assert_eq!(
+            size_crossover(&ns, &[3.0, 3.0, 3.0, 1.0], &[2.0, 2.0, 2.0, 2.0]),
+            None
+        );
     }
 
     #[test]

@@ -18,17 +18,32 @@
 //!   L0     ▒ ▒ ▒         sealed runs awaiting compaction (newest last)
 //!          │ COMPACT — k-way merge + rebuild on a background worker;
 //!          ▼           installed atomically on completion
-//!   tier 0 ▓             (≈ cap entries)        newest tier run
-//!   tier 1 ▓▓            (≈ 2·cap)                  │
+//!   tier 0 ░             (≈ cap entries)        newest tier run
+//!   tier 1 ░░            (≈ 2·cap)                  │
 //!   tier 2 (empty)                                  │ age
-//!   tier 3 ▓▓▓▓▓▓▓▓      (≈ 8·cap)              oldest run
+//!   ⋮                                               │
+//!   tier t ▓▓▓▓▓▓▓▓      (≈ 2^t·cap)            oldest run
+//!
+//!   ▒ ░  sorted order: sealed runs, and merged runs below the crossover
+//!   ▓    the configured layout: merged runs from the crossover on
 //! ```
 //!
 //! Every occupied tier (and every sealed L0 slot) holds one immutable
-//! **run**: a [`StaticMap`] whose keys sit in a cache-optimal layout,
-//! built by one out-of-place scatter into cache-line-aligned storage
-//! ([`StaticMap::build_presorted`]). The overflow path is split in two
-//! so the expensive half never sits on the writer's critical path:
+//! **run**: a [`StaticMap`] whose layout follows from its size — the
+//! paper's crossover, applied run by run. A run too small to outgrow
+//! the cache keeps its keys in **sorted order** ([`QueryKind::Sorted`]),
+//! where binary search reads as fast as any layout and building costs
+//! nothing: seals always, and compaction outputs below
+//! `LAYOUT_CROSSOVER_VERSIONS` (2^18 versions, measured by the
+//! `figures -- crossover` sweep; see its doc in `dynamic/run.rs`),
+//! whose merged columns are adopted as they are. A larger compaction
+//! output is scattered into the map's configured cache-optimal layout
+//! — the `kind` it was built with names this large-run layout — by one
+//! out-of-place scatter into cache-line-aligned storage
+//! ([`StaticMap::build_presorted`]). A bulk load
+//! ([`DynamicMap::build`]) lands as one run in the layout the caller
+//! asked for, whatever its size. The overflow path is split in two so
+//! the expensive half never sits on the writer's critical path:
 //!
 //! * **Seal** (synchronous, near-free): the sorted buffer is frozen
 //!   into an L0 run via [`StaticMap::build_presorted`] with
@@ -39,7 +54,8 @@
 //!   layout permutation on the write path.
 //! * **Compact** (deamortized): all sealed runs plus the runs of every
 //!   tier up to the first empty one are k-way merged (already-sorted
-//!   sources) and rebuilt into that tier. Under
+//!   sources) and rebuilt into that tier, in the layout its size calls
+//!   for. Under
 //!   [`CompactionMode::Background`] (the default) this runs on a
 //!   background worker thread over `Arc`-shared immutable runs; the
 //!   writer installs the finished run atomically at the start of a
@@ -151,9 +167,9 @@ use ist_query::QueryKind;
 use run::buffer_slot;
 
 /// A write-capable key→value map: a sorted write buffer plus
-/// geometrically-tiered immutable runs, each run a [`StaticMap`] in a
-/// cache-optimal implicit layout. See the [module docs](self) for the
-/// design.
+/// geometrically-tiered immutable runs, each run a [`StaticMap`] —
+/// sorted while it is small, in a cache-optimal implicit layout once it
+/// outgrows the cache. See the [module docs](self) for the design.
 ///
 /// Semantics mirror `std::collections::BTreeMap`: one live value per
 /// key, `insert` overwrites, `remove` deletes; `rank`, `range_count`,
@@ -196,6 +212,9 @@ pub struct DynamicMap<K, V> {
     pub(crate) tiers: Vec<Vec<Arc<Run<K, V>>>>,
     /// The single in-flight compaction, if any.
     pending: Option<Pending<K, V>>,
+    /// The **large-run** layout: what a compaction output of at least
+    /// `LAYOUT_CROSSOVER_VERSIONS` versions (and a bulk load) is built
+    /// in. Seals and smaller compaction outputs stay sorted.
     pub(crate) kind: QueryKind,
     pub(crate) buffer_cap: usize,
     mode: CompactionMode,
@@ -231,8 +250,8 @@ where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
 {
-    /// An empty map storing its runs in `layout` (best default descent,
-    /// [`DEFAULT_BUFFER_CAP`]).
+    /// An empty map storing its large runs in `layout` (best default
+    /// descent, [`DEFAULT_BUFFER_CAP`]); small runs stay sorted.
     ///
     /// # Panics
     /// Panics on `Layout::Btree { b: 0 }`.
@@ -243,7 +262,10 @@ where
     /// Full-control constructor: explicit query descent and
     /// write-buffer capacity (`buffer_cap` writes are absorbed between
     /// seals; small values make seals and merges adversarially
-    /// frequent, which the differential suite exploits).
+    /// frequent, which the differential suite exploits). `kind` is the
+    /// layout of the map's **large** runs: runs too small to outgrow
+    /// the cache stay sorted, whatever `kind` says (see the
+    /// [module docs](self)).
     /// Compaction runs in [`CompactionMode::Background`]; chain
     /// [`DynamicMap::with_compaction_mode`] to override.
     ///
@@ -917,9 +939,11 @@ where
     /// Sealed runs stay in **sorted order** ([`QueryKind::Sorted`]):
     /// they hold ≤ `buffer_cap` entries, where binary search is already
     /// cache-resident, and they live only until the next compaction
-    /// rebuilds them into the configured layout — so the seal is a
-    /// `move` of the buffer plus a weight prefix sum, with no layout
-    /// permutation at all on the write path.
+    /// merges them into a tier run — so the seal is a `move` of the
+    /// buffer plus a weight prefix sum, with no layout permutation at
+    /// all on the write path. This holds whatever `buffer_cap` is: the
+    /// size crossover that lays out large compaction outputs does not
+    /// apply to seals.
     ///
     /// A seal writes nothing, also on a persistent map: the WAL still
     /// holds every mutation the sealed run absorbed, and the run reaches

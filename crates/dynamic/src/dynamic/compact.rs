@@ -2,7 +2,7 @@
 //! compaction consumes, the (sliced, parallel when large) k-way merge,
 //! and the atomic install of the merged run.
 
-use super::run::{MergedEntry, Run};
+use super::run::{merged_run_kind, MergedEntry, Run};
 use super::{CompactionMode, DynamicMap, MAX_SEALED_RUNS};
 use crate::sync::{spawn, yield_now, Arc, AtomicBool, JoinHandle, Ordering};
 use ist_query::QueryKind;
@@ -74,10 +74,12 @@ const MERGE_YIELD_STRIDE: usize = 256;
 
 /// The compact half of the overflow path: k-way merge `sources`
 /// (newest first; each source's keys are distinct) and rebuild the
-/// result as a single run. Newest version wins per key, weights are
-/// summed, and tombstones are annihilated iff no occupied tier remains
-/// below the merge target (`deeper_occupied == false`). Returns `None`
-/// when everything annihilated.
+/// result as a single run, laid out by its length ([`merged_run_kind`]:
+/// the merged columns are adopted as they are below the crossover and
+/// scattered into `kind` from there on). Newest version wins per key,
+/// weights are summed, and tombstones are annihilated iff no occupied
+/// tier remains below the merge target (`deeper_occupied == false`).
+/// Returns `None` when everything annihilated.
 ///
 /// When the ambient `rayon::current_num_threads()` (so `IST_PARALLEL`
 /// and `ThreadPool::install` apply) exceeds 1 and the merge is large
@@ -174,6 +176,7 @@ where
     if keys.is_empty() {
         None
     } else {
+        let kind = merged_run_kind(keys.len(), kind);
         Some(
             Run::build(keys, slots, &weights, kind)
                 .expect("configuration validated at construction"),

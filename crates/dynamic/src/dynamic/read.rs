@@ -263,9 +263,17 @@ where
     /// Batched [`Frozen::rank`] on the pipelined per-run rank engine
     /// (keys read in place, like [`Frozen::batch_get`]).
     pub fn batch_rank<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
+        // The buffer's weight prefix, built once per call: each key then
+        // costs one binary search and a lookup, not a sum over the
+        // buffer below it.
+        let mut below = Vec::with_capacity(self.buffer.len() + 1);
+        below.push(0i64);
+        for e in self.buffer.iter() {
+            below.push(below.last().expect("starts at 0") + e.weight);
+        }
         let mut acc: Vec<i64> = keys
             .iter()
-            .map(|k| self.buffer_weight_below(k.borrow()))
+            .map(|k| below[self.buffer.partition_point(|e| e.key < *k.borrow())])
             .collect();
         for run in self.runs.iter() {
             for (a, r) in acc.iter_mut().zip(run.map.index().batch_rank(keys)) {

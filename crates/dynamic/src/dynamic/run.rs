@@ -8,6 +8,47 @@ use ist_core::Error;
 use ist_query::QueryKind;
 use ist_store::RunRef;
 
+/// The run size, in versions, from which a compaction output is built
+/// in the map's configured layout; a smaller output stays in sorted
+/// order ([`QueryKind::Sorted`]) — see [`merged_run_kind`]. This is the
+/// paper's crossover turned around: a layout pays for its permutation
+/// only once the array has outgrown the cache, and below that binary
+/// search over sorted keys reads as fast and costs nothing to build. A
+/// sorted run is also adopted zero-copy from the merge's columns, and
+/// the next merge streams it in place instead of walking the layout's
+/// position map.
+///
+/// Measured by `cargo run --release -p ist-bench --bin figures --
+/// crossover`: batched `get` and `rank` Mq/s for sorted and every layout
+/// at n = 2^12 … 2^22, up to eight same-size indexes queried round-robin
+/// with fresh keys per batch. The rule: the smallest power of two from
+/// which vEB (the serving layout) beats sorted on the geometric mean of
+/// `get` and `rank` at the serving per-shard batch of 256 keys, at that
+/// size and every larger one. On the 2-vCPU reference box six sweeps
+/// gave 2^17 three times, 2^18 twice and 2^16 once: at 2^17 vEB over
+/// sorted read 1.17 / 1.16 / 0.99 / 0.97 / 1.13 / 1.11 on that mean, at
+/// 2^18 1.53 / 1.05 / 1.24 / 1.27 / 1.16 / 1.19. The constant is the
+/// smallest size every sweep agrees on, 2^18. Medians over the six, vEB
+/// against sorted (Mq/s, `get` / `rank`): 21.4 / 36.3 against 27.3 /
+/// 29.1 at 2^16, 19.4 / 32.4 against 21.1 / 22.2 at 2^17, 15.9 / 26.0
+/// against 15.7 / 17.0 at 2^18 — vEB's `rank` leads at every size, its
+/// `get` trails sorted through 2^17. The benchmark of record agrees:
+/// `serve_ingest_heavy` gained 13.6 % (9 of 10 pairs) with 2^18 and
+/// 1.5 % (7 of 10) with 2^17 (CHANGES.md).
+pub(super) const LAYOUT_CROSSOVER_VERSIONS: usize = 1 << 18;
+
+/// The layout a compaction output of `versions` versions is built in:
+/// sorted below [`LAYOUT_CROSSOVER_VERSIONS`], the map's configured
+/// `kind` from there on. Seals (always sorted) and the bulk-loaded run
+/// (the caller's kind) do not go through here.
+pub(super) fn merged_run_kind(versions: usize, kind: QueryKind) -> QueryKind {
+    if versions < LAYOUT_CROSSOVER_VERSIONS {
+        QueryKind::Sorted
+    } else {
+        kind
+    }
+}
+
 /// One buffered write: the newest version of `key`. An empty `slot` is
 /// a tombstone. `weight` maintains the per-key sum invariant described
 /// in the [module docs](super).
@@ -170,4 +211,25 @@ impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
 /// read path go through it.
 pub(super) fn buffer_slot<K: Ord, V>(buffer: &[BufEntry<K, V>], key: &K) -> Result<usize, usize> {
     buffer.binary_search_by(|e| e.key.cmp(key))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merged_runs_below_the_crossover_stay_sorted() {
+        for kind in [QueryKind::Veb, QueryKind::Btree(8), QueryKind::BstPrefetch] {
+            assert_eq!(merged_run_kind(1, kind), QueryKind::Sorted);
+            assert_eq!(
+                merged_run_kind(LAYOUT_CROSSOVER_VERSIONS - 1, kind),
+                QueryKind::Sorted
+            );
+            assert_eq!(merged_run_kind(LAYOUT_CROSSOVER_VERSIONS, kind), kind);
+        }
+        assert_eq!(
+            merged_run_kind(LAYOUT_CROSSOVER_VERSIONS, QueryKind::Sorted),
+            QueryKind::Sorted
+        );
+    }
 }

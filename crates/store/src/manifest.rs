@@ -81,7 +81,8 @@ pub fn run_file_name(id: u64) -> String {
 /// The live state of one map directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Layout the map's compacted tiers are built in.
+    /// Layout the map's large compacted runs are built in (every run
+    /// file records the layout of its own run).
     pub kind: QueryKind,
     /// Write-buffer capacity.
     pub buffer_cap: u64,

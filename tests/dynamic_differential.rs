@@ -724,6 +724,72 @@ fn differential_persistent_fsync_matrix() {
     }
 }
 
+/// Compaction outputs below the size crossover stay sorted; from it on
+/// they take the map's layout (`LAYOUT_CROSSOVER_VERSIONS` in
+/// `crates/dynamic/src/dynamic/run.rs`, 2^18 versions). Here a
+/// bulk-loaded vEB run sits just above the crossover, and bulk writes
+/// (overwrites, removes and fresh keys) seal a run that compacts into a
+/// sorted tier run on top of it, then a second run that folds both into
+/// the bulk run: merges of sorted and vEB sources, with outputs on both
+/// sides of the crossover. Every fourth batch is checked against the
+/// oracle on a key sample, and a third of the key space once the fold
+/// has landed.
+#[test]
+fn differential_straddles_the_layout_crossover() {
+    const CROSSOVER: usize = 1 << 18;
+    let n = CROSSOVER + 1000;
+    // Two buffers hold the bulk run, so it lands on tier 1: the first
+    // seal compacts into tier 0 (half the crossover: sorted), and the
+    // second folds tiers 0 and 1 into tier 2 (past it: vEB).
+    let cap = n / 2;
+    // Even keys, so writes hit bulk keys and fresh odd keys alike.
+    let keys: Vec<u64> = (0..n as u64).map(|k| 2 * k).collect();
+    let mut oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k)).collect();
+    let mut map = DynamicMap::build_presorted(keys.clone(), keys, QueryKind::Veb, cap)
+        .unwrap()
+        .with_compaction_mode(CompactionMode::Inline);
+    assert_eq!(map.tier_versions(), vec![vec![], vec![n]]);
+    let space = 2 * n as u64 + 2;
+    let mut rng = StdRng::seed_from_u64(0xC2055);
+    let check = |map: &DynamicMap<u64, u64>, oracle: &BTreeMap<u64, u64>, probes: &[u64]| {
+        let live: Vec<u64> = oracle.keys().copied().collect();
+        assert_eq!(map.len(), oracle.len(), "len");
+        let got = map.batch_get(probes);
+        let ranks = map.batch_rank(probes);
+        for (i, k) in probes.iter().enumerate() {
+            assert_eq!(got[i], oracle.get(k), "batch_get({k})");
+            assert_eq!(ranks[i], live.partition_point(|x| x < k), "batch_rank({k})");
+        }
+    };
+    let mut batches = 0;
+    let mut sorted_tier_seen = false;
+    while !map.tier_versions()[1].is_empty() {
+        batches += 1;
+        assert!(batches <= 400, "no compaction reached the bulk run");
+        let delta: Vec<u64> = (0..16_384).map(|_| rng.gen_range(0..space)).collect();
+        if batches % 4 == 0 {
+            map.batch_remove(&delta);
+            for k in &delta {
+                oracle.remove(k);
+            }
+        } else {
+            let pairs: Vec<(u64, u64)> = delta.iter().map(|&k| (k, k + batches)).collect();
+            map.batch_insert(pairs.clone());
+            oracle.extend(pairs);
+        }
+        sorted_tier_seen |= map.tier_versions()[0].iter().any(|&v| v < CROSSOVER);
+        if batches % 4 == 1 {
+            let probes: Vec<u64> = (0..256).map(|_| rng.gen_range(0..space)).collect();
+            check(&map, &oracle, &probes);
+        }
+    }
+    assert!(sorted_tier_seen, "no tier run below the crossover formed");
+    let folded = map.tier_versions()[2][0];
+    assert!(folded >= CROSSOVER, "the fold holds {folded} versions");
+    // Every third key: even (bulk) and odd (fresh) keys alike.
+    check(&map, &oracle, &(0..space).step_by(3).collect::<Vec<u64>>());
+}
+
 /// A bulk-loaded map must behave identically: start from `build` with
 /// duplicate keys, then fuzz on top of the pre-populated tiers.
 #[test]

@@ -144,6 +144,50 @@ fn round_trip_value_shapes() {
     );
 }
 
+/// The run size from which a compaction output is built in the map's
+/// configured layout; smaller outputs stay sorted. It mirrors
+/// `LAYOUT_CROSSOVER_VERSIONS` in `crates/dynamic/src/dynamic/run.rs`,
+/// so changing that constant fails the test below until this one
+/// follows.
+const LAYOUT_CROSSOVER: usize = 1 << 18;
+
+/// Each persisted run records its own layout, and a compaction output's
+/// layout follows from its length: a map holding merged runs on both
+/// sides of the crossover writes a sorted run file for the one below it
+/// and a vEB run file for the one at it.
+#[test]
+fn run_file_kind_follows_the_run_length() {
+    let vfs = Arc::new(MemVfs::new());
+    let cap = LAYOUT_CROSSOVER / 2;
+    let mut map: DynamicMap<u64, u64> =
+        DynamicMap::with_config(QueryKind::Veb, cap).with_compaction_mode(CompactionMode::Inline);
+    // Three sealing batches of distinct keys: the second merge folds
+    // two half-crossover runs into one of exactly the crossover.
+    for batch in 0..3u64 {
+        let lo = batch * cap as u64;
+        map.batch_insert((lo..lo + cap as u64).map(|k| (k, k)).collect());
+    }
+    assert_eq!(map.tier_versions(), vec![vec![cap], vec![LAYOUT_CROSSOVER]]);
+    map.persist_to("db", mem_cfg(&vfs)).expect("persist");
+    let db = Path::new("db");
+    let manifest = Manifest::read(&*vfs, db).expect("manifest");
+    assert_eq!(manifest.kind, QueryKind::Veb);
+    let mut kinds = Vec::new();
+    for run in manifest.l0.iter().chain(manifest.tiers.iter().flatten()) {
+        let reader = RunReader::open(&*vfs, &db.join(run_file_name(run.id))).expect("run file");
+        let (n, kind) = (reader.header().n as usize, reader.header().kind);
+        let expect = if n < LAYOUT_CROSSOVER {
+            QueryKind::Sorted
+        } else {
+            QueryKind::Veb
+        };
+        assert_eq!(kind, expect, "run {} holds {n} versions", run.id);
+        kinds.push(kind);
+    }
+    kinds.sort_by_key(|k| k.name());
+    assert_eq!(kinds, vec![QueryKind::Sorted, QueryKind::Veb]);
+}
+
 // ---------------------------------------------------------------------
 // Total decoders: arbitrary bytes must yield Ok or a typed error,
 // never a panic, never an absurd allocation.
@@ -523,37 +567,46 @@ fn assert_golden_state(map: &DynamicMap<u64, u64>, oracle: &BTreeMap<u64, u64>, 
     }
 }
 
-/// `tests/golden/map-v1-sealed/` is the golden store as the engine
-/// before checkpoints wrote it, with a run file and a manifest rotation
-/// at every seal and every compaction (hence run ids 1 and 3 and WAL 2).
-/// The on-disk format is the same, so that store must open to the
-/// golden oracle, take a write, and reopen with it. The fixture
-/// compacted inline, so its L0 is empty; the L0 refs that engine left
-/// whenever a background merge was in flight are rebuilt by moving the
-/// newest run to L0, and that shape must open the same way.
+/// Two stores an earlier engine wrote in the same format must open to
+/// the golden oracle, take a write, and reopen with it:
+///
+/// - `tests/golden/map-v1-sealed/` is the golden store as the engine
+///   before checkpoints wrote it, with a run file and a manifest rotation
+///   at every seal and every compaction (hence run ids 1 and 3 and WAL
+///   2);
+/// - `tests/golden/map-v1-veb-tiers/` is the golden store as the engine
+///   before size-adaptive runs wrote it: every merged run in the map's
+///   vEB layout, where the current engine keeps runs that small sorted.
+///
+/// Both fixtures compacted inline, so their L0 is empty; the L0 refs an
+/// engine leaves whenever a background merge is in flight are rebuilt
+/// by moving the newest run to L0, and that shape must open the same
+/// way.
 #[test]
 fn golden_store_written_per_seal_opens_and_takes_a_write() {
     let (_, golden) = build_golden();
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/map-v1-sealed");
-    for sealed_l0 in [false, true] {
-        let ctx = format!("sealed-era store, newest run in L0: {sealed_l0}");
-        let vfs = mem_store(&committed_files(&dir));
-        let db = Path::new("db");
-        let mut manifest = Manifest::read(&*vfs, db).expect("sealed-era manifest");
-        assert_eq!((manifest.wal_seq, manifest.l0.len()), (2, 0), "{ctx}");
-        if sealed_l0 {
-            let newest = manifest.tiers.iter_mut().find_map(|tier| tier.pop());
-            manifest.l0.push(newest.expect("a tier run"));
-            manifest.write_atomic(&*vfs, db).expect("rewrite manifest");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (fixture, wal_seq) in [("map-v1-sealed", 2), ("map-v1-veb-tiers", 1)] {
+        for sealed_l0 in [false, true] {
+            let ctx = format!("{fixture}, newest run in L0: {sealed_l0}");
+            let vfs = mem_store(&committed_files(&root.join(fixture)));
+            let db = Path::new("db");
+            let mut manifest = Manifest::read(&*vfs, db).expect("earlier engine's manifest");
+            assert_eq!((manifest.wal_seq, manifest.l0.len()), (wal_seq, 0), "{ctx}");
+            if sealed_l0 {
+                let newest = manifest.tiers.iter_mut().find_map(|tier| tier.pop());
+                manifest.l0.push(newest.expect("a tier run"));
+                manifest.write_atomic(&*vfs, db).expect("rewrite manifest");
+            }
+            let mut oracle = golden.clone();
+            let mut map = DynamicMap::<u64, u64>::open_with(db, mem_cfg(&vfs)).expect("opens");
+            assert_golden_state(&map, &oracle, &ctx);
+            assert!(!map.insert(105, 5));
+            oracle.insert(105, 5);
+            assert!(map.store_error().is_none(), "{ctx}");
+            drop(map);
+            let map = DynamicMap::<u64, u64>::open_with(db, mem_cfg(&vfs)).expect("reopens");
+            assert_golden_state(&map, &oracle, &format!("{ctx}, after a write"));
         }
-        let mut oracle = golden.clone();
-        let mut map = DynamicMap::<u64, u64>::open_with(db, mem_cfg(&vfs)).expect("opens");
-        assert_golden_state(&map, &oracle, &ctx);
-        assert!(!map.insert(105, 5));
-        oracle.insert(105, 5);
-        assert!(map.store_error().is_none(), "{ctx}");
-        drop(map);
-        let map = DynamicMap::<u64, u64>::open_with(db, mem_cfg(&vfs)).expect("reopens");
-        assert_golden_state(&map, &oracle, &format!("{ctx}, after a write"));
     }
 }
