@@ -996,7 +996,7 @@ mod tests {
         fn validate_weights(&self) {
             let mut keys: Vec<K> = self.buffer.iter().map(|e| e.key.clone()).collect();
             for run in self.runs.iter() {
-                keys.extend(run.iter_sorted_range(0, run.map.len()).map(|(k, _, _)| k));
+                keys.extend_from_slice(run.map.keys());
             }
             keys.sort();
             keys.dedup();
@@ -1285,7 +1285,7 @@ mod tests {
         let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut m: DynamicMap<u64, CountedVal> = DynamicMap::with_config(QueryKind::Veb, 64)
             .with_compaction_mode(CompactionMode::Inline);
-        let _reader = m.reader();
+        let reader = m.reader();
         for k in 0..63u64 {
             m.insert(
                 k,
@@ -1324,6 +1324,49 @@ mod tests {
             63 + 64,
             "seal + publish + one merge stream, nothing else"
         );
+        // A merge whose sources share keys and hold tombstones clones
+        // only the versions it keeps: not the shadowed versions, not the
+        // annihilated ones. (The reader goes first: its periodic
+        // publication would copy the buffer.)
+        drop(reader);
+        let before = clones.load(Ordering::SeqCst);
+        for k in 0..60u64 {
+            let clones = Arc::clone(&clones);
+            m.insert(
+                k,
+                CountedVal {
+                    n: k + 1000,
+                    clones,
+                },
+            );
+        }
+        for k in 60..63u64 {
+            assert!(m.remove(&k));
+        }
+        assert_eq!(
+            clones.load(Ordering::SeqCst),
+            before,
+            "writes clone nothing"
+        );
+        // The 64th write seals and merges: the 60 overwrites, key 63 from
+        // the older run and key 100 survive; keys 60–62 annihilate with
+        // their tombstones.
+        m.insert(
+            100,
+            CountedVal {
+                n: 100,
+                clones: Arc::clone(&clones),
+            },
+        );
+        assert_eq!(m.tier_versions(), vec![vec![], vec![62]]);
+        assert_eq!(
+            clones.load(Ordering::SeqCst) - before,
+            62,
+            "one clone per survivor"
+        );
+        assert_eq!(m.get(&0).map(|v| v.n), Some(1000));
+        assert_eq!(m.get(&63).map(|v| v.n), Some(63));
+        assert!(m.get(&61).is_none());
     }
 
     /// A value whose clone panics once armed: the only clones in the

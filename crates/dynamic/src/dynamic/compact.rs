@@ -1,29 +1,25 @@
 //! The compact half of the overflow path: planning which runs a
-//! compaction consumes, the (sliced, parallel when large) k-way merge,
-//! and the atomic install of the merged run.
+//! compaction consumes, the k-way merge (a loser tree, sliced and
+//! parallel when large), and the atomic install of the merged run.
 
-use super::run::{merged_run_kind, MergedEntry, Run};
+use super::run::{merged_run_kind, Run};
 use super::{CompactionMode, DynamicMap, MAX_SEALED_RUNS};
 use crate::sync::{spawn, yield_now, Arc, AtomicBool, JoinHandle, Ordering};
-use ist_query::QueryKind;
+use ist_query::{QueryKind, Searcher};
 
 /// What one merged version costs [`merge_slice`], in nanoseconds, as
-/// the floor rule ([`rayon::min_task_len`]) needs it: a k-way head
-/// compare, a key and a value clone and three column pushes. Timed on
-/// the reference box around the sequential `merge_slice` call (`u64`
+/// the floor rule ([`rayon::min_task_len`]) needs it: a tournament
+/// replay, a key and a value clone and three column pushes. Timed
+/// around the sequential `merge_slice` call on the reference box (`u64`
 /// keys, 8- and 64-byte `Vec<u8>` values, inline compaction, 3 000 to
-/// 260 000 versions a merge): 30–50 ns a version with one source,
-/// 45–85 with two, 60–120 with three or four. The estimate is the low
-/// end of the multi-source merges — a low cost asks for longer slices.
-/// A merge splits into parallel slices only when every slice holds at
-/// least `min_task_len(MERGE_VERSION_COST_NS)` versions (4 167); below
-/// that the hand-off, the boundary descents and the stitch cost more
-/// than the merge.
-const MERGE_VERSION_COST_NS: u64 = 60;
-
-/// One merged slice in column form — `(keys, slots, weights)` — as
-/// [`merge_slice`] produces it and the stitch step concatenates it.
-type MergedColumns<K, V> = (Vec<K>, Vec<Option<V>>, Vec<i64>);
+/// 372 000 versions a merge; quartiles of seven runs): 26–32 ns a
+/// version with one source, 38–43 with two, 46–52 with three or four,
+/// 68–83 with more. The estimate is the low end of the multi-source
+/// merges — a low cost asks for longer slices. A merge splits only when
+/// every slice holds at least `min_task_len(MERGE_VERSION_COST_NS)`
+/// versions (6 250); below that the hand-off, boundary descents and
+/// stitch cost more than it.
+const MERGE_VERSION_COST_NS: u64 = 40;
 
 /// A compaction plan: which **contiguous newest prefix** of the
 /// resident runs the merge consumes, and where the merged run lands.
@@ -113,56 +109,46 @@ where
     let want = rayon::current_num_threads()
         .min(total / rayon::min_task_len(MERGE_VERSION_COST_NS))
         .max(1);
-
-    let full: Vec<(usize, usize)> = sources.iter().map(|r| (0, r.versions())).collect();
-    let (keys, slots, weights) = if want <= 1 {
-        merge_slice(sources, &full, deeper_occupied, cooperative)
-    } else {
-        // Slice boundaries: evenly spaced ranks of the largest source
-        // approximate evenly sized merged slices (smaller sources can
-        // only add proportionally less to any slice).
-        let largest = sources
-            .iter()
-            .max_by_key(|r| r.versions())
-            .expect("merge has at least one source");
-        let searcher = largest.map.searcher();
-        let mut bounds: Vec<K> = Vec::with_capacity(want - 1);
-        for i in 1..want {
-            let r = i * largest.versions() / want;
-            let p = searcher
-                .position_of_rank(r)
-                .expect("rank below len resolves");
-            let k = largest.map.keys()[p].clone();
-            if bounds.last().is_none_or(|b| *b < k) {
-                bounds.push(k);
-            }
+    // Slice boundaries: evenly spaced ranks of the largest source
+    // approximate evenly sized merged slices (smaller sources can only
+    // add proportionally less to any slice).
+    let largest = sources
+        .iter()
+        .max_by_key(|r| r.versions())
+        .expect("merge has at least one source");
+    let searcher = largest.map.searcher();
+    let mut bounds: Vec<K> = Vec::with_capacity(want - 1);
+    for i in 1..want {
+        let r = i * largest.versions() / want;
+        let p = searcher
+            .position_of_rank(r)
+            .expect("rank below len resolves");
+        let k = largest.map.keys()[p].clone();
+        if bounds.last().is_none_or(|b| *b < k) {
+            bounds.push(k);
         }
-        // Cut every source at the boundary keys: slice `i` covers keys
-        // in `[bounds[i-1], bounds[i])`, i.e. source ranks
-        // `[rank(bounds[i-1]), rank(bounds[i]))` — one descent per
-        // (source, boundary).
-        let cuts: Vec<Vec<usize>> = sources
-            .iter()
-            .map(|run| {
-                let mut c = Vec::with_capacity(bounds.len() + 2);
-                c.push(0);
-                c.extend(bounds.iter().map(|b| run.map.rank(b)));
-                c.push(run.versions());
-                c
-            })
-            .collect();
-        let slices = bounds.len() + 1;
-        let mut parts: Vec<MergedColumns<K, V>> = (0..slices).map(|_| Default::default()).collect();
+    }
+    // Slice `i` covers keys in `[bounds[i-1], bounds[i])`: source ranks
+    // `[rank(bounds[i-1]), rank(bounds[i]))`, one rank descent a cut.
+    let cut = |run: &Run<K, V>, i| match i {
+        0 => 0,
+        i if i > bounds.len() => run.versions(),
+        i => run.map.rank(&bounds[i - 1]),
+    };
+    let slice = |i: usize| {
+        let ranges: Vec<_> = sources.iter().map(|r| (cut(r, i), cut(r, i + 1))).collect();
+        merge_slice(sources, &ranges, deeper_occupied, cooperative)
+    };
+    let (keys, slots, weights) = if bounds.is_empty() {
+        slice(0)
+    } else {
+        let mut parts = vec![Default::default(); bounds.len() + 1];
         rayon::scope(|s| {
             for (i, part) in parts.iter_mut().enumerate() {
-                let ranges: Vec<(usize, usize)> = cuts.iter().map(|c| (c[i], c[i + 1])).collect();
-                s.spawn(move |_| {
-                    *part = merge_slice(sources, &ranges, deeper_occupied, cooperative);
-                });
+                s.spawn(move |_| *part = slice(i));
             }
         });
-        // Stitch: slices are disjoint and ordered, so concatenation is
-        // the merged output.
+        // Stitch: disjoint, ordered slices concatenate to the output.
         let mut keys = Vec::with_capacity(total);
         let mut slots = Vec::with_capacity(total);
         let mut weights = Vec::with_capacity(total);
@@ -184,88 +170,134 @@ where
     }
 }
 
-/// Sequential k-way merge of one slice: each source restricted to its
-/// rank sub-range `ranges[i]`. The whole merge is one slice in the
-/// sequential case.
+/// Sequential k-way merge of one slice, each source restricted to its
+/// rank sub-range `ranges[i]`, into `(keys, slots, weights)` columns;
+/// the whole merge is one slice in the sequential case. A [`Tournament`]
+/// finds each next version in O(log k) key compares, and only the
+/// versions the output keeps are cloned.
 fn merge_slice<K, V>(
     sources: &[Arc<Run<K, V>>],
     ranges: &[(usize, usize)],
     deeper_occupied: bool,
     cooperative: bool,
-) -> MergedColumns<K, V>
+) -> (Vec<K>, Vec<Option<V>>, Vec<i64>)
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync,
 {
-    let mut srcs: Vec<Source<'_, K, V>> = sources
-        .iter()
-        .zip(ranges)
-        .map(|(run, &(lo, hi))| Source::new(Box::new(run.iter_sorted_range(lo, hi))))
-        .collect();
-    let mut keys = Vec::new();
-    let mut slots = Vec::new();
-    let mut weights = Vec::new();
+    let mut t = Tournament::new(sources, ranges);
+    let cap: usize = ranges.iter().map(|&(lo, hi)| hi - lo).sum();
+    let mut keys = Vec::with_capacity(cap);
+    let mut slots = Vec::with_capacity(cap);
+    let mut weights = Vec::with_capacity(cap);
     let mut streamed = 0usize;
-    loop {
+    while let Some((key, slot, mut weight)) = t.pop() {
         streamed += 1;
         if cooperative && streamed.is_multiple_of(MERGE_YIELD_STRIDE) {
             yield_now();
         }
-        // Newest source holding the minimum head key (strict `<` keeps
-        // the earliest source on ties).
-        let mut min_idx: Option<usize> = None;
-        for i in 0..srcs.len() {
-            let Some((k, _, _)) = &srcs[i].head else {
-                continue;
-            };
-            let better = match min_idx {
-                Some(j) => {
-                    let (mk, _, _) = srcs[j].head.as_ref().expect("tracked head");
-                    k < mk
-                }
-                None => true,
-            };
-            if better {
-                min_idx = Some(i);
-            }
-        }
-        let Some(first) = min_idx else { break };
-        let (key, slot, mut weight) = srcs[first].advance();
         // Older sources may hold the same key (each source's keys are
         // distinct): collapse them, newest version wins.
-        for src in srcs.iter_mut().skip(first + 1) {
-            if src.head.as_ref().is_some_and(|(k, _, _)| *k == key) {
-                weight += src.advance().2;
-            }
+        while t.head() == Some(key) {
+            weight += t.pop().expect("a peeked head pops").2;
         }
         if slot.is_none() && !deeper_occupied {
             // Tombstone reaching the bottom: annihilate.
             debug_assert_eq!(weight, 0, "annihilated key retains weight");
             continue;
         }
-        keys.push(key);
-        slots.push(slot);
+        keys.push(key.clone());
+        slots.push(slot.clone());
         weights.push(weight);
     }
     (keys, slots, weights)
 }
 
-/// A merge source with one-entry lookahead.
-struct Source<'s, K, V> {
-    head: Option<MergedEntry<K, V>>,
-    rest: Box<dyn Iterator<Item = MergedEntry<K, V>> + 's>,
+/// One merge source: a run read in rank order over `rank..end` through
+/// its layout's position map; `head` is the rank-`rank` version's
+/// position and key.
+struct Cursor<'a, K, V> {
+    run: &'a Run<K, V>,
+    searcher: Searcher<'a, K>,
+    rank: usize,
+    end: usize,
+    head: Option<(usize, &'a K)>,
 }
 
-impl<'s, K, V> Source<'s, K, V> {
-    fn new(mut rest: Box<dyn Iterator<Item = MergedEntry<K, V>> + 's>) -> Self {
-        let head = rest.next();
-        Self { head, rest }
+/// A loser tree over the cursors (Knuth, TAOCP 5.4.1): node `n ∈ 1..k`
+/// holds the cursor that lost the match played there, leaf `i` sits at
+/// `k + i`, and `nodes[0]` is the winner. Advancing the winner replays
+/// only its leaf-to-root path, one compare a level.
+struct Tournament<'a, K, V> {
+    cursors: Vec<Cursor<'a, K, V>>,
+    nodes: Vec<usize>,
+}
+
+impl<'a, K: Ord + Send + Sync + 'static, V: Send> Tournament<'a, K, V> {
+    fn new(sources: &'a [Arc<Run<K, V>>], ranges: &[(usize, usize)]) -> Self {
+        let k = sources.len();
+        let cursors = sources.iter().zip(ranges).map(|(run, &(rank, end))| {
+            let searcher = run.map.searcher();
+            let head = searcher.position_of_rank(rank).filter(|_| rank < end);
+            let head = head.map(|p| (p, &run.map.keys()[p]));
+            Cursor {
+                run,
+                searcher,
+                rank,
+                end,
+                head,
+            }
+        });
+        let mut t = Self {
+            cursors: cursors.collect(),
+            nodes: vec![0; k],
+        };
+        // Play every match bottom-up: `won[n]` wins node `n`'s subtree.
+        let mut won: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
+        for n in (1..k).rev() {
+            let (a, b) = (won[2 * n], won[2 * n + 1]);
+            (won[n], t.nodes[n]) = if t.beats(a, b) { (a, b) } else { (b, a) };
+        }
+        t.nodes[0] = won[1];
+        t
     }
 
-    fn advance(&mut self) -> MergedEntry<K, V> {
-        let head = self.head.take().expect("advance() requires a head");
-        self.head = self.rest.next();
-        head
+    /// Cursor `a`'s head merges first: the smaller key, the newer source
+    /// (lower index) on equal keys; a spent cursor never does.
+    fn beats(&self, a: usize, b: usize) -> bool {
+        match (self.cursors[a].head, self.cursors[b].head) {
+            (Some((_, x)), Some((_, y))) => x.cmp(y).then(a.cmp(&b)).is_lt(),
+            (x, _) => x.is_some(),
+        }
+    }
+
+    /// The next version's key, without taking it.
+    fn head(&self) -> Option<&'a K> {
+        Some(self.cursors[self.nodes[0]].head?.1)
+    }
+
+    /// Take the next version — `(key, slot, weight)`, borrowed from its
+    /// run — and replay its cursor's path.
+    fn pop(&mut self) -> Option<(&'a K, &'a Option<V>, i64)> {
+        let w = self.nodes[0];
+        let c = &mut self.cursors[w];
+        let (run, (p, key)) = (c.run, c.head?);
+        let version = (key, &run.map.values()[p], run.prefix.span(c.rank));
+        c.rank += 1;
+        let next = c
+            .searcher
+            .position_of_rank(c.rank)
+            .filter(|_| c.rank < c.end);
+        c.head = next.map(|p| (p, &run.map.keys()[p]));
+        let (mut winner, mut n) = (w, (w + self.cursors.len()) / 2);
+        while n > 0 {
+            if self.beats(self.nodes[n], winner) {
+                std::mem::swap(&mut self.nodes[n], &mut winner);
+            }
+            n /= 2;
+        }
+        self.nodes[0] = winner;
+        Some(version)
     }
 }
 

@@ -59,10 +59,6 @@ pub(crate) struct BufEntry<K, V> {
     pub(crate) weight: i64,
 }
 
-/// A `(key, payload-or-tombstone, weight)` triple streamed out of a
-/// source during a merge.
-pub(super) type MergedEntry<K, V> = (K, Option<V>, i64);
-
 /// Rank-indexed prefix sums of a run's per-version weights.
 ///
 /// Fully compacted runs have unit weights everywhere, making the
@@ -174,34 +170,6 @@ impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
             Some(p) if self.map.keys()[p] == *key => self.prefix.span(r),
             _ => 0,
         }
-    }
-
-    /// Stream the run's versions with rank in `lo..hi` in sorted-key
-    /// order (cloning) — each merge slice's view of a source: walks
-    /// ranks through the closed-form position maps, so no sorted copy
-    /// of the run is ever materialized. `(0, len)` streams the whole
-    /// run.
-    pub(super) fn iter_sorted_range(
-        &self,
-        lo: usize,
-        hi: usize,
-    ) -> impl Iterator<Item = MergedEntry<K, V>> + '_
-    where
-        K: Clone,
-        V: Clone,
-    {
-        debug_assert!(lo <= hi && hi <= self.map.len());
-        let searcher = self.map.searcher();
-        (lo..hi).map(move |r| {
-            let p = searcher
-                .position_of_rank(r)
-                .expect("rank below len resolves");
-            (
-                self.map.keys()[p].clone(),
-                self.map.values()[p].clone(),
-                self.prefix.span(r),
-            )
-        })
     }
 }
 

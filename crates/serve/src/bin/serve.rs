@@ -20,7 +20,7 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 
 use ist_core::Layout;
-use ist_serve::{serve_on, ServeMap, ServerConfig};
+use ist_serve::{serve_on, ServeMap, ServerConfig, Value};
 use ist_store::{FsyncPolicy, StoreConfig, SHARDS_NAME};
 
 fn usage() -> ! {
@@ -72,7 +72,10 @@ fn main() {
         }
         _ => {
             let keys: Vec<u64> = (0..preload as u64).collect();
-            let vals: Vec<Vec<u8>> = keys.iter().map(|k| k.to_le_bytes().to_vec()).collect();
+            let vals: Vec<Value> = keys
+                .iter()
+                .map(|k| Value::from(k.to_le_bytes().as_slice()))
+                .collect();
             let mut map = ServeMap::build(keys, vals, Layout::Veb, shards.max(1))
                 // LINT-ALLOW(serve-no-panic): CLI startup path —
                 // aborting on a bad configuration is correct.

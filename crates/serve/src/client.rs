@@ -12,11 +12,11 @@ use crate::proto::{
 ///
 /// # Examples
 /// ```
-/// use ist_serve::{serve, Client, ServeMap, ServerConfig};
+/// use ist_serve::{serve, Client, ServeMap, ServerConfig, Value};
 /// use ist_core::Layout;
 ///
 /// let keys: Vec<u64> = (0..100).collect();
-/// let vals: Vec<Vec<u8>> = keys.iter().map(|k| k.to_le_bytes().to_vec()).collect();
+/// let vals: Vec<Value> = keys.iter().map(|k| Value::from(k.to_le_bytes().to_vec())).collect();
 /// let map = ServeMap::build(keys, vals, Layout::Veb, 2).unwrap();
 /// let handle = serve(map, ServerConfig::default()).unwrap();
 ///

@@ -18,19 +18,22 @@
 //! bigger the tick, the better the per-request cost — the opposite of
 //! the per-request-lock server whose overheads are fixed.
 //!
-//! See `crate::server` for the pipeline and its consistency contract
-//! and `crate::proto` for the wire format; the serve workloads of
-//! `perfbench/` (see its README) measure it.
+//! See `crate::server` for the pipeline and its consistency contract,
+//! `crate::proto` for the wire format, and `crate::value` for the
+//! stored value type — a byte string held inline up to 22 bytes, so a
+//! compaction copies it without an allocation; its on-disk encoding is
+//! `Vec<u8>`'s. The serve workloads of `perfbench/` (see its README)
+//! measure it.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use ist_core::Layout;
-//! use ist_serve::{serve, Client, ServeMap, ServerConfig};
+//! use ist_serve::{serve, Client, ServeMap, ServerConfig, Value};
 //!
 //! // Build and serve a 4-shard map on an OS-assigned localhost port.
 //! let keys: Vec<u64> = (0..1000).collect();
-//! let vals: Vec<Vec<u8>> = keys.iter().map(|k| k.to_le_bytes().to_vec()).collect();
+//! let vals: Vec<Value> = keys.iter().map(|k| Value::from(k.to_le_bytes().to_vec())).collect();
 //! let map = ServeMap::build(keys, vals, Layout::Veb, 4).unwrap();
 //! let handle = serve(map, ServerConfig::default()).unwrap();
 //!
@@ -51,6 +54,8 @@
 pub mod client;
 pub mod proto;
 pub mod server;
+pub mod value;
 
 pub use client::Client;
-pub use server::{serve, serve_on, Key, ServeMap, ServerConfig, ServerHandle, Value};
+pub use server::{serve, serve_on, Key, ServeMap, ServerConfig, ServerHandle};
+pub use value::Value;

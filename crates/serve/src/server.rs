@@ -80,12 +80,13 @@ use ist_shard::{ShardedFrozen, ShardedMap};
 use crate::proto::{
     decode_request, encode_reply, read_frame, write_frames, Op, Reply, ReplyBody, Request,
 };
+use crate::value::Value;
 
 /// Key type served over the wire.
 pub type Key = u64;
-/// Value type served over the wire (opaque byte strings).
-pub type Value = Vec<u8>;
-/// The map type behind the server.
+/// The map type behind the server. Its values are [`Value`]s; the wire
+/// carries them as `Vec<u8>`, converted when the coalescer folds a
+/// tick's writes and when the executor encodes a hit.
 pub type ServeMap = ShardedMap<Key, Value>;
 
 /// IO threads are shallow (frame buffers live on the heap); small
@@ -440,7 +441,7 @@ fn coalescer_loop(
                                 hi,
                             }),
                             Op::Insert { key, value } => {
-                                delta.insert(key, Some(value));
+                                delta.insert(key, Some(Value::from(value)));
                                 items.push(TickItem::WriteAck { conn, req_id });
                             }
                             Op::Remove { key } => {
@@ -556,7 +557,7 @@ fn executor_loop(rx: Receiver<Tick>) {
                     // LINT-ALLOW(serve-no-panic): `got` holds one result
                     // per Get item in this very `items` list (built a few
                     // lines up), so `gi` stays in bounds by construction.
-                    let body = ReplyBody::Value(got[gi].cloned());
+                    let body = ReplyBody::Value(got[gi].map(|v| v.as_bytes().to_vec()));
                     gi += 1;
                     reply(&mut blobs, *conn, *req_id, body);
                 }

@@ -23,7 +23,7 @@ use ist_serve::proto::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, Op, Reply, ReplyBody,
     Request, MAX_FRAME,
 };
-use ist_serve::{serve, Client, ServeMap, ServerConfig, ServerHandle};
+use ist_serve::{serve, Client, ServeMap, ServerConfig, ServerHandle, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,7 +33,7 @@ fn test_entries(n: u64) -> impl Iterator<Item = (u64, Vec<u8>)> {
 }
 
 fn test_map(n: u64, shards: usize) -> ServeMap {
-    let (keys, vals) = test_entries(n).unzip();
+    let (keys, vals) = test_entries(n).map(|(k, v)| (k, Value::from(v))).unzip();
     ServeMap::build(keys, vals, Layout::Veb, shards).expect("build")
 }
 
@@ -341,6 +341,8 @@ fn is_write(op: &Op) -> bool {
 /// answer exactly as a `BTreeMap` holding the same data — at every
 /// read, and key by key at the end. A write the coalescer dropped,
 /// applied behind its own tick's reads, or folded first-wins fails it.
+/// Insert values run 0, 8, 22, 23 and 300 bytes: both sides of the
+/// served value's inline limit.
 #[test]
 fn coalesced_answers_match_btreemap_model() {
     for cfg in linger_configs() {
@@ -353,10 +355,11 @@ fn coalesced_answers_match_btreemap_model() {
         for _ in 0..600 {
             let key = rng.gen_range(0..1500u64);
             let op = match rng.gen_range(0..6u32) {
-                0 => Op::Insert {
-                    key,
-                    value: key.to_be_bytes().to_vec(),
-                },
+                0 => {
+                    let len = [0, 8, 22, 23, 300][rng.gen_range(0..5usize)];
+                    let value = (0..len).map(|i| (key as usize ^ i) as u8).collect();
+                    Op::Insert { key, value }
+                }
                 1 => Op::Remove { key },
                 2 | 3 => Op::Get { key },
                 4 => Op::Rank { key },

@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Bound::{Excluded, Unbounded};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Key universe: small, so collisions, overwrites and re-inserts are
 /// the common case rather than the rare one.
@@ -492,17 +492,34 @@ fn differential_bulk_ingest_fixed_seeds() {
     }
 }
 
+/// Serializes the tests in this binary whose work crosses a dispatch
+/// floor, so the `rayon::pool_stats()` deltas one of them takes count
+/// its own tasks only.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
+/// Tasks the process's dispatch sites have offered to the pool so far,
+/// handed off or kept for want of a worker (`IST_PARALLEL=1` keeps all).
+fn tasks_offered() -> u64 {
+    let stats = rayon::pool_stats();
+    stats.handed_off + stats.ran_inline
+}
+
 /// The sliced parallel merge must be **bit-identical** to the
 /// sequential merge — same tier shapes, same answers. Runs here are
 /// large enough that every merge actually splits into slices: each
-/// round seals ≈ 10 000 distinct keys, above the two slices' worth
-/// (2 × `rayon::min_task_len` at 60 ns a version, 8 334 versions) a
-/// merge needs; the fuzz sequences above stay below the slicing
-/// threshold. The merge takes the ambient thread count, so each map's
-/// writes (inline: the merge runs inside them) are driven under a pool
-/// of its size.
+/// round seals at least one 16 384-version run, above the two slices'
+/// worth (2 × `rayon::min_task_len` at 40 ns a version, 12 500
+/// versions) a merge needs, and the test asserts that every round
+/// offered tasks to the pool; the fuzz sequences above stay below the
+/// slicing threshold. Writes go in batches of at most 4 000 keys, below
+/// the batched descent's own floor, so the merge is the only dispatch
+/// site they reach. The merge takes the ambient thread count, so each
+/// map's writes (inline: the merge runs inside them) are driven under a
+/// pool of its size.
 #[test]
 fn parallel_merge_bit_identical_to_serial() {
+    let _serial_dispatch = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
+    const SPACE: u64 = 1 << 16;
     let pool = |threads: usize| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -511,31 +528,35 @@ fn parallel_merge_bit_identical_to_serial() {
     };
     let (pool1, pool4) = (pool(1), pool(4));
     let mk = || -> DynamicMap<u64, u64> {
-        DynamicMap::with_config(QueryKind::Veb, 8192).with_compaction_mode(CompactionMode::Inline)
+        DynamicMap::with_config(QueryKind::Veb, 16_384).with_compaction_mode(CompactionMode::Inline)
     };
     let mut serial = mk();
     let mut parallel = mk();
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(0x511_CE5);
     for round in 0..4u64 {
-        let pairs: Vec<(u64, u64)> = (0..12_000u64)
-            .map(|i| (rng.gen_range(0..32_768), round * 100_000 + i))
+        let offered = tasks_offered();
+        let pairs: Vec<(u64, u64)> = (0..24_000u64)
+            .map(|i| (rng.gen_range(0..SPACE), round * 100_000 + i))
             .collect();
-        let s = pool1.install(|| serial.batch_insert(pairs.clone()));
-        let p = pool4.install(|| parallel.batch_insert(pairs.clone()));
-        assert_eq!(s, p, "round {round} insert counts");
-        for (k, v) in pairs {
-            oracle.insert(k, v);
+        for batch in pairs.chunks(4_000) {
+            let s = pool1.install(|| serial.batch_insert(batch.to_vec()));
+            let p = pool4.install(|| parallel.batch_insert(batch.to_vec()));
+            assert_eq!(s, p, "round {round} insert counts");
         }
-        let removes: Vec<u64> = (0..3200).map(|_| rng.gen_range(0..32_768)).collect();
-        assert_eq!(
-            pool1.install(|| serial.batch_remove(&removes)),
-            pool4.install(|| parallel.batch_remove(&removes)),
-            "round {round} remove counts"
-        );
+        oracle.extend(pairs);
+        let removes: Vec<u64> = (0..6_400).map(|_| rng.gen_range(0..SPACE)).collect();
+        for batch in removes.chunks(3_200) {
+            assert_eq!(
+                pool1.install(|| serial.batch_remove(batch)),
+                pool4.install(|| parallel.batch_remove(batch)),
+                "round {round} remove counts"
+            );
+        }
         for k in &removes {
             oracle.remove(k);
         }
+        assert!(tasks_offered() > offered, "round {round}: no merge sliced");
         // Tier shapes (run sizes per tier) must match exactly: the
         // sliced merge may not change what gets merged or its result.
         assert_eq!(
@@ -546,7 +567,7 @@ fn parallel_merge_bit_identical_to_serial() {
     }
     assert_eq!(serial.len(), oracle.len());
     assert_eq!(parallel.len(), oracle.len());
-    let probes: Vec<u64> = (0..32_768u64).collect();
+    let probes: Vec<u64> = (0..SPACE).collect();
     let serial_get = serial.batch_get(&probes);
     assert_eq!(serial_get, parallel.batch_get(&probes));
     assert_eq!(serial.batch_rank(&probes), parallel.batch_rank(&probes));
@@ -736,6 +757,7 @@ fn differential_persistent_fsync_matrix() {
 /// has landed.
 #[test]
 fn differential_straddles_the_layout_crossover() {
+    let _serial_dispatch = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
     const CROSSOVER: usize = 1 << 18;
     let n = CROSSOVER + 1000;
     // Two buffers hold the bulk run, so it lands on tier 1: the first
