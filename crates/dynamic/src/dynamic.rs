@@ -55,15 +55,16 @@
 //! * **Compact** (deamortized): all sealed runs plus the runs of every
 //!   tier up to the first empty one are k-way merged (already-sorted
 //!   sources) and rebuilt into that tier, in the layout its size calls
-//!   for. Under
-//!   [`CompactionMode::Background`] (the default) this runs on a
-//!   background worker thread over `Arc`-shared immutable runs; the
-//!   writer installs the finished run atomically at the start of a
-//!   later mutation (or in [`DynamicMap::quiesce`]). Until then, reads
-//!   and snapshots consult the sealed-but-uncompacted runs — newest
-//!   first, before any tier — so answers stay exact while the merge is
-//!   mid-flight. [`CompactionMode::Inline`] runs the same machinery on
-//!   the caller for deterministic tier shapes (tests, replay).
+//!   for. This always runs on a background worker thread over
+//!   `Arc`-shared immutable runs; the writer installs the finished run
+//!   atomically at the start of a later mutation (or in
+//!   [`DynamicMap::quiesce`]). Until then, reads and snapshots consult
+//!   the sealed-but-uncompacted runs — newest first, before any tier —
+//!   so answers stay exact while the merge is mid-flight. A caller that
+//!   needs deterministic tier shapes (tests, replay) calls `quiesce`
+//!   after each mutation: a mutation seals at most once, so a drained
+//!   map plans every compaction over exactly one sealed run, as the
+//!   synchronous logarithmic method would.
 //!
 //! Neither half writes to storage, also on a persistent map
 //! ([`DynamicMap::persist_to`]): the WAL holds every mutation a sealed
@@ -144,14 +145,13 @@
 //! alive by refcounts even after the writer compacts them away. When
 //! the last `Reader` drops, the next mutation releases the cell's
 //! frozen view, so a departed reader population does not pin a stale
-//! copy of the map.
+//! copy of the map. Only the writer publishes: every publication point,
+//! [`DynamicMap::reader`] included, takes `&mut self`.
 
 mod compact;
-mod policy;
 mod read;
 mod run;
 
-pub use policy::{CompactionMode, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
 pub use read::{Frozen, Reader};
 
 pub(crate) use read::lock;
@@ -160,11 +160,32 @@ pub(crate) use run::{BufEntry, Prefix, Run};
 use crate::index::default_kind_for_layout;
 #[cfg(doc)]
 use crate::map::StaticMap;
-use crate::sync::{Arc, AtomicBool, AtomicUsize, Mutex, Ordering};
+use crate::sync::{Arc, Mutex};
 use compact::Pending;
 use ist_core::{Error, Layout};
 use ist_query::QueryKind;
 use run::buffer_slot;
+
+/// Default write-buffer capacity (entries buffered between seals).
+///
+/// Small enough that buffer probes and the (move-only) seal stay
+/// cache-resident, large enough that merge amortization works; see
+/// [`DynamicMap::with_config`] to tune.
+pub const DEFAULT_BUFFER_CAP: usize = 256;
+
+/// Maximum number of sealed L0 runs allowed to accumulate while a
+/// compaction is in flight. Sealing past this limit blocks the writer
+/// on the in-flight merge — the backpressure that bounds read fan-out
+/// and resident memory, and the only point where a write waits for a
+/// merge.
+///
+/// Sized so a full-depth merge comfortably finishes within the writes
+/// that fill the budget: sealed runs are tiny (≤ `buffer_cap` sorted
+/// entries each, probed by binary search), so the cost of a deep
+/// budget is a few extra micro-run probes on reads, while too shallow
+/// a budget puts the merge back on the writer's path exactly when it
+/// is longest.
+pub const MAX_SEALED_RUNS: usize = 16;
 
 /// A write-capable key→value map: a sorted write buffer plus
 /// geometrically-tiered immutable runs, each run a [`StaticMap`] —
@@ -217,7 +238,6 @@ pub struct DynamicMap<K, V> {
     /// in. Seals and smaller compaction outputs stay sorted.
     pub(crate) kind: QueryKind,
     pub(crate) buffer_cap: usize,
-    mode: CompactionMode,
     /// Cumulative count of buffer entries displaced toward the back by
     /// out-of-order mutations (the cost the bulk append fast path
     /// avoids); see [`DynamicMap::buffer_element_moves`].
@@ -227,13 +247,13 @@ pub struct DynamicMap<K, V> {
     published: Arc<Mutex<Arc<Frozen<K, V>>>>,
     /// Whether `published` currently holds a non-trivial snapshot that
     /// should be released once the last [`Reader`] is gone.
-    published_dirty: AtomicBool,
+    published_dirty: bool,
     /// Mutations since the last publication. Overwrite-heavy workloads
     /// can churn forever inside a never-overflowing buffer (every write
     /// hits an existing entry, so no seal fires); this counter forces a
     /// publication every `buffer_cap` mutations regardless, which is
     /// what makes the reader-lag bound an *operation* bound.
-    muts_since_publish: AtomicUsize,
+    muts_since_publish: usize,
     /// The attached durability engine, if this map is persistent (see
     /// the [`crate::persist`] module). Behind a `Mutex` only so the map
     /// stays `Sync` — every access is `&mut self`, so the lock is
@@ -265,9 +285,9 @@ where
     /// frequent, which the differential suite exploits). `kind` is the
     /// layout of the map's **large** runs: runs too small to outgrow
     /// the cache stay sorted, whatever `kind` says (see the
-    /// [module docs](self)).
-    /// Compaction runs in [`CompactionMode::Background`]; chain
-    /// [`DynamicMap::with_compaction_mode`] to override.
+    /// [module docs](self)). Compaction runs on a background worker;
+    /// call [`DynamicMap::quiesce`] after each mutation for
+    /// deterministic tier shapes.
     ///
     /// # Panics
     /// Panics if `buffer_cap == 0` or `kind` is `QueryKind::Btree(0)`.
@@ -283,11 +303,10 @@ where
             pending: None,
             kind,
             buffer_cap,
-            mode: CompactionMode::Background,
             buffer_moves: 0,
             published: Arc::new(Mutex::new(Arc::new(Frozen::empty()))),
-            published_dirty: AtomicBool::new(false),
-            muts_since_publish: AtomicUsize::new(0),
+            published_dirty: false,
+            muts_since_publish: 0,
             store: None,
             #[cfg(ist_loom)]
             panic_next_compaction: false,
@@ -301,16 +320,6 @@ where
             m.get_mut()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
         })
-    }
-
-    /// Builder-style override of the [`CompactionMode`] (the
-    /// constructors default to [`CompactionMode::Background`]).
-    /// Switching an existing map to `Inline` does not disturb an
-    /// already-in-flight background merge — it is installed normally.
-    #[must_use]
-    pub fn with_compaction_mode(mut self, mode: CompactionMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Bulk-load from unsorted `(keys, values)` pairs (duplicate keys:
@@ -413,9 +422,9 @@ where
     ///
     /// On buffer overflow this **seals** the buffer into a sorted L0
     /// run (a move plus a weight prefix sum — no layout permutation)
-    /// and hands the k-way merge to the compactor — a background worker
-    /// by default ([`CompactionMode`]), so the merge is off this call's
-    /// path unless [`MAX_SEALED_RUNS`] backpressure engages.
+    /// and hands the k-way merge to a background worker, so the merge
+    /// is off this call's path unless [`MAX_SEALED_RUNS`] backpressure
+    /// engages.
     pub fn insert(&mut self, key: K, value: V) -> bool {
         self.try_install();
         // Durability: the write is in the WAL before it is applied. A
@@ -677,13 +686,13 @@ where
         changed
     }
 
-    /// Seal the buffer now, regardless of fill level, and start (or, in
-    /// [`CompactionMode::Inline`], complete) a compaction — so
-    /// subsequent reads skip the buffer probe, and outstanding
-    /// [`Reader`]s see the current state immediately (publication is
-    /// otherwise seal-granular). Note the merge targets the first empty
-    /// tier: if tier 0 is empty this *adds* a shallow run rather than
-    /// reducing the run count.
+    /// Seal the buffer now, regardless of fill level, and start a
+    /// compaction — so subsequent reads skip the buffer probe, and
+    /// outstanding [`Reader`]s see the current state immediately
+    /// (publication is otherwise seal-granular). Note the merge targets
+    /// the first empty tier: if tier 0 is empty this *adds* a shallow
+    /// run rather than reducing the run count (follow with
+    /// [`DynamicMap::quiesce`] to see it land).
     pub fn compact_buffer(&mut self) {
         self.try_install();
         self.seal();
@@ -705,6 +714,10 @@ where
     /// the merge's source runs and the finished merged run resident
     /// (up to 2× the compacted data) until some later write or this
     /// call installs it.
+    ///
+    /// Called after every mutation, it also makes tier shapes
+    /// deterministic ([`DynamicMap::tier_versions`] then depends only
+    /// on the operation sequence, not on worker timing).
     pub fn quiesce(&mut self) {
         loop {
             self.wait_for_pending();
@@ -757,7 +770,10 @@ where
     /// handle, mutations skip publication entirely (and release the
     /// cell's last snapshot) — writers don't pay for readers they
     /// don't have.
-    pub fn reader(&self) -> Reader<K, V> {
+    ///
+    /// Takes `&mut self` because it publishes: the writer is the only
+    /// publisher, so the publication bookkeeping needs no atomics.
+    pub fn reader(&mut self) -> Reader<K, V> {
         self.publish();
         Reader {
             cell: Arc::clone(&self.published),
@@ -807,15 +823,10 @@ where
         self.l0.len()
     }
 
-    /// `true` while a background compaction is in flight (started but
-    /// not yet installed). Inline compactions never appear here.
+    /// `true` while a compaction is in flight (started but not yet
+    /// installed); [`DynamicMap::quiesce`] leaves it `false`.
     pub fn compaction_in_flight(&self) -> bool {
         self.pending.is_some()
-    }
-
-    /// The configured [`CompactionMode`].
-    pub fn compaction_mode(&self) -> CompactionMode {
-        self.mode
     }
 
     /// Number of resident runs (sealed L0 runs plus tier runs).
@@ -849,16 +860,11 @@ where
         }
     }
 
-    fn publish(&self) {
+    fn publish(&mut self) {
         let frozen = Arc::new(self.freeze());
         *lock(&self.published) = frozen;
-        // Relaxed: both flags are only read and written on the writer
-        // thread (mutation paths hold `&mut self`); readers receive
-        // the snapshot itself through the `published` mutex, which
-        // provides all cross-thread ordering.
-        self.published_dirty.store(true, Ordering::Relaxed);
-        // Relaxed: same argument — writer-thread-private bookkeeping.
-        self.muts_since_publish.store(0, Ordering::Relaxed);
+        self.published_dirty = true;
+        self.muts_since_publish = 0;
     }
 
     /// One atomic load: [`Reader`] handles share the cell's `Arc`.
@@ -869,7 +875,7 @@ where
     /// Publish after a reader-visible structural event (seal or
     /// compaction install) — the publication points of the
     /// seal-granular contract. No-op without outstanding readers.
-    fn publish_event(&self) {
+    fn publish_event(&mut self) {
         if self.has_readers() {
             self.publish();
         }
@@ -896,17 +902,13 @@ where
     /// (bulk deltas count every key toward the publication bound).
     fn after_mutations(&mut self, n: usize) {
         if self.has_readers() {
-            // Relaxed: writer-thread-private counter (see `publish`);
-            // no other thread observes it.
-            if self.muts_since_publish.fetch_add(n, Ordering::Relaxed) + n >= self.buffer_cap {
+            self.muts_since_publish += n;
+            if self.muts_since_publish >= self.buffer_cap {
                 self.publish();
             }
-        // Relaxed: writer-thread-private flag (see `publish`); the
-        // reader-visible effect (the cell swap below) is mutex-ordered.
-        } else if self.published_dirty.load(Ordering::Relaxed) {
+        } else if self.published_dirty {
             *lock(&self.published) = Arc::new(Frozen::empty());
-            // Relaxed: same writer-thread-private flag as above.
-            self.published_dirty.store(false, Ordering::Relaxed);
+            self.published_dirty = false;
         }
         if let Some(store) = &mut self.store {
             let sink = store
@@ -983,6 +985,7 @@ impl<K, V> std::ops::Deref for DynamicMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     impl<K, V> DynamicMap<K, V>
     where
@@ -1015,12 +1018,12 @@ mod tests {
 
     #[test]
     fn tier_evolution_is_binomial() {
-        // Inline mode: deterministic tier shapes (background compaction
-        // preserves answers, not shapes).
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
+        // Quiesce after every write: deterministic tier shapes (a
+        // free-running worker preserves answers, not shapes).
+        let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 4);
         for k in 0..16u64 {
             m.insert(k, k * 10);
+            m.quiesce();
             m.validate_weights();
         }
         // 16 inserts at cap 4 = 4 seal+compact cycles: binomial counter
@@ -1064,30 +1067,37 @@ mod tests {
 
     #[test]
     fn batch_ops_match_scalar_loop() {
-        let mut batched: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
-        let mut scalar =
-            DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
+        let mut batched: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 4);
+        let mut scalar = DynamicMap::with_config(QueryKind::Veb, 4);
         // Duplicate keys in one batch: last pair wins, exactly like the
         // scalar loop; the count is per **distinct** key live before
         // (the scalar loop would also count intra-batch overwrites).
         let pairs = vec![(5u64, 1u64), (3, 2), (5, 3), (9, 4), (3, 5)];
         for &(k, v) in &pairs {
             scalar.insert(k, v);
+            scalar.quiesce();
         }
         assert_eq!(batched.batch_insert(pairs), 0, "nothing was live before");
+        batched.quiesce();
         batched.validate_weights();
         // Re-inserting over live keys counts each distinct key once.
         assert_eq!(batched.batch_insert(vec![(5, 7), (5, 8), (11, 9)]), 1);
-        assert!(scalar.insert(5, 7));
-        assert!(scalar.insert(5, 8));
-        assert!(!scalar.insert(11, 9));
+        batched.quiesce();
+        for (k, v, live) in [(5, 7, true), (5, 8, true), (11, 9, false)] {
+            assert_eq!(scalar.insert(k, v), live);
+            scalar.quiesce();
+        }
         let keys = [3u64, 3, 7, 9];
         let expect_removed = [3u64, 7, 9]
             .iter()
-            .map(|k| usize::from(scalar.remove(k)))
+            .map(|k| {
+                let removed = scalar.remove(k);
+                scalar.quiesce();
+                usize::from(removed)
+            })
             .sum::<usize>();
         assert_eq!(batched.batch_remove(&keys), expect_removed);
+        batched.quiesce();
         batched.validate_weights();
         for k in 0..12u64 {
             assert_eq!(batched.get(&k), scalar.get(&k));
@@ -1101,10 +1111,11 @@ mod tests {
 
     #[test]
     fn annihilation_empties_the_structure() {
-        let mut m: DynamicMap<u64, &str> = DynamicMap::with_config(QueryKind::BstPrefetch, 1)
-            .with_compaction_mode(CompactionMode::Inline);
+        let mut m: DynamicMap<u64, &str> = DynamicMap::with_config(QueryKind::BstPrefetch, 1);
         m.insert(7, "seven"); // seal+compact -> tier 0 live
+        m.quiesce();
         assert!(m.remove(&7)); // tombstone merge reaches bottom -> annihilated
+        m.quiesce();
         m.validate_weights();
         assert_eq!(m.len(), 0);
         assert_eq!(m.run_count(), 0, "tombstone + value must annihilate");
@@ -1115,7 +1126,6 @@ mod tests {
     #[test]
     fn background_annihilation_after_quiesce() {
         let mut m: DynamicMap<u64, &str> = DynamicMap::with_config(QueryKind::BstPrefetch, 1);
-        assert_eq!(m.compaction_mode(), CompactionMode::Background);
         m.insert(7, "seven");
         assert!(m.remove(&7));
         m.validate_weights();
@@ -1229,10 +1239,10 @@ mod tests {
 
     #[test]
     fn published_cell_releases_after_last_reader() {
-        let mut m: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
+        let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 4);
         for k in 0..8u64 {
             m.insert(k, k);
+            m.quiesce();
         }
         let run = m
             .runs
@@ -1283,8 +1293,10 @@ mod tests {
     #[test]
     fn publication_is_seal_granular_not_per_write() {
         let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut m: DynamicMap<u64, CountedVal> = DynamicMap::with_config(QueryKind::Veb, 64)
-            .with_compaction_mode(CompactionMode::Inline);
+        // Only the sealing writes quiesce: a `quiesce` counts toward the
+        // reader's publication bound, and the buffered writes below must
+        // not reach it.
+        let mut m: DynamicMap<u64, CountedVal> = DynamicMap::with_config(QueryKind::Veb, 64);
         let reader = m.reader();
         for k in 0..63u64 {
             m.insert(
@@ -1310,8 +1322,8 @@ mod tests {
         assert_eq!(snap.len(), 63);
         drop(snap);
         // The 64th insert seals: entries move into the L0 run without
-        // cloning, publication shares it by Arc, and the inline merge
-        // streams each version exactly once.
+        // cloning, publication shares it by Arc, and the merge streams
+        // each version exactly once.
         m.insert(
             63,
             CountedVal {
@@ -1319,6 +1331,7 @@ mod tests {
                 clones: Arc::clone(&clones),
             },
         );
+        m.quiesce();
         assert_eq!(
             clones.load(Ordering::SeqCst),
             63 + 64,
@@ -1358,6 +1371,7 @@ mod tests {
                 clones: Arc::clone(&clones),
             },
         );
+        m.quiesce();
         assert_eq!(m.tier_versions(), vec![vec![], vec![62]]);
         assert_eq!(
             clones.load(Ordering::SeqCst) - before,
@@ -1406,9 +1420,8 @@ mod tests {
     }
 
     #[test]
-    fn background_matches_inline_observably() {
-        let mut inline: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Btree(2), 4)
-            .with_compaction_mode(CompactionMode::Inline);
+    fn free_running_matches_quiesced_observably() {
+        let mut quiesced: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Btree(2), 4);
         let mut bg: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Btree(2), 4);
         // A deterministic mutation mix with overwrites and deletes.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -1418,20 +1431,21 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let k = (x >> 33) % 50;
             if x.is_multiple_of(5) {
-                assert_eq!(inline.remove(&k), bg.remove(&k), "op {i}");
+                assert_eq!(quiesced.remove(&k), bg.remove(&k), "op {i}");
             } else {
-                assert_eq!(inline.insert(k, i), bg.insert(k, i), "op {i}");
+                assert_eq!(quiesced.insert(k, i), bg.insert(k, i), "op {i}");
             }
-            assert_eq!(inline.len(), bg.len(), "op {i}");
+            quiesced.quiesce();
+            assert_eq!(quiesced.len(), bg.len(), "op {i}");
             bg.validate_weights();
         }
         bg.quiesce();
         assert_eq!(bg.sealed_runs(), 0);
         for k in 0..52u64 {
-            assert_eq!(inline.get(&k), bg.get(&k));
-            assert_eq!(inline.rank(&k), bg.rank(&k));
+            assert_eq!(quiesced.get(&k), bg.get(&k));
+            assert_eq!(quiesced.rank(&k), bg.rank(&k));
             assert_eq!(
-                inline.successor(&k).map(|(a, b)| (*a, *b)),
+                quiesced.successor(&k).map(|(a, b)| (*a, *b)),
                 bg.successor(&k).map(|(a, b)| (*a, *b))
             );
         }

@@ -1,9 +1,11 @@
 //! The compact half of the overflow path: planning which runs a
 //! compaction consumes, the k-way merge (a loser tree, sliced and
-//! parallel when large), and the atomic install of the merged run.
+//! parallel when large) on a background worker, and the atomic install
+//! of the merged run. [`DynamicMap::start_compaction`] is the one place
+//! that decides where a compaction runs.
 
 use super::run::{merged_run_kind, Run};
-use super::{CompactionMode, DynamicMap, MAX_SEALED_RUNS};
+use super::{DynamicMap, MAX_SEALED_RUNS};
 use crate::sync::{spawn, yield_now, Arc, AtomicBool, JoinHandle, Ordering};
 use ist_query::{QueryKind, Searcher};
 
@@ -11,10 +13,10 @@ use ist_query::{QueryKind, Searcher};
 /// the floor rule ([`rayon::min_task_len`]) needs it: a tournament
 /// replay, a key and a value clone and three column pushes. Timed
 /// around the sequential `merge_slice` call on the reference box (`u64`
-/// keys, 8- and 64-byte `Vec<u8>` values, inline compaction, 3 000 to
-/// 372 000 versions a merge; quartiles of seven runs): 26–32 ns a
-/// version with one source, 38–43 with two, 46–52 with three or four,
-/// 68–83 with more. The estimate is the low end of the multi-source
+/// keys, 8- and 64-byte `Vec<u8>` values, merged on the writer's thread
+/// without yields, 3 000 to 372 000 versions a merge; quartiles of
+/// seven runs): 26–32 ns a version with one source, 38–43 with two,
+/// 46–52 with three or four, 68–83 with more. The estimate is the low end of the multi-source
 /// merges — a low cost asks for longer slices. A merge splits only when
 /// every slice holds at least `min_task_len(MERGE_VERSION_COST_NS)`
 /// versions (6 250); below that the hand-off, boundary descents and
@@ -77,8 +79,9 @@ const MERGE_YIELD_STRIDE: usize = 256;
 /// tier remains below the merge target (`deeper_occupied == false`).
 /// Returns `None` when everything annihilated.
 ///
-/// When the ambient `rayon::current_num_threads()` (so `IST_PARALLEL`
-/// and `ThreadPool::install` apply) exceeds 1 and the merge is large
+/// When `threads` — the writer's ambient `rayon::current_num_threads()`
+/// when it started the compaction, so `IST_PARALLEL` and
+/// `ThreadPool::install` apply — exceeds 1 and the merge is large
 /// enough, the merged key space is split into near-equal **slices**:
 /// boundary keys are drawn from the largest source at evenly spaced
 /// ranks (closed-form `position_of_rank`, no scan), each source is cut
@@ -90,23 +93,21 @@ const MERGE_YIELD_STRIDE: usize = 256;
 /// `parallel_merge_bit_identical_to_serial` pins this at pool sizes
 /// {1, 4}.
 ///
-/// Runs on the background worker in [`CompactionMode::Background`]
-/// (with `cooperative = true`: yield the timeslice every
-/// [`MERGE_YIELD_STRIDE`] entries) and on the caller in
-/// [`CompactionMode::Inline`]; it touches only the immutable
+/// Runs on the background worker, yielding the timeslice every
+/// [`MERGE_YIELD_STRIDE`] entries; it touches only the immutable
 /// `Arc`-shared runs, never the map.
 fn merge_runs<K, V>(
     sources: &[Arc<Run<K, V>>],
     deeper_occupied: bool,
     kind: QueryKind,
-    cooperative: bool,
+    threads: usize,
 ) -> Option<Run<K, V>>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync,
 {
     let total: usize = sources.iter().map(|r| r.versions()).sum();
-    let want = rayon::current_num_threads()
+    let want = threads
         .min(total / rayon::min_task_len(MERGE_VERSION_COST_NS))
         .max(1);
     // Slice boundaries: evenly spaced ranks of the largest source
@@ -137,7 +138,7 @@ where
     };
     let slice = |i: usize| {
         let ranges: Vec<_> = sources.iter().map(|r| (cut(r, i), cut(r, i + 1))).collect();
-        merge_slice(sources, &ranges, deeper_occupied, cooperative)
+        merge_slice(sources, &ranges, deeper_occupied)
     };
     let (keys, slots, weights) = if bounds.is_empty() {
         slice(0)
@@ -179,7 +180,6 @@ fn merge_slice<K, V>(
     sources: &[Arc<Run<K, V>>],
     ranges: &[(usize, usize)],
     deeper_occupied: bool,
-    cooperative: bool,
 ) -> (Vec<K>, Vec<Option<V>>, Vec<i64>)
 where
     K: Ord + Clone + Send + Sync + 'static,
@@ -193,7 +193,7 @@ where
     let mut streamed = 0usize;
     while let Some((key, slot, mut weight)) = t.pop() {
         streamed += 1;
-        if cooperative && streamed.is_multiple_of(MERGE_YIELD_STRIDE) {
+        if streamed.is_multiple_of(MERGE_YIELD_STRIDE) {
             yield_now();
         }
         // Older sources may hold the same key (each source's keys are
@@ -344,11 +344,14 @@ where
     }
 
     /// Start compacting every sealed run plus the planned prefix of
-    /// the tier runs (see [`DynamicMap::plan_compaction`]). In
-    /// [`CompactionMode::Background`] the merge runs on a worker thread
-    /// over `Arc`-shared sources while the map keeps serving from the
-    /// originals; in [`CompactionMode::Inline`] it completes (and
-    /// installs) before returning.
+    /// the tier runs (see [`DynamicMap::plan_compaction`]). The merge
+    /// runs on a worker thread over `Arc`-shared sources while the map
+    /// keeps serving from the originals.
+    ///
+    /// One short-lived thread per compaction: the spawn (~tens of µs)
+    /// lands once per `buffer_cap` writes, not per write, which keeps it
+    /// out of the per-write latency profile. A long-lived worker fed by
+    /// a channel would shave it if profiles ever say otherwise.
     pub(super) fn start_compaction(&mut self) {
         debug_assert!(self.pending.is_none(), "at most one compaction in flight");
         if self.l0.is_empty() {
@@ -363,47 +366,37 @@ where
         }
         let deeper_occupied = plan.deeper_occupied;
         let kind = self.kind;
-        match self.mode {
-            CompactionMode::Inline => {
-                let merged = merge_runs(&sources, deeper_occupied, kind, false);
-                self.install(plan, merged);
+        // Slice by the writer's thread count: a `ThreadPool::install`
+        // around the write does not reach the worker thread.
+        let threads = rayon::current_num_threads();
+        let done = Arc::new(AtomicBool::new(false));
+        let worker_done = Arc::clone(&done);
+        #[cfg(ist_loom)]
+        let inject_panic = std::mem::take(&mut self.panic_next_compaction);
+        #[cfg(not(ist_loom))]
+        let inject_panic = false;
+        let handle = spawn(move || {
+            /// Sets `done` even when the merge panics, so the writer's
+            /// next `try_install` joins the worker and re-raises the
+            /// panic instead of sealing on top of a compaction that will
+            /// never finish.
+            struct DoneGuard(Arc<AtomicBool>);
+            impl Drop for DoneGuard {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Release);
+                }
             }
-            CompactionMode::Background => {
-                // One short-lived thread per compaction: the spawn
-                // (~tens of µs) lands once per `buffer_cap` writes, not
-                // per write, which keeps it out of the per-write latency
-                // profile. A long-lived worker fed by a channel would
-                // shave it if profiles ever say otherwise.
-                let done = Arc::new(AtomicBool::new(false));
-                let worker_done = Arc::clone(&done);
-                #[cfg(ist_loom)]
-                let inject_panic = std::mem::take(&mut self.panic_next_compaction);
-                #[cfg(not(ist_loom))]
-                let inject_panic = false;
-                let handle = spawn(move || {
-                    /// Sets `done` even when the merge panics, so the
-                    /// writer's next `try_install` joins the worker and
-                    /// re-raises the panic instead of sealing on top of
-                    /// a compaction that will never finish.
-                    struct DoneGuard(Arc<AtomicBool>);
-                    impl Drop for DoneGuard {
-                        fn drop(&mut self) {
-                            self.0.store(true, Ordering::Release);
-                        }
-                    }
-                    let _guard = DoneGuard(worker_done);
-                    if inject_panic {
-                        panic!("injected compaction worker panic (ist-loom test hook)");
-                    }
-                    merge_runs(&sources, deeper_occupied, kind, true)
-                });
-                self.pending = Some(Pending {
-                    plan,
-                    done,
-                    handle: Some(handle),
-                });
+            let _guard = DoneGuard(worker_done);
+            if inject_panic {
+                panic!("injected compaction worker panic (ist-loom test hook)");
             }
-        }
+            merge_runs(&sources, deeper_occupied, kind, threads)
+        });
+        self.pending = Some(Pending {
+            plan,
+            done,
+            handle: Some(handle),
+        });
     }
 
     /// Atomically swap the compacted sources for the merged run: the

@@ -233,7 +233,7 @@ where
     pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>> {
         let mut out: Vec<Option<&V>> = vec![None; keys.len()];
         // Buffer pass: cheap binary searches over ≤ cap entries.
-        let mut pending: Vec<usize> = Vec::new();
+        let mut pending: Vec<usize> = Vec::with_capacity(keys.len());
         for (i, key) in keys.iter().enumerate() {
             match buffer_slot(&self.buffer, key.borrow()) {
                 Ok(j) => out[i] = self.buffer[j].slot.as_ref(),
@@ -241,21 +241,26 @@ where
             }
         }
         // Cascade the unresolved keys run by run, newest first, each
-        // run on the pipelined parallel engine.
+        // run on the pipelined parallel engine. `pending` shrinks in
+        // place and one probe list serves every run, so a run costs
+        // only the position vector its search returns.
+        let mut probe: Vec<&K> = Vec::with_capacity(pending.len());
         for run in self.runs.iter() {
             if pending.is_empty() {
                 break;
             }
-            let probe: Vec<&K> = pending.iter().map(|&i| keys[i].borrow()).collect();
-            let positions = run.map.index().batch_search(&probe);
-            let mut still = Vec::with_capacity(pending.len());
-            for (j, &i) in pending.iter().enumerate() {
-                match positions[j] {
-                    Some(p) => out[i] = run.map.values()[p].as_ref(),
-                    None => still.push(i),
+            probe.clear();
+            probe.extend(pending.iter().map(|&i| keys[i].borrow()));
+            let mut positions = run.map.index().batch_search(&probe).into_iter();
+            // `retain` visits `pending` once, in order: in step with
+            // `positions`.
+            pending.retain(|&i| match positions.next().expect("a position per probe") {
+                Some(p) => {
+                    out[i] = run.map.values()[p].as_ref();
+                    false
                 }
-            }
-            pending = still;
+                None => true,
+            });
         }
         out
     }

@@ -24,9 +24,9 @@
 //! work on the writer's path) and the k-way merge of sealed runs +
 //! tiers is **compacted** into one run ([`StaticMap::build_presorted`]:
 //! no argsort, one out-of-place scatter per array) on a background
-//! worker thread ([`dynamic::CompactionMode`]), installed atomically
-//! when it finishes; reads consult sealed-but-uncompacted runs in the
-//! meantime, so answers stay exact while merges are mid-flight.
+//! worker thread, installed atomically when it finishes; reads consult
+//! sealed-but-uncompacted runs in the meantime, so answers stay exact
+//! while merges are mid-flight ([`DynamicMap::quiesce`] drains them).
 //! Deletes are tombstones annihilated at merge time; per-version
 //! integer *weights* make summed ranks exact even when keys are
 //! overwritten or re-inserted across runs (see the [`dynamic`](self)
@@ -47,8 +47,6 @@ pub(crate) mod persist;
 pub(crate) mod sync;
 
 pub use alloc::AlignedVec;
-pub use dynamic::{
-    CompactionMode, DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
-};
+pub use dynamic::{DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
 pub use index::{default_kind_for_layout, StaticIndex};
 pub use map::StaticMap;

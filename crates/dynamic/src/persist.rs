@@ -810,11 +810,9 @@ where
     /// left off (every acknowledged write present; a torn tail record
     /// from a crash mid-append is tolerated and discarded).
     ///
-    /// The map's layout and buffer capacity come from the manifest;
-    /// the compaction mode is process configuration — chain
-    /// [`DynamicMap::with_compaction_mode`] to override the default
-    /// (the replay compacts in the background and is drained before
-    /// this returns).
+    /// The map's layout and buffer capacity come from the manifest.
+    /// The replay compacts in the background and is drained
+    /// ([`DynamicMap::quiesce`]) before this returns.
     ///
     /// # Errors
     /// Typed [`StoreError`]s for every failure mode — missing or
@@ -921,7 +919,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::CompactionMode;
     use ist_query::QueryKind;
     use ist_store::MemVfs;
     use std::collections::BTreeMap;
@@ -975,10 +972,10 @@ mod tests {
     #[test]
     fn a_checkpoint_without_new_runs_writes_only_wal_and_manifest() {
         let vfs = MemVfs::new();
-        let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP)
-            .with_compaction_mode(CompactionMode::Inline);
+        let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
         for k in 0..12u64 {
             map.insert(k, k);
+            map.quiesce();
         }
         map.persist_to(db(), cfg(&vfs)).unwrap();
         let (runs, before) = (run_files(&vfs), manifest(&vfs));
@@ -987,6 +984,7 @@ mod tests {
         // the one `persist_to` wrote while the WAL fills up.
         for i in 0..BOUND {
             map.insert(100, i);
+            map.quiesce();
         }
         let after = manifest(&vfs);
         assert_eq!(after.wal_seq, before.wal_seq + 1, "one checkpoint");
@@ -1002,8 +1000,7 @@ mod tests {
     #[test]
     fn the_live_wal_never_holds_more_than_its_bound() {
         let vfs = MemVfs::new();
-        let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP)
-            .with_compaction_mode(CompactionMode::Inline);
+        let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
         map.persist_to(db(), cfg(&vfs)).unwrap();
         let mut oracle = BTreeMap::new();
         let mut x = 0x2545_F491_4F6C_DD1Du64;
@@ -1031,6 +1028,7 @@ mod tests {
                     oracle.insert(k, i);
                 }
             }
+            map.quiesce();
             let held = wal_entries(&vfs);
             assert!(held < BOUND, "op {i}: the live WAL holds {held} entries");
         }
@@ -1064,7 +1062,6 @@ mod tests {
         drop(map);
 
         let map = DynamicMap::<u64, u64>::open_with(db(), cfg(&vfs)).unwrap();
-        assert_eq!(map.compaction_mode(), CompactionMode::Background);
         assert!(
             map.sealed_runs() == 0 && !map.compaction_in_flight(),
             "quiesced"

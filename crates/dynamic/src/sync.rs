@@ -15,13 +15,13 @@
 //! `thread::spawn` is a lint error.
 
 #[cfg(not(ist_loom))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{AtomicBool, Ordering};
 #[cfg(not(ist_loom))]
 pub(crate) use std::sync::{Arc, Mutex, MutexGuard};
 #[cfg(not(ist_loom))]
 pub(crate) use std::thread::{spawn, yield_now, JoinHandle};
 
 #[cfg(ist_loom)]
-pub(crate) use ist_loom::sync::{Arc, AtomicBool, AtomicUsize, Mutex, MutexGuard, Ordering};
+pub(crate) use ist_loom::sync::{Arc, AtomicBool, Mutex, MutexGuard, Ordering};
 #[cfg(ist_loom)]
 pub(crate) use ist_loom::thread::{spawn, yield_now, JoinHandle};

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ist_dynamic::{CompactionMode, DynamicMap};
+use ist_dynamic::DynamicMap;
 use ist_loom::{thread, Model};
 use ist_query::QueryKind;
 
@@ -32,8 +32,16 @@ use ist_query::QueryKind;
 /// scheduler; these runs stay far below the merge's slice floor, so
 /// the concurrency surface is exactly the writer, the workers, and the
 /// readers the test spawns).
-fn tiny_map(mode: CompactionMode) -> DynamicMap<u64, u64> {
-    DynamicMap::with_config(QueryKind::Veb, 2).with_compaction_mode(mode)
+fn tiny_map() -> DynamicMap<u64, u64> {
+    DynamicMap::with_config(QueryKind::Veb, 2)
+}
+
+/// `map.insert(k, v)`, then drain the compaction it may have started:
+/// every merge worker is spawned and joined inside the model, and the
+/// tier shapes follow the inserts alone.
+fn insert_quiesced(map: &mut DynamicMap<u64, u64>, k: u64, v: u64) {
+    map.insert(k, v);
+    map.quiesce();
 }
 
 /// (a) The departed-reader release race: the last `Reader` dropping on
@@ -46,9 +54,9 @@ fn tiny_map(mode: CompactionMode) -> DynamicMap<u64, u64> {
 fn reader_drop_vs_mutation_always_releases_published_cell() {
     let stats = Model::new()
         .check(|| {
-            let mut map = tiny_map(CompactionMode::Inline);
+            let mut map = tiny_map();
             for k in 1..=4u64 {
-                map.insert(k, k * 10);
+                insert_quiesced(&mut map, k, k * 10);
             }
             let reader = map.reader();
             // Publish with the reader outstanding: the cell now pins a
@@ -68,13 +76,13 @@ fn reader_drop_vs_mutation_always_releases_published_cell() {
                 // `reader` drops here: the strong count falls while the
                 // writer may be mid-mutation.
             });
-            map.insert(5, 50);
+            insert_quiesced(&mut map, 5, 50);
             dropper.join().unwrap();
 
             // First mutation after the drop is certainly observed: the
             // release must have fired (either now or already during
             // `insert(5)`).
-            map.insert(6, 60);
+            insert_quiesced(&mut map, 6, 60);
             assert_eq!(map.debug_published_size(), (0, 0));
             for k in 1..=6u64 {
                 assert_eq!(map.get(&k), Some(&(k * 10)));
@@ -94,14 +102,14 @@ fn reader_drop_vs_mutation_always_releases_published_cell() {
 #[test]
 fn checker_finds_and_replays_the_stale_cell_schedule() {
     let scenario = || {
-        let mut map = tiny_map(CompactionMode::Inline);
+        let mut map = tiny_map();
         for k in 1..=4u64 {
-            map.insert(k, k * 10);
+            insert_quiesced(&mut map, k, k * 10);
         }
         let reader = map.reader();
         map.compact_buffer();
         let dropper = thread::spawn(move || drop(reader));
-        map.insert(5, 50);
+        insert_quiesced(&mut map, 5, 50);
         dropper.join().unwrap();
         // Deliberately too strong: no mutation after the join has
         // re-observed the reader count yet.
@@ -135,7 +143,7 @@ fn background_install_racing_quiesce_preserves_answers() {
     };
     let stats = model
         .check(|| {
-            let mut map = tiny_map(CompactionMode::Background);
+            let mut map = tiny_map();
             let mut oracle = BTreeMap::new();
             for k in 1..=6u64 {
                 map.insert(k, k * 100);
@@ -178,7 +186,7 @@ fn background_install_racing_quiesce_preserves_answers() {
 fn worker_panic_propagates_to_writer_in_every_interleaving() {
     let stats = Model::new()
         .check(|| {
-            let mut map = tiny_map(CompactionMode::Background);
+            let mut map = tiny_map();
             for k in 1..=4u64 {
                 map.insert(k, k + 7);
             }

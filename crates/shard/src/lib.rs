@@ -75,9 +75,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ist_core::{Error, Layout};
-use ist_dynamic::{
-    default_kind_for_layout, CompactionMode, DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP,
-};
+use ist_dynamic::{default_kind_for_layout, DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP};
 use ist_query::route::{
     debug_assert_valid_splits, partition_batch, partition_batch_ref, partition_owned,
     scatter_to_input_order, shard_of_key,
@@ -311,18 +309,6 @@ where
         })
     }
 
-    /// Builder-style [`CompactionMode`] override applied to every shard
-    /// (they default to [`CompactionMode::Background`]).
-    #[must_use]
-    pub fn with_compaction_mode(mut self, mode: CompactionMode) -> Self {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_compaction_mode(mode))
-            .collect();
-        self
-    }
-
     /// Dedup (last wins), pick equal-count splits, and partition the
     /// pairs by the resulting ranges — shared by both bulk loaders.
     #[allow(clippy::type_complexity)]
@@ -526,11 +512,12 @@ where
     /// **not** own it, layered on the per-shard [`DynamicMap::reader`]
     /// cells (the current state of every shard is published
     /// immediately). See [`ShardedReader::snapshot`] for the coherence
-    /// contract — per-shard prefixes, not a global cut.
-    pub fn reader(&self) -> ShardedReader<K, V> {
+    /// contract — per-shard prefixes, not a global cut. Takes `&mut
+    /// self` because it publishes, like [`DynamicMap::reader`].
+    pub fn reader(&mut self) -> ShardedReader<K, V> {
         Sharded {
             splits: Arc::clone(&self.splits),
-            shards: self.shards.iter().map(DynamicMap::reader).collect(),
+            shards: self.shards.iter_mut().map(DynamicMap::reader).collect(),
         }
     }
 }
@@ -1074,8 +1061,7 @@ mod tests {
             32, // tiny buffers: constant seals and merges
             4,
         )
-        .unwrap()
-        .with_compaction_mode(CompactionMode::Background);
+        .unwrap();
 
         // Churn every shard so seals and background merges are in
         // flight when the drains run.

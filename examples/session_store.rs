@@ -9,8 +9,8 @@
 //! 1. bulk-load yesterday's sessions into one static run,
 //! 2. stream today's logins / refreshes / logouts through the write
 //!    buffer — overflows **seal** cheap L0 runs while the k-way merges
-//!    run on the background compaction worker (the default
-//!    `CompactionMode`), so no write waits for a rebuild,
+//!    run on the background compaction worker, so no write waits for
+//!    a rebuild,
 //!    2b. ingest a partner batch through the **bulk-delta** API
 //!    (`batch_insert` / `batch_remove`): one sort + one pipelined
 //!    weight sweep per resident run for the whole batch,

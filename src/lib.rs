@@ -64,10 +64,10 @@
 //! primitive (merges skip the argsort entirely —
 //! [`StaticMap::build_presorted`]). The merge itself is **deamortized**:
 //! an overflowing buffer is cheaply *sealed* into an L0 run while the
-//! k-way merge + rebuild runs on a background worker
-//! ([`CompactionMode`]), installed atomically when done — reads consult
-//! sealed runs in the interim, so answers stay exact and a write never
-//! waits for an `O(n)` merge. Reads fan out newest-run-first on the
+//! k-way merge + rebuild runs on a background worker, installed
+//! atomically when done — reads consult sealed runs in the interim, so
+//! answers stay exact and a write never waits for an `O(n)` merge
+//! ([`DynamicMap::quiesce`] drains pending merges). Reads fan out newest-run-first on the
 //! same pipelined engines; [`DynamicMap::snapshot`] /
 //! [`DynamicMap::reader`] give concurrent readers frozen views that
 //! never block on a merge. See [`dynamic`](ist_dynamic) for the tier,
@@ -183,8 +183,8 @@
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
 
 pub use ist_dynamic::{
-    default_kind_for_layout, AlignedVec, CompactionMode, DynamicMap, Frozen, Reader, StaticIndex,
-    StaticMap, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
+    default_kind_for_layout, AlignedVec, DynamicMap, Frozen, Reader, StaticIndex, StaticMap,
+    DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
 };
 pub use ist_shard::{Shard, Sharded, ShardedFrozen, ShardedMap, ShardedReader};
 pub use ist_store::{CrashModel, FsyncPolicy, MemVfs, StdVfs, StoreConfig, StoreError, Vfs};

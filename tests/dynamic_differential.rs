@@ -24,9 +24,7 @@
 //! CI runs 3 fixed seeds; `IST_FUZZ_LONG=1` widens the sweep to 30
 //! seeds with longer sequences.
 
-use implicit_search_trees::{
-    CompactionMode, CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, StoreConfig,
-};
+use implicit_search_trees::{CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -346,20 +344,45 @@ fn apply_op(
     Ok(())
 }
 
+/// When the harness drains compaction work.
+#[derive(Clone, Copy, Debug)]
+enum Drain {
+    /// `quiesce()` after every op: each merge installs before the next
+    /// op, so tier shapes follow the op sequence alone.
+    EveryOp,
+    /// Never: merges overlap the op sequence and install wherever
+    /// scheduling lands them.
+    FreeRunning,
+}
+
+const DRAINS: [Drain; 2] = [Drain::EveryOp, Drain::FreeRunning];
+
+impl Drain {
+    fn after_op(self, map: &mut DynamicMap<u64, u64>) {
+        if let Drain::EveryOp = self {
+            map.quiesce();
+        }
+    }
+}
+
+/// Apply `op` to `map`, then drain the compaction it started.
+fn settled<R>(
+    map: &mut DynamicMap<u64, u64>,
+    op: impl FnOnce(&mut DynamicMap<u64, u64>) -> R,
+) -> R {
+    let out = op(map);
+    map.quiesce();
+    out
+}
+
 /// Run one seeded sequence against one configuration; panic with the
 /// seed and the minimal diverging prefix on failure.
 ///
-/// In [`CompactionMode::Background`] merges overlap the op sequence
-/// (install timing depends on scheduling), so the suite doubles as a
-/// proof that mid-flight compactions never perturb an answer; the op
-/// sequence itself is still seed-deterministic for replay.
-fn run_sequence(
-    seed: u64,
-    kind: QueryKind,
-    buffer_cap: usize,
-    num_ops: usize,
-    mode: CompactionMode,
-) {
+/// Under [`Drain::FreeRunning`] merges overlap the op sequence (install
+/// timing depends on scheduling), so the suite doubles as a proof that
+/// mid-flight compactions never perturb an answer; the op sequence
+/// itself is still seed-deterministic for replay.
+fn run_sequence(seed: u64, kind: QueryKind, buffer_cap: usize, num_ops: usize, mode: Drain) {
     run_sequence_with(seed, kind, buffer_cap, num_ops, mode, Ingest::PerKey);
 }
 
@@ -370,19 +393,21 @@ fn run_sequence_with(
     kind: QueryKind,
     buffer_cap: usize,
     num_ops: usize,
-    mode: CompactionMode,
+    mode: Drain,
     ingest: Ingest,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(kind, buffer_cap).with_compaction_mode(mode);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(kind, buffer_cap);
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut ops: Vec<Op> = Vec::with_capacity(num_ops);
     for i in 0..num_ops {
         let op = gen_op(&mut rng, i, ingest);
         ops.push(op.clone());
         let result = apply_op(&mut map, &mut oracle, &op)
-            .and_then(|()| check_full_state(&map, &oracle))
+            .and_then(|()| {
+                mode.after_op(&mut map);
+                check_full_state(&map, &oracle)
+            })
             .and_then(|()| {
                 if i % 32 == 7 {
                     // Snapshot coherence: a snapshot taken now answers
@@ -444,7 +469,7 @@ fn differential_fixed_seeds() {
     for &seed in &CI_SEEDS {
         for kind in kinds() {
             for &cap in &CAPS {
-                run_sequence(seed, kind, cap, 250, CompactionMode::Inline);
+                run_sequence(seed, kind, cap, 250, Drain::EveryOp);
             }
         }
     }
@@ -458,20 +483,20 @@ fn differential_fixed_seeds_background_compaction() {
     for &seed in &CI_SEEDS {
         for kind in kinds() {
             for &cap in &[1usize, 8] {
-                run_sequence(seed, kind, cap, 250, CompactionMode::Background);
+                run_sequence(seed, kind, cap, 250, Drain::FreeRunning);
             }
         }
     }
 }
 
-/// Bulk vs per-key ingest in both compaction modes — full observable
-/// state vs the oracle after every op, snapshots included (in
-/// background mode those land mid-merge).
+/// Bulk vs per-key ingest, drained after every op and free-running —
+/// full observable state vs the oracle after every op, snapshots
+/// included (free-running, those land mid-merge).
 #[test]
 fn differential_ingest_and_mode_matrix() {
     for seed in 0xD0_11C7..0xD0_11C7 + 3u64 {
         for ingest in [Ingest::PerKey, Ingest::Bulk] {
-            for mode in [CompactionMode::Inline, CompactionMode::Background] {
+            for mode in DRAINS {
                 run_sequence_with(seed, QueryKind::Veb, 3, 200, mode, ingest);
             }
         }
@@ -486,7 +511,7 @@ fn differential_bulk_ingest_fixed_seeds() {
     for &seed in &CI_SEEDS {
         for kind in [QueryKind::Veb, QueryKind::Btree(2)] {
             for &cap in &CAPS {
-                run_sequence_with(seed, kind, cap, 200, CompactionMode::Inline, Ingest::Bulk);
+                run_sequence_with(seed, kind, cap, 200, Drain::EveryOp, Ingest::Bulk);
             }
         }
     }
@@ -514,8 +539,8 @@ fn tasks_offered() -> u64 {
 /// slicing threshold. Writes go in batches of at most 4 000 keys, below
 /// the batched descent's own floor, so the merge is the only dispatch
 /// site they reach. The merge takes the ambient thread count, so each
-/// map's writes (inline: the merge runs inside them) are driven under a
-/// pool of its size.
+/// map's writes, and the `quiesce()` after each that drains the merge
+/// the write started, are driven under a pool of its size.
 #[test]
 fn parallel_merge_bit_identical_to_serial() {
     let _serial_dispatch = DISPATCH.lock().unwrap_or_else(PoisonError::into_inner);
@@ -527,9 +552,7 @@ fn parallel_merge_bit_identical_to_serial() {
             .unwrap()
     };
     let (pool1, pool4) = (pool(1), pool(4));
-    let mk = || -> DynamicMap<u64, u64> {
-        DynamicMap::with_config(QueryKind::Veb, 16_384).with_compaction_mode(CompactionMode::Inline)
-    };
+    let mk = || -> DynamicMap<u64, u64> { DynamicMap::with_config(QueryKind::Veb, 16_384) };
     let mut serial = mk();
     let mut parallel = mk();
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
@@ -540,16 +563,16 @@ fn parallel_merge_bit_identical_to_serial() {
             .map(|i| (rng.gen_range(0..SPACE), round * 100_000 + i))
             .collect();
         for batch in pairs.chunks(4_000) {
-            let s = pool1.install(|| serial.batch_insert(batch.to_vec()));
-            let p = pool4.install(|| parallel.batch_insert(batch.to_vec()));
+            let s = pool1.install(|| settled(&mut serial, |m| m.batch_insert(batch.to_vec())));
+            let p = pool4.install(|| settled(&mut parallel, |m| m.batch_insert(batch.to_vec())));
             assert_eq!(s, p, "round {round} insert counts");
         }
         oracle.extend(pairs);
         let removes: Vec<u64> = (0..6_400).map(|_| rng.gen_range(0..SPACE)).collect();
         for batch in removes.chunks(3_200) {
             assert_eq!(
-                pool1.install(|| serial.batch_remove(batch)),
-                pool4.install(|| parallel.batch_remove(batch)),
+                pool1.install(|| settled(&mut serial, |m| m.batch_remove(batch))),
+                pool4.install(|| settled(&mut parallel, |m| m.batch_remove(batch))),
                 "round {round} remove counts"
             );
         }
@@ -576,7 +599,7 @@ fn parallel_merge_bit_identical_to_serial() {
     }
 }
 
-/// Extended sweep: 30 seeds, longer sequences, both compaction modes,
+/// Extended sweep: 30 seeds, longer sequences, drained and free-running,
 /// plus an ingest sweep. `IST_FUZZ_LONG=1` turns it on (a
 /// dedicated CI job runs it in release).
 #[test]
@@ -588,7 +611,7 @@ fn differential_long_sweep() {
     for seed in 0..30u64 {
         for kind in kinds() {
             for &cap in &CAPS {
-                for mode in [CompactionMode::Inline, CompactionMode::Background] {
+                for mode in DRAINS {
                     run_sequence(0x10_0000 + seed, kind, cap, 400, mode);
                 }
             }
@@ -596,16 +619,16 @@ fn differential_long_sweep() {
     }
     for seed in 0..6u64 {
         for ingest in [Ingest::PerKey, Ingest::Bulk] {
-            for mode in [CompactionMode::Inline, CompactionMode::Background] {
+            for mode in DRAINS {
                 run_sequence_with(0x40_0000 + seed, QueryKind::Veb, 3, 400, mode, ingest);
             }
         }
     }
-    // Persistent kill-and-restart sweep: kinds × caps × modes × fsync.
+    // Persistent kill-and-restart sweep: kinds × caps × drains × fsync.
     for seed in 0..8u64 {
         for kind in [QueryKind::Veb, QueryKind::Btree(2)] {
             for &cap in &CAPS {
-                for mode in [CompactionMode::Inline, CompactionMode::Background] {
+                for mode in DRAINS {
                     for fsync in [FsyncPolicy::Always, FsyncPolicy::EveryN(3)] {
                         run_persistent_sequence(
                             0x70_0000 + seed,
@@ -639,15 +662,14 @@ fn run_persistent_sequence(
     kind: QueryKind,
     buffer_cap: usize,
     num_ops: usize,
-    mode: CompactionMode,
+    mode: Drain,
     ingest: Ingest,
     fsync: FsyncPolicy,
 ) {
     let vfs = Arc::new(MemVfs::new());
     let cfg = StoreConfig::with_vfs(vfs.clone()).fsync(fsync);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(kind, buffer_cap).with_compaction_mode(mode);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(kind, buffer_cap);
     map.persist_to("db", cfg.clone()).expect("persist_to");
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut restarts = 0usize;
@@ -660,7 +682,10 @@ fn run_persistent_sequence(
     for i in 0..num_ops {
         let op = gen_op(&mut rng, i, ingest);
         apply_op(&mut map, &mut oracle, &op)
-            .and_then(|()| check_full_state(&map, &oracle))
+            .and_then(|()| {
+                mode.after_op(&mut map);
+                check_full_state(&map, &oracle)
+            })
             .unwrap_or_else(|why| panic!("{}: {why} after {op}", ctx(i, restarts)));
         assert!(
             map.store_error().is_none(),
@@ -678,8 +703,7 @@ fn run_persistent_sequence(
             drop(map);
             vfs.power_cycle(CrashModel::DropUnsynced);
             map = DynamicMap::open_with("db", cfg.clone())
-                .unwrap_or_else(|e| panic!("{}: reopen failed: {e}", ctx(i, restarts)))
-                .with_compaction_mode(mode);
+                .unwrap_or_else(|e| panic!("{}: reopen failed: {e}", ctx(i, restarts)));
             restarts += 1;
             check_full_state(&map, &oracle)
                 .unwrap_or_else(|why| panic!("{}: diverged after reopen: {why}", ctx(i, restarts)));
@@ -700,13 +724,13 @@ fn run_persistent_sequence(
         .unwrap_or_else(|why| panic!("{}: final reopen diverged: {why}", ctx(num_ops, restarts)));
 }
 
-/// Kill-and-restart differential across both compaction modes with the
+/// Kill-and-restart differential, drained and free-running, with the
 /// always-fsync policy: every op is durable the moment it returns, so
 /// the reopened map must equal the oracle exactly at every kill point.
 #[test]
 fn differential_persistent_restarts() {
     for &seed in &CI_SEEDS {
-        for mode in [CompactionMode::Inline, CompactionMode::Background] {
+        for mode in DRAINS {
             run_persistent_sequence(
                 seed,
                 QueryKind::Veb,
@@ -731,7 +755,7 @@ fn differential_persistent_fsync_matrix() {
         (QueryKind::Sorted, Ingest::Bulk, FsyncPolicy::Always),
     ];
     for (c, (kind, ingest, fsync)) in cases.into_iter().enumerate() {
-        for mode in [CompactionMode::Inline, CompactionMode::Background] {
+        for mode in DRAINS {
             run_persistent_sequence(
                 0xD15C + c as u64,
                 kind,
@@ -767,9 +791,7 @@ fn differential_straddles_the_layout_crossover() {
     // Even keys, so writes hit bulk keys and fresh odd keys alike.
     let keys: Vec<u64> = (0..n as u64).map(|k| 2 * k).collect();
     let mut oracle: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k)).collect();
-    let mut map = DynamicMap::build_presorted(keys.clone(), keys, QueryKind::Veb, cap)
-        .unwrap()
-        .with_compaction_mode(CompactionMode::Inline);
+    let mut map = DynamicMap::build_presorted(keys.clone(), keys, QueryKind::Veb, cap).unwrap();
     assert_eq!(map.tier_versions(), vec![vec![], vec![n]]);
     let space = 2 * n as u64 + 2;
     let mut rng = StdRng::seed_from_u64(0xC2055);
@@ -790,13 +812,13 @@ fn differential_straddles_the_layout_crossover() {
         assert!(batches <= 400, "no compaction reached the bulk run");
         let delta: Vec<u64> = (0..16_384).map(|_| rng.gen_range(0..space)).collect();
         if batches % 4 == 0 {
-            map.batch_remove(&delta);
+            settled(&mut map, |m| m.batch_remove(&delta));
             for k in &delta {
                 oracle.remove(k);
             }
         } else {
             let pairs: Vec<(u64, u64)> = delta.iter().map(|&k| (k, k + batches)).collect();
-            map.batch_insert(pairs.clone());
+            settled(&mut map, |m| m.batch_insert(pairs.clone()));
             oracle.extend(pairs);
         }
         sorted_tier_seen |= map.tier_versions()[0].iter().any(|&v| v < CROSSOVER);

@@ -19,11 +19,13 @@
 //! half-merged state (e.g. a run visible without its buffer, or a
 //! tombstone applied twice) cannot satisfy the checks.
 //!
-//! The writer runs under **both** compaction modes: inline (merges on
-//! the writer's own path, the deterministic baseline) and background
-//! (seals publish immediately while the k-way merges overlap subsequent
-//! ops on a worker thread — installs must never tear a published
-//! state). A separate test holds a compaction **mid-flight** with
+//! The writer runs twice: quiesced (`quiesce()` after every op, so each
+//! merge installs before the next op — the deterministic baseline) and
+//! free-running (seals publish immediately while the k-way merges
+//! overlap subsequent ops on a worker thread — installs must never tear
+//! a published state). Readers and writer meet at a barrier once every
+//! reader has checked its first snapshot, so the reads provably overlap
+//! the writes. A separate test holds a compaction **mid-flight** with
 //! slow-cloning values and checks every query against an oracle while
 //! the merge is provably still running.
 //!
@@ -32,12 +34,10 @@
 //! which also arm the weight-invariant debug assertions inside the
 //! merge).
 
-use implicit_search_trees::{
-    CompactionMode, CrashModel, DynamicMap, MemVfs, QueryKind, StoreConfig,
-};
+use implicit_search_trees::{CrashModel, DynamicMap, MemVfs, QueryKind, StoreConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -94,25 +94,28 @@ fn check_prefix_state(snap: &implicit_search_trees::Frozen<u64, u64>) -> u64 {
 }
 
 #[test]
-fn snapshots_stay_prefix_consistent_under_inline_merges() {
-    run_concurrent_snapshot_load(CompactionMode::Inline);
+fn snapshots_stay_prefix_consistent_under_quiesced_merges() {
+    run_concurrent_snapshot_load(true);
 }
 
 #[test]
-fn snapshots_stay_prefix_consistent_under_background_merges() {
-    run_concurrent_snapshot_load(CompactionMode::Background);
+fn snapshots_stay_prefix_consistent_under_free_running_merges() {
+    run_concurrent_snapshot_load(false);
 }
 
-fn run_concurrent_snapshot_load(mode: CompactionMode) {
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, CAP).with_compaction_mode(mode);
+/// Drive the two-phase workload under concurrent readers, with a
+/// `quiesce()` after every op when `quiesced`.
+fn run_concurrent_snapshot_load(quiesced: bool) {
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
     let reader = map.reader();
     let done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(READERS + 1));
 
     let mut handles = Vec::new();
     for r in 0..READERS {
         let reader = reader.clone();
         let done = Arc::clone(&done);
+        let start = Arc::clone(&start);
         handles.push(thread::spawn(move || {
             let mut last_epoch = 0u64;
             let mut observed = 0usize;
@@ -126,6 +129,9 @@ fn run_concurrent_snapshot_load(mode: CompactionMode) {
                 );
                 last_epoch = epoch;
                 observed += 1;
+                if observed == 1 {
+                    start.wait();
+                }
                 // Batched reads on a snapshot while the writer merges.
                 if observed.is_multiple_of(64) && !snap.is_empty() {
                     let probes: Vec<u64> = (0..48).map(|i| i * (N / 48)).collect();
@@ -144,11 +150,18 @@ fn run_concurrent_snapshot_load(mode: CompactionMode) {
     // Writer: phase 1 inserts, phase 2 deletes; merges happen every CAP
     // ops throughout, while the readers above are snapshotting.
     let writer = thread::spawn(move || {
+        start.wait();
         for k in 0..N {
             map.insert(k, value_of(k));
+            if quiesced {
+                map.quiesce();
+            }
         }
         for k in 0..N / 2 {
             assert!(map.remove(&k), "key {k} was live");
+            if quiesced {
+                map.quiesce();
+            }
         }
         map
     });
@@ -198,18 +211,19 @@ fn restart_under_concurrent_readers() {
     const RCAP: usize = 32;
     let vfs = Arc::new(MemVfs::new());
     let cfg = StoreConfig::with_vfs(vfs.clone());
-    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, RCAP)
-        .with_compaction_mode(CompactionMode::Background);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, RCAP);
     map.persist_to("db", cfg.clone()).expect("persist_to");
 
     // Readers fetch the *current* reader from this slot each round; the
     // writer swaps in the reopened map's reader after every restart.
     let slot = Arc::new(Mutex::new(map.reader()));
     let done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(READERS + 1));
     let mut handles = Vec::new();
     for r in 0..READERS {
         let slot = Arc::clone(&slot);
         let done = Arc::clone(&done);
+        let start = Arc::clone(&start);
         handles.push(thread::spawn(move || {
             let mut last_len = 0u64;
             let mut observed = 0usize;
@@ -233,11 +247,15 @@ fn restart_under_concurrent_readers() {
                 );
                 last_len = len;
                 observed += 1;
+                if observed == 1 {
+                    start.wait();
+                }
             }
             observed
         }));
     }
 
+    start.wait();
     for k in 0..RN {
         map.insert(k, value_of(k));
         if k == RN / 4 || k == RN / 2 || k == 3 * RN / 4 {
@@ -245,9 +263,7 @@ fn restart_under_concurrent_readers() {
             // old reader handle.
             drop(map);
             vfs.power_cycle(CrashModel::DropUnsynced);
-            map = DynamicMap::open_with("db", cfg.clone())
-                .expect("reopen after power cycle")
-                .with_compaction_mode(CompactionMode::Background);
+            map = DynamicMap::open_with("db", cfg.clone()).expect("reopen after power cycle");
             assert_eq!(map.len() as u64, k + 1, "fsync-always recovery is exact");
             *slot.lock().expect("slot") = map.reader();
         }

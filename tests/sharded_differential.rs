@@ -23,11 +23,12 @@
 //!   entirely (deletes), then refilling;
 //! * order queries that must walk across empty shards.
 //!
-//! Both compaction modes run: inline, and background (per-shard merge
+//! Every configuration runs twice: drained with `quiesce()` after every
+//! op (deterministic tier shapes), and free-running (per-shard merge
 //! workers overlapping the op stream). CI runs fixed seeds;
 //! `IST_FUZZ_LONG=1` widens the sweep.
 
-use implicit_search_trees::{CompactionMode, DynamicMap, QueryKind, Shard, Sharded, ShardedMap};
+use implicit_search_trees::{DynamicMap, QueryKind, Shard, Sharded, ShardedMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -205,11 +206,14 @@ where
 
 /// Every scalar query vs the oracle, and every batched query vs BOTH
 /// the oracle and the unsharded mirror (elementwise bit-identity).
+/// Takes the map mutably only to publish a fresh reader cut.
 fn check_full_state(
-    sharded: &ShardedMap<u64, u64>,
+    sharded: &mut ShardedMap<u64, u64>,
     mirror: &DynamicMap<u64, u64>,
     oracle: &BTreeMap<u64, u64>,
 ) -> Result<(), String> {
+    let reader_snap = sharded.reader().snapshot();
+    let sharded = &*sharded;
     let fail = |what: String| -> Result<(), String> { Err(what) };
     if sharded.shard_lens().iter().sum::<usize>() != sharded.len() {
         return fail("shard_lens do not sum to len".to_string());
@@ -265,7 +269,6 @@ fn check_full_state(
     // query bit-identically to the live sharded map they froze — the
     // scalar reads through the very checker the live map just passed.
     let writer_snap = sharded.snapshot();
-    let reader_snap = sharded.reader().snapshot();
     for (name, snap) in [("snapshot", &writer_snap), ("reader", &reader_snap)] {
         check_scalar_reads(name, snap, oracle, &probes, &pairs)?;
         if snap.len() != sharded.len() {
@@ -387,13 +390,26 @@ fn apply_op(
     Ok(())
 }
 
+/// When the harness drains compaction work.
+#[derive(Clone, Copy, Debug)]
+enum Drain {
+    /// `quiesce()` on both maps after every op: each merge installs
+    /// before the next op, so tier shapes follow the op sequence alone.
+    EveryOp,
+    /// Never: merges overlap the op stream and install wherever
+    /// scheduling lands them.
+    FreeRunning,
+}
+
+const DRAINS: [Drain; 2] = [Drain::EveryOp, Drain::FreeRunning];
+
 fn run_sequence(
     seed: u64,
     splits: &[u64],
     kind: QueryKind,
     buffer_cap: usize,
     num_ops: usize,
-    mode: CompactionMode,
+    mode: Drain,
 ) {
     run_sequence_with(
         seed,
@@ -414,22 +430,25 @@ fn run_sequence_with(
     kind: QueryKind,
     buffer_cap: usize,
     num_ops: usize,
-    mode: CompactionMode,
+    mode: Drain,
     ingest: Ingest,
 ) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sharded: ShardedMap<u64, u64> =
-        ShardedMap::with_splits_config(splits.to_vec(), kind, buffer_cap)
-            .with_compaction_mode(mode);
-    let mut mirror: DynamicMap<u64, u64> =
-        DynamicMap::with_config(kind, buffer_cap).with_compaction_mode(mode);
+        ShardedMap::with_splits_config(splits.to_vec(), kind, buffer_cap);
+    let mut mirror: DynamicMap<u64, u64> = DynamicMap::with_config(kind, buffer_cap);
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut ops: Vec<Op> = Vec::with_capacity(num_ops);
     for i in 0..num_ops {
         let op = gen_op(&mut rng, i, ingest);
         ops.push(op.clone());
-        let result = apply_op(&mut sharded, &mut mirror, &mut oracle, &op)
-            .and_then(|()| check_full_state(&sharded, &mirror, &oracle));
+        let result = apply_op(&mut sharded, &mut mirror, &mut oracle, &op).and_then(|()| {
+            if let Drain::EveryOp = mode {
+                sharded.quiesce();
+                mirror.quiesce();
+            }
+            check_full_state(&mut sharded, &mirror, &oracle)
+        });
         if let Err(why) = result {
             let prefix: Vec<String> = ops.iter().map(|o| format!("  {o}")).collect();
             panic!(
@@ -447,7 +466,7 @@ fn run_sequence_with(
     sharded.quiesce();
     mirror.quiesce();
     assert!(!sharded.compaction_in_flight());
-    check_full_state(&sharded, &mirror, &oracle)
+    check_full_state(&mut sharded, &mirror, &oracle)
         .unwrap_or_else(|why| panic!("state diverged after quiesce (seed={seed:#x}): {why}"));
 }
 
@@ -468,7 +487,7 @@ fn sharded_differential_fixed_seeds() {
                 (QueryKind::BstPrefetch, 4),
                 (QueryKind::Sorted, 1),
             ] {
-                for mode in [CompactionMode::Inline, CompactionMode::Background] {
+                for mode in DRAINS {
                     run_sequence(seed, splits, kind, cap, 160, mode);
                 }
             }
@@ -493,11 +512,11 @@ fn sharded_differential_after_bulk_build() {
         for (k, v) in keys.into_iter().zip(values) {
             oracle.insert(k, v);
         }
-        check_full_state(&sharded, &mirror, &oracle).expect("bulk build state");
+        check_full_state(&mut sharded, &mirror, &oracle).expect("bulk build state");
         for i in 0..120 {
             let op = gen_op(&mut rng, 1000 + i, Ingest::Bulk);
             apply_op(&mut sharded, &mut mirror, &mut oracle, &op)
-                .and_then(|()| check_full_state(&sharded, &mirror, &oracle))
+                .and_then(|()| check_full_state(&mut sharded, &mirror, &oracle))
                 .unwrap_or_else(|why| {
                     panic!("bulk-build sharded fuzz diverged (seed={seed:#x}, op {i}): {why}")
                 });
@@ -505,7 +524,7 @@ fn sharded_differential_after_bulk_build() {
     }
 }
 
-/// Ingest × mode matrix over the sharded layer: the sharded map must
+/// Ingest × drain matrix over the sharded layer: the sharded map must
 /// stay bit-identical to the unsharded map and exact vs the oracle —
 /// shard-parallel bulk deltas included, with batches straddling every
 /// split.
@@ -514,7 +533,7 @@ fn sharded_differential_ingest_and_mode_matrix() {
     for seed in [0xE0_11C7u64, 0xE0_11C8] {
         for splits in &split_sets() {
             for ingest in [Ingest::PerKey, Ingest::Bulk] {
-                for mode in [CompactionMode::Inline, CompactionMode::Background] {
+                for mode in DRAINS {
                     run_sequence_with(seed, splits, QueryKind::Veb, 3, 140, mode, ingest);
                 }
             }
@@ -532,7 +551,7 @@ fn sharded_differential_long_sweep() {
     }
     for seed in 0..12u64 {
         for splits in &split_sets() {
-            for mode in [CompactionMode::Inline, CompactionMode::Background] {
+            for mode in DRAINS {
                 run_sequence(0x20_0000 + seed, splits, QueryKind::Veb, 3, 300, mode);
                 run_sequence(0x30_0000 + seed, splits, QueryKind::Btree(2), 1, 250, mode);
             }

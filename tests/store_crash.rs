@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use implicit_search_trees::store::{shard_dir_name, Manifest};
 use implicit_search_trees::{
-    CompactionMode, CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, ShardedMap, StoreConfig,
+    CrashModel, DynamicMap, FsyncPolicy, MemVfs, QueryKind, ShardedMap, StoreConfig,
 };
 
 /// Small key universe: overwrites, deletes of absent keys, and
@@ -91,6 +91,8 @@ fn workload(n: usize, seed: u64) -> Vec<Wop> {
         .collect()
 }
 
+/// Apply `op`, then drain the compaction it started: the workload's
+/// tier shapes, and so its write schedule, follow the ops alone.
 fn apply_map(map: &mut DynamicMap<u64, u64>, op: &Wop) {
     match op {
         Wop::Put(k, v) => {
@@ -106,6 +108,7 @@ fn apply_map(map: &mut DynamicMap<u64, u64>, op: &Wop) {
             map.batch_remove(keys);
         }
     }
+    map.quiesce();
 }
 
 fn apply_oracle(oracle: &mut BTreeMap<u64, u64>, op: &Wop) {
@@ -162,10 +165,9 @@ struct Drive {
 /// armed write budget kills the store. Never panics: a poisoned sink
 /// rejects writes, it does not abort.
 fn drive(vfs: &MemVfs, fsync: FsyncPolicy, ops: &[Wop]) -> Drive {
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, CAP).with_compaction_mode(CompactionMode::Inline);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
     for k in 0..PREPOP {
-        map.insert(k, k);
+        apply_map(&mut map, &Wop::Put(k, k));
     }
     if map.persist_to("db", cfg_on(vfs, fsync)).is_err() {
         return Drive {
@@ -405,10 +407,9 @@ fn clean_store(fsync: FsyncPolicy) -> (MemVfs, Vec<BTreeMap<u64, u64>>) {
     let ops = workload(48, 0xF11F);
     let committed = committed_states(&ops);
     let vfs = MemVfs::new();
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, CAP).with_compaction_mode(CompactionMode::Inline);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
     for k in 0..PREPOP {
-        map.insert(k, k);
+        apply_map(&mut map, &Wop::Put(k, k));
     }
     map.persist_to("db", cfg_on(&vfs, fsync)).unwrap();
     for op in &ops {
@@ -477,12 +478,12 @@ fn truncations_yield_typed_errors_or_valid_states() {
 #[test]
 fn poisoned_store_rejects_writes_and_keeps_reads() {
     let vfs = MemVfs::new();
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, CAP).with_compaction_mode(CompactionMode::Inline);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
     map.persist_to("db", cfg_on(&vfs, FsyncPolicy::Always))
         .unwrap();
     for k in 0..6u64 {
         assert!(!map.insert(k, k));
+        map.quiesce();
     }
     let len_before = map.len();
     // Kill the disk permanently (budget 0, never power-cycled).
@@ -573,9 +574,9 @@ struct ShardedDrive {
 
 fn drive_sharded(vfs: &MemVfs, ticks: &[Tick]) -> ShardedDrive {
     let mut map: ShardedMap<u64, u64> =
-        ShardedMap::with_splits_config(vec![SPLIT], QueryKind::Veb, CAP)
-            .with_compaction_mode(CompactionMode::Inline);
+        ShardedMap::with_splits_config(vec![SPLIT], QueryKind::Veb, CAP);
     map.batch_insert(sharded_prepop());
+    map.quiesce();
     let mut d = ShardedDrive {
         persist_ok: false,
         healthy: [0; 2],
@@ -600,6 +601,7 @@ fn drive_sharded(vfs: &MemVfs, ticks: &[Tick]) -> ShardedDrive {
             } else {
                 map.batch_remove(&tick.removes);
             }
+            map.quiesce();
             if map.store_error().is_some() {
                 d.acked = map.acked_records();
                 return d;

@@ -12,7 +12,7 @@ use implicit_search_trees::store::{
     RunHeader, RunReader, RunSections, ShardsFile, StoreConfig, WalWriter, MANIFEST_NAME,
     RUN_HEADER_LEN,
 };
-use implicit_search_trees::{CompactionMode, DynamicMap, QueryKind};
+use implicit_search_trees::{DynamicMap, QueryKind};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,12 +53,12 @@ where
         + 'static,
 {
     let vfs = Arc::new(MemVfs::new());
-    let mut map: DynamicMap<K, V> =
-        DynamicMap::with_config(kind, 4).with_compaction_mode(CompactionMode::Inline);
+    let mut map: DynamicMap<K, V> = DynamicMap::with_config(kind, 4);
     let mut oracle: BTreeMap<K, V> = BTreeMap::new();
     let put = |map: &mut DynamicMap<K, V>, oracle: &mut BTreeMap<K, V>, i: u64| {
         let (k, v) = (key_of(i % 23), val_of(i));
         map.insert(k.clone(), v.clone());
+        map.quiesce();
         oracle.insert(k, v);
     };
     for i in 0..40 {
@@ -67,6 +67,7 @@ where
     for i in 0..6 {
         let k = key_of(i * 3);
         map.remove(&k);
+        map.quiesce();
         oracle.remove(&k);
     }
     map.persist_to("db", mem_cfg(&vfs)).expect("persist_to");
@@ -93,6 +94,7 @@ where
             .filter_map(|(k, s)| s.clone().map(|v| (k.clone(), v)))
             .collect(),
     );
+    map.quiesce();
     map.batch_remove(
         &delta
             .iter()
@@ -100,6 +102,7 @@ where
             .map(|(k, _)| k.clone())
             .collect::<Vec<_>>(),
     );
+    map.quiesce();
     drop(map);
     let reopened = DynamicMap::<K, V>::open_with("db", mem_cfg(&vfs)).expect("open");
     assert_eq!(reopened.len(), oracle.len(), "kind={kind:?}");
@@ -159,13 +162,13 @@ const LAYOUT_CROSSOVER: usize = 1 << 18;
 fn run_file_kind_follows_the_run_length() {
     let vfs = Arc::new(MemVfs::new());
     let cap = LAYOUT_CROSSOVER / 2;
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, cap).with_compaction_mode(CompactionMode::Inline);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, cap);
     // Three sealing batches of distinct keys: the second merge folds
     // two half-crossover runs into one of exactly the crossover.
     for batch in 0..3u64 {
         let lo = batch * cap as u64;
         map.batch_insert((lo..lo + cap as u64).map(|k| (k, k)).collect());
+        map.quiesce();
     }
     assert_eq!(map.tier_versions(), vec![vec![cap], vec![LAYOUT_CROSSOVER]]);
     map.persist_to("db", mem_cfg(&vfs)).expect("persist");
@@ -296,10 +299,10 @@ fn run_file_rejects_every_truncation() {
 fn manifest_and_shards_reject_every_bit_flip() {
     let manifest = {
         let vfs = Arc::new(MemVfs::new());
-        let mut map: DynamicMap<u64, u64> =
-            DynamicMap::with_config(QueryKind::Veb, 2).with_compaction_mode(CompactionMode::Inline);
+        let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 2);
         for i in 0..9u64 {
             map.insert(i, i);
+            map.quiesce();
         }
         map.persist_to("db", mem_cfg(&vfs)).expect("persist");
         vfs.file_bytes(Path::new("db").join(MANIFEST_NAME).as_path())
@@ -370,29 +373,33 @@ fn golden_dir() -> PathBuf {
 }
 
 /// The deterministic workload behind the golden store: fixed ops, fixed
-/// buffer cap, inline compaction, single-threaded merges — every byte
-/// of the output is a pure function of the codec.
+/// buffer cap, compaction drained after every write, single-threaded
+/// merges — every byte of the output is a pure function of the codec.
 fn build_golden() -> (Arc<MemVfs>, BTreeMap<u64, u64>) {
     let vfs = Arc::new(MemVfs::new());
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 4);
     let mut oracle = BTreeMap::new();
     for i in 0..33u64 {
         let k = (i * 13) % 29;
         map.insert(k, i);
+        map.quiesce();
         oracle.insert(k, i);
     }
     for k in [0u64, 13, 26] {
         map.remove(&k);
+        map.quiesce();
         oracle.remove(&k);
     }
     map.persist_to("db", mem_cfg(&vfs)).expect("persist");
     // A WAL tail with all three record types.
     map.insert(100, 1);
+    map.quiesce();
     oracle.insert(100, 1);
     map.remove(&1);
+    map.quiesce();
     oracle.remove(&1);
     map.batch_insert(vec![(101, 2), (102, 3)]);
+    map.quiesce();
     oracle.insert(101, 2);
     oracle.insert(102, 3);
     drop(map);
@@ -464,21 +471,23 @@ fn golden_store_bytes_and_recovery() {
 fn v1_manifest_with_a_two_run_tier_opens_and_folds() {
     let vfs = Arc::new(MemVfs::new());
     let dir = Path::new("db");
-    let mut map: DynamicMap<u64, u64> =
-        DynamicMap::with_config(QueryKind::Veb, 4).with_compaction_mode(CompactionMode::Inline);
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 4);
     let mut oracle = BTreeMap::new();
     // Two seals fold keys 0..8 into tier 1; a third leaves a newer run
     // on tier 0 that overwrites, deletes and extends them, so the
     // order of the two runs decides what a read answers.
     for k in 0..8u64 {
         map.insert(k, 100 + k);
+        map.quiesce();
         oracle.insert(k, 100 + k);
     }
     for (k, v) in [(0u64, 200u64), (1, 201), (20, 220)] {
         map.insert(k, v);
+        map.quiesce();
         oracle.insert(k, v);
     }
     map.remove(&2);
+    map.quiesce();
     oracle.remove(&2);
     assert_eq!(map.tier_versions(), vec![vec![4], vec![8]]);
     map.persist_to(dir, mem_cfg(&vfs)).expect("persist");
@@ -497,11 +506,8 @@ fn v1_manifest_with_a_two_run_tier_opens_and_folds() {
             assert_eq!(map.rank(&k), oracle.range(..k).count(), "{when}: rank({k})");
         }
     };
-    let reopen = || {
-        DynamicMap::<u64, u64>::open_with(dir, mem_cfg(&vfs))
-            .expect("a two-run tier opens")
-            .with_compaction_mode(CompactionMode::Inline)
-    };
+    let reopen =
+        || DynamicMap::<u64, u64>::open_with(dir, mem_cfg(&vfs)).expect("a two-run tier opens");
     let mut map = reopen();
     assert_eq!(map.tier_versions(), vec![vec![], vec![4, 8]]);
     check(&map, &oracle, "reopened");
@@ -510,12 +516,14 @@ fn v1_manifest_with_a_two_run_tier_opens_and_folds() {
     // the second finds tiers 0 and 1 occupied and folds both away.
     for k in 30..34u64 {
         map.insert(k, k);
+        map.quiesce();
         oracle.insert(k, k);
     }
     assert_eq!(map.tier_versions(), vec![vec![4], vec![4, 8]]);
     check(&map, &oracle, "one seal later");
     for k in 34..38u64 {
         map.insert(k, k);
+        map.quiesce();
         oracle.insert(k, k);
     }
     assert!(
@@ -578,10 +586,10 @@ fn assert_golden_state(map: &DynamicMap<u64, u64>, oracle: &BTreeMap<u64, u64>, 
 ///   before size-adaptive runs wrote it: every merged run in the map's
 ///   vEB layout, where the current engine keeps runs that small sorted.
 ///
-/// Both fixtures compacted inline, so their L0 is empty; the L0 refs an
-/// engine leaves whenever a background merge is in flight are rebuilt
-/// by moving the newest run to L0, and that shape must open the same
-/// way.
+/// Both fixtures installed every compaction before the next write, so
+/// their L0 is empty; the L0 refs an engine leaves whenever a merge is
+/// in flight are rebuilt by moving the newest run to L0, and that shape
+/// must open the same way.
 #[test]
 fn golden_store_written_per_seal_opens_and_takes_a_write() {
     let (_, golden) = build_golden();
