@@ -5,9 +5,10 @@
 //! * base-`k` digit arithmetic and **digit reversal** (`rev_k`), the building
 //!   block of the involution-based permutation algorithms (Fich et al.;
 //!   Yang et al.),
-//! * modular arithmetic (extended Euclid, modular inverse) used by the
-//!   `J`-involutions of the k-way perfect shuffle,
-//! * perfect-tree size/height helpers shared by every layout.
+//! * modular arithmetic (extended Euclid, modular inverse): the reference
+//!   the `J`-involutions of the k-way perfect shuffle are tested against
+//!   (`ist_shuffle::j_involution` runs its own single Euclid pass),
+//! * perfect-tree shape and logarithm helpers shared by every layout.
 //!
 //! The paper parameterizes the cost of digit reversal as `T_REV_k(N)`:
 //! some architectures (e.g. the NVIDIA K40 evaluated on the GPU side) expose
@@ -23,9 +24,8 @@ pub mod digits;
 pub mod modular;
 pub mod tree;
 
-pub use digits::{from_digits, num_digits, rev2, rev2_software, rev_k, to_digits};
+pub use digits::{rev2, rev_k};
 pub use modular::{extended_gcd, gcd, mod_inverse, mod_mul};
 pub use tree::{
-    complete_bst_height, ilog, ilog2_floor, is_perfect_bst_size, is_perfect_btree_size,
-    perfect_bst_size, perfect_btree_height, perfect_btree_size,
+    ilog, ilog2_floor, is_perfect_bst_size, is_perfect_btree_size, perfect_btree_height,
 };

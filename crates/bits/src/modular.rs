@@ -9,9 +9,11 @@
 //! ```
 //!
 //! which requires computing modular inverses. The extended Euclidean
-//! algorithm here costs `O(log N)` — exactly the term that makes the
+//! algorithm costs `O(log N)` — exactly the term that makes the
 //! involution-based B-tree construction `O(N log N)` work in the paper
-//! (Proposition 2).
+//! (Proposition 2). `ist_shuffle::j_involution` fuses the gcd and the
+//! inverse into one Euclid pass; the separate steps here are the
+//! reference it is tested against.
 
 /// Greatest common divisor (binary-free Euclid; `gcd(0, b) = b`).
 ///
@@ -24,6 +26,7 @@
 /// assert_eq!(gcd(13, 27), 1);
 /// ```
 #[inline]
+// LINT-ALLOW(test-only-pub): test reference for `j_involution` (ist-shuffle) and `tests/properties.rs`
 pub fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
@@ -70,6 +73,7 @@ pub fn extended_gcd(a: i128, b: i128) -> (i128, i128, i128) {
 /// assert_eq!(mod_inverse(2, 4), None);    // not coprime
 /// assert_eq!(mod_inverse(1, 1), Some(0)); // degenerate modulus
 /// ```
+// LINT-ALLOW(test-only-pub): test reference for `j_involution` (ist-shuffle) and `tests/properties.rs`
 pub fn mod_inverse(a: u64, m: u64) -> Option<u64> {
     if m == 0 {
         return None;
@@ -94,6 +98,7 @@ pub fn mod_inverse(a: u64, m: u64) -> Option<u64> {
 /// });
 /// ```
 #[inline]
+// LINT-ALLOW(test-only-pub): test reference for `j_involution` (ist-shuffle) and `tests/properties.rs`
 pub fn mod_mul(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }

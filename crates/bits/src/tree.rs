@@ -49,20 +49,6 @@ pub fn ilog(k: u64, n: u64) -> u32 {
     e
 }
 
-/// Size of a perfect BST with `levels` levels: `2^levels − 1`.
-///
-/// # Examples
-/// ```
-/// use ist_bits::perfect_bst_size;
-/// assert_eq!(perfect_bst_size(0), 0);
-/// assert_eq!(perfect_bst_size(4), 15);
-/// ```
-#[inline]
-pub fn perfect_bst_size(levels: u32) -> u64 {
-    assert!(levels < 64);
-    (1u64 << levels) - 1
-}
-
 /// `true` iff `n = 2^d − 1` for some `d ≥ 1`.
 ///
 /// # Examples
@@ -76,21 +62,6 @@ pub fn perfect_bst_size(levels: u32) -> u64 {
 #[inline]
 pub fn is_perfect_bst_size(n: u64) -> bool {
     n > 0 && (n & (n + 1)) == 0
-}
-
-/// Number of elements in a perfect B-tree with branching factor `k = B + 1`
-/// and `node_levels` levels of nodes: `k^node_levels − 1`.
-///
-/// # Examples
-/// ```
-/// use ist_bits::perfect_btree_size;
-/// // B = 2 (3-way), 3 node levels: 26 elements (Figure 1.2 of the paper).
-/// assert_eq!(perfect_btree_size(3, 3), 26);
-/// ```
-#[inline]
-pub fn perfect_btree_size(k: u64, node_levels: u32) -> u64 {
-    assert!(k >= 2);
-    k.checked_pow(node_levels).expect("btree size overflows") - 1
 }
 
 /// `true` iff `n = k^m − 1` for some `m ≥ 1`.
@@ -127,21 +98,6 @@ pub fn perfect_btree_height(k: u64, n: u64) -> u32 {
     ilog(k, n + 1)
 }
 
-/// Number of levels of the complete BST on `n` vertices
-/// (`⌊log2 n⌋ + 1`).
-///
-/// # Examples
-/// ```
-/// use ist_bits::complete_bst_height;
-/// assert_eq!(complete_bst_height(1), 1);
-/// assert_eq!(complete_bst_height(15), 4);
-/// assert_eq!(complete_bst_height(16), 5);
-/// ```
-#[inline]
-pub fn complete_bst_height(n: u64) -> u32 {
-    ilog2_floor(n) + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,14 +112,13 @@ mod tests {
     #[test]
     fn perfect_sizes_roundtrip() {
         for d in 1..20u32 {
-            let n = perfect_bst_size(d);
+            let n = (1u64 << d) - 1;
             assert!(is_perfect_bst_size(n));
             assert!(!is_perfect_bst_size(n + 1));
-            assert_eq!(complete_bst_height(n), d);
         }
         for k in [2u64, 3, 9, 33] {
             for m in 1..6u32 {
-                let n = perfect_btree_size(k, m);
+                let n = k.pow(m) - 1;
                 assert!(is_perfect_btree_size(k, n));
                 assert_eq!(perfect_btree_height(k, n), m);
             }
@@ -187,8 +142,8 @@ mod tests {
         // All sizes between two perfect sizes share the lower height.
         let k = 4u64;
         for m in 1..5u32 {
-            let lo = perfect_btree_size(k, m);
-            let hi = perfect_btree_size(k, m + 1);
+            let lo = k.pow(m) - 1;
+            let hi = k.pow(m + 1) - 1;
             for n in [lo, lo + 1, (lo + hi) / 2, hi - 1] {
                 assert_eq!(perfect_btree_height(k, n), m, "n={n}");
             }

@@ -396,17 +396,26 @@ mod tests {
         }
     }
 
-    /// The machine rounds reproduce `ist_shuffle`'s slice shuffle.
+    /// The machine rounds reproduce an out-of-place k-way shuffle: deck
+    /// `l`'s element `j` lands at `j·k + l`.
     #[test]
-    fn shuffle_rounds_match_slice_shuffles() {
-        let k = 3usize;
-        let n = k * 41;
-        let pad = 5usize;
-        let mut via_machine: Vec<u32> = (0..(pad + n) as u32).collect();
-        let mut via_slices = via_machine.clone();
-        shuffle_mod_rounds(&mut Ram::seq(&mut via_machine), pad, pad + n, k);
-        ist_shuffle::shuffle_mod(&mut via_slices[pad..], k);
-        assert_eq!(via_machine, via_slices);
+    fn shuffle_rounds_match_reference_shuffle() {
+        for (k, m) in [(2usize, 1usize), (3, 41), (5, 16), (8, 33), (9, 100)] {
+            let n = k * m;
+            let pad = 5usize;
+            let mut via_machine: Vec<u32> = (0..(pad + n) as u32).collect();
+            shuffle_mod_rounds(&mut Ram::seq(&mut via_machine), pad, pad + n, k);
+            let mut expect = via_machine.clone();
+            for l in 0..k {
+                for j in 0..m {
+                    expect[pad + j * k + l] = (pad + l * m + j) as u32;
+                }
+            }
+            for (i, e) in expect.iter_mut().enumerate().take(pad) {
+                *e = i as u32;
+            }
+            assert_eq!(via_machine, expect, "k={k} m={m}");
+        }
     }
 
     /// `construct` on a sequential Ram matches the oracle for a sweep of
@@ -430,5 +439,153 @@ mod tests {
                 }
             }
         }
+    }
+
+    // -----------------------------------------------------------------
+    // Chapter 5: the overflow strip, against a stable partition.
+    // -----------------------------------------------------------------
+
+    /// Reference: stable partition into [full elements | overflow leaves].
+    fn reference_binary(n: usize) -> Vec<usize> {
+        let shape = CompleteShape::new(n);
+        let mut out: Vec<usize> = (0..n).filter(|&i| !shape.is_overflow(i)).collect();
+        out.extend((0..n).filter(|&i| shape.is_overflow(i)));
+        out
+    }
+
+    fn reference_btree(n: usize, b: usize) -> Vec<usize> {
+        let shape = BtreeCompleteShape::new(n, b);
+        let mut out: Vec<usize> = (0..n).filter(|&i| !shape.is_overflow(i)).collect();
+        out.extend((0..n).filter(|&i| shape.is_overflow(i)));
+        out
+    }
+
+    /// Strip `0..n` sequentially and in parallel; both must equal the
+    /// stable partition `expect`. (`assert!`, not `assert_eq!`: a failure
+    /// at N ≈ 10^6 should print the case, not two arrays.)
+    fn check(expect: &[usize], case: &str, strip: impl Fn(&mut [usize], bool)) {
+        for par in [false, true] {
+            let mut a: Vec<usize> = (0..expect.len()).collect();
+            strip(&mut a, par);
+            assert!(a == expect, "{case} par={par}");
+        }
+    }
+
+    fn check_binary(n: usize) {
+        let shape = CompleteShape::new(n);
+        check(&reference_binary(n), &format!("binary n={n}"), |a, par| {
+            strip_overflow_binary(&mut Ram::with_mode(a, par), shape)
+        });
+    }
+
+    fn check_btree(n: usize, b: usize) {
+        let shape = BtreeCompleteShape::new(n, b);
+        check(
+            &reference_btree(n, b),
+            &format!("btree n={n} b={b}"),
+            |a, par| strip_overflow_btree(&mut Ram::with_mode(a, par), shape),
+        );
+    }
+
+    /// The smallest `n` whose complete `(b+1)`-ary tree has `q` full
+    /// overflow leaf nodes and a partial one of `s` keys.
+    fn btree_len(b: usize, q: usize, s: usize) -> usize {
+        let (k, l) = (b + 1, q * b + s);
+        let mut leaf_nodes = k; // nodes of the first level that can overflow
+        while l >= leaf_nodes * b {
+            leaf_nodes *= k;
+        }
+        let n = leaf_nodes - 1 + l;
+        let shape = BtreeCompleteShape::new(n, b);
+        assert_eq!(
+            (shape.full_overflow_nodes(), shape.partial_node_len()),
+            (q, s),
+            "n={n} b={b}"
+        );
+        n
+    }
+
+    #[test]
+    fn strip_binary_all_sizes() {
+        for n in 1..700usize {
+            check_binary(n);
+        }
+    }
+
+    #[test]
+    fn strip_btree_all_sizes() {
+        for b in [1usize, 2, 3, 8] {
+            let k = b + 1;
+            for n in 1..(k.pow(3) + k.pow(2)).max(400) {
+                check_btree(n, b);
+            }
+        }
+    }
+
+    /// Run counts chosen by their base-`(b+1)` digits — the extended
+    /// gather splits on the leading digit and recurses on the rest —
+    /// crossed with the partial-node lengths that do and do not need the
+    /// extra shift.
+    #[test]
+    fn strip_btree_run_counts_by_digit_pattern() {
+        for b in [1usize, 2, 3, 8] {
+            let k = b + 1;
+            let mut qs = Vec::new();
+            for j in 1..=5u32 {
+                let p = k.pow(j);
+                // 10…0 − 1, 10…0, 10…01, a0…0 (two values of a), b0…01,
+                // and a second non-zero digit in the middle.
+                let mid = p + k.pow(j / 2);
+                qs.extend([p - 1, p, p + 1, 2.min(b) * p, b * p, b * p + 1, mid]);
+            }
+            qs.sort_unstable();
+            qs.dedup();
+            // Debug-build time: 9^5 runs of 8 keys is 0.5 M elements; the
+            // multiples of 9^5 are left to `strip_million_keys`.
+            qs.retain(|q| q * k <= 600_000);
+            let mut partials = vec![0, 1.min(b - 1), b - 1];
+            partials.dedup();
+            for &q in &qs {
+                for &s in &partials {
+                    check_btree(btree_len(b, q, s), b);
+                }
+            }
+        }
+    }
+
+    /// One overflow leaf, and a last level one key short of full.
+    #[test]
+    fn strip_extreme_overflow_counts() {
+        for d in 1..=12u32 {
+            check_binary(1 << d);
+            check_binary((1 << (d + 1)) - 2);
+        }
+        for b in [1usize, 2, 3, 8] {
+            let k = b + 1;
+            for levels in 1..=4u32 {
+                check_btree(k.pow(levels), b);
+                check_btree(k.pow(levels + 1) - 2, b);
+            }
+        }
+    }
+
+    /// Large enough that the parallel `Ram` leaves its sequential
+    /// grains: spawned task groups, parallel gathers and rotations.
+    #[test]
+    fn strip_million_keys() {
+        check_binary(1_000_000);
+        check_btree(1_000_000, 8);
+        check_btree(btree_len(8, 2 * 9usize.pow(5) + 9, 1), 8);
+    }
+
+    #[test]
+    fn strip_keeps_prefix_and_suffix_sorted() {
+        let n = 12345usize;
+        let shape = CompleteShape::new(n);
+        let mut v: Vec<usize> = (0..n).collect();
+        strip_overflow_binary(&mut Ram::par(&mut v), shape);
+        let i = shape.full_count();
+        assert!(v[..i].windows(2).all(|w| w[0] < w[1]));
+        assert!(v[i..].windows(2).all(|w| w[0] < w[1]));
     }
 }

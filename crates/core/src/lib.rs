@@ -27,7 +27,19 @@
 //! leaf level is first moved, in place, to the array's suffix; the
 //! remaining elements form a perfect tree. The resulting format is
 //! `[perfect layout | sorted overflow leaves]` (see
-//! [`ist_layout::complete`]), which `ist-query` searches natively.
+//! [`ist_layout::complete`]), which `ist-query` searches natively. The
+//! strip is cycle-leader primitives only — one extended gather over the
+//! overflow runs, then circular shifts — for every layout and both
+//! families.
+//!
+//! **Documented deviation from the paper:** for the vEB layout the paper
+//! re-interleaves overflow leaves into the recursive bottom subtrees so
+//! that the final array is a pure vEB layout of the complete tree. We
+//! instead keep the `[perfect | overflow]` format for all three layouts.
+//! This preserves in-placeness, the cycle-leader family's work/depth
+//! bounds, and query correctness, at the cost of one extra cache line
+//! touched per query that ends in the suffix (README, "Array format for
+//! arbitrary sizes").
 //!
 //! Every algorithm is implemented **once**, in [`algorithms`], generic
 //! over the [`Machine`] execution substrate: [`permute_in_place`] runs it
@@ -49,14 +61,9 @@
 #![forbid(unsafe_code)]
 
 pub mod algorithms;
-pub mod cycle_leader;
-pub mod fich_baseline;
-pub mod involution;
-pub mod nonperfect;
 pub mod oracle;
 
 pub use algorithms::construct;
-pub use fich_baseline::fich_baseline;
 pub use ist_layout::LayoutKind;
 pub use ist_machine::{GatherMode, IndexArith, Machine, Ram, Region};
 pub use oracle::reference_permutation;
@@ -188,24 +195,26 @@ mod tests {
 
     #[test]
     fn perfect_bst_sizes() {
-        for d in 1..=14u32 {
+        for d in 1..=15u32 {
             check((1 << d) - 1, Layout::Bst);
         }
     }
 
+    /// Both parities of `d` up to 16: odd heights gather two halves and
+    /// join them with one shift, even heights gather once.
     #[test]
     fn perfect_veb_sizes() {
-        for d in 1..=14u32 {
+        for d in 1..=16u32 {
             check((1 << d) - 1, Layout::Veb);
         }
     }
 
     #[test]
     fn perfect_btree_sizes() {
-        for b in [1usize, 2, 3, 7] {
+        for b in [1usize, 2, 3, 7, 8] {
             for m in 1..=4u32 {
                 let n = (b + 1).pow(m) - 1;
-                if n <= 1 << 14 {
+                if n <= 1 << 15 {
                     check(n, Layout::Btree { b });
                 }
             }

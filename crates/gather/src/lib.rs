@@ -27,19 +27,15 @@
 //!   then one circular shift per block (§3.1),
 //! * [`chunked`] — the same operation on *chunks* of `C` elements treated
 //!   as units (used at every level of the B-tree algorithm; I/O-efficient
-//!   because every move is a `C`-element swap),
-//! * [`extended`] — the **extended** equidistant gather (`r > l`) built by
-//!   recursive partitioning (§3.2),
-//! * [`transpose`] — the I/O-optimized variant that makes each cycle
-//!   contiguous via row shifts + an in-place matrix transpose (§4.2).
+//!   because every move is a `C`-element swap).
+//!
+//! These are `Ram`'s gather primitives. The **extended** equidistant
+//! gather (`r > l`, §3.2) is composed from them once, generic over the
+//! machine, in `ist_core::algorithms`.
 
 pub mod chunked;
-pub mod extended;
-pub mod transpose;
 
 pub use chunked::{equidistant_gather_chunks, equidistant_gather_chunks_par, swap_halves_par};
-pub use extended::{extended_equidistant_gather, extended_equidistant_gather_par};
-pub use transpose::equidistant_gather_transposed;
 
 use ist_perm::SharedSlice;
 use rayon::prelude::*;
@@ -204,6 +200,7 @@ pub(crate) fn check_params(n: usize, r: usize, l: usize) {
 }
 
 /// Out-of-place reference implementation used by tests and oracles.
+// LINT-ALLOW(test-only-pub): test reference for `tests/properties.rs`'s `gather_matches_reference`
 pub fn reference_gather<T: Clone>(data: &[T], r: usize, l: usize) -> Vec<T> {
     check_params(data.len(), r, l);
     let mut out = Vec::with_capacity(data.len());

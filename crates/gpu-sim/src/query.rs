@@ -184,6 +184,7 @@ pub fn per_query_cost(gpu: &Gpu, kind: GpuQueryKind, sample_keys: &[u64]) -> f64
 /// descent step), produced by the exact lane machinery
 /// [`per_query_cost`] prices — the gpu-sim leg of the
 /// navigator-equivalence suite.
+// LINT-ALLOW(test-only-pub): the gpu-sim leg of `tests/navigator_equivalence.rs`
 pub fn lane_node_trace(data: &[u64], kind: GpuQueryKind, key: u64) -> Vec<usize> {
     let mut lane = make_lane(kind, key, data);
     let mut trace = Vec::new();

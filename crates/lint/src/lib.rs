@@ -8,6 +8,10 @@
 //! marks `#[cfg(test)]` regions, and the lints ([`lints`]) pattern-match
 //! the token stream.
 //!
+//! Every lint but one reads a file at a time; `test-only-pub`
+//! ([`test_only`]) reads the whole walk, since whether a `pub` item has a
+//! production use is a fact about the workspace.
+//!
 //! ## Quickstart
 //!
 //! ```text
@@ -39,8 +43,10 @@ use std::path::{Path, PathBuf};
 
 pub mod lexer;
 pub mod lints;
+pub mod test_only;
 
 pub use lints::{check_file, classify, Diagnostic, FileClass, LINT_NAMES};
+pub use test_only::check_test_only_pub;
 
 /// Directories never descended into during the workspace walk.
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github"];
@@ -76,16 +82,21 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Lint the whole workspace under `root`. Unreadable files are skipped
+/// Lint the whole workspace under `root`: every per-file lint, then
+/// the workspace-wide `test-only-pub`. Unreadable files are skipped
 /// (the walk itself surfaces I/O errors).
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let mut all = Vec::new();
+    let mut files = Vec::new();
     for rel in collect_rs_files(root)? {
-        let Ok(src) = fs::read_to_string(root.join(&rel)) else {
-            continue;
-        };
-        all.extend(check_file(&rel, classify(&rel), &src));
+        if let Ok(src) = fs::read_to_string(root.join(&rel)) {
+            files.push((rel, src));
+        }
     }
+    let mut all = Vec::new();
+    for (rel, src) in &files {
+        all.extend(check_file(rel, classify(rel), src));
+    }
+    all.extend(check_test_only_pub(&files));
     Ok(all)
 }
 

@@ -9,6 +9,7 @@
 //! | `relaxed-ordering-needs-justification` | every `Ordering::Relaxed` carries an adjacent comment |
 //! | `serve-no-panic` | no `unwrap`/`expect`/`panic!`-family/indexing in `crates/serve` non-test code |
 //! | `bad-lint-allow` | every `LINT-ALLOW` names a known lint and gives a reason |
+//! | `test-only-pub` | every free `pub` item under `crates/*/src` is named by some non-test code (workspace-wide; [`crate::test_only`]) |
 //!
 //! Suppression syntax, on the offending line or the comment block
 //! directly above it:
@@ -30,6 +31,7 @@ pub const LINT_NAMES: &[&str] = &[
     "relaxed-ordering-needs-justification",
     "serve-no-panic",
     "bad-lint-allow",
+    "test-only-pub",
 ];
 
 /// One finding: a named lint firing at a file:line.
@@ -99,7 +101,7 @@ fn parse_allow(text: &str) -> Option<(&str, &str)> {
     Some((name, reason))
 }
 
-fn is_suppressed(lexed: &Lexed, d: &Diagnostic) -> bool {
+pub(crate) fn is_suppressed(lexed: &Lexed, d: &Diagnostic) -> bool {
     lexed.comment_context(d.line).iter().any(|c| {
         parse_allow(c).is_some_and(|(name, reason)| {
             name == d.lint && !reason.is_empty() && LINT_NAMES.contains(&name)

@@ -1,7 +1,7 @@
 //! Per-lint fixture tests: each lint proven to fire on a minimal
 //! violation and stay silent on the compliant twin.
 
-use ist_lint::{check_file, Diagnostic, FileClass};
+use ist_lint::{check_file, check_test_only_pub, Diagnostic, FileClass};
 
 fn lints_at(diags: &[Diagnostic], lint: &str) -> Vec<u32> {
     diags
@@ -248,4 +248,61 @@ fn classify_by_path_segments() {
     assert_eq!(classify("crates/dynamic/tests/x.rs"), FileClass::Test);
     assert_eq!(classify("crates/bench/benches/b.rs"), FileClass::Bench);
     assert_eq!(classify("examples/e.rs"), FileClass::Example);
+}
+
+fn test_only_pub(files: &[(&str, &str)]) -> Vec<(String, u32)> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+    check_test_only_pub(&files)
+        .into_iter()
+        .map(|d| (d.file, d.line))
+        .collect()
+}
+
+const PRIMS: &str = "\
+pub fn cfg_test_only() {}
+pub fn tests_dir_only() {}
+pub fn reexported_only() {}
+pub fn production() { production(); }
+pub struct Used;
+impl Used {
+    pub fn method_out_of_scope() {}
+}
+pub(crate) fn crate_visible() {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { super::cfg_test_only(); }
+}
+";
+
+#[test]
+fn test_only_pub_reports_items_only_tests_or_reexports_name() {
+    let d = test_only_pub(&[
+        ("crates/prims/src/lib.rs", PRIMS),
+        (
+            "crates/prims/tests/t.rs",
+            "#[test]\nfn t() { prims::tests_dir_only(); }\n",
+        ),
+        ("src/lib.rs", "pub use prims::{reexported_only, Used};\n"),
+        (
+            "examples/e.rs",
+            "fn main() { prims::production(); let _ = prims::Used; }\n",
+        ),
+    ]);
+    let at = |line| ("crates/prims/src/lib.rs".to_string(), line);
+    // The recursive call inside `production` alone would not have saved it.
+    assert_eq!(d, vec![at(1), at(2), at(3)]);
+}
+
+#[test]
+fn test_only_pub_allow_and_scope() {
+    let allowed = "// LINT-ALLOW(test-only-pub): fixture reference\npub fn oracle() {}\n";
+    assert!(test_only_pub(&[("crates/prims/src/lib.rs", allowed)]).is_empty());
+    // Items outside `crates/*/src` (the facade, examples) are roots, not checked.
+    assert!(test_only_pub(&[("src/lib.rs", "pub fn facade_api() {}\n")]).is_empty());
+    let recursive = "pub fn walk(n: u32) -> u32 { if n == 0 { 0 } else { walk(n - 1) } }\n";
+    assert_eq!(test_only_pub(&[("crates/p/src/a.rs", recursive)]).len(), 1);
 }

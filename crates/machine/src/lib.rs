@@ -165,7 +165,7 @@ pub trait Machine {
 }
 
 /// Below this many elements the parallel Ram backend keeps an involution
-/// round on the calling thread (same grain as `ist_perm`'s).
+/// round on the calling thread.
 const RAM_PAR_GRAIN: usize = 1 << 13;
 
 /// What one element of a [`Ram::run_tasks`] region costs its task, in

@@ -134,10 +134,12 @@ mod tests {
         let mut cl = TrackedArray::from_sorted(n, c);
         cycle_leader_veb(&mut cl);
         let (qi, qc) = (inv.stats().total(), cl.stats().total());
-        // The traced gather is the practical non-transposed variant, so
-        // its stage-1 cycles still stride; the savings come from the
-        // blocked rotations (factor ~2.5-3x here; the full factor-B gap
-        // needs the transpose optimization of §4.2).
+        // The traced gather is the cycle gather every backend runs, so its
+        // stage-1 cycles still stride; the savings come from the blocked
+        // rotations (factor ~2.5-3x here). The full factor-B gap needs
+        // §4.2's row-shift + transpose variant, which the workspace does
+        // not implement: in RAM it measured 10 × slower than the cycle
+        // gather, so no backend would run it.
         assert!(
             qc * 2 < qi,
             "cycle-leader should be much cheaper: inv={qi} cl={qc}"

@@ -33,50 +33,6 @@ where
         .collect()
 }
 
-/// Check whether `f` restricted to `[0, n)` is a permutation.
-///
-/// # Examples
-/// ```
-/// use ist_perm::is_permutation;
-/// assert!(is_permutation(4, |i| (i + 2) % 4));
-/// assert!(!is_permutation(4, |i| i / 2));
-/// ```
-pub fn is_permutation<F>(n: usize, f: F) -> bool
-where
-    F: Fn(usize) -> usize,
-{
-    let mut seen = vec![false; n];
-    for i in 0..n {
-        let j = f(i);
-        if j >= n || seen[j] {
-            return false;
-        }
-        seen[j] = true;
-    }
-    true
-}
-
-/// Materialize the inverse of permutation `f` on `[0, n)` as a table.
-///
-/// # Examples
-/// ```
-/// use ist_perm::invert_permutation;
-/// let inv = invert_permutation(4, |i| (i + 1) % 4);
-/// assert_eq!(inv, vec![3, 0, 1, 2]);
-/// ```
-pub fn invert_permutation<F>(n: usize, f: F) -> Vec<usize>
-where
-    F: Fn(usize) -> usize,
-{
-    let mut inv = vec![usize::MAX; n];
-    for i in 0..n {
-        let j = f(i);
-        assert!(j < n && inv[j] == usize::MAX, "not a permutation");
-        inv[j] = i;
-    }
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,16 +43,10 @@ mod tests {
         let pi = |i: usize| (i * 5 + 3) % n;
         let data: Vec<usize> = (0..n).collect();
         let permuted = apply_out_of_place(&data, pi);
-        let inv = invert_permutation(n, pi);
-        let back = apply_out_of_place(&permuted, |i| inv[i]);
+        // 5 · 13 ≡ 1 (mod 64), so i ↦ 13·(i − 3) inverts pi.
+        let back = apply_out_of_place(&permuted, |i| (i + n - 3) * 13 % n);
         assert_eq!(back, data);
-    }
-
-    #[test]
-    fn validation_catches_bad_maps() {
-        assert!(!is_permutation(3, |_| 5));
-        assert!(is_permutation(0, |i| i));
-        assert!(is_permutation(1, |i| i));
+        assert_eq!(permuted[pi(7)], 7);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Applying involutions in place, sequentially and in parallel.
+//! Applying an involution in place.
 //!
 //! An involution `f` on `[0, n)` satisfies `f(f(i)) = i`, so it decomposes
 //! into fixed points and disjoint transpositions `{i, f(i)}`. Applying it
@@ -6,40 +6,23 @@
 //! once. We process pair `{i, f(i)}` at its smaller endpoint, which makes
 //! the swap set trivially disjoint and hence safe to execute in parallel
 //! (this is the CREW PRAM `O(1)`-depth, `O(N)`-work primitive the paper's
-//! involution algorithms are built on).
-
-use crate::shared::SharedSlice;
-use rayon::prelude::*;
-
-/// Minimum number of indices per rayon task; below this the overhead of
-/// spawning dominates the swaps themselves.
-const PAR_GRAIN: usize = 1 << 13;
-
-/// Apply involution `f` over index range `[0, data.len())`, sequentially.
-///
-/// `f` must satisfy `f(f(i)) = i` and `f(i) < data.len()` for all `i`;
-/// violations are caught by debug assertions (self-inverse is checked per
-/// index) and will otherwise scramble data rather than cause UB.
-///
-/// # Examples
-/// ```
-/// use ist_perm::apply_involution;
-/// let mut v = vec![0, 1, 2, 3, 4, 5, 6, 7];
-/// let n = v.len();
-/// apply_involution(&mut v, |i| n - 1 - i); // reversal is an involution
-/// assert_eq!(v, vec![7, 6, 5, 4, 3, 2, 1, 0]);
-/// ```
-pub fn apply_involution<T, F>(data: &mut [T], f: F)
-where
-    F: Fn(usize) -> usize,
-{
-    apply_involution_range(data, 0, data.len(), f)
-}
+//! involution algorithms are built on). This module is the sequential
+//! round; `ist_machine::Ram` runs the same rule across threads over a
+//! [`crate::SharedSlice`].
 
 /// Apply involution `f` restricted to indices in `[lo, hi)`.
 ///
-/// `f` must map `[lo, hi)` into itself. Pairs are swapped at their smaller
-/// endpoint.
+/// `f` must map `[lo, hi)` into itself and satisfy `f(f(i)) = i`;
+/// violations are caught by debug assertions and will otherwise scramble
+/// data rather than cause UB. Pairs are swapped at their smaller endpoint.
+///
+/// # Examples
+/// ```
+/// use ist_perm::apply_involution_range;
+/// let mut v = vec![0, 1, 2, 3, 4, 5, 6, 7];
+/// apply_involution_range(&mut v, 0, 8, |i| 7 - i); // reversal is an involution
+/// assert_eq!(v, vec![7, 6, 5, 4, 3, 2, 1, 0]);
+/// ```
 pub fn apply_involution_range<T, F>(data: &mut [T], lo: usize, hi: usize, f: F)
 where
     F: Fn(usize) -> usize,
@@ -58,70 +41,9 @@ where
     }
 }
 
-/// Apply involution `f` over all of `data` in parallel.
-///
-/// Semantically identical to [`apply_involution`]; the index range is
-/// partitioned into chunks processed by rayon work-stealing tasks. Each
-/// unordered pair `{i, f(i)}` is swapped exactly once, by the task owning
-/// the smaller endpoint — pairs are disjoint, so concurrent tasks never
-/// touch the same element.
-///
-/// `f` must be an involution on `[0, data.len())` (checked by debug
-/// assertions).
-///
-/// # Examples
-/// ```
-/// use ist_perm::apply_involution_par;
-/// let n = 1 << 16;
-/// let mut v: Vec<u32> = (0..n).collect();
-/// apply_involution_par(&mut v, |i| (i as u32 ^ 1) as usize); // swap even/odd pairs
-/// assert!(v.chunks(2).all(|c| c[0] == c[1] + 1));
-/// ```
-pub fn apply_involution_par<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize) -> usize + Sync,
-{
-    let n = data.len();
-    if n < PAR_GRAIN * 2 {
-        return apply_involution(data, f);
-    }
-    let shared = SharedSlice::new(data);
-    (0..n)
-        .into_par_iter()
-        .with_min_len(PAR_GRAIN)
-        .for_each(|i| {
-            let j = f(i);
-            debug_assert!(j < n, "involution out of bounds: f({i}) = {j}");
-            debug_assert_eq!(f(j), i, "not an involution at {i}");
-            if i < j {
-                // SAFETY: pair {i, j} with i < j is processed only by the
-                // iteration at index i; distinct iterations own distinct
-                // pairs because f is an involution, so no two concurrent
-                // tasks access the same element. Bounds checked above.
-                unsafe { shared.swap(i, j) };
-            }
-        });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn reversal(n: usize) -> impl Fn(usize) -> usize {
-        move |i| n - 1 - i
-    }
-
-    #[test]
-    fn seq_and_par_agree() {
-        for n in [0usize, 1, 2, 3, 100, 1 << 15, (1 << 15) + 7] {
-            let mut a: Vec<u64> = (0..n as u64).collect();
-            let mut b = a.clone();
-            apply_involution(&mut a, reversal(n));
-            apply_involution_par(&mut b, reversal(n));
-            assert_eq!(a, b, "n={n}");
-        }
-    }
 
     #[test]
     fn involution_twice_is_identity() {
@@ -130,8 +52,9 @@ mod tests {
         let mut v = orig.clone();
         // XOR-with-mask style involution with fixed points at the tail.
         let f = move |i: usize| if i ^ 5 < n { i ^ 5 } else { i };
-        apply_involution(&mut v, f);
-        apply_involution(&mut v, f);
+        apply_involution_range(&mut v, 0, n, f);
+        assert_ne!(v, orig);
+        apply_involution_range(&mut v, 0, n, f);
         assert_eq!(v, orig);
     }
 
@@ -147,7 +70,7 @@ mod tests {
     fn identity_involution_is_noop() {
         let mut v: Vec<u32> = (0..100).collect();
         let orig = v.clone();
-        apply_involution(&mut v, |i| i);
+        apply_involution_range(&mut v, 0, 100, |i| i);
         assert_eq!(v, orig);
     }
 }

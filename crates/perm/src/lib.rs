@@ -10,33 +10,29 @@
 //!   *in place* and *in parallel* as one round of independent swaps.
 //!   Every permutation is a product of two involutions; when the two factors
 //!   are known (as they are for digit reversals and the `J` maps), the whole
-//!   permutation is two parallel swap rounds. See [`involution`].
+//!   permutation is two parallel swap rounds. See [`involution`] (the
+//!   sequential round behind `Ram`'s small involution rounds) and
+//!   [`shared`] (the disjoint-access slice view its parallel rounds use).
 //! * **Cycle-leader**: when the disjoint cycles of `π` are enumerable, each
-//!   cycle is rotated independently. See [`cycles`].
+//!   cycle is rotated independently — the equidistant gathers of
+//!   `ist-gather`.
 //!
-//! The crate also provides the sequential in-place algorithm of
-//! Fich–Munro–Poblete for permuting *sorted* data given `π` and `π⁻¹`
-//! ([`fich`]), used as a baseline, and out-of-place reference application
-//! plus permutation validation ([`apply`]) used by the test oracles.
+//! The crate also provides the out-of-place reference application
+//! ([`apply`]) that the construction oracle is built on.
 //!
 //! Because the layout permutations are **data-oblivious** (position
 //! depends only on `n` and the layout, never on element values), any
 //! payload array co-indexed with a key array can ride the same
 //! permutation without ever being compared — the [`oblivious`] module
 //! spells out the argument and provides the in-place co-permutation
-//! entry points ([`permute_by_gather`], [`co_permute_by_gather`]) that
-//! `StaticMap<K, V>` is built on.
+//! ([`co_permute_by_gather`]) that `StaticMap<K, V>` is built on.
 
 pub mod apply;
-pub mod cycles;
-pub mod fich;
 pub mod involution;
 pub mod oblivious;
 pub mod shared;
 
-pub use apply::{apply_out_of_place, invert_permutation, is_permutation};
-pub use cycles::{cycle_decomposition, rotate_cycle};
-pub use fich::permute_sorted_in_place;
-pub use involution::{apply_involution, apply_involution_par, apply_involution_range};
-pub use oblivious::{co_permute_by_gather, permute_by_gather};
+pub use apply::apply_out_of_place;
+pub use involution::apply_involution_range;
+pub use oblivious::co_permute_by_gather;
 pub use shared::SharedSlice;

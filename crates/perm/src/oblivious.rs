@@ -23,39 +23,18 @@
 //! permutation (this module), then run the oblivious layout permutation
 //! over each array separately.
 //!
-//! The entry points here cover the step the analytic machinery does
+//! The entry point here covers the step the analytic machinery does
 //! not: applying an **explicitly tabulated** permutation (e.g. a sort's
 //! argsort) in place, following cycles with `n` visited bytes of scratch —
 //! the in-place counterpart of [`crate::apply_out_of_place`].
 //!
 //! [`ist_core::permute_in_place`]: https://docs.rs/ist-core
 
-/// Apply a gather-form permutation to `data` in place:
-/// afterwards `data[j]` holds the element previously at `idx[j]`.
-///
-/// Follows the permutation's cycles with one visited byte of scratch
-/// per element (`O(n)` time and space); `idx` is left untouched, so it can be
-/// re-applied to further parallel arrays — though
-/// [`co_permute_by_gather`] moves two arrays in a single cycle walk.
-///
-/// # Panics
-/// Panics if `idx` is not a permutation of `0..data.len()`.
-///
-/// # Examples
-/// ```
-/// use ist_perm::permute_by_gather;
-/// let mut v = vec!['a', 'b', 'c', 'd'];
-/// // Sorted-by-some-argsort order: take 2, 0, 3, 1.
-/// permute_by_gather(&mut v, &[2, 0, 3, 1]);
-/// assert_eq!(v, vec!['c', 'a', 'd', 'b']);
-/// ```
-pub fn permute_by_gather<T>(data: &mut [T], idx: &[usize]) {
-    walk_cycles(idx, data.len(), |prev, cur| data.swap(prev, cur));
-}
-
 /// Apply one gather-form permutation to **two** parallel arrays in a
 /// single cycle walk: afterwards `a[j]`/`b[j]` hold the elements
-/// previously at `a[idx[j]]`/`b[idx[j]]`.
+/// previously at `a[idx[j]]`/`b[idx[j]]`. Follows the permutation's
+/// cycles with one visited byte of scratch per element (`O(n)` time and
+/// space); `idx` is left untouched.
 ///
 /// This is the workhorse of `StaticMap::build`: `idx` is the keys'
 /// argsort, `a` the keys, `b` the payloads — the payloads follow the
@@ -112,21 +91,22 @@ fn walk_cycles(idx: &[usize], n: usize, mut swap: impl FnMut(usize, usize)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply_out_of_place;
-    use crate::invert_permutation;
+
+    /// `co_permute_by_gather` on `(data, scratch)`: the first array.
+    fn gathered(data: &[usize], idx: &[usize]) -> Vec<usize> {
+        let mut got = data.to_vec();
+        let mut other = vec![(); data.len()];
+        co_permute_by_gather(&mut got, &mut other, idx);
+        got
+    }
 
     #[test]
     fn gather_matches_out_of_place_reference() {
-        // gather by idx == out-of-place apply of idx's inverse
-        // (out[j] = in[idx[j]]  <=>  out[inv(i)] = in[i]).
         let n = 97usize;
         let idx: Vec<usize> = (0..n).map(|i| (i * 31 + 5) % n).collect();
         let data: Vec<usize> = (0..n).map(|i| i * 10).collect();
-        let inv = invert_permutation(n, |i| idx[i]);
-        let expect = apply_out_of_place(&data, |i| inv[i]);
-        let mut got = data.clone();
-        permute_by_gather(&mut got, &idx);
-        assert_eq!(got, expect);
+        let expect: Vec<usize> = idx.iter().map(|&i| data[i]).collect();
+        assert_eq!(gathered(&data, &idx), expect);
     }
 
     #[test]
@@ -144,24 +124,25 @@ mod tests {
 
     #[test]
     fn identity_and_empty() {
-        let mut v: Vec<u8> = vec![9, 8, 7];
-        permute_by_gather(&mut v, &[0, 1, 2]);
-        assert_eq!(v, vec![9, 8, 7]);
-        let mut e: Vec<u8> = vec![];
-        permute_by_gather(&mut e, &[]);
+        assert_eq!(gathered(&[9, 8, 7], &[0, 1, 2]), vec![9, 8, 7]);
+        assert!(gathered(&[], &[]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "not a permutation")]
     fn rejects_duplicates() {
-        let mut v = vec![1, 2, 3];
-        permute_by_gather(&mut v, &[0, 0, 1]);
+        gathered(&[1, 2, 3], &[0, 0, 1]);
     }
 
     #[test]
     #[should_panic(expected = "whole array")]
     fn rejects_short_maps() {
-        let mut v = vec![1, 2, 3];
-        permute_by_gather(&mut v, &[0, 1]);
+        gathered(&[1, 2, 3], &[0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn rejects_mismatched_arrays() {
+        co_permute_by_gather(&mut [1, 2], &mut [1], &[0, 1]);
     }
 }

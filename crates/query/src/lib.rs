@@ -17,8 +17,7 @@
 //! layout-agnostic drivers over the trait:
 //!
 //! * the **scalar** engine (`nav` module) — one descent at a time, early
-//!   exit on equality — behind [`search_bst`], [`search_btree`],
-//!   [`search_veb`], and the point methods of [`Searcher`];
+//!   exit on equality — behind the point methods of [`Searcher`];
 //! * the **software-pipelined** windowed engine (the `batch` module) — a
 //!   window of descents advanced level-synchronously with navigator
 //!   prefetches — behind the batch methods;
@@ -83,7 +82,7 @@ mod wide;
 
 pub use wide::SimdKey;
 
-use nav::{BinaryShape, BstNav, BtreeNav, BtreeSearchShape, VebNav};
+use nav::{BinaryShape, BtreeSearchShape};
 
 /// Instantiate the navigator matching a [`Searcher`]'s shape and run
 /// `$body` with it — the single point where shape tags become concrete
@@ -120,80 +119,6 @@ macro_rules! dispatch_nav {
     }};
 }
 pub(crate) use dispatch_nav;
-
-/// Binary search baseline on the sorted (un-permuted) array.
-///
-/// Returns the index of a matching element, if any.
-///
-/// # Examples
-/// ```
-/// use ist_query::search_sorted;
-/// let v = vec![10, 20, 30];
-/// assert_eq!(search_sorted(&v, &20), Some(1));
-/// assert_eq!(search_sorted(&v, &25), None);
-/// ```
-pub fn search_sorted<T: Ord>(data: &[T], key: &T) -> Option<usize> {
-    data.binary_search(key).ok()
-}
-
-/// Search the level-order BST layout.
-///
-/// # Examples
-/// ```
-/// use ist_core::{permute_in_place, Algorithm, Layout};
-/// use ist_query::search_bst;
-/// let mut v: Vec<u64> = (0..100).map(|x| x * 2).collect();
-/// permute_in_place(&mut v, Layout::Bst, Algorithm::Involution).unwrap();
-/// for x in 0..100u64 {
-///     let found = search_bst(&v, &(2 * x));
-///     assert_eq!(found.map(|p| v[p]), Some(2 * x));
-///     assert_eq!(search_bst(&v, &(2 * x + 1)), None);
-/// }
-/// ```
-pub fn search_bst<T: Ord>(data: &[T], key: &T) -> Option<usize> {
-    nav::search_with(&BstNav::new(data), key, |_| {})
-}
-
-/// Search the BST layout with explicit grandchild prefetching.
-///
-/// Semantically identical to [`search_bst`].
-pub fn search_bst_prefetch<T: Ord>(data: &[T], key: &T) -> Option<usize> {
-    nav::search_with(&BstNav::with_prefetch(data, true), key, |_| {})
-}
-
-/// Search the level-order B-tree layout with `b` keys per node.
-///
-/// # Examples
-/// ```
-/// use ist_core::{permute_in_place, Algorithm, Layout};
-/// use ist_query::search_btree;
-/// let mut v: Vec<u64> = (0..500).map(|x| 3 * x).collect();
-/// permute_in_place(&mut v, Layout::Btree { b: 8 }, Algorithm::CycleLeader).unwrap();
-/// for x in 0..500u64 {
-///     assert_eq!(search_btree(&v, 8, &(3 * x)).map(|p| v[p]), Some(3 * x));
-///     assert_eq!(search_btree(&v, 8, &(3 * x + 1)), None);
-/// }
-/// ```
-pub fn search_btree<T: Ord>(data: &[T], b: usize, key: &T) -> Option<usize> {
-    nav::search_with(&BtreeNav::new(data, b), key, |_| {})
-}
-
-/// Search the van Emde Boas layout.
-///
-/// # Examples
-/// ```
-/// use ist_core::{permute_in_place, Algorithm, Layout};
-/// use ist_query::search_veb;
-/// let mut v: Vec<u64> = (0..300).map(|x| 5 * x).collect();
-/// permute_in_place(&mut v, Layout::Veb, Algorithm::CycleLeader).unwrap();
-/// for x in 0..300u64 {
-///     assert_eq!(search_veb(&v, &(5 * x)).map(|p| v[p]), Some(5 * x));
-///     assert_eq!(search_veb(&v, &(5 * x + 2)), None);
-/// }
-/// ```
-pub fn search_veb<T: Ord>(data: &[T], key: &T) -> Option<usize> {
-    nav::search_with(&VebNav::new(data), key, |_| {})
-}
 
 /// Which searcher a [`Searcher`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -619,9 +544,9 @@ mod tests {
         let data: Vec<u64> = vec![];
         let s = Searcher::new(&data, QueryKind::Veb);
         assert!(!s.contains(&5));
-        assert_eq!(search_bst(&data, &5), None);
-        assert_eq!(search_veb(&data, &5), None);
-        assert_eq!(search_btree(&data, 4, &5), None);
+        for kind in [QueryKind::Bst, QueryKind::Btree(4), QueryKind::Sorted] {
+            assert_eq!(Searcher::new(&data, kind).search(&5), None, "{kind:?}");
+        }
         assert_eq!(s.batch_search(&[1, 2, 3]), vec![None, None, None]);
         assert_eq!(s.batch_rank(&[1, 2, 3]), vec![0, 0, 0]);
         assert_eq!(s.range_count(&1, &9), 0);

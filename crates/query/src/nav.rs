@@ -360,16 +360,7 @@ impl<'a, T> Copy for BstNav<'a, T> {}
 impl<'a, T: Ord> BstNav<'a, T> {
     /// Navigator for `data` in BST layout (`[perfect | overflow]`).
     pub fn new(data: &'a [T]) -> Self {
-        Self::with_prefetch(data, false)
-    }
-
-    /// [`BstNav::new`] with the scalar grandchild-prefetch hint enabled.
-    pub fn with_prefetch(data: &'a [T], prefetch: bool) -> Self {
-        Self {
-            data,
-            shape: BinaryShape::new(data.len()),
-            prefetch,
-        }
+        Self::from_shape(data, BinaryShape::new(data.len()), false)
     }
 
     #[inline]

@@ -1,4 +1,5 @@
-//! k-way perfect shuffles and un-shuffles via involutions (Yang et al.).
+//! The involutions behind k-way perfect shuffles and un-shuffles (Yang
+//! et al.).
 //!
 //! **Deck convention.** The input of a k-way shuffle is the concatenation
 //! of `k` decks of `m = N/k` elements each; the output interleaves them:
@@ -17,10 +18,10 @@
 //!
 //! The implicit B-tree construction uses the `(B+1)`-way un-shuffle (Ξ₁ on
 //! a padded power size) to pull internal elements to the front, then the
-//! `B`-way shuffle (Ξ₂) to regroup leaf elements into their nodes.
-
-use ist_bits::rev_k;
-use ist_perm::{apply_involution, apply_involution_par};
+//! `B`-way shuffle (Ξ₂) to regroup leaf elements into their nodes. Both run
+//! as `Machine::involution_round`s in `ist_core::algorithms`; this module
+//! supplies the `J` map they evaluate per element (`rev_k` is in
+//! `ist-bits`).
 
 /// The Yang et al. `J_r` involution on `[0, n)` where `nm1 = n − 1`.
 ///
@@ -62,248 +63,9 @@ pub fn j_involution(r: u64, nm1: u64, i: u64) -> u64 {
     g * ((r % m) * inv % m)
 }
 
-fn check_pow(n: usize, k: usize) -> u32 {
-    assert!(k >= 2, "k must be at least 2");
-    let d = ist_bits::ilog(k as u64, n as u64);
-    assert_eq!(
-        (k as u64).pow(d),
-        n as u64,
-        "shuffle_pow requires len = k^d (len = {n}, k = {k})"
-    );
-    d
-}
-
-/// k-way perfect shuffle for `N = k^d` via digit-reversal involutions (Ξ₁).
-///
-/// Interleaves `k` concatenated decks: `A[l·m + j] → position j·k + l`.
-///
-/// # Panics
-/// Panics unless `data.len()` is a power of `k`.
-///
-/// # Examples
-/// ```
-/// use ist_shuffle::shuffle_pow;
-/// let mut v = vec![0, 1, 2, 3, 4, 5, 6, 7]; // two decks [0..4), [4..8)
-/// shuffle_pow(&mut v, 2);
-/// assert_eq!(v, vec![0, 4, 1, 5, 2, 6, 3, 7]);
-/// ```
-pub fn shuffle_pow<T>(data: &mut [T], k: usize) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let d = check_pow(n, k);
-    let kk = k as u64;
-    apply_involution(data, |i| rev_k(kk, d - 1, i as u64) as usize);
-    apply_involution(data, |i| rev_k(kk, d, i as u64) as usize);
-}
-
-/// Parallel version of [`shuffle_pow`].
-pub fn shuffle_pow_par<T: Send>(data: &mut [T], k: usize) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let d = check_pow(n, k);
-    let kk = k as u64;
-    apply_involution_par(data, |i| rev_k(kk, d - 1, i as u64) as usize);
-    apply_involution_par(data, |i| rev_k(kk, d, i as u64) as usize);
-}
-
-/// k-way perfect **un**-shuffle for `N = k^d` (inverse of [`shuffle_pow`]):
-/// gathers residue classes mod `k` into contiguous decks.
-///
-/// # Examples
-/// ```
-/// use ist_shuffle::unshuffle_pow;
-/// let mut v = vec![0, 4, 1, 5, 2, 6, 3, 7];
-/// unshuffle_pow(&mut v, 2);
-/// assert_eq!(v, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-/// ```
-pub fn unshuffle_pow<T>(data: &mut [T], k: usize) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let d = check_pow(n, k);
-    let kk = k as u64;
-    apply_involution(data, |i| rev_k(kk, d, i as u64) as usize);
-    apply_involution(data, |i| rev_k(kk, d - 1, i as u64) as usize);
-}
-
-/// Parallel version of [`unshuffle_pow`].
-pub fn unshuffle_pow_par<T: Send>(data: &mut [T], k: usize) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    let d = check_pow(n, k);
-    let kk = k as u64;
-    apply_involution_par(data, |i| rev_k(kk, d, i as u64) as usize);
-    apply_involution_par(data, |i| rev_k(kk, d - 1, i as u64) as usize);
-}
-
-fn check_mod(n: usize, k: usize) {
-    assert!(k >= 1, "k must be positive");
-    assert_eq!(
-        n % k,
-        0,
-        "shuffle_mod requires k | len (len = {n}, k = {k})"
-    );
-}
-
-/// k-way perfect shuffle for any `N` divisible by `k`, via the `J`
-/// involutions (Ξ₂). Semantics identical to [`shuffle_pow`].
-///
-/// # Examples
-/// ```
-/// use ist_shuffle::shuffle_mod;
-/// let mut v = vec![0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23]; // 3 decks of 4
-/// shuffle_mod(&mut v, 3);
-/// assert_eq!(v, vec![0, 10, 20, 1, 11, 21, 2, 12, 22, 3, 13, 23]);
-/// ```
-pub fn shuffle_mod<T>(data: &mut [T], k: usize) {
-    let n = data.len();
-    if n <= 1 || k == 1 {
-        return;
-    }
-    check_mod(n, k);
-    let nm1 = (n - 1) as u64;
-    let kk = k as u64;
-    apply_involution(data, |i| j_involution(1, nm1, i as u64) as usize);
-    apply_involution(data, |i| j_involution(kk, nm1, i as u64) as usize);
-}
-
-/// Parallel version of [`shuffle_mod`].
-pub fn shuffle_mod_par<T: Send>(data: &mut [T], k: usize) {
-    let n = data.len();
-    if n <= 1 || k == 1 {
-        return;
-    }
-    check_mod(n, k);
-    let nm1 = (n - 1) as u64;
-    let kk = k as u64;
-    apply_involution_par(data, |i| j_involution(1, nm1, i as u64) as usize);
-    apply_involution_par(data, |i| j_involution(kk, nm1, i as u64) as usize);
-}
-
-/// k-way perfect **un**-shuffle for any `N` divisible by `k` (inverse of
-/// [`shuffle_mod`]).
-///
-/// # Examples
-/// ```
-/// use ist_shuffle::unshuffle_mod;
-/// let mut v = vec![0, 10, 20, 1, 11, 21, 2, 12, 22, 3, 13, 23];
-/// unshuffle_mod(&mut v, 3);
-/// assert_eq!(v, vec![0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23]);
-/// ```
-pub fn unshuffle_mod<T>(data: &mut [T], k: usize) {
-    let n = data.len();
-    if n <= 1 || k == 1 {
-        return;
-    }
-    check_mod(n, k);
-    let nm1 = (n - 1) as u64;
-    let kk = k as u64;
-    apply_involution(data, |i| j_involution(kk, nm1, i as u64) as usize);
-    apply_involution(data, |i| j_involution(1, nm1, i as u64) as usize);
-}
-
-/// Parallel version of [`unshuffle_mod`].
-pub fn unshuffle_mod_par<T: Send>(data: &mut [T], k: usize) {
-    let n = data.len();
-    if n <= 1 || k == 1 {
-        return;
-    }
-    check_mod(n, k);
-    let nm1 = (n - 1) as u64;
-    let kk = k as u64;
-    apply_involution_par(data, |i| j_involution(kk, nm1, i as u64) as usize);
-    apply_involution_par(data, |i| j_involution(1, nm1, i as u64) as usize);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Out-of-place reference shuffle used as the oracle.
-    fn reference_shuffle<T: Clone>(data: &[T], k: usize) -> Vec<T> {
-        let n = data.len();
-        let m = n / k;
-        let mut out = data.to_vec();
-        for l in 0..k {
-            for j in 0..m {
-                out[j * k + l] = data[l * m + j].clone();
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn pow_matches_reference() {
-        for k in [2usize, 3, 4, 5] {
-            for d in 1..=5u32 {
-                let n = k.pow(d);
-                let orig: Vec<usize> = (0..n).collect();
-                let mut v = orig.clone();
-                shuffle_pow(&mut v, k);
-                assert_eq!(v, reference_shuffle(&orig, k), "k={k} d={d}");
-                unshuffle_pow(&mut v, k);
-                assert_eq!(v, orig, "k={k} d={d} roundtrip");
-            }
-        }
-    }
-
-    #[test]
-    fn mod_matches_reference() {
-        for k in [2usize, 3, 5, 8, 9] {
-            for m in [1usize, 2, 3, 7, 16, 33, 100] {
-                let n = k * m;
-                let orig: Vec<usize> = (0..n).collect();
-                let mut v = orig.clone();
-                shuffle_mod(&mut v, k);
-                assert_eq!(v, reference_shuffle(&orig, k), "k={k} m={m}");
-                unshuffle_mod(&mut v, k);
-                assert_eq!(v, orig, "k={k} m={m} roundtrip");
-            }
-        }
-    }
-
-    #[test]
-    fn pow_and_mod_agree_on_power_sizes() {
-        for k in [2usize, 3, 4] {
-            for d in 1..=4u32 {
-                let n = k.pow(d);
-                let mut a: Vec<usize> = (0..n).collect();
-                let mut b = a.clone();
-                shuffle_pow(&mut a, k);
-                shuffle_mod(&mut b, k);
-                assert_eq!(a, b, "k={k} d={d}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_matches_seq() {
-        let k = 3usize;
-        let n = k.pow(9); // 19683
-        let mut a: Vec<u64> = (0..n as u64).collect();
-        let mut b = a.clone();
-        shuffle_pow(&mut a, k);
-        shuffle_pow_par(&mut b, k);
-        assert_eq!(a, b);
-        unshuffle_pow_par(&mut b, k);
-        assert!(b.iter().copied().eq(0..n as u64));
-
-        let n = k * 6821;
-        let mut a: Vec<u64> = (0..n as u64).collect();
-        let mut b = a.clone();
-        unshuffle_mod(&mut a, k);
-        unshuffle_mod_par(&mut b, k);
-        assert_eq!(a, b);
-        shuffle_mod_par(&mut b, k);
-        assert!(b.iter().copied().eq(0..n as u64));
-    }
 
     #[test]
     fn j_involutions_compose_to_shuffle_map() {
@@ -353,33 +115,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn unshuffle_gathers_residue_classes() {
-        // After un-shuffle, positions that were ≡ l (mod k) form deck l.
-        let k = 4usize;
-        let n = 4 * 25;
-        let orig: Vec<usize> = (0..n).collect();
-        let mut v = orig.clone();
-        unshuffle_mod(&mut v, k);
-        let m = n / k;
-        for l in 0..k {
-            for j in 0..m {
-                assert_eq!(v[l * m + j], j * k + l);
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_sizes() {
-        let mut v: Vec<u8> = vec![];
-        shuffle_mod(&mut v, 3);
-        let mut v = vec![42];
-        shuffle_mod(&mut v, 1);
-        assert_eq!(v, vec![42]);
-        let mut v = vec![1, 2, 3];
-        shuffle_mod(&mut v, 3); // k = n: identity
-        assert_eq!(v, vec![1, 2, 3]);
     }
 }

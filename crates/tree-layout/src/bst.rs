@@ -68,12 +68,6 @@ impl BstShape {
     pub fn pos(&self, sorted: usize) -> usize {
         bst_pos(self.levels, sorted)
     }
-
-    /// Map a layout position back to the sorted position.
-    #[inline]
-    pub fn pos_inv(&self, layout: usize) -> usize {
-        bst_pos_inv(self.levels, layout)
-    }
 }
 
 /// Sorted position (0-indexed) → level-order layout position (0-indexed)
@@ -96,26 +90,6 @@ pub fn bst_pos(d: u32, sorted: usize) -> usize {
     let j = i.trailing_zeros(); // height above leaf level
     let x = i >> (j + 1); // rank within level
     ((1u64 << (d - 1 - j)) + x - 1) as usize
-}
-
-/// Level-order layout position (0-indexed) → sorted position (0-indexed)
-/// for a perfect BST with `d` levels. Inverse of [`bst_pos`].
-///
-/// # Examples
-/// ```
-/// use ist_layout::{bst_pos, bst_pos_inv};
-/// for i in 0..15 {
-///     assert_eq!(bst_pos_inv(4, bst_pos(4, i)), i);
-/// }
-/// ```
-#[inline]
-pub fn bst_pos_inv(d: u32, layout: usize) -> usize {
-    let p = (layout + 1) as u64; // 1-indexed heap position
-    debug_assert!(p < (1u64 << d), "index out of tree");
-    let level = ilog2_floor(p); // depth of the node (root = 0)
-    let x = p - (1u64 << level); // rank within level
-    let j = (d - 1 - level) as u64; // height above leaf level
-    ((x << (j + 1)) + (1u64 << j) - 1) as usize
 }
 
 #[cfg(test)]
@@ -149,18 +123,6 @@ mod tests {
             let n = layout.len();
             for (v, &in_order) in layout.iter().enumerate().take(n) {
                 assert_eq!(bst_pos(d, in_order), v, "d={d} node={v}");
-                assert_eq!(bst_pos_inv(d, v), in_order, "d={d} node={v}");
-            }
-        }
-    }
-
-    #[test]
-    fn roundtrips() {
-        for d in 1..=16u32 {
-            let n = (1usize << d) - 1;
-            for i in (0..n).step_by(1.max(n / 511)) {
-                assert_eq!(bst_pos_inv(d, bst_pos(d, i)), i);
-                assert_eq!(bst_pos(d, bst_pos_inv(d, i)), i);
             }
         }
     }
@@ -188,10 +150,14 @@ mod tests {
         // Left child keys all smaller, right child keys all larger.
         let d = 10u32;
         let n = (1usize << d) - 1;
+        let mut rank_at = vec![0; n];
+        for i in 0..n {
+            rank_at[bst_pos(d, i)] = i;
+        }
         for v in 0..(n - 1) / 2 {
-            let me = bst_pos_inv(d, v);
-            let lc = bst_pos_inv(d, 2 * v + 1);
-            let rc = bst_pos_inv(d, 2 * v + 2);
+            let me = rank_at[v];
+            let lc = rank_at[2 * v + 1];
+            let rc = rank_at[2 * v + 2];
             assert!(lc < me && me < rc, "v={v}");
         }
     }
@@ -200,7 +166,7 @@ mod tests {
     fn shape_api() {
         let s = BstShape::new(31);
         for i in 0..31 {
-            assert_eq!(s.pos_inv(s.pos(i)), i);
+            assert_eq!(s.pos(i), bst_pos(5, i));
         }
         assert_eq!(s.levels(), 5);
     }

@@ -96,12 +96,6 @@ impl BtreeShape {
     pub fn pos(&self, sorted: usize) -> usize {
         btree_pos(self.b, self.m, sorted)
     }
-
-    /// Map a layout position back to the sorted position.
-    #[inline]
-    pub fn pos_inv(&self, layout: usize) -> usize {
-        btree_pos_inv(self.b, self.m, layout)
-    }
 }
 
 /// Sorted position (0-indexed) → level-order B-tree layout position
@@ -137,45 +131,19 @@ pub fn btree_pos(b: usize, m: u32, sorted: usize) -> usize {
     }
 }
 
-/// Level-order B-tree layout position (0-indexed) → sorted position
-/// (0-indexed). Inverse of [`btree_pos`].
-///
-/// # Examples
-/// ```
-/// use ist_layout::{btree_pos, btree_pos_inv};
-/// for i in 0..26 {
-///     assert_eq!(btree_pos_inv(2, 3, btree_pos(2, 3, i)), i);
-/// }
-/// ```
-pub fn btree_pos_inv(b: usize, m: u32, layout: usize) -> usize {
-    let k = b + 1;
-    debug_assert!(layout < k.pow(m) - 1);
-    // Descend the recursion: find which level's leaf region `layout`
-    // falls in, then replay the internal-index transformation forwards.
-    let mut levels_up = 0u32; // how many times we entered the internal tree
-    let q = layout;
-    let mut mm = m;
-    loop {
-        debug_assert!(mm >= 1);
-        let internal = k.pow(mm - 1) - 1;
-        if q >= internal {
-            // Leaf region of this subtree.
-            let off = q - internal;
-            let mut i = (off / b) * k + off % b;
-            // Undo the internal-element compressions.
-            for _ in 0..levels_up {
-                i = (i + 1) * k - 1;
-            }
-            return i;
-        }
-        levels_up += 1;
-        mm -= 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `rank_at[v]` = the sorted rank `btree_pos` sends to layout slot `v`.
+    fn ranks_by_slot(b: usize, m: u32) -> Vec<usize> {
+        let n = (b + 1).pow(m) - 1;
+        let mut rank_at = vec![usize::MAX; n];
+        for i in 0..n {
+            rank_at[btree_pos(b, m, i)] = i;
+        }
+        rank_at
+    }
 
     /// Reference layout by explicit multiway in-order traversal.
     /// Returns `layout[v] = sorted rank stored at layout slot v`.
@@ -221,7 +189,6 @@ mod tests {
                 let layout = reference_layout(b, m);
                 for (v, &rank) in layout.iter().enumerate() {
                     assert_eq!(btree_pos(b, m, rank), v, "b={b} m={m} v={v}");
-                    assert_eq!(btree_pos_inv(b, m, v), rank, "b={b} m={m} v={v}");
                 }
             }
         }
@@ -232,9 +199,8 @@ mod tests {
         // N = 26, B = 2 (Figure 1.2): root holds values {9, 18}; second
         // level nodes {3,6}, {12,15}, {21,24}; leaves the rest.
         // Values are 1-indexed sorted ranks.
-        let b = 2;
-        let m = 3;
-        let val = |layout: usize| btree_pos_inv(b, m, layout) + 1;
+        let rank_at = ranks_by_slot(2, 3);
+        let val = |layout: usize| rank_at[layout] + 1;
         assert_eq!(val(0), 9);
         assert_eq!(val(1), 18);
         assert_eq!(val(2), 3);
@@ -272,6 +238,7 @@ mod tests {
         let n = k.pow(m) - 1;
         let num_nodes = n / b;
         let internal_nodes = (k.pow(m - 1) - 1) / b;
+        let rank_at = ranks_by_slot(b, m);
         for v in 0..internal_nodes {
             for c in 0..=b {
                 let child = v * k + c + 1;
@@ -279,15 +246,11 @@ mod tests {
                 let lo = if c == 0 {
                     0
                 } else {
-                    btree_pos_inv(b, m, v * b + c - 1) + 1
+                    rank_at[v * b + c - 1] + 1
                 };
-                let hi = if c == b {
-                    n
-                } else {
-                    btree_pos_inv(b, m, v * b + c)
-                };
+                let hi = if c == b { n } else { rank_at[v * b + c] };
                 for s in 0..b {
-                    let key = btree_pos_inv(b, m, child * b + s);
+                    let key = rank_at[child * b + s];
                     assert!(key >= lo && key < hi, "v={v} c={c} s={s}");
                 }
             }
@@ -300,7 +263,7 @@ mod tests {
         assert_eq!(s.node_levels(), 4);
         assert_eq!(s.num_nodes(), 40);
         for i in (0..80).step_by(7) {
-            assert_eq!(s.pos_inv(s.pos(i)), i);
+            assert_eq!(s.pos(i), btree_pos(2, 4, i));
         }
     }
 }

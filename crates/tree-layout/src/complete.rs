@@ -114,24 +114,6 @@ impl CompleteShape {
         sorted / 2
     }
 
-    /// Sorted position of the full element with full-tree rank `f`.
-    #[inline]
-    pub fn sorted_of_full(&self, f: usize) -> usize {
-        let l = self.overflow();
-        if f < l {
-            2 * f + 1
-        } else {
-            f + l
-        }
-    }
-
-    /// Sorted position of the overflow leaf with overflow rank `j`.
-    #[inline]
-    pub fn sorted_of_overflow(&self, j: usize) -> usize {
-        debug_assert!(j < self.overflow());
-        2 * j
-    }
-
     /// Full layout map for the complete tree, parameterized by the perfect
     /// map used for the full part (BST or vEB): sorted → layout position.
     ///
@@ -149,16 +131,6 @@ impl CompleteShape {
             self.full_count() + self.overflow_rank(sorted)
         } else {
             perfect(self.full_levels, self.full_rank(sorted))
-        }
-    }
-
-    /// Inverse of [`CompleteShape::pos`].
-    pub fn pos_inv(&self, layout: usize, perfect_inv: impl Fn(u32, usize) -> usize) -> usize {
-        let i = self.full_count();
-        if layout >= i {
-            self.sorted_of_overflow(layout - i)
-        } else {
-            self.sorted_of_full(perfect_inv(self.full_levels, layout))
         }
     }
 }
@@ -295,32 +267,6 @@ impl BtreeCompleteShape {
         }
     }
 
-    /// Sorted position of the full element with full rank `f`.
-    #[inline]
-    pub fn sorted_of_full(&self, f: usize) -> usize {
-        let k = self.b + 1;
-        let q = self.full_overflow_nodes();
-        if f < q {
-            f * k + self.b
-        } else {
-            f + self.overflow()
-        }
-    }
-
-    /// Sorted position of the overflow key with overflow rank `j`.
-    #[inline]
-    pub fn sorted_of_overflow(&self, j: usize) -> usize {
-        debug_assert!(j < self.overflow());
-        let k = self.b + 1;
-        let q = self.full_overflow_nodes();
-        let node = j / self.b;
-        if node < q {
-            node * k + j % self.b
-        } else {
-            q * k + (j - q * self.b)
-        }
-    }
-
     /// Full layout map: sorted → layout position
     /// (`[perfect B-tree layout | overflow keys]`).
     pub fn pos(&self, sorted: usize) -> usize {
@@ -330,27 +276,13 @@ impl BtreeCompleteShape {
             crate::btree::btree_pos(self.b, self.full_node_levels, self.full_rank(sorted))
         }
     }
-
-    /// Inverse of [`BtreeCompleteShape::pos`].
-    pub fn pos_inv(&self, layout: usize) -> usize {
-        let i = self.full_count();
-        if layout >= i {
-            self.sorted_of_overflow(layout - i)
-        } else {
-            self.sorted_of_full(crate::btree::btree_pos_inv(
-                self.b,
-                self.full_node_levels,
-                layout,
-            ))
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bst::{bst_pos, bst_pos_inv};
-    use crate::veb::{veb_pos, veb_pos_inv};
+    use crate::bst::bst_pos;
+    use crate::veb::veb_pos;
 
     #[test]
     fn binary_partition_is_consistent() {
@@ -358,14 +290,15 @@ mod tests {
             let s = CompleteShape::new(n);
             assert!(s.full_count() <= n);
             assert!(s.overflow() <= s.full_count() + 1);
+            // Full and overflow ranks each count up from 0 in sorted order.
             let mut full = 0;
             let mut over = 0;
             for i in 0..n {
                 if s.is_overflow(i) {
-                    assert_eq!(s.sorted_of_overflow(s.overflow_rank(i)), i);
+                    assert_eq!(s.overflow_rank(i), over, "n={n} i={i}");
                     over += 1;
                 } else {
-                    assert_eq!(s.sorted_of_full(s.full_rank(i)), i);
+                    assert_eq!(s.full_rank(i), full, "n={n} i={i}");
                     full += 1;
                 }
             }
@@ -392,7 +325,6 @@ mod tests {
                 let p = s.pos(i, bst_pos);
                 assert!(!seen[p], "n={n} collision at {p}");
                 seen[p] = true;
-                assert_eq!(s.pos_inv(p, bst_pos_inv), i);
             }
             // Also exercises the vEB variant.
             let mut seen = vec![false; n];
@@ -400,7 +332,6 @@ mod tests {
                 let p = s.pos(i, veb_pos);
                 assert!(!seen[p]);
                 seen[p] = true;
-                assert_eq!(s.pos_inv(p, veb_pos_inv), i);
             }
         }
     }
@@ -410,15 +341,17 @@ mod tests {
         for b in [1usize, 2, 3, 8] {
             for n in 1..400usize {
                 let s = BtreeCompleteShape::new(n, b);
-                let mut over = 0;
+                let (mut full, mut over) = (0, 0);
                 for i in 0..n {
                     if s.is_overflow(i) {
-                        assert_eq!(s.sorted_of_overflow(s.overflow_rank(i)), i, "n={n} b={b}");
+                        assert_eq!(s.overflow_rank(i), over, "n={n} b={b} i={i}");
                         over += 1;
                     } else {
-                        assert_eq!(s.sorted_of_full(s.full_rank(i)), i, "n={n} b={b}");
+                        assert_eq!(s.full_rank(i), full, "n={n} b={b} i={i}");
+                        full += 1;
                     }
                 }
+                assert_eq!(full, s.full_count(), "n={n} b={b}");
                 assert_eq!(over, s.overflow(), "n={n} b={b}");
             }
         }
@@ -434,7 +367,6 @@ mod tests {
                     let p = s.pos(i);
                     assert!(!seen[p], "n={n} b={b} collision at {p}");
                     seen[p] = true;
-                    assert_eq!(s.pos_inv(p), i, "n={n} b={b}");
                 }
             }
         }

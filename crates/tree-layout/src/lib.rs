@@ -6,7 +6,8 @@
 //! **van Emde Boas** (recursive cache-oblivious order).
 //!
 //! For each layout this crate provides the *position map*
-//! `sorted index → layout index` and its inverse, for perfect trees. These
+//! `sorted index → layout index`, for perfect trees (and, in [`complete`],
+//! for the `[perfect | overflow]` format of any size). These
 //! maps define the permutations that the construction algorithms in
 //! `ist-core` realize in place; here they double as the **test oracle**
 //! (apply the map out of place and compare) and as the navigation
@@ -23,10 +24,10 @@ pub mod btree;
 pub mod complete;
 pub mod veb;
 
-pub use bst::{bst_pos, bst_pos_inv, BstShape};
-pub use btree::{btree_pos, btree_pos_inv, BtreeShape};
+pub use bst::{bst_pos, BstShape};
+pub use btree::{btree_pos, BtreeShape};
 pub use complete::CompleteShape;
-pub use veb::{veb_levels, veb_pos, veb_pos_inv, veb_split, VebCursor, VebLevel, VebShape};
+pub use veb::{veb_levels, veb_pos, veb_split, VebCursor, VebLevel, VebShape};
 
 /// The three implicit layouts, as a runtime tag used across the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

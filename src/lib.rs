@@ -175,10 +175,10 @@
 //! | [`machine`] | the `Machine` execution-substrate trait and the `Ram` backend |
 //! | [`query`] | the per-layout `Navigator`s (`nav` — the single home of all descent arithmetic) and the layout-agnostic engines: scalar descents, `batch` (software-pipelined multi-descent window, rayon composition), `range` (range counts over rank descents), `order` (successor/predecessor on the rank engine) |
 //! | [`layout`] | position maps / index arithmetic per layout |
-//! | [`gather`] | equidistant gather operations |
-//! | [`shuffle`] | perfect shuffles and rotations |
-//! | [`perm`] | involution/cycle permutation framework |
-//! | [`bits`] | digit reversal and modular arithmetic |
+//! | [`gather`] | `Ram`'s equidistant gathers (plain and chunked) |
+//! | [`shuffle`] | the `J` involution of the k-way shuffle, and rotations |
+//! | [`perm`] | the sequential involution round, the oblivious co-permutation, the out-of-place oracle |
+//! | [`bits`] | digit reversal, integer logarithms, and the modular-arithmetic test reference |
 //! | [`pem_sim`] | PEM-model I/O cost backend |
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
 
@@ -190,20 +190,16 @@ pub use ist_shard::{Shard, Sharded, ShardedFrozen, ShardedMap, ShardedReader};
 pub use ist_store::{CrashModel, FsyncPolicy, MemVfs, StdVfs, StoreConfig, StoreError, Vfs};
 
 pub use ist_core::{
-    construct, cycle_leader, fich_baseline, involution, nonperfect, permute_in_place,
-    permute_in_place_seq, reference_permutation, Algorithm, Error, GatherMode, IndexArith, Layout,
-    LayoutKind, Machine, Ram, Region,
+    construct, permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, Error,
+    GatherMode, IndexArith, Layout, LayoutKind, Machine, Ram, Region,
 };
-pub use ist_query::{
-    search_bst, search_bst_prefetch, search_btree, search_sorted, search_veb, QueryKind, Searcher,
-    SimdKey,
-};
+pub use ist_query::{QueryKind, Searcher, SimdKey};
 
-/// Digit reversal and modular arithmetic primitives.
+/// Digit reversal and integer-logarithm primitives.
 pub use ist_bits as bits;
 /// The serving facades (`StaticIndex` / `StaticMap` / `DynamicMap`).
 pub use ist_dynamic;
-/// Equidistant gather operations.
+/// Equidistant gathers (plain and chunked).
 pub use ist_gather as gather;
 /// SIMT (GPU) execution cost model.
 pub use ist_gpu_sim as gpu_sim;
@@ -213,13 +209,13 @@ pub use ist_layout as layout;
 pub use ist_machine as machine;
 /// PEM-model I/O cost simulator.
 pub use ist_pem_sim as pem_sim;
-/// Permutation framework (involutions, cycles).
+/// Permutation primitives (involution rounds, oblivious co-permutation).
 pub use ist_perm as perm;
 /// Per-layout searchers.
 pub use ist_query as query;
 /// Key-range-sharded serving layer (`ShardedMap`).
 pub use ist_shard as shard;
-/// Perfect shuffles and rotations.
+/// The shuffle `J` involution and rotations.
 pub use ist_shuffle as shuffle;
 /// Durability substrate: run files, WAL, manifest, fault-injection VFS.
 pub use ist_store as store;

@@ -208,14 +208,12 @@ fn scalar_reads_allocate_nothing() {
 
 /// A vEB descent steers by a per-depth table that is a compile-time
 /// constant, so building the navigator — which `Searcher` does per point
-/// query and `search_veb` per call, from the slice alone — allocates
-/// nothing either. The tree is deep enough (12 levels) for the descent
-/// to use five of its saved-position slots.
+/// query — and building a `Searcher` itself, from the slice alone,
+/// allocate nothing either. The tree is deep enough (12 levels) for the
+/// descent to use five of its saved-position slots.
 #[test]
 fn veb_scalar_descents_allocate_nothing() {
-    use implicit_search_trees::{
-        permute_in_place, search_veb, Algorithm, Layout, QueryKind, Searcher,
-    };
+    use implicit_search_trees::{permute_in_place, Algorithm, Layout, QueryKind, Searcher};
 
     let mut v: Vec<u64> = (0..5000u64).map(|x| 3 * x).collect();
     permute_in_place(&mut v, Layout::Veb, Algorithm::CycleLeader).unwrap();
@@ -224,13 +222,16 @@ fn veb_scalar_descents_allocate_nothing() {
         let mut hits = 0usize;
         for k in 0..15_010u64 {
             hits += usize::from(s.search(&k).is_some())
-                + usize::from(search_veb(&v, &k).is_some())
+                + usize::from(Searcher::new(&v, QueryKind::Veb).search(&k).is_some())
                 + (s.rank_upper(&k) - s.rank(&k));
         }
         hits
     });
     assert_eq!(hits, 3 * 5000);
-    assert_eq!(allocs, 0, "vEB get / rank / search_veb must not allocate");
+    assert_eq!(
+        allocs, 0,
+        "vEB get / rank / Searcher::new must not allocate"
+    );
 }
 
 /// A batch below the dispatch floor (`rayon::min_task_len`) runs on the

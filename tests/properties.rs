@@ -7,10 +7,7 @@
 //! with the fixed seeds makes every counterexample reproducible.
 
 use implicit_search_trees::bits::{gcd, mod_inverse, mod_mul, rev_k};
-use implicit_search_trees::gather::{
-    equidistant_gather, extended_equidistant_gather, gather_len, reference_gather,
-};
-use implicit_search_trees::shuffle::{shuffle_mod, unshuffle_mod};
+use implicit_search_trees::gather::{equidistant_gather, gather_len, reference_gather};
 use implicit_search_trees::{
     permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, Layout, QueryKind,
     Searcher, StaticIndex,
@@ -52,34 +49,6 @@ fn modular_inverse() {
     }
 }
 
-/// shuffle then unshuffle is the identity for arbitrary (k, m), and the
-/// shuffle interleaves decks correctly (direct semantics check).
-#[test]
-fn shuffle_roundtrip_and_semantics() {
-    let mut rng = StdRng::seed_from_u64(0xfeed);
-    for case in 0..CASES {
-        let k = rng.gen_range(1usize..9);
-        let m = rng.gen_range(1usize..200);
-        let n = k * m;
-        let orig: Vec<u32> = (0..n as u32).collect();
-        let mut v = orig.clone();
-        shuffle_mod(&mut v, k);
-        if k >= 2 {
-            for l in 0..k {
-                for j in 0..m {
-                    assert_eq!(
-                        v[j * k + l] as usize,
-                        l * m + j,
-                        "case {case}: k={k} m={m} deck={l} offset={j}"
-                    );
-                }
-            }
-        }
-        unshuffle_mod(&mut v, k);
-        assert_eq!(v, orig, "case {case}: k={k} m={m} roundtrip");
-    }
-}
-
 /// Equidistant gather matches its out-of-place reference for arbitrary
 /// r <= l.
 #[test]
@@ -94,27 +63,6 @@ fn gather_matches_reference() {
         let mut got = orig;
         equidistant_gather(&mut got, r, l);
         assert_eq!(got, expect, "case {case}: r={r} l={l}");
-    }
-}
-
-/// Extended gather = stable partition by (i mod (b+1) == b).
-#[test]
-fn extended_gather_is_stable_partition() {
-    let mut rng = StdRng::seed_from_u64(0xace);
-    for case in 0..CASES {
-        let b = rng.gen_range(1usize..6);
-        let m = rng.gen_range(1usize..6) as u32;
-        let n = (b + 1).pow(m) - 1;
-        if n > 1 << 14 {
-            continue;
-        }
-        let orig: Vec<usize> = (0..n).collect();
-        let mut got = orig.clone();
-        extended_equidistant_gather(&mut got, b);
-        let k = b + 1;
-        let mut expect: Vec<usize> = (0..n).filter(|i| i % k == b).collect();
-        expect.extend((0..n).filter(|i| i % k != b));
-        assert_eq!(got, expect, "case {case}: b={b} m={m}");
     }
 }
 
