@@ -8,10 +8,13 @@
 
 use implicit_search_trees::bits::{gcd, mod_inverse, mod_mul, rev_k};
 use implicit_search_trees::gather::{equidistant_gather, gather_len, reference_gather};
+use implicit_search_trees::layout::complete::BtreeCompleteShape;
+use implicit_search_trees::shuffle::j_involution;
 use implicit_search_trees::{
-    permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, Layout, QueryKind,
-    Searcher, StaticIndex,
+    permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, IndexArith, Layout,
+    Machine, QueryKind, Ram, Searcher, StaticIndex,
 };
+use ist_core::algorithms::strip_overflow_btree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,6 +49,74 @@ fn modular_inverse() {
             Some(inv) => assert_eq!(mod_mul(a, inv, m), 1, "case {case}: a={a} m={m}"),
             None => assert_ne!(gcd(a, m), 1, "case {case}: a={a} m={m}"),
         }
+    }
+}
+
+/// The k-way shuffle as the constructions run it — Ξ₂, two `J` involution
+/// rounds on a `Ram` (`J_1` then `J_k`) — interleaves the decks, and the
+/// same rounds in reverse order (the un-shuffle) restore the input, for
+/// arbitrary (k, m).
+#[test]
+fn shuffle_roundtrip_and_semantics() {
+    fn j_round(v: &mut [u32], r: usize) {
+        let n = v.len();
+        let nm1 = (n - 1) as u64;
+        Ram::seq(v).involution_round(0, n, IndexArith::Jmap { len: n }, move |s| {
+            j_involution(r as u64, nm1, s as u64) as usize
+        });
+    }
+    let mut rng = StdRng::seed_from_u64(0xfeed);
+    for case in 0..CASES {
+        let k = rng.gen_range(1usize..9);
+        let m = rng.gen_range(1usize..200);
+        let n = k * m;
+        let orig: Vec<u32> = (0..n as u32).collect();
+        let mut v = orig.clone();
+        j_round(&mut v, 1);
+        j_round(&mut v, k);
+        for l in 0..k {
+            for j in 0..m {
+                assert_eq!(
+                    v[j * k + l] as usize,
+                    l * m + j,
+                    "case {case}: k={k} m={m} deck={l} offset={j}"
+                );
+            }
+        }
+        j_round(&mut v, k);
+        j_round(&mut v, 1);
+        assert_eq!(v, orig, "case {case}: k={k} m={m} roundtrip");
+    }
+}
+
+/// The extended gather behind the complete-B-tree overflow strip is a
+/// stable partition: on a sorted array with `q` full overflow runs of
+/// `b` keys (each followed by one full-level key) and a partial run of
+/// `s`, the full-level keys come out in order ahead of the overflow keys,
+/// also in order.
+#[test]
+fn extended_gather_is_stable_partition() {
+    let mut rng = StdRng::seed_from_u64(0xace);
+    for case in 0..CASES {
+        let b = rng.gen_range(1usize..6);
+        let m = rng.gen_range(1usize..6) as u32;
+        let k = b + 1;
+        let full = k.pow(m) - 1;
+        let overflow = rng.gen_range(0..k.pow(m) * b);
+        let n = full + overflow;
+        let shape = BtreeCompleteShape::new(n, b);
+        let (q, s) = (overflow / b, overflow % b);
+        assert_eq!(
+            (shape.full_overflow_nodes(), shape.partial_node_len()),
+            (q, s),
+            "case {case}: b={b} m={m} overflow={overflow}"
+        );
+        let is_overflow = |i: usize| if i < q * k { i % k != b } else { i < q * k + s };
+        let mut expect: Vec<usize> = (0..n).filter(|&i| !is_overflow(i)).collect();
+        expect.extend((0..n).filter(|&i| is_overflow(i)));
+        let mut got: Vec<usize> = (0..n).collect();
+        strip_overflow_btree(&mut Ram::with_mode(&mut got, case % 2 == 1), shape);
+        assert_eq!(got, expect, "case {case}: b={b} m={m} overflow={overflow}");
     }
 }
 
