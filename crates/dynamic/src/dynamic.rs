@@ -125,36 +125,22 @@
 //!
 //! [`DynamicMap::snapshot`] returns a [`Frozen`] — the current run list
 //! (shared, one `Arc` bump) plus a copy of the (small) buffer —
-//! reflecting **exactly** the state at the call. The map also
-//! maintains a published snapshot cell for cloneable [`Reader`] handles
-//! ([`DynamicMap::reader`]). Publication is **seal/compaction
-//! granular**: the cell is swapped when a seal freezes the buffer
-//! (at which point the frozen view shares the sealed run by `Arc` — no
-//! data is copied), when a compaction installs, eagerly when a handle
-//! is taken, and in any case after every `buffer_cap` mutations (so a
-//! hot set overwriting in place, which never overflows the buffer,
-//! still publishes) — never per buffered write, so a mutation while
-//! readers exist costs refcount bumps at merge cadence instead of an
-//! `O(cap)` buffer clone per op. A `Reader` therefore yields, at any
-//! moment, the state after some recent prefix of the writer's
-//! operations (at most one buffer's worth behind; call
-//! [`DynamicMap::compact_buffer`] to publish the current buffer
-//! immediately), and successive snapshots never go backwards. Merges
-//! complete entirely before the pointer swap, so a reader is never
-//! stalled behind one, and the runs a `Frozen` references are kept
-//! alive by refcounts even after the writer compacts them away. When
-//! the last `Reader` drops, the next mutation releases the cell's
-//! frozen view, so a departed reader population does not pin a stale
-//! copy of the map. Only the writer publishes: every publication point,
-//! [`DynamicMap::reader`] included, takes `&mut self`.
+//! reflecting **exactly** the state at the call: taking it borrows
+//! `&self` and every mutation needs `&mut self`, so no write can
+//! interleave. A `Frozen` is `Send + Sync` and cheap to clone, so a
+//! writer thread that owns the map hands readers its state by value —
+//! down a channel, or once per batch tick — and each reader sees the
+//! exact cut the writer took. Merges complete entirely before the
+//! install swaps the run list, so a reader is never stalled behind
+//! one, and the runs a `Frozen` references are kept alive by refcounts
+//! even after the writer compacts them away.
 
 mod compact;
 mod read;
 mod run;
 
-pub use read::{Frozen, Reader};
+pub use read::Frozen;
 
-pub(crate) use read::lock;
 pub(crate) use run::{BufEntry, Prefix, Run};
 
 use crate::index::default_kind_for_layout;
@@ -242,18 +228,6 @@ pub struct DynamicMap<K, V> {
     /// out-of-order mutations (the cost the bulk append fast path
     /// avoids); see [`DynamicMap::buffer_element_moves`].
     buffer_moves: u64,
-    /// Snapshot cell swapped at seal/compaction granularity; [`Reader`]s
-    /// share it.
-    published: Arc<Mutex<Arc<Frozen<K, V>>>>,
-    /// Whether `published` currently holds a non-trivial snapshot that
-    /// should be released once the last [`Reader`] is gone.
-    published_dirty: bool,
-    /// Mutations since the last publication. Overwrite-heavy workloads
-    /// can churn forever inside a never-overflowing buffer (every write
-    /// hits an existing entry, so no seal fires); this counter forces a
-    /// publication every `buffer_cap` mutations regardless, which is
-    /// what makes the reader-lag bound an *operation* bound.
-    muts_since_publish: usize,
     /// The attached durability engine, if this map is persistent (see
     /// the [`crate::persist`] module). Behind a `Mutex` only so the map
     /// stays `Sync` — every access is `&mut self`, so the lock is
@@ -304,9 +278,6 @@ where
             kind,
             buffer_cap,
             buffer_moves: 0,
-            published: Arc::new(Mutex::new(Arc::new(Frozen::empty()))),
-            published_dirty: false,
-            muts_since_publish: 0,
             store: None,
             #[cfg(ist_loom)]
             panic_next_compaction: false,
@@ -682,14 +653,13 @@ where
         *self.buffer_mut() = merged;
         self.buffer_moves += displaced;
         self.maybe_seal();
-        self.after_mutations(batch_len);
+        self.after_mutation();
         changed
     }
 
     /// Seal the buffer now, regardless of fill level, and start a
-    /// compaction — so subsequent reads skip the buffer probe, and
-    /// outstanding [`Reader`]s see the current state immediately
-    /// (publication is otherwise seal-granular). Note the merge targets
+    /// compaction — so subsequent reads (and snapshots, which then copy
+    /// an empty buffer) skip the buffer probe. Note the merge targets
     /// the first empty tier: if tier 0 is empty this *adds* a shallow
     /// run rather than reducing the run count (follow with
     /// [`DynamicMap::quiesce`] to see it land).
@@ -738,45 +708,18 @@ where
         self.panic_next_compaction = true;
     }
 
-    /// Size of the published cell's snapshot as `(buffer entries,
-    /// runs)` — `(0, 0)` once the departed-reader release has fired.
-    #[cfg(ist_loom)]
-    pub fn debug_published_size(&self) -> (usize, usize) {
-        let frozen = Arc::clone(&lock(&self.published));
-        (frozen.buffer.len(), frozen.runs.len())
-    }
-
     // ----- snapshots -----
 
     /// An immutable view of the current state; later writes to `self`
     /// are invisible to it. Cost: one copy of the (≤ `buffer_cap`-entry)
     /// buffer plus one `Arc` bump for the shared run list.
-    pub fn snapshot(&self) -> Frozen<K, V> {
-        self.freeze()
-    }
-
-    /// A handle to the published-snapshot cell, for concurrent readers;
-    /// see [`Reader`]. The current state is published immediately;
-    /// afterwards, for as long as any handle exists, the cell is
-    /// re-published at **seal/compaction granularity** — when the
-    /// buffer is sealed into an L0 run (sharing the run by `Arc`, no
-    /// data copy), when a compaction installs, and in any case after
-    /// every `buffer_cap` mutations (so overwrite-heavy hot sets that
-    /// never overflow the buffer still publish) — never per buffered
-    /// write. A reader therefore lags the writer by at most
-    /// `buffer_cap` operations, at an amortized cost of one ≤-cap
-    /// buffer copy per cap mutations; [`DynamicMap::compact_buffer`]
-    /// publishes the current state on demand. With no outstanding
-    /// handle, mutations skip publication entirely (and release the
-    /// cell's last snapshot) — writers don't pay for readers they
-    /// don't have.
     ///
-    /// Takes `&mut self` because it publishes: the writer is the only
-    /// publisher, so the publication bookkeeping needs no atomics.
-    pub fn reader(&mut self) -> Reader<K, V> {
-        self.publish();
-        Reader {
-            cell: Arc::clone(&self.published),
+    /// The snapshot is the exact state at the call and crosses threads
+    /// by value: a writer thread sends it to its readers.
+    pub fn snapshot(&self) -> Frozen<K, V> {
+        Frozen {
+            buffer: Arc::new(Vec::clone(&self.live.buffer)),
+            runs: Arc::clone(&self.live.runs),
         }
     }
 
@@ -853,63 +796,9 @@ where
         Arc::make_mut(&mut self.live.buffer)
     }
 
-    fn freeze(&self) -> Frozen<K, V> {
-        Frozen {
-            buffer: Arc::new(Vec::clone(&self.live.buffer)),
-            runs: Arc::clone(&self.live.runs),
-        }
-    }
-
-    fn publish(&mut self) {
-        let frozen = Arc::new(self.freeze());
-        *lock(&self.published) = frozen;
-        self.published_dirty = true;
-        self.muts_since_publish = 0;
-    }
-
-    /// One atomic load: [`Reader`] handles share the cell's `Arc`.
-    fn has_readers(&self) -> bool {
-        Arc::strong_count(&self.published) > 1
-    }
-
-    /// Publish after a reader-visible structural event (seal or
-    /// compaction install) — the publication points of the
-    /// seal-granular contract. No-op without outstanding readers.
-    fn publish_event(&mut self) {
-        if self.has_readers() {
-            self.publish();
-        }
-    }
-
-    /// Mutation epilogue. With readers outstanding: count the mutation
-    /// and force a publication once `buffer_cap` of them have gone
-    /// unpublished — in-place buffer overwrites never seal, so without
-    /// this an under-cap hot set would leave readers unboundedly stale;
-    /// with the counter, the reader-lag bound really is "at most
-    /// `buffer_cap` operations" (amortized cost: one ≤ cap buffer copy
-    /// per cap mutations, same as a seal). With the last [`Reader`]
-    /// gone: release the published cell's snapshot (swap in an empty
-    /// view) so a departed reader population cannot pin a stale copy of
-    /// the map — the regression behind
-    /// `published_cell_releases_after_last_reader`. On a persistent
-    /// map, last: checkpoint once the WAL is long enough (see
-    /// [`crate::persist`]).
+    /// Mutation epilogue: on a persistent map, checkpoint once the WAL
+    /// is long enough (see [`crate::persist`]).
     fn after_mutation(&mut self) {
-        self.after_mutations(1);
-    }
-
-    /// [`DynamicMap::after_mutation`] for a batch of `n` mutations
-    /// (bulk deltas count every key toward the publication bound).
-    fn after_mutations(&mut self, n: usize) {
-        if self.has_readers() {
-            self.muts_since_publish += n;
-            if self.muts_since_publish >= self.buffer_cap {
-                self.publish();
-            }
-        } else if self.published_dirty {
-            *lock(&self.published) = Arc::new(Frozen::empty());
-            self.published_dirty = false;
-        }
         if let Some(store) = &mut self.store {
             let sink = store
                 .get_mut()
@@ -935,8 +824,8 @@ where
 
     /// The seal half of the overflow path: freeze the sorted buffer
     /// into an immutable L0 run — the only construction work on the
-    /// writer's critical path — and publish to readers, who share the
-    /// new run by `Arc` without any data copy.
+    /// writer's critical path. Snapshots taken afterwards share the new
+    /// run by `Arc` without any data copy.
     ///
     /// Sealed runs stay in **sorted order** ([`QueryKind::Sorted`]):
     /// they hold ≤ `buffer_cap` entries, where binary search is already
@@ -968,7 +857,6 @@ where
             .expect("sorted runs never fail to build");
         self.l0.push(Arc::new(run));
         self.refresh_runs();
-        self.publish_event();
     }
 }
 
@@ -1190,86 +1078,22 @@ mod tests {
     #[test]
     fn snapshots_are_isolated_and_readers_advance() {
         let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 3);
-        let reader = m.reader();
-        assert_eq!(reader.snapshot().len(), 0);
-        let mut snaps = Vec::new();
+        let mut snaps = vec![m.snapshot()];
         for k in 0..10u64 {
             m.insert(k, k);
             snaps.push(m.snapshot());
         }
+        // Every snapshot is pinned at exactly its prefix, seals and
+        // merges in between notwithstanding.
         for (i, snap) in snaps.iter().enumerate() {
-            assert_eq!(snap.len(), i + 1, "snapshot pinned at its prefix");
-            assert_eq!(snap.get(&(i as u64)), Some(&(i as u64)));
-            assert_eq!(snap.get(&(i as u64 + 1)), None);
+            assert_eq!(snap.len(), i, "snapshot pinned at its prefix");
+            assert_eq!(snap.get(&(i as u64)), None);
+            if i > 0 {
+                assert_eq!(snap.get(&(i as u64 - 1)), Some(&(i as u64 - 1)));
+            }
         }
-        // Publication is seal-granular: the reader's cell reflects the
-        // last seal (after the 9th insert at cap 3); the 10th insert is
-        // still buffered and unpublished.
-        assert_eq!(reader.snapshot().len(), 9);
-        assert_eq!(reader.snapshot().batch_get(&[0, 9]), vec![Some(&0), None]);
-        // compact_buffer publishes the current state on demand.
-        m.compact_buffer();
-        assert_eq!(reader.snapshot().len(), 10);
-        assert_eq!(
-            reader.snapshot().batch_get(&[0, 9]),
-            vec![Some(&0), Some(&9)]
-        );
-    }
-
-    #[test]
-    fn reader_lag_is_op_bounded_even_without_seals() {
-        // A hot set smaller than the buffer never overflows, so no seal
-        // ever fires — the mutation counter must publish instead,
-        // keeping the reader at most `buffer_cap` operations behind.
-        let cap = 8usize;
-        let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, cap);
-        m.insert(1, 0);
-        let reader = m.reader();
-        for i in 1..=1_000u64 {
-            m.insert(1, i); // always the in-place overwrite arm
-            assert_eq!(m.buffered_versions(), 1, "hot set must never seal");
-            let seen = *reader.snapshot().get(&1).expect("key 1 is live");
-            assert!(
-                i - seen < cap as u64,
-                "reader is {} ops behind at op {i} (cap {cap})",
-                i - seen
-            );
-        }
-    }
-
-    #[test]
-    fn published_cell_releases_after_last_reader() {
-        let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 4);
-        for k in 0..8u64 {
-            m.insert(k, k);
-            m.quiesce();
-        }
-        let run = m
-            .runs
-            .first()
-            .expect("8 inserts at cap 4 leave a resident run")
-            .clone();
-        // The published frozen view shares the live run *list*, so the
-        // list's refcount is what a pinned snapshot shows up in.
-        assert_eq!(Arc::strong_count(&m.live.runs), 1, "the live map only");
-        assert_eq!(
-            Arc::strong_count(&run),
-            3,
-            "tier + run list + this test's clone"
-        );
-        let reader = m.reader(); // eager publish pins the run list in the cell
-        assert_eq!(Arc::strong_count(&m.live.runs), 2);
-        assert_eq!(reader.snapshot().len(), 8);
-        drop(reader);
-        // The cell still pins the frozen view until the writer re-checks…
-        assert_eq!(Arc::strong_count(&m.live.runs), 2);
-        // …which happens on the next mutation (no seal needed).
-        m.insert(100, 0);
-        assert_eq!(
-            Arc::strong_count(&m.live.runs),
-            1,
-            "published cell must release its snapshot after the last reader drops"
-        );
+        assert_eq!(snaps[9].batch_get(&[0, 9]), vec![Some(&0), None]);
+        assert_eq!(snaps[10].batch_get(&[0, 9]), vec![Some(&0), Some(&9)]);
     }
 
     /// A value whose clones are counted: the write-amplification
@@ -1291,13 +1115,9 @@ mod tests {
     }
 
     #[test]
-    fn publication_is_seal_granular_not_per_write() {
+    fn writes_clone_nothing_until_a_snapshot_or_merge() {
         let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        // Only the sealing writes quiesce: a `quiesce` counts toward the
-        // reader's publication bound, and the buffered writes below must
-        // not reach it.
         let mut m: DynamicMap<u64, CountedVal> = DynamicMap::with_config(QueryKind::Veb, 64);
-        let reader = m.reader();
         for k in 0..63u64 {
             m.insert(
                 k,
@@ -1307,23 +1127,20 @@ mod tests {
                 },
             );
         }
-        // The write-amplification contract: buffered writes while a
-        // reader is outstanding clone NOTHING (the old behavior cloned
-        // the whole buffer per mutation — O(cap) value clones per op).
+        // The write-amplification contract: buffered writes clone
+        // NOTHING.
         assert_eq!(
             clones.load(Ordering::SeqCst),
             0,
-            "buffered writes must not clone for publication"
+            "buffered writes must not clone"
         );
-        // An explicit snapshot still copies the live buffer — exactly
-        // once, on demand.
+        // A snapshot copies the live buffer — exactly once, on demand.
         let snap = m.snapshot();
         assert_eq!(clones.load(Ordering::SeqCst), 63);
         assert_eq!(snap.len(), 63);
         drop(snap);
         // The 64th insert seals: entries move into the L0 run without
-        // cloning, publication shares it by Arc, and the merge streams
-        // each version exactly once.
+        // cloning, and the merge streams each version exactly once.
         m.insert(
             63,
             CountedVal {
@@ -1335,13 +1152,11 @@ mod tests {
         assert_eq!(
             clones.load(Ordering::SeqCst),
             63 + 64,
-            "seal + publish + one merge stream, nothing else"
+            "seal + one merge stream, nothing else"
         );
         // A merge whose sources share keys and hold tombstones clones
         // only the versions it keeps: not the shadowed versions, not the
-        // annihilated ones. (The reader goes first: its periodic
-        // publication would copy the buffer.)
-        drop(reader);
+        // annihilated ones.
         let before = clones.load(Ordering::SeqCst);
         for k in 0..60u64 {
             let clones = Arc::clone(&clones);

@@ -420,7 +420,6 @@ where
             self.tiers[plan.full_tiers].push(Arc::new(run));
         }
         self.refresh_runs();
-        self.publish_event();
     }
 
     /// Block until the in-flight compaction (if any) finishes, then

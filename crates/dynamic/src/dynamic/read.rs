@@ -1,23 +1,16 @@
 //! The read side: [`Frozen`], the single implementation of every
-//! read, and the [`Reader`] handle to the published-snapshot cell.
+//! read.
 
 use super::run::{buffer_slot, BufEntry, Run};
 #[cfg(doc)]
 use super::DynamicMap;
-use crate::sync::{Arc, Mutex, MutexGuard};
+use crate::sync::Arc;
 use std::borrow::Borrow;
-
-/// Lock that shrugs off poisoning: publication is a single pointer
-/// store, so a panicked writer cannot leave the cell torn.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// An immutable state of a [`DynamicMap`] — a sorted buffer plus the
 /// resident runs, newest first — and the **single implementation of
-/// every read**. A snapshot ([`DynamicMap::snapshot`],
-/// [`Reader::snapshot`]) is one of these over the state after some
-/// prefix of the writer's operations; the live map keeps its current
+/// every read**. A snapshot ([`DynamicMap::snapshot`]) is one of these
+/// over the exact state at the call; the live map keeps its current
 /// state as one too and derefs to it, so `map.get(..)` and
 /// `snap.get(..)` are the same code.
 ///
@@ -46,33 +39,6 @@ impl<K, V> Clone for Frozen<K, V> {
             buffer: Arc::clone(&self.buffer),
             runs: Arc::clone(&self.runs),
         }
-    }
-}
-
-/// A cloneable handle to a [`DynamicMap`]'s published-snapshot cell.
-///
-/// Obtained from [`DynamicMap::reader`] before handing the map to a
-/// writer thread; [`Reader::snapshot`] then yields, at any moment, a
-/// [`Frozen`] view of the state after some prefix of the writer's
-/// operations (publication order is the operation order, so successive
-/// snapshots never go backwards).
-pub struct Reader<K, V> {
-    pub(super) cell: Arc<Mutex<Arc<Frozen<K, V>>>>,
-}
-
-impl<K, V> Clone for Reader<K, V> {
-    fn clone(&self) -> Self {
-        Self {
-            cell: Arc::clone(&self.cell),
-        }
-    }
-}
-
-impl<K, V> Reader<K, V> {
-    /// The latest published snapshot. The lock is held only to clone an
-    /// `Arc` — never while a merge or rebuild runs.
-    pub fn snapshot(&self) -> Frozen<K, V> {
-        lock(&self.cell).as_ref().clone()
     }
 }
 

@@ -34,10 +34,10 @@
 //! Every read is written once, on [`Frozen`] (a sorted buffer plus a
 //! newest-first run list): reads fan out newest-run-first and reuse
 //! the software-pipelined batched engine per run. The live map keeps
-//! its current state as a `Frozen` and derefs to it; snapshots
-//! ([`DynamicMap::snapshot`], or a cloneable [`Reader`] handle
-//! published at seal/compaction granularity) are further `Frozen`s
-//! that decouple concurrent readers from merges entirely.
+//! its current state as a `Frozen` and derefs to it; a snapshot
+//! ([`DynamicMap::snapshot`]) is a further `Frozen` — the exact state
+//! at the call, sent to reader threads by value — that decouples
+//! concurrent readers from merges entirely.
 
 pub mod alloc;
 pub mod dynamic;
@@ -47,6 +47,6 @@ pub(crate) mod persist;
 pub(crate) mod sync;
 
 pub use alloc::AlignedVec;
-pub use dynamic::{DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
+pub use dynamic::{DynamicMap, Frozen, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
 pub use index::{default_kind_for_layout, StaticIndex};
 pub use map::StaticMap;

@@ -55,14 +55,14 @@
 //! in-memory map stays fully readable. The on-disk state is always a
 //! consistent prefix of the acknowledged history.
 
-use crate::sync::{Arc, Mutex};
+use crate::sync::{lock, Arc, Mutex};
 use std::any::TypeId;
 use std::marker::PhantomData;
 use std::mem::size_of;
 use std::path::{Path, PathBuf};
 
 use crate::alloc::AlignedVec;
-use crate::dynamic::{lock, BufEntry, DynamicMap, Prefix, Run};
+use crate::dynamic::{BufEntry, DynamicMap, Prefix, Run};
 use crate::map::StaticMap;
 use ist_store::{
     read_wal, run_file_name, wal_file_name, Codec, Input, Manifest, RunReader, RunRef, RunSections,

@@ -1,5 +1,5 @@
-//! Model-checked interleavings of the `DynamicMap` publication and
-//! compaction state machine, driven by `ist-loom`.
+//! Model-checked interleavings of the `DynamicMap` compaction state
+//! machine, driven by `ist-loom`.
 //!
 //! This suite only exists under `--cfg ist_loom`, which routes every
 //! sync primitive in `ist_dynamic::sync` onto the model-checked shims:
@@ -12,10 +12,10 @@
 //! `cargo test` is unaffected.)
 //!
 //! Each test runs one scenario under **every** interleaving the
-//! bounded-exhaustive scheduler generates — writer vs. reader-drop,
-//! writer vs. background merge worker, and injected worker panics —
-//! and asserts the invariants that the single-threaded test suite can
-//! only check on one lucky schedule.
+//! bounded-exhaustive scheduler generates — writer vs. background
+//! merge worker, a reader thread holding a snapshot, and injected
+//! worker panics — and asserts the invariants that the single-threaded
+//! test suite can only check on one lucky schedule.
 
 #![cfg(ist_loom)]
 
@@ -31,94 +31,45 @@ use ist_query::QueryKind;
 /// (helper threads inside a merge would be invisible to the model
 /// scheduler; these runs stay far below the merge's slice floor, so
 /// the concurrency surface is exactly the writer, the workers, and the
-/// readers the test spawns).
+/// reader the test spawns).
 fn tiny_map() -> DynamicMap<u64, u64> {
     DynamicMap::with_config(QueryKind::Veb, 2)
 }
 
-/// `map.insert(k, v)`, then drain the compaction it may have started:
-/// every merge worker is spawned and joined inside the model, and the
-/// tier shapes follow the inserts alone.
-fn insert_quiesced(map: &mut DynamicMap<u64, u64>, k: u64, v: u64) {
-    map.insert(k, v);
-    map.quiesce();
-}
-
-/// (a) The departed-reader release race: the last `Reader` dropping on
-/// one thread while the writer mutates on another. In every
-/// interleaving the snapshot the reader took must be a coherent
-/// published prefix, and once the drop has been observed (at the
-/// latest: the first mutation after `join`) the published cell must
-/// have released its pinned copy of the map.
+/// The writer/worker race is real: claiming that a merge is still in
+/// flight at the mutation after its seal is deliberately too strong,
+/// because a worker that finishes before that mutation's install check
+/// gets installed there. That schedule needs the scheduler to preempt
+/// the writer for the worker (the default schedule runs the writer
+/// until it blocks), so the checker must explore to find it, report it
+/// stably, and replay its non-default choices. This is the
+/// seeded-failure regression test for the checker itself.
 #[test]
-fn reader_drop_vs_mutation_always_releases_published_cell() {
-    let stats = Model::new()
-        .check(|| {
-            let mut map = tiny_map();
-            for k in 1..=4u64 {
-                insert_quiesced(&mut map, k, k * 10);
-            }
-            let reader = map.reader();
-            // Publish with the reader outstanding: the cell now pins a
-            // full snapshot and `published_dirty` is set.
-            map.compact_buffer();
-            assert_ne!(map.debug_published_size(), (0, 0));
-
-            let dropper = thread::spawn(move || {
-                let snap = reader.snapshot();
-                // The snapshot is the 4-key publication or a later one
-                // (5 keys) — never torn, never stale beyond the writer.
-                let n = snap.len();
-                assert!(n == 4 || n == 5, "incoherent snapshot: {n} keys");
-                for k in 1..=n as u64 {
-                    assert_eq!(snap.get(&k), Some(&(k * 10)));
-                }
-                // `reader` drops here: the strong count falls while the
-                // writer may be mid-mutation.
-            });
-            insert_quiesced(&mut map, 5, 50);
-            dropper.join().unwrap();
-
-            // First mutation after the drop is certainly observed: the
-            // release must have fired (either now or already during
-            // `insert(5)`).
-            insert_quiesced(&mut map, 6, 60);
-            assert_eq!(map.debug_published_size(), (0, 0));
-            for k in 1..=6u64 {
-                assert_eq!(map.get(&k), Some(&(k * 10)));
-            }
-        })
-        .expect("no interleaving may leave the published cell pinned");
-    assert!(stats.complete, "scenario must be exhaustively explored");
-    assert!(stats.executions > 1, "scenario must actually interleave");
-}
-
-/// The race from the test above is real: asserting the release
-/// *immediately* after the join — without the settling mutation — is
-/// too strong, because when `insert(5)` ran before the drop it
-/// republished and nothing has looked at the strong count since. The
-/// checker must find that schedule, report it stably, and replay it.
-/// This is the seeded-failure regression test for the checker itself.
-#[test]
-fn checker_finds_and_replays_the_stale_cell_schedule() {
+fn checker_finds_and_replays_the_prompt_worker_schedule() {
     let scenario = || {
         let mut map = tiny_map();
-        for k in 1..=4u64 {
-            insert_quiesced(&mut map, k, k * 10);
-        }
-        let reader = map.reader();
-        map.compact_buffer();
-        let dropper = thread::spawn(move || drop(reader));
-        insert_quiesced(&mut map, 5, 50);
-        dropper.join().unwrap();
-        // Deliberately too strong: no mutation after the join has
-        // re-observed the reader count yet.
-        assert_eq!(map.debug_published_size(), (0, 0), "cell still pinned");
+        map.insert(1, 10);
+        map.insert(2, 20); // fills the buffer: seals and spawns the merge
+        map.insert(3, 30); // installs the merge iff the worker is done
+        let shape = (map.sealed_runs(), map.compaction_in_flight());
+        map.quiesce();
+        // Deliberately too strong: only a worker still merging when
+        // `insert(3)` checks it leaves this shape.
+        assert_eq!(shape, (1, true), "merge installed by the next mutation");
     };
     let first = Model::new()
         .check(scenario)
-        .expect_err("the stale-cell interleaving exists and the checker must find it");
-    assert!(first.message.contains("cell still pinned"), "{first}");
+        .expect_err("the prompt-worker interleaving exists and the checker must find it");
+    assert!(
+        first
+            .message
+            .contains("merge installed by the next mutation"),
+        "{first}"
+    );
+    assert!(
+        first.schedule.iter().any(|&c| c != 0),
+        "the failure needs a preemption, not the default schedule: {first}"
+    );
     // Deterministic exploration: a second search finds the identical
     // schedule, and replaying it reproduces the identical failure.
     let second = Model::new().check(scenario).expect_err("same search");
@@ -131,9 +82,10 @@ fn checker_finds_and_replays_the_stale_cell_schedule() {
 
 /// (b) Background-merge install racing `quiesce`: sealed runs pile up
 /// while a worker merges, `quiesce` joins and installs mid-churn, and
-/// a concurrent reader snapshots somewhere in between. Post-conditions
-/// in every interleaving: no sealed runs, no in-flight merge, and
-/// answers identical to a `BTreeMap` oracle — compaction moves
+/// a reader thread checks a snapshot taken before the `quiesce`.
+/// Post-conditions in every interleaving: the snapshot is exactly the
+/// state it was taken at, no sealed runs or in-flight merge remain,
+/// and answers are identical to a `BTreeMap` oracle — compaction moves
 /// versions, never answers.
 #[test]
 fn background_install_racing_quiesce_preserves_answers() {
@@ -152,15 +104,14 @@ fn background_install_racing_quiesce_preserves_answers() {
             map.remove(&3);
             oracle.remove(&3);
 
-            let reader = map.reader();
+            let snap = map.snapshot();
+            let expected = oracle.clone();
             let observer = thread::spawn(move || {
-                let snap = reader.snapshot();
-                // Whatever publication the snapshot caught, values are
-                // never torn: a present key has the value written.
+                // Whatever the worker and the writer do meanwhile, the
+                // snapshot answers exactly as of its cut.
+                assert_eq!(snap.len(), expected.len());
                 for k in 1..=6u64 {
-                    if let Some(v) = snap.get(&k) {
-                        assert_eq!(*v, k * 100);
-                    }
+                    assert_eq!(snap.get(&k), expected.get(&k), "snapshot key {k}");
                 }
             });
             map.quiesce();
@@ -174,6 +125,8 @@ fn background_install_racing_quiesce_preserves_answers() {
             }
         })
         .expect("no interleaving may corrupt answers or leave work behind");
+    eprintln!("(b) {stats:?}");
+    assert!(stats.complete, "scenario must be exhaustively explored");
     assert!(stats.executions > 1, "scenario must actually interleave");
 }
 
@@ -215,5 +168,6 @@ fn worker_panic_propagates_to_writer_in_every_interleaving() {
             assert_eq!(map.len(), 5);
         })
         .expect("panic propagation must hold on every schedule");
-    assert!(stats.executions >= 1);
+    eprintln!("(c) {stats:?}");
+    assert!(stats.complete, "scenario must be exhaustively explored");
 }

@@ -1,4 +1,4 @@
-//! Drop-in stand-ins for the `std::sync` types the publication path
+//! Drop-in stand-ins for the `std::sync` types the compaction path
 //! uses. Under a [`crate::model::Model::check`] execution every
 //! operation is a scheduling point; outside one they behave exactly
 //! like `std` (so code built with `--cfg ist_loom` still works in
@@ -122,11 +122,10 @@ impl AtomicUsize {
     }
 }
 
-/// Model-aware `Arc`: `clone` and `strong_count` are preemption
-/// points. Dropping is deliberately *not* a scheduling point — drops
-/// run during unwinding, where the scheduler must never panic or
-/// block — but the refcount decrement itself is the real (atomic)
-/// one, so counts observed by `strong_count` are always coherent.
+/// Model-aware `Arc`: `clone` is a preemption point. Dropping is
+/// deliberately *not* a scheduling point — drops run during unwinding,
+/// where the scheduler must never panic or block — but the refcount
+/// decrement itself is the real (atomic) one.
 pub struct Arc<T: ?Sized> {
     inner: StdArc<T>,
 }
@@ -146,11 +145,6 @@ impl<T: Clone> Arc<T> {
 }
 
 impl<T: ?Sized> Arc<T> {
-    pub fn strong_count(this: &Self) -> usize {
-        yield_point();
-        StdArc::strong_count(&this.inner)
-    }
-
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
         StdArc::ptr_eq(&a.inner, &b.inner)
     }

@@ -7,9 +7,8 @@
 //!
 //! | alias | shard type | beyond the shared reads |
 //! |---|---|---|
-//! | [`ShardedMap`] | [`DynamicMap`] | writes, compaction control, persistence, `snapshot()`, `reader()` |
+//! | [`ShardedMap`] | [`DynamicMap`] | writes, compaction control, persistence, `snapshot()` |
 //! | [`ShardedFrozen`] | [`Frozen`] | nothing — an immutable composite snapshot |
-//! | [`ShardedReader`] | [`Reader`] | only `snapshot()` (a handle, not a read surface) |
 //!
 //! ## Range partition
 //!
@@ -52,22 +51,13 @@
 //! ## Snapshots and concurrent readers
 //!
 //! The same reads — literally the same code — are available off the
-//! writer's thread:
-//!
-//! * [`ShardedMap::snapshot`] freezes the **exact current** state into a
-//!   [`ShardedFrozen`] — globally consistent, because taking it requires
-//!   `&self` and mutation requires `&mut self`, so no write can
-//!   interleave with the per-shard freezes. A serving loop that owns the
-//!   map takes one of these per batch tick and hands it to reader
-//!   threads (the `ist-serve` coalescer does exactly this).
-//! * [`ShardedMap::reader`] returns a [`ShardedReader`] handle layered
-//!   on the per-shard [`Reader`] cells, for threads that must observe a
-//!   map **some other thread is mutating**. Each per-shard snapshot is a
-//!   prefix of that shard's operation sequence (publication is
-//!   seal/compaction-granular, lag op-bounded by the shard's
-//!   `buffer_cap`), but the cuts are taken per shard, **not** at one
-//!   global instant — see [`ShardedReader::snapshot`] for the honest
-//!   contract.
+//! writer's thread: [`ShardedMap::snapshot`] freezes the **exact
+//! current** state into a [`ShardedFrozen`] — a global cut, because
+//! taking it requires `&self` and mutation requires `&mut self`, so no
+//! write can interleave with the per-shard freezes. The thread that
+//! owns the map sends snapshots to its readers by value; a serving
+//! loop takes one per batch tick and hands it to reader threads (the
+//! `ist-serve` coalescer does exactly this).
 
 #![forbid(unsafe_code)]
 
@@ -75,7 +65,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ist_core::{Error, Layout};
-use ist_dynamic::{default_kind_for_layout, DynamicMap, Frozen, Reader, DEFAULT_BUFFER_CAP};
+use ist_dynamic::{default_kind_for_layout, DynamicMap, Frozen, DEFAULT_BUFFER_CAP};
 use ist_query::route::{
     debug_assert_valid_splits, partition_batch, partition_batch_ref, partition_owned,
     scatter_to_input_order, shard_of_key,
@@ -129,13 +119,13 @@ fn for_each_shard_task<'env, T: Send + 'env>(
 /// skeleton, and the empty-shard walks of the order queries — is an
 /// inherent method written once here, for any shard that can lend its
 /// state as a [`Frozen`] (the [`Shard`] bound). What else a `Sharded`
-/// can do depends on the shard type; see [`ShardedMap`],
-/// [`ShardedFrozen`] and [`ShardedReader`].
+/// can do depends on the shard type; see [`ShardedMap`] and
+/// [`ShardedFrozen`].
 pub struct Sharded<K, S> {
     /// Sorted, strictly increasing; shard `i` owns `[splits[i-1],
     /// splits[i])` with open ends at the extremes. `Arc`-shared with
-    /// every [`ShardedReader`] and [`ShardedFrozen`] spawned from a map
-    /// (splits never change after construction).
+    /// every [`ShardedFrozen`] taken from a map (splits never change
+    /// after construction).
     splits: Arc<Vec<K>>,
     /// `shards.len() == splits.len() + 1`, ordered by key range.
     shards: Vec<S>,
@@ -494,30 +484,43 @@ where
     /// [`ShardedFrozen`] — the whole read API, independent of later
     /// writes.
     ///
-    /// This cut is **globally consistent**: taking it borrows `&self`,
-    /// and every mutation needs `&mut self`, so the per-shard freezes
-    /// cannot interleave with any write. Cost: one ≤`buffer_cap`-entry
-    /// buffer copy plus one `Arc` bump, per shard. A
-    /// serving loop that owns the map takes one snapshot per batch tick
-    /// and hands it to reader threads, which is how the `ist-serve`
-    /// coalescer overlaps read execution with the next tick's writes.
+    /// This cut is **global**: taking it borrows `&self`, and every
+    /// mutation needs `&mut self`, so the per-shard freezes cannot
+    /// interleave with any write. Cost: one ≤`buffer_cap`-entry buffer
+    /// copy plus one `Arc` bump, per shard. The snapshot crosses
+    /// threads by value: the thread that owns the map sends it to its
+    /// readers (a serving loop takes one per batch tick, which is how
+    /// the `ist-serve` coalescer overlaps read execution with the next
+    /// tick's writes).
+    ///
+    /// # Examples
+    /// ```
+    /// use implicit_search_trees::{Layout, ShardedMap};
+    /// use std::sync::mpsc;
+    ///
+    /// let keys: Vec<u64> = (0..1000).collect();
+    /// let vals = keys.clone();
+    /// let mut m = ShardedMap::build(keys, vals, Layout::Veb, 4).unwrap();
+    /// let (tx, rx) = mpsc::channel();
+    /// let writer = std::thread::spawn(move || {
+    ///     for k in 0..500u64 {
+    ///         m.remove(&k);
+    ///         tx.send((k + 1, m.snapshot())).unwrap();
+    ///     }
+    ///     m
+    /// });
+    /// // Each snapshot is exactly the state after the removals it was
+    /// // sent with, across all four shards.
+    /// for (removed, snap) in rx {
+    ///     assert_eq!(snap.len() as u64, 1000 - removed);
+    ///     assert_eq!(snap.lower_bound(&0), Some((&removed, &removed)));
+    /// }
+    /// assert_eq!(writer.join().unwrap().len(), 500);
+    /// ```
     pub fn snapshot(&self) -> ShardedFrozen<K, V> {
         Sharded {
             splits: Arc::clone(&self.splits),
             shards: self.shards.iter().map(DynamicMap::snapshot).collect(),
-        }
-    }
-
-    /// A cloneable handle for observing this map from threads that do
-    /// **not** own it, layered on the per-shard [`DynamicMap::reader`]
-    /// cells (the current state of every shard is published
-    /// immediately). See [`ShardedReader::snapshot`] for the coherence
-    /// contract — per-shard prefixes, not a global cut. Takes `&mut
-    /// self` because it publishes, like [`DynamicMap::reader`].
-    pub fn reader(&mut self) -> ShardedReader<K, V> {
-        Sharded {
-            splits: Arc::clone(&self.splits),
-            shards: self.shards.iter_mut().map(DynamicMap::reader).collect(),
         }
     }
 }
@@ -856,66 +859,9 @@ where
 /// types are, and independent of the writer: compactions that retire
 /// the referenced runs only drop refcounts.
 ///
-/// **Coherence**: a snapshot from [`ShardedMap::snapshot`] is a
-/// globally-consistent cut (no write can interleave — see there). A
-/// snapshot from [`ShardedReader::snapshot`] is consistent **per
-/// shard** only; see that method for the contract.
+/// A snapshot from [`ShardedMap::snapshot`] is a global cut: the exact
+/// state of every shard at one instant.
 pub type ShardedFrozen<K, V> = Sharded<K, Frozen<K, V>>;
-
-/// A cloneable handle for observing a [`ShardedMap`] from threads that
-/// do not own it, layered on the per-shard [`Reader`] cells. Obtain it
-/// with [`ShardedMap::reader`] **before** handing the map to a writer
-/// thread.
-///
-/// # Examples
-/// ```
-/// use implicit_search_trees::{Layout, ShardedMap};
-///
-/// let keys: Vec<u64> = (0..1000).collect();
-/// let vals = keys.clone();
-/// let mut m = ShardedMap::build(keys, vals, Layout::Veb, 4).unwrap();
-/// let reader = m.reader();
-///
-/// let writer = std::thread::spawn(move || {
-///     for k in 0..500u64 {
-///         m.remove(&k);
-///     }
-///     m
-/// });
-/// // Concurrently, any thread can query a coherent composite snapshot.
-/// let snap = reader.snapshot();
-/// assert!(snap.len() <= 1000);
-/// assert_eq!(snap.rank(&0), 0);
-/// let m = writer.join().unwrap();
-/// assert_eq!(m.len(), 500);
-/// ```
-pub type ShardedReader<K, V> = Sharded<K, Reader<K, V>>;
-
-impl<K, V> ShardedReader<K, V> {
-    /// The latest published composite snapshot: one [`Reader::snapshot`]
-    /// per shard, assembled under the shared split vector.
-    ///
-    /// **The honest coherence contract.** Each per-shard snapshot is a
-    /// prefix of that shard's operation sequence (never going
-    /// backwards across successive calls, lag bounded by that shard's
-    /// `buffer_cap` — see [`DynamicMap::reader`]), and every answer the
-    /// composite gives is exact over that combination of prefixes. But
-    /// the per-shard cells are read one after another while a writer
-    /// may be mutating: the cuts are **per shard, not one global
-    /// instant**. A cross-shard `range_count` can therefore combine
-    /// shard states that never coexisted — e.g. counting a key batch
-    /// whose shard-3 half was already applied while its shard-1 half
-    /// was not. Writers that need tick-aligned cuts (the `ist-serve`
-    /// coalescer) take [`ShardedMap::snapshot`] between batches
-    /// instead, where the `&self`/`&mut self` borrow rules make global
-    /// consistency free.
-    pub fn snapshot(&self) -> ShardedFrozen<K, V> {
-        Sharded {
-            splits: Arc::clone(&self.splits),
-            shards: self.shards.iter().map(Reader::snapshot).collect(),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1027,23 +973,6 @@ mod tests {
         assert_eq!(snap.get(&11), None);
         assert_eq!(snap.get(&2), Some(&200));
         assert_eq!(snap.rank(&100), 4);
-    }
-
-    #[test]
-    fn reader_snapshot_publishes_current_state() {
-        let mut m = map_with_gaps();
-        let reader = m.reader();
-        let snap = reader.snapshot();
-        assert_eq!(snap.len(), 4);
-        assert_eq!(snap.get(&25), Some(&2500));
-        assert_eq!(snap.rank(&26), 3);
-        // A fresh reader() re-publishes the post-write state.
-        m.insert(12, 1200);
-        let snap2 = m.reader().snapshot();
-        assert_eq!(snap2.len(), 5);
-        assert_eq!(snap2.get(&12), Some(&1200));
-        // The old snapshot is unaffected.
-        assert_eq!(snap.len(), 4);
     }
 
     /// Regression for the serial shard drain: `quiesce` and

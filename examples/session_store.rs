@@ -16,12 +16,10 @@
 //!    weight sweep per resident run for the whole batch,
 //! 3. serve batched point lookups from the live map the whole time
 //!    (sealed-but-uncompacted runs keep answers exact mid-merge),
-//! 4. hand a [`Reader`] to a separate thread that audits a frozen
-//!    snapshot while the writer keeps mutating.
+//! 4. move a [`DynamicMap::snapshot`] into a separate thread that
+//!    audits it while the writer keeps mutating.
 //!
 //! Run with `cargo run --example session_store --release`.
-//!
-//! [`Reader`]: implicit_search_trees::Reader
 
 use implicit_search_trees::{DynamicMap, Layout};
 use std::thread;
@@ -86,9 +84,9 @@ fn main() {
     println!("batched lookup: {hits}/{} probes live", probes.len());
 
     // --- 4. snapshot audit on another thread while writes continue -----
-    let reader = store.reader();
+    let snap = store.snapshot(); // exactly the state at this call
+    let at_snapshot = store.len();
     let audit = thread::spawn(move || {
-        let snap = reader.snapshot();
         // Scan the live id space through order queries — on the frozen
         // view, so the writer can't shear it mid-scan.
         let mut cursor = snap.lower_bound(&0).map(|(k, _)| *k);
@@ -103,6 +101,10 @@ fn main() {
         store.insert(7 * s + 5, 1_700_172_800 + s); // writer keeps going
     }
     let (snap_len, walked) = audit.join().expect("audit thread");
+    assert_eq!(
+        snap_len, at_snapshot,
+        "the snapshot is the state it was taken at"
+    );
     assert_eq!(snap_len as u64, walked, "snapshot order-scan is exact");
     println!("audit thread walked {walked} sessions on its snapshot");
     println!("live map meanwhile advanced to {} sessions", store.len());

@@ -68,9 +68,9 @@
 //! atomically when done — reads consult sealed runs in the interim, so
 //! answers stay exact and a write never waits for an `O(n)` merge
 //! ([`DynamicMap::quiesce`] drains pending merges). Reads fan out newest-run-first on the
-//! same pipelined engines; [`DynamicMap::snapshot`] /
-//! [`DynamicMap::reader`] give concurrent readers frozen views that
-//! never block on a merge. See [`dynamic`](ist_dynamic) for the tier,
+//! same pipelined engines; [`DynamicMap::snapshot`] is the exact state
+//! at the call, a frozen view that a writer thread sends to its
+//! readers by value and that never blocks on a merge. See [`dynamic`](ist_dynamic) for the tier,
 //! tombstone, and weight design.
 //!
 //! ```
@@ -183,10 +183,10 @@
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
 
 pub use ist_dynamic::{
-    default_kind_for_layout, AlignedVec, DynamicMap, Frozen, Reader, StaticIndex, StaticMap,
+    default_kind_for_layout, AlignedVec, DynamicMap, Frozen, StaticIndex, StaticMap,
     DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
 };
-pub use ist_shard::{Shard, Sharded, ShardedFrozen, ShardedMap, ShardedReader};
+pub use ist_shard::{Shard, Sharded, ShardedFrozen, ShardedMap};
 pub use ist_store::{CrashModel, FsyncPolicy, MemVfs, StdVfs, StoreConfig, StoreError, Vfs};
 
 pub use ist_core::{

@@ -1,6 +1,6 @@
 //! Concurrency smoke test: one writer thread driving a [`DynamicMap`]
-//! through constant merges while reader threads take snapshots through
-//! a [`Reader`] handle the whole time.
+//! through constant merges while reader threads check the snapshots it
+//! sends them, by value, over one channel each.
 //!
 //! The op sequence is chosen so that **every** prefix state is
 //! recognizable from the outside:
@@ -10,22 +10,21 @@
 //! * phase 2 deletes keys `0, 1, …, N/2−1` in order — after `d`
 //!   deletes the live set is exactly `{d, …, N−1}`.
 //!
-//! Each reader repeatedly snapshots and asserts the observed state *is*
-//! one of those prefix states (shape, boundary membership, rank, and
-//! order queries all agree), and that successive snapshots never move
-//! backwards — publications are seal/compaction-granular but always
-//! happen on the writer thread in op order, so every published state is
-//! a prefix state and publication order is operation order. A torn or
+//! After every op the writer sends `(ops applied, map.snapshot())` to
+//! each reader, and each reader asserts the snapshot *is* exactly the
+//! prefix state after that many ops (shape, boundary membership, rank,
+//! and order queries all agree): a snapshot is the exact state at the
+//! call, a global cut, not merely some recent prefix. A torn or
 //! half-merged state (e.g. a run visible without its buffer, or a
 //! tombstone applied twice) cannot satisfy the checks.
 //!
 //! The writer runs twice: quiesced (`quiesce()` after every op, so each
 //! merge installs before the next op — the deterministic baseline) and
-//! free-running (seals publish immediately while the k-way merges
-//! overlap subsequent ops on a worker thread — installs must never tear
-//! a published state). Readers and writer meet at a barrier once every
-//! reader has checked its first snapshot, so the reads provably overlap
-//! the writes. A separate test holds a compaction **mid-flight** with
+//! free-running (seals land immediately while the k-way merges overlap
+//! subsequent ops on a worker thread — installs must never tear a
+//! snapshot). Readers and writer meet at a barrier once every reader
+//! has checked the initial snapshot, so the reads provably overlap the
+//! writes. A separate test holds a compaction **mid-flight** with
 //! slow-cloning values and checks every query against an oracle while
 //! the merge is provably still running.
 //!
@@ -34,10 +33,11 @@
 //! which also arm the weight-invariant debug assertions inside the
 //! merge).
 
-use implicit_search_trees::{CrashModel, DynamicMap, MemVfs, QueryKind, StoreConfig};
+use implicit_search_trees::{CrashModel, DynamicMap, Frozen, MemVfs, QueryKind, StoreConfig};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -53,8 +53,8 @@ fn value_of(k: u64) -> u64 {
 }
 
 /// Assert `snap` is a valid prefix state; return its logical epoch
-/// (number of writer ops it reflects) for the monotonicity check.
-fn check_prefix_state(snap: &implicit_search_trees::Frozen<u64, u64>) -> u64 {
+/// (the number of writer ops it reflects).
+fn check_prefix_state(snap: &Frozen<u64, u64>) -> u64 {
     let len = snap.len() as u64;
     assert!(len <= N, "more live keys than were ever inserted");
     if len == 0 {
@@ -107,27 +107,31 @@ fn snapshots_stay_prefix_consistent_under_free_running_merges() {
 /// `quiesce()` after every op when `quiesced`.
 fn run_concurrent_snapshot_load(quiesced: bool) {
     let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
-    let reader = map.reader();
-    let done = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(READERS + 1));
 
+    let mut senders = Vec::new();
     let mut handles = Vec::new();
     for r in 0..READERS {
-        let reader = reader.clone();
-        let done = Arc::clone(&done);
+        let (tx, rx) = mpsc::channel::<(u64, Frozen<u64, u64>)>();
+        senders.push(tx);
         let start = Arc::clone(&start);
         handles.push(thread::spawn(move || {
-            let mut last_epoch = 0u64;
             let mut observed = 0usize;
-            // Poll until the writer finishes, then take one final look.
-            while !done.load(Ordering::Acquire) {
-                let snap = reader.snapshot();
-                let epoch = check_prefix_state(&snap);
-                assert!(
-                    epoch >= last_epoch,
-                    "reader {r} went backwards: {epoch} < {last_epoch}"
-                );
-                last_epoch = epoch;
+            // Until the writer hangs up: every snapshot is exactly the
+            // state after the ops it was sent with. Every reader checks
+            // every snapshot's size; the full battery (its order queries
+            // skip up to N/2 dead keys) runs on one reader per snapshot.
+            for (ops, snap) in rx {
+                if ops % READERS as u64 == r as u64 {
+                    assert_eq!(
+                        check_prefix_state(&snap),
+                        ops,
+                        "reader {r}: snapshot is not the state it was taken at"
+                    );
+                } else {
+                    let live = if ops <= N { ops } else { 2 * N - ops };
+                    assert_eq!(snap.len() as u64, live, "reader {r}: size at op {ops}");
+                }
                 observed += 1;
                 if observed == 1 {
                     start.wait();
@@ -141,36 +145,41 @@ fn run_concurrent_snapshot_load(quiesced: bool) {
                     }
                 }
             }
-            let epoch = check_prefix_state(&reader.snapshot());
-            assert!(epoch >= last_epoch);
             observed
         }));
     }
 
     // Writer: phase 1 inserts, phase 2 deletes; merges happen every CAP
-    // ops throughout, while the readers above are snapshotting.
+    // ops throughout, while the readers above check the snapshots.
     let writer = thread::spawn(move || {
+        let send = |ops: u64, map: &DynamicMap<u64, u64>| {
+            for tx in &senders {
+                tx.send((ops, map.snapshot())).expect("reader hung up");
+            }
+        };
+        send(0, &map);
         start.wait();
         for k in 0..N {
             map.insert(k, value_of(k));
             if quiesced {
                 map.quiesce();
             }
+            send(k + 1, &map);
         }
         for k in 0..N / 2 {
             assert!(map.remove(&k), "key {k} was live");
             if quiesced {
                 map.quiesce();
             }
+            send(N + k + 1, &map);
         }
         map
     });
 
     let map = writer.join().expect("writer must not panic");
-    done.store(true, Ordering::Release);
     for handle in handles {
         let observed = handle.join().expect("reader must not panic");
-        assert!(observed > 0, "reader never got a snapshot in");
+        assert_eq!(observed as u64, N + N / 2 + 1, "reader missed a snapshot");
     }
 
     // Final state, on the live map and on a fresh snapshot.
@@ -191,20 +200,19 @@ fn run_concurrent_snapshot_load(quiesced: bool) {
 
 /// Restart under concurrent readers: a **persistent** map is killed
 /// (power-cycle dropping everything unsynced) and reopened several
-/// times while reader threads snapshot continuously through a shared
-/// [`implicit_search_trees::Reader`] slot.
+/// times while the writer keeps sending snapshots to reader threads.
 ///
 /// What must hold:
 ///
-/// * readers polling the *old* map's reader during the restart window
-///   keep getting valid prefix states — never a panic, never a torn
-///   state, even though the map behind their handle is gone;
-/// * the reopened map's reader starts at the full recovered state, and
-///   under fsync-always that state is **exactly** the pre-kill state —
-///   so no reader ever observes time moving backwards across a restart;
-/// * recovery composes with the concurrent-reader machinery: sealing,
-///   background compaction, and publication all resume on the reopened
-///   map while the same reader threads keep polling.
+/// * every snapshot is exactly the state after the inserts it was sent
+///   with — snapshots of the old map stay valid after the map behind
+///   them is gone;
+/// * under fsync-always the reopened map's first snapshot **equals**
+///   the last snapshot of the killed map, so no reader ever observes
+///   time moving backwards across a restart;
+/// * recovery composes with the write path: sealing and background
+///   compaction resume on the reopened map while the same reader
+///   threads keep checking its snapshots.
 #[test]
 fn restart_under_concurrent_readers() {
     const RN: u64 = 900;
@@ -214,64 +222,76 @@ fn restart_under_concurrent_readers() {
     let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, RCAP);
     map.persist_to("db", cfg.clone()).expect("persist_to");
 
-    // Readers fetch the *current* reader from this slot each round; the
-    // writer swaps in the reopened map's reader after every restart.
-    let slot = Arc::new(Mutex::new(map.reader()));
-    let done = Arc::new(AtomicBool::new(false));
+    // Each message: (keys inserted so far, whether the map was just
+    // reopened, its snapshot).
+    type Msg = (u64, bool, Frozen<u64, u64>);
     let start = Arc::new(Barrier::new(READERS + 1));
+    let mut senders = Vec::new();
     let mut handles = Vec::new();
     for r in 0..READERS {
-        let slot = Arc::clone(&slot);
-        let done = Arc::clone(&done);
+        let (tx, rx) = mpsc::channel::<Msg>();
+        senders.push(tx);
         let start = Arc::clone(&start);
         handles.push(thread::spawn(move || {
-            let mut last_len = 0u64;
+            let mut last: Option<Frozen<u64, u64>> = None;
+            let mut reopens = 0usize;
             let mut observed = 0usize;
-            while !done.load(Ordering::Acquire) {
-                let snap = slot.lock().expect("slot").snapshot();
-                let len = snap.len() as u64;
-                assert!(len <= RN, "reader {r}: more keys than ever inserted");
+            for (len, reopened, snap) in rx {
+                // Insert-only workload: the state is {0, …, len−1}.
+                assert_eq!(snap.len() as u64, len, "reader {r}: wrong cut");
                 if len > 0 {
-                    // Insert-only workload: the state is {0, …, len−1}.
                     assert_eq!(snap.get(&0), Some(&value_of(0)));
                     assert_eq!(snap.get(&(len - 1)), Some(&value_of(len - 1)));
-                    if len < RN {
-                        assert_eq!(snap.get(&len), None, "key {len} must not exist yet");
-                    }
-                    assert_eq!(snap.rank(&len), len as usize);
                     assert_eq!(snap.lower_bound(&0), Some((&0, &value_of(0))));
                 }
-                assert!(
-                    len >= last_len,
-                    "reader {r} went backwards across a restart: {len} < {last_len}"
-                );
-                last_len = len;
+                assert_eq!(snap.get(&len), None, "key {len} must not exist yet");
+                assert_eq!(snap.rank(&len), len as usize);
+                if reopened {
+                    // The first snapshot after a reopen is the pre-kill
+                    // state, key for key.
+                    reopens += 1;
+                    let before = last.as_ref().expect("a snapshot precedes every kill");
+                    assert_eq!(before.len(), snap.len(), "reader {r}: restart lost writes");
+                    for k in 0..=len {
+                        assert_eq!(before.get(&k), snap.get(&k), "reader {r}: key {k}");
+                    }
+                }
+                last = Some(snap);
                 observed += 1;
                 if observed == 1 {
                     start.wait();
                 }
             }
-            observed
+            (observed, reopens)
         }));
     }
+    let send = |len: u64, reopened: bool, map: &DynamicMap<u64, u64>| {
+        for tx in &senders {
+            tx.send((len, reopened, map.snapshot()))
+                .expect("reader hung up");
+        }
+    };
 
+    send(0, false, &map);
     start.wait();
     for k in 0..RN {
         map.insert(k, value_of(k));
+        send(k + 1, false, &map);
         if k == RN / 4 || k == RN / 2 || k == 3 * RN / 4 {
-            // Kill-and-restart while the readers above keep polling the
-            // old reader handle.
+            // Kill-and-restart while the readers above may still be
+            // checking the old map's snapshots.
             drop(map);
             vfs.power_cycle(CrashModel::DropUnsynced);
             map = DynamicMap::open_with("db", cfg.clone()).expect("reopen after power cycle");
             assert_eq!(map.len() as u64, k + 1, "fsync-always recovery is exact");
-            *slot.lock().expect("slot") = map.reader();
+            send(k + 1, true, &map);
         }
     }
-    done.store(true, Ordering::Release);
+    drop(senders);
     for handle in handles {
-        let observed = handle.join().expect("reader must not panic");
-        assert!(observed > 0, "reader never got a snapshot in");
+        let (observed, reopens) = handle.join().expect("reader must not panic");
+        assert_eq!(observed as u64, RN + 4, "reader missed a snapshot");
+        assert_eq!(reopens, 3, "reader saw every restart");
     }
 
     map.quiesce();

@@ -206,14 +206,11 @@ where
 
 /// Every scalar query vs the oracle, and every batched query vs BOTH
 /// the oracle and the unsharded mirror (elementwise bit-identity).
-/// Takes the map mutably only to publish a fresh reader cut.
 fn check_full_state(
-    sharded: &mut ShardedMap<u64, u64>,
+    sharded: &ShardedMap<u64, u64>,
     mirror: &DynamicMap<u64, u64>,
     oracle: &BTreeMap<u64, u64>,
 ) -> Result<(), String> {
-    let reader_snap = sharded.reader().snapshot();
-    let sharded = &*sharded;
     let fail = |what: String| -> Result<(), String> { Err(what) };
     if sharded.shard_lens().iter().sum::<usize>() != sharded.len() {
         return fail("shard_lens do not sum to len".to_string());
@@ -264,36 +261,33 @@ fn check_full_state(
             return fail(format!("batch_range_count({lo},{hi}) != {expect}"));
         }
     }
-    // Composite snapshots: the writer-side globally-consistent cut and
-    // a fresh reader handle's published cut must both answer every
-    // query bit-identically to the live sharded map they froze — the
-    // scalar reads through the very checker the live map just passed.
-    let writer_snap = sharded.snapshot();
-    for (name, snap) in [("snapshot", &writer_snap), ("reader", &reader_snap)] {
-        check_scalar_reads(name, snap, oracle, &probes, &pairs)?;
-        if snap.len() != sharded.len() {
-            return fail(format!("{name}: len differs from live map"));
+    // The composite snapshot (the writer-side global cut) must answer
+    // every query bit-identically to the live sharded map it froze —
+    // the scalar reads through the very checker the live map just
+    // passed.
+    let snap = sharded.snapshot();
+    check_scalar_reads("snapshot", &snap, oracle, &probes, &pairs)?;
+    if snap.len() != sharded.len() {
+        return fail("snapshot: len differs from live map".to_string());
+    }
+    if snap.batch_get(&probes) != batch {
+        return fail("snapshot: batch_get differs from live map".to_string());
+    }
+    if snap.batch_rank(&probes) != ranks {
+        return fail("snapshot: batch_rank differs from live map".to_string());
+    }
+    if snap.batch_range_count(&pairs) != counts {
+        return fail("snapshot: batch_range_count differs from live map".to_string());
+    }
+    for &k in probes.iter().step_by(7) {
+        if snap.successor(&k).map(|(a, b)| (*a, *b)) != sharded.successor(&k).map(|(a, b)| (*a, *b))
+        {
+            return fail(format!("snapshot: successor({k}) differs from live map"));
         }
-        if snap.batch_get(&probes) != batch {
-            return fail(format!("{name}: batch_get differs from live map"));
-        }
-        if snap.batch_rank(&probes) != ranks {
-            return fail(format!("{name}: batch_rank differs from live map"));
-        }
-        if snap.batch_range_count(&pairs) != counts {
-            return fail(format!("{name}: batch_range_count differs from live map"));
-        }
-        for &k in probes.iter().step_by(7) {
-            if snap.successor(&k).map(|(a, b)| (*a, *b))
-                != sharded.successor(&k).map(|(a, b)| (*a, *b))
-            {
-                return fail(format!("{name}: successor({k}) differs from live map"));
-            }
-            if snap.predecessor(&k).map(|(a, b)| (*a, *b))
-                != sharded.predecessor(&k).map(|(a, b)| (*a, *b))
-            {
-                return fail(format!("{name}: predecessor({k}) differs from live map"));
-            }
+        if snap.predecessor(&k).map(|(a, b)| (*a, *b))
+            != sharded.predecessor(&k).map(|(a, b)| (*a, *b))
+        {
+            return fail(format!("snapshot: predecessor({k}) differs from live map"));
         }
     }
     Ok(())
@@ -447,7 +441,7 @@ fn run_sequence_with(
                 sharded.quiesce();
                 mirror.quiesce();
             }
-            check_full_state(&mut sharded, &mirror, &oracle)
+            check_full_state(&sharded, &mirror, &oracle)
         });
         if let Err(why) = result {
             let prefix: Vec<String> = ops.iter().map(|o| format!("  {o}")).collect();
@@ -466,7 +460,7 @@ fn run_sequence_with(
     sharded.quiesce();
     mirror.quiesce();
     assert!(!sharded.compaction_in_flight());
-    check_full_state(&mut sharded, &mirror, &oracle)
+    check_full_state(&sharded, &mirror, &oracle)
         .unwrap_or_else(|why| panic!("state diverged after quiesce (seed={seed:#x}): {why}"));
 }
 
@@ -512,11 +506,11 @@ fn sharded_differential_after_bulk_build() {
         for (k, v) in keys.into_iter().zip(values) {
             oracle.insert(k, v);
         }
-        check_full_state(&mut sharded, &mirror, &oracle).expect("bulk build state");
+        check_full_state(&sharded, &mirror, &oracle).expect("bulk build state");
         for i in 0..120 {
             let op = gen_op(&mut rng, 1000 + i, Ingest::Bulk);
             apply_op(&mut sharded, &mut mirror, &mut oracle, &op)
-                .and_then(|()| check_full_state(&mut sharded, &mirror, &oracle))
+                .and_then(|()| check_full_state(&sharded, &mirror, &oracle))
                 .unwrap_or_else(|why| {
                     panic!("bulk-build sharded fuzz diverged (seed={seed:#x}, op {i}): {why}")
                 });
