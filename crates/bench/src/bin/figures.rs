@@ -14,7 +14,7 @@
 
 use ist_bench::*;
 use ist_core::{permute_in_place, permute_in_place_seq, Algorithm, Layout};
-use ist_dynamic::StaticIndex;
+use ist_dynamic::StaticMap;
 use ist_gather::{equidistant_gather_chunks_par, gather_len, swap_halves_par};
 use ist_gpu_sim::{kernels as gk, query as gq, Gpu, GpuConfig};
 use ist_pem_sim::{kernels as pk, PemConfig, TrackedArray};
@@ -273,8 +273,9 @@ fn fig_combined(parallel: bool, scale: i32) {
 /// batched `get` and `rank` throughput (Mq/s) against run size n =
 /// 2^12 … 2^(22+S) for the sorted baseline and every layout a map can be
 /// configured with, built the way a map builds its runs
-/// ([`StaticIndex::build_presorted`], aligned storage) and queried through
-/// the same batched engine its reads use.
+/// ([`StaticMap::build_presorted`], aligned storage, here with a
+/// zero-sized payload) and queried through the same batched engine its
+/// reads use.
 ///
 /// Four choices make the numbers honest on a shared box:
 /// - several same-size indexes (up to 8, at most 2^22 keys a kind) are
@@ -321,11 +322,20 @@ fn size_crossover_sweep(scale: i32) {
         let count = (KEYS_PER_KIND / n).clamp(2, 8);
         let pool = uniform_queries(n, 2 * QUERIES, n as u64);
         let (get_pool, rank_pool) = pool.split_at(QUERIES);
-        let sets: Vec<Vec<StaticIndex<u64>>> = kinds
+        // `build_presorted` ignores its `Algorithm` argument.
+        let sets: Vec<Vec<StaticMap<u64, ()>>> = kinds
             .iter()
             .map(|&kind| {
                 (0..count)
-                    .map(|_| StaticIndex::build_presorted(sorted_keys(n), kind).unwrap())
+                    .map(|_| {
+                        StaticMap::build_presorted(
+                            sorted_keys(n),
+                            vec![(); n],
+                            kind,
+                            Algorithm::CycleLeader,
+                        )
+                        .unwrap()
+                    })
                     .collect()
             })
             .collect();
@@ -335,10 +345,10 @@ fn size_crossover_sweep(scale: i32) {
             for _ in 0..PASSES {
                 for (k, set) in sets.iter().enumerate() {
                     gets[k].push(pass_mqps(get_pool, batch, |i, keys| {
-                        std::hint::black_box(set[i % count].batch_search(keys));
+                        std::hint::black_box(set[i % count].searcher().batch_search(keys));
                     }));
                     ranks[k].push(pass_mqps(rank_pool, batch, |i, keys| {
-                        std::hint::black_box(set[i % count].batch_rank(keys));
+                        std::hint::black_box(set[i % count].searcher().batch_rank(keys));
                     }));
                 }
             }

@@ -59,16 +59,6 @@ unsafe impl<T: Send> Send for AlignedVec<T> {}
 unsafe impl<T: Sync> Sync for AlignedVec<T> {}
 
 impl<T> AlignedVec<T> {
-    /// The alignment the buffer is guaranteed to have: [`CACHE_LINE`]
-    /// or more for scatter-built (raw) buffers, the type's natural
-    /// alignment for zero-copy [`AlignedVec::from_vec`] adoptions.
-    pub fn alignment(&self) -> usize {
-        match self.backing {
-            Backing::Raw => raw_align::<T>(),
-            Backing::Vec { .. } => align_of::<T>(),
-        }
-    }
-
     /// Zero-copy adoption of a `Vec`'s buffer (used for un-permuted
     /// sorted runs, where no element needs to move). Carries the `Vec`
     /// allocator's natural alignment only.
@@ -81,30 +71,6 @@ impl<T> AlignedVec<T> {
             ptr: unsafe { NonNull::new_unchecked(ptr) },
             len,
             backing: Backing::Vec { cap },
-        }
-    }
-
-    /// The buffer's contents, as a `Vec`. Zero-copy when the buffer was
-    /// adopted from a `Vec`; raw-backed buffers are copied into a fresh
-    /// `Vec` allocation (this is the de-construction path —
-    /// `into_inner` / `into_parts` — not a serving path).
-    pub fn into_vec(self) -> Vec<T> {
-        let this = core::mem::ManuallyDrop::new(self);
-        match this.backing {
-            // SAFETY: round-trip of the adopted Vec's raw parts.
-            Backing::Vec { cap } => unsafe {
-                Vec::from_raw_parts(this.ptr.as_ptr(), this.len, cap)
-            },
-            // SAFETY: the buffer holds `len` initialized elements;
-            // reading them out transfers ownership, after which only
-            // the raw allocation is freed (not the elements).
-            Backing::Raw => unsafe {
-                let mut out = Vec::with_capacity(this.len);
-                core::ptr::copy_nonoverlapping(this.ptr.as_ptr(), out.as_mut_ptr(), this.len);
-                out.set_len(this.len);
-                dealloc_raw::<T>(this.ptr, this.len);
-                out
-            },
         }
     }
 
@@ -189,10 +155,10 @@ impl<T> AlignedVec<T> {
 impl<T: Send> AlignedVec<T> {
     /// Move `src` into a fresh aligned buffer, applying the permutation
     /// `dst[pos.pos(r)] = src[r]` during the move — the single-pass
-    /// build behind [`crate::StaticIndex::build_presorted`] /
-    /// [`crate::StaticMap::build_presorted`]. Parallelized over element
-    /// ranges (the layout maps are pure index arithmetic, so disjoint
-    /// source ranges write disjoint destination slots).
+    /// build behind [`crate::StaticMap::build_presorted`], once per
+    /// array. Parallelized over element ranges (the layout maps are
+    /// pure index arithmetic, so disjoint source ranges write disjoint
+    /// destination slots).
     pub(crate) fn scatter_from_vec(mut src: Vec<T>, pos: &LayoutPos) -> Self {
         let n = src.len();
         if n == 0 || size_of::<T>() == 0 {
@@ -385,7 +351,6 @@ mod tests {
                 let pos = LayoutPos::new(layout, n).unwrap();
                 let got = AlignedVec::scatter_from_vec(sorted.clone(), &pos);
                 assert_eq!(&*got, &expect[..], "n={n} layout={layout:?}");
-                assert!(got.alignment() >= CACHE_LINE);
                 assert_eq!(got.as_ptr() as usize % CACHE_LINE, 0);
             }
         }
@@ -409,14 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn vec_round_trip_is_zero_copy() {
+    fn vec_adoption_is_zero_copy() {
         let v: Vec<u64> = (0..100).collect();
         let p = v.as_ptr();
         let a = AlignedVec::from_vec(v);
         assert_eq!(a.as_ptr(), p, "adoption must not move the buffer");
-        let back = a.into_vec();
-        assert_eq!(back.as_ptr(), p, "extraction must not move the buffer");
-        assert_eq!(back.len(), 100);
+        assert_eq!(a.len(), 100);
     }
 
     /// Drop must run element destructors exactly once in both backings.
@@ -436,8 +399,7 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::Relaxed), 0);
         drop(scattered);
         assert_eq!(DROPS.load(Ordering::Relaxed), 50);
-        let v = adopted.into_vec();
-        drop(v);
+        drop(adopted);
         assert_eq!(DROPS.load(Ordering::Relaxed), 80);
     }
 }

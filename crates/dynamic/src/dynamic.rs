@@ -116,10 +116,11 @@
 //! buffer, then runs newest-first, and stop at the first version found
 //! (live → the value, tombstone → absent). [`Frozen::batch_get`] does
 //! the same run-by-run but drives every run with the software-pipelined
-//! batched engine (`StaticIndex::batch_search`), so batched read
-//! throughput survives dynamization. Order queries (`lower_bound` /
-//! `successor` / `predecessor`) combine per-run candidates and skip
-//! dead versions.
+//! batched engine
+//! ([`Searcher::batch_search`](ist_query::Searcher::batch_search)), so
+//! batched read throughput survives dynamization. Order queries
+//! (`lower_bound` / `successor` / `predecessor`) combine per-run
+//! candidates and skip dead versions.
 //!
 //! ## Snapshots: readers never block on a merge
 //!
@@ -143,7 +144,7 @@ pub use read::Frozen;
 
 pub(crate) use run::{BufEntry, Prefix, Run};
 
-use crate::index::default_kind_for_layout;
+use crate::map::default_kind_for_layout;
 #[cfg(doc)]
 use crate::map::StaticMap;
 use crate::sync::{Arc, Mutex};
@@ -582,8 +583,8 @@ where
         let keys: Vec<K> = delta.iter().map(|(k, _)| k.clone()).collect();
         let mut s_runs = vec![0i64; keys.len()];
         for run in self.live.runs.iter() {
-            let ranks = run.map.index().batch_rank(&keys);
             let searcher = run.map.searcher();
+            let ranks = searcher.batch_rank(&keys);
             for (s, (&r, key)) in s_runs.iter_mut().zip(ranks.iter().zip(&keys)) {
                 if let Some(p) = searcher.position_of_rank(r) {
                     if run.map.keys()[p] == *key {
@@ -663,6 +664,7 @@ where
     /// the first empty tier: if tier 0 is empty this *adds* a shallow
     /// run rather than reducing the run count (follow with
     /// [`DynamicMap::quiesce`] to see it land).
+    // LINT-ALLOW(test-only-pub): model_check's panic-propagation model seals with it
     pub fn compact_buffer(&mut self) {
         self.try_install();
         self.seal();
@@ -704,6 +706,7 @@ where
     /// Make the next background compaction worker panic after arming
     /// its `DoneGuard`, to model-check panic propagation to the writer.
     #[cfg(ist_loom)]
+    // LINT-ALLOW(test-only-pub): model_check's panic-propagation model arms it
     pub fn debug_panic_next_compaction(&mut self) {
         self.panic_next_compaction = true;
     }

@@ -99,7 +99,7 @@ where
 
     /// Number of live keys in `[lo, hi)`. Reversed bounds (`lo > hi`)
     /// describe an empty interval and yield 0 — never a panic (the same
-    /// contract as [`crate::StaticIndex::range_count`]).
+    /// contract as [`StaticMap::range_count`](crate::StaticMap::range_count)).
     pub fn range_count(&self, lo: &K, hi: &K) -> usize {
         if lo >= hi {
             return 0; // reversed or empty bounds: defined as 0
@@ -217,7 +217,7 @@ where
             }
             probe.clear();
             probe.extend(pending.iter().map(|&i| keys[i].borrow()));
-            let mut positions = run.map.index().batch_search(&probe).into_iter();
+            let mut positions = run.map.searcher().batch_search(&probe).into_iter();
             // `retain` visits `pending` once, in order: in step with
             // `positions`.
             pending.retain(|&i| match positions.next().expect("a position per probe") {
@@ -247,7 +247,7 @@ where
             .map(|k| below[self.buffer.partition_point(|e| e.key < *k.borrow())])
             .collect();
         for run in self.runs.iter() {
-            for (a, r) in acc.iter_mut().zip(run.map.index().batch_rank(keys)) {
+            for (a, r) in acc.iter_mut().zip(run.map.searcher().batch_rank(keys)) {
                 *a += run.prefix.at(r);
             }
         }

@@ -2,19 +2,19 @@
 //!
 //! The serving facades over the implicit search tree layouts:
 //!
-//! * [`StaticIndex`] — an immutable sorted-key index, scattered into a
-//!   cache-optimal layout in cache-line-aligned storage, with the full
-//!   point/batch/range query API.
-//! * [`StaticMap`] — the key→value variant: payloads co-permuted
-//!   obliviously alongside the keys (`V` never compared).
+//! * [`StaticMap`] — an immutable map: keys scattered into a
+//!   cache-optimal layout in cache-line-aligned storage, payloads
+//!   co-permuted obliviously alongside them (`V` never compared), with
+//!   the full point/batch/range query API. A key-only index is
+//!   `StaticMap<K, ()>`; its zero-sized payload side costs nothing.
 //! * [`DynamicMap`] — the write-capable structure this crate exists
 //!   for: a logarithmic-method (LSM-style) dynamization that keeps
 //!   every resident run in a static layout and makes the one-pass
 //!   parallel layout **rebuild** the mutation primitive.
 //!
-//! All three are re-exported from the root `implicit-search-trees`
-//! facade crate; this crate exists so the dynamization can layer on the
-//! static facades without a dependency cycle.
+//! Both are re-exported from the root `implicit-search-trees` facade
+//! crate; this crate exists so the dynamization can layer on the
+//! static facade without a dependency cycle.
 //!
 //! ## Dynamization in one paragraph
 //!
@@ -41,12 +41,10 @@
 
 pub mod alloc;
 pub mod dynamic;
-mod index;
 mod map;
 pub(crate) mod persist;
 pub(crate) mod sync;
 
 pub use alloc::AlignedVec;
 pub use dynamic::{DynamicMap, Frozen, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
-pub use index::{default_kind_for_layout, StaticIndex};
-pub use map::StaticMap;
+pub use map::{default_kind_for_layout, StaticMap};

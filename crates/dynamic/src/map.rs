@@ -1,12 +1,11 @@
-//! [`StaticMap`]: key→value serving on top of the implicit layouts.
+//! [`StaticMap`]: the one static serving facade — keys in an implicit
+//! search tree layout, payloads carried alongside.
 //!
-//! A [`crate::StaticIndex`] answers "is this key stored, and where?";
-//! a serving system needs "what is stored *under* this key?". The
-//! layouts make that almost free: because the layout permutation is
-//! **data-oblivious** (position depends only on `n` and the layout —
-//! see `ist_perm::oblivious`), the payload array can be carried through
-//! the exact same index maps as the keys without ever being compared.
-//! Construction therefore:
+//! The layouts make the payload side almost free: because the layout
+//! permutation is **data-oblivious** (position depends only on `n` and
+//! the layout — see `ist_perm::oblivious`), the payload array can be
+//! carried through the exact same index maps as the keys without ever
+//! being compared. Construction therefore:
 //!
 //! 1. argsorts the keys (the only comparisons anywhere),
 //! 2. applies the sort's index permutation to keys **and** values in
@@ -21,10 +20,13 @@
 //! layout position `p`, so every query the key side answers (point,
 //! batch, range, successor/predecessor — scalar and on the
 //! software-pipelined batched engine) resolves to a payload with one
-//! array read.
+//! array read. A key-only index is the same map with a zero-sized
+//! payload, `StaticMap<K, ()>`: the `()` side adopts its `Vec` with no
+//! allocation and no scatter, and position-level queries (`search`,
+//! `batch_search`, `batch_count`, `rank_upper`, …) go through
+//! [`StaticMap::searcher`].
 
 use crate::alloc::{AlignedVec, LayoutPos};
-use crate::index::StaticIndex;
 use ist_core::{Algorithm, Error, Layout};
 use ist_perm::co_permute_by_gather;
 use ist_query::{QueryKind, Searcher};
@@ -53,21 +55,31 @@ use std::borrow::Borrow;
 /// assert_eq!(map.lower_bound(&25), Some((&30, &"thirty")));
 /// assert_eq!(map.batch_get(&[10, 15, 30]), vec![Some(&"ten"), None, Some(&"thirty")]);
 /// assert_eq!(map.range_count(&10, &30), 2);
+///
+/// // Key-only: a zero-sized payload, duplicates kept.
+/// let index = StaticMap::build(vec![30u64, 10, 20, 20, 50], vec![(); 5], Layout::Veb).unwrap();
+/// assert_eq!(index.rank(&20), 1); // one key (10) strictly below
+/// assert_eq!(index.searcher().rank_upper(&20), 3);
+/// assert_eq!(index.searcher().batch_count(&[10, 11, 50]), 2);
 /// ```
 pub struct StaticMap<K, V> {
-    index: StaticIndex<K>,
+    keys: AlignedVec<K>,
     values: AlignedVec<V>,
+    kind: QueryKind,
 }
 
 impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     /// Sort `keys`, co-permute `values` alongside them, and scatter
-    /// both into `layout` inside aligned run storage (BST uses the
-    /// grandchild-prefetching descent, like [`StaticIndex::build`]).
+    /// both into `layout` inside aligned run storage, answering with
+    /// the layout's default descent ([`default_kind_for_layout`]).
+    ///
+    /// Duplicates are kept (see [`ist_query`'s duplicate-key
+    /// contract](ist_query#duplicate-keys)).
     ///
     /// # Panics
     /// Panics if `keys` and `values` have different lengths.
     pub fn build(keys: Vec<K>, values: Vec<V>, layout: Layout) -> Result<Self, Error> {
-        Self::build_for_kind(keys, values, crate::index::default_kind_for_layout(layout))
+        Self::build_for_kind(keys, values, default_kind_for_layout(layout))
     }
 
     /// Full-control constructor: explicit [`QueryKind`] (with
@@ -162,7 +174,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
             keys.windows(2).all(|w| w[0] <= w[1]),
             "StaticMap::build_presorted: keys are not sorted"
         );
-        let (keys, values) = match crate::index::layout_of_kind(kind) {
+        let (keys, values) = match layout_of_kind(kind) {
             Some(layout) if !keys.is_empty() => {
                 // One shape computation serves both scatters: the maps
                 // are data-oblivious, so the value side reuses the key
@@ -175,10 +187,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
             }
             _ => (AlignedVec::from_vec(keys), AlignedVec::from_vec(values)),
         };
-        Ok(Self {
-            index: StaticIndex::from_layout_order(keys, kind),
-            values,
-        })
+        Ok(Self { keys, values, kind })
     }
 
     /// Reassemble a map from arrays already in **layout order** — the
@@ -193,10 +202,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
         kind: QueryKind,
     ) -> Self {
         debug_assert_eq!(keys.len(), values.len());
-        Self {
-            index: StaticIndex::from_layout_order(keys, kind),
-            values,
-        }
+        Self { keys, values, kind }
     }
 
     /// Number of stored entries (duplicate keys counted).
@@ -212,18 +218,20 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     /// The layout the entries are stored in (`None` for the un-permuted
     /// [`QueryKind::Sorted`] baseline).
     pub fn layout(&self) -> Option<Layout> {
-        self.index.layout()
+        layout_of_kind(self.kind)
     }
 
     /// The descent this map answers queries with.
     pub fn kind(&self) -> QueryKind {
-        self.index.kind()
+        self.kind
     }
 
     /// The stored keys in **layout order** (parallel to
-    /// [`StaticMap::values`]).
+    /// [`StaticMap::values`]; sorted order only for
+    /// [`QueryKind::Sorted`]). A tree layout's buffer is at least
+    /// 64-byte aligned; the sorted baseline adopts the caller's `Vec`.
     pub fn keys(&self) -> &[K] {
-        self.index.as_slice()
+        &self.keys
     }
 
     /// Zero-copy view of the payloads in **layout order**: for every
@@ -234,44 +242,35 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
         &self.values
     }
 
-    /// The key side as a [`StaticIndex`], for the full key-only query
-    /// API (ranks, batch counts, batch ranks, …).
-    pub fn index(&self) -> &StaticIndex<K> {
-        &self.index
-    }
-
-    /// A borrowing [`Searcher`] over the keys (for amortizing shape
-    /// setup across many calls).
+    /// A borrowing [`Searcher`] over the keys, for the position-level
+    /// query API (`search`, `batch_search`, `batch_rank`, `batch_count`,
+    /// `rank_upper`, …) and for amortizing shape setup across many
+    /// calls.
     pub fn searcher(&self) -> Searcher<'_, K> {
-        self.index.searcher()
+        Searcher::new(&self.keys, self.kind)
     }
 
-    /// Consume the map, returning `(keys, values)` in layout order
-    /// (copies out of the aligned buffers for tree layouts; zero-copy
-    /// for [`QueryKind::Sorted`]).
-    pub fn into_parts(self) -> (Vec<K>, Vec<V>) {
-        (self.index.into_inner(), self.values.into_vec())
+    /// [`StaticMap::searcher`] under the name the frozen benchmark
+    /// (`perfbench/`) calls; it folds into `searcher` when the benchmark
+    /// is next changed (see ROADMAP item 1).
+    pub fn index(&self) -> Searcher<'_, K> {
+        self.searcher()
     }
 
     /// `true` iff `key` is stored.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.index.contains(key)
+        self.searcher().contains(key)
     }
 
     /// The payload stored under `key`, if any (some matching slot's
     /// value when `key` is duplicated).
     pub fn get(&self, key: &K) -> Option<&V> {
-        Some(&self.values[self.index.search(key)?])
-    }
-
-    /// The stored key and its payload, if any.
-    pub fn get_key_value(&self, key: &K) -> Option<(&K, &V)> {
-        self.entry_at(self.index.search(key)?)
+        Some(&self.values[self.searcher().search(key)?])
     }
 
     /// Number of stored keys strictly smaller than `key`.
     pub fn rank(&self, key: &K) -> usize {
-        self.index.rank(key)
+        self.searcher().rank(key)
     }
 
     /// The smallest stored entry with key `≥ key`, if any.
@@ -294,18 +293,23 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     /// Number of stored keys in the half-open interval `[lo, hi)`
     /// (duplicates counted), via two rank descents.
     ///
-    /// Reversed bounds (`lo > hi`) describe an empty interval and yield
-    /// 0 — never a panic (see [`StaticIndex::range_count`]).
+    /// **Reversed bounds are defined, not a bug**: when `lo > hi` (or
+    /// `lo == hi`) the interval is empty and the count is `0` — never a
+    /// panic, in debug or release, on any layout. The same contract
+    /// holds for [`StaticMap::batch_range_count`] and
+    /// [`Frozen::range_count`](crate::Frozen::range_count).
     pub fn range_count(&self, lo: &K, hi: &K) -> usize {
-        self.index.range_count(lo, hi)
+        self.searcher().range_count(lo, hi)
     }
 
     /// Payloads for a batch of lookups, on the software-pipelined
     /// multi-descent engine (parallel over adaptive chunks):
-    /// `out[i]` is exactly what [`StaticMap::get`]`(keys[i])` returns
-    /// (`&[K]` or `&[&K]`, read in place).
+    /// `out[i]` is exactly what [`StaticMap::get`]`(keys[i])` returns.
+    /// Keys are read in place through [`Borrow`], so `&[K]` and `&[&K]`
+    /// are the same call — routing layers partition a batch by
+    /// reference and pass the borrowed sub-batch straight in.
     pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>> {
-        self.index
+        self.searcher()
             .batch_search(keys)
             .into_iter()
             .map(|pos| pos.map(|p| &self.values[p]))
@@ -314,12 +318,46 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
 
     /// Per-pair [`StaticMap::range_count`] for a batch of `(lo, hi)`
     /// ranges; both descents of every pair go through one pipeline.
+    /// Reversed pairs (`lo > hi`) yield 0, like the scalar call.
     pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
-        self.index.batch_range_count(ranges)
+        self.searcher().batch_range_count(ranges)
     }
 
     fn entry_at(&self, pos: usize) -> Option<(&K, &V)> {
-        Some((self.index.get(pos)?, &self.values[pos]))
+        Some((self.keys.get(pos)?, &self.values[pos]))
+    }
+}
+
+/// The construction layout behind a [`QueryKind`] (`None` for the
+/// un-permuted sorted baseline).
+pub(crate) fn layout_of_kind(kind: QueryKind) -> Option<Layout> {
+    match kind {
+        QueryKind::Sorted => None,
+        QueryKind::Bst | QueryKind::BstPrefetch => Some(Layout::Bst),
+        QueryKind::Btree(b) => Some(Layout::Btree { b }),
+        QueryKind::Veb => Some(Layout::Veb),
+    }
+}
+
+/// The best default descent for a layout (grandchild prefetching for
+/// the BST); [`StaticMap::build`] and the `DynamicMap` / `ShardedMap`
+/// layout constructors use this, and callers that pre-partition data
+/// for the kind-explicit constructors (e.g. a sharded bulk load) can
+/// apply the same mapping.
+///
+/// `Layout::Btree { b: 8 | 16 }` maps to `QueryKind::Btree(b)` like any
+/// other width — the kind names the *shape*, which is physical — but
+/// [`Searcher`] construction upgrades that kind to the monomorphized
+/// wide-node SIMD kernel whenever the key type is
+/// [`SimdKey`](ist_query::SimdKey)-eligible
+/// ([`Searcher::is_wide`](ist_query::Searcher::is_wide) reports the
+/// route), so the default build path lands on the wide kernel with no
+/// opt-in here.
+pub fn default_kind_for_layout(layout: Layout) -> QueryKind {
+    match layout {
+        Layout::Bst => QueryKind::BstPrefetch,
+        Layout::Btree { b } => QueryKind::Btree(b),
+        Layout::Veb => QueryKind::Veb,
     }
 }
 
@@ -368,6 +406,8 @@ mod tests {
         assert_eq!(map.get(&1), None);
         assert_eq!(map.batch_get(&[1, 2]), vec![None, None]);
         assert_eq!(map.successor(&0), None);
+        assert_eq!(map.lower_bound(&0), None);
+        assert_eq!(map.searcher().batch_count(&[1, 2]), 0);
         let r =
             std::panic::catch_unwind(|| StaticMap::build(vec![1u64], vec!["a", "b"], Layout::Bst));
         assert!(r.is_err(), "length mismatch must panic");

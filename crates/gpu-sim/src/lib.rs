@@ -135,11 +135,6 @@ impl Gpu {
         &self.cfg
     }
 
-    /// Reset counters (keep memory contents).
-    pub fn reset_cost(&mut self) {
-        self.cost = GpuCost::default();
-    }
-
     pub(crate) fn charge_launch(&mut self) {
         self.cost.launches += 1;
     }
@@ -245,7 +240,7 @@ mod tests {
         // Coalesced: lanes i and i+2048 -> 2+2 segments per warp of 32.
         gpu.swap_kernel(1024, 0.0, |t| Some((t, t + 2048)));
         let coalesced = gpu.cost().transactions;
-        gpu.reset_cost();
+        let mut gpu = Gpu::from_sorted(1 << 12, cfg);
         // Scattered: pseudo-random partner for each lane.
         gpu.swap_kernel(1024, 0.0, |t| {
             let j = 2048 + (t * 2654435761) % 2048;

@@ -6,7 +6,14 @@
 //! files under a `tests/` directory, doc comments (the lexer strips
 //! them), the item's own definition and `pub use` re-exports do not
 //! count. Matching is by identifier, so two items that share a name
-//! cover each other; methods are out of scope.
+//! cover each other.
+//!
+//! Methods are in scope only where the identifier match is sound: a
+//! bare `pub fn` in an `impl` block (so an inherent method — trait-impl
+//! methods cannot be `pub`) whose name exactly one `fn` item in the
+//! walk defines. A name that a trait method, a free
+//! function, another type's method or a test helper also defines is
+//! exempt.
 
 use std::collections::HashMap;
 
@@ -29,15 +36,15 @@ fn ident(t: Option<&Token>) -> Option<&str> {
     }
 }
 
-/// Report every free `pub` item under `crates/*/src` that no non-test
-/// token names. `files` holds `(workspace-relative path, source)`.
+/// Report every free `pub` item, and every inherent `pub fn` with a
+/// workspace-unique name, under `crates/*/src` that no non-test token
+/// names. `files` holds `(workspace-relative path, source)`.
 pub fn check_test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
     let lexed: Vec<_> = files.iter().map(|(_, src)| lex(src)).collect();
     let mut uses: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    let mut fn_defs: HashMap<&str, usize> = HashMap::new();
     for (f, ((path, _), l)) in files.iter().zip(&lexed).enumerate() {
-        if classify(path) == FileClass::Test {
-            continue;
-        }
+        let test_file = classify(path) == FileClass::Test;
         let mut in_reexport = false;
         for (i, t) in l.tokens.iter().enumerate() {
             let prev = i.checked_sub(1).and_then(|p| ident(l.tokens.get(p)));
@@ -47,7 +54,14 @@ pub fn check_test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
                 in_reexport = false;
             }
             let Tok::Ident(name) = &t.kind else { continue };
-            if !t.in_test && !in_reexport && !prev.is_some_and(|p| DEFINES.contains(&p)) {
+            if prev == Some("fn") {
+                *fn_defs.entry(name).or_default() += 1;
+            }
+            if !test_file
+                && !t.in_test
+                && !in_reexport
+                && !prev.is_some_and(|p| DEFINES.contains(&p))
+            {
                 uses.entry(name).or_default().push((f, i));
             }
         }
@@ -59,8 +73,11 @@ pub fn check_test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
         if segs.len() < 4 || segs[0] != "crates" || segs[2] != "src" {
             continue;
         }
-        for (kind, at, end) in free_pub_items(&l.tokens) {
+        for (kind, at, end, method) in pub_items(&l.tokens) {
             let name = ident(l.tokens.get(at)).unwrap_or_default();
+            if method && fn_defs.get(name) != Some(&1) {
+                continue;
+            }
             let used = uses
                 .get(name)
                 .is_some_and(|u| u.iter().any(|&(uf, ui)| uf != f || ui < at || ui > end));
@@ -81,24 +98,62 @@ pub fn check_test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
     out
 }
 
-/// `(item keyword, name token index, last token index)` of every bare
-/// `pub` item outside test regions whose enclosing braces are all
-/// `mod` bodies (so methods and associated items are skipped).
-fn free_pub_items(toks: &[Token]) -> Vec<(&str, usize, usize)> {
+/// What a `{` opened, as far as item scope goes.
+#[derive(Clone, Copy, PartialEq)]
+enum Scope {
+    Mod,
+    /// An `impl` body. Trait-impl methods cannot be `pub`, so a `pub fn`
+    /// here is always an inherent method.
+    Impl,
+    Other,
+}
+
+/// `(item keyword, name token index, last token index, is method)` of
+/// every bare `pub` item outside test regions whose enclosing braces
+/// are all `mod` bodies, plus every bare `pub fn` directly inside an
+/// `impl` block that itself sits in such a scope.
+fn pub_items(toks: &[Token]) -> Vec<(&str, usize, usize, bool)> {
     let mut out = Vec::new();
-    let mut mod_braces: Vec<bool> = Vec::new();
+    let mut scopes: Vec<Scope> = Vec::new();
+    // Between an item-position `impl` and its `{`.
+    let mut impl_header = false;
     for (i, t) in toks.iter().enumerate() {
+        let free = scopes.iter().all(|&s| s == Scope::Mod);
         match &t.kind {
             Tok::Punct('{') => {
-                mod_braces.push(i >= 2 && ident(toks.get(i - 2)) == Some("mod"));
+                scopes.push(if std::mem::take(&mut impl_header) {
+                    Scope::Impl
+                } else if i >= 2 && ident(toks.get(i - 2)) == Some("mod") {
+                    Scope::Mod
+                } else {
+                    Scope::Other
+                });
                 continue;
             }
             Tok::Punct('}') => {
-                mod_braces.pop();
+                scopes.pop();
                 continue;
             }
-            Tok::Ident(p) if p == "pub" && !t.in_test && mod_braces.iter().all(|&m| m) => {}
+            Tok::Punct(';') => {
+                impl_header = false;
+                continue;
+            }
+            Tok::Ident(k) if k == "impl" && free => {
+                // An item starts after a brace, a `;`, an attribute or
+                // `unsafe`; elsewhere `impl` is a type (`-> impl Fn()`).
+                impl_header = i.checked_sub(1).map(|p| &toks[p].kind).is_none_or(|k| {
+                    matches!(k, Tok::Punct('{' | '}' | ';' | ']'))
+                        || *k == Tok::Ident("unsafe".into())
+                });
+                continue;
+            }
+            Tok::Ident(p) if p == "pub" && !t.in_test => {}
             _ => continue,
+        }
+        let method = matches!(scopes.split_last(),
+            Some((Scope::Impl, outer)) if outer.iter().all(|&s| s == Scope::Mod));
+        if !free && !method {
+            continue;
         }
         let mut j = i + 1;
         while let Some(q) = ident(toks.get(j)).filter(|q| QUALIFIERS.contains(q)) {
@@ -111,8 +166,11 @@ fn free_pub_items(toks: &[Token]) -> Vec<(&str, usize, usize)> {
         let Some(kind) = ident(toks.get(j)).filter(|k| ITEMS.contains(k)) else {
             continue;
         };
+        if method && kind != "fn" {
+            continue;
+        }
         if ident(toks.get(j + 1)).is_some_and(|n| n != "_") {
-            out.push((kind, j + 1, item_end(toks, j + 1)));
+            out.push((kind, j + 1, item_end(toks, j + 1), method));
         }
     }
     out

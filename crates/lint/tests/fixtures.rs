@@ -267,9 +267,6 @@ pub fn tests_dir_only() {}
 pub fn reexported_only() {}
 pub fn production() { production(); }
 pub struct Used;
-impl Used {
-    pub fn method_out_of_scope() {}
-}
 pub(crate) fn crate_visible() {}
 #[cfg(test)]
 mod tests {
@@ -305,4 +302,83 @@ fn test_only_pub_allow_and_scope() {
     assert!(test_only_pub(&[("src/lib.rs", "pub fn facade_api() {}\n")]).is_empty());
     let recursive = "pub fn walk(n: u32) -> u32 { if n == 0 { 0 } else { walk(n - 1) } }\n";
     assert_eq!(test_only_pub(&[("crates/p/src/a.rs", recursive)]).len(), 1);
+}
+
+/// Method scope: a bare `pub fn` in an inherent `impl` whose name only
+/// one `fn` in the walk defines.
+const METHODS: &str = "\
+pub struct S;
+impl S {
+    pub fn only_tests_call(&self) {}
+    pub fn production_calls(&self) {}
+    pub fn shared_name(&self) {}
+    fn private_helper(&self) {}
+    pub(crate) fn crate_visible(&self) {}
+}
+pub trait T {
+    fn shared_name(&self);
+}
+impl T for u8 {
+    fn shared_name(&self) {}
+}
+impl<F: Fn() -> u8> From<F> for S {
+    fn from(_: F) -> S { S }
+}
+pub fn make(s: &S) { s.production_calls(); }
+";
+
+#[test]
+fn test_only_pub_reports_unique_inherent_methods_only_tests_name() {
+    let tests = "#[test]\nfn t() { let s = p::S; s.only_tests_call(); s.shared_name(); }\n";
+    let d = test_only_pub(&[
+        ("crates/p/src/lib.rs", METHODS),
+        ("crates/p/tests/t.rs", tests),
+        ("examples/e.rs", "fn main() { p::make(&p::S); }\n"),
+    ]);
+    // Not `production_calls` (production names it), not `shared_name`
+    // (trait `T` defines a second `fn` of that name), not the private
+    // or `pub(crate)` ones.
+    let at = |line| ("crates/p/src/lib.rs".to_string(), line);
+    assert_eq!(d, vec![at(3)]);
+}
+
+#[test]
+fn test_only_pub_exempts_a_method_a_test_helper_shares_a_name_with() {
+    let tests = "#[test]\nfn t() { p::S.only_tests_call(); }\n";
+    let helper = "pub fn only_tests_call() {}\n";
+    let d = test_only_pub(&[
+        ("crates/p/src/lib.rs", METHODS),
+        ("crates/p/tests/t.rs", tests),
+        ("crates/p/tests/common/mod.rs", helper),
+        ("examples/e.rs", "fn main() { p::make(&p::S); }\n"),
+    ]);
+    assert!(d.is_empty(), "{d:?}");
+}
+
+#[test]
+fn test_only_pub_skips_trait_impl_methods() {
+    // `impl Tr for X` bodies are out of scope even when the method name
+    // is unique and nothing calls it.
+    let code = "pub trait Tr { fn unique_in_trait(&self); }\npub struct X;\nimpl Tr for X {\n    fn unique_in_trait(&self) {}\n}\n";
+    let e = "fn main() { let _: &dyn p::Tr = &p::X; }\n";
+    assert!(test_only_pub(&[("crates/p/src/lib.rs", code), ("examples/e.rs", e)]).is_empty());
+    // `impl` inside a signature does not make the fn body an impl block.
+    let sig = "pub fn takes(f: impl Fn()) {\n    pub fn nested_unique() {}\n    f()\n}\n";
+    let e = "fn main() { p::takes(|| {}); }\n";
+    assert!(test_only_pub(&[("crates/p/src/lib.rs", sig), ("examples/e.rs", e)]).is_empty());
+}
+
+#[test]
+fn test_only_pub_allow_suppresses_a_method() {
+    let code = "pub struct S;\nimpl S {\n    /// Harness hook.\n    // LINT-ALLOW(test-only-pub): fixture harness hook\n    pub fn hook(&self) {}\n}\n";
+    let e = "fn main() { let _ = p::S; }\n";
+    assert!(test_only_pub(&[("crates/p/src/lib.rs", code), ("examples/e.rs", e)]).is_empty());
+    let bare = code.replace(
+        "    // LINT-ALLOW(test-only-pub): fixture harness hook\n",
+        "",
+    );
+    assert_eq!(
+        test_only_pub(&[("crates/p/src/lib.rs", &bare), ("examples/e.rs", e)]),
+        vec![("crates/p/src/lib.rs".to_string(), 4)]
+    );
 }

@@ -99,11 +99,6 @@ impl AtomicUsize {
         self.inner.fetch_add(v, StdOrdering::SeqCst)
     }
 
-    pub fn fetch_sub(&self, v: usize, _order: Ordering) -> usize {
-        yield_point();
-        self.inner.fetch_sub(v, StdOrdering::SeqCst)
-    }
-
     pub fn swap(&self, v: usize, _order: Ordering) -> usize {
         yield_point();
         self.inner.swap(v, StdOrdering::SeqCst)
@@ -145,10 +140,6 @@ impl<T: Clone> Arc<T> {
 }
 
 impl<T: ?Sized> Arc<T> {
-    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        StdArc::ptr_eq(&a.inner, &b.inner)
-    }
-
     pub fn get_mut(this: &mut Self) -> Option<&mut T> {
         StdArc::get_mut(&mut this.inner)
     }

@@ -165,10 +165,10 @@ pub(crate) fn window_search_into<'k, T, N, const W: usize>(
     }
 }
 
-/// The pipelined **rank** window loop (strictly-smaller counts, or `≤`
-/// with `UPPER`): the twin of [`window_search_into`] without result
-/// registers or overflow probes.
-pub(crate) fn window_rank_into<'k, T, N, const W: usize, const UPPER: bool>(
+/// The pipelined **rank** window loop (strictly-smaller counts): the
+/// twin of [`window_search_into`] without result registers or overflow
+/// probes.
+pub(crate) fn window_rank_into<'k, T, N, const W: usize>(
     nav: &N,
     n: usize,
     key_of: impl Fn(usize) -> &'k T,
@@ -194,7 +194,7 @@ pub(crate) fn window_rank_into<'k, T, N, const W: usize, const UPPER: bool>(
                     continue;
                 }
                 tap(q + s, nav.node_base(&curs[s], &accs[s]));
-                nav.step_rank::<UPPER>(&mut curs[s], &mut accs[s], keys[s], ctx);
+                nav.step_rank::<false>(&mut curs[s], &mut accs[s], keys[s], ctx);
                 nav.prefetch_node(&curs[s], &accs[s]);
             }
             ctx = nav.next_round(ctx);
@@ -205,14 +205,14 @@ pub(crate) fn window_rank_into<'k, T, N, const W: usize, const UPPER: bool>(
                     continue;
                 }
                 tap(q + s, nav.node_base(&curs[s], &accs[s]));
-                nav.step_rank_last::<UPPER>(&mut curs[s], &mut accs[s], keys[s]);
+                nav.step_rank_last::<false>(&mut curs[s], &mut accs[s], keys[s]);
                 nav.prefetch_gap(nav.gap(&curs[s], &accs[s]));
             }
         }
         for s in 0..bw {
             sink(
                 q + s,
-                nav.rank_of_gap::<UPPER>(nav.gap(&curs[s], &accs[s]), keys[s]),
+                nav.rank_of_gap::<false>(nav.gap(&curs[s], &accs[s]), keys[s]),
             );
         }
         q += bw;
@@ -223,7 +223,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// Run the pipelined **rank** engine over `n` queries on the
     /// calling thread, delivering `(query index, rank)` pairs to `sink`
     /// in query order.
-    pub(crate) fn pipelined_rank_into<'k, const UPPER: bool>(
+    pub(crate) fn pipelined_rank_into<'k>(
         &self,
         n: usize,
         key_of: impl Fn(usize) -> &'k T,
@@ -232,7 +232,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         T: 'k,
     {
         crate::dispatch_nav!(self, nav => {
-            window_rank_into::<T, _, WINDOW, UPPER>(&nav, n, key_of, sink, |_, _| {})
+            window_rank_into::<T, _, WINDOW>(&nav, n, key_of, sink, |_, _| {})
         });
     }
 
@@ -254,24 +254,6 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
                     |_, _| {},
                 )
             })
-        });
-        out
-    }
-
-    /// `out[i] = f(rank(keys[i]))` (`rank_upper` with `UPPER`): the
-    /// rank-shaped twin of [`Searcher::search_each`].
-    pub(crate) fn rank_each<const UPPER: bool, Q, O>(
-        &self,
-        keys: &[Q],
-        f: impl Fn(usize) -> O + Sync,
-    ) -> Vec<O>
-    where
-        Q: Borrow<T> + Sync,
-        O: Default + Clone + Send,
-    {
-        let mut out = vec![O::default(); keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            self.pipelined_rank_into::<UPPER>(kc.len(), |i| kc[i].borrow(), |i, r| oc[i] = f(r))
         });
         out
     }
@@ -316,15 +298,11 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(s.batch_rank(&[0, 1, 10, 999]), vec![0, 1, 5, 100]);
     /// ```
     pub fn batch_rank<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
-        self.rank_each::<false, _, _>(keys, |r| r)
-    }
-
-    /// Batch lower bound: `out[i]` is the layout position of the first
-    /// (in sorted order) stored key `≥ keys[i]`, identical to per-key
-    /// [`Searcher::lower_bound`]. Runs on the rank engine plus the
-    /// closed-form position maps.
-    pub fn batch_lower_bound<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
-        self.rank_each::<false, _, _>(keys, |r| self.position_of_rank(r))
+        let mut out = vec![0; keys.len()];
+        par_chunked(keys, &mut out, |kc, oc| {
+            self.pipelined_rank_into(kc.len(), |i| kc[i].borrow(), |i, r| oc[i] = r)
+        });
+        out
     }
 
     /// Count how many of `keys` are present — the loop the paper's

@@ -1,8 +1,8 @@
 //! Order-statistic neighbors: successor and predecessor queries,
-//! scalar and batched, built entirely on the rank engine.
+//! built entirely on the rank descent.
 //!
-//! Both are rank queries in disguise, so they inherit the scalar descent
-//! and the pipelined batch engine without any new per-layout code:
+//! Both are rank queries in disguise, so they inherit the rank descent
+//! without any new per-layout code:
 //!
 //! * `successor(k)` — the first stored key **strictly greater** than
 //!   `k` — is the element of sorted rank [`Searcher::rank_upper`]`(k)`
@@ -18,7 +18,6 @@
 //! [`Searcher::lower_bound`].
 
 use crate::Searcher;
-use std::borrow::Borrow;
 
 impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// Layout position of the smallest stored key **strictly greater**
@@ -58,23 +57,5 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
             0 => None,
             r => self.position_of_rank(r - 1),
         }
-    }
-
-    /// Batch successor: upper-rank descents through the pipelined
-    /// engine (parallel over chunks of the batch), then the
-    /// closed-form position maps. `out[i]` is identical to per-key
-    /// [`Searcher::successor`].
-    pub fn batch_successor<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
-        self.rank_each::<true, _, _>(keys, |r| self.position_of_rank(r))
-    }
-
-    /// Batch predecessor: rank descents through the pipelined engine
-    /// (parallel over chunks of the batch). `out[i]` is identical
-    /// to per-key [`Searcher::predecessor`].
-    pub fn batch_predecessor<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
-        self.rank_each::<false, _, _>(keys, |r| match r {
-            0 => None,
-            r => self.position_of_rank(r - 1),
-        })
     }
 }

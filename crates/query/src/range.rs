@@ -63,7 +63,7 @@ fn range_chunk<T: Ord + Sync + 'static>(
     counts: &mut [usize],
 ) {
     let mut ranks = vec![0usize; 2 * ranges.len()];
-    s.pipelined_rank_into::<false>(
+    s.pipelined_rank_into(
         2 * ranges.len(),
         |i| {
             let (lo, hi) = &ranges[i / 2];

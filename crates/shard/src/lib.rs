@@ -204,32 +204,21 @@ where
     V: Clone + Send + Sync + 'static,
 {
     /// An empty map with explicit split keys (`splits.len() + 1`
-    /// shards), each shard a default-configured [`DynamicMap`] for
-    /// `layout`. An empty `splits` gives a single shard.
+    /// shards; an empty `splits` gives a single shard), each shard a
+    /// [`DynamicMap`] with query descent `kind` and its own
+    /// `buffer_cap`-entry write buffer.
     ///
     /// # Panics
     /// Panics if `splits` is not sorted and strictly increasing, or on
-    /// `Layout::Btree { b: 0 }`.
-    pub fn with_splits(splits: Vec<K>, layout: Layout) -> Self {
-        Self::validate_splits(&splits);
-        let shards = (0..splits.len() + 1)
-            .map(|_| DynamicMap::new(layout))
-            .collect();
-        Self {
-            splits: Arc::new(splits),
-            shards,
-        }
-    }
-
-    /// [`ShardedMap::with_splits`] with full per-shard control:
-    /// explicit query descent and write-buffer capacity (each shard
-    /// gets its own `buffer_cap`-entry buffer).
-    ///
-    /// # Panics
-    /// Panics on unsorted `splits` or the invalid configurations
-    /// [`DynamicMap::with_config`] rejects.
+    /// the invalid configurations [`DynamicMap::with_config`] rejects.
+    // LINT-ALLOW(test-only-pub): sharded_differential, store_crash and alloc_count fix splits
     pub fn with_splits_config(splits: Vec<K>, kind: QueryKind, buffer_cap: usize) -> Self {
-        Self::validate_splits(&splits);
+        // Bulk loaders construct their splits sorted; only this
+        // constructor takes them from the caller.
+        assert!(
+            splits.windows(2).all(|w| w[0] < w[1]),
+            "splits must be sorted and strictly increasing"
+        );
         let shards = (0..splits.len() + 1)
             .map(|_| DynamicMap::with_config(kind, buffer_cap))
             .collect();
@@ -237,15 +226,6 @@ where
             splits: Arc::new(splits),
             shards,
         }
-    }
-
-    /// The one home of the split-vector precondition both explicit
-    /// constructors enforce (bulk loaders construct splits sorted).
-    fn validate_splits(splits: &[K]) {
-        assert!(
-            splits.windows(2).all(|w| w[0] < w[1]),
-            "splits must be sorted and strictly increasing"
-        );
     }
 
     /// Bulk-load from unsorted `(keys, values)` pairs (duplicate keys:
@@ -400,9 +380,10 @@ where
     ///
     /// # Examples
     /// ```
-    /// use implicit_search_trees::{Layout, ShardedMap};
+    /// use implicit_search_trees::{QueryKind, ShardedMap, DEFAULT_BUFFER_CAP};
     ///
-    /// let mut m: ShardedMap<u64, u64> = ShardedMap::with_splits(vec![10, 20], Layout::Veb);
+    /// let mut m: ShardedMap<u64, u64> =
+    ///     ShardedMap::with_splits_config(vec![10, 20], QueryKind::Veb, DEFAULT_BUFFER_CAP);
     /// let replaced = m.batch_insert((0..30u64).map(|k| (k, k)).collect());
     /// assert_eq!(replaced, 0);
     /// assert_eq!(m.len(), 30);
@@ -445,21 +426,6 @@ where
             |(shard, routed, count)| *count = shard.batch_remove(routed),
         );
         counts.into_iter().sum()
-    }
-
-    /// Seal every shard's buffer and start (or complete, for inline
-    /// shards) a compaction per shard; see
-    /// [`DynamicMap::compact_buffer`]. Shards are drained **in
-    /// parallel** under the rayon-shim scope — like
-    /// [`ShardedMap::batch_insert`] — so one shard's in-flight merge
-    /// (whose install the seal must wait for) never stalls the seals of
-    /// the others. Observable state is unchanged.
-    pub fn compact_buffers(&mut self) {
-        rayon::scope(|s| {
-            for shard in &mut self.shards {
-                s.spawn(move |_| shard.compact_buffer());
-            }
-        });
     }
 
     /// Drain every shard's deferred compaction work; see
@@ -870,7 +836,8 @@ mod tests {
     fn map_with_gaps() -> ShardedMap<u64, u64> {
         // Shards: (..10), [10, 20), [20, ..); the middle shard stays
         // empty so order queries must walk across it.
-        let mut m: ShardedMap<u64, u64> = ShardedMap::with_splits(vec![10, 20], Layout::Veb);
+        let mut m: ShardedMap<u64, u64> =
+            ShardedMap::with_splits_config(vec![10, 20], QueryKind::Veb, DEFAULT_BUFFER_CAP);
         for k in [2u64, 5, 25, 30] {
             m.insert(k, k * 100);
         }
@@ -945,7 +912,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_splits_are_rejected() {
-        let _ = ShardedMap::<u64, u64>::with_splits(vec![20, 10], Layout::Veb);
+        let _ = ShardedMap::<u64, u64>::with_splits_config(vec![20, 10], QueryKind::Veb, 8);
     }
 
     /// The composite snapshot answers every query exactly like the live
@@ -975,12 +942,11 @@ mod tests {
         assert_eq!(snap.rank(&100), 4);
     }
 
-    /// Regression for the serial shard drain: `quiesce` and
-    /// `compact_buffers` must leave observable state unchanged while
-    /// actually draining every shard (they now run shard-parallel under
-    /// the rayon-shim scope).
+    /// Regression for the serial shard drain: `quiesce` must leave
+    /// observable state unchanged while actually draining every shard
+    /// (it runs shard-parallel under the rayon-shim scope).
     #[test]
-    fn parallel_quiesce_and_compact_preserve_state_and_drain() {
+    fn parallel_quiesce_preserves_state_and_drains() {
         let keys: Vec<u64> = (0..4000).collect();
         let vals: Vec<u64> = (0..4000).map(|v| v * 7).collect();
         let mut m = ShardedMap::build_for_kind(
@@ -1006,7 +972,6 @@ mod tests {
         let before_get: Vec<Option<u64>> = m.batch_get(&probe).iter().map(|v| v.copied()).collect();
         let before_rank = m.batch_rank(&probe);
 
-        m.compact_buffers();
         m.quiesce();
 
         assert_eq!(m.len(), before_len, "quiesce changed the live count");

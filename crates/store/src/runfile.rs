@@ -427,7 +427,7 @@ mod tests {
         let vfs = MemVfs::new();
         let path = PathBuf::from("/run-000000.ist");
         write_sample(&vfs, &path);
-        let len = vfs.file_len(&path).unwrap();
+        let len = vfs.file_bytes(&path).unwrap().len() as u64;
         for byte in 0..len {
             assert!(vfs.flip_bit(&path, byte * 8 + (byte % 8)));
             let outcome = RunReader::open(&vfs, &path).and_then(|mut r| {

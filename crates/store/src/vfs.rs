@@ -250,6 +250,7 @@ impl MemVfs {
     /// Arm the failpoint: after `bytes` more written bytes, the write
     /// stream dies mid-write and the process is dead until
     /// [`power_cycle`](Self::power_cycle). `None` disarms.
+    // LINT-ALLOW(test-only-pub): store_crash's crash-point sweeps arm the failpoint
     pub fn set_write_budget(&self, bytes: Option<u64>) {
         self.lock().budget = bytes;
     }
@@ -283,6 +284,7 @@ impl MemVfs {
     /// XOR one bit of an existing file (corruption injection).
     ///
     /// Returns false when the file is missing or too short.
+    // LINT-ALLOW(test-only-pub): store_crash and store_format inject bit flips
     pub fn flip_bit(&self, path: &Path, bit: u64) -> bool {
         let mut st = self.lock();
         match st.files.get_mut(path) {
@@ -307,27 +309,17 @@ impl MemVfs {
         }
     }
 
-    /// Current length of `path`, if it exists.
-    #[must_use]
-    pub fn file_len(&self, path: &Path) -> Option<u64> {
-        self.lock().files.get(path).map(|f| f.data.len() as u64)
-    }
-
     /// Full contents of `path`, if it exists.
     #[must_use]
+    // LINT-ALLOW(test-only-pub): store_format reads the bytes it pins
     pub fn file_bytes(&self, path: &Path) -> Option<Vec<u8>> {
         self.lock().files.get(path).map(|f| f.data.clone())
-    }
-
-    /// Paths of every file currently on the filesystem.
-    #[must_use]
-    pub fn file_paths(&self) -> Vec<PathBuf> {
-        self.lock().files.keys().cloned().collect()
     }
 
     /// Snapshot every file (for corruption tests that restore state
     /// between injected faults).
     #[must_use]
+    // LINT-ALLOW(test-only-pub): store_crash and store_format snapshot the filesystem
     pub fn dump(&self) -> Vec<(PathBuf, Vec<u8>)> {
         self.lock()
             .files
@@ -338,6 +330,7 @@ impl MemVfs {
 
     /// Replace the entire filesystem with a [`dump`](Self::dump)ed
     /// snapshot (all bytes marked synced) and clear fault state.
+    // LINT-ALLOW(test-only-pub): store_crash and store_format roll back between injected faults
     pub fn restore(&self, snapshot: &[(PathBuf, Vec<u8>)]) {
         let mut st = self.lock();
         st.files = snapshot
@@ -566,7 +559,7 @@ mod tests {
         assert!(vfs.flip_bit(Path::new("/x"), 9));
         assert_eq!(vfs.read(Path::new("/x")).unwrap(), vec![0, 2, 0, 0]);
         assert!(vfs.truncate(Path::new("/x"), 2));
-        assert_eq!(vfs.file_len(Path::new("/x")), Some(2));
+        assert_eq!(vfs.read(Path::new("/x")).unwrap().len(), 2);
         assert!(!vfs.flip_bit(Path::new("/missing"), 0));
     }
 

@@ -32,7 +32,6 @@ impl BtreeShape {
     /// ```
     /// use ist_layout::BtreeShape;
     /// let s = BtreeShape::new(26, 2); // Figure 1.2 of the paper
-    /// assert_eq!(s.node_levels(), 3);
     /// assert_eq!(s.num_nodes(), 13);
     /// assert!(BtreeShape::try_new(27, 2).is_none());
     /// ```
@@ -65,12 +64,6 @@ impl BtreeShape {
     #[inline]
     pub fn k(&self) -> usize {
         self.b + 1
-    }
-
-    /// Node levels (`m`).
-    #[inline]
-    pub fn node_levels(&self) -> u32 {
-        self.m
     }
 
     /// Total number of keys.
@@ -260,7 +253,6 @@ mod tests {
     #[test]
     fn shape_api() {
         let s = BtreeShape::new(80, 2); // 3^4 - 1
-        assert_eq!(s.node_levels(), 4);
         assert_eq!(s.num_nodes(), 40);
         for i in (0..80).step_by(7) {
             assert_eq!(s.pos(i), btree_pos(2, 4, i));

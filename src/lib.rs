@@ -17,32 +17,17 @@
 //!
 //! ## Quick start
 //!
-//! [`StaticIndex`] owns its keys: it sorts them, scatters them into the
-//! chosen layout inside cache-line-aligned storage (out of place — see
-//! [`permute_in_place`] below for the no-second-buffer path), and
+//! [`StaticMap`] owns its entries: it sorts the keys, scatters them into
+//! the chosen layout inside cache-line-aligned storage (out of place —
+//! see [`permute_in_place`] below for the no-second-buffer path), and
 //! serves the whole query API — point lookups, ranks,
 //! successors/predecessors, range counts, and batched variants that
-//! run on a software-pipelined multi-descent engine.
-//!
-//! ```
-//! use implicit_search_trees::{Layout, StaticIndex};
-//!
-//! // Any size (non-perfect trees are handled), any order, duplicates ok.
-//! let keys: Vec<u64> = (0..100_000u64).map(|x| 3 * x).collect();
-//! let index = StaticIndex::build(keys, Layout::Veb).unwrap();
-//!
-//! assert!(index.contains(&299_997));
-//! assert!(!index.contains(&299_998));
-//! assert_eq!(index.rank(&150_000), 50_000);
-//! assert_eq!(index.range_count(&0, &30), 10);
-//! assert_eq!(index.batch_count(&[3, 4, 5, 6]), 2); // pipelined batch
-//! ```
-//!
-//! [`StaticMap`] serves key→**value** lookups: the layout permutation
-//! is data-oblivious (position depends only on `n` and the layout), so
-//! payloads ride the same permutation as their keys without ever being
-//! compared — `V` needs no `Ord`, and `values()` is a zero-copy view
-//! parallel to the keys (see [`perm::oblivious`] for the argument).
+//! run on a software-pipelined multi-descent engine. The layout
+//! permutation is data-oblivious (position depends only on `n` and the
+//! layout), so payloads ride the same permutation as their keys without
+//! ever being compared — `V` needs no `Ord`, and `values()` is a
+//! zero-copy view parallel to the keys (see [`perm::oblivious`] for the
+//! argument).
 //!
 //! ```
 //! use implicit_search_trees::{Layout, StaticMap};
@@ -55,6 +40,24 @@
 //! assert_eq!(map.get(&20), Some(&"twenty"));
 //! assert_eq!(map.batch_get(&[10, 15]), vec![Some(&"ten"), None]);
 //! assert_eq!(map.predecessor(&30), Some((&20, &"twenty")));
+//! ```
+//!
+//! A key-only index is the same map with a zero-sized payload,
+//! `StaticMap<K, ()>` — the `()` side allocates nothing. Position-level
+//! queries go through its [`Searcher`].
+//!
+//! ```
+//! use implicit_search_trees::{Layout, StaticMap};
+//!
+//! // Any size (non-perfect trees are handled), any order, duplicates ok.
+//! let keys: Vec<u64> = (0..100_000u64).map(|x| 3 * x).collect();
+//! let index = StaticMap::build(keys, vec![(); 100_000], Layout::Veb).unwrap();
+//!
+//! assert!(index.contains_key(&299_997));
+//! assert!(!index.contains_key(&299_998));
+//! assert_eq!(index.rank(&150_000), 50_000);
+//! assert_eq!(index.range_count(&0, &30), 10);
+//! assert_eq!(index.searcher().batch_count(&[3, 4, 5, 6]), 2); // pipelined batch
 //! ```
 //!
 //! [`DynamicMap`] makes the structure **write-capable**: a logarithmic-
@@ -167,8 +170,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | `core` (re-exported at the root) | the construction algorithms (written once, `Machine`-generic) and public API |
-//! | [`StaticIndex`] (`ist-dynamic`, re-exported here) | owning sort + permute + full-query-API facade |
-//! | [`StaticMap`] (`ist-dynamic`, re-exported here) | key→value facade: payloads co-permuted obliviously alongside the keys |
+//! | [`StaticMap`] (`ist-dynamic`, re-exported here) | owning sort + permute + full-query-API facade; payloads co-permuted obliviously alongside the keys (`StaticMap<K, ()>` for key-only) |
 //! | [`DynamicMap`] (`ist-dynamic`, re-exported here) | log-structured tiers of static runs: write buffer, sealed L0 runs, background compaction, tombstones + weights, snapshot readers |
 //! | [`ShardedMap`] (`ist-shard`, re-exported here) | key-range-sharded serving layer: per-shard `DynamicMap`s, parallel scatter/gather batch routing |
 //! | [`store`] (`ist-store`, re-exported here) | durability substrate: zero-copy run files, write-ahead log, atomically-rotated manifest, fault-injection VFS |
@@ -183,8 +185,8 @@
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
 
 pub use ist_dynamic::{
-    default_kind_for_layout, AlignedVec, DynamicMap, Frozen, StaticIndex, StaticMap,
-    DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
+    default_kind_for_layout, AlignedVec, DynamicMap, Frozen, StaticMap, DEFAULT_BUFFER_CAP,
+    MAX_SEALED_RUNS,
 };
 pub use ist_shard::{Shard, Sharded, ShardedFrozen, ShardedMap};
 pub use ist_store::{CrashModel, FsyncPolicy, MemVfs, StdVfs, StoreConfig, StoreError, Vfs};
@@ -197,7 +199,7 @@ pub use ist_query::{QueryKind, Searcher, SimdKey};
 
 /// Digit reversal and integer-logarithm primitives.
 pub use ist_bits as bits;
-/// The serving facades (`StaticIndex` / `StaticMap` / `DynamicMap`).
+/// The serving facades (`StaticMap` / `DynamicMap`).
 pub use ist_dynamic;
 /// Equidistant gathers (plain and chunked).
 pub use ist_gather as gather;

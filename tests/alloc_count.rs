@@ -99,6 +99,18 @@ fn rebuild_hot_path_allocates_once_per_array() {
             "{kind:?}: rebuild must allocate exactly the 2 aligned destination buffers"
         );
         assert_eq!(map.len(), n);
+
+        // Key-only: the zero-sized payload side allocates nothing, so
+        // only the key buffer is new.
+        let k = keys.clone();
+        let (index, big_allocs) = count_allocs(payload, || {
+            StaticMap::build_presorted(k, vec![(); n], kind, Algorithm::CycleLeader)
+        });
+        assert_eq!(
+            big_allocs, 1,
+            "{kind:?}: a key-only rebuild must allocate exactly the key buffer"
+        );
+        assert_eq!(index.unwrap().len(), n);
     }
 
     // The sorted (zero-copy adoption) path allocates nothing at all.
@@ -111,6 +123,15 @@ fn rebuild_hot_path_allocates_once_per_array() {
         "Sorted: zero-copy adoption must not allocate"
     );
     assert_eq!(map.unwrap().len(), n);
+    let k = keys.clone();
+    let (index, big_allocs) = count_allocs(payload, || {
+        StaticMap::build_presorted(k, vec![(); n], QueryKind::Sorted, Algorithm::CycleLeader)
+    });
+    assert_eq!(
+        big_allocs, 0,
+        "Sorted key-only: zero-copy adoption must not allocate"
+    );
+    assert_eq!(index.unwrap().len(), n);
 }
 
 /// In-place means in place: constructing a layout — Chapter 5's

@@ -3,7 +3,7 @@
 
 use implicit_search_trees::{
     permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, Layout, QueryKind,
-    Searcher, StaticIndex,
+    Searcher, StaticMap,
 };
 
 fn layouts() -> Vec<Layout> {
@@ -119,10 +119,10 @@ fn algorithms_agree_with_each_other_large() {
     }
 }
 
-/// The StaticIndex facade: unsorted duplicated input in, the whole
-/// query API out, for every layout — including the batched engine and
-/// range queries, cross-checked against both the scalar loop and a
-/// sorted-vector oracle.
+/// The key-only facade, `StaticMap<K, ()>`: unsorted duplicated input
+/// in, the whole query API out, for every layout — including the
+/// batched engine and range queries, cross-checked against both the
+/// scalar loop and a sorted-vector oracle.
 #[test]
 fn static_index_end_to_end() {
     let n = 4321usize;
@@ -135,26 +135,27 @@ fn static_index_end_to_end() {
         .filter(|q| sorted.binary_search(q).is_ok())
         .count();
     for layout in layouts() {
-        let index = StaticIndex::build(raw.clone(), layout).unwrap();
+        let index = StaticMap::build(raw.clone(), vec![(); n], layout).unwrap();
+        let s = index.searcher();
         assert_eq!(index.len(), n, "{layout:?}");
         assert_eq!(index.layout(), Some(layout), "{layout:?}");
 
         // The stored data is a permutation of the sorted input.
-        let mut back = index.as_slice().to_vec();
+        let mut back = index.keys().to_vec();
         back.sort_unstable();
         assert_eq!(back, sorted, "{layout:?}");
 
         // Batched engine vs scalar vs oracle.
-        assert_eq!(index.batch_count(&queries), expect_count, "{layout:?}");
-        let found = index.batch_search(&queries);
+        assert_eq!(s.batch_count(&queries), expect_count, "{layout:?}");
+        let found = s.batch_search(&queries);
         assert_eq!(
             found,
-            queries.iter().map(|q| index.search(q)).collect::<Vec<_>>(),
+            queries.iter().map(|q| s.search(q)).collect::<Vec<_>>(),
             "{layout:?}"
         );
         for (q, hit) in queries.iter().zip(&found) {
             if let Some(pos) = hit {
-                assert_eq!(index.get(*pos), Some(q), "{layout:?} q={q}");
+                assert_eq!(index.keys().get(*pos), Some(q), "{layout:?} q={q}");
             }
         }
 
@@ -176,19 +177,20 @@ fn static_index_end_to_end() {
 }
 
 /// Round-trip through the facade: an index built via the explicit
-/// (sorted, Searcher) path answers identically to StaticIndex.
+/// (sorted, Searcher) path answers identically to a key-only
+/// `StaticMap`.
 #[test]
 fn static_index_agrees_with_manual_pipeline() {
     let n = 2000usize;
     let sorted: Vec<u64> = (0..n as u64).map(|x| 7 * x).collect();
     for layout in layouts() {
-        let index = StaticIndex::build(sorted.clone(), layout).unwrap();
+        let index = StaticMap::build(sorted.clone(), vec![(); n], layout).unwrap();
         let mut manual = sorted.clone();
         permute_in_place(&mut manual, layout, Algorithm::CycleLeader).unwrap();
-        assert_eq!(index.as_slice(), &manual[..], "{layout:?}");
+        assert_eq!(index.keys(), &manual[..], "{layout:?}");
         let s = Searcher::for_layout(&manual, layout);
         for probe in (0..14_000u64).step_by(391) {
-            assert_eq!(index.contains(&probe), s.contains(&probe), "{layout:?}");
+            assert_eq!(index.contains_key(&probe), s.contains(&probe), "{layout:?}");
             assert_eq!(index.rank(&probe), s.rank(&probe), "{layout:?}");
         }
     }

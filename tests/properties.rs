@@ -12,7 +12,7 @@ use implicit_search_trees::layout::complete::BtreeCompleteShape;
 use implicit_search_trees::shuffle::j_involution;
 use implicit_search_trees::{
     permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, IndexArith, Layout,
-    Machine, QueryKind, Ram, Searcher, StaticIndex,
+    Machine, QueryKind, Ram, Searcher, StaticMap,
 };
 use ist_core::algorithms::strip_overflow_btree;
 use rand::rngs::StdRng;
@@ -402,8 +402,9 @@ fn range_count_matches_sorted_oracle() {
     }
 }
 
-/// `StaticIndex` answers every query like a sorted-vector oracle, for
-/// random unsorted duplicated inputs and every layout.
+/// A key-only `StaticMap<K, ()>` answers every query like a
+/// sorted-vector oracle, for random unsorted duplicated inputs and
+/// every layout.
 #[test]
 fn static_index_matches_sorted_oracle() {
     let mut rng = StdRng::seed_from_u64(0xfacade);
@@ -414,7 +415,7 @@ fn static_index_matches_sorted_oracle() {
         let keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..(n as u64 + 2))).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
-        let index = StaticIndex::build(keys, layout).unwrap();
+        let index = StaticMap::build(keys, vec![(); n], layout).unwrap();
         assert_eq!(index.len(), n, "case {case}");
         for _ in 0..60 {
             let p = rng.gen_range(0..n as u64 + 4);
@@ -425,12 +426,12 @@ fn static_index_matches_sorted_oracle() {
                 "case {case}: n={n} {layout:?} probe={p}"
             );
             assert_eq!(
-                index.contains(&p),
+                index.contains_key(&p),
                 sorted.binary_search(&p).is_ok(),
                 "case {case}: n={n} {layout:?} probe={p}"
             );
             assert_eq!(
-                index.lower_bound(&p).copied(),
+                index.lower_bound(&p).map(|(k, _)| *k),
                 sorted.get(expect_rank).copied(),
                 "case {case}: n={n} {layout:?} probe={p}"
             );
