@@ -103,6 +103,11 @@ fn fill_keys<'k, T: 'k, const W: usize>(
 /// `tap(query, node_base)` observes every node read of every live
 /// descent (no-op closures compile away; the equivalence suite listens
 /// here).
+///
+/// Always inlined, like the scalar descents, so that under
+/// `dispatch_nav!`'s AVX2 trampoline the loop is compiled with AVX2 and
+/// the node kernel inlines into it instead of being called per node.
+#[inline(always)]
 pub(crate) fn window_search_into<'k, T, N, const W: usize>(
     nav: &N,
     n: usize,
@@ -167,7 +172,8 @@ pub(crate) fn window_search_into<'k, T, N, const W: usize>(
 
 /// The pipelined **rank** window loop (strictly-smaller counts): the
 /// twin of [`window_search_into`] without result registers or overflow
-/// probes.
+/// probes (always inlined, for the same reason).
+#[inline(always)]
 pub(crate) fn window_rank_into<'k, T, N, const W: usize>(
     nav: &N,
     n: usize,

@@ -84,7 +84,10 @@ use nav::{BinaryShape, BtreeSearchShape};
 
 /// Instantiate the navigator matching a [`Searcher`]'s shape and run
 /// `$body` with it — the single point where shape tags become concrete
-/// navigator types (everything downstream is `Navigator`-generic).
+/// navigator types (everything downstream is `Navigator`-generic). The
+/// AVX2 shapes run `$body` inside [`wide::with_avx2`], so the node
+/// kernel inlines into the descent; every call site runs once per
+/// parallel chunk, on the thread that descends it.
 macro_rules! dispatch_nav {
     ($searcher:expr, $nav:ident => $body:expr) => {{
         let s = $searcher;
@@ -108,6 +111,25 @@ macro_rules! dispatch_nav {
             $crate::ShapeData::BtreeWide16(shape) => {
                 let $nav = $crate::nav::WideBtreeNav::<_, 16>::from_shape(s.data, shape);
                 $body
+            }
+            $crate::ShapeData::BtreeWide8Avx2(shape) => {
+                // SAFETY: `Searcher::new` picks this shape only on a CPU
+                // with AVX2.
+                let $nav = unsafe {
+                    $crate::nav::WideBtreeNav::<_, 8, true>::from_shape_avx2(s.data, shape)
+                };
+                let body = || $body;
+                // SAFETY: as above.
+                unsafe { $crate::wide::with_avx2(body) }
+            }
+            $crate::ShapeData::BtreeWide16Avx2(shape) => {
+                // SAFETY: as for `BtreeWide8Avx2`.
+                let $nav = unsafe {
+                    $crate::nav::WideBtreeNav::<_, 16, true>::from_shape_avx2(s.data, shape)
+                };
+                let body = || $body;
+                // SAFETY: as above.
+                unsafe { $crate::wide::with_avx2(body) }
             }
             $crate::ShapeData::Veb(shape) => {
                 let $nav = $crate::nav::VebNav::from_shape(s.data, shape);
@@ -179,6 +201,11 @@ pub(crate) enum ShapeData {
     BtreeWide8(BtreeSearchShape),
     /// As [`ShapeData::BtreeWide8`], with `b == 16`.
     BtreeWide16(BtreeSearchShape),
+    /// [`ShapeData::BtreeWide8`] on the AVX2 node kernel: `u64` / `i64`
+    /// keys on a CPU with AVX2, which [`Searcher::new`] checked.
+    BtreeWide8Avx2(BtreeSearchShape),
+    /// As [`ShapeData::BtreeWide8Avx2`], with `b == 16`.
+    BtreeWide16Avx2(BtreeSearchShape),
     Veb(BinaryShape),
 }
 
@@ -205,14 +232,25 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// duplicate semantics are bit-identical (pinned by
     /// `tests/navigator_equivalence.rs`); only throughput changes.
     /// [`Searcher::new_runtime`] opts out.
+    ///
+    /// **Kernel choice**, made here once per searcher: `u64` / `i64`
+    /// keys on an `x86_64` CPU that reports AVX2
+    /// (`is_x86_feature_detected!`, a cached load) take the AVX2 node
+    /// kernel — 4 keys per `vpcmpgtq` — whatever the build's target
+    /// features; `u32` keys take the SSE2 kernel; every other case
+    /// takes the portable unrolled loop.
     pub fn new(data: &'a [T], kind: QueryKind) -> Self {
         let mut s = Self::new_runtime(data, kind);
-        if wide::is_simd_key::<T>() {
-            s.shape = match s.shape {
-                ShapeData::Btree(shape) if shape.b == 8 => ShapeData::BtreeWide8(shape),
-                ShapeData::Btree(shape) if shape.b == 16 => ShapeData::BtreeWide16(shape),
-                other => other,
-            };
+        if let ShapeData::Btree(shape) = s.shape {
+            if wide::is_simd_key::<T>() {
+                s.shape = match (shape.b, wide::avx2_kernel::<T>()) {
+                    (8, true) => ShapeData::BtreeWide8Avx2(shape),
+                    (16, true) => ShapeData::BtreeWide16Avx2(shape),
+                    (8, _) => ShapeData::BtreeWide8(shape),
+                    (16, _) => ShapeData::BtreeWide16(shape),
+                    _ => ShapeData::Btree(shape),
+                };
+            }
         }
         s
     }
@@ -244,11 +282,16 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     }
 
     /// `true` iff queries descend through a const-width wide-node
-    /// kernel (see [`Searcher::new`]'s width dispatch).
+    /// kernel (see [`Searcher::new`]'s width dispatch), on either node
+    /// kernel: the AVX2 one, which `new` picks for `u64` / `i64` keys
+    /// when the CPU reports AVX2, or the SSE2 / portable one otherwise.
     pub fn is_wide(&self) -> bool {
         matches!(
             self.shape,
-            ShapeData::BtreeWide8(_) | ShapeData::BtreeWide16(_)
+            ShapeData::BtreeWide8(_)
+                | ShapeData::BtreeWide16(_)
+                | ShapeData::BtreeWide8Avx2(_)
+                | ShapeData::BtreeWide16Avx2(_)
         )
     }
 
@@ -354,7 +397,9 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
             ShapeData::Veb(_) => CompleteShape::new(n).pos(r, veb_pos),
             ShapeData::Btree(shape)
             | ShapeData::BtreeWide8(shape)
-            | ShapeData::BtreeWide16(shape) => {
+            | ShapeData::BtreeWide16(shape)
+            | ShapeData::BtreeWide8Avx2(shape)
+            | ShapeData::BtreeWide16Avx2(shape) => {
                 ist_layout::complete::BtreeCompleteShape::new(n, shape.b).pos(r)
             }
         })

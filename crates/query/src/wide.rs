@@ -10,10 +10,12 @@
 //! dispatch): the per-node rank is a fully unrolled, branchless sum of
 //! `B` comparisons, and for [`SimdKey`] key types on `x86_64` it is a
 //! compare → movemask → popcount sequence over 128/256-bit vectors
-//! (SSE2 for `u32`; SSE4.2/AVX2 for `u64`/`i64` — compiled when the
-//! corresponding `target_feature` is enabled, e.g. under
-//! `RUSTFLAGS="-C target-cpu=native"`; the portable unrolled loop is
-//! the fallback everywhere else, including non-x86 architectures).
+//! (SSE2 for `u32`; AVX2 for `u64`/`i64`). The arm is picked at run
+//! time, once per [`Searcher`](crate::Searcher): `u64`/`i64` keys take
+//! the AVX2 kernel when `is_x86_feature_detected!("avx2")` holds, in
+//! the default build — no `-C target-cpu=native` needed. Everywhere
+//! else, including non-x86 architectures, the portable unrolled loop
+//! runs, with identical results.
 //!
 //! [`WideBtreeNav`] implements the full [`Navigator`] surface — search
 //! and rank steps, `UPPER` tie-breaking, gap resolution, overflow
@@ -122,121 +124,45 @@ mod x86 {
     #![allow(unsafe_op_in_unsafe_fn)]
     use core::arch::x86_64::*;
 
-    /// #{ node[j] < key } over `B` `u64` keys (`B % 4 == 0`), unsigned
-    /// order via a sign-bit flip.
-    ///
-    /// # Safety
-    /// `node` must be valid for `B` reads.
-    #[inline(always)]
-    pub(super) unsafe fn count_lt_u64<const B: usize>(node: *const u64, key: u64) -> usize {
-        const { assert!(B.is_multiple_of(4) && B > 0) }
-        count_cmp64::<B>(node, key, false, SIGN64)
-    }
-
-    /// #{ node[j] <= key } = `B` − #{ node[j] > key }.
-    ///
-    /// # Safety
-    /// `node` must be valid for `B` reads.
-    #[inline(always)]
-    pub(super) unsafe fn count_le_u64<const B: usize>(node: *const u64, key: u64) -> usize {
-        const { assert!(B.is_multiple_of(4) && B > 0) }
-        B - count_cmp64::<B>(node, key, true, SIGN64)
-    }
-
-    /// Signed-`i64` variants: same kernel with a zero bias — `pcmpgtq`
-    /// is already a signed compare, so no sign-bit flip is needed.
-    ///
-    /// # Safety
-    /// `node` must be valid for `B` reads.
-    #[inline(always)]
-    pub(super) unsafe fn count_lt_i64<const B: usize>(node: *const i64, key: i64) -> usize {
-        const { assert!(B.is_multiple_of(4) && B > 0) }
-        count_cmp64::<B>(node.cast::<u64>(), key as u64, false, 0)
-    }
-
-    /// # Safety
-    /// `node` must be valid for `B` reads.
-    #[inline(always)]
-    pub(super) unsafe fn count_le_i64<const B: usize>(node: *const i64, key: i64) -> usize {
-        const { assert!(B.is_multiple_of(4) && B > 0) }
-        B - count_cmp64::<B>(node.cast::<u64>(), key as u64, true, 0)
-    }
-
-    const SIGN64: u64 = 1 << 63;
+    pub(super) const SIGN64: u64 = 1 << 63;
     const SIGN32: i32 = i32::MIN;
 
-    /// Shared 64-bit kernel: counts `node[j] > key` (when `gt_node` is
-    /// true) or `key > node[j]` (false) under the signed compare of
-    /// `x ^ bias` — `bias = 1 << 63` turns that into unsigned order
-    /// (for `u64`), `bias = 0` leaves it signed (for `i64`). Uses the
-    /// widest compare the compile-time feature set provides; `gt_node`
-    /// and `bias` are compile-time constants at every call site, so
-    /// both fold away.
+    /// The 64-bit kernel, 4 keys per 256-bit `vpcmpgtq`: counts
+    /// `node[j] > key` (when `gt_node` is true) or `key > node[j]`
+    /// (false) under the signed compare of `x ^ bias` — `bias = 1 << 63`
+    /// turns that into unsigned order (for `u64`), `bias = 0` leaves it
+    /// signed (for `i64`). `gt_node` and `bias` are constants at every
+    /// call site, so both fold away once this inlines — which it does
+    /// only into code compiled with AVX2 enabled (see
+    /// [`super::with_avx2`]).
     ///
     /// # Safety
-    /// `node` must be valid for `B` reads.
-    #[inline(always)]
-    unsafe fn count_cmp64<const B: usize>(
+    /// The CPU must support AVX2, and `node` must be valid for `B` reads.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn count_cmp64_avx2<const B: usize>(
         node: *const u64,
         key: u64,
         gt_node: bool,
         bias: u64,
     ) -> usize {
-        #[cfg(target_feature = "avx2")]
-        {
-            // 4 × u64 per 256-bit compare (pcmpgtq is signed; the bias
-            // re-maps unsigned inputs onto signed order).
-            let bias = _mm256_set1_epi64x(bias as i64);
-            let kv = _mm256_xor_si256(_mm256_set1_epi64x(key as i64), bias);
-            let mut c = 0usize;
-            let mut j = 0;
-            while j < B {
-                let v = _mm256_loadu_si256(node.add(j).cast());
-                let v = _mm256_xor_si256(v, bias);
-                let m = if gt_node {
-                    _mm256_cmpgt_epi64(v, kv)
-                } else {
-                    _mm256_cmpgt_epi64(kv, v)
-                };
-                c += (_mm256_movemask_pd(_mm256_castsi256_pd(m)) as u32).count_ones() as usize;
-                j += 4;
-            }
-            c
+        const { assert!(B.is_multiple_of(4) && B > 0) }
+        let bias = _mm256_set1_epi64x(bias as i64);
+        let kv = _mm256_xor_si256(_mm256_set1_epi64x(key as i64), bias);
+        let mut c = 0usize;
+        let mut j = 0;
+        while j < B {
+            let v = _mm256_loadu_si256(node.add(j).cast());
+            let v = _mm256_xor_si256(v, bias);
+            let m = if gt_node {
+                _mm256_cmpgt_epi64(v, kv)
+            } else {
+                _mm256_cmpgt_epi64(kv, v)
+            };
+            c += (_mm256_movemask_pd(_mm256_castsi256_pd(m)) as u32).count_ones() as usize;
+            j += 4;
         }
-        #[cfg(all(target_feature = "sse4.2", not(target_feature = "avx2")))]
-        {
-            // 2 × u64 per 128-bit compare (pcmpgtq needs SSE4.2).
-            let bias = _mm_set1_epi64x(bias as i64);
-            let kv = _mm_xor_si128(_mm_set1_epi64x(key as i64), bias);
-            let mut c = 0usize;
-            let mut j = 0;
-            while j < B {
-                let v = _mm_loadu_si128(node.add(j).cast());
-                let v = _mm_xor_si128(v, bias);
-                let m = if gt_node {
-                    _mm_cmpgt_epi64(v, kv)
-                } else {
-                    _mm_cmpgt_epi64(kv, v)
-                };
-                c += (_mm_movemask_pd(_mm_castsi128_pd(m)) as u32).count_ones() as usize;
-                j += 2;
-            }
-            c
-        }
-        #[cfg(not(target_feature = "sse4.2"))]
-        {
-            // Baseline x86-64 has no 64-bit vector compare; unrolled
-            // scalar chains, same semantics as the vector arms: signed
-            // compare of `x ^ bias` on both sides.
-            let s = core::slice::from_raw_parts(node, B);
-            let k = (key ^ bias) as i64;
-            let mut c = 0usize;
-            for x in s {
-                let v = (*x ^ bias) as i64;
-                c += usize::from(if gt_node { v > k } else { v < k });
-            }
-            c
-        }
+        c
     }
 
     /// #{ node[j] < key } over `B` `u32` keys (`B % 4 == 0`): SSE2
@@ -281,37 +207,54 @@ mod x86 {
     }
 }
 
-/// #{ k ∈ node : k < key } for a `B`-key node. `SimdKey` types on
-/// `x86_64` take the vector kernel; everything else takes the portable
-/// unrolled loop. The `TypeId` checks const-fold, so each
-/// monomorphization contains exactly one path.
+/// `true` iff this CPU runs the AVX2 node kernel for `T`: `T` is `u64`
+/// or `i64` and `is_x86_feature_detected!("avx2")` holds. Always
+/// `false` off `x86_64`. [`Searcher::new`](crate::Searcher::new) asks
+/// once per searcher; the feature probe is a cached load.
+pub(crate) fn avx2_kernel<T: 'static>() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let t = TypeId::of::<T>();
+        (t == TypeId::of::<u64>() || t == TypeId::of::<i64>())
+            && std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Run `f` inside a function compiled with AVX2 enabled. `f` inlines
+/// here, and so does everything it calls with `#[inline(always)]` — the
+/// scalar descents and the window loops — so the AVX2 node kernel,
+/// which LLVM only inlines into AVX2 code, becomes straight-line code
+/// in the descent instead of one call per node. `dispatch_nav!` wraps
+/// the AVX2 shapes' bodies in this.
+///
+/// # Safety
+/// The CPU must support AVX2 (off `x86_64` this is never called: no
+/// AVX2 shape is built there).
+#[inline]
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
+pub(crate) unsafe fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// #{ k ∈ node : k < key } for a `B`-key node: the SSE2 kernel for
+/// `u32` on `x86_64`, the portable unrolled loop for everything else.
+/// The `TypeId` check const-folds, so each monomorphization contains
+/// exactly one path.
 #[inline(always)]
 fn count_lt<T: Ord + 'static, const B: usize>(node: &[T], key: &T) -> usize {
     debug_assert_eq!(node.len(), B);
     #[cfg(target_arch = "x86_64")]
-    {
-        let t = TypeId::of::<T>();
-        if t == TypeId::of::<u64>() {
-            // SAFETY: TypeId equality proves `T` is `u64`, so the
-            // pointer reinterpretations are identity casts; `node`
-            // holds B elements (debug-asserted, and by the caller's
-            // shape arithmetic).
-            return unsafe {
-                x86::count_lt_u64::<B>(node.as_ptr().cast(), *(key as *const T).cast::<u64>())
-            };
-        }
-        if t == TypeId::of::<i64>() {
-            // SAFETY: as above, with `T` proven to be `i64`.
-            return unsafe {
-                x86::count_lt_i64::<B>(node.as_ptr().cast(), *(key as *const T).cast::<i64>())
-            };
-        }
-        if t == TypeId::of::<u32>() {
-            // SAFETY: as above, with `T` proven to be `u32`.
-            return unsafe {
-                x86::count_lt_u32::<B>(node.as_ptr().cast(), *(key as *const T).cast::<u32>())
-            };
-        }
+    if TypeId::of::<T>() == TypeId::of::<u32>() {
+        // SAFETY: TypeId equality proves `T` is `u32`, so the pointer
+        // reinterpretations are identity casts; `node` holds B elements
+        // (debug-asserted, and by the caller's shape arithmetic).
+        return unsafe {
+            x86::count_lt_u32::<B>(node.as_ptr().cast(), *(key as *const T).cast::<u32>())
+        };
     }
     count_lt_portable::<T, B>(node, key)
 }
@@ -321,28 +264,56 @@ fn count_lt<T: Ord + 'static, const B: usize>(node: &[T], key: &T) -> usize {
 fn count_le<T: Ord + 'static, const B: usize>(node: &[T], key: &T) -> usize {
     debug_assert_eq!(node.len(), B);
     #[cfg(target_arch = "x86_64")]
+    if TypeId::of::<T>() == TypeId::of::<u32>() {
+        // SAFETY: as in `count_lt` — TypeId proves `T` is `u32`.
+        return unsafe {
+            x86::count_le_u32::<B>(node.as_ptr().cast(), *(key as *const T).cast::<u32>())
+        };
+    }
+    count_le_portable::<T, B>(node, key)
+}
+
+/// [`count_lt`] (or [`count_le`] with `UPPER`) on the AVX2 kernel when
+/// `T` is `u64` or `i64`; any other `T` takes [`count_lt`]'s path.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[inline(always)]
+unsafe fn count_avx2<T: Ord + 'static, const B: usize, const UPPER: bool>(
+    node: &[T],
+    key: &T,
+) -> usize {
+    debug_assert_eq!(node.len(), B);
+    #[cfg(target_arch = "x86_64")]
     {
         let t = TypeId::of::<T>();
-        if t == TypeId::of::<u64>() {
-            // SAFETY: as in `count_lt` — TypeId proves `T` is `u64`.
-            return unsafe {
-                x86::count_le_u64::<B>(node.as_ptr().cast(), *(key as *const T).cast::<u64>())
+        if t == TypeId::of::<u64>() || t == TypeId::of::<i64>() {
+            // `pcmpgtq` is a signed compare: `u64` needs the sign-bit
+            // flip, `i64` none.
+            let bias = if t == TypeId::of::<u64>() {
+                x86::SIGN64
+            } else {
+                0
             };
-        }
-        if t == TypeId::of::<i64>() {
-            // SAFETY: as in `count_lt` — TypeId proves `T` is `i64`.
+            // SAFETY: TypeId proves `T` is a 64-bit integer, so reading
+            // the node and the key as `u64` reinterprets their bits;
+            // `node` holds B elements; AVX2 is this fn's contract.
             return unsafe {
-                x86::count_le_i64::<B>(node.as_ptr().cast(), *(key as *const T).cast::<i64>())
-            };
-        }
-        if t == TypeId::of::<u32>() {
-            // SAFETY: as in `count_lt` — TypeId proves `T` is `u32`.
-            return unsafe {
-                x86::count_le_u32::<B>(node.as_ptr().cast(), *(key as *const T).cast::<u32>())
+                let node = node.as_ptr().cast::<u64>();
+                let key = *(key as *const T).cast::<u64>();
+                if UPPER {
+                    B - x86::count_cmp64_avx2::<B>(node, key, true, bias)
+                } else {
+                    x86::count_cmp64_avx2::<B>(node, key, false, bias)
+                }
             };
         }
     }
-    count_le_portable::<T, B>(node, key)
+    if UPPER {
+        count_le::<T, B>(node, key)
+    } else {
+        count_lt::<T, B>(node, key)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -359,31 +330,49 @@ fn count_le<T: Ord + 'static, const B: usize>(node: &[T], key: &T) -> usize {
 /// `Btree(16)` here automatically for eligible key types;
 /// [`Searcher::new_runtime`](crate::Searcher::new_runtime) is the
 /// escape hatch that forces the general runtime path.
-pub struct WideBtreeNav<'a, T, const B: usize> {
+///
+/// `AVX2 = true` is the variant whose `u64` / `i64` nodes are counted by
+/// the AVX2 kernel. Only this crate builds it, and only after checking
+/// the CPU; [`WideBtreeNav::new`] builds the default, portable variant.
+pub struct WideBtreeNav<'a, T, const B: usize, const AVX2: bool = false> {
     data: &'a [T],
     shape: BtreeSearchShape,
 }
 
-impl<'a, T, const B: usize> Clone for WideBtreeNav<'a, T, B> {
+impl<'a, T, const B: usize, const AVX2: bool> Clone for WideBtreeNav<'a, T, B, AVX2> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<'a, T, const B: usize> Copy for WideBtreeNav<'a, T, B> {}
+impl<'a, T, const B: usize, const AVX2: bool> Copy for WideBtreeNav<'a, T, B, AVX2> {}
 
 impl<'a, T: Ord + 'static, const B: usize> WideBtreeNav<'a, T, B> {
     /// Navigator for `data` in B-tree layout with `B ≥ 1` keys per node
     /// (the compile-time twin of [`crate::nav::BtreeNav::new`]).
     pub fn new(data: &'a [T]) -> Self {
-        const { assert!(B >= 1, "B-tree node width must be at least 1") }
-        Self {
-            data,
-            shape: BtreeSearchShape::new(data.len(), B),
-        }
+        Self::from_shape(data, BtreeSearchShape::new(data.len(), B))
     }
 
     #[inline]
     pub(crate) fn from_shape(data: &'a [T], shape: BtreeSearchShape) -> Self {
+        Self::with_shape(data, shape)
+    }
+}
+
+impl<'a, T: Ord + 'static, const B: usize> WideBtreeNav<'a, T, B, true> {
+    /// The AVX2 variant of [`WideBtreeNav::from_shape`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[inline]
+    pub(crate) unsafe fn from_shape_avx2(data: &'a [T], shape: BtreeSearchShape) -> Self {
+        Self::with_shape(data, shape)
+    }
+}
+
+impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> WideBtreeNav<'a, T, B, AVX2> {
+    #[inline]
+    fn with_shape(data: &'a [T], shape: BtreeSearchShape) -> Self {
         const { assert!(B >= 1, "B-tree node width must be at least 1") }
         debug_assert_eq!(shape.b, B);
         debug_assert_eq!(shape, BtreeSearchShape::new(data.len(), B));
@@ -401,6 +390,38 @@ impl<'a, T: Ord + 'static, const B: usize> WideBtreeNav<'a, T, B> {
         unsafe { self.data.get_unchecked(base..base + B) }
     }
 
+    /// #{ k ∈ `keys` : k < key } (`k <= key` with `UPPER`) over one
+    /// full `B`-key node.
+    #[inline(always)]
+    fn count<const UPPER: bool>(&self, keys: &[T], key: &T) -> usize {
+        if AVX2 {
+            // SAFETY: an `AVX2` navigator is only built by
+            // `from_shape_avx2`, whose caller checked the CPU.
+            unsafe { count_avx2::<T, B, UPPER>(keys, key) }
+        } else if UPPER {
+            count_le::<T, B>(keys, key)
+        } else {
+            count_lt::<T, B>(keys, key)
+        }
+    }
+
+    /// The overflow node in gap `g` and its `count`: the node kernel
+    /// when the node is full, a scan of the partial last one otherwise.
+    /// The node is sorted, so the count is also where `key` would sit.
+    #[inline(always)]
+    fn count_gap<const UPPER: bool>(&self, g: usize, key: &T) -> (usize, &[T], usize) {
+        let (start, len) = self.overflow_node(g);
+        let keys = &self.data[start..start + len];
+        let c = if len == B {
+            self.count::<UPPER>(keys, key)
+        } else {
+            keys.iter()
+                .take_while(|x| if UPPER { **x <= *key } else { **x < *key })
+                .count()
+        };
+        (start, keys, c)
+    }
+
     /// Start index and length of the overflow node hanging in gap `g`
     /// (same arithmetic as the runtime navigator).
     #[inline]
@@ -416,7 +437,9 @@ impl<'a, T: Ord + 'static, const B: usize> WideBtreeNav<'a, T, B> {
     }
 }
 
-impl<'a, T: Ord + 'static, const B: usize> Navigator<T> for WideBtreeNav<'a, T, B> {
+impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> Navigator<T>
+    for WideBtreeNav<'a, T, B, AVX2>
+{
     type Cursor = usize;
     type Acc = usize;
     /// The per-level child subtree span `(B+1)^{levels−1−level} − 1`.
@@ -463,7 +486,7 @@ impl<'a, T: Ord + 'static, const B: usize> Navigator<T> for WideBtreeNav<'a, T, 
         let v = *cur;
         let base = v * B;
         let keys = self.node_keys(v);
-        let c = count_lt::<T, B>(keys, key);
+        let c = self.count::<false>(keys, key);
         let hit = *res == MISS && c < B && keys[c] == *key;
         *res = if hit { base + c } else { *res };
         *cur = v * (B + 1) + c + 1;
@@ -485,12 +508,7 @@ impl<'a, T: Ord + 'static, const B: usize> Navigator<T> for WideBtreeNav<'a, T, 
         child: usize,
     ) {
         let v = *cur;
-        let keys = self.node_keys(v);
-        let c = if UPPER {
-            count_le::<T, B>(keys, key)
-        } else {
-            count_lt::<T, B>(keys, key)
-        };
+        let c = self.count::<UPPER>(self.node_keys(v), key);
         *cur = v * (B + 1) + c + 1;
         *acc += c * (child + 1);
     }
@@ -505,14 +523,12 @@ impl<'a, T: Ord + 'static, const B: usize> Navigator<T> for WideBtreeNav<'a, T, 
         *acc
     }
 
-    /// Scan the overflow node hanging in gap `gap` for `key`.
+    /// Find `key` in the overflow node hanging in gap `gap`: its first
+    /// copy sits after every smaller key of the sorted node.
     #[inline]
     fn resolve_miss(&self, gap: usize, key: &T) -> Option<usize> {
-        let (start, len) = self.overflow_node(gap);
-        self.data[start..start + len]
-            .iter()
-            .position(|x| *x == *key)
-            .map(|off| start + off)
+        let (start, keys, c) = self.count_gap::<false>(gap, key);
+        (c < keys.len() && keys[c] == *key).then_some(start + c)
     }
 
     /// B-tree rank from the fall-off gap (see
@@ -520,13 +536,8 @@ impl<'a, T: Ord + 'static, const B: usize> Navigator<T> for WideBtreeNav<'a, T, 
     #[inline]
     fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize {
         let BtreeSearchShape { q, s, .. } = self.shape;
-        let mut rank = gap + gap.min(q) * B + if gap > q { s } else { 0 };
-        let (start, len) = self.overflow_node(gap);
-        rank += self.data[start..start + len]
-            .iter()
-            .take_while(|x| if UPPER { **x <= *key } else { **x < *key })
-            .count();
-        rank
+        let rank = gap + gap.min(q) * B + if gap > q { s } else { 0 };
+        rank + self.count_gap::<UPPER>(gap, key).2
     }
 
     #[inline(always)]
@@ -552,60 +563,163 @@ impl<'a, T: Ord + 'static, const B: usize> Navigator<T> for WideBtreeNav<'a, T, 
 mod tests {
     use super::*;
 
-    /// The vector kernels must agree with the portable loop on every
-    /// boundary: below all, above all, equal to each stored key, between
-    /// neighbors, and around the sign-bit flip.
+    /// Each kernel must agree with a plain count on every boundary:
+    /// below all, above all, equal to each stored key, between
+    /// neighbors, and around the sign-bit flip. The portable loop is
+    /// always checked, and the AVX2 kernel too whenever this CPU has
+    /// AVX2, whichever arm `Searcher::new` would pick here.
     #[test]
     fn simd_counts_match_portable() {
-        fn check_u64<const B: usize>(node: &[u64]) {
-            let mut probes: Vec<u64> = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
-            for &k in node {
-                probes.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
-            }
-            for p in probes {
-                assert_eq!(
-                    count_lt::<u64, B>(node, &p),
-                    count_lt_portable::<u64, B>(node, &p),
-                    "lt B={B} p={p} node={node:?}"
-                );
-                assert_eq!(
-                    count_le::<u64, B>(node, &p),
-                    count_le_portable::<u64, B>(node, &p),
-                    "le B={B} p={p} node={node:?}"
-                );
+        fn check<T: SimdKey + core::fmt::Debug, const B: usize>(node: &[T], probes: &[T]) {
+            let mut all = probes.to_vec();
+            all.extend_from_slice(node);
+            for p in &all {
+                let lt = node.iter().filter(|k| *k < p).count();
+                let le = node.iter().filter(|k| *k <= p).count();
+                let at = format!("B={B} p={p:?} node={node:?}");
+                assert_eq!(count_lt_portable::<T, B>(node, p), lt, "portable lt {at}");
+                assert_eq!(count_le_portable::<T, B>(node, p), le, "portable le {at}");
+                assert_eq!(count_lt::<T, B>(node, p), lt, "lt {at}");
+                assert_eq!(count_le::<T, B>(node, p), le, "le {at}");
+                if avx2_detected() {
+                    // SAFETY: AVX2 presence just checked.
+                    let (a_lt, a_le) = unsafe {
+                        (
+                            count_avx2::<T, B, false>(node, p),
+                            count_avx2::<T, B, true>(node, p),
+                        )
+                    };
+                    assert_eq!(a_lt, lt, "avx2 lt {at}");
+                    assert_eq!(a_le, le, "avx2 le {at}");
+                }
             }
         }
-        check_u64::<8>(&[3, 3, 7, 9, 100, 1 << 40, 1 << 63, u64::MAX]);
-        check_u64::<8>(&[0; 8]);
-        check_u64::<16>(&(0..16).map(|x| x * 5).collect::<Vec<_>>());
+        fn around(keys: &[u64]) -> Vec<u64> {
+            let mut p = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
+            for &k in keys {
+                p.extend([k.saturating_sub(1), k.saturating_add(1)]);
+            }
+            p
+        }
+        let nodes_u: [Vec<u64>; 3] = [
+            vec![3, 3, 7, 9, 100, 1 << 40, 1 << 63, u64::MAX],
+            vec![0; 8],
+            vec![
+                (1 << 63) - 2,
+                (1 << 63) - 1,
+                1 << 63,
+                (1 << 63) + 1,
+                5,
+                6,
+                7,
+                8,
+            ],
+        ];
+        for node in &nodes_u {
+            check::<u64, 8>(node, &around(node));
+            // The same bits as `i64`: the sign-bit flip must not apply.
+            let node_i: Vec<i64> = node.iter().map(|&k| k as i64).collect();
+            let probes_i: Vec<i64> = around(node).iter().map(|&k| k as i64).collect();
+            check::<i64, 8>(&node_i, &probes_i);
+        }
+        let node16: Vec<u64> = (0..16).map(|x| x * 5).collect();
+        check::<u64, 16>(&node16, &around(&node16));
+        check::<i64, 16>(
+            &(-8..8).map(|x| x * 5).collect::<Vec<i64>>(),
+            &[i64::MIN, -41, -40, -1, 0, 1, 35, 36, i64::MAX],
+        );
 
         let node_i: Vec<i64> = vec![i64::MIN, -55, -1, 0, 1, 2, 1 << 40, i64::MAX];
-        for p in [i64::MIN, -56, -55, -2, -1, 0, 1, 3, i64::MAX - 1, i64::MAX] {
-            assert_eq!(
-                count_lt::<i64, 8>(&node_i, &p),
-                count_lt_portable::<i64, 8>(&node_i, &p),
-                "i64 lt p={p}"
-            );
-            assert_eq!(
-                count_le::<i64, 8>(&node_i, &p),
-                count_le_portable::<i64, 8>(&node_i, &p),
-                "i64 le p={p}"
-            );
-        }
+        let probes_i = [i64::MIN, -56, -55, -2, -1, 0, 1, 3, i64::MAX - 1, i64::MAX];
+        check::<i64, 8>(&node_i, &probes_i);
 
         let node_u: Vec<u32> = vec![0, 1, 9, 9, 1 << 20, 1 << 31, u32::MAX - 1, u32::MAX];
-        for p in [0u32, 1, 2, 8, 9, 10, (1 << 31) - 1, 1 << 31, u32::MAX] {
-            assert_eq!(
-                count_lt::<u32, 8>(&node_u, &p),
-                count_lt_portable::<u32, 8>(&node_u, &p),
-                "u32 lt p={p}"
-            );
-            assert_eq!(
-                count_le::<u32, 8>(&node_u, &p),
-                count_le_portable::<u32, 8>(&node_u, &p),
-                "u32 le p={p}"
-            );
+        let probes_u = [0u32, 1, 2, 8, 9, 10, (1 << 31) - 1, 1 << 31, u32::MAX];
+        check::<u32, 8>(&node_u, &probes_u);
+    }
+
+    /// `is_x86_feature_detected!("avx2")`, or `false` off `x86_64`.
+    fn avx2_detected() -> bool {
+        avx2_kernel::<u64>()
+    }
+
+    /// The portable and (on an AVX2 CPU) the AVX2 `WideBtreeNav`
+    /// descend exactly like the runtime `BtreeNav`: identical node
+    /// traces and answers for search, rank and `UPPER` rank, at both
+    /// wired widths, over ragged sizes with duplicates and keys on both
+    /// sides of the sign bit. An AVX2 host never picks the portable
+    /// 64-bit arm in `Searcher::new`; this is where it runs.
+    #[test]
+    fn avx2_and_portable_navs_match_runtime() {
+        use crate::nav::{rank_with, search_with, BtreeNav, Navigator};
+        use ist_core::{permute_in_place, Algorithm, Layout};
+
+        type Answers = (
+            Vec<usize>,
+            Option<usize>,
+            Vec<usize>,
+            usize,
+            Vec<usize>,
+            usize,
+        );
+        fn answers<T: Ord, N: Navigator<T>>(nav: &N, key: &T) -> Answers {
+            let (mut ts, mut tr, mut tu) = (Vec::new(), Vec::new(), Vec::new());
+            let s = search_with(nav, key, |p| ts.push(p));
+            let r = rank_with::<T, _, false>(nav, key, |p| tr.push(p));
+            let u = rank_with::<T, _, true>(nav, key, |p| tu.push(p));
+            (ts, s, tr, r, tu, u)
         }
+        fn check<T: SimdKey + Send + core::fmt::Debug, const B: usize>(sorted: &[T], probes: &[T]) {
+            let mut data = sorted.to_vec();
+            permute_in_place(&mut data, Layout::Btree { b: B }, Algorithm::CycleLeader).unwrap();
+            let runtime = BtreeNav::new(&data, B);
+            let portable = WideBtreeNav::<T, B>::new(&data);
+            let shape = BtreeSearchShape::new(data.len(), B);
+            let avx2 = avx2_detected().then(|| {
+                // SAFETY: built only when the CPU has AVX2.
+                unsafe { WideBtreeNav::<T, B, true>::from_shape_avx2(&data, shape) }
+            });
+            for p in probes {
+                let want = answers(&runtime, p);
+                let n = data.len();
+                assert_eq!(answers(&portable, p), want, "portable B={B} n={n} p={p:?}");
+                if let Some(avx2) = &avx2 {
+                    assert_eq!(answers(avx2, p), want, "avx2 B={B} n={n} p={p:?}");
+                }
+            }
+        }
+        fn sweep<const B: usize>() {
+            for n in [
+                1,
+                B - 1,
+                B,
+                B + 1,
+                2 * B + 3,
+                B * (B + 2),
+                B * (B + 2) + 1,
+                1000,
+                4099,
+            ] {
+                // Ascending with every fifth key a duplicate of the one
+                // before, centred on the sign bit so `u64` keys cross it.
+                let base = (1u64 << 63) - 3 * n as u64 / 2;
+                let sorted: Vec<u64> = (0..n as u64)
+                    .map(|x| base + 3 * x - if x % 5 == 1 { 3 } else { 0 })
+                    .collect();
+                let mut probes = vec![0, 1, u64::MAX];
+                for &k in &sorted {
+                    probes.extend([k - 1, k, k + 1]);
+                }
+                check::<u64, B>(&sorted, &probes);
+                // The same keys shifted into `i64`, crossing zero.
+                let shift = |k: &u64| (k ^ (1 << 63)) as i64;
+                let sorted_i: Vec<i64> = sorted.iter().map(shift).collect();
+                let probes_i: Vec<i64> = probes.iter().map(shift).collect();
+                check::<i64, B>(&sorted_i, &probes_i);
+            }
+        }
+        sweep::<8>();
+        sweep::<16>();
     }
 
     /// Non-SimdKey `Ord` types descend through the portable path with
