@@ -497,24 +497,11 @@ where
         live_before
     }
 
-    /// Bulk insert: apply every `(key, value)` pair as one delta
-    /// (duplicate keys in the batch: the **last** pair wins, like
-    /// repeated [`DynamicMap::insert`]). Returns how many **distinct**
-    /// batch keys were live before the batch — the batch analog of the
-    /// scalar `bool`s summed, except that intra-batch overwrites of
-    /// the same key count once, not per pair.
-    ///
-    /// The delta is sorted **once**, its per-key run weights are
-    /// resolved with one software-pipelined `batch_rank` sweep per
-    /// resident run (instead of one descent cascade per key), and the
-    /// result is combined with the write buffer in a single linear
-    /// merge — no per-key `O(cap)` memmove. A batch that lands
-    /// entirely above the current buffer maximum appends without
-    /// touching existing entries at all (see
-    /// [`DynamicMap::buffer_element_moves`]). If the combined buffer
-    /// overflows `buffer_cap` it is sealed directly into a presorted
-    /// L0 run and handed to the compactor, exactly like a scalar
-    /// overflow.
+    /// Bulk insert: [`DynamicMap::apply`] with every pair as an
+    /// insert (the **last** pair of a duplicated key wins). Returns how
+    /// many **distinct** batch keys were live before the batch — the
+    /// batch analog of the scalar `bool`s summed, except that
+    /// intra-batch overwrites of the same key count once, not per pair.
     ///
     /// # Examples
     /// ```
@@ -528,17 +515,13 @@ where
     /// assert_eq!(m.get(&1), Some(&"new"));
     /// ```
     pub fn batch_insert(&mut self, pairs: Vec<(K, V)>) -> usize {
-        self.apply_batch(pairs.into_iter().map(|(k, v)| (k, Some(v))).collect())
+        self.apply(pairs.into_iter().map(|(k, v)| (k, Some(v))).collect())
     }
 
-    /// Bulk delete: apply every key as one delta (duplicates
-    /// collapse). Returns how many keys were live before the batch.
-    /// Keys that are absent (or already deleted) are no-ops and buffer
-    /// no tombstone.
-    ///
-    /// Costs mirror [`DynamicMap::batch_insert`]: one sort, one
-    /// pipelined weight sweep per resident run, one linear buffer
-    /// merge.
+    /// Bulk delete: [`DynamicMap::apply`] with every key as a remove
+    /// (duplicates collapse). Returns how many keys were live before
+    /// the batch. Keys that are absent (or already deleted) are no-ops
+    /// and buffer no tombstone.
     ///
     /// # Examples
     /// ```
@@ -550,12 +533,41 @@ where
     /// assert_eq!(m.len(), 8);
     /// ```
     pub fn batch_remove(&mut self, keys: &[K]) -> usize {
-        self.apply_batch(keys.iter().map(|k| (k.clone(), None)).collect())
+        self.apply(keys.iter().map(|k| (k.clone(), None)).collect())
     }
 
-    /// Shared bulk-delta path: `Some(v)` entries insert, `None` entries
-    /// remove. Returns the number of delta keys that were live before.
-    pub(crate) fn apply_batch(&mut self, mut delta: Vec<(K, Option<V>)>) -> usize {
+    /// Bulk write: apply a mixed delta as one operation — `Some(v)`
+    /// inserts or overwrites, `None` removes (duplicate keys in the
+    /// delta: the **last** entry wins, like the scalar calls in
+    /// order). Returns how many **distinct** delta keys were live
+    /// before the call. On a persistent map the whole delta is one WAL
+    /// record.
+    ///
+    /// The delta is sorted **once**, its per-key run weights are
+    /// resolved with one software-pipelined `batch_rank` sweep per
+    /// resident run (instead of one descent cascade per key), and the
+    /// result is combined with the write buffer in a single linear
+    /// merge — no per-key `O(cap)` memmove. A delta that lands
+    /// entirely above the current buffer maximum appends without
+    /// touching existing entries at all (see
+    /// [`DynamicMap::buffer_element_moves`]). If the combined buffer
+    /// overflows `buffer_cap` it is sealed directly into a presorted
+    /// L0 run and handed to the compactor, exactly like a scalar
+    /// overflow.
+    ///
+    /// # Examples
+    /// ```
+    /// use implicit_search_trees::{DynamicMap, Layout};
+    ///
+    /// let mut m: DynamicMap<u64, &str> = DynamicMap::new(Layout::Veb);
+    /// m.batch_insert(vec![(1, "one"), (2, "two")]);
+    /// let live = m.apply(vec![(1, None), (2, Some("TWO")), (3, Some("three")), (4, None)]);
+    /// assert_eq!(live, 2); // keys 1 and 2 were live before
+    /// assert_eq!(m.get(&1), None);
+    /// assert_eq!(m.get(&2), Some(&"TWO"));
+    /// assert_eq!(m.len(), 2);
+    /// ```
+    pub fn apply(&mut self, mut delta: Vec<(K, Option<V>)>) -> usize {
         if delta.is_empty() {
             return 0;
         }
@@ -995,9 +1007,40 @@ mod tests {
             assert_eq!(batched.rank(&k), scalar.rank(&k));
         }
         assert_eq!(batched.len(), scalar.len());
+        // One mixed delta: insert-then-remove of absent 20,
+        // remove-then-insert of live 5, a remove of absent 99, an
+        // overwrite of live 11. Last entry per key wins; the count is
+        // distinct keys live before the call.
+        let delta = vec![
+            (20u64, Some(1u64)),
+            (20, None),
+            (5, None),
+            (5, Some(50)),
+            (99, None),
+            (11, Some(90)),
+        ];
+        let distinct: std::collections::BTreeSet<u64> = delta.iter().map(|(k, _)| *k).collect();
+        let expect_live = distinct.iter().filter(|k| scalar.get(k).is_some()).count();
+        for &(k, v) in &delta {
+            match v {
+                Some(v) => scalar.insert(k, v),
+                None => scalar.remove(&k),
+            };
+            scalar.quiesce();
+        }
+        assert_eq!(expect_live, 2);
+        assert_eq!(batched.apply(delta), expect_live);
+        batched.quiesce();
+        batched.validate_weights();
+        for k in 0..100u64 {
+            assert_eq!(batched.get(&k), scalar.get(&k));
+            assert_eq!(batched.rank(&k), scalar.rank(&k));
+        }
+        assert_eq!(batched.len(), scalar.len());
         // Empty batches are free no-ops.
         assert_eq!(batched.batch_insert(Vec::new()), 0);
         assert_eq!(batched.batch_remove(&[]), 0);
+        assert_eq!(batched.apply(Vec::new()), 0);
     }
 
     #[test]

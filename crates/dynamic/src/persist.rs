@@ -9,10 +9,10 @@
 //!
 //! * **log** — every mutation appends one WAL record *before* it is
 //!   applied in memory (`insert`/`remove` one scalar record each,
-//!   `batch_*` one delta record). The [`FsyncPolicy`] decides when
-//!   appended records become *acked* (crash-proof). Seals and
-//!   compaction installs write nothing: the manifest's runs plus the
-//!   live WAL are the whole state.
+//!   `apply` (and the `batch_*` wrappers) one delta record). The
+//!   [`FsyncPolicy`] decides when appended records become *acked*
+//!   (crash-proof). Seals and compaction installs write nothing: the
+//!   manifest's runs plus the live WAL are the whole state.
 //! * **checkpoint** — the only writer of run files and manifests, in
 //!   this order: write and sync a run file for every resident run that
 //!   has none yet (a run's file is recorded once, in [`Run::file`], so
@@ -857,7 +857,7 @@ where
                 }
                 WalRecord::Delta(delta) => {
                     next_seq += delta.len() as u64;
-                    map.apply_batch(delta);
+                    map.apply(delta);
                 }
             }
         }

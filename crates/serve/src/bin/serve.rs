@@ -1,6 +1,5 @@
 //! Standalone server: `serve [--addr 127.0.0.1:0] [--shards 4]
-//! [--preload 0] [--max-tick 8192] [--linger-us 0] [--data-dir DIR]
-//! [--fsync always|never|every=N]`.
+//! [--preload 0] [--data-dir DIR] [--fsync always|never|every=N]`.
 //!
 //! Without `--data-dir` the map is memory-only. With it, the server is
 //! durable: an existing store directory (one whose `SHARDS` root file
@@ -20,14 +19,13 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 
 use ist_core::Layout;
-use ist_serve::{serve_on, ServeMap, ServerConfig, Value};
+use ist_serve::{serve_on, ServeMap, Value};
 use ist_store::{FsyncPolicy, StoreConfig, SHARDS_NAME};
 
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--shards N] [--preload N] \
-         [--max-tick N] [--linger-us N] [--data-dir DIR] \
-         [--fsync always|never|every=N]"
+         [--data-dir DIR] [--fsync always|never|every=N]"
     );
     std::process::exit(2)
 }
@@ -38,7 +36,6 @@ fn main() {
     let mut preload = 0usize;
     let mut data_dir: Option<PathBuf> = None;
     let mut fsync = FsyncPolicy::Always;
-    let mut cfg = ServerConfig::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -47,11 +44,6 @@ fn main() {
             "--addr" => addr = val(),
             "--shards" => shards = val().parse().unwrap_or_else(|_| usage()),
             "--preload" => preload = val().parse().unwrap_or_else(|_| usage()),
-            "--max-tick" => cfg.max_tick = val().parse().unwrap_or_else(|_| usage()),
-            "--linger-us" => {
-                cfg.linger =
-                    std::time::Duration::from_micros(val().parse().unwrap_or_else(|_| usage()))
-            }
             "--data-dir" => data_dir = Some(PathBuf::from(val())),
             "--fsync" => fsync = FsyncPolicy::parse(&val()).unwrap_or_else(|| usage()),
             _ => usage(),
@@ -95,7 +87,7 @@ fn main() {
     // What is actually served: a recovered store overrides the flags.
     let (shards, keys) = (map.shard_count(), map.len());
     // LINT-ALLOW(serve-no-panic): same startup argument as `bind`.
-    let handle = serve_on(listener, map, cfg).expect("serve");
+    let handle = serve_on(listener, map).expect("serve");
     println!(
         "listening on {} ({shards} shards, {keys} keys)",
         handle.addr()

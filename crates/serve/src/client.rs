@@ -12,13 +12,13 @@ use crate::proto::{
 ///
 /// # Examples
 /// ```
-/// use ist_serve::{serve, Client, ServeMap, ServerConfig, Value};
+/// use ist_serve::{serve, Client, ServeMap, Value};
 /// use ist_core::Layout;
 ///
 /// let keys: Vec<u64> = (0..100).collect();
 /// let vals: Vec<Value> = keys.iter().map(|k| Value::from(k.to_le_bytes().to_vec())).collect();
 /// let map = ServeMap::build(keys, vals, Layout::Veb, 2).unwrap();
-/// let handle = serve(map, ServerConfig::default()).unwrap();
+/// let handle = serve(map).unwrap();
 ///
 /// let mut c = Client::connect(handle.addr()).unwrap();
 /// assert_eq!(c.get(7).unwrap(), Some(7u64.to_le_bytes().to_vec()));

@@ -29,13 +29,13 @@
 //!
 //! ```
 //! use ist_core::Layout;
-//! use ist_serve::{serve, Client, ServeMap, ServerConfig, Value};
+//! use ist_serve::{serve, Client, ServeMap, Value};
 //!
 //! // Build and serve a 4-shard map on an OS-assigned localhost port.
 //! let keys: Vec<u64> = (0..1000).collect();
 //! let vals: Vec<Value> = keys.iter().map(|k| Value::from(k.to_le_bytes().to_vec())).collect();
 //! let map = ServeMap::build(keys, vals, Layout::Veb, 4).unwrap();
-//! let handle = serve(map, ServerConfig::default()).unwrap();
+//! let handle = serve(map).unwrap();
 //!
 //! // Any number of clients may connect and pipeline requests.
 //! let mut c = Client::connect(handle.addr()).unwrap();
@@ -57,5 +57,5 @@ pub mod server;
 pub mod value;
 
 pub use client::Client;
-pub use server::{serve, serve_on, Key, ServeMap, ServerConfig, ServerHandle};
+pub use server::{serve, serve_on, Key, ServeMap, ServerHandle};
 pub use value::Value;

@@ -20,13 +20,11 @@
 //!   are exactly what the coalesced path amortizes away.
 //! * The **coalescer** owns the [`ShardedMap`]. Each iteration gathers
 //!   every in-flight request into one **tick** (first request by
-//!   blocking `recv`, the rest by draining `try_recv` up to
-//!   [`ServerConfig::max_tick`], optionally holding the tick open for a
-//!   [`ServerConfig::linger`] gather window so moderate load still
-//!   forms large ticks). The tick's writes are folded
-//!   **last-wins per key** into one delta and applied through the
-//!   shard-parallel bulk paths ([`ShardedMap::batch_insert`] /
-//!   [`ShardedMap::batch_remove`]); then a globally-consistent
+//!   blocking `recv`, the rest by draining `try_recv` until the queue
+//!   runs dry or the tick holds `MAX_TICK` = 8192 requests). The
+//!   tick's writes are folded **last-wins per key** into one mixed
+//!   delta and applied with one shard-parallel bulk call
+//!   ([`ShardedMap::apply`]); then a globally-consistent
 //!   [`ShardedMap::snapshot`] is taken (reused from the previous tick
 //!   when the tick carried no writes — snapshot reuse is an `Arc`
 //!   bump) and shipped with the tick to the executor, freeing the
@@ -73,7 +71,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ist_shard::{ShardedFrozen, ShardedMap};
 
@@ -93,38 +91,10 @@ pub type ServeMap = ShardedMap<Key, Value>;
 /// stacks keep a thousand connections to a few hundred MB of reserve.
 const IO_THREAD_STACK: usize = 128 * 1024;
 
-/// Server tunables; `Default` is an 8192-request tick cap and no
-/// linger.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Upper bound on requests gathered into one tick. Bounds per-tick
-    /// memory and reply latency under overload; a tick closes early
-    /// whenever the queue runs dry.
-    pub max_tick: usize,
-    /// Group-commit gather window: after a tick's first event arrives,
-    /// keep gathering until this much time has passed (or `max_tick` is
-    /// hit) before closing the tick. Zero closes the tick as soon as
-    /// the queue runs dry.
-    ///
-    /// This is the knob that makes coalescing pay off at *moderate*
-    /// load: without it the pipeline is stable at tiny ticks — arrivals
-    /// are spread out, each tick gathers only what raced in since the
-    /// last one, and the fixed per-tick cost (batched-call setup,
-    /// thread hand-offs, one write syscall per connection) is paid
-    /// nearly per request. A sub-millisecond linger converts that
-    /// regime into large ticks at the price of a bounded, known latency
-    /// floor — the same trade as group commit in a write-ahead log.
-    pub linger: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            max_tick: 8192,
-            linger: Duration::ZERO,
-        }
-    }
-}
+/// Upper bound on requests gathered into one tick. Bounds per-tick
+/// memory and reply latency under overload; a tick closes early
+/// whenever the queue runs dry.
+const MAX_TICK: usize = 8192;
 
 /// A running server: its bound address plus a stop switch. Dropping the
 /// handle does **not** stop the server (threads are detached); call
@@ -152,20 +122,16 @@ impl ServerHandle {
 }
 
 /// Serve `map` on an OS-assigned localhost port. See [`serve_on`].
-pub fn serve(map: ServeMap, cfg: ServerConfig) -> io::Result<ServerHandle> {
-    serve_on(TcpListener::bind(("127.0.0.1", 0))?, map, cfg)
+pub fn serve(map: ServeMap) -> io::Result<ServerHandle> {
+    serve_on(TcpListener::bind(("127.0.0.1", 0))?, map)
 }
 
 /// Serve `map` on an already-bound listener. Returns immediately; all
 /// serving happens on detached background threads.
-pub fn serve_on(
-    listener: TcpListener,
-    map: ServeMap,
-    cfg: ServerConfig,
-) -> io::Result<ServerHandle> {
+pub fn serve_on(listener: TcpListener, map: ServeMap) -> io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    spawn_coalescing(listener, map, cfg, Arc::clone(&stop))?;
+    spawn_coalescing(listener, map, Arc::clone(&stop))?;
     Ok(ServerHandle { addr, stop })
 }
 
@@ -244,16 +210,11 @@ struct Tick {
     items: Vec<TickItem>,
 }
 
-fn spawn_coalescing(
-    listener: TcpListener,
-    map: ServeMap,
-    cfg: ServerConfig,
-    stop: Arc<AtomicBool>,
-) -> io::Result<()> {
+fn spawn_coalescing(listener: TcpListener, map: ServeMap, stop: Arc<AtomicBool>) -> io::Result<()> {
     let (ev_tx, ev_rx) = mpsc::channel::<Event>();
     let (tick_tx, tick_rx) = mpsc::channel::<Tick>();
     spawn_named("ist-serve-coalescer", None, move || {
-        coalescer_loop(map, ev_rx, tick_tx, cfg)
+        coalescer_loop(map, ev_rx, tick_tx)
     })?;
     spawn_named("ist-serve-executor", None, move || executor_loop(tick_rx))?;
     spawn_named("ist-serve-accept", None, move || {
@@ -363,13 +324,7 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
 /// The write side of the pipeline: owns the map, folds each tick's
 /// writes last-wins into one bulk delta, applies it shard-parallel,
 /// snapshots, and ships the tick to the executor.
-fn coalescer_loop(
-    mut map: ServeMap,
-    rx: Receiver<Event>,
-    tick_tx: Sender<Tick>,
-    cfg: ServerConfig,
-) {
-    let ServerConfig { max_tick, linger } = cfg;
+fn coalescer_loop(mut map: ServeMap, rx: Receiver<Event>, tick_tx: Sender<Tick>) {
     let stats_on = std::env::var_os("IST_SERVE_TICK_STATS").is_some();
     let (mut ticks, mut evs, mut gather_ns, mut apply_ns, mut snap_ns) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
@@ -382,13 +337,8 @@ fn coalescer_loop(
             Err(_) => break, // accept loop and all readers gone
         };
         let t0 = Instant::now();
-        // The tick opens on its first event and closes at max_tick
-        // requests, at the linger deadline, or (with no linger) when
-        // the queue runs dry. The linger is spent **asleep**, not in
-        // a wake-per-event `recv_timeout` loop: on a busy box each
-        // wakeup is a scheduler round trip stolen from the reader
-        // threads that are trying to fill the tick.
-        let deadline = (linger > Duration::ZERO).then(|| t0 + linger);
+        // The tick opens on its first event and closes at MAX_TICK
+        // requests or when the queue runs dry.
         let weight = |e: &Event| match e {
             Event::Requests { reqs, .. } => reqs.len(),
             _ => 1,
@@ -396,34 +346,21 @@ fn coalescer_loop(
         let mut events = Vec::with_capacity(64);
         let mut gathered = weight(&first);
         events.push(first);
-        loop {
-            while gathered < max_tick {
-                match rx.try_recv() {
-                    Ok(e) => {
-                        gathered += weight(&e);
-                        events.push(e);
-                    }
-                    Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
+        while gathered < MAX_TICK {
+            match rx.try_recv() {
+                Ok(e) => {
+                    gathered += weight(&e);
+                    events.push(e);
                 }
+                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
-            if gathered >= max_tick {
-                break;
-            }
-            let Some(d) = deadline else { break };
-            let now = Instant::now();
-            if now >= d {
-                break;
-            }
-            thread::sleep(d - now);
-            // One more drain pass after the sleep, then the deadline
-            // check above closes the tick.
         }
 
         let mut items = Vec::with_capacity(gathered);
         // Last write to a key within the tick wins — `Some` pending
-        // insert, `None` pending remove — so insert-then-remove and
-        // remove-then-insert interleavings resolve before the bulk
-        // apply, and the two bulk calls see disjoint key sets.
+        // insert, `None` pending remove — so the fold holds one entry
+        // per key and its iteration order cannot change what the one
+        // bulk call applies.
         let mut delta: HashMap<Key, Option<Value>> = HashMap::new();
         for ev in events {
             match ev {
@@ -456,20 +393,7 @@ fn coalescer_loop(
 
         let t1 = Instant::now();
         if !delta.is_empty() {
-            let mut inserts = Vec::new();
-            let mut removes = Vec::new();
-            for (k, v) in delta {
-                match v {
-                    Some(val) => inserts.push((k, val)),
-                    None => removes.push(k),
-                }
-            }
-            if !inserts.is_empty() {
-                map.batch_insert(inserts);
-            }
-            if !removes.is_empty() {
-                map.batch_remove(&removes);
-            }
+            map.apply(delta.into_iter().collect());
             cached = None;
         }
         let t2 = Instant::now();

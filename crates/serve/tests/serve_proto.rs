@@ -11,7 +11,7 @@
 //!   requests in flight (half a frame on the wire) does not perturb
 //!   the replies of connections sharing its coalescer ticks.
 //! * **Model equivalence** — a seeded op sequence, pipelined in bursts,
-//!   answers exactly as a `BTreeMap` does, with and without a linger.
+//!   answers exactly as a `BTreeMap` does.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
@@ -23,7 +23,7 @@ use ist_serve::proto::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, Op, Reply, ReplyBody,
     Request, MAX_FRAME,
 };
-use ist_serve::{serve, Client, ServeMap, ServerConfig, ServerHandle, Value};
+use ist_serve::{serve, Client, ServeMap, ServerHandle, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,17 +37,8 @@ fn test_map(n: u64, shards: usize) -> ServeMap {
     ServeMap::build(keys, vals, Layout::Veb, shards).expect("build")
 }
 
-fn start(cfg: ServerConfig) -> ServerHandle {
-    serve(test_map(512, 4), cfg).expect("serve")
-}
-
-/// Both ways a tick can close: when the queue runs dry, and after the
-/// linger sleep loop (which nothing else in the workspace exercises).
-fn linger_configs() -> [ServerConfig; 2] {
-    [Duration::ZERO, Duration::from_millis(2)].map(|linger| ServerConfig {
-        linger,
-        ..ServerConfig::default()
-    })
+fn start() -> ServerHandle {
+    serve(test_map(512, 4)).expect("serve")
 }
 
 /// A raw connection for [`pipeline`]; its read timeout turns a dropped
@@ -200,7 +191,7 @@ fn read_to_close_and_check_frames(sock: &TcpStream) -> usize {
 
 #[test]
 fn malformed_frames_close_cleanly_coalescing() {
-    let handle = start(ServerConfig::default());
+    let handle = start();
 
     // Case 1: truncated length prefix, then abrupt close.
     let sock = TcpStream::connect(handle.addr()).unwrap();
@@ -257,7 +248,7 @@ fn malformed_frames_close_cleanly_coalescing() {
 /// perturb those connections' replies.
 #[test]
 fn killed_connection_does_not_affect_others() {
-    let handle = start(ServerConfig::default());
+    let handle = start();
 
     let mut survivor = Client::connect(handle.addr()).unwrap();
     // Interleave: victim pipelines a burst, then dies mid-frame.
@@ -345,60 +336,58 @@ fn is_write(op: &Op) -> bool {
 /// served value's inline limit.
 #[test]
 fn coalesced_answers_match_btreemap_model() {
-    for cfg in linger_configs() {
-        let handle = start(cfg);
-        let sock = connect(&handle);
-        let mut model: BTreeMap<u64, Vec<u8>> = test_entries(512).collect();
+    let handle = start();
+    let sock = connect(&handle);
+    let mut model: BTreeMap<u64, Vec<u8>> = test_entries(512).collect();
 
-        let mut rng = StdRng::seed_from_u64(0xD1FF);
-        let mut burst: Vec<Op> = Vec::new();
-        for _ in 0..600 {
-            let key = rng.gen_range(0..1500u64);
-            let op = match rng.gen_range(0..6u32) {
-                0 => {
-                    let len = [0, 8, 22, 23, 300][rng.gen_range(0..5usize)];
-                    let value = (0..len).map(|i| (key as usize ^ i) as u8).collect();
-                    Op::Insert { key, value }
-                }
-                1 => Op::Remove { key },
-                2 | 3 => Op::Get { key },
-                4 => Op::Rank { key },
-                _ => Op::RangeCount {
-                    lo: key,
-                    hi: rng.gen_range(0..2000u64),
-                },
-            };
-            if is_write(&op) && burst.last().is_some_and(|last| !is_write(last)) {
-                check_burst(&sock, &mut model, &burst);
-                burst.clear();
+    let mut rng = StdRng::seed_from_u64(0xD1FF);
+    let mut burst: Vec<Op> = Vec::new();
+    for _ in 0..600 {
+        let key = rng.gen_range(0..1500u64);
+        let op = match rng.gen_range(0..6u32) {
+            0 => {
+                let len = [0, 8, 22, 23, 300][rng.gen_range(0..5usize)];
+                let value = (0..len).map(|i| (key as usize ^ i) as u8).collect();
+                Op::Insert { key, value }
             }
-            burst.push(op);
-        }
-        check_burst(&sock, &mut model, &burst);
-
-        // The seeded bursts almost never write one key twice, so pin the
-        // last-wins fold explicitly: both orders, in one burst.
-        let (a, b) = (b"first".to_vec(), b"last".to_vec());
-        let same_key = [
-            Op::Insert { key: 7, value: a },
-            Op::Remove { key: 7 },
-            Op::Insert { key: 7, value: b },
-            Op::Insert {
-                key: 8,
-                value: Vec::new(),
+            1 => Op::Remove { key },
+            2 | 3 => Op::Get { key },
+            4 => Op::Rank { key },
+            _ => Op::RangeCount {
+                lo: key,
+                hi: rng.gen_range(0..2000u64),
             },
-            Op::Remove { key: 8 },
-            Op::Get { key: 7 },
-            Op::Get { key: 8 },
-        ];
-        check_burst(&sock, &mut model, &same_key);
-
-        // Every key the sequence could have touched, not only the ones
-        // it happened to read back.
-        let sweep: Vec<Op> = (0..1500).map(|key| Op::Get { key }).collect();
-        check_burst(&sock, &mut model, &sweep);
-        handle.stop();
+        };
+        if is_write(&op) && burst.last().is_some_and(|last| !is_write(last)) {
+            check_burst(&sock, &mut model, &burst);
+            burst.clear();
+        }
+        burst.push(op);
     }
+    check_burst(&sock, &mut model, &burst);
+
+    // The seeded bursts almost never write one key twice, so pin the
+    // last-wins fold explicitly: both orders, in one burst.
+    let (a, b) = (b"first".to_vec(), b"last".to_vec());
+    let same_key = [
+        Op::Insert { key: 7, value: a },
+        Op::Remove { key: 7 },
+        Op::Insert { key: 7, value: b },
+        Op::Insert {
+            key: 8,
+            value: Vec::new(),
+        },
+        Op::Remove { key: 8 },
+        Op::Get { key: 7 },
+        Op::Get { key: 8 },
+    ];
+    check_burst(&sock, &mut model, &same_key);
+
+    // Every key the sequence could have touched, not only the ones
+    // it happened to read back.
+    let sweep: Vec<Op> = (0..1500).map(|key| Op::Get { key }).collect();
+    check_burst(&sock, &mut model, &sweep);
+    handle.stop();
 }
 
 /// Pipelined writes then reads on one connection: replies come back in
@@ -406,26 +395,24 @@ fn coalesced_answers_match_btreemap_model() {
 /// observes it (read-your-writes at tick granularity).
 #[test]
 fn pipelined_burst_preserves_order_and_sees_writes() {
-    for cfg in linger_configs() {
-        let handle = start(cfg);
-        let sock = connect(&handle);
+    let handle = start();
+    let sock = connect(&handle);
 
-        let value = |i: u64| vec![i as u8; 8];
-        let mut burst: Vec<Op> = (0..50u64)
-            .map(|i| Op::Insert {
-                key: 100_000 + i,
-                value: value(i),
-            })
-            .collect();
-        burst.extend((0..50u64).map(|i| Op::Get { key: 100_000 + i }));
+    let value = |i: u64| vec![i as u8; 8];
+    let mut burst: Vec<Op> = (0..50u64)
+        .map(|i| Op::Insert {
+            key: 100_000 + i,
+            value: value(i),
+        })
+        .collect();
+    burst.extend((0..50u64).map(|i| Op::Get { key: 100_000 + i }));
 
-        let mut expect = vec![ReplyBody::Ack; 50];
-        expect.extend((0..50u64).map(|i| ReplyBody::Value(Some(value(i)))));
-        assert_eq!(
-            pipeline(&sock, &burst),
-            expect,
-            "a read did not observe its burst's write"
-        );
-        handle.stop();
-    }
+    let mut expect = vec![ReplyBody::Ack; 50];
+    expect.extend((0..50u64).map(|i| ReplyBody::Value(Some(value(i)))));
+    assert_eq!(
+        pipeline(&sock, &burst),
+        expect,
+        "a read did not observe its burst's write"
+    );
+    handle.stop();
 }

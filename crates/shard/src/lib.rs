@@ -359,16 +359,18 @@ where
         self.shards[s].remove(key)
     }
 
-    /// Bulk insert across shards: the delta is partitioned per shard by
-    /// the range router ([`ist_query::route::partition_owned`] — items
-    /// moved, not cloned) and every non-empty sub-delta is applied via
-    /// [`DynamicMap::batch_insert`] — **in parallel** across shards
-    /// when the sub-deltas are long enough to pay for a hand-off or the
-    /// shards are persistent, so that their WAL syncs overlap (see
-    /// `for_each_shard_task`; shards are disjoint structures, so `&mut`
-    /// access per shard is race-free by construction), on the calling
-    /// thread otherwise. Returns the total number of pairs that
-    /// replaced a live value.
+    /// Bulk write across shards: the mixed delta (`Some(v)` inserts,
+    /// `None` removes, last entry per key wins) is partitioned per
+    /// shard by the range router ([`ist_query::route::partition_owned`]
+    /// — items moved, not cloned) and every non-empty sub-delta is
+    /// applied via [`DynamicMap::apply`] — **in parallel** across
+    /// shards when the sub-deltas are long enough to pay for a hand-off
+    /// or the shards are persistent, so that their WAL syncs overlap
+    /// (see `for_each_shard_task`; shards are disjoint structures, so
+    /// `&mut` access per shard is race-free by construction), on the
+    /// calling thread otherwise. Returns how many distinct delta keys
+    /// were live before the call. On a persistent map, each shard the
+    /// delta touches logs one WAL record.
     ///
     /// Global-rank exactness is untouched: the range-partition
     /// invariant (every key in shard `j < i` sorts strictly below every
@@ -384,15 +386,16 @@ where
     ///
     /// let mut m: ShardedMap<u64, u64> =
     ///     ShardedMap::with_splits_config(vec![10, 20], QueryKind::Veb, DEFAULT_BUFFER_CAP);
-    /// let replaced = m.batch_insert((0..30u64).map(|k| (k, k)).collect());
-    /// assert_eq!(replaced, 0);
-    /// assert_eq!(m.len(), 30);
+    /// assert_eq!(m.apply((0..30u64).map(|k| (k, Some(k))).collect()), 0);
     /// assert_eq!(m.shard_lens(), vec![10, 10, 10]);
+    /// // One call, every shard: remove 5, overwrite 15, insert 30.
+    /// assert_eq!(m.apply(vec![(5, None), (15, Some(0)), (30, Some(30))]), 2);
+    /// assert_eq!(m.shard_lens(), vec![9, 10, 11]);
     /// ```
-    pub fn batch_insert(&mut self, pairs: Vec<(K, V)>) -> usize {
+    pub fn apply(&mut self, delta: Vec<(K, Option<V>)>) -> usize {
         debug_assert_valid_splits(&self.splits);
         let splits = &self.splits;
-        let parts = partition_owned(pairs, self.shards.len(), |(k, _)| shard_of_key(splits, k));
+        let parts = partition_owned(delta, self.shards.len(), |(k, _)| shard_of_key(splits, k));
         let mut counts = vec![0usize; self.shards.len()];
         for_each_shard_task(
             self.shards
@@ -402,30 +405,21 @@ where
                 .map(|((shard, (_, routed)), count)| {
                     (routed.len(), shard.is_persistent(), (shard, routed, count))
                 }),
-            |(shard, routed, count)| *count = shard.batch_insert(routed),
+            |(shard, routed, count)| *count = shard.apply(routed),
         );
         counts.into_iter().sum()
     }
 
-    /// Bulk delete across shards; the delta is routed and applied
-    /// per shard exactly like [`ShardedMap::batch_insert`].
-    /// Returns how many keys were live before the batch.
+    /// Bulk insert across shards: [`ShardedMap::apply`] with every pair
+    /// as an insert. Returns how many distinct keys were live before.
+    pub fn batch_insert(&mut self, pairs: Vec<(K, V)>) -> usize {
+        self.apply(pairs.into_iter().map(|(k, v)| (k, Some(v))).collect())
+    }
+
+    /// Bulk delete across shards: [`ShardedMap::apply`] with every key
+    /// as a remove. Returns how many keys were live before the batch.
     pub fn batch_remove(&mut self, keys: &[K]) -> usize {
-        debug_assert_valid_splits(&self.splits);
-        let splits = &self.splits;
-        let parts = partition_batch(keys, self.shards.len(), |k| shard_of_key(splits, k));
-        let mut counts = vec![0usize; self.shards.len()];
-        for_each_shard_task(
-            self.shards
-                .iter_mut()
-                .zip(&parts)
-                .zip(counts.iter_mut())
-                .map(|((shard, (_, routed)), count)| {
-                    (routed.len(), shard.is_persistent(), (shard, routed, count))
-                }),
-            |(shard, routed, count)| *count = shard.batch_remove(routed),
-        );
-        counts.into_iter().sum()
+        self.apply(keys.iter().map(|k| (k.clone(), None)).collect())
     }
 
     /// Drain every shard's deferred compaction work; see
@@ -503,9 +497,9 @@ where
     /// becomes a full persistent [`DynamicMap`] in its own
     /// `shard-NNNN/` subdirectory (manifest + run files + WAL each).
     /// Shards log and checkpoint **independently**, and a hot shard's
-    /// fsyncs never serialize against a cold one's: `batch_insert` and
-    /// `batch_remove` hand every persistent shard's sub-delta to the
-    /// pool whatever its length, so the shards' WAL syncs run
+    /// fsyncs never serialize against a cold one's:
+    /// [`ShardedMap::apply`] hands every persistent shard's sub-delta to
+    /// the pool whatever its length, so the shards' WAL syncs run
     /// concurrently (as many at once as the pool has threads).
     ///
     /// # Panics

@@ -45,6 +45,7 @@ enum Op {
     Remove(u64),
     BatchInsert(Vec<(u64, u64)>),
     BatchRemove(Vec<u64>),
+    Apply(Vec<(u64, Option<u64>)>),
     BatchGet(Vec<u64>),
     BatchRank(Vec<u64>),
     BatchRangeCount(Vec<(u64, u64)>),
@@ -57,6 +58,7 @@ impl fmt::Display for Op {
             Op::Remove(k) => write!(f, "remove({k})"),
             Op::BatchInsert(pairs) => write!(f, "batch_insert({pairs:?})"),
             Op::BatchRemove(keys) => write!(f, "batch_remove({keys:?})"),
+            Op::Apply(delta) => write!(f, "apply({delta:?})"),
             Op::BatchGet(keys) => write!(f, "batch_get(len={})", keys.len()),
             Op::BatchRank(keys) => write!(f, "batch_rank(len={})", keys.len()),
             Op::BatchRangeCount(r) => write!(f, "batch_range_count(len={})", r.len()),
@@ -73,18 +75,35 @@ fn gen_batch_keys(rng: &mut StdRng) -> Vec<u64> {
     (0..len).map(|_| rng.gen_range(0..UNIVERSE + 4)).collect()
 }
 
-/// Mutation route: scalar per-key ops, or bulk deltas (batches span
+/// Mutation route: scalar per-key ops, bulk deltas (batches span
 /// shard boundaries by construction — keys are uniform over the
-/// universe, so a batch of length ≥ 2 usually straddles a split).
+/// universe, so a batch of length ≥ 2 usually straddles a split), or
+/// mixed deltas through one `apply` call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ingest {
     PerKey,
     Bulk,
+    Mixed,
 }
 
 fn gen_op(rng: &mut StdRng, op_index: usize, ingest: Ingest) -> Op {
     let key = rng.gen_range(0..UNIVERSE);
     match rng.gen_range(0..100u32) {
+        // Inserts and removes in one delta; over the small universe a
+        // delta often writes one key twice, in either order.
+        0..=59 if ingest == Ingest::Mixed => {
+            let len = rng.gen_range(0..12usize);
+            Op::Apply(
+                (0..len)
+                    .map(|j| {
+                        let k = rng.gen_range(0..UNIVERSE);
+                        let v = (rng.gen_range(0..5u32) < 3)
+                            .then_some((op_index as u64) << 8 | j as u64);
+                        (k, v)
+                    })
+                    .collect(),
+            )
+        }
         0..=39 if ingest == Ingest::Bulk => {
             let len = rng.gen_range(0..10usize);
             Op::BatchInsert(
@@ -347,6 +366,23 @@ fn apply_op(
                 ));
             }
         }
+        Op::Apply(delta) => {
+            let distinct: BTreeSet<u64> = delta.iter().map(|(k, _)| *k).collect();
+            let expect = distinct.iter().filter(|k| oracle.contains_key(k)).count();
+            let got = sharded.apply(delta.clone());
+            let mirror_got = mirror.apply(delta.clone());
+            for &(k, v) in delta {
+                match v {
+                    Some(v) => oracle.insert(k, v),
+                    None => oracle.remove(&k),
+                };
+            }
+            if got != expect || mirror_got != expect {
+                return Err(format!(
+                    "apply returned {got} (mirror {mirror_got}), oracle {expect}"
+                ));
+            }
+        }
         Op::BatchGet(keys) => {
             let got = sharded.batch_get(keys);
             if got != mirror.batch_get(keys) {
@@ -529,6 +565,29 @@ fn sharded_differential_ingest_and_mode_matrix() {
             for ingest in [Ingest::PerKey, Ingest::Bulk] {
                 for mode in DRAINS {
                     run_sequence_with(seed, splits, QueryKind::Veb, 3, 140, mode, ingest);
+                }
+            }
+        }
+    }
+}
+
+/// Mixed deltas through one `ShardedMap::apply` call — inserts and
+/// removes of the same key in either order, straddling every split —
+/// must match the same delta on the unsharded mirror and the oracle.
+/// `IST_FUZZ_LONG=1` runs the long sweep's 12 seeds instead of the CI
+/// pair.
+#[test]
+fn sharded_differential_mixed_deltas() {
+    let seeds: Vec<u64> = if std::env::var_os("IST_FUZZ_LONG").is_some() {
+        (0..12).map(|s| 0x40_0000 + s).collect()
+    } else {
+        CI_SEEDS.to_vec()
+    };
+    for seed in seeds {
+        for splits in &split_sets() {
+            for (kind, cap) in [(QueryKind::Veb, 3usize), (QueryKind::Sorted, 1)] {
+                for mode in DRAINS {
+                    run_sequence_with(seed, splits, kind, cap, 160, mode, Ingest::Mixed);
                 }
             }
         }

@@ -22,7 +22,8 @@
 //!
 //! A last sweep power-cuts a two-shard [`ShardedMap`], whose shards log
 //! each tick's sub-deltas concurrently: every shard must recover to a
-//! committed prefix of its own record sequence.
+//! committed prefix of its own record sequence. A closing test counts
+//! records: a mixed `apply` logs one per shard it touches.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -707,4 +708,79 @@ fn sharded_power_cut_drop_unsynced() {
 #[test]
 fn sharded_power_cut_torn() {
     sharded_sweep(CrashModel::Torn);
+}
+
+/// A mixed delta — inserts, removes, an insert-then-remove of one key —
+/// is one WAL record per shard it touches, where the same writes as
+/// `batch_insert` then `batch_remove` are two; reopening either store
+/// gives the oracle's state.
+#[test]
+fn mixed_delta_is_one_wal_record_per_shard() {
+    let delta: Vec<(u64, Option<u64>)> = vec![
+        (1, None),
+        (3, Some(30)),
+        (SPLIT + 1, Some(130)),
+        (SPLIT + 8, Some(200)),
+        (SPLIT + 8, None),
+        (7, Some(70)),
+    ];
+    let (inserts, removes) = (vec![(2, 20), (SPLIT + 2, 140)], vec![3, SPLIT + 1]);
+    let write_oracle = |oracle: &mut BTreeMap<u64, u64>| {
+        for &(k, v) in &delta {
+            match v {
+                Some(v) => oracle.insert(k, v),
+                None => oracle.remove(&k),
+            };
+        }
+        oracle.extend(inserts.iter().copied());
+        for k in &removes {
+            oracle.remove(k);
+        }
+    };
+
+    let vfs = MemVfs::new();
+    let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
+    for k in 0..PREPOP {
+        apply_map(&mut map, &Wop::Put(k, k));
+    }
+    let mut oracle = state_of(&map);
+    map.persist_to("db", cfg_on(&vfs, FsyncPolicy::Always))
+        .unwrap();
+    map.apply(delta.clone());
+    assert_eq!(map.acked_records(), 1, "a mixed delta is one record");
+    map.batch_insert(inserts.clone());
+    map.batch_remove(&removes);
+    assert_eq!(map.acked_records(), 3, "insert then remove is two records");
+    write_oracle(&mut oracle);
+    drop(map);
+    let reopened =
+        DynamicMap::<u64, u64>::open_with("db", cfg_on(&vfs, FsyncPolicy::Always)).unwrap();
+    assert_eq!(state_of(&reopened), oracle);
+
+    let vfs = MemVfs::new();
+    let mut map: ShardedMap<u64, u64> =
+        ShardedMap::with_splits_config(vec![SPLIT], QueryKind::Veb, CAP);
+    map.batch_insert(sharded_prepop());
+    map.quiesce();
+    let mut oracle: BTreeMap<u64, u64> = sharded_prepop().into_iter().collect();
+    map.persist_to("db", cfg_on(&vfs, FsyncPolicy::Always))
+        .unwrap();
+    map.apply(delta.clone());
+    assert_eq!(map.acked_records(), 2, "one record per shard touched");
+    map.batch_insert(inserts.clone());
+    map.batch_remove(&removes);
+    assert_eq!(
+        map.acked_records(),
+        6,
+        "insert then remove is two per shard"
+    );
+    write_oracle(&mut oracle);
+    drop(map);
+    let reopened =
+        ShardedMap::<u64, u64>::open_with("db", cfg_on(&vfs, FsyncPolicy::Always)).unwrap();
+    let got: BTreeMap<u64, u64> = (0..UNIVERSE + 8)
+        .filter_map(|k| reopened.get(&k).map(|v| (k, *v)))
+        .collect();
+    assert_eq!(got, oracle);
+    assert_eq!(reopened.len(), oracle.len());
 }
