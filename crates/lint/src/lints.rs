@@ -4,7 +4,7 @@
 //! | lint | invariant |
 //! |------|-----------|
 //! | `unsafe-needs-safety-comment` | every `unsafe` (block, fn, impl) carries a `// SAFETY:` comment |
-//! | `no-spawn-outside-parallel` | `thread::spawn` only in `ist-parallel` / `ist-loom` (the threading substrates) |
+//! | `no-spawn-outside-parallel` | `thread::spawn` / `thread::Builder` only in `ist-parallel` / `ist-loom` (the threading substrates) |
 //! | `no-layout-arith-outside-nav` | BST child-index arithmetic (`2 * v + 1/2`) confined to `ist_query::nav`/`wide` and `ist-layout` |
 //! | `relaxed-ordering-needs-justification` | every `Ordering::Relaxed` carries an adjacent comment |
 //! | `serve-no-panic` | no `unwrap`/`expect`/`panic!`-family/indexing in `crates/serve` non-test code |
@@ -150,7 +150,8 @@ fn lint_unsafe_safety(path: &str, lexed: &Lexed, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `no-spawn-outside-parallel`: raw `thread::spawn` belongs to the
+/// `no-spawn-outside-parallel`: raw `thread::spawn` (or a thread
+/// started through `thread::Builder`) belongs to the
 /// threading substrates (`crates/parallel`, `crates/loom-shim`) and
 /// the `ist_dynamic::sync` routing point; every other site must route
 /// through the rayon shim or that `sync` module so forced-serial and
@@ -167,16 +168,19 @@ fn lint_spawn(path: &str, class: FileClass, lexed: &Lexed, out: &mut Vec<Diagnos
         if w[0].in_test {
             continue;
         }
+        let Tok::Ident(what) = &w[3].kind else {
+            continue;
+        };
         if w[0].kind == Tok::Ident("thread".to_string())
             && w[1].kind == Tok::Punct(':')
             && w[2].kind == Tok::Punct(':')
-            && w[3].kind == Tok::Ident("spawn".to_string())
+            && (what == "spawn" || what == "Builder")
         {
             out.push(Diagnostic {
                 lint: "no-spawn-outside-parallel",
                 file: path.to_string(),
                 line: w[0].line,
-                message: "raw `thread::spawn` outside the threading substrate crates".to_string(),
+                message: format!("raw `thread::{what}` outside the threading substrate crates"),
             });
         }
     }

@@ -99,6 +99,29 @@ fn spawn_allowed_in_substrate_crates() {
 }
 
 #[test]
+fn thread_builder_fires_outside_parallel() {
+    let code = "fn f() {\n    let b = std::thread::Builder::new();\n    b.spawn(|| {});\n}\n";
+    let d = src("crates/serve/src/x.rs", code);
+    assert_eq!(lints_at(&d, "no-spawn-outside-parallel"), vec![2]);
+}
+
+#[test]
+fn thread_builder_allowed_in_substrate_crates() {
+    let code = "fn f() {\n    std::thread::Builder::new().spawn(|| {});\n}\n";
+    for path in [
+        "crates/parallel/src/lib.rs",
+        "crates/loom-shim/src/lib.rs",
+        "crates/dynamic/src/sync.rs",
+    ] {
+        let d = src(path, code);
+        assert!(
+            lints_at(&d, "no-spawn-outside-parallel").is_empty(),
+            "{path}"
+        );
+    }
+}
+
+#[test]
 fn spawn_allowed_in_cfg_test_region() {
     let code =
         "#[cfg(test)]\nmod tests {\n    fn f() {\n        std::thread::spawn(|| {});\n    }\n}\n";

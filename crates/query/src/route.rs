@@ -7,8 +7,7 @@
 //!    remembering each item's original position
 //!    ([`partition_batch_ref`] for read paths — no clones — or
 //!    [`partition_batch`] when owned sub-batches are needed, with
-//!    [`shard_of_key`] as the router for range partitions; validate the
-//!    split vector once per call with [`debug_assert_valid_splits`]);
+//!    [`shard_of_key`] as the router for range partitions);
 //! 2. drive every sub-batch through its shard's pipelined engine —
 //!    in parallel, since the sub-batches are disjoint;
 //! 3. **scatter** the per-shard results back into input order
@@ -39,9 +38,9 @@
 /// re-checked here, not even in debug builds: this function sits inside
 /// per-item routing loops, and an earlier revision that `debug_assert!`ed
 /// the whole split vector on every call made every debug/fuzz partition
-/// pass O(batch × splits). Validate once per batch at the call boundary
-/// with [`debug_assert_valid_splits`] instead (the `ShardedMap`
-/// constructors also reject unsorted splits outright).
+/// pass O(batch × splits). Validate once, where the split vector is
+/// made: every `ShardedMap` constructor rejects unsorted splits, and the
+/// vector never changes afterwards.
 ///
 /// # Examples
 /// ```
@@ -56,19 +55,6 @@
 #[inline]
 pub fn shard_of_key<K: Ord>(splits: &[K], key: &K) -> usize {
     splits.partition_point(|s| s <= key)
-}
-
-/// Debug-build check that `splits` satisfies [`shard_of_key`]'s
-/// precondition (sorted, strictly increasing). Call it **once per
-/// batched operation**, before the per-item routing loop — never inside
-/// it. Compiles to nothing in release builds.
-#[inline]
-pub fn debug_assert_valid_splits<K: Ord>(splits: &[K]) {
-    debug_assert!(
-        splits.windows(2).all(|w| w[0] < w[1]),
-        "splits must be sorted and strictly increasing"
-    );
-    let _ = splits; // silence the unused warning in release builds
 }
 
 /// Partition a batch into `shards` per-shard sub-batches, preserving
@@ -251,21 +237,13 @@ mod tests {
 
     /// Regression for the O(batch × splits) debug-assert: `shard_of_key`
     /// must NOT re-validate the split vector per routed item — that is
-    /// the caller's per-call responsibility via
-    /// [`debug_assert_valid_splits`]. Routing through knowingly-unsorted
-    /// splits must therefore not panic (the result is unspecified
-    /// garbage, but it is *cheap* garbage).
+    /// done once, where the vector is made. Routing through
+    /// knowingly-unsorted splits must therefore not panic (the result
+    /// is unspecified garbage, but it is *cheap* garbage).
     #[test]
     fn shard_of_key_does_not_revalidate_splits() {
         let unsorted = [20u64, 10];
         let _ = shard_of_key(&unsorted, &15); // must not panic, even in debug
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "strictly increasing")]
-    fn per_call_validation_still_catches_bad_splits() {
-        debug_assert_valid_splits(&[20u64, 10]);
     }
 
     #[test]

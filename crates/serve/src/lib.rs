@@ -8,12 +8,12 @@
 //! pipelined batch descents are **3×+ faster per key** than scalar
 //! descents, but a network server handling one request at a time can
 //! never hand the engine a batch. So the server inverts the usual
-//! shape — IO threads do nothing but frame decoding, and a central
-//! **coalescer** gathers every request in flight across all
-//! connections into one *tick*, executes the tick's reads as three
-//! batched calls (get / rank / range_count) against a
-//! globally-consistent snapshot, folds its writes into one bulk delta,
-//! and scatters replies back per connection in request order. Under
+//! shape — IO threads do nothing but frame decoding, and one **tick
+//! thread** gathers every request in flight across all connections
+//! into one *tick*, folds its writes into one bulk delta, executes its
+//! reads as three batched calls (get / rank / range_count) against the
+//! map right after the tick's writes, and scatters replies back per
+//! connection in request order. Under
 //! concurrency the batch forms by itself: the deeper the queue, the
 //! bigger the tick, the better the per-request cost — the opposite of
 //! the per-request-lock server whose overheads are fixed.

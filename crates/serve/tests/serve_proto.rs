@@ -9,9 +9,12 @@
 //!   parses as complete frames).
 //! * **Kill-one-connection-mid-batch** — a connection that dies with
 //!   requests in flight (half a frame on the wire) does not perturb
-//!   the replies of connections sharing its coalescer ticks.
+//!   the replies of connections sharing its ticks.
 //! * **Model equivalence** — a seeded op sequence, pipelined in bursts,
 //!   answers exactly as a `BTreeMap` does.
+//! * **Drain before close** — a burst spanning several ticks, sent
+//!   before the client shuts its write half, is answered in full
+//!   before the server closes the connection.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
@@ -301,6 +304,13 @@ fn killed_connection_does_not_affect_others() {
 /// under tick-granular group commit its answer is the same wherever
 /// the server cuts its ticks.
 fn check_burst(sock: &TcpStream, model: &mut BTreeMap<u64, Vec<u8>>, burst: &[Op]) {
+    let expect = model_replies(model, burst);
+    assert_eq!(pipeline(sock, burst), expect, "burst {burst:?}");
+}
+
+/// Apply `burst`'s writes to `model` and return the replies the model
+/// gives the whole burst **after** those writes.
+fn model_replies(model: &mut BTreeMap<u64, Vec<u8>>, burst: &[Op]) -> Vec<ReplyBody> {
     for op in burst {
         match op {
             Op::Insert { key, value } => drop(model.insert(*key, value.clone())),
@@ -309,7 +319,7 @@ fn check_burst(sock: &TcpStream, model: &mut BTreeMap<u64, Vec<u8>>, burst: &[Op
         }
     }
     let count = |n: usize| ReplyBody::Count(n as u64);
-    let expect: Vec<ReplyBody> = burst
+    burst
         .iter()
         .map(|op| match op {
             Op::Get { key } => ReplyBody::Value(model.get(key).cloned()),
@@ -320,8 +330,7 @@ fn check_burst(sock: &TcpStream, model: &mut BTreeMap<u64, Vec<u8>>, burst: &[Op
             Op::RangeCount { .. } => count(0),
             Op::Insert { .. } | Op::Remove { .. } => ReplyBody::Ack,
         })
-        .collect();
-    assert_eq!(pipeline(sock, burst), expect, "burst {burst:?}");
+        .collect()
 }
 
 fn is_write(op: &Op) -> bool {
@@ -414,5 +423,63 @@ fn pipelined_burst_preserves_order_and_sees_writes() {
         expect,
         "a read did not observe its burst's write"
     );
+    handle.stop();
+}
+
+/// A client that pipelines a burst longer than three ticks and then
+/// shuts its write half gets every reply, in request order and equal to
+/// the model's, before the server closes: the reader stops at the
+/// client's EOF while most of the burst is still queued for the tick
+/// thread, and the connection must stay open until that queue is
+/// answered.
+#[test]
+fn replies_drain_before_close_across_ticks() {
+    const TICK: usize = 8192; // the server's per-tick request cap
+    let handle = start();
+    let sock = connect(&handle);
+    let mut model: BTreeMap<u64, Vec<u8>> = test_entries(512).collect();
+
+    // Writes, then reads: every read has all of the writes ahead of it,
+    // so its answer does not depend on where the server cuts ticks.
+    let n = 3 * TICK + 5;
+    let mut rng = StdRng::seed_from_u64(0xD2A1);
+    let burst: Vec<Op> = (0..n)
+        .map(|i| {
+            let key = rng.gen_range(0..1500u64);
+            match (i < n / 3, rng.gen_range(0..3u32)) {
+                (true, 0) => Op::Remove { key },
+                (true, _) => Op::Insert {
+                    key,
+                    value: vec![i as u8; i % 40],
+                },
+                (false, 0) => Op::Get { key },
+                (false, 1) => Op::Rank { key },
+                (false, _) => Op::RangeCount {
+                    lo: key,
+                    hi: key + rng.gen_range(0..500u64),
+                },
+            }
+        })
+        .collect();
+    let expect = model_replies(&mut model, &burst);
+
+    let mut wire = Vec::new();
+    for (i, op) in burst.iter().enumerate() {
+        let (req_id, op) = (i as u64, op.clone());
+        encode_request(&Request { req_id, op }, &mut wire);
+    }
+    (&sock).write_all(&wire).unwrap();
+    sock.shutdown(Shutdown::Write).unwrap();
+
+    let mut reader = BufReader::new(&sock);
+    let mut buf = Vec::new();
+    let mut got = Vec::new();
+    while read_frame(&mut reader, &mut buf).expect("partial frame before close") {
+        let rep = decode_reply(&buf).unwrap();
+        assert_eq!(rep.req_id, got.len() as u64, "replies out of request order");
+        got.push(rep.body);
+    }
+    assert_eq!(got.len(), n, "connection closed before every reply");
+    assert!(got == expect, "replies differ from the model");
     handle.stop();
 }

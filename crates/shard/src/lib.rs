@@ -55,9 +55,7 @@
 //! current** state into a [`ShardedFrozen`] — a global cut, because
 //! taking it requires `&self` and mutation requires `&mut self`, so no
 //! write can interleave with the per-shard freezes. The thread that
-//! owns the map sends snapshots to its readers by value; a serving
-//! loop takes one per batch tick and hands it to reader threads (the
-//! `ist-serve` coalescer does exactly this).
+//! owns the map sends snapshots to its readers by value.
 
 #![forbid(unsafe_code)]
 
@@ -67,8 +65,7 @@ use std::sync::Arc;
 use ist_core::{Error, Layout};
 use ist_dynamic::{default_kind_for_layout, DynamicMap, Frozen, DEFAULT_BUFFER_CAP};
 use ist_query::route::{
-    debug_assert_valid_splits, partition_batch, partition_batch_ref, partition_owned,
-    scatter_to_input_order, shard_of_key,
+    partition_batch, partition_batch_ref, partition_owned, scatter_to_input_order, shard_of_key,
 };
 use ist_query::QueryKind;
 use ist_store::{shard_dir_name, Codec, ShardsFile, StoreConfig, StoreError};
@@ -393,7 +390,6 @@ where
     /// assert_eq!(m.shard_lens(), vec![9, 10, 11]);
     /// ```
     pub fn apply(&mut self, delta: Vec<(K, Option<V>)>) -> usize {
-        debug_assert_valid_splits(&self.splits);
         let splits = &self.splits;
         let parts = partition_owned(delta, self.shards.len(), |(k, _)| shard_of_key(splits, k));
         let mut counts = vec![0usize; self.shards.len()];
@@ -449,9 +445,7 @@ where
     /// interleave with any write. Cost: one ≤`buffer_cap`-entry buffer
     /// copy plus one `Arc` bump, per shard. The snapshot crosses
     /// threads by value: the thread that owns the map sends it to its
-    /// readers (a serving loop takes one per batch tick, which is how
-    /// the `ist-serve` coalescer overlaps read execution with the next
-    /// tick's writes).
+    /// readers.
     ///
     /// # Examples
     /// ```
@@ -640,7 +634,6 @@ where
 
     /// The home shard of `key`, as its read core.
     fn home(&self, key: &K) -> (usize, &Frozen<K, S::Value>) {
-        debug_assert_valid_splits(&self.splits);
         let i = self.shard_of(key);
         (i, self.shards[i].frozen())
     }
@@ -781,7 +774,6 @@ where
         R: Send,
         F: Fn(&'s Frozen<K, S::Value>, usize, &[&'k K]) -> Vec<R> + Sync,
     {
-        debug_assert_valid_splits(&self.splits);
         let mut results: Vec<Vec<R>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for_each_shard_task(
             results

@@ -12,7 +12,7 @@ use implicit_search_trees::store::{
     RunHeader, RunReader, RunSections, ShardsFile, StoreConfig, WalWriter, MANIFEST_NAME,
     RUN_HEADER_LEN,
 };
-use implicit_search_trees::{DynamicMap, QueryKind};
+use implicit_search_trees::{DynamicMap, QueryKind, ShardedMap, StoreError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -329,6 +329,34 @@ fn manifest_and_shards_reject_every_bit_flip() {
             ShardsFile::<u64>::decode(&wounded).is_err(),
             "shards bit flip at {bit} went undetected"
         );
+    }
+}
+
+/// The `SHARDS` file is the one place outside input reaches a sharded
+/// map's split vector, which routing trusts to be strictly increasing
+/// without re-checking it. A file whose checksum is right but whose
+/// splits are out of order must fail `open_with` as `Corrupt`.
+#[test]
+fn unsorted_shards_file_splits_are_corrupt() {
+    let vfs = Arc::new(MemVfs::new());
+    let mut map: ShardedMap<u64, u64> =
+        ShardedMap::with_splits_config(vec![10, 20], QueryKind::Veb, 4);
+    map.apply((0..30u64).map(|k| (k, Some(k))).collect());
+    map.persist_to("db", mem_cfg(&vfs)).expect("persist");
+    drop(map);
+    let reopened = ShardedMap::<u64, u64>::open_with("db", mem_cfg(&vfs)).expect("reopen");
+    assert_eq!(reopened.len(), 30);
+    drop(reopened);
+
+    ShardsFile {
+        splits: vec![20u64, 10],
+    }
+    .write_atomic(&*vfs, Path::new("db"))
+    .expect("rewrite SHARDS");
+    match ShardedMap::<u64, u64>::open_with("db", mem_cfg(&vfs)) {
+        Err(StoreError::Corrupt(_)) => {}
+        Err(e) => panic!("expected Corrupt, got {e:?}"),
+        Ok(_) => panic!("unsorted splits opened"),
     }
 }
 
