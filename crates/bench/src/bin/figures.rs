@@ -5,16 +5,18 @@
 //! ```
 //!
 //! `<which>` ∈ `table1.1 | fig6.1 | fig6.2 | fig6.3 | fig6.4 | fig6.5 |
-//! fig6.6 | fig6.7 | fig6.8 | fig6.9 | crossover | all`. Output is CSV on
-//! stdout with one header line per figure. `crossover` is not one of the
-//! paper's figures: it is the run-size sweep behind `DynamicMap`'s
-//! per-run layout choice (`LAYOUT_CROSSOVER_VERSIONS`). `--scale`
+//! fig6.6 | fig6.7 | fig6.8 | fig6.9 | crossover | build | all`. Output is
+//! CSV on stdout with one header line per figure. `crossover` and `build`
+//! are not the paper's figures: `crossover` is the run-size sweep behind
+//! `DynamicMap`'s per-run layout choice (`LAYOUT_CROSSOVER_VERSIONS`),
+//! and `build` compares the serving path's streaming scatter with the
+//! paper's in-place construction on time and peak memory. `--scale`
 //! shifts the maximum problem size by `S` powers of two (default sizes
 //! are laptop-scale; the paper used N = 2²⁹ on a 2×10-core Xeon).
 
 use ist_bench::*;
 use ist_core::{permute_in_place, permute_in_place_seq, Algorithm, Layout};
-use ist_dynamic::StaticMap;
+use ist_dynamic::{default_kind_for_layout, StaticMap};
 use ist_gather::{equidistant_gather_chunks_par, gather_len, swap_halves_par};
 use ist_gpu_sim::{kernels as gk, query as gq, Gpu, GpuConfig};
 use ist_pem_sim::{kernels as pk, PemConfig, TrackedArray};
@@ -396,6 +398,97 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// `build`: the two ways to put a sorted column pair of `u64` keys and
+/// values into a layout. `scatter` is `StaticMap::build_presorted`, the
+/// streaming scatter into fresh aligned storage, one column at a time;
+/// `in_place` is the paper's cycle-leader `permute_in_place` run on both
+/// columns. Per layout, size and construction: the median ms of three
+/// runs, and the most resident memory one run added (`VmHWM` after it
+/// minus `VmRSS` before it, with `VmHWM` reset through
+/// `/proc/self/clear_refs` first; `nan` where `/proc` refuses).
+fn build_sweep(scale: i32) {
+    row(&[
+        "build".into(),
+        "layout".into(),
+        "n".into(),
+        "construction".into(),
+        "ms".into(),
+        "peak_add_mib".into(),
+    ]);
+    const RUNS: usize = 3;
+    let layouts = [
+        ("bst", Layout::Bst),
+        ("btree", Layout::Btree { b: CPU_B }),
+        ("veb", Layout::Veb),
+    ];
+    // The largest size is one short of a power of two, as in the probe
+    // this reproduces (ROADMAP item 15).
+    for (e, short) in [(18, 0), (20, 0), (22, 0), (24, 1)] {
+        let n = (1usize << (e + scale).max(8)) - short;
+        for (name, layout) in layouts {
+            for construction in ["scatter", "in_place"] {
+                let mut ms = Vec::with_capacity(RUNS);
+                let mut peak = f64::NAN;
+                for _ in 0..RUNS {
+                    let mut keys = sorted_keys(n);
+                    let mut values = keys.clone();
+                    let base = reset_peak_rss_mib();
+                    let t = time_once(|| {
+                        if construction == "scatter" {
+                            let kind = default_kind_for_layout(layout);
+                            let map = StaticMap::build_presorted(
+                                std::mem::take(&mut keys),
+                                std::mem::take(&mut values),
+                                kind,
+                                Algorithm::CycleLeader,
+                            );
+                            std::hint::black_box(map.unwrap());
+                        } else {
+                            permute_in_place(&mut keys, layout, Algorithm::CycleLeader).unwrap();
+                            permute_in_place(&mut values, layout, Algorithm::CycleLeader).unwrap();
+                            std::hint::black_box((&keys, &values));
+                        }
+                    });
+                    ms.push(secs(t) * 1e3);
+                    peak = peak.max(
+                        status_mib("VmHWM")
+                            .zip(base)
+                            .map_or(f64::NAN, |(h, b)| h - b),
+                    );
+                }
+                row(&[
+                    "build".into(),
+                    name.into(),
+                    n.to_string(),
+                    construction.into(),
+                    format!("{:.2}", median(&mut ms)),
+                    format!("{peak:.1}"),
+                ]);
+            }
+        }
+    }
+}
+
+/// Reset this process's `VmHWM` to its current resident set and return
+/// that (`None` if `/proc` does not allow the reset).
+fn reset_peak_rss_mib() -> Option<f64> {
+    std::fs::write("/proc/self/clear_refs", "5").ok()?;
+    status_mib("VmRSS")
+}
+
+/// A `kB` field of `/proc/self/status`, in MiB.
+fn status_mib(field: &str) -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Figure 6.8: GPU (SIMT model) permutation time vs N.
 fn fig6_8(scale: i32) {
     row(&[
@@ -596,6 +689,7 @@ fn main() {
         "fig6.8" => fig6_8(scale),
         "fig6.9" => fig6_9(scale),
         "crossover" => size_crossover_sweep(scale),
+        "build" => build_sweep(scale),
         "all" => {
             table1_1(scale);
             fig_permute(false, scale);
@@ -608,9 +702,12 @@ fn main() {
             fig6_8(scale);
             fig6_9(scale);
             size_crossover_sweep(scale);
+            build_sweep(scale);
         }
         other => {
-            eprintln!("unknown figure '{other}'; use table1.1 | fig6.1..fig6.9 | crossover | all");
+            eprintln!(
+                "unknown figure '{other}'; use table1.1 | fig6.1..fig6.9 | crossover | build | all"
+            );
             std::process::exit(2);
         }
     }

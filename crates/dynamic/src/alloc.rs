@@ -11,17 +11,22 @@
 //! Construction never copies twice: `AlignedVec::scatter_from_vec`
 //! applies the (data-oblivious) layout permutation *during* the move
 //! from the caller's `Vec` into the aligned destination — one parallel
-//! pass, `dst[pos(r)] = src[r]` — instead of permuting in place and
-//! then relocating. [`AlignedVec::from_vec`] is the zero-copy adoption
+//! pass — instead of permuting in place and then relocating. The slots
+//! come from the layout's streaming walk in `ist_layout::walk`
+//! ([`BtreeWalk`] for B-tree and BST, [`VebWalk`]), which carries the
+//! shape from one key to the next instead of evaluating the closed-form
+//! position map per key; its pieces write disjoint slots and are the
+//! parallel tasks. [`AlignedVec::from_vec`] is the zero-copy adoption
 //! path for un-permuted ([`QueryKind::Sorted`](ist_query::QueryKind))
 //! runs, which stay in the caller's allocation (and therefore carry
 //! only the allocator's natural alignment — the 64-byte guarantee
 //! applies to the tree-layout kinds, which always scatter).
 
 use core::mem::{align_of, size_of};
+use core::ops::Range;
 use core::ptr::NonNull;
 use ist_core::{Error, Layout};
-use ist_layout::{bst_pos, complete::BtreeCompleteShape, veb_pos, CompleteShape};
+use ist_layout::{BtreeWalk, VebWalk};
 
 /// Cache-line alignment every raw-backed allocation gets at minimum.
 pub const CACHE_LINE: usize = 64;
@@ -153,51 +158,53 @@ impl<T> AlignedVec<T> {
 }
 
 impl<T: Send> AlignedVec<T> {
-    /// Move `src` into a fresh aligned buffer, applying the permutation
-    /// `dst[pos.pos(r)] = src[r]` during the move — the single-pass
-    /// build behind [`crate::StaticMap::build_presorted`], once per
-    /// array. Parallelized over element ranges (the layout maps are
-    /// pure index arithmetic, so disjoint source ranges write disjoint
-    /// destination slots).
-    pub(crate) fn scatter_from_vec(mut src: Vec<T>, pos: &LayoutPos) -> Self {
+    /// Move `src` into a fresh aligned buffer, putting every element in
+    /// its layout slot during the move — the single-pass build behind
+    /// [`crate::StaticMap::build_presorted`], once per array. The
+    /// layout's walk streams each rank's slot without a per-element
+    /// position map and cuts the permutation into pieces that write
+    /// disjoint slots, so the pieces run in parallel.
+    pub(crate) fn scatter_from_vec(mut src: Vec<T>, walk: &LayoutWalk) -> Self {
         let n = src.len();
         if n == 0 || size_of::<T>() == 0 {
             // Nothing moves (or nothing has an address): adopt as-is —
             // any permutation of an empty/ZST run is itself.
             return Self::from_vec(src);
         }
-        debug_assert_eq!(n, pos.len());
         let mut dst = Self::with_uninit(n);
         let src_ptr = SendPtr(src.as_mut_ptr());
         let dst_ptr = SendPtr(dst.ptr.as_ptr());
         // SAFETY: zero is always a valid length. Ownership of the
         // elements transfers to `dst` now; if a write below panicked
-        // (it cannot — the maps are pure arithmetic and the moves are
+        // (it cannot — the walks are pure arithmetic and the moves are
         // bitwise), both vectors would report length 0 and the
         // elements would leak rather than double-drop.
         unsafe { src.set_len(0) };
-        // Sequential below this grain: thread spawn + shape math beat
-        // the memory traffic on small runs.
+        // Sequential below this grain: thread hand-off beats the memory
+        // traffic on small runs.
         const GRAIN: usize = 1 << 14;
-        let scatter_range = |lo: usize, hi: usize| {
+        let scatter_piece = |piece: Range<usize>| {
             let (s, d) = (src_ptr, dst_ptr);
-            for r in lo..hi {
-                // SAFETY: r < n on the source side; pos() is a bijection
-                // of 0..n, so every destination index is in bounds and
-                // written exactly once.
-                unsafe { d.0.add(pos.pos(r)).write(s.0.add(r).read()) }
-            }
+            // SAFETY: the walk pairs each rank of 0..n with one slot of
+            // 0..n, and pieces cover disjoint ranks and slots, so every
+            // read and write is in bounds and every slot is written
+            // exactly once.
+            walk.walk(piece, |r, p| unsafe { d.0.add(p).write(s.0.add(r).read()) });
         };
-        if n <= 2 * GRAIN {
-            scatter_range(0, n);
+        let pieces = walk.pieces(GRAIN);
+        // The SAFETY argument below needs the walk to cover exactly 0..n.
+        assert_eq!(
+            pieces.last().map(|p| p.end),
+            Some(n),
+            "walk is for another length"
+        );
+        if pieces.len() <= 2 {
+            pieces.into_iter().for_each(scatter_piece);
         } else {
             rayon::scope(|sc| {
-                let mut lo = 0;
-                while lo < n {
-                    let hi = (lo + GRAIN).min(n);
-                    let f = &scatter_range;
-                    sc.spawn(move |_| f(lo, hi));
-                    lo = hi;
+                for piece in pieces {
+                    let f = &scatter_piece;
+                    sc.spawn(move |_| f(piece));
                 }
             });
         }
@@ -285,43 +292,42 @@ impl<T: core::fmt::Debug> core::fmt::Debug for AlignedVec<T> {
     }
 }
 
-/// The sorted-rank → layout-position map of one tree layout, shared by
-/// the key and value scatters of a [`crate::StaticMap`] build so the
-/// shape arithmetic is computed once.
-pub(crate) enum LayoutPos {
-    Bst(CompleteShape),
-    Veb(CompleteShape),
-    Btree(BtreeCompleteShape),
+/// The streaming scatter of one tree layout, shared by the key and
+/// value scatters of a [`crate::StaticMap`] build so the shape
+/// arithmetic is done once. BST is the B-tree layout with one key per
+/// node.
+pub(crate) enum LayoutWalk {
+    Btree(BtreeWalk),
+    Veb(VebWalk),
 }
 
-impl LayoutPos {
-    /// Position map for `n ≥ 1` elements in `layout`.
+impl LayoutWalk {
+    /// Walk for `n ≥ 1` elements in `layout`.
     pub(crate) fn new(layout: Layout, n: usize) -> Result<Self, Error> {
         debug_assert!(n >= 1);
         match layout {
-            Layout::Bst => Ok(Self::Bst(CompleteShape::new(n))),
-            Layout::Veb => Ok(Self::Veb(CompleteShape::new(n))),
+            Layout::Bst => Ok(Self::Btree(BtreeWalk::new(n, 1))),
+            Layout::Veb => Ok(Self::Veb(VebWalk::new(n))),
             Layout::Btree { b: 0 } => Err(Error::ZeroNodeCapacity),
-            Layout::Btree { b } => Ok(Self::Btree(BtreeCompleteShape::new(n, b))),
+            Layout::Btree { b } => Ok(Self::Btree(BtreeWalk::new(n, b))),
         }
     }
 
-    fn len(&self) -> usize {
+    fn pieces(&self, grain: usize) -> Vec<Range<usize>> {
         match self {
-            Self::Bst(s) | Self::Veb(s) => s.len(),
-            Self::Btree(s) => s.len(),
+            Self::Btree(w) => w.pieces(grain),
+            Self::Veb(w) => w.pieces(grain),
         }
     }
 
-    /// Layout position of sorted rank `r` — the same maps
+    /// `f(rank, slot)` for every element of `piece` — the same maps
     /// [`Searcher::position_of_rank`](ist_query::Searcher::position_of_rank)
-    /// inverts, so `scatter(sorted)[pos(r)] == sorted[r]`.
+    /// inverts, so `scatter(sorted)[slot] == sorted[rank]`.
     #[inline]
-    fn pos(&self, r: usize) -> usize {
+    fn walk(&self, piece: Range<usize>, f: impl FnMut(usize, usize)) {
         match self {
-            Self::Bst(s) => s.pos(r, bst_pos),
-            Self::Veb(s) => s.pos(r, veb_pos),
-            Self::Btree(s) => s.pos(r),
+            Self::Btree(w) => w.walk(piece, f),
+            Self::Veb(w) => w.walk(piece, f),
         }
     }
 }
@@ -333,6 +339,12 @@ mod tests {
 
     /// The scatter must land every element exactly where the in-place
     /// construction algorithms put it — same maps, different mechanics.
+    /// The large sizes put the parallel pieces' seams inside each part
+    /// of the layouts: the B-tree's group prefix (`3 · 2^17 + 5`, `10^6`
+    /// at `b = 3`), its partial node (`73 615` at `b = 8`) and full tail
+    /// (`10^6`, `9^6 − 1` and `9^6` at `b = 8`, whose full part is
+    /// `9^6 − 1`), and the bottom trees of the vEB top-level split
+    /// (`2^18 ± 1`).
     #[test]
     fn scatter_matches_in_place_construction() {
         let layouts = [
@@ -343,13 +355,31 @@ mod tests {
             Layout::Btree { b: 8 },
             Layout::Btree { b: 16 },
         ];
-        for n in [1usize, 2, 7, 8, 63, 64, 100, 1023, 4097, (1 << 16) + 11] {
+        for n in [
+            1usize,
+            2,
+            7,
+            8,
+            63,
+            64,
+            100,
+            1023,
+            4097,
+            (1 << 16) + 11,
+            73_615, // a seam inside b = 8's partial node (ranks 16 380..16 387)
+            3 * (1 << 17) + 5,
+            (1 << 18) - 1,
+            (1 << 18) + 1,
+            531_440, // 9^6 − 1
+            531_441, // 9^6
+            1_000_000,
+        ] {
             let sorted: Vec<u64> = (0..n as u64).collect();
             for layout in layouts {
                 let mut expect = sorted.clone();
                 permute_in_place(&mut expect, layout, Algorithm::CycleLeader).unwrap();
-                let pos = LayoutPos::new(layout, n).unwrap();
-                let got = AlignedVec::scatter_from_vec(sorted.clone(), &pos);
+                let walk = LayoutWalk::new(layout, n).unwrap();
+                let got = AlignedVec::scatter_from_vec(sorted.clone(), &walk);
                 assert_eq!(&*got, &expect[..], "n={n} layout={layout:?}");
                 assert_eq!(got.as_ptr() as usize % CACHE_LINE, 0);
             }
@@ -359,16 +389,16 @@ mod tests {
     #[test]
     fn zero_width_and_empty_runs() {
         assert!(matches!(
-            LayoutPos::new(Layout::Btree { b: 0 }, 5),
+            LayoutWalk::new(Layout::Btree { b: 0 }, 5),
             Err(Error::ZeroNodeCapacity)
         ));
-        let pos = LayoutPos::new(Layout::Bst, 1).unwrap();
-        let v = AlignedVec::scatter_from_vec(vec![7u64], &pos);
+        let walk = LayoutWalk::new(Layout::Bst, 1).unwrap();
+        let v = AlignedVec::scatter_from_vec(vec![7u64], &walk);
         assert_eq!(&*v, &[7]);
         // ZST elements scatter to themselves.
         let z = AlignedVec::scatter_from_vec(
             vec![(), (), ()],
-            &LayoutPos::new(Layout::Bst, 3).unwrap(),
+            &LayoutWalk::new(Layout::Bst, 3).unwrap(),
         );
         assert_eq!(z.len(), 3);
     }
@@ -393,8 +423,8 @@ mod tests {
                 DROPS.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let pos = LayoutPos::new(Layout::Veb, 50).unwrap();
-        let scattered = AlignedVec::scatter_from_vec((0..50).map(D).collect(), &pos);
+        let walk = LayoutWalk::new(Layout::Veb, 50).unwrap();
+        let scattered = AlignedVec::scatter_from_vec((0..50).map(D).collect(), &walk);
         let adopted = AlignedVec::from_vec((0..30).map(D).collect());
         assert_eq!(DROPS.load(Ordering::Relaxed), 0);
         drop(scattered);

@@ -10,11 +10,11 @@
 //! 1. argsorts the keys (the only comparisons anywhere),
 //! 2. applies the sort's index permutation to keys **and** values in
 //!    one in-place cycle walk ([`ist_perm::co_permute_by_gather`]),
-//! 3. scatters each array through the same oblivious layout map into
-//!    cache-line-aligned run storage ([`crate::AlignedVec`] — one pass
-//!    per array, the permutation applied during the move; note the
-//!    `V: Send` bound is all the value side needs: no `Ord`, no `Eq`,
-//!    nothing).
+//! 3. scatters each array through the same oblivious layout walk into
+//!    cache-line-aligned run storage ([`crate::AlignedVec`] — one
+//!    streaming pass per array that pairs each sorted rank with its
+//!    slot, the permutation applied during the move; note the `V: Send`
+//!    bound is all the value side needs: no `Ord`, no `Eq`, nothing).
 //!
 //! After that, `keys()[p]` and `values()[p]` are parallel for every
 //! layout position `p`, so every query the key side answers (point,
@@ -26,7 +26,7 @@
 //! `batch_search`, `batch_count`, `rank_upper`, …) go through
 //! [`StaticMap::searcher`].
 
-use crate::alloc::{AlignedVec, LayoutPos};
+use crate::alloc::{AlignedVec, LayoutWalk};
 use ist_core::{Algorithm, Error, Layout};
 use ist_perm::co_permute_by_gather;
 use ist_query::{QueryKind, Searcher};
@@ -117,7 +117,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     /// a k-way merge of sorted runs is sorted, and its values were
     /// carried along during the merge — so the rebuild reduces to two
     /// oblivious layout scatters (keys, then values through the same
-    /// position map; see [`ist_perm::oblivious`]) that move each array
+    /// layout walk; see [`ist_perm::oblivious`]) that move each array
     /// **directly** into its aligned destination buffer: exactly one
     /// allocation per array on the rebuild hot path, no intermediate
     /// copy (a regression test pins the allocation count).
@@ -176,13 +176,13 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
         );
         let (keys, values) = match layout_of_kind(kind) {
             Some(layout) if !keys.is_empty() => {
-                // One shape computation serves both scatters: the maps
-                // are data-oblivious, so the value side reuses the key
-                // side's arithmetic untouched.
-                let pos = LayoutPos::new(layout, keys.len())?;
+                // One walk serves both scatters: the layouts are
+                // data-oblivious, so the value side streams through the
+                // same pieces and slots as the key side.
+                let walk = LayoutWalk::new(layout, keys.len())?;
                 (
-                    AlignedVec::scatter_from_vec(keys, &pos),
-                    AlignedVec::scatter_from_vec(values, &pos),
+                    AlignedVec::scatter_from_vec(keys, &walk),
+                    AlignedVec::scatter_from_vec(values, &walk),
                 )
             }
             _ => (AlignedVec::from_vec(keys), AlignedVec::from_vec(values)),

@@ -23,11 +23,13 @@ pub mod bst;
 pub mod btree;
 pub mod complete;
 pub mod veb;
+pub mod walk;
 
 pub use bst::{bst_pos, BstShape};
 pub use btree::{btree_pos, BtreeShape};
 pub use complete::CompleteShape;
 pub use veb::{veb_levels, veb_pos, veb_split, VebCursor, VebLevel, VebShape};
+pub use walk::{BtreeWalk, VebWalk};
 
 /// The three implicit layouts, as a runtime tag used across the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
