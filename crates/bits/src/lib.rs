@@ -8,7 +8,7 @@
 //! * modular arithmetic (extended Euclid, modular inverse): the reference
 //!   the `J`-involutions of the k-way perfect shuffle are tested against
 //!   (`ist_shuffle::j_involution` runs its own single Euclid pass),
-//! * perfect-tree shape and logarithm helpers shared by every layout.
+//! * integer logarithms for the layouts' tree shapes.
 //!
 //! The paper parameterizes the cost of digit reversal as `T_REV_k(N)`:
 //! some architectures (e.g. the NVIDIA K40 evaluated on the GPU side) expose
@@ -26,6 +26,4 @@ pub mod tree;
 
 pub use digits::{rev2, rev_k};
 pub use modular::{extended_gcd, gcd, mod_inverse, mod_mul};
-pub use tree::{
-    ilog, ilog2_floor, is_perfect_bst_size, is_perfect_btree_size, perfect_btree_height,
-};
+pub use tree::{ilog, ilog2_floor};

@@ -49,55 +49,6 @@ pub fn ilog(k: u64, n: u64) -> u32 {
     e
 }
 
-/// `true` iff `n = 2^d − 1` for some `d ≥ 1`.
-///
-/// # Examples
-/// ```
-/// use ist_bits::is_perfect_bst_size;
-/// assert!(is_perfect_bst_size(1));
-/// assert!(is_perfect_bst_size(15));
-/// assert!(!is_perfect_bst_size(16));
-/// assert!(!is_perfect_bst_size(0));
-/// ```
-#[inline]
-pub fn is_perfect_bst_size(n: u64) -> bool {
-    n > 0 && (n & (n + 1)) == 0
-}
-
-/// `true` iff `n = k^m − 1` for some `m ≥ 1`.
-///
-/// # Examples
-/// ```
-/// use ist_bits::is_perfect_btree_size;
-/// assert!(is_perfect_btree_size(3, 26));
-/// assert!(is_perfect_btree_size(3, 2));
-/// assert!(!is_perfect_btree_size(3, 27));
-/// ```
-#[inline]
-pub fn is_perfect_btree_size(k: u64, n: u64) -> bool {
-    if n == 0 {
-        return false;
-    }
-    let m = ilog(k, n + 1);
-    k.pow(m) == n + 1
-}
-
-/// Node levels of the perfect B-tree part of a complete B-tree holding `n`
-/// elements with branching `k = B + 1`: the largest `m` with `k^m − 1 ≤ n`.
-///
-/// # Examples
-/// ```
-/// use ist_bits::perfect_btree_height;
-/// assert_eq!(perfect_btree_height(3, 26), 3);
-/// assert_eq!(perfect_btree_height(3, 27), 3);
-/// assert_eq!(perfect_btree_height(3, 80), 4); // 3^4 - 1 = 80
-/// ```
-#[inline]
-pub fn perfect_btree_height(k: u64, n: u64) -> u32 {
-    assert!(n > 0);
-    ilog(k, n + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,22 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn perfect_sizes_roundtrip() {
-        for d in 1..20u32 {
-            let n = (1u64 << d) - 1;
-            assert!(is_perfect_bst_size(n));
-            assert!(!is_perfect_bst_size(n + 1));
-        }
-        for k in [2u64, 3, 9, 33] {
-            for m in 1..6u32 {
-                let n = k.pow(m) - 1;
-                assert!(is_perfect_btree_size(k, n));
-                assert_eq!(perfect_btree_height(k, n), m);
-            }
-        }
-    }
-
-    #[test]
     fn ilog_exact_boundaries() {
         for k in [2u64, 3, 5, 10] {
             for e in 1..8u32 {
@@ -133,19 +68,6 @@ mod tests {
                 assert_eq!(ilog(k, p), e);
                 assert_eq!(ilog(k, p - 1), e - 1);
                 assert_eq!(ilog(k, p + 1), e);
-            }
-        }
-    }
-
-    #[test]
-    fn btree_height_of_complete_sizes() {
-        // All sizes between two perfect sizes share the lower height.
-        let k = 4u64;
-        for m in 1..5u32 {
-            let lo = k.pow(m) - 1;
-            let hi = k.pow(m + 1) - 1;
-            for n in [lo, lo + 1, (lo + hi) / 2, hi - 1] {
-                assert_eq!(perfect_btree_height(k, n), m, "n={n}");
             }
         }
     }

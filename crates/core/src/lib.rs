@@ -64,7 +64,6 @@ pub mod algorithms;
 pub mod oracle;
 
 pub use algorithms::construct;
-pub use ist_layout::LayoutKind;
 pub use ist_machine::{GatherMode, IndexArith, Machine, Ram, Region};
 pub use oracle::reference_permutation;
 
@@ -82,17 +81,6 @@ pub enum Layout {
     },
     /// van Emde Boas (recursive, cache-oblivious) order.
     Veb,
-}
-
-impl Layout {
-    /// The corresponding runtime tag (drops the B-tree parameter).
-    pub fn kind(self) -> LayoutKind {
-        match self {
-            Layout::Bst => LayoutKind::Bst,
-            Layout::Btree { .. } => LayoutKind::Btree,
-            Layout::Veb => LayoutKind::Veb,
-        }
-    }
 }
 
 /// Construction algorithm family.

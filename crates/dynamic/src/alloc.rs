@@ -21,6 +21,11 @@
 //! runs, which stay in the caller's allocation (and therefore carry
 //! only the allocator's natural alignment — the 64-byte guarantee
 //! applies to the tree-layout kinds, which always scatter).
+//!
+//! A run reloaded from its file is already in layout order, so it needs
+//! no scatter: `AlignedVec::try_from_fn` decodes each element into its
+//! slot of a fresh aligned buffer, whatever the run's kind and element
+//! types.
 
 use core::mem::{align_of, size_of};
 use core::ops::Range;
@@ -38,8 +43,9 @@ fn raw_align<T>() -> usize {
 
 /// How an [`AlignedVec`]'s buffer was obtained — governs deallocation.
 enum Backing {
-    /// `std::alloc` allocation of `len` elements at `raw_align` bytes.
-    Raw,
+    /// `std::alloc` allocation of `cap` elements at `raw_align` bytes,
+    /// the first `len` of them initialized.
+    Raw { cap: usize },
     /// Adopted from a `Vec` with the given capacity (zero-copy both
     /// ways); freed by reconstructing the `Vec`.
     Vec { cap: usize },
@@ -80,8 +86,8 @@ impl<T> AlignedVec<T> {
     }
 
     /// An uninitialized raw-backed buffer for `n` elements, 64-byte
-    /// aligned. Returned with `len == 0`; the caller initializes all
-    /// `n` slots and then calls `assume_len(n)`.
+    /// aligned. Returned with `len == 0`; the caller raises `len` over
+    /// the slots it initializes.
     fn with_uninit(n: usize) -> Self {
         debug_assert!(size_of::<T>() != 0, "ZSTs take the from_vec path");
         let layout = core::alloc::Layout::from_size_align(n * size_of::<T>(), raw_align::<T>())
@@ -94,7 +100,7 @@ impl<T> AlignedVec<T> {
         Self {
             ptr,
             len: 0,
-            backing: Backing::Raw,
+            backing: Backing::Raw { cap: n },
         }
     }
 
@@ -106,54 +112,32 @@ impl<T> AlignedVec<T> {
         self.len = n;
     }
 
-    /// Allocate an aligned raw-backed buffer for `n` elements and let
-    /// `fill` initialize it through its raw **byte** view — the
-    /// zero-copy load path for fixed-width keys: the persistence layer
-    /// streams a run file's key section straight into the aligned
-    /// allocation, no staging `Vec` in between.
+    /// A fresh 64-byte-aligned buffer of `n` elements, the `i`-th
+    /// produced by `next(i)` in index order — the load path for run
+    /// files, which decode each element straight into its final slot.
     ///
-    /// If `fill` errors, the allocation is freed and the error is
-    /// returned.
-    ///
-    /// # Safety
-    /// `T` must be plain old data: every bit pattern of
-    /// `size_of::<T>()` bytes must be a valid `T` (the integer key
-    /// types), and `T` must not have a destructor that could observe a
-    /// partially-filled buffer. `fill` must either fully initialize the
-    /// byte view or return `Err`.
-    pub(crate) unsafe fn from_pod_bytes_with<E>(
+    /// If `next` fails (or panics), the elements already written are
+    /// dropped, the allocation is freed and the error is returned.
+    pub(crate) fn try_from_fn<E>(
         n: usize,
-        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+        mut next: impl FnMut(usize) -> Result<T, E>,
     ) -> Result<Self, E> {
-        debug_assert!(size_of::<T>() != 0, "ZSTs take the from_vec path");
-        if n == 0 {
-            return Ok(Self::from_vec(Vec::new()));
+        if n == 0 || size_of::<T>() == 0 {
+            return (0..n)
+                .map(next)
+                .collect::<Result<_, _>>()
+                .map(Self::from_vec);
         }
         let mut buf = Self::with_uninit(n);
-        // SAFETY: `with_uninit(n)` allocated `n * size_of::<T>()`
-        // writable bytes at `ptr`.
-        let bytes = unsafe {
-            core::slice::from_raw_parts_mut(buf.ptr.as_ptr().cast::<u8>(), n * size_of::<T>())
-        };
-        match fill(bytes) {
-            Ok(()) => {
-                // SAFETY: `fill` initialized every byte, and by the
-                // caller's POD contract those bytes are `n` valid `T`s.
-                unsafe { buf.assume_len(n) };
-                Ok(buf)
-            }
-            Err(e) => {
-                // `buf.len` is still 0, but the allocation holds `n`
-                // elements — its Drop would dealloc with the wrong
-                // layout. Free manually with the true capacity.
-                let ptr = buf.ptr;
-                core::mem::forget(buf);
-                // SAFETY: same layout as the allocation; no elements
-                // are dropped (POD contract).
-                unsafe { dealloc_raw::<T>(ptr, n) };
-                Err(e)
-            }
+        for i in 0..n {
+            let x = next(i)?;
+            // SAFETY: `with_uninit(n)` allocated `n` slots and `i < n`;
+            // bumping `len` right after the write keeps the buffer's
+            // Drop (on a later error or panic) to the written prefix.
+            unsafe { buf.ptr.as_ptr().add(i).write(x) };
+            buf.len = i + 1;
         }
+        Ok(buf)
     }
 }
 
@@ -233,21 +217,6 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // disjoint raw offsets.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Free a raw-backed allocation of `cap` elements without touching the
-/// elements.
-///
-/// # Safety
-/// `ptr` must be a live `AlignedVec::with_uninit` allocation of
-/// exactly this element count, and its elements must already be moved
-/// out or trivially droppable.
-unsafe fn dealloc_raw<T>(ptr: NonNull<T>, cap: usize) {
-    let layout = core::alloc::Layout::from_size_align(cap * size_of::<T>(), raw_align::<T>())
-        .expect("layout was valid at alloc time");
-    // SAFETY: same layout as the allocation (with_uninit never over-
-    // allocates: cap elements at `raw_align`).
-    unsafe { std::alloc::dealloc(ptr.as_ptr().cast(), layout) }
-}
-
 impl<T> Drop for AlignedVec<T> {
     fn drop(&mut self) {
         match self.backing {
@@ -255,15 +224,18 @@ impl<T> Drop for AlignedVec<T> {
             Backing::Vec { cap } => unsafe {
                 drop(Vec::from_raw_parts(self.ptr.as_ptr(), self.len, cap));
             },
-            // SAFETY: the first `len` slots are initialized, and
-            // raw-backed buffers are allocated with cap == len (the
-            // scatter fills every slot before assume_len).
-            Backing::Raw => unsafe {
+            // SAFETY: the first `len` slots are initialized, and the
+            // allocation is `with_uninit`'s: `cap` elements at
+            // `raw_align`.
+            Backing::Raw { cap } => unsafe {
                 core::ptr::drop_in_place(core::ptr::slice_from_raw_parts_mut(
                     self.ptr.as_ptr(),
                     self.len,
                 ));
-                dealloc_raw::<T>(self.ptr, self.len);
+                let layout =
+                    core::alloc::Layout::from_size_align(cap * size_of::<T>(), raw_align::<T>())
+                        .expect("layout was valid at alloc time");
+                std::alloc::dealloc(self.ptr.as_ptr().cast(), layout);
             },
         }
     }
@@ -410,6 +382,36 @@ mod tests {
         let a = AlignedVec::from_vec(v);
         assert_eq!(a.as_ptr(), p, "adoption must not move the buffer");
         assert_eq!(a.len(), 100);
+    }
+
+    /// A fill that stops early — by error or by panic — drops exactly the
+    /// elements it wrote; a full one is aligned and in index order.
+    #[test]
+    fn a_failed_fill_drops_exactly_what_it_wrote() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct D(usize);
+        impl Drop for D {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let failed = AlignedVec::try_from_fn(50, |i| if i < 7 { Ok(D(i)) } else { Err(i) });
+        assert_eq!(failed.err(), Some(7));
+        assert_eq!(DROPS.load(Ordering::Relaxed), 7);
+        let panicked = std::panic::catch_unwind(|| {
+            AlignedVec::try_from_fn(50, |i| match i {
+                5 => panic!("decoder panicked"),
+                _ => Ok::<_, ()>(D(i)),
+            })
+        });
+        assert!(panicked.is_err());
+        assert_eq!(DROPS.load(Ordering::Relaxed), 12);
+        let full = AlignedVec::try_from_fn(50, |i| Ok::<_, ()>(D(i))).unwrap();
+        assert_eq!(full.as_ptr() as usize % CACHE_LINE, 0);
+        assert!(full.iter().enumerate().all(|(i, d)| d.0 == i));
+        drop(full);
+        assert_eq!(DROPS.load(Ordering::Relaxed), 62);
     }
 
     /// Drop must run element destructors exactly once in both backings.

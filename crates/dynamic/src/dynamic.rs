@@ -174,6 +174,23 @@ pub const DEFAULT_BUFFER_CAP: usize = 256;
 /// is longest.
 pub const MAX_SEALED_RUNS: usize = 16;
 
+/// Sort `pairs` by key and keep one pair per key, the **last** one
+/// given: a stable sort keeps equal keys in input order, and the dedup
+/// swaps each later duplicate into the kept slot. The one definition of
+/// "last entry per key wins" behind every bulk write (`apply` and the
+/// bulk loaders of this map and of a sharded map).
+pub fn sort_dedup_last_wins<K: Ord, V>(pairs: &mut Vec<(K, V)>) {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs.dedup_by(|later, kept| {
+        if later.0 == kept.0 {
+            std::mem::swap(later, kept);
+            true
+        } else {
+            false
+        }
+    });
+}
+
 /// A write-capable key→value map: a sorted write buffer plus
 /// geometrically-tiered immutable runs, each run a [`StaticMap`] —
 /// sorted while it is small, in a cache-optimal implicit layout once it
@@ -329,15 +346,7 @@ where
             values.len()
         );
         let mut pairs: Vec<(K, V)> = keys.into_iter().zip(values).collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0)); // stable: later duplicate stays later
-        pairs.dedup_by(|later, kept| {
-            if later.0 == kept.0 {
-                std::mem::swap(later, kept); // keep the later pair's value
-                true
-            } else {
-                false
-            }
-        });
+        sort_dedup_last_wins(&mut pairs);
         let (keys, values): (Vec<K>, Vec<V>) = pairs.into_iter().unzip();
         Self::build_presorted(keys, values, kind, buffer_cap)
     }
@@ -381,7 +390,7 @@ where
             }
             let slots: Vec<Option<V>> = values.into_iter().map(Some).collect();
             map.tiers = vec![Vec::new(); t + 1];
-            map.tiers[t].push(Arc::new(Run::build(keys, slots, &vec![1i64; n], kind)?));
+            map.tiers[t].push(Arc::new(Run::build(keys, slots, Prefix::Unit(n), kind)?));
             map.refresh_runs();
         }
         Ok(map)
@@ -580,16 +589,7 @@ where
                 return 0;
             }
         }
-        // Sort once; stable, so "last pair wins" survives the dedup.
-        delta.sort_by(|a, b| a.0.cmp(&b.0));
-        delta.dedup_by(|later, kept| {
-            if later.0 == kept.0 {
-                std::mem::swap(later, kept);
-                true
-            } else {
-                false
-            }
-        });
+        sort_dedup_last_wins(&mut delta);
         // Per-key summed run weights, one pipelined rank sweep per run
         // (the bulk analog of `runs_weight_of`).
         let keys: Vec<K> = delta.iter().map(|(k, _)| k.clone()).collect();
@@ -868,7 +868,8 @@ where
             slots.push(e.slot);
             weights.push(e.weight);
         }
-        let run = Run::build(keys, slots, &weights, QueryKind::Sorted)
+        let prefix = Prefix::from_weights(&weights);
+        let run = Run::build(keys, slots, prefix, QueryKind::Sorted)
             .expect("sorted runs never fail to build");
         self.l0.push(Arc::new(run));
         self.refresh_runs();

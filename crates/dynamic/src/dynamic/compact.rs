@@ -4,7 +4,7 @@
 //! of the merged run. [`DynamicMap::start_compaction`] is the one place
 //! that decides where a compaction runs.
 
-use super::run::{merged_run_kind, Run};
+use super::run::{merged_run_kind, Prefix, Run};
 use super::{DynamicMap, MAX_SEALED_RUNS};
 use crate::sync::{spawn, yield_now, Arc, AtomicBool, JoinHandle, Ordering};
 use ist_query::{QueryKind, Searcher};
@@ -165,7 +165,7 @@ where
     } else {
         let kind = merged_run_kind(keys.len(), kind);
         Some(
-            Run::build(keys, slots, &weights, kind)
+            Run::build(keys, slots, Prefix::from_weights(&weights), kind)
                 .expect("configuration validated at construction"),
         )
     }

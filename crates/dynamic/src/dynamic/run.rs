@@ -133,13 +133,12 @@ impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
     pub(super) fn build(
         keys: Vec<K>,
         slots: Vec<Option<V>>,
-        weights: &[i64],
+        prefix: Prefix,
         kind: QueryKind,
     ) -> Result<Self, Error> {
-        debug_assert_eq!(keys.len(), weights.len());
         Ok(Self {
             map: StaticMap::from_sorted_parts(keys, slots, kind)?,
-            prefix: Prefix::from_weights(weights),
+            prefix,
             file: OnceLock::new(),
         })
     }

@@ -46,5 +46,5 @@ pub(crate) mod persist;
 pub(crate) mod sync;
 
 pub use alloc::AlignedVec;
-pub use dynamic::{DynamicMap, Frozen, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
+pub use dynamic::{sort_dedup_last_wins, DynamicMap, Frozen, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
 pub use map::{default_kind_for_layout, StaticMap};

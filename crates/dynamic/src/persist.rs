@@ -47,6 +47,14 @@
 //! runs in a merge holds older versions too. `persist_to` writes
 //! `(0, 0)`: history before persistence has no sequence numbers.
 //!
+//! A run file holds a run's arrays in layout order, each key and value
+//! in its [`Codec`] encoding. Loading one is a pure decode: each
+//! section is read whole and checksum-verified first, and the entry
+//! count the header declares is bounded by the section lengths before
+//! anything is allocated for it; keys and values are then decoded
+//! straight into fresh 64-byte-aligned buffers, for every key and
+//! value type.
+//!
 //! ## Failure latching
 //!
 //! The engine never panics on storage failure: the first error poisons
@@ -56,9 +64,7 @@
 //! consistent prefix of the acknowledged history.
 
 use crate::sync::{lock, Arc, Mutex};
-use std::any::TypeId;
 use std::marker::PhantomData;
-use std::mem::size_of;
 use std::path::{Path, PathBuf};
 
 use crate::alloc::AlignedVec;
@@ -202,24 +208,6 @@ fn decode_record<K: Codec, V: Codec>(bytes: &[u8]) -> Result<WalRecord<K, V>, St
 // Run file encode/decode
 // ---------------------------------------------------------------------------
 
-/// Byte width of `T` when it is one of the plain-old-data integer key
-/// types whose in-memory representation *is* its little-endian on-disk
-/// encoding — the zero-copy bulk path. `None` (always, on big-endian
-/// targets) routes through the per-element codec.
-fn pod_width<T: 'static>() -> Option<usize> {
-    if cfg!(target_endian = "big") {
-        return None;
-    }
-    let id = TypeId::of::<T>();
-    macro_rules! check {
-        ($($t:ty),*) => {
-            $(if id == TypeId::of::<$t>() { return Some(size_of::<$t>()); })*
-        };
-    }
-    check!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
-    None
-}
-
 /// Serialize `run` into a durably-written run file at `path`. The
 /// sections hold the arrays in **layout order**, so the write is one
 /// sequential pass over memory that is already in its final shape.
@@ -234,20 +222,10 @@ where
     V: Send + Codec,
 {
     let n = run.map.len();
-    // Keys: fixed-width integer keys are written as their raw bytes
-    // (identical to their codec bytes, minus any per-element call);
-    // everything else goes through `Codec` element by element.
-    let mut encoded_keys = Vec::new();
-    let key_bytes: &[u8] = if let Some(w) = pod_width::<K>() {
-        // SAFETY: `pod_width` only matches integer primitives: no
-        // padding, no invalid bit patterns, and `K` *is* that type.
-        unsafe { std::slice::from_raw_parts(run.map.keys().as_ptr().cast::<u8>(), n * w) }
-    } else {
-        for key in run.map.keys() {
-            key.encode_into(&mut encoded_keys);
-        }
-        &encoded_keys
-    };
+    let mut keys = Vec::new();
+    for key in run.map.keys() {
+        key.encode_into(&mut keys);
+    }
     // Values: presence bitmap (bit i set = slot i holds a value), then
     // the present values in layout order.
     let mut vals = vec![0u8; n.div_ceil(8)];
@@ -281,16 +259,18 @@ where
         n as u64,
         seq,
         RunSections {
-            keys: key_bytes,
+            keys: &keys,
             values: &vals,
             weights: &wts,
         },
     )
 }
 
-/// Load the run file `r` names in `dir` back into memory: a single
-/// sequential pass, with fixed-width keys bulk-read straight into a
-/// fresh cache-aligned allocation. Total over arbitrary file contents.
+/// Load the run file `r` names in `dir` back into memory: each section
+/// is read and checksum-verified whole, then its keys and values are
+/// decoded straight into fresh 64-byte-aligned buffers — already in
+/// layout order, so nothing is permuted. Total over arbitrary file
+/// contents.
 fn load_run<K, V>(vfs: &dyn Vfs, dir: &Path, r: RunRef) -> Result<Run<K, V>, StoreError>
 where
     K: Ord + Send + Sync + 'static + Codec,
@@ -298,57 +278,40 @@ where
 {
     let mut reader = RunReader::open(vfs, &dir.join(run_file_name(r.id)))?;
     let header = *reader.header();
+    // Bound `n` by what the sections hold before allocating anything
+    // sized by it: every key encodes to at least one byte, and the
+    // values section opens with an `⌈n/8⌉`-byte presence bitmap.
     let n = usize::try_from(header.n)
-        .map_err(|_| StoreError::Corrupt("run entry count exceeds address space".into()))?;
+        .ok()
+        .filter(|&n| n as u64 <= header.keys_len && n.div_ceil(8) as u64 <= header.vals_len)
+        .ok_or_else(|| {
+            StoreError::Corrupt(format!(
+                "run declares {} entries but its sections hold {} key and {} value bytes",
+                header.n, header.keys_len, header.vals_len
+            ))
+        })?;
     // Keys.
-    let keys: AlignedVec<K> = if let Some(w) = pod_width::<K>() {
-        let expect = (n as u64).checked_mul(w as u64);
-        if expect != Some(header.keys_len) {
-            return Err(StoreError::Corrupt(format!(
-                "keys section is {} bytes but {n} keys of width {w} need {:?}",
-                header.keys_len, expect
-            )));
-        }
-        // SAFETY: integer keys accept any bit pattern, and
-        // `read_keys_into` either fills the whole view or errors.
-        unsafe { AlignedVec::from_pod_bytes_with(n, |bytes| reader.read_keys_into(bytes))? }
-    } else {
-        let bytes = reader.read_keys()?;
-        // Every codec element consumes at least one byte, so a
-        // successful decode bounds `n` by the section length; the
-        // capacity hint is clamped the same way against a lying header.
-        let mut keys = Vec::with_capacity(n.min(bytes.len()));
-        let mut input = Input::new(&bytes);
-        for _ in 0..n {
-            keys.push(K::decode_from(&mut input)?);
-        }
-        if !input.is_empty() {
-            return Err(StoreError::Corrupt("trailing bytes in keys section".into()));
-        }
-        AlignedVec::from_vec(keys)
-    };
+    let bytes = reader.read_keys()?;
+    let mut input = Input::new(&bytes);
+    let keys = AlignedVec::try_from_fn(n, |_| K::decode_from(&mut input))?;
+    if !input.is_empty() {
+        return Err(StoreError::Corrupt("trailing bytes in keys section".into()));
+    }
+    drop(bytes);
     // Values.
-    let values: Vec<Option<V>> = if let Some(w) = pod_width::<V>() {
-        decode_values_streaming(&mut reader, n, w)?
-    } else {
-        let vbytes = reader.read_values()?;
-        let mut input = Input::new(&vbytes);
-        let bitmap = input.take(n.div_ceil(8))?;
-        let mut values: Vec<Option<V>> = Vec::with_capacity(n);
-        for i in 0..n {
-            if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-                values.push(Some(V::decode_from(&mut input)?));
-            } else {
-                values.push(None);
-            }
-        }
-        if !input.is_empty() {
-            return Err(StoreError::Corrupt(
-                "trailing bytes in values section".into(),
-            ));
-        }
-        values
-    };
+    let bytes = reader.read_values()?;
+    let mut input = Input::new(&bytes);
+    let bitmap = input.take(n.div_ceil(8))?;
+    let values = AlignedVec::try_from_fn(n, |i| match bitmap[i / 8] & (1 << (i % 8)) {
+        0 => Ok(None),
+        _ => V::decode_from(&mut input).map(Some),
+    })?;
+    if !input.is_empty() {
+        return Err(StoreError::Corrupt(
+            "trailing bytes in values section".into(),
+        ));
+    }
+    drop(bytes);
     // Weights. An empty section is the elided unit-weight encoding:
     // the prefix is the identity `0, 1, …, n`, kept symbolic.
     let prefix = if header.wts_len == 0 {
@@ -376,136 +339,10 @@ where
         Prefix::Explicit(prefix)
     };
     Ok(Run {
-        map: StaticMap::from_layout_parts(keys, AlignedVec::from_vec(values), header.kind),
+        map: StaticMap::from_layout_parts(keys, values, header.kind),
         prefix,
         file: r.into(),
     })
-}
-
-/// Decode a fixed-width value section (presence bitmap, then one
-/// `w`-byte slot per present version) chunk-by-chunk as it streams off
-/// disk, so the multi-megabyte section is never materialized and each
-/// chunk is decoded while cache-hot. A `carry` buffer stitches the
-/// element that straddles a chunk boundary. Total: every malformed
-/// shape (short bitmap, mid-element end, trailing bytes) is a typed
-/// error.
-fn decode_values_streaming<V: Codec + 'static>(
-    reader: &mut RunReader,
-    n: usize,
-    w: usize,
-) -> Result<Vec<Option<V>>, StoreError> {
-    let bm_len = n.div_ceil(8);
-    let mut bitmap = vec![0u8; bm_len];
-    let mut bm_filled = 0usize;
-    let mut values: Vec<Option<V>> = Vec::with_capacity(n);
-    let mut carry = [0u8; 16];
-    let mut carry_len = 0usize;
-    let mut next = 0usize;
-    let mut all_present = false;
-    debug_assert!(w <= carry.len(), "pod widths are at most 16 bytes");
-    debug_assert_eq!(w, std::mem::size_of::<V>(), "pod width is the type's size");
-    reader.read_values_with(|mut chunk| {
-        if bm_filled < bm_len {
-            let take = chunk.len().min(bm_len - bm_filled);
-            bitmap[bm_filled..bm_filled + take].copy_from_slice(&chunk[..take]);
-            bm_filled += take;
-            chunk = &chunk[take..];
-            if bm_filled < bm_len {
-                // Bitmap spans chunks; no element may decode until it
-                // is complete (its bits gate every element below).
-                debug_assert!(chunk.is_empty(), "bitmap copy drains the chunk");
-                return Ok(());
-            }
-            // Fully compacted runs have no tombstones: all-ones
-            // bitmap, taken by the raw bulk loop below.
-            let full = n / 8;
-            all_present = bitmap[..full].iter().all(|&b| b == 0xFF)
-                && (n.is_multiple_of(8) || bitmap[full] == (1u8 << (n % 8)) - 1);
-        }
-        if all_present {
-            // Finish an element split across the chunk boundary.
-            if carry_len > 0 {
-                let take = (w - carry_len).min(chunk.len());
-                carry[carry_len..carry_len + take].copy_from_slice(&chunk[..take]);
-                carry_len += take;
-                chunk = &chunk[take..];
-                if carry_len < w {
-                    return Ok(());
-                }
-                values.push(Some(V::decode_from(&mut Input::new(&carry[..w]))?));
-                carry_len = 0;
-                next += 1;
-            }
-            // Bulk-decode whole elements with no per-element error or
-            // presence paths.
-            let full = ((chunk.len() / w) * w).min((n - next) * w);
-            values.extend(chunk[..full].chunks_exact(w).map(|c| {
-                // SAFETY: `pod_width` proved `V` is a fixed-width
-                // integer type (any bit pattern valid, size `w`,
-                // little-endian encoding matches the host), and each
-                // `chunks_exact` chunk is exactly `w` bytes.
-                Some(unsafe { std::ptr::read_unaligned(c.as_ptr().cast::<V>()) })
-            }));
-            next += full / w;
-            chunk = &chunk[full..];
-            if next >= n {
-                if chunk.is_empty() {
-                    return Ok(());
-                }
-                return Err(StoreError::Corrupt(
-                    "trailing bytes in values section".into(),
-                ));
-            }
-            carry[..chunk.len()].copy_from_slice(chunk);
-            carry_len = chunk.len();
-            return Ok(());
-        }
-        loop {
-            // Absent versions consume no payload bytes.
-            while next < n && bitmap[next / 8] & (1 << (next % 8)) == 0 {
-                values.push(None);
-                next += 1;
-            }
-            if next >= n {
-                if chunk.is_empty() {
-                    return Ok(());
-                }
-                return Err(StoreError::Corrupt(
-                    "trailing bytes in values section".into(),
-                ));
-            }
-            if carry_len > 0 {
-                let take = (w - carry_len).min(chunk.len());
-                carry[carry_len..carry_len + take].copy_from_slice(&chunk[..take]);
-                carry_len += take;
-                chunk = &chunk[take..];
-                if carry_len < w {
-                    return Ok(());
-                }
-                values.push(Some(V::decode_from(&mut Input::new(&carry[..w]))?));
-                carry_len = 0;
-                next += 1;
-            } else if chunk.len() >= w {
-                values.push(Some(V::decode_from(&mut Input::new(&chunk[..w]))?));
-                chunk = &chunk[w..];
-                next += 1;
-            } else {
-                carry[..chunk.len()].copy_from_slice(chunk);
-                carry_len = chunk.len();
-                return Ok(());
-            }
-        }
-    })?;
-    while next < n && bitmap[next / 8] & (1 << (next % 8)) == 0 {
-        values.push(None);
-        next += 1;
-    }
-    if bm_filled != bm_len || carry_len != 0 || next != n {
-        return Err(StoreError::Corrupt(
-            "values section shorter than its bitmap declares".into(),
-        ));
-    }
-    Ok(values)
 }
 
 // ---------------------------------------------------------------------------
@@ -919,6 +756,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::CACHE_LINE;
+    use ist_core::Layout;
     use ist_query::QueryKind;
     use ist_store::MemVfs;
     use std::collections::BTreeMap;
@@ -966,6 +805,72 @@ mod tests {
         for k in 0..200u64 {
             assert_eq!(map.get(&k), oracle.get(&k), "{ctx}: get({k})");
             assert_eq!(map.rank(&k), oracle.range(..k).count(), "{ctx}: rank({k})");
+        }
+    }
+
+    /// Every run a reopen loads keeps its keys and values in 64-byte
+    /// aligned buffers, for integer and non-integer types alike. The
+    /// runs are large enough that the allocator's own alignment would
+    /// not pass for a cache line's.
+    #[test]
+    fn reloaded_runs_are_cache_line_aligned() {
+        fn check<K, V>(pairs: impl Fn(usize) -> (K, V))
+        where
+            K: Ord + Clone + Send + Sync + 'static + Codec + std::fmt::Debug,
+            V: Clone + Send + Sync + 'static + Codec + PartialEq + std::fmt::Debug,
+        {
+            const N: usize = 20_000;
+            for layout in [Layout::Btree { b: 8 }, Layout::Veb] {
+                let vfs = MemVfs::new();
+                let (keys, values) = (0..N).map(&pairs).unzip();
+                let mut map = DynamicMap::<K, V>::build(keys, values, layout).unwrap();
+                map.persist_to(db(), cfg(&vfs)).unwrap();
+                drop(map);
+                let map = DynamicMap::<K, V>::open_with(db(), cfg(&vfs)).unwrap();
+                let runs: Vec<_> = map.l0.iter().chain(map.tiers.iter().flatten()).collect();
+                assert_eq!(runs.iter().map(|r| r.map.len()).sum::<usize>(), N);
+                for run in runs {
+                    let (k, v) = (run.map.keys().as_ptr(), run.map.values().as_ptr());
+                    assert_eq!(k as usize % CACHE_LINE, 0, "{layout:?}: keys");
+                    assert_eq!(v as usize % CACHE_LINE, 0, "{layout:?}: values");
+                }
+                for i in (0..N).step_by(997) {
+                    let (k, v) = pairs(i);
+                    assert_eq!(map.get(&k), Some(&v), "{layout:?}: get({k:?})");
+                }
+            }
+        }
+        check(|i| (i as u64, i as u64 * 3));
+        check(|i| (format!("{i:08}"), vec![i as u8; i % 5]));
+    }
+
+    /// A header whose entry count its sections cannot hold is corrupt,
+    /// and is caught before anything sized by that count is allocated:
+    /// `2^40` keys in 64 key bytes, then a bitmap longer than its
+    /// values section.
+    #[test]
+    fn an_entry_count_the_sections_cannot_hold_is_corrupt() {
+        let vfs = MemVfs::new();
+        vfs.create_dir_all(db()).unwrap();
+        let keys = vec![0u8; 1 << 16];
+        for (id, n, keys) in [(0, 1u64 << 40, &keys[..64]), (1, 1 << 13, &keys[..])] {
+            let sections = RunSections {
+                keys,
+                values: &[0u8; 16],
+                weights: &[],
+            };
+            let path = db().join(run_file_name(id));
+            ist_store::write_run(&vfs, &path, QueryKind::Veb, n, (0, 0), sections).unwrap();
+            let r = RunRef {
+                id,
+                seq_lo: 0,
+                seq_hi: 0,
+            };
+            match load_run::<u64, u64>(&vfs, db(), r) {
+                Err(StoreError::Corrupt(m)) if m.contains("declares") => {}
+                Err(e) => panic!("n = {n}: rejected by the decoder, not the bound: {e}"),
+                Ok(_) => panic!("n = {n}: loaded"),
+            }
         }
     }
 

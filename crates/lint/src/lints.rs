@@ -9,7 +9,7 @@
 //! | `relaxed-ordering-needs-justification` | every `Ordering::Relaxed` carries an adjacent comment |
 //! | `serve-no-panic` | no `unwrap`/`expect`/`panic!`-family/indexing in `crates/serve` non-test code |
 //! | `bad-lint-allow` | every `LINT-ALLOW` names a known lint and gives a reason |
-//! | `test-only-pub` | every free `pub` item under `crates/*/src` is named by some non-test code (workspace-wide; [`crate::test_only`]) |
+//! | `test-only-pub` | every free `pub` item and uniquely named inherent `pub fn` under `crates/*/src` is named by some non-test code; a type's own inherent `impl` header does not count (workspace-wide; [`crate::test_only`]) |
 //!
 //! Suppression syntax, on the offending line or the comment block
 //! directly above it:

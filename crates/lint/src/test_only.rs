@@ -4,9 +4,10 @@
 //! non-test token somewhere in the walk — production code, examples,
 //! binaries, `perfbench/src`. Tokens inside `#[cfg(test)]` regions,
 //! files under a `tests/` directory, doc comments (the lexer strips
-//! them), the item's own definition and `pub use` re-exports do not
-//! count. Matching is by identifier, so two items that share a name
-//! cover each other.
+//! them), the item's own definition, the self type of an inherent
+//! `impl Name { … }` header and `pub use` re-exports do not count; both
+//! names in an `impl Trait for Name` header do. Matching is by
+//! identifier, so two items that share a name cover each other.
 //!
 //! Methods are in scope only where the identifier match is sound: a
 //! bare `pub fn` in an `impl` block (so an inherent method — trait-impl
@@ -45,6 +46,7 @@ pub fn check_test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
     let mut fn_defs: HashMap<&str, usize> = HashMap::new();
     for (f, ((path, _), l)) in files.iter().zip(&lexed).enumerate() {
         let test_file = classify(path) == FileClass::Test;
+        let own_impls = inherent_impl_self_types(&l.tokens);
         let mut in_reexport = false;
         for (i, t) in l.tokens.iter().enumerate() {
             let prev = i.checked_sub(1).and_then(|p| ident(l.tokens.get(p)));
@@ -61,6 +63,7 @@ pub fn check_test_only_pub(files: &[(String, String)]) -> Vec<Diagnostic> {
                 && !t.in_test
                 && !in_reexport
                 && !prev.is_some_and(|p| DEFINES.contains(&p))
+                && own_impls.binary_search(&i).is_err()
             {
                 uses.entry(name).or_default().push((f, i));
             }
@@ -139,12 +142,7 @@ fn pub_items(toks: &[Token]) -> Vec<(&str, usize, usize, bool)> {
                 continue;
             }
             Tok::Ident(k) if k == "impl" && free => {
-                // An item starts after a brace, a `;`, an attribute or
-                // `unsafe`; elsewhere `impl` is a type (`-> impl Fn()`).
-                impl_header = i.checked_sub(1).map(|p| &toks[p].kind).is_none_or(|k| {
-                    matches!(k, Tok::Punct('{' | '}' | ';' | ']'))
-                        || *k == Tok::Ident("unsafe".into())
-                });
+                impl_header = at_item_position(toks, i);
                 continue;
             }
             Tok::Ident(p) if p == "pub" && !t.in_test => {}
@@ -171,6 +169,63 @@ fn pub_items(toks: &[Token]) -> Vec<(&str, usize, usize, bool)> {
         }
         if ident(toks.get(j + 1)).is_some_and(|n| n != "_") {
             out.push((kind, j + 1, item_end(toks, j + 1), method));
+        }
+    }
+    out
+}
+
+/// An item starts after a brace, a `;`, an attribute or `unsafe`;
+/// elsewhere `impl` is a type (`-> impl Fn()`).
+fn at_item_position(toks: &[Token], i: usize) -> bool {
+    i.checked_sub(1).map(|p| &toks[p].kind).is_none_or(|k| {
+        matches!(k, Tok::Punct('{' | '}' | ';' | ']')) || *k == Tok::Ident("unsafe".into())
+    })
+}
+
+/// Token indices, ascending, of the self type of every item-position
+/// inherent `impl` header (`impl<T> path::Name<T> where … {`): the
+/// last identifier of the path after the generic parameters. A header
+/// with a `for` before its body is a trait impl and has none.
+fn inherent_impl_self_types(toks: &[Token]) -> Vec<usize> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if ident(Some(t)) != Some("impl") || !at_item_position(toks, i) {
+            continue;
+        }
+        let mut j = i + 1;
+        if toks.get(j).is_some_and(|t| t.kind == Tok::Punct('<')) {
+            let mut depth = 0usize;
+            while let Some(t) = toks.get(j) {
+                j += 1;
+                match t.kind {
+                    Tok::Punct('<') => depth += 1,
+                    // The `>` of an `->` in a bound closes nothing.
+                    Tok::Punct('>') if toks[j - 2].kind != Tok::Punct('-') => {
+                        depth -= 1;
+                        if depth == 0 {
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut name = None;
+        while let Some(t) = toks.get(j) {
+            match ident(Some(t)) {
+                Some("for" | "where") => break,
+                Some(_) => name = Some(j),
+                None if t.kind == Tok::Punct(':') => {}
+                None => break,
+            }
+            j += 1;
+        }
+        let trait_impl = toks[j..]
+            .iter()
+            .take_while(|t| !matches!(t.kind, Tok::Punct('{' | ';')))
+            .any(|t| ident(Some(t)) == Some("for"));
+        if let Some(name) = name.filter(|_| !trait_impl) {
+            out.push(name);
         }
     }
     out

@@ -405,3 +405,27 @@ fn test_only_pub_allow_suppresses_a_method() {
         vec![("crates/p/src/lib.rs".to_string(), 4)]
     );
 }
+
+#[test]
+fn test_only_pub_does_not_count_an_inherent_impl_header_as_a_use() {
+    let code = "\
+pub struct OnlyOwnImpl(u8);
+impl OnlyOwnImpl {
+    fn helper(&self) {}
+}
+pub struct Generic<F>(F);
+impl<F: Fn() -> u8> self::Generic<F> where F: Copy {
+    fn call(&self) -> u8 { (self.0)() }
+}
+pub trait Tr {}
+pub struct Implementor;
+impl Tr for Implementor {}
+";
+    let d = test_only_pub(&[
+        ("crates/p/src/lib.rs", code),
+        ("examples/e.rs", "fn main() {}\n"),
+    ]);
+    // `impl Tr for Implementor` still names both of its types.
+    let at = |line| ("crates/p/src/lib.rs".to_string(), line);
+    assert_eq!(d, vec![at(1), at(5)]);
+}

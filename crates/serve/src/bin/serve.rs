@@ -1,5 +1,5 @@
 //! Standalone server: `serve [--addr 127.0.0.1:0] [--shards 4]
-//! [--preload 0] [--data-dir DIR] [--fsync always|never|every=N]`.
+//! [--preload 0] [--data-dir DIR] [--fsync always|never]`.
 //!
 //! Without `--data-dir` the map is memory-only. With it, the server is
 //! durable: an existing store directory (one whose `SHARDS` root file
@@ -25,7 +25,7 @@ use ist_store::{FsyncPolicy, StoreConfig, SHARDS_NAME};
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--shards N] [--preload N] \
-         [--data-dir DIR] [--fsync always|never|every=N]"
+         [--data-dir DIR] [--fsync always|never]"
     );
     std::process::exit(2)
 }

@@ -29,6 +29,8 @@ use crate::proto::{
 /// assert_eq!(c.get(200).unwrap(), None);
 /// handle.stop();
 /// ```
+// LINT-ALLOW(test-only-pub): the reference client of the wire protocol;
+// serve_proto and the crate docs drive the server through it.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,

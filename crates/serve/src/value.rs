@@ -52,6 +52,7 @@ impl Value {
 }
 
 impl From<&[u8]> for Value {
+    #[inline]
     fn from(bytes: &[u8]) -> Self {
         let mut inline = [0u8; INLINE_CAP];
         match inline.get_mut(..bytes.len()) {
@@ -92,8 +93,6 @@ impl fmt::Debug for Value {
 }
 
 impl Codec for Value {
-    const FIXED_WIDTH: Option<usize> = None;
-
     fn encode_into(&self, out: &mut Vec<u8>) {
         let bytes = self.as_bytes();
         debug_assert!(bytes.len() <= u32::MAX as usize, "blob too large to encode");
@@ -101,6 +100,11 @@ impl Codec for Value {
         out.extend_from_slice(bytes);
     }
 
+    // Always inlined into the decode loops of run files and WAL
+    // records: called out of line, each 24-byte result is copied
+    // through the stack in overlapping pieces, and reopening a
+    // 2^19-value run took 2.5 times as long.
+    #[inline(always)]
     fn decode_from(input: &mut Input<'_>) -> Result<Self, StoreError> {
         let len = u32::decode_from(input)? as usize;
         // `take` bounds-checks `len` against the remaining input, so a

@@ -63,7 +63,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ist_core::{Error, Layout};
-use ist_dynamic::{default_kind_for_layout, DynamicMap, Frozen, DEFAULT_BUFFER_CAP};
+use ist_dynamic::{
+    default_kind_for_layout, sort_dedup_last_wins, DynamicMap, Frozen, DEFAULT_BUFFER_CAP,
+};
 use ist_query::route::{
     partition_batch, partition_batch_ref, partition_owned, scatter_to_input_order, shard_of_key,
 };
@@ -293,15 +295,7 @@ where
         );
         assert!(num_shards >= 1, "num_shards must be at least 1");
         let mut pairs: Vec<(K, V)> = keys.into_iter().zip(values).collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0)); // stable: later duplicate stays later
-        pairs.dedup_by(|later, kept| {
-            if later.0 == kept.0 {
-                std::mem::swap(later, kept); // keep the later pair's value
-                true
-            } else {
-                false
-            }
-        });
+        sort_dedup_last_wins(&mut pairs);
         // Equal-count boundaries over the (now distinct) sorted keys.
         let mut splits: Vec<K> = Vec::with_capacity(num_shards.saturating_sub(1));
         for i in 1..num_shards {

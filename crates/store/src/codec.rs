@@ -9,11 +9,10 @@
 //! never panic or trigger an unbounded allocation; they produce a
 //! typed [`StoreError`] instead.
 //!
-//! Fixed-width integer encodings are bit-identical to the machine's
-//! in-memory representation on little-endian targets, which is what
-//! lets the run-file reader adopt a whole key section into an aligned
-//! buffer with a single bulk read (see `ist-dynamic`'s persistence
-//! module) instead of decoding element by element.
+//! [`Codec`] is also the only encoding of run-file sections: a run's
+//! keys and values are encoded element by element on write and decoded
+//! the same way on load, from section bytes whose checksum has already
+//! been verified (see `ist-dynamic`'s persistence module).
 
 use crate::error::StoreError;
 use ist_query::QueryKind;
@@ -45,6 +44,7 @@ impl<'a> Input<'a> {
     }
 
     /// Consume exactly `n` bytes or fail with a typed error.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if n > self.remaining() {
             return Err(StoreError::corrupt(format!(
@@ -58,16 +58,15 @@ impl<'a> Input<'a> {
     }
 }
 
-/// Panic-free little-endian serialization.
+/// Panic-free little-endian serialization: the one way keys, values,
+/// WAL records and file metadata are turned into bytes and back.
 ///
 /// `encode_into` appends the encoding of `self` to `out`;
 /// `decode_from` consumes exactly the bytes `encode_into` produced.
+/// Every encoding is at least one byte long, so a count of encoded
+/// elements can be bounded by the bytes that hold them before anything
+/// is allocated. Integers encode as their little-endian bytes.
 pub trait Codec: Sized {
-    /// `Some(w)` when every encoding of this type is exactly `w`
-    /// bytes *and* matches the little-endian in-memory representation
-    /// (the precondition for bulk section adoption).
-    const FIXED_WIDTH: Option<usize>;
-
     /// Append the encoding of `self` to `out`.
     fn encode_into(&self, out: &mut Vec<u8>);
 
@@ -77,13 +76,15 @@ pub trait Codec: Sized {
 
 macro_rules! int_codec {
     ($($t:ty),*) => {$(
+        // Inlined across crates: a run file's key section is one call
+        // per key.
         impl Codec for $t {
-            const FIXED_WIDTH: Option<usize> = Some(std::mem::size_of::<$t>());
-
+            #[inline]
             fn encode_into(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
 
+            #[inline]
             fn decode_from(input: &mut Input<'_>) -> Result<Self, StoreError> {
                 let bytes = input.take(std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact take")))
@@ -95,8 +96,6 @@ macro_rules! int_codec {
 int_codec!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
 
 impl Codec for bool {
-    const FIXED_WIDTH: Option<usize> = Some(1);
-
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
@@ -111,14 +110,17 @@ impl Codec for bool {
 }
 
 impl Codec for Vec<u8> {
-    const FIXED_WIDTH: Option<usize> = None;
-
     fn encode_into(&self, out: &mut Vec<u8>) {
         debug_assert!(self.len() <= u32::MAX as usize, "blob too large to encode");
         (self.len() as u32).encode_into(out);
         out.extend_from_slice(self);
     }
 
+    // Always inlined into the decode loops of run files and WAL
+    // records: called out of line it costs one call and one result
+    // copied through memory per value, which made reopening a run of
+    // 2^19 blob values about a third slower.
+    #[inline(always)]
     fn decode_from(input: &mut Input<'_>) -> Result<Self, StoreError> {
         let len = u32::decode_from(input)? as usize;
         // `take` bounds-checks `len` against the remaining input, so a
@@ -128,8 +130,6 @@ impl Codec for Vec<u8> {
 }
 
 impl Codec for String {
-    const FIXED_WIDTH: Option<usize> = None;
-
     fn encode_into(&self, out: &mut Vec<u8>) {
         debug_assert!(
             self.len() <= u32::MAX as usize,
@@ -148,8 +148,6 @@ impl Codec for String {
 }
 
 impl<T: Codec> Codec for Option<T> {
-    const FIXED_WIDTH: Option<usize> = None;
-
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             None => out.push(0),
@@ -169,16 +167,7 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
-const fn pair_width(a: Option<usize>, b: Option<usize>) -> Option<usize> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x + y),
-        _ => None,
-    }
-}
-
 impl<A: Codec, B: Codec> Codec for (A, B) {
-    const FIXED_WIDTH: Option<usize> = pair_width(A::FIXED_WIDTH, B::FIXED_WIDTH);
-
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.0.encode_into(out);
         self.1.encode_into(out);
@@ -190,9 +179,6 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
 }
 
 impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
-    const FIXED_WIDTH: Option<usize> =
-        pair_width(pair_width(A::FIXED_WIDTH, B::FIXED_WIDTH), C::FIXED_WIDTH);
-
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.0.encode_into(out);
         self.1.encode_into(out);

@@ -9,8 +9,8 @@
 //! tree layout is a *flat array*, so persistence needs no pointer
 //! fixup. A run file is one sequential write of three contiguous
 //! sections (keys, value slots, weight prefix — already in layout
-//! order), and a load is one sequential pass that bulk-adopts
-//! fixed-width keys into an aligned buffer. The durability contract:
+//! order), and a load is one sequential pass that decodes each
+//! checksum-verified section with [`Codec`]. The durability contract:
 //!
 //! - **Run files and manifests are always fsynced** before anything
 //!   references them; the [`FsyncPolicy`] knob only trades off WAL

@@ -55,8 +55,6 @@ pub struct RunRef {
 }
 
 impl Codec for RunRef {
-    const FIXED_WIDTH: Option<usize> = Some(24);
-
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.id.encode_into(out);
         self.seq_lo.encode_into(out);

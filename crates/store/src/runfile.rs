@@ -17,17 +17,18 @@
 //!
 //! The sections hold the run's three parallel arrays **in layout
 //! order** (the order the in-memory `AlignedVec`s already use), so a
-//! load is one sequential pass with no re-permutation: fixed-width
-//! keys are adopted into an aligned buffer by a single bulk read, and
-//! the weight prefix is always a raw little-endian `i64` column. The
-//! whole file is produced by a single sequential write, by the
-//! checkpoint that first finds the run resident, and never modified
-//! afterwards.
+//! load is one sequential pass with no re-permutation. Keys and values
+//! are [`Codec`] encodings, element by element (an integer's is its
+//! little-endian bytes); the weight prefix is always a raw
+//! little-endian `i64` column. The whole file is produced by a single
+//! sequential write, by the checkpoint that first finds the run
+//! resident, and never modified afterwards.
 //!
-//! This module frames and checksums the sections; how key/value bytes
-//! are produced and consumed is the caller's contract (see the
-//! persistence module in `ist-dynamic`, which owns the generic
-//! encode/decode and the zero-copy adoption).
+//! This module frames and checksums the sections, and hands a caller
+//! a section's bytes only once its checksum has been verified; how
+//! key/value bytes are produced and consumed is the caller's contract
+//! (see the persistence module in `ist-dynamic`, which owns the encode
+//! and decode).
 
 use std::path::Path;
 
@@ -297,8 +298,7 @@ impl RunReader {
     }
 
     /// Stream the keys section directly into `dst` (which must be
-    /// exactly [`keys_len`](Self::keys_len) bytes — typically the raw
-    /// bytes of a freshly allocated aligned key buffer) and verify it.
+    /// exactly [`keys_len`](Self::keys_len) bytes) and verify it.
     pub fn read_keys_into(&mut self, dst: &mut [u8]) -> Result<(), StoreError> {
         self.read_verified(Section::Keys, "keys section", dst)
     }
@@ -315,39 +315,6 @@ impl RunReader {
         let mut buf = vec![0u8; self.header.vals_len as usize];
         self.read_verified(Section::Values, "values section", &mut buf)?;
         Ok(buf)
-    }
-
-    /// Stream the values section through `sink` in bounded chunks,
-    /// without materializing it: the caller decodes each cache-hot
-    /// chunk as it arrives instead of re-scanning a section-sized
-    /// buffer. The checksum is verified *after* the last chunk — the
-    /// sink sees unverified bytes and must treat them as untrusted
-    /// (the decoders are total, so a corrupt stream yields `Err`
-    /// either from the sink or from the final checksum comparison,
-    /// never a panic).
-    pub fn read_values_with(
-        &mut self,
-        mut sink: impl FnMut(&[u8]) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
-        let (len, crc) = self.advance(Section::Values);
-        const CHUNK: usize = 256 * 1024;
-        let mut remaining = usize::try_from(len)
-            .map_err(|_| StoreError::corrupt("values section exceeds address space"))?;
-        let mut buf = vec![0u8; CHUNK.min(remaining)];
-        let mut hasher = Crc64::new();
-        while remaining > 0 {
-            let take = CHUNK.min(remaining);
-            read_exact_or_truncated(&mut self.file, &mut buf[..take], "values section")?;
-            hasher.update(&buf[..take]);
-            sink(&buf[..take])?;
-            remaining -= take;
-        }
-        if hasher.finalize() != crc {
-            return Err(StoreError::ChecksumMismatch {
-                what: "values section",
-            });
-        }
-        Ok(())
     }
 
     /// Byte length of the weights section.

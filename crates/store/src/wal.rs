@@ -31,8 +31,10 @@
 //! ## Fsync policy
 //!
 //! [`FsyncPolicy`] trades acknowledgment durability for append cost:
-//! `Always` fsyncs every record, `EveryN(n)` group-commits, `Never`
-//! leaves flushing to the OS. [`WalWriter::acked`] reports how many
+//! `Always` fsyncs every record, `Never` leaves flushing to the OS
+//! until an explicit [`WalWriter::sync`]. A caller that batches its
+//! writes gets group commit from `Always` by logging each batch as one
+//! record (a map's `apply` does). [`WalWriter::acked`] reports how many
 //! records are *guaranteed* after a crash — the crash harness checks
 //! recovery against exactly this number.
 
@@ -56,24 +58,19 @@ const RECORD_HEADER_LEN: usize = 4 + 8;
 pub enum FsyncPolicy {
     /// Fsync after every record: an applied write is a durable write.
     Always,
-    /// Group commit: fsync after every `n` records.
-    EveryN(u32),
     /// Never fsync from the hot path; the OS flushes when it pleases.
     /// Only explicit `flush()`/checkpoints guarantee anything.
     Never,
 }
 
 impl FsyncPolicy {
-    /// Parse a command-line spelling: `always`, `never`, or `every=N`.
+    /// Parse a command-line spelling: `always` or `never`.
     #[must_use]
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "always" => Some(FsyncPolicy::Always),
             "never" => Some(FsyncPolicy::Never),
-            _ => {
-                let n: u32 = s.strip_prefix("every=")?.parse().ok()?;
-                (n > 0).then_some(FsyncPolicy::EveryN(n))
-            }
+            _ => None,
         }
     }
 }
@@ -92,7 +89,6 @@ pub struct WalWriter {
     policy: FsyncPolicy,
     appended: u64,
     acked: u64,
-    since_sync: u32,
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -132,7 +128,6 @@ impl WalWriter {
             policy,
             appended: 0,
             acked: 0,
-            since_sync: 0,
         })
     }
 
@@ -164,12 +159,7 @@ impl WalWriter {
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
         self.appended += 1;
-        self.since_sync += 1;
-        let want_sync = match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => self.since_sync >= n,
-            FsyncPolicy::Never => false,
-        };
+        let want_sync = self.policy == FsyncPolicy::Always;
         if want_sync {
             self.sync()?;
         } else {
@@ -182,7 +172,6 @@ impl WalWriter {
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.file.sync()?;
         self.acked = self.appended;
-        self.since_sync = 0;
         Ok(())
     }
 }
@@ -290,14 +279,15 @@ mod tests {
     }
 
     #[test]
-    fn every_n_group_commit_acks_at_sync_points() {
+    fn never_acks_only_at_explicit_syncs() {
         let vfs = MemVfs::new();
-        let mut w = WalWriter::create(&vfs, &path(), 3, FsyncPolicy::EveryN(3)).unwrap();
+        let mut w = WalWriter::create(&vfs, &path(), 3, FsyncPolicy::Never).unwrap();
         assert!(!w.append(b"a").unwrap());
         assert!(!w.append(b"b").unwrap());
         assert_eq!(w.acked(), 0);
-        assert!(w.append(b"c").unwrap());
-        assert_eq!(w.acked(), 3);
+        w.sync().unwrap();
+        assert!(!w.append(b"c").unwrap());
+        assert_eq!(w.acked(), 2);
     }
 
     #[test]
@@ -357,8 +347,7 @@ mod tests {
     fn policy_parsing() {
         assert_eq!(FsyncPolicy::parse("always"), Some(FsyncPolicy::Always));
         assert_eq!(FsyncPolicy::parse("never"), Some(FsyncPolicy::Never));
-        assert_eq!(FsyncPolicy::parse("every=8"), Some(FsyncPolicy::EveryN(8)));
-        assert_eq!(FsyncPolicy::parse("every=0"), None);
+        assert_eq!(FsyncPolicy::parse("every=8"), None);
         assert_eq!(FsyncPolicy::parse("sometimes"), None);
     }
 }

@@ -11,65 +11,6 @@
 //! `π(i) = rev₂(d − (j+1), rev₂(d, i))` — the two-involution form the
 //! in-place algorithm applies.
 
-use ist_bits::{ilog2_floor, is_perfect_bst_size};
-
-/// Shape of a perfect BST: `N = 2^levels − 1` keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BstShape {
-    levels: u32,
-}
-
-impl BstShape {
-    /// Shape for an array of length `n`; `n` must be `2^d − 1`.
-    ///
-    /// # Examples
-    /// ```
-    /// use ist_layout::BstShape;
-    /// let s = BstShape::new(15);
-    /// assert_eq!(s.levels(), 4);
-    /// assert_eq!(s.len(), 15);
-    /// assert!(BstShape::try_new(16).is_none());
-    /// ```
-    pub fn new(n: usize) -> Self {
-        Self::try_new(n).expect("BST layout requires n = 2^d - 1")
-    }
-
-    /// Fallible [`BstShape::new`].
-    pub fn try_new(n: usize) -> Option<Self> {
-        if is_perfect_bst_size(n as u64) {
-            Some(Self {
-                levels: ilog2_floor(n as u64 + 1),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Number of levels `d`.
-    #[inline]
-    pub fn levels(&self) -> u32 {
-        self.levels
-    }
-
-    /// Number of keys `2^d − 1`.
-    #[inline]
-    pub fn len(&self) -> usize {
-        (1usize << self.levels) - 1
-    }
-
-    /// `true` iff the tree is empty (it never is; kept for API symmetry).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Map a sorted position (0-indexed) to its layout position.
-    #[inline]
-    pub fn pos(&self, sorted: usize) -> usize {
-        bst_pos(self.levels, sorted)
-    }
-}
-
 /// Sorted position (0-indexed) → level-order layout position (0-indexed)
 /// for a perfect BST with `d` levels.
 ///
@@ -160,14 +101,5 @@ mod tests {
             let rc = rank_at[2 * v + 2];
             assert!(lc < me && me < rc, "v={v}");
         }
-    }
-
-    #[test]
-    fn shape_api() {
-        let s = BstShape::new(31);
-        for i in 0..31 {
-            assert_eq!(s.pos(i), bst_pos(5, i));
-        }
-        assert_eq!(s.levels(), 5);
     }
 }

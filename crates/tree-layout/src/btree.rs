@@ -13,84 +13,6 @@
 //! per leaf node. Internal elements form a perfect B-tree one level
 //! shorter, laid out in the prefix; leaf nodes follow, left to right.
 
-use ist_bits::{is_perfect_btree_size, perfect_btree_height};
-
-/// Shape of a perfect B-tree: branching `k = B + 1`, `m` node levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BtreeShape {
-    /// Keys per node.
-    b: usize,
-    /// Node levels.
-    m: u32,
-}
-
-impl BtreeShape {
-    /// Shape for an array of length `n` with `b` keys per node; `n` must
-    /// equal `(b+1)^m − 1`.
-    ///
-    /// # Examples
-    /// ```
-    /// use ist_layout::BtreeShape;
-    /// let s = BtreeShape::new(26, 2); // Figure 1.2 of the paper
-    /// assert_eq!(s.num_nodes(), 13);
-    /// assert!(BtreeShape::try_new(27, 2).is_none());
-    /// ```
-    pub fn new(n: usize, b: usize) -> Self {
-        Self::try_new(n, b).expect("B-tree layout requires n = (B+1)^m - 1")
-    }
-
-    /// Fallible [`BtreeShape::new`].
-    pub fn try_new(n: usize, b: usize) -> Option<Self> {
-        if b == 0 || n == 0 {
-            return None;
-        }
-        let k = (b + 1) as u64;
-        if !is_perfect_btree_size(k, n as u64) {
-            return None;
-        }
-        Some(Self {
-            b,
-            m: perfect_btree_height(k, n as u64),
-        })
-    }
-
-    /// Keys per node (`B`).
-    #[inline]
-    pub fn b(&self) -> usize {
-        self.b
-    }
-
-    /// Branching factor (`B + 1`).
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.b + 1
-    }
-
-    /// Total number of keys.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.k().pow(self.m) - 1
-    }
-
-    /// `true` iff there are no keys (never, for a valid shape).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Total number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.len() / self.b
-    }
-
-    /// Map a sorted position (0-indexed) to its layout position.
-    #[inline]
-    pub fn pos(&self, sorted: usize) -> usize {
-        btree_pos(self.b, self.m, sorted)
-    }
-}
-
 /// Sorted position (0-indexed) → level-order B-tree layout position
 /// (0-indexed), for a perfect B-tree with `B = b` keys per node and `m`
 /// node levels (`N = (b+1)^m − 1`). Costs `O(m)`.
@@ -247,15 +169,6 @@ mod tests {
                     assert!(key >= lo && key < hi, "v={v} c={c} s={s}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn shape_api() {
-        let s = BtreeShape::new(80, 2); // 3^4 - 1
-        assert_eq!(s.num_nodes(), 40);
-        for i in (0..80).step_by(7) {
-            assert_eq!(s.pos(i), btree_pos(2, 4, i));
         }
     }
 }

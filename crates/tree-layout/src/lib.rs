@@ -25,40 +25,8 @@ pub mod complete;
 pub mod veb;
 pub mod walk;
 
-pub use bst::{bst_pos, BstShape};
-pub use btree::{btree_pos, BtreeShape};
+pub use bst::bst_pos;
+pub use btree::btree_pos;
 pub use complete::CompleteShape;
-pub use veb::{veb_levels, veb_pos, veb_split, VebCursor, VebLevel, VebShape};
+pub use veb::{veb_levels, veb_pos, veb_split, VebCursor, VebLevel};
 pub use walk::{BtreeWalk, VebWalk};
-
-/// The three implicit layouts, as a runtime tag used across the workspace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LayoutKind {
-    /// Level-order complete binary search tree.
-    Bst,
-    /// Level-order complete (B+1)-ary search tree; the `B` parameter lives
-    /// alongside wherever this tag is used.
-    Btree,
-    /// Recursive van Emde Boas order.
-    Veb,
-}
-
-impl LayoutKind {
-    /// All layout kinds, for exhaustive sweeps in tests and benches.
-    pub const ALL: [LayoutKind; 3] = [LayoutKind::Bst, LayoutKind::Btree, LayoutKind::Veb];
-
-    /// Human-readable lowercase name (stable; used in CSV output).
-    pub fn name(self) -> &'static str {
-        match self {
-            LayoutKind::Bst => "bst",
-            LayoutKind::Btree => "btree",
-            LayoutKind::Veb => "veb",
-        }
-    }
-}
-
-impl std::fmt::Display for LayoutKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}

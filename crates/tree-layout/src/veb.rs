@@ -26,8 +26,6 @@
 
 use core::hint::select_unpredictable;
 
-use ist_bits::{ilog2_floor, is_perfect_bst_size};
-
 /// The vEB split of `d` levels: `(t, b) = (⌈d/2⌉, ⌊d/2⌋)`.
 ///
 /// # Examples
@@ -40,62 +38,6 @@ use ist_bits::{ilog2_floor, is_perfect_bst_size};
 #[inline]
 pub const fn veb_split(d: u32) -> (u32, u32) {
     (d.div_ceil(2), d / 2)
-}
-
-/// Shape of a perfect tree in vEB order: `N = 2^levels − 1` keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VebShape {
-    levels: u32,
-}
-
-impl VebShape {
-    /// Shape for an array of length `n`; `n` must be `2^d − 1`.
-    ///
-    /// # Examples
-    /// ```
-    /// use ist_layout::VebShape;
-    /// let s = VebShape::new(15);
-    /// assert_eq!(s.levels(), 4);
-    /// assert!(VebShape::try_new(14).is_none());
-    /// ```
-    pub fn new(n: usize) -> Self {
-        Self::try_new(n).expect("vEB layout requires n = 2^d - 1")
-    }
-
-    /// Fallible [`VebShape::new`].
-    pub fn try_new(n: usize) -> Option<Self> {
-        if is_perfect_bst_size(n as u64) {
-            Some(Self {
-                levels: ilog2_floor(n as u64 + 1),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Number of levels `d`.
-    #[inline]
-    pub fn levels(&self) -> u32 {
-        self.levels
-    }
-
-    /// Number of keys `2^d − 1`.
-    #[inline]
-    pub fn len(&self) -> usize {
-        (1usize << self.levels) - 1
-    }
-
-    /// `true` iff the tree is empty (never, for a valid shape).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Map a sorted position (0-indexed) to its vEB layout position.
-    #[inline]
-    pub fn pos(&self, sorted: usize) -> usize {
-        veb_pos(self.levels, sorted)
-    }
 }
 
 /// Sorted position (0-indexed) → vEB layout position (0-indexed) for a

@@ -193,7 +193,7 @@ pub use ist_store::{CrashModel, FsyncPolicy, MemVfs, StdVfs, StoreConfig, StoreE
 
 pub use ist_core::{
     construct, permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, Error,
-    GatherMode, IndexArith, Layout, LayoutKind, Machine, Ram, Region,
+    GatherMode, IndexArith, Layout, Machine, Ram, Region,
 };
 pub use ist_query::{QueryKind, Searcher, SimdKey};
 

@@ -629,7 +629,7 @@ fn differential_long_sweep() {
         for kind in [QueryKind::Veb, QueryKind::Btree(2)] {
             for &cap in &CAPS {
                 for mode in DRAINS {
-                    for fsync in [FsyncPolicy::Always, FsyncPolicy::EveryN(3)] {
+                    for fsync in [FsyncPolicy::Always, FsyncPolicy::Never] {
                         run_persistent_sequence(
                             0x70_0000 + seed,
                             kind,
@@ -652,7 +652,7 @@ fn differential_long_sweep() {
 /// not fsynced vanishes, the strictest loss model). Under
 /// [`FsyncPolicy::Always`] every applied op is durable at the op
 /// boundary, so the recovered map must equal the oracle *exactly*; for
-/// the weaker policies the harness calls `flush()` before the kill, at
+/// `FsyncPolicy::Never` the harness calls `flush()` before the kill, at
 /// which point the same exactness holds. The sequence then continues on
 /// the reopened map, so recovery composes with further mutation,
 /// sealing, and compaction — full observable state checked after every
@@ -744,13 +744,13 @@ fn differential_persistent_restarts() {
     }
 }
 
-/// The persistent matrix rides the weaker fsync policies (flush before
+/// The persistent matrix rides `FsyncPolicy::Never` (flush before
 /// each kill), bulk ingest, and further query kinds — recovery must
 /// compose with all of them.
 #[test]
 fn differential_persistent_fsync_matrix() {
     let cases = [
-        (QueryKind::Veb, Ingest::Bulk, FsyncPolicy::EveryN(4)),
+        (QueryKind::Veb, Ingest::Bulk, FsyncPolicy::Never),
         (QueryKind::Btree(2), Ingest::PerKey, FsyncPolicy::Never),
         (QueryKind::Sorted, Ingest::Bulk, FsyncPolicy::Always),
     ];

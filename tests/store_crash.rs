@@ -162,6 +162,11 @@ struct Drive {
     acked: u64,
 }
 
+/// Under `FsyncPolicy::Never`, `drive` flushes the WAL after every
+/// this-many ops, so each crash point leaves between 0 and 2 applied
+/// records unsynced.
+const NEVER_FLUSH_EVERY: usize = 3;
+
 /// Run prepopulation + persist + workload until completion or until the
 /// armed write budget kills the store. Never panics: a poisoned sink
 /// rejects writes, it does not abort.
@@ -185,6 +190,10 @@ fn drive(vfs: &MemVfs, fsync: FsyncPolicy, ops: &[Wop]) -> Drive {
     );
     for (i, op) in ops.iter().enumerate() {
         apply_map(&mut map, op);
+        if fsync == FsyncPolicy::Never && (i + 1) % NEVER_FLUSH_EVERY == 0 {
+            // A failed flush poisons the store, caught just below.
+            let _ = map.flush();
+        }
         if map.store_error().is_some() {
             return Drive {
                 persist_ok: true,
@@ -335,16 +344,18 @@ fn crash_sweep_drop_unsynced_fsync_always() {
     sweep(CrashModel::DropUnsynced, FsyncPolicy::Always, 0xC0A5);
 }
 
-/// Batched fsync: unacked records may be lost (DropUnsynced) or survive
-/// (Torn) — recovery must land inside exactly that window.
+/// No fsync on append, an explicit `flush()` every
+/// [`NEVER_FLUSH_EVERY`] ops: unacked records may be lost
+/// (DropUnsynced) or survive (Torn) — recovery must land inside exactly
+/// that window.
 #[test]
-fn crash_sweep_torn_fsync_every_n() {
-    sweep(CrashModel::Torn, FsyncPolicy::EveryN(3), 0xE7E7);
+fn crash_sweep_torn_fsync_never_flush_every_3() {
+    sweep(CrashModel::Torn, FsyncPolicy::Never, 0xE7E7);
 }
 
 #[test]
-fn crash_sweep_drop_unsynced_fsync_every_n() {
-    sweep(CrashModel::DropUnsynced, FsyncPolicy::EveryN(3), 0xE7E7);
+fn crash_sweep_drop_unsynced_fsync_never_flush_every_3() {
+    sweep(CrashModel::DropUnsynced, FsyncPolicy::Never, 0xE7E7);
 }
 
 /// Crash the *recovery* at every byte offset, then recover again: the
