@@ -5,12 +5,14 @@
 //! ```
 //!
 //! `<which>` ∈ `table1.1 | fig6.1 | fig6.2 | fig6.3 | fig6.4 | fig6.5 |
-//! fig6.6 | fig6.7 | fig6.8 | fig6.9 | crossover | build | all`. Output is
-//! CSV on stdout with one header line per figure. `crossover` and `build`
-//! are not the paper's figures: `crossover` is the run-size sweep behind
-//! `DynamicMap`'s per-run layout choice (`LAYOUT_CROSSOVER_VERSIONS`),
-//! and `build` compares the serving path's streaming scatter with the
-//! paper's in-place construction on time and peak memory. `--scale`
+//! fig6.6 | fig6.7 | fig6.8 | fig6.9 | crossover | build | getrank |
+//! all`. Output is CSV on stdout with one header line per figure.
+//! `crossover`, `build` and `getrank` are not the paper's figures:
+//! `crossover` is the run-size sweep behind `DynamicMap`'s per-run
+//! layout choice (`LAYOUT_CROSSOVER_VERSIONS`), `build` compares the
+//! serving path's streaming scatter with the paper's in-place
+//! construction on time and peak memory, and `getrank` is how close a
+//! batched `get` runs to a batched `rank` on the same map. `--scale`
 //! shifts the maximum problem size by `S` powers of two (default sizes
 //! are laptop-scale; the paper used N = 2²⁹ on a 2×10-core Xeon).
 
@@ -469,6 +471,90 @@ fn build_sweep(scale: i32) {
     }
 }
 
+/// `getrank`: how close a batched `get` runs to a batched `rank` on the
+/// same `StaticMap<u64, u64>`, per layout, on one thread. A search is
+/// a rank descent plus one lower-bound slot and one verify probe, so
+/// the gap between the two is what resolving a search costs.
+///
+/// Each 65 536-key batch is answered by `batch_rank` and by
+/// `batch_get`, in alternating order; a row reports the median Mq/s of
+/// each and the median over batches of `batch_rank` time / `batch_get`
+/// time (1.0 = `get` at `rank` speed). Two settings: 2^23 keys with
+/// half the probes hits, and 2^18 keys with every probe a miss.
+fn getrank(scale: i32) {
+    row(&[
+        "getrank".into(),
+        "n".into(),
+        "kind".into(),
+        "probes".into(),
+        "get_mqps".into(),
+        "rank_mqps".into(),
+        "rank_over_get".into(),
+    ]);
+    const BATCH: usize = 65_536;
+    const BATCHES: usize = 31;
+    let kinds = [
+        QueryKind::Sorted,
+        QueryKind::Bst,
+        QueryKind::Btree(CPU_B),
+        QueryKind::Veb,
+    ];
+    for (e, probes) in [(23, "half_hits"), (18, "all_misses")] {
+        let n = 1usize << (e + scale).max(10);
+        let mut keys = uniform_queries(n, BATCH * BATCHES, e as u64);
+        if probes == "all_misses" {
+            // Stored keys are even (`sorted_keys`): odd probes all miss.
+            keys.iter_mut().for_each(|k| *k |= 1);
+        }
+        for kind in kinds {
+            let map = StaticMap::build_presorted(
+                sorted_keys(n),
+                sorted_keys(n),
+                kind,
+                Algorithm::CycleLeader,
+            )
+            .unwrap();
+            let s = map.searcher();
+            let (mut gets, mut ranks, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+            with_pool(1, || {
+                // One untimed batch of each first: page faults, caches.
+                std::hint::black_box((map.batch_get(&keys[..BATCH]), s.batch_rank(&keys[..BATCH])));
+                for (i, batch) in keys.chunks(BATCH).enumerate() {
+                    let get = || {
+                        time_once(|| {
+                            std::hint::black_box(map.batch_get(std::hint::black_box(batch)));
+                        })
+                    };
+                    let rank = || {
+                        time_once(|| {
+                            std::hint::black_box(s.batch_rank(std::hint::black_box(batch)));
+                        })
+                    };
+                    let (g, r) = if i % 2 == 0 {
+                        let g = get();
+                        (g, rank())
+                    } else {
+                        let r = rank();
+                        (get(), r)
+                    };
+                    gets.push(batch.len() as f64 / secs(g) / 1e6);
+                    ranks.push(batch.len() as f64 / secs(r) / 1e6);
+                    ratios.push(secs(r) / secs(g));
+                }
+            });
+            row(&[
+                "getrank".into(),
+                n.to_string(),
+                kind.name().into(),
+                probes.into(),
+                format!("{:.2}", median(&mut gets)),
+                format!("{:.2}", median(&mut ranks)),
+                format!("{:.3}", median(&mut ratios)),
+            ]);
+        }
+    }
+}
+
 /// Reset this process's `VmHWM` to its current resident set and return
 /// that (`None` if `/proc` does not allow the reset).
 fn reset_peak_rss_mib() -> Option<f64> {
@@ -690,6 +776,7 @@ fn main() {
         "fig6.9" => fig6_9(scale),
         "crossover" => size_crossover_sweep(scale),
         "build" => build_sweep(scale),
+        "getrank" => getrank(scale),
         "all" => {
             table1_1(scale);
             fig_permute(false, scale);
@@ -703,10 +790,11 @@ fn main() {
             fig6_9(scale);
             size_crossover_sweep(scale);
             build_sweep(scale);
+            getrank(scale);
         }
         other => {
             eprintln!(
-                "unknown figure '{other}'; use table1.1 | fig6.1..fig6.9 | crossover | build | all"
+                "unknown figure '{other}'; use table1.1 | fig6.1..fig6.9 | crossover | build | getrank | all"
             );
             std::process::exit(2);
         }

@@ -262,8 +262,8 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
         self.searcher().contains(key)
     }
 
-    /// The payload stored under `key`, if any (some matching slot's
-    /// value when `key` is duplicated).
+    /// The payload stored under `key`, if any (the value of its
+    /// leftmost copy in sorted order when `key` is duplicated).
     pub fn get(&self, key: &K) -> Option<&V> {
         Some(&self.values[self.searcher().search(key)?])
     }
@@ -308,12 +308,18 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     /// Keys are read in place through [`Borrow`], so `&[K]` and `&[&K]`
     /// are the same call — routing layers partition a batch by
     /// reference and pass the borrowed sub-batch straight in.
-    pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>> {
+    ///
+    /// Each chunk writes its payload references straight into the one
+    /// output vector ([`Searcher::batch_search_map`]), so the call
+    /// allocates exactly that vector. Sharing `&V` with the chunks'
+    /// threads is why this needs `V: Sync`.
+    pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>>
+    where
+        V: Sync,
+    {
+        let values: &[V] = &self.values;
         self.searcher()
-            .batch_search(keys)
-            .into_iter()
-            .map(|pos| pos.map(|p| &self.values[p]))
-            .collect()
+            .batch_search_map(keys, |pos| pos.map(|p| &values[p]))
     }
 
     /// Per-pair [`StaticMap::range_count`] for a batch of `(lo, hi)`

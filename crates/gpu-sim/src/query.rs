@@ -12,16 +12,16 @@
 //! of truth the CPU's scalar and pipelined engines run — and this
 //! module only generates addresses from the navigator's node window and
 //! prices them (mirroring how the construction-side `Gpu` machine
-//! backend shares `ist_core::algorithms`). A lane retires on an
-//! equality hit, on falling off the perfect part (the overflow probe is
-//! omitted: one extra access at most), or on draining (sorted
-//! baseline). The sorted baseline replays the CPU engine's
-//! partition-point probe sequence, which never exits early on equality;
-//! `tests/navigator_equivalence.rs` pins lane traces against the scalar
-//! and pipelined CPU engines via [`lane_node_trace`].
+//! backend shares `ist_core::algorithms`). A search is the CPU's
+//! search: the `UPPER = false` rank descent, with no equality test and
+//! no early exit. So a lane retires only when it falls off the perfect
+//! part (the lower-bound resolution is omitted: one extra access at
+//! most) or drains (sorted baseline), and a hit costs what a miss
+//! does. `tests/navigator_equivalence.rs` pins lane traces against the
+//! scalar and pipelined CPU engines via [`lane_node_trace`].
 
 use crate::{Gpu, GpuCost};
-use ist_query::nav::{BstNav, BtreeNav, Navigator, SortedNav, VebNav, MISS};
+use ist_query::nav::{BstNav, BtreeNav, Navigator, SortedNav, VebNav};
 
 /// Which search algorithm the query kernel runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,15 +57,15 @@ trait LaneSearch {
     fn done(&self) -> bool;
 }
 
-/// One warp lane driving a navigator descent: search semantics with
-/// early exit on equality, overflow probe omitted.
+/// One warp lane driving a navigator's search descent — the rank
+/// descent, run until it falls off; the lower-bound resolution is
+/// omitted.
 struct Lane<N: Navigator<u64>> {
     nav: N,
     key: u64,
     cur: N::Cursor,
     acc: N::Acc,
     ctx: N::Round,
-    res: usize,
     round: u32,
     done: bool,
 }
@@ -80,7 +80,6 @@ impl<N: Navigator<u64>> Lane<N> {
             acc,
             nav,
             key,
-            res: MISS,
             round: 0,
             done,
         }
@@ -110,19 +109,14 @@ impl<N: Navigator<u64>> LaneSearch for Lane<N> {
         let last = self.round + 1 >= self.nav.rounds();
         if last {
             self.nav
-                .step_search_last(&mut self.cur, &mut self.acc, &mut self.res, &self.key);
+                .step_rank_last::<false>(&mut self.cur, &mut self.acc, &self.key);
         } else {
-            self.nav.step_search(
-                &mut self.cur,
-                &mut self.acc,
-                &mut self.res,
-                &self.key,
-                self.ctx,
-            );
+            self.nav
+                .step_rank::<false>(&mut self.cur, &mut self.acc, &self.key, self.ctx);
             self.ctx = self.nav.next_round(self.ctx);
         }
         self.round += 1;
-        self.done = self.res != MISS || last || !self.nav.is_live(&self.cur, &self.acc);
+        self.done = last || !self.nav.is_live(&self.cur, &self.acc);
     }
 
     fn done(&self) -> bool {
@@ -276,16 +270,24 @@ mod tests {
         }
     }
 
-    /// Hits must retire a lane at the level where the scalar engine
-    /// would return, so traces end exactly at the hit node.
+    /// A hit does not retire a lane: a search lane for the key stored
+    /// at the root runs the full-depth rank path, one node per level.
     #[test]
-    fn lane_traces_end_at_hits() {
+    fn root_key_search_lane_traces_full_rank_path() {
         let n = 255usize;
         let mut data: Vec<u64> = (0..n as u64).collect();
         permute_in_place_seq(&mut data, Layout::Bst, Algorithm::CycleLeader).unwrap();
         // The root of the BST layout sits at index 0 and holds the median.
         let root_key = data[0];
         let trace = lane_node_trace(&data, GpuQueryKind::Bst, root_key);
-        assert_eq!(trace, vec![0]);
+        // Ties descend left: the root, then its left child, then the
+        // rightmost path of that subtree down to the leaf level.
+        let mut want = vec![0usize, 1];
+        while want.len() < 8 {
+            want.push(2 * want.last().unwrap() + 2);
+        }
+        assert_eq!(trace, want);
+        let cpu = ist_query::Searcher::new(&data, ist_query::QueryKind::Bst);
+        assert_eq!(trace, cpu.trace_rank(&root_key));
     }
 }

@@ -15,26 +15,28 @@
 //! batch-parallel analogue of the paper's GPU query model, where a warp
 //! keeps 32 descents in flight.
 //!
-//! There is exactly **one** search window loop and **one** rank window
-//! loop ([`window_search_into`] / [`window_rank_into`]); which layout
-//! they descend is entirely the navigator's business. Because all
-//! in-flight descents sit on the same level, the per-level round
-//! constant ([`Navigator::Round`]) is computed once per round for the
-//! whole window.
+//! There is exactly **one** window loop ([`window_into`]): the
+//! `UPPER = false` rank descent. Searches and ranks differ only in how
+//! a finished lane's registers are resolved — [`Navigator::rank_of_gap`]
+//! for a rank, the lower-bound slot plus one verify probe for a search
+//! — so a search carries no result register and no equality test
+//! through its rounds, and every lane step is exactly a rank step.
+//! Which layout the loop descends is entirely the navigator's
+//! business. Because all in-flight descents sit on the same level, the
+//! per-level round constant ([`Navigator::Round`]) is computed once per
+//! round for the whole window.
 //!
-//! Every public batch entry point runs the window loops over fixed
+//! Every public batch entry point runs the window loop over fixed
 //! chunks of the batch that the rayon shim spreads over its threads (a
 //! batch too short to pay for a hand-off — `rayon::min_task_len` — and
 //! every batch on a one-thread pool stay on the calling thread).
 //! Results are bit-identical to a scalar loop of the point operation:
-//! the windowed kernels replay the scalar engine's comparison sequence
-//! (the only liberty taken is that an early-exit equality is recorded
-//! in a result register instead of breaking the round structure —
-//! first-match-wins, like the scalar loop). The differential suite
-//! (`tests/query_differential.rs`) enforces this, and
-//! `tests/navigator_equivalence.rs` pins the visited node sequences.
+//! the window replays the scalar engine's comparison sequence and its
+//! resolution. The differential suite (`tests/query_differential.rs`)
+//! enforces this, and `tests/navigator_equivalence.rs` pins the
+//! visited node sequences.
 
-use crate::nav::{Navigator, MISS};
+use crate::nav::{found, Navigator};
 use crate::Searcher;
 use rayon::prelude::*;
 use std::borrow::Borrow;
@@ -95,24 +97,27 @@ fn fill_keys<'k, T: 'k, const W: usize>(
     keys
 }
 
-/// The pipelined **search** window loop: `n` queries in windows of `W`
-/// in-flight descents, delivering `(query index, layout position)`
-/// pairs to `sink` in query order. Exactly what the scalar
-/// [`crate::nav::search_with`] returns per key, for any navigator.
+/// The pipelined window loop: `n` queries in windows of `W` in-flight
+/// `UPPER = false` rank descents, delivering `(query index,
+/// finish(cursor, accumulator, key))` to `sink` in query order —
+/// exactly what the scalar engine resolves from the same registers,
+/// for any navigator.
 ///
 /// `tap(query, node_base)` observes every node read of every live
 /// descent (no-op closures compile away; the equivalence suite listens
 /// here).
 ///
 /// Always inlined, like the scalar descents, so that under
-/// `dispatch_nav!`'s AVX2 trampoline the loop is compiled with AVX2 and
-/// the node kernel inlines into it instead of being called per node.
+/// `dispatch_nav!`'s SIMD trampolines the loop is compiled with the
+/// kernel's instructions and the node kernel inlines into it instead of
+/// being called per node.
 #[inline(always)]
-pub(crate) fn window_search_into<'k, T, N, const W: usize>(
+pub(crate) fn window_into<'k, T, N, O, const W: usize>(
     nav: &N,
     n: usize,
     key_of: impl Fn(usize) -> &'k T,
-    mut sink: impl FnMut(usize, Option<usize>),
+    finish: impl Fn(&N::Cursor, &N::Acc, &T) -> O,
+    mut sink: impl FnMut(usize, O),
     mut tap: impl FnMut(usize, usize),
 ) where
     T: Ord + 'k,
@@ -124,75 +129,13 @@ pub(crate) fn window_search_into<'k, T, N, const W: usize>(
     while q < n {
         let bw = W.min(n - q);
         let keys = fill_keys::<T, W>(q, bw, &key_of);
-        // Structure-of-arrays descent registers: cursor / accumulator /
-        // result latch per lane.
+        // Structure-of-arrays descent registers: cursor / accumulator
+        // per lane.
         let mut curs = [cur0; W];
         let mut accs = [acc0; W];
-        let mut res = [MISS; W];
         let mut ctx = nav.first_round();
         // All descents share the root; one prefetch warms it (for the
         // sorted baseline this is the shared first midpoint).
-        nav.prefetch_node(&curs[0], &accs[0]);
-        for _ in 1..rounds {
-            for s in 0..bw {
-                if !nav.is_live(&curs[s], &accs[s]) {
-                    continue;
-                }
-                tap(q + s, nav.node_base(&curs[s], &accs[s]));
-                nav.step_search(&mut curs[s], &mut accs[s], &mut res[s], keys[s], ctx);
-                nav.prefetch_node(&curs[s], &accs[s]);
-            }
-            ctx = nav.next_round(ctx);
-        }
-        if rounds > 0 {
-            // Final round: descents fall off into their gaps; prefetch
-            // each gap's overflow probe target instead of a child.
-            for s in 0..bw {
-                if !nav.is_live(&curs[s], &accs[s]) {
-                    continue;
-                }
-                tap(q + s, nav.node_base(&curs[s], &accs[s]));
-                nav.step_search_last(&mut curs[s], &mut accs[s], &mut res[s], keys[s]);
-                if res[s] == MISS {
-                    nav.prefetch_gap(nav.gap(&curs[s], &accs[s]));
-                }
-            }
-        }
-        for s in 0..bw {
-            let out = if res[s] != MISS {
-                Some(res[s])
-            } else {
-                nav.resolve_miss(nav.gap(&curs[s], &accs[s]), keys[s])
-            };
-            sink(q + s, out);
-        }
-        q += bw;
-    }
-}
-
-/// The pipelined **rank** window loop (strictly-smaller counts): the
-/// twin of [`window_search_into`] without result registers or overflow
-/// probes (always inlined, for the same reason).
-#[inline(always)]
-pub(crate) fn window_rank_into<'k, T, N, const W: usize>(
-    nav: &N,
-    n: usize,
-    key_of: impl Fn(usize) -> &'k T,
-    mut sink: impl FnMut(usize, usize),
-    mut tap: impl FnMut(usize, usize),
-) where
-    T: Ord + 'k,
-    N: Navigator<T>,
-{
-    let rounds = nav.rounds();
-    let (cur0, acc0) = nav.start();
-    let mut q = 0usize;
-    while q < n {
-        let bw = W.min(n - q);
-        let keys = fill_keys::<T, W>(q, bw, &key_of);
-        let mut curs = [cur0; W];
-        let mut accs = [acc0; W];
-        let mut ctx = nav.first_round();
         nav.prefetch_node(&curs[0], &accs[0]);
         for _ in 1..rounds {
             for s in 0..bw {
@@ -206,6 +149,9 @@ pub(crate) fn window_rank_into<'k, T, N, const W: usize>(
             ctx = nav.next_round(ctx);
         }
         if rounds > 0 {
+            // Final round: descents fall off into their gaps; prefetch
+            // each gap's overflow keys — the one line the resolution
+            // reads that the descent has not — instead of a child.
             for s in 0..bw {
                 if !nav.is_live(&curs[s], &accs[s]) {
                     continue;
@@ -216,13 +162,44 @@ pub(crate) fn window_rank_into<'k, T, N, const W: usize>(
             }
         }
         for s in 0..bw {
-            sink(
-                q + s,
-                nav.rank_of_gap::<false>(nav.gap(&curs[s], &accs[s]), keys[s]),
-            );
+            sink(q + s, finish(&curs[s], &accs[s], keys[s]));
         }
         q += bw;
     }
+}
+
+/// [`window_into`] resolving ranks (strictly-smaller counts).
+#[inline(always)]
+pub(crate) fn window_rank_into<'k, T, N, const W: usize>(
+    nav: &N,
+    n: usize,
+    key_of: impl Fn(usize) -> &'k T,
+    sink: impl FnMut(usize, usize),
+    tap: impl FnMut(usize, usize),
+) where
+    T: Ord + 'k,
+    N: Navigator<T>,
+{
+    let finish =
+        |cur: &N::Cursor, acc: &N::Acc, key: &T| nav.rank_of_gap::<false>(nav.gap(cur, acc), key);
+    window_into::<T, N, usize, W>(nav, n, key_of, finish, sink, tap)
+}
+
+/// [`window_into`] resolving searches: the lower-bound slot if it
+/// holds the key.
+#[inline(always)]
+pub(crate) fn window_search_into<'k, T, N, const W: usize>(
+    nav: &N,
+    n: usize,
+    key_of: impl Fn(usize) -> &'k T,
+    sink: impl FnMut(usize, Option<usize>),
+    tap: impl FnMut(usize, usize),
+) where
+    T: Ord + 'k,
+    N: Navigator<T>,
+{
+    let finish = |cur: &N::Cursor, acc: &N::Acc, key: &T| found(nav, cur, acc, key);
+    window_into::<T, N, Option<usize>, W>(nav, n, key_of, finish, sink, tap)
 }
 
 impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
@@ -237,14 +214,31 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     ) where
         T: 'k,
     {
-        crate::dispatch_nav!(self, nav => {
+        crate::dispatch_nav!(rank self, nav => {
             window_rank_into::<T, _, WINDOW>(&nav, n, key_of, sink, |_, _| {})
         });
     }
 
-    /// `out[i] = f(search(keys[i]))`, pipelined within parallel chunks
-    /// ([`par_chunked`]) — the body of every search-shaped batch call.
-    fn search_each<Q, O>(&self, keys: &[Q], f: impl Fn(Option<usize>) -> O + Sync) -> Vec<O>
+    /// `out[i] = f(search(keys[i]))`, pipelined within parallel chunks.
+    /// `f` runs inside the chunks, so the answers a caller wants — say,
+    /// references to payloads — are written once, into the one output
+    /// vector, with no pass over positions after. The body of every
+    /// search-shaped batch call.
+    ///
+    /// # Examples
+    /// ```
+    /// use ist_query::{QueryKind, Searcher};
+    /// let keys = vec![10u64, 20, 30];
+    /// let names = ["ten", "twenty", "thirty"];
+    /// let s = Searcher::new(&keys, QueryKind::Sorted);
+    /// let got = s.batch_search_map(&[20, 25], |p| p.map(|p| names[p]));
+    /// assert_eq!(got, vec![Some("twenty"), None]);
+    /// ```
+    pub fn batch_search_map<Q, O>(
+        &self,
+        keys: &[Q],
+        f: impl Fn(Option<usize>) -> O + Sync,
+    ) -> Vec<O>
     where
         Q: Borrow<T> + Sync,
         O: Default + Clone + Send,
@@ -264,7 +258,8 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         out
     }
 
-    /// Batch search: `out[i]` is exactly [`Searcher::search`]`(keys[i])`,
+    /// Batch search: `out[i]` is exactly [`Searcher::search`]`(keys[i])`
+    /// — the leftmost slot holding the key —
     /// computed by the software-pipelined engine within rayon-parallel
     /// chunks (batches too short to pay for a hand-off stay on the
     /// calling thread).
@@ -288,7 +283,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(found, s.batch_search(&[&0, &2, &3, &1998])); // borrowed keys
     /// ```
     pub fn batch_search<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
-        self.search_each(keys, |r| r)
+        self.batch_search_map(keys, |r| r)
     }
 
     /// Batch rank: `out[i]` is the number of stored keys strictly
@@ -316,7 +311,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// loop of [`Searcher::contains`], including for batches smaller
     /// than any parallel grain.
     pub fn batch_count<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> usize {
-        let found = self.search_each(keys, |r| r.is_some());
+        let found = self.batch_search_map(keys, |r| r.is_some());
         found.into_iter().filter(|f| *f).count()
     }
 }

@@ -16,8 +16,8 @@
 //! [`nav::VebNav`], [`nav::SortedNav`]). Execution strategies are
 //! layout-agnostic drivers over the trait:
 //!
-//! * the **scalar** engine (`nav` module) — one descent at a time, early
-//!   exit on equality — behind the point methods of [`Searcher`];
+//! * the **scalar** engine (`nav` module) — one descent at a time —
+//!   behind the point methods of [`Searcher`];
 //! * the **software-pipelined** windowed engine (the `batch` module) — a
 //!   window of descents advanced level-synchronously with navigator
 //!   prefetches — behind the batch methods;
@@ -27,6 +27,11 @@
 //! `tests/navigator_equivalence.rs` (repository root) asserts all three
 //! visit bit-identical node sequences, via [`Searcher::trace_search`] /
 //! [`Searcher::trace_search_pipelined`] and friends.
+//!
+//! Every search is a **rank descent**: the `UPPER = false` steps with no
+//! equality test and no early exit, then one lower-bound slot and one
+//! verify probe. A hit costs exactly what a miss does, and a window of
+//! batched lookups carries nothing a window of ranks does not.
 //!
 //! ## Batched queries
 //!
@@ -57,10 +62,11 @@
 //! * [`Searcher::successor`]`(k)` / [`Searcher::predecessor`]`(k)` —
 //!   the first key strictly greater / last key strictly smaller, so
 //!   duplicates of `k` itself are skipped entirely.
-//! * [`Searcher::search`]`(k)` / [`Searcher::contains`] — **any** slot
-//!   holding a key equal to `k` (which copy is found depends on the
-//!   layout's probe order, but is deterministic per layout, and the
-//!   batch calls return exactly the per-key scalar answer).
+//! * [`Searcher::search`]`(k)` — the slot of the **leftmost** copy of
+//!   `k` in sorted order, on every layout: exactly
+//!   `lower_bound(k)` when that slot holds `k`, else `None` (the batch
+//!   calls return exactly the per-key scalar answer).
+//!   [`Searcher::contains`] is `search(k).is_some()`.
 //! * [`Searcher::range_count`]`(lo, hi)` — keys in `[lo, hi)` counted
 //!   **with multiplicity**.
 //!
@@ -85,11 +91,20 @@ use nav::{BinaryShape, BtreeSearchShape};
 /// Instantiate the navigator matching a [`Searcher`]'s shape and run
 /// `$body` with it — the single point where shape tags become concrete
 /// navigator types (everything downstream is `Navigator`-generic). The
-/// AVX2 shapes run `$body` inside [`wide::with_avx2`], so the node
-/// kernel inlines into the descent; every call site runs once per
-/// parallel chunk, on the thread that descends it.
+/// SIMD shapes run `$body` inside [`wide::with_avx2`] /
+/// [`wide::with_avx512`], so the node kernel inlines into the descent;
+/// every call site runs once per parallel chunk, on the thread that
+/// descends it. `dispatch_nav!(rank s, nav => …)` is for bodies that
+/// only rank: a rank descent never resolves a lower bound, so its vEB
+/// navigator keeps no successor candidate.
 macro_rules! dispatch_nav {
-    ($searcher:expr, $nav:ident => $body:expr) => {{
+    (rank $searcher:expr, $nav:ident => $body:expr) => {
+        $crate::dispatch_nav!(@succ false, $searcher, $nav => $body)
+    };
+    ($searcher:expr, $nav:ident => $body:expr) => {
+        $crate::dispatch_nav!(@succ true, $searcher, $nav => $body)
+    };
+    (@succ $succ:literal, $searcher:expr, $nav:ident => $body:expr) => {{
         let s = $searcher;
         match s.shape {
             $crate::ShapeData::Sorted => {
@@ -116,7 +131,9 @@ macro_rules! dispatch_nav {
                 // SAFETY: `Searcher::new` picks this shape only on a CPU
                 // with AVX2.
                 let $nav = unsafe {
-                    $crate::nav::WideBtreeNav::<_, 8, true>::from_shape_avx2(s.data, shape)
+                    $crate::nav::WideBtreeNav::<_, 8, { $crate::wide::kernel::AVX2 }>::with_kernel(
+                        s.data, shape,
+                    )
                 };
                 let body = || $body;
                 // SAFETY: as above.
@@ -125,14 +142,39 @@ macro_rules! dispatch_nav {
             $crate::ShapeData::BtreeWide16Avx2(shape) => {
                 // SAFETY: as for `BtreeWide8Avx2`.
                 let $nav = unsafe {
-                    $crate::nav::WideBtreeNav::<_, 16, true>::from_shape_avx2(s.data, shape)
+                    $crate::nav::WideBtreeNav::<_, 16, { $crate::wide::kernel::AVX2 }>::with_kernel(
+                        s.data, shape,
+                    )
                 };
                 let body = || $body;
                 // SAFETY: as above.
                 unsafe { $crate::wide::with_avx2(body) }
             }
+            $crate::ShapeData::BtreeWide8Avx512(shape) => {
+                // SAFETY: `Searcher::new` picks this shape only on a CPU
+                // with AVX-512F.
+                let $nav = unsafe {
+                    $crate::nav::WideBtreeNav::<_, 8, { $crate::wide::kernel::AVX512 }>::with_kernel(
+                        s.data, shape,
+                    )
+                };
+                let body = || $body;
+                // SAFETY: as above.
+                unsafe { $crate::wide::with_avx512(body) }
+            }
+            $crate::ShapeData::BtreeWide16Avx512(shape) => {
+                // SAFETY: as for `BtreeWide8Avx512`.
+                let $nav = unsafe {
+                    $crate::nav::WideBtreeNav::<_, 16, { $crate::wide::kernel::AVX512 }>::with_kernel(
+                        s.data, shape,
+                    )
+                };
+                let body = || $body;
+                // SAFETY: as above.
+                unsafe { $crate::wide::with_avx512(body) }
+            }
             $crate::ShapeData::Veb(shape) => {
-                let $nav = $crate::nav::VebNav::from_shape(s.data, shape);
+                let $nav = $crate::nav::VebNav::<_, $succ>::from_shape(s.data, shape);
                 $body
             }
         }
@@ -206,6 +248,12 @@ pub(crate) enum ShapeData {
     BtreeWide8Avx2(BtreeSearchShape),
     /// As [`ShapeData::BtreeWide8Avx2`], with `b == 16`.
     BtreeWide16Avx2(BtreeSearchShape),
+    /// [`ShapeData::BtreeWide8`] on the AVX-512 node kernel: `u64` /
+    /// `i64` keys on a CPU with AVX-512F, which [`Searcher::new`]
+    /// checked.
+    BtreeWide8Avx512(BtreeSearchShape),
+    /// As [`ShapeData::BtreeWide8Avx512`], with `b == 16`.
+    BtreeWide16Avx512(BtreeSearchShape),
     Veb(BinaryShape),
 }
 
@@ -233,21 +281,25 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// `tests/navigator_equivalence.rs`); only throughput changes.
     /// [`Searcher::new_runtime`] opts out.
     ///
-    /// **Kernel choice**, made here once per searcher: `u64` / `i64`
-    /// keys on an `x86_64` CPU that reports AVX2
-    /// (`is_x86_feature_detected!`, a cached load) take the AVX2 node
-    /// kernel — 4 keys per `vpcmpgtq` — whatever the build's target
-    /// features; `u32` keys take the SSE2 kernel; every other case
-    /// takes the portable unrolled loop.
+    /// **Kernel choice**, made here once per searcher, whatever the
+    /// build's target features (`is_x86_feature_detected!`, a cached
+    /// load): `u64` / `i64` keys on an `x86_64` CPU that reports
+    /// AVX-512F take the AVX-512 node kernel — 8 keys per compare into
+    /// a mask register — and on one that reports AVX2 the AVX2 kernel,
+    /// 4 keys per `vpcmpgtq`; `u32` keys take the SSE2 kernel; every
+    /// other case takes the portable unrolled loop.
     pub fn new(data: &'a [T], kind: QueryKind) -> Self {
         let mut s = Self::new_runtime(data, kind);
         if let ShapeData::Btree(shape) = s.shape {
             if wide::is_simd_key::<T>() {
-                s.shape = match (shape.b, wide::avx2_kernel::<T>()) {
-                    (8, true) => ShapeData::BtreeWide8Avx2(shape),
-                    (16, true) => ShapeData::BtreeWide16Avx2(shape),
-                    (8, _) => ShapeData::BtreeWide8(shape),
-                    (16, _) => ShapeData::BtreeWide16(shape),
+                let (avx512, avx2) = (wide::avx512_kernel::<T>(), wide::avx2_kernel::<T>());
+                s.shape = match (shape.b, avx512, avx2) {
+                    (8, true, _) => ShapeData::BtreeWide8Avx512(shape),
+                    (16, true, _) => ShapeData::BtreeWide16Avx512(shape),
+                    (8, _, true) => ShapeData::BtreeWide8Avx2(shape),
+                    (16, _, true) => ShapeData::BtreeWide16Avx2(shape),
+                    (8, ..) => ShapeData::BtreeWide8(shape),
+                    (16, ..) => ShapeData::BtreeWide16(shape),
                     _ => ShapeData::Btree(shape),
                 };
             }
@@ -282,9 +334,10 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     }
 
     /// `true` iff queries descend through a const-width wide-node
-    /// kernel (see [`Searcher::new`]'s width dispatch), on either node
-    /// kernel: the AVX2 one, which `new` picks for `u64` / `i64` keys
-    /// when the CPU reports AVX2, or the SSE2 / portable one otherwise.
+    /// kernel (see [`Searcher::new`]'s width dispatch), on any node
+    /// kernel: the AVX-512 or AVX2 one, which `new` picks for `u64` /
+    /// `i64` keys when the CPU reports the feature, or the SSE2 /
+    /// portable one otherwise.
     pub fn is_wide(&self) -> bool {
         matches!(
             self.shape,
@@ -292,11 +345,14 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
                 | ShapeData::BtreeWide16(_)
                 | ShapeData::BtreeWide8Avx2(_)
                 | ShapeData::BtreeWide16Avx2(_)
+                | ShapeData::BtreeWide8Avx512(_)
+                | ShapeData::BtreeWide16Avx512(_)
         )
     }
 
-    /// Find a layout index holding `key`, if present (any matching slot
-    /// when keys are duplicated; see the [crate docs](crate#duplicate-keys)).
+    /// The layout index of the leftmost copy of `key` in sorted order,
+    /// if present (see the [crate docs](crate#duplicate-keys)): the
+    /// rank descent's lower-bound slot, if it holds `key`.
     ///
     /// The sorted baseline short-circuits to `partition_point` + one
     /// verify probe — the same answer the navigator's pinned probe
@@ -343,7 +399,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         if let ShapeData::Sorted = self.shape {
             return self.data.partition_point(|x| x < key);
         }
-        dispatch_nav!(self, nav => nav::rank_with::<T, _, false>(&nav, key, |_| {}))
+        dispatch_nav!(rank self, nav => nav::rank_with::<T, _, false>(&nav, key, |_| {}))
     }
 
     /// The **upper rank** of `key`: how many stored keys are `≤ key`
@@ -362,13 +418,13 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         if let ShapeData::Sorted = self.shape {
             return self.data.partition_point(|x| x <= key);
         }
-        dispatch_nav!(self, nav => nav::rank_with::<T, _, true>(&nav, key, |_| {}))
+        dispatch_nav!(rank self, nav => nav::rank_with::<T, _, true>(&nav, key, |_| {}))
     }
 
     /// Layout position of the element with sorted rank `r`, via the
     /// closed-form position maps (`None` past the end). Shared by
-    /// `lower_bound`/`successor`/`predecessor` so all resolve ranks to
-    /// identical slots; also the way to walk a
+    /// `successor`/`predecessor` so both resolve ranks to identical
+    /// slots; also the way to walk a
     /// layout in **sorted order** without materializing a sorted copy
     /// (the log-structured merge in `ist-dynamic` streams runs this
     /// way).
@@ -399,7 +455,9 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
             | ShapeData::BtreeWide8(shape)
             | ShapeData::BtreeWide16(shape)
             | ShapeData::BtreeWide8Avx2(shape)
-            | ShapeData::BtreeWide16Avx2(shape) => {
+            | ShapeData::BtreeWide16Avx2(shape)
+            | ShapeData::BtreeWide8Avx512(shape)
+            | ShapeData::BtreeWide16Avx512(shape) => {
                 ist_layout::complete::BtreeCompleteShape::new(n, shape.b).pos(r)
             }
         })
@@ -408,7 +466,9 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// Layout index of the smallest stored key `≥ key` (the
     /// `lower_bound`), or `None` if every key is smaller. With
     /// duplicates, the leftmost copy in sorted order (see the
-    /// [crate docs](crate#duplicate-keys)).
+    /// [crate docs](crate#duplicate-keys)) — the element of sorted rank
+    /// [`Searcher::rank`]`(key)`, named by the rank descent itself (one
+    /// descent, no position map).
     ///
     /// # Examples
     /// ```
@@ -422,7 +482,11 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(s.lower_bound(&199), None);
     /// ```
     pub fn lower_bound(&self, key: &T) -> Option<usize> {
-        self.position_of_rank(self.rank(key))
+        if let ShapeData::Sorted = self.shape {
+            let r = self.data.partition_point(|x| x < key);
+            return (r < self.data.len()).then_some(r);
+        }
+        dispatch_nav!(self, nav => nav::lower_bound_with(&nav, key, |_| {}))
     }
 
     /// The scalar node-address sequence of one **search** descent: the
@@ -442,17 +506,16 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// (diagnostics; see [`Searcher::trace_search`]).
     pub fn trace_rank(&self, key: &T) -> Vec<usize> {
         let mut t = Vec::new();
-        dispatch_nav!(self, nav => {
+        dispatch_nav!(rank self, nav => {
             let _ = nav::rank_with::<T, _, false>(&nav, key, |p| t.push(p));
         });
         t
     }
 
     /// Per-query node-address sequences of the pipelined **search**
-    /// engine (diagnostics; see [`Searcher::trace_search`]). A scalar
-    /// trace is always a prefix of its pipelined twin: the window keeps
-    /// descending after an equality hit instead of breaking the round
-    /// structure.
+    /// engine (diagnostics; see [`Searcher::trace_search`]). A search
+    /// is a rank descent on every path, so these equal the scalar
+    /// search traces and the rank traces.
     // LINT-ALLOW(test-only-pub): navigator_equivalence pins the pipelined search path
     pub fn trace_search_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
         let mut t = vec![Vec::new(); keys.len()];
@@ -474,7 +537,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     // LINT-ALLOW(test-only-pub): navigator_equivalence pins the pipelined rank path
     pub fn trace_rank_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
         let mut t = vec![Vec::new(); keys.len()];
-        dispatch_nav!(self, nav => {
+        dispatch_nav!(rank self, nav => {
             batch::window_rank_into::<T, _, { batch::WINDOW }>(
                 &nav,
                 keys.len(),
@@ -645,6 +708,28 @@ mod tests {
                         "n={n} {kind:?} len={len}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The vEB navigator the rank engines build keeps no successor
+    /// candidate; its lower bounds come from the closed form instead,
+    /// and must name the same slots — duplicates, overflow leaves and
+    /// both ends included.
+    #[test]
+    fn veb_lower_bounds_agree_without_the_candidate() {
+        for n in [1usize, 2, 7, 10, 100, 700, 4099] {
+            let mut data: Vec<u64> = (0..n as u64).map(|x| 3 * (x / 2)).collect();
+            permute_in_place(&mut data, Layout::Veb, Algorithm::CycleLeader).unwrap();
+            let shape = BinaryShape::new(n);
+            let with = nav::VebNav::<_, true>::from_shape(&data, shape);
+            let without = nav::VebNav::<_, false>::from_shape(&data, shape);
+            for key in 0..3 * n as u64 / 2 + 3 {
+                assert_eq!(
+                    nav::lower_bound_with(&without, &key, |_| {}),
+                    nav::lower_bound_with(&with, &key, |_| {}),
+                    "n={n} key={key}"
+                );
             }
         }
     }

@@ -13,8 +13,8 @@
 //! (the O(log log N) [`veb_pos`] map is not on any descent path; debug
 //! builds assert each step against it). The drivers:
 //!
-//! * the scalar engine ([`search_with`] / [`rank_with`]) — one descent
-//!   at a time, early exit on equality;
+//! * the scalar engine ([`search_with`] / [`lower_bound_with`] /
+//!   [`rank_with`]) — one descent at a time;
 //! * the software-pipelined windowed engine (`crate::batch`) — a window
 //!   of descents advanced level-synchronously, branchless, with the
 //!   navigator supplying the prefetch targets;
@@ -47,31 +47,35 @@
 //!    windows cheap.
 //! 3. Each round, while [`Navigator::is_live`], the engine may read
 //!    [`Navigator::node_base`] / [`Navigator::node_width`] (the
-//!    addresses about to be touched), then calls one `step_*` method:
-//!    branchless compare-and-advance. Search steps additionally latch a
-//!    first equality hit into a result register (`*res` stays [`MISS`]
-//!    until then). The **last** round uses the `step_*_last` variants:
-//!    the descent falls off the perfect part, so the accumulator
-//!    becomes the landing gap and no child is computed.
+//!    addresses about to be touched), then calls
+//!    [`Navigator::step_rank`]: branchless compare-and-advance, nothing
+//!    else. There is no equality test and no early exit on any path:
+//!    a search *is* a rank descent. The **last** round uses
+//!    [`Navigator::step_rank_last`]: the descent falls off the perfect
+//!    part, so the accumulator becomes the landing gap and no child is
+//!    computed.
 //! 4. After the rounds, [`Navigator::gap`] names the in-order gap the
-//!    descent fell into; [`Navigator::resolve_miss`] probes the
-//!    overflow suffix and [`Navigator::rank_of_gap`] converts the gap
-//!    into a rank.
+//!    descent fell into, and one of two resolutions runs.
+//!    [`Navigator::rank_of_gap`] converts the gap into a rank.
+//!    [`Navigator::lower_bound_slot`] names the layout slot of the
+//!    first key `≥` the probe: the overflow key in the landing gap if
+//!    one qualifies, else the full-part successor — from the gap by a
+//!    closed form (BST, B-tree) or from a candidate register the steps
+//!    keep (vEB). A search is that slot plus one verify probe
+//!    ([`search_with`]), so it returns the **leftmost** copy of a
+//!    duplicated key on every layout.
 //!
 //! Rank descents come in two flavors selected by a const generic:
 //! `UPPER = false` counts keys strictly below the probe (ties descend
 //! left), `UPPER = true` counts keys `≤` the probe (ties descend
-//! right). Successor/predecessor queries are rank queries in disguise
+//! right). Searches and lower bounds run `UPPER = false`;
+//! successor/predecessor queries are rank queries in disguise
 //! (`crate::order`).
 
-use ist_layout::{veb_levels, veb_pos, CompleteShape, VebCursor, VebLevel};
+use core::hint::select_unpredictable;
+use ist_layout::{bst_pos, veb_levels, veb_pos, CompleteShape, VebCursor, VebLevel};
 
 pub use crate::wide::{SimdKey, WideBtreeNav};
-
-/// Sentinel for "no equality hit latched yet" in a search descent's
-/// result register (never a valid layout index: indices are
-/// `< data.len()`).
-pub const MISS: usize = usize::MAX;
 
 /// Issue a best-effort prefetch of `data[index]` into the first-level
 /// data cache.
@@ -226,38 +230,14 @@ pub trait Navigator<T: Ord>: Copy {
         1
     }
 
-    /// **Search** step: compare `key` against the current node, latch a
-    /// first equality hit into `*res` (left at [`MISS`] otherwise), and
-    /// branchlessly advance to the child. Ties descend toward smaller
-    /// positions, exactly like the pre-navigator per-layout kernels.
+    /// **Rank** step: compare `key` against the current node and
+    /// branchlessly advance to the child. With `UPPER = false` ties
+    /// descend left (the final gap counts keys `< key`); with
+    /// `UPPER = true` ties descend right (keys `≤ key`).
     ///
     /// Engines call this for every round **except the last** (see
-    /// [`Navigator::step_search_last`]), so implementations may assume
-    /// a child node exists.
-    fn step_search(
-        &self,
-        cur: &mut Self::Cursor,
-        acc: &mut Self::Acc,
-        res: &mut usize,
-        key: &T,
-        ctx: Self::Round,
-    );
-
-    /// Final-round **search** step: same compare-and-latch, but the
-    /// descent falls off the perfect part, so the accumulator becomes
-    /// the landing gap and no child is computed.
-    fn step_search_last(
-        &self,
-        cur: &mut Self::Cursor,
-        acc: &mut Self::Acc,
-        res: &mut usize,
-        key: &T,
-    );
-
-    /// **Rank** step: advance without an equality latch. With
-    /// `UPPER = false` ties descend left (the final gap counts keys
-    /// `< key`); with `UPPER = true` ties descend right (keys `≤ key`).
-    /// Like [`Navigator::step_search`], never the last round.
+    /// [`Navigator::step_rank_last`]), so implementations may assume a
+    /// child node exists.
     fn step_rank<const UPPER: bool>(
         &self,
         cur: &mut Self::Cursor,
@@ -266,7 +246,9 @@ pub trait Navigator<T: Ord>: Copy {
         ctx: Self::Round,
     );
 
-    /// Final-round **rank** step (see [`Navigator::step_search_last`]).
+    /// Final-round **rank** step: the same compare, but the descent
+    /// falls off the perfect part, so the accumulator becomes the
+    /// landing gap and no child is computed.
     fn step_rank_last<const UPPER: bool>(
         &self,
         cur: &mut Self::Cursor,
@@ -276,9 +258,15 @@ pub trait Navigator<T: Ord>: Copy {
 
     /// The in-order gap a finished descent fell into.
     fn gap(&self, cur: &Self::Cursor, acc: &Self::Acc) -> usize;
-    /// Probe the overflow suffix hanging in `gap` for `key` (search
-    /// resolution after a descent with no latched hit).
-    fn resolve_miss(&self, gap: usize, key: &T) -> Option<usize>;
+    /// The layout slot of the first key `≥ key` in sorted order (the
+    /// lower bound; with duplicates, the leftmost copy), after an
+    /// `UPPER = false` rank descent for `key` ended in these registers;
+    /// `None` if every stored key is smaller. The slot is the overflow
+    /// key in the landing gap when one is `≥ key`, else the full-part
+    /// element right of the gap. Reads at most the landing gap's
+    /// overflow keys — which [`Navigator::prefetch_gap`] warmed — and
+    /// nothing the descent did not already touch.
+    fn lower_bound_slot(&self, cur: &Self::Cursor, acc: &Self::Acc, key: &T) -> Option<usize>;
     /// Convert a finished rank descent's gap into the rank (`< key`
     /// count, or `≤ key` with `UPPER`).
     fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize;
@@ -299,10 +287,23 @@ pub trait Navigator<T: Ord>: Copy {
 // into the same `[perfect | overflow leaves]` suffix format).
 // ---------------------------------------------------------------------
 
-#[inline]
-fn probe_overflow<T: Ord>(data: &[T], i: usize, l: usize, g: usize, key: &T) -> Option<usize> {
-    if g < l && data[i + g] == *key {
+/// Complete-binary-tree lower bound from the fall-off gap: the
+/// overflow leaf in gap `g` when it is `≥ key` (it precedes full
+/// element `g` in sorted order), else full element `g` at
+/// `full_pos()`, else nothing (`g == i`: every full key is smaller).
+#[inline(always)]
+fn binary_lower_bound<T: Ord>(
+    data: &[T],
+    i: usize,
+    l: usize,
+    g: usize,
+    key: &T,
+    full_pos: impl FnOnce() -> usize,
+) -> Option<usize> {
+    if g < l && data[i + g] >= *key {
         Some(i + g)
+    } else if g < i {
+        Some(full_pos())
     } else {
         None
     }
@@ -325,6 +326,27 @@ fn binary_rank_from_gap<T: Ord, const UPPER: bool>(
         rank += 1;
     }
     rank
+}
+
+/// Layout slot of in-order element `g` of the perfect B-tree with `b`
+/// keys per node whose root's child subtrees hold `span` keys each
+/// (`(b+1)^{levels−1} − 1`, the first round constant — also the number
+/// of keys above the leaf level). This is [`ist_layout::btree_pos`]
+/// with that prefix carried down one division per level instead of
+/// recomputed by `pow`: a leaf key, `b` of every `b + 1` elements,
+/// takes no loop turn, and with a const `b` the divisions are
+/// multiplies.
+#[inline(always)]
+pub(crate) fn btree_full_pos(b: usize, span: usize, g: usize) -> usize {
+    let k = b + 1;
+    let (mut g, mut internal) = (g, span);
+    // Every k-th element is internal: it sits in the perfect tree of
+    // those elements, one level shorter, laid out in the prefix.
+    while (g + 1).is_multiple_of(k) {
+        g = (g + 1) / k - 1;
+        internal = internal.saturating_sub(b) / k;
+    }
+    internal + g / k * b + g % k
 }
 
 /// Is `stored` on the counted side of the rank boundary?
@@ -406,31 +428,12 @@ impl<'a, T: Ord> Navigator<T> for BstNav<'a, T> {
     }
 
     #[inline(always)]
-    fn step_search(&self, cur: &mut usize, acc: &mut usize, res: &mut usize, key: &T, half: usize) {
+    fn step_rank<const UPPER: bool>(&self, cur: &mut usize, acc: &mut usize, key: &T, half: usize) {
         let v = *cur;
         debug_assert!(v < self.shape.i);
         // SAFETY: on each of the `d` full levels a node index is at most
         // 2^{level+1} − 2 ≤ 2^d − 2 < i ≤ data.len(), and the shape was
         // derived from this very slice's length.
-        let node = unsafe { self.data.get_unchecked(v) };
-        let hit = (*res == MISS) & (*key == *node);
-        *res = if hit { v } else { *res };
-        let gt = usize::from(*key > *node);
-        *cur = 2 * v + 1 + gt;
-        *acc += (half + 1) * gt;
-    }
-
-    #[inline(always)]
-    fn step_search_last(&self, cur: &mut usize, acc: &mut usize, res: &mut usize, key: &T) {
-        // The last level's subtrees are single nodes: half = 0.
-        self.step_search(cur, acc, res, key, 0);
-    }
-
-    #[inline(always)]
-    fn step_rank<const UPPER: bool>(&self, cur: &mut usize, acc: &mut usize, key: &T, half: usize) {
-        let v = *cur;
-        debug_assert!(v < self.shape.i);
-        // SAFETY: as in `step_search`.
         let node = unsafe { self.data.get_unchecked(v) };
         let gt = usize::from(counted::<T, UPPER>(node, key));
         *cur = 2 * v + 1 + gt;
@@ -439,6 +442,7 @@ impl<'a, T: Ord> Navigator<T> for BstNav<'a, T> {
 
     #[inline(always)]
     fn step_rank_last<const UPPER: bool>(&self, cur: &mut usize, acc: &mut usize, key: &T) {
+        // The last level's subtrees are single nodes: half = 0.
         self.step_rank::<UPPER>(cur, acc, key, 0);
     }
 
@@ -446,9 +450,13 @@ impl<'a, T: Ord> Navigator<T> for BstNav<'a, T> {
     fn gap(&self, _cur: &usize, acc: &usize) -> usize {
         *acc
     }
-    #[inline]
-    fn resolve_miss(&self, gap: usize, key: &T) -> Option<usize> {
-        probe_overflow(self.data, self.shape.i, self.shape.l, gap, key)
+    /// The full-part successor of gap `g` is in-order element `g`,
+    /// placed by the closed-form [`bst_pos`] (a trailing-zero count and
+    /// two shifts).
+    #[inline(always)]
+    fn lower_bound_slot(&self, _cur: &usize, acc: &usize, key: &T) -> Option<usize> {
+        let BinaryShape { d, i, l } = self.shape;
+        binary_lower_bound(self.data, i, l, *acc, key, || bst_pos(d, *acc))
     }
     #[inline]
     fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize {
@@ -478,31 +486,52 @@ impl<'a, T: Ord> Navigator<T> for BstNav<'a, T> {
 // step).
 // ---------------------------------------------------------------------
 
-/// Navigator for the van Emde Boas layout. Cursor: the layout index of
-/// the current node plus the saved ancestor positions the
-/// [descent table](ist_layout::veb_levels) derives the next one from;
-/// accumulator: the node's index within its depth (from 0, left to
-/// right — the path's turns as bits), which ends as the landing gap.
-pub struct VebNav<'a, T> {
+/// Navigator for the van Emde Boas layout. Cursor: a [`VebDescent`] —
+/// the current node's layout index, the saved ancestor positions the
+/// [descent table](ist_layout::veb_levels) derives the next one from,
+/// and the full-part successor candidate; accumulator: the node's
+/// index within its depth (from 0, left to right — the path's turns
+/// as bits), which ends as the landing gap.
+///
+/// `SUCC = false` drops the candidate's conditional move from every
+/// step: the rank engines, which never resolve a lower bound, build that
+/// variant (it costs 7–14 % of single-thread vEB `batch_rank` throughput
+/// at 2^16–2^20 keys, measured on a 2-vCPU AVX-512 x86-64 VM), and
+/// its [`Navigator::lower_bound_slot`] falls back to [`veb_pos`].
+pub struct VebNav<'a, T, const SUCC: bool = true> {
     data: &'a [T],
     shape: BinaryShape,
     /// The descent table for `shape.d` levels.
     levels: &'static [VebLevel],
 }
 
-impl<'a, T> Clone for VebNav<'a, T> {
+/// A vEB descent's cursor register: where the descent stands, plus the
+/// layout position of the last node it turned left at. That node is
+/// the smallest full-part key `≥` the probe seen so far, so when the
+/// descent falls off it is the landing gap's full-part successor —
+/// kept by one conditional move per step, because the closed-form
+/// [`veb_pos`] costs `O(log log N)` table-free recursion per call.
+#[derive(Debug, Clone, Copy)]
+pub struct VebDescent {
+    at: VebCursor,
+    succ: usize,
+}
+
+impl<'a, T, const SUCC: bool> Clone for VebNav<'a, T, SUCC> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<'a, T> Copy for VebNav<'a, T> {}
+impl<'a, T, const SUCC: bool> Copy for VebNav<'a, T, SUCC> {}
 
 impl<'a, T: Ord> VebNav<'a, T> {
     /// Navigator for `data` in vEB layout (`[perfect | overflow]`).
     pub fn new(data: &'a [T]) -> Self {
         Self::from_shape(data, BinaryShape::new(data.len()))
     }
+}
 
+impl<'a, T: Ord, const SUCC: bool> VebNav<'a, T, SUCC> {
     #[inline]
     pub(crate) fn from_shape(data: &'a [T], shape: BinaryShape) -> Self {
         debug_assert_eq!(shape, BinaryShape::new(data.len()));
@@ -513,24 +542,32 @@ impl<'a, T: Ord> VebNav<'a, T> {
         }
     }
 
-    /// Move to the left or right child, at depth `k`.
+    /// The current node (at a depth `< d`) and whether `key` sends the
+    /// descent left of it; with `SUCC`, a left turn makes the node the
+    /// successor candidate.
     #[inline(always)]
-    fn advance(&self, cur: &mut VebCursor, acc: &mut usize, left: bool, k: u32) {
-        cur.descend(&self.levels[k as usize], *acc, left);
-        *acc = 2 * *acc + usize::from(!left);
-        debug_assert_eq!(
-            cur.pos(),
-            // In-order rank of node `acc` of depth `k`.
-            veb_pos(self.shape.d, ((2 * *acc + 1) << (self.shape.d - 1 - k)) - 1)
-        );
+    fn turn<const UPPER: bool>(&self, cur: &mut VebDescent, key: &T) -> bool {
+        let pos = cur.at.pos();
+        debug_assert!(pos < self.shape.i);
+        // SAFETY: the descent table maps the nodes of the d full levels
+        // to layout positions 0..i (checked against veb_pos per step in
+        // debug builds and exhaustively in ist-layout's tests), the
+        // engines step at most d rounds from the root, and the shape was
+        // derived from this very slice's length.
+        let node = unsafe { self.data.get_unchecked(pos) };
+        let left = !counted::<T, UPPER>(node, key);
+        if SUCC {
+            cur.succ = select_unpredictable(left, pos, cur.succ);
+        }
+        left
     }
 }
 
-impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
-    type Cursor = VebCursor;
+impl<'a, T: Ord, const SUCC: bool> Navigator<T> for VebNav<'a, T, SUCC> {
+    type Cursor = VebDescent;
     type Acc = usize;
     /// The depth `k ≥ 1` the round's step moves onto (the leaf round
-    /// has no step — see [`Navigator::step_search_last`]).
+    /// has no step — see [`Navigator::step_rank_last`]).
     type Round = u32;
 
     #[inline(always)]
@@ -542,8 +579,11 @@ impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
         self.shape.d
     }
     #[inline(always)]
-    fn start(&self) -> (VebCursor, usize) {
-        (VebCursor::ROOT, 0)
+    fn start(&self) -> (VebDescent, usize) {
+        // `succ` is only read when some step turned left (see
+        // `lower_bound_slot`), so its start value is never observed.
+        let at = VebCursor::ROOT;
+        (VebDescent { at, succ: 0 }, 0)
     }
     #[inline(always)]
     fn first_round(&self) -> u32 {
@@ -554,71 +594,50 @@ impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
         k + 1
     }
     #[inline(always)]
-    fn node_base(&self, cur: &VebCursor, _acc: &usize) -> usize {
-        cur.pos()
+    fn node_base(&self, cur: &VebDescent, _acc: &usize) -> usize {
+        cur.at.pos()
     }
 
     #[inline(always)]
-    fn step_search(&self, cur: &mut VebCursor, acc: &mut usize, res: &mut usize, key: &T, k: u32) {
-        let pos = cur.pos();
-        debug_assert!(pos < self.shape.i);
-        // SAFETY: the descent table maps the nodes of the d full levels
-        // to layout positions 0..i (checked against veb_pos per step in
-        // debug builds and exhaustively in ist-layout's tests), the
-        // engines step at most d rounds from the root, and the shape was
-        // derived from this very slice's length.
-        let node = unsafe { self.data.get_unchecked(pos) };
-        let hit = (*res == MISS) & (*key == *node);
-        *res = if hit { pos } else { *res };
-        self.advance(cur, acc, *key < *node, k);
+    fn step_rank<const UPPER: bool>(&self, cur: &mut VebDescent, acc: &mut usize, key: &T, k: u32) {
+        let left = self.turn::<UPPER>(cur, key);
+        cur.at.descend(&self.levels[k as usize], *acc, left);
+        *acc = 2 * *acc + usize::from(!left);
+        debug_assert_eq!(
+            cur.at.pos(),
+            // In-order rank of node `acc` of depth `k`.
+            veb_pos(self.shape.d, ((2 * *acc + 1) << (self.shape.d - 1 - k)) - 1)
+        );
     }
 
     #[inline(always)]
-    fn step_search_last(&self, cur: &mut VebCursor, acc: &mut usize, res: &mut usize, key: &T) {
-        let pos = cur.pos();
-        debug_assert!(pos < self.shape.i);
-        // SAFETY: as in `step_search`.
-        let node = unsafe { self.data.get_unchecked(pos) };
-        let hit = (*res == MISS) & (*key == *node);
-        *res = if hit { pos } else { *res };
+    fn step_rank_last<const UPPER: bool>(&self, cur: &mut VebDescent, acc: &mut usize, key: &T) {
         // Fell off leaf `acc`: gap 2·acc left of it, 2·acc + 1 right.
         // No child, so no position to derive.
-        *acc = 2 * *acc + usize::from(*key >= *node);
+        let left = self.turn::<UPPER>(cur, key);
+        *acc = 2 * *acc + usize::from(!left);
     }
 
     #[inline(always)]
-    fn step_rank<const UPPER: bool>(&self, cur: &mut VebCursor, acc: &mut usize, key: &T, k: u32) {
-        let pos = cur.pos();
-        debug_assert!(pos < self.shape.i);
-        // SAFETY: as in `step_search`.
-        let node = unsafe { self.data.get_unchecked(pos) };
-        self.advance(cur, acc, !counted::<T, UPPER>(node, key), k);
-    }
-
-    #[inline(always)]
-    fn step_rank_last<const UPPER: bool>(&self, cur: &mut VebCursor, acc: &mut usize, key: &T) {
-        let pos = cur.pos();
-        debug_assert!(pos < self.shape.i);
-        // SAFETY: as in `step_search`.
-        let node = unsafe { self.data.get_unchecked(pos) };
-        *acc = 2 * *acc + usize::from(counted::<T, UPPER>(node, key));
-    }
-
-    #[inline(always)]
-    fn gap(&self, _cur: &VebCursor, acc: &usize) -> usize {
+    fn gap(&self, _cur: &VebDescent, acc: &usize) -> usize {
         *acc
     }
-    #[inline]
-    fn resolve_miss(&self, gap: usize, key: &T) -> Option<usize> {
-        probe_overflow(self.data, self.shape.i, self.shape.l, gap, key)
+    /// Gap `g < i` means some step turned left, at in-order element
+    /// `g`: the candidate register holds its position (without `SUCC`,
+    /// the closed form finds it).
+    #[inline(always)]
+    fn lower_bound_slot(&self, cur: &VebDescent, acc: &usize, key: &T) -> Option<usize> {
+        let BinaryShape { d, i, l } = self.shape;
+        let full_pos = || if SUCC { cur.succ } else { veb_pos(d, *acc) };
+        binary_lower_bound(self.data, i, l, *acc, key, full_pos)
     }
     #[inline]
     fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize {
         binary_rank_from_gap::<T, UPPER>(self.data, self.shape.i, self.shape.l, gap, key)
     }
     #[inline(always)]
-    fn prefetch_node(&self, cur: &VebCursor, _acc: &usize) {
-        prefetch(self.data, cur.pos());
+    fn prefetch_node(&self, cur: &VebDescent, _acc: &usize) {
+        prefetch(self.data, cur.at.pos());
     }
     #[inline(always)]
     fn prefetch_gap(&self, gap: usize) {
@@ -720,36 +739,6 @@ impl<'a, T: Ord> Navigator<T> for BtreeNav<'a, T> {
     }
 
     #[inline(always)]
-    fn step_search(
-        &self,
-        cur: &mut usize,
-        acc: &mut usize,
-        res: &mut usize,
-        key: &T,
-        child: usize,
-    ) {
-        let v = *cur;
-        let base = v * self.shape.b;
-        let keys = self.node_keys(v);
-        // c = number of node keys < key (whole-node branchless scan; B is
-        // small enough that the node is one or two cache lines).
-        let mut c = 0usize;
-        for kk in keys {
-            c += usize::from(*key > *kk);
-        }
-        let hit = *res == MISS && c < self.shape.b && keys[c] == *key;
-        *res = if hit { base + c } else { *res };
-        *cur = v * (self.shape.b + 1) + c + 1;
-        *acc += c * (child + 1);
-    }
-
-    #[inline(always)]
-    fn step_search_last(&self, cur: &mut usize, acc: &mut usize, res: &mut usize, key: &T) {
-        // The last node level's child subtrees are empty: child = 0.
-        self.step_search(cur, acc, res, key, 0);
-    }
-
-    #[inline(always)]
     fn step_rank<const UPPER: bool>(
         &self,
         cur: &mut usize,
@@ -769,6 +758,7 @@ impl<'a, T: Ord> Navigator<T> for BtreeNav<'a, T> {
 
     #[inline(always)]
     fn step_rank_last<const UPPER: bool>(&self, cur: &mut usize, acc: &mut usize, key: &T) {
+        // The last node level's child subtrees are empty: child = 0.
         self.step_rank::<UPPER>(cur, acc, key, 0);
     }
 
@@ -777,14 +767,24 @@ impl<'a, T: Ord> Navigator<T> for BtreeNav<'a, T> {
         *acc
     }
 
-    /// Scan the overflow node hanging in gap `gap` for `key`.
+    /// The first key `≥ key` of the overflow node hanging in the gap,
+    /// else the gap's full-part successor by the level walk of
+    /// [`ist_layout::btree_pos`].
     #[inline]
-    fn resolve_miss(&self, gap: usize, key: &T) -> Option<usize> {
-        let (start, len) = self.overflow_node(gap);
-        self.data[start..start + len]
+    fn lower_bound_slot(&self, _cur: &usize, acc: &usize, key: &T) -> Option<usize> {
+        let g = *acc;
+        let (start, len) = self.overflow_node(g);
+        let c = self.data[start..start + len]
             .iter()
-            .position(|x| *x == *key)
-            .map(|off| start + off)
+            .take_while(|x| **x < *key)
+            .count();
+        if c < len {
+            Some(start + c)
+        } else if g < self.shape.i {
+            Some(btree_full_pos(self.shape.b, self.first_round(), g))
+        } else {
+            None
+        }
     }
 
     /// B-tree rank from the fall-off gap: `gap` full elements counted,
@@ -821,9 +821,8 @@ impl<'a, T: Ord> Navigator<T> for BtreeNav<'a, T> {
 
 /// Navigator for the un-permuted sorted array (the binary-search
 /// baseline). Cursor: `lo`, the count of keys known on the counted
-/// side; accumulator: the undecided length. A "search" descent is a
-/// rank descent plus a verify probe at the partition point, so hits
-/// resolve to the **leftmost** matching index.
+/// side; accumulator: the undecided length. The partition point the
+/// descent ends at is both the rank and the lower-bound slot.
 pub struct SortedNav<'a, T> {
     data: &'a [T],
 }
@@ -874,21 +873,6 @@ impl<'a, T: Ord> Navigator<T> for SortedNav<'a, T> {
         *cur + *acc / 2
     }
 
-    /// Never latches a hit: equality is resolved by the verify probe in
-    /// [`Navigator::resolve_miss`], pinning the leftmost-match contract
-    /// and keeping the probe sequence identical to the rank descent.
-    #[inline(always)]
-    fn step_search(&self, cur: &mut usize, acc: &mut usize, _res: &mut usize, key: &T, (): ()) {
-        self.step_rank::<false>(cur, acc, key, ());
-    }
-
-    #[inline(always)]
-    fn step_search_last(&self, cur: &mut usize, acc: &mut usize, res: &mut usize, key: &T) {
-        // Every partition-point round is the same; the "last" round is
-        // just the one that drains the final undecided element.
-        self.step_search(cur, acc, res, key, ());
-    }
-
     #[inline(always)]
     fn step_rank<const UPPER: bool>(&self, cur: &mut usize, acc: &mut usize, key: &T, (): ()) {
         let len = *acc;
@@ -906,6 +890,8 @@ impl<'a, T: Ord> Navigator<T> for SortedNav<'a, T> {
 
     #[inline(always)]
     fn step_rank_last<const UPPER: bool>(&self, cur: &mut usize, acc: &mut usize, key: &T) {
+        // Every partition-point round is the same; the "last" round is
+        // just the one that drains the final undecided element.
         self.step_rank::<UPPER>(cur, acc, key, ());
     }
 
@@ -913,13 +899,9 @@ impl<'a, T: Ord> Navigator<T> for SortedNav<'a, T> {
     fn gap(&self, cur: &usize, _acc: &usize) -> usize {
         *cur
     }
-    #[inline]
-    fn resolve_miss(&self, gap: usize, key: &T) -> Option<usize> {
-        if gap < self.data.len() && self.data[gap] == *key {
-            Some(gap)
-        } else {
-            None
-        }
+    #[inline(always)]
+    fn lower_bound_slot(&self, cur: &usize, _acc: &usize, _key: &T) -> Option<usize> {
+        (*cur < self.data.len()).then_some(*cur)
     }
     #[inline(always)]
     fn rank_of_gap<const UPPER: bool>(&self, gap: usize, _key: &T) -> usize {
@@ -941,19 +923,18 @@ impl<'a, T: Ord> Navigator<T> for SortedNav<'a, T> {
 // The scalar engine: one descent at a time, run to completion.
 // ---------------------------------------------------------------------
 
-/// Scalar search over any navigator: early exit on equality, overflow
-/// probe on falling off. `tap` observes the base address of every node
+/// One full rank descent (ties left, or right with `UPPER`), returning
+/// the final registers. `tap` observes the base address of every node
 /// read (a no-op closure compiles away); the equivalence suite uses it
 /// to pin execution paths together.
 #[inline(always)]
-pub fn search_with<T: Ord, N: Navigator<T>>(
+fn descend<T: Ord, N: Navigator<T>, const UPPER: bool>(
     nav: &N,
     key: &T,
     mut tap: impl FnMut(usize),
-) -> Option<usize> {
+) -> (N::Cursor, N::Acc) {
     let (mut cur, mut acc) = nav.start();
     let mut ctx = nav.first_round();
-    let mut res = MISS;
     let rounds = nav.rounds();
     for _ in 1..rounds {
         if !nav.is_live(&cur, &acc) {
@@ -961,38 +942,6 @@ pub fn search_with<T: Ord, N: Navigator<T>>(
         }
         tap(nav.node_base(&cur, &acc));
         nav.prefetch_hint(&cur);
-        nav.step_search(&mut cur, &mut acc, &mut res, key, ctx);
-        if res != MISS {
-            return Some(res);
-        }
-        ctx = nav.next_round(ctx);
-    }
-    if rounds > 0 && nav.is_live(&cur, &acc) {
-        tap(nav.node_base(&cur, &acc));
-        nav.step_search_last(&mut cur, &mut acc, &mut res, key);
-        if res != MISS {
-            return Some(res);
-        }
-    }
-    nav.resolve_miss(nav.gap(&cur, &acc), key)
-}
-
-/// Scalar rank over any navigator (strictly-smaller count, or `≤` with
-/// `UPPER`). `tap` as in [`search_with`].
-#[inline(always)]
-pub fn rank_with<T: Ord, N: Navigator<T>, const UPPER: bool>(
-    nav: &N,
-    key: &T,
-    mut tap: impl FnMut(usize),
-) -> usize {
-    let (mut cur, mut acc) = nav.start();
-    let mut ctx = nav.first_round();
-    let rounds = nav.rounds();
-    for _ in 1..rounds {
-        if !nav.is_live(&cur, &acc) {
-            break;
-        }
-        tap(nav.node_base(&cur, &acc));
         nav.step_rank::<UPPER>(&mut cur, &mut acc, key, ctx);
         ctx = nav.next_round(ctx);
     }
@@ -1000,5 +949,60 @@ pub fn rank_with<T: Ord, N: Navigator<T>, const UPPER: bool>(
         tap(nav.node_base(&cur, &acc));
         nav.step_rank_last::<UPPER>(&mut cur, &mut acc, key);
     }
+    (cur, acc)
+}
+
+/// The search answer of finished `UPPER = false` registers: the
+/// lower-bound slot if it holds `key` (one verify probe), so a hit is
+/// always the leftmost copy.
+#[inline(always)]
+pub(crate) fn found<T: Ord, N: Navigator<T>>(
+    nav: &N,
+    cur: &N::Cursor,
+    acc: &N::Acc,
+    key: &T,
+) -> Option<usize> {
+    nav.lower_bound_slot(cur, acc, key)
+        .filter(|&p| nav.data()[p] == *key)
+}
+
+/// Scalar search over any navigator: the rank descent, then the
+/// lower-bound slot and one verify probe — no early exit, so a hit
+/// costs what a miss does and returns the leftmost copy. `tap` as in
+/// [`rank_with`].
+#[inline(always)]
+pub fn search_with<T: Ord, N: Navigator<T>>(
+    nav: &N,
+    key: &T,
+    tap: impl FnMut(usize),
+) -> Option<usize> {
+    let (cur, acc) = descend::<T, N, false>(nav, key, tap);
+    found(nav, &cur, &acc, key)
+}
+
+/// Scalar lower bound over any navigator: the layout slot of the first
+/// key `≥ key` in sorted order, from one rank descent. `tap` as in
+/// [`rank_with`].
+#[inline(always)]
+pub fn lower_bound_with<T: Ord, N: Navigator<T>>(
+    nav: &N,
+    key: &T,
+    tap: impl FnMut(usize),
+) -> Option<usize> {
+    let (cur, acc) = descend::<T, N, false>(nav, key, tap);
+    nav.lower_bound_slot(&cur, &acc, key)
+}
+
+/// Scalar rank over any navigator (strictly-smaller count, or `≤` with
+/// `UPPER`). `tap` observes the base address of every node read (a
+/// no-op closure compiles away); the equivalence suite uses it to pin
+/// execution paths together.
+#[inline(always)]
+pub fn rank_with<T: Ord, N: Navigator<T>, const UPPER: bool>(
+    nav: &N,
+    key: &T,
+    tap: impl FnMut(usize),
+) -> usize {
+    let (cur, acc) = descend::<T, N, UPPER>(nav, key, tap);
     nav.rank_of_gap::<UPPER>(nav.gap(&cur, &acc), key)
 }

@@ -9,17 +9,19 @@
 //! (`B ∈ {8, 16}` are wired into the [`Searcher`](crate::Searcher)
 //! dispatch): the per-node rank is a fully unrolled, branchless sum of
 //! `B` comparisons, and for [`SimdKey`] key types on `x86_64` it is a
-//! compare → movemask → popcount sequence over 128/256-bit vectors
-//! (SSE2 for `u32`; AVX2 for `u64`/`i64`). The arm is picked at run
-//! time, once per [`Searcher`](crate::Searcher): `u64`/`i64` keys take
-//! the AVX2 kernel when `is_x86_feature_detected!("avx2")` holds, in
-//! the default build — no `-C target-cpu=native` needed. Everywhere
+//! compare → mask → popcount sequence over vectors (SSE2 for `u32`;
+//! AVX-512 or AVX2 for `u64`/`i64`). The arm is picked at run time,
+//! once per [`Searcher`](crate::Searcher), in the default build — no
+//! `-C target-cpu=native` needed: `u64`/`i64` keys take the AVX-512
+//! kernel when `is_x86_feature_detected!("avx512f")` holds (one
+//! unsigned or signed compare into a mask register per 8-key node, no
+//! sign-bias xor), else the AVX2 kernel when `avx2` does. Everywhere
 //! else, including non-x86 architectures, the portable unrolled loop
 //! runs, with identical results.
 //!
-//! [`WideBtreeNav`] implements the full [`Navigator`] surface — search
-//! and rank steps, `UPPER` tie-breaking, gap resolution, overflow
-//! probes, prefetch hooks — with arithmetic **bit-identical** to the
+//! [`WideBtreeNav`] implements the full [`Navigator`] surface — rank
+//! steps, `UPPER` tie-breaking, gap resolution, lower-bound slots,
+//! prefetch hooks — with arithmetic **bit-identical** to the
 //! runtime navigator at the same `b` (`tests/navigator_equivalence.rs`
 //! and `tests/query_differential.rs` pin node traces and results
 //! against each other), so every engine (scalar, software-
@@ -44,8 +46,19 @@
 //! assert_eq!(search_with(&nav, &301, |_| {}), None);
 //! ```
 
-use crate::nav::{prefetch, BtreeSearchShape, Navigator, MISS};
+use crate::nav::{btree_full_pos, prefetch, BtreeSearchShape, Navigator};
 use core::any::TypeId;
+
+/// Node-kernel ids for [`WideBtreeNav`]'s `KERNEL` parameter.
+pub(crate) mod kernel {
+    /// The unrolled loop (SSE2 for `u32` keys on `x86_64`).
+    pub const PORTABLE: u8 = 0;
+    /// 4 × 64-bit `vpcmpgtq` per 256-bit vector, `u64` / `i64` keys.
+    pub const AVX2: u8 = 1;
+    /// 8 × 64-bit `vpcmpuq` / `vpcmpq` into a mask register,
+    /// `u64` / `i64` keys.
+    pub const AVX512: u8 = 2;
+}
 
 mod sealed {
     /// Seals [`super::SimdKey`]: the vector kernels transmute key slices
@@ -165,6 +178,44 @@ mod x86 {
         c
     }
 
+    /// The 64-bit AVX-512 kernel, 8 keys per compare: counts
+    /// `node[j] < key` (`node[j] <= key` with `UPPER`) as one mask
+    /// register and a popcount per 512-bit vector. The compare itself
+    /// is unsigned for `u64` and signed for `i64` (`SIGNED`), so no
+    /// sign-bias xor is needed. Inlines only into code compiled with
+    /// AVX-512 enabled (see [`super::with_avx512`]).
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, and `node` must be valid for `B`
+    /// reads.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn count_cmp64_avx512<
+        const B: usize,
+        const SIGNED: bool,
+        const UPPER: bool,
+    >(
+        node: *const u64,
+        key: u64,
+    ) -> usize {
+        const { assert!(B.is_multiple_of(8) && B > 0) }
+        let kv = _mm512_set1_epi64(key as i64);
+        let mut c = 0usize;
+        let mut j = 0;
+        while j < B {
+            let v = _mm512_loadu_si512(node.add(j).cast());
+            let m = match (SIGNED, UPPER) {
+                (false, false) => _mm512_cmplt_epu64_mask(v, kv),
+                (false, true) => _mm512_cmple_epu64_mask(v, kv),
+                (true, false) => _mm512_cmplt_epi64_mask(v, kv),
+                (true, true) => _mm512_cmple_epi64_mask(v, kv),
+            };
+            c += m.count_ones() as usize;
+            j += 8;
+        }
+        c
+    }
+
     /// #{ node[j] < key } over `B` `u32` keys (`B % 4 == 0`): SSE2
     /// (baseline x86-64) with the sign-bit flip for unsigned order.
     ///
@@ -224,6 +275,23 @@ pub(crate) fn avx2_kernel<T: 'static>() -> bool {
     }
 }
 
+/// `true` iff this CPU runs the AVX-512 node kernel for `T`: `T` is
+/// `u64` or `i64` and `is_x86_feature_detected!("avx512f")` holds.
+/// Always `false` off `x86_64`. Asked once per searcher, like
+/// [`avx2_kernel`].
+pub(crate) fn avx512_kernel<T: 'static>() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let t = TypeId::of::<T>();
+        (t == TypeId::of::<u64>() || t == TypeId::of::<i64>())
+            && std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// Run `f` inside a function compiled with AVX2 enabled. `f` inlines
 /// here, and so does everything it calls with `#[inline(always)]` — the
 /// scalar descents and the window loops — so the AVX2 node kernel,
@@ -237,6 +305,18 @@ pub(crate) fn avx2_kernel<T: 'static>() -> bool {
 #[inline]
 #[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx2"))]
 pub(crate) unsafe fn with_avx2<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// [`with_avx2`] for the AVX-512 kernel: `f` runs inside a function
+/// compiled with AVX-512F (which implies AVX2) enabled.
+///
+/// # Safety
+/// The CPU must support AVX-512F (off `x86_64` this is never called:
+/// no AVX-512 shape is built there).
+#[inline]
+#[cfg_attr(target_arch = "x86_64", target_feature(enable = "avx512f"))]
+pub(crate) unsafe fn with_avx512<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
@@ -316,6 +396,44 @@ unsafe fn count_avx2<T: Ord + 'static, const B: usize, const UPPER: bool>(
     }
 }
 
+/// [`count_lt`] (or [`count_le`] with `UPPER`) on the AVX-512 kernel
+/// when `T` is `u64` or `i64`; any other `T` takes [`count_lt`]'s
+/// path.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[inline(always)]
+unsafe fn count_avx512<T: Ord + 'static, const B: usize, const UPPER: bool>(
+    node: &[T],
+    key: &T,
+) -> usize {
+    debug_assert_eq!(node.len(), B);
+    #[cfg(target_arch = "x86_64")]
+    {
+        let t = TypeId::of::<T>();
+        if t == TypeId::of::<u64>() || t == TypeId::of::<i64>() {
+            // SAFETY: TypeId proves `T` is a 64-bit integer, so reading
+            // the node and the key as `u64` reinterprets their bits, and
+            // the compare's signedness follows `T`; `node` holds B
+            // elements; AVX-512F is this fn's contract.
+            return unsafe {
+                let node = node.as_ptr().cast::<u64>();
+                let key = *(key as *const T).cast::<u64>();
+                if t == TypeId::of::<u64>() {
+                    x86::count_cmp64_avx512::<B, false, UPPER>(node, key)
+                } else {
+                    x86::count_cmp64_avx512::<B, true, UPPER>(node, key)
+                }
+            };
+        }
+    }
+    if UPPER {
+        count_le::<T, B>(node, key)
+    } else {
+        count_lt::<T, B>(node, key)
+    }
+}
+
 // ---------------------------------------------------------------------
 // The navigator.
 // ---------------------------------------------------------------------
@@ -331,20 +449,22 @@ unsafe fn count_avx2<T: Ord + 'static, const B: usize, const UPPER: bool>(
 /// [`Searcher::new_runtime`](crate::Searcher::new_runtime) is the
 /// escape hatch that forces the general runtime path.
 ///
-/// `AVX2 = true` is the variant whose `u64` / `i64` nodes are counted by
-/// the AVX2 kernel. Only this crate builds it, and only after checking
-/// the CPU; [`WideBtreeNav::new`] builds the default, portable variant.
-pub struct WideBtreeNav<'a, T, const B: usize, const AVX2: bool = false> {
+/// `KERNEL` names the node kernel: the default, `0`, is the portable
+/// one; `1` and `2` count `u64` / `i64` nodes with the AVX2 and
+/// AVX-512 kernels. Only this crate builds those, and only
+/// after checking the CPU; [`WideBtreeNav::new`] builds the portable
+/// variant.
+pub struct WideBtreeNav<'a, T, const B: usize, const KERNEL: u8 = { kernel::PORTABLE }> {
     data: &'a [T],
     shape: BtreeSearchShape,
 }
 
-impl<'a, T, const B: usize, const AVX2: bool> Clone for WideBtreeNav<'a, T, B, AVX2> {
+impl<'a, T, const B: usize, const KERNEL: u8> Clone for WideBtreeNav<'a, T, B, KERNEL> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<'a, T, const B: usize, const AVX2: bool> Copy for WideBtreeNav<'a, T, B, AVX2> {}
+impl<'a, T, const B: usize, const KERNEL: u8> Copy for WideBtreeNav<'a, T, B, KERNEL> {}
 
 impl<'a, T: Ord + 'static, const B: usize> WideBtreeNav<'a, T, B> {
     /// Navigator for `data` in B-tree layout with `B ≥ 1` keys per node
@@ -355,24 +475,19 @@ impl<'a, T: Ord + 'static, const B: usize> WideBtreeNav<'a, T, B> {
 
     #[inline]
     pub(crate) fn from_shape(data: &'a [T], shape: BtreeSearchShape) -> Self {
-        Self::with_shape(data, shape)
+        // SAFETY: the portable kernel needs no CPU feature.
+        unsafe { Self::with_kernel(data, shape) }
     }
 }
 
-impl<'a, T: Ord + 'static, const B: usize> WideBtreeNav<'a, T, B, true> {
-    /// The AVX2 variant of [`WideBtreeNav::from_shape`].
+impl<'a, T: Ord + 'static, const B: usize, const KERNEL: u8> WideBtreeNav<'a, T, B, KERNEL> {
+    /// The navigator on node kernel `KERNEL`.
     ///
     /// # Safety
-    /// The CPU must support AVX2.
+    /// The CPU must support the kernel's instructions: AVX2 for
+    /// [`kernel::AVX2`], AVX-512F for [`kernel::AVX512`].
     #[inline]
-    pub(crate) unsafe fn from_shape_avx2(data: &'a [T], shape: BtreeSearchShape) -> Self {
-        Self::with_shape(data, shape)
-    }
-}
-
-impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> WideBtreeNav<'a, T, B, AVX2> {
-    #[inline]
-    fn with_shape(data: &'a [T], shape: BtreeSearchShape) -> Self {
+    pub(crate) unsafe fn with_kernel(data: &'a [T], shape: BtreeSearchShape) -> Self {
         const { assert!(B >= 1, "B-tree node width must be at least 1") }
         debug_assert_eq!(shape.b, B);
         debug_assert_eq!(shape, BtreeSearchShape::new(data.len(), B));
@@ -394,14 +509,14 @@ impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> WideBtreeNav<'a, T,
     /// full `B`-key node.
     #[inline(always)]
     fn count<const UPPER: bool>(&self, keys: &[T], key: &T) -> usize {
-        if AVX2 {
-            // SAFETY: an `AVX2` navigator is only built by
-            // `from_shape_avx2`, whose caller checked the CPU.
-            unsafe { count_avx2::<T, B, UPPER>(keys, key) }
-        } else if UPPER {
-            count_le::<T, B>(keys, key)
-        } else {
-            count_lt::<T, B>(keys, key)
+        match KERNEL {
+            // SAFETY: a navigator on either SIMD kernel is only built by
+            // `with_kernel`, whose caller checked the CPU.
+            kernel::AVX512 => unsafe { count_avx512::<T, B, UPPER>(keys, key) },
+            // SAFETY: as above.
+            kernel::AVX2 => unsafe { count_avx2::<T, B, UPPER>(keys, key) },
+            _ if UPPER => count_le::<T, B>(keys, key),
+            _ => count_lt::<T, B>(keys, key),
         }
     }
 
@@ -437,8 +552,8 @@ impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> WideBtreeNav<'a, T,
     }
 }
 
-impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> Navigator<T>
-    for WideBtreeNav<'a, T, B, AVX2>
+impl<'a, T: Ord + 'static, const B: usize, const KERNEL: u8> Navigator<T>
+    for WideBtreeNav<'a, T, B, KERNEL>
 {
     type Cursor = usize;
     type Acc = usize;
@@ -475,31 +590,6 @@ impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> Navigator<T>
     }
 
     #[inline(always)]
-    fn step_search(
-        &self,
-        cur: &mut usize,
-        acc: &mut usize,
-        res: &mut usize,
-        key: &T,
-        child: usize,
-    ) {
-        let v = *cur;
-        let base = v * B;
-        let keys = self.node_keys(v);
-        let c = self.count::<false>(keys, key);
-        let hit = *res == MISS && c < B && keys[c] == *key;
-        *res = if hit { base + c } else { *res };
-        *cur = v * (B + 1) + c + 1;
-        *acc += c * (child + 1);
-    }
-
-    #[inline(always)]
-    fn step_search_last(&self, cur: &mut usize, acc: &mut usize, res: &mut usize, key: &T) {
-        // The last node level's child subtrees are empty: child = 0.
-        self.step_search(cur, acc, res, key, 0);
-    }
-
-    #[inline(always)]
     fn step_rank<const UPPER: bool>(
         &self,
         cur: &mut usize,
@@ -515,6 +605,7 @@ impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> Navigator<T>
 
     #[inline(always)]
     fn step_rank_last<const UPPER: bool>(&self, cur: &mut usize, acc: &mut usize, key: &T) {
+        // The last node level's child subtrees are empty: child = 0.
         self.step_rank::<UPPER>(cur, acc, key, 0);
     }
 
@@ -523,12 +614,23 @@ impl<'a, T: Ord + 'static, const B: usize, const AVX2: bool> Navigator<T>
         *acc
     }
 
-    /// Find `key` in the overflow node hanging in gap `gap`: its first
-    /// copy sits after every smaller key of the sorted node.
-    #[inline]
-    fn resolve_miss(&self, gap: usize, key: &T) -> Option<usize> {
-        let (start, keys, c) = self.count_gap::<false>(gap, key);
-        (c < keys.len() && keys[c] == *key).then_some(start + c)
+    /// The first key `≥ key` of the overflow node hanging in the gap
+    /// (the sorted node's count of smaller keys), else the gap's
+    /// full-part successor by the level walk of
+    /// [`ist_layout::btree_pos`] — whose divisions by
+    /// the const `B + 1` are multiplies (same slots as the runtime
+    /// navigator's).
+    #[inline(always)]
+    fn lower_bound_slot(&self, _cur: &usize, acc: &usize, key: &T) -> Option<usize> {
+        let g = *acc;
+        let (start, keys, c) = self.count_gap::<false>(g, key);
+        if c < keys.len() {
+            Some(start + c)
+        } else if g < self.shape.i {
+            Some(btree_full_pos(B, self.first_round(), g))
+        } else {
+            None
+        }
     }
 
     /// B-tree rank from the fall-off gap (see
@@ -594,28 +696,7 @@ mod tests {
                 }
             }
         }
-        fn around(keys: &[u64]) -> Vec<u64> {
-            let mut p = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
-            for &k in keys {
-                p.extend([k.saturating_sub(1), k.saturating_add(1)]);
-            }
-            p
-        }
-        let nodes_u: [Vec<u64>; 3] = [
-            vec![3, 3, 7, 9, 100, 1 << 40, 1 << 63, u64::MAX],
-            vec![0; 8],
-            vec![
-                (1 << 63) - 2,
-                (1 << 63) - 1,
-                1 << 63,
-                (1 << 63) + 1,
-                5,
-                6,
-                7,
-                8,
-            ],
-        ];
-        for node in &nodes_u {
+        for node in &nodes_u64() {
             check::<u64, 8>(node, &around(node));
             // The same bits as `i64`: the sign-bit flip must not apply.
             let node_i: Vec<i64> = node.iter().map(|&k| k as i64).collect();
@@ -638,9 +719,142 @@ mod tests {
         check::<u32, 8>(&node_u, &probes_u);
     }
 
+    /// Probes around every key of `keys`, plus both ends and both
+    /// sides of the sign bit.
+    fn around(keys: &[u64]) -> Vec<u64> {
+        let mut p = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1];
+        for &k in keys {
+            p.extend([k.saturating_sub(1), k.saturating_add(1)]);
+        }
+        p
+    }
+
+    /// 8-key `u64` nodes: duplicates and extremes, all equal, and
+    /// keys straddling the sign bit.
+    fn nodes_u64() -> [Vec<u64>; 3] {
+        [
+            vec![3, 3, 7, 9, 100, 1 << 40, 1 << 63, u64::MAX],
+            vec![0; 8],
+            vec![
+                (1 << 63) - 2,
+                (1 << 63) - 1,
+                1 << 63,
+                (1 << 63) + 1,
+                5,
+                6,
+                7,
+                8,
+            ],
+        ]
+    }
+
     /// `is_x86_feature_detected!("avx2")`, or `false` off `x86_64`.
     fn avx2_detected() -> bool {
         avx2_kernel::<u64>()
+    }
+
+    /// `is_x86_feature_detected!("avx512f")`, or `false` off `x86_64`.
+    fn avx512_detected() -> bool {
+        avx512_kernel::<u64>()
+    }
+
+    /// The AVX-512 kernel agrees with a plain count — and so with the
+    /// portable loop — on the boundaries [`simd_counts_match_portable`]
+    /// checks, for `u64` (unsigned compare) and the same bits as `i64`
+    /// (signed compare), at both wired widths.
+    #[test]
+    fn avx512_counts_match_portable() {
+        if !avx512_detected() {
+            println!("avx512_counts_match_portable: skipped, this CPU lacks AVX-512F");
+            return;
+        }
+        fn check<T: SimdKey + core::fmt::Debug, const B: usize>(node: &[T], probes: &[T]) {
+            for p in probes.iter().chain(node) {
+                let lt = node.iter().filter(|k| *k < p).count();
+                let le = node.iter().filter(|k| *k <= p).count();
+                let at = format!("B={B} p={p:?} node={node:?}");
+                assert_eq!(count_lt_portable::<T, B>(node, p), lt, "portable lt {at}");
+                assert_eq!(count_le_portable::<T, B>(node, p), le, "portable le {at}");
+                // SAFETY: AVX-512F presence checked above.
+                let (a_lt, a_le) = unsafe {
+                    (
+                        count_avx512::<T, B, false>(node, p),
+                        count_avx512::<T, B, true>(node, p),
+                    )
+                };
+                assert_eq!(a_lt, lt, "avx512 lt {at}");
+                assert_eq!(a_le, le, "avx512 le {at}");
+            }
+        }
+        let as_i64 = |v: &[u64]| v.iter().map(|&k| k as i64).collect::<Vec<i64>>();
+        for node in &nodes_u64() {
+            check::<u64, 8>(node, &around(node));
+            check::<i64, 8>(&as_i64(node), &as_i64(&around(node)));
+        }
+        // 16 keys straddling the sign bit (counts need no sorted node).
+        let node16: Vec<u64> = (0..16).map(|x| (1 << 63) - 40 + x * 5).collect();
+        check::<u64, 16>(&node16, &around(&node16));
+        check::<i64, 16>(&as_i64(&node16), &as_i64(&around(&node16)));
+        let node_i: Vec<i64> = vec![i64::MIN, -55, -1, 0, 1, 2, 1 << 40, i64::MAX];
+        let probes_i = [i64::MIN, -56, -55, -2, -1, 0, 1, 3, i64::MAX - 1, i64::MAX];
+        check::<i64, 8>(&node_i, &probes_i);
+    }
+
+    /// A navigator's node traces and answers for one probe: search,
+    /// rank and `UPPER` rank.
+    type Answers = (
+        Vec<usize>,
+        Option<usize>,
+        Vec<usize>,
+        usize,
+        Vec<usize>,
+        usize,
+    );
+
+    fn answers<T: Ord, N: crate::nav::Navigator<T>>(nav: &N, key: &T) -> Answers {
+        use crate::nav::{rank_with, search_with};
+        let (mut ts, mut tr, mut tu) = (Vec::new(), Vec::new(), Vec::new());
+        let s = search_with(nav, key, |p| ts.push(p));
+        let r = rank_with::<T, _, false>(nav, key, |p| tr.push(p));
+        let u = rank_with::<T, _, true>(nav, key, |p| tu.push(p));
+        (ts, s, tr, r, tu, u)
+    }
+
+    /// `(sorted keys, probes)` over ragged B-tree sizes: ascending with
+    /// every fifth key a duplicate of the one before, centred on the
+    /// sign bit so `u64` keys cross it; probes hit every key and both
+    /// of its neighbours.
+    fn nav_cases<const B: usize>() -> Vec<(Vec<u64>, Vec<u64>)> {
+        let sizes = [
+            1,
+            B - 1,
+            B,
+            B + 1,
+            2 * B + 3,
+            B * (B + 2),
+            B * (B + 2) + 1,
+            1000,
+            4099,
+        ];
+        sizes
+            .into_iter()
+            .map(|n| {
+                let base = (1u64 << 63) - 3 * n as u64 / 2;
+                let sorted: Vec<u64> = (0..n as u64)
+                    .map(|x| base + 3 * x - if x % 5 == 1 { 3 } else { 0 })
+                    .collect();
+                let mut probes = vec![0, 1, u64::MAX];
+                for &k in &sorted {
+                    probes.extend([k - 1, k, k + 1]);
+                }
+                (sorted, probes)
+            })
+            .collect()
+    }
+
+    /// The same keys shifted into `i64`, crossing zero.
+    fn shift(k: &u64) -> i64 {
+        (k ^ (1 << 63)) as i64
     }
 
     /// The portable and (on an AVX2 CPU) the AVX2 `WideBtreeNav`
@@ -651,23 +865,11 @@ mod tests {
     /// 64-bit arm in `Searcher::new`; this is where it runs.
     #[test]
     fn avx2_and_portable_navs_match_runtime() {
-        use crate::nav::{rank_with, search_with, BtreeNav, Navigator};
+        use crate::nav::BtreeNav;
         use ist_core::{permute_in_place, Algorithm, Layout};
 
-        type Answers = (
-            Vec<usize>,
-            Option<usize>,
-            Vec<usize>,
-            usize,
-            Vec<usize>,
-            usize,
-        );
-        fn answers<T: Ord, N: Navigator<T>>(nav: &N, key: &T) -> Answers {
-            let (mut ts, mut tr, mut tu) = (Vec::new(), Vec::new(), Vec::new());
-            let s = search_with(nav, key, |p| ts.push(p));
-            let r = rank_with::<T, _, false>(nav, key, |p| tr.push(p));
-            let u = rank_with::<T, _, true>(nav, key, |p| tu.push(p));
-            (ts, s, tr, r, tu, u)
+        if !avx2_detected() {
+            println!("avx2_and_portable_navs_match_runtime: AVX2 leg skipped, this CPU lacks AVX2");
         }
         fn check<T: SimdKey + Send + core::fmt::Debug, const B: usize>(sorted: &[T], probes: &[T]) {
             let mut data = sorted.to_vec();
@@ -677,7 +879,7 @@ mod tests {
             let shape = BtreeSearchShape::new(data.len(), B);
             let avx2 = avx2_detected().then(|| {
                 // SAFETY: built only when the CPU has AVX2.
-                unsafe { WideBtreeNav::<T, B, true>::from_shape_avx2(&data, shape) }
+                unsafe { WideBtreeNav::<T, B, { kernel::AVX2 }>::with_kernel(&data, shape) }
             });
             for p in probes {
                 let want = answers(&runtime, p);
@@ -689,30 +891,58 @@ mod tests {
             }
         }
         fn sweep<const B: usize>() {
-            for n in [
-                1,
-                B - 1,
-                B,
-                B + 1,
-                2 * B + 3,
-                B * (B + 2),
-                B * (B + 2) + 1,
-                1000,
-                4099,
-            ] {
-                // Ascending with every fifth key a duplicate of the one
-                // before, centred on the sign bit so `u64` keys cross it.
-                let base = (1u64 << 63) - 3 * n as u64 / 2;
-                let sorted: Vec<u64> = (0..n as u64)
-                    .map(|x| base + 3 * x - if x % 5 == 1 { 3 } else { 0 })
-                    .collect();
-                let mut probes = vec![0, 1, u64::MAX];
-                for &k in &sorted {
-                    probes.extend([k - 1, k, k + 1]);
-                }
+            for (sorted, probes) in nav_cases::<B>() {
                 check::<u64, B>(&sorted, &probes);
-                // The same keys shifted into `i64`, crossing zero.
-                let shift = |k: &u64| (k ^ (1 << 63)) as i64;
+                let sorted_i: Vec<i64> = sorted.iter().map(shift).collect();
+                let probes_i: Vec<i64> = probes.iter().map(shift).collect();
+                check::<i64, B>(&sorted_i, &probes_i);
+            }
+        }
+        sweep::<8>();
+        sweep::<16>();
+    }
+
+    /// The AVX-512 `WideBtreeNav` descends exactly like the runtime
+    /// `BtreeNav`: identical node traces and answers for search, rank,
+    /// `UPPER` rank and lower bound, on the cases of
+    /// [`avx2_and_portable_navs_match_runtime`]. `Searcher::new` picks
+    /// this navigator on an AVX-512 host, so it is also what the
+    /// root suites run there.
+    #[test]
+    fn avx512_nav_matches_runtime() {
+        use crate::nav::{lower_bound_with, BtreeNav};
+        use ist_core::{permute_in_place, Algorithm, Layout};
+
+        if !avx512_detected() {
+            println!("avx512_nav_matches_runtime: skipped, this CPU lacks AVX-512F");
+            return;
+        }
+        fn check<T: SimdKey + Send + core::fmt::Debug, const B: usize>(sorted: &[T], probes: &[T]) {
+            let mut data = sorted.to_vec();
+            permute_in_place(&mut data, Layout::Btree { b: B }, Algorithm::CycleLeader).unwrap();
+            let runtime = BtreeNav::new(&data, B);
+            let shape = BtreeSearchShape::new(data.len(), B);
+            let avx512 = {
+                // SAFETY: only called once the test found AVX-512F.
+                unsafe { WideBtreeNav::<T, B, { kernel::AVX512 }>::with_kernel(&data, shape) }
+            };
+            for p in probes {
+                let n = data.len();
+                assert_eq!(
+                    answers(&avx512, p),
+                    answers(&runtime, p),
+                    "avx512 B={B} n={n} p={p:?}"
+                );
+                assert_eq!(
+                    lower_bound_with(&avx512, p, |_| {}),
+                    lower_bound_with(&runtime, p, |_| {}),
+                    "avx512 lower bound B={B} n={n} p={p:?}"
+                );
+            }
+        }
+        fn sweep<const B: usize>() {
+            for (sorted, probes) in nav_cases::<B>() {
+                check::<u64, B>(&sorted, &probes);
                 let sorted_i: Vec<i64> = sorted.iter().map(shift).collect();
                 let probes_i: Vec<i64> = probes.iter().map(shift).collect();
                 check::<i64, B>(&sorted_i, &probes_i);

@@ -317,3 +317,33 @@ fn sub_floor_batch_reads_allocate_nothing_for_dispatch() {
         "Frozen::batch_get: dispatching a sub-floor batch must cost no allocation"
     );
 }
+
+/// `StaticMap::batch_get` allocates once per call, and only its
+/// answers: every chunk writes its payload references straight into
+/// the result vector. Collecting them from a position vector instead
+/// would allocate that vector first — twice the answers' size, since an
+/// `Option<usize>` is two words — and reuse or copy it.
+#[test]
+fn static_batch_get_allocates_only_its_answers() {
+    use implicit_search_trees::{QueryKind, StaticMap};
+
+    // Below the dispatch floor, so the whole call runs on this thread.
+    let probes: Vec<u64> = (0..160u64).collect();
+    let keys: Vec<u64> = (0..5000u64).map(|x| 3 * x).collect();
+    let answers = probes.len() * size_of::<Option<&u64>>();
+    for kind in [
+        QueryKind::Sorted,
+        QueryKind::Bst,
+        QueryKind::Btree(8),
+        QueryKind::Veb,
+    ] {
+        let map = StaticMap::build_for_kind(keys.clone(), keys.clone(), kind).unwrap();
+        let get = || map.batch_get(&probes).iter().flatten().count();
+        get(); // the runtime's one-time initialisation, uncounted
+        let (hits, allocs) = count_allocs(1, get);
+        assert_eq!(hits, 54, "{kind:?}");
+        assert_eq!(allocs, 1, "{kind:?}: one allocation per call");
+        let (_, larger) = count_allocs(answers + 1, get);
+        assert_eq!(larger, 0, "{kind:?}: nothing larger than the answers");
+    }
+}

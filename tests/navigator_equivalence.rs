@@ -8,12 +8,12 @@
 //!
 //! * **rank descents** never exit early, so scalar and pipelined
 //!   address traces are *equal*;
-//! * **search descents** early-exit on equality in the scalar engine
-//!   and the gpu lane, while the pipelined window keeps descending with
-//!   the hit latched in a result register — so the scalar trace is a
-//!   *prefix* of the pipelined trace, and the gpu lane trace *equals*
-//!   the scalar trace (the sorted baseline replays the rank descent and
-//!   never exits early, on every path);
+//! * **search descents** are rank descents on every path — the scalar
+//!   engine, the pipelined window and the gpu lane all run the
+//!   `UPPER = false` steps to the bottom and only then resolve a
+//!   lower-bound slot — so the scalar search trace is the pipelined one
+//!   (the prefix assertions below hold as equalities) and the gpu lane
+//!   trace *equals* the scalar trace;
 //! * results agree between the scalar and batch engines regardless
 //!   (also enforced, more broadly, by `tests/query_differential.rs`).
 
@@ -211,10 +211,9 @@ fn wide_kernel_traces_equal_runtime_traces() {
     }
 }
 
-/// The pipelined search trace always runs the full round count (hits
-/// are latched, not short-circuited), and rank/search traces agree up
-/// to the early exit — i.e. the two descent flavors really share one
-/// probe structure.
+/// The pipelined search trace always runs the full round count (a hit
+/// does not stop a descent), and scalar and pipelined search traces
+/// agree — i.e. the engines really share one probe structure.
 #[test]
 fn pipelined_full_depth_and_misses_share_structure() {
     for (kind, layout, _) in kinds() {
@@ -224,8 +223,8 @@ fn pipelined_full_depth_and_misses_share_structure() {
         let keys = probes(n);
         let piped = s.trace_search_pipelined(&keys);
         for (i, key) in keys.iter().enumerate() {
-            // Misses never exit early, so the scalar trace must be the
-            // whole pipelined trace.
+            // No descent exits early, so the scalar trace must be the
+            // whole pipelined trace (checked here on misses).
             if !s.contains(key) {
                 assert_eq!(
                     s.trace_search(key),

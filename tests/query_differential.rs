@@ -460,3 +460,34 @@ fn duplicate_key_contract() {
         assert_eq!(s.range_count(&4, &7), 0, "{kind:?}");
     }
 }
+
+/// A search is the rank descent's lower bound, verified: on every
+/// layout, scalar and batched, `search(k)` is the slot of the leftmost
+/// copy of `k` in sorted order — exactly `lower_bound(k)` when that
+/// slot holds `k` — over the duplicate-heavy multisets of [`key_sets`].
+#[test]
+fn search_is_the_lower_bound_slot_when_present() {
+    let mut rng = StdRng::seed_from_u64(0x10b5);
+    for n in adversarial_sizes() {
+        for sorted in key_sets(n, &mut rng) {
+            for (kind, layout) in kinds() {
+                let mut data = sorted.clone();
+                if let Some(l) = layout {
+                    if !data.is_empty() {
+                        permute_in_place(&mut data, l, Algorithm::CycleLeader).unwrap();
+                    }
+                }
+                let s = Searcher::new(&data, kind);
+                let probes = probes(&sorted, &mut rng);
+                let want: Vec<Option<usize>> = probes
+                    .iter()
+                    .map(|&p| s.lower_bound(&p).filter(|&pos| data[pos] == p))
+                    .collect();
+                for (p, w) in probes.iter().zip(&want) {
+                    assert_eq!(s.search(p), *w, "search n={n} {kind:?} probe={p}");
+                }
+                assert_eq!(s.batch_search(&probes), want, "batch_search n={n} {kind:?}");
+            }
+        }
+    }
+}
