@@ -619,6 +619,15 @@ fn fig6_8(scale: i32) {
 
 /// Figure 6.9: GPU combined permute + Q queries vs Q (N fixed), plus
 /// crossovers vs binary search.
+///
+/// The modelled search lane is the rank descent and retires only when
+/// it falls off, never on a hit, so the layouts' per-query costs and
+/// crossovers differ from the paper's (whose lanes stop at the key).
+/// At n = 2^20 − 1, per-query cost with hit-retiring lanes → now: BST
+/// 7.630 → 8.190, B-tree (b = 31) 3.308 → 3.346, vEB 8.801 → 9.362
+/// (binary search 10.158 either way); crossovers vs binary search:
+/// BST 536 576 → 1 073 152 queries, B-tree 268 288 unchanged, vEB
+/// 17 170 432 → none within the grid.
 fn fig6_9(scale: i32) {
     row(&[
         "fig6.9".into(),

@@ -214,7 +214,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     ) where
         T: 'k,
     {
-        crate::dispatch_nav!(rank self, nav => {
+        crate::dispatch_nav!(self, nav => {
             window_rank_into::<T, _, WINDOW>(&nav, n, key_of, sink, |_, _| {})
         });
     }

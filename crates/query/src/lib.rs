@@ -94,17 +94,9 @@ use nav::{BinaryShape, BtreeSearchShape};
 /// SIMD shapes run `$body` inside [`wide::with_avx2`] /
 /// [`wide::with_avx512`], so the node kernel inlines into the descent;
 /// every call site runs once per parallel chunk, on the thread that
-/// descends it. `dispatch_nav!(rank s, nav => …)` is for bodies that
-/// only rank: a rank descent never resolves a lower bound, so its vEB
-/// navigator keeps no successor candidate.
+/// descends it.
 macro_rules! dispatch_nav {
-    (rank $searcher:expr, $nav:ident => $body:expr) => {
-        $crate::dispatch_nav!(@succ false, $searcher, $nav => $body)
-    };
-    ($searcher:expr, $nav:ident => $body:expr) => {
-        $crate::dispatch_nav!(@succ true, $searcher, $nav => $body)
-    };
-    (@succ $succ:literal, $searcher:expr, $nav:ident => $body:expr) => {{
+    ($searcher:expr, $nav:ident => $body:expr) => {{
         let s = $searcher;
         match s.shape {
             $crate::ShapeData::Sorted => {
@@ -174,7 +166,7 @@ macro_rules! dispatch_nav {
                 unsafe { $crate::wide::with_avx512(body) }
             }
             $crate::ShapeData::Veb(shape) => {
-                let $nav = $crate::nav::VebNav::<_, $succ>::from_shape(s.data, shape);
+                let $nav = $crate::nav::VebNav::from_shape(s.data, shape);
                 $body
             }
         }
@@ -399,7 +391,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         if let ShapeData::Sorted = self.shape {
             return self.data.partition_point(|x| x < key);
         }
-        dispatch_nav!(rank self, nav => nav::rank_with::<T, _, false>(&nav, key, |_| {}))
+        dispatch_nav!(self, nav => nav::rank_with::<T, _, false>(&nav, key, |_| {}))
     }
 
     /// The **upper rank** of `key`: how many stored keys are `≤ key`
@@ -418,7 +410,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         if let ShapeData::Sorted = self.shape {
             return self.data.partition_point(|x| x <= key);
         }
-        dispatch_nav!(rank self, nav => nav::rank_with::<T, _, true>(&nav, key, |_| {}))
+        dispatch_nav!(self, nav => nav::rank_with::<T, _, true>(&nav, key, |_| {}))
     }
 
     /// Layout position of the element with sorted rank `r`, via the
@@ -506,7 +498,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// (diagnostics; see [`Searcher::trace_search`]).
     pub fn trace_rank(&self, key: &T) -> Vec<usize> {
         let mut t = Vec::new();
-        dispatch_nav!(rank self, nav => {
+        dispatch_nav!(self, nav => {
             let _ = nav::rank_with::<T, _, false>(&nav, key, |p| t.push(p));
         });
         t
@@ -537,7 +529,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     // LINT-ALLOW(test-only-pub): navigator_equivalence pins the pipelined rank path
     pub fn trace_rank_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
         let mut t = vec![Vec::new(); keys.len()];
-        dispatch_nav!(rank self, nav => {
+        dispatch_nav!(self, nav => {
             batch::window_rank_into::<T, _, { batch::WINDOW }>(
                 &nav,
                 keys.len(),
@@ -708,28 +700,6 @@ mod tests {
                         "n={n} {kind:?} len={len}"
                     );
                 }
-            }
-        }
-    }
-
-    /// The vEB navigator the rank engines build keeps no successor
-    /// candidate; its lower bounds come from the closed form instead,
-    /// and must name the same slots — duplicates, overflow leaves and
-    /// both ends included.
-    #[test]
-    fn veb_lower_bounds_agree_without_the_candidate() {
-        for n in [1usize, 2, 7, 10, 100, 700, 4099] {
-            let mut data: Vec<u64> = (0..n as u64).map(|x| 3 * (x / 2)).collect();
-            permute_in_place(&mut data, Layout::Veb, Algorithm::CycleLeader).unwrap();
-            let shape = BinaryShape::new(n);
-            let with = nav::VebNav::<_, true>::from_shape(&data, shape);
-            let without = nav::VebNav::<_, false>::from_shape(&data, shape);
-            for key in 0..3 * n as u64 / 2 + 3 {
-                assert_eq!(
-                    nav::lower_bound_with(&without, &key, |_| {}),
-                    nav::lower_bound_with(&with, &key, |_| {}),
-                    "n={n} key={key}"
-                );
             }
         }
     }

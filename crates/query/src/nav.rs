@@ -492,13 +492,7 @@ impl<'a, T: Ord> Navigator<T> for BstNav<'a, T> {
 /// and the full-part successor candidate; accumulator: the node's
 /// index within its depth (from 0, left to right — the path's turns
 /// as bits), which ends as the landing gap.
-///
-/// `SUCC = false` drops the candidate's conditional move from every
-/// step: the rank engines, which never resolve a lower bound, build that
-/// variant (it costs 7–14 % of single-thread vEB `batch_rank` throughput
-/// at 2^16–2^20 keys, measured on a 2-vCPU AVX-512 x86-64 VM), and
-/// its [`Navigator::lower_bound_slot`] falls back to [`veb_pos`].
-pub struct VebNav<'a, T, const SUCC: bool = true> {
+pub struct VebNav<'a, T> {
     data: &'a [T],
     shape: BinaryShape,
     /// The descent table for `shape.d` levels.
@@ -517,21 +511,19 @@ pub struct VebDescent {
     succ: usize,
 }
 
-impl<'a, T, const SUCC: bool> Clone for VebNav<'a, T, SUCC> {
+impl<'a, T> Clone for VebNav<'a, T> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<'a, T, const SUCC: bool> Copy for VebNav<'a, T, SUCC> {}
+impl<'a, T> Copy for VebNav<'a, T> {}
 
 impl<'a, T: Ord> VebNav<'a, T> {
     /// Navigator for `data` in vEB layout (`[perfect | overflow]`).
     pub fn new(data: &'a [T]) -> Self {
         Self::from_shape(data, BinaryShape::new(data.len()))
     }
-}
 
-impl<'a, T: Ord, const SUCC: bool> VebNav<'a, T, SUCC> {
     #[inline]
     pub(crate) fn from_shape(data: &'a [T], shape: BinaryShape) -> Self {
         debug_assert_eq!(shape, BinaryShape::new(data.len()));
@@ -543,8 +535,8 @@ impl<'a, T: Ord, const SUCC: bool> VebNav<'a, T, SUCC> {
     }
 
     /// The current node (at a depth `< d`) and whether `key` sends the
-    /// descent left of it; with `SUCC`, a left turn makes the node the
-    /// successor candidate.
+    /// descent left of it; a left turn makes the node the successor
+    /// candidate.
     #[inline(always)]
     fn turn<const UPPER: bool>(&self, cur: &mut VebDescent, key: &T) -> bool {
         let pos = cur.at.pos();
@@ -556,14 +548,12 @@ impl<'a, T: Ord, const SUCC: bool> VebNav<'a, T, SUCC> {
         // derived from this very slice's length.
         let node = unsafe { self.data.get_unchecked(pos) };
         let left = !counted::<T, UPPER>(node, key);
-        if SUCC {
-            cur.succ = select_unpredictable(left, pos, cur.succ);
-        }
+        cur.succ = select_unpredictable(left, pos, cur.succ);
         left
     }
 }
 
-impl<'a, T: Ord, const SUCC: bool> Navigator<T> for VebNav<'a, T, SUCC> {
+impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
     type Cursor = VebDescent;
     type Acc = usize;
     /// The depth `k ≥ 1` the round's step moves onto (the leaf round
@@ -623,13 +613,11 @@ impl<'a, T: Ord, const SUCC: bool> Navigator<T> for VebNav<'a, T, SUCC> {
         *acc
     }
     /// Gap `g < i` means some step turned left, at in-order element
-    /// `g`: the candidate register holds its position (without `SUCC`,
-    /// the closed form finds it).
+    /// `g`: the candidate register holds its position.
     #[inline(always)]
     fn lower_bound_slot(&self, cur: &VebDescent, acc: &usize, key: &T) -> Option<usize> {
-        let BinaryShape { d, i, l } = self.shape;
-        let full_pos = || if SUCC { cur.succ } else { veb_pos(d, *acc) };
-        binary_lower_bound(self.data, i, l, *acc, key, full_pos)
+        let BinaryShape { i, l, .. } = self.shape;
+        binary_lower_bound(self.data, i, l, *acc, key, || cur.succ)
     }
     #[inline]
     fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize {
@@ -1005,4 +993,31 @@ pub fn rank_with<T: Ord, N: Navigator<T>, const UPPER: bool>(
 ) -> usize {
     let (cur, acc) = descend::<T, N, UPPER>(nav, key, tap);
     nav.rank_of_gap::<UPPER>(nav.gap(&cur, &acc), key)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The carried-prefix walk names the same slot as the closed form
+    /// for every in-order element of perfect B-trees of one to several
+    /// node levels.
+    #[test]
+    fn btree_full_pos_matches_btree_pos() {
+        for b in [1usize, 2, 3, 8, 16] {
+            let k = b + 1;
+            let mut h = 1u32;
+            while k.pow(h) - 1 <= 1 << 16 {
+                let span = k.pow(h - 1) - 1;
+                for g in 0..k.pow(h) - 1 {
+                    assert_eq!(
+                        btree_full_pos(b, span, g),
+                        ist_layout::btree_pos(b, h, g),
+                        "b={b} h={h} g={g}"
+                    );
+                }
+                h += 1;
+            }
+        }
+    }
 }

@@ -465,6 +465,8 @@ fn duplicate_key_contract() {
 /// layout, scalar and batched, `search(k)` is the slot of the leftmost
 /// copy of `k` in sorted order — exactly `lower_bound(k)` when that
 /// slot holds `k` — over the duplicate-heavy multisets of [`key_sets`].
+/// The slot is checked against the closed-form position map of the
+/// key's rank, which names one copy, not just an equal key.
 #[test]
 fn search_is_the_lower_bound_slot_when_present() {
     let mut rng = StdRng::seed_from_u64(0x10b5);
@@ -481,7 +483,15 @@ fn search_is_the_lower_bound_slot_when_present() {
                 let probes = probes(&sorted, &mut rng);
                 let want: Vec<Option<usize>> = probes
                     .iter()
-                    .map(|&p| s.lower_bound(&p).filter(|&pos| data[pos] == p))
+                    .map(|&p| {
+                        let slot = s.position_of_rank(s.rank(&p));
+                        assert_eq!(
+                            s.lower_bound(&p),
+                            slot,
+                            "lower_bound n={n} {kind:?} probe={p}"
+                        );
+                        slot.filter(|&pos| data[pos] == p)
+                    })
                     .collect();
                 for (p, w) in probes.iter().zip(&want) {
                     assert_eq!(s.search(p), *w, "search n={n} {kind:?} probe={p}");
