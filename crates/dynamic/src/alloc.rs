@@ -292,9 +292,9 @@ impl LayoutWalk {
         }
     }
 
-    /// `f(rank, slot)` for every element of `piece` — the same maps
-    /// [`Searcher::position_of_rank`](ist_query::Searcher::position_of_rank)
-    /// inverts, so `scatter(sorted)[slot] == sorted[rank]`.
+    /// `f(rank, slot)` for every element of `piece` — the layout's
+    /// closed-form rank → slot map, walked piece by piece, so
+    /// `scatter(sorted)[slot] == sorted[rank]`.
     #[inline]
     fn walk(&self, piece: Range<usize>, f: impl FnMut(usize, usize)) {
         match self {

@@ -117,8 +117,8 @@
 //! (live → the value, tombstone → absent). [`Frozen::batch_get`] does
 //! the same run-by-run but drives every run with the software-pipelined
 //! batched engine
-//! ([`Searcher::batch_search`](ist_query::Searcher::batch_search)), so
-//! batched read throughput survives dynamization. Order queries
+//! ([`Searcher::batch_land_into`](ist_query::Searcher::batch_land_into)),
+//! so batched read throughput survives dynamization. Order queries
 //! (`lower_bound` / `successor` / `predecessor`) combine per-run
 //! candidates and skip dead versions.
 //!
@@ -553,8 +553,8 @@ where
     /// record.
     ///
     /// The delta is sorted **once**, its per-key run weights are
-    /// resolved with one software-pipelined `batch_rank` sweep per
-    /// resident run (instead of one descent cascade per key), and the
+    /// resolved with one software-pipelined landing sweep per resident
+    /// run (instead of one descent cascade per key), and the
     /// result is combined with the write buffer in a single linear
     /// merge — no per-key `O(cap)` memmove. A delta that lands
     /// entirely above the current buffer maximum appends without
@@ -590,20 +590,14 @@ where
             }
         }
         sort_dedup_last_wins(&mut delta);
-        // Per-key summed run weights, one pipelined rank sweep per run
-        // (the bulk analog of `runs_weight_of`).
-        let keys: Vec<K> = delta.iter().map(|(k, _)| k.clone()).collect();
-        let mut s_runs = vec![0i64; keys.len()];
+        // Per-key summed run weights, one pipelined landing sweep per
+        // run, each adding its weights in place (the bulk analog of
+        // `runs_weight_of`); the keys are read through references.
+        let mut s_runs = vec![0i64; delta.len()];
+        let keys: Vec<&K> = delta.iter().map(|(k, _)| k).collect();
         for run in self.live.runs.iter() {
             let searcher = run.map.searcher();
-            let ranks = searcher.batch_rank(&keys);
-            for (s, (&r, key)) in s_runs.iter_mut().zip(ranks.iter().zip(&keys)) {
-                if let Some(p) = searcher.position_of_rank(r) {
-                    if run.map.keys()[p] == *key {
-                        *s += run.prefix.span(r);
-                    }
-                }
-            }
+            searcher.batch_land_into(&keys, &mut s_runs, |s, l| *s += run.weight_at(l));
         }
         // Combine the delta with the buffer in one linear merge (delta
         // wins per key). A batch strictly above the buffer max appends

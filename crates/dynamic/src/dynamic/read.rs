@@ -33,6 +33,17 @@ impl<K, V> Frozen<K, V> {
     }
 }
 
+/// Which neighbor of a key a [`Frozen`] order query looks for.
+#[derive(Clone, Copy)]
+enum Seek {
+    /// The smallest key `≥` it.
+    AtLeast,
+    /// The smallest key `>` it.
+    After,
+    /// The largest key `<` it.
+    Before,
+}
+
 impl<K, V> Clone for Frozen<K, V> {
     fn clone(&self) -> Self {
         Self {
@@ -107,95 +118,80 @@ where
         self.rank(hi).saturating_sub(self.rank(lo))
     }
 
-    /// Smallest version key `≥ key` across buffer and runs (dead
-    /// versions included — callers resolve liveness).
-    fn version_at_least(&self, key: &K) -> Option<&K> {
-        let i = self.buffer.partition_point(|e| e.key < *key);
-        let mut best = self.buffer.get(i).map(|e| &e.key);
-        for run in self.runs.iter() {
-            if let Some((k, _)) = run.map.lower_bound(key) {
-                best = Some(match best {
-                    Some(b) if b <= k => b,
-                    _ => k,
-                });
-            }
+    /// The version key nearest `key` in direction `seek` across buffer
+    /// and runs — the smallest `≥ key` or `> key`, or the largest
+    /// `< key` — dead versions included (callers resolve liveness).
+    fn version_near(&self, key: &K, seek: Seek) -> Option<&K> {
+        let i = match seek {
+            Seek::After => self.buffer.partition_point(|e| e.key <= *key),
+            Seek::AtLeast | Seek::Before => self.buffer.partition_point(|e| e.key < *key),
+        };
+        let buffered = match seek {
+            Seek::Before => i.checked_sub(1),
+            Seek::AtLeast | Seek::After => Some(i),
+        };
+        let buffered = buffered.and_then(|j| self.buffer.get(j)).map(|e| &e.key);
+        let runs = self.runs.iter().filter_map(|run| {
+            let entry = match seek {
+                Seek::AtLeast => run.map.lower_bound(key),
+                Seek::After => run.map.successor(key),
+                Seek::Before => run.map.predecessor(key),
+            };
+            entry.map(|(k, _)| k)
+        });
+        let all = buffered.into_iter().chain(runs);
+        match seek {
+            Seek::Before => all.max(),
+            Seek::AtLeast | Seek::After => all.min(),
         }
-        best
     }
 
-    /// Smallest version key strictly greater than `key`.
-    fn version_after(&self, key: &K) -> Option<&K> {
-        let i = self.buffer.partition_point(|e| e.key <= *key);
-        let mut best = self.buffer.get(i).map(|e| &e.key);
-        for run in self.runs.iter() {
-            if let Some((k, _)) = run.map.successor(key) {
-                best = Some(match best {
-                    Some(b) if b <= k => b,
-                    _ => k,
-                });
-            }
-        }
-        best
-    }
-
-    /// Largest version key strictly smaller than `key`.
-    fn version_before(&self, key: &K) -> Option<&K> {
-        let i = self.buffer.partition_point(|e| e.key < *key);
-        let mut best = i.checked_sub(1).map(|j| &self.buffer[j].key);
-        for run in self.runs.iter() {
-            if let Some((k, _)) = run.map.predecessor(key) {
-                best = Some(match best {
-                    Some(b) if b >= k => b,
-                    _ => k,
-                });
-            }
-        }
-        best
-    }
-
-    /// Walk candidates rightward until one is live.
-    fn resolve_forward<'a>(&'a self, mut cand: &'a K) -> Option<(&'a K, &'a V)> {
+    /// The live entry nearest `key` in direction `seek`: the nearest
+    /// version, then — past every dead one — the next in the same
+    /// direction (rightward for [`Seek::AtLeast`] and [`Seek::After`],
+    /// leftward for [`Seek::Before`]) until one is live.
+    fn live_near(&self, key: &K, seek: Seek) -> Option<(&K, &V)> {
+        let step = match seek {
+            Seek::Before => Seek::Before,
+            Seek::AtLeast | Seek::After => Seek::After,
+        };
+        let mut cand = self.version_near(key, seek)?;
         loop {
             match self.version(cand).expect("candidate keys have a version") {
                 Some(v) => return Some((cand, v)),
-                None => cand = self.version_after(cand)?,
-            }
-        }
-    }
-
-    /// Walk candidates leftward until one is live.
-    fn resolve_backward<'a>(&'a self, mut cand: &'a K) -> Option<(&'a K, &'a V)> {
-        loop {
-            match self.version(cand).expect("candidate keys have a version") {
-                Some(v) => return Some((cand, v)),
-                None => cand = self.version_before(cand)?,
+                None => cand = self.version_near(cand, step)?,
             }
         }
     }
 
     /// The smallest live entry with key `≥ key`, if any.
     pub fn lower_bound(&self, key: &K) -> Option<(&K, &V)> {
-        self.resolve_forward(self.version_at_least(key)?)
+        self.live_near(key, Seek::AtLeast)
     }
 
     /// The smallest live entry with key **strictly greater** than
     /// `key`, if any.
     pub fn successor(&self, key: &K) -> Option<(&K, &V)> {
-        self.resolve_forward(self.version_after(key)?)
+        self.live_near(key, Seek::After)
     }
 
     /// The largest live entry with key **strictly smaller** than `key`,
     /// if any.
     pub fn predecessor(&self, key: &K) -> Option<(&K, &V)> {
-        self.resolve_backward(self.version_before(key)?)
+        self.live_near(key, Seek::Before)
     }
 
     /// Batched [`Frozen::get`]: `out[i]` is exactly `get(keys[i])`.
     /// Unresolved keys cascade run by run (newest first), each run
-    /// driven by the software-pipelined parallel `batch_search` engine.
-    /// Keys are read in place through [`Borrow`] — `&[K]` and `&[&K]`
-    /// (what a routing layer holds after partitioning by reference) are
-    /// the same call, and nothing below this point ever clones a key.
+    /// driven by the software-pipelined parallel landing engine
+    /// ([`Searcher::batch_land_into`](ist_query::Searcher::batch_land_into)),
+    /// which hands each key's payload reference to the cascade inside
+    /// its chunks. Keys are read in place through [`Borrow`] — `&[K]`
+    /// and `&[&K]` (what a routing layer holds after partitioning by
+    /// reference) are the same call, and nothing below this point ever
+    /// clones a key. The call's allocations do not grow with the run
+    /// count: the result, the pending list, the probe list and the
+    /// landing slice, the last three reused by every run.
     pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>> {
         let mut out: Vec<Option<&V>> = vec![None; keys.len()];
         // Buffer pass: cheap binary searches over ≤ cap entries.
@@ -208,21 +204,28 @@ where
         }
         // Cascade the unresolved keys run by run, newest first, each
         // run on the pipelined parallel engine. `pending` shrinks in
-        // place and one probe list serves every run, so a run costs
-        // only the position vector its search returns.
+        // place, and one probe list and one landing slice serve every
+        // run.
         let mut probe: Vec<&K> = Vec::with_capacity(pending.len());
+        let mut landed: Vec<Option<&Option<V>>> = Vec::with_capacity(pending.len());
         for run in self.runs.iter() {
             if pending.is_empty() {
                 break;
             }
             probe.clear();
             probe.extend(pending.iter().map(|&i| keys[i].borrow()));
-            let mut positions = run.map.searcher().batch_search(&probe).into_iter();
+            landed.clear();
+            landed.resize(probe.len(), None);
+            let values = run.map.values();
+            run.map
+                .searcher()
+                .batch_land_into(&probe, &mut landed, |o, l| *o = l.hit().map(|p| &values[p]));
             // `retain` visits `pending` once, in order: in step with
-            // `positions`.
-            pending.retain(|&i| match positions.next().expect("a position per probe") {
-                Some(p) => {
-                    out[i] = run.map.values()[p].as_ref();
+            // `landed`.
+            let mut landed = landed.iter();
+            pending.retain(|&i| match landed.next().expect("a landing per probe") {
+                Some(version) => {
+                    out[i] = version.as_ref();
                     false
                 }
                 None => true,
@@ -231,7 +234,8 @@ where
         out
     }
 
-    /// Batched [`Frozen::rank`] on the pipelined per-run rank engine
+    /// Batched [`Frozen::rank`] on the pipelined per-run landing engine,
+    /// each run adding its weight prefix at every key's rank in place
     /// (keys read in place, like [`Frozen::batch_get`]).
     pub fn batch_rank<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
         // The buffer's weight prefix, built once per call: each key then
@@ -247,9 +251,10 @@ where
             .map(|k| below[self.buffer.partition_point(|e| e.key < *k.borrow())])
             .collect();
         for run in self.runs.iter() {
-            for (a, r) in acc.iter_mut().zip(run.map.searcher().batch_rank(keys)) {
-                *a += run.prefix.at(r);
-            }
+            let prefix = &run.prefix;
+            run.map
+                .searcher()
+                .batch_land_into(keys, &mut acc, |a, l| *a += prefix.at(l.rank));
         }
         acc.into_iter()
             .map(|w| {

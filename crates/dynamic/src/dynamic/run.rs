@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 
 use crate::map::StaticMap;
 use ist_core::Error;
-use ist_query::QueryKind;
+use ist_query::{Landing, QueryKind};
 use ist_store::RunRef;
 
 /// The run size, in versions, from which a compaction output is built
@@ -159,15 +159,19 @@ impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
     }
 
     /// Weight of this run's version of `key` (0 if absent): one rank
-    /// descent, then the closed-form position map plus a key equality
-    /// decides presence (run keys are distinct, so `rank`/`rank_upper`
-    /// can only differ by the key itself).
+    /// descent, whose landing is [`Run::weight_at`]'s.
     pub(super) fn weight_of(&self, key: &K) -> i64 {
-        let s = self.map.searcher();
-        let r = s.rank(key);
-        match s.position_of_rank(r) {
-            Some(p) if self.map.keys()[p] == *key => self.prefix.span(r),
-            _ => 0,
+        self.weight_at(self.map.searcher().land::<false>(key))
+    }
+
+    /// Weight of the version a descent of this run landed on, if it
+    /// holds the probe key (0 if not): the landing's rank indexes the
+    /// weight prefix, its slot plus one verify probe decides presence.
+    #[inline]
+    pub(super) fn weight_at(&self, landing: Landing<'_, K>) -> i64 {
+        match landing.hit() {
+            Some(_) => self.prefix.span(landing.rank),
+            None => 0,
         }
     }
 }

@@ -309,17 +309,20 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     /// are the same call — routing layers partition a batch by
     /// reference and pass the borrowed sub-batch straight in.
     ///
-    /// Each chunk writes its payload references straight into the one
-    /// output vector ([`Searcher::batch_search_map`]), so the call
-    /// allocates exactly that vector. Sharing `&V` with the chunks'
-    /// threads is why this needs `V: Sync`.
+    /// Each chunk reads every key's landing and writes its payload
+    /// reference straight into the one output vector
+    /// ([`Searcher::batch_land_into`]), so the call allocates exactly
+    /// that vector. Sharing `&V` with the chunks' threads is why this
+    /// needs `V: Sync`.
     pub fn batch_get<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<Option<&V>>
     where
         V: Sync,
     {
         let values: &[V] = &self.values;
+        let mut out = vec![None; keys.len()];
         self.searcher()
-            .batch_search_map(keys, |pos| pos.map(|p| &values[p]))
+            .batch_land_into(keys, &mut out, |o, l| *o = l.hit().map(|p| &values[p]));
+        out
     }
 
     /// Per-pair [`StaticMap::range_count`] for a batch of `(lo, hi)`

@@ -16,28 +16,34 @@
 //! keeps 32 descents in flight.
 //!
 //! There is exactly **one** window loop ([`window_into`]): the
-//! `UPPER = false` rank descent. Searches and ranks differ only in how
-//! a finished lane's registers are resolved — [`Navigator::rank_of_gap`]
-//! for a rank, the lower-bound slot plus one verify probe for a search
-//! — so a search carries no result register and no equality test
-//! through its rounds, and every lane step is exactly a rank step.
-//! Which layout the loop descends is entirely the navigator's
-//! business. Because all in-flight descents sit on the same level, the
-//! per-level round constant ([`Navigator::Round`]) is computed once per
-//! round for the whole window.
+//! `UPPER = false` rank descent, each finished lane resolved once by
+//! [`Navigator::land`] into its rank and slot. A search carries no
+//! result register and no equality test through its rounds — every
+//! lane step is exactly a rank step — and reads its answer off the
+//! landing: the slot plus one verify probe. Which layout the loop
+//! descends is entirely the navigator's business. Because all
+//! in-flight descents sit on the same level, the per-level round
+//! constant ([`Navigator::Round`]) is computed once per round for the
+//! whole window.
 //!
-//! Every public batch entry point runs the window loop over fixed
-//! chunks of the batch that the rayon shim spreads over its threads (a
-//! batch too short to pay for a hand-off — `rayon::min_task_len` — and
-//! every batch on a one-thread pool stay on the calling thread).
-//! Results are bit-identical to a scalar loop of the point operation:
-//! the window replays the scalar engine's comparison sequence and its
-//! resolution. The differential suite (`tests/query_differential.rs`)
-//! enforces this, and `tests/navigator_equivalence.rs` pins the
-//! visited node sequences.
+//! There is also exactly **one** batched entry point,
+//! [`Searcher::batch_land_into`]: the window loop over fixed chunks of
+//! the batch that the rayon shim spreads over its threads (a batch too
+//! short to pay for a hand-off — `rayon::min_task_len` — and every
+//! batch on a one-thread pool stay on the calling thread), handing the
+//! caller each key's [`Landing`] inside the chunk, to fold into a slice
+//! the caller owns. `batch_search`, `batch_rank` and `batch_count` are
+//! one-liners over it, and so are `ist-dynamic`'s batched reads and
+//! write-path weight sweep. A caller that reads only the rank inlines
+//! the landing, and the slot arithmetic folds away. Results are
+//! bit-identical to a scalar loop of the point operation: the window
+//! replays the scalar engine's comparison sequence and its landing.
+//! The differential suite (`tests/query_differential.rs`) enforces
+//! this, and `tests/navigator_equivalence.rs` pins the visited node
+//! sequences.
 
-use crate::nav::{found, Navigator};
-use crate::Searcher;
+use crate::nav::Navigator;
+use crate::{Landing, Searcher};
 use rayon::prelude::*;
 use std::borrow::Borrow;
 
@@ -66,9 +72,9 @@ const CHUNK: usize = 32 * WINDOW;
 /// queries each and the pool has a second thread, chunk after chunk on
 /// the caller otherwise. How many tasks, and which chunks each runs, is
 /// the pool's decision (`par_chunks_mut` + `with_min_len`); this is the
-/// one place the batch engine states its grain, and every parallel
-/// batch entry point (search, rank, count, range count, successor)
-/// dispatches through here.
+/// one place the batch engine states its grain, and both parallel
+/// batch entry points ([`Searcher::batch_land_into`] and the range
+/// count) dispatch through here.
 pub(crate) fn par_chunked<I: Sync, O: Send>(
     items: &[I],
     out: &mut [O],
@@ -98,10 +104,9 @@ fn fill_keys<'k, T: 'k, const W: usize>(
 }
 
 /// The pipelined window loop: `n` queries in windows of `W` in-flight
-/// `UPPER = false` rank descents, delivering `(query index,
-/// finish(cursor, accumulator, key))` to `sink` in query order —
-/// exactly what the scalar engine resolves from the same registers,
-/// for any navigator.
+/// `UPPER = false` rank descents, delivering `(query index, key,
+/// landing)` to `sink` in query order — exactly what the scalar engine
+/// lands on from the same registers, for any navigator.
 ///
 /// `tap(query, node_base)` observes every node read of every live
 /// descent (no-op closures compile away; the equivalence suite listens
@@ -112,12 +117,11 @@ fn fill_keys<'k, T: 'k, const W: usize>(
 /// kernel's instructions and the node kernel inlines into it instead of
 /// being called per node.
 #[inline(always)]
-pub(crate) fn window_into<'k, T, N, O, const W: usize>(
+pub(crate) fn window_into<'k, T, N, const W: usize>(
     nav: &N,
     n: usize,
     key_of: impl Fn(usize) -> &'k T,
-    finish: impl Fn(&N::Cursor, &N::Acc, &T) -> O,
-    mut sink: impl FnMut(usize, O),
+    mut sink: impl FnMut(usize, &'k T, (usize, Option<usize>)),
     mut tap: impl FnMut(usize, usize),
 ) where
     T: Ord + 'k,
@@ -150,7 +154,7 @@ pub(crate) fn window_into<'k, T, N, O, const W: usize>(
         }
         if rounds > 0 {
             // Final round: descents fall off into their gaps; prefetch
-            // each gap's overflow keys — the one line the resolution
+            // each gap's overflow keys — the one line the landing
             // reads that the descent has not — instead of a child.
             for s in 0..bw {
                 if !nav.is_live(&curs[s], &accs[s]) {
@@ -162,68 +166,47 @@ pub(crate) fn window_into<'k, T, N, O, const W: usize>(
             }
         }
         for s in 0..bw {
-            sink(q + s, finish(&curs[s], &accs[s], keys[s]));
+            let landing = nav.land::<false>(&curs[s], &accs[s], keys[s]);
+            sink(q + s, keys[s], landing);
         }
         q += bw;
     }
 }
 
-/// [`window_into`] resolving ranks (strictly-smaller counts).
-#[inline(always)]
-pub(crate) fn window_rank_into<'k, T, N, const W: usize>(
-    nav: &N,
-    n: usize,
-    key_of: impl Fn(usize) -> &'k T,
-    sink: impl FnMut(usize, usize),
-    tap: impl FnMut(usize, usize),
-) where
-    T: Ord + 'k,
-    N: Navigator<T>,
-{
-    let finish =
-        |cur: &N::Cursor, acc: &N::Acc, key: &T| nav.rank_of_gap::<false>(nav.gap(cur, acc), key);
-    window_into::<T, N, usize, W>(nav, n, key_of, finish, sink, tap)
-}
-
-/// [`window_into`] resolving searches: the lower-bound slot if it
-/// holds the key.
-#[inline(always)]
-pub(crate) fn window_search_into<'k, T, N, const W: usize>(
-    nav: &N,
-    n: usize,
-    key_of: impl Fn(usize) -> &'k T,
-    sink: impl FnMut(usize, Option<usize>),
-    tap: impl FnMut(usize, usize),
-) where
-    T: Ord + 'k,
-    N: Navigator<T>,
-{
-    let finish = |cur: &N::Cursor, acc: &N::Acc, key: &T| found(nav, cur, acc, key);
-    window_into::<T, N, Option<usize>, W>(nav, n, key_of, finish, sink, tap)
-}
-
 impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
-    /// Run the pipelined **rank** engine over `n` queries on the
-    /// calling thread, delivering `(query index, rank)` pairs to `sink`
-    /// in query order.
-    pub(crate) fn pipelined_rank_into<'k>(
+    /// Run the window loop over `n` queries on the calling thread,
+    /// delivering `(query index, key, landing)` to `sink` in query
+    /// order.
+    #[inline]
+    pub(crate) fn land_window<'k>(
         &self,
         n: usize,
         key_of: impl Fn(usize) -> &'k T,
-        sink: impl FnMut(usize, usize),
+        sink: impl FnMut(usize, &'k T, (usize, Option<usize>)),
     ) where
         T: 'k,
     {
         crate::dispatch_nav!(self, nav => {
-            window_rank_into::<T, _, WINDOW>(&nav, n, key_of, sink, |_, _| {})
+            window_into::<T, _, WINDOW>(&nav, n, key_of, sink, |_, _| {})
         });
     }
 
-    /// `out[i] = f(search(keys[i]))`, pipelined within parallel chunks.
-    /// `f` runs inside the chunks, so the answers a caller wants — say,
-    /// references to payloads — are written once, into the one output
-    /// vector, with no pass over positions after. The body of every
-    /// search-shaped batch call.
+    /// The batched landing — every batch read's one entry point: for
+    /// each `i`, `f(&mut out[i], landing)` with the [`Landing`] of
+    /// `keys[i]` (`UPPER = false`: its rank and its lower-bound slot),
+    /// computed by the software-pipelined engine within rayon-parallel
+    /// chunks. `f` runs inside the chunks, so the answer a caller wants
+    /// — a rank, a payload reference, a weight added to a running sum
+    /// — lands in the caller's slice with no vector of positions or
+    /// ranks in between.
+    ///
+    /// Keys are read in place through [`Borrow`], so an owned `&[T]`
+    /// and a borrowed `&[&T]` (what a routing layer holds after
+    /// [`crate::route::partition_batch_ref`]) are the same call — no
+    /// key is ever cloned or copied into a staging buffer.
+    ///
+    /// # Panics
+    /// Panics if `keys` and `out` differ in length.
     ///
     /// # Examples
     /// ```
@@ -231,43 +214,50 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// let keys = vec![10u64, 20, 30];
     /// let names = ["ten", "twenty", "thirty"];
     /// let s = Searcher::new(&keys, QueryKind::Sorted);
-    /// let got = s.batch_search_map(&[20, 25], |p| p.map(|p| names[p]));
-    /// assert_eq!(got, vec![Some("twenty"), None]);
+    /// let mut got = [None; 2];
+    /// s.batch_land_into(&[20, 25], &mut got, |o, l| *o = l.hit().map(|p| names[p]));
+    /// assert_eq!(got, [Some("twenty"), None]);
+    /// let mut ranks = [0; 3];
+    /// s.batch_land_into(&[&5, &25, &99], &mut ranks, |o, l| *o = l.rank);
+    /// assert_eq!(ranks, [0, 2, 3]);
     /// ```
-    pub fn batch_search_map<Q, O>(
+    pub fn batch_land_into<Q, O>(
         &self,
         keys: &[Q],
-        f: impl Fn(Option<usize>) -> O + Sync,
-    ) -> Vec<O>
-    where
+        out: &mut [O],
+        f: impl Fn(&mut O, Landing<'_, T>) + Sync,
+    ) where
         Q: Borrow<T> + Sync,
-        O: Default + Clone + Send,
+        O: Send,
     {
-        let mut out = vec![O::default(); keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            crate::dispatch_nav!(self, nav => {
-                window_search_into::<T, _, WINDOW>(
-                    &nav,
-                    kc.len(),
-                    |i| kc[i].borrow(),
-                    |i, r| oc[i] = f(r),
-                    |_, _| {},
-                )
-            })
+        assert_eq!(
+            keys.len(),
+            out.len(),
+            "batch_land_into: keys and out differ in length"
+        );
+        par_chunked(keys, out, |kc, oc| {
+            self.land_window(
+                kc.len(),
+                |i| kc[i].borrow(),
+                |i, key, (rank, slot)| {
+                    let data = self.data;
+                    f(
+                        &mut oc[i],
+                        Landing {
+                            rank,
+                            slot,
+                            key,
+                            data,
+                        },
+                    )
+                },
+            )
         });
-        out
     }
 
     /// Batch search: `out[i]` is exactly [`Searcher::search`]`(keys[i])`
-    /// — the leftmost slot holding the key —
-    /// computed by the software-pipelined engine within rayon-parallel
-    /// chunks (batches too short to pay for a hand-off stay on the
-    /// calling thread).
-    ///
-    /// Keys are read in place through [`Borrow`], so an owned `&[T]`
-    /// and a borrowed `&[&T]` (what a routing layer holds after
-    /// [`crate::route::partition_batch_ref`]) are the same call — no
-    /// key is ever cloned or copied into a staging buffer.
+    /// — the leftmost slot holding the key — via
+    /// [`Searcher::batch_land_into`].
     ///
     /// # Examples
     /// ```
@@ -283,7 +273,9 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(found, s.batch_search(&[&0, &2, &3, &1998])); // borrowed keys
     /// ```
     pub fn batch_search<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<Option<usize>> {
-        self.batch_search_map(keys, |r| r)
+        let mut out = vec![None; keys.len()];
+        self.batch_land_into(keys, &mut out, |o, l| *o = l.hit());
+        out
     }
 
     /// Batch rank: `out[i]` is the number of stored keys strictly
@@ -300,9 +292,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// ```
     pub fn batch_rank<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
         let mut out = vec![0; keys.len()];
-        par_chunked(keys, &mut out, |kc, oc| {
-            self.pipelined_rank_into(kc.len(), |i| kc[i].borrow(), |i, r| oc[i] = r)
-        });
+        self.batch_land_into(keys, &mut out, |o, l| *o = l.rank);
         out
     }
 
@@ -311,7 +301,8 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// loop of [`Searcher::contains`], including for batches smaller
     /// than any parallel grain.
     pub fn batch_count<Q: Borrow<T> + Sync>(&self, keys: &[Q]) -> usize {
-        let found = self.batch_search_map(keys, |r| r.is_some());
-        found.into_iter().filter(|f| *f).count()
+        let mut hit = vec![false; keys.len()];
+        self.batch_land_into(keys, &mut hit, |o, l| *o = l.hit().is_some());
+        hit.into_iter().filter(|h| *h).count()
     }
 }

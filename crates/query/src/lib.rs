@@ -28,10 +28,14 @@
 //! visit bit-identical node sequences, via [`Searcher::trace_search`] /
 //! [`Searcher::trace_search_pipelined`] and friends.
 //!
-//! Every search is a **rank descent**: the `UPPER = false` steps with no
-//! equality test and no early exit, then one lower-bound slot and one
-//! verify probe. A hit costs exactly what a miss does, and a window of
-//! batched lookups carries nothing a window of ranks does not.
+//! Every query is a **rank descent** — steps with no equality test and
+//! no early exit — resolved once, from its final registers, into a
+//! [`Landing`]: the rank and the layout slot of the element of that
+//! sorted rank. Each query reads its answer off that one landing; no
+//! query maps a rank to a slot after the descent. A search is the slot
+//! plus one verify probe, so a hit costs exactly what a miss does, and
+//! a window of batched lookups carries nothing a window of ranks does
+//! not.
 //!
 //! ## Batched queries
 //!
@@ -41,11 +45,14 @@
 //! flight per thread, advancing each one level per round and
 //! prefetching its next node, so queries hide each other's memory
 //! latency, and parallelizes over chunks of the batch
-//! (pipelining *within* each chunk). Each operation has one batch
-//! entry point — [`Searcher::batch_search`], [`Searcher::batch_rank`],
-//! [`Searcher::batch_count`], [`Searcher::batch_range_count`] — whose
-//! `out[i]` is bit-identical to the point operation on `keys[i]`. Keys are read through
-//! [`std::borrow::Borrow`], so `&[T]` and `&[&T]` are the same call.
+//! (pipelining *within* each chunk). One entry point,
+//! [`Searcher::batch_land_into`], hands the caller each key's landing
+//! inside the chunks; [`Searcher::batch_search`],
+//! [`Searcher::batch_rank`] and [`Searcher::batch_count`] are
+//! one-liners over it, and [`Searcher::batch_range_count`] runs the same
+//! window. Each `out[i]` is bit-identical to the point operation on
+//! `keys[i]`. Keys are read through [`std::borrow::Borrow`], so `&[T]`
+//! and `&[&T]` are the same call.
 //!
 //! ## Duplicate keys
 //!
@@ -55,18 +62,22 @@
 //! * [`Searcher::rank`]`(k)` — the number of stored keys **strictly
 //!   smaller** than `k` (so for `m` copies of `k`, ranks of the copies
 //!   do not include each other); [`Searcher::rank_upper`]`(k)` counts
-//!   keys `≤ k`.
+//!   keys `≤ k`. Each is the rank of one landing (`UPPER = false` /
+//!   `true`).
 //! * [`Searcher::lower_bound`]`(k)` — the layout position holding the
 //!   **first key `≥ k` in sorted order**, or `None` if every key is
-//!   smaller. With duplicates this is the leftmost copy's slot.
-//! * [`Searcher::successor`]`(k)` / [`Searcher::predecessor`]`(k)` —
-//!   the first key strictly greater / last key strictly smaller, so
-//!   duplicates of `k` itself are skipped entirely.
+//!   smaller: the slot of the `UPPER = false` landing. With duplicates
+//!   this is the leftmost copy's slot.
 //! * [`Searcher::search`]`(k)` — the slot of the **leftmost** copy of
-//!   `k` in sorted order, on every layout: exactly
-//!   `lower_bound(k)` when that slot holds `k`, else `None` (the batch
-//!   calls return exactly the per-key scalar answer).
-//!   [`Searcher::contains`] is `search(k).is_some()`.
+//!   `k` in sorted order, on every layout: the same landing's slot when
+//!   it holds `k`, else `None` (the batch calls return exactly the
+//!   per-key scalar answer). [`Searcher::contains`] is
+//!   `search(k).is_some()`.
+//! * [`Searcher::successor`]`(k)` — the first key strictly greater than
+//!   `k`: the slot of the `UPPER = true` landing, so duplicates of `k`
+//!   itself are skipped entirely. [`Searcher::predecessor`]`(k)` — the
+//!   last key strictly smaller — is the one query that maps a rank to a
+//!   slot after its descent ([`Searcher::position_of_rank`]).
 //! * [`Searcher::range_count`]`(lo, hi)` — keys in `[lo, hi)` counted
 //!   **with multiplicity**.
 //!
@@ -342,25 +353,56 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         )
     }
 
+    /// The [`Landing`] of one rank descent for `key` (ties left, or
+    /// right with `UPPER`): its rank and the slot of the element of
+    /// that sorted rank. Every scalar query below reads one of these.
+    ///
+    /// The sorted baseline short-circuits to `partition_point` — the
+    /// same landing the navigator's pinned probe sequence produces (the
+    /// partition point is unique), in a tighter loop. Always inlined,
+    /// so each caller keeps only the half of the landing it reads: out
+    /// of line, the scalar vEB `get` of `perfbench`'s `static_read`
+    /// (2^23 keys, a 2-vCPU AVX-512 box) ran about 35 % slower.
+    ///
+    /// # Examples
+    /// ```
+    /// use ist_query::{QueryKind, Searcher};
+    /// let v = vec![10u64, 20, 20, 30];
+    /// let s = Searcher::new(&v, QueryKind::Sorted);
+    /// let l = s.land::<false>(&20);
+    /// assert_eq!((l.rank, l.slot, l.hit()), (1, Some(1), Some(1)));
+    /// let u = s.land::<true>(&20);
+    /// assert_eq!((u.rank, u.slot), (3, Some(3)));
+    /// assert_eq!(s.land::<true>(&30).slot, None);
+    /// ```
+    #[inline(always)]
+    pub fn land<'k, const UPPER: bool>(&self, key: &'k T) -> Landing<'k, T>
+    where
+        'a: 'k,
+    {
+        let (rank, slot) = if let ShapeData::Sorted = self.shape {
+            let r = self
+                .data
+                .partition_point(|x| if UPPER { x <= key } else { x < key });
+            (r, (r < self.data.len()).then_some(r))
+        } else {
+            dispatch_nav!(self, nav => nav::land_with::<T, _, UPPER>(&nav, key, |_| {}))
+        };
+        let data = self.data;
+        Landing {
+            rank,
+            slot,
+            key,
+            data,
+        }
+    }
+
     /// The layout index of the leftmost copy of `key` in sorted order,
     /// if present (see the [crate docs](crate#duplicate-keys)): the
-    /// rank descent's lower-bound slot, if it holds `key`.
-    ///
-    /// The sorted baseline short-circuits to `partition_point` + one
-    /// verify probe — the same answer the navigator's pinned probe
-    /// sequence produces (the partition point is unique), in a tighter
-    /// loop.
+    /// landing's slot, if it holds `key`.
     #[inline]
     pub fn search(&self, key: &T) -> Option<usize> {
-        if let ShapeData::Sorted = self.shape {
-            let r = self.data.partition_point(|x| x < key);
-            return if r < self.data.len() && self.data[r] == *key {
-                Some(r)
-            } else {
-                None
-            };
-        }
-        dispatch_nav!(self, nav => nav::search_with(&nav, key, |_| {}))
+        self.land::<false>(key).hit()
     }
 
     /// `true` iff `key` is present.
@@ -388,10 +430,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(s.rank(&999), 100);
     /// ```
     pub fn rank(&self, key: &T) -> usize {
-        if let ShapeData::Sorted = self.shape {
-            return self.data.partition_point(|x| x < key);
-        }
-        dispatch_nav!(self, nav => nav::rank_with::<T, _, false>(&nav, key, |_| {}))
+        self.land::<false>(key).rank
     }
 
     /// The **upper rank** of `key`: how many stored keys are `≤ key`
@@ -406,20 +445,20 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(s.rank(&20), 1);
     /// assert_eq!(s.rank_upper(&20), 3);
     /// ```
+    // LINT-ALLOW(test-only-pub): part of the duplicate-key contract; query_differential and navigator_equivalence pin it
     pub fn rank_upper(&self, key: &T) -> usize {
-        if let ShapeData::Sorted = self.shape {
-            return self.data.partition_point(|x| x <= key);
-        }
-        dispatch_nav!(self, nav => nav::rank_with::<T, _, true>(&nav, key, |_| {}))
+        self.land::<true>(key).rank
     }
 
     /// Layout position of the element with sorted rank `r`, via the
-    /// closed-form position maps (`None` past the end). Shared by
-    /// `successor`/`predecessor` so both resolve ranks to identical
-    /// slots; also the way to walk a
-    /// layout in **sorted order** without materializing a sorted copy
-    /// (the log-structured merge in `ist-dynamic` streams runs this
-    /// way).
+    /// closed-form position maps (`None` past the end). No descent
+    /// reads this — each lands on its slot directly ([`Searcher::land`])
+    /// — but a rank with no descent behind it does: the one below a
+    /// landing ([`Searcher::predecessor`]), and a walk of the layout in
+    /// **sorted order** without a sorted copy (the merge cursor and
+    /// run slicing of `ist-dynamic`'s compaction). The test suites use
+    /// it as the independent closed form every landing's slot is
+    /// checked against.
     ///
     /// # Examples
     /// ```
@@ -459,8 +498,8 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// `lower_bound`), or `None` if every key is smaller. With
     /// duplicates, the leftmost copy in sorted order (see the
     /// [crate docs](crate#duplicate-keys)) — the element of sorted rank
-    /// [`Searcher::rank`]`(key)`, named by the rank descent itself (one
-    /// descent, no position map).
+    /// [`Searcher::rank`]`(key)`: the landing's slot (one descent, no
+    /// position map).
     ///
     /// # Examples
     /// ```
@@ -474,24 +513,17 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(s.lower_bound(&199), None);
     /// ```
     pub fn lower_bound(&self, key: &T) -> Option<usize> {
-        if let ShapeData::Sorted = self.shape {
-            let r = self.data.partition_point(|x| x < key);
-            return (r < self.data.len()).then_some(r);
-        }
-        dispatch_nav!(self, nav => nav::lower_bound_with(&nav, key, |_| {}))
+        self.land::<false>(key).slot
     }
 
     /// The scalar node-address sequence of one **search** descent: the
     /// base array index of every node read, in order (diagnostics; the
     /// navigator-equivalence suite compares this against the pipelined
-    /// engine and the GPU cost model lane by lane).
+    /// engine and the GPU cost model lane by lane). A search is a rank
+    /// descent, so this is [`Searcher::trace_rank`].
     // LINT-ALLOW(test-only-pub): navigator_equivalence pins the scalar search path
     pub fn trace_search(&self, key: &T) -> Vec<usize> {
-        let mut t = Vec::new();
-        dispatch_nav!(self, nav => {
-            let _ = nav::search_with(&nav, key, |p| t.push(p));
-        });
-        t
+        self.trace_rank(key)
     }
 
     /// The scalar node-address sequence of one **rank** descent
@@ -499,28 +531,17 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     pub fn trace_rank(&self, key: &T) -> Vec<usize> {
         let mut t = Vec::new();
         dispatch_nav!(self, nav => {
-            let _ = nav::rank_with::<T, _, false>(&nav, key, |p| t.push(p));
+            let _ = nav::land_with::<T, _, false>(&nav, key, |p| t.push(p));
         });
         t
     }
 
     /// Per-query node-address sequences of the pipelined **search**
-    /// engine (diagnostics; see [`Searcher::trace_search`]). A search
-    /// is a rank descent on every path, so these equal the scalar
-    /// search traces and the rank traces.
+    /// engine (diagnostics; see [`Searcher::trace_search`]): the rank
+    /// window's, [`Searcher::trace_rank_pipelined`].
     // LINT-ALLOW(test-only-pub): navigator_equivalence pins the pipelined search path
     pub fn trace_search_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
-        let mut t = vec![Vec::new(); keys.len()];
-        dispatch_nav!(self, nav => {
-            batch::window_search_into::<T, _, { batch::WINDOW }>(
-                &nav,
-                keys.len(),
-                |i| &keys[i],
-                |_, _| {},
-                |q, p| t[q].push(p),
-            )
-        });
-        t
+        self.trace_rank_pipelined(keys)
     }
 
     /// Per-query node-address sequences of the pipelined **rank**
@@ -530,15 +551,39 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     pub fn trace_rank_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
         let mut t = vec![Vec::new(); keys.len()];
         dispatch_nav!(self, nav => {
-            batch::window_rank_into::<T, _, { batch::WINDOW }>(
+            batch::window_into::<T, _, { batch::WINDOW }>(
                 &nav,
                 keys.len(),
                 |i| &keys[i],
-                |_, _| {},
+                |_, _, _| {},
                 |q, p| t[q].push(p),
             )
         });
         t
+    }
+}
+
+/// Where one rank descent landed — the single resolution every query
+/// reads ([`Searcher::land`], [`Searcher::batch_land_into`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Landing<'a, T> {
+    /// Stored keys strictly smaller than the probe (`≤` it for the
+    /// `UPPER` flavor).
+    pub rank: usize,
+    /// Layout slot of the element of sorted rank `rank` — the first
+    /// stored key `≥` the probe (`>` it for `UPPER`), the leftmost copy
+    /// of a duplicate — or `None` when there is none.
+    pub slot: Option<usize>,
+    key: &'a T,
+    data: &'a [T],
+}
+
+impl<T: Ord> Landing<'_, T> {
+    /// The slot if it holds the probe key: the search answer of an
+    /// `UPPER = false` landing, by one verify probe.
+    #[inline(always)]
+    pub fn hit(&self) -> Option<usize> {
+        self.slot.filter(|&p| self.data[p] == *self.key)
     }
 }
 

@@ -13,8 +13,7 @@
 //! (the O(log log N) [`veb_pos`] map is not on any descent path; debug
 //! builds assert each step against it). The drivers:
 //!
-//! * the scalar engine ([`search_with`] / [`lower_bound_with`] /
-//!   [`rank_with`]) — one descent at a time;
+//! * the scalar engine ([`land_with`]) — one descent at a time;
 //! * the software-pipelined windowed engine (`crate::batch`) — a window
 //!   of descents advanced level-synchronously, branchless, with the
 //!   navigator supplying the prefetch targets;
@@ -54,23 +53,25 @@
 //!    [`Navigator::step_rank_last`]: the descent falls off the perfect
 //!    part, so the accumulator becomes the landing gap and no child is
 //!    computed.
-//! 4. After the rounds, [`Navigator::gap`] names the in-order gap the
-//!    descent fell into, and one of two resolutions runs.
-//!    [`Navigator::rank_of_gap`] converts the gap into a rank.
-//!    [`Navigator::lower_bound_slot`] names the layout slot of the
-//!    first key `≥` the probe: the overflow key in the landing gap if
-//!    one qualifies, else the full-part successor — from the gap by a
-//!    closed form (BST, B-tree) or from a candidate register the steps
-//!    keep (vEB). A search is that slot plus one verify probe
-//!    ([`search_with`]), so it returns the **leftmost** copy of a
-//!    duplicated key on every layout.
+//! 4. After the rounds, [`Navigator::land`] resolves the registers
+//!    once, into the descent's **landing**: the rank (the keys on the
+//!    counted side) and the layout slot of the element of that sorted
+//!    rank — the first uncounted key. Both come from the same
+//!    registers and the same scan of the landing gap's overflow keys:
+//!    the slot is the overflow key in the gap if one is uncounted, else
+//!    the gap's full-part successor — by a closed form of the gap (BST,
+//!    B-tree) or from a candidate register the steps keep (vEB). A
+//!    search is the `UPPER = false` slot plus one verify probe
+//!    ([`Landing::hit`](crate::Landing::hit)), so it returns the
+//!    **leftmost** copy of a duplicated key on every layout; a
+//!    successor is the `UPPER = true` slot. A caller that reads only the rank inlines the landing and
+//!    the slot arithmetic folds away.
 //!
 //! Rank descents come in two flavors selected by a const generic:
 //! `UPPER = false` counts keys strictly below the probe (ties descend
 //! left), `UPPER = true` counts keys `≤` the probe (ties descend
-//! right). Searches and lower bounds run `UPPER = false`;
-//! successor/predecessor queries are rank queries in disguise
-//! (`crate::order`).
+//! right). Searches and lower bounds run `UPPER = false`, successors
+//! `UPPER = true` (`crate::order`).
 
 use core::hint::select_unpredictable;
 use ist_layout::{bst_pos, veb_levels, veb_pos, CompleteShape, VebCursor, VebLevel};
@@ -186,6 +187,45 @@ impl BtreeSearchShape {
             s: s.partial_node_len(),
         }
     }
+
+    /// The slots of the overflow node hanging in gap `g` (empty past
+    /// the last one). `b` is `self.b`; the const-width navigator passes
+    /// its constant so the multiplies fold.
+    #[inline(always)]
+    pub(crate) fn overflow_node(&self, b: usize, g: usize) -> core::ops::Range<usize> {
+        let start = self.i + g.min(self.q) * b;
+        if g < self.q {
+            start..start + b
+        } else if g == self.q {
+            start..start + self.s
+        } else {
+            0..0
+        }
+    }
+
+    /// The landing of a descent that fell into gap `g` and counted `c`
+    /// keys of the gap's overflow node `node`: `g` full elements, the
+    /// overflow keys of the gaps before `g` and those `c` are counted;
+    /// the slot is the node's first uncounted key, else the gap's
+    /// full-part successor by the level walk of [`btree_full_pos`].
+    #[inline(always)]
+    pub(crate) fn land(
+        &self,
+        b: usize,
+        g: usize,
+        node: core::ops::Range<usize>,
+        c: usize,
+    ) -> (usize, Option<usize>) {
+        let rank = g + g.min(self.q) * b + if g > self.q { self.s } else { 0 } + c;
+        let slot = if c < node.len() {
+            Some(node.start + c)
+        } else if g < self.i {
+            Some(btree_full_pos(b, self.i.saturating_sub(b) / (b + 1), g))
+        } else {
+            None
+        };
+        (rank, slot)
+    }
 }
 
 /// One layout's descent arithmetic: shape state plus branchless
@@ -258,18 +298,20 @@ pub trait Navigator<T: Ord>: Copy {
 
     /// The in-order gap a finished descent fell into.
     fn gap(&self, cur: &Self::Cursor, acc: &Self::Acc) -> usize;
-    /// The layout slot of the first key `≥ key` in sorted order (the
-    /// lower bound; with duplicates, the leftmost copy), after an
-    /// `UPPER = false` rank descent for `key` ended in these registers;
-    /// `None` if every stored key is smaller. The slot is the overflow
-    /// key in the landing gap when one is `≥ key`, else the full-part
-    /// element right of the gap. Reads at most the landing gap's
-    /// overflow keys — which [`Navigator::prefetch_gap`] warmed — and
-    /// nothing the descent did not already touch.
-    fn lower_bound_slot(&self, cur: &Self::Cursor, acc: &Self::Acc, key: &T) -> Option<usize>;
-    /// Convert a finished rank descent's gap into the rank (`< key`
-    /// count, or `≤ key` with `UPPER`).
-    fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize;
+    /// The **landing** of a finished rank descent for `key`: its rank
+    /// (the stored keys `< key`, or `≤ key` with `UPPER`) and the
+    /// layout slot of the element of that sorted rank — the first key
+    /// on the uncounted side, so the leftmost copy of a duplicate for
+    /// `UPPER = false` — or `None` when every stored key is counted.
+    /// Reads at most the landing gap's overflow keys, once — which
+    /// [`Navigator::prefetch_gap`] warmed — and nothing else the
+    /// descent did not already touch.
+    fn land<const UPPER: bool>(
+        &self,
+        cur: &Self::Cursor,
+        acc: &Self::Acc,
+        key: &T,
+    ) -> (usize, Option<usize>);
 
     /// Prefetch the node the registers will read next (windowed engine:
     /// issued right after `step`, long before the lane is re-touched).
@@ -287,45 +329,30 @@ pub trait Navigator<T: Ord>: Copy {
 // into the same `[perfect | overflow leaves]` suffix format).
 // ---------------------------------------------------------------------
 
-/// Complete-binary-tree lower bound from the fall-off gap: the
-/// overflow leaf in gap `g` when it is `≥ key` (it precedes full
-/// element `g` in sorted order), else full element `g` at
-/// `full_pos()`, else nothing (`g == i`: every full key is smaller).
+/// Complete-binary-tree landing from the fall-off gap `g`: `g` full
+/// elements are on the counted side, plus the overflow leaves below
+/// gap `g`, plus the gap-`g` leaf if it is counted too. The slot is
+/// that leaf when it is not counted (it precedes full element `g` in
+/// sorted order), else full element `g` at `full_pos()`, else nothing
+/// (`g == i`: every full key is counted).
 #[inline(always)]
-fn binary_lower_bound<T: Ord>(
+fn binary_land<T: Ord, const UPPER: bool>(
     data: &[T],
-    i: usize,
-    l: usize,
+    BinaryShape { i, l, .. }: BinaryShape,
     g: usize,
     key: &T,
     full_pos: impl FnOnce() -> usize,
-) -> Option<usize> {
-    if g < l && data[i + g] >= *key {
+) -> (usize, Option<usize>) {
+    let leaf_counted = g < l && counted::<T, UPPER>(&data[i + g], key);
+    let rank = g + g.min(l) + usize::from(leaf_counted);
+    let slot = if g < l && !leaf_counted {
         Some(i + g)
     } else if g < i {
         Some(full_pos())
     } else {
         None
-    }
-}
-
-/// Complete-binary-tree rank from the fall-off gap: `g` full elements
-/// are on the counted side; add the overflow leaves below gap `g` and
-/// the gap-`g` leaf if it too is on the counted side (`< key`, or
-/// `≤ key` for `UPPER`).
-#[inline]
-fn binary_rank_from_gap<T: Ord, const UPPER: bool>(
-    data: &[T],
-    i: usize,
-    l: usize,
-    g: usize,
-    key: &T,
-) -> usize {
-    let mut rank = g + g.min(l);
-    if g < l && counted::<T, UPPER>(&data[i + g], key) {
-        rank += 1;
-    }
-    rank
+    };
+    (rank, slot)
 }
 
 /// Layout slot of in-order element `g` of the perfect B-tree with `b`
@@ -337,12 +364,17 @@ fn binary_rank_from_gap<T: Ord, const UPPER: bool>(
 /// takes no loop turn, and with a const `b` the divisions are
 /// multiplies.
 #[inline(always)]
-pub(crate) fn btree_full_pos(b: usize, span: usize, g: usize) -> usize {
+fn btree_full_pos(b: usize, span: usize, g: usize) -> usize {
     let k = b + 1;
     let (mut g, mut internal) = (g, span);
     // Every k-th element is internal: it sits in the perfect tree of
-    // those elements, one level shorter, laid out in the prefix.
-    while (g + 1).is_multiple_of(k) {
+    // those elements, one level shorter, laid out in the prefix. Each
+    // turn divides `g + 1` by `k ≥ 2`; the bound makes the loop
+    // provably finite, so a landing whose slot is unused drops it.
+    for _ in 0..usize::BITS {
+        if !(g + 1).is_multiple_of(k) {
+            break;
+        }
         g = (g + 1) / k - 1;
         internal = internal.saturating_sub(b) / k;
     }
@@ -454,13 +486,14 @@ impl<'a, T: Ord> Navigator<T> for BstNav<'a, T> {
     /// placed by the closed-form [`bst_pos`] (a trailing-zero count and
     /// two shifts).
     #[inline(always)]
-    fn lower_bound_slot(&self, _cur: &usize, acc: &usize, key: &T) -> Option<usize> {
-        let BinaryShape { d, i, l } = self.shape;
-        binary_lower_bound(self.data, i, l, *acc, key, || bst_pos(d, *acc))
-    }
-    #[inline]
-    fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize {
-        binary_rank_from_gap::<T, UPPER>(self.data, self.shape.i, self.shape.l, gap, key)
+    fn land<const UPPER: bool>(
+        &self,
+        _cur: &usize,
+        acc: &usize,
+        key: &T,
+    ) -> (usize, Option<usize>) {
+        let d = self.shape.d;
+        binary_land::<T, UPPER>(self.data, self.shape, *acc, key, || bst_pos(d, *acc))
     }
     #[inline(always)]
     fn prefetch_node(&self, cur: &usize, _acc: &usize) {
@@ -571,7 +604,7 @@ impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
     #[inline(always)]
     fn start(&self) -> (VebDescent, usize) {
         // `succ` is only read when some step turned left (see
-        // `lower_bound_slot`), so its start value is never observed.
+        // `land`), so its start value is never observed.
         let at = VebCursor::ROOT;
         (VebDescent { at, succ: 0 }, 0)
     }
@@ -615,13 +648,13 @@ impl<'a, T: Ord> Navigator<T> for VebNav<'a, T> {
     /// Gap `g < i` means some step turned left, at in-order element
     /// `g`: the candidate register holds its position.
     #[inline(always)]
-    fn lower_bound_slot(&self, cur: &VebDescent, acc: &usize, key: &T) -> Option<usize> {
-        let BinaryShape { i, l, .. } = self.shape;
-        binary_lower_bound(self.data, i, l, *acc, key, || cur.succ)
-    }
-    #[inline]
-    fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize {
-        binary_rank_from_gap::<T, UPPER>(self.data, self.shape.i, self.shape.l, gap, key)
+    fn land<const UPPER: bool>(
+        &self,
+        cur: &VebDescent,
+        acc: &usize,
+        key: &T,
+    ) -> (usize, Option<usize>) {
+        binary_land::<T, UPPER>(self.data, self.shape, *acc, key, || cur.succ)
     }
     #[inline(always)]
     fn prefetch_node(&self, cur: &VebDescent, _acc: &usize) {
@@ -675,19 +708,6 @@ impl<'a, T: Ord> BtreeNav<'a, T> {
         // the node's b keys end at v*b + b ≤ i ≤ data.len(), and the
         // shape was derived from this very slice's length.
         unsafe { self.data.get_unchecked(base..base + self.shape.b) }
-    }
-
-    /// Start index and length of the overflow node hanging in gap `g`.
-    #[inline]
-    fn overflow_node(&self, g: usize) -> (usize, usize) {
-        let BtreeSearchShape { b, i, q, s, .. } = self.shape;
-        if g < q {
-            (i + g * b, b)
-        } else if g == q {
-            (i + q * b, s)
-        } else {
-            (0, 0)
-        }
     }
 }
 
@@ -755,39 +775,21 @@ impl<'a, T: Ord> Navigator<T> for BtreeNav<'a, T> {
         *acc
     }
 
-    /// The first key `≥ key` of the overflow node hanging in the gap,
-    /// else the gap's full-part successor by the level walk of
-    /// [`ist_layout::btree_pos`].
-    #[inline]
-    fn lower_bound_slot(&self, _cur: &usize, acc: &usize, key: &T) -> Option<usize> {
-        let g = *acc;
-        let (start, len) = self.overflow_node(g);
-        let c = self.data[start..start + len]
-            .iter()
-            .take_while(|x| **x < *key)
-            .count();
-        if c < len {
-            Some(start + c)
-        } else if g < self.shape.i {
-            Some(btree_full_pos(self.shape.b, self.first_round(), g))
-        } else {
-            None
-        }
-    }
-
-    /// B-tree rank from the fall-off gap: `gap` full elements counted,
-    /// plus the overflow keys in gaps before `gap`, plus the
-    /// within-gap prefix still on the counted side.
-    #[inline]
-    fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize {
-        let BtreeSearchShape { b, q, s, .. } = self.shape;
-        let mut rank = gap + gap.min(q) * b + if gap > q { s } else { 0 };
-        let (start, len) = self.overflow_node(gap);
-        rank += self.data[start..start + len]
+    /// One scan of the overflow node hanging in the gap, resolved by the
+    /// landing arithmetic the const-width navigator shares.
+    #[inline(always)]
+    fn land<const UPPER: bool>(
+        &self,
+        _cur: &usize,
+        acc: &usize,
+        key: &T,
+    ) -> (usize, Option<usize>) {
+        let node = self.shape.overflow_node(self.shape.b, *acc);
+        let c = self.data[node.clone()]
             .iter()
             .take_while(|x| counted::<T, UPPER>(x, key))
             .count();
-        rank
+        self.shape.land(self.shape.b, *acc, node, c)
     }
 
     #[inline(always)]
@@ -888,12 +890,13 @@ impl<'a, T: Ord> Navigator<T> for SortedNav<'a, T> {
         *cur
     }
     #[inline(always)]
-    fn lower_bound_slot(&self, cur: &usize, _acc: &usize, _key: &T) -> Option<usize> {
-        (*cur < self.data.len()).then_some(*cur)
-    }
-    #[inline(always)]
-    fn rank_of_gap<const UPPER: bool>(&self, gap: usize, _key: &T) -> usize {
-        gap
+    fn land<const UPPER: bool>(
+        &self,
+        cur: &usize,
+        _acc: &usize,
+        _key: &T,
+    ) -> (usize, Option<usize>) {
+        (*cur, (*cur < self.data.len()).then_some(*cur))
     }
     #[inline(always)]
     fn prefetch_node(&self, cur: &usize, acc: &usize) {
@@ -940,64 +943,122 @@ fn descend<T: Ord, N: Navigator<T>, const UPPER: bool>(
     (cur, acc)
 }
 
-/// The search answer of finished `UPPER = false` registers: the
-/// lower-bound slot if it holds `key` (one verify probe), so a hit is
-/// always the leftmost copy.
+/// Scalar landing over any navigator: one rank descent (ties left, or
+/// right with `UPPER`) and its [`Navigator::land`] — the rank and the
+/// slot of the element of that sorted rank. `tap` observes the base
+/// address of every node read (a no-op closure compiles away); the
+/// equivalence suite uses it to pin execution paths together.
 #[inline(always)]
-pub(crate) fn found<T: Ord, N: Navigator<T>>(
-    nav: &N,
-    cur: &N::Cursor,
-    acc: &N::Acc,
-    key: &T,
-) -> Option<usize> {
-    nav.lower_bound_slot(cur, acc, key)
-        .filter(|&p| nav.data()[p] == *key)
-}
-
-/// Scalar search over any navigator: the rank descent, then the
-/// lower-bound slot and one verify probe — no early exit, so a hit
-/// costs what a miss does and returns the leftmost copy. `tap` as in
-/// [`rank_with`].
-#[inline(always)]
-pub fn search_with<T: Ord, N: Navigator<T>>(
+pub fn land_with<T: Ord, N: Navigator<T>, const UPPER: bool>(
     nav: &N,
     key: &T,
     tap: impl FnMut(usize),
-) -> Option<usize> {
-    let (cur, acc) = descend::<T, N, false>(nav, key, tap);
-    found(nav, &cur, &acc, key)
-}
-
-/// Scalar lower bound over any navigator: the layout slot of the first
-/// key `≥ key` in sorted order, from one rank descent. `tap` as in
-/// [`rank_with`].
-#[inline(always)]
-pub fn lower_bound_with<T: Ord, N: Navigator<T>>(
-    nav: &N,
-    key: &T,
-    tap: impl FnMut(usize),
-) -> Option<usize> {
-    let (cur, acc) = descend::<T, N, false>(nav, key, tap);
-    nav.lower_bound_slot(&cur, &acc, key)
-}
-
-/// Scalar rank over any navigator (strictly-smaller count, or `≤` with
-/// `UPPER`). `tap` observes the base address of every node read (a
-/// no-op closure compiles away); the equivalence suite uses it to pin
-/// execution paths together.
-#[inline(always)]
-pub fn rank_with<T: Ord, N: Navigator<T>, const UPPER: bool>(
-    nav: &N,
-    key: &T,
-    tap: impl FnMut(usize),
-) -> usize {
+) -> (usize, Option<usize>) {
     let (cur, acc) = descend::<T, N, UPPER>(nav, key, tap);
-    nav.rank_of_gap::<UPPER>(nav.gap(&cur, &acc), key)
+    nav.land::<UPPER>(&cur, &acc, key)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every navigator's landing, in both flavors, is the sorted-array
+    /// oracle's rank plus the slot the independent closed form
+    /// ([`Searcher::position_of_rank`](crate::Searcher::position_of_rank))
+    /// gives that rank — over perfect and ragged sizes of every layout,
+    /// keys with duplicates, and probes on, between and beyond them.
+    #[test]
+    fn landing_is_the_oracle_rank_at_its_closed_form_slot() {
+        use crate::wide::{avx2_kernel, avx512_kernel, kernel};
+        use crate::{QueryKind, Searcher};
+        use ist_core::{permute_in_place, Algorithm, Layout};
+
+        fn check<N: Navigator<u64>>(nav: &N, sorted: &[u64], kind: QueryKind, what: &str) {
+            let closed = Searcher::new_runtime(nav.data(), kind);
+            let mut probes = vec![0, u64::MAX];
+            for &k in sorted {
+                probes.extend([k - 1, k, k + 1]);
+            }
+            for p in &probes {
+                let n = sorted.len();
+                let lo = sorted.partition_point(|x| x < p);
+                let hi = sorted.partition_point(|x| x <= p);
+                let want = (lo, closed.position_of_rank(lo));
+                let got = land_with::<u64, N, false>(nav, p, |_| {});
+                assert_eq!(got, want, "{what} n={n} p={p}");
+                let want = (hi, closed.position_of_rank(hi));
+                let got = land_with::<u64, N, true>(nav, p, |_| {});
+                assert_eq!(got, want, "{what} n={n} p={p} UPPER");
+            }
+        }
+        /// The const-width navigators on every node kernel this CPU has.
+        fn wide<const B: usize>(data: &[u64], sorted: &[u64]) {
+            let kind = QueryKind::Btree(B);
+            check(&WideBtreeNav::<u64, B>::new(data), sorted, kind, "wide");
+            let shape = BtreeSearchShape::new(data.len(), B);
+            if avx2_kernel::<u64>() {
+                let nav = {
+                    // SAFETY: the CPU has AVX2, just checked.
+                    unsafe { WideBtreeNav::<u64, B, { kernel::AVX2 }>::with_kernel(data, shape) }
+                };
+                check(&nav, sorted, kind, "wide avx2");
+            }
+            if avx512_kernel::<u64>() {
+                let nav = {
+                    // SAFETY: the CPU has AVX-512F, just checked.
+                    unsafe { WideBtreeNav::<u64, B, { kernel::AVX512 }>::with_kernel(data, shape) }
+                };
+                check(&nav, sorted, kind, "wide avx512");
+            }
+        }
+        let permuted = |sorted: &[u64], layout| {
+            let mut data = sorted.to_vec();
+            permute_in_place(&mut data, layout, Algorithm::CycleLeader).unwrap();
+            data
+        };
+        // Perfect trees for every binary and B-tree shape checked
+        // ((b+1)^h − 1), and ragged sizes between them.
+        let sizes = [
+            0, 1, 2, 3, 7, 10, 15, 26, 31, 63, 80, 100, 255, 288, 700, 728, 1023, 4912,
+        ];
+        for n in sizes {
+            // Every fourth key repeats the one before.
+            let sorted: Vec<u64> = (0..n as u64)
+                .map(|x| 3 * x + 5 - if x % 4 == 3 { 3 } else { 0 })
+                .collect();
+            check(
+                &SortedNav::new(&sorted),
+                &sorted,
+                QueryKind::Sorted,
+                "sorted",
+            );
+            let bst = permuted(&sorted, Layout::Bst);
+            check(&BstNav::new(&bst), &sorted, QueryKind::Bst, "bst");
+            let prefetching = BstNav::from_shape(&bst, BinaryShape::new(n), true);
+            check(
+                &prefetching,
+                &sorted,
+                QueryKind::BstPrefetch,
+                "bst-prefetch",
+            );
+            let veb = permuted(&sorted, Layout::Veb);
+            check(&VebNav::new(&veb), &sorted, QueryKind::Veb, "veb");
+            for b in [1, 2, 3, 8, 16] {
+                let data = permuted(&sorted, Layout::Btree { b });
+                check(
+                    &BtreeNav::new(&data, b),
+                    &sorted,
+                    QueryKind::Btree(b),
+                    "btree",
+                );
+                match b {
+                    8 => wide::<8>(&data, &sorted),
+                    16 => wide::<16>(&data, &sorted),
+                    _ => {}
+                }
+            }
+        }
+    }
 
     /// The carried-prefix walk names the same slot as the closed form
     /// for every in-order element of perfect B-trees of one to several

@@ -6,16 +6,19 @@
 //!
 //! * `successor(k)` — the first stored key **strictly greater** than
 //!   `k` — is the element of sorted rank [`Searcher::rank_upper`]`(k)`
-//!   (the count of keys `≤ k`), resolved to its layout slot by the
-//!   closed-form position maps.
+//!   (the count of keys `≤ k`): the slot of the `UPPER = true`
+//!   landing, read off the descent's own registers.
 //! * `predecessor(k)` — the last stored key **strictly smaller** than
-//!   `k` — is the element of sorted rank [`Searcher::rank`]`(k) − 1`.
+//!   `k` — is the element of sorted rank [`Searcher::rank`]`(k) − 1`,
+//!   one below the landing, so no descent register names it: it is
+//!   resolved by the closed-form position maps
+//!   ([`Searcher::position_of_rank`]).
 //!
-//! Either neighbor therefore costs exactly one descent plus `O(1)`
-//! position arithmetic, and duplicates of `k` itself are skipped as a
-//! unit (see the duplicate-key contract in the [crate docs]
-//! (crate#duplicate-keys)). For the "first key `≥ k`" variant use
-//! [`Searcher::lower_bound`].
+//! Either neighbor therefore costs exactly one descent (plus `O(1)`
+//! position arithmetic for the predecessor), and duplicates of `k`
+//! itself are skipped as a unit (see the duplicate-key contract in the
+//! [crate docs](crate#duplicate-keys)). For the "first key `≥ k`"
+//! variant use [`Searcher::lower_bound`].
 
 use crate::Searcher;
 
@@ -35,7 +38,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(s.successor(&30), None);
     /// ```
     pub fn successor(&self, key: &T) -> Option<usize> {
-        self.position_of_rank(self.rank_upper(key))
+        self.land::<true>(key).slot
     }
 
     /// Layout position of the largest stored key **strictly smaller**

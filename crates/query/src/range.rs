@@ -55,15 +55,16 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     }
 }
 
-/// Pipeline the `2·len` rank descents of one chunk of ranges, then
-/// difference each pair into `counts`.
+/// Pipeline the `2·len` rank descents of one chunk of ranges,
+/// differencing each pair into `counts` as its `hi` lands (the window
+/// delivers landings in query order, so `lo`'s rank is parked there
+/// first).
 fn range_chunk<T: Ord + Sync + 'static>(
     s: &Searcher<'_, T>,
     ranges: &[(T, T)],
     counts: &mut [usize],
 ) {
-    let mut ranks = vec![0usize; 2 * ranges.len()];
-    s.pipelined_rank_into(
+    s.land_window(
         2 * ranges.len(),
         |i| {
             let (lo, hi) = &ranges[i / 2];
@@ -73,9 +74,13 @@ fn range_chunk<T: Ord + Sync + 'static>(
                 hi
             }
         },
-        |i, r| ranks[i] = r,
+        |i, _, (rank, _)| {
+            let c = &mut counts[i / 2];
+            *c = if i % 2 == 0 {
+                rank
+            } else {
+                rank.saturating_sub(*c)
+            };
+        },
     );
-    for (i, c) in counts.iter_mut().enumerate() {
-        *c = ranks[2 * i + 1].saturating_sub(ranks[2 * i]);
-    }
 }

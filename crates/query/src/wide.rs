@@ -20,9 +20,9 @@
 //! runs, with identical results.
 //!
 //! [`WideBtreeNav`] implements the full [`Navigator`] surface — rank
-//! steps, `UPPER` tie-breaking, gap resolution, lower-bound slots,
-//! prefetch hooks — with arithmetic **bit-identical** to the
-//! runtime navigator at the same `b` (`tests/navigator_equivalence.rs`
+//! steps, `UPPER` tie-breaking, the landing, prefetch hooks — with
+//! arithmetic **bit-identical** to the runtime navigator at the same
+//! `b` (`tests/navigator_equivalence.rs`
 //! and `tests/query_differential.rs` pin node traces and results
 //! against each other), so every engine (scalar, software-
 //! pipelined window, parallel chunks, range counts, trace replay)
@@ -37,16 +37,20 @@
 //!
 //! ```
 //! use ist_core::{permute_in_place, Algorithm, Layout};
-//! use ist_query::nav::{search_with, WideBtreeNav};
+//! use ist_query::nav::{land_with, WideBtreeNav};
 //!
 //! let mut v: Vec<u64> = (0..1000).map(|x| 3 * x).collect();
 //! permute_in_place(&mut v, Layout::Btree { b: 8 }, Algorithm::CycleLeader).unwrap();
 //! let nav = WideBtreeNav::<u64, 8>::new(&v);
-//! assert_eq!(search_with(&nav, &300, |_| {}).map(|p| v[p]), Some(300));
-//! assert_eq!(search_with(&nav, &301, |_| {}), None);
+//! // Ties left: 100 keys below 300, landing on 300 itself.
+//! let (rank, slot) = land_with::<_, _, false>(&nav, &300, |_| {});
+//! assert_eq!((rank, slot.map(|p| v[p])), (100, Some(300)));
+//! // Ties right: 101 keys at or below 300, landing on its successor.
+//! let (rank, slot) = land_with::<_, _, true>(&nav, &300, |_| {});
+//! assert_eq!((rank, slot.map(|p| v[p])), (101, Some(303)));
 //! ```
 
-use crate::nav::{btree_full_pos, prefetch, BtreeSearchShape, Navigator};
+use crate::nav::{prefetch, BtreeSearchShape, Navigator};
 use core::any::TypeId;
 
 /// Node-kernel ids for [`WideBtreeNav`]'s `KERNEL` parameter.
@@ -519,37 +523,6 @@ impl<'a, T: Ord + 'static, const B: usize, const KERNEL: u8> WideBtreeNav<'a, T,
             _ => count_lt::<T, B>(keys, key),
         }
     }
-
-    /// The overflow node in gap `g` and its `count`: the node kernel
-    /// when the node is full, a scan of the partial last one otherwise.
-    /// The node is sorted, so the count is also where `key` would sit.
-    #[inline(always)]
-    fn count_gap<const UPPER: bool>(&self, g: usize, key: &T) -> (usize, &[T], usize) {
-        let (start, len) = self.overflow_node(g);
-        let keys = &self.data[start..start + len];
-        let c = if len == B {
-            self.count::<UPPER>(keys, key)
-        } else {
-            keys.iter()
-                .take_while(|x| if UPPER { **x <= *key } else { **x < *key })
-                .count()
-        };
-        (start, keys, c)
-    }
-
-    /// Start index and length of the overflow node hanging in gap `g`
-    /// (same arithmetic as the runtime navigator).
-    #[inline]
-    fn overflow_node(&self, g: usize) -> (usize, usize) {
-        let BtreeSearchShape { i, q, s, .. } = self.shape;
-        if g < q {
-            (i + g * B, B)
-        } else if g == q {
-            (i + q * B, s)
-        } else {
-            (0, 0)
-        }
-    }
 }
 
 impl<'a, T: Ord + 'static, const B: usize, const KERNEL: u8> Navigator<T>
@@ -614,32 +587,28 @@ impl<'a, T: Ord + 'static, const B: usize, const KERNEL: u8> Navigator<T>
         *acc
     }
 
-    /// The first key `≥ key` of the overflow node hanging in the gap
-    /// (the sorted node's count of smaller keys), else the gap's
-    /// full-part successor by the level walk of
-    /// [`ist_layout::btree_pos`] — whose divisions by
-    /// the const `B + 1` are multiplies (same slots as the runtime
-    /// navigator's).
+    /// One count of the overflow node hanging in the gap — the node
+    /// kernel when the node is full, a scan of the partial last one
+    /// otherwise — resolved by the shape's landing arithmetic with the
+    /// const `B`, so the full-part walk's divisions are multiplies
+    /// (same landing as the runtime navigator's).
     #[inline(always)]
-    fn lower_bound_slot(&self, _cur: &usize, acc: &usize, key: &T) -> Option<usize> {
-        let g = *acc;
-        let (start, keys, c) = self.count_gap::<false>(g, key);
-        if c < keys.len() {
-            Some(start + c)
-        } else if g < self.shape.i {
-            Some(btree_full_pos(B, self.first_round(), g))
+    fn land<const UPPER: bool>(
+        &self,
+        _cur: &usize,
+        acc: &usize,
+        key: &T,
+    ) -> (usize, Option<usize>) {
+        let node = self.shape.overflow_node(B, *acc);
+        let keys = &self.data[node.clone()];
+        let c = if keys.len() == B {
+            self.count::<UPPER>(keys, key)
         } else {
-            None
-        }
-    }
-
-    /// B-tree rank from the fall-off gap (see
-    /// [`crate::nav::BtreeNav::rank_of_gap`] — identical arithmetic).
-    #[inline]
-    fn rank_of_gap<const UPPER: bool>(&self, gap: usize, key: &T) -> usize {
-        let BtreeSearchShape { q, s, .. } = self.shape;
-        let rank = gap + gap.min(q) * B + if gap > q { s } else { 0 };
-        rank + self.count_gap::<UPPER>(gap, key).2
+            keys.iter()
+                .take_while(|x| if UPPER { **x <= *key } else { **x < *key })
+                .count()
+        };
+        self.shape.land(B, *acc, node, c)
     }
 
     #[inline(always)]
@@ -800,24 +769,21 @@ mod tests {
         check::<i64, 8>(&node_i, &probes_i);
     }
 
-    /// A navigator's node traces and answers for one probe: search,
-    /// rank and `UPPER` rank.
+    /// A navigator's node traces and landings (rank and slot) for one
+    /// probe, in both flavors.
     type Answers = (
         Vec<usize>,
-        Option<usize>,
+        (usize, Option<usize>),
         Vec<usize>,
-        usize,
-        Vec<usize>,
-        usize,
+        (usize, Option<usize>),
     );
 
     fn answers<T: Ord, N: crate::nav::Navigator<T>>(nav: &N, key: &T) -> Answers {
-        use crate::nav::{rank_with, search_with};
-        let (mut ts, mut tr, mut tu) = (Vec::new(), Vec::new(), Vec::new());
-        let s = search_with(nav, key, |p| ts.push(p));
-        let r = rank_with::<T, _, false>(nav, key, |p| tr.push(p));
-        let u = rank_with::<T, _, true>(nav, key, |p| tu.push(p));
-        (ts, s, tr, r, tu, u)
+        use crate::nav::land_with;
+        let (mut tl, mut tu) = (Vec::new(), Vec::new());
+        let l = land_with::<T, _, false>(nav, key, |p| tl.push(p));
+        let u = land_with::<T, _, true>(nav, key, |p| tu.push(p));
+        (tl, l, tu, u)
     }
 
     /// `(sorted keys, probes)` over ragged B-tree sizes: ascending with
@@ -859,8 +825,7 @@ mod tests {
 
     /// The portable and (on an AVX2 CPU) the AVX2 `WideBtreeNav`
     /// descend exactly like the runtime `BtreeNav`: identical node
-    /// traces and answers for search, rank and `UPPER` rank, at both
-    /// wired widths, over ragged sizes with duplicates and keys on both
+    /// traces and landings of both flavors, at both wired widths, over ragged sizes with duplicates and keys on both
     /// sides of the sign bit. An AVX2 host never picks the portable
     /// 64-bit arm in `Searcher::new`; this is where it runs.
     #[test]
@@ -903,14 +868,14 @@ mod tests {
     }
 
     /// The AVX-512 `WideBtreeNav` descends exactly like the runtime
-    /// `BtreeNav`: identical node traces and answers for search, rank,
-    /// `UPPER` rank and lower bound, on the cases of
+    /// `BtreeNav`: identical node traces and landings of both flavors,
+    /// on the cases of
     /// [`avx2_and_portable_navs_match_runtime`]. `Searcher::new` picks
     /// this navigator on an AVX-512 host, so it is also what the
     /// root suites run there.
     #[test]
     fn avx512_nav_matches_runtime() {
-        use crate::nav::{lower_bound_with, BtreeNav};
+        use crate::nav::BtreeNav;
         use ist_core::{permute_in_place, Algorithm, Layout};
 
         if !avx512_detected() {
@@ -932,11 +897,6 @@ mod tests {
                     answers(&avx512, p),
                     answers(&runtime, p),
                     "avx512 B={B} n={n} p={p:?}"
-                );
-                assert_eq!(
-                    lower_bound_with(&avx512, p, |_| {}),
-                    lower_bound_with(&runtime, p, |_| {}),
-                    "avx512 lower bound B={B} n={n} p={p:?}"
                 );
             }
         }

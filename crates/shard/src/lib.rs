@@ -755,9 +755,11 @@ where
     /// never clones a key) — in parallel when they are long enough to
     /// pay for a hand-off (`for_each_shard_task`; the sub-batches are
     /// disjoint) — and scatter the per-shard results back into input
-    /// order. The
-    /// split vector is debug-validated **once here**, not per routed
-    /// item.
+    /// order. The routing behind `parts` trusts the split vector to be
+    /// sorted and strictly increasing without checking it here or per
+    /// routed item: every constructor rejects unsorted splits (the bulk
+    /// loaders build theirs sorted), and the shared `Arc<Vec<K>>` never
+    /// changes after.
     fn fan_out<'s, 'k, R, F>(
         &'s self,
         len: usize,

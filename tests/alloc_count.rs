@@ -258,11 +258,11 @@ fn veb_scalar_descents_allocate_nothing() {
 /// A batch below the dispatch floor (`rayon::min_task_len`) runs on the
 /// calling thread, and deciding so costs no allocation. A `StaticMap`
 /// batch allocates exactly its result vector. A `Frozen` batch also
-/// stages its run cascade on the heap — a pending list and a probe
-/// list, both reused across runs, and per consulted run the position
-/// vector its search returns — which is not dispatch: it must allocate
-/// exactly that, as it does under a one-thread pool, where nothing can
-/// be dispatched at all.
+/// stages its run cascade on the heap — a pending list, a probe list
+/// and the slice each run's landings are written into, all three
+/// reused by every run — which is not dispatch: it must allocate
+/// exactly that, whatever the run count, as it does under a one-thread
+/// pool, where nothing can be dispatched at all.
 ///
 /// The first call into the parallel runtime pays its one-time
 /// initialisation (resolving the thread count, starting the pool), so
@@ -270,7 +270,7 @@ fn veb_scalar_descents_allocate_nothing() {
 /// then passes alone as well as after the others.
 #[test]
 fn sub_floor_batch_reads_allocate_nothing_for_dispatch() {
-    use implicit_search_trees::{Algorithm, DynamicMap, QueryKind, StaticMap};
+    use implicit_search_trees::{Algorithm, QueryKind, StaticMap};
 
     // Longer than the 128-query chunk the engine once split at.
     let probes: Vec<u64> = (0..160u64).collect();
@@ -285,37 +285,73 @@ fn sub_floor_batch_reads_allocate_nothing_for_dispatch() {
     assert_eq!(hits, 54);
     assert_eq!(allocs, 1, "StaticMap::batch_get: the result vector only");
 
+    // Six seals at cap 8: binary 110, one run in each of tiers 1 and 2;
+    // fifteen: binary 1111, one in each of tiers 0 to 3. Most probes
+    // miss everywhere, so every run is consulted.
+    for (inserts, runs, stored) in [(52u64, 2, 52), (124, 4, 54)] {
+        let m = map_of_runs(inserts, runs);
+        let snap = m.snapshot();
+        let hits = || snap.batch_get(&probes).iter().flatten().count();
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let (serial_hits, serial_allocs) = one_thread.install(|| {
+            hits();
+            count_allocs(1, hits)
+        });
+        hits();
+        let (hits, allocs) = count_allocs(1, hits);
+        assert_eq!((hits, serial_hits), (stored, stored), "{runs} runs");
+        assert_eq!(
+            allocs, 4,
+            "Frozen::batch_get over {runs} runs: result, pending, probe and landing slice"
+        );
+        assert_eq!(
+            allocs, serial_allocs,
+            "Frozen::batch_get: dispatching a sub-floor batch must cost no allocation"
+        );
+    }
+}
+
+/// A `DynamicMap` over `3k → k` for `k < inserts` at buffer cap 8,
+/// compaction drained after every write, holding exactly `runs` runs.
+fn map_of_runs(inserts: u64, runs: usize) -> implicit_search_trees::DynamicMap<u64, u64> {
+    use implicit_search_trees::{DynamicMap, QueryKind};
     let mut m: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, 8);
-    for k in 0..52u64 {
+    for k in 0..inserts {
         m.insert(3 * k, k);
         m.quiesce();
     }
-    // Six seals at cap 8: binary 110, one run in each of tiers 1 and 2.
-    // Most probes miss everywhere, so every run is consulted.
-    let runs = m.run_count();
-    assert_eq!(runs, 2);
-    let snap = m.snapshot();
-    let hits = || snap.batch_get(&probes).iter().flatten().count();
-    let one_thread = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    let (serial_hits, serial_allocs) = one_thread.install(|| {
-        hits();
-        count_allocs(1, hits)
-    });
-    hits();
-    let (hits, allocs) = count_allocs(1, hits);
-    assert_eq!((hits, serial_hits), (52, 52));
-    assert_eq!(
-        allocs,
-        3 + runs,
-        "Frozen::batch_get: result, pending, probe, and a position vector a run"
-    );
-    assert_eq!(
-        allocs, serial_allocs,
-        "Frozen::batch_get: dispatching a sub-floor batch must cost no allocation"
-    );
+    assert_eq!(m.run_count(), runs, "{inserts} inserts");
+    m
+}
+
+/// `DynamicMap::apply` resolves a delta's run weights with one landing
+/// sweep per run, each adding into one weight vector, over references
+/// to the delta's keys: no per-run vector and no key clone, so a
+/// sub-floor delta allocates as much on a map of 4 runs as on one of
+/// 2. Both maps hold 4 buffered entries, and the delta (a tombstone
+/// for a run key, two fresh keys) leaves the buffer below its cap, so
+/// neither call seals.
+#[test]
+fn apply_allocates_the_same_whatever_the_run_count() {
+    let delta = || vec![(0u64, None), (1000, Some(1)), (1001, Some(2))];
+    let allocs: Vec<usize> = [(52u64, 2), (124, 4)]
+        .into_iter()
+        .map(|(inserts, runs)| {
+            let mut m = map_of_runs(inserts, runs);
+            m.batch_get(&[0u64]); // the runtime's one-time initialisation, uncounted
+            assert_eq!(m.buffered_versions(), 4, "{runs} runs");
+            let d = delta();
+            let (live, allocs) = count_allocs(1, || m.apply(d));
+            assert_eq!(live, 1, "{runs} runs: only key 0 was live");
+            assert_eq!(m.buffered_versions(), 7, "{runs} runs: no seal");
+            assert_eq!(m.run_count(), runs);
+            allocs
+        })
+        .collect();
+    assert_eq!(allocs[0], allocs[1], "apply on 2 runs vs 4 runs");
 }
 
 /// `StaticMap::batch_get` allocates once per call, and only its
