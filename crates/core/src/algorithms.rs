@@ -200,12 +200,9 @@ pub fn involution_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
         shuffle_mod_rounds(m, lo + r, lo + n_cur, l);
     }
     // Recurse on the top subtree and every bottom subtree.
-    let mut tasks = Vec::with_capacity(r + 2);
-    tasks.push(Region::new(lo, r, t));
-    for q in 0..=r {
-        tasks.push(Region::new(lo + r + q * l, l, bb));
-    }
-    m.run_tasks(tasks, |mm, reg| involution_veb(mm, reg.lo, reg.tag));
+    fan_out(m, n_cur, veb_subtrees(lo, t, bb), |mm, reg| {
+        involution_veb(mm, reg.lo, reg.tag)
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -239,23 +236,51 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
         // they run as parallel tasks — then one circular shift joins the
         // two gathered tops around the median.
         let half = (n_cur - 1) / 2;
-        m.run_tasks(
-            vec![
+        fan_out(
+            m,
+            2 * half,
+            [
                 Region::new(lo, half, ()),
                 Region::new(lo + half + 1, half, ()),
-            ],
+            ]
+            .into_iter(),
             move |mm, reg| mm.gather(reg.lo, l, l, GatherMode::Standalone),
         );
         // Region [lo+l, lo+l+half+1) = [rest_left | median | top_right];
         // shift the last l + 1 elements (median + right top) to its front.
         m.rotate_right(lo + l, lo + l + half + 1, l + 1);
     }
-    let mut tasks = Vec::with_capacity(r + 2);
-    tasks.push(Region::new(lo, r, t));
-    for q in 0..=r {
-        tasks.push(Region::new(lo + r + q * l, l, bb));
+    fan_out(m, n_cur, veb_subtrees(lo, t, bb), |mm, reg| {
+        cycle_leader_veb(mm, reg.lo, reg.tag)
+    });
+}
+
+/// The recursive tasks of one vEB split of a `2^(t+bb) − 1` element
+/// region at `lo`: the top subtree of height `t`, then its `2^t` bottom
+/// subtrees of height `bb`, each tagged with its height.
+fn veb_subtrees(lo: usize, t: u32, bb: u32) -> impl Iterator<Item = Region<u32>> {
+    let r = (1usize << t) - 1;
+    let l = (1usize << bb) - 1;
+    std::iter::once(Region::new(lo, r, t))
+        .chain((0..=r).map(move |q| Region::new(lo + r + q * l, l, bb)))
+}
+
+/// Run `f` on every region of one fan-out covering `total` elements: one
+/// [`Machine::run_tasks`] call when the machine [fans out](Machine::fans_out),
+/// otherwise direct calls in order, with no task list.
+fn fan_out<M: Machine, K: Send + Sync>(
+    m: &mut M,
+    total: usize,
+    regions: impl Iterator<Item = Region<K>>,
+    f: impl Fn(&mut M, &Region<K>) + Sync,
+) {
+    if m.fans_out(total) {
+        m.run_tasks(regions.collect(), f);
+    } else {
+        for reg in regions {
+            f(m, &reg);
+        }
     }
-    m.run_tasks(tasks, |mm, reg| cycle_leader_veb(mm, reg.lo, reg.tag));
 }
 
 /// Cycle-leader B-tree construction (§3.2): per level, the extended
@@ -303,15 +328,11 @@ fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, repr
     // Block 0 has C·k − 1 elements (standard pattern); every later part
     // starts with an internal element followed by a standard pattern —
     // the regions below skip it.
-    let mut tasks = Vec::with_capacity(a + 1);
-    tasks.push(Region::new(lo, part_len - 1, representative));
-    for p in 1..a {
-        tasks.push(Region::new(lo + p * part_len, part_len - 1, false));
-    }
-    if rest > 0 {
-        tasks.push(Region::new(lo + a * part_len, rest * k - 1, false));
-    }
-    m.run_tasks(tasks, |mm, reg| {
+    let blocks =
+        (0..a).map(|p| Region::new(lo + p * part_len, part_len - 1, representative && p == 0));
+    let remainder = (rest > 0).then(|| Region::new(lo + a * part_len, rest * k - 1, false));
+    let total = a * (part_len - 1) + remainder.as_ref().map_or(0, |reg| reg.len);
+    fan_out(m, total, blocks.chain(remainder), |mm, reg| {
         extended_gather(mm, reg.lo, b, (reg.len + 1) / k, reg.tag)
     });
     // Hoist: from offset C−1 the blocks read, in chunk units,

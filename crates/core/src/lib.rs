@@ -237,6 +237,35 @@ mod tests {
         );
     }
 
+    /// Sizes on both sides of the parallel `Ram`'s fan-out floor, run in
+    /// an explicit 2-thread pool, whatever the host's core count. No
+    /// fan-out covers more than `n` elements, so up to the floor every
+    /// task recurses directly; at the ragged 100 000 every layout deals
+    /// its top fan-outs (strip and perfect part, vEB's 2^16 − 1 included)
+    /// to the pool and recurses directly below them.
+    #[test]
+    fn sizes_around_the_fan_out_floor() {
+        use ist_machine::Machine;
+
+        let mut probe = vec![0u8; 1];
+        let ram = Ram::par(&mut probe);
+        assert!(
+            !ram.fans_out(49_999) && ram.fans_out(50_000),
+            "sizes straddle the floor"
+        );
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            for n in [49_999usize, 50_000, 50_001, 100_000] {
+                check(n, Layout::Bst);
+                check(n, Layout::Veb);
+                check(n, Layout::Btree { b: 8 });
+            }
+        });
+    }
+
     #[test]
     fn large_parallel_all_layouts() {
         let n = (1 << 18) - 1;

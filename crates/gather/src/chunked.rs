@@ -9,7 +9,7 @@
 //! compares the throughput of one chunked gather against the simplest
 //! possible big-block move, [`swap_halves_par`].
 
-use crate::{check_params, t0_slot};
+use crate::{check_params, fix_blocks, t0_slot};
 use ist_perm::SharedSlice;
 use ist_shuffle::rotate::swap_regions_par;
 use rayon::prelude::*;
@@ -30,23 +30,13 @@ use rayon::prelude::*;
 /// assert_eq!(v, vec![0, 1, 10, 11, 20, 21]);
 /// ```
 pub fn equidistant_gather_chunks<T>(data: &mut [T], r: usize, l: usize, chunk: usize) {
-    assert!(chunk >= 1);
-    assert_eq!(data.len() % chunk, 0, "length must be a multiple of chunk");
-    check_params(data.len() / chunk, r, l);
-    if r == 0 {
-        return;
-    }
+    check_params(data.len(), r, l, chunk);
     // Stage 1: the r disjoint cycles, on chunk units.
     for c in 1..=r {
         run_cycle_chunks(data, c, l, chunk);
     }
     // Stage 2: fix each block's rotation (block = l chunks).
-    for (j0, block) in data[r * chunk..].chunks_exact_mut(l * chunk).enumerate() {
-        let amount = (r + 1 - (j0 + 1)) % l;
-        if amount != 0 {
-            block.rotate_right(amount * chunk);
-        }
-    }
+    fix_blocks(data, r, l, chunk);
 }
 
 /// Parallel chunked equidistant gather.
@@ -69,9 +59,7 @@ pub fn equidistant_gather_chunks<T>(data: &mut [T], r: usize, l: usize, chunk: u
 /// assert_eq!(a, b);
 /// ```
 pub fn equidistant_gather_chunks_par<T: Send>(data: &mut [T], r: usize, l: usize, chunk: usize) {
-    assert!(chunk >= 1);
-    assert_eq!(data.len() % chunk, 0, "length must be a multiple of chunk");
-    check_params(data.len() / chunk, r, l);
+    check_params(data.len(), r, l, chunk);
     if r == 0 {
         return;
     }

@@ -136,15 +136,23 @@ fn fix_block<T>(block: &mut [T], j: usize, r: usize, l: usize) {
 /// assert_eq!(v, vec![0, 1, 10, 11, 20, 21, 30, 31]);
 /// ```
 pub fn equidistant_gather<T>(data: &mut [T], r: usize, l: usize) {
-    check_params(data.len(), r, l);
-    if r == 0 {
-        return;
-    }
+    check_params(data.len(), r, l, 1);
     for c in 1..=r {
         run_cycle(data, c, l);
     }
-    for (j0, block) in data[r..].chunks_exact_mut(l).enumerate() {
-        fix_block(block, j0 + 1, r, l);
+    fix_blocks(data, r, l, 1);
+}
+
+/// Stage 2, sequential, on units of `chunk` elements: block `j0`
+/// (0-indexed, `l` units from unit `r + j0·l`) is rotated left by
+/// `r − j0`; rotate it back. With `r ≤ l`, amounts of `0` and `l` are
+/// whole turns, so only the blocks `r + 1 − l ≤ j0 < r` move — none when
+/// `l = 1`, as in every gather of the BST construction.
+#[inline]
+fn fix_blocks<T>(data: &mut [T], r: usize, l: usize, chunk: usize) {
+    for j0 in (r + 1).saturating_sub(l)..r {
+        let start = (r + j0 * l) * chunk;
+        data[start..start + l * chunk].rotate_right((r - j0) * chunk);
     }
 }
 
@@ -164,7 +172,7 @@ pub fn equidistant_gather<T>(data: &mut [T], r: usize, l: usize) {
 /// assert_eq!(a, b);
 /// ```
 pub fn equidistant_gather_par<T: Send>(data: &mut [T], r: usize, l: usize) {
-    check_params(data.len(), r, l);
+    check_params(data.len(), r, l, 1);
     if r == 0 {
         return;
     }
@@ -186,23 +194,30 @@ pub fn equidistant_gather_par<T: Send>(data: &mut [T], r: usize, l: usize) {
         .for_each(|(j0, block)| fix_block(block, j0 + 1, r, l));
 }
 
-pub(crate) fn check_params(n: usize, r: usize, l: usize) {
-    assert!(l >= 1, "block size l must be positive");
+/// Panics unless `n` elements are a gather of `r ≤ l` units among blocks
+/// of `l ≥ 1` units, each unit `chunk ≥ 1` elements. No division: the
+/// check runs once per gather, and the constructions issue one gather
+/// per subtree, down to three elements.
+pub(crate) fn check_params(n: usize, r: usize, l: usize, chunk: usize) {
+    assert!(
+        l >= 1 && chunk >= 1,
+        "block size l and chunk must be positive"
+    );
     assert!(
         r <= l,
         "equidistant gather requires r <= l (got r={r}, l={l})"
     );
     assert_eq!(
         n,
-        gather_len(r, l),
-        "data length {n} != r + (r+1)l for r={r}, l={l}"
+        gather_len(r, l) * chunk,
+        "data length {n} != (r + (r+1)l)·chunk for r={r}, l={l}, chunk={chunk}"
     );
 }
 
 /// Out-of-place reference implementation used by tests and oracles.
 // LINT-ALLOW(test-only-pub): test reference for `tests/properties.rs`'s `gather_matches_reference`
 pub fn reference_gather<T: Clone>(data: &[T], r: usize, l: usize) -> Vec<T> {
-    check_params(data.len(), r, l);
+    check_params(data.len(), r, l, 1);
     let mut out = Vec::with_capacity(data.len());
     for c in 1..=r {
         out.push(data[t0_slot(c, l)].clone());

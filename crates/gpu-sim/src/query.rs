@@ -12,13 +12,15 @@
 //! of truth the CPU's scalar and pipelined engines run — and this
 //! module only generates addresses from the navigator's node window and
 //! prices them (mirroring how the construction-side `Gpu` machine
-//! backend shares `ist_core::algorithms`). A search is the CPU's
-//! search: the `UPPER = false` rank descent, with no equality test and
-//! no early exit. So a lane retires only when it falls off the perfect
+//! backend shares `ist_core::algorithms`). A lane steps the CPU's
+//! search, the `UPPER = false` rank descent. As in the paper, a layout
+//! lane (BST, B-tree, vEB) retires as soon as the node it just read
+//! holds its key; otherwise it retires when it falls off the perfect
 //! part (the lower-bound resolution is omitted: one extra access at
-//! most) or drains (sorted baseline), and a hit costs what a miss
-//! does. `tests/navigator_equivalence.rs` pins lane traces against the
-//! scalar and pipelined CPU engines via [`lane_node_trace`].
+//! most). The binary-search baseline drains its full descent.
+//! `tests/navigator_equivalence.rs` pins lane traces, which follow the
+//! full rank path with no early exit, against the scalar and pipelined
+//! CPU engines via [`lane_node_trace`].
 
 use crate::{Gpu, GpuCost};
 use ist_query::nav::{BstNav, BtreeNav, Navigator, SortedNav, VebNav};
@@ -58,9 +60,9 @@ trait LaneSearch {
 }
 
 /// One warp lane driving a navigator's search descent — the rank
-/// descent, run until it falls off; the lower-bound resolution is
-/// omitted.
-struct Lane<N: Navigator<u64>> {
+/// descent, run until it falls off (the lower-bound resolution is
+/// omitted) or, with `hits` set, until the node it read holds the key.
+struct Lane<'a, N: Navigator<u64>> {
     nav: N,
     key: u64,
     cur: N::Cursor,
@@ -68,10 +70,13 @@ struct Lane<N: Navigator<u64>> {
     ctx: N::Round,
     round: u32,
     done: bool,
+    /// The array whose node windows are checked for the key on each
+    /// step; `None` runs the full descent.
+    hits: Option<&'a [u64]>,
 }
 
-impl<N: Navigator<u64>> Lane<N> {
-    fn new(nav: N, key: u64) -> Self {
+impl<'a, N: Navigator<u64>> Lane<'a, N> {
+    fn new(nav: N, key: u64, hits: Option<&'a [u64]>) -> Self {
         let (cur, acc) = nav.start();
         let done = nav.rounds() == 0 || !nav.is_live(&cur, &acc);
         Self {
@@ -82,11 +87,12 @@ impl<N: Navigator<u64>> Lane<N> {
             key,
             round: 0,
             done,
+            hits,
         }
     }
 }
 
-impl<N: Navigator<u64>> LaneSearch for Lane<N> {
+impl<N: Navigator<u64>> LaneSearch for Lane<'_, N> {
     fn addrs(&self, out: &mut Vec<usize>) {
         if self.done {
             return;
@@ -106,6 +112,13 @@ impl<N: Navigator<u64>> LaneSearch for Lane<N> {
         if self.done {
             return;
         }
+        if let Some(data) = self.hits {
+            let base = self.nav.node_base(&self.cur, &self.acc);
+            if data[base..base + self.nav.node_width()].contains(&self.key) {
+                self.done = true;
+                return;
+            }
+        }
         let last = self.round + 1 >= self.nav.rounds();
         if last {
             self.nav
@@ -124,12 +137,20 @@ impl<N: Navigator<u64>> LaneSearch for Lane<N> {
     }
 }
 
-fn make_lane<'a>(kind: GpuQueryKind, key: u64, data: &'a [u64]) -> Box<dyn LaneSearch + 'a> {
+/// A lane for `key`; with `retire_on_hit`, a layout lane stops at the
+/// first node holding the key (binary search never does).
+fn make_lane<'a>(
+    kind: GpuQueryKind,
+    key: u64,
+    data: &'a [u64],
+    retire_on_hit: bool,
+) -> Box<dyn LaneSearch + 'a> {
+    let hits = retire_on_hit.then_some(data);
     match kind {
-        GpuQueryKind::BinarySearch => Box::new(Lane::new(SortedNav::new(data), key)),
-        GpuQueryKind::Bst => Box::new(Lane::new(BstNav::new(data), key)),
-        GpuQueryKind::Btree(b) => Box::new(Lane::new(BtreeNav::new(data, b), key)),
-        GpuQueryKind::Veb => Box::new(Lane::new(VebNav::new(data), key)),
+        GpuQueryKind::BinarySearch => Box::new(Lane::new(SortedNav::new(data), key, None)),
+        GpuQueryKind::Bst => Box::new(Lane::new(BstNav::new(data), key, hits)),
+        GpuQueryKind::Btree(b) => Box::new(Lane::new(BtreeNav::new(data, b), key, hits)),
+        GpuQueryKind::Veb => Box::new(Lane::new(VebNav::new(data), key, hits)),
     }
 }
 
@@ -147,7 +168,7 @@ pub fn per_query_cost(gpu: &Gpu, kind: GpuQueryKind, sample_keys: &[u64]) -> f64
     for warp_keys in sample_keys.chunks(cfg.warp) {
         let mut lanes: Vec<Box<dyn LaneSearch + '_>> = warp_keys
             .iter()
-            .map(|&key| make_lane(kind, key, data))
+            .map(|&key| make_lane(kind, key, data, true))
             .collect();
         loop {
             addrs.clear();
@@ -176,11 +197,12 @@ pub fn per_query_cost(gpu: &Gpu, kind: GpuQueryKind, sample_keys: &[u64]) -> f64
 
 /// The node-address sequence one query's lane touches (base address per
 /// descent step), produced by the exact lane machinery
-/// [`per_query_cost`] prices — the gpu-sim leg of the
-/// navigator-equivalence suite.
+/// [`per_query_cost`] prices, run through the full rank path (no
+/// retirement on a hit) — the gpu-sim leg of the navigator-equivalence
+/// suite.
 // LINT-ALLOW(test-only-pub): the gpu-sim leg of `tests/navigator_equivalence.rs`
 pub fn lane_node_trace(data: &[u64], kind: GpuQueryKind, key: u64) -> Vec<usize> {
-    let mut lane = make_lane(kind, key, data);
+    let mut lane = make_lane(kind, key, data, false);
     let mut trace = Vec::new();
     let mut addrs = Vec::new();
     while !lane.done() {
@@ -211,6 +233,14 @@ mod tests {
                 x % n as u64
             })
             .collect()
+    }
+
+    /// `figures`' query sample: `count` keys uniform in `0..2n` over the
+    /// keys `0..n`, so about half of them miss.
+    fn uniform_sample(n: usize, count: usize, seed: u64) -> Vec<u64> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count).map(|_| rng.gen_range(0..2 * n as u64)).collect()
     }
 
     #[test]
@@ -268,6 +298,36 @@ mod tests {
             let c = per_query_cost(&gpu, kind, &q);
             assert!(c > 0.0, "{kind:?}");
         }
+    }
+
+    /// Figure 6.9's per-query model costs at n = 2^20 − 1 (B-tree b = 31),
+    /// with the layout lanes retiring on a hit as the paper's do: the
+    /// figure's own sample and layouts, pinned to three decimals.
+    #[test]
+    fn figure_6_9_per_query_costs() {
+        use crate::kernels::{permute, GpuAlgorithm};
+
+        let n = (1usize << 20) - 1;
+        let sample = uniform_sample(n, 4096, 7);
+        let cost = |algo: Option<GpuAlgorithm>, kind| {
+            let mut gpu = Gpu::from_sorted(n, GpuConfig::default());
+            if let Some(algo) = algo {
+                permute(&mut gpu, algo);
+            }
+            per_query_cost(&gpu, kind, &sample)
+        };
+        let b = 31;
+        let got = [
+            cost(Some(GpuAlgorithm::InvolutionBst), GpuQueryKind::Bst),
+            cost(
+                Some(GpuAlgorithm::CycleLeaderBtree { b }),
+                GpuQueryKind::Btree(b),
+            ),
+            cost(Some(GpuAlgorithm::CycleLeaderVeb), GpuQueryKind::Veb),
+            cost(None, GpuQueryKind::BinarySearch),
+        ]
+        .map(|c| format!("{c:.3}"));
+        assert_eq!(got, ["7.630", "3.308", "8.801", "10.158"]);
     }
 
     /// A hit does not retire a lane: a search lane for the key stored

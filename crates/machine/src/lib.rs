@@ -143,11 +143,24 @@ pub trait Machine {
     /// Execute `f` once per task. Tasks cover pairwise disjoint regions
     /// and may therefore run concurrently; sequential backends run them
     /// in order, which recursion-sensitive cost models (GPU launches)
-    /// rely on.
+    /// rely on. The task list is the caller's one heap allocation per
+    /// fan-out, and a backend may allocate more to deal it out.
     fn run_tasks<K, F>(&mut self, tasks: Vec<Region<K>>, f: F)
     where
         K: Send + Sync,
         F: Fn(&mut Self, &Region<K>) + Sync;
+
+    /// Whether a fan-out of tasks covering `total` elements goes through
+    /// [`Machine::run_tasks`]. When `false`, the algorithms call each
+    /// task directly, in order, and build no task list, so that fan-out
+    /// allocates nothing. Every backend that observes the fan-outs keeps
+    /// the default, `true`; [`Ram`] answers `false` wherever its
+    /// `run_tasks` would run the tasks in order on the calling thread
+    /// anyway, so its sequential constructions make no heap allocation
+    /// at all.
+    fn fans_out(&self, _total: usize) -> bool {
+        true
+    }
 
     /// Regions of at most this many elements should be handed to
     /// [`Machine::local_task`] as one unit instead of being decomposed
@@ -171,10 +184,11 @@ const RAM_PAR_GRAIN: usize = 1 << 13;
 /// What one element of a [`Ram::run_tasks`] region costs its task, in
 /// nanoseconds, as the floor rule ([`rayon::min_task_len`]) needs it: a
 /// task permutes its whole subtree, every level below it included, and
-/// the benchmark of record's sequential constructions
-/// (`core.permute_seq_ms.*`) read 6 (B-tree) to 40 (BST) ns per element
-/// at 2^20 keys. The estimate sits near the low end — a low cost asks
-/// for longer tasks, and the layout is not known here.
+/// the benchmark of record's sequential cycle-leader constructions
+/// (`core.permute_seq_ms.*`, 2^20 keys, 2 vCPUs) read about 9 (B-tree),
+/// 33 (vEB) and 33 (BST) ns per element, medians of four traced runs.
+/// The estimate sits near the low end — a low cost asks for longer
+/// tasks, and the layout is not known here.
 const RAM_ELEM_COST_NS: u64 = 10;
 
 /// The production backend: the caller's array in RAM, lowered to direct
@@ -337,13 +351,13 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
     {
         debug_assert!(regions_disjoint(&tasks), "run_tasks regions overlap");
         let total: usize = tasks.iter().map(|t| t.len).sum();
-        let floor = rayon::min_task_len(RAM_ELEM_COST_NS);
-        if !self.par || total < 2 * floor {
+        if !self.fans_out(total) {
             for task in &tasks {
                 f(self, task);
             }
             return;
         }
+        let floor = rayon::min_task_len(RAM_ELEM_COST_NS);
         // Deal the tasks into contiguous groups of at least `floor`
         // total elements and offer each group to the pool: a level of
         // many tiny subtrees (the vEB recursions produce hundreds of
@@ -374,6 +388,12 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
                 f(&mut view, task);
             }
         });
+    }
+
+    /// Only a parallel machine with at least two floors' worth of work
+    /// deals tasks out; below that, `run_tasks` would run them in order.
+    fn fans_out(&self, total: usize) -> bool {
+        self.par && total >= 2 * rayon::min_task_len(RAM_ELEM_COST_NS)
     }
 
     fn local_task<F>(&mut self, lo: usize, len: usize, f: F)

@@ -136,12 +136,15 @@ fn rebuild_hot_path_allocates_once_per_array() {
 
 /// In-place means in place: constructing a layout — Chapter 5's
 /// pre-pass included, so the size is ragged for every layout — makes no
-/// allocation that grows with the array. The only heap use is the task
-/// lists of the recursive fan-outs (`O(√N)` regions for vEB, `B + 1` for
-/// the extended gather), far below a sixteenth of the payload.
+/// allocation that grows with the array. A parallel construction's only
+/// heap use on the calling thread is the task lists of the fan-outs it
+/// deals to the pool (`O(√N)` regions for vEB, `B + 1` for the extended
+/// gather) and their groups, far below a sixteenth of the payload; a
+/// sequential one makes none at all
+/// (`in_place_construction_seq_allocates_nothing`).
 #[test]
 fn in_place_construction_allocates_nothing_payload_sized() {
-    use implicit_search_trees::{permute_in_place_seq, Algorithm, Layout};
+    use implicit_search_trees::{permute_in_place, Algorithm, Layout};
 
     let n = 100_000usize;
     let payload = n * size_of::<u64>();
@@ -149,10 +152,31 @@ fn in_place_construction_allocates_nothing_payload_sized() {
         for algorithm in Algorithm::ALL {
             let mut keys: Vec<u64> = (0..n as u64).collect();
             let (result, big_allocs) = count_allocs(payload / 16, || {
-                permute_in_place_seq(&mut keys, layout, algorithm)
+                permute_in_place(&mut keys, layout, algorithm)
             });
             result.unwrap();
             assert_eq!(big_allocs, 0, "{layout:?} {algorithm:?}");
+        }
+    }
+}
+
+/// A sequential construction recurses without task lists (a fan-out
+/// builds one only where the machine deals it out to other threads), so
+/// it makes no heap allocation of any size, for every layout and
+/// algorithm, at a perfect size and at a ragged one.
+#[test]
+fn in_place_construction_seq_allocates_nothing() {
+    use implicit_search_trees::{permute_in_place_seq, Algorithm, Layout};
+
+    for n in [(1usize << 16) - 1, 100_000] {
+        for layout in [Layout::Bst, Layout::Btree { b: 8 }, Layout::Veb] {
+            for algorithm in Algorithm::ALL {
+                let mut keys: Vec<u64> = (0..n as u64).collect();
+                let (result, allocs) =
+                    count_allocs(1, || permute_in_place_seq(&mut keys, layout, algorithm));
+                result.unwrap();
+                assert_eq!(allocs, 0, "n={n} {layout:?} {algorithm:?}");
+            }
         }
     }
 }
