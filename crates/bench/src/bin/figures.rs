@@ -18,11 +18,11 @@
 
 use ist_bench::*;
 use ist_core::{permute_in_place, permute_in_place_seq, Algorithm, Layout};
-use ist_dynamic::{default_kind_for_layout, StaticMap};
+use ist_dynamic::StaticMap;
 use ist_gather::{equidistant_gather_chunks_par, gather_len, swap_halves_par};
 use ist_gpu_sim::{kernels as gk, query as gq, Gpu, GpuConfig};
 use ist_pem_sim::{kernels as pk, PemConfig, TrackedArray};
-use ist_query::{QueryKind, Searcher};
+use ist_query::{default_kind_for_layout, QueryKind, Searcher};
 
 const GPU_B: usize = 32; // 128-byte lines on the GPU (paper §6.0.3)
 const CPU_B: usize = 8; // 64-byte lines, 64-bit keys (paper §6.0.1)
@@ -643,27 +643,19 @@ fn fig6_9(scale: i32) {
     // Baseline: binary search on un-permuted data.
     {
         let gpu = Gpu::from_sorted(n, GpuConfig::default());
-        let per_q = gq::per_query_cost(&gpu, gq::GpuQueryKind::BinarySearch, &sample);
+        let per_q = gq::per_query_cost(&gpu, QueryKind::Sorted, &sample);
         let times: Vec<f64> = qs.iter().map(|&q| per_q * q as f64).collect();
         series.push(("binary_search".into(), times));
     }
     let b = 31usize;
-    let layouts: Vec<(&str, gk::GpuAlgorithm, gq::GpuQueryKind)> = vec![
-        (
-            "bst",
-            gk::GpuAlgorithm::InvolutionBst,
-            gq::GpuQueryKind::Bst,
-        ),
+    let layouts: Vec<(&str, gk::GpuAlgorithm, QueryKind)> = vec![
+        ("bst", gk::GpuAlgorithm::InvolutionBst, QueryKind::Bst),
         (
             "btree",
             gk::GpuAlgorithm::CycleLeaderBtree { b },
-            gq::GpuQueryKind::Btree(b),
+            QueryKind::Btree(b),
         ),
-        (
-            "veb",
-            gk::GpuAlgorithm::CycleLeaderVeb,
-            gq::GpuQueryKind::Veb,
-        ),
+        ("veb", gk::GpuAlgorithm::CycleLeaderVeb, QueryKind::Veb),
     ];
     for (name, algo, qkind) in layouts {
         let mut gpu = Gpu::from_sorted(n, GpuConfig::default());

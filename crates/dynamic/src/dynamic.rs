@@ -144,13 +144,12 @@ pub use read::Frozen;
 
 pub(crate) use run::{BufEntry, Prefix, Run};
 
-use crate::map::default_kind_for_layout;
 #[cfg(doc)]
 use crate::map::StaticMap;
 use crate::sync::{Arc, Mutex};
 use compact::Pending;
 use ist_core::{Error, Layout};
-use ist_query::QueryKind;
+use ist_query::{default_kind_for_layout, QueryKind};
 use run::buffer_slot;
 
 /// Default write-buffer capacity (entries buffered between seals).

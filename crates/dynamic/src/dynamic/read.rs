@@ -234,21 +234,32 @@ where
         out
     }
 
-    /// Batched [`Frozen::rank`] on the pipelined per-run landing engine,
-    /// each run adding its weight prefix at every key's rank in place
-    /// (keys read in place, like [`Frozen::batch_get`]).
-    pub fn batch_rank<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
-        // The buffer's weight prefix, built once per call: each key then
-        // costs one binary search and a lookup, not a sum over the
-        // buffer below it.
+    /// The buffer's weight prefix, `below[i]` = summed weight of its
+    /// `i` smallest entries, built once per batched call: each key then
+    /// costs one binary search and a lookup
+    /// ([`Frozen::buffer_below`]), not a sum over the buffer below it.
+    fn buffer_prefix(&self) -> Vec<i64> {
         let mut below = Vec::with_capacity(self.buffer.len() + 1);
         below.push(0i64);
         for e in self.buffer.iter() {
             below.push(below.last().expect("starts at 0") + e.weight);
         }
+        below
+    }
+
+    /// The buffer's weight below `key`, read off [`Frozen::buffer_prefix`].
+    fn buffer_below(&self, below: &[i64], key: &K) -> i64 {
+        below[self.buffer.partition_point(|e| e.key < *key)]
+    }
+
+    /// Batched [`Frozen::rank`] on the pipelined per-run landing engine,
+    /// each run adding its weight prefix at every key's rank in place
+    /// (keys read in place, like [`Frozen::batch_get`]).
+    pub fn batch_rank<Q: Borrow<K> + Sync>(&self, keys: &[Q]) -> Vec<usize> {
+        let below = self.buffer_prefix();
         let mut acc: Vec<i64> = keys
             .iter()
-            .map(|k| below[self.buffer.partition_point(|e| e.key < *k.borrow())])
+            .map(|k| self.buffer_below(&below, k.borrow()))
             .collect();
         for run in self.runs.iter() {
             let prefix = &run.prefix;
@@ -264,23 +275,35 @@ where
             .collect()
     }
 
-    /// Per-pair [`Frozen::range_count`] (reversed pairs yield 0); all
-    /// endpoint ranks go through the pipelined engine.
+    /// Per-pair [`Frozen::range_count`] (reversed pairs yield 0). Each
+    /// pair keeps one running weight: the buffer's share, then per run
+    /// `prefix[rank(hi)] − prefix[rank(lo)]`, added inside the run's
+    /// pipelined pair window
+    /// ([`Searcher::batch_range_into`](ist_query::Searcher::batch_range_into)).
+    /// Nothing is staged per endpoint.
     pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
-        let mut flat: Vec<&K> = Vec::with_capacity(2 * ranges.len());
-        for (lo, hi) in ranges {
-            flat.push(lo);
-            flat.push(hi);
-        }
-        let ranks = self.batch_rank(&flat);
-        ranges
+        let below = self.buffer_prefix();
+        let mut acc: Vec<i64> = ranges
             .iter()
-            .enumerate()
-            .map(|(i, (lo, hi))| {
+            .map(|(lo, hi)| self.buffer_below(&below, hi) - self.buffer_below(&below, lo))
+            .collect();
+        for run in self.runs.iter() {
+            let prefix = &run.prefix;
+            run.map.searcher().batch_range_into(
+                ranges,
+                &mut acc,
+                |a, rank| *a -= prefix.at(rank),
+                |a, rank| *a += prefix.at(rank),
+            );
+        }
+        acc.into_iter()
+            .zip(ranges)
+            .map(|(w, (lo, hi))| {
                 if lo >= hi {
                     0
                 } else {
-                    ranks[2 * i + 1].saturating_sub(ranks[2 * i])
+                    debug_assert!(w >= 0, "weight invariant violated: negative range count");
+                    w as usize
                 }
             })
             .collect()

@@ -47,4 +47,4 @@ pub(crate) mod sync;
 
 pub use alloc::AlignedVec;
 pub use dynamic::{sort_dedup_last_wins, DynamicMap, Frozen, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS};
-pub use map::{default_kind_for_layout, StaticMap};
+pub use map::StaticMap;

@@ -29,7 +29,7 @@
 use crate::alloc::{AlignedVec, LayoutWalk};
 use ist_core::{Algorithm, Error, Layout};
 use ist_perm::co_permute_by_gather;
-use ist_query::{QueryKind, Searcher};
+use ist_query::{default_kind_for_layout, QueryKind, Searcher};
 use std::borrow::Borrow;
 
 /// An immutable key→value map stored as two parallel implicit-layout
@@ -174,7 +174,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
             keys.windows(2).all(|w| w[0] <= w[1]),
             "StaticMap::build_presorted: keys are not sorted"
         );
-        let (keys, values) = match layout_of_kind(kind) {
+        let (keys, values) = match kind.layout() {
             Some(layout) if !keys.is_empty() => {
                 // One walk serves both scatters: the layouts are
                 // data-oblivious, so the value side streams through the
@@ -218,7 +218,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
     /// The layout the entries are stored in (`None` for the un-permuted
     /// [`QueryKind::Sorted`] baseline).
     pub fn layout(&self) -> Option<Layout> {
-        layout_of_kind(self.kind)
+        self.kind.layout()
     }
 
     /// The descent this map answers queries with.
@@ -334,39 +334,6 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
 
     fn entry_at(&self, pos: usize) -> Option<(&K, &V)> {
         Some((self.keys.get(pos)?, &self.values[pos]))
-    }
-}
-
-/// The construction layout behind a [`QueryKind`] (`None` for the
-/// un-permuted sorted baseline).
-pub(crate) fn layout_of_kind(kind: QueryKind) -> Option<Layout> {
-    match kind {
-        QueryKind::Sorted => None,
-        QueryKind::Bst | QueryKind::BstPrefetch => Some(Layout::Bst),
-        QueryKind::Btree(b) => Some(Layout::Btree { b }),
-        QueryKind::Veb => Some(Layout::Veb),
-    }
-}
-
-/// The best default descent for a layout (grandchild prefetching for
-/// the BST); [`StaticMap::build`] and the `DynamicMap` / `ShardedMap`
-/// layout constructors use this, and callers that pre-partition data
-/// for the kind-explicit constructors (e.g. a sharded bulk load) can
-/// apply the same mapping.
-///
-/// `Layout::Btree { b: 8 | 16 }` maps to `QueryKind::Btree(b)` like any
-/// other width — the kind names the *shape*, which is physical — but
-/// [`Searcher`] construction upgrades that kind to the monomorphized
-/// wide-node SIMD kernel whenever the key type is
-/// [`SimdKey`](ist_query::SimdKey)-eligible
-/// ([`Searcher::is_wide`](ist_query::Searcher::is_wide) reports the
-/// route), so the default build path lands on the wide kernel with no
-/// opt-in here.
-pub fn default_kind_for_layout(layout: Layout) -> QueryKind {
-    match layout {
-        Layout::Bst => QueryKind::BstPrefetch,
-        Layout::Btree { b } => QueryKind::Btree(b),
-        Layout::Veb => QueryKind::Veb,
     }
 }
 

@@ -37,7 +37,7 @@ mod machine;
 pub mod query;
 
 pub use kernels::GpuAlgorithm;
-pub use query::{lane_node_trace, per_query_cost, GpuQueryKind};
+pub use query::{lane_node_trace, per_query_cost};
 
 /// Cost-model parameters (defaults approximate a K40-class device,
 /// normalized so one 128-byte transaction costs 1 unit).

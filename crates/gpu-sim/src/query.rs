@@ -12,8 +12,10 @@
 //! of truth the CPU's scalar and pipelined engines run — and this
 //! module only generates addresses from the navigator's node window and
 //! prices them (mirroring how the construction-side `Gpu` machine
-//! backend shares `ist_core::algorithms`). A lane steps the CPU's
-//! search, the `UPPER = false` rank descent. As in the paper, a layout
+//! backend shares `ist_core::algorithms`). The kernel is named by the
+//! CPU's own [`QueryKind`]: `Sorted` is the binary-search baseline, and
+//! `Bst` and `BstPrefetch` drive the same BST lane. A lane steps the
+//! CPU's search, the `UPPER = false` rank descent. As in the paper, a layout
 //! lane (BST, B-tree, vEB) retires as soon as the node it just read
 //! holds its key; otherwise it retires when it falls off the perfect
 //! part (the lower-bound resolution is omitted: one extra access at
@@ -24,31 +26,7 @@
 
 use crate::{Gpu, GpuCost};
 use ist_query::nav::{BstNav, BtreeNav, Navigator, SortedNav, VebNav};
-
-/// Which search algorithm the query kernel runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GpuQueryKind {
-    /// Binary search on the un-permuted sorted array (baseline).
-    BinarySearch,
-    /// BST layout descent.
-    Bst,
-    /// B-tree layout descent (keys per node inside).
-    Btree(usize),
-    /// vEB layout descent.
-    Veb,
-}
-
-impl GpuQueryKind {
-    /// Stable name used in CSV output.
-    pub fn name(self) -> &'static str {
-        match self {
-            GpuQueryKind::BinarySearch => "binary_search",
-            GpuQueryKind::Bst => "bst",
-            GpuQueryKind::Btree(_) => "btree",
-            GpuQueryKind::Veb => "veb",
-        }
-    }
-}
+use ist_query::QueryKind;
 
 /// Per-lane search state: the next address(es) to read, or done.
 trait LaneSearch {
@@ -138,19 +116,23 @@ impl<N: Navigator<u64>> LaneSearch for Lane<'_, N> {
 }
 
 /// A lane for `key`; with `retire_on_hit`, a layout lane stops at the
-/// first node holding the key (binary search never does).
+/// first node holding the key (binary search never does). Both BST
+/// kinds run one lane: a prefetch is not a read, so it leaves the node
+/// sequence as it is.
 fn make_lane<'a>(
-    kind: GpuQueryKind,
+    kind: QueryKind,
     key: u64,
     data: &'a [u64],
     retire_on_hit: bool,
 ) -> Box<dyn LaneSearch + 'a> {
     let hits = retire_on_hit.then_some(data);
     match kind {
-        GpuQueryKind::BinarySearch => Box::new(Lane::new(SortedNav::new(data), key, None)),
-        GpuQueryKind::Bst => Box::new(Lane::new(BstNav::new(data), key, hits)),
-        GpuQueryKind::Btree(b) => Box::new(Lane::new(BtreeNav::new(data, b), key, hits)),
-        GpuQueryKind::Veb => Box::new(Lane::new(VebNav::new(data), key, hits)),
+        QueryKind::Sorted => Box::new(Lane::new(SortedNav::new(data), key, None)),
+        QueryKind::Bst | QueryKind::BstPrefetch => {
+            Box::new(Lane::new(BstNav::new(data), key, hits))
+        }
+        QueryKind::Btree(b) => Box::new(Lane::new(BtreeNav::new(data, b), key, hits)),
+        QueryKind::Veb => Box::new(Lane::new(VebNav::new(data), key, hits)),
     }
 }
 
@@ -158,7 +140,7 @@ fn make_lane<'a>(
 /// return the **average model cost per query** (transactions + compute;
 /// the per-kernel launch cost amortizes over millions of queries and is
 /// charged once per batch by the caller).
-pub fn per_query_cost(gpu: &Gpu, kind: GpuQueryKind, sample_keys: &[u64]) -> f64 {
+pub fn per_query_cost(gpu: &Gpu, kind: QueryKind, sample_keys: &[u64]) -> f64 {
     assert!(!sample_keys.is_empty());
     let data = &gpu.data;
     let cfg = *gpu.config();
@@ -201,7 +183,7 @@ pub fn per_query_cost(gpu: &Gpu, kind: GpuQueryKind, sample_keys: &[u64]) -> f64
 /// retirement on a hit) — the gpu-sim leg of the navigator-equivalence
 /// suite.
 // LINT-ALLOW(test-only-pub): the gpu-sim leg of `tests/navigator_equivalence.rs`
-pub fn lane_node_trace(data: &[u64], kind: GpuQueryKind, key: u64) -> Vec<usize> {
+pub fn lane_node_trace(data: &[u64], kind: QueryKind, key: u64) -> Vec<usize> {
     let mut lane = make_lane(kind, key, data, false);
     let mut trace = Vec::new();
     let mut addrs = Vec::new();
@@ -252,12 +234,12 @@ mod tests {
         let q = keys(n, 4096);
 
         let sorted = Gpu::from_sorted(n, GpuConfig::default());
-        let c_bin = per_query_cost(&sorted, GpuQueryKind::BinarySearch, &q);
+        let c_bin = per_query_cost(&sorted, QueryKind::Sorted, &q);
 
         let mut data: Vec<u64> = (0..n as u64).collect();
         permute_in_place_seq(&mut data, Layout::Btree { b }, Algorithm::CycleLeader).unwrap();
         let gpu = Gpu::new(data, GpuConfig::default());
-        let c_btree = per_query_cost(&gpu, GpuQueryKind::Btree(b), &q);
+        let c_btree = per_query_cost(&gpu, QueryKind::Btree(b), &q);
 
         assert!(
             c_btree * 2.0 < c_bin,
@@ -272,11 +254,11 @@ mod tests {
         let n = (1 << 18) - 1;
         let q = keys(n, 4096);
         let sorted = Gpu::from_sorted(n, GpuConfig::default());
-        let c_bin = per_query_cost(&sorted, GpuQueryKind::BinarySearch, &q);
+        let c_bin = per_query_cost(&sorted, QueryKind::Sorted, &q);
         let mut data: Vec<u64> = (0..n as u64).collect();
         permute_in_place_seq(&mut data, Layout::Bst, Algorithm::Involution).unwrap();
         let gpu = Gpu::new(data, GpuConfig::default());
-        let c_bst = per_query_cost(&gpu, GpuQueryKind::Bst, &q);
+        let c_bst = per_query_cost(&gpu, QueryKind::Bst, &q);
         assert!(c_bst < c_bin, "bst={c_bst:.2} binary={c_bin:.2}");
     }
 
@@ -285,10 +267,10 @@ mod tests {
         let n = 1000usize;
         let q = keys(n, 256);
         for (kind, layout) in [
-            (GpuQueryKind::BinarySearch, None),
-            (GpuQueryKind::Bst, Some(Layout::Bst)),
-            (GpuQueryKind::Btree(8), Some(Layout::Btree { b: 8 })),
-            (GpuQueryKind::Veb, Some(Layout::Veb)),
+            (QueryKind::Sorted, None),
+            (QueryKind::Bst, Some(Layout::Bst)),
+            (QueryKind::Btree(8), Some(Layout::Btree { b: 8 })),
+            (QueryKind::Veb, Some(Layout::Veb)),
         ] {
             let mut data: Vec<u64> = (0..n as u64).collect();
             if let Some(l) = layout {
@@ -318,13 +300,13 @@ mod tests {
         };
         let b = 31;
         let got = [
-            cost(Some(GpuAlgorithm::InvolutionBst), GpuQueryKind::Bst),
+            cost(Some(GpuAlgorithm::InvolutionBst), QueryKind::Bst),
             cost(
                 Some(GpuAlgorithm::CycleLeaderBtree { b }),
-                GpuQueryKind::Btree(b),
+                QueryKind::Btree(b),
             ),
-            cost(Some(GpuAlgorithm::CycleLeaderVeb), GpuQueryKind::Veb),
-            cost(None, GpuQueryKind::BinarySearch),
+            cost(Some(GpuAlgorithm::CycleLeaderVeb), QueryKind::Veb),
+            cost(None, QueryKind::Sorted),
         ]
         .map(|c| format!("{c:.3}"));
         assert_eq!(got, ["7.630", "3.308", "8.801", "10.158"]);
@@ -339,7 +321,7 @@ mod tests {
         permute_in_place_seq(&mut data, Layout::Bst, Algorithm::CycleLeader).unwrap();
         // The root of the BST layout sits at index 0 and holds the median.
         let root_key = data[0];
-        let trace = lane_node_trace(&data, GpuQueryKind::Bst, root_key);
+        let trace = lane_node_trace(&data, QueryKind::Bst, root_key);
         // Ties descend left: the root, then its left child, then the
         // rightmost path of that subtree down to the leaf level.
         let mut want = vec![0usize, 1];
@@ -347,7 +329,7 @@ mod tests {
             want.push(2 * want.last().unwrap() + 2);
         }
         assert_eq!(trace, want);
-        let cpu = ist_query::Searcher::new(&data, ist_query::QueryKind::Bst);
+        let cpu = ist_query::Searcher::new(&data, QueryKind::Bst);
         assert_eq!(trace, cpu.trace_rank(&root_key));
     }
 }

@@ -10,7 +10,6 @@
 //! contracts match upstream.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::{effective_threads, global};
 
@@ -100,91 +99,6 @@ impl RangeParIter {
     }
 }
 
-/// Borrowing conversion into a parallel iterator (`par_iter`).
-pub trait IntoParallelRefIterator<'a> {
-    /// The parallel iterator type.
-    type Iter;
-    /// Parallel iterator over `&self`'s items.
-    fn par_iter(&'a self) -> Self::Iter;
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Iter = SliceParIter<'a, T>;
-    fn par_iter(&'a self) -> SliceParIter<'a, T> {
-        SliceParIter {
-            slice: self,
-            min_len: 1,
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-    type Iter = SliceParIter<'a, T>;
-    fn par_iter(&'a self) -> SliceParIter<'a, T> {
-        self.as_slice().par_iter()
-    }
-}
-
-/// Parallel iterator over `&[T]`.
-pub struct SliceParIter<'a, T> {
-    slice: &'a [T],
-    min_len: usize,
-}
-
-impl<'a, T: Sync> SliceParIter<'a, T> {
-    /// Set the minimum number of items handled per task.
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.min_len = min_len;
-        self
-    }
-
-    /// Run `f` for every item.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&T) + Sync,
-    {
-        let slice = self.slice;
-        par_ranges(slice.len(), self.min_len, |r| {
-            for item in &slice[r] {
-                f(item);
-            }
-        });
-    }
-
-    /// Keep only items satisfying `pred` (terminal ops below).
-    pub fn filter<P>(self, pred: P) -> FilterSliceParIter<'a, T, P>
-    where
-        P: Fn(&&T) -> bool + Sync,
-    {
-        FilterSliceParIter { iter: self, pred }
-    }
-}
-
-/// A filtered [`SliceParIter`].
-pub struct FilterSliceParIter<'a, T, P> {
-    iter: SliceParIter<'a, T>,
-    pred: P,
-}
-
-impl<'a, T: Sync, P> FilterSliceParIter<'a, T, P>
-where
-    P: Fn(&&T) -> bool + Sync,
-{
-    /// Count the surviving items.
-    pub fn count(self) -> usize {
-        let slice = self.iter.slice;
-        let pred = &self.pred;
-        let total = AtomicUsize::new(0);
-        par_ranges(slice.len(), self.iter.min_len, |r| {
-            let local = slice[r].iter().filter(|item| pred(item)).count();
-            // Relaxed: a pure tally — `par_ranges`' join provides the
-            // happens-before edge for the final `into_inner` read.
-            total.fetch_add(local, Ordering::Relaxed);
-        });
-        total.into_inner()
-    }
-}
-
 /// Parallel mutable chunk iteration over slices (`par_chunks_exact_mut`,
 /// `par_chunks_mut`).
 pub trait ParallelSliceMut<T: Send> {
@@ -253,14 +167,6 @@ impl<'a, T: Send> ChunksExactMutParIter<'a, T> {
                 f(c, sub);
             }
         });
-    }
-
-    /// Run `f` on every chunk.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        self.run(|_, sub| f(sub));
     }
 
     /// Pair every chunk with its index.
@@ -353,6 +259,7 @@ impl<'a, T: Send> EnumChunksMutParIter<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn range_for_each_visits_every_index() {
@@ -362,18 +269,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn filter_count_matches_sequential() {
-        let v: Vec<u64> = (0..100_000).collect();
-        let par = v
-            .par_iter()
-            .with_min_len(1024)
-            .filter(|x| **x % 3 == 0)
-            .count();
-        let seq = v.iter().filter(|x| **x % 3 == 0).count();
-        assert_eq!(par, seq);
     }
 
     #[test]

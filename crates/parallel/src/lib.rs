@@ -6,9 +6,9 @@
 //!
 //! * [`join`] — run two closures, potentially concurrently;
 //! * [`scope`] — structured task spawning ([`Scope::spawn`]);
-//! * [`prelude`] — `into_par_iter()` over index ranges,
-//!   `par_iter()` / `par_chunks_mut()` / `par_chunks_exact_mut()` over slices, with
-//!   `with_min_len`, `for_each`, `enumerate`, `filter(..).count()`;
+//! * [`prelude`] — `into_par_iter()` over index ranges and
+//!   `par_chunks_mut()` / `par_chunks_exact_mut()` over slices, with
+//!   `with_min_len`, `enumerate` and `for_each`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] and
 //!   [`current_num_threads`].
 //!
@@ -78,7 +78,7 @@ use worker::Workers;
 
 /// Everything needed for `use rayon::prelude::*` call sites.
 pub mod prelude {
-    pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator, ParallelSliceMut};
+    pub use crate::iter::{IntoParallelIterator, ParallelSliceMut};
 }
 
 /// The shortest task worth handing to a helper, in nanoseconds of the

@@ -34,7 +34,9 @@
 //! caller each key's [`Landing`] inside the chunk, to fold into a slice
 //! the caller owns. `batch_search`, `batch_rank` and `batch_count` are
 //! one-liners over it, and so are `ist-dynamic`'s batched reads and
-//! write-path weight sweep. A caller that reads only the rank inlines
+//! write-path weight sweep. Range counts run the same window through
+//! its pair twin, [`Searcher::batch_range_into`], which hands each
+//! endpoint's rank to the caller's `lo` or `hi` sink. A caller that reads only the rank inlines
 //! the landing, and the slot arithmetic folds away. Results are
 //! bit-identical to a scalar loop of the point operation: the window
 //! replays the scalar engine's comparison sequence and its landing.
@@ -73,8 +75,8 @@ const CHUNK: usize = 32 * WINDOW;
 /// the caller otherwise. How many tasks, and which chunks each runs, is
 /// the pool's decision (`par_chunks_mut` + `with_min_len`); this is the
 /// one place the batch engine states its grain, and both parallel
-/// batch entry points ([`Searcher::batch_land_into`] and the range
-/// count) dispatch through here.
+/// batch entry points ([`Searcher::batch_land_into`] and
+/// [`Searcher::batch_range_into`]) dispatch through here.
 pub(crate) fn par_chunked<I: Sync, O: Send>(
     items: &[I],
     out: &mut [O],
@@ -202,8 +204,8 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     ///
     /// Keys are read in place through [`Borrow`], so an owned `&[T]`
     /// and a borrowed `&[&T]` (what a routing layer holds after
-    /// [`crate::route::partition_batch_ref`]) are the same call — no
-    /// key is ever cloned or copied into a staging buffer.
+    /// partitioning a batch by reference) are the same call — no key is
+    /// ever cloned or copied into a staging buffer.
     ///
     /// # Panics
     /// Panics if `keys` and `out` differ in length.

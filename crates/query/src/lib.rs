@@ -25,8 +25,8 @@
 //!   lane by lane and charges coalesced transactions.
 //!
 //! `tests/navigator_equivalence.rs` (repository root) asserts all three
-//! visit bit-identical node sequences, via [`Searcher::trace_search`] /
-//! [`Searcher::trace_search_pipelined`] and friends.
+//! visit bit-identical node sequences, via [`Searcher::trace_rank`] /
+//! [`Searcher::trace_rank_pipelined`] and the GPU model's lane traces.
 //!
 //! Every query is a **rank descent** — steps with no equality test and
 //! no early exit — resolved once, from its final registers, into a
@@ -49,10 +49,12 @@
 //! [`Searcher::batch_land_into`], hands the caller each key's landing
 //! inside the chunks; [`Searcher::batch_search`],
 //! [`Searcher::batch_rank`] and [`Searcher::batch_count`] are
-//! one-liners over it, and [`Searcher::batch_range_count`] runs the same
-//! window. Each `out[i]` is bit-identical to the point operation on
-//! `keys[i]`. Keys are read through [`std::borrow::Borrow`], so `&[T]`
-//! and `&[&T]` are the same call.
+//! one-liners over it. Its pair twin, [`Searcher::batch_range_into`],
+//! runs the same window over both endpoints of every range and hands
+//! the caller each endpoint's rank; [`Searcher::batch_range_count`] is
+//! a one-liner over that. Each `out[i]` is bit-identical to the point
+//! operation on `keys[i]`. Keys are read through
+//! [`std::borrow::Borrow`], so `&[T]` and `&[&T]` are the same call.
 //!
 //! ## Duplicate keys
 //!
@@ -92,7 +94,6 @@ mod batch;
 pub mod nav;
 mod order;
 mod range;
-pub mod route;
 mod wide;
 
 pub use wide::SimdKey;
@@ -211,6 +212,37 @@ impl QueryKind {
             QueryKind::Veb => "veb",
         }
     }
+
+    /// The construction layout this kind descends (`None` for the
+    /// un-permuted sorted baseline) — the inverse of
+    /// [`default_kind_for_layout`], with both BST kinds on
+    /// [`Layout::Bst`].
+    pub fn layout(self) -> Option<Layout> {
+        match self {
+            QueryKind::Sorted => None,
+            QueryKind::Bst | QueryKind::BstPrefetch => Some(Layout::Bst),
+            QueryKind::Btree(b) => Some(Layout::Btree { b }),
+            QueryKind::Veb => Some(Layout::Veb),
+        }
+    }
+}
+
+/// The default descent for a layout: grandchild prefetching for the
+/// BST, the layout's own descent otherwise. [`Searcher::for_layout`]
+/// and every map's layout constructor use it, so a searcher and a map
+/// over the same layout descend alike.
+///
+/// `Layout::Btree { b: 8 | 16 }` maps to `QueryKind::Btree(b)` like any
+/// other width — the kind names the *shape*, which is physical — and
+/// [`Searcher::new`] upgrades it to the wide-node SIMD kernel whenever
+/// the key type is [`SimdKey`]-eligible ([`Searcher::is_wide`] reports
+/// the route).
+pub fn default_kind_for_layout(layout: Layout) -> QueryKind {
+    match layout {
+        Layout::Bst => QueryKind::BstPrefetch,
+        Layout::Btree { b } => QueryKind::Btree(b),
+        Layout::Veb => QueryKind::Veb,
+    }
 }
 
 /// A reusable searcher: precomputes the layout shape once and answers
@@ -262,15 +294,11 @@ pub(crate) enum ShapeData {
 
 impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// Searcher for data permuted with [`ist_core::permute_in_place`]
-    /// into `layout` (BST uses the non-prefetching descent; see
-    /// [`Searcher::new`] for full control).
+    /// into `layout`, on the layout's [`default_kind_for_layout`] — so a
+    /// BST searcher prefetches, like every map's (see [`Searcher::new`]
+    /// for full control).
     pub fn for_layout(data: &'a [T], layout: Layout) -> Self {
-        let kind = match layout {
-            Layout::Bst => QueryKind::Bst,
-            Layout::Btree { b } => QueryKind::Btree(b),
-            Layout::Veb => QueryKind::Veb,
-        };
-        Self::new(data, kind)
+        Self::new(data, default_kind_for_layout(layout))
     }
 
     /// Searcher for an explicit [`QueryKind`].
@@ -516,18 +544,11 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         self.land::<false>(key).slot
     }
 
-    /// The scalar node-address sequence of one **search** descent: the
-    /// base array index of every node read, in order (diagnostics; the
+    /// The scalar node-address sequence of one rank descent, which is
+    /// every query's descent, searches included: the base array index
+    /// of every node read, in order (diagnostics; the
     /// navigator-equivalence suite compares this against the pipelined
-    /// engine and the GPU cost model lane by lane). A search is a rank
-    /// descent, so this is [`Searcher::trace_rank`].
-    // LINT-ALLOW(test-only-pub): navigator_equivalence pins the scalar search path
-    pub fn trace_search(&self, key: &T) -> Vec<usize> {
-        self.trace_rank(key)
-    }
-
-    /// The scalar node-address sequence of one **rank** descent
-    /// (diagnostics; see [`Searcher::trace_search`]).
+    /// engine and the GPU cost model lane by lane).
     pub fn trace_rank(&self, key: &T) -> Vec<usize> {
         let mut t = Vec::new();
         dispatch_nav!(self, nav => {
@@ -536,17 +557,9 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         t
     }
 
-    /// Per-query node-address sequences of the pipelined **search**
-    /// engine (diagnostics; see [`Searcher::trace_search`]): the rank
-    /// window's, [`Searcher::trace_rank_pipelined`].
-    // LINT-ALLOW(test-only-pub): navigator_equivalence pins the pipelined search path
-    pub fn trace_search_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
-        self.trace_rank_pipelined(keys)
-    }
-
-    /// Per-query node-address sequences of the pipelined **rank**
-    /// engine (diagnostics; rank descents never exit early, so these
-    /// are bit-identical to the scalar [`Searcher::trace_rank`]).
+    /// Per-query node-address sequences of the pipelined window every
+    /// batched query runs (diagnostics; rank descents never exit early,
+    /// so these are bit-identical to the scalar [`Searcher::trace_rank`]).
     // LINT-ALLOW(test-only-pub): navigator_equivalence pins the pipelined rank path
     pub fn trace_rank_pipelined(&self, keys: &[T]) -> Vec<Vec<usize>> {
         let mut t = vec![Vec::new(); keys.len()];
@@ -700,7 +713,7 @@ mod tests {
         assert_eq!(s.rank_upper(&5), 0);
         assert_eq!(s.successor(&5), None);
         assert_eq!(s.predecessor(&5), None);
-        assert!(s.trace_search(&5).is_empty());
+        assert!(s.trace_rank(&5).is_empty());
     }
 
     #[test]
@@ -793,7 +806,7 @@ mod tests {
         );
     }
 
-    /// Scalar traces are prefixes of pipelined traces (equal for rank).
+    /// Scalar and pipelined rank traces are equal and never empty.
     #[test]
     fn traces_are_consistent() {
         let n = 500usize;
@@ -809,13 +822,11 @@ mod tests {
             }
             let s = Searcher::new(&data, kind);
             let keys: Vec<u64> = (0..200u64).map(|x| 13 * x + 7).collect();
-            let piped = s.trace_search_pipelined(&keys);
-            let piped_rank = s.trace_rank_pipelined(&keys);
+            let piped = s.trace_rank_pipelined(&keys);
             for (i, key) in keys.iter().enumerate() {
-                let scalar = s.trace_search(key);
+                let scalar = s.trace_rank(key);
                 assert!(!scalar.is_empty(), "{kind:?}");
-                assert_eq!(scalar[..], piped[i][..scalar.len()], "{kind:?} key={key}");
-                assert_eq!(s.trace_rank(key), piped_rank[i], "{kind:?} key={key}");
+                assert_eq!(scalar, piped[i], "{kind:?} key={key}");
             }
         }
     }

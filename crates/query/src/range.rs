@@ -6,7 +6,9 @@
 //! cache-friendly descents, independent of how many keys the range
 //! contains. Batched range counts feed **both** endpoints of every pair
 //! through one pipelined rank engine, so `q` range queries overlap the
-//! latency of `2q` descents.
+//! latency of `2q` descents; [`Searcher::batch_range_into`] is that
+//! pair window, and the caller's two sinks fold each endpoint's rank
+//! into the pair's slot inside the chunks.
 
 use crate::batch::par_chunked;
 use crate::Searcher;
@@ -32,9 +34,9 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         self.rank(hi).saturating_sub(self.rank(lo))
     }
 
-    /// Batch range count over `(lo, hi)` pairs: both endpoints of every
-    /// pair are fed through the pipelined rank engine (parallel over
-    /// chunks of the batch), then differenced.
+    /// Batch range count over `(lo, hi)` pairs, on
+    /// [`Searcher::batch_range_into`]: each pair's `lo` rank is parked
+    /// in its slot and its `hi` rank differenced against it.
     ///
     /// `out[i]` is identical to `range_count(&ranges[i].0,
     /// &ranges[i].1)`.
@@ -50,37 +52,68 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// ```
     pub fn batch_range_count(&self, ranges: &[(T, T)]) -> Vec<usize> {
         let mut counts = vec![0usize; ranges.len()];
-        par_chunked(ranges, &mut counts, |rc, oc| range_chunk(self, rc, oc));
+        self.batch_range_into(
+            ranges,
+            &mut counts,
+            |c, rank| *c = rank,
+            |c, rank| *c = rank.saturating_sub(*c),
+        );
         counts
     }
-}
 
-/// Pipeline the `2·len` rank descents of one chunk of ranges,
-/// differencing each pair into `counts` as its `hi` lands (the window
-/// delivers landings in query order, so `lo`'s rank is parked there
-/// first).
-fn range_chunk<T: Ord + Sync + 'static>(
-    s: &Searcher<'_, T>,
-    ranges: &[(T, T)],
-    counts: &mut [usize],
-) {
-    s.land_window(
-        2 * ranges.len(),
-        |i| {
-            let (lo, hi) = &ranges[i / 2];
-            if i % 2 == 0 {
-                lo
-            } else {
-                hi
-            }
-        },
-        |i, _, (rank, _)| {
-            let c = &mut counts[i / 2];
-            *c = if i % 2 == 0 {
-                rank
-            } else {
-                rank.saturating_sub(*c)
-            };
-        },
-    );
+    /// The batched pair entry every range count runs: both endpoints of
+    /// every pair go through the pipelined rank window (parallel over
+    /// chunks of the batch), and inside the chunks `lo(&mut out[i],
+    /// rank)` takes the rank of `ranges[i].0`, then `hi(&mut out[i],
+    /// rank)` that of `ranges[i].1` — `lo` always first, since the
+    /// window delivers its landings in query order. The caller folds
+    /// each pair into its own slot, with no list of endpoints or ranks
+    /// in between.
+    ///
+    /// # Panics
+    /// Panics if `ranges` and `out` differ in length.
+    ///
+    /// # Examples
+    /// ```
+    /// use ist_query::{QueryKind, Searcher};
+    /// let v = vec![10u64, 20, 30];
+    /// let s = Searcher::new(&v, QueryKind::Sorted);
+    /// let mut span = [(0, 0); 2];
+    /// s.batch_range_into(&[(15, 35), (0, 10)], &mut span, |o, r| o.0 = r, |o, r| o.1 = r);
+    /// assert_eq!(span, [(1, 3), (0, 0)]);
+    /// ```
+    pub fn batch_range_into<O: Send>(
+        &self,
+        ranges: &[(T, T)],
+        out: &mut [O],
+        lo: impl Fn(&mut O, usize) + Sync,
+        hi: impl Fn(&mut O, usize) + Sync,
+    ) {
+        assert_eq!(
+            ranges.len(),
+            out.len(),
+            "batch_range_into: ranges and out differ in length"
+        );
+        par_chunked(ranges, out, |rc, oc| {
+            self.land_window(
+                2 * rc.len(),
+                |i| {
+                    let (l, h) = &rc[i / 2];
+                    if i % 2 == 0 {
+                        l
+                    } else {
+                        h
+                    }
+                },
+                |i, _, (rank, _)| {
+                    let o = &mut oc[i / 2];
+                    if i % 2 == 0 {
+                        lo(o, rank)
+                    } else {
+                        hi(o, rank)
+                    }
+                },
+            )
+        });
+    }
 }

@@ -23,10 +23,9 @@
 //!   gathers every in-flight request into one **tick** (first batch by
 //!   blocking `recv`, the rest by draining `try_recv` until the queue
 //!   runs dry or the tick holds `MAX_TICK` = 8192 requests). The
-//!   tick's writes are folded **last-wins per key** into one mixed
-//!   delta and applied with one shard-parallel bulk call
-//!   ([`ShardedMap::apply`]). Its reads then run as three batched calls
-//!   on the map just written —
+//!   tick's writes go, in arrival order, into one mixed delta, applied
+//!   with one shard-parallel bulk call ([`ShardedMap::apply`]). Its
+//!   reads then run as three batched calls on the map just written —
 //!   [`batch_get`](ist_shard::Sharded::batch_get) /
 //!   [`batch_rank`](ist_shard::Sharded::batch_rank) /
 //!   [`batch_range_count`](ist_shard::Sharded::batch_range_count) — each
@@ -40,8 +39,12 @@
 //! observes the tick's entire write delta (read-your-writes within the
 //! tick, even for a read that arrived earlier in the same tick) and
 //! nothing of a later tick, because the reads run after the apply on
-//! the one thread that owns the map. Cross-shard cuts are **per
-//! tick**, not per request. `Insert` / `Remove` replies are plain ACKs
+//! the one thread that owns the map. Within a tick the **last write to
+//! a key wins**, whatever came before it: the delta carries every
+//! write in arrival order, and `apply` keeps the last entry per key
+//! ([`ist_dynamic::sort_dedup_last_wins`], the one definition of that
+//! rule behind every bulk write). Cross-shard cuts are **per tick**,
+//! not per request. `Insert` / `Remove` replies are plain ACKs
 //! ("applied"), not per-key replaced/removed booleans: the bulk delta
 //! path reports only an aggregate count, and surfacing it per key would
 //! re-serialize the batch.
@@ -264,8 +267,8 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
     let _ = stream.shutdown(Shutdown::Write);
 }
 
-/// The serving loop: owns the map; per tick, folds the writes last-wins
-/// into one bulk delta and applies it shard-parallel, answers the reads
+/// The serving loop: owns the map; per tick, applies the writes as one
+/// bulk delta (last write per key wins) shard-parallel, answers the reads
 /// with three batched calls on the map just written, and sends each
 /// connection its replies in arrival order.
 fn tick_loop(mut map: ServeMap, rx: Receiver<Batch>) {
@@ -285,11 +288,9 @@ fn tick_loop(mut map: ServeMap, rx: Receiver<Batch>) {
             batches.push(b);
         }
 
-        // Last write to a key within the tick wins — `Some` pending
-        // insert, `None` pending remove — so the fold holds one entry
-        // per key and its iteration order cannot change what the one
-        // bulk call applies.
-        let mut delta: HashMap<Key, Option<Value>> = HashMap::new();
+        // The tick's writes in arrival order — `Some` insert, `None`
+        // remove; `apply` keeps the last write to each key.
+        let mut delta: Vec<(Key, Option<Value>)> = Vec::new();
         let mut get_keys: Vec<Key> = Vec::new();
         let mut rank_keys: Vec<Key> = Vec::new();
         let mut ranges: Vec<(Key, Key)> = Vec::new();
@@ -299,17 +300,15 @@ fn tick_loop(mut map: ServeMap, rx: Receiver<Batch>) {
                 Op::Rank { key } => rank_keys.push(*key),
                 Op::RangeCount { lo, hi } => ranges.push((*lo, *hi)),
                 Op::Insert { key, value } => {
-                    delta.insert(*key, Some(Value::from(mem::take(value))));
+                    delta.push((*key, Some(Value::from(mem::take(value)))));
                 }
-                Op::Remove { key } => {
-                    delta.insert(*key, None);
-                }
+                Op::Remove { key } => delta.push((*key, None)),
             }
         }
 
         let t1 = Instant::now();
         if !delta.is_empty() {
-            map.apply(delta.into_iter().collect());
+            map.apply(delta);
         }
         let t2 = Instant::now();
 

@@ -15,11 +15,11 @@
 //! A `Sharded` is `splits.len() + 1` shards under a sorted,
 //! strictly-increasing split-key vector: shard `0` owns keys below
 //! `splits[0]`, shard `i` owns `[splits[i-1], splits[i])`, the last
-//! shard owns everything from the last split up
-//! ([`ist_query::route::shard_of_key`]). Each [`ShardedMap`] shard is a
-//! full [`DynamicMap`]: its own write buffer, sealed L0 runs, tiers, and
-//! background compaction worker — so shards seal and merge
-//! independently, and a hot key range never stalls writes elsewhere.
+//! shard owns everything from the last split up (`route::shard_of_key`).
+//! Each [`ShardedMap`] shard is a full [`DynamicMap`]: its own write
+//! buffer, sealed L0 runs, tiers, and background compaction worker — so
+//! shards seal and merge independently, and a hot key range never
+//! stalls writes elsewhere.
 //!
 //! ## Why the answers stay exact
 //!
@@ -38,12 +38,12 @@
 //!
 //! [`Sharded::batch_get`] / [`Sharded::batch_rank`] /
 //! [`Sharded::batch_range_count`] partition the batch per shard **by
-//! reference** ([`ist_query::route::partition_batch_ref`] — no key is
+//! reference** (`route::partition` over `keys.iter()` — no key is
 //! cloned just to route it), drive every shard's software-pipelined
 //! descent engine — **in parallel** when the sub-batches are long
 //! enough to pay for a hand-off (they are disjoint), on the calling
 //! thread otherwise — and scatter the results back into input order
-//! ([`ist_query::route::scatter_to_input_order`]) — bit-identical to
+//! (`route::scatter_to_input_order`) — bit-identical to
 //! what one unsharded [`DynamicMap`] would answer, which
 //! `tests/sharded_differential.rs` (repository root) checks against
 //! both a `BTreeMap` oracle and a single-map mirror.
@@ -63,14 +63,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ist_core::{Error, Layout};
-use ist_dynamic::{
-    default_kind_for_layout, sort_dedup_last_wins, DynamicMap, Frozen, DEFAULT_BUFFER_CAP,
-};
-use ist_query::route::{
-    partition_batch, partition_batch_ref, partition_owned, scatter_to_input_order, shard_of_key,
-};
-use ist_query::QueryKind;
+use ist_dynamic::{sort_dedup_last_wins, DynamicMap, Frozen, DEFAULT_BUFFER_CAP};
+use ist_query::{default_kind_for_layout, QueryKind};
 use ist_store::{shard_dir_name, Codec, ShardsFile, StoreConfig, StoreError};
+
+mod route;
+use route::{partition, scatter_to_input_order, shard_of_key};
 
 /// What one routed item costs the shard it lands on, in nanoseconds,
 /// as the floor rule ([`rayon::min_task_len`]) needs it: a buffer probe
@@ -352,9 +350,9 @@ where
 
     /// Bulk write across shards: the mixed delta (`Some(v)` inserts,
     /// `None` removes, last entry per key wins) is partitioned per
-    /// shard by the range router ([`ist_query::route::partition_owned`]
-    /// — items moved, not cloned) and every non-empty sub-delta is
-    /// applied via [`DynamicMap::apply`] — **in parallel** across
+    /// shard by the range router (`route::partition` over the delta
+    /// itself — items moved, not cloned) and every non-empty sub-delta
+    /// is applied via [`DynamicMap::apply`] — **in parallel** across
     /// shards when the sub-deltas are long enough to pay for a hand-off
     /// or the shards are persistent, so that their WAL syncs overlap
     /// (see `for_each_shard_task`; shards are disjoint structures, so
@@ -385,7 +383,7 @@ where
     /// ```
     pub fn apply(&mut self, delta: Vec<(K, Option<V>)>) -> usize {
         let splits = &self.splits;
-        let parts = partition_owned(delta, self.shards.len(), |(k, _)| shard_of_key(splits, k));
+        let parts = partition(delta, self.shards.len(), |(k, _)| shard_of_key(splits, k));
         let mut counts = vec![0usize; self.shards.len()];
         for_each_shard_task(
             self.shards
@@ -690,7 +688,7 @@ where
     /// parallel when long enough), and results scatter back in input order — `out[i]` is
     /// exactly `get(&keys[i])`.
     pub fn batch_get(&self, keys: &[K]) -> Vec<Option<&S::Value>> {
-        let parts = partition_batch_ref(keys, self.shards.len(), |k| self.shard_of(k));
+        let parts = partition(keys, self.shards.len(), |k| self.shard_of(k));
         self.fan_out(keys.len(), parts, |shard, _, routed| {
             shard.batch_get(routed)
         })
@@ -700,7 +698,7 @@ where
     /// parallel, each shard's results offset by the summed lengths of
     /// the shards below it, scattered back in input order.
     pub fn batch_rank(&self, keys: &[K]) -> Vec<usize> {
-        let parts = partition_batch_ref(keys, self.shards.len(), |k| self.shard_of(k));
+        let parts = partition(keys, self.shards.len(), |k| self.shard_of(k));
         self.fan_out_ranks(keys.len(), parts)
     }
 
@@ -709,15 +707,11 @@ where
     /// straddling shard boundaries cost the same two descents as local
     /// ones.
     pub fn batch_range_count(&self, ranges: &[(K, K)]) -> Vec<usize> {
-        // Flatten the endpoints by reference (no key clones), rank them
-        // all in one routed fan-out, difference per pair.
-        let mut flat: Vec<&K> = Vec::with_capacity(2 * ranges.len());
-        for (lo, hi) in ranges {
-            flat.push(lo);
-            flat.push(hi);
-        }
-        let parts = partition_batch(&flat, self.shards.len(), |k| self.shard_of(k));
-        let ranks = self.fan_out_ranks(flat.len(), parts);
+        // Route both endpoints of every pair by reference (no key
+        // clones), rank them all in one fan-out, difference per pair.
+        let endpoints = ranges.iter().flat_map(|(lo, hi)| [lo, hi]);
+        let parts = partition(endpoints, self.shards.len(), |k| self.shard_of(k));
+        let ranks = self.fan_out_ranks(2 * ranges.len(), parts);
         ranges
             .iter()
             .enumerate()

@@ -185,8 +185,7 @@
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
 
 pub use ist_dynamic::{
-    default_kind_for_layout, AlignedVec, DynamicMap, Frozen, StaticMap, DEFAULT_BUFFER_CAP,
-    MAX_SEALED_RUNS,
+    AlignedVec, DynamicMap, Frozen, StaticMap, DEFAULT_BUFFER_CAP, MAX_SEALED_RUNS,
 };
 pub use ist_shard::{Shard, Sharded, ShardedFrozen, ShardedMap};
 pub use ist_store::{CrashModel, FsyncPolicy, MemVfs, StdVfs, StoreConfig, StoreError, Vfs};
@@ -195,7 +194,7 @@ pub use ist_core::{
     construct, permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, Error,
     GatherMode, IndexArith, Layout, Machine, Ram, Region,
 };
-pub use ist_query::{QueryKind, Searcher, SimdKey};
+pub use ist_query::{default_kind_for_layout, QueryKind, Searcher, SimdKey};
 
 /// Digit reversal and integer-logarithm primitives.
 pub use ist_bits as bits;

@@ -378,6 +378,45 @@ fn apply_allocates_the_same_whatever_the_run_count() {
     assert_eq!(allocs[0], allocs[1], "apply on 2 runs vs 4 runs");
 }
 
+/// `Frozen::batch_range_count` keeps one running weight per pair: the
+/// buffer's share, then each run's `prefix[rank(hi)] − prefix[rank(lo)]`
+/// added inside that run's pair window. So it stages nothing per
+/// endpoint — no list of both endpoints, no accumulator of 2n ranks —
+/// and makes no allocation as large as 2n words: the one per-pair
+/// accumulator and the result are n words each.
+#[test]
+fn frozen_batch_range_count_stages_nothing_per_endpoint() {
+    let pairs = 4096usize;
+    let ranges: Vec<(u64, u64)> = (0..pairs as u64)
+        .map(|i| {
+            let lo = (i * 37) % 400;
+            let hi = lo + i % 50;
+            if i % 7 == 0 {
+                (hi, lo) // reversed: counts 0
+            } else {
+                (lo, hi)
+            }
+        })
+        .collect();
+    let payload = 16 * pairs;
+    for (inserts, runs) in [(52u64, 2), (124, 4)] {
+        let m = map_of_runs(inserts, runs);
+        let snap = m.snapshot();
+        let count = || snap.batch_range_count(&ranges);
+        let want: Vec<usize> = ranges
+            .iter()
+            .map(|(lo, hi)| snap.range_count(lo, hi))
+            .collect();
+        assert_eq!(count(), want, "{runs} runs");
+        let (got, allocs) = count_allocs(payload, count);
+        assert_eq!(got, want, "{runs} runs");
+        assert_eq!(
+            allocs, 0,
+            "Frozen::batch_range_count over {runs} runs: an allocation of 2n words or more"
+        );
+    }
+}
+
 /// `StaticMap::batch_get` allocates once per call, and only its
 /// answers: every chunk writes its payload references straight into
 /// the result vector. Collecting them from a position vector instead

@@ -11,47 +11,31 @@
 //! * **search descents** are rank descents on every path — the scalar
 //!   engine, the pipelined window and the gpu lane all run the
 //!   `UPPER = false` steps to the bottom and only then resolve a
-//!   lower-bound slot — so the scalar search trace is the pipelined one
-//!   (the prefix assertions below hold as equalities) and the gpu lane
-//!   trace *equals* the scalar trace;
+//!   lower-bound slot — so one rank trace per path covers searches too,
+//!   and the gpu lane trace (the full rank path, no retirement on a
+//!   hit) *equals* the scalar trace;
 //! * results agree between the scalar and batch engines regardless
 //!   (also enforced, more broadly, by `tests/query_differential.rs`).
 
-use implicit_search_trees::gpu_sim::{lane_node_trace, GpuQueryKind};
+use implicit_search_trees::gpu_sim::lane_node_trace;
 use implicit_search_trees::{permute_in_place, Algorithm, Layout, QueryKind, Searcher};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// (CPU kind, construction layout, gpu-sim kind) triples. The scalar
-/// BST prefetch variant shares the BST node sequence by construction
-/// (the hint is a prefetch, not a read), so it maps to the same gpu
-/// kind.
-fn kinds() -> Vec<(QueryKind, Option<Layout>, GpuQueryKind)> {
+/// (kind, construction layout) pairs; the gpu-sim lane model takes the
+/// same kind. The BST prefetch variant shares the BST node sequence by
+/// construction (the hint is a prefetch, not a read), so the gpu model
+/// runs one BST lane for both.
+fn kinds() -> Vec<(QueryKind, Option<Layout>)> {
     vec![
-        (QueryKind::Sorted, None, GpuQueryKind::BinarySearch),
-        (QueryKind::Bst, Some(Layout::Bst), GpuQueryKind::Bst),
-        (QueryKind::BstPrefetch, Some(Layout::Bst), GpuQueryKind::Bst),
-        (
-            QueryKind::Btree(1),
-            Some(Layout::Btree { b: 1 }),
-            GpuQueryKind::Btree(1),
-        ),
-        (
-            QueryKind::Btree(3),
-            Some(Layout::Btree { b: 3 }),
-            GpuQueryKind::Btree(3),
-        ),
-        (
-            QueryKind::Btree(8),
-            Some(Layout::Btree { b: 8 }),
-            GpuQueryKind::Btree(8),
-        ),
-        (
-            QueryKind::Btree(16),
-            Some(Layout::Btree { b: 16 }),
-            GpuQueryKind::Btree(16),
-        ),
-        (QueryKind::Veb, Some(Layout::Veb), GpuQueryKind::Veb),
+        (QueryKind::Sorted, None),
+        (QueryKind::Bst, Some(Layout::Bst)),
+        (QueryKind::BstPrefetch, Some(Layout::Bst)),
+        (QueryKind::Btree(1), Some(Layout::Btree { b: 1 })),
+        (QueryKind::Btree(3), Some(Layout::Btree { b: 3 })),
+        (QueryKind::Btree(8), Some(Layout::Btree { b: 8 })),
+        (QueryKind::Btree(16), Some(Layout::Btree { b: 16 })),
+        (QueryKind::Veb, Some(Layout::Veb)),
     ]
 }
 
@@ -77,38 +61,30 @@ fn probes(n: usize) -> Vec<u64> {
     (0..=(3 * n as u64 + 4)).collect()
 }
 
-/// Search: scalar == gpu lane; scalar is a prefix of pipelined; rank:
-/// scalar == pipelined — for every key of `keys`.
-fn assert_paths_agree(kind: QueryKind, gpu_kind: GpuQueryKind, data: &[u64], keys: &[u64]) {
+/// Scalar == pipelined == gpu lane, for every key of `keys` (one rank
+/// trace per path: a search descends exactly its rank path).
+fn assert_paths_agree(kind: QueryKind, data: &[u64], keys: &[u64]) {
     let n = data.len();
     let s = Searcher::new(data, kind);
-    let piped_search = s.trace_search_pipelined(keys);
-    let piped_rank = s.trace_rank_pipelined(keys);
+    let piped = s.trace_rank_pipelined(keys);
     for (i, key) in keys.iter().enumerate() {
         let tag = format!("{kind:?} n={n} key={key}");
-        let scalar_search = s.trace_search(key);
-        let scalar_rank = s.trace_rank(key);
-        assert!(
-            scalar_search.len() <= piped_search[i].len(),
-            "{tag}: scalar longer than pipelined"
-        );
+        let scalar = s.trace_rank(key);
         assert_eq!(
-            scalar_search[..],
-            piped_search[i][..scalar_search.len()],
-            "{tag}: scalar search not a prefix of pipelined"
+            scalar, piped[i],
+            "{tag}: scalar and pipelined traces differ"
         );
-        assert_eq!(scalar_rank, piped_rank[i], "{tag}: rank traces differ");
-        let gpu = lane_node_trace(data, gpu_kind, *key);
-        assert_eq!(gpu, scalar_search, "{tag}: gpu lane trace differs");
+        let gpu = lane_node_trace(data, kind, *key);
+        assert_eq!(gpu, scalar, "{tag}: gpu lane trace differs");
     }
 }
 
 /// Every probe key, every size, every layout.
 #[test]
 fn all_paths_visit_identical_node_sequences() {
-    for (kind, layout, gpu_kind) in kinds() {
+    for (kind, layout) in kinds() {
         for n in sizes() {
-            assert_paths_agree(kind, gpu_kind, &layout_data(n, layout), &probes(n));
+            assert_paths_agree(kind, &layout_data(n, layout), &probes(n));
         }
     }
 }
@@ -130,10 +106,10 @@ fn sampled_probes(n: usize, seed: u64) -> Vec<u64> {
 
 #[test]
 fn deep_trees_visit_identical_node_sequences() {
-    for (kind, layout, gpu_kind) in kinds() {
+    for (kind, layout) in kinds() {
         for n in DEEP_SIZES {
             let keys = sampled_probes(n, n as u64);
-            assert_paths_agree(kind, gpu_kind, &layout_data(n, layout), &keys);
+            assert_paths_agree(kind, &layout_data(n, layout), &keys);
         }
     }
 }
@@ -171,8 +147,9 @@ fn deep_veb_ranks_with_duplicate_keys() {
 /// runtime navigator at the same `b` — not just the same results. Both
 /// widths 8 and 16 are on u64 keys, so `Searcher::new` routes through
 /// `WideBtreeNav` (pinned by `is_wide`) while `new_runtime` steps the
-/// general `BtreeNav` over the identical buffer; every trace flavor
-/// must agree exactly, at perfect and non-perfect sizes.
+/// general `BtreeNav` over the identical buffer; the scalar and the
+/// pipelined traces must agree exactly, at perfect and non-perfect
+/// sizes.
 #[test]
 fn wide_kernel_traces_equal_runtime_traces() {
     for b in [8usize, 16] {
@@ -186,21 +163,11 @@ fn wide_kernel_traces_equal_runtime_traces() {
             assert!(!runtime.is_wide(), "b={b} n={n}");
             let keys = probes(n);
             assert_eq!(
-                wide.trace_search_pipelined(&keys),
-                runtime.trace_search_pipelined(&keys),
-                "b={b} n={n} pipelined search traces"
-            );
-            assert_eq!(
                 wide.trace_rank_pipelined(&keys),
                 runtime.trace_rank_pipelined(&keys),
                 "b={b} n={n} pipelined rank traces"
             );
             for key in &keys {
-                assert_eq!(
-                    wide.trace_search(key),
-                    runtime.trace_search(key),
-                    "b={b} n={n} key={key} search trace"
-                );
                 assert_eq!(
                     wide.trace_rank(key),
                     runtime.trace_rank(key),
@@ -211,23 +178,23 @@ fn wide_kernel_traces_equal_runtime_traces() {
     }
 }
 
-/// The pipelined search trace always runs the full round count (a hit
-/// does not stop a descent), and scalar and pipelined search traces
-/// agree — i.e. the engines really share one probe structure.
+/// The pipelined trace always runs the full round count (a hit does
+/// not stop a descent), and scalar and pipelined traces agree — i.e.
+/// the engines really share one probe structure.
 #[test]
 fn pipelined_full_depth_and_misses_share_structure() {
-    for (kind, layout, _) in kinds() {
+    for (kind, layout) in kinds() {
         let n = 511usize;
         let data = layout_data(n, layout);
         let s = Searcher::new(&data, kind);
         let keys = probes(n);
-        let piped = s.trace_search_pipelined(&keys);
+        let piped = s.trace_rank_pipelined(&keys);
         for (i, key) in keys.iter().enumerate() {
             // No descent exits early, so the scalar trace must be the
             // whole pipelined trace (checked here on misses).
             if !s.contains(key) {
                 assert_eq!(
-                    s.trace_search(key),
+                    s.trace_rank(key),
                     piped[i],
                     "{kind:?} miss key={key} truncated"
                 );
@@ -250,7 +217,7 @@ fn pipelined_full_depth_and_misses_share_structure() {
 /// checked here; the differential suite covers results more broadly.
 #[test]
 fn window_width_never_changes_results() {
-    for (kind, layout, _) in kinds() {
+    for (kind, layout) in kinds() {
         for n in [26usize, 100, 625] {
             let data = layout_data(n, layout);
             let s = Searcher::new(&data, kind);
