@@ -150,7 +150,6 @@ use crate::sync::{Arc, Mutex};
 use compact::Pending;
 use ist_core::{Error, Layout};
 use ist_query::{default_kind_for_layout, QueryKind};
-use run::buffer_slot;
 
 /// Default write-buffer capacity (entries buffered between seals).
 ///
@@ -176,8 +175,9 @@ pub const MAX_SEALED_RUNS: usize = 16;
 /// Sort `pairs` by key and keep one pair per key, the **last** one
 /// given: a stable sort keeps equal keys in input order, and the dedup
 /// swaps each later duplicate into the kept slot. The one definition of
-/// "last entry per key wins" behind every bulk write (`apply` and the
-/// bulk loaders of this map and of a sharded map).
+/// "last entry per key wins" behind every write (`apply`, which every
+/// mutation goes through, and the bulk loaders of this map and of a
+/// sharded map).
 pub fn sort_dedup_last_wins<K: Ord, V>(pairs: &mut Vec<(K, V)>) {
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     pairs.dedup_by(|later, kept| {
@@ -397,119 +397,29 @@ where
 
     // ----- mutation -----
 
-    /// Insert or overwrite; returns `true` iff a live value for `key`
-    /// was replaced (what `BTreeMap::insert(..).is_some()` reports).
-    ///
-    /// On buffer overflow this **seals** the buffer into a sorted L0
-    /// run (a move plus a weight prefix sum — no layout permutation)
-    /// and hands the k-way merge to a background worker, so the merge
-    /// is off this call's path unless [`MAX_SEALED_RUNS`] backpressure
-    /// engages.
+    /// Insert or overwrite: a one-entry [`DynamicMap::apply`]. Returns
+    /// `true` iff a live value for `key` was replaced (what
+    /// `BTreeMap::insert(..).is_some()` reports); a write a poisoned
+    /// store rejects also reads `false` (see
+    /// [`DynamicMap::store_error`]).
     pub fn insert(&mut self, key: K, value: V) -> bool {
-        self.try_install();
-        // Durability: the write is in the WAL before it is applied. A
-        // poisoned or failing sink rejects the mutation outright (see
-        // [`DynamicMap::store_error`]).
-        if let Some(sink) = self.sink_mut() {
-            if !sink.log_put(&key, &value) {
-                return false;
-            }
-        }
-        let live_before;
-        match buffer_slot(&self.live.buffer, &key) {
-            Ok(i) => {
-                // Buffer hit: the entry's weight already encodes the
-                // runs' summed weight for this key (weight = liveness −
-                // s, see the module docs), so the overwrite needs no
-                // run descent at all.
-                let entry = &mut self.buffer_mut()[i];
-                let s = if entry.slot.is_some() {
-                    1 - entry.weight
-                } else {
-                    -entry.weight
-                };
-                live_before = entry.slot.is_some();
-                entry.slot = Some(value);
-                entry.weight = 1 - s;
-            }
-            Err(i) => {
-                let s = self.runs_weight_of(&key);
-                live_before = s == 1;
-                self.buffer_moves += (self.live.buffer.len() - i) as u64;
-                self.buffer_mut().insert(
-                    i,
-                    BufEntry {
-                        key,
-                        slot: Some(value),
-                        weight: 1 - s,
-                    },
-                );
-                self.maybe_seal();
-            }
-        }
-        self.after_mutation();
-        live_before
+        self.apply(vec![(key, Some(value))]) == 1
     }
 
-    /// Delete; returns `true` iff a live value for `key` was removed
-    /// (what `BTreeMap::remove(..).is_some()` reports). Removing an
-    /// absent or already-deleted key is a no-op.
-    ///
-    /// A delete that must shadow older resident versions buffers a
-    /// tombstone, annihilated when a merge reaches the bottom tier.
+    /// Delete: a one-entry [`DynamicMap::apply`]. Returns `true` iff a
+    /// live value for `key` was removed (what
+    /// `BTreeMap::remove(..).is_some()` reports). Removing an absent or
+    /// already-deleted key is a no-op, and a rejected write reads
+    /// `false`, as for `insert`.
     pub fn remove(&mut self, key: &K) -> bool {
-        self.try_install();
-        // Log-before-apply, as in `insert` (no-op removes are logged
-        // too: replay reproduces them as no-ops).
-        if let Some(sink) = self.sink_mut() {
-            if !sink.log_del(key) {
-                return false;
-            }
-        }
-        let live_before;
-        match buffer_slot(&self.live.buffer, key) {
-            Ok(i) => {
-                // Buffer hit: recover `s` from the entry itself, no run
-                // descent (see `insert`).
-                let entry = &mut self.buffer_mut()[i];
-                let s = if entry.slot.is_some() {
-                    1 - entry.weight
-                } else {
-                    -entry.weight
-                };
-                live_before = entry.slot.is_some();
-                entry.slot = None;
-                entry.weight = -s;
-            }
-            Err(i) => {
-                let s = self.runs_weight_of(key);
-                if s == 1 {
-                    live_before = true;
-                    self.buffer_moves += (self.live.buffer.len() - i) as u64;
-                    self.buffer_mut().insert(
-                        i,
-                        BufEntry {
-                            key: key.clone(),
-                            slot: None,
-                            weight: -1,
-                        },
-                    );
-                    self.maybe_seal();
-                } else {
-                    debug_assert_eq!(s, 0, "per-key weight invariant violated");
-                    live_before = false;
-                }
-            }
-        }
-        self.after_mutation();
-        live_before
+        self.apply(vec![(key.clone(), None)]) == 1
     }
 
     /// Bulk insert: [`DynamicMap::apply`] with every pair as an
     /// insert (the **last** pair of a duplicated key wins). Returns how
     /// many **distinct** batch keys were live before the batch — the
-    /// batch analog of the scalar `bool`s summed, except that
-    /// intra-batch overwrites of the same key count once, not per pair.
+    /// `bool`s of an `insert` loop summed, except that intra-batch
+    /// overwrites of the same key count once, not per pair.
     ///
     /// # Examples
     /// ```
@@ -544,24 +454,26 @@ where
         self.apply(keys.iter().map(|k| (k.clone(), None)).collect())
     }
 
-    /// Bulk write: apply a mixed delta as one operation — `Some(v)`
-    /// inserts or overwrites, `None` removes (duplicate keys in the
-    /// delta: the **last** entry wins, like the scalar calls in
-    /// order). Returns how many **distinct** delta keys were live
-    /// before the call. On a persistent map the whole delta is one WAL
-    /// record.
+    /// Apply a mixed delta as one operation: the map's one mutation,
+    /// which `insert`, `remove` and the `batch_*` wrappers call.
+    /// `Some(v)` inserts or overwrites, `None` removes (duplicate keys
+    /// in the delta: the **last** entry wins, as if the entries were
+    /// applied one by one in order). Returns how many **distinct**
+    /// delta keys were live before the call; a delta a poisoned store
+    /// rejects returns 0. On a persistent map the deduplicated delta is
+    /// one WAL record.
     ///
     /// The delta is sorted **once**, its per-key run weights are
     /// resolved with one software-pipelined landing sweep per resident
-    /// run (instead of one descent cascade per key), and the
-    /// result is combined with the write buffer in a single linear
-    /// merge — no per-key `O(cap)` memmove. A delta that lands
-    /// entirely above the current buffer maximum appends without
-    /// touching existing entries at all (see
-    /// [`DynamicMap::buffer_element_moves`]). If the combined buffer
-    /// overflows `buffer_cap` it is sealed directly into a presorted
-    /// L0 run and handed to the compactor, exactly like a scalar
-    /// overflow.
+    /// run (instead of one descent cascade per key), and the result is
+    /// combined with the write buffer in a single linear merge. A delta
+    /// that lands entirely above the current buffer maximum appends
+    /// without touching existing entries at all (see
+    /// [`DynamicMap::buffer_element_moves`]). Once the buffer holds
+    /// `buffer_cap` entries it is **sealed** into a sorted L0 run (a
+    /// move plus a weight prefix sum — no layout permutation) and the
+    /// k-way merge goes to a background worker, so the merge is off
+    /// this call's path unless [`MAX_SEALED_RUNS`] backpressure engages.
     ///
     /// # Examples
     /// ```
@@ -580,18 +492,19 @@ where
             return 0;
         }
         self.try_install();
-        // One WAL record for the whole delta, logged **before** the
-        // sort so replay applies the verbatim batch through this same
-        // path (sort + dedup are deterministic).
+        sort_dedup_last_wins(&mut delta);
+        // Durability: one WAL record for the deduplicated delta, logged
+        // **before** it is applied; replaying a sorted, distinct delta
+        // through this same path reaches the same state. A poisoned or
+        // failing sink rejects the whole delta.
         if let Some(sink) = self.sink_mut() {
-            if !sink.log_delta(&delta) {
+            if !sink.log(&delta) {
                 return 0;
             }
         }
-        sort_dedup_last_wins(&mut delta);
         // Per-key summed run weights, one pipelined landing sweep per
-        // run, each adding its weights in place (the bulk analog of
-        // `runs_weight_of`); the keys are read through references.
+        // run, each adding its weights in place; the keys are read
+        // through references.
         let mut s_runs = vec![0i64; delta.len()];
         let keys: Vec<&K> = delta.iter().map(|(k, _)| k).collect();
         for run in self.live.runs.iter() {
@@ -754,11 +667,10 @@ where
     }
 
     /// Cumulative count of buffer entries displaced toward the back of
-    /// the sorted write buffer by mutations (each scalar out-of-order
-    /// insert shifts `len − i` entries; a bulk delta that interleaves
-    /// re-positions the tail it overlaps). A batch that lands entirely
-    /// above the buffer maximum takes the **append fast path** and
-    /// displaces nothing — the regression meter for it.
+    /// the sorted write buffer by mutations (a delta that interleaves
+    /// with the buffer re-positions the tail it overlaps). A delta that
+    /// lands entirely above the buffer maximum takes the **append fast
+    /// path** and displaces nothing — the regression meter for it.
     pub fn buffer_element_moves(&self) -> u64 {
         self.buffer_moves
     }
@@ -813,12 +725,6 @@ where
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             sink.checkpoint_if_due(&self.l0, &self.tiers, &self.live.buffer);
         }
-    }
-
-    /// Summed weight of `key`'s versions across all resident runs
-    /// (excluding the buffer): one rank descent per run.
-    fn runs_weight_of(&self, key: &K) -> i64 {
-        self.live.runs.iter().map(|r| r.weight_of(key)).sum()
     }
 
     /// Seal and hand the sealed run to the compactor once the buffer
@@ -901,12 +807,10 @@ mod tests {
             keys.sort();
             keys.dedup();
             for k in keys {
-                let total = self.runs_weight_of(&k)
-                    + self
-                        .buffer
-                        .iter()
-                        .find(|e| e.key == k)
-                        .map_or(0, |e| e.weight);
+                let weight = |r: &Arc<Run<K, V>>| r.weight_at(r.map.searcher().land::<false>(&k));
+                let in_runs: i64 = self.runs.iter().map(weight).sum();
+                let buffered = self.buffer.iter().find(|e| e.key == k);
+                let total = in_runs + buffered.map_or(0, |e| e.weight);
                 let live = self.version(&k).expect("resident").is_some();
                 assert_eq!(total, i64::from(live), "weight invariant for resident key");
             }
@@ -953,8 +857,8 @@ mod tests {
         assert_eq!(m.batch_insert(vec![(10, 500)]), 1);
         let after_overlap = m.buffer_element_moves();
         assert!(after_overlap > 0, "overlapping batch displaces the tail");
-        // A per-key buffer-miss insert below the max pays the O(cap)
-        // memmove the batch path avoids.
+        // So does a one-key insert below the max: `insert` is a
+        // one-entry delta, and this one passes every buffered key.
         m.insert(1, 100);
         assert!(m.buffer_element_moves() > after_overlap);
         m.validate_weights();

@@ -158,12 +158,6 @@ impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
         self.prefix.at(self.map.rank(key))
     }
 
-    /// Weight of this run's version of `key` (0 if absent): one rank
-    /// descent, whose landing is [`Run::weight_at`]'s.
-    pub(super) fn weight_of(&self, key: &K) -> i64 {
-        self.weight_at(self.map.searcher().land::<false>(key))
-    }
-
     /// Weight of the version a descent of this run landed on, if it
     /// holds the probe key (0 if not): the landing's rank indexes the
     /// weight prefix, its slot plus one verify probe decides presence.
@@ -178,8 +172,8 @@ impl<K: Ord + Send + Sync + 'static, V: Send> Run<K, V> {
 
 /// Binary-search the sorted write buffer (one entry per key) for
 /// `key`: `Ok(index)` of the entry, or `Err(insert position)`. The
-/// single home of the buffer's probe semantics — mutations and every
-/// read path go through it.
+/// single home of the buffer's probe semantics — every read path goes
+/// through it.
 pub(super) fn buffer_slot<K: Ord, V>(buffer: &[BufEntry<K, V>], key: &K) -> Result<usize, usize> {
     buffer.binary_search_by(|e| e.key.cmp(key))
 }

@@ -7,9 +7,9 @@
 //! (`run-NNNNNN.ist`), exactly one live WAL (`wal-NNNNNN.log`), and the
 //! atomically-rotated `MANIFEST` naming both. Two operations write it:
 //!
-//! * **log** — every mutation appends one WAL record *before* it is
-//!   applied in memory (`insert`/`remove` one scalar record each,
-//!   `apply` (and the `batch_*` wrappers) one delta record). The
+//! * **log** — every mutation is an `apply` (`insert`, `remove` and the
+//!   `batch_*` wrappers included), and appends one delta record of its
+//!   sorted, deduplicated entries *before* it is applied in memory. The
 //!   [`FsyncPolicy`] decides when appended records become *acked*
 //!   (crash-proof). Seals and compaction installs write nothing: the
 //!   manifest's runs plus the live WAL are the whole state.
@@ -32,7 +32,7 @@
 //! `buffer_cap` entries.
 //!
 //! Recovery ([`DynamicMap::open_with`]) loads the manifest's runs and
-//! replays the WAL through the normal mutation paths — seals and
+//! replays the WAL through `apply`, the one mutation path — seals and
 //! compactions fire as they did the first time, and the engine is not
 //! attached yet, so nothing is re-logged — then quiesces and
 //! checkpoints. A WAL holds fewer than `CHECKPOINT_BUFFERS ×
@@ -98,14 +98,10 @@ const CHECKPOINT_BUFFERS: u64 = 64;
 /// bounds live only on [`StoreEngine`]'s impl and on the public
 /// `persist_to`/`open` constructors.
 pub(crate) trait RunSink<K, V>: Send {
-    /// Log one insert. `false` rejects the mutation (sink poisoned or
-    /// the append failed, poisoning it now).
-    fn log_put(&mut self, key: &K, value: &V) -> bool;
-    /// Log one remove. `false` rejects the mutation.
-    fn log_del(&mut self, key: &K) -> bool;
-    /// Log one bulk delta (the verbatim, pre-sort batch). `false`
-    /// rejects the mutation.
-    fn log_delta(&mut self, delta: &[(K, Option<V>)]) -> bool;
+    /// Log one delta (sorted, one entry per key) as one WAL record.
+    /// `false` rejects the mutation (sink poisoned or the append
+    /// failed, poisoning it now).
+    fn log(&mut self, delta: &[(K, Option<V>)]) -> bool;
     /// Called after every applied mutation with the map's run set and
     /// buffer: checkpoint once the live WAL holds
     /// [`CHECKPOINT_BUFFERS`] buffers' worth of entries. A failure
@@ -120,9 +116,10 @@ pub(crate) trait RunSink<K, V>: Send {
     fn flush(&mut self) -> Result<(), StoreError>;
     /// Display form of the latched error, if poisoned.
     fn error_display(&self) -> Option<String>;
-    /// Logged mutations (one WAL record each) guaranteed to survive a
-    /// crash, counted since this engine was attached (retired WALs'
-    /// records included; a checkpoint's seed record never counts).
+    /// Logged mutations (one WAL record per non-empty `apply`)
+    /// guaranteed to survive a crash, counted since this engine was
+    /// attached (retired WALs' records included; a checkpoint's seed
+    /// record never counts).
     fn acked_records(&self) -> u64;
 }
 
@@ -130,33 +127,12 @@ pub(crate) trait RunSink<K, V>: Send {
 // WAL record codec
 // ---------------------------------------------------------------------------
 
-const REC_PUT: u8 = 1;
-const REC_DEL: u8 = 2;
+/// The tag of the one record kind a map writes: a delta.
 const REC_DELTA: u8 = 3;
 
-/// One decoded WAL record.
-enum WalRecord<K, V> {
-    Put(K, V),
-    Del(K),
-    Delta(Vec<(K, Option<V>)>),
-}
-
-fn encode_put<K: Codec, V: Codec>(key: &K, value: &V) -> Vec<u8> {
-    let mut out = vec![REC_PUT];
-    key.encode_into(&mut out);
-    value.encode_into(&mut out);
-    out
-}
-
-fn encode_del<K: Codec>(key: &K) -> Vec<u8> {
-    let mut out = vec![REC_DEL];
-    key.encode_into(&mut out);
-    out
-}
-
-/// A delta record of `len` entries: a logged batch, or a checkpoint's
+/// A delta record of `len` entries: a logged `apply`, or a checkpoint's
 /// seed (the write buffer, encoded in place).
-fn encode_delta<'a, K: Codec + 'a, V: Codec + 'a>(
+fn encode_record<'a, K: Codec + 'a, V: Codec + 'a>(
     len: usize,
     entries: impl Iterator<Item = (&'a K, &'a Option<V>)>,
 ) -> Vec<u8> {
@@ -169,14 +145,22 @@ fn encode_delta<'a, K: Codec + 'a, V: Codec + 'a>(
     out
 }
 
-/// Total over arbitrary bytes: corrupt records are typed errors, never
-/// panics or unbounded allocations.
-fn decode_record<K: Codec, V: Codec>(bytes: &[u8]) -> Result<WalRecord<K, V>, StoreError> {
+/// Decode one WAL record as the delta it applies (a legacy one-key
+/// record is a one-entry delta). Total over arbitrary bytes: corrupt
+/// records are typed errors, never panics or unbounded allocations.
+fn decode_record<K: Codec, V: Codec>(bytes: &[u8]) -> Result<Vec<(K, Option<V>)>, StoreError> {
+    // The one-key records of stores written before every mutation
+    // became a delta; read so those stores still open.
+    const REC_PUT: u8 = 1;
+    const REC_DEL: u8 = 2;
     let mut input = Input::new(bytes);
     let tag = u8::decode_from(&mut input)?;
-    let record = match tag {
-        REC_PUT => WalRecord::Put(K::decode_from(&mut input)?, V::decode_from(&mut input)?),
-        REC_DEL => WalRecord::Del(K::decode_from(&mut input)?),
+    let delta = match tag {
+        REC_PUT => vec![(
+            K::decode_from(&mut input)?,
+            Some(V::decode_from(&mut input)?),
+        )],
+        REC_DEL => vec![(K::decode_from(&mut input)?, None)],
         REC_DELTA => {
             let count = u32::decode_from(&mut input)? as usize;
             if count > input.remaining() {
@@ -190,7 +174,7 @@ fn decode_record<K: Codec, V: Codec>(bytes: &[u8]) -> Result<WalRecord<K, V>, St
                 let slot = Option::<V>::decode_from(&mut input)?;
                 delta.push((key, slot));
             }
-            WalRecord::Delta(delta)
+            delta
         }
         other => {
             return Err(StoreError::Corrupt(format!(
@@ -201,7 +185,7 @@ fn decode_record<K: Codec, V: Codec>(bytes: &[u8]) -> Result<WalRecord<K, V>, St
     if !input.is_empty() {
         return Err(StoreError::Corrupt("trailing bytes in wal record".into()));
     }
-    Ok(record)
+    Ok(delta)
 }
 
 // ---------------------------------------------------------------------------
@@ -398,22 +382,6 @@ impl<K, V> StoreEngine<K, V> {
             self.error = Some(e);
         }
     }
-
-    fn log(&mut self, payload: &[u8], ops: u64) -> bool {
-        if self.error.is_some() {
-            return false;
-        }
-        match self.wal.append(payload) {
-            Ok(_durable_now) => {
-                self.next_seq += ops;
-                true
-            }
-            Err(e) => {
-                self.poison(e);
-                false
-            }
-        }
-    }
 }
 
 impl<K, V> RunSink<K, V> for StoreEngine<K, V>
@@ -421,19 +389,21 @@ where
     K: Ord + Clone + Send + Sync + 'static + Codec,
     V: Clone + Send + Sync + 'static + Codec,
 {
-    fn log_put(&mut self, key: &K, value: &V) -> bool {
-        let payload = encode_put(key, value);
-        self.log(&payload, 1)
-    }
-
-    fn log_del(&mut self, key: &K) -> bool {
-        let payload = encode_del(key);
-        self.log(&payload, 1)
-    }
-
-    fn log_delta(&mut self, delta: &[(K, Option<V>)]) -> bool {
-        let payload = encode_delta(delta.len(), delta.iter().map(|(k, s)| (k, s)));
-        self.log(&payload, delta.len() as u64)
+    fn log(&mut self, delta: &[(K, Option<V>)]) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        let payload = encode_record(delta.len(), delta.iter().map(|(k, s)| (k, s)));
+        match self.wal.append(&payload) {
+            Ok(_durable_now) => {
+                self.next_seq += delta.len() as u64;
+                true
+            }
+            Err(e) => {
+                self.poison(e);
+                false
+            }
+        }
     }
 
     fn checkpoint_if_due(
@@ -540,7 +510,7 @@ where
     let mut wal = WalWriter::create(vfs, &dir.join(wal_file_name(wal_seq)), wal_seq, cfg.fsync)?;
     if !buffer.is_empty() {
         let entries = buffer.iter().map(|e| (&e.key, &e.slot));
-        if !wal.append(&encode_delta(buffer.len(), entries))? {
+        if !wal.append(&encode_record(buffer.len(), entries))? {
             wal.sync()?;
         }
     }
@@ -672,10 +642,9 @@ where
             map.tiers.push(runs);
         }
         map.refresh_runs();
-        // Replay the WAL through the normal mutation paths, seals and
-        // compactions included: the engine is not attached yet, so
-        // nothing is re-logged, and nothing is written before the
-        // checkpoint below.
+        // Replay the WAL through `apply`, seals and compactions
+        // included: the engine is not attached yet, so nothing is
+        // re-logged, and nothing is written before the checkpoint below.
         let contents = read_wal(
             vfs,
             &dir.join(wal_file_name(manifest.wal_seq)),
@@ -683,20 +652,9 @@ where
         )?;
         let mut next_seq = manifest.next_seq;
         for record in &contents.records {
-            match decode_record::<K, V>(record)? {
-                WalRecord::Put(k, v) => {
-                    map.insert(k, v);
-                    next_seq += 1;
-                }
-                WalRecord::Del(k) => {
-                    map.remove(&k);
-                    next_seq += 1;
-                }
-                WalRecord::Delta(delta) => {
-                    next_seq += delta.len() as u64;
-                    map.apply(delta);
-                }
-            }
+            let delta = decode_record::<K, V>(record)?;
+            next_seq += delta.len() as u64;
+            map.apply(delta);
         }
         map.quiesce();
         let (l0, tiers) = (&map.l0, &map.tiers);
@@ -745,7 +703,8 @@ where
     }
 
     /// WAL records guaranteed to survive a crash, counted since the
-    /// engine was attached (one per scalar mutation, one per batch).
+    /// engine was attached (one per write call: `insert`, `remove`,
+    /// `batch_*` and `apply` each log one record, an empty delta none).
     /// Monotone; `0` on a non-persistent map. The crash-injection suite
     /// uses this as the "acknowledged writes" watermark.
     pub fn acked_records(&self) -> u64 {
@@ -780,13 +739,15 @@ mod tests {
 
     /// Entries in the live WAL, its seed's included.
     fn wal_entries(vfs: &MemVfs) -> u64 {
+        let entries = |record: &Vec<u8>| decode_record::<u64, u64>(record).expect("record").len();
+        wal_records(vfs).iter().map(entries).sum::<usize>() as u64
+    }
+
+    /// The live WAL's records, undecoded.
+    fn wal_records(vfs: &MemVfs) -> Vec<Vec<u8>> {
         let seq = manifest(vfs).wal_seq;
         let wal = read_wal(vfs, &db().join(wal_file_name(seq)), Some(seq)).expect("live WAL");
-        let entries = |record: &Vec<u8>| match decode_record::<u64, u64>(record).expect("record") {
-            WalRecord::Delta(delta) => delta.len() as u64,
-            WalRecord::Put(..) | WalRecord::Del(_) => 1,
-        };
-        wal.records.iter().map(entries).sum()
+        wal.records
     }
 
     fn run_files(vfs: &MemVfs) -> Vec<(String, Vec<u8>)> {
@@ -872,6 +833,48 @@ mod tests {
                 Ok(_) => panic!("n = {n}: loaded"),
             }
         }
+    }
+
+    /// Every write call logs one delta record: `insert`, `remove`, the
+    /// `batch_*` wrappers, `apply`, and a checkpoint's seed of the
+    /// write buffer alike.
+    #[test]
+    fn the_writer_logs_only_delta_records() {
+        let vfs = MemVfs::new();
+        let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
+        map.insert(1, 1);
+        map.persist_to(db(), cfg(&vfs)).unwrap();
+        map.insert(2, 2);
+        map.remove(&1);
+        map.remove(&99);
+        map.batch_insert(vec![(3, 3), (4, 4)]);
+        map.batch_remove(&[3]);
+        map.apply(vec![(5, Some(5)), (2, None)]);
+        let records = wal_records(&vfs);
+        assert_eq!(records.len(), 7, "the seed, then one record per call");
+        for (i, record) in records.iter().enumerate() {
+            assert_eq!(record[0], REC_DELTA, "record {i}");
+        }
+        drop(map);
+        let map = DynamicMap::<u64, u64>::open_with(db(), cfg(&vfs)).unwrap();
+        let oracle = BTreeMap::from([(4, 4), (5, 5)]);
+        assert_oracle(&map, &oracle, "reopened");
+    }
+
+    /// The WAL holds a delta deduplicated: three writes of one key are
+    /// one entry, and the reopened map holds the last of them.
+    #[test]
+    fn a_delta_that_rewrites_a_key_logs_it_once() {
+        let vfs = MemVfs::new();
+        let mut map: DynamicMap<u64, u64> = DynamicMap::with_config(QueryKind::Veb, CAP);
+        map.persist_to(db(), cfg(&vfs)).unwrap();
+        let before = wal_entries(&vfs);
+        assert_eq!(map.apply(vec![(7, Some(1)), (7, None), (7, Some(3))]), 0);
+        assert_eq!(wal_entries(&vfs), before + 1);
+        drop(map);
+        let map = DynamicMap::<u64, u64>::open_with(db(), cfg(&vfs)).unwrap();
+        let oracle = BTreeMap::from([(7, 3)]);
+        assert_oracle(&map, &oracle, "reopened");
     }
 
     #[test]

@@ -43,11 +43,12 @@
 //! a key wins**, whatever came before it: the delta carries every
 //! write in arrival order, and `apply` keeps the last entry per key
 //! ([`ist_dynamic::sort_dedup_last_wins`], the one definition of that
-//! rule behind every bulk write). Cross-shard cuts are **per tick**,
-//! not per request. `Insert` / `Remove` replies are plain ACKs
-//! ("applied"), not per-key replaced/removed booleans: the bulk delta
-//! path reports only an aggregate count, and surfacing it per key would
-//! re-serialize the batch.
+//! rule behind every write) before it logs, so on a persistent map a
+//! tick that rewrites a hot key logs it once. Cross-shard cuts are
+//! **per tick**, not per request. `Insert` / `Remove` replies are plain
+//! ACKs ("applied"), not per-key replaced/removed booleans: the bulk
+//! delta path reports only an aggregate count, and surfacing it per key
+//! would re-serialize the batch.
 //!
 //! Per connection, replies are written in request order (one tick
 //! thread processes batches in channel order and each tick's requests

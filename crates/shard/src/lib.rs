@@ -334,7 +334,7 @@ where
     // ----- mutation -----
 
     /// Insert or overwrite in the owning shard; returns `true` iff a
-    /// live value for `key` was replaced. See [`DynamicMap::insert`]
+    /// live value for `key` was replaced. See [`DynamicMap::apply`]
     /// for the seal/compact behavior behind an overflow.
     pub fn insert(&mut self, key: K, value: V) -> bool {
         let s = self.shard_of(&key);

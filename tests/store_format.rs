@@ -419,7 +419,8 @@ fn build_golden() -> (Arc<MemVfs>, BTreeMap<u64, u64>) {
         oracle.remove(&k);
     }
     map.persist_to("db", mem_cfg(&vfs)).expect("persist");
-    // A WAL tail with all three record types.
+    // A WAL tail of three delta records — a one-key insert, a one-key
+    // remove and a two-key batch — after the checkpoint's seed.
     map.insert(100, 1);
     map.quiesce();
     oracle.insert(100, 1);
@@ -603,7 +604,7 @@ fn assert_golden_state(map: &DynamicMap<u64, u64>, oracle: &BTreeMap<u64, u64>, 
     }
 }
 
-/// Two stores an earlier engine wrote in the same format must open to
+/// Three stores an earlier engine wrote in the same format must open to
 /// the golden oracle, take a write, and reopen with it:
 ///
 /// - `tests/golden/map-v1-sealed/` is the golden store as the engine
@@ -612,17 +613,24 @@ fn assert_golden_state(map: &DynamicMap<u64, u64>, oracle: &BTreeMap<u64, u64>, 
 ///   2);
 /// - `tests/golden/map-v1-veb-tiers/` is the golden store as the engine
 ///   before size-adaptive runs wrote it: every merged run in the map's
-///   vEB layout, where the current engine keeps runs that small sorted.
+///   vEB layout, where the current engine keeps runs that small sorted;
+/// - `tests/golden/map-v1-scalar-wal/` is the golden store as the engine
+///   before every write became a delta wrote it: its WAL tail holds the
+///   one-key put and delete records, which replay as one-entry deltas.
 ///
-/// Both fixtures installed every compaction before the next write, so
-/// their L0 is empty; the L0 refs an engine leaves whenever a merge is
-/// in flight are rebuilt by moving the newest run to L0, and that shape
-/// must open the same way.
+/// All three fixtures installed every compaction before the next write,
+/// so their L0 is empty; the L0 refs an engine leaves whenever a merge
+/// is in flight are rebuilt by moving the newest run to L0, and that
+/// shape must open the same way.
 #[test]
 fn golden_store_written_per_seal_opens_and_takes_a_write() {
     let (_, golden) = build_golden();
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    for (fixture, wal_seq) in [("map-v1-sealed", 2), ("map-v1-veb-tiers", 1)] {
+    for (fixture, wal_seq) in [
+        ("map-v1-sealed", 2),
+        ("map-v1-veb-tiers", 1),
+        ("map-v1-scalar-wal", 1),
+    ] {
         for sealed_l0 in [false, true] {
             let ctx = format!("{fixture}, newest run in L0: {sealed_l0}");
             let vfs = mem_store(&committed_files(&root.join(fixture)));
