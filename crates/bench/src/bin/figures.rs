@@ -19,7 +19,7 @@
 use ist_bench::*;
 use ist_core::{permute_in_place, permute_in_place_seq, Algorithm, Layout};
 use ist_dynamic::StaticMap;
-use ist_gather::{equidistant_gather_chunks_par, gather_len, swap_halves_par};
+use ist_gather::{equidistant_gather_chunks, gather_len, swap_regions_par};
 use ist_gpu_sim::{kernels as gk, query as gq, Gpu, GpuConfig};
 use ist_pem_sim::{kernels as pk, PemConfig, TrackedArray};
 use ist_query::{default_kind_for_layout, QueryKind, Searcher};
@@ -82,6 +82,8 @@ fn fig_permute(parallel: bool, scale: i32) {
 
 /// Figure 6.3: speedup vs P of the fastest algorithm per layout
 /// (BST: involution; B-tree and vEB: cycle-leader, per Figures 6.1/6.2).
+/// The baseline, `permute_in_place_seq`, runs the same code as the
+/// `p = 1` column: both are `permute_in_place` in a one-thread pool.
 fn fig6_3(scale: i32) {
     row(&[
         "fig6.3".into(),
@@ -137,7 +139,7 @@ fn fig6_4(scale: i32) {
             time_avg(
                 3,
                 || sorted_keys(n_gather),
-                |mut v| equidistant_gather_chunks_par(&mut v, b, b, chunk),
+                |mut v| equidistant_gather_chunks(&mut v, b, b, chunk),
             )
         });
         row(&[
@@ -147,7 +149,11 @@ fn fig6_4(scale: i32) {
             (n_gather as f64 / secs(tg)).to_string(),
         ]);
         let ts = with_pool(p, || {
-            time_avg(3, || sorted_keys(n_swap), |mut v| swap_halves_par(&mut v))
+            time_avg(
+                3,
+                || sorted_keys(n_swap),
+                |mut v| swap_regions_par(&mut v, 0, n_swap / 2, n_swap / 2),
+            )
         });
         row(&[
             "fig6.4".into(),

@@ -179,7 +179,7 @@ pub fn involution_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
     let threshold = m.local_threshold();
     if threshold > 0 && n_cur <= threshold {
         return m.local_task(lo, n_cur, |region| {
-            involution_veb(&mut Ram::seq(region), 0, d)
+            involution_veb(&mut Ram::new(region), 0, d)
         });
     }
     let (t, bb) = veb_split(d);
@@ -221,7 +221,7 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
     let threshold = m.local_threshold();
     if threshold > 0 && n_cur <= threshold {
         return m.local_task(lo, n_cur, |region| {
-            cycle_leader_veb(&mut Ram::seq(region), 0, d)
+            cycle_leader_veb(&mut Ram::new(region), 0, d)
         });
     }
     let (t, bb) = veb_split(d);
@@ -408,8 +408,8 @@ mod tests {
         let n = k.pow(digits) - 1;
         let mut a: Vec<u32> = (0..n as u32).collect();
         let mut b = a.clone();
-        padded_unshuffle_pow(&mut Ram::seq(&mut a), 0, k, digits);
-        padded_unshuffle_mod(&mut Ram::seq(&mut b), 0, n, k);
+        padded_unshuffle_pow(&mut Ram::new(&mut a), 0, k, digits);
+        padded_unshuffle_mod(&mut Ram::new(&mut b), 0, n, k);
         assert_eq!(a, b);
         // And internal keys (every k-th, 1-indexed) land sorted in front.
         for (idx, &v) in a[..k.pow(digits - 1) - 1].iter().enumerate() {
@@ -425,7 +425,7 @@ mod tests {
             let n = k * m;
             let pad = 5usize;
             let mut via_machine: Vec<u32> = (0..(pad + n) as u32).collect();
-            shuffle_mod_rounds(&mut Ram::seq(&mut via_machine), pad, pad + n, k);
+            shuffle_mod_rounds(&mut Ram::new(&mut via_machine), pad, pad + n, k);
             let mut expect = via_machine.clone();
             for l in 0..k {
                 for j in 0..m {
@@ -439,7 +439,7 @@ mod tests {
         }
     }
 
-    /// `construct` on a sequential Ram matches the oracle for a sweep of
+    /// `construct` on a Ram matches the oracle for a sweep of
     /// perfect and non-perfect sizes (the cross-backend sweep lives in
     /// `tests/machine_equivalence.rs`).
     #[test]
@@ -455,7 +455,7 @@ mod tests {
                 let expect = reference_permutation(&sorted, layout);
                 for algorithm in Algorithm::ALL {
                     let mut got = sorted.clone();
-                    construct(&mut Ram::seq(&mut got), layout, algorithm).unwrap();
+                    construct(&mut Ram::new(&mut got), layout, algorithm).unwrap();
                     assert_eq!(got, expect, "n={n} {layout:?} {algorithm:?}");
                 }
             }
@@ -481,31 +481,33 @@ mod tests {
         out
     }
 
-    /// Strip `0..n` sequentially and in parallel; both must equal the
-    /// stable partition `expect`. (`assert!`, not `assert_eq!`: a failure
-    /// at N ≈ 10^6 should print the case, not two arrays.)
-    fn check(expect: &[usize], case: &str, strip: impl Fn(&mut [usize], bool)) {
-        for par in [false, true] {
+    /// Strip `0..n` in a one-thread and in a four-thread pool; both must
+    /// equal the stable partition `expect`. (`assert!`, not `assert_eq!`:
+    /// a failure at N ≈ 10^6 should print the case, not two arrays.)
+    fn check(expect: &[usize], case: &str, strip: impl Fn(&mut [usize]) + Sync) {
+        for threads in [1, 4] {
             let mut a: Vec<usize> = (0..expect.len()).collect();
-            strip(&mut a, par);
-            assert!(a == expect, "{case} par={par}");
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| strip(&mut a));
+            assert!(a == expect, "{case} threads={threads}");
         }
     }
 
     fn check_binary(n: usize) {
         let shape = CompleteShape::new(n);
-        check(&reference_binary(n), &format!("binary n={n}"), |a, par| {
-            strip_overflow_binary(&mut Ram::with_mode(a, par), shape)
+        check(&reference_binary(n), &format!("binary n={n}"), |a| {
+            strip_overflow_binary(&mut Ram::new(a), shape)
         });
     }
 
     fn check_btree(n: usize, b: usize) {
         let shape = BtreeCompleteShape::new(n, b);
-        check(
-            &reference_btree(n, b),
-            &format!("btree n={n} b={b}"),
-            |a, par| strip_overflow_btree(&mut Ram::with_mode(a, par), shape),
-        );
+        check(&reference_btree(n, b), &format!("btree n={n} b={b}"), |a| {
+            strip_overflow_btree(&mut Ram::new(a), shape)
+        });
     }
 
     /// The smallest `n` whose complete `(b+1)`-ary tree has `q` full
@@ -590,8 +592,9 @@ mod tests {
         }
     }
 
-    /// Large enough that the parallel `Ram` leaves its sequential
-    /// grains: spawned task groups, parallel gathers and rotations.
+    /// Large enough that the `Ram` in `check`'s four-thread pool leaves
+    /// its calling-thread grains: spawned task groups and parallel
+    /// gathers.
     #[test]
     fn strip_million_keys() {
         check_binary(1_000_000);
@@ -604,7 +607,7 @@ mod tests {
         let n = 12345usize;
         let shape = CompleteShape::new(n);
         let mut v: Vec<usize> = (0..n).collect();
-        strip_overflow_binary(&mut Ram::par(&mut v), shape);
+        strip_overflow_binary(&mut Ram::new(&mut v), shape);
         let i = shape.full_count();
         assert!(v[..i].windows(2).all(|w| w[0] < w[1]));
         assert!(v[i..].windows(2).all(|w| w[0] < w[1]));

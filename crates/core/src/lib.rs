@@ -48,6 +48,11 @@
 //! launches/transactions respectively). Use [`construct`] directly to
 //! drive a custom backend.
 //!
+//! The `Ram` backend has no sequential mode: [`permute_in_place`] splits
+//! work by the ambient rayon pool's thread count, and the `P = 1`
+//! baseline, [`permute_in_place_seq`], is the same call in a one-thread
+//! pool — on the calling thread, with no heap allocation.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -124,7 +129,9 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Permute sorted `data` in place into `layout`, **in parallel** (rayon).
+/// Permute sorted `data` in place into `layout`, **in parallel** (rayon)
+/// on the ambient pool: in a one-thread pool it runs on the calling
+/// thread and allocates nothing.
 ///
 /// Handles arbitrary input sizes; non-perfect trees use the Chapter-5
 /// extension (perfect prefix + sorted overflow suffix). The permutation
@@ -142,11 +149,11 @@ pub fn permute_in_place<T: Send>(
     layout: Layout,
     algorithm: Algorithm,
 ) -> Result<(), Error> {
-    construct(&mut Ram::par(data), layout, algorithm)
+    construct(&mut Ram::new(data), layout, algorithm)
 }
 
-/// Sequential variant of [`permute_in_place`] (used for the `P = 1`
-/// baselines in the evaluation).
+/// [`permute_in_place`] in a one-thread pool: the `P = 1` baseline of
+/// the evaluation, on the same code path as every other `P`.
 ///
 /// # Examples
 /// ```
@@ -160,7 +167,11 @@ pub fn permute_in_place_seq<T: Send>(
     layout: Layout,
     algorithm: Algorithm,
 ) -> Result<(), Error> {
-    construct(&mut Ram::seq(data), layout, algorithm)
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("building a pool starts no thread")
+        .install(|| permute_in_place(data, layout, algorithm))
 }
 
 #[cfg(test)]
@@ -168,6 +179,16 @@ mod tests {
     use super::*;
     use oracle::reference_permutation;
 
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    /// Every algorithm at `n` keys, in a one-thread pool
+    /// (`permute_in_place_seq`) and in a four-thread pool, whatever the
+    /// host's core count.
     fn check(n: usize, layout: Layout) {
         let orig: Vec<u64> = (0..n as u64).collect();
         let expect = reference_permutation(&orig, layout);
@@ -176,7 +197,7 @@ mod tests {
             permute_in_place_seq(&mut seq, layout, algo).unwrap();
             assert_eq!(seq, expect, "seq n={n} layout={layout:?} algo={algo:?}");
             let mut par = orig.clone();
-            permute_in_place(&mut par, layout, algo).unwrap();
+            pool(4).install(|| permute_in_place(&mut par, layout, algo).unwrap());
             assert_eq!(par, expect, "par n={n} layout={layout:?} algo={algo:?}");
         }
     }
@@ -237,33 +258,32 @@ mod tests {
         );
     }
 
-    /// Sizes on both sides of the parallel `Ram`'s fan-out floor, run in
-    /// an explicit 2-thread pool, whatever the host's core count. No
+    /// Sizes on both sides of the `Ram`'s fan-out floor. The floor is
+    /// probed in an explicit 2-thread pool, whatever the host's core
+    /// count; in a one-thread pool nothing fans out at any size. No
     /// fan-out covers more than `n` elements, so up to the floor every
     /// task recurses directly; at the ragged 100 000 every layout deals
     /// its top fan-outs (strip and perfect part, vEB's 2^16 − 1 included)
-    /// to the pool and recurses directly below them.
+    /// to `check`'s four-thread pool and recurses directly below them.
     #[test]
     fn sizes_around_the_fan_out_floor() {
         use ist_machine::Machine;
 
-        let mut probe = vec![0u8; 1];
-        let ram = Ram::par(&mut probe);
+        let fans_out = |threads: usize, total: usize| {
+            pool(threads).install(|| Ram::new(&mut [0u8]).fans_out(total))
+        };
         assert!(
-            !ram.fans_out(49_999) && ram.fans_out(50_000),
+            !fans_out(2, 49_999) && fans_out(2, 50_000),
             "sizes straddle the floor"
         );
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            for n in [49_999usize, 50_000, 50_001, 100_000] {
-                check(n, Layout::Bst);
-                check(n, Layout::Veb);
-                check(n, Layout::Btree { b: 8 });
-            }
-        });
+        for total in [0, 49_999, 50_000, 100_000, usize::MAX] {
+            assert!(!fans_out(1, total), "one thread fans out {total}");
+        }
+        for n in [49_999usize, 50_000, 50_001, 100_000] {
+            check(n, Layout::Bst);
+            check(n, Layout::Veb);
+            check(n, Layout::Btree { b: 8 });
+        }
     }
 
     #[test]

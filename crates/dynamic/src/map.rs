@@ -23,7 +23,7 @@
 //! array read. A key-only index is the same map with a zero-sized
 //! payload, `StaticMap<K, ()>`: the `()` side adopts its `Vec` with no
 //! allocation and no scatter, and position-level queries (`search`,
-//! `batch_search`, `batch_count`, `rank_upper`, …) go through
+//! `batch_search`, `batch_count`, `land`, …) go through
 //! [`StaticMap::searcher`].
 
 use crate::alloc::{AlignedVec, LayoutWalk};
@@ -59,7 +59,7 @@ use std::borrow::Borrow;
 /// // Key-only: a zero-sized payload, duplicates kept.
 /// let index = StaticMap::build(vec![30u64, 10, 20, 20, 50], vec![(); 5], Layout::Veb).unwrap();
 /// assert_eq!(index.rank(&20), 1); // one key (10) strictly below
-/// assert_eq!(index.searcher().rank_upper(&20), 3);
+/// assert_eq!(index.searcher().land::<true>(&20).rank, 3); // keys <= 20
 /// assert_eq!(index.searcher().batch_count(&[10, 11, 50]), 2);
 /// ```
 pub struct StaticMap<K, V> {
@@ -244,7 +244,7 @@ impl<K: Ord + Send + Sync + 'static, V: Send> StaticMap<K, V> {
 
     /// A borrowing [`Searcher`] over the keys, for the position-level
     /// query API (`search`, `batch_search`, `batch_rank`, `batch_count`,
-    /// `rank_upper`, …) and for amortizing shape setup across many
+    /// `land`, …) and for amortizing shape setup across many
     /// calls.
     pub fn searcher(&self) -> Searcher<'_, K> {
         Searcher::new(&self.keys, self.kind)

@@ -7,19 +7,28 @@
 //! block swap — the access pattern that makes the algorithm I/O-efficient
 //! for `C ≥ B` (§4.3). The same primitive underlies Figure 6.4, which
 //! compares the throughput of one chunked gather against the simplest
-//! possible big-block move, [`swap_halves_par`].
+//! possible big-block move, swapping the array's halves with
+//! [`swap_regions_par`].
 
 use crate::{check_params, fix_blocks, t0_slot};
 use ist_perm::SharedSlice;
 use ist_shuffle::rotate::swap_regions_par;
 use rayon::prelude::*;
 
-/// Sequential equidistant gather treating each `chunk` consecutive
-/// elements as one unit.
+/// Equidistant gather treating each `chunk` consecutive elements as one
+/// unit.
 ///
 /// Requires `data.len() == gather_len(r, l) * chunk`, `r ≤ l`, `l ≥ 1`,
 /// `chunk ≥ 1`. With `chunk = 1` this is exactly
 /// [`crate::equidistant_gather`].
+///
+/// Below 2^14 elements, or in a one-thread pool, it runs on the calling
+/// thread. Otherwise the cycles of few, large chunks run one after
+/// another with each `C`-element swap internally parallel, the cycles of
+/// many small chunks run concurrently, and the stage-2 block rotations
+/// run concurrently — mirroring the paper's observation that this stage
+/// is bound by big-block swap throughput (Figure 6.4), not by
+/// cycle-level parallelism.
 ///
 /// # Examples
 /// ```
@@ -29,42 +38,15 @@ use rayon::prelude::*;
 /// equidistant_gather_chunks(&mut v, 1, 1, 2);
 /// assert_eq!(v, vec![0, 1, 10, 11, 20, 21]);
 /// ```
-pub fn equidistant_gather_chunks<T>(data: &mut [T], r: usize, l: usize, chunk: usize) {
+pub fn equidistant_gather_chunks<T: Send>(data: &mut [T], r: usize, l: usize, chunk: usize) {
     check_params(data.len(), r, l, chunk);
-    // Stage 1: the r disjoint cycles, on chunk units.
-    for c in 1..=r {
-        run_cycle_chunks(data, c, l, chunk);
-    }
-    // Stage 2: fix each block's rotation (block = l chunks).
-    fix_blocks(data, r, l, chunk);
-}
-
-/// Parallel chunked equidistant gather.
-///
-/// Cycles execute one after another but each constituent `C`-element swap
-/// is internally parallel, and the stage-2 block rotations run
-/// concurrently — mirroring the paper's observation that this stage is
-/// bound by big-block swap throughput (Figure 6.4), not by cycle-level
-/// parallelism.
-///
-/// # Examples
-/// ```
-/// use ist_gather::{equidistant_gather_chunks, equidistant_gather_chunks_par, gather_len};
-/// let (r, l, c) = (3, 3, 1000);
-/// let n = gather_len(r, l) * c;
-/// let mut a: Vec<u64> = (0..n as u64).collect();
-/// let mut b = a.clone();
-/// equidistant_gather_chunks(&mut a, r, l, c);
-/// equidistant_gather_chunks_par(&mut b, r, l, c);
-/// assert_eq!(a, b);
-/// ```
-pub fn equidistant_gather_chunks_par<T: Send>(data: &mut [T], r: usize, l: usize, chunk: usize) {
-    check_params(data.len(), r, l, chunk);
-    if r == 0 {
-        return;
-    }
-    if data.len() < (1 << 14) {
-        return equidistant_gather_chunks(data, r, l, chunk);
+    if data.len() < (1 << 14) || r == 0 || rayon::current_num_threads() == 1 {
+        // Stage 1: the r disjoint cycles, on chunk units.
+        for c in 1..=r {
+            run_cycle_chunks(data, c, l, chunk);
+        }
+        // Stage 2: fix each block's rotation (block = l chunks).
+        return fix_blocks(data, r, l, chunk);
     }
     if chunk >= (1 << 12) {
         // Few, large chunks (the top of the B-tree recursion): parallelize
@@ -132,28 +114,10 @@ fn run_cycle_chunks_par<T: Send>(data: &mut [T], c: usize, l: usize, chunk: usiz
     }
 }
 
-/// Swap the first half of `data` with the second half, in parallel — the
-/// throughput baseline of Figure 6.4. Requires even length.
-///
-/// # Examples
-/// ```
-/// use ist_gather::swap_halves_par;
-/// let mut v = vec![1, 2, 3, 4];
-/// swap_halves_par(&mut v);
-/// assert_eq!(v, vec![3, 4, 1, 2]);
-/// ```
-pub fn swap_halves_par<T: Send>(data: &mut [T]) {
-    let n = data.len();
-    assert_eq!(n % 2, 0, "swap_halves requires even length");
-    if n == 0 {
-        return;
-    }
-    swap_regions_par(data, 0, n / 2, n / 2);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::in_pool;
     use crate::{gather_len, reference_gather};
 
     /// Reference: gather on the chunk-index sequence, expanded back.
@@ -175,12 +139,11 @@ mod tests {
                 let n = gather_len(r, l) * chunk;
                 let orig: Vec<usize> = (0..n).collect();
                 let expect = reference_chunked(&orig, r, l, chunk);
-                let mut a = orig.clone();
-                equidistant_gather_chunks(&mut a, r, l, chunk);
-                assert_eq!(a, expect, "seq r={r} l={l} chunk={chunk}");
-                let mut b = orig.clone();
-                equidistant_gather_chunks_par(&mut b, r, l, chunk);
-                assert_eq!(b, expect, "par r={r} l={l} chunk={chunk}");
+                for threads in [1, 4] {
+                    let mut got = orig.clone();
+                    in_pool(threads, || equidistant_gather_chunks(&mut got, r, l, chunk));
+                    assert_eq!(got, expect, "threads={threads} r={r} l={l} chunk={chunk}");
+                }
             }
         }
     }
@@ -203,9 +166,11 @@ mod tests {
         let n = gather_len(r, l) * chunk;
         let orig: Vec<u64> = (0..n as u64).collect();
         let expect = reference_chunked(&orig, r, l, chunk);
-        let mut got = orig.clone();
-        equidistant_gather_chunks_par(&mut got, r, l, chunk);
-        assert_eq!(got, expect);
+        for threads in [1, 4] {
+            let mut got = orig.clone();
+            in_pool(threads, || equidistant_gather_chunks(&mut got, r, l, chunk));
+            assert_eq!(got, expect, "threads={threads}");
+        }
     }
 
     #[test]
@@ -215,19 +180,22 @@ mod tests {
         let n = gather_len(r, l) * chunk;
         let orig: Vec<u64> = (0..n as u64).collect();
         let expect = reference_chunked(&orig, r, l, chunk);
-        let mut got = orig.clone();
-        equidistant_gather_chunks_par(&mut got, r, l, chunk);
-        assert_eq!(got, expect);
+        for threads in [1, 4] {
+            let mut got = orig.clone();
+            in_pool(threads, || equidistant_gather_chunks(&mut got, r, l, chunk));
+            assert_eq!(got, expect, "threads={threads}");
+        }
     }
 
     #[test]
     fn swap_halves_roundtrip() {
         let n = 1 << 15;
         let orig: Vec<u32> = (0..n).collect();
+        let half = (n / 2) as usize;
         let mut v = orig.clone();
-        swap_halves_par(&mut v);
-        assert_eq!(&v[..(n / 2) as usize], &orig[(n / 2) as usize..]);
-        swap_halves_par(&mut v);
+        swap_regions_par(&mut v, 0, half, half);
+        assert_eq!(&v[..half], &orig[half..]);
+        swap_regions_par(&mut v, 0, half, half);
         assert_eq!(v, orig);
     }
 }

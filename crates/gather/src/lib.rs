@@ -22,20 +22,27 @@
 //!
 //! Variants provided:
 //!
-//! * [`equidistant_gather`] / [`equidistant_gather_par`] — the two-stage
-//!   cycle-leader algorithm (`r ≤ l`): `r` disjoint anti-diagonal cycles,
-//!   then one circular shift per block (§3.1),
-//! * [`chunked`] — the same operation on *chunks* of `C` elements treated
-//!   as units (used at every level of the B-tree algorithm; I/O-efficient
-//!   because every move is a `C`-element swap).
+//! * [`equidistant_gather`] — the two-stage cycle-leader algorithm
+//!   (`r ≤ l`): `r` disjoint anti-diagonal cycles, then one circular
+//!   shift per block (§3.1),
+//! * [`equidistant_gather_chunks`] — the same operation on *chunks* of
+//!   `C` elements treated as units (used at every level of the B-tree
+//!   algorithm; I/O-efficient because every move is a `C`-element swap).
+//!
+//! Each runs on the calling thread below its size cut-off or in a
+//! one-thread pool ([`rayon::current_num_threads`]` == 1`), and in
+//! parallel otherwise, so "sequential" means a one-thread pool here as
+//! everywhere else in the workspace.
 //!
 //! These are `Ram`'s gather primitives. The **extended** equidistant
 //! gather (`r > l`, §3.2) is composed from them once, generic over the
-//! machine, in `ist_core::algorithms`.
+//! machine, in `ist_core::algorithms`. [`swap_regions_par`], re-exported
+//! here, is Figure 6.4's big-block baseline beside the chunked gather.
 
 pub mod chunked;
 
-pub use chunked::{equidistant_gather_chunks, equidistant_gather_chunks_par, swap_halves_par};
+pub use chunked::equidistant_gather_chunks;
+pub use ist_shuffle::rotate::swap_regions_par;
 
 use ist_perm::SharedSlice;
 use rayon::prelude::*;
@@ -123,9 +130,13 @@ fn fix_block<T>(block: &mut [T], j: usize, r: usize, l: usize) {
     }
 }
 
-/// Sequential equidistant gather (cycle-leader, two stages).
+/// Equidistant gather (cycle-leader, two stages).
 ///
 /// Requires `r ≤ l`, `l ≥ 1`, and `data.len() == gather_len(r, l)`.
+///
+/// Below 2^13 elements, or in a one-thread pool, it runs on the calling
+/// thread. Otherwise the `r` cycles run concurrently (they are
+/// slot-disjoint), then the block fix-ups run concurrently.
 ///
 /// # Examples
 /// ```
@@ -135,49 +146,13 @@ fn fix_block<T>(block: &mut [T], j: usize, r: usize, l: usize) {
 /// equidistant_gather(&mut v, 2, 2);
 /// assert_eq!(v, vec![0, 1, 10, 11, 20, 21, 30, 31]);
 /// ```
-pub fn equidistant_gather<T>(data: &mut [T], r: usize, l: usize) {
+pub fn equidistant_gather<T: Send>(data: &mut [T], r: usize, l: usize) {
     check_params(data.len(), r, l, 1);
-    for c in 1..=r {
-        run_cycle(data, c, l);
-    }
-    fix_blocks(data, r, l, 1);
-}
-
-/// Stage 2, sequential, on units of `chunk` elements: block `j0`
-/// (0-indexed, `l` units from unit `r + j0·l`) is rotated left by
-/// `r − j0`; rotate it back. With `r ≤ l`, amounts of `0` and `l` are
-/// whole turns, so only the blocks `r + 1 − l ≤ j0 < r` move — none when
-/// `l = 1`, as in every gather of the BST construction.
-#[inline]
-fn fix_blocks<T>(data: &mut [T], r: usize, l: usize, chunk: usize) {
-    for j0 in (r + 1).saturating_sub(l)..r {
-        let start = (r + j0 * l) * chunk;
-        data[start..start + l * chunk].rotate_right((r - j0) * chunk);
-    }
-}
-
-/// Parallel equidistant gather: the `r` cycles run concurrently (they are
-/// slot-disjoint), then the block fix-ups run concurrently.
-///
-/// Semantics identical to [`equidistant_gather`].
-///
-/// # Examples
-/// ```
-/// use ist_gather::{equidistant_gather, equidistant_gather_par, gather_len};
-/// let n = gather_len(63, 63);
-/// let mut a: Vec<u32> = (0..n as u32).collect();
-/// let mut b = a.clone();
-/// equidistant_gather(&mut a, 63, 63);
-/// equidistant_gather_par(&mut b, 63, 63);
-/// assert_eq!(a, b);
-/// ```
-pub fn equidistant_gather_par<T: Send>(data: &mut [T], r: usize, l: usize) {
-    check_params(data.len(), r, l, 1);
-    if r == 0 {
-        return;
-    }
-    if data.len() < (1 << 13) {
-        return equidistant_gather(data, r, l);
+    if data.len() < (1 << 13) || r == 0 || rayon::current_num_threads() == 1 {
+        for c in 1..=r {
+            run_cycle(data, c, l);
+        }
+        return fix_blocks(data, r, l, 1);
     }
     let n = data.len();
     let shared = SharedSlice::new(data);
@@ -192,6 +167,19 @@ pub fn equidistant_gather_par<T: Send>(data: &mut [T], r: usize, l: usize) {
         .par_chunks_exact_mut(l)
         .enumerate()
         .for_each(|(j0, block)| fix_block(block, j0 + 1, r, l));
+}
+
+/// Stage 2 on the calling thread, on units of `chunk` elements: block
+/// `j0` (0-indexed, `l` units from unit `r + j0·l`) is rotated left by
+/// `r − j0`; rotate it back. With `r ≤ l`, amounts of `0` and `l` are
+/// whole turns, so only the blocks `r + 1 − l ≤ j0 < r` move — none when
+/// `l = 1`, as in every gather of the BST construction.
+#[inline]
+fn fix_blocks<T>(data: &mut [T], r: usize, l: usize, chunk: usize) {
+    for j0 in (r + 1).saturating_sub(l)..r {
+        let start = (r + j0 * l) * chunk;
+        data[start..start + l * chunk].rotate_right((r - j0) * chunk);
+    }
 }
 
 /// Panics unless `n` elements are a gather of `r ≤ l` units among blocks
@@ -232,19 +220,29 @@ pub fn reference_gather<T: Clone>(data: &[T], r: usize, l: usize) -> Vec<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Run `f` in a pool of `threads` threads: one takes every
+    /// primitive's calling-thread body, four its parallel body above the
+    /// size cut-off.
+    pub(crate) fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
 
     fn check(r: usize, l: usize) {
         let n = gather_len(r, l);
         let orig: Vec<usize> = (0..n).collect();
         let expect = reference_gather(&orig, r, l);
-        let mut a = orig.clone();
-        equidistant_gather(&mut a, r, l);
-        assert_eq!(a, expect, "seq r={r} l={l}");
-        let mut b = orig.clone();
-        equidistant_gather_par(&mut b, r, l);
-        assert_eq!(b, expect, "par r={r} l={l}");
+        for threads in [1, 4] {
+            let mut got = orig.clone();
+            in_pool(threads, || equidistant_gather(&mut got, r, l));
+            assert_eq!(got, expect, "threads={threads} r={r} l={l}");
+        }
     }
 
     #[test]
@@ -279,9 +277,11 @@ mod tests {
         let n = gather_len(r, l);
         let orig: Vec<u64> = (0..n as u64).rev().collect();
         let expect = reference_gather(&orig, r, l);
-        let mut got = orig.clone();
-        equidistant_gather_par(&mut got, r, l);
-        assert_eq!(got, expect);
+        for threads in [1, 4] {
+            let mut got = orig.clone();
+            in_pool(threads, || equidistant_gather(&mut got, r, l));
+            assert_eq!(got, expect, "threads={threads}");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! * [`Ram`] (this crate) — plain `&mut [T]` plus threads: the production
 //!   path. Monomorphization folds the abstraction away, so the generated
-//!   code is the direct implementation.
+//!   code is the direct implementation. It has one mode: the ambient
+//!   pool's thread count decides what runs in parallel, so the
+//!   sequential (`P = 1`) baseline is the same `Ram` in a one-thread pool.
 //! * `TrackedArray` in `ist-pem-sim` — charges Parallel External Memory
 //!   block I/Os per primitive through per-processor LRU caches.
 //! * `Gpu` in `ist-gpu-sim` — charges kernel launches, memory
@@ -24,10 +26,7 @@
 //! output is bit-identical across backends (asserted by the workspace's
 //! equivalence tests).
 
-use ist_gather::{
-    equidistant_gather, equidistant_gather_chunks, equidistant_gather_chunks_par,
-    equidistant_gather_par, gather_len,
-};
+use ist_gather::{equidistant_gather, equidistant_gather_chunks, gather_len};
 use ist_perm::{apply_involution_range, SharedSlice};
 use ist_shuffle::rotate_right;
 use rayon::prelude::*;
@@ -156,8 +155,8 @@ pub trait Machine {
     /// allocates nothing. Every backend that observes the fan-outs keeps
     /// the default, `true`; [`Ram`] answers `false` wherever its
     /// `run_tasks` would run the tasks in order on the calling thread
-    /// anyway, so its sequential constructions make no heap allocation
-    /// at all.
+    /// anyway, so its constructions in a one-thread pool make no heap
+    /// allocation at all.
     fn fans_out(&self, _total: usize) -> bool {
         true
     }
@@ -177,8 +176,8 @@ pub trait Machine {
         F: FnOnce(&mut [Self::Elem]);
 }
 
-/// Below this many elements the parallel Ram backend keeps an involution
-/// round on the calling thread.
+/// Below this many elements the Ram backend keeps an involution round on
+/// the calling thread.
 const RAM_PAR_GRAIN: usize = 1 << 13;
 
 /// What one element of a [`Ram::run_tasks`] region costs its task, in
@@ -192,8 +191,15 @@ const RAM_PAR_GRAIN: usize = 1 << 13;
 const RAM_ELEM_COST_NS: u64 = 10;
 
 /// The production backend: the caller's array in RAM, lowered to direct
-/// loops (sequential mode) or rayon-style fork-join execution (parallel
-/// mode).
+/// loops or rayon-style fork-join execution.
+///
+/// A `Ram` has no mode of its own. Each primitive and each fan-out
+/// decides from the size of its work first and the ambient pool second
+/// ([`rayon::current_num_threads`]` > 1`), as every other dispatch site
+/// in the workspace does: below a primitive's cut-off the check costs one
+/// compare, and in a one-thread pool (`ThreadPool::install(1)` or
+/// `IST_PARALLEL=1`) every primitive runs on the calling thread and no
+/// fan-out builds a task list.
 ///
 /// Internally a `Ram` is a raw view (pointer + length) over the borrowed
 /// slice so that disjoint recursive tasks can hold simultaneous views —
@@ -203,7 +209,6 @@ const RAM_ELEM_COST_NS: u64 = 10;
 pub struct Ram<'a, T> {
     base: *mut T,
     len: usize,
-    par: bool,
     _marker: PhantomData<&'a mut [T]>,
 }
 
@@ -213,22 +218,11 @@ pub struct Ram<'a, T> {
 unsafe impl<'a, T: Send> Send for Ram<'a, T> {}
 
 impl<'a, T: Send> Ram<'a, T> {
-    /// Sequential machine over `data`.
-    pub fn seq(data: &'a mut [T]) -> Self {
-        Self::with_mode(data, false)
-    }
-
-    /// Parallel machine over `data`.
-    pub fn par(data: &'a mut [T]) -> Self {
-        Self::with_mode(data, true)
-    }
-
-    /// Machine over `data`; parallel iff `par`.
-    pub fn with_mode(data: &'a mut [T], par: bool) -> Self {
+    /// Machine over `data`.
+    pub fn new(data: &'a mut [T]) -> Self {
         Self {
             base: data.as_mut_ptr(),
             len: data.len(),
-            par,
             _marker: PhantomData,
         }
     }
@@ -238,7 +232,6 @@ impl<'a, T: Send> Ram<'a, T> {
         Self {
             base: self.base,
             len: self.len,
-            par: self.par,
             _marker: PhantomData,
         }
     }
@@ -284,7 +277,7 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         // (run_tasks hands out disjoint regions), so reborrowing it as a
         // slice is sound.
         let region = unsafe { self.region(lo, n) };
-        if self.par && n >= 2 * RAM_PAR_GRAIN {
+        if n >= 2 * RAM_PAR_GRAIN && rayon::current_num_threads() > 1 {
             let shared = SharedSlice::new(region);
             (0..n)
                 .into_par_iter()
@@ -317,28 +310,20 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
     fn gather(&mut self, lo: usize, r: usize, l: usize, _mode: GatherMode) {
         // SAFETY: unique access to the region per the Machine contract.
         let region = unsafe { self.region(lo, gather_len(r, l)) };
-        if self.par {
-            equidistant_gather_par(region, r, l);
-        } else {
-            equidistant_gather(region, r, l);
-        }
+        equidistant_gather(region, r, l);
     }
 
     fn gather_chunks(&mut self, lo: usize, r: usize, l: usize, chunk: usize, _mode: GatherMode) {
         // SAFETY: unique access to the region per the Machine contract.
         let region = unsafe { self.region(lo, gather_len(r, l) * chunk) };
-        if self.par {
-            equidistant_gather_chunks_par(region, r, l, chunk);
-        } else {
-            equidistant_gather_chunks(region, r, l, chunk);
-        }
+        equidistant_gather_chunks(region, r, l, chunk);
     }
 
     fn rotate_right(&mut self, lo: usize, hi: usize, amount: usize) {
         debug_assert!(lo <= hi && hi <= self.len);
         // SAFETY: unique access to the region per the Machine contract.
         let region = unsafe { self.region(lo, hi - lo) };
-        // Sequential in both modes: a rotation by parallel reversals
+        // Always on the calling thread: a rotation by parallel reversals
         // is 2.6 × the work (see `ist_shuffle::rotate`) — it made the
         // parallel B-tree construction 1.4 × its sequential twin.
         rotate_right(region, amount);
@@ -390,10 +375,11 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         });
     }
 
-    /// Only a parallel machine with at least two floors' worth of work
-    /// deals tasks out; below that, `run_tasks` would run them in order.
+    /// Only at least two floors' worth of work in a pool of more than
+    /// one thread is dealt out; otherwise `run_tasks` would run the tasks
+    /// in order.
     fn fans_out(&self, total: usize) -> bool {
-        self.par && total >= 2 * rayon::min_task_len(RAM_ELEM_COST_NS)
+        total >= 2 * rayon::min_task_len(RAM_ELEM_COST_NS) && rayon::current_num_threads() > 1
     }
 
     fn local_task<F>(&mut self, lo: usize, len: usize, f: F)
@@ -420,18 +406,30 @@ mod tests {
         (0..n as u64).collect()
     }
 
+    /// Run `f` in a pool of `threads` threads: one takes every
+    /// primitive's calling-thread body, four its parallel body above the
+    /// size cut-off.
+    fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
     #[test]
-    fn involution_round_seq_and_par_agree() {
+    fn involution_round_one_and_four_threads_agree() {
         for n in [0usize, 5, 100, 1 << 15] {
-            let mut a = mk(n);
-            let mut b = mk(n);
-            let f = move |i: usize| n - 1 - i; // reversal
-            Ram::seq(&mut a).involution_round(0, n, IndexArith::Rev2 { d: 1 }, f);
-            Ram::par(&mut b).involution_round(0, n, IndexArith::Rev2 { d: 1 }, f);
             let mut expect = mk(n);
             expect.reverse();
-            assert_eq!(a, expect, "seq n={n}");
-            assert_eq!(b, expect, "par n={n}");
+            for threads in [1, 4] {
+                let mut v = mk(n);
+                let f = move |i: usize| n - 1 - i; // reversal
+                in_pool(threads, || {
+                    Ram::new(&mut v).involution_round(0, n, IndexArith::Rev2 { d: 1 }, f)
+                });
+                assert_eq!(v, expect, "threads={threads} n={n}");
+            }
         }
     }
 
@@ -440,27 +438,34 @@ mod tests {
         let n = 10usize;
         let mut v = mk(n);
         // Reverse only [2, 8) using global indices.
-        Ram::seq(&mut v).involution_round(2, 8, IndexArith::Rev2 { d: 1 }, |i| 2 + 7 - i);
+        Ram::new(&mut v).involution_round(2, 8, IndexArith::Rev2 { d: 1 }, |i| 2 + 7 - i);
         assert_eq!(v, vec![0, 1, 7, 6, 5, 4, 3, 2, 8, 9]);
     }
 
+    /// A small gather and one above the parallel cut-off, each in a one-
+    /// and a four-thread pool.
     #[test]
     fn gather_matches_reference() {
-        let (r, l) = (3usize, 5usize);
-        let pad = 4usize;
-        let n = pad + gather_len(r, l);
-        let mut v = mk(n);
-        Ram::par(&mut v).gather(pad, r, l, GatherMode::Standalone);
-        let expect = ist_gather::reference_gather(&mk(n)[pad..], r, l);
-        assert_eq!(&v[pad..], &expect[..]);
-        assert!(v[..pad].iter().copied().eq(0..pad as u64), "pad disturbed");
+        for (r, l) in [(3usize, 5usize), (127, 127)] {
+            let pad = 4usize;
+            let n = pad + gather_len(r, l);
+            let expect = ist_gather::reference_gather(&mk(n)[pad..], r, l);
+            for threads in [1, 4] {
+                let mut v = mk(n);
+                in_pool(threads, || {
+                    Ram::new(&mut v).gather(pad, r, l, GatherMode::Standalone)
+                });
+                assert_eq!(&v[pad..], &expect[..], "threads={threads} r={r} l={l}");
+                assert!(v[..pad].iter().copied().eq(0..pad as u64), "pad disturbed");
+            }
+        }
     }
 
     #[test]
     fn rotate_right_matches_std() {
         let n = 1000usize;
         let mut v = mk(n);
-        Ram::par(&mut v).rotate_right(100, 900, 37);
+        Ram::new(&mut v).rotate_right(100, 900, 37);
         let mut expect = mk(n);
         expect[100..900].rotate_right(37);
         assert_eq!(v, expect);
@@ -473,7 +478,7 @@ mod tests {
         let tasks: Vec<Region<u64>> = (0..4)
             .map(|q| Region::new(q * n / 4, n / 4, q as u64 + 1))
             .collect();
-        Ram::par(&mut v).run_tasks(tasks, |m, reg| {
+        Ram::new(&mut v).run_tasks(tasks, |m, reg| {
             m.local_task(reg.lo, reg.len, |slice| {
                 for x in slice.iter_mut() {
                     *x = reg.tag;

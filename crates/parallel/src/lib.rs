@@ -167,14 +167,16 @@ pub(crate) fn global() -> &'static Workers {
 #[derive(Clone)]
 pub(crate) struct PoolCtx {
     pub(crate) threads: usize,
-    pub(crate) allowance: Arc<AtomicUsize>,
+    /// `None` for a one-thread pool: it never reserves a helper, so it
+    /// has no count to share, and installing it allocates nothing.
+    pub(crate) allowance: Option<Arc<AtomicUsize>>,
 }
 
 impl PoolCtx {
     pub(crate) fn new(threads: usize) -> Self {
         Self {
             threads,
-            allowance: Arc::new(AtomicUsize::new(threads.saturating_sub(1))),
+            allowance: (threads > 1).then(|| Arc::new(AtomicUsize::new(threads - 1))),
         }
     }
 }

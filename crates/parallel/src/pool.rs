@@ -71,7 +71,8 @@ impl ThreadPool {
         OP: FnOnce() -> R + Send,
         R: Send,
     {
-        // A fresh context (and allowance) per install call.
+        // A fresh context per install call; a one-thread context has no
+        // allowance, so `install(1)` allocates nothing.
         crate::with_pool_ctx(Some(PoolCtx::new(self.num_threads)), op)
     }
 

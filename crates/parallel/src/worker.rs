@@ -247,16 +247,17 @@ impl Workers {
     /// installed pool's allowance and this pool's limit.
     fn try_reserve(&self, ctx: &Option<PoolCtx>) -> bool {
         if let Some(ctx) = ctx {
-            if !try_decrement(&ctx.allowance) {
-                return false;
+            match &ctx.allowance {
+                Some(allowance) if try_decrement(allowance) => {}
+                _ => return false,
             }
         }
         if try_decrement(&self.shared.free) || self.start_worker() {
             return true;
         }
-        if let Some(ctx) = ctx {
+        if let Some(allowance) = ctx.as_ref().and_then(|ctx| ctx.allowance.as_ref()) {
             // Relaxed: a reservation count; see `try_decrement`.
-            ctx.allowance.fetch_add(1, Ordering::Relaxed);
+            allowance.fetch_add(1, Ordering::Relaxed);
         }
         false
     }
@@ -265,9 +266,9 @@ impl Workers {
     fn release(&self, ctx: &Option<PoolCtx>) {
         // Relaxed: reservation counts; see `try_decrement`.
         self.shared.free.fetch_add(1, Ordering::Relaxed);
-        if let Some(ctx) = ctx {
+        if let Some(allowance) = ctx.as_ref().and_then(|ctx| ctx.allowance.as_ref()) {
             // Relaxed: as above.
-            ctx.allowance.fetch_add(1, Ordering::Relaxed);
+            allowance.fetch_add(1, Ordering::Relaxed);
         }
     }
 

@@ -63,9 +63,9 @@
 //!
 //! * [`Searcher::rank`]`(k)` — the number of stored keys **strictly
 //!   smaller** than `k` (so for `m` copies of `k`, ranks of the copies
-//!   do not include each other); [`Searcher::rank_upper`]`(k)` counts
-//!   keys `≤ k`. Each is the rank of one landing (`UPPER = false` /
-//!   `true`).
+//!   do not include each other). [`Searcher::land`]`::<true>(k).rank`
+//!   counts keys `≤ k`, so the two differ by `k`'s multiplicity. Each is
+//!   the rank of one landing (`UPPER = false` / `true`).
 //! * [`Searcher::lower_bound`]`(k)` — the layout position holding the
 //!   **first key `≥ k` in sorted order**, or `None` if every key is
 //!   smaller: the slot of the `UPPER = false` landing. With duplicates
@@ -461,23 +461,6 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         self.land::<false>(key).rank
     }
 
-    /// The **upper rank** of `key`: how many stored keys are `≤ key`
-    /// (so `rank_upper − rank` is the key's multiplicity). Same descent
-    /// cost as [`Searcher::rank`], with ties resolved rightward.
-    ///
-    /// # Examples
-    /// ```
-    /// use ist_query::{QueryKind, Searcher};
-    /// let v = vec![10u64, 20, 20, 30];
-    /// let s = Searcher::new(&v, QueryKind::Sorted);
-    /// assert_eq!(s.rank(&20), 1);
-    /// assert_eq!(s.rank_upper(&20), 3);
-    /// ```
-    // LINT-ALLOW(test-only-pub): part of the duplicate-key contract; query_differential and navigator_equivalence pin it
-    pub fn rank_upper(&self, key: &T) -> usize {
-        self.land::<true>(key).rank
-    }
-
     /// Layout position of the element with sorted rank `r`, via the
     /// closed-form position maps (`None` past the end). No descent
     /// reads this — each lands on its slot directly ([`Searcher::land`])
@@ -710,7 +693,7 @@ mod tests {
         assert_eq!(s.batch_rank(&[1, 2, 3]), vec![0, 0, 0]);
         assert_eq!(s.range_count(&1, &9), 0);
         assert_eq!(s.batch_search(&[] as &[u64]), vec![]);
-        assert_eq!(s.rank_upper(&5), 0);
+        assert_eq!(s.land::<true>(&5).rank, 0);
         assert_eq!(s.successor(&5), None);
         assert_eq!(s.predecessor(&5), None);
         assert!(s.trace_rank(&5).is_empty());
@@ -738,7 +721,7 @@ mod tests {
                     assert_eq!(s.rank(&probe), expect_rank, "n={n} {kind:?} probe={probe}");
                     let expect_upper = sorted.partition_point(|x| *x <= probe);
                     assert_eq!(
-                        s.rank_upper(&probe),
+                        s.land::<true>(&probe).rank,
                         expect_upper,
                         "n={n} {kind:?} probe={probe}"
                     );

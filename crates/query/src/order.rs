@@ -5,9 +5,10 @@
 //! without any new per-layout code:
 //!
 //! * `successor(k)` — the first stored key **strictly greater** than
-//!   `k` — is the element of sorted rank [`Searcher::rank_upper`]`(k)`
-//!   (the count of keys `≤ k`): the slot of the `UPPER = true`
-//!   landing, read off the descent's own registers.
+//!   `k` — is the element of sorted rank
+//!   [`Searcher::land`]`::<true>(k).rank` (the count of keys `≤ k`): the
+//!   slot of the `UPPER = true` landing, read off the descent's own
+//!   registers.
 //! * `predecessor(k)` — the last stored key **strictly smaller** than
 //!   `k` — is the element of sorted rank [`Searcher::rank`]`(k) − 1`,
 //!   one below the landing, so no descent register names it: it is

@@ -72,7 +72,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Instant;
 
 use ist_shard::ShardedMap;
 
@@ -273,12 +272,8 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Vec<u8>>) {
 /// with three batched calls on the map just written, and sends each
 /// connection its replies in arrival order.
 fn tick_loop(mut map: ServeMap, rx: Receiver<Batch>) {
-    let stats_on = std::env::var_os("IST_SERVE_TICK_STATS").is_some();
-    let (mut ticks, mut evs, mut gather_ns, mut apply_ns, mut read_ns) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
     // Ends when the accept loop and every reader are gone.
     while let Ok(first) = rx.recv() {
-        let t0 = Instant::now();
         // The tick opens on its first batch and closes at MAX_TICK
         // requests or when the queue runs dry.
         let mut gathered = first.reqs.len();
@@ -307,11 +302,9 @@ fn tick_loop(mut map: ServeMap, rx: Receiver<Batch>) {
             }
         }
 
-        let t1 = Instant::now();
         if !delta.is_empty() {
             map.apply(delta);
         }
-        let t2 = Instant::now();
 
         // Empty classes skip their engine call outright: a write-heavy
         // tick shouldn't pay three partition set-ups to answer nothing.
@@ -367,24 +360,6 @@ fn tick_loop(mut map: ServeMap, rx: Receiver<Batch>) {
         }
         for (blob, reply) in blobs.into_values() {
             let _ = reply.send(blob);
-        }
-
-        if stats_on {
-            let t3 = Instant::now();
-            ticks += 1;
-            evs += gathered as u64;
-            gather_ns += (t1 - t0).as_nanos() as u64;
-            apply_ns += (t2 - t1).as_nanos() as u64;
-            read_ns += (t3 - t2).as_nanos() as u64;
-            if ticks % 500 == 0 {
-                eprintln!(
-                    "[tick-stats] ticks={ticks} events={evs} avg_tick={:.1} gather_ms={} apply_ms={} read_reply_ms={}",
-                    evs as f64 / ticks as f64,
-                    gather_ns / 1_000_000,
-                    apply_ns / 1_000_000,
-                    read_ns / 1_000_000
-                );
-            }
         }
     }
     map.quiesce();

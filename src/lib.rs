@@ -174,10 +174,10 @@
 //! | [`DynamicMap`] (`ist-dynamic`, re-exported here) | log-structured tiers of static runs: write buffer, sealed L0 runs, background compaction, tombstones + weights, snapshot readers |
 //! | [`ShardedMap`] (`ist-shard`, re-exported here) | key-range-sharded serving layer: per-shard `DynamicMap`s, parallel scatter/gather batch routing |
 //! | [`store`] (`ist-store`, re-exported here) | durability substrate: zero-copy run files, write-ahead log, atomically-rotated manifest, fault-injection VFS |
-//! | [`machine`] | the `Machine` execution-substrate trait and the `Ram` backend |
+//! | [`machine`] | the `Machine` execution-substrate trait and the `Ram` backend (no mode of its own: in a one-thread pool it is the sequential baseline) |
 //! | [`query`] | the per-layout `Navigator`s (`nav` — the single home of all descent arithmetic) and the layout-agnostic engines: scalar descents, `batch` (software-pipelined multi-descent window, rayon composition), `range` (range counts over rank descents), `order` (successor/predecessor on the rank engine) |
 //! | [`layout`] | position maps / index arithmetic per layout |
-//! | [`gather`] | `Ram`'s equidistant gathers (plain and chunked) |
+//! | [`gather`] | `Ram`'s equidistant gathers (plain and chunked, each parallel above its size cut-off in a pool of more than one thread) and Figure 6.4's `swap_regions_par` |
 //! | [`shuffle`] | the `J` involution of the k-way shuffle, and rotations |
 //! | [`perm`] | the sequential involution round, the oblivious co-permutation, the out-of-place oracle |
 //! | [`bits`] | digit reversal, integer logarithms, and the modular-arithmetic test reference |

@@ -268,7 +268,7 @@ fn veb_scalar_descents_allocate_nothing() {
         for k in 0..15_010u64 {
             hits += usize::from(s.search(&k).is_some())
                 + usize::from(Searcher::new(&v, QueryKind::Veb).search(&k).is_some())
-                + (s.rank_upper(&k) - s.rank(&k));
+                + (s.land::<true>(&k).rank - s.rank(&k));
         }
         hits
     });

@@ -39,6 +39,17 @@ fn layouts() -> Vec<Layout> {
     ]
 }
 
+/// Run `f` in a pool of `threads` threads, whatever the host's core
+/// count: one is the sequential baseline, four takes the `Ram`'s
+/// parallel bodies above their cut-offs.
+fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
 fn check_all_backends(n: usize) {
     let sorted: Vec<u64> = (0..n as u64).collect();
     for layout in layouts() {
@@ -46,13 +57,13 @@ fn check_all_backends(n: usize) {
         for algorithm in Algorithm::ALL {
             let tag = format!("n={n} {layout:?} {algorithm:?}");
 
-            let mut ram_seq = sorted.clone();
-            construct(&mut Ram::seq(&mut ram_seq), layout, algorithm).unwrap();
-            assert_eq!(ram_seq, expect, "Ram(seq) {tag}");
-
-            let mut ram_par = sorted.clone();
-            construct(&mut Ram::par(&mut ram_par), layout, algorithm).unwrap();
-            assert_eq!(ram_par, expect, "Ram(par) {tag}");
+            for threads in [1usize, 4] {
+                let mut ram = sorted.clone();
+                in_pool(threads, || {
+                    construct(&mut Ram::new(&mut ram), layout, algorithm).unwrap()
+                });
+                assert_eq!(ram, expect, "Ram(threads={threads}) {tag}");
+            }
 
             for p in [1usize, 3] {
                 let mut pem = TrackedArray::from_sorted(n, PemConfig { m: 256, b: 16, p });
@@ -86,7 +97,7 @@ fn all_backends_match_oracle_large() {
 }
 
 /// The GPU block-local path (subtrees under BLOCK_LOCAL keys handled by
-/// one launch via a sequential Ram over the region) must cross the
+/// one launch via a Ram over the region) must cross the
 /// threshold without changing the permutation.
 #[test]
 fn gpu_block_local_threshold_is_seamless() {
@@ -112,7 +123,7 @@ fn backend_built_layouts_serve_identical_batched_queries() {
     let queries: Vec<u64> = (0..4 * n as u64).step_by(3).collect();
     for layout in layouts() {
         let mut ram = sorted.clone();
-        construct(&mut Ram::par(&mut ram), layout, Algorithm::Involution).unwrap();
+        construct(&mut Ram::new(&mut ram), layout, Algorithm::Involution).unwrap();
         let ram_s = Searcher::for_layout(&ram, layout);
         let expect: Vec<_> = queries.iter().map(|q| ram_s.search(q)).collect();
 
@@ -182,7 +193,7 @@ fn cost_backends_charge_costs() {
     }
 }
 
-/// A `Machine` that forwards every primitive to a sequential [`Ram`]
+/// A `Machine` that forwards every primitive to a [`Ram`]
 /// and logs the call (kind and arguments), one line per call, so tests
 /// can pin *which* primitives an algorithm issues, not just its output.
 struct Recorder<'a> {
@@ -249,7 +260,7 @@ fn record(n: usize, layout: Layout, algorithm: Algorithm) -> Vec<String> {
     let sorted: Vec<u64> = (0..n as u64).collect();
     let mut data = sorted.clone();
     let mut rec = Recorder {
-        ram: Ram::seq(&mut data),
+        ram: Ram::new(&mut data),
         log: Vec::new(),
     };
     construct(&mut rec, layout, algorithm).unwrap();

@@ -115,7 +115,7 @@ fn deep_trees_visit_identical_node_sequences() {
 }
 
 /// Duplicate runs on a deep vEB tree: `rank` counts keys below the
-/// probe, `rank_upper` keys at or below it, and the pipelined rank
+/// probe, the `UPPER` landing's rank keys at or below it, and the pipelined rank
 /// engine agrees with the scalar one.
 #[test]
 fn deep_veb_ranks_with_duplicate_keys() {
@@ -132,7 +132,7 @@ fn deep_veb_ranks_with_duplicate_keys() {
             "key={key}"
         );
         assert_eq!(
-            s.rank_upper(key),
+            s.land::<true>(key).rank,
             sorted.partition_point(|x| x <= key),
             "key={key}"
         );

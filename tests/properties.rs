@@ -61,7 +61,7 @@ fn shuffle_roundtrip_and_semantics() {
     fn j_round(v: &mut [u32], r: usize) {
         let n = v.len();
         let nm1 = (n - 1) as u64;
-        Ram::seq(v).involution_round(0, n, IndexArith::Jmap { len: n }, move |s| {
+        Ram::new(v).involution_round(0, n, IndexArith::Jmap { len: n }, move |s| {
             j_involution(r as u64, nm1, s as u64) as usize
         });
     }
@@ -115,7 +115,12 @@ fn extended_gather_is_stable_partition() {
         let mut expect: Vec<usize> = (0..n).filter(|&i| !is_overflow(i)).collect();
         expect.extend((0..n).filter(|&i| is_overflow(i)));
         let mut got: Vec<usize> = (0..n).collect();
-        strip_overflow_btree(&mut Ram::with_mode(&mut got, case % 2 == 1), shape);
+        let threads = if case % 2 == 1 { 4 } else { 1 };
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| strip_overflow_btree(&mut Ram::new(&mut got), shape));
         assert_eq!(got, expect, "case {case}: b={b} m={m} overflow={overflow}");
     }
 }

@@ -132,9 +132,14 @@ fn check_all_ops(sorted: &[u64], kind: QueryKind, layout: Option<Layout>, rng: &
         // rank = count strictly smaller (duplicates not self-counting).
         assert_eq!(s.rank(&p), oracle_rank, "rank {}", tag(p));
 
-        // rank_upper = count <= probe, so the gap is the multiplicity.
+        // The upper landing's rank = count <= probe, so the gap is the multiplicity.
         let oracle_upper = sorted.partition_point(|x| *x <= p);
-        assert_eq!(s.rank_upper(&p), oracle_upper, "rank_upper {}", tag(p));
+        assert_eq!(
+            s.land::<true>(&p).rank,
+            oracle_upper,
+            "upper rank {}",
+            tag(p)
+        );
 
         // lower_bound = slot of the sorted-order-first key >= probe.
         let lb = s.lower_bound(&p);
@@ -376,7 +381,11 @@ fn wide_kernel_bit_identical_to_runtime() {
                     let t = format!("b={b} n={n} probe={p}");
                     assert_eq!(wide.search(p), runtime.search(p), "search {t}");
                     assert_eq!(wide.rank(p), runtime.rank(p), "rank {t}");
-                    assert_eq!(wide.rank_upper(p), runtime.rank_upper(p), "rank_upper {t}");
+                    assert_eq!(
+                        wide.land::<true>(p).rank,
+                        runtime.land::<true>(p).rank,
+                        "upper rank {t}"
+                    );
                     assert_eq!(
                         wide.lower_bound(p),
                         runtime.lower_bound(p),
