@@ -32,6 +32,7 @@ use core::ops::Range;
 use core::ptr::NonNull;
 use ist_core::{Error, Layout};
 use ist_layout::{BtreeWalk, VebWalk};
+use ist_perm::MOVE_COST_NS;
 
 /// Cache-line alignment every raw-backed allocation gets at minimum.
 pub const CACHE_LINE: usize = 64;
@@ -146,8 +147,10 @@ impl<T: Send> AlignedVec<T> {
     /// its layout slot during the move — the single-pass build behind
     /// [`crate::StaticMap::build_presorted`], once per array. The
     /// layout's walk streams each rank's slot without a per-element
-    /// position map and cuts the permutation into pieces that write
-    /// disjoint slots, so the pieces run in parallel.
+    /// position map and cuts the permutation into pieces of a floor of
+    /// moves each that write disjoint slots, so the pieces run in
+    /// parallel — from two floors on, in a pool of more than one
+    /// thread.
     pub(crate) fn scatter_from_vec(mut src: Vec<T>, walk: &LayoutWalk) -> Self {
         let n = src.len();
         if n == 0 || size_of::<T>() == 0 {
@@ -164,9 +167,6 @@ impl<T: Send> AlignedVec<T> {
         // bitwise), both vectors would report length 0 and the
         // elements would leak rather than double-drop.
         unsafe { src.set_len(0) };
-        // Sequential below this grain: thread hand-off beats the memory
-        // traffic on small runs.
-        const GRAIN: usize = 1 << 14;
         let scatter_piece = |piece: Range<usize>| {
             let (s, d) = (src_ptr, dst_ptr);
             // SAFETY: the walk pairs each rank of 0..n with one slot of
@@ -175,22 +175,24 @@ impl<T: Send> AlignedVec<T> {
             // exactly once.
             walk.walk(piece, |r, p| unsafe { d.0.add(p).write(s.0.add(r).read()) });
         };
-        let pieces = walk.pieces(GRAIN);
+        let pieces = walk.pieces();
         // The SAFETY argument below needs the walk to cover exactly 0..n.
         assert_eq!(
             pieces.last().map(|p| p.end),
             Some(n),
             "walk is for another length"
         );
-        if pieces.len() <= 2 {
-            pieces.into_iter().for_each(scatter_piece);
-        } else {
+        // The floor rule, as at every dispatch site: two floors of moves
+        // in a pool of more than one thread, else the calling thread.
+        if n >= 2 * rayon::min_task_len(MOVE_COST_NS) && rayon::current_num_threads() > 1 {
             rayon::scope(|sc| {
                 for piece in pieces {
                     let f = &scatter_piece;
                     sc.spawn(move |_| f(piece));
                 }
             });
+        } else {
+            pieces.into_iter().for_each(scatter_piece);
         }
         // SAFETY: every slot 0..n written exactly once above.
         unsafe { dst.assume_len(n) };
@@ -285,7 +287,10 @@ impl LayoutWalk {
         }
     }
 
-    fn pieces(&self, grain: usize) -> Vec<Range<usize>> {
+    /// The scatter's pieces: a floor of moves each
+    /// ([`rayon::min_task_len`]`(`[`MOVE_COST_NS`]`)` elements).
+    fn pieces(&self) -> Vec<Range<usize>> {
+        let grain = rayon::min_task_len(MOVE_COST_NS);
         match self {
             Self::Btree(w) => w.pieces(grain),
             Self::Veb(w) => w.pieces(grain),
@@ -311,19 +316,38 @@ mod tests {
 
     /// The scatter must land every element exactly where the in-place
     /// construction algorithms put it — same maps, different mechanics.
-    /// The large sizes put the parallel pieces' seams inside each part
-    /// of the layouts: the B-tree's group prefix (`3 · 2^17 + 5`, `10^6`
-    /// at `b = 3`), its partial node (`73 615` at `b = 8`) and full tail
-    /// (`10^6`, `9^6 − 1` and `9^6` at `b = 8`, whose full part is
-    /// `9^6 − 1`), and the bottom trees of the vEB top-level split
-    /// (`2^18 ± 1`).
+    /// The large sizes run the parallel pieces (from two floors of moves
+    /// on), and some are sized from the floor so that a piece seam falls
+    /// strictly inside each part of the layouts, which the test asserts:
+    /// the B-tree's group prefix (`3 · floor + 5` and `10^6` at `b = 3`),
+    /// its partial node (at `b = 6`, sized below) and full tail (`10^6`,
+    /// `9^6 − 1` and `9^6` at `b = 8`, whose full part is `9^6 − 1`), and
+    /// the bottom trees of the vEB top-level split (`2^18 ± 1`).
     #[test]
     fn scatter_matches_in_place_construction() {
+        use ist_layout::complete::{BtreeCompleteShape, CompleteShape};
+        use ist_layout::veb_split;
+
+        let grain = rayon::min_task_len(MOVE_COST_NS);
+        // b = 6 whose group prefix holds `grain / 7` groups, in the
+        // smallest full part with a node slot for each of them and for a
+        // partial node of b − 1 keys: the seam at `grain` lands
+        // `grain % 7` ranks into that partial node.
+        let (b, k) = (6, 7);
+        let groups = grain / k;
+        let full = (1..)
+            .map(|m| k.pow(m))
+            .find(|&leaves| leaves > groups)
+            .unwrap()
+            - 1;
+        let partial_node_n = full + groups * b + (b - 1);
+
         let layouts = [
             Layout::Bst,
             Layout::Veb,
             Layout::Btree { b: 1 },
             Layout::Btree { b: 3 },
+            Layout::Btree { b: 6 },
             Layout::Btree { b: 8 },
             Layout::Btree { b: 16 },
         ];
@@ -338,8 +362,8 @@ mod tests {
             1023,
             4097,
             (1 << 16) + 11,
-            73_615, // a seam inside b = 8's partial node (ranks 16 380..16 387)
-            3 * (1 << 17) + 5,
+            partial_node_n,
+            3 * grain + 5,
             (1 << 18) - 1,
             (1 << 18) + 1,
             531_440, // 9^6 − 1
@@ -355,6 +379,45 @@ mod tests {
                 assert_eq!(&*got, &expect[..], "n={n} layout={layout:?}");
                 assert_eq!(got.as_ptr() as usize % CACHE_LINE, 0);
             }
+        }
+
+        // The B-tree's parts in sorted order: the group prefix, the
+        // partial node, the full tail.
+        let btree_parts = |n: usize, b: usize| {
+            let shape = BtreeCompleteShape::new(n, b);
+            let prefix_end = shape.full_overflow_nodes() * (b + 1);
+            let tail = prefix_end + shape.partial_node_len();
+            [0..prefix_end, prefix_end..tail, tail..n]
+        };
+        // The vEB's bottom trees of the top-level split, in slot order.
+        let veb_bottoms = |n: usize| {
+            let shape = CompleteShape::new(n);
+            let (top, _) = veb_split(shape.full_levels());
+            (1 << top) - 1..shape.full_count()
+        };
+        let [prefix, _, _] = btree_parts(3 * grain + 5, 3);
+        let [prefix_m, _, _] = btree_parts(1_000_000, 3);
+        let [_, partial, _] = btree_parts(partial_node_n, 6);
+        let [_, _, tail_9] = btree_parts(531_440, 8);
+        let [_, _, tail_9p] = btree_parts(531_441, 8);
+        let [_, _, tail_m8] = btree_parts(1_000_000, 8);
+        for (n, layout, part) in [
+            (3 * grain + 5, Layout::Btree { b: 3 }, prefix),
+            (1_000_000, Layout::Btree { b: 3 }, prefix_m),
+            (partial_node_n, Layout::Btree { b: 6 }, partial),
+            (531_440, Layout::Btree { b: 8 }, tail_9),
+            (531_441, Layout::Btree { b: 8 }, tail_9p),
+            (1_000_000, Layout::Btree { b: 8 }, tail_m8),
+            ((1 << 18) - 1, Layout::Veb, veb_bottoms((1 << 18) - 1)),
+            ((1 << 18) + 1, Layout::Veb, veb_bottoms((1 << 18) + 1)),
+        ] {
+            let pieces = LayoutWalk::new(layout, n).unwrap().pieces();
+            assert!(
+                pieces
+                    .iter()
+                    .any(|p| part.start < p.start && p.start < part.end),
+                "n={n} {layout:?}: no seam inside {part:?}"
+            );
         }
     }
 

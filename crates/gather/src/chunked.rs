@@ -10,9 +10,9 @@
 //! possible big-block move, swapping the array's halves with
 //! [`swap_regions_par`].
 
-use crate::{check_params, fix_blocks, t0_slot};
-use ist_perm::SharedSlice;
-use ist_shuffle::rotate::swap_regions_par;
+use crate::{check_params, cycles_per_task, fix_blocks, fix_blocks_par, t0_slot};
+use ist_perm::{SharedSlice, MOVE_COST_NS};
+use ist_shuffle::rotate::{swap_fans_out, swap_regions_par};
 use rayon::prelude::*;
 
 /// Equidistant gather treating each `chunk` consecutive elements as one
@@ -22,13 +22,17 @@ use rayon::prelude::*;
 /// `chunk ≥ 1`. With `chunk = 1` this is exactly
 /// [`crate::equidistant_gather`].
 ///
-/// Below 2^14 elements, or in a one-thread pool, it runs on the calling
-/// thread. Otherwise the cycles of few, large chunks run one after
-/// another with each `C`-element swap internally parallel, the cycles of
-/// many small chunks run concurrently, and the stage-2 block rotations
-/// run concurrently — mirroring the paper's observation that this stage
-/// is bound by big-block swap throughput (Figure 6.4), not by
-/// cycle-level parallelism.
+/// When one `C`-element swap would itself fan out
+/// ([`swap_fans_out`]`(chunk)`), the cycles run one after another with
+/// each swap internally parallel — mirroring the paper's observation
+/// that this stage is bound by big-block swap throughput (Figure 6.4),
+/// not by cycle-level parallelism. This is the only parallel path of
+/// the BST construction's gathers, which have `r = 1`. Otherwise, below
+/// two floors of moves (`2 ·` [`rayon::min_task_len`]`(`
+/// [`MOVE_COST_NS`]`)` elements) or in a one-thread pool, it runs on the
+/// calling thread, and above them the cycles of many small chunks run
+/// concurrently. Either parallel path then runs the stage-2 block
+/// rotations concurrently; every task holds at least a floor of moves.
 ///
 /// # Examples
 /// ```
@@ -40,44 +44,35 @@ use rayon::prelude::*;
 /// ```
 pub fn equidistant_gather_chunks<T: Send>(data: &mut [T], r: usize, l: usize, chunk: usize) {
     check_params(data.len(), r, l, chunk);
-    if data.len() < (1 << 14) || r == 0 || rayon::current_num_threads() == 1 {
+    let n = data.len();
+    if swap_fans_out(chunk) {
+        // Few, large chunks (the top of the B-tree recursion): parallelize
+        // inside each block move.
+        for c in 1..=r {
+            run_cycle_chunks_par(data, c, l, chunk);
+        }
+    } else if n < 2 * rayon::min_task_len(MOVE_COST_NS) || rayon::current_num_threads() == 1 {
         // Stage 1: the r disjoint cycles, on chunk units.
         for c in 1..=r {
             run_cycle_chunks(data, c, l, chunk);
         }
         // Stage 2: fix each block's rotation (block = l chunks).
         return fix_blocks(data, r, l, chunk);
-    }
-    if chunk >= (1 << 12) {
-        // Few, large chunks (the top of the B-tree recursion): parallelize
-        // inside each block move.
-        for c in 1..=r {
-            run_cycle_chunks_par(data, c, l, chunk);
-        }
     } else {
         // Many small chunks: parallelize across the disjoint cycles.
-        let n = data.len();
         let shared = SharedSlice::new(data);
-        (1..=r).into_par_iter().for_each(|c| {
-            // SAFETY: distinct cycles touch disjoint chunk sets (the
-            // gather chunk t_c plus the anti-diagonal row+col = c-1), so
-            // concurrent tasks never alias.
-            let whole = unsafe { shared.slice_mut(0, n) };
-            run_cycle_chunks(whole, c, l, chunk);
-        });
+        (1..=r)
+            .into_par_iter()
+            .with_min_len(cycles_per_task(r, chunk))
+            .for_each(|c| {
+                // SAFETY: distinct cycles touch disjoint chunk sets (the
+                // gather chunk t_c plus the anti-diagonal row+col = c-1),
+                // so concurrent tasks never alias.
+                let whole = unsafe { shared.slice_mut(0, n) };
+                run_cycle_chunks(whole, c, l, chunk);
+            });
     }
-    data[r * chunk..]
-        .par_chunks_exact_mut(l * chunk)
-        .enumerate()
-        .for_each(|(j0, block)| {
-            let amount = (r + 1 - (j0 + 1)) % l;
-            if amount != 0 {
-                // The blocks already run in parallel; within one, the
-                // standard rotation is 1 / 2.6 of the work of three
-                // parallel reversal passes (see `ist_shuffle::rotate`).
-                block.rotate_right(amount * chunk);
-            }
-        });
+    fix_blocks_par(data, r, l, chunk);
 }
 
 #[inline]
@@ -117,7 +112,7 @@ fn run_cycle_chunks_par<T: Send>(data: &mut [T], c: usize, l: usize, chunk: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::in_pool;
+    use crate::tests::{in_pool, par_floor, split_shape};
     use crate::{gather_len, reference_gather};
 
     /// Reference: gather on the chunk-index sequence, expanded back.
@@ -162,9 +157,10 @@ mod tests {
     #[test]
     fn big_chunks_parallel_path() {
         let (r, l) = (3usize, 3usize);
-        let chunk = 1 << 13; // triggers the large-chunk parallel path
+        // One chunk swap fans out: the large-chunk parallel path.
+        let chunk = par_floor();
         let n = gather_len(r, l) * chunk;
-        let orig: Vec<u64> = (0..n as u64).collect();
+        let orig: Vec<u32> = (0..n as u32).collect();
         let expect = reference_chunked(&orig, r, l, chunk);
         for threads in [1, 4] {
             let mut got = orig.clone();
@@ -175,8 +171,9 @@ mod tests {
 
     #[test]
     fn many_small_chunks_parallel_path() {
-        let (r, l) = (63usize, 63usize);
         let chunk = 8;
+        let r = split_shape(chunk);
+        let l = r;
         let n = gather_len(r, l) * chunk;
         let orig: Vec<u64> = (0..n as u64).collect();
         let expect = reference_chunked(&orig, r, l, chunk);
@@ -189,9 +186,10 @@ mod tests {
 
     #[test]
     fn swap_halves_roundtrip() {
-        let n = 1 << 15;
-        let orig: Vec<u32> = (0..n).collect();
-        let half = (n / 2) as usize;
+        // Halves at the floor: the swap fans out in a pool of more than
+        // one thread.
+        let half = par_floor();
+        let orig: Vec<u32> = (0..2 * half as u32).collect();
         let mut v = orig.clone();
         swap_regions_par(&mut v, 0, half, half);
         assert_eq!(&v[..half], &orig[half..]);

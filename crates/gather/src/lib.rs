@@ -29,9 +29,12 @@
 //!   `C` elements treated as units (used at every level of the B-tree
 //!   algorithm; I/O-efficient because every move is a `C`-element swap).
 //!
-//! Each runs on the calling thread below its size cut-off or in a
-//! one-thread pool ([`rayon::current_num_threads`]` == 1`), and in
-//! parallel otherwise, so "sequential" means a one-thread pool here as
+//! Each decides by the floor rule, as every dispatch site in the
+//! workspace does: below two floors of moves
+//! ([`rayon::min_task_len`]`(`[`MOVE_COST_NS`]`)` elements each) or in
+//! a one-thread pool ([`rayon::current_num_threads`]` == 1`) it runs on
+//! the calling thread, and otherwise it deals tasks of at least a floor
+//! to the pool, so "sequential" means a one-thread pool here as
 //! everywhere else in the workspace.
 //!
 //! These are `Ram`'s gather primitives. The **extended** equidistant
@@ -44,7 +47,7 @@ pub mod chunked;
 pub use chunked::equidistant_gather_chunks;
 pub use ist_shuffle::rotate::swap_regions_par;
 
-use ist_perm::SharedSlice;
+use ist_perm::{SharedSlice, MOVE_COST_NS};
 use rayon::prelude::*;
 
 /// Expected array length for gather parameters `r` (gather elements) and
@@ -120,23 +123,15 @@ fn run_cycle<T>(data: &mut [T], c: usize, l: usize) {
     }
 }
 
-/// Stage 2 unit: after stage 1, block `j` (1-indexed) holds `T_j` rotated
-/// left by `r + 1 − j`; rotate it right by the same amount.
-#[inline]
-fn fix_block<T>(block: &mut [T], j: usize, r: usize, l: usize) {
-    let amount = (r + 1 - j) % l;
-    if amount != 0 {
-        block.rotate_right(amount);
-    }
-}
-
 /// Equidistant gather (cycle-leader, two stages).
 ///
 /// Requires `r ≤ l`, `l ≥ 1`, and `data.len() == gather_len(r, l)`.
 ///
-/// Below 2^13 elements, or in a one-thread pool, it runs on the calling
-/// thread. Otherwise the `r` cycles run concurrently (they are
-/// slot-disjoint), then the block fix-ups run concurrently.
+/// Below two floors of moves (`2 ·` [`rayon::min_task_len`]`(`
+/// [`MOVE_COST_NS`]`)` elements), or in a one-thread pool, it runs on
+/// the calling thread. Otherwise the `r` cycles run concurrently (they
+/// are slot-disjoint), then the block fix-ups run concurrently, each
+/// stage in tasks of at least a floor of moves.
 ///
 /// # Examples
 /// ```
@@ -148,25 +143,32 @@ fn fix_block<T>(block: &mut [T], j: usize, r: usize, l: usize) {
 /// ```
 pub fn equidistant_gather<T: Send>(data: &mut [T], r: usize, l: usize) {
     check_params(data.len(), r, l, 1);
-    if data.len() < (1 << 13) || r == 0 || rayon::current_num_threads() == 1 {
+    let n = data.len();
+    if n < 2 * rayon::min_task_len(MOVE_COST_NS) || rayon::current_num_threads() == 1 {
         for c in 1..=r {
             run_cycle(data, c, l);
         }
         return fix_blocks(data, r, l, 1);
     }
-    let n = data.len();
     let shared = SharedSlice::new(data);
-    (1..=r).into_par_iter().for_each(|c| {
-        // SAFETY: cycle c touches gather slot t_c and the anti-diagonal
-        // {row + col = c - 1} of the conceptual matrix; distinct cycles
-        // touch disjoint slot sets, so concurrent tasks never alias.
-        let whole = unsafe { shared.slice_mut(0, n) };
-        run_cycle(whole, c, l);
-    });
-    data[r..]
-        .par_chunks_exact_mut(l)
-        .enumerate()
-        .for_each(|(j0, block)| fix_block(block, j0 + 1, r, l));
+    (1..=r)
+        .into_par_iter()
+        .with_min_len(cycles_per_task(r, 1))
+        .for_each(|c| {
+            // SAFETY: cycle c touches gather slot t_c and the anti-diagonal
+            // {row + col = c - 1} of the conceptual matrix; distinct cycles
+            // touch disjoint slot sets, so concurrent tasks never alias.
+            let whole = unsafe { shared.slice_mut(0, n) };
+            run_cycle(whole, c, l);
+        });
+    fix_blocks_par(data, r, l, 1);
+}
+
+/// Stage-1 cycles a parallel task takes: cycle `c` moves `c + 1` units
+/// of `chunk` elements, `(r + 3) / 2` units on average, so this many
+/// cycles hold a floor of moves ([`rayon::min_task_len`]).
+pub(crate) fn cycles_per_task(r: usize, chunk: usize) -> usize {
+    rayon::min_task_len(MOVE_COST_NS).div_ceil((r + 3) / 2 * chunk)
 }
 
 /// Stage 2 on the calling thread, on units of `chunk` elements: block
@@ -180,6 +182,20 @@ fn fix_blocks<T>(data: &mut [T], r: usize, l: usize, chunk: usize) {
         let start = (r + j0 * l) * chunk;
         data[start..start + l * chunk].rotate_right((r - j0) * chunk);
     }
+}
+
+/// [`fix_blocks`] with the moving blocks dealt to the pool, in tasks of
+/// at least a floor of moves. Within one block the standard rotation
+/// stays: it is 1 / 2.6 of the work of three parallel reversal passes
+/// (see `ist_shuffle::rotate`).
+fn fix_blocks_par<T: Send>(data: &mut [T], r: usize, l: usize, chunk: usize) {
+    let first = (r + 1).saturating_sub(l);
+    let block = l * chunk;
+    data[(r + first * l) * chunk..(r + r * l) * chunk]
+        .par_chunks_mut(block)
+        .with_min_len(rayon::min_task_len(MOVE_COST_NS).div_ceil(block))
+        .enumerate()
+        .for_each(|(i, block)| block.rotate_right((r - first - i) * chunk));
 }
 
 /// Panics unless `n` elements are a gather of `r ≤ l` units among blocks
@@ -224,8 +240,8 @@ pub(crate) mod tests {
     use super::*;
 
     /// Run `f` in a pool of `threads` threads: one takes every
-    /// primitive's calling-thread body, four its parallel body above the
-    /// size cut-off.
+    /// primitive's calling-thread body, four its parallel body from two
+    /// floors of moves on.
     pub(crate) fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -270,10 +286,25 @@ pub(crate) mod tests {
         check(63, 64);
     }
 
+    /// The fewest elements a gather hands to the pool: two floors of
+    /// moves.
+    pub(crate) fn par_floor() -> usize {
+        2 * rayon::min_task_len(MOVE_COST_NS)
+    }
+
+    /// The smallest square shape (`r = l`) of `chunk`-element units
+    /// whose stage-1 cycles make two parallel tasks — above
+    /// [`par_floor`], so its stage 2 is parallel too.
+    pub(crate) fn split_shape(chunk: usize) -> usize {
+        let r = (1..).find(|&r| r >= 2 * cycles_per_task(r, chunk)).unwrap();
+        assert!(gather_len(r, r) * chunk >= par_floor());
+        r
+    }
+
     #[test]
     fn large_parallel_matches_reference() {
-        let r = 127usize;
-        let l = 127usize;
+        let r = split_shape(1);
+        let l = r;
         let n = gather_len(r, l);
         let orig: Vec<u64> = (0..n as u64).rev().collect();
         let expect = reference_gather(&orig, r, l);

@@ -13,7 +13,7 @@
 //!   **block-local** launch in "shared memory": a coalesced streaming
 //!   pass plus local compute, with the permutation delegated to the same
 //!   generic algorithm on a `Ram` over the region (smaller than every
-//!   `Ram` cut-off, so it runs on the calling thread).
+//!   `Ram` floor, so it runs on the calling thread).
 //!
 //! The construction control flow lives in `ist_core::algorithms`; the
 //! kernels really permute the simulated global memory, so the cost

@@ -176,30 +176,39 @@ pub trait Machine {
         F: FnOnce(&mut [Self::Elem]);
 }
 
-/// Below this many elements the Ram backend keeps an involution round on
-/// the calling thread.
-const RAM_PAR_GRAIN: usize = 1 << 13;
-
-/// What one element of a [`Ram::run_tasks`] region costs its task, in
-/// nanoseconds, as the floor rule ([`rayon::min_task_len`]) needs it: a
-/// task permutes its whole subtree, every level below it included, and
-/// the benchmark of record's sequential cycle-leader constructions
-/// (`core.permute_seq_ms.*`, 2^20 keys, 2 vCPUs) read about 9 (B-tree),
-/// 33 (vEB) and 33 (BST) ns per element, medians of four traced runs.
-/// The estimate sits near the low end — a low cost asks for longer
-/// tasks, and the layout is not known here.
-const RAM_ELEM_COST_NS: u64 = 10;
+/// What one element of a [`Ram::run_tasks`] region or of a
+/// [`Ram::involution_round`] costs its task, in nanoseconds, as the
+/// floor rule ([`rayon::min_task_len`]) needs it.
+///
+/// A fan-out task permutes its whole subtree, every level below it
+/// included, and the benchmark of record's sequential cycle-leader
+/// constructions (`core.permute_seq_ms.*`, 2^20 keys, 2 vCPUs) read
+/// about 9 (B-tree), 33 (vEB) and 33 (BST) ns per element, medians of
+/// four traced runs.
+///
+/// An involution round pays its index arithmetic plus one move per
+/// element. Probe: `Ram::involution_round` in a one-thread pool on
+/// `u64`s, medians of nine runs at 2^16, 2^20 and 2^24 elements, two
+/// runs, on the same box. The BST's digit-reversal rounds read 6–35 ns
+/// per element (11–26 at 2^20), within 2 × of this value. The B-tree's
+/// base-9 reversals read 17–65 ns and the `J` rounds 94–195 ns.
+///
+/// The estimate sits near the low end of both — a low cost asks for
+/// longer tasks, and neither the layout nor the round's arithmetic is
+/// known here.
+pub const RAM_ELEM_COST_NS: u64 = 10;
 
 /// The production backend: the caller's array in RAM, lowered to direct
 /// loops or rayon-style fork-join execution.
 ///
 /// A `Ram` has no mode of its own. Each primitive and each fan-out
-/// decides from the size of its work first and the ambient pool second
-/// ([`rayon::current_num_threads`]` > 1`), as every other dispatch site
-/// in the workspace does: below a primitive's cut-off the check costs one
-/// compare, and in a one-thread pool (`ThreadPool::install(1)` or
-/// `IST_PARALLEL=1`) every primitive runs on the calling thread and no
-/// fan-out builds a task list.
+/// decides by the floor rule ([`rayon::min_task_len`]), as every other
+/// dispatch site in the workspace does: from the size of its work
+/// first — below two floors the check costs one compare — and the
+/// ambient pool second ([`rayon::current_num_threads`]` > 1`). In a
+/// one-thread pool (`ThreadPool::install(1)` or `IST_PARALLEL=1`) every
+/// primitive runs on the calling thread and no fan-out builds a task
+/// list.
 ///
 /// Internally a `Ram` is a raw view (pointer + length) over the borrowed
 /// slice so that disjoint recursive tasks can hold simultaneous views —
@@ -277,11 +286,11 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         // (run_tasks hands out disjoint regions), so reborrowing it as a
         // slice is sound.
         let region = unsafe { self.region(lo, n) };
-        if n >= 2 * RAM_PAR_GRAIN && rayon::current_num_threads() > 1 {
+        if self.fans_out(n) {
             let shared = SharedSlice::new(region);
             (0..n)
                 .into_par_iter()
-                .with_min_len(RAM_PAR_GRAIN)
+                .with_min_len(rayon::min_task_len(RAM_ELEM_COST_NS))
                 .for_each(|off| {
                     let i = lo + off;
                     let j = f(i);
@@ -377,7 +386,7 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
 
     /// Only at least two floors' worth of work in a pool of more than
     /// one thread is dealt out; otherwise `run_tasks` would run the tasks
-    /// in order.
+    /// in order. An involution round of `total` elements asks the same.
     fn fans_out(&self, total: usize) -> bool {
         total >= 2 * rayon::min_task_len(RAM_ELEM_COST_NS) && rayon::current_num_threads() > 1
     }
@@ -407,8 +416,8 @@ mod tests {
     }
 
     /// Run `f` in a pool of `threads` threads: one takes every
-    /// primitive's calling-thread body, four its parallel body above the
-    /// size cut-off.
+    /// primitive's calling-thread body, four its parallel body from two
+    /// floors on.
     fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -419,7 +428,9 @@ mod tests {
 
     #[test]
     fn involution_round_one_and_four_threads_agree() {
-        for n in [0usize, 5, 100, 1 << 15] {
+        // The last size is the round's floor: two tasks of
+        // `min_task_len(RAM_ELEM_COST_NS)` elements.
+        for n in [0usize, 5, 100, 2 * rayon::min_task_len(RAM_ELEM_COST_NS)] {
             let mut expect = mk(n);
             expect.reverse();
             for threads in [1, 4] {
@@ -442,11 +453,13 @@ mod tests {
         assert_eq!(v, vec![0, 1, 7, 6, 5, 4, 3, 2, 8, 9]);
     }
 
-    /// A small gather and one above the parallel cut-off, each in a one-
-    /// and a four-thread pool.
+    /// A small gather and the smallest square one at the parallel floor
+    /// (two floors of moves), each in a one- and a four-thread pool.
     #[test]
     fn gather_matches_reference() {
-        for (r, l) in [(3usize, 5usize), (127, 127)] {
+        let par_floor = 2 * rayon::min_task_len(ist_perm::MOVE_COST_NS);
+        let big = (1..).find(|&l| gather_len(l, l) >= par_floor).unwrap();
+        for (r, l) in [(3usize, 5usize), (big, big)] {
             let pad = 4usize;
             let n = pad + gather_len(r, l);
             let expect = ist_gather::reference_gather(&mk(n)[pad..], r, l);

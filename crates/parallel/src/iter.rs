@@ -99,14 +99,8 @@ impl RangeParIter {
     }
 }
 
-/// Parallel mutable chunk iteration over slices (`par_chunks_exact_mut`,
-/// `par_chunks_mut`).
+/// Parallel mutable chunk iteration over slices (`par_chunks_mut`).
 pub trait ParallelSliceMut<T: Send> {
-    /// Parallel iterator over mutable chunks of exactly `chunk_size`
-    /// elements (the remainder is not visited, as with
-    /// `chunks_exact_mut`).
-    fn par_chunks_exact_mut(&mut self, chunk_size: usize) -> ChunksExactMutParIter<'_, T>;
-
     /// Parallel iterator over mutable chunks of at most `chunk_size`
     /// elements; the final chunk is shorter when the length is not a
     /// multiple (as with `chunks_mut`).
@@ -114,14 +108,6 @@ pub trait ParallelSliceMut<T: Send> {
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_exact_mut(&mut self, chunk_size: usize) -> ChunksExactMutParIter<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        ChunksExactMutParIter {
-            slice: self,
-            chunk_size,
-        }
-    }
-
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ChunksMutParIter<'_, T> {
         assert!(chunk_size > 0, "chunk size must be positive");
         ChunksMutParIter {
@@ -130,12 +116,6 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
             min_len: 1,
         }
     }
-}
-
-/// Parallel iterator over disjoint `&mut [T]` chunks.
-pub struct ChunksExactMutParIter<'a, T> {
-    slice: &'a mut [T],
-    chunk_size: usize,
 }
 
 /// Raw pointer wrapper for sending a chunk base address across threads;
@@ -148,47 +128,6 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: same argument — tasks never share an element, they partition
 // the slice by disjoint chunk offsets.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<'a, T: Send> ChunksExactMutParIter<'a, T> {
-    fn run<F>(self, f: F)
-    where
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        let chunk = self.chunk_size;
-        let chunks = self.slice.len() / chunk;
-        let base = SendPtr(self.slice.as_mut_ptr());
-        let base = &base;
-        par_ranges(chunks, 1, move |r| {
-            for c in r {
-                // SAFETY: chunk `c` covers `[c*chunk, (c+1)*chunk)`, in
-                // bounds by construction; distinct `c` are disjoint and
-                // each is visited by exactly one task.
-                let sub = unsafe { std::slice::from_raw_parts_mut(base.0.add(c * chunk), chunk) };
-                f(c, sub);
-            }
-        });
-    }
-
-    /// Pair every chunk with its index.
-    pub fn enumerate(self) -> EnumChunksExactMutParIter<'a, T> {
-        EnumChunksExactMutParIter { inner: self }
-    }
-}
-
-/// Enumerated variant of [`ChunksExactMutParIter`].
-pub struct EnumChunksExactMutParIter<'a, T> {
-    inner: ChunksExactMutParIter<'a, T>,
-}
-
-impl<'a, T: Send> EnumChunksExactMutParIter<'a, T> {
-    /// Run `f` on every `(index, chunk)` pair.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut [T])) + Sync,
-    {
-        self.inner.run(|c, sub| f((c, sub)));
-    }
-}
 
 /// Parallel iterator over disjoint `&mut [T]` chunks with a shorter
 /// final chunk (the `chunks_mut` analogue).
@@ -283,22 +222,6 @@ mod tests {
         });
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, (i / 100) as u32 + 1, "i={i}");
-        }
-    }
-
-    #[test]
-    fn chunks_exact_mut_disjoint_and_exact() {
-        let mut v = vec![0u32; 1003]; // remainder 3 untouched
-        v.par_chunks_exact_mut(100)
-            .enumerate()
-            .for_each(|(i, chunk)| {
-                for c in chunk.iter_mut() {
-                    *c = i as u32 + 1;
-                }
-            });
-        for (i, &x) in v.iter().enumerate() {
-            let expect = if i < 1000 { (i / 100) as u32 + 1 } else { 0 };
-            assert_eq!(x, expect, "i={i}");
         }
     }
 }

@@ -7,8 +7,8 @@
 //! * [`join`] — run two closures, potentially concurrently;
 //! * [`scope`] — structured task spawning ([`Scope::spawn`]);
 //! * [`prelude`] — `into_par_iter()` over index ranges and
-//!   `par_chunks_mut()` / `par_chunks_exact_mut()` over slices, with
-//!   `with_min_len`, `enumerate` and `for_each`;
+//!   `par_chunks_mut()` over slices, with `with_min_len`, `enumerate`
+//!   and `for_each`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] and
 //!   [`current_num_threads`].
 //!
@@ -50,11 +50,13 @@
 //! # What a hand-off costs, and the floor rule
 //!
 //! Waking a parked worker and hearing back from it is not free (25 µs
-//! at the 99th percentile; see [`MIN_TASK_NS`]). Dispatch sites that
-//! size their own tasks derive their serial threshold from
-//! [`min_task_len`] — one rule, one constant — so a batch too short to
-//! pay for the hand-off never leaves its thread. [`pool_stats`] counts
-//! what was handed off and what was kept.
+//! at the 99th percentile; see [`MIN_TASK_NS`]). Every dispatch site
+//! in the workspace — the batch engine, the shard fan-out, the merge,
+//! and construction's subtree fan-outs, involution rounds, gathers,
+//! region swaps and layout scatter — derives its serial threshold and
+//! its task size from [`min_task_len`] — one rule, one constant — so a
+//! batch too short to pay for the hand-off never leaves its thread.
+//! [`pool_stats`] counts what was handed off and what was kept.
 //!
 //! Results are bit-identical whatever runs where; the algorithms only
 //! rely on *disjointness* of their parallel tasks, never on scheduling
@@ -100,15 +102,20 @@ pub mod prelude {
 /// the *median*, on top of a 14 µs `available_parallelism()` call per
 /// dispatch.)
 ///
+/// The floors it yields: 5 000 queries or shard operations, 25 000
+/// elements of a construction's subtree fan-out or involution round,
+/// 125 000 element moves of a gather, region swap or layout scatter,
+/// and the merge floor in `ist-dynamic`.
+///
 /// What validates the product is end to end, not the two factors: with
-/// the floors it yields (5 000 queries or shard operations, 25 000
-/// construction elements, the merge floor in `ist-dynamic`), ten
-/// parent/change pairs of the benchmark of record each had a serve tick
-/// (≈ 550 keys per shard per operation) stay on its thread —
-/// `serve_read_mostly` 2.55 ×, `serve_ingest_heavy` 2.02 × — while the
-/// work above the floor still split: `static_read` (65 536-key batches)
-/// 1.09 × and 0.56 × under `IST_PARALLEL=1`, `construct` 1.40 ×
-/// (CHANGES.md, PR 23). `tests/dispatch_budget.rs` pins both sides.
+/// the first two floors and the merge floor, ten parent/change pairs of
+/// the benchmark of record each had a serve tick (≈ 550 keys per shard
+/// per operation) stay on its thread — `serve_read_mostly` 2.55 ×,
+/// `serve_ingest_heavy` 2.02 × — while the work above the floor still
+/// split: `static_read` (65 536-key batches) 1.09 × and 0.56 × under
+/// `IST_PARALLEL=1`, `construct` 1.40 × (CHANGES.md, PR 23).
+/// `tests/dispatch_budget.rs` pins both sides, and both sides of each
+/// construction primitive's floor.
 pub const MIN_TASK_NS: u64 = 250_000;
 
 /// **The floor rule.** The minimum number of items a task must hold to

@@ -12,7 +12,9 @@
 //!   are known (as they are for digit reversals and the `J` maps), the whole
 //!   permutation is two parallel swap rounds. See [`involution`] (the
 //!   sequential round behind `Ram`'s small involution rounds) and
-//!   [`shared`] (the disjoint-access slice view its parallel rounds use).
+//!   [`shared`] (the disjoint-access slice view its parallel rounds use,
+//!   and [`MOVE_COST_NS`], the cost the element-moving primitives size
+//!   their parallel work with).
 //! * **Cycle-leader**: when the disjoint cycles of `π` are enumerable, each
 //!   cycle is rotated independently — the equidistant gathers of
 //!   `ist-gather`.
@@ -35,4 +37,4 @@ pub mod shared;
 pub use apply::apply_out_of_place;
 pub use involution::apply_involution_range;
 pub use oblivious::co_permute_by_gather;
-pub use shared::SharedSlice;
+pub use shared::{SharedSlice, MOVE_COST_NS};

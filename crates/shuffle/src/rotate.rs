@@ -16,12 +16,8 @@
 //! one that pays on many cores is a ROADMAP item, to be judged on a
 //! host that has them.
 
-use ist_perm::SharedSlice;
+use ist_perm::{SharedSlice, MOVE_COST_NS};
 use rayon::prelude::*;
-
-/// Regions shorter than this are swapped sequentially by
-/// [`swap_regions_par`].
-const PAR_CUTOFF: usize = 1 << 14;
 
 /// Circular shift right by `c` positions: element at index `i` moves to
 /// index `(i + c) mod n`.
@@ -42,9 +38,23 @@ pub fn rotate_right<T>(data: &mut [T], c: usize) {
     data.rotate_right(c % n);
 }
 
+/// Whether [`swap_regions_par`] hands a swap of two `len`-element
+/// regions to the pool: at least two floors' worth of swapped pairs
+/// ([`rayon::min_task_len`] at [`MOVE_COST_NS`] a pair), in a pool of
+/// more than one thread. The chunked gather asks it too, to move its
+/// large chunks one parallel swap at a time.
+#[inline]
+pub fn swap_fans_out(len: usize) -> bool {
+    len >= 2 * rayon::min_task_len(MOVE_COST_NS) && rayon::current_num_threads() > 1
+}
+
 /// Swap two equal-length disjoint regions `[a, a+len)` and `[b, b+len)` of
-/// `data` in parallel. Used by the chunked gather (swapping `C`-element
-/// chunks) and by Figure 6.4's "swap first half with second half" baseline.
+/// `data`. Used by the chunked gather (swapping `C`-element chunks) and by
+/// Figure 6.4's "swap first half with second half" baseline.
+///
+/// When [`swap_fans_out`]`(len)`, the pairs are dealt to the pool in
+/// tasks of at least [`rayon::min_task_len`]`(MOVE_COST_NS)` pairs;
+/// otherwise they are swapped on the calling thread.
 ///
 /// # Panics
 /// Panics if the regions overlap or are out of bounds.
@@ -60,7 +70,7 @@ pub fn swap_regions_par<T: Send>(data: &mut [T], a: usize, b: usize, len: usize)
     let (a, b) = if a <= b { (a, b) } else { (b, a) };
     assert!(a + len <= b, "regions overlap");
     assert!(b + len <= data.len(), "region out of bounds");
-    if len < PAR_CUTOFF {
+    if !swap_fans_out(len) {
         for i in 0..len {
             data.swap(a + i, b + i);
         }
@@ -69,7 +79,7 @@ pub fn swap_regions_par<T: Send>(data: &mut [T], a: usize, b: usize, len: usize)
     let shared = SharedSlice::new(data);
     (0..len)
         .into_par_iter()
-        .with_min_len(1 << 12)
+        .with_min_len(rayon::min_task_len(MOVE_COST_NS))
         .for_each(|i| {
             // SAFETY: indices a+i and b+i are in bounds (asserted above); the
             // regions are disjoint and each i is owned by one task, so no two

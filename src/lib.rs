@@ -177,7 +177,7 @@
 //! | [`machine`] | the `Machine` execution-substrate trait and the `Ram` backend (no mode of its own: in a one-thread pool it is the sequential baseline) |
 //! | [`query`] | the per-layout `Navigator`s (`nav` — the single home of all descent arithmetic) and the layout-agnostic engines: scalar descents, `batch` (software-pipelined multi-descent window, rayon composition), `range` (range counts over rank descents), `order` (successor/predecessor on the rank engine) |
 //! | [`layout`] | position maps / index arithmetic per layout |
-//! | [`gather`] | `Ram`'s equidistant gathers (plain and chunked, each parallel above its size cut-off in a pool of more than one thread) and Figure 6.4's `swap_regions_par` |
+//! | [`gather`] | `Ram`'s equidistant gathers (plain and chunked, each parallel from two floors of moves in a pool of more than one thread) and Figure 6.4's `swap_regions_par` |
 //! | [`shuffle`] | the `J` involution of the k-way shuffle, and rotations |
 //! | [`perm`] | the sequential involution round, the oblivious co-permutation, the out-of-place oracle |
 //! | [`bits`] | digit reversal, integer logarithms, and the modular-arithmetic test reference |

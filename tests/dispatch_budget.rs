@@ -24,13 +24,26 @@
 //! WAL's fsync, which the floor rule's CPU cost cannot see, so it goes
 //! to the pool whatever its length and the shards' syncs overlap.
 //!
+//! The construction primitives follow the same rule: each of the two
+//! gathers, the region swap, `Ram`'s involution round and the layout
+//! scatter hands off nothing just below two floors of its work
+//! (`rayon::min_task_len` at its documented per-element cost), and
+//! hands off at four floors, in a two-thread pool.
+//!
 //! Lives in its own integration-test binary because the counters are
 //! process-wide: its tests take one lock, so nothing else dispatches
 //! beside the one that reads them.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use implicit_search_trees::{MemVfs, QueryKind, ShardedMap, StoreConfig};
+use implicit_search_trees::gather::{
+    equidistant_gather, equidistant_gather_chunks, gather_len, swap_regions_par,
+};
+use implicit_search_trees::machine::RAM_ELEM_COST_NS;
+use implicit_search_trees::perm::MOVE_COST_NS;
+use implicit_search_trees::{
+    IndexArith, Machine, MemVfs, QueryKind, Ram, ShardedMap, StaticMap, StoreConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -202,4 +215,83 @@ fn a_persistent_tick_writes_its_shards_concurrently() {
     } else {
         assert_eq!(moved, 0);
     }
+}
+
+/// Hand-offs `f` makes in a two-thread pool.
+fn handoffs_in_two_threads(f: impl FnOnce() + Send) -> u64 {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let before = handed_off();
+    pool.install(f);
+    handed_off() - before
+}
+
+/// `handoffs(n)` — the hand-offs a primitive makes on `n` elements of
+/// work in a two-thread pool — is 0 just below two floors and, when the
+/// process has a second thread, at least 1 at four floors.
+fn hands_off_from_two_floors(name: &str, floor: usize, handoffs: impl Fn(usize) -> u64) {
+    let below = 2 * floor - 1;
+    assert_eq!(
+        handoffs(below),
+        0,
+        "{name} handed off just below two floors ({below} elements)"
+    );
+    let at_four = handoffs(4 * floor);
+    if rayon::current_num_threads() > 1 {
+        assert!(at_four >= 1, "{name} stayed on one thread at four floors");
+    } else {
+        assert_eq!(at_four, 0);
+    }
+}
+
+/// The largest square gather (`r = l`) of at most `n` elements in
+/// `chunk`-element units.
+fn square(n: usize, chunk: usize) -> usize {
+    (1..)
+        .take_while(|&l| gather_len(l, l) * chunk <= n)
+        .last()
+        .unwrap()
+}
+
+#[test]
+fn construction_primitives_hand_off_only_from_their_floor() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let moves = rayon::min_task_len(MOVE_COST_NS);
+    hands_off_from_two_floors("equidistant_gather", moves, |n| {
+        let l = square(n, 1);
+        let mut v: Vec<u64> = (0..gather_len(l, l) as u64).collect();
+        handoffs_in_two_threads(|| equidistant_gather(&mut v, l, l))
+    });
+    hands_off_from_two_floors("equidistant_gather_chunks, 8-element chunks", moves, |n| {
+        let l = square(n, 8);
+        let mut v: Vec<u64> = (0..(gather_len(l, l) * 8) as u64).collect();
+        handoffs_in_two_threads(|| equidistant_gather_chunks(&mut v, l, l, 8))
+    });
+    // The BST construction's shape, r = l = 1, whose only parallel path
+    // is a chunk swap that fans out: its work is the chunk.
+    hands_off_from_two_floors("equidistant_gather_chunks, r = 1", moves, |chunk| {
+        let mut v: Vec<u64> = (0..3 * chunk as u64).collect();
+        handoffs_in_two_threads(|| equidistant_gather_chunks(&mut v, 1, 1, chunk))
+    });
+    hands_off_from_two_floors("swap_regions_par", moves, |len| {
+        let mut v: Vec<u64> = (0..2 * len as u64).collect();
+        handoffs_in_two_threads(|| swap_regions_par(&mut v, 0, len, len))
+    });
+    let elems = rayon::min_task_len(RAM_ELEM_COST_NS);
+    hands_off_from_two_floors("Ram::involution_round", elems, |n| {
+        let mut v: Vec<u64> = (0..n as u64).collect();
+        handoffs_in_two_threads(|| {
+            Ram::new(&mut v).involution_round(0, n, IndexArith::Rev2 { d: 1 }, |i| n - 1 - i)
+        })
+    });
+    // Key-only, so the value side (`()`) moves nothing.
+    hands_off_from_two_floors("the layout scatter", moves, |n| {
+        let keys: Vec<u64> = (0..n as u64).collect();
+        let values = vec![(); n];
+        handoffs_in_two_threads(|| {
+            StaticMap::build_for_kind(keys, values, QueryKind::Veb).unwrap();
+        })
+    });
 }

@@ -41,7 +41,10 @@ fn layouts() -> Vec<Layout> {
 
 /// Run `f` in a pool of `threads` threads, whatever the host's core
 /// count: one is the sequential baseline, four takes the `Ram`'s
-/// parallel bodies above their cut-offs.
+/// parallel bodies where the work reaches their floors
+/// (`rayon::min_task_len`). The sizes here stay below every floor;
+/// `ist-core`'s `large_parallel_all_layouts` and the primitives' own
+/// suites run the parallel bodies.
 fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
