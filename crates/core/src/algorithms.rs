@@ -23,8 +23,9 @@
 //! addresses.
 
 use ist_bits::{ilog2_floor, rev2, rev_k};
-use ist_layout::{complete::BtreeCompleteShape, veb_split, CompleteShape};
+use ist_layout::{complete::BtreeCompleteShape, veb_order, veb_split, CompleteShape};
 use ist_machine::{GatherMode, IndexArith, Machine, Ram, Region};
+use ist_perm::permute_direct;
 use ist_shuffle::j_involution;
 
 use crate::{Algorithm, Error, Layout};
@@ -212,7 +213,10 @@ pub fn involution_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
 /// Cycle-leader vEB construction (§3.1) of the `2^d − 1` element region
 /// at `lo`: one equidistant gather separates the top subtree from the
 /// bottom subtrees (odd heights gather two halves and join them with one
-/// circular shift), then all subtrees recurse.
+/// circular shift), then all subtrees recurse. A subtree of at most
+/// [`ist_layout::VEB_ORDER_DEPTH`] levels that the machine finishes
+/// [directly](Machine::direct) fills its slots in order from
+/// [`veb_order`] instead.
 pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
     if d <= 1 {
         return;
@@ -222,6 +226,12 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
     if threshold > 0 && n_cur <= threshold {
         return m.local_task(lo, n_cur, |region| {
             cycle_leader_veb(&mut Ram::new(region), 0, d)
+        });
+    }
+    if let (Some(order), Some(region)) = (veb_order(d), m.direct(lo, n_cur)) {
+        // The vEB slots in order, each filled with its key.
+        return permute_direct(region, |p| {
+            order.iter().for_each(|&sorted| p.pick(sorted.into(), 1));
         });
     }
     let (t, bb) = veb_split(d);
@@ -309,15 +319,24 @@ pub fn cycle_leader_btree<M: Machine>(m: &mut M, b: usize, levels: u32) {
 /// geometrically). `representative` marks the recursion path that carries
 /// the per-depth fixed costs on launch-charging backends (the paper's §6
 /// per-depth kernel batching): the first block, never shallower than any
-/// other part.
+/// other part. A region the machine finishes [directly](Machine::direct)
+/// is one stable partition through the scratch instead.
 fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, representative: bool) {
     let k = b + 1;
+    if runs < 2 {
+        return;
+    }
+    if let Some(region) = m.direct(lo, runs * k - 1) {
+        // A stable partition: the internal key after each run but the
+        // last, then the runs.
+        return permute_direct(region, |p| {
+            p.pick_runs(b, k, 1, runs - 1);
+            p.pick_runs(0, k, b, runs);
+        });
+    }
     let mode = GatherMode::Batched { representative };
     if runs <= k {
-        if runs >= 2 {
-            m.gather(lo, runs - 1, b, mode);
-        }
-        return;
+        return m.gather(lo, runs - 1, b, mode);
     }
     let mut c = k;
     while c * k < runs {

@@ -13,7 +13,11 @@
 //!   **block-local** launch in "shared memory": a coalesced streaming
 //!   pass plus local compute, with the permutation delegated to the same
 //!   generic algorithm on a `Ram` over the region (smaller than every
-//!   `Ram` floor, so it runs on the calling thread).
+//!   `Ram` floor, so it runs on the calling thread, and free to finish
+//!   its own small subtrees through [`Machine::direct`]: the launch is
+//!   priced as a whole either way).
+//! * [`Machine::direct`] keeps its default, `None`: outside block-local
+//!   launches every primitive is priced.
 //!
 //! The construction control flow lives in `ist_core::algorithms`; the
 //! kernels really permute the simulated global memory, so the cost

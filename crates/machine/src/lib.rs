@@ -25,19 +25,31 @@
 //! loops. Every backend executes the *same* index arithmetic, so permuted
 //! output is bit-identical across backends (asserted by the workspace's
 //! equivalence tests).
+//!
+//! One hook lets a backend stop the recursion early: [`Machine::direct`]
+//! hands a small subproblem's elements to the algorithm, which then
+//! finishes it in one pass through `ist_perm::permute_direct`'s stack
+//! scratch, the way the paper's GPU implementation permutes a small
+//! subtree in one thread block's shared memory. [`Ram`] takes it for
+//! every region that fits the scratch (2 KiB), where the primitives'
+//! per-call costs outweigh their moves. The cost backends decline it:
+//! their counts are the paper's model of the primitives, so they must
+//! see every one.
 
 use ist_gather::{equidistant_gather, equidistant_gather_chunks, gather_len};
-use ist_perm::{apply_involution_range, SharedSlice};
+use ist_perm::{apply_involution_range, fits_scratch, SharedSlice};
 use ist_shuffle::rotate_right;
 use rayon::prelude::*;
 use std::marker::PhantomData;
 
 /// The index arithmetic evaluated per element of an involution round.
 ///
-/// Pure metadata: `Ram` and the PEM backend ignore it, while the GPU
-/// backend prices the per-lane compute with it (hardware bit reversal vs
+/// Pure metadata, which each backend reads its own way: the GPU backend
+/// prices the per-lane compute with it (hardware bit reversal vs
 /// software digit loops vs extended-Euclid `J` maps — the paper's
-/// `T_REV` parameters).
+/// `T_REV` parameters), [`Ram`] sizes a round's parallel floor with its
+/// measured cost ([`IndexArith::ram_cost_ns`]), and the PEM backend
+/// ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexArith {
     /// Binary digit reversal over `d` bits (`T_REV₂`).
@@ -58,6 +70,29 @@ pub enum IndexArith {
         /// Domain size of the involution.
         len: usize,
     },
+}
+
+impl IndexArith {
+    /// What one element of a [`Ram::involution_round`] with this
+    /// arithmetic costs, in nanoseconds, as the floor rule
+    /// ([`rayon::min_task_len`]) needs it: the index arithmetic plus one
+    /// move.
+    ///
+    /// Probe: `Ram::involution_round` in a one-thread pool on `u64`s,
+    /// medians of nine runs at 2^16, 2^20 and 2^24 elements, two runs,
+    /// on the 2-vCPU reference box. The BST's binary digit reversals read
+    /// 6–35 ns per element (11–26 at 2^20), the B-tree's base-9
+    /// reversals 17–65 ns and the `J` rounds 94–195 ns. Each estimate
+    /// sits near the low end of its variant — a low cost asks for longer
+    /// tasks — so a `J` round, about nine times a binary reversal's
+    /// work, hands off from a ninth of its length.
+    pub const fn ram_cost_ns(self) -> u64 {
+        match self {
+            Self::Rev2 { .. } => 10,
+            Self::RevK { .. } => 17,
+            Self::Jmap { .. } => 94,
+        }
+    }
 }
 
 /// How a gather participates in kernel-launch accounting.
@@ -174,28 +209,35 @@ pub trait Machine {
     fn local_task<F>(&mut self, lo: usize, len: usize, f: F)
     where
         F: FnOnce(&mut [Self::Elem]);
+
+    /// The elements of `[lo, lo + len)`, when the backend wants that
+    /// subproblem finished directly — in one pass through
+    /// [`ist_perm::permute_direct`]'s stack scratch — instead of through
+    /// the primitives. `None` (the default) keeps the decomposition.
+    ///
+    /// Only [`Ram`] says yes, and only to a region that fits the scratch
+    /// ([`ist_perm::fits_scratch`]). The cost backends keep the default:
+    /// they exist to price the paper's primitives, so the PEM I/O
+    /// counts, the GPU transaction counts and a recorded primitive
+    /// sequence stay those of the full decomposition.
+    fn direct(&mut self, _lo: usize, _len: usize) -> Option<&mut [Self::Elem]> {
+        None
+    }
 }
 
-/// What one element of a [`Ram::run_tasks`] region or of a
-/// [`Ram::involution_round`] costs its task, in nanoseconds, as the
-/// floor rule ([`rayon::min_task_len`]) needs it.
+/// What one element of a [`Ram::run_tasks`] region costs its task, in
+/// nanoseconds, as the floor rule ([`rayon::min_task_len`]) needs it.
 ///
 /// A fan-out task permutes its whole subtree, every level below it
 /// included, and the benchmark of record's sequential cycle-leader
 /// constructions (`core.permute_seq_ms.*`, 2^20 keys, 2 vCPUs) read
-/// about 9 (B-tree), 33 (vEB) and 33 (BST) ns per element, medians of
-/// four traced runs.
+/// about 8 (B-tree), 13 (vEB) and 9 (BST) ns per element, medians of
+/// three traced runs.
 ///
-/// An involution round pays its index arithmetic plus one move per
-/// element. Probe: `Ram::involution_round` in a one-thread pool on
-/// `u64`s, medians of nine runs at 2^16, 2^20 and 2^24 elements, two
-/// runs, on the same box. The BST's digit-reversal rounds read 6–35 ns
-/// per element (11–26 at 2^20), within 2 × of this value. The B-tree's
-/// base-9 reversals read 17–65 ns and the `J` rounds 94–195 ns.
-///
-/// The estimate sits near the low end of both — a low cost asks for
-/// longer tasks, and neither the layout nor the round's arithmetic is
-/// known here.
+/// The estimate sits near the low end — a low cost asks for longer
+/// tasks, and the layout is not known here. (An involution round sizes
+/// its floor with its own arithmetic's cost,
+/// [`IndexArith::ram_cost_ns`].)
 pub const RAM_ELEM_COST_NS: u64 = 10;
 
 /// The production backend: the caller's array in RAM, lowered to direct
@@ -276,7 +318,7 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         self.len
     }
 
-    fn involution_round<F>(&mut self, lo: usize, hi: usize, _arith: IndexArith, f: F)
+    fn involution_round<F>(&mut self, lo: usize, hi: usize, arith: IndexArith, f: F)
     where
         F: Fn(usize) -> usize + Sync,
     {
@@ -286,27 +328,25 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         // (run_tasks hands out disjoint regions), so reborrowing it as a
         // slice is sound.
         let region = unsafe { self.region(lo, n) };
-        if self.fans_out(n) {
+        let floor = rayon::min_task_len(arith.ram_cost_ns());
+        if n >= 2 * floor && rayon::current_num_threads() > 1 {
             let shared = SharedSlice::new(region);
-            (0..n)
-                .into_par_iter()
-                .with_min_len(rayon::min_task_len(RAM_ELEM_COST_NS))
-                .for_each(|off| {
-                    let i = lo + off;
-                    let j = f(i);
-                    debug_assert!(
-                        (lo..hi).contains(&j),
-                        "involution escapes range: f({i}) = {j}"
-                    );
-                    debug_assert_eq!(f(j), i, "not an involution at {i}");
-                    if i < j {
-                        // SAFETY: pair {i, j} with i < j is processed only
-                        // by the iteration owning index i; pairs of an
-                        // involution are disjoint, so no two tasks touch
-                        // the same element.
-                        unsafe { shared.swap(i - lo, j - lo) };
-                    }
-                });
+            (0..n).into_par_iter().with_min_len(floor).for_each(|off| {
+                let i = lo + off;
+                let j = f(i);
+                debug_assert!(
+                    (lo..hi).contains(&j),
+                    "involution escapes range: f({i}) = {j}"
+                );
+                debug_assert_eq!(f(j), i, "not an involution at {i}");
+                if i < j {
+                    // SAFETY: pair {i, j} with i < j is processed only
+                    // by the iteration owning index i; pairs of an
+                    // involution are disjoint, so no two tasks touch
+                    // the same element.
+                    unsafe { shared.swap(i - lo, j - lo) };
+                }
+            });
         } else if lo == 0 {
             // Global indices coincide with region-local ones: skip the
             // per-element offset translation.
@@ -386,7 +426,8 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
 
     /// Only at least two floors' worth of work in a pool of more than
     /// one thread is dealt out; otherwise `run_tasks` would run the tasks
-    /// in order. An involution round of `total` elements asks the same.
+    /// in order. An involution round asks the same of its elements, at
+    /// its arithmetic's cost ([`IndexArith::ram_cost_ns`]).
     fn fans_out(&self, total: usize) -> bool {
         total >= 2 * rayon::min_task_len(RAM_ELEM_COST_NS) && rayon::current_num_threads() > 1
     }
@@ -397,6 +438,15 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
     {
         // SAFETY: unique access to the region per the Machine contract.
         f(unsafe { self.region(lo, len) });
+    }
+
+    /// Every region that fits [`ist_perm::permute_direct`]'s scratch:
+    /// its one pass costs less than the gathers, shifts and task calls
+    /// the recursion would spend below it. An element too large for the
+    /// scratch keeps the primitives, so the stack never grows with `T`.
+    fn direct(&mut self, lo: usize, len: usize) -> Option<&mut [T]> {
+        // SAFETY: unique access to the region per the Machine contract.
+        fits_scratch::<T>(len).then(|| unsafe { self.region(lo, len) })
     }
 }
 
@@ -429,19 +479,36 @@ mod tests {
     #[test]
     fn involution_round_one_and_four_threads_agree() {
         // The last size is the round's floor: two tasks of
-        // `min_task_len(RAM_ELEM_COST_NS)` elements.
-        for n in [0usize, 5, 100, 2 * rayon::min_task_len(RAM_ELEM_COST_NS)] {
-            let mut expect = mk(n);
-            expect.reverse();
-            for threads in [1, 4] {
-                let mut v = mk(n);
-                let f = move |i: usize| n - 1 - i; // reversal
-                in_pool(threads, || {
-                    Ram::new(&mut v).involution_round(0, n, IndexArith::Rev2 { d: 1 }, f)
-                });
-                assert_eq!(v, expect, "threads={threads} n={n}");
+        // `min_task_len(ram_cost_ns())` elements.
+        for arith in [IndexArith::Rev2 { d: 1 }, IndexArith::Jmap { len: 1 }] {
+            let floor = rayon::min_task_len(arith.ram_cost_ns());
+            for n in [0usize, 5, 100, 2 * floor] {
+                let mut expect = mk(n);
+                expect.reverse();
+                for threads in [1, 4] {
+                    let mut v = mk(n);
+                    let f = move |i: usize| n - 1 - i; // reversal
+                    in_pool(threads, || {
+                        Ram::new(&mut v).involution_round(0, n, arith, f)
+                    });
+                    assert_eq!(v, expect, "{arith:?} threads={threads} n={n}");
+                }
             }
         }
+    }
+
+    /// `direct` hands out exactly the regions that fit the scratch.
+    #[test]
+    fn direct_takes_what_fits_the_scratch() {
+        let fit = ist_perm::SCRATCH_BYTES / size_of::<u64>();
+        let mut v = mk(fit + 8);
+        let mut ram = Ram::new(&mut v);
+        assert_eq!(ram.direct(8, fit).map(|r| (r[0], r.len())), Some((8, fit)));
+        assert!(ram.direct(0, fit + 1).is_none());
+        let mut big = vec![[0u8; 4096]; 2];
+        assert!(Ram::new(&mut big).direct(0, 1).is_none());
+        let mut unit = vec![(); 1 << 20];
+        assert!(Ram::new(&mut unit).direct(0, 1 << 20).is_some());
     }
 
     #[test]

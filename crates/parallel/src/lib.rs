@@ -103,9 +103,10 @@ pub mod prelude {
 /// dispatch.)
 ///
 /// The floors it yields: 5 000 queries or shard operations, 25 000
-/// elements of a construction's subtree fan-out or involution round,
-/// 125 000 element moves of a gather, region swap or layout scatter,
-/// and the merge floor in `ist-dynamic`.
+/// elements of a construction's subtree fan-out or binary-reversal
+/// involution round (2 660 of a `J` round), 125 000 element moves of a
+/// gather, region swap or layout scatter, and the merge floor in
+/// `ist-dynamic`.
 ///
 /// What validates the product is end to end, not the two factors: with
 /// the first two floors and the merge floor, ten parent/change pairs of

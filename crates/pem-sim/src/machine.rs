@@ -11,7 +11,9 @@
 //! The construction control flow itself lives in `ist_core::algorithms`;
 //! this file only decides *how each primitive is priced and dealt out*,
 //! which is what makes the recorded I/Os a measurement of the real
-//! algorithms rather than of a hand-maintained replica.
+//! algorithms rather than of a hand-maintained replica. It keeps
+//! [`Machine::direct`]'s default: no subproblem skips its primitives,
+//! so the I/Os are those of the full decomposition.
 
 use crate::TrackedArray;
 use ist_gather::cycle_slot;

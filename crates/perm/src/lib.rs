@@ -18,6 +18,11 @@
 //! * **Cycle-leader**: when the disjoint cycles of `π` are enumerable, each
 //!   cycle is rotated independently — the equidistant gathers of
 //!   `ist-gather`.
+//! * **Direct**: a region of at most [`SCRATCH_BYTES`] bytes is permuted
+//!   in one pass through a stack scratch ([`direct`]), the way the
+//!   paper's GPU implementation permutes a small subtree in one thread
+//!   block's shared memory. `ist_machine::Ram` finishes the recursions'
+//!   small subproblems this way.
 //!
 //! The crate also provides the out-of-place reference application
 //! ([`apply`]) that the construction oracle is built on.
@@ -30,11 +35,13 @@
 //! ([`co_permute_by_gather`]) that `StaticMap<K, V>` is built on.
 
 pub mod apply;
+pub mod direct;
 pub mod involution;
 pub mod oblivious;
 pub mod shared;
 
 pub use apply::apply_out_of_place;
+pub use direct::{fits_scratch, permute_direct, Picker, SCRATCH_BYTES};
 pub use involution::apply_involution_range;
 pub use oblivious::co_permute_by_gather;
 pub use shared::{SharedSlice, MOVE_COST_NS};

@@ -28,5 +28,5 @@ pub mod walk;
 pub use bst::bst_pos;
 pub use btree::btree_pos;
 pub use complete::CompleteShape;
-pub use veb::{veb_levels, veb_pos, veb_split, VebCursor, VebLevel};
+pub use veb::{veb_levels, veb_order, veb_pos, veb_split, VebCursor, VebLevel, VEB_ORDER_DEPTH};
 pub use walk::{BtreeWalk, VebWalk};

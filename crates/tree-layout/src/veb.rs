@@ -58,14 +58,14 @@ pub const fn veb_split(d: u32) -> (u32, u32) {
 /// assert_eq!(layout_of(15), 14);
 /// ```
 #[inline]
-pub fn veb_pos(d: u32, sorted: usize) -> usize {
+pub const fn veb_pos(d: u32, sorted: usize) -> usize {
     debug_assert!(d >= 1 && (sorted as u64) < (1u64 << d) - 1);
     let mut p = (sorted + 1) as u64; // 1-indexed in-order within subtree
     let mut d = d;
     let mut base = 0usize; // layout offset of the current subtree
     loop {
         if d == 1 {
-            debug_assert_eq!(p, 1);
+            debug_assert!(p == 1);
             return base;
         }
         let (t, b) = veb_split(d);
@@ -84,6 +84,48 @@ pub fn veb_pos(d: u32, sorted: usize) -> usize {
             d = b;
         }
     }
+}
+
+/// Most levels of a tree [`veb_order`] has a table for: 255 keys.
+pub const VEB_ORDER_DEPTH: u32 = 8;
+
+/// Where depth `VEB_ORDER_DEPTH + 1` would start in [`VEB_ORDER`].
+const VEB_ORDER_LEN: usize = (1 << (VEB_ORDER_DEPTH + 1)) - 2 - VEB_ORDER_DEPTH as usize;
+
+/// [`veb_order`]'s tables, depth `h` from offset `2^h − 1 − h`, built at
+/// compile time from [`veb_pos`].
+static VEB_ORDER: [u8; VEB_ORDER_LEN] = {
+    let mut tables = [0; VEB_ORDER_LEN];
+    let mut d = 1;
+    while d <= VEB_ORDER_DEPTH {
+        let start = (1 << d) - 1 - d as usize;
+        let mut sorted = 0;
+        while sorted < (1 << d) - 1 {
+            tables[start + veb_pos(d, sorted)] = sorted as u8;
+            sorted += 1;
+        }
+        d += 1;
+    }
+    tables
+};
+
+/// The sorted index of the key at each slot of a `d`-level vEB layout,
+/// `1 ≤ d ≤` [`VEB_ORDER_DEPTH`] (the inverse of [`veb_pos`]), from a
+/// table; `None` for other heights.
+///
+/// # Examples
+/// ```
+/// use ist_layout::{veb_order, veb_pos};
+/// let order = veb_order(4).unwrap();
+/// assert_eq!(order, [7, 3, 11, 1, 0, 2, 5, 4, 6, 9, 8, 10, 13, 12, 14]);
+/// assert!((0..15).all(|sorted| usize::from(order[veb_pos(4, sorted)]) == sorted));
+/// assert!(veb_order(9).is_none());
+/// ```
+pub fn veb_order(d: u32) -> Option<&'static [u8]> {
+    (1..=VEB_ORDER_DEPTH).contains(&d).then(|| {
+        let start = (1 << d) - 1 - d as usize;
+        &VEB_ORDER[start..start + (1 << d) - 1]
+    })
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! O(1) amortized work per key and no division inside the loop.
 //!
 //! The closed-form maps ([`crate::complete::BtreeCompleteShape::pos`],
-//! [`CompleteShape::pos`] with [`veb_pos`]) answer one rank at a time
+//! [`CompleteShape::pos`] with [`crate::veb_pos`]) answer one rank at a time
 //! and re-derive the whole shape on every call. A build moves *every*
 //! key, in order, so it can carry the shape along instead:
 //!
@@ -13,7 +13,7 @@
 //!   its level — the number of trailing zero base-`(b + 1)` digits of
 //!   its 1-indexed full rank — and takes the next slot of that level.
 //! * [`VebWalk`] recurses over the vEB split in slot order and finishes
-//!   subtrees of at most five levels from small tables.
+//!   subtrees of at most five levels from [`veb_order`]'s tables.
 //!
 //! A walk is cut into independent [`pieces`](BtreeWalk::pieces), each
 //! of which [`walk`](BtreeWalk::walk) seeds on its own, so a caller can
@@ -25,7 +25,7 @@
 use core::ops::Range;
 
 use crate::complete::{BtreeCompleteShape, CompleteShape};
-use crate::veb::{veb_pos, veb_split};
+use crate::veb::{veb_order, veb_split};
 
 /// Most node levels a `usize`-indexed B-tree can have (`b = 1`).
 const MAX_LEVELS: usize = usize::BITS as usize;
@@ -280,7 +280,8 @@ impl Levels {
     }
 }
 
-/// Subtrees of at most this many levels are finished from a table.
+/// Subtrees of at most this many levels are finished from a table
+/// ([`veb_order`]).
 const VEB_TABLE_DEPTH: u32 = 5;
 
 /// Streaming scatter of the complete vEB layout
@@ -318,27 +319,17 @@ pub struct VebWalk {
     full: usize,
     /// Overflow leaves, `n − full`.
     overflow: usize,
-    /// `tables[h][i]`: in-order index of slot `i` of an `h`-level vEB
-    /// tree, for `h ≤ VEB_TABLE_DEPTH`.
-    tables: [[u8; 31]; VEB_TABLE_DEPTH as usize + 1],
 }
 
 impl VebWalk {
     /// Walk for `n ≥ 1` keys.
     pub fn new(n: usize) -> Self {
         let shape = CompleteShape::new(n);
-        let mut tables = [[0; 31]; VEB_TABLE_DEPTH as usize + 1];
-        for (h, table) in tables.iter_mut().enumerate().skip(1) {
-            for j in 0..(1 << h) - 1 {
-                table[veb_pos(h as u32, j)] = j as u8;
-            }
-        }
         Self {
             n,
             d: shape.full_levels(),
             full: shape.full_count(),
             overflow: shape.overflow(),
-            tables,
         }
     }
 
@@ -427,8 +418,8 @@ impl VebWalk {
         emit: &mut impl FnMut(usize, usize),
     ) {
         if depth <= VEB_TABLE_DEPTH {
-            let keys = (1 << depth) - 1;
-            for (i, &j) in self.tables[depth as usize][..keys].iter().enumerate() {
+            let order = veb_order(depth).expect("the walk's tables are veb_order's");
+            for (i, &j) in order.iter().enumerate() {
                 emit(first + usize::from(j) * stride, slot + i);
             }
             return;
@@ -456,6 +447,7 @@ impl VebWalk {
 mod tests {
     use super::*;
     use crate::bst::bst_pos;
+    use crate::veb::veb_pos;
 
     /// Walk `pieces` in order with `walk` and check that they partition
     /// `0..n`, that every rank and every slot is visited once, and that

@@ -179,7 +179,7 @@
 //! | [`layout`] | position maps / index arithmetic per layout |
 //! | [`gather`] | `Ram`'s equidistant gathers (plain and chunked, each parallel from two floors of moves in a pool of more than one thread) and Figure 6.4's `swap_regions_par` |
 //! | [`shuffle`] | the `J` involution of the k-way shuffle, and rotations |
-//! | [`perm`] | the sequential involution round, the oblivious co-permutation, the out-of-place oracle |
+//! | [`perm`] | the sequential involution round, the one-pass small-region permutation through a stack scratch, the oblivious co-permutation, the out-of-place oracle |
 //! | [`bits`] | digit reversal, integer logarithms, and the modular-arithmetic test reference |
 //! | [`pem_sim`] | PEM-model I/O cost backend |
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
@@ -210,7 +210,8 @@ pub use ist_layout as layout;
 pub use ist_machine as machine;
 /// PEM-model I/O cost simulator.
 pub use ist_pem_sim as pem_sim;
-/// Permutation primitives (involution rounds, oblivious co-permutation).
+/// Permutation primitives (involution rounds, the direct small-region
+/// permutation, oblivious co-permutation).
 pub use ist_perm as perm;
 /// Per-layout searchers.
 pub use ist_query as query;

@@ -1,0 +1,265 @@
+//! The direct small case of the cycle-leader constructions.
+//!
+//! `Ram` finishes every subproblem whose elements fit
+//! `ist_perm::permute_direct`'s stack scratch in one pass
+//! (`Machine::direct`): an extended gather's region as one stable
+//! partition, a small vEB subtree as one scatter to its slots. These
+//! tests pin that the result is the layout whatever side of the scratch
+//! budget a subproblem falls on, whatever the element type: a
+//! non-`Copy` element is moved, never duplicated or dropped, an element
+//! too large for the scratch takes the primitives, and a zero-sized one
+//! moves nothing. Each case runs in a one-thread pool and a four-thread
+//! pool and is checked against `reference_permutation`.
+
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+
+use implicit_search_trees::layout::complete::BtreeCompleteShape;
+use implicit_search_trees::layout::CompleteShape;
+use implicit_search_trees::perm::fits_scratch;
+use implicit_search_trees::{permute_in_place, reference_permutation, Algorithm, Layout};
+
+fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
+/// Every layout the cycle-leader family builds, with the B-tree node
+/// capacities whose extended gathers the boundary cases below cover.
+const LAYOUTS: [Layout; 6] = [
+    Layout::Bst,
+    Layout::Veb,
+    Layout::Btree { b: 1 },
+    Layout::Btree { b: 2 },
+    Layout::Btree { b: 8 },
+    Layout::Btree { b: 16 },
+];
+
+/// Cycle-leader construction of `sorted` into `layout`, in a one- and a
+/// four-thread pool, equals the reference permutation.
+fn check<T: Clone + PartialEq + std::fmt::Debug + Send>(sorted: &[T], layout: Layout) {
+    let expect = reference_permutation(sorted, layout);
+    for threads in [1, 4] {
+        let mut v = sorted.to_vec();
+        in_pool(threads, || {
+            permute_in_place(&mut v, layout, Algorithm::CycleLeader).unwrap()
+        });
+        assert!(
+            v == expect,
+            "{layout:?} n={} threads={threads}",
+            sorted.len()
+        );
+    }
+}
+
+fn keys(n: usize) -> Vec<u64> {
+    (0..n as u64).collect()
+}
+
+/// The most runs an extended gather of `b`-key runs may have for its
+/// `runs·(b+1) − 1` elements of `u64` to fit the scratch.
+fn runs_that_fit(b: usize) -> usize {
+    let fit = (1..)
+        .take_while(|&q| fits_scratch::<u64>(q * (b + 1) - 1))
+        .last();
+    let runs = fit.unwrap();
+    assert!(!fits_scratch::<u64>((runs + 1) * (b + 1) - 1));
+    runs
+}
+
+/// The Chapter-5 pre-pass is one extended gather over the full
+/// overflow nodes: sizes whose gather region is the largest that fits
+/// the scratch and the smallest that does not, with and without a
+/// partial node, for `b ∈ {1, 2, 8, 16}`; for `b = 1` the binary
+/// layouts too.
+#[test]
+fn extended_gather_regions_on_both_sides_of_the_budget() {
+    for b in [1usize, 2, 8, 16] {
+        let fit = runs_that_fit(b);
+        let k = b + 1;
+        // Enough full levels that the overflow level can hold fit + 1
+        // full nodes and a partial one.
+        let levels = (1..).find(|&m| k.pow(m) > fit + 2).unwrap();
+        let full = k.pow(levels) - 1;
+        let partials: &[usize] = if b == 1 { &[0] } else { &[0, b - 1] };
+        for q in [fit, fit + 1] {
+            for &s in partials {
+                let n = full + q * b + s;
+                let shape = BtreeCompleteShape::new(n, b);
+                assert_eq!(
+                    (shape.full_overflow_nodes(), shape.partial_node_len()),
+                    (q, s),
+                    "b={b} n={n}"
+                );
+                check(&keys(n), Layout::Btree { b });
+                if b == 1 {
+                    assert_eq!(CompleteShape::new(n).overflow(), q);
+                    check(&keys(n), Layout::Bst);
+                    check(&keys(n), Layout::Veb);
+                }
+            }
+        }
+        // Perfect trees whose level regions straddle the budget.
+        for levels in 1..=(if b == 1 { 10 } else { 4 }) {
+            check(&keys(k.pow(levels) - 1), Layout::Btree { b });
+        }
+    }
+}
+
+/// vEB subtrees of `2^d − 1` keys on both sides of the budget, perfect
+/// and ragged, for every cycle-leader layout.
+#[test]
+fn veb_heights_on_both_sides_of_the_budget() {
+    let fit = (1..)
+        .take_while(|&d| fits_scratch::<u64>((1 << d) - 1))
+        .last();
+    let d = fit.unwrap();
+    assert!(!fits_scratch::<u64>((1 << (d + 1)) - 1));
+    for layout in LAYOUTS {
+        for height in [d - 1, d, d + 1, d + 2] {
+            let perfect = (1usize << height) - 1;
+            check(&keys(perfect), layout);
+            check(&keys(perfect + 1), layout);
+            check(&keys(perfect + perfect / 3), layout);
+        }
+    }
+}
+
+/// Every size up to a thousand, and two sizes whose top fan-outs reach
+/// the four-thread pool's floor, so direct leaves run inside helper
+/// tasks.
+#[test]
+fn all_small_sizes_and_two_parallel_ones() {
+    for layout in LAYOUTS {
+        for n in (0..=1000).chain([(1 << 17) - 1, 150_000]) {
+            check(&keys(n), layout);
+        }
+    }
+}
+
+static COUNTED_DROPS: AtomicUsize = AtomicUsize::new(0);
+
+/// A non-`Copy` element that owns heap memory and counts its drops: a
+/// duplicated element would be freed twice, a lost one leaked and
+/// uncounted.
+#[derive(Debug, PartialEq)]
+struct Counted {
+    key: u64,
+    heap: Box<u64>,
+}
+
+impl Counted {
+    fn new(key: u64) -> Self {
+        Self {
+            key,
+            heap: Box::new(key),
+        }
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        assert_eq!(*self.heap, self.key, "element corrupted");
+        COUNTED_DROPS.fetch_add(1, SeqCst);
+    }
+}
+
+/// Every element is dropped exactly once — none during construction —
+/// at sizes on both sides of the 16-byte element's budget.
+#[test]
+fn non_copy_elements_are_moved_never_dropped() {
+    let fit = (1..).take_while(|&n| fits_scratch::<Counted>(n)).last();
+    let fit = fit.unwrap();
+    for layout in LAYOUTS {
+        for n in [fit - 1, fit, fit + 1, 2 * fit + 1, 4 * fit, 10_000] {
+            let expect = reference_permutation(&keys(n), layout);
+            for threads in [1, 4] {
+                let before = COUNTED_DROPS.load(SeqCst);
+                let mut v: Vec<Counted> = (0..n as u64).map(Counted::new).collect();
+                in_pool(threads, || {
+                    permute_in_place(&mut v, layout, Algorithm::CycleLeader).unwrap()
+                });
+                assert_eq!(
+                    COUNTED_DROPS.load(SeqCst),
+                    before,
+                    "{layout:?} n={n}: dropped during construction"
+                );
+                assert!(
+                    v.iter().map(|c| c.key).eq(expect.iter().copied()),
+                    "{layout:?} n={n} threads={threads}"
+                );
+                drop(v);
+                assert_eq!(COUNTED_DROPS.load(SeqCst), before + n, "{layout:?} n={n}");
+            }
+        }
+    }
+}
+
+#[test]
+fn strings() {
+    let fit = (1..).take_while(|&n| fits_scratch::<String>(n)).last();
+    let fit = fit.unwrap();
+    for layout in LAYOUTS {
+        for n in [fit, fit + 1, 3 * fit, 5000] {
+            let sorted: Vec<String> = (0..n).map(|i| format!("{i:08}")).collect();
+            check(&sorted, layout);
+        }
+    }
+}
+
+/// A 4 KiB element does not fit the 2 KiB scratch, so every subproblem
+/// takes the primitives.
+#[derive(Clone, Debug, PartialEq)]
+struct Page([u8; 4096]);
+
+#[test]
+fn an_element_too_large_for_the_scratch_takes_the_primitives() {
+    assert!(!fits_scratch::<Page>(1));
+    for layout in LAYOUTS {
+        for n in [63, 100, 300] {
+            let sorted: Vec<Page> = (0..n)
+                .map(|i: usize| {
+                    let mut page = [0u8; 4096];
+                    page[..8].copy_from_slice(&(i as u64).to_be_bytes());
+                    page[4088..].copy_from_slice(&(i as u64).to_le_bytes());
+                    Page(page)
+                })
+                .collect();
+            check(&sorted, layout);
+        }
+    }
+}
+
+static UNIT_DROPS: AtomicUsize = AtomicUsize::new(0);
+
+/// A zero-sized element with a drop count.
+struct Unit;
+
+impl Drop for Unit {
+    fn drop(&mut self) {
+        UNIT_DROPS.fetch_add(1, SeqCst);
+    }
+}
+
+#[test]
+fn zero_sized_elements() {
+    assert!(fits_scratch::<Unit>(usize::MAX));
+    for layout in LAYOUTS {
+        for n in [0usize, 1, 255, 256, 100_000] {
+            check(&vec![(); n], layout);
+            for threads in [1, 4] {
+                let before = UNIT_DROPS.load(SeqCst);
+                let mut v: Vec<Unit> = (0..n).map(|_| Unit).collect();
+                in_pool(threads, || {
+                    permute_in_place(&mut v, layout, Algorithm::CycleLeader).unwrap()
+                });
+                assert_eq!(v.len(), n);
+                assert_eq!(UNIT_DROPS.load(SeqCst), before, "{layout:?} n={n}");
+                drop(v);
+                assert_eq!(UNIT_DROPS.load(SeqCst), before + n, "{layout:?} n={n}");
+            }
+        }
+    }
+}

@@ -28,7 +28,9 @@
 //! gathers, the region swap, `Ram`'s involution round and the layout
 //! scatter hands off nothing just below two floors of its work
 //! (`rayon::min_task_len` at its documented per-element cost), and
-//! hands off at four floors, in a two-thread pool.
+//! hands off at four floors, in a two-thread pool. An involution round's
+//! cost is its index arithmetic's (`IndexArith::ram_cost_ns`), so a `J`
+//! round spreads at a length a binary reversal round keeps.
 //!
 //! Lives in its own integration-test binary because the counters are
 //! process-wide: its tests take one lock, so nothing else dispatches
@@ -39,7 +41,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use implicit_search_trees::gather::{
     equidistant_gather, equidistant_gather_chunks, gather_len, swap_regions_par,
 };
-use implicit_search_trees::machine::RAM_ELEM_COST_NS;
 use implicit_search_trees::perm::MOVE_COST_NS;
 use implicit_search_trees::{
     IndexArith, Machine, MemVfs, QueryKind, Ram, ShardedMap, StaticMap, StoreConfig,
@@ -279,13 +280,31 @@ fn construction_primitives_hand_off_only_from_their_floor() {
         let mut v: Vec<u64> = (0..2 * len as u64).collect();
         handoffs_in_two_threads(|| swap_regions_par(&mut v, 0, len, len))
     });
-    let elems = rayon::min_task_len(RAM_ELEM_COST_NS);
-    hands_off_from_two_floors("Ram::involution_round", elems, |n| {
+    // A round's floor is its arithmetic's cost: a `J` round hands off
+    // at a length where a binary digit reversal round does not. (`Ram`
+    // reads only the variant, so one `Jmap` stands for every length.)
+    let round = |arith: IndexArith, n: usize| {
         let mut v: Vec<u64> = (0..n as u64).collect();
-        handoffs_in_two_threads(|| {
-            Ram::new(&mut v).involution_round(0, n, IndexArith::Rev2 { d: 1 }, |i| n - 1 - i)
-        })
-    });
+        handoffs_in_two_threads(|| Ram::new(&mut v).involution_round(0, n, arith, |i| n - 1 - i))
+    };
+    let (rev2, jmap) = (IndexArith::Rev2 { d: 1 }, IndexArith::Jmap { len: 1 });
+    let floor = |arith: IndexArith| rayon::min_task_len(arith.ram_cost_ns());
+    for arith in [rev2, jmap] {
+        hands_off_from_two_floors(
+            &format!("Ram::involution_round, {arith:?}"),
+            floor(arith),
+            |n| round(arith, n),
+        );
+    }
+    let jmap_spreads = 4 * floor(jmap);
+    assert!(jmap_spreads < 2 * floor(rev2));
+    assert_eq!(round(rev2, jmap_spreads), 0, "a Rev2 round handed off");
+    if rayon::current_num_threads() > 1 {
+        assert!(
+            round(jmap, jmap_spreads) >= 1,
+            "a Jmap round stayed on one thread"
+        );
+    }
     // Key-only, so the value side (`()`) moves nothing.
     hands_off_from_two_floors("the layout scatter", moves, |n| {
         let keys: Vec<u64> = (0..n as u64).collect();
