@@ -230,9 +230,7 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
     }
     if let (Some(order), Some(region)) = (veb_order(d), m.direct(lo, n_cur)) {
         // The vEB slots in order, each filled with its key.
-        return permute_direct(region, |p| {
-            order.iter().for_each(|&sorted| p.pick(sorted.into(), 1));
-        });
+        return permute_direct(region, |p| p.pick_order(order));
     }
     let (t, bb) = veb_split(d);
     let r = (1usize << t) - 1;

@@ -10,10 +10,9 @@
 //! possible big-block move, swapping the array's halves with
 //! [`swap_regions_par`].
 
-use crate::{check_params, cycles_per_task, fix_blocks, fix_blocks_par, t0_slot};
+use crate::{check_params, cycle_slot, fix_blocks, fix_blocks_par, par_pairs, stage_one_moves};
 use ist_perm::{SharedSlice, MOVE_COST_NS};
 use ist_shuffle::rotate::{swap_fans_out, swap_regions_par};
-use rayon::prelude::*;
 
 /// Equidistant gather treating each `chunk` consecutive elements as one
 /// unit.
@@ -31,8 +30,12 @@ use rayon::prelude::*;
 /// two floors of moves (`2 ·` [`rayon::min_task_len`]`(`
 /// [`MOVE_COST_NS`]`)` elements) or in a one-thread pool, it runs on the
 /// calling thread, and above them the cycles of many small chunks run
-/// concurrently. Either parallel path then runs the stage-2 block
-/// rotations concurrently; every task holds at least a floor of moves.
+/// concurrently, cycle `c` in one task with cycle `r + 1 − c` so that
+/// every task moves about as many chunks. Either parallel path then
+/// runs the stage-2 block rotations concurrently; every task holds at
+/// least a floor of moves. (A chunk is already a run of adjacent
+/// elements, a line or more in the B-tree construction, so the plain
+/// gather's bands of cycles would buy nothing here.)
 ///
 /// # Examples
 /// ```
@@ -59,29 +62,19 @@ pub fn equidistant_gather_chunks<T: Send>(data: &mut [T], r: usize, l: usize, ch
         // Stage 2: fix each block's rotation (block = l chunks).
         return fix_blocks(data, r, l, chunk);
     } else {
-        // Many small chunks: parallelize across the disjoint cycles.
+        // Many small chunks: parallelize across the disjoint cycles,
+        // cycle `c` beside cycle `r + 1 − c`, so that every task moves
+        // about the same number of chunks.
         let shared = SharedSlice::new(data);
-        (1..=r)
-            .into_par_iter()
-            .with_min_len(cycles_per_task(r, chunk))
-            .for_each(|c| {
-                // SAFETY: distinct cycles touch disjoint chunk sets (the
-                // gather chunk t_c plus the anti-diagonal row+col = c-1),
-                // so concurrent tasks never alias.
-                let whole = unsafe { shared.slice_mut(0, n) };
-                run_cycle_chunks(whole, c, l, chunk);
-            });
+        par_pairs(r, stage_one_moves(r, chunk), |u| {
+            // SAFETY: distinct cycles touch disjoint chunk sets (the
+            // gather chunk t_c plus the anti-diagonal row+col = c-1),
+            // so concurrent tasks never alias.
+            let whole = unsafe { shared.slice_mut(0, n) };
+            run_cycle_chunks(whole, u + 1, l, chunk);
+        });
     }
     fix_blocks_par(data, r, l, chunk);
-}
-
-#[inline]
-fn cycle_slot(m: usize, c: usize, l: usize) -> usize {
-    if m == 0 {
-        t0_slot(c, l)
-    } else {
-        (m - 1) * (l + 1) + (c - m)
-    }
 }
 
 #[inline]

@@ -31,7 +31,7 @@
 //! finishes it in one pass through `ist_perm::permute_direct`'s stack
 //! scratch, the way the paper's GPU implementation permutes a small
 //! subtree in one thread block's shared memory. [`Ram`] takes it for
-//! every region that fits the scratch (2 KiB), where the primitives'
+//! every region that fits the scratch (8 KiB), where the primitives'
 //! per-call costs outweigh their moves. The cost backends decline it:
 //! their counts are the paper's model of the primitives, so they must
 //! see every one.
@@ -408,6 +408,16 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
                 groups.push(std::mem::take(&mut group));
             }
         }
+        // The largest group stays on the calling thread, beside the
+        // remainder: a fan-out as uneven as the B-tree strip's
+        // `[531 440 | 50 327]` would otherwise hand its big block to the
+        // one free worker and leave the caller idle after the small one,
+        // with the big block's own fan-outs finding no worker to take.
+        let elements = |group: &[(Self, &Region<K>)]| -> usize {
+            group.iter().map(|(_, task)| task.len).sum()
+        };
+        let largest = (0..groups.len()).max_by_key(|&i| elements(&groups[i]));
+        let mine = largest.map(|i| groups.remove(i));
         rayon::scope(|s| {
             let f = &f;
             for batch in groups {
@@ -417,8 +427,7 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
                     }
                 });
             }
-            // Remainder group runs on the calling thread.
-            for (mut view, task) in group {
+            for (mut view, task) in mine.into_iter().flatten().chain(group) {
                 f(&mut view, task);
             }
         });
@@ -505,7 +514,7 @@ mod tests {
         let mut ram = Ram::new(&mut v);
         assert_eq!(ram.direct(8, fit).map(|r| (r[0], r.len())), Some((8, fit)));
         assert!(ram.direct(0, fit + 1).is_none());
-        let mut big = vec![[0u8; 4096]; 2];
+        let mut big = vec![[0u8; ist_perm::SCRATCH_BYTES + 64]; 2];
         assert!(Ram::new(&mut big).direct(0, 1).is_none());
         let mut unit = vec![(); 1 << 20];
         assert!(Ram::new(&mut unit).direct(0, 1 << 20).is_some());

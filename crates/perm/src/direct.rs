@@ -22,21 +22,25 @@ use std::marker::PhantomData;
 use std::mem::{align_of, size_of, MaybeUninit};
 use std::ptr;
 
-/// Bytes of stack scratch one direct permutation may use: 256 `u64`s,
-/// so a perfect vEB subtree of `2^8 − 1` keys or 128 BST leaf runs. A
-/// direct permutation holds twice this on its stack: the scratch, and
-/// one byte per element for its check.
+/// Bytes of stack scratch one direct permutation may use: 1 024 `u64`s,
+/// so a perfect vEB subtree of `2^10 − 1` keys, 512 BST leaf runs or 81
+/// B-tree leaf runs of 8 keys. A direct permutation holds twice this on
+/// its stack: the scratch, and one byte per element for its check —
+/// 16 KiB of a worker thread's 2 MiB.
 ///
-/// Sweep: cycle-leader `permute_in_place` and `permute_in_place_seq` of
-/// 2^20 − 1 `u64`s per layout (bst, B-tree with `b = 8`, vEB), 2 vCPUs,
-/// builds at 512 B, 1, 2, 4 and 8 KiB run in turn five times, each run
-/// a median of nine. Best run per budget, parallel bst: 5.1 / 4.9 / 4.2
-/// / 3.8 / 4.2 ms, sequential bst: 8.1 / 7.6 / 7.3 / 7.7 / 6.7 ms. The
-/// B-tree and vEB rows did not move beyond the box's noise (vEB's
-/// direct subtrees at 2^20 have 31 keys at every budget). Below 2 KiB
-/// the parallel bst row is slower; above it no row is reliably faster,
-/// so the budget is the smallest of the fast ones.
-pub const SCRATCH_BYTES: usize = 2048;
+/// Sweep: the benchmark of record's `construct` `throughput_kops_s`
+/// (cycle-leader `permute_in_place` of 2^20 − 1 and 10^6 `u64`s into
+/// bst, B-tree with `b = 8` and vEB, geometric mean; seed 1, 10 s, 2
+/// vCPUs), builds at 2, 4, 8 and 16 KiB and at `fda4be5` (2 KiB, an
+/// eight-level vEB table, one gather cycle at a time) run in turn four
+/// times, alternating the order; thousands of keys a second, per run.
+/// `fda4be5` 139 / 193 / 188 / 142, 2 KiB 166 / 240 / 204 / 169,
+/// 4 KiB 176 / 229 / 204 / 189, 8 KiB 214 / 236 / 216 / 183, 16 KiB
+/// 213 / 236 / 219 / 209 (medians 165, 187, 197, 215, 216). At 8 KiB
+/// every height-10 vEB subtree and every 81-run B-tree block is one
+/// pass; 16 KiB adds nothing the box can tell apart, so the budget is
+/// the smaller.
+pub const SCRATCH_BYTES: usize = 8192;
 
 /// The scratch: cache-line aligned, so any element whose alignment is at
 /// most 64 bytes can live in it.
@@ -49,10 +53,10 @@ struct Scratch(MaybeUninit<[u8; SCRATCH_BYTES]>);
 ///
 /// # Examples
 /// ```
-/// use ist_perm::fits_scratch;
-/// assert!(fits_scratch::<u64>(256));
-/// assert!(!fits_scratch::<u64>(257));
-/// assert!(!fits_scratch::<[u8; 4096]>(1));
+/// use ist_perm::{fits_scratch, SCRATCH_BYTES};
+/// assert!(fits_scratch::<u64>(SCRATCH_BYTES / 8));
+/// assert!(!fits_scratch::<u64>(SCRATCH_BYTES / 8 + 1));
+/// assert!(!fits_scratch::<[u8; SCRATCH_BYTES + 64]>(1));
 /// assert!(fits_scratch::<()>(usize::MAX));
 /// ```
 #[inline]
@@ -84,21 +88,44 @@ pub struct Picker<'a, T> {
 }
 
 impl<T> Picker<'_, T> {
-    /// Fill the next `count` slots of the result with elements
-    /// `from..from + count` of the region.
+    /// Fill the next `order.len()` slots of the result, one each, with
+    /// the region elements `order` names, with one compare an element.
     ///
     /// # Panics
-    /// If fewer than `count` slots are left to fill, or `from + count`
-    /// exceeds the region's length.
+    /// If fewer than `order.len()` slots are left to fill, or an index
+    /// is past the region.
     #[inline]
-    pub fn pick(&mut self, from: usize, count: usize) {
-        self.pick_runs(from, 0, count, 1);
+    pub fn pick_order(&mut self, order: &[u16]) {
+        assert!(
+            order.len() <= self.len - self.filled,
+            "picking {} elements overruns a region of {} ({} filled)",
+            order.len(),
+            self.len,
+            self.filled
+        );
+        for (slot, &at) in (self.filled..).zip(order) {
+            let at = usize::from(at);
+            assert!(
+                at < self.len,
+                "picking element {at} of a region of {}",
+                self.len
+            );
+            // SAFETY: `at < self.len` (asserted just above) and `slot <
+            // filled + order.len() ≤ self.len` (asserted on entry), so
+            // both lie inside the region, the scratch and the initialized
+            // prefix of `taken`; the copy is bitwise, as in `pick_runs`.
+            unsafe {
+                ptr::write(self.dst.add(slot), ptr::read(self.src.add(at)));
+                *self.taken.add(at) = 1;
+            }
+        }
+        self.filled += order.len();
     }
 
     /// Fill the next `runs · run_len` slots with `runs` runs of `run_len`
     /// elements, the first at `from`, each next `stride` elements after
-    /// the last: [`Picker::pick`]`(from + i · stride, run_len)` for each run
-    /// `i`, with one bounds check for all of them.
+    /// the last (run `i` is elements `from + i · stride` up to `from + i ·
+    /// stride + run_len`), with one bounds check for all of them.
     ///
     /// # Panics
     /// If fewer than `runs · run_len` slots are left to fill, or the last
@@ -148,7 +175,8 @@ impl<T> Picker<'_, T> {
 
 /// Permute `data` in one pass through a stack scratch: `plan` fills the
 /// result's slots in order, each with the element of `data` that belongs
-/// there ([`Picker::pick`]), then the scratch is copied back over `data`.
+/// there ([`Picker::pick_runs`], [`Picker::pick_order`]), then the
+/// scratch is copied back over `data`.
 ///
 /// A zero-sized `T` moves no bytes, so `plan` is not called.
 ///
@@ -162,11 +190,7 @@ impl<T> Picker<'_, T> {
 /// use ist_perm::permute_direct;
 /// // Odd positions to the front, even ones after, each group in order.
 /// let mut v = vec![0, 1, 2, 3, 4, 5, 6];
-/// permute_direct(&mut v, |p| {
-///     for i in [1, 3, 5, 0, 2, 4, 6] {
-///         p.pick(i, 1);
-///     }
-/// });
+/// permute_direct(&mut v, |p| p.pick_order(&[1, 3, 5, 0, 2, 4, 6]));
 /// assert_eq!(v, vec![1, 3, 5, 0, 2, 4, 6]);
 /// ```
 pub fn permute_direct<T>(data: &mut [T], plan: impl FnOnce(&mut Picker<'_, T>)) {
@@ -200,9 +224,12 @@ pub fn permute_direct<T>(data: &mut [T], plan: impl FnOnce(&mut Picker<'_, T>)) 
     // only ever set to 1 since.
     let taken = unsafe { std::slice::from_raw_parts(taken, len) };
     // `len` picks filled `len` slots; with every element taken, each
-    // was taken exactly once.
+    // was taken exactly once. A byte is only ever 0 or 1, so "all are 1"
+    // is an AND over the bytes: a fold with no early exit, which the
+    // compiler vectorizes (24–28 ns at 1 023 bytes, against 470–810 for
+    // a compare and branch a byte and 90–155 for a `memchr` for 0).
     assert!(
-        picker.filled == len && taken.iter().all(|&t| t == 1),
+        picker.filled == len && taken.iter().fold(1, |all, &t| all & t) == 1,
         "a direct permutation must pick every element exactly once"
     );
     // SAFETY: the check above proved that the scratch's first `len`
@@ -239,7 +266,7 @@ mod tests {
         let mut v: Vec<String> = (0..9).map(|i| i.to_string()).collect();
         permute_direct(&mut v, |p| {
             for run in (0..3).rev() {
-                p.pick(3 * run, 3);
+                p.pick_runs(3 * run, 0, 3, 1);
             }
         });
         let expect: Vec<String> = [6, 7, 8, 3, 4, 5, 0, 1, 2]
@@ -254,38 +281,57 @@ mod tests {
         for n in 0..=SCRATCH_BYTES / 8 {
             let mut v: Vec<u64> = (0..n as u64).collect();
             // Rotate left by one.
-            permute_direct(&mut v, |p| {
-                for i in 0..n {
-                    p.pick((i + 1) % n, 1);
-                }
-            });
+            let order: Vec<u16> = (0..n).map(|i| ((i + 1) % n) as u16).collect();
+            permute_direct(&mut v, |p| p.pick_order(&order));
             let mut expect: Vec<u64> = (0..n as u64).collect();
             expect.rotate_left(1.min(n));
             assert_eq!(v, expect, "n={n}");
         }
     }
 
+    #[test]
+    fn order_picks_each_named_element() {
+        let mut v: Vec<String> = (0..7).map(|i| i.to_string()).collect();
+        permute_direct(&mut v, |p| {
+            p.pick_runs(6, 0, 1, 1);
+            p.pick_order(&[3, 1, 5]);
+            p.pick_order(&[]);
+            p.pick_order(&[0, 2, 4]);
+        });
+        assert_eq!(v, ["6", "3", "1", "5", "0", "2", "4"]);
+    }
+
     /// A plan that takes an element twice, leaves a slot unfilled,
-    /// overruns or panics is refused, and the region keeps its elements.
+    /// overruns, names an element past the region or panics is refused,
+    /// and the region keeps its elements.
     #[test]
     fn bad_plans_leave_the_region_untouched() {
         type Plan<'p> = &'p dyn Fn(&mut Picker<'_, String>);
-        let plans: [Plan<'_>; 6] = [
+        let plans: [Plan<'_>; 10] = [
             &|p| {
-                p.pick(0, 1);
-                p.pick(0, 1);
-                p.pick(2, 2);
+                p.pick_runs(0, 0, 1, 1);
+                p.pick_runs(0, 0, 1, 1);
+                p.pick_runs(2, 0, 2, 1);
             },
-            &|p| p.pick(0, 3),
-            &|p| p.pick(2, 3),
-            &|p| p.pick(0, 5),
+            &|p| p.pick_runs(0, 0, 3, 1),
+            &|p| p.pick_runs(2, 0, 3, 1),
+            &|p| p.pick_runs(0, 0, 5, 1),
             &|p| {
-                p.pick(0, 4);
-                p.pick(0, 1);
+                p.pick_runs(0, 0, 4, 1);
+                p.pick_runs(0, 0, 1, 1);
             },
             &|p| {
-                p.pick(0, 2);
+                p.pick_runs(0, 0, 2, 1);
                 panic!("plan failed");
+            },
+            // `pick_order`: an index past the region, a repeated index,
+            // an overrun, and one past the region after good picks.
+            &|p| p.pick_order(&[0, 1, 2, 4]),
+            &|p| p.pick_order(&[0, 1, 1, 3]),
+            &|p| p.pick_order(&[0, 1, 2, 3, 0]),
+            &|p| {
+                p.pick_runs(0, 0, 2, 1);
+                p.pick_order(&[3, 7]);
             },
         ];
         for (case, plan) in plans.iter().enumerate() {

@@ -86,22 +86,25 @@ pub const fn veb_pos(d: u32, sorted: usize) -> usize {
     }
 }
 
-/// Most levels of a tree [`veb_order`] has a table for: 255 keys.
-pub const VEB_ORDER_DEPTH: u32 = 8;
+/// Most levels of a tree [`veb_order`] has a table for: 1 023 keys, the
+/// height-10 subtrees a 2^20-key vEB split halves into, which
+/// `ist_perm::permute_direct`'s scratch holds as `u64`s. The tables of
+/// every depth take 4 KiB of `u16`s.
+pub const VEB_ORDER_DEPTH: u32 = 10;
 
 /// Where depth `VEB_ORDER_DEPTH + 1` would start in [`VEB_ORDER`].
 const VEB_ORDER_LEN: usize = (1 << (VEB_ORDER_DEPTH + 1)) - 2 - VEB_ORDER_DEPTH as usize;
 
 /// [`veb_order`]'s tables, depth `h` from offset `2^h − 1 − h`, built at
 /// compile time from [`veb_pos`].
-static VEB_ORDER: [u8; VEB_ORDER_LEN] = {
+static VEB_ORDER: [u16; VEB_ORDER_LEN] = {
     let mut tables = [0; VEB_ORDER_LEN];
     let mut d = 1;
     while d <= VEB_ORDER_DEPTH {
         let start = (1 << d) - 1 - d as usize;
         let mut sorted = 0;
         while sorted < (1 << d) - 1 {
-            tables[start + veb_pos(d, sorted)] = sorted as u8;
+            tables[start + veb_pos(d, sorted)] = sorted as u16;
             sorted += 1;
         }
         d += 1;
@@ -119,9 +122,9 @@ static VEB_ORDER: [u8; VEB_ORDER_LEN] = {
 /// let order = veb_order(4).unwrap();
 /// assert_eq!(order, [7, 3, 11, 1, 0, 2, 5, 4, 6, 9, 8, 10, 13, 12, 14]);
 /// assert!((0..15).all(|sorted| usize::from(order[veb_pos(4, sorted)]) == sorted));
-/// assert!(veb_order(9).is_none());
+/// assert!(veb_order(11).is_none());
 /// ```
-pub fn veb_order(d: u32) -> Option<&'static [u8]> {
+pub fn veb_order(d: u32) -> Option<&'static [u16]> {
     (1..=VEB_ORDER_DEPTH).contains(&d).then(|| {
         let start = (1 << d) - 1 - d as usize;
         &VEB_ORDER[start..start + (1 << d) - 1]
@@ -307,6 +310,24 @@ mod tests {
                 assert_eq!(veb_pos(d, rank), v, "d={d} v={v}");
             }
         }
+    }
+
+    /// Every table is the reference layout of its depth, and there is
+    /// one for each depth up to [`VEB_ORDER_DEPTH`].
+    #[test]
+    fn order_tables_match_recursive_reference() {
+        for d in 1..=VEB_ORDER_DEPTH {
+            let order = veb_order(d).unwrap();
+            assert!(
+                order
+                    .iter()
+                    .map(|&j| usize::from(j))
+                    .eq(reference_layout(d)),
+                "d={d}"
+            );
+        }
+        assert!(veb_order(0).is_none());
+        assert!(veb_order(VEB_ORDER_DEPTH + 1).is_none());
     }
 
     #[test]

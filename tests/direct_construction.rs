@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
 use implicit_search_trees::layout::complete::BtreeCompleteShape;
 use implicit_search_trees::layout::CompleteShape;
-use implicit_search_trees::perm::fits_scratch;
+use implicit_search_trees::perm::{fits_scratch, SCRATCH_BYTES};
 use implicit_search_trees::{permute_in_place, reference_permutation, Algorithm, Layout};
 
 fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
@@ -73,7 +73,8 @@ fn runs_that_fit(b: usize) -> usize {
 /// overflow nodes: sizes whose gather region is the largest that fits
 /// the scratch and the smallest that does not, with and without a
 /// partial node, for `b ∈ {1, 2, 8, 16}`; for `b = 1` the binary
-/// layouts too.
+/// layouts too. Then perfect trees from one level to one past the
+/// first whose top level does not fit.
 #[test]
 fn extended_gather_regions_on_both_sides_of_the_budget() {
     for b in [1usize, 2, 8, 16] {
@@ -101,8 +102,10 @@ fn extended_gather_regions_on_both_sides_of_the_budget() {
                 }
             }
         }
-        // Perfect trees whose level regions straddle the budget.
-        for levels in 1..=(if b == 1 { 10 } else { 4 }) {
+        // Perfect trees whose level regions straddle the budget: up to
+        // one level past the first whose top level does not fit.
+        let top = (1..).find(|&m| !fits_scratch::<u64>(k.pow(m) - 1)).unwrap();
+        for levels in 1..=top + 1 {
             check(&keys(k.pow(levels) - 1), Layout::Btree { b });
         }
     }
@@ -209,10 +212,12 @@ fn strings() {
     }
 }
 
-/// A 4 KiB element does not fit the 2 KiB scratch, so every subproblem
-/// takes the primitives.
+/// An element larger than the whole scratch, so every subproblem takes
+/// the primitives whatever the budget.
 #[derive(Clone, Debug, PartialEq)]
-struct Page([u8; 4096]);
+struct Page([u8; PAGE]);
+
+const PAGE: usize = SCRATCH_BYTES + 64;
 
 #[test]
 fn an_element_too_large_for_the_scratch_takes_the_primitives() {
@@ -221,9 +226,9 @@ fn an_element_too_large_for_the_scratch_takes_the_primitives() {
         for n in [63, 100, 300] {
             let sorted: Vec<Page> = (0..n)
                 .map(|i: usize| {
-                    let mut page = [0u8; 4096];
+                    let mut page = [0u8; PAGE];
                     page[..8].copy_from_slice(&(i as u64).to_be_bytes());
-                    page[4088..].copy_from_slice(&(i as u64).to_le_bytes());
+                    page[PAGE - 8..].copy_from_slice(&(i as u64).to_le_bytes());
                     Page(page)
                 })
                 .collect();

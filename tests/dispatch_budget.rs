@@ -30,20 +30,25 @@
 //! (`rayon::min_task_len` at its documented per-element cost), and
 //! hands off at four floors, in a two-thread pool. An involution round's
 //! cost is its index arithmetic's (`IndexArith::ram_cost_ns`), so a `J`
-//! round spreads at a length a binary reversal round keeps.
+//! round spreads at a length a binary reversal round keeps. A subtree
+//! fan-out (`Ram::run_tasks`) keeps its largest group of tasks on the
+//! calling thread and offers the rest.
 //!
 //! Lives in its own integration-test binary because the counters are
 //! process-wide: its tests take one lock, so nothing else dispatches
 //! beside the one that reads them.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use implicit_search_trees::gather::{
     equidistant_gather, equidistant_gather_chunks, gather_len, swap_regions_par,
 };
+use implicit_search_trees::machine::RAM_ELEM_COST_NS;
 use implicit_search_trees::perm::MOVE_COST_NS;
 use implicit_search_trees::{
-    IndexArith, Machine, MemVfs, QueryKind, Ram, ShardedMap, StaticMap, StoreConfig,
+    IndexArith, Machine, MemVfs, QueryKind, Ram, Region, ShardedMap, StaticMap, StoreConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -313,4 +318,51 @@ fn construction_primitives_hand_off_only_from_their_floor() {
             StaticMap::build_for_kind(keys, values, QueryKind::Veb).unwrap();
         })
     });
+}
+
+/// `Ram::run_tasks` keeps its largest group of tasks on the calling
+/// thread: in a two-thread pool, a `[big, small]` fan-out (the shape of
+/// the B-tree strip's top level) runs the big task here and offers the
+/// small one to the pool, so the caller does not sit idle while the one
+/// worker works through the big one alone.
+#[test]
+fn a_fan_out_keeps_its_largest_task_on_the_calling_thread() {
+    let _counters = COUNTERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let floor = rayon::min_task_len(RAM_ELEM_COST_NS);
+    let (big, small) = (8 * floor, floor);
+    let mut v = vec![0u64; big + small];
+    let caller = std::thread::current().id();
+    // With a worker to hand to, the small task does not finish before
+    // the big one has started: a big task handed off cannot be taken
+    // back by a caller done with a quick small one, so it runs where it
+    // was dealt. (Bounded, in case it was dealt nowhere.)
+    let wait_for_big = rayon::current_num_threads() > 1;
+    let big_started = AtomicBool::new(false);
+    let ran_on = Mutex::new(Vec::new());
+    let moved = handoffs_in_two_threads(|| {
+        let tasks = vec![Region::new(0, big, "big"), Region::new(big, small, "small")];
+        Ram::new(&mut v).run_tasks(tasks, |_, task| {
+            if task.tag == "big" {
+                big_started.store(true, Ordering::SeqCst);
+            } else if wait_for_big {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !big_started.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            let here = std::thread::current().id();
+            ran_on.lock().unwrap().push((task.tag, here));
+        });
+    });
+    let ran_on = ran_on.into_inner().unwrap();
+    assert_eq!(ran_on.len(), 2);
+    assert!(
+        ran_on.contains(&("big", caller)),
+        "the big task left the calling thread: {ran_on:?}"
+    );
+    if rayon::current_num_threads() > 1 {
+        assert_eq!(moved, 1, "the small task was not offered to the pool");
+    } else {
+        assert_eq!(moved, 0);
+    }
 }
