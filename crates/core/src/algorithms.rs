@@ -172,16 +172,15 @@ pub fn involution_btree<M: Machine>(m: &mut M, b: usize, levels: u32) {
 /// Involution-based vEB construction (§2.3) of the `2^d − 1` element
 /// region at `lo`: one B-tree level step with `B = 2^⌊d/2⌋ − 1` separates
 /// the top subtree from the bottom subtrees, then all subtrees recurse.
+/// A subtree the machine runs [block-locally](Machine::block_local) is
+/// finished on a [`Ram`] over its elements.
 pub fn involution_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
     if d <= 1 {
         return;
     }
     let n_cur = (1usize << d) - 1;
-    let threshold = m.local_threshold();
-    if threshold > 0 && n_cur <= threshold {
-        return m.local_task(lo, n_cur, |region| {
-            involution_veb(&mut Ram::new(region), 0, d)
-        });
+    if let Some(region) = m.block_local(lo, n_cur) {
+        return involution_veb(&mut Ram::new(region), 0, d);
     }
     let (t, bb) = veb_split(d);
     let k = 1usize << bb;
@@ -201,7 +200,7 @@ pub fn involution_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
         shuffle_mod_rounds(m, lo + r, lo + n_cur, l);
     }
     // Recurse on the top subtree and every bottom subtree.
-    fan_out(m, n_cur, veb_subtrees(lo, t, bb), |mm, reg| {
+    m.run_tasks(veb_subtrees(lo, t, bb), |mm, reg| {
         involution_veb(mm, reg.lo, reg.tag)
     });
 }
@@ -216,17 +215,16 @@ pub fn involution_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
 /// circular shift), then all subtrees recurse. A subtree of at most
 /// [`ist_layout::VEB_ORDER_DEPTH`] levels that the machine finishes
 /// [directly](Machine::direct) fills its slots in order from
-/// [`veb_order`] instead.
+/// [`veb_order`] instead, and one the machine runs
+/// [block-locally](Machine::block_local) is finished on a [`Ram`] over
+/// its elements.
 pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
     if d <= 1 {
         return;
     }
     let n_cur = (1usize << d) - 1;
-    let threshold = m.local_threshold();
-    if threshold > 0 && n_cur <= threshold {
-        return m.local_task(lo, n_cur, |region| {
-            cycle_leader_veb(&mut Ram::new(region), 0, d)
-        });
+    if let Some(region) = m.block_local(lo, n_cur) {
+        return cycle_leader_veb(&mut Ram::new(region), 0, d);
     }
     if let (Some(order), Some(region)) = (veb_order(d), m.direct(lo, n_cur)) {
         // The vEB slots in order, each filled with its key.
@@ -244,9 +242,7 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
         // they run as parallel tasks — then one circular shift joins the
         // two gathered tops around the median.
         let half = (n_cur - 1) / 2;
-        fan_out(
-            m,
-            2 * half,
+        m.run_tasks(
             [
                 Region::new(lo, half, ()),
                 Region::new(lo + half + 1, half, ()),
@@ -258,7 +254,7 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
         // shift the last l + 1 elements (median + right top) to its front.
         m.rotate_right(lo + l, lo + l + half + 1, l + 1);
     }
-    fan_out(m, n_cur, veb_subtrees(lo, t, bb), |mm, reg| {
+    m.run_tasks(veb_subtrees(lo, t, bb), |mm, reg| {
         cycle_leader_veb(mm, reg.lo, reg.tag)
     });
 }
@@ -266,29 +262,11 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
 /// The recursive tasks of one vEB split of a `2^(t+bb) − 1` element
 /// region at `lo`: the top subtree of height `t`, then its `2^t` bottom
 /// subtrees of height `bb`, each tagged with its height.
-fn veb_subtrees(lo: usize, t: u32, bb: u32) -> impl Iterator<Item = Region<u32>> {
+fn veb_subtrees(lo: usize, t: u32, bb: u32) -> impl Iterator<Item = Region<u32>> + Clone {
     let r = (1usize << t) - 1;
     let l = (1usize << bb) - 1;
     std::iter::once(Region::new(lo, r, t))
         .chain((0..=r).map(move |q| Region::new(lo + r + q * l, l, bb)))
-}
-
-/// Run `f` on every region of one fan-out covering `total` elements: one
-/// [`Machine::run_tasks`] call when the machine [fans out](Machine::fans_out),
-/// otherwise direct calls in order, with no task list.
-fn fan_out<M: Machine, K: Send + Sync>(
-    m: &mut M,
-    total: usize,
-    regions: impl Iterator<Item = Region<K>>,
-    f: impl Fn(&mut M, &Region<K>) + Sync,
-) {
-    if m.fans_out(total) {
-        m.run_tasks(regions.collect(), f);
-    } else {
-        for reg in regions {
-            f(m, &reg);
-        }
-    }
 }
 
 /// Cycle-leader B-tree construction (§3.2): per level, the extended
@@ -348,8 +326,7 @@ fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, repr
     let blocks =
         (0..a).map(|p| Region::new(lo + p * part_len, part_len - 1, representative && p == 0));
     let remainder = (rest > 0).then(|| Region::new(lo + a * part_len, rest * k - 1, false));
-    let total = a * (part_len - 1) + remainder.as_ref().map_or(0, |reg| reg.len);
-    fan_out(m, total, blocks.chain(remainder), |mm, reg| {
+    m.run_tasks(blocks.chain(remainder), |mm, reg| {
         extended_gather(mm, reg.lo, b, (reg.len + 1) / k, reg.tag)
     });
     // Hoist: from offset C−1 the blocks read, in chunk units,

@@ -258,27 +258,20 @@ mod tests {
         );
     }
 
-    /// Sizes on both sides of the `Ram`'s fan-out floor. The floor is
-    /// probed in an explicit 2-thread pool, whatever the host's core
-    /// count; in a one-thread pool nothing fans out at any size. No
-    /// fan-out covers more than `n` elements, so up to the floor every
-    /// task recurses directly; at the ragged 100 000 every layout deals
-    /// its top fan-outs (strip and perfect part, vEB's 2^16 − 1 included)
-    /// to `check`'s four-thread pool and recurses directly below them.
+    /// Sizes on both sides of `Ram::run_tasks`' fan-out floor, two
+    /// floors at `RAM_ELEM_COST_NS` (50 000 elements; `dispatch_budget`
+    /// pins that it hands off only from there, and never in a one-thread
+    /// pool). No fan-out covers more than `n` elements, so up to the
+    /// floor every task recurses directly; at the ragged 100 000 every
+    /// layout deals its top fan-outs (strip and perfect part, vEB's
+    /// 2^16 − 1 included) to `check`'s four-thread pool and recurses
+    /// directly below them.
     #[test]
     fn sizes_around_the_fan_out_floor() {
-        use ist_machine::Machine;
-
-        let fans_out = |threads: usize, total: usize| {
-            pool(threads).install(|| Ram::new(&mut [0u8]).fans_out(total))
-        };
-        assert!(
-            !fans_out(2, 49_999) && fans_out(2, 50_000),
-            "sizes straddle the floor"
+        assert_eq!(
+            2 * rayon::min_task_len(ist_machine::RAM_ELEM_COST_NS),
+            50_000
         );
-        for total in [0, 49_999, 50_000, 100_000, usize::MAX] {
-            assert!(!fans_out(1, total), "one thread fans out {total}");
-        }
         for n in [49_999usize, 50_000, 50_001, 100_000] {
             check(n, Layout::Bst);
             check(n, Layout::Veb);

@@ -9,13 +9,15 @@
 //!   (scattered) plus a block-rotation kernel (coalesced); batched
 //!   gathers (the extended gather's per-depth rounds, §6.0.3) charge
 //!   coalesced streams with fixed costs on the batch representative only.
-//! * Subtrees of at most [`crate::kernels::BLOCK_LOCAL`] keys run as one
-//!   **block-local** launch in "shared memory": a coalesced streaming
-//!   pass plus local compute, with the permutation delegated to the same
-//!   generic algorithm on a `Ram` over the region (smaller than every
-//!   `Ram` floor, so it runs on the calling thread, and free to finish
-//!   its own small subtrees through [`Machine::direct`]: the launch is
-//!   priced as a whole either way).
+//!   This is the one backend that prices [`Machine::gather`] apart from
+//!   [`Machine::gather_chunks`].
+//! * [`Machine::block_local`] answers for subtrees of at most
+//!   [`crate::kernels::BLOCK_LOCAL`] keys: each is one **block-local**
+//!   launch in "shared memory", a coalesced streaming pass plus local
+//!   compute, and the generic algorithm then finishes the region on a
+//!   `Ram` (smaller than every `Ram` floor, so it runs on the calling
+//!   thread, and free to finish its own small subtrees through
+//!   [`Machine::direct`]: the launch is priced as a whole either way).
 //! * [`Machine::direct`] keeps its default, `None`: outside block-local
 //!   launches every primitive is priced.
 //!
@@ -151,27 +153,25 @@ impl Machine for Gpu {
     /// block-local threshold pays for its own kernels, which is exactly
     /// why "the recursion associated with vEB construction makes it
     /// perform poorly on the GPU".
-    fn run_tasks<K, F>(&mut self, tasks: Vec<Region<K>>, f: F)
+    fn run_tasks<K, I, F>(&mut self, tasks: I, f: F)
     where
         K: Send + Sync,
+        I: Iterator<Item = Region<K>> + Clone,
         F: Fn(&mut Self, &Region<K>) + Sync,
     {
-        for task in &tasks {
-            f(self, task);
+        for task in tasks {
+            f(self, &task);
         }
     }
 
-    fn local_threshold(&self) -> usize {
-        BLOCK_LOCAL
-    }
-
-    /// Process a whole small subtree in one block-local launch: a
-    /// coalesced streaming pass plus local compute; the permutation
-    /// itself runs in "shared memory" (no further global transactions).
-    fn local_task<F>(&mut self, lo: usize, len: usize, f: F)
-    where
-        F: FnOnce(&mut [u64]),
-    {
+    /// A subtree of at most [`BLOCK_LOCAL`] keys is one block-local
+    /// launch: a coalesced streaming pass plus local compute; the
+    /// permutation itself runs in "shared memory" (no further global
+    /// transactions).
+    fn block_local(&mut self, lo: usize, len: usize) -> Option<&mut [u64]> {
+        if len > BLOCK_LOCAL {
+            return None;
+        }
         self.charge_launch();
         let lw = self.config().line_words as u64;
         let segments = (len as u64).div_ceil(lw);
@@ -181,6 +181,6 @@ impl Machine for Gpu {
         for _ in 0..2 {
             self.charge_warp_stream(segments);
         }
-        f(&mut self.data[lo..lo + len]);
+        Some(&mut self.data[lo..lo + len])
     }
 }

@@ -26,17 +26,18 @@
 //! output is bit-identical across backends (asserted by the workspace's
 //! equivalence tests).
 //!
-//! One hook lets a backend stop the recursion early: [`Machine::direct`]
-//! hands a small subproblem's elements to the algorithm, which then
-//! finishes it in one pass through `ist_perm::permute_direct`'s stack
-//! scratch, the way the paper's GPU implementation permutes a small
-//! subtree in one thread block's shared memory. [`Ram`] takes it for
-//! every region that fits the scratch (8 KiB), where the primitives'
-//! per-call costs outweigh their moves. The cost backends decline it:
-//! their counts are the paper's model of the primitives, so they must
-//! see every one.
+//! Two hooks let a backend stop the recursion early, each answered by
+//! one backend only. [`Machine::direct`] is `Ram`'s: it hands over every
+//! subproblem that fits `ist_perm::permute_direct`'s 8 KiB stack scratch,
+//! where the primitives' per-call costs outweigh their moves, and the
+//! algorithm finishes it in one scratch pass. [`Machine::block_local`]
+//! is the GPU model's: the paper's GPU implementation permutes a small
+//! subtree in one thread block's shared memory, so the model prices such
+//! a region as one launch and the algorithm finishes it on a `Ram`. The
+//! PEM backend declines both: its counts are the paper's model of the
+//! primitives, so it must see every one.
 
-use ist_gather::{equidistant_gather, equidistant_gather_chunks, gather_len};
+use ist_gather::{equidistant_gather_chunks, gather_len};
 use ist_perm::{apply_involution_range, fits_scratch, SharedSlice};
 use ist_shuffle::rotate_right;
 use rayon::prelude::*;
@@ -164,8 +165,13 @@ pub trait Machine {
         F: Fn(usize) -> usize + Sync;
 
     /// Equidistant gather (two-stage cycle-leader, `r ≤ l`) of the region
-    /// `[lo, lo + r + (r+1)·l)`.
-    fn gather(&mut self, lo: usize, r: usize, l: usize, mode: GatherMode);
+    /// `[lo, lo + r + (r+1)·l)`: by default the chunked gather on
+    /// one-element chunks. Only the GPU model prices it apart, because
+    /// Figure 6.8 charges a stand-alone gather's cycle walk differently
+    /// from a chunked one.
+    fn gather(&mut self, lo: usize, r: usize, l: usize, mode: GatherMode) {
+        self.gather_chunks(lo, r, l, 1, mode);
+    }
 
     /// Chunked equidistant gather of `[lo, lo + (r + (r+1)·l)·chunk)`,
     /// treating each `chunk` consecutive elements as one unit.
@@ -174,41 +180,29 @@ pub trait Machine {
     /// Circular shift of `[lo, hi)` right by `amount` positions.
     fn rotate_right(&mut self, lo: usize, hi: usize, amount: usize);
 
-    /// Execute `f` once per task. Tasks cover pairwise disjoint regions
-    /// and may therefore run concurrently; sequential backends run them
-    /// in order, which recursion-sensitive cost models (GPU launches)
-    /// rely on. The task list is the caller's one heap allocation per
-    /// fan-out, and a backend may allocate more to deal it out.
-    fn run_tasks<K, F>(&mut self, tasks: Vec<Region<K>>, f: F)
+    /// Execute `f` once per task of one fan-out. Tasks cover pairwise
+    /// disjoint regions and may therefore run concurrently; sequential
+    /// backends run them in order, which recursion-sensitive cost models
+    /// (GPU launches) rely on. The regions come as an iterator a backend
+    /// may walk more than once, so one that runs them in order builds no
+    /// task list and allocates nothing.
+    fn run_tasks<K, I, F>(&mut self, tasks: I, f: F)
     where
         K: Send + Sync,
+        I: Iterator<Item = Region<K>> + Clone,
         F: Fn(&mut Self, &Region<K>) + Sync;
 
-    /// Whether a fan-out of tasks covering `total` elements goes through
-    /// [`Machine::run_tasks`]. When `false`, the algorithms call each
-    /// task directly, in order, and build no task list, so that fan-out
-    /// allocates nothing. Every backend that observes the fan-outs keeps
-    /// the default, `true`; [`Ram`] answers `false` wherever its
-    /// `run_tasks` would run the tasks in order on the calling thread
-    /// anyway, so its constructions in a one-thread pool make no heap
-    /// allocation at all.
-    fn fans_out(&self, _total: usize) -> bool {
-        true
+    /// The elements of `[lo, lo + len)`, when the backend runs that
+    /// subtree as one block-local unit: the algorithm then finishes it on
+    /// a [`Ram`] over the returned elements, whose moves the backend does
+    /// not see. `None` (the default) keeps the decomposition.
+    ///
+    /// Only the GPU model says yes, to a subtree of at most its
+    /// `BLOCK_LOCAL` keys, and charges it as one launch that permutes
+    /// the subtree in shared memory (the paper's block-local kernel).
+    fn block_local(&mut self, _lo: usize, _len: usize) -> Option<&mut [Self::Elem]> {
+        None
     }
-
-    /// Regions of at most this many elements should be handed to
-    /// [`Machine::local_task`] as one unit instead of being decomposed
-    /// further. `0` (the default) disables local handling.
-    fn local_threshold(&self) -> usize {
-        0
-    }
-
-    /// Process a whole small region as a single local task (e.g. one GPU
-    /// thread block permuting a subtree in shared memory). `f` receives
-    /// the region's elements and must leave a permutation of them.
-    fn local_task<F>(&mut self, lo: usize, len: usize, f: F)
-    where
-        F: FnOnce(&mut [Self::Elem]);
 
     /// The elements of `[lo, lo + len)`, when the backend wants that
     /// subproblem finished directly — in one pass through
@@ -250,7 +244,8 @@ pub const RAM_ELEM_COST_NS: u64 = 10;
 /// ambient pool second ([`rayon::current_num_threads`]` > 1`). In a
 /// one-thread pool (`ThreadPool::install(1)` or `IST_PARALLEL=1`) every
 /// primitive runs on the calling thread and no fan-out builds a task
-/// list.
+/// list. A plain gather is the chunked one on one-element chunks (the
+/// trait's default).
 ///
 /// Internally a `Ram` is a raw view (pointer + length) over the borrowed
 /// slice so that disjoint recursive tasks can hold simultaneous views —
@@ -356,14 +351,10 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         }
     }
 
-    fn gather(&mut self, lo: usize, r: usize, l: usize, _mode: GatherMode) {
-        // SAFETY: unique access to the region per the Machine contract.
-        let region = unsafe { self.region(lo, gather_len(r, l)) };
-        equidistant_gather(region, r, l);
-    }
-
     fn gather_chunks(&mut self, lo: usize, r: usize, l: usize, chunk: usize, _mode: GatherMode) {
         // SAFETY: unique access to the region per the Machine contract.
+        // A length that wraps is still checked against the array here,
+        // and the gather's own guard rejects the mismatch.
         let region = unsafe { self.region(lo, gather_len(r, l) * chunk) };
         equidistant_gather_chunks(region, r, l, chunk);
     }
@@ -378,20 +369,28 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
         rotate_right(region, amount);
     }
 
-    fn run_tasks<K, F>(&mut self, tasks: Vec<Region<K>>, f: F)
+    /// Only at least two floors' worth of work in a pool of more than
+    /// one thread is dealt out; otherwise the tasks run in order on the
+    /// calling thread and no task list is built, so a construction in a
+    /// one-thread pool makes no heap allocation at all. An involution
+    /// round asks the same of its elements, at its arithmetic's cost
+    /// ([`IndexArith::ram_cost_ns`]).
+    fn run_tasks<K, I, F>(&mut self, tasks: I, f: F)
     where
         K: Send + Sync,
+        I: Iterator<Item = Region<K>> + Clone,
         F: Fn(&mut Self, &Region<K>) + Sync,
     {
-        debug_assert!(regions_disjoint(&tasks), "run_tasks regions overlap");
-        let total: usize = tasks.iter().map(|t| t.len).sum();
-        if !self.fans_out(total) {
-            for task in &tasks {
-                f(self, task);
+        let total: usize = tasks.clone().map(|t| t.len).sum();
+        let floor = rayon::min_task_len(RAM_ELEM_COST_NS);
+        if total < 2 * floor || rayon::current_num_threads() == 1 {
+            for task in tasks {
+                f(self, &task);
             }
             return;
         }
-        let floor = rayon::min_task_len(RAM_ELEM_COST_NS);
+        let tasks: Vec<Region<K>> = tasks.collect();
+        debug_assert!(regions_disjoint(&tasks), "run_tasks regions overlap");
         // Deal the tasks into contiguous groups of at least `floor`
         // total elements and offer each group to the pool: a level of
         // many tiny subtrees (the vEB recursions produce hundreds of
@@ -431,22 +430,6 @@ impl<'a, T: Send> Machine for Ram<'a, T> {
                 f(&mut view, task);
             }
         });
-    }
-
-    /// Only at least two floors' worth of work in a pool of more than
-    /// one thread is dealt out; otherwise `run_tasks` would run the tasks
-    /// in order. An involution round asks the same of its elements, at
-    /// its arithmetic's cost ([`IndexArith::ram_cost_ns`]).
-    fn fans_out(&self, total: usize) -> bool {
-        total >= 2 * rayon::min_task_len(RAM_ELEM_COST_NS) && rayon::current_num_threads() > 1
-    }
-
-    fn local_task<F>(&mut self, lo: usize, len: usize, f: F)
-    where
-        F: FnOnce(&mut [T]),
-    {
-        // SAFETY: unique access to the region per the Machine contract.
-        f(unsafe { self.region(lo, len) });
     }
 
     /// Every region that fits [`ist_perm::permute_direct`]'s scratch:
@@ -562,20 +545,17 @@ mod tests {
 
     #[test]
     fn run_tasks_executes_disjoint_regions() {
-        let n = 1 << 14;
+        let fit = ist_perm::SCRATCH_BYTES / size_of::<u64>();
+        let n = 4 * fit;
         let mut v = vec![0u64; n];
-        let tasks: Vec<Region<u64>> = (0..4)
-            .map(|q| Region::new(q * n / 4, n / 4, q as u64 + 1))
-            .collect();
+        let tasks = (0..4).map(|q| Region::new(q * fit, fit, q as u64 + 1));
         Ram::new(&mut v).run_tasks(tasks, |m, reg| {
-            m.local_task(reg.lo, reg.len, |slice| {
-                for x in slice.iter_mut() {
-                    *x = reg.tag;
-                }
-            });
+            for x in m.direct(reg.lo, reg.len).unwrap() {
+                *x = reg.tag;
+            }
         });
         for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, (i / (n / 4)) as u64 + 1, "i={i}");
+            assert_eq!(x, (i / fit) as u64 + 1, "i={i}");
         }
     }
 

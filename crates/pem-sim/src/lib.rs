@@ -209,12 +209,6 @@ impl TrackedArray {
         &self.data
     }
 
-    /// Mutable region view for local tasks (no I/O charged; callers
-    /// account for the transfer separately).
-    pub(crate) fn region_mut(&mut self, lo: usize, len: usize) -> &mut [u64] {
-        &mut self.data[lo..lo + len]
-    }
-
     /// The I/O counters accumulated so far.
     pub fn stats(&self) -> IoStats {
         IoStats {

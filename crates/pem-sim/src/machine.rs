@@ -3,7 +3,9 @@
 //! Each primitive partitions its work over the `P` virtual processors
 //! exactly as the PRAM/PEM analyses assume — involution rounds split the
 //! index range into `P` contiguous chunks; gather cycles and block
-//! fix-ups are dealt out in contiguous groups; recursive subtree tasks
+//! fix-ups are dealt out in contiguous groups (a plain gather is the
+//! chunked one on one-element chunks, the trait's default, which makes
+//! the same accesses); recursive subtree tasks
 //! run in task order (the PEM model charges `Q` as the max over
 //! processors of *block transfers*, which the per-access LRU accounting
 //! in [`TrackedArray`] captures; scheduling order does not matter).
@@ -11,9 +13,10 @@
 //! The construction control flow itself lives in `ist_core::algorithms`;
 //! this file only decides *how each primitive is priced and dealt out*,
 //! which is what makes the recorded I/Os a measurement of the real
-//! algorithms rather than of a hand-maintained replica. It keeps
-//! [`Machine::direct`]'s default: no subproblem skips its primitives,
-//! so the I/Os are those of the full decomposition.
+//! algorithms rather than of a hand-maintained replica. It keeps the
+//! defaults of [`Machine::direct`] and [`Machine::block_local`]: no
+//! subproblem skips its primitives, so the I/Os are those of the full
+//! decomposition.
 
 use crate::TrackedArray;
 use ist_gather::cycle_slot;
@@ -48,39 +51,12 @@ impl Machine for TrackedArray {
         }
     }
 
-    /// Cycle-leader equidistant gather with cycles and block fix-ups
-    /// dealt across processors in contiguous groups (the practical
-    /// `O(B)`-cycles-per-processor scheme of §4.2). `GatherMode` is
-    /// launch-batching metadata; the PEM model has no launch cost.
-    fn gather(&mut self, lo: usize, r: usize, l: usize, _mode: GatherMode) {
-        if r == 0 {
-            return;
-        }
-        let p = self.procs();
-        for proc in 0..p {
-            let a = 1 + r * proc / p;
-            let b = 1 + r * (proc + 1) / p;
-            self.set_proc(proc);
-            for c in a..b {
-                for m in (1..=c).rev() {
-                    self.swap(lo + cycle_slot(m, c, l), lo + cycle_slot(m - 1, c, l));
-                }
-            }
-        }
-        for proc in 0..p {
-            let a = (r + 1) * proc / p;
-            let b = (r + 1) * (proc + 1) / p;
-            self.set_proc(proc);
-            for j0 in a..b {
-                let amount = (r - j0) % l; // (r + 1 - j) % l with j = j0 + 1
-                let start = lo + r + j0 * l;
-                TrackedArray::rotate_right(self, start, start + l, amount);
-            }
-        }
-    }
-
-    /// Chunked gather (chunks of `chunk` elements as units): every move
-    /// is a streaming `chunk`-element block swap.
+    /// Cycle-leader equidistant gather on chunks of `chunk` elements,
+    /// with cycles and block fix-ups dealt across processors in
+    /// contiguous groups (the practical `O(B)`-cycles-per-processor
+    /// scheme of §4.2): every move is a streaming `chunk`-element block
+    /// swap. `GatherMode` is launch-batching metadata; the PEM model has
+    /// no launch cost.
     fn gather_chunks(&mut self, lo: usize, r: usize, l: usize, chunk: usize, _mode: GatherMode) {
         if r == 0 {
             return;
@@ -117,29 +93,14 @@ impl Machine for TrackedArray {
     /// Recursive subtree tasks run in order on the simulated machine;
     /// involution/gather rounds inside them re-deal their own work over
     /// all `P` processors, matching the analyses' static partitioning.
-    fn run_tasks<K, F>(&mut self, tasks: Vec<Region<K>>, f: F)
+    fn run_tasks<K, I, F>(&mut self, tasks: I, f: F)
     where
         K: Send + Sync,
+        I: Iterator<Item = Region<K>> + Clone,
         F: Fn(&mut Self, &Region<K>) + Sync,
     {
-        for task in &tasks {
-            f(self, task);
+        for task in tasks {
+            f(self, &task);
         }
-    }
-
-    /// Local tasks are disabled (`local_threshold` = 0 by default): the
-    /// PEM simulator traces every access of every subtree. The
-    /// implementation still behaves sensibly if ever enabled — one
-    /// streaming read pass over the region, then the in-memory
-    /// permutation applied at no further I/O charge (internal memory
-    /// work).
-    fn local_task<F>(&mut self, lo: usize, len: usize, f: F)
-    where
-        F: FnOnce(&mut [u64]),
-    {
-        for i in lo..lo + len {
-            self.read(i);
-        }
-        f(self.region_mut(lo, len));
     }
 }

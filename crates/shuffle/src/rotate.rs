@@ -38,26 +38,18 @@ pub fn rotate_right<T>(data: &mut [T], c: usize) {
     data.rotate_right(c % n);
 }
 
-/// Whether [`swap_regions_par`] hands a swap of two `len`-element
-/// regions to the pool: at least two floors' worth of swapped pairs
-/// ([`rayon::min_task_len`] at [`MOVE_COST_NS`] a pair), in a pool of
-/// more than one thread. The chunked gather asks it too, to move its
-/// large chunks one parallel swap at a time.
-#[inline]
-pub fn swap_fans_out(len: usize) -> bool {
-    len >= 2 * rayon::min_task_len(MOVE_COST_NS) && rayon::current_num_threads() > 1
-}
-
 /// Swap two equal-length disjoint regions `[a, a+len)` and `[b, b+len)` of
-/// `data`. Used by the chunked gather (swapping `C`-element chunks) and by
-/// Figure 6.4's "swap first half with second half" baseline.
+/// `data`. Used by the equidistant gather (every run swap of its first
+/// stage) and by Figure 6.4's "swap first half with second half"
+/// baseline.
 ///
 /// Every swap is a block swap (`ptr::swap_nonoverlapping`, 0.2–0.7 ns
-/// a pair against about 1 ns for one pair at a time). When
-/// [`swap_fans_out`]`(len)`, the regions are cut into contiguous blocks
-/// of at least [`rayon::min_task_len`]`(MOVE_COST_NS)` pairs each and
-/// the blocks are dealt to the pool; otherwise the calling thread swaps
-/// the whole regions as one block.
+/// a pair against about 1 ns for one pair at a time). From two floors of
+/// swapped pairs ([`rayon::min_task_len`] at [`MOVE_COST_NS`] a pair),
+/// in a pool of more than one thread, the regions are cut into
+/// contiguous blocks of at least a floor of pairs each and the blocks
+/// are dealt to the pool; otherwise the calling thread swaps the whole
+/// regions as one block.
 ///
 /// # Panics
 /// Panics if the regions overlap or are out of bounds.
@@ -71,15 +63,21 @@ pub fn swap_fans_out(len: usize) -> bool {
 /// ```
 pub fn swap_regions_par<T: Send>(data: &mut [T], a: usize, b: usize, len: usize) {
     let (a, b) = if a <= b { (a, b) } else { (b, a) };
+    // Checked: a wrapped `b + len` could pass and hand the pool blocks
+    // past the slice. With it in bounds, `a + len` cannot wrap.
+    assert!(
+        b.checked_add(len).is_some_and(|end| end <= data.len()),
+        "region out of bounds"
+    );
     assert!(a + len <= b, "regions overlap");
-    assert!(b + len <= data.len(), "region out of bounds");
-    if !swap_fans_out(len) {
+    let floor = rayon::min_task_len(MOVE_COST_NS);
+    if len < 2 * floor || rayon::current_num_threads() == 1 {
         let (front, back) = data.split_at_mut(b);
         return front[a..a + len].swap_with_slice(&mut back[..len]);
     }
     // Block `i` covers pairs `[i·len/blocks, (i+1)·len/blocks)`: at least
     // `len / blocks ≥ floor` of them.
-    let blocks = len / rayon::min_task_len(MOVE_COST_NS);
+    let blocks = len / floor;
     let shared = SharedSlice::new(data);
     (0..blocks).into_par_iter().for_each(|i| {
         let (start, end) = (i * len / blocks, (i + 1) * len / blocks);
@@ -146,5 +144,25 @@ mod tests {
     fn swap_regions_rejects_overlap() {
         let mut v = vec![0u8; 10];
         swap_regions_par(&mut v, 0, 3, 4);
+    }
+
+    /// A length whose `b + len` wraps to inside the slice (`5 + 2^64 − 2`
+    /// is 3 on a 64-bit target). The guard rejects it in a one- and a
+    /// two-thread pool, in every build; unchecked, a release build passed
+    /// it and the two-thread pool swapped past the slice.
+    #[test]
+    fn swap_regions_rejects_a_length_that_wraps() {
+        for threads in [1, 2] {
+            let panicked = std::panic::catch_unwind(|| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| swap_regions_par(&mut [0u64; 10], 3, 5, usize::MAX - 1))
+            });
+            let payload = panicked.expect_err("a wrapped length passed the guard");
+            let message = payload.downcast_ref::<&str>().unwrap();
+            assert_eq!(*message, "region out of bounds", "threads={threads}");
+        }
     }
 }

@@ -25,14 +25,15 @@
 //! to the pool whatever its length and the shards' syncs overlap.
 //!
 //! The construction primitives follow the same rule: each of the two
-//! gathers, the region swap, `Ram`'s involution round and the layout
-//! scatter hands off nothing just below two floors of its work
-//! (`rayon::min_task_len` at its documented per-element cost), and
-//! hands off at four floors, in a two-thread pool. An involution round's
-//! cost is its index arithmetic's (`IndexArith::ram_cost_ns`), so a `J`
-//! round spreads at a length a binary reversal round keeps. A subtree
-//! fan-out (`Ram::run_tasks`) keeps its largest group of tasks on the
-//! calling thread and offers the rest.
+//! gathers, the region swap, `Ram`'s involution round, `Ram`'s subtree
+//! fan-out and the layout scatter hands off nothing just below two
+//! floors of its work (`rayon::min_task_len` at its documented
+//! per-element cost), and hands off at four floors, in a two-thread
+//! pool. An involution round's cost is its index arithmetic's
+//! (`IndexArith::ram_cost_ns`), so a `J` round spreads at a length a
+//! binary reversal round keeps. A subtree fan-out (`Ram::run_tasks`)
+//! keeps its largest group of tasks on the calling thread and offers
+//! the rest.
 //!
 //! Lives in its own integration-test binary because the counters are
 //! process-wide: its tests take one lock, so nothing else dispatches
@@ -310,6 +311,17 @@ fn construction_primitives_hand_off_only_from_their_floor() {
             "a Jmap round stayed on one thread"
         );
     }
+    // A subtree fan-out of eight equal regions, whose tasks do nothing:
+    // its work is the regions' elements at `RAM_ELEM_COST_NS`.
+    hands_off_from_two_floors(
+        "Ram::run_tasks",
+        rayon::min_task_len(RAM_ELEM_COST_NS),
+        |n| {
+            let mut v = vec![0u8; n];
+            let regions = (0..8).map(|q| Region::new(q * n / 8, (q + 1) * n / 8 - q * n / 8, ()));
+            handoffs_in_two_threads(|| Ram::new(&mut v).run_tasks(regions, |_, _| {}))
+        },
+    );
     // Key-only, so the value side (`()`) moves nothing.
     hands_off_from_two_floors("the layout scatter", moves, |n| {
         let keys: Vec<u64> = (0..n as u64).collect();
@@ -340,7 +352,7 @@ fn a_fan_out_keeps_its_largest_task_on_the_calling_thread() {
     let big_started = AtomicBool::new(false);
     let ran_on = Mutex::new(Vec::new());
     let moved = handoffs_in_two_threads(|| {
-        let tasks = vec![Region::new(0, big, "big"), Region::new(big, small, "small")];
+        let tasks = [Region::new(0, big, "big"), Region::new(big, small, "small")].into_iter();
         Ram::new(&mut v).run_tasks(tasks, |_, task| {
             if task.tag == "big" {
                 big_started.store(true, Ordering::SeqCst);

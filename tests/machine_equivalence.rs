@@ -235,27 +235,20 @@ impl Machine for Recorder<'_> {
         self.ram.rotate_right(lo, hi, amount);
     }
 
-    fn run_tasks<K, F>(&mut self, tasks: Vec<Region<K>>, f: F)
+    fn run_tasks<K, I, F>(&mut self, tasks: I, f: F)
     where
         K: Send + Sync,
+        I: Iterator<Item = Region<K>> + Clone,
         F: Fn(&mut Self, &Region<K>) + Sync,
     {
         let spans: Vec<String> = tasks
-            .iter()
+            .clone()
             .map(|t| format!("{}+{}", t.lo, t.len))
             .collect();
         self.log.push(format!("tasks {}", spans.join(" ")));
-        for task in &tasks {
-            f(self, task);
+        for task in tasks {
+            f(self, &task);
         }
-    }
-
-    fn local_task<F>(&mut self, lo: usize, len: usize, f: F)
-    where
-        F: FnOnce(&mut [u64]),
-    {
-        self.log.push(format!("local {lo}+{len}"));
-        self.ram.local_task(lo, len, f);
     }
 }
 
