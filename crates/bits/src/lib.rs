@@ -7,8 +7,7 @@
 //!   Yang et al.),
 //! * modular arithmetic (extended Euclid, modular inverse): the reference
 //!   the `J`-involutions of the k-way perfect shuffle are tested against
-//!   (`ist_shuffle::j_involution` runs its own single Euclid pass),
-//! * integer logarithms for the layouts' tree shapes.
+//!   (`ist_shuffle::j_involution` runs its own single Euclid pass).
 //!
 //! The paper parameterizes the cost of digit reversal as `T_REV_k(N)`:
 //! some architectures (e.g. the NVIDIA K40 evaluated on the GPU side) expose
@@ -22,8 +21,6 @@
 
 pub mod digits;
 pub mod modular;
-pub mod tree;
 
 pub use digits::{rev2, rev_k};
 pub use modular::{extended_gcd, gcd, mod_inverse, mod_mul};
-pub use tree::{ilog, ilog2_floor};

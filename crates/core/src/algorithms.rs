@@ -22,8 +22,8 @@
 //! carry explicit region offsets (`lo`) so cost backends observe true
 //! addresses.
 
-use ist_bits::{ilog2_floor, rev2, rev_k};
-use ist_layout::{complete::BtreeCompleteShape, veb_order, veb_split, CompleteShape};
+use ist_bits::{rev2, rev_k};
+use ist_layout::{veb_order, veb_split, CompleteShape};
 use ist_machine::{GatherMode, IndexArith, Machine, Ram, Region};
 use ist_perm::permute_direct;
 use ist_shuffle::j_involution;
@@ -35,41 +35,29 @@ use crate::{Algorithm, Error, Layout};
 /// Chapter-5 `[perfect | overflow]` extension) on **every** backend.
 ///
 /// This is the single entry point behind [`crate::permute_in_place`],
-/// `ist-pem-sim`'s kernels and `ist-gpu-sim`'s kernels.
+/// `ist-pem-sim`'s kernels and `ist-gpu-sim`'s kernels. BST and vEB are
+/// trees of one key per node: their shape is the B-tree's at `b = 1`.
 pub fn construct<M: Machine>(m: &mut M, layout: Layout, algorithm: Algorithm) -> Result<(), Error> {
-    if matches!(layout, Layout::Btree { b: 0 }) {
-        return Err(Error::ZeroNodeCapacity);
-    }
+    let b = match layout {
+        Layout::Btree { b: 0 } => return Err(Error::ZeroNodeCapacity),
+        Layout::Btree { b } => b,
+        Layout::Bst | Layout::Veb => 1,
+    };
     let n = m.len();
     if n <= 1 {
         return Ok(());
     }
-    match layout {
-        Layout::Bst | Layout::Veb => {
-            let shape = CompleteShape::new(n);
-            if !shape.is_perfect() {
-                strip_overflow_binary(m, shape);
-            }
-            let d = shape.full_levels();
-            match (layout, algorithm) {
-                (Layout::Bst, Algorithm::Involution) => involution_bst(m, d),
-                (Layout::Bst, Algorithm::CycleLeader) => cycle_leader_btree(m, 1, d),
-                (Layout::Veb, Algorithm::Involution) => involution_veb(m, 0, d),
-                (Layout::Veb, Algorithm::CycleLeader) => cycle_leader_veb(m, 0, d),
-                _ => unreachable!(),
-            }
+    let shape = CompleteShape::new(n, b);
+    strip_overflow(m, shape);
+    let levels = shape.full_node_levels();
+    match (layout, algorithm) {
+        (Layout::Bst, Algorithm::Involution) => involution_bst(m, levels),
+        (Layout::Btree { .. }, Algorithm::Involution) => involution_btree(m, b, levels),
+        (Layout::Bst | Layout::Btree { .. }, Algorithm::CycleLeader) => {
+            cycle_leader_btree(m, b, levels)
         }
-        Layout::Btree { b } => {
-            let shape = BtreeCompleteShape::new(n, b);
-            if !shape.is_perfect() {
-                strip_overflow_btree(m, shape);
-            }
-            let levels = shape.full_node_levels();
-            match algorithm {
-                Algorithm::Involution => involution_btree(m, b, levels),
-                Algorithm::CycleLeader => cycle_leader_btree(m, b, levels),
-            }
-        }
+        (Layout::Veb, Algorithm::Involution) => involution_veb(m, 0, levels),
+        (Layout::Veb, Algorithm::CycleLeader) => cycle_leader_veb(m, 0, levels),
     }
     Ok(())
 }
@@ -146,7 +134,7 @@ pub fn involution_bst<M: Machine>(m: &mut M, d: u32) {
     });
     m.involution_round(0, n, IndexArith::Rev2 { d }, move |s| {
         let p = (s + 1) as u64;
-        (rev2(ilog2_floor(p), p) - 1) as usize
+        (rev2(p.ilog2(), p) - 1) as usize
     });
 }
 
@@ -156,7 +144,7 @@ pub fn involution_bst<M: Machine>(m: &mut M, d: u32) {
 /// the loop recurses on the internal prefix. `levels` is the node height
 /// `m` with `(b+1)^m − 1` total keys.
 pub fn involution_btree<M: Machine>(m: &mut M, b: usize, levels: u32) {
-    let k = b + 1;
+    let k = b.saturating_add(1);
     let mut mm = levels;
     while mm >= 2 {
         let n_cur = k.pow(mm) - 1;
@@ -274,7 +262,7 @@ fn veb_subtrees(lo: usize, t: u32, bb: u32) -> impl Iterator<Item = Region<u32>>
 /// internal prefix recurses (iteratively). With `b = 1` this is the BST
 /// construction of §3.3.
 pub fn cycle_leader_btree<M: Machine>(m: &mut M, b: usize, levels: u32) {
-    let k = b + 1;
+    let k = b.saturating_add(1);
     let mut mm = levels;
     while mm >= 2 {
         extended_gather(m, 0, b, k.pow(mm - 1), true);
@@ -298,7 +286,7 @@ pub fn cycle_leader_btree<M: Machine>(m: &mut M, b: usize, levels: u32) {
 /// other part. A region the machine finishes [directly](Machine::direct)
 /// is one stable partition through the scratch instead.
 fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, representative: bool) {
-    let k = b + 1;
+    let k = b.saturating_add(1);
     if runs < 2 {
         return;
     }
@@ -345,18 +333,23 @@ fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, repr
 // Chapter 5: non-perfect (complete) tree extensions
 // ---------------------------------------------------------------------
 
-/// Move the overflow leaves of a complete tree to the array suffix,
-/// leaving the full-level elements sorted in the prefix. In sorted order
-/// the array starts with `q` full overflow leaf nodes of `b` keys, each
-/// followed by one full-level key, then the `s < b` keys of a partial
-/// node: [`extended_gather`]'s pattern with `q` runs, so the pre-pass is
-/// one extended gather, a shift of at most `b` keys and one circular
-/// shift of the rest. Work `O(L log_{b+1} L + N)` for `L = q·b + s`.
-fn strip_overflow<M: Machine>(m: &mut M, b: usize, q: usize, s: usize) {
-    let l = q * b + s;
-    if l == 0 {
+/// Move the `L` overflow leaves of the complete tree `shape` to the
+/// array suffix, leaving the full-level elements sorted in the prefix; a
+/// no-op on a perfect shape. In sorted order the array starts with
+/// `q = ⌊L/B⌋` full overflow leaf nodes of `b` keys, each followed by one
+/// full-level key, then the `s = L mod B` keys of a partial node (for a
+/// binary tree, `b = 1`: `L` leaves at the even positions, each followed
+/// by its parent). That is the extended gather's pattern with `q` runs,
+/// so the pre-pass is one extended gather, a shift of at most `b` keys
+/// and one circular shift of the rest. Work `O(L log_{b+1} L + N)`.
+pub fn strip_overflow<M: Machine>(m: &mut M, shape: CompleteShape) {
+    let n = m.len();
+    debug_assert_eq!(n, shape.full_count() + shape.overflow());
+    if shape.is_perfect() {
         return;
     }
+    let (b, l) = (shape.b(), shape.overflow());
+    let (q, s) = (shape.full_overflow_nodes(), shape.partial_node_len());
     extended_gather(m, 0, b, q, true);
     // [full (q−1) | leaves (qb) | full (1) | partial (s) | full (rest)]
     let front = q.saturating_sub(1);
@@ -365,28 +358,7 @@ fn strip_overflow<M: Machine>(m: &mut M, b: usize, q: usize, s: usize) {
         m.rotate_right(last, last + 1 + s, s);
     }
     // [full (q−1) | overflow (L) | full (rest)] -> [full | overflow].
-    let n = m.len();
     m.rotate_right(front, n, n - front - l);
-}
-
-/// Move the `L` overflow leaves of a complete **binary** tree to the
-/// array suffix: they sit at even positions `0, 2, …, 2(L−1)`, each
-/// followed by its parent — `L` runs of one key.
-pub fn strip_overflow_binary<M: Machine>(m: &mut M, shape: CompleteShape) {
-    debug_assert_eq!(m.len(), shape.len());
-    strip_overflow(m, 1, shape.overflow(), 0);
-}
-
-/// Move the `L` overflow leaves of a complete **B-tree** to the array
-/// suffix: `⌊L/B⌋` full leaf nodes and one partial node of `L mod B` keys.
-pub fn strip_overflow_btree<M: Machine>(m: &mut M, shape: BtreeCompleteShape) {
-    debug_assert_eq!(m.len(), shape.len());
-    strip_overflow(
-        m,
-        shape.b(),
-        shape.full_overflow_nodes(),
-        shape.partial_node_len(),
-    );
 }
 
 #[cfg(test)]
@@ -461,15 +433,8 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// Reference: stable partition into [full elements | overflow leaves].
-    fn reference_binary(n: usize) -> Vec<usize> {
-        let shape = CompleteShape::new(n);
-        let mut out: Vec<usize> = (0..n).filter(|&i| !shape.is_overflow(i)).collect();
-        out.extend((0..n).filter(|&i| shape.is_overflow(i)));
-        out
-    }
-
     fn reference_btree(n: usize, b: usize) -> Vec<usize> {
-        let shape = BtreeCompleteShape::new(n, b);
+        let shape = CompleteShape::new(n, b);
         let mut out: Vec<usize> = (0..n).filter(|&i| !shape.is_overflow(i)).collect();
         out.extend((0..n).filter(|&i| shape.is_overflow(i)));
         out
@@ -490,17 +455,11 @@ mod tests {
         }
     }
 
-    fn check_binary(n: usize) {
-        let shape = CompleteShape::new(n);
-        check(&reference_binary(n), &format!("binary n={n}"), |a| {
-            strip_overflow_binary(&mut Ram::new(a), shape)
-        });
-    }
-
+    /// The strip of `n` keys, `b` per node (`b = 1`: BST and vEB).
     fn check_btree(n: usize, b: usize) {
-        let shape = BtreeCompleteShape::new(n, b);
+        let shape = CompleteShape::new(n, b);
         check(&reference_btree(n, b), &format!("btree n={n} b={b}"), |a| {
-            strip_overflow_btree(&mut Ram::new(a), shape)
+            strip_overflow(&mut Ram::new(a), shape)
         });
     }
 
@@ -513,7 +472,7 @@ mod tests {
             leaf_nodes *= k;
         }
         let n = leaf_nodes - 1 + l;
-        let shape = BtreeCompleteShape::new(n, b);
+        let shape = CompleteShape::new(n, b);
         assert_eq!(
             (shape.full_overflow_nodes(), shape.partial_node_len()),
             (q, s),
@@ -525,7 +484,7 @@ mod tests {
     #[test]
     fn strip_binary_all_sizes() {
         for n in 1..700usize {
-            check_binary(n);
+            check_btree(n, 1);
         }
     }
 
@@ -574,8 +533,8 @@ mod tests {
     #[test]
     fn strip_extreme_overflow_counts() {
         for d in 1..=12u32 {
-            check_binary(1 << d);
-            check_binary((1 << (d + 1)) - 2);
+            check_btree(1 << d, 1);
+            check_btree((1 << (d + 1)) - 2, 1);
         }
         for b in [1usize, 2, 3, 8] {
             let k = b + 1;
@@ -591,7 +550,7 @@ mod tests {
     /// gathers.
     #[test]
     fn strip_million_keys() {
-        check_binary(1_000_000);
+        check_btree(1_000_000, 1);
         check_btree(1_000_000, 8);
         check_btree(btree_len(8, 2 * 9usize.pow(5) + 9, 1), 8);
     }
@@ -599,9 +558,9 @@ mod tests {
     #[test]
     fn strip_keeps_prefix_and_suffix_sorted() {
         let n = 12345usize;
-        let shape = CompleteShape::new(n);
+        let shape = CompleteShape::new(n, 1);
         let mut v: Vec<usize> = (0..n).collect();
-        strip_overflow_binary(&mut Ram::new(&mut v), shape);
+        strip_overflow(&mut Ram::new(&mut v), shape);
         let i = shape.full_count();
         assert!(v[..i].windows(2).all(|w| w[0] < w[1]));
         assert!(v[i..].windows(2).all(|w| w[0] < w[1]));

@@ -27,10 +27,12 @@
 //! leaf level is first moved, in place, to the array's suffix; the
 //! remaining elements form a perfect tree. The resulting format is
 //! `[perfect layout | sorted overflow leaves]` (see
-//! [`ist_layout::complete`]), which `ist-query` searches natively. The
-//! strip is cycle-leader primitives only — one extended gather over the
-//! overflow runs, then circular shifts — for every layout and both
-//! families.
+//! [`ist_layout::complete`]), which `ist-query` searches natively. One
+//! [`algorithms::strip_overflow`] does it for every layout and both
+//! families, from the tree's [`ist_layout::CompleteShape`] — BST and vEB
+//! are the B-tree with one key per node — in cycle-leader primitives
+//! only: one extended gather over the overflow runs, then circular
+//! shifts.
 //!
 //! **Documented deviation from the paper:** for the vEB layout the paper
 //! re-interleaves overflow leaves into the recursive bottom subtrees so

@@ -6,8 +6,7 @@
 //! in `ist-layout` (including the complete-tree extension).
 
 use crate::Layout;
-use ist_layout::complete::BtreeCompleteShape;
-use ist_layout::{bst_pos, veb_pos, CompleteShape};
+use ist_layout::{bst_pos, btree_pos, veb_pos, CompleteShape};
 
 /// Compute the layout permutation of sorted `data` **out of place**.
 ///
@@ -26,22 +25,16 @@ pub fn reference_permutation<T: Clone>(data: &[T], layout: Layout) -> Vec<T> {
     if n <= 1 {
         return data.to_vec();
     }
-    let pi: Box<dyn Fn(usize) -> usize> = match layout {
-        Layout::Bst => {
-            let shape = CompleteShape::new(n);
-            Box::new(move |i| shape.pos(i, bst_pos))
-        }
-        Layout::Veb => {
-            let shape = CompleteShape::new(n);
-            Box::new(move |i| shape.pos(i, veb_pos))
-        }
+    let (b, perfect): (usize, Box<dyn Fn(u32, usize) -> usize>) = match layout {
+        Layout::Bst => (1, Box::new(bst_pos)),
+        Layout::Veb => (1, Box::new(veb_pos)),
         Layout::Btree { b } => {
             assert!(b >= 1, "B must be positive");
-            let shape = BtreeCompleteShape::new(n, b);
-            Box::new(move |i| shape.pos(i))
+            (b, Box::new(move |m, r| btree_pos(b, m, r)))
         }
     };
-    ist_perm::apply_out_of_place(data, pi)
+    let shape = CompleteShape::new(n, b);
+    ist_perm::apply_out_of_place(data, |i| shape.pos(i, &perfect))
 }
 
 #[cfg(test)]
@@ -70,7 +63,7 @@ mod tests {
         let n = 100usize;
         let v: Vec<u32> = (0..n as u32).collect();
         let out = reference_permutation(&v, Layout::Bst);
-        let shape = CompleteShape::new(n);
+        let shape = CompleteShape::new(n, 1);
         let i = shape.full_count();
         let suffix = &out[i..];
         assert!(suffix.windows(2).all(|w| w[0] < w[1]));

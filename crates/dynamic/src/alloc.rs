@@ -325,8 +325,8 @@ mod tests {
     /// the bottom trees of the vEB top-level split (`2^18 ± 1`).
     #[test]
     fn scatter_matches_in_place_construction() {
-        use ist_layout::complete::{BtreeCompleteShape, CompleteShape};
         use ist_layout::veb_split;
+        use ist_layout::CompleteShape;
 
         let grain = rayon::min_task_len(MOVE_COST_NS);
         // b = 6 whose group prefix holds `grain / 7` groups, in the
@@ -384,15 +384,15 @@ mod tests {
         // The B-tree's parts in sorted order: the group prefix, the
         // partial node, the full tail.
         let btree_parts = |n: usize, b: usize| {
-            let shape = BtreeCompleteShape::new(n, b);
+            let shape = CompleteShape::new(n, b);
             let prefix_end = shape.full_overflow_nodes() * (b + 1);
             let tail = prefix_end + shape.partial_node_len();
             [0..prefix_end, prefix_end..tail, tail..n]
         };
         // The vEB's bottom trees of the top-level split, in slot order.
         let veb_bottoms = |n: usize| {
-            let shape = CompleteShape::new(n);
-            let (top, _) = veb_split(shape.full_levels());
+            let shape = CompleteShape::new(n, 1);
+            let (top, _) = veb_split(shape.full_node_levels());
             (1 << top) - 1..shape.full_count()
         };
         let [prefix, _, _] = btree_parts(3 * grain + 5, 3);

@@ -88,7 +88,7 @@
 //! included.
 
 use ist_core::Layout;
-use ist_layout::{veb_pos, CompleteShape};
+use ist_layout::{bst_pos, btree_pos, veb_pos, CompleteShape};
 
 mod batch;
 pub mod nav;
@@ -319,6 +319,10 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// a mask register — and on one that reports AVX2 the AVX2 kernel,
     /// 4 keys per `vpcmpgtq`; `u32` keys take the SSE2 kernel; every
     /// other case takes the portable unrolled loop.
+    ///
+    /// # Panics
+    /// On [`QueryKind::Btree`]`(0)` over a non-empty `data`: a node
+    /// holds at least one key.
     pub fn new(data: &'a [T], kind: QueryKind) -> Self {
         let mut s = Self::new_runtime(data, kind);
         if let ShapeData::Btree(shape) = s.shape {
@@ -484,6 +488,7 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     /// assert_eq!(resorted, (0..7).collect::<Vec<u64>>());
     /// assert_eq!(s.position_of_rank(7), None);
     /// ```
+    #[inline]
     pub fn position_of_rank(&self, r: usize) -> Option<usize> {
         let n = self.data.len();
         if r >= n {
@@ -491,8 +496,8 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         }
         Some(match self.shape {
             ShapeData::Sorted => r,
-            ShapeData::Bst { .. } => CompleteShape::new(n).pos(r, ist_layout::bst_pos),
-            ShapeData::Veb(_) => CompleteShape::new(n).pos(r, veb_pos),
+            ShapeData::Bst { .. } => CompleteShape::new(n, 1).pos(r, bst_pos),
+            ShapeData::Veb(_) => CompleteShape::new(n, 1).pos(r, veb_pos),
             ShapeData::Btree(shape)
             | ShapeData::BtreeWide8(shape)
             | ShapeData::BtreeWide16(shape)
@@ -500,7 +505,8 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
             | ShapeData::BtreeWide16Avx2(shape)
             | ShapeData::BtreeWide8Avx512(shape)
             | ShapeData::BtreeWide16Avx512(shape) => {
-                ist_layout::complete::BtreeCompleteShape::new(n, shape.b).pos(r)
+                let b = shape.b;
+                CompleteShape::new(n, b).pos(r, |m, f| btree_pos(b, m, f))
             }
         })
     }

@@ -139,9 +139,9 @@ impl BinaryShape {
         if n == 0 {
             return Self { d: 0, i: 0, l: 0 };
         }
-        let s = CompleteShape::new(n);
+        let s = CompleteShape::new(n, 1);
         Self {
-            d: s.full_levels(),
+            d: s.full_node_levels(),
             i: s.full_count(),
             l: s.overflow(),
         }
@@ -177,7 +177,7 @@ impl BtreeSearchShape {
                 s: 0,
             };
         }
-        let s = ist_layout::complete::BtreeCompleteShape::new(n, b);
+        let s = CompleteShape::new(n, b);
         Self {
             b,
             i: s.full_count(),
@@ -731,11 +731,13 @@ impl<'a, T: Ord> Navigator<T> for BtreeNav<'a, T> {
     }
     #[inline(always)]
     fn first_round(&self) -> usize {
-        self.shape.i.saturating_sub(self.shape.b) / (self.shape.b + 1)
+        self.next_round(self.shape.i)
     }
+    /// Saturating: a node of `usize::MAX` keys leaves no full level, and
+    /// the fan-out must not wrap to a zero divisor.
     #[inline(always)]
     fn next_round(&self, child: usize) -> usize {
-        child.saturating_sub(self.shape.b) / (self.shape.b + 1)
+        child.saturating_sub(self.shape.b) / self.shape.b.saturating_add(1)
     }
     #[inline(always)]
     fn node_base(&self, cur: &usize, _acc: &usize) -> usize {

@@ -6,8 +6,10 @@
 //! **van Emde Boas** (recursive cache-oblivious order).
 //!
 //! For each layout this crate provides the *position map*
-//! `sorted index → layout index`, for perfect trees (and, in [`complete`],
-//! for the `[perfect | overflow]` format of any size). These
+//! `sorted index → layout index` for perfect trees, and one
+//! [`CompleteShape`] extends all three to the `[perfect | overflow]`
+//! format of any size (see [`complete`]): a binary tree is the B-tree
+//! with one key per node, so BST and vEB are its `b = 1` case. These
 //! maps define the permutations that the construction algorithms in
 //! `ist-core` realize in place; here they double as the **test oracle**
 //! (apply the map out of place and compare) and as the navigation

@@ -2,9 +2,9 @@
 //! layout slot, one contiguous piece of the permutation at a time, with
 //! O(1) amortized work per key and no division inside the loop.
 //!
-//! The closed-form maps ([`crate::complete::BtreeCompleteShape::pos`],
-//! [`CompleteShape::pos`] with [`crate::veb_pos`]) answer one rank at a time
-//! and re-derive the whole shape on every call. A build moves *every*
+//! The closed-form map ([`CompleteShape::pos`] with [`crate::btree_pos`]
+//! or [`crate::veb_pos`]) answers one rank at a time and re-derives the
+//! whole shape on every call. A build moves *every*
 //! key, in order, so it can carry the shape along instead:
 //!
 //! * [`BtreeWalk`] (also BST, which is the B-tree layout with `b = 1`)
@@ -24,7 +24,7 @@
 
 use core::ops::Range;
 
-use crate::complete::{BtreeCompleteShape, CompleteShape};
+use crate::complete::CompleteShape;
 use crate::veb::{veb_order, veb_split};
 
 /// Most node levels a `usize`-indexed B-tree can have (`b = 1`).
@@ -46,7 +46,7 @@ fn cuts(n: usize, grain: usize, align: impl Fn(usize) -> usize) -> Vec<Range<usi
 
 /// Streaming scatter of the complete B-tree layout
 /// (`[perfect B-tree | overflow keys]`, see
-/// [`BtreeCompleteShape`]) over sorted ranks.
+/// [`CompleteShape`]) over sorted ranks.
 ///
 /// In sorted order the keys come as `q` groups of `b + 1` — `b`
 /// overflow keys, which move as one block to the overflow suffix, and
@@ -56,14 +56,14 @@ fn cuts(n: usize, grain: usize, align: impl Fn(usize) -> usize) -> Vec<Range<usi
 ///
 /// # Examples
 /// ```
-/// use ist_layout::{complete::BtreeCompleteShape, BtreeWalk};
+/// use ist_layout::{btree_pos, BtreeWalk, CompleteShape};
 /// let (n, b) = (30, 2);
-/// let shape = BtreeCompleteShape::new(n, b);
+/// let shape = CompleteShape::new(n, b);
 /// let walk = BtreeWalk::new(n, b);
 /// let mut seen = 0;
 /// for piece in walk.pieces(4) {
 ///     walk.walk(piece, |rank, slot| {
-///         assert_eq!(slot, shape.pos(rank));
+///         assert_eq!(slot, shape.pos(rank, |m, r| btree_pos(b, m, r)));
 ///         seen += 1;
 ///     });
 /// }
@@ -93,8 +93,8 @@ pub struct BtreeWalk {
 impl BtreeWalk {
     /// Walk for `n ≥ 1` keys, `b ≥ 1` keys per node.
     pub fn new(n: usize, b: usize) -> Self {
-        let shape = BtreeCompleteShape::new(n, b);
-        let k = b + 1;
+        let shape = CompleteShape::new(n, b);
+        let k = b.saturating_add(1);
         let m = shape.full_node_levels() as usize;
         let g = k.trailing_zeros();
         let tz_shift = (k.is_power_of_two() && g.is_power_of_two()).then(|| g.trailing_zeros());
@@ -113,7 +113,7 @@ impl BtreeWalk {
     /// Rank ranges of about `grain` keys that partition `0..n`; every
     /// cut inside the group prefix lies on a group boundary.
     pub fn pieces(&self, grain: usize) -> Vec<Range<usize>> {
-        let k = self.b + 1;
+        let k = self.b.saturating_add(1);
         cuts(self.n, grain, |c| {
             if c < self.prefix_end {
                 c.next_multiple_of(k)
@@ -137,7 +137,7 @@ impl BtreeWalk {
 
     fn walk_with<const TZ: bool>(&self, ranks: Range<usize>, mut f: impl FnMut(usize, usize)) {
         let Range { start: lo, end: hi } = ranks;
-        let (b, k) = (self.b, self.b + 1);
+        let (b, k) = (self.b, self.b.saturating_add(1));
         let aligned = |r: usize| r >= self.prefix_end || r.is_multiple_of(k);
         debug_assert!(
             aligned(lo) && aligned(hi),
@@ -177,7 +177,8 @@ impl BtreeWalk {
             f(r, levels.next::<TZ>(self));
             r += 1;
         }
-        while r + k <= hi {
+        // `hi - r`, not `r + k`: the fan-out saturates at `usize::MAX`.
+        while hi - r >= k {
             let leaf = levels.leaves(b);
             f(r, leaf);
             for c in 1..b {
@@ -214,7 +215,7 @@ struct Levels {
 impl Levels {
     /// State after `placed` full keys: one division per level.
     fn seed(walk: &BtreeWalk, placed: usize) -> Self {
-        let k = walk.b + 1;
+        let k = walk.b.saturating_add(1);
         let mut levels = Self {
             phase: 0,
             leaf: 0,
@@ -286,7 +287,7 @@ const VEB_TABLE_DEPTH: u32 = 5;
 
 /// Streaming scatter of the complete vEB layout
 /// (`[vEB layout of the full part | overflow leaves]`, see
-/// [`CompleteShape`]) in slot order.
+/// [`CompleteShape`] at `b = 1`) in slot order.
 ///
 /// A subtree is `(first rank, stride, depth, first slot)`: its in-order
 /// keys are the full ranks `first + j · stride`. Its top tree recurses
@@ -299,7 +300,7 @@ const VEB_TABLE_DEPTH: u32 = 5;
 /// ```
 /// use ist_layout::{veb_pos, CompleteShape, VebWalk};
 /// let n = 1000;
-/// let shape = CompleteShape::new(n);
+/// let shape = CompleteShape::new(n, 1);
 /// let walk = VebWalk::new(n);
 /// let mut seen = 0;
 /// for piece in walk.pieces(64) {
@@ -324,10 +325,10 @@ pub struct VebWalk {
 impl VebWalk {
     /// Walk for `n ≥ 1` keys.
     pub fn new(n: usize) -> Self {
-        let shape = CompleteShape::new(n);
+        let shape = CompleteShape::new(n, 1);
         Self {
             n,
-            d: shape.full_levels(),
+            d: shape.full_node_levels(),
             full: shape.full_count(),
             overflow: shape.overflow(),
         }
@@ -447,6 +448,7 @@ impl VebWalk {
 mod tests {
     use super::*;
     use crate::bst::bst_pos;
+    use crate::btree::btree_pos;
     use crate::veb::veb_pos;
 
     /// Walk `pieces` in order with `walk` and check that they partition
@@ -486,8 +488,10 @@ mod tests {
     fn btree_walk_matches_closed_form() {
         for b in [1usize, 2, 3, 7, 8, 16] {
             for n in 1..=2000usize {
-                let shape = BtreeCompleteShape::new(n, b);
-                let expect: Vec<usize> = (0..n).map(|r| shape.pos(r)).collect();
+                let shape = CompleteShape::new(n, b);
+                let expect: Vec<usize> = (0..n)
+                    .map(|r| shape.pos(r, |m, f| btree_pos(b, m, f)))
+                    .collect();
                 let walk = BtreeWalk::new(n, b);
                 for grain in grains(n) {
                     let what = format!("b={b} n={n} grain={grain}");
@@ -500,7 +504,7 @@ mod tests {
     #[test]
     fn veb_walk_matches_closed_form() {
         for n in 1..=2000usize {
-            let shape = CompleteShape::new(n);
+            let shape = CompleteShape::new(n, 1);
             let expect: Vec<usize> = (0..n).map(|r| shape.pos(r, veb_pos)).collect();
             let walk = VebWalk::new(n);
             for grain in grains(n) {
@@ -510,15 +514,15 @@ mod tests {
         }
     }
 
-    /// BST builds run the B-tree walk with `b = 1`: the two complete
-    /// formats are the same map.
+    /// BST builds run the B-tree walk with `b = 1`: the two perfect
+    /// maps agree on the complete format.
     #[test]
     fn bst_is_the_btree_layout_with_one_key_per_node() {
         for n in 1..=5000usize {
-            let bst = CompleteShape::new(n);
-            let btree = BtreeCompleteShape::new(n, 1);
+            let shape = CompleteShape::new(n, 1);
             for r in 0..n {
-                assert_eq!(bst.pos(r, bst_pos), btree.pos(r), "n={n} r={r}");
+                let btree = shape.pos(r, |m, f| btree_pos(1, m, f));
+                assert_eq!(shape.pos(r, bst_pos), btree, "n={n} r={r}");
             }
         }
     }

@@ -180,7 +180,7 @@
 //! | [`gather`] | `Ram`'s equidistant gathers (plain and chunked, each parallel from two floors of moves in a pool of more than one thread) and Figure 6.4's `swap_regions_par` |
 //! | [`shuffle`] | the `J` involution of the k-way shuffle, and rotations |
 //! | [`perm`] | the sequential involution round, the one-pass small-region permutation through a stack scratch, the oblivious co-permutation, the out-of-place oracle |
-//! | [`bits`] | digit reversal, integer logarithms, and the modular-arithmetic test reference |
+//! | [`bits`] | digit reversal and the modular-arithmetic test reference |
 //! | [`pem_sim`] | PEM-model I/O cost backend |
 //! | [`gpu_sim`] | SIMT (GPU) execution cost backend |
 
@@ -196,7 +196,7 @@ pub use ist_core::{
 };
 pub use ist_query::{default_kind_for_layout, QueryKind, Searcher, SimdKey};
 
-/// Digit reversal and integer-logarithm primitives.
+/// Digit reversal and modular-arithmetic primitives.
 pub use ist_bits as bits;
 /// The serving facades (`StaticMap` / `DynamicMap`).
 pub use ist_dynamic;

@@ -181,6 +181,32 @@ fn in_place_construction_seq_allocates_nothing() {
     }
 }
 
+/// Below two floors of fan-out work (`Ram::run_tasks` at
+/// `RAM_ELEM_COST_NS`: 50 000 elements) a construction deals no task
+/// list even in a pool of more than one thread: every fan-out recurses
+/// on the calling thread, which allocates nothing.
+#[test]
+fn in_place_construction_below_the_fan_out_floor_allocates_nothing() {
+    use implicit_search_trees::{permute_in_place, Algorithm, Layout};
+
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    for n in [(1usize << 15) - 1, 40_000] {
+        for layout in [Layout::Bst, Layout::Btree { b: 8 }, Layout::Veb] {
+            let mut keys: Vec<u64> = (0..n as u64).collect();
+            let (result, allocs) = pool.install(|| {
+                count_allocs(1, || {
+                    permute_in_place(&mut keys, layout, Algorithm::CycleLeader)
+                })
+            });
+            result.unwrap();
+            assert_eq!(allocs, 0, "n={n} {layout:?}");
+        }
+    }
+}
+
 /// Run the whole scalar read battery over `probes` and return how many
 /// allocations of any size (threshold: 1 byte) it made.
 macro_rules! allocs_in_scalar_reads {

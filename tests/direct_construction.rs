@@ -13,7 +13,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
-use implicit_search_trees::layout::complete::BtreeCompleteShape;
 use implicit_search_trees::layout::CompleteShape;
 use implicit_search_trees::perm::{fits_scratch, SCRATCH_BYTES};
 use implicit_search_trees::{permute_in_place, reference_permutation, Algorithm, Layout};
@@ -88,7 +87,7 @@ fn extended_gather_regions_on_both_sides_of_the_budget() {
         for q in [fit, fit + 1] {
             for &s in partials {
                 let n = full + q * b + s;
-                let shape = BtreeCompleteShape::new(n, b);
+                let shape = CompleteShape::new(n, b);
                 assert_eq!(
                     (shape.full_overflow_nodes(), shape.partial_node_len()),
                     (q, s),
@@ -96,7 +95,7 @@ fn extended_gather_regions_on_both_sides_of_the_budget() {
                 );
                 check(&keys(n), Layout::Btree { b });
                 if b == 1 {
-                    assert_eq!(CompleteShape::new(n).overflow(), q);
+                    assert_eq!(CompleteShape::new(n, 1).overflow(), q);
                     check(&keys(n), Layout::Bst);
                     check(&keys(n), Layout::Veb);
                 }

@@ -218,3 +218,37 @@ fn thread_count_does_not_change_result() {
         assert_eq!(got, reference, "threads={threads}");
     }
 }
+
+/// A node capacity of at least `n` keys holds the whole array in one
+/// node, full at `b = n` and partial above it, so the layout is the
+/// sorted array itself. Up to `usize::MAX` nothing on the way may
+/// compute a wrapped `b + 1`: release builds would turn it into a zero
+/// base or divisor. Construction, `StaticMap` and `Searcher` must all
+/// agree with a sorted-array oracle.
+#[test]
+fn node_capacity_of_at_least_n_keys_is_the_identity_layout() {
+    for n in [1usize, 2, 10, 1_000] {
+        let sorted: Vec<u64> = (0..n as u64).map(|x| 2 * x + 1).collect();
+        for b in [n, n + 1, 1 << 40, usize::MAX - 1, usize::MAX] {
+            let layout = Layout::Btree { b };
+            let expect = reference_permutation(&sorted, layout);
+            assert_eq!(expect, sorted, "n={n} b={b}");
+            for algo in Algorithm::ALL {
+                let mut got = sorted.clone();
+                permute_in_place(&mut got, layout, algo).unwrap();
+                assert_eq!(got, expect, "n={n} b={b} {algo:?}");
+            }
+            let map = StaticMap::build(sorted.clone(), sorted.clone(), layout).unwrap();
+            let s = Searcher::new(&sorted, QueryKind::Btree(b));
+            for probe in 0..=2 * n as u64 + 1 {
+                let rank = sorted.partition_point(|&k| k < probe);
+                let hit = sorted.binary_search(&probe).ok().map(|i| &sorted[i]);
+                let what = format!("n={n} b={b} probe={probe}");
+                assert_eq!(map.get(&probe), hit, "{what}");
+                assert_eq!(map.rank(&probe), rank, "{what}");
+                assert_eq!(s.rank(&probe), rank, "{what}");
+                assert_eq!(s.lower_bound(&probe), (rank < n).then_some(rank), "{what}");
+            }
+        }
+    }
+}

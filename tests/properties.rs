@@ -8,13 +8,13 @@
 
 use implicit_search_trees::bits::{gcd, mod_inverse, mod_mul, rev_k};
 use implicit_search_trees::gather::{equidistant_gather, gather_len, reference_gather};
-use implicit_search_trees::layout::complete::BtreeCompleteShape;
+use implicit_search_trees::layout::CompleteShape;
 use implicit_search_trees::shuffle::j_involution;
 use implicit_search_trees::{
     permute_in_place, permute_in_place_seq, reference_permutation, Algorithm, IndexArith, Layout,
     Machine, QueryKind, Ram, Searcher, StaticMap,
 };
-use ist_core::algorithms::strip_overflow_btree;
+use ist_core::algorithms::strip_overflow;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,7 +104,7 @@ fn extended_gather_is_stable_partition() {
         let full = k.pow(m) - 1;
         let overflow = rng.gen_range(0..k.pow(m) * b);
         let n = full + overflow;
-        let shape = BtreeCompleteShape::new(n, b);
+        let shape = CompleteShape::new(n, b);
         let (q, s) = (overflow / b, overflow % b);
         assert_eq!(
             (shape.full_overflow_nodes(), shape.partial_node_len()),
@@ -120,7 +120,7 @@ fn extended_gather_is_stable_partition() {
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| strip_overflow_btree(&mut Ram::new(&mut got), shape));
+            .install(|| strip_overflow(&mut Ram::new(&mut got), shape));
         assert_eq!(got, expect, "case {case}: b={b} m={m} overflow={overflow}");
     }
 }
