@@ -192,24 +192,6 @@ impl Gpu {
         }
     }
 
-    /// Execute one kernel that moves `len` keys from `[src, src+len)` to
-    /// `[dst, dst+len)` by exchanging them (block swap): one lane per
-    /// key, perfectly coalesced. (Primitive kept for external drivers.)
-    #[allow(dead_code)]
-    pub(crate) fn block_swap_kernel(&mut self, a: usize, b: usize, len: usize) {
-        self.charge_launch();
-        let lw = self.cfg.line_words as u64;
-        // Coalesced: ceil(len/16) segments per side, read + write.
-        self.cost.transactions += 4 * (len as u64).div_ceil(lw);
-        if a < b {
-            let (x, y) = self.data.split_at_mut(b);
-            x[a..a + len].swap_with_slice(&mut y[..len]);
-        } else {
-            let (x, y) = self.data.split_at_mut(a);
-            x[b..b + len].swap_with_slice(&mut y[..len]);
-        }
-    }
-
     /// Execute one kernel that rotates `[lo, hi)` right by `amount`
     /// (three coalesced reversal passes).
     pub(crate) fn rotate_kernel(&mut self, lo: usize, hi: usize, amount: usize) {
@@ -251,16 +233,6 @@ mod tests {
             scattered > 4 * coalesced,
             "scattered={scattered} coalesced={coalesced}"
         );
-    }
-
-    #[test]
-    fn block_swap_moves_data_and_is_cheap() {
-        let mut gpu = Gpu::from_sorted(64, GpuConfig::default());
-        gpu.block_swap_kernel(0, 32, 32);
-        assert_eq!(gpu.data[0], 32);
-        assert_eq!(gpu.data[32], 0);
-        assert_eq!(gpu.cost().transactions, 4 * 2);
-        assert_eq!(gpu.cost().launches, 1);
     }
 
     #[test]

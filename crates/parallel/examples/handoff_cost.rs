@@ -6,12 +6,13 @@
 //! cargo run --release -p ist-parallel --example handoff_cost
 //! ```
 //!
-//! Each round is one `join`. The caller's arm spins until the worker's
-//! arm has started (so the job cannot be taken back), then returns and
-//! blocks in the join; the worker's arm stamps its start, spins 20 µs
-//! so the caller is parked by then, and stamps its end. **out** is
-//! dispatch → worker running; **back** is worker done → `join`
-//! returned; their sum is the hand-off cost.
+//! Each round is one `scope` with one `spawn` — the path every fan-out
+//! in the workspace takes. The scope's body spins until the spawned
+//! task has started (so the job cannot be taken back), then returns and
+//! blocks in the scope; the task stamps its start, spins 20 µs so the
+//! caller is parked by then, and stamps its end. **out** is dispatch →
+//! worker running; **back** is worker done → `scope` returned; their
+//! sum is the hand-off cost.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -29,21 +30,19 @@ fn main() {
     for _ in 0..rounds {
         let (started, ended) = (AtomicU64::new(0), AtomicU64::new(0));
         let dispatched = now();
-        rayon::join(
-            || {
-                while started.load(Ordering::Acquire) == 0 {
-                    std::hint::spin_loop();
-                }
-            },
-            || {
+        rayon::scope(|s| {
+            s.spawn(|_| {
                 started.store(now(), Ordering::Release);
                 let until = Instant::now() + Duration::from_micros(20);
                 while Instant::now() < until {
                     std::hint::spin_loop();
                 }
                 ended.store(now(), Ordering::Release);
-            },
-        );
+            });
+            while started.load(Ordering::Acquire) == 0 {
+                std::hint::spin_loop();
+            }
+        });
         let returned = now();
         out.push(started.load(Ordering::Acquire) - dispatched);
         back.push(returned - ended.load(Ordering::Acquire));

@@ -59,18 +59,6 @@ impl IntoParallelIterator for Range<usize> {
     }
 }
 
-impl IntoParallelIterator for std::ops::RangeInclusive<usize> {
-    type Iter = RangeParIter;
-    fn into_par_iter(self) -> RangeParIter {
-        let (start, end) = (*self.start(), *self.end());
-        RangeParIter {
-            // Saturating: an exhausted inclusive range maps to an empty one.
-            range: start..end.saturating_add(1).max(start),
-            min_len: 1,
-        }
-    }
-}
-
 /// Parallel iterator over `Range<usize>`.
 pub struct RangeParIter {
     range: Range<usize>,
@@ -164,14 +152,6 @@ impl<'a, T: Send> ChunksMutParIter<'a, T> {
                 f(c, sub);
             }
         });
-    }
-
-    /// Run `f` on every chunk.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        self.run(|_, sub| f(sub));
     }
 
     /// Pair every chunk with its index.

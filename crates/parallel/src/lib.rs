@@ -4,11 +4,11 @@
 //! `rayon` crate cannot be fetched. The algorithms only need a narrow
 //! slice of its API, reimplemented here with identical semantics:
 //!
-//! * [`join`] — run two closures, potentially concurrently;
-//! * [`scope`] — structured task spawning ([`Scope::spawn`]);
-//! * [`prelude`] — `into_par_iter()` over index ranges and
-//!   `par_chunks_mut()` over slices, with `with_min_len`, `enumerate`
-//!   and `for_each`;
+//! * [`scope`] — structured task spawning ([`Scope::spawn`]), the one
+//!   fork;
+//! * [`prelude`] — `into_par_iter()` over `Range<usize>`, and
+//!   `par_chunks_mut()` over slices, both with `with_min_len`; chunks
+//!   are visited through `enumerate().for_each`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] and
 //!   [`current_num_threads`].
 //!
@@ -21,16 +21,16 @@
 //! environment variable when it holds a positive integer and
 //! `available_parallelism()` otherwise, **resolved once per process**
 //! (`configured_threads`). `IST_PARALLEL=1` starts no worker, ever,
-//! and runs every `join` / `scope` / par-iter strictly on the calling
-//! thread; values above the core count oversubscribe with real OS
-//! threads, which is how single-core hosts still exercise the
-//! concurrent code paths.
+//! and runs every `scope` / par-iter strictly on the calling thread;
+//! values above the core count oversubscribe with real OS threads,
+//! which is how single-core hosts still exercise the concurrent code
+//! paths.
 //!
 //! A task is handed off only while its dispatcher holds a reservation,
 //! which honors two limits:
 //!
 //! 1. the **pool limit** — reservations never exceed started workers,
-//!    which keeps deeply nested `join`/`scope` recursion (the shape of
+//!    which keeps deeply nested `scope` recursion (the shape of
 //!    every construction algorithm here) from deadlocking or
 //!    oversubscribing: without a reservation the task simply runs on
 //!    the caller; and
@@ -92,12 +92,16 @@ pub mod prelude {
 /// it moves.
 ///
 /// The 25 µs are measured by `cargo run --release -p ist-parallel
-/// --example handoff_cost` on the 2-vCPU reference box, otherwise idle,
-/// 10 000 hand-offs per run, four runs: dispatch → running 1.6–1.9 µs
-/// at the median and 15–22 µs at the 99th percentile; done → released
-/// 1.4–1.6 and 4.6–6.2 µs. The **99th percentile** of the sum is what
-/// counts: a floor has to hold when the worker's core is busy with
-/// something else, and a serving process keeps every core busy. (The
+/// --example handoff_cost`, 10 000 hand-offs per run. On an otherwise
+/// idle 2-vCPU box, four runs, when the example timed a two-closure
+/// fork: dispatch → running 1.6–1.9 µs at the median and 15–22 µs at
+/// the 99th percentile; done → released 1.4–1.6 and 4.6–6.2 µs. Timing
+/// one `scope` + `spawn` per round, on a shared 2-vCPU AVX-512 box, nine
+/// runs: the sum read 2.6–12.2 µs at the median and 5.3–20.2 µs at the
+/// 99th percentile (the fork, alternated with it: 2.5–11.0 and
+/// 7.9–22.0). The **99th percentile** of the sum is what counts: a
+/// floor has to hold when the worker's core is busy with something
+/// else, and a serving process keeps every core busy. (The
 /// `thread::scope` + `spawn` + `join` this pool replaced cost 19 µs at
 /// the *median*, on top of a 14 µs `available_parallelism()` call per
 /// dispatch.)
@@ -145,7 +149,7 @@ pub(crate) fn parse_threads(var: Option<&str>, hardware: usize) -> usize {
 /// Logical thread count the pool's limit is derived from: the
 /// `IST_PARALLEL` environment variable when set to a positive integer,
 /// `available_parallelism()` otherwise. `IST_PARALLEL=1` forces every
-/// `join`/`scope`/par-iter in the process onto the calling thread (the
+/// `scope`/par-iter in the process onto the calling thread (the
 /// degenerate-serial CI job); values above the core count oversubscribe
 /// with real OS threads, which is how single-core hosts still exercise
 /// the concurrent code paths.
@@ -240,7 +244,7 @@ pub(crate) fn note_ran_inline() {
     RAN_INLINE.fetch_add(1, Ordering::Relaxed);
 }
 
-/// How often this process's dispatch sites (`join`, `Scope::spawn`, the
+/// How often this process's dispatch sites ([`Scope::spawn`], the
 /// parallel iterators) handed a task to a worker, how often they kept
 /// one for want of a worker, and how many workers that took. Always on:
 /// three relaxed counters.
@@ -252,20 +256,6 @@ pub fn pool_stats() -> PoolStats {
         // Relaxed: as above.
         ran_inline: RAN_INLINE.load(Ordering::Relaxed),
     }
-}
-
-/// Run `oper_a` and `oper_b`, potentially in parallel, and return both
-/// results. Semantically identical to `rayon::join`: `oper_a` runs on
-/// the calling thread; if either panics, the panic is resumed here once
-/// both have finished (`oper_a`'s if both did).
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    global().join(oper_a, oper_b)
 }
 
 /// Create a scope for structured task spawning. Mirrors `rayon::scope`;
@@ -312,27 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
-    }
-
-    #[test]
-    fn nested_joins_do_not_deadlock() {
-        fn sum(lo: u64, hi: u64) -> u64 {
-            if hi - lo < 64 {
-                (lo..hi).sum()
-            } else {
-                let mid = lo + (hi - lo) / 2;
-                let (a, b) = join(|| sum(lo, mid), || sum(mid, hi));
-                a + b
-            }
-        }
-        assert_eq!(sum(0, 10_000), 10_000 * 9_999 / 2);
-    }
-
-    #[test]
     fn scope_joins_all_tasks() {
         let mut data = vec![0u32; 8];
         let chunks: Vec<&mut [u32]> = data.chunks_mut(2).collect();
@@ -350,17 +319,18 @@ mod tests {
 
     #[test]
     fn installed_single_thread_pool_is_strictly_sequential() {
-        // Inside install(1) no helper thread may ever run a task: both
-        // join arms and every scope spawn stay on the calling thread.
+        // Inside install(1) no helper thread may ever run a task: a
+        // scope's body and every spawn stay on the calling thread.
         let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         pool.install(|| {
             let main_id = std::thread::current().id();
-            let (a, b) = join(
-                || std::thread::current().id(),
-                || std::thread::current().id(),
-            );
+            let mut b = None;
+            let a = scope(|s| {
+                s.spawn(|_| b = Some(std::thread::current().id()));
+                std::thread::current().id()
+            });
             assert_eq!(a, main_id);
-            assert_eq!(b, main_id);
+            assert_eq!(b, Some(main_id));
             scope(|s| {
                 for _ in 0..16 {
                     s.spawn(move |_| {
@@ -368,25 +338,18 @@ mod tests {
                     });
                 }
             });
-            // Nested joins inherit the pool context through helpers too.
-            let (inner, _) = join(
-                || {
-                    let (x, y) = join(
-                        || std::thread::current().id(),
-                        || std::thread::current().id(),
-                    );
-                    (x, y)
-                },
-                || (),
-            );
+            // Nested scopes inherit the pool context through helpers too.
+            let inner = scope(|s| {
+                s.spawn(|_| ());
+                let mut y = None;
+                let x = scope(|s| {
+                    s.spawn(|_| y = Some(std::thread::current().id()));
+                    std::thread::current().id()
+                });
+                (x, y)
+            });
             assert_eq!(inner.0, main_id);
-            assert_eq!(inner.1, main_id);
+            assert_eq!(inner.1, Some(main_id));
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn join_propagates_panics() {
-        join(|| (), || panic!("boom"));
     }
 }

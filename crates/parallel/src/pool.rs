@@ -4,7 +4,7 @@
 //! persistent workers (`worker.rs`), and `install` publishes a pool
 //! context (logical thread count + shared helper allowance) that
 //! [`current_num_threads`], the iterator splitting, and every
-//! `join`/`scope` hand-off decision honor — the workers that run its
+//! `scope` hand-off decision honor — the workers that run its
 //! tasks inherit it, so work running under `install(p)` keeps at most
 //! `p − 1` helpers busy and `install(1)` is strictly sequential. That
 //! is what the workspace uses pools for (pinning `P` in benchmarks).
@@ -125,7 +125,11 @@ mod tests {
     fn helpers_inherit_the_installed_pool() {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         pool.install(|| {
-            let (a, b) = crate::join(current_num_threads, current_num_threads);
+            let mut b = 0;
+            let a = crate::scope(|s| {
+                s.spawn(|_| b = current_num_threads());
+                current_num_threads()
+            });
             assert_eq!(a, 3);
             assert_eq!(b, 3);
         });

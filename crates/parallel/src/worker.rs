@@ -4,8 +4,8 @@
 //!
 //! # Protocol
 //!
-//! A dispatch site ([`Workers::join`], [`Scope::spawn`],
-//! [`Workers::for_each_block`]) hands a task off in three steps:
+//! A dispatch site ([`Scope::spawn`], [`Workers::for_each_block`])
+//! hands a task off in three steps:
 //!
 //! 1. **Reserve** a worker ([`Workers::reserve`]): one unit of the
 //!    installed pool's allowance (if a [`crate::ThreadPool`] is
@@ -44,7 +44,6 @@
 //! owns.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -153,7 +152,7 @@ struct JobRef {
     latch: *const Latch,
 }
 
-// SAFETY: a `JobRef` is only built by the three dispatch sites below,
+// SAFETY: a `JobRef` is only built by the two dispatch sites below,
 // each from a job whose captured state is `Send` (the closures carry
 // `Send` bounds; shared ones are `Sync`) and which stays alive until
 // its latch is counted down — see "Why borrowed closures may cross
@@ -328,41 +327,6 @@ impl Workers {
         latch.wait()
     }
 
-    /// [`crate::join`] on this pool.
-    pub(crate) fn join<A, B, RA, RB>(&self, oper_a: A, oper_b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        let Some(ctx) = self.reserve() else {
-            return (oper_a(), oper_b());
-        };
-        let job = JoinJob {
-            workers: self,
-            ctx,
-            latch: Latch::new(),
-            oper: UnsafeCell::new(Some(oper_b)),
-            result: UnsafeCell::new(None),
-        };
-        job.latch.add();
-        // SAFETY: reserved and counted in above. `job` lives in this
-        // frame, which does not return or unwind before `wait` has seen
-        // it counted down: `oper_a` runs under `catch_unwind`, and its
-        // panic is resumed only after the wait.
-        unsafe { self.push(job.as_job_ref()) };
-        let result_a = catch_unwind(AssertUnwindSafe(oper_a));
-        let panic_b = self.wait(&job.latch);
-        match (result_a, panic_b) {
-            (Err(panic), _) | (Ok(_), Some(panic)) => resume_unwind(panic),
-            (Ok(result_a), None) => {
-                let result_b = job.result.into_inner();
-                (result_a, result_b.expect("a counted-down join job has run"))
-            }
-        }
-    }
-
     /// [`crate::scope`] on this pool.
     pub(crate) fn scope<'env, F, R>(&self, f: F) -> R
     where
@@ -462,44 +426,6 @@ fn worker_loop(shared: &Shared) {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-}
-
-/// `oper_b` of a [`Workers::join`], on the joining frame.
-struct JoinJob<'w, B, RB> {
-    workers: &'w Workers,
-    ctx: Option<PoolCtx>,
-    latch: Latch,
-    oper: UnsafeCell<Option<B>>,
-    result: UnsafeCell<Option<RB>>,
-}
-
-impl<B: FnOnce() -> RB, RB> JoinJob<'_, B, RB> {
-    fn as_job_ref(&self) -> JobRef {
-        JobRef {
-            data: (self as *const Self).cast(),
-            run: Self::run,
-            latch: &self.latch,
-        }
-    }
-
-    /// # Safety
-    /// `data` is a live `JoinJob` of this type that has not run.
-    unsafe fn run(data: *const ()) {
-        let this: *const Self = data.cast();
-        let panic = {
-            // SAFETY: live per the contract; the borrow ends before the
-            // latch is counted down.
-            let this = unsafe { &*this };
-            // SAFETY: the job runs once, on one thread, and its owner
-            // reads the cells only after the latch: exclusive access.
-            let (oper, result) = unsafe { (&mut *this.oper.get(), &mut *this.result.get()) };
-            let oper = oper.take().expect("a join job runs once");
-            run_task(this.workers, &this.ctx, || *result = Some(oper()))
-        };
-        // SAFETY: the job was counted in, and nothing of the owner's is
-        // touched after this.
-        unsafe { Latch::set(&raw const (*this).latch, panic) };
     }
 }
 
@@ -686,10 +612,29 @@ mod model {
         stats
     }
 
+    /// `(a(), b())` as one scope on `pool`: `b` is spawned, then the
+    /// body runs `a` — a two-way fork, the shape every dispatch site
+    /// that splits work in two takes.
+    fn fork<RA, RB: Send>(
+        pool: &Workers,
+        a: impl FnOnce() -> RA,
+        b: impl FnOnce() -> RB + Send,
+    ) -> (RA, RB) {
+        let mut rb = None;
+        let ra = pool.scope(|s| {
+            s.spawn(|_| rb = Some(b()));
+            a()
+        });
+        (
+            ra,
+            rb.expect("a scope returns after its spawned task has run"),
+        )
+    }
+
     /// A queued job is taken by a worker even if its owner never comes
     /// back for it: the push happens between a parked worker's
     /// empty-queue check and its wait in some schedule, and the wake-up
-    /// must not be lost. `oper_a` blocks until `oper_b` has started, so
+    /// must not be lost. The body blocks until the task has started, so
     /// the owner cannot rescue a stranded job by taking it back; a lost
     /// wake-up is a deadlock. Preemption bound 3.
     #[test]
@@ -697,9 +642,10 @@ mod model {
         let stats = explore(3, || {
             with_pool(1, |pool| {
                 // Start the worker and let it go back to the queue.
-                assert_eq!(pool.join(|| 1, || 2), (1, 2));
+                assert_eq!(fork(pool, || 1, || 2), (1, 2));
                 let started = (Mutex::new(false), Condvar::new());
-                let (a, b) = pool.join(
+                let (a, b) = fork(
+                    pool,
                     || {
                         let mut flag = lock(&started.0);
                         while !*flag {
@@ -720,9 +666,9 @@ mod model {
         assert!(stats.executions > 100, "{stats:?}");
     }
 
-    /// `join`, `scope` and `for_each_block` return only after every
-    /// task they handed off has run to its end — whoever ran it. Two
-    /// workers under `join` + `scope` at preemption bound 2 (bound 3 is
+    /// `scope` and `for_each_block` return only after every task they
+    /// handed off has run to its end — whoever ran it. Two workers under
+    /// a fork and a two-task scope at preemption bound 2 (bound 3 is
     /// 166 336 schedules and a minute and a half); one worker under
     /// `for_each_block` at bound 3.
     #[test]
@@ -736,7 +682,7 @@ mod model {
                     ist_loom::thread::yield_now();
                     done[i].store(true, StdOrdering::SeqCst);
                 };
-                pool.join(|| finish(0), || finish(1));
+                fork(pool, || finish(0), || finish(1));
                 assert!(done[0].load(StdOrdering::SeqCst) && done[1].load(StdOrdering::SeqCst));
                 pool.scope(|s| {
                     s.spawn(|_| finish(2));
@@ -763,22 +709,23 @@ mod model {
     }
 
     /// A panic inside a handed-off task reaches the owner, payload
-    /// intact, in every interleaving — from `join` and from `scope`.
+    /// intact, in every interleaving — from a fork's spawned task and
+    /// from a scope's only task.
     /// Preemption bound 3.
     #[test]
     fn a_task_panic_reaches_the_owner() {
         explore(3, || {
             with_pool(1, |pool| {
-                let joined = catch_unwind(AssertUnwindSafe(|| {
-                    pool.join(|| (), || std::panic::panic_any(41u32));
+                let forked = catch_unwind(AssertUnwindSafe(|| {
+                    fork(pool, || (), || std::panic::panic_any(41u32));
                 }));
-                assert_eq!(joined.unwrap_err().downcast_ref::<u32>(), Some(&41));
+                assert_eq!(forked.unwrap_err().downcast_ref::<u32>(), Some(&41));
                 let scoped = catch_unwind(AssertUnwindSafe(|| {
                     pool.scope(|s| s.spawn(|_| std::panic::panic_any(42u32)));
                 }));
                 assert_eq!(scoped.unwrap_err().downcast_ref::<u32>(), Some(&42));
                 // The worker that caught them is still serving.
-                assert_eq!(pool.join(|| 1, || 2), (1, 2));
+                assert_eq!(fork(pool, || 1, || 2), (1, 2));
             })
         });
     }
@@ -800,14 +747,14 @@ mod model {
                     done.store(true, StdOrdering::SeqCst);
                 };
 
-                let joined = catch_unwind(AssertUnwindSafe(|| {
-                    pool.join(|| std::panic::panic_any("owner"), helper);
+                let forked = catch_unwind(AssertUnwindSafe(|| {
+                    fork(pool, || std::panic::panic_any("owner"), helper);
                 }));
                 assert!(
                     done.swap(false, StdOrdering::SeqCst),
-                    "join unwound before its handed-off task had run"
+                    "the fork unwound before its handed-off task had run"
                 );
-                assert_eq!(joined.unwrap_err().downcast_ref::<&str>(), Some(&"owner"));
+                assert_eq!(forked.unwrap_err().downcast_ref::<&str>(), Some(&"owner"));
 
                 let scoped = catch_unwind(AssertUnwindSafe(|| {
                     pool.scope(|s| {

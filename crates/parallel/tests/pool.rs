@@ -32,12 +32,16 @@ fn wait_for(flag: &AtomicBool) -> bool {
     true
 }
 
-fn sum_by_joins(lo: u64, hi: u64) -> u64 {
+fn sum_by_spawns(lo: u64, hi: u64) -> u64 {
     if hi - lo <= 512 {
         (lo..hi).sum()
     } else {
         let mid = lo + (hi - lo) / 2;
-        let (a, b) = rayon::join(|| sum_by_joins(lo, mid), || sum_by_joins(mid, hi));
+        let (mut a, mut b) = (0, 0);
+        rayon::scope(|s| {
+            s.spawn(|_| a = sum_by_spawns(lo, mid));
+            s.spawn(|_| b = sum_by_spawns(mid, hi));
+        });
         a + b
     }
 }
@@ -50,7 +54,7 @@ fn concurrent_external_dispatchers_all_complete() {
             .map(|t| {
                 s.spawn(move || {
                     let n = 200_000 + 1_000 * t;
-                    let by_joins = sum_by_joins(0, n);
+                    let by_spawns = sum_by_spawns(0, n);
                     let by_iter = AtomicU64::new(0);
                     (0..n as usize)
                         .into_par_iter()
@@ -58,8 +62,8 @@ fn concurrent_external_dispatchers_all_complete() {
                         .for_each(|i| {
                             by_iter.fetch_add(i as u64, Ordering::Relaxed);
                         });
-                    assert_eq!(by_joins, by_iter.into_inner());
-                    by_joins
+                    assert_eq!(by_spawns, by_iter.into_inner());
+                    by_spawns
                 })
             })
             .collect();
@@ -71,8 +75,8 @@ fn concurrent_external_dispatchers_all_complete() {
     }
 }
 
-/// Twelve levels, cycling through `par_chunks_mut`, `scope` and `join`,
-/// two branches each: 4 096 leaves.
+/// Twelve levels, cycling through `par_chunks_mut`, `scope` and
+/// `into_par_iter`, two branches each: 4 096 leaves.
 fn nest(depth: u32) -> u64 {
     if depth == 0 {
         return 1;
@@ -81,15 +85,19 @@ fn nest(depth: u32) -> u64 {
     match depth % 3 {
         0 => halves
             .par_chunks_mut(1)
-            .for_each(|half| half[0] = nest(depth - 1)),
+            .enumerate()
+            .for_each(|(_, half)| half[0] = nest(depth - 1)),
         1 => rayon::scope(|s| {
             for half in halves.iter_mut() {
                 s.spawn(move |_| *half = nest(depth - 1));
             }
         }),
         _ => {
-            let (a, b) = rayon::join(|| nest(depth - 1), || nest(depth - 1));
-            halves = [a, b];
+            let leaves = AtomicU64::new(0);
+            (0..2).into_par_iter().for_each(|_| {
+                leaves.fetch_add(nest(depth - 1), Ordering::Relaxed);
+            });
+            halves = [leaves.into_inner(), 0];
         }
     }
     halves[0] + halves[1]
@@ -164,21 +172,6 @@ fn owner_panic_awaits_the_helper(dispatch: impl FnOnce(&Borrowed<'_>, &AtomicBoo
 }
 
 #[test]
-fn panic_in_oper_a_awaits_oper_b() {
-    let _pool = pool_to_myself();
-    owner_panic_awaits_the_helper(|data, about_to_panic| {
-        rayon::join(
-            || {
-                wait_for(data.helper_started);
-                about_to_panic.store(true, Ordering::Release);
-                std::panic::panic_any("owner");
-            },
-            || helper_body(data, about_to_panic),
-        );
-    });
-}
-
-#[test]
 fn panic_in_the_scope_body_awaits_spawned_tasks() {
     let _pool = pool_to_myself();
     owner_panic_awaits_the_helper(|data, about_to_panic| {
@@ -190,21 +183,6 @@ fn panic_in_the_scope_body_awaits_spawned_tasks() {
             std::panic::panic_any("owner");
         });
     });
-}
-
-#[test]
-fn panic_in_oper_b_reaches_the_caller_with_its_payload() {
-    let _pool = pool_to_myself();
-    let finished_a = AtomicBool::new(false);
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        rayon::join(
-            || finished_a.store(true, Ordering::Release),
-            || std::panic::panic_any(String::from("oper_b")),
-        );
-    }))
-    .expect_err("oper_b's panic must surface");
-    assert_eq!(payload.downcast_ref::<String>().unwrap(), "oper_b");
-    assert!(finished_a.load(Ordering::Acquire));
 }
 
 #[test]
@@ -232,18 +210,19 @@ fn panic_in_a_spawned_task_reaches_the_scope_owner_after_its_siblings() {
     assert!(ran == 7 || ran == 3, "{ran} siblings ran");
 }
 
-/// The thread `oper_b` ran on, in a join whose `oper_a` does not return
-/// before `oper_b` has started (so the job cannot be taken back).
-fn thread_of_oper_b() -> ThreadId {
+/// The thread a spawned task ran on, in a scope whose body does not
+/// return before the task has started (so the job cannot be taken back).
+fn thread_of_spawned_task() -> ThreadId {
     let started = AtomicBool::new(false);
-    let (_, id) = rayon::join(
-        || wait_for(&started),
-        || {
+    let mut id = None;
+    rayon::scope(|s| {
+        s.spawn(|_| {
             started.store(true, Ordering::Release);
-            std::thread::current().id()
-        },
-    );
-    id
+            id = Some(std::thread::current().id());
+        });
+        wait_for(&started);
+    });
+    id.expect("the scope ran its task")
 }
 
 #[test]
@@ -251,21 +230,21 @@ fn the_pool_survives_a_task_panic() {
     let _pool = pool_to_myself();
     let me = std::thread::current().id();
     let parallel = rayon::current_num_threads() > 1;
-    assert_eq!(thread_of_oper_b() != me, parallel);
+    assert_eq!(thread_of_spawned_task() != me, parallel);
     for _ in 0..3 {
         let started = AtomicBool::new(false);
         let panicked = catch_unwind(AssertUnwindSafe(|| {
-            rayon::join(
-                || wait_for(&started),
-                || {
+            rayon::scope(|s| {
+                s.spawn(|_| {
                     started.store(true, Ordering::Release);
                     panic!("task");
-                },
-            )
+                });
+                wait_for(&started);
+            })
         }));
         assert!(panicked.is_err());
         // The worker that caught it is back in the pool.
-        assert_eq!(thread_of_oper_b() != me, parallel);
+        assert_eq!(thread_of_spawned_task() != me, parallel);
     }
     let stats = rayon::pool_stats();
     assert!((stats.workers_started as usize) < rayon::current_num_threads().max(2));

@@ -123,55 +123,35 @@ macro_rules! dispatch_nav {
                 let $nav = $crate::nav::BtreeNav::from_shape(s.data, shape);
                 $body
             }
-            $crate::ShapeData::BtreeWide8(shape) => {
-                let $nav = $crate::nav::WideBtreeNav::<_, 8>::from_shape(s.data, shape);
+            $crate::ShapeData::BtreeWide(shape) => {
+                let $nav = $crate::nav::WideBtreeNav::<_, { $crate::wide::WIDE_B }>::from_shape(
+                    s.data, shape,
+                );
                 $body
             }
-            $crate::ShapeData::BtreeWide16(shape) => {
-                let $nav = $crate::nav::WideBtreeNav::<_, 16>::from_shape(s.data, shape);
-                $body
-            }
-            $crate::ShapeData::BtreeWide8Avx2(shape) => {
+            $crate::ShapeData::BtreeWideAvx2(shape) => {
                 // SAFETY: `Searcher::new` picks this shape only on a CPU
                 // with AVX2.
                 let $nav = unsafe {
-                    $crate::nav::WideBtreeNav::<_, 8, { $crate::wide::kernel::AVX2 }>::with_kernel(
-                        s.data, shape,
-                    )
+                    $crate::nav::WideBtreeNav::<
+                        _,
+                        { $crate::wide::WIDE_B },
+                        { $crate::wide::kernel::AVX2 },
+                    >::with_kernel(s.data, shape)
                 };
                 let body = || $body;
                 // SAFETY: as above.
                 unsafe { $crate::wide::with_avx2(body) }
             }
-            $crate::ShapeData::BtreeWide16Avx2(shape) => {
-                // SAFETY: as for `BtreeWide8Avx2`.
-                let $nav = unsafe {
-                    $crate::nav::WideBtreeNav::<_, 16, { $crate::wide::kernel::AVX2 }>::with_kernel(
-                        s.data, shape,
-                    )
-                };
-                let body = || $body;
-                // SAFETY: as above.
-                unsafe { $crate::wide::with_avx2(body) }
-            }
-            $crate::ShapeData::BtreeWide8Avx512(shape) => {
+            $crate::ShapeData::BtreeWideAvx512(shape) => {
                 // SAFETY: `Searcher::new` picks this shape only on a CPU
                 // with AVX-512F.
                 let $nav = unsafe {
-                    $crate::nav::WideBtreeNav::<_, 8, { $crate::wide::kernel::AVX512 }>::with_kernel(
-                        s.data, shape,
-                    )
-                };
-                let body = || $body;
-                // SAFETY: as above.
-                unsafe { $crate::wide::with_avx512(body) }
-            }
-            $crate::ShapeData::BtreeWide16Avx512(shape) => {
-                // SAFETY: as for `BtreeWide8Avx512`.
-                let $nav = unsafe {
-                    $crate::nav::WideBtreeNav::<_, 16, { $crate::wide::kernel::AVX512 }>::with_kernel(
-                        s.data, shape,
-                    )
+                    $crate::nav::WideBtreeNav::<
+                        _,
+                        { $crate::wide::WIDE_B },
+                        { $crate::wide::kernel::AVX512 },
+                    >::with_kernel(s.data, shape)
                 };
                 let body = || $body;
                 // SAFETY: as above.
@@ -232,7 +212,7 @@ impl QueryKind {
 /// and every map's layout constructor use it, so a searcher and a map
 /// over the same layout descend alike.
 ///
-/// `Layout::Btree { b: 8 | 16 }` maps to `QueryKind::Btree(b)` like any
+/// `Layout::Btree { b: 8 }` maps to `QueryKind::Btree(8)` like any
 /// other width — the kind names the *shape*, which is physical — and
 /// [`Searcher::new`] upgrades it to the wide-node SIMD kernel whenever
 /// the key type is [`SimdKey`]-eligible ([`Searcher::is_wide`] reports
@@ -274,21 +254,16 @@ pub(crate) enum ShapeData {
     },
     Btree(BtreeSearchShape),
     /// B-tree shape served by the const-width [`nav::WideBtreeNav`]
-    /// kernel (`b == 8`); see [`Searcher::new`]'s width dispatch.
-    BtreeWide8(BtreeSearchShape),
-    /// As [`ShapeData::BtreeWide8`], with `b == 16`.
-    BtreeWide16(BtreeSearchShape),
-    /// [`ShapeData::BtreeWide8`] on the AVX2 node kernel: `u64` / `i64`
+    /// kernel (`b == WIDE_B`) on the portable node kernel; see
+    /// [`Searcher::new`]'s width dispatch.
+    BtreeWide(BtreeSearchShape),
+    /// [`ShapeData::BtreeWide`] on the AVX2 node kernel: `u64` / `i64`
     /// keys on a CPU with AVX2, which [`Searcher::new`] checked.
-    BtreeWide8Avx2(BtreeSearchShape),
-    /// As [`ShapeData::BtreeWide8Avx2`], with `b == 16`.
-    BtreeWide16Avx2(BtreeSearchShape),
-    /// [`ShapeData::BtreeWide8`] on the AVX-512 node kernel: `u64` /
+    BtreeWideAvx2(BtreeSearchShape),
+    /// [`ShapeData::BtreeWide`] on the AVX-512 node kernel: `u64` /
     /// `i64` keys on a CPU with AVX-512F, which [`Searcher::new`]
     /// checked.
-    BtreeWide8Avx512(BtreeSearchShape),
-    /// As [`ShapeData::BtreeWide8Avx512`], with `b == 16`.
-    BtreeWide16Avx512(BtreeSearchShape),
+    BtreeWideAvx512(BtreeSearchShape),
     Veb(BinaryShape),
 }
 
@@ -303,22 +278,22 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
 
     /// Searcher for an explicit [`QueryKind`].
     ///
-    /// **Width dispatch**: a [`QueryKind::Btree`] whose `b` matches a
-    /// compiled const-width kernel (8 or 16) on a [`SimdKey`] key type
-    /// is served by the monomorphized [`nav::WideBtreeNav`] — unrolled,
+    /// **Width dispatch**: [`QueryKind::Btree`]`(8)` — the one compiled
+    /// const width — on a [`SimdKey`] key type (`u64`, `i64`) is served
+    /// by the monomorphized [`nav::WideBtreeNav`] — unrolled,
     /// branchless, vectorized per-node compare-and-count — instead of
     /// the runtime-width [`nav::BtreeNav`]. Results, traces, and
     /// duplicate semantics are bit-identical (pinned by
-    /// `tests/navigator_equivalence.rs`); only throughput changes.
-    /// [`Searcher::new_runtime`] opts out.
+    /// `tests/navigator_equivalence.rs`); only throughput changes. Every
+    /// other width, and every other key type, takes the runtime
+    /// navigator; [`Searcher::new_runtime`] opts out.
     ///
     /// **Kernel choice**, made here once per searcher, whatever the
     /// build's target features (`is_x86_feature_detected!`, a cached
-    /// load): `u64` / `i64` keys on an `x86_64` CPU that reports
-    /// AVX-512F take the AVX-512 node kernel — 8 keys per compare into
-    /// a mask register — and on one that reports AVX2 the AVX2 kernel,
-    /// 4 keys per `vpcmpgtq`; `u32` keys take the SSE2 kernel; every
-    /// other case takes the portable unrolled loop.
+    /// load): on an `x86_64` CPU that reports AVX-512F the AVX-512 node
+    /// kernel — 8 keys per compare into a mask register — and on one
+    /// that reports AVX2 the AVX2 kernel, 4 keys per `vpcmpgtq`;
+    /// otherwise the portable unrolled loop.
     ///
     /// # Panics
     /// On [`QueryKind::Btree`]`(0)` over a non-empty `data`: a node
@@ -326,16 +301,13 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
     pub fn new(data: &'a [T], kind: QueryKind) -> Self {
         let mut s = Self::new_runtime(data, kind);
         if let ShapeData::Btree(shape) = s.shape {
-            if wide::is_simd_key::<T>() {
-                let (avx512, avx2) = (wide::avx512_kernel::<T>(), wide::avx2_kernel::<T>());
-                s.shape = match (shape.b, avx512, avx2) {
-                    (8, true, _) => ShapeData::BtreeWide8Avx512(shape),
-                    (16, true, _) => ShapeData::BtreeWide16Avx512(shape),
-                    (8, _, true) => ShapeData::BtreeWide8Avx2(shape),
-                    (16, _, true) => ShapeData::BtreeWide16Avx2(shape),
-                    (8, ..) => ShapeData::BtreeWide8(shape),
-                    (16, ..) => ShapeData::BtreeWide16(shape),
-                    _ => ShapeData::Btree(shape),
+            if shape.b == wide::WIDE_B && wide::is_simd_key::<T>() {
+                s.shape = if wide::avx512_kernel::<T>() {
+                    ShapeData::BtreeWideAvx512(shape)
+                } else if wide::avx2_kernel::<T>() {
+                    ShapeData::BtreeWideAvx2(shape)
+                } else {
+                    ShapeData::BtreeWide(shape)
                 };
             }
         }
@@ -368,20 +340,14 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
         Self { data, shape }
     }
 
-    /// `true` iff queries descend through a const-width wide-node
+    /// `true` iff queries descend through the const-width wide-node
     /// kernel (see [`Searcher::new`]'s width dispatch), on any node
-    /// kernel: the AVX-512 or AVX2 one, which `new` picks for `u64` /
-    /// `i64` keys when the CPU reports the feature, or the SSE2 /
-    /// portable one otherwise.
+    /// kernel: the AVX-512 or AVX2 one, which `new` picks when the CPU
+    /// reports the feature, or the portable one otherwise.
     pub fn is_wide(&self) -> bool {
         matches!(
             self.shape,
-            ShapeData::BtreeWide8(_)
-                | ShapeData::BtreeWide16(_)
-                | ShapeData::BtreeWide8Avx2(_)
-                | ShapeData::BtreeWide16Avx2(_)
-                | ShapeData::BtreeWide8Avx512(_)
-                | ShapeData::BtreeWide16Avx512(_)
+            ShapeData::BtreeWide(_) | ShapeData::BtreeWideAvx2(_) | ShapeData::BtreeWideAvx512(_)
         )
     }
 
@@ -499,12 +465,9 @@ impl<'a, T: Ord + Sync + 'static> Searcher<'a, T> {
             ShapeData::Bst { .. } => CompleteShape::new(n, 1).pos(r, bst_pos),
             ShapeData::Veb(_) => CompleteShape::new(n, 1).pos(r, veb_pos),
             ShapeData::Btree(shape)
-            | ShapeData::BtreeWide8(shape)
-            | ShapeData::BtreeWide16(shape)
-            | ShapeData::BtreeWide8Avx2(shape)
-            | ShapeData::BtreeWide16Avx2(shape)
-            | ShapeData::BtreeWide8Avx512(shape)
-            | ShapeData::BtreeWide16Avx512(shape) => {
+            | ShapeData::BtreeWide(shape)
+            | ShapeData::BtreeWideAvx2(shape)
+            | ShapeData::BtreeWideAvx512(shape) => {
                 let b = shape.b;
                 CompleteShape::new(n, b).pos(r, |m, f| btree_pos(b, m, f))
             }

@@ -76,7 +76,7 @@ fn sorted_runs_reuse_the_callers_buffer() {
 /// dispatch, checked end to end through the facade.
 #[test]
 fn default_build_routes_to_wide_kernel() {
-    for (b, wide) in [(7usize, false), (8, true), (15, false), (16, true)] {
+    for (b, wide) in [(7usize, false), (8, true), (15, false), (16, false)] {
         let idx =
             StaticMap::build((0..1000u64).collect(), vec![(); 1000], Layout::Btree { b }).unwrap();
         assert_eq!(idx.searcher().is_wide(), wide, "u64 b={b}");
