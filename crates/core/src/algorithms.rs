@@ -25,8 +25,11 @@
 use ist_bits::{rev2, rev_k};
 use ist_layout::{veb_order, veb_split, CompleteShape};
 use ist_machine::{GatherMode, IndexArith, Machine, Ram, Region};
-use ist_perm::permute_direct;
+use ist_perm::{
+    fits_scratch, permute_direct, unshuffle_units, MOVE_COST_NS, SCRATCH_BYTES, UNIT_MAP_BITS,
+};
 use ist_shuffle::j_involution;
+use rayon::prelude::*;
 
 use crate::{Algorithm, Error, Layout};
 
@@ -214,9 +217,11 @@ pub fn cycle_leader_veb<M: Machine>(m: &mut M, lo: usize, d: u32) {
     if let Some(region) = m.block_local(lo, n_cur) {
         return cycle_leader_veb(&mut Ram::new(region), 0, d);
     }
-    if let (Some(order), Some(region)) = (veb_order(d), m.direct(lo, n_cur)) {
-        // The vEB slots in order, each filled with its key.
-        return permute_direct(region, |p| p.pick_order(order));
+    if let Some(order) = veb_order(d).filter(|_| fits_scratch::<M::Elem>(n_cur)) {
+        if let Some(region) = m.direct(lo, n_cur) {
+            // The vEB slots in order, each filled with its key.
+            return permute_direct(region, |p| p.pick_order(order));
+        }
     }
     let (t, bb) = veb_split(d);
     let r = (1usize << t) - 1;
@@ -260,7 +265,10 @@ fn veb_subtrees(lo: usize, t: u32, bb: u32) -> impl Iterator<Item = Region<u32>>
 /// Cycle-leader B-tree construction (§3.2): per level, the extended
 /// equidistant gather hoists all internal keys to the front, then the
 /// internal prefix recurses (iteratively). With `b = 1` this is the BST
-/// construction of §3.3.
+/// construction of §3.3. On a machine that finishes regions
+/// [directly](Machine::direct), every level whose units fit the unit map
+/// — up to about 7.4 M `u64`s at `b = 8` and 33 M at `b = 1` — is one
+/// scratch pass per block and one cycle pass (`extended_gather`).
 pub fn cycle_leader_btree<M: Machine>(m: &mut M, b: usize, levels: u32) {
     let k = b.saturating_add(1);
     let mut mm = levels;
@@ -283,20 +291,27 @@ pub fn cycle_leader_btree<M: Machine>(m: &mut M, b: usize, levels: u32) {
 /// geometrically). `representative` marks the recursion path that carries
 /// the per-depth fixed costs on launch-charging backends (the paper's §6
 /// per-depth kernel batching): the first block, never shallower than any
-/// other part. A region the machine finishes [directly](Machine::direct)
-/// is one stable partition through the scratch instead.
+/// other part.
+///
+/// A machine that finishes regions [directly](Machine::direct) (`Ram`)
+/// gets no recursion while the region's units fit the unit map
+/// ([`gather_direct`]): a region that fits the scratch is one stable
+/// partition through it, and a larger one is a scratch pass per block of
+/// `r` runs, one cycle pass over `r`-element units and one short
+/// rotation. With `r` the runs whose `r·(b+1)` elements fill the scratch,
+/// that holds up to [`UNIT_MAP_BITS`]` / (b+1)` blocks: about 7.4 M
+/// `u64`s at `b = 8`, 33 M at `b = 1` and 66 K at `b = 1 023` (`r = 1`).
 fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, representative: bool) {
     let k = b.saturating_add(1);
     if runs < 2 {
         return;
     }
-    if let Some(region) = m.direct(lo, runs * k - 1) {
-        // A stable partition: the internal key after each run but the
-        // last, then the runs.
-        return permute_direct(region, |p| {
-            p.pick_runs(b, k, 1, runs - 1);
-            p.pick_runs(0, k, b, runs);
-        });
+    let len = runs * k - 1;
+    let r = runs_per_block::<M::Elem>(k);
+    if fits_scratch::<M::Elem>(len) || (r > 0 && (runs - 1) / r * k <= UNIT_MAP_BITS) {
+        if let Some(region) = m.direct(lo, len) {
+            return gather_direct(region, b, r);
+        }
     }
     let mode = GatherMode::Batched { representative };
     if runs <= k {
@@ -329,6 +344,68 @@ fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, repr
     }
 }
 
+/// The most runs of `k` elements (`b` keys and the internal key after
+/// them) that fit the scratch at once, or 0 when not one run fits.
+fn runs_per_block<T>(k: usize) -> usize {
+    let r = SCRATCH_BYTES / size_of::<T>().max(1) / k;
+    if fits_scratch::<T>(r * k) {
+        r
+    } else {
+        0
+    }
+}
+
+/// The extended gather of `region`, `runs` runs of `b` keys each
+/// followed by an internal key but the last, on a machine that finishes
+/// it directly; `r` is [`runs_per_block`]. A region that fits the
+/// scratch is one stable partition. A larger one, read as `B` blocks of
+/// `r` runs and a leftover of `g ≤ r` runs, takes three passes:
+///
+/// 1. one scratch pass per block partitions it into its `r` internal
+///    keys and then its `r·b` leaf keys — `k = b + 1` units of `r`
+///    elements — and the leftover into its `g − 1` internal keys and its
+///    leaves. The blocks are dealt to the pool by the floor rule
+///    ([`rayon::min_task_len`] at [`MOVE_COST_NS`] an element);
+/// 2. one cycle pass over the blocks' units ([`unshuffle_units`], on the
+///    calling thread) moves each unit once, to its slot: the blocks'
+///    internal units to the front, their leaf units after them;
+/// 3. one rotation moves the leftover's `g − 1 < r` internal keys in
+///    front of the blocks' leaves.
+fn gather_direct<T: Send>(region: &mut [T], b: usize, r: usize) {
+    if fits_scratch::<T>(region.len()) {
+        return partition_runs(region, b);
+    }
+    let block = r * (b + 1);
+    let floor = rayon::min_task_len(MOVE_COST_NS);
+    if region.len() >= 2 * floor && rayon::current_num_threads() > 1 {
+        region
+            .par_chunks_mut(block)
+            .with_min_len(floor.div_ceil(block))
+            .enumerate()
+            .for_each(|(_, chunk)| partition_runs(chunk, b));
+    } else {
+        for chunk in region.chunks_mut(block) {
+            partition_runs(chunk, b);
+        }
+    }
+    let blocks = region.len() / block;
+    unshuffle_units(&mut region[..blocks * block], r, b + 1);
+    // [internal (B·r) | leaves (B·r·b) | internal (g − 1) | leaves (g·b)]
+    let left = (region.len() - blocks * block) / (b + 1);
+    region[blocks * r..blocks * block + left].rotate_right(left);
+}
+
+/// A stable partition through the scratch of `region`, runs of `b` keys
+/// each followed by an internal key, the last possibly without: the
+/// internal keys, then the runs.
+fn partition_runs<T>(region: &mut [T], b: usize) {
+    let (len, k) = (region.len(), b + 1);
+    permute_direct(region, |p| {
+        p.pick_runs(b, k, 1, len / k);
+        p.pick_runs(0, k, b, len.div_ceil(k));
+    });
+}
+
 // ---------------------------------------------------------------------
 // Chapter 5: non-perfect (complete) tree extensions
 // ---------------------------------------------------------------------
@@ -341,7 +418,9 @@ fn extended_gather<M: Machine>(m: &mut M, lo: usize, b: usize, runs: usize, repr
 /// binary tree, `b = 1`: `L` leaves at the even positions, each followed
 /// by its parent). That is the extended gather's pattern with `q` runs,
 /// so the pre-pass is one extended gather, a shift of at most `b` keys
-/// and one circular shift of the rest. Work `O(L log_{b+1} L + N)`.
+/// and one circular shift of the rest. Work `O(L log_{b+1} L + N)`; on
+/// `Ram`, whose extended gather is three passes while its units fit the
+/// unit map (about 7.4 M `u64` keys at `b = 8`, 33 M at `b = 1`), `O(N)`.
 pub fn strip_overflow<M: Machine>(m: &mut M, shape: CompleteShape) {
     let n = m.len();
     debug_assert_eq!(n, shape.full_count() + shape.overflow());

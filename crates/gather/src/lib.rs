@@ -40,7 +40,12 @@
 //!
 //! These are `Ram`'s gather primitives. The **extended** equidistant
 //! gather (`r > l`, §3.2) is composed from them once, generic over the
-//! machine, in `ist_core::algorithms`. [`swap_regions_par`], re-exported
+//! machine, in `ist_core::algorithms`. On `Ram` that composition runs
+//! only above the unit map: an extended gather whose scratch-sized
+//! units fit `ist_perm::UNIT_MAP_BITS` (about 7.4 M `u64`s at `b = 8`,
+//! 33 M at `b = 1`) is a scratch pass per block and one cycle pass over
+//! the units instead. Below it, `Ram`'s constructions call these for the
+//! vEB splits only. [`swap_regions_par`], re-exported
 //! here, is Figure 6.4's big-block baseline beside the chunked gather.
 
 pub use ist_shuffle::rotate::swap_regions_par;
@@ -152,7 +157,9 @@ fn run_band<T: Send>(data: &mut [T], first: usize, last: usize, l: usize, chunk:
 /// floors. Then each run swap fans out by itself: the top of the B-tree
 /// and BST recursions is bound by big-block swap throughput (Figure
 /// 6.4), not by cycle-level parallelism, and with `r = 1` this is the
-/// BST construction's only parallel path. Otherwise bands of adjacent
+/// BST construction's only parallel path on a machine that runs its
+/// gathers (on `Ram`, that is above the unit map only: see the crate
+/// documentation). Otherwise bands of adjacent
 /// cycles run concurrently (they are unit-disjoint), band `i` in one
 /// task with the band as far from the end, in tasks of at least a floor
 /// of moves. Stage 2 decides by its own moves the same way.

@@ -17,6 +17,14 @@
 //! after the kernel has checked that the plan filled every slot once
 //! and took every element once; between that check and the copy no
 //! other code runs. It makes no heap allocation.
+//!
+//! [`unshuffle_units`] is the pass for a region too large for the
+//! scratch: a `k`-way un-shuffle of scratch-sized units, each moved once
+//! along the permutation's cycles through a one-unit buffer, with a
+//! stack bitmap of [`UNIT_MAP_BITS`] bits marking the slots filled.
+//! `ist_core`'s extended gather runs it on `Ram` after a
+//! [`permute_direct`] pass per block, which turns each block into whole
+//! units.
 
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, MaybeUninit};
@@ -241,6 +249,113 @@ pub fn permute_direct<T>(data: &mut [T], plan: impl FnOnce(&mut Picker<'_, T>)) 
     unsafe { ptr::copy_nonoverlapping(picker.dst, base, len) };
 }
 
+/// Units one [`unshuffle_units`] call may move: one bit each of its
+/// visited map, which takes [`SCRATCH_BYTES`] of stack again (64 Ki).
+pub const UNIT_MAP_BITS: usize = 8 * SCRATCH_BYTES;
+
+/// The `k`-way un-shuffle of `data`'s units of `unit` elements, each
+/// unit moved once. `data` is `m` groups of `k` units; the first unit of
+/// every group goes to the front, order kept, and the other `k − 1` of
+/// every group follow it, order kept: unit `i·k` to slot `i`, unit `i·k
+/// + j` (`1 ≤ j < k`) to slot `m + i·(k − 1) + j − 1`.
+///
+/// The permutation's cycles are walked one at a time through a one-unit
+/// buffer in the scratch, each unit copied straight into its slot, and a
+/// stack bitmap of [`UNIT_MAP_BITS`] bits marks the slots filled. It
+/// makes no heap allocation. Every check runs before the first copy into
+/// the buffer; from there to a cycle's last write only index arithmetic
+/// on the checked bounds and bitwise copies run, so nothing can panic
+/// while a unit lives only in the buffer.
+///
+/// # Panics
+/// If `unit` or `k` is zero, a unit does not [fit the
+/// scratch](fits_scratch), `data` is not whole groups, or it holds more
+/// than [`UNIT_MAP_BITS`] units. Each leaves `data` as it was.
+///
+/// # Examples
+/// ```
+/// use ist_perm::unshuffle_units;
+/// // Two groups of three two-element units.
+/// let mut v = vec![0, 1, 10, 11, 20, 21, 2, 3, 12, 13, 22, 23];
+/// unshuffle_units(&mut v, 2, 3);
+/// assert_eq!(v, vec![0, 1, 2, 3, 10, 11, 20, 21, 12, 13, 22, 23]);
+/// ```
+pub fn unshuffle_units<T>(data: &mut [T], unit: usize, k: usize) {
+    let len = data.len();
+    assert!(
+        unit > 0 && k > 0 && fits_scratch::<T>(unit),
+        "units of {unit} elements of {} bytes, {k} to a group, do not fit the \
+         {SCRATCH_BYTES}-byte scratch",
+        size_of::<T>()
+    );
+    let group = unit.checked_mul(k);
+    assert!(
+        group.is_some_and(|group| len.is_multiple_of(group)) && len / unit <= UNIT_MAP_BITS,
+        "{len} elements are not whole groups of {k} units of {unit}, or more than \
+         {UNIT_MAP_BITS} units"
+    );
+    if size_of::<T>() == 0 || k == 1 {
+        return; // nothing moves, or every unit is already in its slot
+    }
+    let units = len / unit;
+    let m = units / k;
+    // The unit that belongs in slot `s`. Every value is below `units ≤
+    // UNIT_MAP_BITS`, so nothing here overflows.
+    let source = |s: usize| {
+        if s < m {
+            s * k
+        } else {
+            let t = s - m;
+            t / (k - 1) * k + t % (k - 1) + 1
+        }
+    };
+    let mut filled = [0u64; UNIT_MAP_BITS / 64];
+    let mut buffer = Scratch(MaybeUninit::uninit());
+    let buffer = buffer.0.as_mut_ptr().cast::<T>();
+    let base = data.as_mut_ptr();
+    for leader in 0..units {
+        if (filled[leader / 64] >> (leader % 64)) & 1 == 1 {
+            continue;
+        }
+        let mut hole = leader;
+        let mut from = source(hole);
+        mark(&mut filled, hole);
+        if from == leader {
+            continue; // a unit already in its slot
+        }
+        // SAFETY: every unit index is below `units`, so `index · unit +
+        // unit ≤ len`: all copies stay inside `data`, and the buffer holds
+        // one unit (`fits_scratch` above, which also checked `T`'s
+        // alignment). `from ≠ hole` on every copy, and distinct units are
+        // disjoint. The cycle starts by copying the leader into the buffer
+        // and then fills each hole from the unit that belongs there, which
+        // leaves that unit's slot the next hole; the last hole takes the
+        // buffer. So every unit of the cycle is written exactly once, to
+        // its slot, and none is duplicated or lost; between the first copy
+        // and the last no operation can panic (see above).
+        unsafe {
+            ptr::copy_nonoverlapping(base.add(leader * unit), buffer, unit);
+            while from != leader {
+                ptr::copy_nonoverlapping(base.add(from * unit), base.add(hole * unit), unit);
+                hole = from;
+                from = source(hole);
+                mark(&mut filled, hole);
+            }
+            ptr::copy_nonoverlapping(buffer, base.add(hole * unit), unit);
+        }
+    }
+}
+
+/// Set bit `s` of `map`. `get_mut` rather than an index: a bit past the
+/// map, which [`unshuffle_units`]' checks rule out, is left unset
+/// instead of panicking in the middle of a cycle.
+#[inline]
+fn mark(map: &mut [u64], s: usize) {
+    if let Some(word) = map.get_mut(s / 64) {
+        *word |= 1 << (s % 64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +462,61 @@ mod tests {
     fn too_large_is_refused() {
         let mut v = vec![0u64; SCRATCH_BYTES / 8 + 1];
         permute_direct(&mut v, |_| {});
+    }
+
+    /// `unshuffle_units` against an out-of-place un-shuffle.
+    fn reference_unshuffle<T: Clone>(data: &[T], unit: usize, k: usize) -> Vec<T> {
+        let units: Vec<&[T]> = data.chunks(unit).collect();
+        let firsts = units.iter().step_by(k);
+        let rest = units.chunks(k).flat_map(|group| &group[1..]);
+        firsts.chain(rest).flat_map(|u| u.iter().cloned()).collect()
+    }
+
+    #[test]
+    fn unshuffle_units_matches_the_reference() {
+        for (unit, k) in [(1usize, 2usize), (1, 9), (3, 2), (5, 4), (113, 9), (341, 2)] {
+            for m in [0usize, 1, 2, 3, 7, 10] {
+                let len = m * k * unit;
+                let sorted: Vec<String> = (0..len).map(|i| i.to_string()).collect();
+                let mut v = sorted.clone();
+                unshuffle_units(&mut v, unit, k);
+                assert!(
+                    v == reference_unshuffle(&sorted, unit, k),
+                    "unit={unit} k={k} m={m}"
+                );
+            }
+        }
+        // At the map's capacity, and `k = 1` (the identity).
+        let len = UNIT_MAP_BITS;
+        let mut v: Vec<u32> = (0..len as u32).collect();
+        unshuffle_units(&mut v, 1, 16);
+        assert!(v == reference_unshuffle(&(0..len as u32).collect::<Vec<_>>(), 1, 16));
+        let mut v: Vec<u32> = (0..12).collect();
+        unshuffle_units(&mut v, 3, 1);
+        assert!(v.iter().copied().eq(0..12));
+    }
+
+    /// Arguments the pass cannot take are refused before any element
+    /// moves: the region keeps its elements.
+    #[test]
+    fn unshuffle_units_refuses_before_moving() {
+        let cases: [(usize, usize, usize); 6] = [
+            (12, 0, 2),                    // no unit
+            (12, 3, 0),                    // no group
+            (10, 3, 2),                    // not whole groups
+            (12, SCRATCH_BYTES, 2),        // a unit past the scratch
+            (12, 2, usize::MAX),           // a group that overflows
+            (2 * UNIT_MAP_BITS + 2, 1, 2), // one group past the map
+        ];
+        for (len, unit, k) in cases {
+            let mut v: Vec<String> = (0..len).map(|i| i.to_string()).collect();
+            let result = catch_unwind(AssertUnwindSafe(|| unshuffle_units(&mut v, unit, k)));
+            assert!(result.is_err(), "len={len} unit={unit} k={k} was accepted");
+            assert!(
+                v.iter().enumerate().all(|(i, s)| *s == i.to_string()),
+                "len={len} unit={unit} k={k}"
+            );
+        }
     }
 
     #[test]

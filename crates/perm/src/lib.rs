@@ -22,7 +22,9 @@
 //!   in one pass through a stack scratch ([`direct`]), the way the
 //!   paper's GPU implementation permutes a small subtree in one thread
 //!   block's shared memory. `ist_machine::Ram` finishes the recursions'
-//!   small subproblems this way.
+//!   small subproblems this way, and an extended gather of up to
+//!   [`UNIT_MAP_BITS`] scratch-sized units with one such pass per block
+//!   and one cycle pass over the units ([`unshuffle_units`]).
 //!
 //! The crate also provides the out-of-place reference application
 //! ([`apply`]) that the construction oracle is built on.
@@ -41,7 +43,9 @@ pub mod oblivious;
 pub mod shared;
 
 pub use apply::apply_out_of_place;
-pub use direct::{fits_scratch, permute_direct, Picker, SCRATCH_BYTES};
+pub use direct::{
+    fits_scratch, permute_direct, unshuffle_units, Picker, SCRATCH_BYTES, UNIT_MAP_BITS,
+};
 pub use involution::apply_involution_range;
 pub use oblivious::co_permute_by_gather;
 pub use shared::{SharedSlice, MOVE_COST_NS};

@@ -163,12 +163,15 @@ fn in_place_construction_allocates_nothing_payload_sized() {
 /// A sequential construction recurses without task lists (a fan-out
 /// builds one only where the machine deals it out to other threads), so
 /// it makes no heap allocation of any size, for every layout and
-/// algorithm, at a perfect size and at a ragged one.
+/// algorithm, at a perfect size and at two ragged ones. At 10^6 keys
+/// every extended gather — the strip's and each B-tree and BST level's —
+/// is the unit pass, whose block pass, unit buffer and unit map all live
+/// on the stack.
 #[test]
 fn in_place_construction_seq_allocates_nothing() {
     use implicit_search_trees::{permute_in_place_seq, Algorithm, Layout};
 
-    for n in [(1usize << 16) - 1, 100_000] {
+    for n in [(1usize << 16) - 1, 100_000, 1_000_000] {
         for layout in [Layout::Bst, Layout::Btree { b: 8 }, Layout::Veb] {
             for algorithm in Algorithm::ALL {
                 let mut keys: Vec<u64> = (0..n as u64).collect();

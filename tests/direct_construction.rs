@@ -1,20 +1,24 @@
-//! The direct small case of the cycle-leader constructions.
+//! The direct cases of the cycle-leader constructions.
 //!
 //! `Ram` finishes every subproblem whose elements fit
 //! `ist_perm::permute_direct`'s stack scratch in one pass
 //! (`Machine::direct`): an extended gather's region as one stable
-//! partition, a small vEB subtree as one scatter to its slots. These
-//! tests pin that the result is the layout whatever side of the scratch
-//! budget a subproblem falls on, whatever the element type: a
-//! non-`Copy` element is moved, never duplicated or dropped, an element
-//! too large for the scratch takes the primitives, and a zero-sized one
-//! moves nothing. Each case runs in a one-thread pool and a four-thread
-//! pool and is checked against `reference_permutation`.
+//! partition, a small vEB subtree as one scatter to its slots. A larger
+//! extended gather whose scratch-sized units fit the unit map
+//! (`ist_perm::UNIT_MAP_BITS`) is one scratch pass per block of `r`
+//! runs, one cycle pass over the units (`ist_perm::unshuffle_units`)
+//! and one rotation of the leftover block's internal keys. These tests
+//! pin that the result is the layout whatever side of either budget a
+//! subproblem falls on, whatever the element type: a non-`Copy` element
+//! is moved, never duplicated or dropped, an element too large for the
+//! scratch takes the primitives, and a zero-sized one moves nothing.
+//! Each case runs in a one-thread pool and a four-thread pool and is
+//! checked against `reference_permutation`.
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
 use implicit_search_trees::layout::CompleteShape;
-use implicit_search_trees::perm::{fits_scratch, SCRATCH_BYTES};
+use implicit_search_trees::perm::{fits_scratch, SCRATCH_BYTES, UNIT_MAP_BITS};
 use implicit_search_trees::{permute_in_place, reference_permutation, Algorithm, Layout};
 
 fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
@@ -110,6 +114,145 @@ fn extended_gather_regions_on_both_sides_of_the_budget() {
     }
 }
 
+/// The most elements of `T` that fit the scratch.
+fn scratch_len<T>() -> usize {
+    (0..).take_while(|&n| fits_scratch::<T>(n)).last().unwrap()
+}
+
+/// The smallest `n` whose complete tree of `b` keys a node has `q` full
+/// overflow leaf nodes and a partial one of `s` keys: its Chapter-5
+/// strip is one extended gather of `q` runs.
+fn strip_len(b: usize, q: usize, s: usize) -> usize {
+    let k = b + 1;
+    let leaf_nodes = (0..).map(|m| k.pow(m)).find(|&nodes| nodes * b > q * b + s);
+    let n = leaf_nodes.unwrap() - 1 + q * b + s;
+    let shape = CompleteShape::new(n, b);
+    assert_eq!(
+        (shape.full_overflow_nodes(), shape.partial_node_len()),
+        (q, s),
+        "b={b} n={n}"
+    );
+    n
+}
+
+/// Tree sizes whose extended gathers fall on every side of the unit
+/// pass's bounds, for `b ∈ {1, 2, 8}` and `b = cap − 1`, with `cap` the
+/// elements that fit the scratch (`b = 1 023` for `u64`), each with and
+/// without a partial node. `r = cap / (b + 1)` runs fill a block. The
+/// strip's gather takes `r` runs, which fit the scratch; one and two
+/// full blocks with a leftover of 0, 1 and `r − 1` internal keys; and,
+/// where the region stays small (`r = 1` at the largest `b`: about
+/// 66 K elements), the most runs whose units fit the unit map and one
+/// more, which the recursion takes. For `b = 1`, perfect trees of
+/// `2^9 − 1` to `2^15 − 1` keys add levels of 1, 3, 7, 15 and 31 blocks,
+/// each with a leftover of `r − 1` internal keys.
+fn unit_pass_cases(cap: usize) -> Vec<(usize, usize)> {
+    let mut cases = Vec::new();
+    for b in [1, 2, 8, cap - 1] {
+        let k = b + 1;
+        let r = cap / k;
+        let mut runs = vec![r];
+        for blocks in [1, 2] {
+            runs.extend([0, 1, r - 1].map(|left| blocks * r + left + 1));
+        }
+        // `(most − 1) / r` blocks: the unit map's capacity.
+        let most = (UNIT_MAP_BITS / k + 1) * r;
+        assert!((most - 1) / r * k <= UNIT_MAP_BITS && most / r * k > UNIT_MAP_BITS);
+        if most * k < 1 << 17 {
+            runs.extend([most, most + 1]);
+        }
+        runs.sort_unstable();
+        runs.dedup();
+        for q in runs {
+            cases.push((b, strip_len(b, q, 0)));
+            if b > 1 {
+                cases.push((b, strip_len(b, q, b - 1)));
+            }
+        }
+    }
+    cases.extend((9..=15).map(|d| (1, (1 << d) - 1)));
+    cases
+}
+
+/// The layouts a case of `b` keys a node builds: for `b = 1` the binary
+/// layouts too, whose strip is the same gather.
+fn layouts_of(b: usize) -> Vec<Layout> {
+    let mut layouts = vec![Layout::Btree { b }];
+    if b == 1 {
+        layouts.extend([Layout::Bst, Layout::Veb]);
+    }
+    layouts
+}
+
+#[test]
+fn unit_pass_bounds_u64() {
+    let cap = scratch_len::<u64>();
+    assert_eq!(cap - 1, 1023, "the largest node capacity is near 1 000");
+    for (b, n) in unit_pass_cases(cap) {
+        for layout in layouts_of(b) {
+            check(&keys(n), layout);
+        }
+    }
+}
+
+#[test]
+fn unit_pass_bounds_strings() {
+    for (b, n) in unit_pass_cases(scratch_len::<String>()) {
+        let sorted: Vec<String> = (0..n).map(|i| format!("{i:08}")).collect();
+        for layout in layouts_of(b) {
+            check(&sorted, layout);
+        }
+    }
+}
+
+/// An element with the scratch's own alignment, one cache line.
+#[derive(Clone, Debug, PartialEq)]
+#[repr(align(64))]
+struct Line(u64);
+
+#[test]
+fn unit_pass_bounds_cache_line_aligned() {
+    assert_eq!(size_of::<Line>(), 64);
+    for (b, n) in unit_pass_cases(scratch_len::<Line>()) {
+        let sorted: Vec<Line> = (0..n as u64).map(Line).collect();
+        for layout in layouts_of(b) {
+            check(&sorted, layout);
+        }
+    }
+}
+
+#[test]
+fn unit_pass_bounds_drop_counted() {
+    for (b, n) in unit_pass_cases(scratch_len::<Counted>()) {
+        for layout in layouts_of(b) {
+            check_counted(n, layout);
+        }
+    }
+}
+
+/// A zero-sized element fits the scratch at every length, so every
+/// gather is one scratch pass that moves nothing.
+#[test]
+fn unit_pass_bounds_zero_sized() {
+    for (b, n) in unit_pass_cases(scratch_len::<u64>()) {
+        for layout in layouts_of(b) {
+            check_units(n, layout);
+        }
+    }
+}
+
+/// At sizes where a `u64` gather takes the unit pass — one block of
+/// runs, with and without a leftover — an element too large for the
+/// scratch keeps the primitives.
+#[test]
+fn unit_pass_sizes_of_an_element_too_large_for_the_scratch() {
+    let r = scratch_len::<u64>() / 9;
+    for q in [r + 1, 2 * r] {
+        let n = strip_len(8, q, 7);
+        check(&pages(n), Layout::Btree { b: 8 });
+    }
+}
+
 /// vEB subtrees of `2^d − 1` keys on both sides of the budget, perfect
 /// and ragged, for every cycle-leader layout.
 #[test]
@@ -168,6 +311,32 @@ impl Drop for Counted {
     }
 }
 
+/// Cycle-leader construction of `n` drop-counted elements into
+/// `layout`, in a one- and a four-thread pool: the keys land as
+/// `reference_permutation` puts them, and every element is dropped
+/// exactly once — none during construction.
+fn check_counted(n: usize, layout: Layout) {
+    let expect = reference_permutation(&keys(n), layout);
+    for threads in [1, 4] {
+        let before = COUNTED_DROPS.load(SeqCst);
+        let mut v: Vec<Counted> = (0..n as u64).map(Counted::new).collect();
+        in_pool(threads, || {
+            permute_in_place(&mut v, layout, Algorithm::CycleLeader).unwrap()
+        });
+        assert_eq!(
+            COUNTED_DROPS.load(SeqCst),
+            before,
+            "{layout:?} n={n}: dropped during construction"
+        );
+        assert!(
+            v.iter().map(|c| c.key).eq(expect.iter().copied()),
+            "{layout:?} n={n} threads={threads}"
+        );
+        drop(v);
+        assert_eq!(COUNTED_DROPS.load(SeqCst), before + n, "{layout:?} n={n}");
+    }
+}
+
 /// Every element is dropped exactly once — none during construction —
 /// at sizes on both sides of the 16-byte element's budget.
 #[test]
@@ -176,25 +345,7 @@ fn non_copy_elements_are_moved_never_dropped() {
     let fit = fit.unwrap();
     for layout in LAYOUTS {
         for n in [fit - 1, fit, fit + 1, 2 * fit + 1, 4 * fit, 10_000] {
-            let expect = reference_permutation(&keys(n), layout);
-            for threads in [1, 4] {
-                let before = COUNTED_DROPS.load(SeqCst);
-                let mut v: Vec<Counted> = (0..n as u64).map(Counted::new).collect();
-                in_pool(threads, || {
-                    permute_in_place(&mut v, layout, Algorithm::CycleLeader).unwrap()
-                });
-                assert_eq!(
-                    COUNTED_DROPS.load(SeqCst),
-                    before,
-                    "{layout:?} n={n}: dropped during construction"
-                );
-                assert!(
-                    v.iter().map(|c| c.key).eq(expect.iter().copied()),
-                    "{layout:?} n={n} threads={threads}"
-                );
-                drop(v);
-                assert_eq!(COUNTED_DROPS.load(SeqCst), before + n, "{layout:?} n={n}");
-            }
+            check_counted(n, layout);
         }
     }
 }
@@ -218,20 +369,24 @@ struct Page([u8; PAGE]);
 
 const PAGE: usize = SCRATCH_BYTES + 64;
 
+/// `n` pages, each marked with its key at both ends.
+fn pages(n: usize) -> Vec<Page> {
+    (0..n as u64)
+        .map(|i| {
+            let mut page = [0u8; PAGE];
+            page[..8].copy_from_slice(&i.to_be_bytes());
+            page[PAGE - 8..].copy_from_slice(&i.to_le_bytes());
+            Page(page)
+        })
+        .collect()
+}
+
 #[test]
 fn an_element_too_large_for_the_scratch_takes_the_primitives() {
     assert!(!fits_scratch::<Page>(1));
     for layout in LAYOUTS {
         for n in [63, 100, 300] {
-            let sorted: Vec<Page> = (0..n)
-                .map(|i: usize| {
-                    let mut page = [0u8; PAGE];
-                    page[..8].copy_from_slice(&(i as u64).to_be_bytes());
-                    page[PAGE - 8..].copy_from_slice(&(i as u64).to_le_bytes());
-                    Page(page)
-                })
-                .collect();
-            check(&sorted, layout);
+            check(&pages(n), layout);
         }
     }
 }
@@ -247,23 +402,29 @@ impl Drop for Unit {
     }
 }
 
+/// Cycle-leader construction of `n` zero-sized elements into `layout`,
+/// in a one- and a four-thread pool, keeps them all and drops none.
+fn check_units(n: usize, layout: Layout) {
+    check(&vec![(); n], layout);
+    for threads in [1, 4] {
+        let before = UNIT_DROPS.load(SeqCst);
+        let mut v: Vec<Unit> = (0..n).map(|_| Unit).collect();
+        in_pool(threads, || {
+            permute_in_place(&mut v, layout, Algorithm::CycleLeader).unwrap()
+        });
+        assert_eq!(v.len(), n);
+        assert_eq!(UNIT_DROPS.load(SeqCst), before, "{layout:?} n={n}");
+        drop(v);
+        assert_eq!(UNIT_DROPS.load(SeqCst), before + n, "{layout:?} n={n}");
+    }
+}
+
 #[test]
 fn zero_sized_elements() {
     assert!(fits_scratch::<Unit>(usize::MAX));
     for layout in LAYOUTS {
         for n in [0usize, 1, 255, 256, 100_000] {
-            check(&vec![(); n], layout);
-            for threads in [1, 4] {
-                let before = UNIT_DROPS.load(SeqCst);
-                let mut v: Vec<Unit> = (0..n).map(|_| Unit).collect();
-                in_pool(threads, || {
-                    permute_in_place(&mut v, layout, Algorithm::CycleLeader).unwrap()
-                });
-                assert_eq!(v.len(), n);
-                assert_eq!(UNIT_DROPS.load(SeqCst), before, "{layout:?} n={n}");
-                drop(v);
-                assert_eq!(UNIT_DROPS.load(SeqCst), before + n, "{layout:?} n={n}");
-            }
+            check_units(n, layout);
         }
     }
 }

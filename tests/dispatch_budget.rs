@@ -26,8 +26,8 @@
 //!
 //! The construction primitives follow the same rule: each of the two
 //! gathers, the region swap, `Ram`'s involution round, `Ram`'s subtree
-//! fan-out and the layout scatter hands off nothing just below two
-//! floors of its work (`rayon::min_task_len` at its documented
+//! fan-out, the block pass of `Ram`'s extended gather and the layout
+//! scatter hands off nothing just below two floors of its work (`rayon::min_task_len` at its documented
 //! per-element cost), and hands off at four floors, in a two-thread
 //! pool. An involution round's cost is its index arithmetic's
 //! (`IndexArith::ram_cost_ns`), so a `J` round spreads at a length a
@@ -49,7 +49,8 @@ use implicit_search_trees::gather::{
 use implicit_search_trees::machine::RAM_ELEM_COST_NS;
 use implicit_search_trees::perm::MOVE_COST_NS;
 use implicit_search_trees::{
-    IndexArith, Machine, MemVfs, QueryKind, Ram, Region, ShardedMap, StaticMap, StoreConfig,
+    permute_in_place, Algorithm, IndexArith, Layout, Machine, MemVfs, QueryKind, Ram, Region,
+    ShardedMap, StaticMap, StoreConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -276,8 +277,9 @@ fn construction_primitives_hand_off_only_from_their_floor() {
         let mut v: Vec<u64> = (0..(gather_len(l, l) * 8) as u64).collect();
         handoffs_in_two_threads(|| equidistant_gather_chunks(&mut v, l, l, 8))
     });
-    // The BST construction's shape, r = l = 1, whose only parallel path
-    // is a chunk swap that fans out: its work is the chunk.
+    // The shape of the BST construction's gathers where the machine does
+    // not finish them directly, r = l = 1: its only parallel path is a
+    // chunk swap that fans out, and its work is the chunk.
     hands_off_from_two_floors("equidistant_gather_chunks, r = 1", moves, |chunk| {
         let mut v: Vec<u64> = (0..3 * chunk as u64).collect();
         handoffs_in_two_threads(|| equidistant_gather_chunks(&mut v, 1, 1, chunk))
@@ -322,6 +324,16 @@ fn construction_primitives_hand_off_only_from_their_floor() {
             handoffs_in_two_threads(|| Ram::new(&mut v).run_tasks(regions, |_, _| {}))
         },
     );
+    // A cycle-leader BST build of `n` keys: on `Ram` every extended
+    // gather — the strip's, at most `n` elements, and each level's — is
+    // the unit pass, whose only parallel part deals its blocks by the
+    // moves of the gathered region.
+    hands_off_from_two_floors("the extended gather's block pass", moves, |n| {
+        let mut v: Vec<u64> = (0..n as u64).collect();
+        handoffs_in_two_threads(|| {
+            permute_in_place(&mut v, Layout::Bst, Algorithm::CycleLeader).unwrap()
+        })
+    });
     // Key-only, so the value side (`()`) moves nothing.
     hands_off_from_two_floors("the layout scatter", moves, |n| {
         let keys: Vec<u64> = (0..n as u64).collect();
